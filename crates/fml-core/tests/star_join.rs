@@ -1,0 +1,218 @@
+//! Star-join (multi-way) factorized trainers under hostile and reordered
+//! inputs: dangling foreign keys, dimension tuples no fact references (one of
+//! them NaN), storage order ≠ key order, and worker-count changes.  Both
+//! model families go through the one `Session::fit` surface.
+
+use fml_core::prelude::*;
+use fml_data::multiway::{DimSpec, MultiwayConfig};
+use fml_data::Workload;
+use fml_store::{Database, JoinSpec, Schema, StoreError, Tuple};
+
+/// Key offset of the never-referenced copies [`rebuild`] adds.
+const PAD: u64 = 1 << 40;
+
+fn star(seed: u64, n_s: u64, dims: Vec<DimSpec>, with_target: bool) -> Workload {
+    MultiwayConfig {
+        n_s,
+        d_s: 2,
+        dims,
+        k: 2,
+        noise_std: 0.6,
+        with_target,
+        seed,
+    }
+    .generate()
+    .unwrap()
+}
+
+/// Copies `w`'s star schema into a new database with every feature rounded
+/// to a multiple of 1/64.  Column sums and sums of squares over such values
+/// are exact in `f64`, so the GMM initializer's base-relation statistics
+/// depend neither on the storage order nor on a tuple being stored twice —
+/// which lets a *padded* copy start EM from bit-identical parameters.
+///
+/// `padded` stores each dimension in descending key order and gives it, per
+/// original tuple, a copy under `key + PAD` that no fact references, plus one
+/// never-referenced tuple of NaNs.
+fn rebuild(w: &Workload, padded: bool) -> (Database, JoinSpec) {
+    let grid = |t: &Tuple| -> Vec<f64> {
+        t.features
+            .iter()
+            .map(|x| (x * 64.0).round() / 64.0)
+            .collect()
+    };
+    let db = Database::in_memory();
+    for name in &w.spec.dimensions {
+        let src = w.db.relation(name).unwrap();
+        let mut tuples = src.lock().read_all().unwrap();
+        let width = src.lock().schema().num_features;
+        let rel = db
+            .create_relation(Schema::dimension(name.clone(), width))
+            .unwrap();
+        let mut rel = rel.lock();
+        if padded {
+            tuples.reverse();
+            rel.append(&Tuple::dimension(PAD - 1, vec![f64::NAN; width]))
+                .unwrap();
+        }
+        for t in &tuples {
+            if padded {
+                rel.append(&Tuple::dimension(t.key + PAD, grid(t))).unwrap();
+            }
+            rel.append(&Tuple::dimension(t.key, grid(t))).unwrap();
+        }
+        rel.flush().unwrap();
+    }
+    let src = w.db.relation(&w.spec.fact).unwrap();
+    let schema = src.lock().schema().clone();
+    let rel = db.create_relation(schema).unwrap();
+    let mut rel = rel.lock();
+    for t in src.lock().read_all().unwrap() {
+        let mut copy = t.clone();
+        copy.features = grid(&t);
+        rel.append(&copy).unwrap();
+    }
+    rel.flush().unwrap();
+    (db, w.spec.clone())
+}
+
+fn gmm_bits(fit: &GmmFit) -> Vec<u64> {
+    let m = &fit.model;
+    let mut bits: Vec<u64> = m.weights.iter().map(|x| x.to_bits()).collect();
+    for (mean, cov) in m.means.iter().zip(&m.covariances) {
+        bits.extend(mean.iter().map(|x| x.to_bits()));
+        bits.extend(cov.as_slice().iter().map(|x| x.to_bits()));
+    }
+    bits.extend(fit.log_likelihood.iter().map(|x| x.to_bits()));
+    bits
+}
+
+fn nn_bits(fit: &NnFit) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for layer in fit.model.layers() {
+        bits.extend(layer.weights.as_slice().iter().map(|x| x.to_bits()));
+        bits.extend(layer.bias.iter().map(|x| x.to_bits()));
+    }
+    bits.extend(fit.loss_trace.iter().map(|x| x.to_bits()));
+    bits
+}
+
+fn gmm(alg: Algorithm) -> Gmm {
+    Gmm::new(GmmConfig {
+        k: 2,
+        max_iters: 3,
+        ..GmmConfig::default()
+    })
+    .algorithm(alg)
+}
+
+fn nn(alg: Algorithm) -> Nn {
+    Nn::new(NnConfig {
+        hidden: vec![6],
+        epochs: 3,
+        ..NnConfig::default()
+    })
+    .algorithm(alg)
+}
+
+/// Three dimensions of widths 3, 5, 3: the wider side of a pair is the
+/// higher-numbered dimension for (R1, R2), the lower-numbered one for
+/// (R2, R3), and (R1, R3) tie.
+fn unequal_dims() -> Vec<DimSpec> {
+    vec![DimSpec::new(10, 3), DimSpec::new(6, 5), DimSpec::new(8, 3)]
+}
+
+#[test]
+fn dangling_fk_is_a_typed_error_for_both_families() {
+    let w = star(5, 120, unequal_dims(), true);
+    let fact = w.db.relation(&w.spec.fact).unwrap();
+    fact.lock()
+        .append(&Tuple::fact_with_target(
+            9_999,
+            vec![0, 777, 0],
+            0.5,
+            vec![0.0, 0.0],
+        ))
+        .unwrap();
+    fact.lock().flush().unwrap();
+    let session = Session::new(&w.db).join(&w.spec);
+    let dangling = |e: &StoreError| matches!(e, StoreError::DanglingForeignKey { key: 777, relation } if relation == "R2");
+    let Err(err) = session.fit(gmm(Algorithm::Factorized)) else {
+        panic!("GMM fit must fail");
+    };
+    assert!(dangling(&err), "GMM: {err}");
+    let Err(err) = session.fit(nn(Algorithm::Factorized)) else {
+        panic!("NN fit must fail");
+    };
+    assert!(dangling(&err), "NN: {err}");
+}
+
+#[test]
+fn unreferenced_and_nan_dimension_tuples_do_not_move_the_fit() {
+    let w = star(11, 400, unequal_dims(), true);
+    let (lean_db, spec) = rebuild(&w, false);
+    let (padded_db, _) = rebuild(&w, true);
+    let lean = Session::new(&lean_db).join(&spec);
+    let padded = Session::new(&padded_db).join(&spec);
+
+    let f_lean = lean.fit(gmm(Algorithm::Factorized)).unwrap().fit;
+    let f_padded = padded.fit(gmm(Algorithm::Factorized)).unwrap().fit;
+    assert!(f_lean.log_likelihood.iter().all(|ll| ll.is_finite()));
+    assert_eq!(
+        gmm_bits(&f_lean),
+        gmm_bits(&f_padded),
+        "F-GMM: padding changed bits"
+    );
+    let m_padded = padded.fit(gmm(Algorithm::Materialized)).unwrap().fit;
+    let diff = m_padded.model.max_param_diff(&f_padded.model);
+    assert!(diff < 1e-7, "M vs F on the padded star: {diff}");
+
+    let n_lean = lean.fit(nn(Algorithm::Factorized)).unwrap().fit;
+    let n_padded = padded.fit(nn(Algorithm::Factorized)).unwrap().fit;
+    assert_eq!(
+        nn_bits(&n_lean),
+        nn_bits(&n_padded),
+        "F-NN: padding changed bits"
+    );
+    let m_padded = padded.fit(nn(Algorithm::Materialized)).unwrap().fit;
+    assert!(m_padded.model.max_param_diff(&n_padded.model) < 1e-9);
+}
+
+#[test]
+fn star_fits_repeat_bit_for_bit_at_every_worker_count() {
+    // k·d² = 2·46² crosses the GMM trainer's fan-out threshold, so
+    // `BlockedParallel` really chunks the E-step.
+    let w = star(
+        23,
+        600,
+        vec![
+            DimSpec::new(12, 12),
+            DimSpec::new(8, 20),
+            DimSpec::new(10, 12),
+        ],
+        true,
+    );
+    let fit_bits = |exec: ExecPolicy| {
+        let session = Session::new(&w.db).join(&w.spec).exec(exec);
+        (
+            gmm_bits(&session.fit(gmm(Algorithm::Factorized)).unwrap().fit),
+            nn_bits(&session.fit(nn(Algorithm::Factorized)).unwrap().fit),
+        )
+    };
+    let reference = fit_bits(ExecPolicy::new());
+    assert_eq!(
+        reference,
+        fit_bits(ExecPolicy::new()),
+        "two runs, one process"
+    );
+    let parallel = |t| {
+        ExecPolicy::new()
+            .kernel_policy(KernelPolicy::BlockedParallel)
+            .threads(t)
+    };
+    let one = fit_bits(parallel(1));
+    assert_eq!(one, fit_bits(parallel(1)), "two parallel-policy runs");
+    for t in [2, 4] {
+        assert_eq!(one, fit_bits(parallel(t)), "threads({t}) vs threads(1)");
+    }
+}

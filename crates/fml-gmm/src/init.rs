@@ -50,6 +50,10 @@ impl GmmInit {
     /// stream — every training variant computes exactly the same initial model,
     /// while still starting at the right location and scale for the data (which
     /// keeps EM well-conditioned and avoids empty components).
+    ///
+    /// Tuples with a non-finite feature are left out of the statistics: the
+    /// scan covers dimension tuples no fact references, and one hostile tuple
+    /// there must not turn every initial mean into NaN.
     pub fn from_relations(
         &self,
         db: &Database,
@@ -67,6 +71,9 @@ impl GmmInit {
             let mut count = 0u64;
             for batch in BatchScan::new(rel.clone(), fml_store::DEFAULT_BLOCK_PAGES) {
                 for tuple in batch? {
+                    if !tuple.features.iter().all(|x| x.is_finite()) {
+                        continue;
+                    }
                     for (j, x) in tuple.features.iter().enumerate() {
                         sum[j] += x;
                         sum_sq[j] += x * x;

@@ -2,18 +2,29 @@
 //!
 //! With `q` dimension tables the feature space is partitioned into `q + 1` blocks
 //! `[d_S | d_{R_1} | … | d_{R_q}]` and the EM quantities decompose into a
-//! `(q+1)×(q+1)` grid (Equations 19–24).  Reuse happens per *dimension tuple*:
-//! for every distinct `R_i` tuple we cache, per mixture component,
+//! `(q+1)×(q+1)` grid (Equations 19–24).  Every cell that depends only on
+//! dimension tuples is paid once per *distinct tuple* and reused per matching
+//! fact; this is where each cell is paid:
 //!
-//! * the centered vector `PD_{R_i}`,
-//! * the diagonal quadratic term `PD_{R_i}ᵀ I_{ii} PD_{R_i}`,
-//! * the fact-side cross vector `I_{0i}·PD_{R_i} + I_{i0}ᵀ·PD_{R_i}`,
+//! | grid cell | paid | per-fact remainder |
+//! |---|---|---|
+//! | `(0,0)` fact × fact | per fact | a `d_S×d_S` form / outer product |
+//! | `(0,i)`, `(i,0)` fact × dimension | per `R_i` tuple: the cross vector `I_{0i}·PD_i + I_{i0}ᵀ·PD_i` (E-step), two outer products with `Σγ·PD_S` (M-step) | one dot / AXPY of length `d_S` |
+//! | `(i,i)` dimension diagonal | per `R_i` tuple: `PD_iᵀ I_{ii} PD_i` (E-step), one outer product weighted `Σγ` (M-step) | one scalar add |
+//! | `(i,j)`, `(j,i)` dimension × dimension | per tuple of the **wider** dimension `w`: the partner vector `I_{n,w}·PD_w + I_{w,n}ᵀ·PD_w` (E-step), two outer products with `Σγ·PD_n` (M-step) | one dot / AXPY of the **narrower** width `d_n` |
 //!
-//! so each fact tuple only evaluates the small `d_S×d_S` form, `q` dot products of
-//! length `d_S`, and the (cheap) cross terms between distinct dimension blocks.
-//! The M-step accumulates the dimension-only mean and scatter contributions per
-//! dimension tuple with the group's total responsibility mass, never per fact
-//! tuple.
+//! So a fact costs `O(d_S² + q·d_S + Σ_{i<j} min(d_i, d_j))` per component,
+//! against `O(d²)` for the materialized trainer (`d = d_S + Σ d_i`); the
+//! `d_i × d_j` blocks are touched once per distinct tuple of the wider side.
+//!
+//! Foreign keys are resolved to dense per-dimension ordinals once per fact
+//! and pass ([`fml_store::join::DimCache::ordinals`]); every per-tuple
+//! quantity lives in a flat [`OrdinalArena`] row `[ordinal][component][…]`
+//! filled on first reference, so dimension tuples no fact references are
+//! never read.  Ordinals ascend with the key, so the per-tuple merges run in
+//! one fixed order and a fit is bit-reproducible run to run; the E-step's
+//! per-fact sums are folded in fact order, so it is also independent of the
+//! worker count.
 
 use crate::em::{converged, finalize_m_step, means_from_sums, GmmFit};
 use crate::init::GmmInit;
@@ -23,25 +34,79 @@ use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::KeyedRepCache;
+use fml_linalg::repcache::{KeyedRepCache, OrdinalArena};
 use fml_linalg::sparse::{SparseMode, SparseRep};
 use fml_linalg::{gemm, vector, KernelPolicy, Matrix, Vector};
 use fml_store::factorized_scan::StarScan;
 use fml_store::{Database, JoinSpec, StoreResult};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// The factorized training strategy for star (multi-way) joins.
 pub struct FactorizedMultiwayGmm;
 
-/// Per-dimension-tuple cache used by the factorized E-step.
-struct EStepEntry {
-    /// Centered vectors `PD_{R_i}`, one per component.
-    pd: Vec<Vec<f64>>,
-    /// Diagonal quadratic terms `PD_{R_i}ᵀ I_{ii} PD_{R_i}`, one per component.
-    diag: Vec<f64>,
-    /// Fact-side cross vectors `I_{0i}·PD + I_{i0}ᵀ·PD`, one per component.
-    cross_s: Vec<Vec<f64>>,
+/// Where one dimension's per-(tuple, component) quantities sit inside its
+/// arena row.  The E-step cache and the covariance-pass aggregate share the
+/// shape — what a fact's terms are dotted with in pass 1 is what they are
+/// accumulated into in pass 3:
+///
+/// | slot | E-step | covariance pass |
+/// |---|---|---|
+/// | `pd` (`d_i`) | `PD_i` under the old means | `PD_i` under the new means |
+/// | `fact` (`d_S`) | `I_{0i}·PD_i + I_{i0}ᵀ·PD_i` | `Σ γ·PD_S` |
+/// | `scalar` | `PD_iᵀ I_{ii} PD_i` | `Σ γ` |
+/// | one per partner `n` (`d_n`) | `I_{n,i}·PD_i + I_{i,n}ᵀ·PD_i` | `Σ γ·PD_n` |
+struct DimLayout {
+    /// Block width `d_i`.
+    d: usize,
+    /// Fact block width `d_S`.
+    d_s: usize,
+    /// `(dimension, slot offset)` of every narrower-or-equal dimension this
+    /// one is the wide side of; each unordered dimension pair appears under
+    /// exactly one of its two dimensions (the lower index on a tie).
+    partners: Vec<(usize, usize)>,
+    /// Values per (tuple, component).
+    len: usize,
+}
+
+impl DimLayout {
+    /// Layouts of all `q` dimensions for the partition `[d_S, d_1, …, d_q]`.
+    fn all(sizes: &[usize]) -> Vec<DimLayout> {
+        let q = sizes.len() - 1;
+        (0..q)
+            .map(|i| {
+                let (d, d_s) = (sizes[i + 1], sizes[0]);
+                let mut len = d + d_s + 1;
+                let mut partners = Vec::new();
+                for n in 0..q {
+                    let d_n = sizes[n + 1];
+                    let wide = d > d_n || (d == d_n && i < n);
+                    if wide {
+                        partners.push((n, len));
+                        len += d_n;
+                    }
+                }
+                DimLayout {
+                    d,
+                    d_s,
+                    partners,
+                    len,
+                }
+            })
+            .collect()
+    }
+
+    fn pd(&self) -> Range<usize> {
+        0..self.d
+    }
+
+    fn fact(&self) -> Range<usize> {
+        self.d..self.d + self.d_s
+    }
+
+    fn scalar(&self) -> usize {
+        self.d + self.d_s
+    }
 }
 
 /// Per-iteration context the E-step cache construction reads: the partitioned
@@ -54,62 +119,73 @@ struct EStepCtx<'a> {
     kp: KernelPolicy,
 }
 
-impl EStepEntry {
-    /// Builds the cache for one distinct dimension tuple.  Sparse tuples
-    /// (`rep` given) compute the diagonal and fact-cross quantities through
-    /// the mean decomposition (gathers only); the centered vector is still
-    /// materialized because the cross terms between *distinct* dimension
-    /// blocks evaluate densely (sparse cross-dimension terms are a ROADMAP
-    /// follow-up).
-    fn build(features: &[f64], rep: Option<&SparseRep>, block: usize, ctx: &EStepCtx<'_>) -> Self {
-        let k = ctx.forms.len();
-        let mut pd = Vec::with_capacity(k);
-        let mut diag = Vec::with_capacity(k);
-        let mut cross_s = Vec::with_capacity(k);
-        for c in 0..k {
-            let centered: Vec<f64> = features
-                .iter()
-                .zip(ctx.means_split[c][block].iter())
-                .map(|(x, m)| x - m)
-                .collect();
-            match rep {
-                Some(rep) => {
-                    let pre = &ctx.sparse_pre[c][block - 1];
-                    diag.push(pre.diag_term(&ctx.forms[c], block, rep));
-                    cross_s.push(pre.cross_vector(&ctx.forms[c], block, rep, ctx.kp));
-                }
-                None => {
-                    diag.push(ctx.forms[c].term(block, block, &centered, &centered));
-                    let mut w = ctx.forms[c].block_times(0, block, &centered);
-                    let w2 = gemm::matvec_transposed_with(
-                        ctx.kp,
-                        ctx.forms[c].block(block, 0),
-                        &centered,
-                    );
-                    vector::axpy(1.0, &w2, &mut w);
-                    cross_s.push(w);
-                }
+/// `I_{to,from}·pd + I_{from,to}ᵀ·pd`: all that block `to` needs from a
+/// `from`-block tuple to evaluate both of their cross cells with one dot.
+fn cross_vector(
+    form: &BlockQuadraticForm,
+    to: usize,
+    from: usize,
+    pd: &[f64],
+    kp: KernelPolicy,
+) -> Vec<f64> {
+    let mut w = form.block_times(to, from, pd);
+    let w2 = gemm::matvec_transposed_with(kp, form.block(from, to), pd);
+    vector::axpy(1.0, &w2, &mut w);
+    w
+}
+
+/// Fills the E-step arena row of one distinct dimension tuple (all
+/// components).  Sparse tuples (`rep` given) compute the diagonal and
+/// fact-cross quantities through the mean decomposition (gathers only); the
+/// centered vector is still materialized because the partner vectors towards
+/// other dimension blocks evaluate densely (sparse cross-dimension terms are
+/// a ROADMAP follow-up).
+fn fill_e_step_row(
+    row: &mut [f64],
+    lay: &DimLayout,
+    features: &[f64],
+    rep: Option<&SparseRep>,
+    block: usize,
+    ctx: &EStepCtx<'_>,
+) {
+    for (c, entry) in row.chunks_exact_mut(lay.len).enumerate() {
+        let form = &ctx.forms[c];
+        let (pd, rest) = entry.split_at_mut(lay.d);
+        vector::sub_into(features, &ctx.means_split[c][block], pd);
+        let (diag, cross_s) = match rep {
+            Some(rep) => {
+                let pre = &ctx.sparse_pre[c][block - 1];
+                (
+                    pre.diag_term(form, block, rep),
+                    pre.cross_vector(form, block, rep, ctx.kp),
+                )
             }
-            pd.push(centered);
+            None => (
+                form.term(block, block, pd, pd),
+                cross_vector(form, 0, block, pd, ctx.kp),
+            ),
+        };
+        rest[..lay.d_s].copy_from_slice(&cross_s);
+        rest[lay.d_s] = diag;
+        for &(n, off) in &lay.partners {
+            let u = cross_vector(form, n + 1, block, pd, ctx.kp);
+            rest[off - lay.d..off - lay.d + u.len()].copy_from_slice(&u);
         }
-        Self { pd, diag, cross_s }
     }
 }
 
-/// Per-dimension-tuple aggregate used by the covariance pass.
-struct ScatterAgg {
-    /// Total responsibility mass of fact tuples referencing this dimension tuple.
-    gamma: Vec<f64>,
-    /// `Σ γ PD_S` over those fact tuples, one vector per component.
-    weighted_pd_s: Vec<Vec<f64>>,
-}
-
-impl ScatterAgg {
-    fn new(k: usize, d_s: usize) -> Self {
-        Self {
-            gamma: vec![0.0; k],
-            weighted_pd_s: vec![vec![0.0; d_s]; k],
-        }
+/// Borrows arena `wide` mutably and arena `narrow` immutably (`wide != narrow`).
+fn wide_and_narrow(
+    arenas: &mut [OrdinalArena],
+    wide: usize,
+    narrow: usize,
+) -> (&mut OrdinalArena, &OrdinalArena) {
+    if wide < narrow {
+        let (lo, hi) = arenas.split_at_mut(narrow);
+        (&mut lo[wide], &hi[0])
+    } else {
+        let (lo, hi) = arenas.split_at_mut(wide);
+        (&mut hi[0], &lo[narrow])
     }
 }
 
@@ -154,13 +230,27 @@ impl FactorizedMultiwayGmm {
             ex.kernel_policy.is_parallel() && k * d * d >= crate::factorized::PAR_MIN_GROUP_FLOPS;
         let workers = ex.workers(par);
         let auto_sparse = ex.sparse == SparseMode::Auto;
-        // Per-dimension detection caches, keyed by FK and **hoisted out of the
-        // EM loop**: the dimension tuples are immutable, so detection runs at
-        // most once per distinct tuple for the whole training run (the E-step
-        // fills the cache on first encounter; the M-step passes and every
-        // later iteration reuse it).
+        // Per-dimension detection caches, keyed by ordinal and **hoisted out
+        // of the EM loop**: the dimension tuples are immutable, so detection
+        // runs at most once per distinct tuple for the whole training run
+        // (the E-step fills the cache on first encounter; the M-step passes
+        // and every later iteration reuse it).
         let mut dim_reps: Vec<KeyedRepCache> =
             (0..q).map(|_| KeyedRepCache::new(ex.sparse)).collect();
+        // Per-dimension arenas, re-sized and cleared at the start of each
+        // pass: `terms` holds the E-step cache in pass 1 and the covariance
+        // aggregate in pass 3 (see [`DimLayout`]), `gamma_sums` the pass-2
+        // responsibility mass per tuple.
+        let layouts = DimLayout::all(&sizes);
+        let mut terms: Vec<OrdinalArena> = layouts
+            .iter()
+            .map(|lay| OrdinalArena::new(k * lay.len))
+            .collect();
+        let mut gamma_sums: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(k)).collect();
+        // Resolved ordinals: of a whole fact block in pass 1 (the chunked
+        // evaluation reads them), of the current fact in passes 2–3.
+        let mut block_ords: Vec<u32> = Vec::new();
+        let mut ords: Vec<u32> = vec![0; q];
 
         for _iter in 0..config.max_iters {
             let pre = Precomputed::from_model(&model, config.ridge);
@@ -171,93 +261,92 @@ impl FactorizedMultiwayGmm {
             } else {
                 Vec::new()
             };
+            let ctx = EStepCtx {
+                forms: &forms,
+                means_split: &means_split,
+                sparse_pre: &sparse_pre,
+                kp,
+            };
 
             // ---- Pass 1: E-step (Equation 19) ----
-            // Per block: a sequential sweep materializes the per-dimension-tuple
-            // caches (one entry per *distinct* FK — the factorized reuse), then
-            // the per-fact evaluation fans out over chunks that read the caches
-            // immutably; partials merge in chunk order.
+            // Per block: a sequential sweep resolves every fact's ordinals
+            // and fills the arena rows of newly referenced dimension tuples
+            // (one row per *distinct* tuple — the factorized reuse), then the
+            // per-fact evaluation fans out over chunks that read the arenas
+            // immutably; per-fact results fold in fact order.
             gammas.clear();
             let mut nk = vec![0.0; k];
             let mut ll = 0.0;
             let scan = StarScan::new(db, spec, ex.block_pages)?;
-            let mut caches: Vec<HashMap<u64, EStepEntry>> =
-                (0..q).map(|_| HashMap::new()).collect();
+            for (i, arena) in terms.iter_mut().enumerate() {
+                arena.reset(scan.cache().dim_len(i));
+            }
             for block in scan.blocks() {
                 let facts = block?;
-                for fact in &facts {
-                    for (i, fk) in fact.fks.iter().enumerate() {
-                        if !caches[i].contains_key(fk) {
-                            let dim_tuple = scan.cache().get(i, *fk).ok_or_else(|| {
-                                fml_store::StoreError::DanglingForeignKey {
-                                    relation: spec.dimensions[i].clone(),
-                                    key: *fk,
-                                }
-                            })?;
+                block_ords.resize(facts.len() * q, 0);
+                for (f, fact) in facts.iter().enumerate() {
+                    let fact_ords = &mut block_ords[f * q..(f + 1) * q];
+                    scan.cache().ordinals(fact, fact_ords)?;
+                    for (i, &ord) in fact_ords.iter().enumerate() {
+                        if terms[i].claim(ord) {
+                            let features = &scan.cache().tuple(i, ord).features;
                             // Detection persists across iterations; only the
                             // first encounter of a tuple ever scans it.
-                            let rep = dim_reps[i].rep_or_detect(*fk, &dim_tuple.features);
-                            let ctx = EStepCtx {
-                                forms: &forms,
-                                means_split: &means_split,
-                                sparse_pre: &sparse_pre,
-                                kp,
-                            };
-                            let entry = EStepEntry::build(&dim_tuple.features, rep, i + 1, &ctx);
-                            caches[i].insert(*fk, entry);
+                            let rep = dim_reps[i].rep_or_detect(ord, features);
+                            let row = terms[i].row_mut(ord);
+                            fill_e_step_row(row, &layouts[i], features, rep, i + 1, &ctx);
                         }
                     }
                 }
                 let parts = par_chunks_with_threads(workers, facts.len(), 1, |range| {
                     let mut local_gammas = Vec::with_capacity(range.len() * k);
-                    let mut local_nk = vec![0.0; k];
-                    let mut local_ll = 0.0;
+                    let mut local_lls = Vec::with_capacity(range.len());
                     let mut log_dens = vec![0.0; k];
                     let mut pd_s = vec![0.0; d_s];
-                    for fact in &facts[range] {
+                    for f in range {
+                        let (fact, fact_ords) = (&facts[f], &block_ords[f * q..(f + 1) * q]);
                         for (c, ld) in log_dens.iter_mut().enumerate() {
                             vector::sub_into(&fact.features, &means_split[c][0], &mut pd_s);
                             let mut quad = forms[c].term(0, 0, &pd_s, &pd_s);
-                            for i in 0..q {
-                                let e = &caches[i][&fact.fks[i]];
-                                quad += e.diag[c] + vector::dot(&pd_s, &e.cross_s[c]);
-                            }
-                            // cross terms between distinct dimension blocks
-                            for i in 0..q {
-                                for j in 0..q {
-                                    if i != j {
-                                        let ei = &caches[i][&fact.fks[i]];
-                                        let ej = &caches[j][&fact.fks[j]];
-                                        quad += forms[c].term(i + 1, j + 1, &ei.pd[c], &ej.pd[c]);
-                                    }
+                            for (i, lay) in layouts.iter().enumerate() {
+                                let e = &terms[i].row(fact_ords[i])[c * lay.len..(c + 1) * lay.len];
+                                quad += e[lay.scalar()] + vector::dot(&pd_s, &e[lay.fact()]);
+                                // cross cells towards the narrower dimensions
+                                for &(n, off) in &lay.partners {
+                                    let ln = &layouts[n];
+                                    let en = &terms[n].row(fact_ords[n])[c * ln.len..];
+                                    quad += vector::dot(&en[ln.pd()], &e[off..off + ln.d]);
                                 }
                             }
                             *ld = pre.log_norm[c] - 0.5 * quad;
                         }
                         let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
-                        for c in 0..k {
-                            local_nk[c] += resp[c];
-                        }
-                        local_ll += tuple_ll;
+                        local_lls.push(tuple_ll);
                         local_gammas.extend_from_slice(&resp);
                     }
-                    (local_gammas, local_nk, local_ll)
+                    (local_gammas, local_lls)
                 });
-                for (local_gammas, local_nk, local_ll) in parts {
+                // Fact-order fold: the sums do not depend on how the block
+                // was chunked, hence not on the worker count.
+                for (local_gammas, local_lls) in parts {
+                    for (resp, tuple_ll) in local_gammas.chunks_exact(k).zip(local_lls) {
+                        vector::axpy(1.0, resp, &mut nk);
+                        ll += tuple_ll;
+                    }
                     gammas.extend_from_slice(&local_gammas);
-                    vector::axpy(1.0, &local_nk, &mut nk);
-                    ll += local_ll;
                 }
             }
 
             // ---- Pass 2: M-step, means (Equation 22) ----
             let mut mean_sums = vec![Vector::zeros(d); k];
-            let mut gamma_by_dim: Vec<HashMap<u64, Vec<f64>>> =
-                (0..q).map(|_| HashMap::new()).collect();
             let mut cursor = 0usize;
             let scan = StarScan::new(db, spec, ex.block_pages)?;
+            for (i, arena) in gamma_sums.iter_mut().enumerate() {
+                arena.reset(scan.cache().dim_len(i));
+            }
             for block in scan.blocks() {
                 for fact in block? {
+                    scan.cache().ordinals(&fact, &mut ords)?;
                     let g = &gammas[cursor..cursor + k];
                     for c in 0..k {
                         vector::axpy(
@@ -266,43 +355,26 @@ impl FactorizedMultiwayGmm {
                             &mut mean_sums[c].as_mut_slice()[..d_s],
                         );
                     }
-                    for (i, fk) in fact.fks.iter().enumerate() {
-                        let sums = gamma_by_dim[i].entry(*fk).or_insert_with(|| vec![0.0; k]);
-                        for c in 0..k {
-                            sums[c] += g[c];
+                    for (arena, &ord) in gamma_sums.iter_mut().zip(&ords) {
+                        if arena.claim(ord) {
+                            arena.row_mut(ord).fill(0.0);
                         }
+                        vector::axpy(1.0, g, arena.row_mut(ord));
                     }
                     cursor += k;
                 }
             }
-            for (i, dim_gammas) in gamma_by_dim.iter().enumerate() {
+            for (i, arena) in gamma_sums.iter().enumerate() {
                 let range = partition.range(i + 1);
-                // Sorted keys: the FK arena is a HashMap, whose iteration
-                // order is randomized per process — the mean sums must merge
-                // in a deterministic order or the result drifts run to run.
-                let mut sorted_keys: Vec<u64> = dim_gammas.keys().copied().collect();
-                sorted_keys.sort_unstable();
-                for key in &sorted_keys {
-                    let sums = &dim_gammas[key];
-                    match dim_reps[i].get(*key) {
-                        Some(rep) => {
-                            for c in 0..k {
-                                rep.axpy_into(
-                                    sums[c],
-                                    &mut mean_sums[c].as_mut_slice()[range.clone()],
-                                );
-                            }
-                        }
-                        None => {
-                            let dim_tuple =
-                                scan.cache().get(i, *key).expect("cached during pass 1");
-                            for c in 0..k {
-                                vector::axpy(
-                                    sums[c],
-                                    &dim_tuple.features,
-                                    &mut mean_sums[c].as_mut_slice()[range.clone()],
-                                );
-                            }
+                for ord in arena.referenced() {
+                    let sums = arena.row(ord);
+                    let rep = dim_reps[i].get(ord);
+                    let features = &scan.cache().tuple(i, ord).features;
+                    for c in 0..k {
+                        let dst = &mut mean_sums[c].as_mut_slice()[range.clone()];
+                        match rep {
+                            Some(rep) => rep.axpy_into(sums[c], dst),
+                            None => vector::axpy(sums[c], features, dst),
                         }
                     }
                 }
@@ -324,90 +396,80 @@ impl FactorizedMultiwayGmm {
             let mut scatter: Vec<BlockScatter> = (0..k)
                 .map(|_| BlockScatter::new_with(partition.clone(), kp))
                 .collect();
-            // Centered dimension vectors under the *new* means.
-            let mut pd_new: Vec<HashMap<u64, Vec<Vec<f64>>>> =
-                (0..q).map(|_| HashMap::new()).collect();
-            let mut aggs: Vec<HashMap<u64, ScatterAgg>> = (0..q).map(|_| HashMap::new()).collect();
             let mut cursor = 0usize;
             let scan = StarScan::new(db, spec, ex.block_pages)?;
+            for (i, arena) in terms.iter_mut().enumerate() {
+                arena.reset(scan.cache().dim_len(i));
+            }
             for block in scan.blocks() {
                 for fact in block? {
+                    scan.cache().ordinals(&fact, &mut ords)?;
                     let g = &gammas[cursor..cursor + k];
-                    for (i, fk) in fact.fks.iter().enumerate() {
-                        if !pd_new[i].contains_key(fk) {
-                            let dim_tuple = scan.cache().get(i, *fk).expect("cached during pass 1");
-                            let per_c: Vec<Vec<f64>> = (0..k)
-                                .map(|c| {
-                                    dim_tuple
-                                        .features
-                                        .iter()
-                                        .zip(new_means_split[c][i + 1].iter())
-                                        .map(|(x, m)| x - m)
-                                        .collect()
-                                })
-                                .collect();
-                            pd_new[i].insert(*fk, per_c);
+                    // First reference: centered dimension vectors under the
+                    // *new* means, zeroed aggregates.
+                    for (i, lay) in layouts.iter().enumerate() {
+                        if terms[i].claim(ords[i]) {
+                            let features = &scan.cache().tuple(i, ords[i]).features;
+                            let row = terms[i].row_mut(ords[i]);
+                            for (c, e) in row.chunks_exact_mut(lay.len).enumerate() {
+                                let (pd, aggregates) = e.split_at_mut(lay.d);
+                                vector::sub_into(features, &new_means_split[c][i + 1], pd);
+                                aggregates.fill(0.0);
+                            }
                         }
                     }
                     for c in 0..k {
                         vector::sub_into(&fact.features, &new_means_split[c][0], &mut pd_s);
-                        // fact-fact block, per tuple
+                        // fact-fact block, per fact
                         scatter[c].add_outer(0, 0, g[c], &pd_s, &pd_s);
-                        for (i, fk) in fact.fks.iter().enumerate() {
-                            let agg = aggs[i]
-                                .entry(*fk)
-                                .or_insert_with(|| ScatterAgg::new(k, d_s));
-                            agg.gamma[c] += g[c];
-                            vector::axpy(g[c], &pd_s, &mut agg.weighted_pd_s[c]);
-                        }
-                        // cross terms between distinct dimension blocks, per tuple
-                        for i in 0..q {
-                            for j in 0..q {
-                                if i != j {
-                                    let pi = &pd_new[i][&fact.fks[i]][c];
-                                    let pj = &pd_new[j][&fact.fks[j]][c];
-                                    scatter[c].add_outer(i + 1, j + 1, g[c], pi, pj);
-                                }
+                        for (i, lay) in layouts.iter().enumerate() {
+                            let at = c * lay.len;
+                            let e = &mut terms[i].row_mut(ords[i])[at..at + lay.len];
+                            e[lay.scalar()] += g[c];
+                            vector::axpy(g[c], &pd_s, &mut e[lay.fact()]);
+                            // the wider side gathers `Σ γ·PD_n` per partner
+                            for &(n, off) in &lay.partners {
+                                let ln = &layouts[n];
+                                let (wide, narrow) = wide_and_narrow(&mut terms, i, n);
+                                let pd_n = &narrow.row(ords[n])[c * ln.len..c * ln.len + ln.d];
+                                let sum_n = &mut wide.row_mut(ords[i])[at + off..at + off + ln.d];
+                                vector::axpy(g[c], pd_n, sum_n);
                             }
                         }
                     }
                     cursor += k;
                 }
             }
-            // Dimension-side blocks, once per dimension tuple.  Sparse tuples
-            // go through the sparse decomposition: raw-x scatters here, dense
-            // mean corrections once per (component, block) after the loop.
-            for i in 0..q {
-                let d_i = partition.size(i + 1);
+            // Dimension-side blocks, once per referenced dimension tuple.
+            // Sparse tuples go through the sparse decomposition: raw-x
+            // scatters here, dense mean corrections once per (component,
+            // block) after the loop.
+            for (i, lay) in layouts.iter().enumerate() {
+                let b = i + 1;
                 let mut acc: Vec<SparseScatterAcc> =
-                    (0..k).map(|_| SparseScatterAcc::new(d_s, d_i)).collect();
-                // Sorted keys: scatter merges must be hash-order-free (see
-                // the gamma pass above).
-                let mut sorted_keys: Vec<u64> = aggs[i].keys().copied().collect();
-                sorted_keys.sort_unstable();
-                for key in &sorted_keys {
-                    let agg = &aggs[i][key];
-                    if let Some(rep) = dim_reps[i].get(*key) {
-                        for c in 0..k {
-                            acc[c].record(
-                                &mut scatter[c],
-                                i + 1,
-                                agg.gamma[c],
-                                &agg.weighted_pd_s[c],
-                                rep,
-                            );
+                    (0..k).map(|_| SparseScatterAcc::new(d_s, lay.d)).collect();
+                for ord in terms[i].referenced() {
+                    let rep = dim_reps[i].get(ord);
+                    for (c, e) in terms[i].row(ord).chunks_exact(lay.len).enumerate() {
+                        let (pd, w_s, gamma) = (&e[lay.pd()], &e[lay.fact()], e[lay.scalar()]);
+                        match rep {
+                            Some(rep) => acc[c].record(&mut scatter[c], b, gamma, w_s, rep),
+                            None => {
+                                scatter[c].add_outer(0, b, 1.0, w_s, pd);
+                                scatter[c].add_outer(b, 0, 1.0, pd, w_s);
+                                scatter[c].add_outer(b, b, gamma, pd, pd);
+                            }
                         }
-                        continue;
-                    }
-                    let pd = &pd_new[i][key];
-                    for c in 0..k {
-                        scatter[c].add_outer(0, i + 1, 1.0, &agg.weighted_pd_s[c], &pd[c]);
-                        scatter[c].add_outer(i + 1, 0, 1.0, &pd[c], &agg.weighted_pd_s[c]);
-                        scatter[c].add_outer(i + 1, i + 1, agg.gamma[c], &pd[c], &pd[c]);
+                        // both cross cells of each pair, once per wide tuple
+                        for &(n, off) in &lay.partners {
+                            let w_n = &e[off..off + layouts[n].d];
+                            scatter[c].add_outer(n + 1, b, 1.0, w_n, pd);
+                            scatter[c].add_outer(b, n + 1, 1.0, pd, w_n);
+                        }
                     }
                 }
                 for (c, acc) in acc.iter().enumerate() {
-                    acc.finalize(&mut scatter[c], i + 1, &new_means_split[c][i + 1]);
+                    acc.finalize(&mut scatter[c], b, &new_means_split[c][b]);
                 }
             }
             let scatter_mats: Vec<Matrix> =

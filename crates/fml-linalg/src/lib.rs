@@ -29,7 +29,8 @@
 //!   one place.
 //! * [`repcache`] — the per-tuple sparse-representation caches ([`RepCache`],
 //!   [`KeyedRepCache`]) encoding the lazy scan-order fill protocol shared by
-//!   all six trainers.
+//!   all six trainers, and the ordinal-indexed [`OrdinalArena`] the star
+//!   trainers keep their per-dimension-tuple terms in.
 //!
 //! ## Kernel policies
 //!
@@ -108,7 +109,7 @@ pub use csr::CsrBlock;
 pub use exec::{ExecPolicy, ExecSettings, FitEvent, FitNotifier, FitObserver, TraceObserver};
 pub use matrix::Matrix;
 pub use policy::KernelPolicy;
-pub use repcache::{KeyedRepCache, RepCache, RepSegment};
+pub use repcache::{KeyedRepCache, OrdinalArena, RepCache, RepSegment};
 pub use simd::{SimdLevel, SimdMode};
 pub use sparse::{BlockVec, SparseMode, SparseRep};
 pub use vector::Vector;

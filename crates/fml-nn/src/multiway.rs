@@ -7,16 +7,22 @@
 //! `[PG_S  PG_{R_1} … PG_{R_q}]` (Equation 32); each dimension block accumulates
 //! the per-dimension-tuple sum of `δ¹` and performs one outer product with
 //! `x_{R_i}` per dimension tuple.
+//!
+//! As in the star GMM trainer, each fact resolves its foreign keys to dense
+//! per-dimension ordinals once ([`fml_store::join::DimCache::ordinals`]) and
+//! both per-tuple quantities live in one flat [`OrdinalArena`] row per
+//! dimension tuple, `[W¹_{R_i}·x_{R_i} | Σ δ¹]`, initialized on first
+//! reference; the gradient merge walks the referenced rows in ascending
+//! ordinal (= key) order, so an epoch has one fixed floating-point order.
 
 use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
 use crate::trainer::{NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
-use fml_linalg::repcache::KeyedRepCache;
+use fml_linalg::repcache::{KeyedRepCache, OrdinalArena};
 use fml_linalg::{gemm, vector, Matrix};
 use fml_store::factorized_scan::StarScan;
 use fml_store::{Database, JoinSpec, StoreResult};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The factorized NN training strategy for star (multi-way) joins.
@@ -59,15 +65,20 @@ impl FactorizedMultiwayNn {
         let probe = db.stats().io_probe();
         let mut notifier = FitNotifier::new(exec, Some(&probe));
 
-        // Per-dimension detection caches, keyed by FK and hoisted out of the
-        // epoch loop: dimension tuples are immutable, so detection runs at
-        // most once per distinct tuple for the whole training run (the shared
-        // [`KeyedRepCache`] protocol).
+        // Per-dimension detection caches, keyed by ordinal and hoisted out of
+        // the epoch loop: dimension tuples are immutable, so detection runs
+        // at most once per distinct tuple for the whole training run (the
+        // shared [`KeyedRepCache`] protocol).
         let mut dim_reps: Vec<KeyedRepCache> =
             (0..q).map(|_| KeyedRepCache::new(ex.sparse)).collect();
+        // Per dimension tuple, cleared each epoch: the partial product
+        // W¹_{R_i}·x_{R_i} (a column gather of W¹_{R_i} when x_{R_i} is
+        // sparse) followed by the accumulated sum of first-layer deltas.
+        let nh = model.layers()[0].out_dim();
+        let mut arenas: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(2 * nh)).collect();
+        let mut ords: Vec<u32> = vec![0; q];
 
         for _epoch in 0..config.epochs {
-            let nh = model.layers()[0].out_dim();
             let w1 = &model.layers()[0].weights;
             let w1_s = w1.sub_block(0, nh, 0, d_s);
             let w1_dims: Vec<Matrix> = (0..q)
@@ -83,37 +94,30 @@ impl FactorizedMultiwayNn {
 
             let kp = ex.kernel_policy.sequential();
             let scan = StarScan::new(db, spec, ex.block_pages)?;
-            // Cached per dimension tuple: the partial product W¹_{R_i}·x_{R_i}
-            // (a column gather of W¹_{R_i} when x_{R_i} is one-hot).
-            let mut partials: Vec<HashMap<u64, Vec<f64>>> =
-                (0..q).map(|_| HashMap::new()).collect();
-            // Per dimension tuple: accumulated sum of first-layer deltas.
-            let mut delta_sums: Vec<HashMap<u64, Vec<f64>>> =
-                (0..q).map(|_| HashMap::new()).collect();
+            for (i, arena) in arenas.iter_mut().enumerate() {
+                arena.reset(scan.cache().dim_len(i));
+            }
 
             for block in scan.blocks() {
                 for fact in block? {
+                    scan.cache().ordinals(&fact, &mut ords)?;
                     // ---- forward, first layer (factorized) ----
                     let mut a1 = gemm::matvec_with(kp, &w1_s, &fact.features);
                     vector::axpy(1.0, &b1, &mut a1);
-                    for (i, fk) in fact.fks.iter().enumerate() {
-                        if !partials[i].contains_key(fk) {
-                            let dim_tuple = scan.cache().get(i, *fk).ok_or_else(|| {
-                                fml_store::StoreError::DanglingForeignKey {
-                                    relation: spec.dimensions[i].clone(),
-                                    key: *fk,
-                                }
-                            })?;
+                    for (i, &ord) in ords.iter().enumerate() {
+                        if arenas[i].claim(ord) {
+                            let features = &scan.cache().tuple(i, ord).features;
                             // Detection persists across epochs; only the
                             // first encounter of a tuple ever scans it.
-                            let rep = dim_reps[i].rep_or_detect(*fk, &dim_tuple.features);
-                            let partial = match rep {
+                            let partial = match dim_reps[i].rep_or_detect(ord, features) {
                                 Some(rep) => rep.matvec(kp, &w1_dims[i]),
-                                None => gemm::matvec_with(kp, &w1_dims[i], &dim_tuple.features),
+                                None => gemm::matvec_with(kp, &w1_dims[i], features),
                             };
-                            partials[i].insert(*fk, partial);
+                            let (cached, delta_sum) = arenas[i].row_mut(ord).split_at_mut(nh);
+                            cached.copy_from_slice(&partial);
+                            delta_sum.fill(0.0);
                         }
-                        vector::axpy(1.0, &partials[i][fk], &mut a1);
+                        vector::axpy(1.0, &arenas[i].row(ord)[..nh], &mut a1);
                     }
                     let mut h1 = a1.clone();
                     model.layers()[0].activation.apply_slice(&mut h1);
@@ -132,37 +136,27 @@ impl FactorizedMultiwayNn {
                     let (delta1, loss) = model.backward_factorized_with(kp, &trace, y, &mut grads);
                     loss_sum += loss;
                     gemm::ger_with(kp, 1.0, &delta1, &fact.features, &mut grad_w_s);
-                    for (i, fk) in fact.fks.iter().enumerate() {
-                        let sums = delta_sums[i].entry(*fk).or_insert_with(|| vec![0.0; nh]);
-                        vector::axpy(1.0, &delta1, sums);
+                    for (arena, &ord) in arenas.iter_mut().zip(&ords) {
+                        vector::axpy(1.0, &delta1, &mut arena.row_mut(ord)[nh..]);
                     }
                 }
             }
 
             // Dimension blocks of the first-layer gradient: one outer product
-            // (a column scatter-add for one-hot tuples) per distinct
-            // dimension tuple.
-            for i in 0..q {
-                // Sorted keys: the per-dimension delta arena is a HashMap;
-                // merging its outer products in hash order would make the
-                // first-layer gradient nondeterministic across runs.
-                let mut sorted_keys: Vec<u64> = delta_sums[i].keys().copied().collect();
-                sorted_keys.sort_unstable();
-                for key in &sorted_keys {
-                    let delta_sum = &delta_sums[i][key];
-                    match dim_reps[i].get(*key) {
+            // (a column scatter-add for sparse tuples) per referenced
+            // dimension tuple, in ascending ordinal order.
+            for (i, arena) in arenas.iter().enumerate() {
+                for ord in arena.referenced() {
+                    let delta_sum = &arena.row(ord)[nh..];
+                    match dim_reps[i].get(ord) {
                         Some(rep) => rep.ger_cols(kp, 1.0, delta_sum, &mut grad_w_dims[i]),
-                        None => {
-                            let dim_tuple =
-                                scan.cache().get(i, *key).expect("seen during the epoch");
-                            gemm::ger_with(
-                                kp,
-                                1.0,
-                                delta_sum,
-                                &dim_tuple.features,
-                                &mut grad_w_dims[i],
-                            )
-                        }
+                        None => gemm::ger_with(
+                            kp,
+                            1.0,
+                            delta_sum,
+                            &scan.cache().tuple(i, ord).features,
+                            &mut grad_w_dims[i],
+                        ),
                     }
                 }
             }

@@ -10,7 +10,8 @@
 //!   anything that depends only on `x_R` is computed once per group.
 //! * [`StarScan`] — for **multi-way** joins.  The dimension tables are cached in
 //!   memory ([`DimCache`]) and the fact table is scanned in blocks; per-dimension
-//!   reuse is keyed on the foreign-key values of each fact tuple.
+//!   reuse is keyed on the dense ordinals the cache resolves each fact tuple's
+//!   foreign keys to ([`DimCache::ordinals`]).
 //!
 //! The streaming variants use the same scans but immediately denormalize each
 //! group into joined tuples ([`JoinGroup::denormalize`]), paying the redundant

@@ -110,51 +110,137 @@ impl JoinSpec {
     }
 }
 
-/// All dimension tables of a join loaded into memory, keyed by primary key.
+/// All dimension tables of a join loaded into memory.
 ///
 /// Dimension tables are small by construction (`n_R ≪ n_S`); loading them once per
 /// training pass is exactly what the paper's streaming and factorized variants do.
+///
+/// Each dimension's tuples are held in ascending primary-key order and a
+/// tuple's position in that order is its **ordinal**.  The star trainers
+/// resolve every foreign key to its ordinal once per fact
+/// ([`DimCache::ordinals`]) and index flat per-tuple arenas with it; because
+/// ordinals ascend with the key, walking an arena front to back visits the
+/// tuples in one fixed order whatever order the relation stores them in.
 pub struct DimCache {
-    maps: Vec<HashMap<u64, Tuple>>,
+    /// Per dimension: tuples in ascending key order.
+    tuples: Vec<Vec<Tuple>>,
+    /// Per dimension: primary key → ordinal.
+    index: Vec<HashMap<u64, u32>>,
     names: Vec<String>,
 }
 
 impl DimCache {
     /// Loads every dimension relation, charging the page reads to the shared stats.
     pub fn load(dims: &[RelationHandle]) -> StoreResult<Self> {
-        let mut maps = Vec::with_capacity(dims.len());
+        let mut all = Vec::with_capacity(dims.len());
+        let mut index = Vec::with_capacity(dims.len());
         let mut names = Vec::with_capacity(dims.len());
         for dim in dims {
             let mut rel = dim.lock();
-            names.push(rel.name().to_string());
-            let tuples = rel.read_all()?;
-            let mut map = HashMap::with_capacity(tuples.len());
-            for t in tuples {
-                map.insert(t.key, t);
+            let mut tuples = rel.read_all()?;
+            // Stable sort, then keep the last-stored tuple of a repeated key
+            // (the store does not enforce key uniqueness; last-wins is what
+            // a key-by-key insert gives).
+            tuples.sort_by_key(|t| t.key);
+            tuples.dedup_by(|later, kept| {
+                let same = later.key == kept.key;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+            if u32::try_from(tuples.len()).is_err() {
+                return Err(StoreError::SchemaMismatch {
+                    relation: rel.name().to_string(),
+                    detail: format!("{} tuples exceed the u32 ordinal range", tuples.len()),
+                });
             }
-            maps.push(map);
+            index.push(
+                tuples
+                    .iter()
+                    .enumerate()
+                    .map(|(ord, t)| (t.key, ord as u32))
+                    .collect(),
+            );
+            names.push(rel.name().to_string());
+            all.push(tuples);
         }
-        Ok(Self { maps, names })
+        Ok(Self {
+            tuples: all,
+            index,
+            names,
+        })
     }
 
     /// Number of dimension tables cached.
     pub fn num_dims(&self) -> usize {
-        self.maps.len()
+        self.tuples.len()
     }
 
-    /// Number of tuples cached for dimension `i`.
+    /// Number of tuples cached for dimension `i`; ordinals run `0..dim_len(i)`.
     pub fn dim_len(&self, i: usize) -> usize {
-        self.maps[i].len()
+        self.tuples[i].len()
+    }
+
+    /// The ordinal of primary key `key` in dimension `i`.
+    pub fn ordinal(&self, i: usize, key: u64) -> Option<u32> {
+        self.index[i].get(&key).copied()
+    }
+
+    /// The tuple of dimension `i` at ordinal `ord`.
+    ///
+    /// # Panics
+    /// Panics when `ord >= dim_len(i)`.
+    pub fn tuple(&self, i: usize, ord: u32) -> &Tuple {
+        &self.tuples[i][ord as usize]
     }
 
     /// Looks up dimension `i` by primary key.
     pub fn get(&self, i: usize, key: u64) -> Option<&Tuple> {
-        self.maps[i].get(&key)
+        self.ordinal(i, key).map(|ord| self.tuple(i, ord))
     }
 
-    /// Iterates over all tuples of dimension `i` (arbitrary order).
+    /// Iterates over all tuples of dimension `i` in ascending key order.
     pub fn iter_dim(&self, i: usize) -> impl Iterator<Item = &Tuple> {
-        self.maps[i].values()
+        self.tuples[i].iter()
+    }
+
+    /// Resolves the foreign keys of a fact tuple to dimension ordinals, in
+    /// join order, into `out` (one slot per dimension).
+    ///
+    /// # Errors
+    /// Returns [`StoreError::DanglingForeignKey`] when a foreign key has no
+    /// match, and [`StoreError::SchemaMismatch`] when the fact tuple or `out`
+    /// does not have one entry per cached dimension.
+    pub fn ordinals(&self, fact: &Tuple, out: &mut [u32]) -> StoreResult<()> {
+        if fact.fks.len() != self.index.len() || out.len() != self.index.len() {
+            return Err(StoreError::SchemaMismatch {
+                relation: self.names.join(","),
+                detail: format!(
+                    "fact tuple {}: {} foreign keys and {} ordinal slots for {} cached dimensions",
+                    fact.key,
+                    fact.fks.len(),
+                    out.len(),
+                    self.index.len()
+                ),
+            });
+        }
+        for (i, (fk, slot)) in fact.fks.iter().zip(out.iter_mut()).enumerate() {
+            *slot = self.lookup(i, *fk)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::ordinal`] with the typed error of a dangling foreign key.
+    fn lookup(&self, i: usize, key: u64) -> StoreResult<u32> {
+        self.index
+            .get(i)
+            .and_then(|m| m.get(&key))
+            .copied()
+            .ok_or_else(|| StoreError::DanglingForeignKey {
+                relation: self.names.get(i).cloned().unwrap_or_default(),
+                key,
+            })
     }
 
     /// Resolves the dimension tuples referenced by a fact tuple, in join order.
@@ -162,19 +248,11 @@ impl DimCache {
     /// # Errors
     /// Returns [`StoreError::DanglingForeignKey`] when a foreign key has no match.
     pub fn resolve<'a>(&'a self, fact: &Tuple) -> StoreResult<Vec<&'a Tuple>> {
-        let mut out = Vec::with_capacity(fact.fks.len());
-        for (i, fk) in fact.fks.iter().enumerate() {
-            match self.maps.get(i).and_then(|m| m.get(fk)) {
-                Some(t) => out.push(t),
-                None => {
-                    return Err(StoreError::DanglingForeignKey {
-                        relation: self.names.get(i).cloned().unwrap_or_default(),
-                        key: *fk,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        fact.fks
+            .iter()
+            .enumerate()
+            .map(|(i, fk)| Ok(self.tuple(i, self.lookup(i, *fk)?)))
+            .collect()
     }
 }
 
@@ -388,6 +466,67 @@ mod tests {
 
         let dangling = Tuple::fact_with_target(0, vec![9], 0.0, vec![0.0]);
         assert!(cache.resolve(&dangling).is_err());
+    }
+
+    #[test]
+    fn ordinals_ascend_with_the_key_whatever_the_storage_order() {
+        let db = Database::in_memory();
+        let stored = [[40u64, 7, 99, 7, 3], [5, 4, 3, 2, 1]];
+        let mut dims = Vec::new();
+        for (i, keys) in stored.iter().enumerate() {
+            let rel = db
+                .create_relation(Schema::dimension(format!("d{i}"), 1))
+                .unwrap();
+            for (pos, &k) in keys.iter().enumerate() {
+                rel.lock()
+                    .append(&Tuple::dimension(k, vec![pos as f64]))
+                    .unwrap();
+            }
+            rel.lock().flush().unwrap();
+            dims.push(rel);
+        }
+        let cache = DimCache::load(&dims).unwrap();
+        // key 7 is stored twice in d0: one ordinal, the later tuple wins
+        assert_eq!(cache.dim_len(0), 4);
+        assert_eq!(cache.get(0, 7).unwrap().features, vec![3.0]);
+        for i in 0..2 {
+            let keys: Vec<u64> = cache.iter_dim(i).map(|t| t.key).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "dim {i}: {keys:?}");
+            for (ord, &key) in keys.iter().enumerate() {
+                assert_eq!(cache.ordinal(i, key), Some(ord as u32));
+                assert_eq!(cache.tuple(i, ord as u32).key, key);
+            }
+        }
+
+        // get / resolve / ordinals name the same tuples
+        let fact = Tuple::fact(0, vec![99, 2], vec![]);
+        let mut ords = [0u32; 2];
+        cache.ordinals(&fact, &mut ords).unwrap();
+        assert_eq!(ords, [3, 1]);
+        let resolved = cache.resolve(&fact).unwrap();
+        for i in 0..2 {
+            let by_ordinal = cache.tuple(i, ords[i]);
+            assert!(std::ptr::eq(by_ordinal, resolved[i]));
+            assert!(std::ptr::eq(by_ordinal, cache.get(i, fact.fks[i]).unwrap()));
+        }
+
+        // a dangling key is the same typed error on every path
+        let dangling = Tuple::fact(1, vec![40, 6], vec![]);
+        assert!(cache.get(1, 6).is_none() && cache.ordinal(1, 6).is_none());
+        for err in [
+            cache.ordinals(&dangling, &mut ords).unwrap_err(),
+            cache.resolve(&dangling).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, StoreError::DanglingForeignKey { relation, key: 6 } if relation == "d1"),
+                "{err}"
+            );
+        }
+        // an ordinal buffer of the wrong length is refused, not half-filled
+        assert!(matches!(
+            cache.ordinals(&fact, &mut [0u32; 1]),
+            Err(StoreError::SchemaMismatch { .. })
+        ));
     }
 
     #[test]
