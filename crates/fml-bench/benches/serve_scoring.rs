@@ -3,16 +3,18 @@
 //! sparse workload (WalmartSparse — the one-hot layout where factorized
 //! reuse and the sparse gathers both engage).
 //!
-//! The run emits **`BENCH_serve.json`** at the workspace root with per-row
+//! The run emits **`BENCH_serve.json`** at the workspace root with a
+//! `machine` stamp (`nproc`, the resolved default thread count), per-row
 //! `speedup_vs_materialized`, plus a `parallel_scaling` sweep: factorized
-//! scoring through the pool fan-out at 1/2/4 workers with
-//! `speedup_vs_1worker` rows/s ratios, plus an `obs_overhead` pair timing
-//! factorized GMM scoring with the `fml-obs` registry off vs recording
-//! (`ratio_vs_off`).  CI's serve guards assert factorized scoring beats
-//! materialized scoring for both families, that the 4-worker fan-out
-//! reaches ≥ 1.8× the single-worker throughput, and that metrics-on
-//! scoring stays within 3% of metrics-off (in-run relative ratios —
-//! robust to absolute host speed).  Set
+//! scoring under `KernelPolicy::BlockedParallel` at 1/2/4 workers
+//! (`ExecPolicy::threads`) with `speedup_vs_1worker` rows/s ratios, plus an
+//! `obs_overhead` pair timing factorized GMM scoring with the `fml-obs`
+//! registry off vs recording (`ratio_vs_off`).  CI's serve guards assert
+//! factorized scoring beats materialized scoring for both families, that
+//! metrics-on scoring stays within 3% of metrics-off, and — only when the
+//! stamp shows at least 4 cores — that the 4-worker fan-out reaches ≥ 1.8×
+//! the single-worker throughput (in-run relative ratios — robust to
+//! absolute host speed).  Set
 //! `FML_BENCH_SMOKE=1` for a single-shot smoke run that still exercises
 //! every family × strategy × worker-count case and emits the JSON.
 //!
@@ -37,8 +39,8 @@ struct BenchRow {
     rows_per_s: f64,
 }
 
-/// One point of the worker sweep: factorized scoring with the fan-out forced
-/// on at an explicit worker count.
+/// One point of the worker sweep: factorized scoring under the parallel
+/// kernel policy at an explicit worker count.
 struct ScalingRow {
     family: &'static str,
     workers: usize,
@@ -99,6 +101,14 @@ fn emit_json(
     let path = root.join("BENCH_serve.json");
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"serve_scoring\",\n");
+    // Machine stamp: a scaling row means nothing without the core count it
+    // ran on (CI enforces the 4-worker guard only when `nproc` >= 4).
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = ExecPolicy::new().resolve().threads;
+    let _ = writeln!(
+        out,
+        "  \"machine\": {{\"nproc\": {nproc}, \"threads\": {threads}}},"
+    );
     let _ = writeln!(out, "  \"workload\": \"{workload}\",");
     let _ = writeln!(out, "  \"n_rows\": {n_rows},");
     out.push_str("  \"results\": [\n");
@@ -198,29 +208,27 @@ fn main() {
         });
     }
 
-    // Multi-worker sweep: factorized scoring with the pool fan-out forced on
-    // at explicit worker counts.  `.threads(w)` resolves into the chunk
-    // fan-out (and, via the kernel thread scope, any parallel kernels);
-    // 1 worker runs the sequential factorized driver — the baseline the
-    // in-run `speedup_vs_1worker` ratios (and CI's ≥ 1.8× guard at 4
-    // workers) compare against.  Results are bit-identical at every point
-    // (pinned by the scoring_equivalence suite), so this sweep is purely a
-    // throughput trajectory.
+    // Multi-worker sweep: factorized scoring under the parallel kernel
+    // policy at explicit worker counts.  `.threads(w)` is the per-block
+    // chunk count of the factorized drivers (and, via the kernel thread
+    // scope, of any parallel kernels); at 1 worker every block is one inline
+    // chunk — the baseline of the in-run `speedup_vs_1worker` ratios.
+    // Results are bit-identical at every point (pinned by the
+    // scoring_equivalence suite), so this sweep is purely a throughput
+    // trajectory.
     let mut scaling: Vec<ScalingRow> = Vec::new();
-    let par_opts = Scoring::new().parallel(true);
     for workers in [1usize, 2, 4] {
-        let session_w = Session::new(&workload.db)
-            .join(&workload.spec)
-            .exec(ExecPolicy::new().threads(workers));
+        let session_w = Session::new(&workload.db).join(&workload.spec).exec(
+            ExecPolicy::new()
+                .kernel_policy(KernelPolicy::BlockedParallel)
+                .threads(workers),
+        );
         // Report the worker count the run actually resolved to — the same
         // settings the scorers read.
         let resolved = session_w.exec_settings().threads;
         let mut scored = 0usize;
         let mean_ms = measure_ms(|| {
-            scored = session_w
-                .score_with(&gmm, &par_opts)
-                .expect("score gmm parallel")
-                .len();
+            scored = session_w.score(&gmm).expect("score gmm parallel").len();
         });
         scaling.push(ScalingRow {
             family: "gmm",
@@ -231,10 +239,7 @@ fn main() {
         });
         let mut scored = 0usize;
         let mean_ms = measure_ms(|| {
-            scored = session_w
-                .score_with(&nn, &par_opts)
-                .expect("score nn parallel")
-                .len();
+            scored = session_w.score(&nn).expect("score nn parallel").len();
         });
         scaling.push(ScalingRow {
             family: "nn",
@@ -317,9 +322,10 @@ fn main() {
         Err(e) => eprintln!("\nfailed to write BENCH_serve.json: {e}"),
     }
 
-    // Acceptance-criterion ratios (enforced in CI): factorized beats the
-    // materialized-join scorer, and the 4-worker fan-out beats the
-    // single-worker factorized baseline.  Locally informational only.
+    // Acceptance-criterion ratios (enforced in CI, the scaling one only on
+    // hosts with at least 4 cores): factorized beats the materialized-join
+    // scorer, and the 4-worker fan-out beats the single-worker factorized
+    // baseline.  Locally informational only.
     for family in ["gmm", "nn"] {
         if let Some(r) = rows
             .iter()

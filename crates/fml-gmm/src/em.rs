@@ -17,12 +17,13 @@
 
 use crate::init::GmmInit;
 use crate::model::{GmmModel, Precomputed};
+use crate::sparse::SparseFormPre;
 use crate::GmmConfig;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
 use fml_linalg::sparse::SparseMode;
-use fml_linalg::{vector, Matrix, Vector};
+use fml_linalg::{gemm, vector, Matrix, Vector};
 use fml_store::StoreResult;
 use std::time::{Duration, Instant};
 
@@ -36,40 +37,6 @@ pub const PAR_BATCH_TUPLES: usize = 1024;
 /// microseconds per batch, which tiny models cannot amortize.
 pub const PAR_MIN_BATCH_FLOPS: usize = 1 << 22;
 
-/// Buffers rows from a [`DensePassSource`] and flushes them batch-wise, so the
-/// per-batch work can fan out over threads even though the source itself is a
-/// strictly sequential callback scan.
-struct BatchBuffer {
-    rows: Vec<f64>,
-    dim: usize,
-    capacity: usize,
-}
-
-impl BatchBuffer {
-    fn new(dim: usize, capacity: usize) -> Self {
-        Self {
-            rows: Vec::with_capacity(dim * capacity),
-            dim,
-            capacity,
-        }
-    }
-
-    fn push(&mut self, x: &[f64], mut flush: impl FnMut(&[f64], usize)) {
-        self.rows.extend_from_slice(x);
-        if self.rows.len() >= self.dim * self.capacity {
-            flush(&self.rows, self.dim);
-            self.rows.clear();
-        }
-    }
-
-    fn finish(&mut self, mut flush: impl FnMut(&[f64], usize)) {
-        if !self.rows.is_empty() {
-            flush(&self.rows, self.dim);
-            self.rows.clear();
-        }
-    }
-}
-
 /// A source of denormalized (joined) feature vectors that can be scanned once per
 /// EM pass.  Implementations: the materialized table `T` (`M-GMM`) and the
 /// on-the-fly join (`S-GMM`).
@@ -80,6 +47,30 @@ pub trait DensePassSource {
     fn num_tuples(&self) -> u64;
     /// Dimensionality `d` of the joined feature vectors.
     fn dim(&self) -> usize;
+}
+
+/// Replays `source` once, handing `flush` the rows in batches of
+/// [`PAR_BATCH_TUPLES`] (row-major in `batch`, which is reused across passes)
+/// — so the per-batch work can fan out over threads even though the source
+/// itself is a strictly sequential callback scan.
+fn for_each_batch(
+    source: &mut dyn DensePassSource,
+    batch: &mut Vec<f64>,
+    mut flush: impl FnMut(&[f64]),
+) -> StoreResult<()> {
+    let full = source.dim() * PAR_BATCH_TUPLES;
+    batch.clear();
+    source.for_each(&mut |x: &[f64]| {
+        batch.extend_from_slice(x);
+        if batch.len() >= full {
+            flush(batch);
+            batch.clear();
+        }
+    })?;
+    if !batch.is_empty() {
+        flush(batch);
+    }
+    Ok(())
 }
 
 /// Options controlling the EM loop (a view over [`GmmConfig`]).
@@ -237,8 +228,8 @@ pub fn train_dense_from(
 
     // Per-tuple kernels run single-threaded inside the per-chunk workers; the
     // parallelism lives at the tuple-batch level.  Fanning out only pays when a
-    // batch carries enough flops to amortize the scoped-thread spawns, so tiny
-    // models stay inline even under the parallel policy.
+    // batch carries enough flops to amortize the pool dispatch, so tiny models
+    // — and every sequential policy — run each batch inline as one chunk.
     let kp = ex.kernel_policy.sequential();
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);
@@ -251,173 +242,100 @@ pub fn train_dense_from(
     // this driver's memory class: `gammas` below already retains O(n·k)
     // responsibilities across passes.
     let mut reps = RepCache::new(ex.sparse);
+    let mut batch: Vec<f64> = Vec::with_capacity(d * PAR_BATCH_TUPLES);
 
     for _iter in 0..opts.max_iters {
         let pre = Precomputed::from_model(&model, opts.ridge);
         // Sparse-path constants, O(k·d²) once per iteration — the per-tuple
         // E-step on sparse rows is then pure gathers.
-        let sparse_pre: Vec<crate::sparse::SparseFormPre> = if auto_sparse {
+        let sparse_pre: Vec<SparseFormPre> = if auto_sparse {
             (0..k)
-                .map(|c| {
-                    crate::sparse::SparseFormPre::build_flat(
-                        &pre.inverses[c],
-                        pre.means[c].as_slice(),
-                        kp,
-                    )
-                })
+                .map(|c| SparseFormPre::build_flat(&pre.inverses[c], pre.means[c].as_slice(), kp))
                 .collect()
         } else {
             Vec::new()
         };
 
         // ---- Pass 1: E-step — responsibilities + log-likelihood ----
+        // Each batch fans out over deterministic chunks that compute
+        // (responsibilities, Σγ, log-likelihood) locally, and the partials
+        // merge in chunk order (including, on the first pass, the detected
+        // representations — the RepCache segment protocol).
         gammas.clear();
         let mut nk = vec![0.0; k];
         let mut ll = 0.0;
-        if !par {
-            let mut log_dens = vec![0.0; k];
-            let mut centered = vec![0.0; d];
-            let mut row = 0usize;
-            source.for_each(&mut |x: &[f64]| {
-                let rep = reps.rep_or_detect(row, x);
-                for (c, ld) in log_dens.iter_mut().enumerate() {
-                    let quad = match rep {
-                        Some(rep) => sparse_pre[c].quad_flat(&pre.inverses[c], rep),
-                        None => {
-                            vector::sub_into(x, pre.means[c].as_slice(), &mut centered);
-                            fml_linalg::gemm::quadratic_form_sym_with(
-                                kp,
-                                &centered,
-                                &pre.inverses[c],
-                            )
-                        }
-                    };
-                    *ld = pre.log_norm[c] - 0.5 * quad;
-                }
-                let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
-                for c in 0..k {
-                    nk[c] += resp[c];
-                }
-                ll += tuple_ll;
-                gammas.extend_from_slice(&resp);
-                row += 1;
-            })?;
-        } else {
-            // Tuples are buffered into batches; each batch fans out over
-            // deterministic chunks that compute (responsibilities, Σγ,
-            // log-likelihood) locally, and the partials merge in chunk order
-            // (including, on the first pass, the detected representations —
-            // the RepCache segment protocol).
-            let mut row_cursor = 0usize;
-            let reps_cell = &mut reps;
-            let mut flush = |rows: &[f64], dim: usize| {
-                let n_rows = rows.len() / dim;
-                let base = row_cursor;
-                let reps_ref: &RepCache = reps_cell;
-                let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
-                    let mut local_gammas = Vec::with_capacity(range.len() * k);
-                    let mut seg = reps_ref.segment(base + range.start);
-                    let mut local_nk = vec![0.0; k];
-                    let mut local_ll = 0.0;
-                    let mut log_dens = vec![0.0; k];
-                    let mut centered = vec![0.0; dim];
-                    for r in range {
-                        let x = &rows[r * dim..(r + 1) * dim];
-                        let rep = seg.rep_or_detect(base + r, x);
-                        for (c, ld) in log_dens.iter_mut().enumerate() {
-                            let quad = match rep {
-                                Some(rep) => sparse_pre[c].quad_flat(&pre.inverses[c], rep),
-                                None => {
-                                    vector::sub_into(x, pre.means[c].as_slice(), &mut centered);
-                                    fml_linalg::gemm::quadratic_form_sym_with(
-                                        kp,
-                                        &centered,
-                                        &pre.inverses[c],
-                                    )
-                                }
-                            };
-                            *ld = pre.log_norm[c] - 0.5 * quad;
-                        }
-                        let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
-                        for c in 0..k {
-                            local_nk[c] += resp[c];
-                        }
-                        local_ll += tuple_ll;
-                        local_gammas.extend_from_slice(&resp);
+        let mut row_cursor = 0usize;
+        for_each_batch(source, &mut batch, |rows| {
+            let n_rows = rows.len() / d;
+            let base = row_cursor;
+            let reps_ref: &RepCache = &reps;
+            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
+                let mut local_gammas = Vec::with_capacity(range.len() * k);
+                let mut seg = reps_ref.segment(base + range.start);
+                let mut local_nk = vec![0.0; k];
+                let mut local_ll = 0.0;
+                let mut log_dens = vec![0.0; k];
+                let mut centered = vec![0.0; d];
+                for r in range {
+                    let x = &rows[r * d..(r + 1) * d];
+                    let rep = seg.rep_or_detect(base + r, x);
+                    for (c, ld) in log_dens.iter_mut().enumerate() {
+                        let quad = match rep {
+                            Some(rep) => sparse_pre[c].quad_flat(&pre.inverses[c], rep),
+                            None => {
+                                vector::sub_into(x, pre.means[c].as_slice(), &mut centered);
+                                gemm::quadratic_form_sym_with(kp, &centered, &pre.inverses[c])
+                            }
+                        };
+                        *ld = pre.log_norm[c] - 0.5 * quad;
                     }
-                    (local_gammas, local_nk, local_ll, seg.into_detected())
-                });
-                for (local_gammas, local_nk, local_ll, detected) in parts {
-                    gammas.extend_from_slice(&local_gammas);
-                    vector::axpy(1.0, &local_nk, &mut nk);
-                    ll += local_ll;
-                    reps_cell.merge(detected);
+                    let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
+                    for c in 0..k {
+                        local_nk[c] += resp[c];
+                    }
+                    local_ll += tuple_ll;
+                    local_gammas.extend_from_slice(&resp);
                 }
-                row_cursor += n_rows;
-            };
-            let mut buffer = BatchBuffer::new(d, PAR_BATCH_TUPLES);
-            source.for_each(&mut |x: &[f64]| buffer.push(x, &mut flush))?;
-            buffer.finish(&mut flush);
-        }
+                (local_gammas, local_nk, local_ll, seg.into_detected())
+            });
+            for (local_gammas, local_nk, local_ll, detected) in parts {
+                gammas.extend_from_slice(&local_gammas);
+                vector::axpy(1.0, &local_nk, &mut nk);
+                ll += local_ll;
+                reps.merge(detected);
+            }
+            row_cursor += n_rows;
+        })?;
         reps.finish_fill();
 
         // ---- Pass 2: M-step — means ----
         let mut mean_sums = vec![Vector::zeros(d); k];
-        if !par {
-            let mut cursor = 0usize;
-            source.for_each(&mut |x: &[f64]| {
-                let g = &gammas[cursor..cursor + k];
-                match reps.get(cursor / k) {
-                    Some(rep) => {
-                        for c in 0..k {
-                            rep.axpy_into(g[c], mean_sums[c].as_mut_slice());
-                        }
-                    }
-                    None => {
-                        for c in 0..k {
-                            vector::axpy(g[c], x, mean_sums[c].as_mut_slice());
-                        }
-                    }
-                }
-                cursor += k;
-            })?;
-        } else {
-            let mut cursor = 0usize;
-            let reps_ref: &RepCache = &reps;
-            let mut flush = |rows: &[f64], dim: usize| {
-                let n_rows = rows.len() / dim;
-                let base = cursor;
-                let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
-                    let mut local = vec![Vector::zeros(dim); k];
-                    for r in range {
-                        let x = &rows[r * dim..(r + 1) * dim];
-                        let g = &gammas[base + r * k..base + (r + 1) * k];
-                        match reps_ref.get(base / k + r) {
-                            Some(rep) => {
-                                for c in 0..k {
-                                    rep.axpy_into(g[c], local[c].as_mut_slice());
-                                }
-                            }
-                            None => {
-                                for c in 0..k {
-                                    vector::axpy(g[c], x, local[c].as_mut_slice());
-                                }
-                            }
-                        }
-                    }
-                    local
-                });
-                for local in parts {
+        let mut row_cursor = 0usize;
+        for_each_batch(source, &mut batch, |rows| {
+            let n_rows = rows.len() / d;
+            let base = row_cursor;
+            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
+                let mut local = vec![Vector::zeros(d); k];
+                for r in range {
+                    let x = &rows[r * d..(r + 1) * d];
+                    let g = &gammas[(base + r) * k..(base + r + 1) * k];
+                    let rep = reps.get(base + r);
                     for c in 0..k {
-                        mean_sums[c].axpy(1.0, &local[c]);
+                        match rep {
+                            Some(rep) => rep.axpy_into(g[c], local[c].as_mut_slice()),
+                            None => vector::axpy(g[c], x, local[c].as_mut_slice()),
+                        }
                     }
                 }
-                cursor += n_rows * k;
-            };
-            let mut buffer = BatchBuffer::new(d, PAR_BATCH_TUPLES);
-            source.for_each(&mut |x: &[f64]| buffer.push(x, &mut flush))?;
-            buffer.finish(&mut flush);
-        }
+                local
+            });
+            for local in parts {
+                for c in 0..k {
+                    mean_sums[c].axpy(1.0, &local[c]);
+                }
+            }
+            row_cursor += n_rows;
+        })?;
         let new_means = means_from_sums(&nk, &mean_sums);
 
         // ---- Pass 3: M-step — covariances around the new means ----
@@ -428,95 +346,54 @@ pub fn train_dense_from(
         let mut sparse_gx = vec![vec![0.0; d]; k];
         let mut sparse_gamma = vec![0.0; k];
         let mut any_sparse = false;
-        if !par {
-            let mut centered = vec![0.0; d];
-            let mut cursor = 0usize;
-            source.for_each(&mut |x: &[f64]| {
-                let g = &gammas[cursor..cursor + k];
-                match reps.get(cursor / k) {
-                    Some(rep) => {
-                        any_sparse = true;
-                        for c in 0..k {
-                            rep.scatter_pair(g[c], &mut scatter[c]);
-                            rep.axpy_into(g[c], &mut sparse_gx[c]);
-                            sparse_gamma[c] += g[c];
-                        }
-                    }
-                    None => {
-                        for c in 0..k {
-                            vector::sub_into(x, new_means[c].as_slice(), &mut centered);
-                            fml_linalg::gemm::ger_with(
-                                kp,
-                                g[c],
-                                &centered,
-                                &centered,
-                                &mut scatter[c],
-                            );
-                        }
-                    }
-                }
-                cursor += k;
-            })?;
-        } else {
-            let mut cursor = 0usize;
-            let reps_ref: &RepCache = &reps;
-            let mut flush = |rows: &[f64], dim: usize| {
-                let n_rows = rows.len() / dim;
-                let base = cursor;
-                let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
-                    let mut local = vec![Matrix::zeros(dim, dim); k];
-                    let mut local_gx = vec![vec![0.0; dim]; k];
-                    let mut local_gamma = vec![0.0; k];
-                    let mut local_any = false;
-                    let mut centered = vec![0.0; dim];
-                    for r in range {
-                        let x = &rows[r * dim..(r + 1) * dim];
-                        let g = &gammas[base + r * k..base + (r + 1) * k];
-                        match reps_ref.get(base / k + r) {
-                            Some(rep) => {
-                                local_any = true;
-                                for c in 0..k {
-                                    rep.scatter_pair(g[c], &mut local[c]);
-                                    rep.axpy_into(g[c], &mut local_gx[c]);
-                                    local_gamma[c] += g[c];
-                                }
+        let mut row_cursor = 0usize;
+        for_each_batch(source, &mut batch, |rows| {
+            let n_rows = rows.len() / d;
+            let base = row_cursor;
+            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
+                let mut local = vec![Matrix::zeros(d, d); k];
+                let mut local_gx = vec![vec![0.0; d]; k];
+                let mut local_gamma = vec![0.0; k];
+                let mut local_any = false;
+                let mut centered = vec![0.0; d];
+                for r in range {
+                    let x = &rows[r * d..(r + 1) * d];
+                    let g = &gammas[(base + r) * k..(base + r + 1) * k];
+                    match reps.get(base + r) {
+                        Some(rep) => {
+                            local_any = true;
+                            for c in 0..k {
+                                rep.scatter_pair(g[c], &mut local[c]);
+                                rep.axpy_into(g[c], &mut local_gx[c]);
+                                local_gamma[c] += g[c];
                             }
-                            None => {
-                                for c in 0..k {
-                                    vector::sub_into(x, new_means[c].as_slice(), &mut centered);
-                                    fml_linalg::gemm::ger_with(
-                                        kp,
-                                        g[c],
-                                        &centered,
-                                        &centered,
-                                        &mut local[c],
-                                    );
-                                }
+                        }
+                        None => {
+                            for c in 0..k {
+                                vector::sub_into(x, new_means[c].as_slice(), &mut centered);
+                                gemm::ger_with(kp, g[c], &centered, &centered, &mut local[c]);
                             }
                         }
                     }
-                    (local, local_gx, local_gamma, local_any)
-                });
-                for (local, local_gx, local_gamma, local_any) in parts {
-                    for c in 0..k {
-                        scatter[c].add_assign(&local[c]);
-                        vector::axpy(1.0, &local_gx[c], &mut sparse_gx[c]);
-                        sparse_gamma[c] += local_gamma[c];
-                    }
-                    any_sparse |= local_any;
                 }
-                cursor += n_rows * k;
-            };
-            let mut buffer = BatchBuffer::new(d, PAR_BATCH_TUPLES);
-            source.for_each(&mut |x: &[f64]| buffer.push(x, &mut flush))?;
-            buffer.finish(&mut flush);
-        }
+                (local, local_gx, local_gamma, local_any)
+            });
+            for (local, local_gx, local_gamma, local_any) in parts {
+                for c in 0..k {
+                    scatter[c].add_assign(&local[c]);
+                    vector::axpy(1.0, &local_gx[c], &mut sparse_gx[c]);
+                    sparse_gamma[c] += local_gamma[c];
+                }
+                any_sparse |= local_any;
+            }
+            row_cursor += n_rows;
+        })?;
         if any_sparse {
             for c in 0..k {
                 let mu = new_means[c].as_slice();
-                fml_linalg::gemm::ger_with(kp, -1.0, &sparse_gx[c], mu, &mut scatter[c]);
-                fml_linalg::gemm::ger_with(kp, -1.0, mu, &sparse_gx[c], &mut scatter[c]);
-                fml_linalg::gemm::ger_with(kp, sparse_gamma[c], mu, mu, &mut scatter[c]);
+                gemm::ger_with(kp, -1.0, &sparse_gx[c], mu, &mut scatter[c]);
+                gemm::ger_with(kp, -1.0, mu, &sparse_gx[c], &mut scatter[c]);
+                gemm::ger_with(kp, sparse_gamma[c], mu, mu, &mut scatter[c]);
             }
         }
 

@@ -9,7 +9,8 @@
 //!   `UL + UR + LL + LR`.  Per dimension tuple we compute the centered vector
 //!   `PD_R`, the scalar `LR = PD_Rᵀ I_RR PD_R` and the cross-term vector
 //!   `w = I_SR·PD_R + I_RSᵀ·PD_R`; each matching fact tuple then only needs the
-//!   `d_S×d_S` form `UL` plus a `d_S`-length dot product with `w`.
+//!   `d_S×d_S` form `UL` plus a `d_S`-length dot product with `w`.  This is the
+//!   `q = 1` case of the shared engine in [`crate::estep`].
 //! * **M-step means** (Equation 13): `Σ γ x` splits into a fact part (accumulated
 //!   per tuple) and a dimension part (`(Σ_group γ)·x_R`, one AXPY per group).
 //! * **M-step covariances** (Equations 14–18): the scatter splits into the four
@@ -20,8 +21,8 @@
 //! The decomposition is exact — no approximation — so the resulting model matches
 //! `M-GMM` / `S-GMM` up to floating-point rounding.
 //!
-//! **Sparse detection is cached.**  Under [`SparseMode::Auto`] a single prepass
-//! scans the join once and records each tuple's representation
+//! **Sparse detection is cached.**  Under [`fml_linalg::SparseMode::Auto`] a
+//! single prepass scans the join once and records each tuple's representation
 //! ([`fml_linalg::SparseRep`]: one-hot, weighted CSR, or dense) in scan order
 //! via the shared [`RepCache`] protocol; every EM iteration and pass then
 //! reads the cached form instead of rescanning the immutable feature data
@@ -29,17 +30,17 @@
 //! regression tests pin this with [`fml_linalg::sparse::detect_calls`]).
 
 use crate::em::{converged, finalize_m_step, means_from_sums, GmmFit};
+use crate::estep::EStep;
 use crate::init::GmmInit;
-use crate::model::Precomputed;
+use crate::model::{split_means, Precomputed};
 use crate::multiway::FactorizedMultiwayGmm;
-use crate::sparse::{SparseDiagAcc, SparseFormPre, SparseScatterAcc};
+use crate::sparse::{SparseDiagAcc, SparseScatterAcc};
 use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
-use fml_linalg::sparse::SparseMode;
-use fml_linalg::{gemm, vector, Matrix, Vector};
+use fml_linalg::{vector, Matrix, Vector};
 use fml_store::factorized_scan::GroupScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
@@ -107,7 +108,6 @@ impl FactorizedGmm {
         let kp = ex.kernel_policy.sequential();
         let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_GROUP_FLOPS;
         let workers = ex.workers(par);
-        let auto_sparse = ex.sparse == SparseMode::Auto;
 
         // ---- Per-tuple representation caches ----
         // Filled lazily during the first E-step pass (no extra scan — F-GMM
@@ -120,28 +120,15 @@ impl FactorizedGmm {
         let mut fact_reps = RepCache::new(ex.sparse);
 
         for _iter in 0..config.max_iters {
-            let pre = Precomputed::from_model(&model, config.ridge);
-            let forms = pre.block_forms_with(&partition, kp);
-            let means_split = pre.split_means(&partition);
-            // Sparse decomposition constants: O(k·d²) once per iteration, so
-            // the per-group hot path below runs pure gathers on the sparse path.
-            let sparse_pre = if auto_sparse {
-                SparseFormPre::build_all(&forms, &means_split, partition.num_blocks(), kp)
-            } else {
-                Vec::new()
-            };
-            // Fact-block diagonal constants: the per-fact UL term uses the
-            // same decomposition when the fact features are sparse too
-            // (e.g. WalmartSparse, where d_S = 126 is one-hot).
-            let fact_pre: Vec<SparseFormPre> = if auto_sparse {
-                forms
-                    .iter()
-                    .enumerate()
-                    .map(|(c, form)| SparseFormPre::build_diag(form, 0, &means_split[c][0], kp))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            // Partitioned inverses plus (auto-sparse) decomposition
+            // constants: O(k·d²) once per iteration, so the per-group hot
+            // path below runs pure gathers on the sparse path.
+            let estep = EStep::new(
+                Precomputed::from_model(&model, config.ridge),
+                &partition,
+                ex.sparse,
+                kp,
+            );
 
             // ---- Pass 1: E-step ----
             // Each scan block is a set of independent join groups: chunks of
@@ -175,74 +162,26 @@ impl FactorizedGmm {
                     let mut local_ll = 0.0;
                     let mut log_dens = vec![0.0; k];
                     let mut pd_s = vec![0.0; d_s];
+                    let mut row = vec![0.0; estep.row_len(0)];
                     for gi in range {
                         let group = &groups[gi];
-                        // Reused per dimension tuple: LR term and the combined
-                        // cross-term vector w = I_SR·PD_R + I_RSᵀ·PD_R.  For
-                        // sparse dimension tuples both come from the mean
-                        // decomposition — gathers only, zero dense multiplies.
+                        // Reused per dimension tuple: the LR term and the
+                        // combined cross-term vector w = I_SR·PD_R + I_RSᵀ·PD_R
+                        // (gathers only for a sparse dimension tuple).
                         let r_rep =
                             group_seg.rep_or_detect(group_base + gi, &group.r_tuple.features);
-                        let mut lr_terms = vec![0.0; k];
-                        let mut cross_w: Vec<Vec<f64>> = Vec::with_capacity(k);
-                        for c in 0..k {
-                            if let Some(rep) = r_rep {
-                                lr_terms[c] = sparse_pre[c][0].diag_term(&forms[c], 1, rep);
-                                cross_w.push(sparse_pre[c][0].cross_vector(&forms[c], 1, rep, kp));
-                                continue;
-                            }
-                            let pd_r: Vec<f64> = group
-                                .r_tuple
-                                .features
-                                .iter()
-                                .zip(means_split[c][1].iter())
-                                .map(|(x, m)| x - m)
-                                .collect();
-                            lr_terms[c] = forms[c].term(1, 1, &pd_r, &pd_r);
-                            let mut w = forms[c].block_times(0, 1, &pd_r);
-                            let w2 = gemm::matvec_transposed_with(kp, forms[c].block(1, 0), &pd_r);
-                            vector::axpy(1.0, &w2, &mut w);
-                            cross_w.push(w);
-                        }
-                        // Per-group constant for the sparse fact path
-                        // (µ_Sᵀ·w, so pd_Sᵀ·w becomes gather(w) − µᵀw per
-                        // fact), computed lazily on the group's first sparse
-                        // fact so fully-dense groups never pay for it.
-                        let mut mu_dot_w: Option<Vec<f64>> = None;
+                        estep.fill_row(0, &group.r_tuple.features, r_rep, &mut row);
                         for (fi, s_tuple) in group.s_tuples.iter().enumerate() {
                             let s_rep =
                                 fact_seg.rep_or_detect(fact_offsets[gi] + fi, &s_tuple.features);
-                            if s_rep.is_some() && mu_dot_w.is_none() {
-                                mu_dot_w = Some(
-                                    cross_w
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(c, w)| vector::dot(&means_split[c][0], w))
-                                        .collect(),
-                                );
-                            }
-                            for c in 0..k {
-                                let quad = match s_rep {
-                                    Some(rep) => {
-                                        fact_pre[c].diag_term(&forms[c], 0, rep)
-                                            + (rep.gather_dot(&cross_w[c])
-                                                - mu_dot_w.as_ref().expect("computed above")[c])
-                                            + lr_terms[c]
-                                    }
-                                    None => {
-                                        vector::sub_into(
-                                            &s_tuple.features,
-                                            &means_split[c][0],
-                                            &mut pd_s,
-                                        );
-                                        forms[c].term(0, 0, &pd_s, &pd_s)
-                                            + vector::dot(&pd_s, &cross_w[c])
-                                            + lr_terms[c]
-                                    }
-                                };
-                                log_dens[c] = pre.log_norm[c] - 0.5 * quad;
-                            }
-                            let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
+                            estep.log_densities(
+                                &s_tuple.features,
+                                s_rep,
+                                &[&row],
+                                &mut pd_s,
+                                &mut log_dens,
+                            );
+                            let (resp, tuple_ll) = estep.pre.finish_responsibilities(&mut log_dens);
                             for c in 0..k {
                                 local_nk[c] += resp[c];
                             }
@@ -350,16 +289,7 @@ impl FactorizedGmm {
                 fact_cursor += groups.iter().map(|g| g.s_tuples.len()).sum::<usize>();
             }
             let new_means = means_from_sums(&nk, &mean_sums);
-            let new_means_split: Vec<Vec<Vec<f64>>> = new_means
-                .iter()
-                .map(|m| {
-                    partition
-                        .split(m.as_slice())
-                        .into_iter()
-                        .map(|s| s.to_vec())
-                        .collect()
-                })
-                .collect();
+            let new_means_split = split_means(&new_means, &partition);
 
             // ---- Pass 3: M-step, covariances (Equations 14–18) ----
             // Chunks of groups accumulate into private BlockScatter grids which

@@ -14,6 +14,11 @@
 //!   computed once per dimension tuple and reused for all matching fact tuples
 //!   (Section V-B), generalized to multi-way joins in [`multiway`] (Section V-C).
 //!
+//! The factorized E-step arithmetic lives in exactly one place, [`estep`]:
+//! the binary trainer, the star trainer and the batch scorer (`fml-serve`)
+//! all fill per-dimension-tuple rows with [`EStep::fill_row`] and evaluate
+//! facts with [`EStep::log_densities`].
+//!
 //! All three produce the same model (up to floating-point associativity): the EM
 //! update is decomposed exactly, never approximated.  The integration tests assert
 //! this equivalence on every workload shape.
@@ -29,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod em;
+pub mod estep;
 pub mod factorized;
 pub mod init;
 pub mod materialized;
@@ -38,12 +44,12 @@ pub mod sparse;
 pub mod streaming;
 
 pub use em::{EmOptions, GmmFit};
+pub use estep::EStep;
 pub use factorized::FactorizedGmm;
 pub use init::GmmInit;
 pub use materialized::MaterializedGmm;
 pub use model::{GmmBatchPrediction, GmmModel, Precomputed};
 pub use multiway::FactorizedMultiwayGmm;
-pub use sparse::SparseFormPre;
 pub use streaming::StreamingGmm;
 
 use serde::{Deserialize, Serialize};

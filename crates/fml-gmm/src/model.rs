@@ -156,6 +156,21 @@ impl GmmBatchPrediction {
     }
 }
 
+/// Splits each mean according to the partition; `result[k][b]` is the slice of
+/// `means[k]` for relation block `b`.
+pub fn split_means(means: &[Vector], partition: &BlockPartition) -> Vec<Vec<Vec<f64>>> {
+    means
+        .iter()
+        .map(|m| {
+            partition
+                .split(m.as_slice())
+                .into_iter()
+                .map(|s| s.to_vec())
+                .collect()
+        })
+        .collect()
+}
+
 /// Per-EM-iteration precomputation: covariance inverses, log-determinants and the
 /// constant part of each component's log-density.
 ///
@@ -213,13 +228,8 @@ impl Precomputed {
     }
 
     /// Splits each component's covariance inverse into relation-aligned blocks
-    /// (Equations 9–12 / 21) for the factorized E-step.
-    pub fn block_forms(&self, partition: &BlockPartition) -> Vec<BlockQuadraticForm> {
-        self.block_forms_with(partition, fml_linalg::KernelPolicy::default())
-    }
-
-    /// [`Self::block_forms`] with an explicit kernel policy for the per-tile
-    /// evaluations.
+    /// (Equations 9–12 / 21) for the factorized E-step, with `policy` for the
+    /// per-tile evaluations.
     pub fn block_forms_with(
         &self,
         partition: &BlockPartition,
@@ -234,16 +244,7 @@ impl Precomputed {
     /// Splits each component mean according to the partition; `result[k][b]` is
     /// the mean slice of component `k` for relation block `b`.
     pub fn split_means(&self, partition: &BlockPartition) -> Vec<Vec<Vec<f64>>> {
-        self.means
-            .iter()
-            .map(|m| {
-                partition
-                    .split(m.as_slice())
-                    .into_iter()
-                    .map(|s| s.to_vec())
-                    .collect()
-            })
-            .collect()
+        split_means(&self.means, partition)
     }
 
     /// Converts per-component log-densities into responsibilities and the tuple's
@@ -396,7 +397,7 @@ mod tests {
         let m = simple_model();
         let pre = Precomputed::from_model(&m, 0.0);
         let p = BlockPartition::binary(1, 1);
-        let forms = pre.block_forms(&p);
+        let forms = pre.block_forms_with(&p, fml_linalg::KernelPolicy::default());
         assert_eq!(forms.len(), 2);
         let means = pre.split_means(&p);
         assert_eq!(means[1][0], vec![5.0]);

@@ -4,18 +4,15 @@
 //! `[d_S | d_{R_1} | … | d_{R_q}]` and the EM quantities decompose into a
 //! `(q+1)×(q+1)` grid (Equations 19–24).  Every cell that depends only on
 //! dimension tuples is paid once per *distinct tuple* and reused per matching
-//! fact; this is where each cell is paid:
+//! fact.  The E-step half of that grid is [`crate::estep`] (shared with the
+//! binary trainer and the scorer); the M-step mirrors it cell for cell:
 //!
-//! | grid cell | paid | per-fact remainder |
+//! | grid cell | M-step, paid per | per-fact remainder |
 //! |---|---|---|
-//! | `(0,0)` fact × fact | per fact | a `d_S×d_S` form / outer product |
-//! | `(0,i)`, `(i,0)` fact × dimension | per `R_i` tuple: the cross vector `I_{0i}·PD_i + I_{i0}ᵀ·PD_i` (E-step), two outer products with `Σγ·PD_S` (M-step) | one dot / AXPY of length `d_S` |
-//! | `(i,i)` dimension diagonal | per `R_i` tuple: `PD_iᵀ I_{ii} PD_i` (E-step), one outer product weighted `Σγ` (M-step) | one scalar add |
-//! | `(i,j)`, `(j,i)` dimension × dimension | per tuple of the **wider** dimension `w`: the partner vector `I_{n,w}·PD_w + I_{w,n}ᵀ·PD_w` (E-step), two outer products with `Σγ·PD_n` (M-step) | one dot / AXPY of the **narrower** width `d_n` |
-//!
-//! So a fact costs `O(d_S² + q·d_S + Σ_{i<j} min(d_i, d_j))` per component,
-//! against `O(d²)` for the materialized trainer (`d = d_S + Σ d_i`); the
-//! `d_i × d_j` blocks are touched once per distinct tuple of the wider side.
+//! | `(0,0)` fact × fact | fact | a `d_S×d_S` outer product |
+//! | `(0,i)`, `(i,0)` fact × dimension | `R_i` tuple: two outer products with `Σγ·PD_S` | one AXPY of length `d_S` |
+//! | `(i,i)` dimension diagonal | `R_i` tuple: one outer product weighted `Σγ` | one scalar add |
+//! | `(i,j)`, `(j,i)` dimension × dimension | tuple of the **wider** dimension: two outer products with `Σγ·PD_n` | one AXPY of the **narrower** width `d_n` |
 //!
 //! Foreign keys are resolved to dense per-dimension ordinals once per fact
 //! and pass ([`fml_store::join::DimCache::ordinals`]); every per-tuple
@@ -27,152 +24,22 @@
 //! worker count.
 
 use crate::em::{converged, finalize_m_step, means_from_sums, GmmFit};
+use crate::estep::{DimLayout, EStep};
 use crate::init::GmmInit;
-use crate::model::Precomputed;
-use crate::sparse::{SparseFormPre, SparseScatterAcc};
+use crate::model::{split_means, Precomputed};
+use crate::sparse::SparseScatterAcc;
 use crate::GmmConfig;
-use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
+use fml_linalg::block::{BlockPartition, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::{KeyedRepCache, OrdinalArena};
-use fml_linalg::sparse::{SparseMode, SparseRep};
-use fml_linalg::{gemm, vector, KernelPolicy, Matrix, Vector};
+use fml_linalg::{vector, Matrix, Vector};
 use fml_store::factorized_scan::StarScan;
 use fml_store::{Database, JoinSpec, StoreResult};
-use std::ops::Range;
 use std::time::Instant;
 
 /// The factorized training strategy for star (multi-way) joins.
 pub struct FactorizedMultiwayGmm;
-
-/// Where one dimension's per-(tuple, component) quantities sit inside its
-/// arena row.  The E-step cache and the covariance-pass aggregate share the
-/// shape — what a fact's terms are dotted with in pass 1 is what they are
-/// accumulated into in pass 3:
-///
-/// | slot | E-step | covariance pass |
-/// |---|---|---|
-/// | `pd` (`d_i`) | `PD_i` under the old means | `PD_i` under the new means |
-/// | `fact` (`d_S`) | `I_{0i}·PD_i + I_{i0}ᵀ·PD_i` | `Σ γ·PD_S` |
-/// | `scalar` | `PD_iᵀ I_{ii} PD_i` | `Σ γ` |
-/// | one per partner `n` (`d_n`) | `I_{n,i}·PD_i + I_{i,n}ᵀ·PD_i` | `Σ γ·PD_n` |
-struct DimLayout {
-    /// Block width `d_i`.
-    d: usize,
-    /// Fact block width `d_S`.
-    d_s: usize,
-    /// `(dimension, slot offset)` of every narrower-or-equal dimension this
-    /// one is the wide side of; each unordered dimension pair appears under
-    /// exactly one of its two dimensions (the lower index on a tie).
-    partners: Vec<(usize, usize)>,
-    /// Values per (tuple, component).
-    len: usize,
-}
-
-impl DimLayout {
-    /// Layouts of all `q` dimensions for the partition `[d_S, d_1, …, d_q]`.
-    fn all(sizes: &[usize]) -> Vec<DimLayout> {
-        let q = sizes.len() - 1;
-        (0..q)
-            .map(|i| {
-                let (d, d_s) = (sizes[i + 1], sizes[0]);
-                let mut len = d + d_s + 1;
-                let mut partners = Vec::new();
-                for n in 0..q {
-                    let d_n = sizes[n + 1];
-                    let wide = d > d_n || (d == d_n && i < n);
-                    if wide {
-                        partners.push((n, len));
-                        len += d_n;
-                    }
-                }
-                DimLayout {
-                    d,
-                    d_s,
-                    partners,
-                    len,
-                }
-            })
-            .collect()
-    }
-
-    fn pd(&self) -> Range<usize> {
-        0..self.d
-    }
-
-    fn fact(&self) -> Range<usize> {
-        self.d..self.d + self.d_s
-    }
-
-    fn scalar(&self) -> usize {
-        self.d + self.d_s
-    }
-}
-
-/// Per-iteration context the E-step cache construction reads: the partitioned
-/// covariance inverses, split means and (when auto-sparse) the sparse
-/// decomposition constants.
-struct EStepCtx<'a> {
-    forms: &'a [BlockQuadraticForm],
-    means_split: &'a [Vec<Vec<f64>>],
-    sparse_pre: &'a [Vec<SparseFormPre>],
-    kp: KernelPolicy,
-}
-
-/// `I_{to,from}·pd + I_{from,to}ᵀ·pd`: all that block `to` needs from a
-/// `from`-block tuple to evaluate both of their cross cells with one dot.
-fn cross_vector(
-    form: &BlockQuadraticForm,
-    to: usize,
-    from: usize,
-    pd: &[f64],
-    kp: KernelPolicy,
-) -> Vec<f64> {
-    let mut w = form.block_times(to, from, pd);
-    let w2 = gemm::matvec_transposed_with(kp, form.block(from, to), pd);
-    vector::axpy(1.0, &w2, &mut w);
-    w
-}
-
-/// Fills the E-step arena row of one distinct dimension tuple (all
-/// components).  Sparse tuples (`rep` given) compute the diagonal and
-/// fact-cross quantities through the mean decomposition (gathers only); the
-/// centered vector is still materialized because the partner vectors towards
-/// other dimension blocks evaluate densely (sparse cross-dimension terms are
-/// a ROADMAP follow-up).
-fn fill_e_step_row(
-    row: &mut [f64],
-    lay: &DimLayout,
-    features: &[f64],
-    rep: Option<&SparseRep>,
-    block: usize,
-    ctx: &EStepCtx<'_>,
-) {
-    for (c, entry) in row.chunks_exact_mut(lay.len).enumerate() {
-        let form = &ctx.forms[c];
-        let (pd, rest) = entry.split_at_mut(lay.d);
-        vector::sub_into(features, &ctx.means_split[c][block], pd);
-        let (diag, cross_s) = match rep {
-            Some(rep) => {
-                let pre = &ctx.sparse_pre[c][block - 1];
-                (
-                    pre.diag_term(form, block, rep),
-                    pre.cross_vector(form, block, rep, ctx.kp),
-                )
-            }
-            None => (
-                form.term(block, block, pd, pd),
-                cross_vector(form, 0, block, pd, ctx.kp),
-            ),
-        };
-        rest[..lay.d_s].copy_from_slice(&cross_s);
-        rest[lay.d_s] = diag;
-        for &(n, off) in &lay.partners {
-            let u = cross_vector(form, n + 1, block, pd, ctx.kp);
-            rest[off - lay.d..off - lay.d + u.len()].copy_from_slice(&u);
-        }
-    }
-}
 
 /// Borrows arena `wide` mutably and arena `narrow` immutably (`wide != narrow`).
 fn wide_and_narrow(
@@ -229,7 +96,6 @@ impl FactorizedMultiwayGmm {
         let par =
             ex.kernel_policy.is_parallel() && k * d * d >= crate::factorized::PAR_MIN_GROUP_FLOPS;
         let workers = ex.workers(par);
-        let auto_sparse = ex.sparse == SparseMode::Auto;
         // Per-dimension detection caches, keyed by ordinal and **hoisted out
         // of the EM loop**: the dimension tuples are immutable, so detection
         // runs at most once per distinct tuple for the whole training run
@@ -253,20 +119,12 @@ impl FactorizedMultiwayGmm {
         let mut ords: Vec<u32> = vec![0; q];
 
         for _iter in 0..config.max_iters {
-            let pre = Precomputed::from_model(&model, config.ridge);
-            let forms = pre.block_forms_with(&partition, kp);
-            let means_split = pre.split_means(&partition);
-            let sparse_pre = if auto_sparse {
-                SparseFormPre::build_all(&forms, &means_split, partition.num_blocks(), kp)
-            } else {
-                Vec::new()
-            };
-            let ctx = EStepCtx {
-                forms: &forms,
-                means_split: &means_split,
-                sparse_pre: &sparse_pre,
+            let estep = EStep::new(
+                Precomputed::from_model(&model, config.ridge),
+                &partition,
+                ex.sparse,
                 kp,
-            };
+            );
 
             // ---- Pass 1: E-step (Equation 19) ----
             // Per block: a sequential sweep resolves every fact's ordinals
@@ -293,8 +151,7 @@ impl FactorizedMultiwayGmm {
                             // Detection persists across iterations; only the
                             // first encounter of a tuple ever scans it.
                             let rep = dim_reps[i].rep_or_detect(ord, features);
-                            let row = terms[i].row_mut(ord);
-                            fill_e_step_row(row, &layouts[i], features, rep, i + 1, &ctx);
+                            estep.fill_row(i, features, rep, terms[i].row_mut(ord));
                         }
                     }
                 }
@@ -303,24 +160,23 @@ impl FactorizedMultiwayGmm {
                     let mut local_lls = Vec::with_capacity(range.len());
                     let mut log_dens = vec![0.0; k];
                     let mut pd_s = vec![0.0; d_s];
+                    let mut rows: Vec<&[f64]> = Vec::with_capacity(q);
                     for f in range {
-                        let (fact, fact_ords) = (&facts[f], &block_ords[f * q..(f + 1) * q]);
-                        for (c, ld) in log_dens.iter_mut().enumerate() {
-                            vector::sub_into(&fact.features, &means_split[c][0], &mut pd_s);
-                            let mut quad = forms[c].term(0, 0, &pd_s, &pd_s);
-                            for (i, lay) in layouts.iter().enumerate() {
-                                let e = &terms[i].row(fact_ords[i])[c * lay.len..(c + 1) * lay.len];
-                                quad += e[lay.scalar()] + vector::dot(&pd_s, &e[lay.fact()]);
-                                // cross cells towards the narrower dimensions
-                                for &(n, off) in &lay.partners {
-                                    let ln = &layouts[n];
-                                    let en = &terms[n].row(fact_ords[n])[c * ln.len..];
-                                    quad += vector::dot(&en[ln.pd()], &e[off..off + ln.d]);
-                                }
-                            }
-                            *ld = pre.log_norm[c] - 0.5 * quad;
-                        }
-                        let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
+                        rows.clear();
+                        rows.extend(
+                            terms
+                                .iter()
+                                .zip(&block_ords[f * q..(f + 1) * q])
+                                .map(|(arena, &ord)| arena.row(ord)),
+                        );
+                        estep.log_densities(
+                            &facts[f].features,
+                            None,
+                            &rows,
+                            &mut pd_s,
+                            &mut log_dens,
+                        );
+                        let (resp, tuple_ll) = estep.pre.finish_responsibilities(&mut log_dens);
                         local_lls.push(tuple_ll);
                         local_gammas.extend_from_slice(&resp);
                     }
@@ -380,16 +236,7 @@ impl FactorizedMultiwayGmm {
                 }
             }
             let new_means = means_from_sums(&nk, &mean_sums);
-            let new_means_split: Vec<Vec<Vec<f64>>> = new_means
-                .iter()
-                .map(|m| {
-                    partition
-                        .split(m.as_slice())
-                        .into_iter()
-                        .map(|s| s.to_vec())
-                        .collect()
-                })
-                .collect();
+            let new_means_split = split_means(&new_means, &partition);
 
             // ---- Pass 3: M-step, covariances (Equations 23–24) ----
             let mut pd_s = vec![0.0; d_s];

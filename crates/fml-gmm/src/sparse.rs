@@ -1,5 +1,6 @@
-//! Sparse-path machinery shared by the factorized binary and multi-way GMM
-//! trainers, generalized over both sparse representations ([`SparseRep`]):
+//! Sparse-path machinery shared by the factorized E-step ([`crate::estep`]),
+//! the dense driver and the binary and multi-way M-steps, generalized over
+//! both sparse representations ([`SparseRep`]):
 //! one-hot index sets and weighted CSR rows.
 //!
 //! The EM quantities the factorized trainers compute per dimension tuple all
@@ -32,11 +33,6 @@ use fml_linalg::{gemm, vector, KernelPolicy, Matrix};
 /// Per-component, per-dimension-block constants for the sparse decomposition
 /// of the centered E-step quantities.  `block` is the partition index of the
 /// dimension block (`≥ 1`); block `0` is the fact side.
-///
-/// Public because the serving layer (`fml-serve`) evaluates the **same**
-/// mean-decomposition quadratic forms at inference time: factorized batch
-/// scoring reuses these constants per dimension tuple exactly as the
-/// factorized trainers do per EM iteration.
 pub struct SparseFormPre {
     /// `(A_bb + A_bbᵀ) · µ_b`.
     a_mu_sum: Vec<f64>,

@@ -15,6 +15,7 @@
 //!   base relations (`n_S·d_S + n_R·d_R` fields instead of `N·d`), the I/O saving
 //!   of Section VI-A3.
 
+use crate::first_layer::FirstLayer;
 use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
 use crate::multiway::FactorizedMultiwayNn;
@@ -22,7 +23,7 @@ use crate::trainer::{NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
-use fml_linalg::{gemm, vector, Matrix};
+use fml_linalg::vector;
 use fml_store::factorized_scan::GroupScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
@@ -68,8 +69,7 @@ impl FactorizedNn {
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
         let sizes = spec.feature_partition(db)?;
-        let (d_s, d_r) = (sizes[0], sizes[1]);
-        let d = d_s + d_r;
+        let d: usize = sizes.iter().sum();
         let n = spec.fact_relation(db)?.lock().num_tuples();
         assert!(n > 0, "cannot train on an empty source");
         let mut model = Mlp::new(d, &config.hidden, config.activation, ex.seed);
@@ -88,19 +88,15 @@ impl FactorizedNn {
         for _epoch in 0..config.epochs {
             // Weights are constant within an epoch (full-batch update at the end),
             // so the column split of W¹ is hoisted out of the scan.
-            let nh = model.layers()[0].out_dim();
-            let w1 = &model.layers()[0].weights;
-            let w1_s = w1.sub_block(0, nh, 0, d_s);
-            let w1_r = w1.sub_block(0, nh, d_s, d);
-            let b1 = model.layers()[0].bias.clone();
+            let kp = ex.kernel_policy.sequential();
+            let first = FirstLayer::split(&model, &sizes, kp);
+            let nh = first.width();
 
             let mut grads = model.zero_grads();
             // First-layer weight gradient, accumulated block-wise.
-            let mut grad_w_s = Matrix::zeros(nh, d_s);
-            let mut grad_w_r = Matrix::zeros(nh, d_r);
+            let mut grad_w1 = first.zero_grad();
             let mut loss_sum = 0.0;
 
-            let kp = ex.kernel_policy.sequential();
             // Fan out over join groups only when per-example work can amortize
             // the scoped-thread spawns.
             let par =
@@ -125,23 +121,17 @@ impl FactorizedNn {
                 let (group_reps_ref, fact_reps_ref) = (&group_reps, &fact_reps);
                 let parts = par_chunks_with_threads(workers, groups.len(), 1, |range| {
                     let mut local_grads = model.zero_grads();
-                    let mut local_w_s = Matrix::zeros(nh, d_s);
-                    let mut local_w_r = Matrix::zeros(nh, d_r);
+                    let mut local_w1 = first.zero_grad();
                     let mut group_seg = group_reps_ref.segment(group_base + range.start);
                     let mut fact_seg = fact_reps_ref.segment(fact_offsets[range.start]);
                     let mut local_loss = 0.0;
                     for gi in range {
                         let group = &groups[gi];
-                        // Reused per dimension tuple: t_R = W¹_R·x_R + b¹.
-                        // Sparse x_R gathers the active columns of W¹_R
-                        // instead of multiplying through the zeros.
+                        // Reused per dimension tuple: W¹_R·x_R (a gather of
+                        // the active columns of W¹_R for sparse x_R).
                         let r_rep =
                             group_seg.rep_or_detect(group_base + gi, &group.r_tuple.features);
-                        let mut t_r = match r_rep {
-                            Some(rep) => rep.matvec(kp, &w1_r),
-                            None => gemm::matvec_with(kp, &w1_r, &group.r_tuple.features),
-                        };
-                        vector::axpy(1.0, &b1, &mut t_r);
+                        let t_r = first.partial(1, &group.r_tuple.features, r_rep);
                         // Per-group sum of first-layer deltas (for PG_R and its
                         // bias-free outer product with x_R).
                         let mut delta_sum = vec![0.0; nh];
@@ -150,78 +140,38 @@ impl FactorizedNn {
                             // ---- forward, first layer (factorized) ----
                             let s_rep =
                                 fact_seg.rep_or_detect(fact_offsets[gi] + fi, &s_tuple.features);
-                            let mut a1 = match s_rep {
-                                Some(rep) => rep.matvec(kp, &w1_s),
-                                None => gemm::matvec_with(kp, &w1_s, &s_tuple.features),
-                            };
+                            let mut a1 = first.partial(0, &s_tuple.features, s_rep);
+                            vector::axpy(1.0, first.bias(), &mut a1);
                             vector::axpy(1.0, &t_r, &mut a1);
-                            let mut h1 = a1.clone();
-                            model.layers()[0].activation.apply_slice(&mut h1);
-                            // ---- forward, remaining layers (dense) ----
-                            let mut trace_layers = Vec::with_capacity(model.layers().len());
-                            trace_layers.push((a1, h1));
-                            for layer in &model.layers()[1..] {
-                                let (a, h) =
-                                    layer.forward_with(kp, &trace_layers.last().unwrap().1);
-                                trace_layers.push((a, h));
-                            }
-                            let trace = crate::mlp::ForwardTrace {
-                                layers: trace_layers,
-                            };
-                            // ---- backward ----
+                            // ---- layers ≥ 2 forward, all layers backward ----
                             let y = s_tuple.target.unwrap_or(0.0);
-                            let (delta1, loss) =
-                                model.backward_factorized_with(kp, &trace, y, &mut local_grads);
+                            let (delta1, loss) = model.backward_from_first_preactivation_with(
+                                kp,
+                                a1,
+                                y,
+                                &mut local_grads,
+                            );
                             local_loss += loss;
-                            // PG_S: per fact tuple — scatter-add into the
-                            // active columns for sparse x_S.
-                            match s_rep {
-                                Some(rep) => rep.ger_cols(kp, 1.0, &delta1, &mut local_w_s),
-                                None => gemm::ger_with(
-                                    kp,
-                                    1.0,
-                                    &delta1,
-                                    &s_tuple.features,
-                                    &mut local_w_s,
-                                ),
-                            }
+                            // PG_S: per fact tuple.
+                            local_w1.add(0, &delta1, &s_tuple.features, s_rep);
                             vector::axpy(1.0, &delta1, &mut delta_sum);
                         }
                         // PG_R: one outer product per dimension tuple.
-                        match r_rep {
-                            Some(rep) => rep.ger_cols(kp, 1.0, &delta_sum, &mut local_w_r),
-                            None => gemm::ger_with(
-                                kp,
-                                1.0,
-                                &delta_sum,
-                                &group.r_tuple.features,
-                                &mut local_w_r,
-                            ),
-                        }
+                        local_w1.add(1, &delta_sum, &group.r_tuple.features, r_rep);
                     }
                     (
                         local_grads,
-                        local_w_s,
-                        local_w_r,
+                        local_w1,
                         local_loss,
                         group_seg.into_detected(),
                         fact_seg.into_detected(),
                     )
                 });
-                for (
-                    local_grads,
-                    local_w_s,
-                    local_w_r,
-                    local_loss,
-                    group_detected,
-                    fact_detected,
-                ) in parts
-                {
+                for (local_grads, local_w1, local_loss, group_detected, fact_detected) in parts {
                     for (dst, src) in grads.iter_mut().zip(local_grads.iter()) {
                         dst.merge_from(src);
                     }
-                    grad_w_s.add_assign(&local_w_s);
-                    grad_w_r.add_assign(&local_w_r);
+                    grad_w1.merge_from(&local_w1);
                     loss_sum += local_loss;
                     group_reps.merge(group_detected);
                     fact_reps.merge(fact_detected);
@@ -232,15 +182,7 @@ impl FactorizedNn {
             group_reps.finish_fill();
             fact_reps.finish_fill();
 
-            // Assemble the first layer's weight gradient from its two blocks.
-            for i in 0..nh {
-                for j in 0..d_s {
-                    grads[0].d_weights[(i, j)] += grad_w_s[(i, j)];
-                }
-                for j in 0..d_r {
-                    grads[0].d_weights[(i, d_s + j)] += grad_w_r[(i, j)];
-                }
-            }
+            grad_w1.add_into(&mut grads[0]);
             model.apply_grads(&grads, config.learning_rate, n as f64);
             loss_trace.push(loss_sum / n as f64);
             notifier.notify(loss_sum / n as f64);

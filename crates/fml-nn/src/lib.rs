@@ -16,6 +16,11 @@
 //!   dimension fields are never read from storage (Section VI-A3's I/O saving).
 //!   [`multiway::FactorizedMultiwayNn`] generalizes this to star joins.
 //!
+//! The factorized first-layer arithmetic lives in exactly one place,
+//! [`first_layer`]: both `F-NN` trainers and the batch scorer (`fml-serve`)
+//! take their partial products from [`FirstLayer::partial`], and the trainers
+//! accumulate the block-wise weight gradient in [`FirstLayerGrad`].
+//!
 //! [`layer_reuse`] contains the paper's negative result about layers ≥ 2: only
 //! additive activation functions admit exact reuse beyond the first layer, and
 //! even then the reused evaluation costs at least as many operations as the direct
@@ -31,6 +36,7 @@
 
 pub mod activation;
 pub mod factorized;
+pub mod first_layer;
 pub mod gradcheck;
 pub mod layer;
 pub mod layer_reuse;
@@ -43,6 +49,7 @@ pub mod trainer;
 
 pub use activation::Activation;
 pub use factorized::FactorizedNn;
+pub use first_layer::{FirstLayer, FirstLayerGrad};
 pub use layer::DenseLayer;
 pub use materialized::MaterializedNn;
 pub use mlp::Mlp;

@@ -180,27 +180,20 @@ impl Mlp {
         0.5 * (output - target).powi(2)
     }
 
-    /// Back-propagation variant used by the factorized trainers: identical to
+    /// Forward and backward pass of one example from an externally assembled
+    /// **first-layer pre-activation** `a¹ = W¹·x + b¹` — the training-side
+    /// twin of [`Self::forward_from_first_preactivation_with`].  Identical to
     /// [`backward_into`](Self::backward_into) except that the **first layer's
-    /// weight gradient is not touched** — the caller accumulates it block-wise
-    /// from the base relations (`∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]`, Equations
-    /// 28–32) — and the first layer's delta is returned instead.
+    /// weight gradient is not touched**: the caller accumulates it block-wise
+    /// from the base relations (`∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]`,
+    /// Equations 28–32, see [`crate::first_layer::FirstLayerGrad`]) from the
+    /// first layer's delta, which is returned instead.
     ///
     /// Returns `(δ¹, ½(o−y)²)`.
-    pub fn backward_factorized(
-        &self,
-        trace: &ForwardTrace,
-        target: f64,
-        grads: &mut [LayerGradient],
-    ) -> (Vec<f64>, f64) {
-        self.backward_factorized_with(KernelPolicy::default(), trace, target, grads)
-    }
-
-    /// [`Self::backward_factorized`] under an explicit kernel policy.
-    pub fn backward_factorized_with(
+    pub fn backward_from_first_preactivation_with(
         &self,
         kp: KernelPolicy,
-        trace: &ForwardTrace,
+        a1: Vec<f64>,
         target: f64,
         grads: &mut [LayerGradient],
     ) -> (Vec<f64>, f64) {
@@ -209,15 +202,22 @@ impl Mlp {
             self.layers.len(),
             "gradient accumulator mismatch"
         );
-        let output = trace.output();
+        let mut h1 = a1.clone();
+        self.layers[0].activation.apply_slice(&mut h1);
+        let mut trace = Vec::with_capacity(self.layers.len());
+        trace.push((a1, h1));
+        for layer in &self.layers[1..] {
+            let next = layer.forward_with(kp, &trace[trace.len() - 1].1);
+            trace.push(next);
+        }
+        let output = trace[trace.len() - 1].1[0];
         let mut delta = vec![output_gradient(output, target)];
         for l in (1..self.layers.len()).rev() {
-            let input: &[f64] = &trace.layers[l - 1].1;
+            let (a_prev, input) = &trace[l - 1];
             gemm::ger_with(kp, 1.0, &delta, input, &mut grads[l].d_weights);
             vector::axpy(1.0, &delta, &mut grads[l].d_bias);
             // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1})
             let mut prev = gemm::matvec_transposed_with(kp, &self.layers[l].weights, &delta);
-            let a_prev = &trace.layers[l - 1].0;
             for (p, a) in prev.iter_mut().zip(a_prev.iter()) {
                 *p *= self.layers[l - 1].activation.derivative(*a);
             }
@@ -267,18 +267,7 @@ impl Mlp {
         let first = &self.layers[0];
         let mut a1 = rep.matvec(kp, &first.weights);
         vector::axpy(1.0, &first.bias, &mut a1);
-        let mut h1 = a1.clone();
-        first.activation.apply_slice(&mut h1);
-        let mut trace_layers = Vec::with_capacity(self.layers.len());
-        trace_layers.push((a1, h1));
-        for layer in &self.layers[1..] {
-            let (a, h) = layer.forward_with(kp, &trace_layers.last().unwrap().1);
-            trace_layers.push((a, h));
-        }
-        let trace = ForwardTrace {
-            layers: trace_layers,
-        };
-        let (delta1, loss) = self.backward_factorized_with(kp, &trace, target, grads);
+        let (delta1, loss) = self.backward_from_first_preactivation_with(kp, a1, target, grads);
         rep.ger_cols(kp, 1.0, &delta1, &mut grads[0].d_weights);
         loss
     }

@@ -15,12 +15,13 @@
 //! reference; the gradient merge walks the referenced rows in ascending
 //! ordinal (= key) order, so an epoch has one fixed floating-point order.
 
+use crate::first_layer::FirstLayer;
 use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
 use crate::trainer::{NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::repcache::{KeyedRepCache, OrdinalArena};
-use fml_linalg::{gemm, vector, Matrix};
+use fml_linalg::vector;
 use fml_store::factorized_scan::StarScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
@@ -47,17 +48,8 @@ impl FactorizedMultiwayNn {
         spec.validate(db)?;
         ensure_has_target(db, spec)?;
         let sizes = spec.feature_partition(db)?;
-        let d_s = sizes[0];
         let d: usize = sizes.iter().sum();
         let q = sizes.len() - 1;
-        let offsets: Vec<usize> = sizes
-            .iter()
-            .scan(0usize, |acc, s| {
-                let o = *acc;
-                *acc += s;
-                Some(o)
-            })
-            .collect();
         let n = spec.fact_relation(db)?.lock().num_tuples();
         assert!(n > 0, "cannot train on an empty source");
         let mut model = Mlp::new(d, &config.hidden, config.activation, ex.seed);
@@ -79,20 +71,12 @@ impl FactorizedMultiwayNn {
         let mut ords: Vec<u32> = vec![0; q];
 
         for _epoch in 0..config.epochs {
-            let w1 = &model.layers()[0].weights;
-            let w1_s = w1.sub_block(0, nh, 0, d_s);
-            let w1_dims: Vec<Matrix> = (0..q)
-                .map(|i| w1.sub_block(0, nh, offsets[i + 1], offsets[i + 1] + sizes[i + 1]))
-                .collect();
-            let b1 = model.layers()[0].bias.clone();
-
+            let kp = ex.kernel_policy.sequential();
+            let first = FirstLayer::split(&model, &sizes, kp);
             let mut grads = model.zero_grads();
-            let mut grad_w_s = Matrix::zeros(nh, d_s);
-            let mut grad_w_dims: Vec<Matrix> =
-                (0..q).map(|i| Matrix::zeros(nh, sizes[i + 1])).collect();
+            let mut grad_w1 = first.zero_grad();
             let mut loss_sum = 0.0;
 
-            let kp = ex.kernel_policy.sequential();
             let scan = StarScan::new(db, spec, ex.block_pages)?;
             for (i, arena) in arenas.iter_mut().enumerate() {
                 arena.reset(scan.cache().dim_len(i));
@@ -102,40 +86,26 @@ impl FactorizedMultiwayNn {
                 for fact in block? {
                     scan.cache().ordinals(&fact, &mut ords)?;
                     // ---- forward, first layer (factorized) ----
-                    let mut a1 = gemm::matvec_with(kp, &w1_s, &fact.features);
-                    vector::axpy(1.0, &b1, &mut a1);
+                    let mut a1 = first.partial(0, &fact.features, None);
+                    vector::axpy(1.0, first.bias(), &mut a1);
                     for (i, &ord) in ords.iter().enumerate() {
                         if arenas[i].claim(ord) {
                             let features = &scan.cache().tuple(i, ord).features;
                             // Detection persists across epochs; only the
                             // first encounter of a tuple ever scans it.
-                            let partial = match dim_reps[i].rep_or_detect(ord, features) {
-                                Some(rep) => rep.matvec(kp, &w1_dims[i]),
-                                None => gemm::matvec_with(kp, &w1_dims[i], features),
-                            };
+                            let rep = dim_reps[i].rep_or_detect(ord, features);
                             let (cached, delta_sum) = arenas[i].row_mut(ord).split_at_mut(nh);
-                            cached.copy_from_slice(&partial);
+                            cached.copy_from_slice(&first.partial(i + 1, features, rep));
                             delta_sum.fill(0.0);
                         }
                         vector::axpy(1.0, &arenas[i].row(ord)[..nh], &mut a1);
                     }
-                    let mut h1 = a1.clone();
-                    model.layers()[0].activation.apply_slice(&mut h1);
-                    // ---- forward, remaining layers ----
-                    let mut trace_layers = Vec::with_capacity(model.layers().len());
-                    trace_layers.push((a1, h1));
-                    for layer in &model.layers()[1..] {
-                        let (a, h) = layer.forward_with(kp, &trace_layers.last().unwrap().1);
-                        trace_layers.push((a, h));
-                    }
-                    let trace = crate::mlp::ForwardTrace {
-                        layers: trace_layers,
-                    };
-                    // ---- backward ----
+                    // ---- layers ≥ 2 forward, all layers backward ----
                     let y = fact.target.unwrap_or(0.0);
-                    let (delta1, loss) = model.backward_factorized_with(kp, &trace, y, &mut grads);
+                    let (delta1, loss) =
+                        model.backward_from_first_preactivation_with(kp, a1, y, &mut grads);
                     loss_sum += loss;
-                    gemm::ger_with(kp, 1.0, &delta1, &fact.features, &mut grad_w_s);
+                    grad_w1.add(0, &delta1, &fact.features, None);
                     for (arena, &ord) in arenas.iter_mut().zip(&ords) {
                         vector::axpy(1.0, &delta1, &mut arena.row_mut(ord)[nh..]);
                     }
@@ -147,31 +117,11 @@ impl FactorizedMultiwayNn {
             // dimension tuple, in ascending ordinal order.
             for (i, arena) in arenas.iter().enumerate() {
                 for ord in arena.referenced() {
-                    let delta_sum = &arena.row(ord)[nh..];
-                    match dim_reps[i].get(ord) {
-                        Some(rep) => rep.ger_cols(kp, 1.0, delta_sum, &mut grad_w_dims[i]),
-                        None => gemm::ger_with(
-                            kp,
-                            1.0,
-                            delta_sum,
-                            &scan.cache().tuple(i, ord).features,
-                            &mut grad_w_dims[i],
-                        ),
-                    }
+                    let features = &scan.cache().tuple(i, ord).features;
+                    grad_w1.add(i + 1, &arena.row(ord)[nh..], features, dim_reps[i].get(ord));
                 }
             }
-
-            // Assemble the first layer's weight gradient from its q+1 blocks.
-            for i in 0..nh {
-                for j in 0..d_s {
-                    grads[0].d_weights[(i, j)] += grad_w_s[(i, j)];
-                }
-                for (b, gw) in grad_w_dims.iter().enumerate() {
-                    for j in 0..sizes[b + 1] {
-                        grads[0].d_weights[(i, offsets[b + 1] + j)] += gw[(i, j)];
-                    }
-                }
-            }
+            grad_w1.add_into(&mut grads[0]);
             model.apply_grads(&grads, config.learning_rate, n as f64);
             loss_trace.push(loss_sum / n as f64);
             notifier.notify(loss_sum / n as f64);

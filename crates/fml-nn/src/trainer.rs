@@ -136,7 +136,8 @@ pub fn train_supervised_from(
     let mut loss_trace = Vec::with_capacity(config.epochs);
     // Per-example kernels run single-threaded inside workers (kp); forward+
     // backward is ~4·|θ| flops per example, so fan out only when a batch
-    // carries enough work to amortize the scoped-thread spawns.
+    // carries enough work to amortize the pool dispatch — otherwise, and
+    // under every sequential policy, each batch runs inline as one chunk.
     let kp = ex.kernel_policy.sequential();
     let par = ex.kernel_policy.is_parallel()
         && 4 * model.num_params() * PAR_BATCH_EXAMPLES >= PAR_MIN_BATCH_FLOPS;
@@ -149,66 +150,52 @@ pub fn train_supervised_from(
     // protocol).  Memory is O(total nnz) — the sparse rows' nonzeros,
     // strictly smaller than one dense copy of the dataset.
     let mut reps = RepCache::new(ex.sparse);
+    let mut xs: Vec<f64> = Vec::with_capacity(dim * PAR_BATCH_EXAMPLES);
+    let mut ys: Vec<f64> = Vec::with_capacity(PAR_BATCH_EXAMPLES);
     for _epoch in 0..config.epochs {
         let mut grads = model.zero_grads();
         let mut loss_sum = 0.0;
-        if !par {
-            let mut row = 0usize;
-            source.for_each(&mut |x: &[f64], y: f64| {
-                loss_sum += match reps.rep_or_detect(row, x) {
-                    Some(rep) => model.accumulate_sparse_example_with(kp, rep, y, &mut grads),
-                    None => model.accumulate_example_with(kp, x, y, &mut grads),
-                };
-                row += 1;
-            })?;
-        } else {
-            let mut xs: Vec<f64> = Vec::with_capacity(dim * PAR_BATCH_EXAMPLES);
-            let mut ys: Vec<f64> = Vec::with_capacity(PAR_BATCH_EXAMPLES);
-            let mut row_cursor = 0usize;
-            let reps_cell = &mut reps;
-            let mut flush = |xs: &[f64], ys: &[f64]| {
-                let base = row_cursor;
-                let reps_ref: &RepCache = reps_cell;
-                let parts = par_chunks_with_threads(workers, ys.len(), 1, |range| {
-                    let mut local_grads = model.zero_grads();
-                    let mut seg = reps_ref.segment(base + range.start);
-                    let mut local_loss = 0.0;
-                    for r in range {
-                        let x = &xs[r * dim..(r + 1) * dim];
-                        let rep = seg.rep_or_detect(base + r, x);
-                        local_loss += match rep {
-                            Some(rep) => model.accumulate_sparse_example_with(
-                                kp,
-                                rep,
-                                ys[r],
-                                &mut local_grads,
-                            ),
-                            None => model.accumulate_example_with(kp, x, ys[r], &mut local_grads),
-                        };
-                    }
-                    (local_grads, local_loss, seg.into_detected())
-                });
-                for (local_grads, local_loss, detected) in parts {
-                    for (dst, src) in grads.iter_mut().zip(local_grads.iter()) {
-                        dst.merge_from(src);
-                    }
-                    loss_sum += local_loss;
-                    reps_cell.merge(detected);
+        let mut row_cursor = 0usize;
+        let mut flush = |xs: &[f64], ys: &[f64]| {
+            let base = row_cursor;
+            let reps_ref: &RepCache = &reps;
+            let parts = par_chunks_with_threads(workers, ys.len(), 1, |range| {
+                let mut local_grads = model.zero_grads();
+                let mut seg = reps_ref.segment(base + range.start);
+                let mut local_loss = 0.0;
+                for r in range {
+                    let x = &xs[r * dim..(r + 1) * dim];
+                    local_loss += match seg.rep_or_detect(base + r, x) {
+                        Some(rep) => {
+                            model.accumulate_sparse_example_with(kp, rep, ys[r], &mut local_grads)
+                        }
+                        None => model.accumulate_example_with(kp, x, ys[r], &mut local_grads),
+                    };
                 }
-                row_cursor += ys.len();
-            };
-            source.for_each(&mut |x: &[f64], y: f64| {
-                xs.extend_from_slice(x);
-                ys.push(y);
-                if ys.len() >= PAR_BATCH_EXAMPLES {
-                    flush(&xs, &ys);
-                    xs.clear();
-                    ys.clear();
+                (local_grads, local_loss, seg.into_detected())
+            });
+            for (local_grads, local_loss, detected) in parts {
+                for (dst, src) in grads.iter_mut().zip(local_grads.iter()) {
+                    dst.merge_from(src);
                 }
-            })?;
-            if !ys.is_empty() {
-                flush(&xs, &ys);
+                loss_sum += local_loss;
+                reps.merge(detected);
             }
+            row_cursor += ys.len();
+        };
+        xs.clear();
+        ys.clear();
+        source.for_each(&mut |x: &[f64], y: f64| {
+            xs.extend_from_slice(x);
+            ys.push(y);
+            if ys.len() >= PAR_BATCH_EXAMPLES {
+                flush(&xs, &ys);
+                xs.clear();
+                ys.clear();
+            }
+        })?;
+        if !ys.is_empty() {
+            flush(&xs, &ys);
         }
         reps.finish_fill();
         model.apply_grads(&grads, config.learning_rate, n as f64);

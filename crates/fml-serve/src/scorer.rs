@@ -18,48 +18,56 @@
 //! ## Exactness contract
 //!
 //! All three strategies share one *block-decomposed row scorer* per model
-//! family (the private `RowCore` implementations below): every per-row quantity is
-//! computed block-by-block along the relation partition, combined in a fixed
-//! block order, with the same sparse-representation dispatch
+//! family — the private `RowCore` implementations below, which are nothing
+//! but the trainers' own engines: [`fml_gmm::EStep`] (the factorized E-step)
+//! and [`fml_nn::FirstLayer`] (the factorized first layer).  Every per-row
+//! quantity is computed block-by-block along the relation partition, combined
+//! in a fixed block order, with the same sparse-representation dispatch
 //! ([`SparseMode::Auto`] one-hot / CSR detection) on both sides.  The
-//! factorized path merely *caches* the dimension-block terms instead of
-//! recomputing them per row — the arithmetic per row is literally the same
+//! factorized path merely *caches* the dimension-block term rows instead of
+//! refilling them per row — the arithmetic per row is literally the same
 //! function over the same operands, so factorized scoring equals the
-//! materialized-join oracle **bit for bit** under every [`KernelPolicy`] ×
-//! [`SparseMode`] combination (the `scoring_equivalence` test suite pins
-//! this with `f64::to_bits` comparisons).
+//! materialized-join oracle **bit for bit** under every
+//! [`fml_linalg::KernelPolicy`] × [`SparseMode`] combination (the
+//! `scoring_equivalence` test suite pins this with `f64::to_bits`
+//! comparisons).
 //!
-//! ## Parallel fan-out
+//! ## Per-block fan-out
 //!
-//! Under a parallel kernel policy (or an explicit [`Scoring::parallel`]),
-//! the factorized strategies fan the batch out over the persistent worker
-//! pool ([`fml_linalg::pool`]) the way the trainers do: binary joins chunk
-//! the *join groups*, star joins chunk the *fact rows* with per-worker
-//! FK-keyed term arenas.  Chunk boundaries depend only on batch shape and
-//! worker count, every row's arithmetic is independent of which chunk ran
-//! it (per-chunk scratch, pure `RowCore::dim_terms`), and per-chunk
-//! results merge in chunk-index order — so the exactness contract above
-//! extends to **every thread count**: the parallel fan-out is bit-identical
-//! to the sequential drivers, hence to the materialized oracle.  Kernels
+//! The factorized strategy has one driver per join shape, and its worker
+//! count is a parameter: the resolved [`ExecPolicy`] thread count under a
+//! parallel kernel policy, 1 otherwise — the same rule, and the same
+//! [`par_chunks_with_threads`] call, as the factorized trainers.  Per scan
+//! block, binary joins chunk the block's *join groups* (a group's terms are
+//! built exactly once, by the chunk that owns it); star joins first resolve
+//! every fact's foreign keys to dimension ordinals and fill the term row of
+//! each newly referenced dimension tuple in one sequential sweep (terms and
+//! sparse detection once per *distinct* tuple, a dangling key surfacing as
+//! the same typed error whatever the worker count), then chunk the block's
+//! *fact rows* over arenas that are read-only by then.  With one worker the
+//! block is a single chunk run inline.  Chunk boundaries depend only on
+//! block shape and worker count, every row's arithmetic is independent of
+//! which chunk ran it, and per-chunk results merge in chunk-index order — so
+//! the exactness contract above extends to **every thread count**.  Kernels
 //! inside workers run the sequential policy (the pool is entered at the
-//! coarse per-chunk level, not per kernel), and observers are notified only
-//! from the scoring thread, never from workers.
+//! coarse per-chunk level, not per kernel), and observers get one
+//! notification per scan block from the scoring thread, never from workers.
 
 use crate::observe::{ScoreNotifier, ScoreObserver};
 use fml_core::{Algorithm, Session, Trained};
 use fml_gmm::model::argmax;
-use fml_gmm::{GmmFit, Precomputed, SparseFormPre};
-use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
+use fml_gmm::{EStep, GmmFit, Precomputed};
+use fml_linalg::block::BlockPartition;
 use fml_linalg::exec::{ExecPolicy, ExecSettings};
 use fml_linalg::policy::par_chunks_with_threads;
+use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::sparse::{SparseMode, SparseRep};
-use fml_linalg::{gemm, vector, KernelPolicy, Matrix};
-use fml_nn::{Mlp, NnFit};
+use fml_linalg::{vector, KernelPolicy};
+use fml_nn::{FirstLayer, Mlp, NnFit};
 use fml_store::batch::BatchScan;
-use fml_store::factorized_scan::{GroupScan, StarScan};
+use fml_store::factorized_scan::{GroupScan, JoinGroup, StarScan};
 use fml_store::join::materialize_join;
-use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
-use std::collections::HashMap;
+use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult, Tuple};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +77,6 @@ use std::time::{Duration, Instant};
 pub struct Scoring {
     strategy: Algorithm,
     observer: Option<Arc<dyn ScoreObserver>>,
-    parallel: Option<bool>,
 }
 
 impl std::fmt::Debug for Scoring {
@@ -77,7 +84,6 @@ impl std::fmt::Debug for Scoring {
         f.debug_struct("Scoring")
             .field("strategy", &self.strategy)
             .field("observer", &self.observer.as_ref().map(|_| "<dyn>"))
-            .field("parallel", &self.parallel)
             .finish()
     }
 }
@@ -104,28 +110,6 @@ impl Scoring {
     /// The configured strategy.
     pub fn strategy(&self) -> Algorithm {
         self.strategy
-    }
-
-    /// Forces the factorized fan-out over the worker pool on (`true`) or off
-    /// (`false`), independent of the kernel policy.
-    ///
-    /// Unset (the default), the fan-out engages exactly when the resolved
-    /// kernel policy is parallel — mirroring the trainers' coarse-grained
-    /// chunking.  The worker count is the resolved `ExecPolicy::threads`
-    /// either way, and results are bit-identical at every setting (see the
-    /// module docs); this knob only trades dispatch overhead against
-    /// parallel throughput.  Streaming and materialized scoring are always
-    /// sequential — they are the oracles the fan-out is tested against.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Whether the factorized fan-out engages under the resolved settings:
-    /// the explicit [`Scoring::parallel`] choice, else policy-driven.
-    fn fan_out(&self, ex: &ExecSettings) -> bool {
-        self.parallel
-            .unwrap_or_else(|| ex.kernel_policy.is_parallel())
     }
 
     fn observer(&self) -> Option<&dyn ScoreObserver> {
@@ -270,99 +254,45 @@ impl SessionScoring for Session<'_> {
     }
 }
 
-/// Runs `score` bracketed by the shared measurement scaffolding (I/O snapshot
-/// delta + wall-time), mirroring [`fml_core::api::fit_measured`].
-fn score_measured<R>(
-    db: &Database,
-    strategy: Algorithm,
-    score: impl FnOnce() -> StoreResult<(Vec<u64>, Vec<R>)>,
-) -> StoreResult<Scores<R>> {
-    let before = db.stats().snapshot();
-    let start = Instant::now();
-    let (keys, rows) = score()?;
-    Ok(Scores {
-        keys,
-        rows,
-        strategy,
-        io: db.stats().snapshot().delta_since(&before),
-        elapsed: start.elapsed(),
-    })
-}
-
 /// The per-family row-scoring arithmetic, decomposed along the relation
 /// partition.  One implementation serves all three strategies: the
-/// factorized path caches [`RowCore::dim_terms`] per distinct dimension
-/// tuple, the streaming/materialized paths rebuild them per row from the
+/// factorized path fills [`RowCore::dim_terms`] once per distinct dimension
+/// tuple, the streaming/materialized paths refill them per row from the
 /// joined row's slices — same function, same operands, identical bits.
 trait RowCore {
-    /// Cached per-dimension-tuple terms for one partition block.
-    type Dim;
     /// Per-row output.
     type Row;
-    /// Reusable per-run scratch buffers, allocated once per scoring run
-    /// instead of once per row (the hot path scores millions of rows).
+    /// Reusable per-chunk scratch buffers, allocated once per chunk instead
+    /// of once per row (the hot path scores millions of rows).
     type Scratch;
 
-    /// Allocates the scratch buffers for one scoring run.
+    /// Allocates the scratch buffers for one chunk of rows.
     fn make_scratch(&self) -> Self::Scratch;
 
-    /// Builds the reusable terms for dimension block `block` (1-based; block
-    /// 0 is the fact side) from the block's features and its detected sparse
+    /// Number of values in the term row of dimension `i` (0-based).
+    fn dim_width(&self, i: usize) -> usize;
+
+    /// Fills `row` (`dim_width(i)` values) with the reusable terms of one
+    /// tuple of dimension `i`, from its features and its detected sparse
     /// representation.
-    fn dim_terms(&self, block: usize, features: &[f64], rep: Option<&SparseRep>) -> Self::Dim;
+    fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]);
 
     /// Scores one fact row given its features, its sparse representation and
-    /// the dimension terms of every referenced dimension tuple, in partition
-    /// order.
+    /// the term row of every referenced dimension tuple, in partition order.
     fn score_row(
         &self,
         fact_features: &[f64],
         fact_rep: Option<&SparseRep>,
-        dims: &[&Self::Dim],
+        dims: &[&[f64]],
         scratch: &mut Self::Scratch,
     ) -> Self::Row;
 }
 
-// ---------------------------------------------------------------------------
-// GMM row core
-// ---------------------------------------------------------------------------
-
-/// Per-dimension-tuple GMM terms, one entry per mixture component: the
-/// diagonal quadratic term, the fact-side cross vector, its dot with the
-/// fact-block mean (for sparse fact rows), and the centered vector (for the
-/// cross terms between distinct dimension blocks — populated only for star
-/// joins, where those terms exist; binary joins never read it).
-struct GmmDimTerms {
-    diag: Vec<f64>,
-    cross: Vec<Vec<f64>>,
-    mu_dot_cross: Vec<f64>,
-    pd: Vec<Vec<f64>>,
-}
-
-/// Per-run scratch for [`GmmCore::score_row`]: the log-density buffer and the
+/// Per-chunk scratch for GMM scoring: the log-density buffer and the
 /// centered fact vector, reused across every scored row.
 struct GmmScratch {
     log_dens: Vec<f64>,
     pd_s: Vec<f64>,
-}
-
-/// Shared GMM scoring state: the once-per-batch precomputation (covariance
-/// inverses, log-normalizers, partitioned forms, sparse decomposition
-/// constants) every row read-only shares — the inference-time analogue of the
-/// trainers' once-per-iteration setup.
-struct GmmCore {
-    pre: Precomputed,
-    forms: Vec<BlockQuadraticForm>,
-    means_split: Vec<Vec<Vec<f64>>>,
-    sparse_pre: Vec<Vec<SparseFormPre>>,
-    fact_pre: Vec<SparseFormPre>,
-    kp: KernelPolicy,
-    k: usize,
-    d_s: usize,
-    /// Whether cross terms between distinct dimension blocks exist (star
-    /// joins, `q > 1`) — only then do [`GmmDimTerms`] carry the centered
-    /// vectors those terms read.
-    needs_cross: bool,
 }
 
 /// Ridge used to repair a non-SPD covariance when building the scoring
@@ -372,182 +302,55 @@ struct GmmCore {
 /// component, a hand-edited persisted file) score instead of panicking.
 const SCORING_RIDGE: f64 = 1e-6;
 
-impl GmmCore {
-    fn new(fit: &GmmFit, partition: &BlockPartition, ex: &ExecSettings) -> Self {
-        let kp = ex.kernel_policy.sequential();
-        let pre = Precomputed::from_model(&fit.model, SCORING_RIDGE);
-        let forms = pre.block_forms_with(partition, kp);
-        let means_split = pre.split_means(partition);
-        let (sparse_pre, fact_pre) = if ex.sparse == SparseMode::Auto {
-            (
-                SparseFormPre::build_all(&forms, &means_split, partition.num_blocks(), kp),
-                forms
-                    .iter()
-                    .enumerate()
-                    .map(|(c, form)| SparseFormPre::build_diag(form, 0, &means_split[c][0], kp))
-                    .collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        Self {
-            pre,
-            forms,
-            means_split,
-            sparse_pre,
-            fact_pre,
-            kp,
-            k: fit.model.k(),
-            d_s: partition.size(0),
-            needs_cross: partition.num_blocks() > 2,
-        }
-    }
-}
-
-impl RowCore for GmmCore {
-    type Dim = GmmDimTerms;
+/// GMM scoring is the trainers' E-step: the term row of a dimension tuple is
+/// [`EStep::fill_row`], a fact's score is [`EStep::log_densities`] finished
+/// into responsibilities.
+impl RowCore for EStep {
     type Row = GmmScore;
     type Scratch = GmmScratch;
 
     fn make_scratch(&self) -> GmmScratch {
         GmmScratch {
-            log_dens: vec![0.0; self.k],
-            pd_s: vec![0.0; self.d_s],
+            log_dens: vec![0.0; self.k()],
+            pd_s: vec![0.0; self.fact_width()],
         }
     }
 
-    fn dim_terms(&self, block: usize, features: &[f64], rep: Option<&SparseRep>) -> GmmDimTerms {
-        let mut diag = Vec::with_capacity(self.k);
-        let mut cross = Vec::with_capacity(self.k);
-        let mut mu_dot_cross = Vec::with_capacity(self.k);
-        let mut pd = Vec::with_capacity(if self.needs_cross { self.k } else { 0 });
-        for c in 0..self.k {
-            let center = || -> Vec<f64> {
-                features
-                    .iter()
-                    .zip(self.means_split[c][block].iter())
-                    .map(|(x, m)| x - m)
-                    .collect()
-            };
-            let w = match rep {
-                Some(rep) => {
-                    let pre = &self.sparse_pre[c][block - 1];
-                    diag.push(pre.diag_term(&self.forms[c], block, rep));
-                    if self.needs_cross {
-                        pd.push(center());
-                    }
-                    pre.cross_vector(&self.forms[c], block, rep, self.kp)
-                }
-                None => {
-                    let centered = center();
-                    diag.push(self.forms[c].term(block, block, &centered, &centered));
-                    let mut w = self.forms[c].block_times(0, block, &centered);
-                    let w2 = gemm::matvec_transposed_with(
-                        self.kp,
-                        self.forms[c].block(block, 0),
-                        &centered,
-                    );
-                    vector::axpy(1.0, &w2, &mut w);
-                    if self.needs_cross {
-                        pd.push(centered);
-                    }
-                    w
-                }
-            };
-            mu_dot_cross.push(vector::dot(&self.means_split[c][0], &w));
-            cross.push(w);
-        }
-        GmmDimTerms {
-            diag,
-            cross,
-            mu_dot_cross,
-            pd,
-        }
+    fn dim_width(&self, i: usize) -> usize {
+        self.row_len(i)
+    }
+
+    fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]) {
+        self.fill_row(i, features, rep, row);
     }
 
     fn score_row(
         &self,
         fact_features: &[f64],
         fact_rep: Option<&SparseRep>,
-        dims: &[&GmmDimTerms],
+        dims: &[&[f64]],
         scratch: &mut GmmScratch,
     ) -> GmmScore {
         let GmmScratch { log_dens, pd_s } = scratch;
-        for (c, ld) in log_dens.iter_mut().enumerate() {
-            // Fact-block diagonal (UL): the mean decomposition for sparse
-            // rows, the centered blocked form otherwise.
-            let mut quad = match fact_rep {
-                Some(rep) => self.fact_pre[c].diag_term(&self.forms[c], 0, rep),
-                None => {
-                    vector::sub_into(fact_features, &self.means_split[c][0], pd_s);
-                    self.forms[c].term(0, 0, pd_s, pd_s)
-                }
-            };
-            // Per dimension block: cached diagonal plus the fact-cross dot
-            // (a gather minus the precomputed µᵀw for sparse fact rows).
-            for dt in dims {
-                quad += dt.diag[c];
-                quad += match fact_rep {
-                    Some(rep) => rep.gather_dot(&dt.cross[c]) - dt.mu_dot_cross[c],
-                    None => vector::dot(pd_s, &dt.cross[c]),
-                };
-            }
-            // Cross terms between distinct dimension blocks (star joins).
-            for i in 0..dims.len() {
-                for j in 0..dims.len() {
-                    if i != j {
-                        quad += self.forms[c].term(i + 1, j + 1, &dims[i].pd[c], &dims[j].pd[c]);
-                    }
-                }
-            }
-            *ld = self.pre.log_norm[c] - 0.5 * quad;
-        }
-        let (resp, ll) = self.pre.finish_responsibilities(log_dens);
+        self.log_densities(fact_features, fact_rep, dims, pd_s, log_dens);
+        let (resp, log_likelihood) = self.pre.finish_responsibilities(log_dens);
         GmmScore {
             cluster: argmax(&resp),
-            log_likelihood: ll,
+            log_likelihood,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// NN row core
-// ---------------------------------------------------------------------------
-
-/// Shared NN scoring state: the first layer's weight matrix split into
-/// per-relation column blocks (hoisted once per batch, exactly as the
-/// factorized trainers hoist it once per epoch).
+/// NN scoring is the trainers' factorized first layer (hoisted once per
+/// batch, exactly as the trainers hoist it once per epoch) followed by the
+/// dense layers ≥ 2.
 struct NnCore<'m> {
     model: &'m Mlp,
-    w1_blocks: Vec<Matrix>,
-    b1: Vec<f64>,
+    first: FirstLayer,
     kp: KernelPolicy,
 }
 
-impl<'m> NnCore<'m> {
-    fn new(fit: &'m NnFit, partition: &BlockPartition, ex: &ExecSettings) -> Self {
-        let model = &fit.model;
-        let nh = model.layers()[0].out_dim();
-        let w1 = &model.layers()[0].weights;
-        let w1_blocks = (0..partition.num_blocks())
-            .map(|b| {
-                let r = partition.range(b);
-                w1.sub_block(0, nh, r.start, r.end)
-            })
-            .collect();
-        Self {
-            model,
-            w1_blocks,
-            b1: model.layers()[0].bias.clone(),
-            kp: ex.kernel_policy.sequential(),
-        }
-    }
-}
-
 impl RowCore for NnCore<'_> {
-    /// The partial first-layer product `W¹_{R_i}·x_{R_i}` (a column gather
-    /// when the dimension tuple is sparse).
-    type Dim = Vec<f64>;
     type Row = f64;
     /// The per-row buffers (`a¹` and the layer activations) are produced by
     /// the kernels themselves; nothing to reuse across rows.
@@ -555,27 +358,27 @@ impl RowCore for NnCore<'_> {
 
     fn make_scratch(&self) {}
 
-    fn dim_terms(&self, block: usize, features: &[f64], rep: Option<&SparseRep>) -> Vec<f64> {
-        match rep {
-            Some(rep) => rep.matvec(self.kp, &self.w1_blocks[block]),
-            None => gemm::matvec_with(self.kp, &self.w1_blocks[block], features),
-        }
+    fn dim_width(&self, _i: usize) -> usize {
+        self.first.width()
+    }
+
+    /// The partial first-layer product `W¹_{R_i}·x_{R_i}` (a column gather
+    /// when the dimension tuple is sparse).
+    fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]) {
+        row.copy_from_slice(&self.first.partial(i + 1, features, rep));
     }
 
     fn score_row(
         &self,
         fact_features: &[f64],
         fact_rep: Option<&SparseRep>,
-        dims: &[&Vec<f64>],
+        dims: &[&[f64]],
         _scratch: &mut (),
     ) -> f64 {
         // a¹ = (W¹_S·x_S + b¹) + Σ_i W¹_{R_i}·x_{R_i}, assembled in fixed
         // partition order so every strategy produces identical bits.
-        let mut a1 = match fact_rep {
-            Some(rep) => rep.matvec(self.kp, &self.w1_blocks[0]),
-            None => gemm::matvec_with(self.kp, &self.w1_blocks[0], fact_features),
-        };
-        vector::axpy(1.0, &self.b1, &mut a1);
+        let mut a1 = self.first.partial(0, fact_features, fact_rep);
+        vector::axpy(1.0, self.first.bias(), &mut a1);
         for partial in dims {
             vector::axpy(1.0, partial, &mut a1);
         }
@@ -588,12 +391,46 @@ impl RowCore for NnCore<'_> {
 // Strategy drivers
 // ---------------------------------------------------------------------------
 
+/// Where every driver puts its scored rows: `(key, row)` pairs in scan
+/// order, with one observer notification per scan block.
+struct Sink<'a, R> {
+    keys: Vec<u64>,
+    rows: Vec<R>,
+    notifier: ScoreNotifier<'a>,
+    notified: usize,
+}
+
+/// The `(keys, rows)` one chunk of a factorized block scored, in scan order.
+type Scored<R> = (Vec<u64>, Vec<R>);
+
+impl<R> Sink<'_, R> {
+    fn push(&mut self, key: u64, row: R) {
+        self.keys.push(key);
+        self.rows.push(row);
+    }
+
+    /// Appends a block's chunks in chunk-index order.
+    fn extend(&mut self, chunks: Vec<Scored<R>>) {
+        for (keys, rows) in chunks {
+            self.keys.extend(keys);
+            self.rows.extend(rows);
+        }
+    }
+
+    /// Ends a scan block: notifies the rows pushed since the previous one.
+    fn end_block(&mut self) {
+        self.notifier
+            .notify((self.keys.len() - self.notified) as u64);
+        self.notified = self.keys.len();
+    }
+}
+
 /// Scores the join with the options' strategy, fanning each row through the
 /// shared [`RowCore`].
 ///
-/// The factorized strategy routes to the pool fan-out when [`Scoring::fan_out`]
-/// engages with more than one worker; streaming and materialized scoring are
-/// always sequential (they are the oracles).
+/// The factorized drivers fan each scan block out over `workers` chunks (see
+/// the module docs); streaming and materialized scoring are always
+/// sequential (they are the oracles).
 fn run_scoring<C>(
     core: &C,
     db: &Database,
@@ -606,310 +443,211 @@ where
     C: RowCore + Sync,
     C::Row: Send,
 {
-    match opts.strategy() {
-        Algorithm::Factorized => {
-            let workers = ex.workers(opts.fan_out(ex));
-            if spec.num_dimensions() > 1 {
-                if workers > 1 {
-                    score_factorized_star_parallel(core, db, spec, ex, opts, workers)
-                } else {
-                    score_factorized_star(core, db, spec, ex, opts)
+    // The oracle's join materialization happens before the observer's I/O
+    // baseline is read: batch events report scoring I/O only.
+    let table = match opts.strategy() {
+        Algorithm::Materialized => {
+            let t_name = score_table_name(spec);
+            if db.contains(&t_name) {
+                db.drop_relation(&t_name)?;
+            }
+            Some(materialize_join(db, spec, t_name, ex.block_pages)?)
+        }
+        _ => None,
+    };
+    let probe = db.stats().io_probe();
+    let mut out = Sink {
+        keys: Vec::new(),
+        rows: Vec::new(),
+        notifier: ScoreNotifier::new(opts.observer(), Some(&probe)),
+        notified: 0,
+    };
+    match table {
+        Some(table) => {
+            // Materialized: scan and score every denormalized row — the
+            // oracle the factorized path is tested against, paying the full
+            // materialization and full-width scan I/O.
+            let mut joined = JoinedRows::new(core, partition, ex.sparse);
+            for batch in BatchScan::new(table, ex.block_pages) {
+                for tuple in batch? {
+                    out.push(tuple.key, joined.score(&tuple.features));
                 }
-            } else if workers > 1 {
-                score_factorized_binary_parallel(core, db, spec, ex, opts, workers)
-            } else {
-                score_factorized_binary(core, db, spec, ex, opts)
+                out.end_block();
             }
         }
-        Algorithm::Streaming => score_streamed(core, db, spec, partition, ex, opts),
-        Algorithm::Materialized => score_materialized(core, db, spec, partition, ex, opts),
+        None if opts.strategy() == Algorithm::Streaming => {
+            score_streamed(core, db, spec, partition, ex, &mut out)?
+        }
+        None => {
+            let workers = ex.workers(ex.kernel_policy.is_parallel());
+            if spec.num_dimensions() > 1 {
+                score_factorized_star(core, db, spec, ex, workers, &mut out)?
+            } else {
+                score_factorized_binary(core, db, spec, ex, workers, &mut out)?
+            }
+        }
     }
+    Ok((out.keys, out.rows))
 }
 
 /// Factorized scoring of a binary join: one [`RowCore::dim_terms`] per join
-/// group, reused for every matching fact row.
+/// group, reused for every matching fact row; each scan block's groups fan
+/// out over `workers` chunks.
 ///
 /// Scoring is a *single* pass, and the group scan yields each dimension
 /// tuple exactly once, so — unlike the multi-pass trainers — there is
 /// nothing for a scan-order [`fml_linalg::repcache::RepCache`] to amortize
-/// here: representations
-/// are detected into per-row locals and dropped (detection still runs at
-/// most once per tuple), instead of retaining `O(n)` dead cache entries for
-/// the whole run.
-fn score_factorized_binary<C: RowCore>(
+/// here: representations are detected into per-row locals and dropped
+/// (detection still runs at most once per tuple).
+fn score_factorized_binary<C>(
     core: &C,
     db: &Database,
     spec: &JoinSpec,
     ex: &ExecSettings,
-    opts: &Scoring,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    let mut scratch = core.make_scratch();
-    let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-    for block in scan {
-        let groups = block?;
-        let mut batch_rows = 0u64;
-        for group in &groups {
-            let r_rep = ex.sparse.detect(&group.r_tuple.features);
-            let terms = core.dim_terms(1, &group.r_tuple.features, r_rep.as_ref());
-            for s_tuple in &group.s_tuples {
-                let s_rep = ex.sparse.detect(&s_tuple.features);
-                rows.push(core.score_row(
-                    &s_tuple.features,
-                    s_rep.as_ref(),
-                    &[&terms],
-                    &mut scratch,
-                ));
-                keys.push(s_tuple.key);
-                batch_rows += 1;
-            }
-        }
-        notifier.notify(batch_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// The pool fan-out for binary joins: the group scan is collected on the
-/// scoring thread (storage I/O is sequential either way), then the *join
-/// groups* are chunked over the persistent pool — each chunk builds its own
-/// [`RowCore::dim_terms`] per group and scores that group's facts with
-/// per-chunk scratch.
-///
-/// Bit-identity with [`score_factorized_binary`]: groups keep their global
-/// scan order, chunk boundaries are group-aligned (a group's terms are built
-/// exactly once, in whichever chunk owns it), every row's arithmetic reads
-/// only its own group's terms and fully-overwritten scratch, and the
-/// per-chunk `(keys, rows)` merge in chunk-index order — concatenation
-/// reproduces the sequential output exactly, at every worker count.
-fn score_factorized_binary_parallel<C>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    opts: &Scoring,
     workers: usize,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)>
+    out: &mut Sink<'_, C::Row>,
+) -> StoreResult<()>
 where
     C: RowCore + Sync,
     C::Row: Send,
 {
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut groups = Vec::new();
     for block in GroupScan::from_spec(db, spec, ex.block_pages)? {
-        groups.extend(block?);
+        let groups = block?;
+        let chunks = par_chunks_with_threads(workers, groups.len(), 1, |range| {
+            score_groups(core, ex.sparse, &groups[range])
+        });
+        out.extend(chunks);
+        out.end_block();
     }
-    let chunks = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-        let mut scratch = core.make_scratch();
-        let mut keys = Vec::new();
-        let mut rows = Vec::new();
-        for group in &groups[range] {
-            let r_rep = ex.sparse.detect(&group.r_tuple.features);
-            let terms = core.dim_terms(1, &group.r_tuple.features, r_rep.as_ref());
-            for s_tuple in &group.s_tuples {
-                let s_rep = ex.sparse.detect(&s_tuple.features);
-                rows.push(core.score_row(
-                    &s_tuple.features,
-                    s_rep.as_ref(),
-                    &[&terms],
-                    &mut scratch,
-                ));
-                keys.push(s_tuple.key);
-            }
-        }
-        (keys, rows)
-    });
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for (chunk_keys, chunk_rows) in chunks {
-        // Observers fire from the scoring thread during the ordered merge,
-        // one batch per chunk — never from inside workers.
-        notifier.notify(chunk_keys.len() as u64);
-        keys.extend(chunk_keys);
-        rows.extend(chunk_rows);
-    }
-    Ok((keys, rows))
+    Ok(())
 }
 
-/// Factorized scoring of a star join: per-dimension term caches keyed by
-/// foreign key, built on the first encounter of each distinct dimension
-/// tuple and reused for every referencing fact.  Terms live in one arena
-/// with per-dimension `FK → arena index` maps, so the per-row hot path pays
-/// exactly one hash lookup per foreign key.  Representations are per-tuple
-/// locals (each distinct tuple is detected exactly once while building its
-/// terms; see [`score_factorized_binary`] for why nothing caches them).
-fn score_factorized_star<C: RowCore>(
+/// One chunk of a binary block: chunk boundaries are group-aligned, so each
+/// group's terms are built exactly once, into the chunk's one term row.
+fn score_groups<C: RowCore>(core: &C, mode: SparseMode, groups: &[JoinGroup]) -> Scored<C::Row> {
+    let mut scratch = core.make_scratch();
+    let mut terms = vec![0.0; core.dim_width(0)];
+    let (mut keys, mut rows) = (Vec::new(), Vec::new());
+    for group in groups {
+        let r_rep = mode.detect(&group.r_tuple.features);
+        core.dim_terms(0, &group.r_tuple.features, r_rep.as_ref(), &mut terms);
+        for s_tuple in &group.s_tuples {
+            let s_rep = mode.detect(&s_tuple.features);
+            rows.push(core.score_row(&s_tuple.features, s_rep.as_ref(), &[&terms], &mut scratch));
+            keys.push(s_tuple.key);
+        }
+    }
+    (keys, rows)
+}
+
+/// Factorized scoring of a star join, shaped like the star trainers' E-step
+/// pass: per scan block, a sequential sweep resolves every fact's foreign
+/// keys to dimension ordinals and fills the [`OrdinalArena`] term row of each
+/// newly referenced dimension tuple (terms and detection once per *distinct*
+/// tuple for the whole batch; tuples no fact references are never read), then
+/// the per-fact scoring fans out over `workers` chunks that read the arenas
+/// immutably.
+fn score_factorized_star<C>(
     core: &C,
     db: &Database,
     spec: &JoinSpec,
     ex: &ExecSettings,
-    opts: &Scoring,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
+    workers: usize,
+    out: &mut Sink<'_, C::Row>,
+) -> StoreResult<()>
+where
+    C: RowCore + Sync,
+    C::Row: Send,
+{
     let q = spec.num_dimensions();
     let scan = StarScan::new(db, spec, ex.block_pages)?;
-    let mut term_idx: Vec<HashMap<u64, usize>> = (0..q).map(|_| HashMap::new()).collect();
-    let mut terms_arena: Vec<C::Dim> = Vec::new();
-    let mut scratch = core.make_scratch();
-    let mut dim_ids: Vec<usize> = Vec::with_capacity(q);
+    let mut arenas: Vec<OrdinalArena> = (0..q)
+        .map(|i| OrdinalArena::new(core.dim_width(i)))
+        .collect();
+    for (i, arena) in arenas.iter_mut().enumerate() {
+        arena.reset(scan.cache().dim_len(i));
+    }
+    let mut ords: Vec<u32> = Vec::new();
     for block in scan.blocks() {
         let facts = block?;
-        let mut batch_rows = 0u64;
-        for fact in &facts {
-            dim_ids.clear();
-            for (i, fk) in fact.fks.iter().enumerate() {
-                let id = match term_idx[i].entry(*fk) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let dim_tuple = scan.cache().get(i, *fk).ok_or_else(|| {
-                            fml_store::StoreError::DanglingForeignKey {
-                                relation: spec.dimensions[i].clone(),
-                                key: *fk,
-                            }
-                        })?;
-                        let rep = ex.sparse.detect(&dim_tuple.features);
-                        terms_arena.push(core.dim_terms(i + 1, &dim_tuple.features, rep.as_ref()));
-                        *e.insert(terms_arena.len() - 1)
-                    }
-                };
-                dim_ids.push(id);
-            }
-            let s_rep = ex.sparse.detect(&fact.features);
-            let dims: Vec<&C::Dim> = dim_ids.iter().map(|&id| &terms_arena[id]).collect();
-            rows.push(core.score_row(&fact.features, s_rep.as_ref(), &dims, &mut scratch));
-            keys.push(fact.key);
-            batch_rows += 1;
-        }
-        notifier.notify(batch_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// The pool fan-out for star joins: facts are collected on the scoring
-/// thread, then chunked over the pool with **per-worker** FK-keyed term
-/// arenas — each chunk rebuilds the terms of the dimension tuples its facts
-/// reference, reading the shared (immutable) [`StarScan`] dimension cache.
-///
-/// A dimension tuple referenced from several chunks has its terms computed
-/// once *per chunk* rather than once per batch — duplicated work, identical
-/// bits, because [`RowCore::dim_terms`] is a pure function of the tuple.
-/// Facts keep their global scan order and per-chunk results merge in
-/// chunk-index order, so output (and the position of any dangling-FK error:
-/// the earliest chunk's, facts in order within it) matches the sequential
-/// driver at every worker count.
-fn score_factorized_star_parallel<C>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    opts: &Scoring,
-    workers: usize,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)>
-where
-    C: RowCore + Sync,
-    C::Row: Send,
-{
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let q = spec.num_dimensions();
-    let scan = StarScan::new(db, spec, ex.block_pages)?;
-    let mut facts = Vec::new();
-    for block in scan.blocks() {
-        facts.extend(block?);
-    }
-    let scan = &scan;
-    let chunks = par_chunks_with_threads(
-        workers,
-        facts.len(),
-        1,
-        |range| -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-            score_star_chunk(core, scan, spec, ex, q, &facts[range])
-        },
-    );
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for chunk in chunks {
-        let (chunk_keys, chunk_rows): (Vec<u64>, Vec<C::Row>) = chunk?;
-        // Observers fire from the scoring thread during the ordered merge.
-        notifier.notify(chunk_keys.len() as u64);
-        keys.extend(chunk_keys);
-        rows.extend(chunk_rows);
-    }
-    Ok((keys, rows))
-}
-
-/// One chunk of the star fan-out: scores `facts` with a chunk-local FK-keyed
-/// term arena and scratch, reading dimension tuples from the scan's shared
-/// immutable cache.  Runs on a pool worker (or inline on the scoring thread
-/// for the last chunk) — identical arithmetic either way.
-fn score_star_chunk<C: RowCore>(
-    core: &C,
-    scan: &StarScan,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    q: usize,
-    facts: &[fml_store::Tuple],
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let mut term_idx: Vec<HashMap<u64, usize>> = (0..q).map(|_| HashMap::new()).collect();
-    let mut terms_arena: Vec<C::Dim> = Vec::new();
-    let mut scratch = core.make_scratch();
-    let mut dim_ids: Vec<usize> = Vec::with_capacity(q);
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for fact in facts {
-        dim_ids.clear();
-        for (i, fk) in fact.fks.iter().enumerate() {
-            let id = match term_idx[i].entry(*fk) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let dim_tuple = scan.cache().get(i, *fk).ok_or_else(|| {
-                        fml_store::StoreError::DanglingForeignKey {
-                            relation: spec.dimensions[i].clone(),
-                            key: *fk,
-                        }
-                    })?;
-                    let rep = ex.sparse.detect(&dim_tuple.features);
-                    terms_arena.push(core.dim_terms(i + 1, &dim_tuple.features, rep.as_ref()));
-                    *e.insert(terms_arena.len() - 1)
+        ords.resize(facts.len() * q, 0);
+        for (fact, fact_ords) in facts.iter().zip(ords.chunks_exact_mut(q)) {
+            scan.cache().ordinals(fact, fact_ords)?;
+            for (i, &ord) in fact_ords.iter().enumerate() {
+                if arenas[i].claim(ord) {
+                    let features = &scan.cache().tuple(i, ord).features;
+                    let rep = ex.sparse.detect(features);
+                    core.dim_terms(i, features, rep.as_ref(), arenas[i].row_mut(ord));
                 }
-            };
-            dim_ids.push(id);
+            }
         }
-        let s_rep = ex.sparse.detect(&fact.features);
-        let dims: Vec<&C::Dim> = dim_ids.iter().map(|&id| &terms_arena[id]).collect();
-        rows.push(core.score_row(&fact.features, s_rep.as_ref(), &dims, &mut scratch));
-        keys.push(fact.key);
+        let chunks = par_chunks_with_threads(workers, facts.len(), 1, |range| {
+            let fact_ords = &ords[range.start * q..range.end * q];
+            score_facts(core, ex.sparse, &arenas, &facts[range], fact_ords)
+        });
+        out.extend(chunks);
+        out.end_block();
     }
-    Ok((keys, rows))
+    Ok(())
 }
 
-/// Scores one denormalized row by splitting it along the partition and
-/// rebuilding every dimension block's terms — the deliberately redundant
+/// One chunk of a star block: `ords` holds the `arenas.len()` resolved
+/// ordinals of each of `facts`, whose term rows the sweep has filled.
+fn score_facts<C: RowCore>(
+    core: &C,
+    mode: SparseMode,
+    arenas: &[OrdinalArena],
+    facts: &[Tuple],
+    ords: &[u32],
+) -> Scored<C::Row> {
+    let mut scratch = core.make_scratch();
+    let mut dims: Vec<&[f64]> = Vec::with_capacity(arenas.len());
+    let mut rows = Vec::with_capacity(facts.len());
+    for (fact, fact_ords) in facts.iter().zip(ords.chunks_exact(arenas.len())) {
+        dims.clear();
+        dims.extend(arenas.iter().zip(fact_ords).map(|(a, &ord)| a.row(ord)));
+        let rep = mode.detect(&fact.features);
+        rows.push(core.score_row(&fact.features, rep.as_ref(), &dims, &mut scratch));
+    }
+    (facts.iter().map(|fact| fact.key).collect(), rows)
+}
+
+/// Scores denormalized rows by splitting each along the partition and
+/// refilling every dimension block's term row — the deliberately redundant
 /// arithmetic the factorized path avoids, shared by the streaming and
 /// materialized strategies.
-fn score_joined_row<C: RowCore>(
-    core: &C,
-    partition: &BlockPartition,
+struct JoinedRows<'c, C: RowCore> {
+    core: &'c C,
+    partition: &'c BlockPartition,
     mode: SparseMode,
-    features: &[f64],
-    scratch: &mut C::Scratch,
-) -> C::Row {
-    let parts = partition.split(features);
-    let fact_rep = mode.detect(parts[0]);
-    let dims: Vec<C::Dim> = (1..partition.num_blocks())
-        .map(|b| {
-            let rep = mode.detect(parts[b]);
-            core.dim_terms(b, parts[b], rep.as_ref())
-        })
-        .collect();
-    let dim_refs: Vec<&C::Dim> = dims.iter().collect();
-    core.score_row(parts[0], fact_rep.as_ref(), &dim_refs, scratch)
+    terms: Vec<Vec<f64>>,
+    scratch: C::Scratch,
+}
+
+impl<'c, C: RowCore> JoinedRows<'c, C> {
+    fn new(core: &'c C, partition: &'c BlockPartition, mode: SparseMode) -> Self {
+        Self {
+            core,
+            partition,
+            mode,
+            terms: (0..partition.num_blocks() - 1)
+                .map(|i| vec![0.0; core.dim_width(i)])
+                .collect(),
+            scratch: core.make_scratch(),
+        }
+    }
+
+    fn score(&mut self, features: &[f64]) -> C::Row {
+        let parts = self.partition.split(features);
+        for (i, row) in self.terms.iter_mut().enumerate() {
+            let rep = self.mode.detect(parts[i + 1]);
+            self.core.dim_terms(i, parts[i + 1], rep.as_ref(), row);
+        }
+        let fact_rep = self.mode.detect(parts[0]);
+        let dims: Vec<&[f64]> = self.terms.iter().map(Vec::as_slice).collect();
+        self.core
+            .score_row(parts[0], fact_rep.as_ref(), &dims, &mut self.scratch)
+    }
 }
 
 /// Streaming scoring: join on the fly, score each denormalized row.
@@ -919,52 +657,29 @@ fn score_streamed<C: RowCore>(
     spec: &JoinSpec,
     partition: &BlockPartition,
     ex: &ExecSettings,
-    opts: &Scoring,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    let mut scratch = core.make_scratch();
+    out: &mut Sink<'_, C::Row>,
+) -> StoreResult<()> {
+    let mut joined = JoinedRows::new(core, partition, ex.sparse);
     if spec.num_dimensions() > 1 {
         let scan = StarScan::new(db, spec, ex.block_pages)?;
         for block in scan.blocks() {
-            let mut batch_rows = 0u64;
             for fact in block? {
-                let joined = scan.denormalize(&fact)?;
-                rows.push(score_joined_row(
-                    core,
-                    partition,
-                    ex.sparse,
-                    &joined.features,
-                    &mut scratch,
-                ));
-                keys.push(joined.key);
-                batch_rows += 1;
+                let row = scan.denormalize(&fact)?;
+                out.push(row.key, joined.score(&row.features));
             }
-            notifier.notify(batch_rows);
+            out.end_block();
         }
     } else {
-        let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-        for block in scan {
-            let mut batch_rows = 0u64;
+        for block in GroupScan::from_spec(db, spec, ex.block_pages)? {
             for group in block? {
-                for joined in group.denormalize() {
-                    rows.push(score_joined_row(
-                        core,
-                        partition,
-                        ex.sparse,
-                        &joined.features,
-                        &mut scratch,
-                    ));
-                    keys.push(joined.key);
-                    batch_rows += 1;
+                for row in group.denormalize() {
+                    out.push(row.key, joined.score(&row.features));
                 }
             }
-            notifier.notify(batch_rows);
+            out.end_block();
         }
     }
-    Ok((keys, rows))
+    Ok(())
 }
 
 /// Name of the temporary join table the materialized strategy scores from.
@@ -972,49 +687,57 @@ pub fn score_table_name(spec: &JoinSpec) -> String {
     format!("__T_score_{}", spec.fact)
 }
 
-/// Materialized scoring: materialize the join as a temporary table (replacing
-/// any previous one), then scan and score every denormalized row — the
-/// oracle the factorized path is tested against, paying the full
-/// materialization and full-width scan I/O.
-fn score_materialized<C: RowCore>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    partition: &BlockPartition,
-    ex: &ExecSettings,
-    opts: &Scoring,
-) -> StoreResult<(Vec<u64>, Vec<C::Row>)> {
-    let t_name = score_table_name(spec);
-    if db.contains(&t_name) {
-        db.drop_relation(&t_name)?;
-    }
-    let table = materialize_join(db, spec, t_name, ex.block_pages)?;
-    let probe = db.stats().io_probe();
-    let mut notifier = ScoreNotifier::new(opts.observer(), Some(&probe));
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    let mut scratch = core.make_scratch();
-    for batch in BatchScan::new(table, ex.block_pages) {
-        let mut batch_rows = 0u64;
-        for tuple in batch? {
-            rows.push(score_joined_row(
-                core,
-                partition,
-                ex.sparse,
-                &tuple.features,
-                &mut scratch,
-            ));
-            keys.push(tuple.key);
-            batch_rows += 1;
-        }
-        notifier.notify(batch_rows);
-    }
-    Ok((keys, rows))
-}
-
 // ---------------------------------------------------------------------------
 // Scorer impls
 // ---------------------------------------------------------------------------
+
+/// What both families' [`Scorer::score_batch`] share: validate the join,
+/// check the model's input width against it, install the run's scopes, and
+/// run the core `build` returns through the options' strategy — bracketed by
+/// the shared measurement scaffolding (I/O snapshot delta + wall-time,
+/// mirroring [`fml_core::api::fit_measured`]).  The core is built inside the
+/// measured region: the per-batch precomputation (Cholesky inversions, block
+/// forms, sparse constants, the first-layer column split) is part of the
+/// scoring call's documented elapsed/I/O accounting.
+fn score_join<C>(
+    model_dim: usize,
+    db: &Database,
+    spec: &JoinSpec,
+    exec: &ExecPolicy,
+    opts: &Scoring,
+    build: impl FnOnce(&BlockPartition, &ExecSettings) -> C,
+) -> StoreResult<Scores<C::Row>>
+where
+    C: RowCore + Sync,
+    C::Row: Send,
+{
+    spec.validate(db)?;
+    let partition = BlockPartition::new(&spec.feature_partition(db)?);
+    assert_eq!(
+        model_dim,
+        partition.total_dim(),
+        "model dimension mismatch against the join's feature width"
+    );
+    let ex = exec.resolve();
+    // Kernels invoked under a parallel policy fan out to exactly the
+    // resolved thread count while scoring runs.
+    let _kernel_threads = ex.kernel_thread_scope();
+    // The resolved observability mode governs instrumentation on every
+    // thread this run touches (pool workers, storage scans).
+    let _obs = ex.obs_scope();
+    let _span = fml_obs::span!("score");
+    let before = db.stats().snapshot();
+    let start = Instant::now();
+    let core = build(&partition, &ex);
+    let (keys, rows) = run_scoring(&core, db, spec, &partition, &ex, opts)?;
+    Ok(Scores {
+        keys,
+        rows,
+        strategy: opts.strategy(),
+        io: db.stats().snapshot().delta_since(&before),
+        elapsed: start.elapsed(),
+    })
+}
 
 impl Scorer for GmmFit {
     type Row = GmmScore;
@@ -1028,28 +751,13 @@ impl Scorer for GmmFit {
         exec: &ExecPolicy,
         opts: &Scoring,
     ) -> StoreResult<Scores<GmmScore>> {
-        spec.validate(db)?;
-        let sizes = spec.feature_partition(db)?;
-        let partition = BlockPartition::new(&sizes);
-        assert_eq!(
-            self.model.dim(),
-            partition.total_dim(),
-            "model dimension mismatch against the join's feature width"
-        );
-        let ex = exec.resolve();
-        // Kernels invoked under a parallel policy fan out to exactly the
-        // resolved thread count while scoring runs.
-        let _kernel_threads = ex.kernel_thread_scope();
-        // The resolved observability mode governs instrumentation on every
-        // thread this run touches (pool workers, storage scans).
-        let _obs = ex.obs_scope();
-        let _span = fml_obs::span!("score");
-        score_measured(db, opts.strategy(), || {
-            // Inside the measured closure: the per-batch precomputation
-            // (Cholesky inversions, block forms, sparse constants) is part
-            // of the scoring call's documented elapsed/I/O accounting.
-            let core = GmmCore::new(self, &partition, &ex);
-            run_scoring(&core, db, spec, &partition, &ex, opts)
+        score_join(self.model.dim(), db, spec, exec, opts, |partition, ex| {
+            EStep::new(
+                Precomputed::from_model(&self.model, SCORING_RIDGE),
+                partition,
+                ex.sparse,
+                ex.kernel_policy.sequential(),
+            )
         })
     }
 }
@@ -1065,27 +773,14 @@ impl Scorer for NnFit {
         exec: &ExecPolicy,
         opts: &Scoring,
     ) -> StoreResult<Scores<f64>> {
-        spec.validate(db)?;
-        let sizes = spec.feature_partition(db)?;
-        let partition = BlockPartition::new(&sizes);
-        assert_eq!(
-            self.model.input_dim(),
-            partition.total_dim(),
-            "model dimension mismatch against the join's feature width"
-        );
-        let ex = exec.resolve();
-        // Kernels invoked under a parallel policy fan out to exactly the
-        // resolved thread count while scoring runs.
-        let _kernel_threads = ex.kernel_thread_scope();
-        // The resolved observability mode governs instrumentation on every
-        // thread this run touches (pool workers, storage scans).
-        let _obs = ex.obs_scope();
-        let _span = fml_obs::span!("score");
-        score_measured(db, opts.strategy(), || {
-            // Inside the measured closure: the first-layer column split is
-            // part of the scoring call's documented elapsed accounting.
-            let core = NnCore::new(self, &partition, &ex);
-            run_scoring(&core, db, spec, &partition, &ex, opts)
+        let model = &self.model;
+        score_join(model.input_dim(), db, spec, exec, opts, |partition, ex| {
+            let kp = ex.kernel_policy.sequential();
+            NnCore {
+                model,
+                first: FirstLayer::split(model, partition.sizes(), kp),
+                kp,
+            }
         })
     }
 }

@@ -375,10 +375,11 @@ fn scoring_is_stable_across_thread_counts() {
     assert_eq!(gmm_bits(&one), gmm_bits(&four));
 }
 
-/// The pool fan-out is bit-identical to the sequential factorized driver —
-/// including scan order, not just sorted content — for both families, both
-/// join shapes, both sparse modes, at every tested worker count.  Together
-/// with the suites above (sequential factorized == materialized oracle) this
+/// The factorized drivers at 1, 2 and 4 workers (`BlockedParallel` with
+/// `.threads(n)`) are bit-identical to the same drivers under the default
+/// policy (one inline chunk per block) — including scan order, not just
+/// sorted content — for both families, both join shapes, both sparse modes.
+/// Together with the suites above (factorized == materialized oracle) this
 /// closes the chain: parallel factorized == the oracle, bit for bit, at any
 /// thread count.
 #[test]
@@ -398,28 +399,15 @@ fn parallel_fanout_is_bit_identical_at_every_worker_count() {
             ("star", &star_base, &star_gmm, &star_nn),
         ] {
             let exec_seq = ExecPolicy::new().sparse_mode(sparse);
-            let seq_g = session
-                .clone()
-                .exec(exec_seq.clone())
-                .score_with(g, &Scoring::new().parallel(false))
-                .unwrap();
-            let seq_n = session
-                .clone()
-                .exec(exec_seq)
-                .score_with(n, &Scoring::new().parallel(false))
-                .unwrap();
+            let seq_g = session.clone().exec(exec_seq.clone()).score(g).unwrap();
+            let seq_n = session.clone().exec(exec_seq).score(n).unwrap();
             for threads in [1usize, 2, 4] {
-                let exec_par = ExecPolicy::new().sparse_mode(sparse).threads(threads);
-                let par_g = session
-                    .clone()
-                    .exec(exec_par.clone())
-                    .score_with(g, &Scoring::new().parallel(true))
-                    .unwrap();
-                let par_n = session
-                    .clone()
-                    .exec(exec_par)
-                    .score_with(n, &Scoring::new().parallel(true))
-                    .unwrap();
+                let exec_par = ExecPolicy::new()
+                    .kernel_policy(KernelPolicy::BlockedParallel)
+                    .sparse_mode(sparse)
+                    .threads(threads);
+                let par_g = session.clone().exec(exec_par.clone()).score(g).unwrap();
+                let par_n = session.clone().exec(exec_par).score(n).unwrap();
                 assert_eq!(
                     par_g.keys, seq_g.keys,
                     "{name}/{sparse:?}/{threads}t: GMM scan order must survive the chunk merge"
@@ -453,47 +441,174 @@ fn parallel_fanout_is_bit_identical_at_every_worker_count() {
     }
 }
 
-/// Counting probe through the serve surface: with the fan-out forced on and
-/// `.threads(4)`, the observer sees exactly one batch per chunk — four for
-/// the binary join's 12 groups, four for the star join's 200 facts
-/// (`chunk_ranges(n, 4, 1)`) — and the batches cover every row.  Pins that
-/// the fan-out actually engages (rather than silently collapsing to the
-/// sequential path) and that observers keep firing from the scoring thread.
+/// Observer batches follow scan blocks, not chunks: with `block_pages` small
+/// enough that the factorized scan spans several blocks, the observer sees
+/// the same number of batches under `Blocked` (one inline chunk per block)
+/// and under `BlockedParallel` at 4 workers, with consecutive indexes and
+/// every row covered.
 #[test]
-fn parallel_fanout_notifies_one_batch_per_chunk() {
-    let binary = dense_workload(false);
-    let star = mixed_star_workload(false);
+fn observer_batches_follow_scan_blocks_at_every_worker_count() {
+    // Large enough that the scanned relation (R for the group scan, the
+    // fact table for the star scan) spans several one-page blocks.
+    let binary = SyntheticConfig {
+        n_s: 2000,
+        n_r: 800,
+        d_s: 3,
+        d_r: 5,
+        k: 2,
+        noise_std: 0.7,
+        with_target: false,
+        seed: 11,
+    }
+    .generate()
+    .unwrap();
+    let star = MultiwayConfig {
+        n_s: 1500,
+        d_s: 2,
+        dims: vec![DimSpec::categorical(10, 8), DimSpec::new(5, 3)],
+        k: 2,
+        noise_std: 0.6,
+        with_target: false,
+        seed: 23,
+    }
+    .generate()
+    .unwrap();
     for (name, w) in [("binary", &binary), ("star", &star)] {
-        let session = Session::new(&w.db)
+        let trained = Session::new(&w.db)
             .join(&w.spec)
-            .exec(ExecPolicy::new().threads(4));
-        let trained = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
-        let trace = ScoreTrace::new();
-        let scores = session
-            .score_with(
-                &trained,
-                &Scoring::new().parallel(true).observe(trace.clone()),
-            )
+            .fit(Gmm::with_k(2).iterations(1))
             .unwrap();
-        let events = trace.events();
-        assert_eq!(events.len(), 4, "{name}: one observer batch per chunk");
-        assert_eq!(trace.total_rows(), scores.len() as u64, "{name}");
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.batch, i, "{name}: batch indexes are consecutive");
-        }
-        // With the fan-out forced off, the same run stays sequential and
-        // notifies per scan block instead (a single block at this size).
-        let trace = ScoreTrace::new();
-        session
-            .score_with(
-                &trained,
-                &Scoring::new().parallel(false).observe(trace.clone()),
-            )
-            .unwrap();
+        let batches = |kp: KernelPolicy| {
+            let session = Session::new(&w.db).join(&w.spec).exec(
+                ExecPolicy::new()
+                    .kernel_policy(kp)
+                    .block_pages(1)
+                    .threads(4),
+            );
+            let trace = ScoreTrace::new();
+            let scores = session
+                .score_with(&trained, &Scoring::new().observe(trace.clone()))
+                .unwrap();
+            let events = trace.events();
+            assert_eq!(trace.total_rows(), scores.len() as u64, "{name}/{kp:?}");
+            for (i, e) in events.iter().enumerate() {
+                assert_eq!(e.batch, i, "{name}/{kp:?}: batch indexes are consecutive");
+            }
+            events.iter().map(|e| e.rows).collect::<Vec<u64>>()
+        };
+        let sequential = batches(KernelPolicy::Blocked);
+        assert!(
+            sequential.len() >= 3,
+            "{name}: block_pages(1) must span at least 3 scan blocks, got {sequential:?}"
+        );
         assert_eq!(
-            trace.total_rows(),
-            scores.len() as u64,
-            "{name}: sequential path covers the same rows"
+            sequential,
+            batches(KernelPolicy::BlockedParallel),
+            "{name}: one observer batch per scan block at every worker count"
+        );
+    }
+}
+
+/// A fact with a foreign key that matches no dimension tuple is the same
+/// typed error at every worker count (the sequential sweep resolves keys
+/// before any chunk runs), and a dimension tuple no fact references is never
+/// read: giving it NaN features leaves every score bit-identical.
+#[test]
+fn star_scoring_dangling_fk_and_unreferenced_nan_tuple() {
+    use fml_core::fml_store::{StoreError, Tuple};
+    let w = mixed_star_workload(false);
+    let session = Session::new(&w.db).join(&w.spec);
+    let trained = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
+    let parallel = |t| {
+        ExecPolicy::new()
+            .kernel_policy(KernelPolicy::BlockedParallel)
+            .threads(t)
+    };
+    let clean = session.score(&trained).unwrap();
+
+    // An unreferenced dimension tuple full of NaNs.
+    let dim = w.db.relation(&w.spec.dimensions[2]).unwrap();
+    let width = dim.lock().schema().num_features;
+    dim.lock()
+        .append(&Tuple::dimension(1_000_000, vec![f64::NAN; width]))
+        .unwrap();
+    dim.lock().flush().unwrap();
+    for t in [1usize, 2, 4] {
+        let padded = session.clone().exec(parallel(t)).score(&trained).unwrap();
+        assert_eq!(padded.keys, clean.keys, "{t}t");
+        assert_eq!(gmm_bits(&padded), gmm_bits(&clean), "{t}t: NaN padding");
+    }
+
+    // One dangling foreign key into the second dimension.
+    let fact = w.db.relation(&w.spec.fact).unwrap();
+    fact.lock()
+        .append(&Tuple::fact(9_999_999, vec![0, 777_777, 0], vec![0.0, 0.0]))
+        .unwrap();
+    fact.lock().flush().unwrap();
+    for t in [1usize, 2, 4] {
+        let err = session
+            .clone()
+            .exec(parallel(t))
+            .score(&trained)
+            .map(|s| s.len())
+            .unwrap_err();
+        assert!(
+            matches!(&err, StoreError::DanglingForeignKey { relation, key: 777_777 }
+                if *relation == w.spec.dimensions[1]),
+            "{t}t: {err}"
+        );
+    }
+}
+
+/// A binary join with one fact whose foreign key matches no dimension tuple:
+/// every fit and every scoring strategy returns the typed error naming the
+/// relation and the key — never a model normalized by the wrong `N`, never a
+/// short score vector.
+#[test]
+fn binary_dangling_fk_fails_every_fit_and_score_strategy() {
+    use fml_core::fml_store::{StoreError, Tuple};
+    let w = dense_workload(true);
+    let session = Session::new(&w.db).join(&w.spec);
+    let gmm = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
+    let nn = session.fit(Nn::with_hidden(4).epochs(1)).unwrap();
+    let fact = w.db.relation(&w.spec.fact).unwrap();
+    fact.lock()
+        .append(&Tuple::fact_with_target(
+            9_999_999,
+            vec![555_555],
+            0.5,
+            vec![0.0; 3],
+        ))
+        .unwrap();
+    fact.lock().flush().unwrap();
+    let check = |what: &str, err: StoreError| {
+        assert!(
+            matches!(&err, StoreError::DanglingForeignKey { relation, key: 555_555 }
+                if *relation == w.spec.dimensions[0]),
+            "{what}: {err}"
+        );
+    };
+    for alg in Algorithm::all() {
+        let fit = session.fit(Gmm::with_k(2).iterations(1).algorithm(alg));
+        check(
+            &format!("{alg} GMM fit"),
+            fit.map(|t| t.fit.n_tuples).unwrap_err(),
+        );
+        let fit = session.fit(Nn::with_hidden(4).epochs(1).algorithm(alg));
+        check(
+            &format!("{alg} NN fit"),
+            fit.map(|t| t.fit.n_tuples).unwrap_err(),
+        );
+        let opts = Scoring::new().algorithm(alg);
+        let scored = session.score_with(&gmm, &opts);
+        check(
+            &format!("{alg} GMM score"),
+            scored.map(|s| s.len()).unwrap_err(),
+        );
+        let scored = session.score_with(&nn, &opts);
+        check(
+            &format!("{alg} NN score"),
+            scored.map(|s| s.len()).unwrap_err(),
         );
     }
 }
@@ -507,11 +622,7 @@ fn scoring_inside_a_pool_region_does_not_deadlock() {
     let w = dense_workload(false);
     let base = Session::new(&w.db).join(&w.spec);
     let trained = base.fit(Gmm::with_k(2).iterations(1)).unwrap();
-    let seq_bits = gmm_bits(
-        &base
-            .score_with(&trained, &Scoring::new().parallel(false))
-            .unwrap(),
-    );
+    let seq_bits = gmm_bits(&base.score(&trained).unwrap());
     let results = fml_linalg::policy::par_chunks_with_threads(2, 2, 1, |_| {
         base.clone()
             .exec(
@@ -519,7 +630,7 @@ fn scoring_inside_a_pool_region_does_not_deadlock() {
                     .kernel_policy(KernelPolicy::BlockedParallel)
                     .threads(4),
             )
-            .score_with(&trained, &Scoring::new().parallel(true))
+            .score(&trained)
             .unwrap()
     });
     assert_eq!(results.len(), 2);

@@ -7,7 +7,9 @@
 //!   (block-nested-loop by default, optionally through a prebuilt FK hash index).
 //!   Each yielded [`JoinGroup`] pairs one `R` tuple with *all* its matching `S`
 //!   tuples, which is exactly the unit of reuse the factorized algorithms exploit:
-//!   anything that depends only on `x_R` is computed once per group.
+//!   anything that depends only on `x_R` is computed once per group.  A pass
+//!   that ends having matched fewer facts than `S` holds ends with a typed
+//!   [`crate::StoreError::DanglingForeignKey`] instead of silently dropping them.
 //! * [`StarScan`] — for **multi-way** joins.  The dimension tables are cached in
 //!   memory ([`DimCache`]) and the fact table is scanned in blocks; per-dimension
 //!   reuse is keyed on the dense ordinals the cache resolves each fact tuple's
@@ -21,7 +23,7 @@ use crate::batch::BatchScan;
 use crate::catalog::RelationHandle;
 use crate::error::StoreResult;
 use crate::index::HashIndex;
-use crate::join::{DimCache, JoinSpec};
+use crate::join::{check_every_fact_matched, DimCache, JoinSpec};
 use crate::tuple::Tuple;
 use crate::Database;
 use std::collections::HashMap;
@@ -76,6 +78,9 @@ pub struct GroupScan {
     strategy: ProbeStrategy,
     index: Option<HashIndex>,
     r_scan: BatchScan,
+    /// Facts matched so far in this pass; `None` once the end-of-pass check
+    /// has run.
+    matched: Option<u64>,
 }
 
 impl GroupScan {
@@ -89,6 +94,7 @@ impl GroupScan {
             block_pages,
             strategy: ProbeStrategy::BlockNestedLoop,
             index: None,
+            matched: Some(0),
         }
     }
 
@@ -123,6 +129,7 @@ impl GroupScan {
     /// Restarts the scan from the first `R` block (one training pass = one scan).
     pub fn reset(&mut self) {
         self.r_scan = BatchScan::new(self.r.clone(), self.block_pages);
+        self.matched = Some(0);
     }
 
     fn probe_block(&mut self, r_block: Vec<Tuple>) -> StoreResult<Vec<JoinGroup>> {
@@ -155,6 +162,9 @@ impl GroupScan {
                 }
             }
         }
+        if let Some(matched) = &mut self.matched {
+            *matched += groups.iter().map(|g| g.len() as u64).sum::<u64>();
+        }
         Ok(groups)
     }
 }
@@ -162,10 +172,19 @@ impl GroupScan {
 impl Iterator for GroupScan {
     type Item = StoreResult<Vec<JoinGroup>>;
 
+    /// The next block of groups; after the last block, one `Err` item when
+    /// the pass matched a different number of facts than `S` holds (every
+    /// consumer normalizes by that count), then `None`.
     fn next(&mut self) -> Option<Self::Item> {
-        match self.r_scan.next()? {
-            Ok(r_block) => Some(self.probe_block(r_block)),
-            Err(e) => Some(Err(e)),
+        match self.r_scan.next() {
+            Some(Ok(r_block)) => Some(self.probe_block(r_block)),
+            Some(Err(e)) => Some(Err(e)),
+            None => {
+                let matched = self.matched.take()?;
+                check_every_fact_matched(&self.r, &self.s, self.fk_column, matched)
+                    .err()
+                    .map(Err)
+            }
         }
     }
 }
@@ -355,6 +374,46 @@ mod tests {
             }
         }
         assert_eq!(count, 20);
+    }
+
+    #[test]
+    fn group_scan_ends_with_the_dangling_key_under_both_probe_strategies() {
+        let (db, spec) = setup();
+        let s = db.relation("S").unwrap();
+        s.lock()
+            .append(&Tuple::fact(99, vec![41], vec![0.0]))
+            .unwrap();
+        s.lock().flush().unwrap();
+        let idx = HashIndex::build(&s, IndexKey::Foreign(0)).unwrap();
+        for mut scan in [
+            GroupScan::from_spec(&db, &spec, 1).unwrap(),
+            GroupScan::from_spec(&db, &spec, 1).unwrap().with_index(idx),
+        ] {
+            for pass in 0..2 {
+                let items: Vec<_> = scan.by_ref().collect();
+                let (last, blocks) = items.split_last().unwrap();
+                let matched: usize = blocks
+                    .iter()
+                    .map(|b| {
+                        b.as_ref()
+                            .unwrap()
+                            .iter()
+                            .map(JoinGroup::len)
+                            .sum::<usize>()
+                    })
+                    .sum();
+                assert_eq!(
+                    matched, 30,
+                    "pass {pass}: the matching facts are still yielded"
+                );
+                assert!(
+                    matches!(last, Err(crate::StoreError::DanglingForeignKey { relation, key: 41 }) if relation == "R"),
+                    "pass {pass}: {last:?}"
+                );
+                assert!(scan.next().is_none(), "the error is reported once");
+                scan.reset();
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::catalog::{Database, RelationHandle};
 use crate::error::{StoreError, StoreResult};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Names the relations participating in a star join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -256,6 +256,40 @@ impl DimCache {
     }
 }
 
+/// End-of-pass check of a binary join: `matched` joined rows were produced
+/// for the facts of `fact`.  Every consumer normalizes by the fact count, so
+/// a fact whose foreign key matches no `dim` tuple must not vanish silently.
+/// Free when the counts agree; otherwise one extra scan of both relations
+/// names the first unmatched key.
+pub(crate) fn check_every_fact_matched(
+    dim: &RelationHandle,
+    fact: &RelationHandle,
+    fk_column: usize,
+    matched: u64,
+) -> StoreResult<()> {
+    let n = fact.lock().num_tuples();
+    if matched == n {
+        return Ok(());
+    }
+    let relation = dim.lock().name().to_string();
+    let mut keys = HashSet::new();
+    for batch in BatchScan::new(dim.clone(), crate::DEFAULT_BLOCK_PAGES) {
+        keys.extend(batch?.iter().map(|t| t.key));
+    }
+    for batch in BatchScan::new(fact.clone(), crate::DEFAULT_BLOCK_PAGES) {
+        if let Some(t) = batch?.iter().find(|t| !keys.contains(&t.fks[fk_column])) {
+            return Err(StoreError::DanglingForeignKey {
+                relation,
+                key: t.fks[fk_column],
+            });
+        }
+    }
+    Err(StoreError::SchemaMismatch {
+        relation,
+        detail: format!("{matched} joined rows for {n} facts: a primary key repeats"),
+    })
+}
+
 /// Materializes the projected join `T(SID, [Y], [x_S x_R1 … x_Rq])` as a new
 /// relation named `output`, returning its handle.
 ///
@@ -263,6 +297,8 @@ impl DimCache {
 /// plan with `R` as the outer relation: each block of `R` pages is loaded into a
 /// hash table and all of `S` is scanned against it, giving the
 /// `|R| + |R|/BlockSize·|S|` page-read cost of Section V-A (plus `|T|` page writes).
+/// A fact whose foreign key matches no `R` tuple is a typed
+/// [`StoreError::DanglingForeignKey`], as it is for star joins.
 /// For **multi-way** joins the dimension tables are cached in memory and `S` is
 /// scanned once.
 pub fn materialize_join(
@@ -293,6 +329,8 @@ pub fn materialize_join(
                 }
             }
         }
+        let matched = out_rel.lock().num_tuples();
+        check_every_fact_matched(dim, &fact, 0, matched)?;
     } else {
         let cache = DimCache::load(&dims)?;
         for s_batch in BatchScan::new(fact.clone(), block_pages) {
@@ -446,6 +484,22 @@ mod tests {
             err,
             StoreError::DanglingForeignKey { key: 99, .. }
         ));
+    }
+
+    #[test]
+    fn dangling_fk_detected_in_binary() {
+        let db = Database::in_memory();
+        let spec = star(&db);
+        let s = db.relation("S").unwrap();
+        s.lock()
+            .append(&Tuple::fact_with_target(50, vec![17], 0.0, vec![0.0]))
+            .unwrap();
+        s.lock().flush().unwrap();
+        let err = materialize_join(&db, &spec, "T", 1).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::DanglingForeignKey { relation, key: 17 } if relation == "R"),
+            "{err}"
+        );
     }
 
     #[test]
