@@ -10,12 +10,14 @@
 //! * `spmm_csr` — **weighted** sparse × dense block product, swept over
 //!   occupancy with general values: dense GEMM vs zero-skip vs the CSR
 //!   kernel ([`csr::spmm_csr_with`]).
-//! * `ger` — rank-1 gradient update: dense GER vs the one-hot column scatter
-//!   ([`sparse::ger_onehot_cols_with`]).
+//! * `ger` — the NN first-layer gradient on a `width × n_h` embedding table:
+//!   dense GER `x·δᵀ` ([`gemm::ger_with`]) vs the one-hot row scatter the
+//!   trainers run ([`sparse::ger_onehot_with`]).
 //! * `quadratic_form` — `xᵀAx` for one-hot `x`: dense form vs the `s²`-load
 //!   pair gather ([`sparse::quadratic_form_onehot_pair`]).
 //!
-//! The run emits **`BENCH_sparse.json`** at the workspace root with per-row
+//! The run emits **`BENCH_sparse.json`** at the workspace root with a
+//! `machine` stamp (`nproc`, the resolved thread count) and per-row
 //! `speedup_vs_dense`; CI's sparse-speedup guard asserts the `width126`
 //! one-hot block (the WalmartSparse fact layout: 15 active of 126) AND the
 //! width-126 CSR block at ≤ 10% occupancy (12 of 126) beat the dense GEMM by
@@ -257,11 +259,11 @@ fn bench_ger(results: &mut Vec<BenchResult>) {
         let (idx_all, x) = onehot_block(1, width, nnz, 3);
         let xrow = x.row(0).to_vec();
         let delta = pseudo_vec(nh, 4);
-        let mut a = Matrix::zeros(nh, width);
-        let size = format!("{nh}x{width}/width{width}");
+        let mut a = Matrix::zeros(width, nh);
+        let size = format!("{width}x{nh}/width{width}");
         let occupancy = nnz as f64 / width as f64;
         for policy in KernelPolicy::ALL {
-            let mean_ns = measure(|| gemm::ger_with(policy, 0.5, &delta, &xrow, &mut a));
+            let mean_ns = measure(|| gemm::ger_with(policy, 0.5, &xrow, &delta, &mut a));
             results.push(BenchResult {
                 kernel: "ger".into(),
                 size: size.clone(),
@@ -271,7 +273,7 @@ fn bench_ger(results: &mut Vec<BenchResult>) {
                 mean_ns,
             });
             let mean_ns =
-                measure(|| sparse::ger_onehot_cols_with(policy, 0.5, &delta, &idx_all, &mut a));
+                measure(|| sparse::ger_onehot_with(policy, 0.5, &idx_all, &delta, &mut a));
             results.push(BenchResult {
                 kernel: "ger".into(),
                 size: size.clone(),
@@ -339,7 +341,14 @@ fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
     let path = root.join("BENCH_sparse.json");
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"harness\": \"sparse_kernels\",");
-    let _ = writeln!(out, "  \"threads\": {},", num_threads());
+    // Machine stamp: the `parallel` rows mean nothing without the core count
+    // they ran on.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(
+        out,
+        "  \"machine\": {{\"nproc\": {nproc}, \"threads\": {}}},",
+        num_threads()
+    );
     let _ = writeln!(
         out,
         "  \"smoke\": {},",

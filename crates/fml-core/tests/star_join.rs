@@ -1,7 +1,8 @@
 //! Star-join (multi-way) factorized trainers under hostile and reordered
-//! inputs: dangling foreign keys, dimension tuples no fact references (one of
-//! them NaN), storage order ≠ key order, and worker-count changes.  Both
-//! model families go through the one `Session::fit` surface.
+//! inputs: dangling foreign keys, an empty fact relation, dimension tuples no
+//! fact references (one of them NaN), storage order ≠ key order, and
+//! worker-count changes.  Both model families go through the one
+//! `Session::fit` surface.
 
 use fml_core::prelude::*;
 use fml_data::multiway::{DimSpec, MultiwayConfig};
@@ -145,6 +146,43 @@ fn dangling_fk_is_a_typed_error_for_both_families() {
         panic!("NN fit must fail");
     };
     assert!(dangling(&err), "NN: {err}");
+}
+
+#[test]
+fn empty_fact_relation_is_a_typed_error_for_every_nn_strategy() {
+    // One-tuple dimensions and a fact relation that holds nothing, as a
+    // binary join (q = 1) and as a star (q = 2).
+    for q in 1..=2usize {
+        let db = Database::in_memory();
+        let dimensions: Vec<String> = (1..=q).map(|i| format!("R{i}")).collect();
+        for name in &dimensions {
+            let rel = db
+                .create_relation(Schema::dimension(name.clone(), 2))
+                .unwrap();
+            rel.lock()
+                .append(&Tuple::dimension(0, vec![0.5, -1.0]))
+                .unwrap();
+            rel.lock().flush().unwrap();
+        }
+        db.create_relation(Schema::fact_with_target("S", 2, q))
+            .unwrap();
+        let spec = JoinSpec::multiway("S", dimensions);
+        let session = Session::new(&db).join(&spec);
+        for alg in [
+            Algorithm::Materialized,
+            Algorithm::Streaming,
+            Algorithm::Factorized,
+        ] {
+            let Err(err) = session.fit(nn(alg)) else {
+                panic!("q = {q}, {alg:?}: NN fit over an empty fact relation must fail");
+            };
+            assert!(
+                matches!(&err, StoreError::SchemaMismatch { relation, detail }
+                    if relation == "S" && detail.contains("empty")),
+                "q = {q}, {alg:?}: {err}"
+            );
+        }
+    }
 }
 
 #[test]

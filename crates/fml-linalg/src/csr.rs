@@ -264,29 +264,30 @@ pub fn matvec_csr_with(policy: KernelPolicy, a: &Matrix, idx: &[u32], vals: &[f6
     y
 }
 
-/// `y = Aᵀ · x` for sparse `x`, under the default policy.
-pub fn matvec_transposed_csr(a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
-    matvec_transposed_csr_with(policy::default_policy(), a, idx, vals)
-}
-
-/// [`matvec_transposed_csr`] under an explicit policy: `Σ_t vals[t]·A.row(idx[t])`,
-/// added front-to-back in index order — the naive dense transposed GEMV with
-/// the zero AXPYs skipped.  The reduction is `nnz` AXPYs, far below any useful
-/// parallel threshold, so every policy runs the same sequential loop.
-pub fn matvec_transposed_csr_with(
+/// `y = Aᵀ · x` for sparse `x`, into an existing buffer:
+/// `Σ_t vals[t]·A.row(idx[t])`, added to a zeroed `y` front-to-back in index
+/// order — the naive dense transposed GEMV with the zero AXPYs skipped.  The
+/// reduction is `nnz` AXPYs, far below any useful parallel threshold, so
+/// every policy runs the same sequential loop.
+pub fn matvec_transposed_csr_into_with(
     _policy: KernelPolicy,
     a: &Matrix,
     idx: &[u32],
     vals: &[f64],
-) -> Vec<f64> {
+    y: &mut [f64],
+) {
+    assert_eq!(
+        a.cols(),
+        y.len(),
+        "matvec_transposed_csr: output dimension mismatch"
+    );
     check_row(idx, vals, a.rows(), "matvec_transposed_csr");
     count_call();
     let lv = simd::current_level();
-    let mut y = vec![0.0; a.cols()];
+    y.fill(0.0);
     for (&i, &w) in idx.iter().zip(vals.iter()) {
-        simd::axpy(lv, w, a.row(i as usize), &mut y);
+        simd::axpy(lv, w, a.row(i as usize), y);
     }
-    y
 }
 
 /// CSR × dense product `C += X · B`, under the default policy.
@@ -352,42 +353,6 @@ pub fn ger_csr_with(
     for (&i, &w) in idx.iter().zip(vals.iter()) {
         simd::axpy(lv, alpha * w, y, a.row_mut(i as usize));
     }
-}
-
-/// `A += alpha · x yᵀ` for sparse `y`, under the default policy — the
-/// first-layer gradient scatter of the NN trainers for weighted-sparse inputs.
-pub fn ger_csr_cols(alpha: f64, x: &[f64], idx: &[u32], vals: &[f64], a: &mut Matrix) {
-    ger_csr_cols_with(policy::default_policy(), alpha, x, idx, vals, a);
-}
-
-/// [`ger_csr_cols`] under an explicit policy: row `i` receives
-/// `(alpha·x[i])·vals[t]` at column `idx[t]` — the naive dense GER's
-/// `row[j] += s·y[j]` with the zero columns skipped.  Output rows are
-/// disjoint; the parallel policy splits them into bands.
-pub fn ger_csr_cols_with(
-    policy: KernelPolicy,
-    alpha: f64,
-    x: &[f64],
-    idx: &[u32],
-    vals: &[f64],
-    a: &mut Matrix,
-) {
-    assert_eq!(a.rows(), x.len(), "ger_csr_cols: row dimension mismatch");
-    check_row(idx, vals, a.cols(), "ger_csr_cols");
-    count_call();
-    let cols = a.cols();
-    if cols == 0 || x.is_empty() {
-        return;
-    }
-    let par = policy.is_parallel() && x.len() * idx.len() >= PAR_MIN_OPS;
-    policy::par_row_bands(par, a.as_mut_slice(), cols, 8, |first_row, band| {
-        for (i, row) in band.chunks_exact_mut(cols).enumerate() {
-            let s = alpha * x[first_row + i];
-            for (&j, &w) in idx.iter().zip(vals.iter()) {
-                row[j as usize] += s * w;
-            }
-        }
-    });
 }
 
 /// `A[i][j] += alpha · x_i · y_j` over the nonzero index pairs — the outer
@@ -572,11 +537,9 @@ mod tests {
             let dense = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
             assert_eq!(matvec_csr_with(p, &a, &idx, &vals), dense, "{p}");
             let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &xr);
-            assert_eq!(
-                matvec_transposed_csr_with(p, &a, &idx, &vals),
-                dense_t,
-                "{p}"
-            );
+            let mut gathered = vec![f64::NAN; 7];
+            matvec_transposed_csr_into_with(p, &a, &idx, &vals, &mut gathered);
+            assert_eq!(gathered, dense_t, "{p}");
         }
         assert_eq!(gather_dot(&[1.0, 2.0, 3.0], &[0, 2], &[2.0, -1.0]), -1.0);
     }
@@ -612,15 +575,6 @@ mod tests {
             let mut sparse = dense.clone();
             gemm::ger_with(KernelPolicy::Naive, 0.7, &x_rows, &y, &mut dense);
             ger_csr_with(p, 0.7, &idx, &vals, &y, &mut sparse);
-            assert_eq!(dense, sparse, "{p}");
-        }
-        let x = crate::testutil::TestRng::new(5).vec_in(8, -1.0, 1.0);
-        let ycols = densify(&idx, &vals, 6);
-        for p in KernelPolicy::ALL {
-            let mut dense = pseudo(8, 6, 6);
-            let mut sparse = dense.clone();
-            gemm::ger_with(KernelPolicy::Naive, -1.3, &x, &ycols, &mut dense);
-            ger_csr_cols_with(p, -1.3, &x, &idx, &vals, &mut sparse);
             assert_eq!(dense, sparse, "{p}");
         }
     }
@@ -673,7 +627,9 @@ mod tests {
     fn empty_inputs_are_fine() {
         let a = pseudo(4, 4, 10);
         assert_eq!(matvec_csr(&a, &[], &[]), vec![0.0; 4]);
-        assert_eq!(matvec_transposed_csr(&a, &[], &[]), vec![0.0; 4]);
+        let mut gathered = vec![f64::NAN; 4];
+        matvec_transposed_csr_into_with(KernelPolicy::Naive, &a, &[], &[], &mut gathered);
+        assert_eq!(gathered, vec![0.0; 4]);
         assert_eq!(quadratic_form_csr(&[], &[], &a, &[0.0; 4]), 0.0);
         let empty = CsrBlock::new(vec![], vec![], vec![0, 0], 4);
         assert_eq!(empty.rows(), 1);
@@ -683,7 +639,6 @@ mod tests {
         let mut m = pseudo(4, 4, 11);
         let before = m.clone();
         ger_csr(1.0, &[], &[], &[0.0; 4], &mut m);
-        ger_csr_cols(1.0, &[0.0; 4], &[], &[], &mut m);
         assert_eq!(m, before);
     }
 

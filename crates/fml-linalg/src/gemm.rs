@@ -429,24 +429,35 @@ pub fn matvec_transposed(a: &Matrix, x: &[f64]) -> Vec<f64> {
 /// reduction order) — the per-element result groups additions by chunk but
 /// never reorders within a chunk.
 pub fn matvec_transposed_with(policy: KernelPolicy, a: &Matrix, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; a.cols()];
+    matvec_transposed_into_with(policy, a, x, &mut y);
+    y
+}
+
+/// `y = Aᵀ · x` into an existing buffer, under an explicit policy — one AXPY
+/// of `A`'s row `i` per entry of `x`, front to back; the sequential policies
+/// allocate nothing.
+pub fn matvec_transposed_into_with(policy: KernelPolicy, a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.rows(), x.len(), "matvec_transposed: dimension mismatch");
     let cols = a.cols();
+    assert_eq!(
+        cols,
+        y.len(),
+        "matvec_transposed: output dimension mismatch"
+    );
     record_kernel(&GEMV_CALLS, 2 * a.rows() * cols);
+    y.fill(0.0);
     match policy::effective_policy(policy, 2 * a.rows() * cols, PAR_MIN_FLOPS) {
         KernelPolicy::Naive => {
-            let mut y = vec![0.0; cols];
             for (i, &xi) in x.iter().enumerate() {
-                vector::axpy(xi, a.row(i), &mut y);
+                vector::axpy(xi, a.row(i), y);
             }
-            y
         }
         KernelPolicy::Blocked => {
             let lv = simd::current_level();
-            let mut y = vec![0.0; cols];
             for (i, &xi) in x.iter().enumerate() {
-                simd::axpy(lv, xi, a.row(i), &mut y);
+                simd::axpy(lv, xi, a.row(i), y);
             }
-            y
         }
         KernelPolicy::BlockedParallel => {
             let lv = simd::current_level();
@@ -457,11 +468,9 @@ pub fn matvec_transposed_with(policy: KernelPolicy, a: &Matrix, x: &[f64]) -> Ve
                 }
                 part
             });
-            let mut y = vec![0.0; cols];
             for part in partials {
-                simd::add_assign(lv, &mut y, &part);
+                simd::add_assign(lv, y, &part);
             }
-            y
         }
     }
 }

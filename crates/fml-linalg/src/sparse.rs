@@ -128,18 +128,29 @@ impl SparseRep {
 
     /// `Aᵀ · x` for this sparse `x` (a row gather for one-hot rows).
     pub fn matvec_transposed(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
+        let mut y = vec![0.0; a.cols()];
+        self.matvec_transposed_into(kp, a, &mut y);
+        y
+    }
+
+    /// [`Self::matvec_transposed`] into an existing buffer — the NN
+    /// first-layer gather over an embedding table (`a`'s row `j` holds the
+    /// weights of input column `j`).
+    pub fn matvec_transposed_into(&self, kp: KernelPolicy, a: &Matrix, y: &mut [f64]) {
         match self {
-            SparseRep::OneHot(idx) => matvec_transposed_onehot_with(kp, a, idx),
-            SparseRep::Csr { idx, vals } => csr::matvec_transposed_csr_with(kp, a, idx, vals),
+            SparseRep::OneHot(idx) => matvec_transposed_onehot_into_with(kp, a, idx, y),
+            SparseRep::Csr { idx, vals } => {
+                csr::matvec_transposed_csr_into_with(kp, a, idx, vals, y)
+            }
         }
     }
 
-    /// `A += alpha · delta xᵀ` for this sparse `x` — the NN first-layer
-    /// gradient column scatter.
-    pub fn ger_cols(&self, kp: KernelPolicy, alpha: f64, delta: &[f64], a: &mut Matrix) {
+    /// `A += alpha · x yᵀ` for this sparse `x` — the NN first-layer gradient
+    /// row scatter into an embedding-table-shaped accumulator.
+    pub fn ger(&self, kp: KernelPolicy, alpha: f64, y: &[f64], a: &mut Matrix) {
         match self {
-            SparseRep::OneHot(idx) => ger_onehot_cols_with(kp, alpha, delta, idx, a),
-            SparseRep::Csr { idx, vals } => csr::ger_csr_cols_with(kp, alpha, delta, idx, vals, a),
+            SparseRep::OneHot(idx) => ger_onehot_with(kp, alpha, idx, y, a),
+            SparseRep::Csr { idx, vals } => csr::ger_csr_with(kp, alpha, idx, vals, y, a),
         }
     }
 
@@ -334,28 +345,33 @@ pub fn matvec_onehot_acc_with(policy: KernelPolicy, a: &Matrix, idx: &[u32], y: 
     });
 }
 
-/// `y = Aᵀ · x` for one-hot `x`: the sum of the **rows** of `A` selected by
-/// `idx`, under the default policy.
-pub fn matvec_transposed_onehot(a: &Matrix, idx: &[u32]) -> Vec<f64> {
-    matvec_transposed_onehot_with(policy::default_policy(), a, idx)
-}
-
-/// [`matvec_transposed_onehot`] under an explicit policy.
+/// `y = Aᵀ · x` for one-hot `x`, into an existing buffer: the sum of the
+/// **rows** of `A` selected by `idx`.
 ///
-/// Rows are added front-to-back in index order (the same order as the naive
-/// dense transposed GEMV visits its nonzero terms); the reduction is `s` AXPYs
-/// and far below any useful parallel threshold, so every policy runs the same
-/// sequential loop.  Each row add is a pure lane-wise [`simd::add_assign`]
-/// (`1.0 * b == b` bitwise), identical at every SIMD level.
-pub fn matvec_transposed_onehot_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32]) -> Vec<f64> {
+/// Rows are added to a zeroed `y` front-to-back in index order (the same
+/// order as the naive dense transposed GEMV visits its nonzero terms); the
+/// reduction is `s` row adds and far below any useful parallel threshold, so
+/// every policy runs the same sequential loop.  Each row add is a pure
+/// lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise), identical at
+/// every SIMD level.
+pub fn matvec_transposed_onehot_into_with(
+    _policy: KernelPolicy,
+    a: &Matrix,
+    idx: &[u32],
+    y: &mut [f64],
+) {
+    assert_eq!(
+        a.cols(),
+        y.len(),
+        "matvec_transposed_onehot: output dimension mismatch"
+    );
     check_indices(idx, a.rows(), "matvec_transposed_onehot");
     count_call();
     let lv = simd::current_level();
-    let mut y = vec![0.0; a.cols()];
+    y.fill(0.0);
     for &i in idx {
-        simd::add_assign(lv, &mut y, a.row(i as usize));
+        simd::add_assign(lv, y, a.row(i as usize));
     }
-    y
 }
 
 /// One-hot × dense product `C += X · B` where row `r` of `X` is one-hot with
@@ -437,41 +453,6 @@ pub fn ger_onehot_with(_policy: KernelPolicy, alpha: f64, idx: &[u32], y: &[f64]
     for &i in idx {
         simd::axpy(lv, alpha, y, a.row_mut(i as usize));
     }
-}
-
-/// `A += alpha · x yᵀ` for one-hot `y`: adds `alpha · x[i]` to the entries of
-/// row `i` at the columns selected by `idx`, under the default policy.
-pub fn ger_onehot_cols(alpha: f64, x: &[f64], idx: &[u32], a: &mut Matrix) {
-    ger_onehot_cols_with(policy::default_policy(), alpha, x, idx, a);
-}
-
-/// [`ger_onehot_cols`] under an explicit policy: the first-layer gradient
-/// scatter of the NN trainers (`∂E/∂W += δ · xᵀ` with one-hot `x`).
-///
-/// Output rows are disjoint; the parallel policy splits them into bands.
-pub fn ger_onehot_cols_with(
-    policy: KernelPolicy,
-    alpha: f64,
-    x: &[f64],
-    idx: &[u32],
-    a: &mut Matrix,
-) {
-    assert_eq!(a.rows(), x.len(), "ger_onehot_cols: row dimension mismatch");
-    check_indices(idx, a.cols(), "ger_onehot_cols");
-    count_call();
-    let cols = a.cols();
-    if cols == 0 || x.is_empty() {
-        return;
-    }
-    let par = policy.is_parallel() && x.len() * idx.len() >= PAR_MIN_OPS;
-    policy::par_row_bands(par, a.as_mut_slice(), cols, 8, |first_row, band| {
-        for (i, row) in band.chunks_exact_mut(cols).enumerate() {
-            let s = alpha * x[first_row + i];
-            for &j in idx {
-                row[j as usize] += s;
-            }
-        }
-    });
 }
 
 /// `A[i][j] += alpha` for every `(i, j) ∈ rows_idx × cols_idx` — the outer
@@ -618,13 +599,12 @@ mod tests {
             // A·x: dense naive GEMV vs column gather
             let dense = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
             assert_eq!(matvec_onehot_with(p, &a, &idx), dense, "{p}");
-            // Aᵀ·x: dense naive transposed GEMV vs row gather
+            // Aᵀ·x: dense naive transposed GEMV vs row gather (into a dirty
+            // buffer: the kernel overwrites, it does not accumulate)
             let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &xr);
-            assert_eq!(
-                matvec_transposed_onehot_with(p, &a, &[1, 4]),
-                dense_t,
-                "{p}"
-            );
+            let mut gathered = vec![f64::NAN; 7];
+            matvec_transposed_onehot_into_with(p, &a, &[1, 4], &mut gathered);
+            assert_eq!(gathered, dense_t, "{p}");
         }
         assert_eq!(gather_sum(&[1.0, 2.0, 3.0], &[0, 2]), 4.0);
     }
@@ -660,16 +640,6 @@ mod tests {
             let mut sparse = dense.clone();
             gemm::ger_with(KernelPolicy::Naive, 0.7, &x_rows, &y, &mut dense);
             ger_onehot_with(p, 0.7, &idx, &y, &mut sparse);
-            assert_eq!(dense, sparse, "{p}");
-        }
-        // column scatter: A += alpha x yᵀ with one-hot y
-        let x = crate::testutil::TestRng::new(5).vec_in(8, -1.0, 1.0);
-        let ycols = densify(&idx, 6);
-        for p in KernelPolicy::ALL {
-            let mut dense = pseudo(8, 6, 6);
-            let mut sparse = dense.clone();
-            gemm::ger_with(KernelPolicy::Naive, -1.3, &x, &ycols, &mut dense);
-            ger_onehot_cols_with(p, -1.3, &x, &idx, &mut sparse);
             assert_eq!(dense, sparse, "{p}");
         }
     }
@@ -708,7 +678,10 @@ mod tests {
     fn empty_inputs_are_fine() {
         let a = pseudo(4, 4, 10);
         assert_eq!(matvec_onehot(&a, &[]), vec![0.0; 4]);
-        assert_eq!(matvec_transposed_onehot(&a, &[]), vec![0.0; 4]);
+        assert_eq!(
+            SparseRep::OneHot(vec![]).matvec_transposed(KernelPolicy::Naive, &a),
+            vec![0.0; 4]
+        );
         assert_eq!(quadratic_form_onehot(&[], &a, &[0.0; 4]), 0.0);
         let mut c = Matrix::zeros(0, 4);
         spmm_onehot(&[], 2, &a, &mut c);
@@ -716,7 +689,6 @@ mod tests {
         let mut m = pseudo(4, 4, 11);
         let before = m.clone();
         ger_onehot(1.0, &[], &[0.0; 4], &mut m);
-        ger_onehot_cols(1.0, &[0.0; 4], &[], &mut m);
         assert_eq!(m, before);
     }
 

@@ -288,11 +288,9 @@ fn onehot_gathers_are_bit_exact_against_naive_dense() {
         for p in KernelPolicy::ALL {
             // Aᵀ·x (row gather) vs naive dense transposed GEMV
             let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &x);
-            assert_eq!(
-                sparse::matvec_transposed_onehot_with(p, &a, &idx),
-                dense_t,
-                "case {case} {p} transposed"
-            );
+            let mut gathered = vec![f64::NAN; cols];
+            sparse::matvec_transposed_onehot_into_with(p, &a, &idx, &mut gathered);
+            assert_eq!(gathered, dense_t, "case {case} {p} transposed");
             // A·x (column gather) vs naive dense GEMV
             let dense = gemm::matvec_with(KernelPolicy::Naive, &at, &x);
             assert_eq!(
@@ -357,14 +355,16 @@ fn onehot_scatters_are_bit_exact_against_naive_dense_ger() {
             sparse::ger_onehot_with(p, alpha, &idx, &y, &mut a);
             assert_eq!(a, reference, "case {case} {p} rows");
         }
-        // column scatter
+        // table scatter (the NN first-layer gradient): the unit-alpha row
+        // scatter into the transposed accumulator is the dense GER `y·xᵀ` of
+        // the weight layout
         let seed = g.matrix(other, width);
         let mut reference = seed.clone();
-        gemm::ger_with(KernelPolicy::Naive, alpha, &y, &x_rows, &mut reference);
+        gemm::ger_with(KernelPolicy::Naive, 1.0, &y, &x_rows, &mut reference);
         for p in KernelPolicy::ALL {
-            let mut a = seed.clone();
-            sparse::ger_onehot_cols_with(p, alpha, &y, &idx, &mut a);
-            assert_eq!(a, reference, "case {case} {p} cols");
+            let mut table = seed.transpose();
+            sparse::ger_onehot_with(p, 1.0, &idx, &y, &mut table);
+            assert_eq!(table.transpose(), reference, "case {case} {p} table");
         }
     }
 }
@@ -512,11 +512,9 @@ fn csr_gathers_are_exact_against_naive_dense() {
         let at = a.transpose();
         for p in KernelPolicy::ALL {
             let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &x);
-            assert_eq!(
-                csr::matvec_transposed_csr_with(p, &a, &idx, &vals),
-                dense_t,
-                "case {case} {p} transposed"
-            );
+            let mut gathered = vec![f64::NAN; cols];
+            csr::matvec_transposed_csr_into_with(p, &a, &idx, &vals, &mut gathered);
+            assert_eq!(gathered, dense_t, "case {case} {p} transposed");
             let dense = gemm::matvec_with(KernelPolicy::Naive, &at, &x);
             assert_eq!(
                 csr::matvec_csr_with(p, &at, &idx, &vals),
@@ -581,14 +579,16 @@ fn csr_scatters_are_exact_against_naive_dense_ger() {
             csr::ger_csr_with(p, alpha, &idx, &vals, &y, &mut a);
             assert_eq!(a, reference, "case {case} {p} rows");
         }
-        // column scatter
+        // table scatter (the NN first-layer gradient): the unit-alpha row
+        // scatter into the transposed accumulator is the dense GER `y·xᵀ` of
+        // the weight layout (`y_i·x_j == x_j·y_i` bitwise)
         let seed = g.matrix(other, width);
         let mut reference = seed.clone();
-        gemm::ger_with(KernelPolicy::Naive, alpha, &y, &x, &mut reference);
+        gemm::ger_with(KernelPolicy::Naive, 1.0, &y, &x, &mut reference);
         for p in KernelPolicy::ALL {
-            let mut a = seed.clone();
-            csr::ger_csr_cols_with(p, alpha, &y, &idx, &vals, &mut a);
-            assert_eq!(a, reference, "case {case} {p} cols");
+            let mut table = seed.transpose();
+            csr::ger_csr_with(p, 1.0, &idx, &vals, &y, &mut table);
+            assert_eq!(table.transpose(), reference, "case {case} {p} table");
         }
     }
 }

@@ -134,8 +134,9 @@ fn sparse_and_csr_kernels_bit_identical_across_bit_exact_levels_and_policies() {
         for p in KernelPolicy::ALL {
             let run = |lv: SimdLevel| {
                 simd::with_level(lv, || {
-                    let g1 = sparse::matvec_transposed_onehot_with(p, &a, &oidx);
-                    let g2 = csr::matvec_transposed_csr_with(p, &a, &cidx, &cvals);
+                    let (mut g1, mut g2) = (vec![f64::NAN; cols], vec![f64::NAN; cols]);
+                    sparse::matvec_transposed_onehot_into_with(p, &a, &oidx, &mut g1);
+                    csr::matvec_transposed_csr_into_with(p, &a, &cidx, &cvals, &mut g2);
                     let mut s1 = a.clone();
                     sparse::ger_onehot_with(p, alpha, &oidx, &y, &mut s1);
                     let mut s2 = a.clone();

@@ -53,12 +53,11 @@ const ALLOC_METHODS: [&str; 3] = ["to_vec", "collect", "clone"];
 
 /// Idents that testify a loop body accumulates floats: compound assignment
 /// is caught via punctuation, these catch the kernel entry points.
-const ACCUM_IDENTS: [&str; 10] = [
+const ACCUM_IDENTS: [&str; 9] = [
     "axpy",
     "axpy_into",
     "ger",
     "ger_with",
-    "ger_cols",
     "add_outer",
     "add_assign",
     "record",

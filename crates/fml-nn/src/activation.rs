@@ -30,17 +30,17 @@ impl Activation {
         }
     }
 
-    /// Derivative with respect to the pre-activation `a`.
+    /// Derivative with respect to the pre-activation `a`, from the
+    /// activation's **output** `h = f(a)` — back-propagation has `h` cached,
+    /// so no `exp`/`tanh` is evaluated twice (`σ′ = h(1−h)`, `tanh′ = 1−h²`,
+    /// ReLU′ = `[h > 0]`).
     #[inline]
-    pub fn derivative(&self, a: f64) -> f64 {
+    pub fn derivative_from_output(&self, h: f64) -> f64 {
         match self {
-            Activation::Sigmoid => {
-                let s = self.apply(a);
-                s * (1.0 - s)
-            }
-            Activation::Tanh => 1.0 - a.tanh().powi(2),
+            Activation::Sigmoid => h * (1.0 - h),
+            Activation::Tanh => 1.0 - h.powi(2),
             Activation::Relu => {
-                if a > 0.0 {
+                if h > 0.0 {
                     1.0
                 } else {
                     0.0
@@ -77,42 +77,78 @@ impl Activation {
 mod tests {
     use super::*;
 
+    const ALL: [Activation; 4] = [
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Relu,
+        Activation::Identity,
+    ];
+
+    /// `f′(a)` as back-propagation computes it: from the cached output.
+    fn derivative(act: Activation, a: f64) -> f64 {
+        act.derivative_from_output(act.apply(a))
+    }
+
     #[test]
     fn sigmoid_values_and_derivative() {
         let s = Activation::Sigmoid;
         assert!((s.apply(0.0) - 0.5).abs() < 1e-12);
         assert!(s.apply(10.0) > 0.9999);
         assert!(s.apply(-10.0) < 0.0001);
-        assert!((s.derivative(0.0) - 0.25).abs() < 1e-12);
+        assert!((derivative(s, 0.0) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn tanh_and_relu_and_identity() {
         assert_eq!(Activation::Relu.apply(-3.0), 0.0);
         assert_eq!(Activation::Relu.apply(3.0), 3.0);
-        assert_eq!(Activation::Relu.derivative(-1.0), 0.0);
-        assert_eq!(Activation::Relu.derivative(1.0), 1.0);
+        assert_eq!(derivative(Activation::Relu, -1.0), 0.0);
+        assert_eq!(derivative(Activation::Relu, 1.0), 1.0);
         assert!((Activation::Tanh.apply(0.5) - 0.5f64.tanh()).abs() < 1e-15);
         assert_eq!(Activation::Identity.apply(7.0), 7.0);
-        assert_eq!(Activation::Identity.derivative(7.0), 1.0);
+        assert_eq!(derivative(Activation::Identity, 7.0), 1.0);
     }
 
     #[test]
     fn derivatives_match_finite_differences() {
         let eps = 1e-6;
-        for act in [
-            Activation::Sigmoid,
-            Activation::Tanh,
-            Activation::Relu,
-            Activation::Identity,
-        ] {
+        for act in ALL {
             for &a in &[-2.0, -0.5, 0.3, 1.7] {
                 let fd = (act.apply(a + eps) - act.apply(a - eps)) / (2.0 * eps);
                 assert!(
-                    (act.derivative(a) - fd).abs() < 1e-5,
+                    (derivative(act, a) - fd).abs() < 1e-5,
                     "{act:?} at {a}: {} vs {}",
-                    act.derivative(a),
+                    derivative(act, a),
                     fd
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn derivative_from_output_keeps_the_bits_of_the_pre_activation_form() {
+        // The form this replaced: `f′` evaluated from the pre-activation.
+        fn from_pre_activation(act: Activation, a: f64) -> f64 {
+            match act {
+                Activation::Sigmoid => {
+                    let s = act.apply(a);
+                    s * (1.0 - s)
+                }
+                Activation::Tanh => 1.0 - a.tanh().powi(2),
+                Activation::Relu => f64::from(a > 0.0),
+                Activation::Identity => 1.0,
+            }
+        }
+        let mut grid = vec![
+            0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, 1e308,
+        ];
+        grid.extend((-64..=64).map(|i| f64::from(i) / 8.0));
+        for act in ALL {
+            for &a in &grid {
+                assert_eq!(
+                    derivative(act, a).to_bits(),
+                    from_pre_activation(act, a).to_bits(),
+                    "{act:?} at {a}"
                 );
             }
         }

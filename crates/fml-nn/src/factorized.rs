@@ -16,10 +16,9 @@
 //!   of Section VI-A3.
 
 use crate::first_layer::FirstLayer;
-use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
 use crate::multiway::FactorizedMultiwayNn;
-use crate::trainer::{NnConfig, NnFit};
+use crate::trainer::{ensure_trainable, NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
@@ -50,7 +49,6 @@ impl FactorizedNn {
         if spec.num_dimensions() > 1 {
             return FactorizedMultiwayNn::train(db, spec, config, exec);
         }
-        ensure_has_target(db, spec)?;
         Self::train_binary(db, spec, config, exec)
     }
 
@@ -68,10 +66,9 @@ impl FactorizedNn {
         // The resolved observability mode governs instrumentation on every
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
+        let n = ensure_trainable(db, spec)?;
         let sizes = spec.feature_partition(db)?;
         let d: usize = sizes.iter().sum();
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        assert!(n > 0, "cannot train on an empty source");
         let mut model = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let mut loss_trace = Vec::with_capacity(config.epochs);
         let probe = db.stats().io_probe();
@@ -122,39 +119,38 @@ impl FactorizedNn {
                 let parts = par_chunks_with_threads(workers, groups.len(), 1, |range| {
                     let mut local_grads = model.zero_grads();
                     let mut local_w1 = first.zero_grad();
+                    let mut ws = model.workspace();
+                    // Per dimension tuple: W¹_R·x_R and the sum of its
+                    // facts' first-layer deltas.
+                    let (mut t_r, mut delta_sum) = (vec![0.0; nh], vec![0.0; nh]);
                     let mut group_seg = group_reps_ref.segment(group_base + range.start);
                     let mut fact_seg = fact_reps_ref.segment(fact_offsets[range.start]);
                     let mut local_loss = 0.0;
                     for gi in range {
                         let group = &groups[gi];
                         // Reused per dimension tuple: W¹_R·x_R (a gather of
-                        // the active columns of W¹_R for sparse x_R).
+                        // the table rows a sparse x_R selects).
                         let r_rep =
                             group_seg.rep_or_detect(group_base + gi, &group.r_tuple.features);
-                        let t_r = first.partial(1, &group.r_tuple.features, r_rep);
-                        // Per-group sum of first-layer deltas (for PG_R and its
-                        // bias-free outer product with x_R).
-                        let mut delta_sum = vec![0.0; nh];
+                        first.partial(1, &group.r_tuple.features, r_rep, &mut t_r);
+                        delta_sum.fill(0.0);
 
                         for (fi, s_tuple) in group.s_tuples.iter().enumerate() {
                             // ---- forward, first layer (factorized) ----
-                            let s_rep =
-                                fact_seg.rep_or_detect(fact_offsets[gi] + fi, &s_tuple.features);
-                            let mut a1 = first.partial(0, &s_tuple.features, s_rep);
-                            vector::axpy(1.0, first.bias(), &mut a1);
-                            vector::axpy(1.0, &t_r, &mut a1);
+                            let x_s = &s_tuple.features;
+                            let s_rep = fact_seg.rep_or_detect(fact_offsets[gi] + fi, x_s);
+                            first.pre_activation(x_s, s_rep, [&t_r[..]], ws.first_preactivation());
                             // ---- layers ≥ 2 forward, all layers backward ----
                             let y = s_tuple.target.unwrap_or(0.0);
-                            let (delta1, loss) = model.backward_from_first_preactivation_with(
+                            local_loss += model.backward_from_first_preactivation_with(
                                 kp,
-                                a1,
+                                &mut ws,
                                 y,
                                 &mut local_grads,
                             );
-                            local_loss += loss;
                             // PG_S: per fact tuple.
-                            local_w1.add(0, &delta1, &s_tuple.features, s_rep);
-                            vector::axpy(1.0, &delta1, &mut delta_sum);
+                            local_w1.add(0, ws.first_delta(), x_s, s_rep);
+                            vector::axpy(1.0, ws.first_delta(), &mut delta_sum);
                         }
                         // PG_R: one outer product per dimension tuple.
                         local_w1.add(1, &delta_sum, &group.r_tuple.features, r_rep);

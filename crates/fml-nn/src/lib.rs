@@ -16,10 +16,14 @@
 //!   dimension fields are never read from storage (Section VI-A3's I/O saving).
 //!   [`multiway::FactorizedMultiwayNn`] generalizes this to star joins.
 //!
-//! The factorized first-layer arithmetic lives in exactly one place,
-//! [`first_layer`]: both `F-NN` trainers and the batch scorer (`fml-serve`)
-//! take their partial products from [`FirstLayer::partial`], and the trainers
-//! accumulate the block-wise weight gradient in [`FirstLayerGrad`].
+//! The first-layer arithmetic lives in exactly one place, [`first_layer`]:
+//! `W¹` is hoisted once per epoch into one embedding table per relation
+//! (`d_b × n_h`, row `j` = the weights of input column `j`), and all three
+//! strategies — `M-NN` / `S-NN` as the one-block partition `[d]` — and the
+//! batch scorer (`fml-serve`) take their partial products from
+//! [`FirstLayer::partial`] and accumulate the weight gradient in
+//! [`FirstLayerGrad`].  The per-example pass above the first layer runs in a
+//! reusable [`Workspace`] and allocates nothing.
 //!
 //! [`layer_reuse`] contains the paper's negative result about layers ≥ 2: only
 //! additive activation functions admit exact reuse beyond the first layer, and
@@ -52,7 +56,7 @@ pub use factorized::FactorizedNn;
 pub use first_layer::{FirstLayer, FirstLayerGrad};
 pub use layer::DenseLayer;
 pub use materialized::MaterializedNn;
-pub use mlp::Mlp;
+pub use mlp::{Mlp, Workspace};
 pub use multiway::FactorizedMultiwayNn;
 pub use streaming::StreamingNn;
 pub use trainer::{NnConfig, NnFit, SupervisedSource};

@@ -2,12 +2,12 @@
 //! table (the baseline of Section VI).
 
 use crate::mlp::Mlp;
-use crate::trainer::{train_supervised_from, NnConfig, NnFit, SupervisedSource};
+use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit, SupervisedSource};
 use fml_linalg::exec::ExecPolicy;
 use fml_store::batch::BatchScan;
 use fml_store::catalog::RelationHandle;
 use fml_store::join::materialize_join;
-use fml_store::{Database, JoinSpec, StoreError, StoreResult};
+use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
 /// The materialized-join NN training strategy.
@@ -30,7 +30,7 @@ impl MaterializedNn {
         let start = Instant::now();
         let ex = exec.resolve();
         spec.validate(db)?;
-        ensure_has_target(db, spec)?;
+        ensure_trainable(db, spec)?;
         let d = spec.total_features(db)?;
         let initial = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let t_name = Self::temp_table_name(spec);
@@ -44,19 +44,6 @@ impl MaterializedNn {
         fit.elapsed = start.elapsed();
         Ok(fit)
     }
-}
-
-/// Validates that the fact table carries a target column.
-pub fn ensure_has_target(db: &Database, spec: &JoinSpec) -> StoreResult<()> {
-    let fact = spec.fact_relation(db)?;
-    let guard = fact.lock();
-    if !guard.schema().has_target {
-        return Err(StoreError::SchemaMismatch {
-            relation: guard.name().to_string(),
-            detail: "NN training requires a target column Y on the fact table".to_string(),
-        });
-    }
-    Ok(())
 }
 
 /// Supervised source scanning a materialized join table.
@@ -106,6 +93,7 @@ impl SupervisedSource for MaterializedSupervisedSource {
 mod tests {
     use super::*;
     use fml_data::SyntheticConfig;
+    use fml_store::StoreError;
 
     #[test]
     fn trains_over_materialized_table() {

@@ -3,7 +3,7 @@
 use crate::activation::Activation;
 use crate::layer::{DenseLayer, LayerGradient};
 use crate::loss::output_gradient;
-use fml_linalg::{gemm, vector, KernelPolicy, SparseRep};
+use fml_linalg::{gemm, vector, KernelPolicy};
 use serde::{Deserialize, Serialize};
 
 /// A feed-forward network with dense layers.  The output layer uses the identity
@@ -25,6 +25,32 @@ impl ForwardTrace {
     /// Network output (last layer's activation).
     pub fn output(&self) -> f64 {
         self.layers.last().expect("at least one layer").1[0]
+    }
+}
+
+/// Reusable buffers of the per-example pass from an assembled first-layer
+/// pre-activation: every layer's activation `h_l` and delta `δ_l`, allocated
+/// once per worker ([`Mlp::workspace`]) so that
+/// [`Mlp::forward_from_first_preactivation_with`] and
+/// [`Mlp::backward_from_first_preactivation_with`] allocate nothing per
+/// example.  Every pass overwrites every buffer it reads, so a reused
+/// workspace gives the bits of a fresh one.
+#[derive(Debug, Clone)]
+pub struct Workspace {
+    h: Vec<Vec<f64>>,
+    delta: Vec<Vec<f64>>,
+}
+
+impl Workspace {
+    /// The first layer's buffer: the caller assembles `a¹ = W¹·x + b¹` here
+    /// before a pass, which activates it in place.
+    pub fn first_preactivation(&mut self) -> &mut [f64] {
+        &mut self.h[0]
+    }
+
+    /// The first layer's delta `δ¹` left by the last backward pass.
+    pub fn first_delta(&self) -> &[f64] {
+        &self.delta[0]
     }
 }
 
@@ -106,9 +132,20 @@ impl Mlp {
         self.forward_trace_with(kp, x).output()
     }
 
-    /// Completes a forward pass from an externally assembled **first-layer
-    /// pre-activation** `a¹ = W¹·x + b¹`: applies the first layer's
-    /// activation, runs the remaining layers densely, and returns the output.
+    /// A [`Workspace`] shaped for this network.
+    pub fn workspace(&self) -> Workspace {
+        let buffers = || self.layers.iter().map(|l| vec![0.0; l.out_dim()]).collect();
+        Workspace {
+            h: buffers(),
+            delta: buffers(),
+        }
+    }
+
+    /// Completes a forward pass from the externally assembled **first-layer
+    /// pre-activation** `a¹ = W¹·x + b¹` in
+    /// [`ws.first_preactivation()`](Workspace::first_preactivation): applies
+    /// the first layer's activation, runs the remaining layers densely, and
+    /// returns the output.
     ///
     /// This is the inference-side seam of the paper's factorized first layer:
     /// the factorized scorer assembles `a¹` from per-relation partial
@@ -116,19 +153,25 @@ impl Mlp {
     /// dimension tuple) and hands it here, so layers ≥ 2 — where the paper
     /// shows exact reuse is impossible for non-additive activations — share
     /// one code path with every other variant.
-    pub fn forward_from_first_preactivation_with(&self, kp: KernelPolicy, a1: Vec<f64>) -> f64 {
+    pub fn forward_from_first_preactivation_with(
+        &self,
+        kp: KernelPolicy,
+        ws: &mut Workspace,
+    ) -> f64 {
         assert_eq!(
-            a1.len(),
+            ws.h[0].len(),
             self.layers[0].out_dim(),
             "first-layer pre-activation width mismatch"
         );
-        let mut h = a1;
-        self.layers[0].activation.apply_slice(&mut h);
-        for layer in &self.layers[1..] {
-            let (_, next) = layer.forward_with(kp, &h);
-            h = next;
+        self.layers[0].activation.apply_slice(&mut ws.h[0]);
+        for (l, layer) in self.layers.iter().enumerate().skip(1) {
+            let (input, output) = ws.h.split_at_mut(l);
+            let h = &mut output[0];
+            gemm::matvec_into_with(kp, &layer.weights, &input[l - 1], h);
+            vector::axpy(1.0, &layer.bias, h);
+            layer.activation.apply_slice(h);
         }
-        h[0]
+        ws.h[self.layers.len() - 1][0]
     }
 
     /// Back-propagates one example's error into the gradient accumulators,
@@ -168,11 +211,11 @@ impl Mlp {
             gemm::ger_with(kp, 1.0, &delta, input, &mut grads[l].d_weights);
             vector::axpy(1.0, &delta, &mut grads[l].d_bias);
             if l > 0 {
-                // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1})
+                // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1}), f' from h_{l-1}
                 let mut prev = gemm::matvec_transposed_with(kp, &self.layers[l].weights, &delta);
-                let a_prev = &trace.layers[l - 1].0;
-                for (p, a) in prev.iter_mut().zip(a_prev.iter()) {
-                    *p *= self.layers[l - 1].activation.derivative(*a);
+                let h_prev = &trace.layers[l - 1].1;
+                for (p, h) in prev.iter_mut().zip(h_prev.iter()) {
+                    *p *= self.layers[l - 1].activation.derivative_from_output(*h);
                 }
                 delta = prev;
             }
@@ -180,52 +223,48 @@ impl Mlp {
         0.5 * (output - target).powi(2)
     }
 
-    /// Forward and backward pass of one example from an externally assembled
-    /// **first-layer pre-activation** `a¹ = W¹·x + b¹` — the training-side
-    /// twin of [`Self::forward_from_first_preactivation_with`].  Identical to
-    /// [`backward_into`](Self::backward_into) except that the **first layer's
-    /// weight gradient is not touched**: the caller accumulates it block-wise
-    /// from the base relations (`∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]`,
-    /// Equations 28–32, see [`crate::first_layer::FirstLayerGrad`]) from the
-    /// first layer's delta, which is returned instead.
+    /// Forward and backward pass of one example from the externally assembled
+    /// **first-layer pre-activation** in
+    /// [`ws.first_preactivation()`](Workspace::first_preactivation) — the
+    /// training-side twin of [`Self::forward_from_first_preactivation_with`].
+    /// Identical to [`backward_into`](Self::backward_into) except that the
+    /// **first layer's weight gradient is not touched**: the caller
+    /// accumulates it block-wise from the base relations
+    /// (`∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]`, Equations 28–32, see
+    /// [`crate::first_layer::FirstLayerGrad`]) from the first layer's delta,
+    /// which is left in [`ws.first_delta()`](Workspace::first_delta).
     ///
-    /// Returns `(δ¹, ½(o−y)²)`.
+    /// Returns the example's squared-error contribution `½(o−y)²`.
     pub fn backward_from_first_preactivation_with(
         &self,
         kp: KernelPolicy,
-        a1: Vec<f64>,
+        ws: &mut Workspace,
         target: f64,
         grads: &mut [LayerGradient],
-    ) -> (Vec<f64>, f64) {
+    ) -> f64 {
         assert_eq!(
             grads.len(),
             self.layers.len(),
             "gradient accumulator mismatch"
         );
-        let mut h1 = a1.clone();
-        self.layers[0].activation.apply_slice(&mut h1);
-        let mut trace = Vec::with_capacity(self.layers.len());
-        trace.push((a1, h1));
-        for layer in &self.layers[1..] {
-            let next = layer.forward_with(kp, &trace[trace.len() - 1].1);
-            trace.push(next);
-        }
-        let output = trace[trace.len() - 1].1[0];
-        let mut delta = vec![output_gradient(output, target)];
-        for l in (1..self.layers.len()).rev() {
-            let (a_prev, input) = &trace[l - 1];
-            gemm::ger_with(kp, 1.0, &delta, input, &mut grads[l].d_weights);
-            vector::axpy(1.0, &delta, &mut grads[l].d_bias);
-            // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1})
-            let mut prev = gemm::matvec_transposed_with(kp, &self.layers[l].weights, &delta);
-            for (p, a) in prev.iter_mut().zip(a_prev.iter()) {
-                *p *= self.layers[l - 1].activation.derivative(*a);
+        let output = self.forward_from_first_preactivation_with(kp, ws);
+        let last = self.layers.len() - 1;
+        ws.delta[last][0] = output_gradient(output, target);
+        for l in (1..=last).rev() {
+            let (lower, upper) = ws.delta.split_at_mut(l);
+            let (prev, delta) = (&mut lower[l - 1], &upper[0]);
+            let input = &ws.h[l - 1];
+            gemm::ger_with(kp, 1.0, delta, input, &mut grads[l].d_weights);
+            vector::axpy(1.0, delta, &mut grads[l].d_bias);
+            // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1}), f' from h_{l-1}
+            gemm::matvec_transposed_into_with(kp, &self.layers[l].weights, delta, prev);
+            for (p, h) in prev.iter_mut().zip(input.iter()) {
+                *p *= self.layers[l - 1].activation.derivative_from_output(*h);
             }
-            delta = prev;
         }
         // first layer: bias gradient only; weight gradient handled by the caller
-        vector::axpy(1.0, &delta, &mut grads[0].d_bias);
-        (delta, 0.5 * (output - target).powi(2))
+        vector::axpy(1.0, &ws.delta[0], &mut grads[0].d_bias);
+        0.5 * (output - target).powi(2)
     }
 
     /// Convenience: forward + backward for one example.
@@ -234,8 +273,8 @@ impl Mlp {
     }
 
     /// [`Self::accumulate_example`] under an explicit kernel policy — the
-    /// trainers pass `config.kernel_policy.sequential()` so worker threads
-    /// never re-enter the thread pool from inside a per-example kernel.
+    /// row-major dense reference the trainers' embedding-table engine
+    /// ([`crate::first_layer`]) is tested against.
     pub fn accumulate_example_with(
         &self,
         kp: KernelPolicy,
@@ -245,31 +284,6 @@ impl Mlp {
     ) -> f64 {
         let trace = self.forward_trace_with(kp, x);
         self.backward_into_with(kp, x, &trace, target, grads)
-    }
-
-    /// [`Self::accumulate_example_with`] for a **sparse** input row: the first
-    /// layer runs as a gather forward (`a¹ = W¹·x + b¹` reads only the active
-    /// columns) and a column scatter-add backward (`∂E/∂W¹ += δ¹·xᵀ` writes
-    /// only the active columns); layers ≥ 2 are dense as usual.  The
-    /// dense-pass trainers (`M-NN` / `S-NN`) use this to honor
-    /// [`fml_linalg::SparseMode::Auto`] on sparse denormalized rows.
-    ///
-    /// The gathers perform the dense kernels' nonzero multiplications in the
-    /// same order, so the accumulated gradient matches the dense path to the
-    /// usual rounding tolerances.
-    pub fn accumulate_sparse_example_with(
-        &self,
-        kp: KernelPolicy,
-        rep: &SparseRep,
-        target: f64,
-        grads: &mut [LayerGradient],
-    ) -> f64 {
-        let first = &self.layers[0];
-        let mut a1 = rep.matvec(kp, &first.weights);
-        vector::axpy(1.0, &first.bias, &mut a1);
-        let (delta1, loss) = self.backward_from_first_preactivation_with(kp, a1, target, grads);
-        rep.ger_cols(kp, 1.0, &delta1, &mut grads[0].d_weights);
-        loss
     }
 
     /// Creates zeroed gradient accumulators matching the network's layers.
@@ -388,8 +402,10 @@ mod tests {
             let x = [0.4, -0.9, 0.2, 1.1, -0.3];
             let kp = KernelPolicy::Naive;
             // assemble a1 exactly as the dense forward does
-            let a1 = net.layers()[0].pre_activation_with(kp, &x);
-            let out = net.forward_from_first_preactivation_with(kp, a1);
+            let mut ws = net.workspace();
+            ws.first_preactivation()
+                .copy_from_slice(&net.layers()[0].pre_activation_with(kp, &x));
+            let out = net.forward_from_first_preactivation_with(kp, &mut ws);
             assert_eq!(out, net.predict_with(kp, &x), "{act:?}");
         }
     }
@@ -398,7 +414,47 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn forward_from_first_preactivation_rejects_wrong_width() {
         let net = Mlp::new(3, &[4], Activation::Tanh, 1);
-        let _ = net.forward_from_first_preactivation_with(KernelPolicy::Naive, vec![0.0; 3]);
+        let mut narrower = Mlp::new(3, &[3], Activation::Tanh, 1).workspace();
+        let _ = net.forward_from_first_preactivation_with(KernelPolicy::Naive, &mut narrower);
+    }
+
+    #[test]
+    fn a_reused_workspace_gives_the_bits_of_fresh_ones() {
+        let kp = KernelPolicy::Naive;
+        let examples = [([0.4, -0.9, 0.2], 0.7), ([-1.3, 0.5, 2.1], -0.2)];
+        for act in [Activation::Sigmoid, Activation::Tanh, Activation::Relu] {
+            let net = Mlp::new(3, &[6, 4], act, 17);
+            // One pass per example: (loss, δ¹, accumulated gradients) as bits.
+            let pass =
+                |ws: &mut Workspace, grads: &mut [LayerGradient], (x, y): ([f64; 3], f64)| {
+                    ws.first_preactivation()
+                        .copy_from_slice(&net.layers()[0].pre_activation_with(kp, &x));
+                    let loss = net.backward_from_first_preactivation_with(kp, ws, y, grads);
+                    let mut bits = vec![loss.to_bits()];
+                    bits.extend(ws.first_delta().iter().map(|v| v.to_bits()));
+                    for g in grads.iter() {
+                        bits.extend(g.d_weights.as_slice().iter().map(|v| v.to_bits()));
+                        bits.extend(g.d_bias.iter().map(|v| v.to_bits()));
+                    }
+                    bits
+                };
+            let (mut reused, mut reused_grads) = (net.workspace(), net.zero_grads());
+            let mut fresh_grads = net.zero_grads();
+            for example in examples {
+                let got = pass(&mut reused, &mut reused_grads, example);
+                let want = pass(&mut net.workspace(), &mut fresh_grads, example);
+                assert_eq!(got, want, "{act:?}");
+            }
+            // ... and the workspace pass is the dense reference's layers ≥ 2.
+            let mut reference = net.zero_grads();
+            for (x, y) in examples {
+                net.accumulate_example_with(kp, &x, y, &mut reference);
+            }
+            for (got, want) in reused_grads.iter().zip(&reference).skip(1) {
+                assert_eq!(got.d_weights, want.d_weights, "{act:?}");
+                assert_eq!(got.d_bias, want.d_bias, "{act:?}");
+            }
+        }
     }
 
     #[test]

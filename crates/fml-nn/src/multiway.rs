@@ -16,9 +16,8 @@
 //! ordinal (= key) order, so an epoch has one fixed floating-point order.
 
 use crate::first_layer::FirstLayer;
-use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
-use crate::trainer::{NnConfig, NnFit};
+use crate::trainer::{ensure_trainable, NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::repcache::{KeyedRepCache, OrdinalArena};
 use fml_linalg::vector;
@@ -46,12 +45,10 @@ impl FactorizedMultiwayNn {
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
         spec.validate(db)?;
-        ensure_has_target(db, spec)?;
+        let n = ensure_trainable(db, spec)?;
         let sizes = spec.feature_partition(db)?;
         let d: usize = sizes.iter().sum();
         let q = sizes.len() - 1;
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        assert!(n > 0, "cannot train on an empty source");
         let mut model = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let mut loss_trace = Vec::with_capacity(config.epochs);
         let probe = db.stats().io_probe();
@@ -69,6 +66,7 @@ impl FactorizedMultiwayNn {
         let nh = model.layers()[0].out_dim();
         let mut arenas: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(2 * nh)).collect();
         let mut ords: Vec<u32> = vec![0; q];
+        let mut ws = model.workspace();
 
         for _epoch in 0..config.epochs {
             let kp = ex.kernel_policy.sequential();
@@ -86,8 +84,6 @@ impl FactorizedMultiwayNn {
                 for fact in block? {
                     scan.cache().ordinals(&fact, &mut ords)?;
                     // ---- forward, first layer (factorized) ----
-                    let mut a1 = first.partial(0, &fact.features, None);
-                    vector::axpy(1.0, first.bias(), &mut a1);
                     for (i, &ord) in ords.iter().enumerate() {
                         if arenas[i].claim(ord) {
                             let features = &scan.cache().tuple(i, ord).features;
@@ -95,19 +91,19 @@ impl FactorizedMultiwayNn {
                             // first encounter of a tuple ever scans it.
                             let rep = dim_reps[i].rep_or_detect(ord, features);
                             let (cached, delta_sum) = arenas[i].row_mut(ord).split_at_mut(nh);
-                            cached.copy_from_slice(&first.partial(i + 1, features, rep));
+                            first.partial(i + 1, features, rep, cached);
                             delta_sum.fill(0.0);
                         }
-                        vector::axpy(1.0, &arenas[i].row(ord)[..nh], &mut a1);
                     }
+                    let cached = arenas.iter().zip(&ords).map(|(a, &ord)| &a.row(ord)[..nh]);
+                    first.pre_activation(&fact.features, None, cached, ws.first_preactivation());
                     // ---- layers ≥ 2 forward, all layers backward ----
                     let y = fact.target.unwrap_or(0.0);
-                    let (delta1, loss) =
-                        model.backward_from_first_preactivation_with(kp, a1, y, &mut grads);
-                    loss_sum += loss;
-                    grad_w1.add(0, &delta1, &fact.features, None);
+                    loss_sum +=
+                        model.backward_from_first_preactivation_with(kp, &mut ws, y, &mut grads);
+                    grad_w1.add(0, ws.first_delta(), &fact.features, None);
                     for (arena, &ord) in arenas.iter_mut().zip(&ords) {
-                        vector::axpy(1.0, &delta1, &mut arena.row_mut(ord)[nh..]);
+                        vector::axpy(1.0, ws.first_delta(), &mut arena.row_mut(ord)[nh..]);
                     }
                 }
             }

@@ -1,9 +1,8 @@
 //! `S-NN`: join on the fly each epoch, feed the denormalized tuples to the
 //! unchanged trainer.
 
-use crate::materialized::ensure_has_target;
 use crate::mlp::Mlp;
-use crate::trainer::{train_supervised_from, NnConfig, NnFit, SupervisedSource};
+use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit, SupervisedSource};
 use fml_linalg::exec::ExecPolicy;
 use fml_store::factorized_scan::{GroupScan, StarScan};
 use fml_store::{Database, JoinSpec, StoreResult};
@@ -23,7 +22,7 @@ impl StreamingNn {
         let start = Instant::now();
         let ex = exec.resolve();
         spec.validate(db)?;
-        ensure_has_target(db, spec)?;
+        ensure_trainable(db, spec)?;
         let d = spec.total_features(db)?;
         let initial = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let probe = db.stats().io_probe();

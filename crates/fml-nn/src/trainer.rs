@@ -2,11 +2,12 @@
 //! used by `M-NN` and `S-NN`.
 
 use crate::activation::Activation;
+use crate::first_layer::FirstLayer;
 use crate::mlp::Mlp;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
-use fml_store::StoreResult;
+use fml_store::{Database, JoinSpec, StoreError, StoreResult};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -89,6 +90,27 @@ impl NnFit {
     }
 }
 
+/// The one precondition check of every NN strategy: the fact relation carries
+/// a target column `Y` and holds at least one tuple (a full-batch epoch over
+/// nothing has no gradient to average).  Returns the fact count `N`.
+pub fn ensure_trainable(db: &Database, spec: &JoinSpec) -> StoreResult<u64> {
+    let fact = spec.fact_relation(db)?;
+    let guard = fact.lock();
+    let refuse = |detail: &str| {
+        Err(StoreError::SchemaMismatch {
+            relation: guard.name().to_string(),
+            detail: detail.to_string(),
+        })
+    };
+    if !guard.schema().has_target {
+        return refuse("NN training requires a target column Y on the fact table");
+    }
+    if guard.num_tuples() == 0 {
+        return refuse("NN training requires at least one fact tuple, the relation is empty");
+    }
+    Ok(guard.num_tuples())
+}
+
 /// A source of `(joined features, target)` pairs that can be replayed once per
 /// epoch — the supervised analogue of the GMM crate's dense pass source.
 pub trait SupervisedSource {
@@ -126,7 +148,6 @@ pub fn train_supervised_from(
     let _obs = ex.obs_scope();
     let mut notifier = FitNotifier::new(exec, io);
     let n = source.num_tuples();
-    assert!(n > 0, "cannot train on an empty source");
     assert_eq!(
         initial.input_dim(),
         source.dim(),
@@ -145,7 +166,7 @@ pub fn train_supervised_from(
     let dim = source.dim();
     // Per-example representation cache, filled lazily during the first epoch
     // (the source replays examples in a deterministic order) — sparse
-    // denormalized rows run the first layer as gathers / scatter-adds, and
+    // denormalized rows gather / scatter only their active table rows, and
     // detection runs at most once per example (the shared [`RepCache`]
     // protocol).  Memory is O(total nnz) — the sparse rows' nonzeros,
     // strictly smaller than one dense copy of the dataset.
@@ -153,7 +174,11 @@ pub fn train_supervised_from(
     let mut xs: Vec<f64> = Vec::with_capacity(dim * PAR_BATCH_EXAMPLES);
     let mut ys: Vec<f64> = Vec::with_capacity(PAR_BATCH_EXAMPLES);
     for _epoch in 0..config.epochs {
+        // The denormalized row is the one-block partition `[d]` of the
+        // factorized first layer: same tables, same kernels, no reuse.
+        let first = FirstLayer::split(&model, &[dim], kp);
         let mut grads = model.zero_grads();
+        let mut grad_w1 = first.zero_grad();
         let mut loss_sum = 0.0;
         let mut row_cursor = 0usize;
         let mut flush = |xs: &[f64], ys: &[f64]| {
@@ -161,23 +186,29 @@ pub fn train_supervised_from(
             let reps_ref: &RepCache = &reps;
             let parts = par_chunks_with_threads(workers, ys.len(), 1, |range| {
                 let mut local_grads = model.zero_grads();
+                let mut local_w1 = first.zero_grad();
+                let mut ws = model.workspace();
                 let mut seg = reps_ref.segment(base + range.start);
                 let mut local_loss = 0.0;
                 for r in range {
                     let x = &xs[r * dim..(r + 1) * dim];
-                    local_loss += match seg.rep_or_detect(base + r, x) {
-                        Some(rep) => {
-                            model.accumulate_sparse_example_with(kp, rep, ys[r], &mut local_grads)
-                        }
-                        None => model.accumulate_example_with(kp, x, ys[r], &mut local_grads),
-                    };
+                    let rep = seg.rep_or_detect(base + r, x);
+                    first.pre_activation(x, rep, [], ws.first_preactivation());
+                    local_loss += model.backward_from_first_preactivation_with(
+                        kp,
+                        &mut ws,
+                        ys[r],
+                        &mut local_grads,
+                    );
+                    local_w1.add(0, ws.first_delta(), x, rep);
                 }
-                (local_grads, local_loss, seg.into_detected())
+                (local_grads, local_w1, local_loss, seg.into_detected())
             });
-            for (local_grads, local_loss, detected) in parts {
+            for (local_grads, local_w1, local_loss, detected) in parts {
                 for (dst, src) in grads.iter_mut().zip(local_grads.iter()) {
                     dst.merge_from(src);
                 }
+                grad_w1.merge_from(&local_w1);
                 loss_sum += local_loss;
                 reps.merge(detected);
             }
@@ -198,6 +229,7 @@ pub fn train_supervised_from(
             flush(&xs, &ys);
         }
         reps.finish_fill();
+        grad_w1.add_into(&mut grads[0]);
         model.apply_grads(&grads, config.learning_rate, n as f64);
         loss_trace.push(loss_sum / n as f64);
         notifier.notify(loss_sum / n as f64);
@@ -321,6 +353,68 @@ mod tests {
         let fit = train_supervised(&mut source, &config, &ExecPolicy::new()).unwrap();
         assert_eq!(fit.loss_trace.len(), 7);
         assert!(fit.loss_trace.iter().all(|l| l.is_finite()));
+    }
+
+    #[test]
+    fn table_engine_matches_the_row_major_reference_per_parameter() {
+        // One-hot, CSR and dense row sets (the three representations
+        // detection hands the engine), each against the plain per-example
+        // loop over the row-major dense kernels.
+        let onehot = |i: usize| {
+            let mut x = vec![0.0; 12];
+            x[i % 5] = 1.0;
+            x[5 + i % 7] = 1.0;
+            x
+        };
+        let csr = |i: usize| {
+            let mut x = vec![0.0; 12];
+            x[(3 * i) % 12] = 0.25 * (i % 9) as f64 - 1.0;
+            x[(3 * i + 5) % 12] = 1.5 - 0.5 * (i % 4) as f64;
+            x
+        };
+        let dense = |i: usize| {
+            (0..12)
+                .map(|j| ((i * 7 + j * 3) % 11) as f64 / 5.0 - 1.0)
+                .collect()
+        };
+        let row_sets: [(&str, Vec<Vec<f64>>); 3] = [
+            ("one-hot", (0..40).map(onehot).collect()),
+            ("csr", (0..40).map(csr).collect()),
+            ("dense", (0..40).map(dense).collect()),
+        ];
+        let config = NnConfig {
+            hidden: vec![6, 4],
+            activation: Activation::Sigmoid,
+            epochs: 3,
+            learning_rate: 0.3,
+        };
+        for (label, xs) in row_sets {
+            let rows: Vec<(Vec<f64>, f64)> = xs
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| (x, (i % 5) as f64 / 4.0))
+                .collect();
+            for kp in [
+                fml_linalg::KernelPolicy::Naive,
+                fml_linalg::KernelPolicy::Blocked,
+            ] {
+                let exec = ExecPolicy::new().kernel_policy(kp);
+                let initial = Mlp::new(12, &config.hidden, config.activation, 5);
+                let mut reference = initial.clone();
+                for _ in 0..config.epochs {
+                    let mut grads = reference.zero_grads();
+                    for (x, y) in &rows {
+                        reference.accumulate_example_with(kp, x, *y, &mut grads);
+                    }
+                    reference.apply_grads(&grads, config.learning_rate, rows.len() as f64);
+                }
+                let mut source = VecSupervisedSource::new(rows.clone());
+                let fit = train_supervised_from(&mut source, &config, &exec, initial, None)
+                    .expect("in-memory source");
+                let diff = fit.model.max_param_diff(&reference);
+                assert!(diff < 1e-12, "{label} under {kp:?}: {diff}");
+            }
+        }
     }
 
     #[test]

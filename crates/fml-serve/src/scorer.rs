@@ -62,8 +62,8 @@ use fml_linalg::exec::{ExecPolicy, ExecSettings};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::sparse::{SparseMode, SparseRep};
-use fml_linalg::{vector, KernelPolicy};
-use fml_nn::{FirstLayer, Mlp, NnFit};
+use fml_linalg::KernelPolicy;
+use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
 use fml_store::batch::BatchScan;
 use fml_store::factorized_scan::{GroupScan, JoinGroup, StarScan};
 use fml_store::join::materialize_join;
@@ -352,20 +352,22 @@ struct NnCore<'m> {
 
 impl RowCore for NnCore<'_> {
     type Row = f64;
-    /// The per-row buffers (`a¹` and the layer activations) are produced by
-    /// the kernels themselves; nothing to reuse across rows.
-    type Scratch = ();
+    /// The per-row buffers: `a¹` and the activations of every layer.
+    type Scratch = Workspace;
 
-    fn make_scratch(&self) {}
+    fn make_scratch(&self) -> Workspace {
+        self.model.workspace()
+    }
 
     fn dim_width(&self, _i: usize) -> usize {
         self.first.width()
     }
 
-    /// The partial first-layer product `W¹_{R_i}·x_{R_i}` (a column gather
-    /// when the dimension tuple is sparse).
+    /// The partial first-layer product `W¹_{R_i}·x_{R_i}` (the sum of the
+    /// embedding-table rows the tuple selects), written straight into its
+    /// term row.
     fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]) {
-        row.copy_from_slice(&self.first.partial(i + 1, features, rep));
+        self.first.partial(i + 1, features, rep, row);
     }
 
     fn score_row(
@@ -373,17 +375,15 @@ impl RowCore for NnCore<'_> {
         fact_features: &[f64],
         fact_rep: Option<&SparseRep>,
         dims: &[&[f64]],
-        _scratch: &mut (),
+        ws: &mut Workspace,
     ) -> f64 {
         // a¹ = (W¹_S·x_S + b¹) + Σ_i W¹_{R_i}·x_{R_i}, assembled in fixed
         // partition order so every strategy produces identical bits.
-        let mut a1 = self.first.partial(0, fact_features, fact_rep);
-        vector::axpy(1.0, self.first.bias(), &mut a1);
-        for partial in dims {
-            vector::axpy(1.0, partial, &mut a1);
-        }
+        let partials = dims.iter().copied();
+        self.first
+            .pre_activation(fact_features, fact_rep, partials, ws.first_preactivation());
         self.model
-            .forward_from_first_preactivation_with(self.kp, a1)
+            .forward_from_first_preactivation_with(self.kp, ws)
     }
 }
 
