@@ -106,73 +106,96 @@ fn emulated_sparse_dataset_trains_with_factorized_nn() {
 #[test]
 fn measured_io_is_bracketed_by_the_cost_model() {
     // The analytic model of Section V-A should match the measured page reads of
-    // the streaming strategy exactly (same block-nested-loop plan), and predict
-    // that materialization does more total I/O for a reasonable block size.
-    let w = SyntheticConfig {
-        n_s: 4000,
-        n_r: 40,
-        d_s: 3,
-        d_r: 10,
-        k: 2,
-        noise_std: 0.8,
-        with_target: false,
-        seed: 73,
-    }
-    .generate()
-    .unwrap();
-    let iters = 2usize;
-    let config = GmmConfig {
-        k: 2,
-        max_iters: iters,
-        tol: 0.0,
-        ..GmmConfig::default()
-    };
-
-    let s_pages = w.spec.fact_relation(&w.db).unwrap().lock().num_pages() as u64;
-    let r_pages = w.spec.dimension_relations(&w.db).unwrap()[0]
-        .lock()
-        .num_pages() as u64;
-
-    let session = Session::new(&w.db).join(&w.spec);
-    w.db.stats().reset();
-    let streaming = session
-        .fit(Gmm::new(config.clone()).algorithm(Algorithm::Streaming))
+    // the streaming and factorized strategies exactly (same block-nested-loop
+    // plan), and predict that materialization does more total I/O for a
+    // reasonable block size — with R resident in one window, and with R
+    // spanning four one-page windows.
+    for (n_r, block_pages) in [(40, fml_store::DEFAULT_BLOCK_PAGES), (300, 1)] {
+        let w = SyntheticConfig {
+            n_s: 4000,
+            n_r,
+            d_s: 3,
+            d_r: 10,
+            k: 2,
+            noise_std: 0.8,
+            with_target: true,
+            seed: 73,
+        }
+        .generate()
         .unwrap();
+        let iters = 2usize;
+        let config = GmmConfig {
+            k: 2,
+            max_iters: iters,
+            tol: 0.0,
+            ..GmmConfig::default()
+        };
 
-    w.db.stats().reset();
-    let materialized = session
-        .fit(Gmm::new(config.clone()).algorithm(Algorithm::Materialized))
-        .unwrap();
-    let t_pages =
-        w.db.relation(&fml_gmm::MaterializedGmm::temp_table_name(&w.spec))
-            .unwrap()
+        let s_pages = w.spec.fact_relation(&w.db).unwrap().lock().num_pages() as u64;
+        let r_pages = w.spec.dimension_relations(&w.db).unwrap()[0]
             .lock()
             .num_pages() as u64;
+        assert_eq!(
+            r_pages.div_ceil(block_pages as u64),
+            if n_r == 40 { 1 } else { 4 }
+        );
 
-    let model = GmmIoCostModel {
-        s_pages,
-        r_pages,
-        t_pages,
-        block_pages: fml_store::DEFAULT_BLOCK_PAGES as u64,
-        iterations: iters as u64,
-    };
-    // The init pass reads R and S once more than the model's 3·iter passes.
-    let init_reads = s_pages + r_pages;
-    assert_eq!(
-        streaming.io.pages_read,
-        model.streaming_io() + init_reads,
-        "streaming I/O does not match the analytic model"
-    );
-    assert_eq!(
-        materialized.io.total_page_io(),
-        model.materialized_io() + init_reads,
-        "materialized I/O does not match the analytic model (reads + writes)"
-    );
-    assert!(t_pages > 0);
-    assert_eq!(
-        model.streaming_wins(),
-        streaming.io.total_page_io() < materialized.io.total_page_io()
-    );
+        let session = Session::new(&w.db)
+            .join(&w.spec)
+            .exec(ExecPolicy::new().block_pages(block_pages));
+        let gmm = |alg| {
+            session
+                .fit(Gmm::new(config.clone()).algorithm(alg))
+                .unwrap()
+        };
+        let streaming = gmm(Algorithm::Streaming);
+        let factorized = gmm(Algorithm::Factorized);
+        let materialized = gmm(Algorithm::Materialized);
+        let t_pages =
+            w.db.relation(&fml_gmm::MaterializedGmm::temp_table_name(&w.spec))
+                .unwrap()
+                .lock()
+                .num_pages() as u64;
+
+        let model = GmmIoCostModel {
+            s_pages,
+            r_pages,
+            t_pages,
+            block_pages: block_pages as u64,
+            iterations: iters as u64,
+        };
+        // The init pass reads R and S once more than the model's 3·iter passes.
+        let init_reads = s_pages + r_pages;
+        assert_eq!(
+            streaming.io.pages_read,
+            model.streaming_io() + init_reads,
+            "streaming I/O does not match the analytic model"
+        );
+        assert_eq!(factorized.io, streaming.io, "F reads what S reads");
+        assert_eq!(
+            materialized.io.total_page_io(),
+            model.materialized_io() + init_reads,
+            "materialized I/O does not match the analytic model (reads + writes)"
+        );
+        assert!(t_pages > 0);
+        assert_eq!(
+            model.streaming_wins(),
+            streaming.io.total_page_io() < materialized.io.total_page_io()
+        );
+
+        // NN: one join pass per epoch, for S and F alike.
+        let nn = |alg| {
+            let config = NnConfig {
+                hidden: vec![4],
+                epochs: 3,
+                ..NnConfig::default()
+            };
+            session.fit(Nn::new(config).algorithm(alg)).unwrap()
+        };
+        let streaming = nn(Algorithm::Streaming);
+        assert_eq!(streaming.io.pages_read, 3 * model.join_pass_reads());
+        assert_eq!(nn(Algorithm::Factorized).io, streaming.io);
+    }
 }
 
 #[test]

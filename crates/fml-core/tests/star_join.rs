@@ -1,12 +1,14 @@
-//! Star-join (multi-way) factorized trainers under hostile and reordered
-//! inputs: dangling foreign keys, an empty fact relation, dimension tuples no
-//! fact references (one of them NaN), storage order ≠ key order, and
-//! worker-count changes.  Both model families go through the one
-//! `Session::fit` surface.
+//! The factorized trainers over star joins — and over the binary join, the
+//! star with one dimension, whose `R` may span several scan windows — under
+//! hostile and reordered inputs: dangling foreign keys, an empty fact
+//! relation, dimension tuples no fact references (one of them NaN), storage
+//! order ≠ key order, a one-hot fact block, and worker-count changes.  Both
+//! model families go through the one `Session::fit` surface.
 
 use fml_core::prelude::*;
 use fml_data::multiway::{DimSpec, MultiwayConfig};
-use fml_data::Workload;
+use fml_data::{SyntheticConfig, Workload};
+use fml_linalg::sparse::onehot_kernel_calls;
 use fml_store::{Database, JoinSpec, Schema, StoreError, Tuple};
 
 /// Key offset of the never-referenced copies [`rebuild`] adds.
@@ -24,6 +26,27 @@ fn star(seed: u64, n_s: u64, dims: Vec<DimSpec>, with_target: bool) -> Workload 
     }
     .generate()
     .unwrap()
+}
+
+/// A binary join whose `R` (`8 + 8·46` bytes per tuple, 21 to a page) spans
+/// five pages: five scan windows under `block_pages(1)`.  `k·d² = 2·48²`
+/// crosses the GMM trainer's fan-out threshold.
+fn windowed_binary(seed: u64) -> Workload {
+    let w = SyntheticConfig {
+        n_s: 900,
+        n_r: 90,
+        d_s: 2,
+        d_r: 46,
+        k: 2,
+        noise_std: 0.6,
+        with_target: true,
+        seed,
+    }
+    .generate()
+    .unwrap();
+    let r = w.spec.dimension_relations(&w.db).unwrap()[0].clone();
+    assert_eq!(r.lock().num_pages(), 5);
+    w
 }
 
 /// Copies `w`'s star schema into a new database with every feature rounded
@@ -173,14 +196,20 @@ fn empty_fact_relation_is_a_typed_error_for_every_nn_strategy() {
             Algorithm::Streaming,
             Algorithm::Factorized,
         ] {
-            let Err(err) = session.fit(nn(alg)) else {
-                panic!("q = {q}, {alg:?}: NN fit over an empty fact relation must fail");
-            };
-            assert!(
-                matches!(&err, StoreError::SchemaMismatch { relation, detail }
-                    if relation == "S" && detail.contains("empty")),
-                "q = {q}, {alg:?}: {err}"
-            );
+            let errors = [
+                session.fit(nn(alg)).map(|t| t.fit.n_tuples),
+                session.fit(gmm(alg)).map(|t| t.fit.n_tuples),
+            ];
+            for (family, fit) in ["NN", "GMM"].into_iter().zip(errors) {
+                let Err(err) = fit else {
+                    panic!("q = {q}, {alg:?}: {family} fit over an empty fact relation must fail");
+                };
+                assert!(
+                    matches!(&err, StoreError::SchemaMismatch { relation, detail }
+                        if relation == "S" && detail.contains("empty")),
+                    "q = {q}, {alg:?}, {family}: {err}"
+                );
+            }
         }
     }
 }
@@ -220,7 +249,7 @@ fn unreferenced_and_nan_dimension_tuples_do_not_move_the_fit() {
 fn star_fits_repeat_bit_for_bit_at_every_worker_count() {
     // k·d² = 2·46² crosses the GMM trainer's fan-out threshold, so
     // `BlockedParallel` really chunks the E-step.
-    let w = star(
+    let star = star(
         23,
         600,
         vec![
@@ -230,27 +259,125 @@ fn star_fits_repeat_bit_for_bit_at_every_worker_count() {
         ],
         true,
     );
-    let fit_bits = |exec: ExecPolicy| {
-        let session = Session::new(&w.db).join(&w.spec).exec(exec);
-        (
-            gmm_bits(&session.fit(gmm(Algorithm::Factorized)).unwrap().fit),
-            nn_bits(&session.fit(nn(Algorithm::Factorized)).unwrap().fit),
-        )
-    };
-    let reference = fit_bits(ExecPolicy::new());
-    assert_eq!(
-        reference,
-        fit_bits(ExecPolicy::new()),
-        "two runs, one process"
-    );
-    let parallel = |t| {
-        ExecPolicy::new()
-            .kernel_policy(KernelPolicy::BlockedParallel)
-            .threads(t)
-    };
-    let one = fit_bits(parallel(1));
-    assert_eq!(one, fit_bits(parallel(1)), "two parallel-policy runs");
-    for t in [2, 4] {
-        assert_eq!(one, fit_bits(parallel(t)), "threads({t}) vs threads(1)");
+    // One window for the star; five for the binary join.
+    for (w, block_pages) in [(star, 64), (windowed_binary(29), 1)] {
+        let fit_bits = |exec: ExecPolicy| {
+            let exec = exec.block_pages(block_pages);
+            let session = Session::new(&w.db).join(&w.spec).exec(exec);
+            (
+                gmm_bits(&session.fit(gmm(Algorithm::Factorized)).unwrap().fit),
+                nn_bits(&session.fit(nn(Algorithm::Factorized)).unwrap().fit),
+            )
+        };
+        let reference = fit_bits(ExecPolicy::new());
+        assert_eq!(
+            reference,
+            fit_bits(ExecPolicy::new()),
+            "two runs, one process"
+        );
+        let parallel = |t| {
+            ExecPolicy::new()
+                .kernel_policy(KernelPolicy::BlockedParallel)
+                .threads(t)
+        };
+        let one = fit_bits(parallel(1));
+        assert_eq!(one, fit_bits(parallel(1)), "two parallel-policy runs");
+        for t in [2, 4] {
+            assert_eq!(one, fit_bits(parallel(t)), "threads({t}) vs threads(1)");
+        }
     }
+}
+
+/// S sees the rows M materializes, in the same `(window, fact)` order, so
+/// the two fits agree bit for bit on every join shape; F stays within the
+/// equivalence suites' tolerances of them.
+#[test]
+fn streaming_fits_equal_materialized_bit_for_bit_on_every_join_shape() {
+    let binary = SyntheticConfig {
+        n_s: 3000,
+        n_r: 75,
+        d_s: 4,
+        d_r: 36,
+        k: 2,
+        noise_std: 0.6,
+        with_target: true,
+        seed: 41,
+    }
+    .generate()
+    .unwrap();
+    let shapes = [
+        ("binary", binary, 64),
+        ("binary, five windows", windowed_binary(43), 1),
+        ("star", star(47, 500, unequal_dims(), true), 64),
+    ];
+    for (shape, w, block_pages) in shapes {
+        let session = Session::new(&w.db)
+            .join(&w.spec)
+            .exec(ExecPolicy::new().block_pages(block_pages));
+        let [m, s, f] = Algorithm::all().map(|alg| session.fit(gmm(alg)).unwrap().fit);
+        assert_eq!(gmm_bits(&m), gmm_bits(&s), "{shape}: S-GMM vs M-GMM");
+        let diff = m.model.max_param_diff(&f.model);
+        assert!(diff < 1e-6, "{shape}: F-GMM vs M-GMM {diff}");
+        let [m, s, f] = Algorithm::all().map(|alg| session.fit(nn(alg)).unwrap().fit);
+        assert_eq!(nn_bits(&m), nn_bits(&s), "{shape}: S-NN vs M-NN");
+        let diff = m.model.max_param_diff(&f.model);
+        assert!(diff < 1e-9, "{shape}: F-NN vs M-NN {diff}");
+    }
+}
+
+/// A star whose fact block is one-hot: the factorized trainers detect the
+/// facts too, take the sparse fact path, and learn the forced-dense model.
+#[test]
+fn a_one_hot_fact_block_takes_the_sparse_path_on_a_star() {
+    let w = star(31, 400, vec![DimSpec::new(10, 3), DimSpec::new(6, 4)], true);
+    // The same star with every fact's features replaced by eight 0/1
+    // columns, each set for about one key in five.
+    let db = Database::in_memory();
+    for name in &w.spec.dimensions {
+        let src = w.db.relation(name).unwrap();
+        let schema = src.lock().schema().clone();
+        let rel = db.create_relation(schema).unwrap();
+        rel.lock()
+            .append_all(src.lock().read_all().unwrap().iter())
+            .unwrap();
+        rel.lock().flush().unwrap();
+    }
+    let rel = db
+        .create_relation(Schema::fact_with_target(w.spec.fact.clone(), 8, 2))
+        .unwrap();
+    for mut fact in
+        w.db.relation(&w.spec.fact)
+            .unwrap()
+            .lock()
+            .read_all()
+            .unwrap()
+    {
+        fact.features = (0..8u64)
+            .map(|j| f64::from((fact.key * 7 + j * 13) % 5 == 0))
+            .collect();
+        rel.lock().append(&fact).unwrap();
+    }
+    rel.lock().flush().unwrap();
+
+    let auto = Session::new(&db).join(&w.spec);
+    let dense = auto
+        .clone()
+        .exec(ExecPolicy::new().sparse_mode(SparseMode::Dense));
+    // The dimensions are dense, so only facts can reach a one-hot kernel.
+    let before = onehot_kernel_calls();
+    let dense_gmm = dense.fit(gmm(Algorithm::Factorized)).unwrap().fit;
+    let dense_nn = dense.fit(nn(Algorithm::Factorized)).unwrap().fit;
+    assert_eq!(onehot_kernel_calls(), before, "forced dense stays dense");
+    let auto_gmm = auto.fit(gmm(Algorithm::Factorized)).unwrap().fit;
+    let after_gmm = onehot_kernel_calls();
+    assert!(after_gmm > before, "F-GMM must take the sparse fact path");
+    let auto_nn = auto.fit(nn(Algorithm::Factorized)).unwrap().fit;
+    assert!(
+        onehot_kernel_calls() > after_gmm,
+        "F-NN must take the sparse fact path"
+    );
+    let diff = dense_gmm.model.max_param_diff(&auto_gmm.model);
+    assert!(diff < 1e-6, "F-GMM sparse vs dense facts: {diff}");
+    let diff = dense_nn.model.max_param_diff(&auto_nn.model);
+    assert!(diff < 1e-6, "F-NN sparse vs dense facts: {diff}");
 }

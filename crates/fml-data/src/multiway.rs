@@ -289,7 +289,7 @@ impl MultiwayConfig {
 mod tests {
     use super::*;
     use fml_store::batch::scan_all;
-    use fml_store::factorized_scan::StarScan;
+    use fml_store::factorized_scan::FactorizedScan;
 
     fn small() -> MultiwayConfig {
         MultiwayConfig {
@@ -317,13 +317,12 @@ mod tests {
     #[test]
     fn foreign_keys_are_resolvable() {
         let w = small().generate().unwrap();
-        let scan = StarScan::new(&w.db, &w.spec, 8).unwrap();
+        let mut scan = FactorizedScan::new(&w.db, &w.spec, 8).unwrap();
         let mut count = 0;
-        for block in scan.blocks() {
-            for fact in block.unwrap() {
-                let dims = scan.cache().resolve(&fact).unwrap();
-                assert_eq!(dims.len(), 3);
-                count += 1;
+        while scan.next_window().unwrap() {
+            while let Some(block) = scan.next_block().unwrap() {
+                assert_eq!(block.ords.len(), 3 * block.facts.len());
+                count += block.facts.len();
             }
         }
         assert_eq!(count, 600);

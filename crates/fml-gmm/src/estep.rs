@@ -18,12 +18,10 @@
 //! against `O(d²)` for the joined row (`d = d_S + Σ d_i`); the `d_i × d_j`
 //! blocks are touched once per distinct tuple of the wider side.
 //!
-//! Callers: the binary `F-GMM` trainer (the `q = 1` case, one row buffer per
-//! chunk filled per join group), the star `F-GMM` trainer (one arena row per
-//! dimension-tuple ordinal) and the batch scorer, whose materialized and
-//! streaming strategies rebuild the same rows per joined row through the same
-//! two functions — which is why all three scoring strategies agree bit for
-//! bit.
+//! Callers: the `F-GMM` trainer (one arena row per dimension-tuple ordinal,
+//! for every `q`) and the batch scorer, whose materialized and streaming
+//! strategies rebuild the same rows per joined row through the same two
+//! functions — which is why all three scoring strategies agree bit for bit.
 
 use crate::model::Precomputed;
 use crate::sparse::SparseFormPre;
@@ -33,16 +31,16 @@ use fml_linalg::{gemm, vector, KernelPolicy};
 use std::ops::Range;
 
 /// Where one dimension's per-(tuple, component) quantities sit inside its
-/// row.  The E-step row and the star trainer's covariance-pass aggregate
+/// row.  The E-step row and the trainer's covariance-pass aggregate
 /// share the shape — what a fact's terms are dotted with in pass 1 is what
 /// they are accumulated into in pass 3:
 ///
 /// | slot | E-step | covariance pass |
 /// |---|---|---|
 /// | `pd` (`d_i`) | `PD_i` under the old means | `PD_i` under the new means |
-/// | `fact` (`d_S`) | `w = I_{0i}·PD_i + I_{i0}ᵀ·PD_i` | `Σ γ·PD_S` |
+/// | `fact` (`d_S`) | `w = I_{0i}·PD_i + I_{i0}ᵀ·PD_i` | `Σ γ·PD_S` over the dense facts `+ Σ γ·x_S` over the sparse ones |
 /// | `scalar` | `PD_iᵀ I_{ii} PD_i` | `Σ γ` |
-/// | `mu_dot` | `µ_Sᵀ·w` | unused |
+/// | `mu_dot` | `µ_Sᵀ·w` | `Σ γ` over the sparse facts (what `fact` still owes `µ_S`) |
 /// | one per partner `n` (`d_n`) | `I_{n,i}·PD_i + I_{i,n}ᵀ·PD_i` | `Σ γ·PD_n` |
 pub(crate) struct DimLayout {
     /// Block width `d_i`.
@@ -96,7 +94,7 @@ impl DimLayout {
         self.d + self.d_s
     }
 
-    fn mu_dot(&self) -> usize {
+    pub(crate) fn mu_dot(&self) -> usize {
         self.d + self.d_s + 1
     }
 }

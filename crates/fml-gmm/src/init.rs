@@ -12,7 +12,7 @@
 use crate::model::GmmModel;
 use fml_linalg::{Matrix, Vector};
 use fml_store::batch::BatchScan;
-use fml_store::{Database, JoinSpec, StoreResult};
+use fml_store::{Database, JoinSpec, StoreError, StoreResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,6 +54,11 @@ impl GmmInit {
     /// Tuples with a non-finite feature are left out of the statistics: the
     /// scan covers dimension tuples no fact references, and one hostile tuple
     /// there must not turn every initial mean into NaN.
+    ///
+    /// # Errors
+    /// This is the one preamble every GMM strategy shares, so it also makes
+    /// their one precondition check: an empty fact relation is a typed
+    /// [`StoreError::SchemaMismatch`] (EM over no tuples divides `0` by `0`).
     pub fn from_relations(
         &self,
         db: &Database,
@@ -62,7 +67,15 @@ impl GmmInit {
     ) -> StoreResult<GmmModel> {
         let mut mean = Vec::new();
         let mut var = Vec::new();
-        let mut relations = vec![spec.fact_relation(db)?];
+        let fact = spec.fact_relation(db)?;
+        if fact.lock().num_tuples() == 0 {
+            return Err(StoreError::SchemaMismatch {
+                relation: spec.fact.clone(),
+                detail: "GMM training requires at least one fact tuple, the relation is empty"
+                    .to_string(),
+            });
+        }
+        let mut relations = vec![fact];
         relations.extend(spec.dimension_relations(db)?);
         for rel in relations {
             let d_rel = rel.lock().schema().num_features;

@@ -12,12 +12,13 @@
 //!   quantity that depends only on a dimension tuple `x_R` (the centered vector
 //!   `PD_R`, the quadratic-form term `LR`, the scatter block `PD_R PD_Rᵀ`) is
 //!   computed once per dimension tuple and reused for all matching fact tuples
-//!   (Section V-B), generalized to multi-way joins in [`multiway`] (Section V-C).
+//!   (Sections V-B and V-C: one driver, a binary join being the star with one
+//!   dimension).
 //!
 //! The factorized E-step arithmetic lives in exactly one place, [`estep`]:
-//! the binary trainer, the star trainer and the batch scorer (`fml-serve`)
-//! all fill per-dimension-tuple rows with [`EStep::fill_row`] and evaluate
-//! facts with [`EStep::log_densities`].
+//! the trainer and the batch scorer (`fml-serve`) both fill
+//! per-dimension-tuple rows with [`EStep::fill_row`] and evaluate facts with
+//! [`EStep::log_densities`].
 //!
 //! All three produce the same model (up to floating-point associativity): the EM
 //! update is decomposed exactly, never approximated.  The integration tests assert
@@ -39,7 +40,6 @@ pub mod factorized;
 pub mod init;
 pub mod materialized;
 pub mod model;
-pub mod multiway;
 pub mod sparse;
 pub mod streaming;
 
@@ -49,7 +49,6 @@ pub use factorized::FactorizedGmm;
 pub use init::GmmInit;
 pub use materialized::MaterializedGmm;
 pub use model::{GmmBatchPrediction, GmmModel, Precomputed};
-pub use multiway::FactorizedMultiwayGmm;
 pub use streaming::StreamingGmm;
 
 use serde::{Deserialize, Serialize};
@@ -109,6 +108,9 @@ impl GmmConfig {
         self
     }
 }
+
+#[cfg(test)]
+mod multiway;
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,12 @@
 //! Sparse-path machinery shared by the factorized E-step ([`crate::estep`]),
-//! the dense driver and the binary and multi-way M-steps, generalized over
+//! the dense driver and the factorized M-step, generalized over
 //! both sparse representations ([`SparseRep`]):
 //! one-hot index sets and weighted CSR rows.
 //!
 //! The EM quantities the factorized trainers compute per dimension tuple all
 //! involve the **centered** vector `PD = x − µ`, which is dense even when `x`
 //! is sparse.  The trick is to expand around the mean once per component and
-//! iteration, leaving only gathers/scatters on `x` itself in the per-group hot
+//! iteration, leaving only gathers/scatters on `x` itself in the per-tuple hot
 //! path:
 //!
 //! * quadratic term (E-step `LR` / diagonal terms):
@@ -14,12 +14,13 @@
 //!   (for one-hot `x` the raw form degenerates to `Σ_{i,j∈x} A[i][j]`)
 //! * fact-side cross vector (E-step `w`):
 //!   `(A₀ᵦ + Aᵦ₀ᵀ)(x−µ) = A₀ᵦ·x + Aᵦ₀ᵀ·x − (A₀ᵦ + Aᵦ₀ᵀ)µ`
-//! * scatter blocks (M-step, summed over groups `g` with weight `γ_g`):
+//! * scatter blocks (M-step, summed over dimension tuples `g` with the
+//!   responsibility mass `γ_g` and weighted fact sum `w_g` of their facts):
 //!   `Σ_g γ_g (x_g−µ)(x_g−µ)ᵀ = Σ_g γ_g x_g x_gᵀ − (Σ_g γ_g x_g)µᵀ − µ(Σ_g γ_g x_g)ᵀ + (Σ_g γ_g)µµᵀ`
 //!   `Σ_g w_g (x_g−µ)ᵀ      = Σ_g w_g x_gᵀ − (Σ_g w_g)µᵀ`
 //!
 //! [`SparseFormPre`] holds the `O(d²)` per-component constants (built **once
-//! per iteration**, not per group); [`SparseScatterAcc`] accumulates the
+//! per iteration**, not per tuple); [`SparseScatterAcc`] accumulates the
 //! `x`-only scatter sums sparsely and applies the dense mean corrections
 //! **once per pass** in [`finalize`](SparseScatterAcc::finalize).  The
 //! decomposition is exact in real arithmetic; in floating point it regroups
@@ -134,21 +135,18 @@ impl SparseFormPre {
 }
 
 /// Sparse accumulator for one component's dimension-side scatter blocks: the
-/// per-group contributions touch only active indices; the dense mean
+/// per-tuple contributions touch only active indices; the dense mean
 /// corrections are deferred to [`finalize`](Self::finalize), applied once per
-/// pass instead of once per group.
-///
-/// Mergeable in chunk order like [`BlockScatter`] so the parallel group fan-out
-/// keeps its fixed reduction tree.
+/// window instead of once per dimension tuple.
 #[derive(Debug, Clone)]
 pub struct SparseScatterAcc {
-    /// `Σ_g γ_g x_g` over the sparse groups (dimension-block width).
+    /// `Σ_g γ_g x_g` over the sparse dimension tuples (dimension-block width).
     gx: Vec<f64>,
     /// `Σ_g w_g` where `w_g = Σ_{facts in g} γ PD_S` (fact-block width).
     w_total: Vec<f64>,
     /// `Σ_g γ_g`.
     gamma_total: f64,
-    /// Whether any group was recorded (skips the zero-valued corrections).
+    /// Whether any tuple was recorded (skips the zero-valued corrections).
     touched: bool,
 }
 
@@ -164,8 +162,9 @@ impl SparseScatterAcc {
         }
     }
 
-    /// Records one join group whose dimension tuple is sparse with
-    /// representation `rep`: scatters the raw-`x` parts of the `(0,b)`,
+    /// Records one dimension tuple that is sparse with representation `rep`,
+    /// the responsibility mass `group_gamma` and the weighted fact sum
+    /// `weighted_pd_s` of its facts: scatters the raw-`x` parts of the `(0,b)`,
     /// `(b,0)` and `(b,b)` blocks into `scatter` and accumulates the
     /// correction sums.
     pub fn record(
@@ -198,7 +197,7 @@ impl SparseScatterAcc {
         self.touched = true;
     }
 
-    /// Merges another accumulator (parallel chunk partials, chunk order).
+    /// Adds another accumulator's sums to this one.
     pub fn merge_from(&mut self, other: &SparseScatterAcc) {
         if !other.touched {
             return;
@@ -263,7 +262,7 @@ impl SparseDiagAcc {
         self.touched = true;
     }
 
-    /// Merges another accumulator (parallel chunk partials, chunk order).
+    /// Adds another accumulator's sums to this one.
     pub fn merge_from(&mut self, other: &SparseDiagAcc) {
         if !other.touched {
             return;

@@ -155,6 +155,22 @@ fn sparse_numeric_binary() -> fml_data::Workload {
     .unwrap()
 }
 
+/// The same shape with a dimension wide and long enough to span several
+/// pages (`8 + 8·64` bytes per tuple, 15 to a page).
+fn sparse_numeric_binary_wide() -> fml_data::Workload {
+    MultiwayConfig {
+        n_s: 600,
+        d_s: 2,
+        dims: vec![DimSpec::sparse_numeric(60, 64, 4)],
+        k: 2,
+        noise_std: 0.6,
+        with_target: false,
+        seed: 43,
+    }
+    .generate()
+    .unwrap()
+}
+
 #[test]
 fn weighted_sparse_blocks_hit_the_csr_path_and_match_dense() {
     let _guard = LOCK.lock().unwrap();
@@ -221,21 +237,15 @@ fn detection_runs_at_most_once_per_tuple_across_iterations() {
     // iteration re-reads the same immutable tuples, but detection must run at
     // most once per tuple (the caches are filled during the first E-step).
     let iters = 3;
+    let three_iters = GmmConfig {
+        k: 2,
+        max_iters: iters,
+        ..GmmConfig::default()
+    };
     let before = detect_calls();
-    let _ = FactorizedGmm::train(
-        &w.db,
-        &w.spec,
-        &GmmConfig {
-            k: 2,
-            max_iters: iters,
-            ..GmmConfig::default()
-        },
-        &ExecPolicy::new(),
-    )
-    .unwrap();
+    let _ = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
     let delta = detect_calls() - before;
-    // One detection per fact tuple plus one per join group (each dimension
-    // tuple heads exactly one group per full scan).
+    // One detection per fact tuple plus one per referenced dimension tuple.
     assert!(
         delta <= n_s + n_r,
         "detection ran {delta} times for {n_s} facts / {n_r} dims over {iters} iterations \
@@ -244,26 +254,44 @@ fn detection_runs_at_most_once_per_tuple_across_iterations() {
     // Sanity: it DID run (Auto mode detects).
     assert!(delta >= n_s, "detection must cover every fact tuple once");
 
-    // Multiway: dimension-tuple detection is cached across iterations too.
+    // Multiway: the same bound — facts by scan position, dimension tuples by
+    // ordinal, each detected once for the whole run.
     let w = categorical_multiway();
+    let n_s = w.n_fact().unwrap();
     let n_r: u64 = (0..2).map(|i| w.n_dim(i).unwrap()).sum();
     let before = detect_calls();
-    let _ = FactorizedGmm::train(
+    let _ = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
+    let delta = detect_calls() - before;
+    assert!(
+        delta <= n_s + n_r,
+        "multiway detection ran {delta} times for {n_s} facts / {n_r} dimension tuples"
+    );
+
+    // A binary join whose R spans several windows: every window re-scans the
+    // facts, yet each fact and each dimension tuple is still detected once.
+    let w = sparse_numeric_binary_wide();
+    let (n_s, n_r) = (w.n_fact().unwrap(), w.n_dim(0).unwrap());
+    let r_pages = w.spec.dimension_relations(&w.db).unwrap()[0]
+        .lock()
+        .num_pages();
+    assert!(r_pages >= 3, "R must span several one-page windows");
+    let before = detect_calls();
+    let windowed = FactorizedGmm::train(
         &w.db,
         &w.spec,
-        &GmmConfig {
-            k: 2,
-            max_iters: 3,
-            ..GmmConfig::default()
-        },
-        &ExecPolicy::new(),
+        &three_iters,
+        &ExecPolicy::new().block_pages(1),
     )
     .unwrap();
     let delta = detect_calls() - before;
     assert!(
-        delta <= n_r,
-        "multiway detection ran {delta} times for {n_r} dimension tuples"
+        (n_s..=n_s + n_r).contains(&delta),
+        "windowed detection ran {delta} times for {n_s} facts / {n_r} dimension tuples"
     );
+    // and the windows do not change what is learned
+    let resident = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
+    let diff = resident.model.max_param_diff(&windowed.model);
+    assert!(diff < 1e-6, "one window vs {r_pages}: {diff}");
 }
 
 #[test]

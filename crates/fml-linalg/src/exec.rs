@@ -124,7 +124,7 @@ pub struct ExecSettings {
     /// Pages per scan block.
     pub block_pages: usize,
     /// Worker threads for the trainers' coarse-grained (per tuple batch / per
-    /// join group) fan-out under a parallel kernel policy.
+    /// fact chunk) fan-out under a parallel kernel policy.
     pub threads: usize,
     /// Seed for the data-independent model initialization.
     pub seed: u64,

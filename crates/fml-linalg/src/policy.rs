@@ -69,7 +69,7 @@ impl KernelPolicy {
     /// The single-threaded policy with the same per-kernel arithmetic.
     ///
     /// Training drivers that parallelize at a coarser granularity (per tuple
-    /// chunk / per join group) run the kernels *inside* each worker under this
+    /// or fact chunk) run the kernels *inside* each worker under this
     /// policy, so the pool is never entered twice.
     pub fn sequential(self) -> KernelPolicy {
         match self {

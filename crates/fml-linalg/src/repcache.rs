@@ -1,5 +1,5 @@
 //! Per-tuple caches shared by every trainer: sparse representations, and
-//! the star trainers' ordinal-indexed term arenas.
+//! the factorized trainers' ordinal-indexed term arenas.
 //!
 //! Under [`SparseMode::Auto`] the trainers detect each tuple's representation
 //! ([`SparseRep`]: one-hot, weighted CSR, or dense) **once** and reuse the
@@ -8,16 +8,16 @@
 //! pass would be pure waste (the learner crates' counter tests pin "at most
 //! one detection per tuple").
 //!
-//! Two representation-cache shapes cover all six trainers:
+//! Two representation-cache shapes cover every trainer:
 //!
-//! * [`RepCache`] — **scan-order**: the dense-pass drivers (`M`/`S`) and the
-//!   binary factorized trainers replay tuples in a deterministic scan order,
-//!   so the cache is a position-indexed vector filled lazily during the first
-//!   pass.  The fill protocol supports the trainers' chunked parallel loops:
+//! * [`RepCache`] — **scan-order**: the dense-pass drivers (`M`/`S`) replay
+//!   joined rows, and the factorized trainers fact tuples, in a deterministic
+//!   scan order, so the cache is a position-indexed vector filled lazily
+//!   during the first pass.  The fill protocol supports the trainers' chunked parallel loops:
 //!   workers detect into private [`RepSegment`]s which the driver merges back
 //!   **in chunk-index order**, keeping the cache layout identical to the
 //!   sequential fill.
-//! * [`KeyedRepCache`] — **ordinal-keyed**: the multi-way trainers reach
+//! * [`KeyedRepCache`] — **ordinal-keyed**: the factorized trainers reach
 //!   dimension tuples through foreign keys (each distinct tuple is shared by
 //!   many facts) that the store resolves to dense per-dimension ordinals, so
 //!   the cache is an ordinal-indexed vector filled on first encounter.
@@ -27,7 +27,7 @@
 //! the kernel-counter tests.
 //!
 //! [`OrdinalArena`] is the same first-encounter protocol for numbers: one
-//! flat `f64` row per dimension-tuple ordinal, holding whatever a star
+//! flat `f64` row per dimension-tuple ordinal, holding whatever a factorized
 //! trainer computes once per tuple and reuses per matching fact.
 
 use crate::sparse::{SparseMode, SparseRep};
@@ -43,6 +43,10 @@ use crate::sparse::{SparseMode, SparseRep};
 #[derive(Debug, Default)]
 pub struct RepCache {
     mode: SparseMode,
+    /// Leading positions that were all detected dense, held as a count: a
+    /// relation with no sparse tuple caches nothing.
+    dense_prefix: usize,
+    /// Positions `dense_prefix..`.
     reps: Vec<Option<SparseRep>>,
     filling: bool,
 }
@@ -54,8 +58,17 @@ impl RepCache {
     pub fn new(mode: SparseMode) -> Self {
         Self {
             mode,
+            dense_prefix: 0,
             reps: Vec::new(),
             filling: mode == SparseMode::Auto,
+        }
+    }
+
+    fn push(&mut self, rep: Option<SparseRep>) {
+        if rep.is_none() && self.reps.is_empty() {
+            self.dense_prefix += 1;
+        } else {
+            self.reps.push(rep);
         }
     }
 
@@ -71,18 +84,19 @@ impl RepCache {
 
     /// Number of cached positions.
     pub fn len(&self) -> usize {
-        self.reps.len()
+        self.dense_prefix + self.reps.len()
     }
 
     /// Whether the cache holds no positions (always true under `Dense`).
     pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
+        self.len() == 0
     }
 
     /// Reads the representation cached at scan position `index`; positions
     /// beyond the cache (the forced-dense mode caches nothing) read as dense.
     pub fn get(&self, index: usize) -> Option<&SparseRep> {
-        self.reps.get(index).and_then(Option::as_ref)
+        let at = index.checked_sub(self.dense_prefix)?;
+        self.reps.get(at).and_then(Option::as_ref)
     }
 
     /// Fill-or-read: during the fill pass, detects `features` and appends the
@@ -90,13 +104,9 @@ impl RepCache {
     /// [`RepCache::get`].
     pub fn rep_or_detect(&mut self, index: usize, features: &[f64]) -> Option<&SparseRep> {
         if self.filling {
-            debug_assert_eq!(
-                index,
-                self.reps.len(),
-                "RepCache fill must follow scan order"
-            );
+            debug_assert_eq!(index, self.len(), "RepCache fill must follow scan order");
             let rep = self.mode.detect(features);
-            self.reps.push(rep);
+            self.push(rep);
         }
         self.get(index)
     }
@@ -120,7 +130,9 @@ impl RepCache {
             self.filling || detected.is_empty(),
             "RepCache::merge outside the fill pass"
         );
-        self.reps.extend(detected);
+        for rep in detected {
+            self.push(rep);
+        }
     }
 
     /// Marks the fill pass complete; later passes only read.
@@ -168,7 +180,7 @@ impl RepSegment<'_> {
 }
 
 /// A sparse-representation cache keyed by dimension-tuple ordinal, for the
-/// multi-way trainers.  Detection runs on the first encounter of each
+/// factorized trainers.  Detection runs on the first encounter of each
 /// distinct ordinal and persists for the whole training run.
 #[derive(Debug, Default)]
 pub struct KeyedRepCache {
@@ -219,7 +231,7 @@ impl KeyedRepCache {
 /// An `f64` arena with one fixed-width row per dimension-tuple ordinal
 /// and a referenced flag per row.
 ///
-/// The star trainers keep everything they compute or accumulate **per
+/// The factorized trainers keep everything they compute or accumulate **per
 /// dimension tuple** here: a fact resolves its foreign keys to ordinals once,
 /// [`claim`](Self::claim)s each row (the first claim since the last
 /// [`reset`](Self::reset) tells the caller to initialize it) and then reads
@@ -337,6 +349,20 @@ mod tests {
         assert!(cache.rep_or_detect(0, &onehot_row()).is_some());
         assert!(cache.get(1).is_none());
         assert_eq!(detect_calls(), before, "read pass must not re-detect");
+    }
+
+    #[test]
+    fn leading_dense_positions_are_counted_not_stored() {
+        let mut cache = RepCache::new(SparseMode::Auto);
+        for i in 0..3 {
+            assert!(cache.rep_or_detect(i, &dense_row()).is_none());
+        }
+        assert!(cache.reps.is_empty());
+        cache.merge(vec![None, SparseMode::Auto.detect(&onehot_row()), None]);
+        cache.finish_fill();
+        assert_eq!((cache.len(), cache.reps.len()), (6, 2));
+        let sparse: Vec<bool> = (0..7).map(|i| cache.get(i).is_some()).collect();
+        assert_eq!(sparse, [false, false, false, false, true, false, false]);
     }
 
     #[test]

@@ -1,58 +1,65 @@
-//! `F-NN` for binary joins: back-propagation pushed through the join
-//! (Sections VI-A1 and VI-A3).
+//! `F-NN`: back-propagation pushed through the join (Sections VI-A and
+//! VI-B) — one driver for every join shape; a binary join is the star with
+//! `q = 1`.
 //!
-//! * **Forward, first layer**: the pre-activation splits as
-//!   `a¹ = W¹_S·x_S + (W¹_R·x_R + b¹)`.  The parenthesized term depends only on
-//!   the dimension tuple and the (epoch-constant) weights, so it is computed once
-//!   per dimension tuple per epoch and reused for every matching fact tuple.
-//! * **Forward/backward, layers ≥ 2**: evaluated exactly as in the dense variants
-//!   — the paper shows that sharing computation there is only exact for additive
-//!   activations and never cheaper (see [`crate::layer_reuse`]).
-//! * **Backward, first layer**: `∂E/∂W¹ = δ¹·xᵀ = [PG_S  PG_R]` (Equation 29).
-//!   The fact-side block accumulates per tuple; the dimension-side block
-//!   accumulates the per-group sum of `δ¹` and performs a single outer product
-//!   with `x_R` per dimension tuple.  Either way the features are read from the
-//!   base relations (`n_S·d_S + n_R·d_R` fields instead of `N·d`), the I/O saving
-//!   of Section VI-A3.
+//! With `q` dimension tables the work of the first layer splits along the
+//! partition `[d_S | d_{R_1} | … | d_{R_q}]` (Equations 31–32, which are
+//! Equations 26–29 at `q = 1`); everything above it is evaluated per fact
+//! exactly as in the dense variants — the paper shows that sharing
+//! computation there is only exact for additive activations and never
+//! cheaper (see [`crate::layer_reuse`]):
+//!
+//! | first-layer term | paid per `R_i` tuple, per epoch | per-fact remainder |
+//! |---|---|---|
+//! | forward, `a¹ = W¹_S·x_S + b¹ + Σ_i W¹_{R_i}·x_{R_i}` | the partial product `W¹_{R_i}·x_{R_i}` | `W¹_S·x_S` plus `q` adds of width `n_h` |
+//! | backward, `∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]` | one outer product `(Σδ¹)·x_{R_i}ᵀ` | `δ¹·x_Sᵀ` plus `q` adds of width `n_h` into `Σδ¹` |
+//!
+//! Either way the features are read from the base relations
+//! (`n_S·d_S + Σ n_{R_i}·d_{R_i}` fields instead of `N·d`), the I/O saving of
+//! Section VI-A3.
+//!
+//! **Scan.**  An epoch is one [`FactorizedScan`]: per window the per-tuple
+//! arenas are reset, per fact block the foreign keys arrive resolved to dense
+//! ordinals, and at the end of a window the dimension blocks of the gradient
+//! are folded in.  Both per-tuple quantities live in one flat
+//! [`OrdinalArena`] row per dimension tuple, `[W¹_{R_i}·x_{R_i} | Σ δ¹]`,
+//! initialized on first reference.  A star is one window; a binary join whose
+//! `R` spans several `block_pages` windows pays the dimension-side work once
+//! per tuple all the same, and reads exactly the pages `S-NN` reads.
+//!
+//! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  Representations
+//! (one-hot / weighted CSR / dense) are detected during the first epoch's
+//! scan and cached for the whole run — dimension tuples by ordinal
+//! ([`KeyedRepCache`], keyed by [`FactorizedScan::ordinal_base`]` + ordinal`),
+//! facts by scan position ([`RepCache`]) — so detection runs at most once per
+//! tuple, and a sparse tuple's products are gathers and scatters of
+//! embedding-table rows ([`crate::first_layer`]).
+//!
+//! **Bit contract.**  The split is exact, so the model matches `M-NN` /
+//! `S-NN` up to floating-point rounding (loss within 1e-6).  The whole epoch
+//! runs on the driving thread in `(window, fact)` order and the gradient
+//! merge walks the referenced rows in ascending ordinal (= key) order, so a
+//! fit has one fixed floating-point order whatever the worker count.
+//! Binary-join fits made before the two drivers merged accumulated the
+//! gradient group-major and differ from today's in the last bits.
 
 use crate::first_layer::FirstLayer;
 use crate::mlp::Mlp;
-use crate::multiway::FactorizedMultiwayNn;
 use crate::trainer::{ensure_trainable, NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
-use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::RepCache;
+use fml_linalg::repcache::{KeyedRepCache, OrdinalArena, RepCache};
 use fml_linalg::vector;
-use fml_store::factorized_scan::GroupScan;
+use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
-
-/// Minimum per-example work (≈ `4·|θ|` flops) below which the parallel policy
-/// processes join groups inline instead of fanning out (mirrors the GMM
-/// trainers' `PAR_MIN_GROUP_FLOPS`).
-const PAR_MIN_GROUP_FLOPS: usize = 1 << 12;
 
 /// The factorized NN training strategy (the paper's proposal).
 pub struct FactorizedNn;
 
 impl FactorizedNn {
-    /// Trains the network without materializing the join, reusing the
-    /// dimension-side first-layer computation.  Multi-way joins are dispatched to
-    /// [`FactorizedMultiwayNn`].
+    /// Trains the network over a join of `q ≥ 1` dimension tables without
+    /// materializing it, reusing the dimension-side first-layer computation.
     pub fn train(
-        db: &Database,
-        spec: &JoinSpec,
-        config: &NnConfig,
-        exec: &ExecPolicy,
-    ) -> StoreResult<NnFit> {
-        spec.validate(db)?;
-        if spec.num_dimensions() > 1 {
-            return FactorizedMultiwayNn::train(db, spec, config, exec);
-        }
-        Self::train_binary(db, spec, config, exec)
-    }
-
-    fn train_binary(
         db: &Database,
         spec: &JoinSpec,
         config: &NnConfig,
@@ -66,116 +73,86 @@ impl FactorizedNn {
         // The resolved observability mode governs instrumentation on every
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
+        spec.validate(db)?;
         let n = ensure_trainable(db, spec)?;
         let sizes = spec.feature_partition(db)?;
         let d: usize = sizes.iter().sum();
+        let q = sizes.len() - 1;
         let mut model = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let mut loss_trace = Vec::with_capacity(config.epochs);
         let probe = db.stats().io_probe();
         let mut notifier = FitNotifier::new(exec, Some(&probe));
 
-        // Per-tuple representation caches (one-hot / weighted CSR / dense),
-        // filled lazily during the first epoch's scan and indexed by group /
-        // fact scan position — detection runs at most once per tuple for the
-        // whole training run instead of once per epoch (the shared
-        // [`RepCache`] protocol).
-        let mut group_reps = RepCache::new(ex.sparse);
+        // Detection caches, hoisted out of the epoch loop: the tuples are
+        // immutable and every epoch replays them in the same order, so the
+        // first epoch fills the caches and every later one reads them.
+        let mut dim_reps: Vec<KeyedRepCache> =
+            (0..q).map(|_| KeyedRepCache::new(ex.sparse)).collect();
         let mut fact_reps = RepCache::new(ex.sparse);
+        // Per dimension tuple, cleared each window: the partial product
+        // W¹_{R_i}·x_{R_i} (a gather of the table rows a sparse x_{R_i}
+        // selects) followed by the accumulated sum of first-layer deltas.
+        let nh = model.layers()[0].out_dim();
+        let mut arenas: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(2 * nh)).collect();
+        let mut ws = model.workspace();
 
         for _epoch in 0..config.epochs {
-            // Weights are constant within an epoch (full-batch update at the end),
-            // so the column split of W¹ is hoisted out of the scan.
+            // Weights are constant within an epoch (full-batch update at the
+            // end), so the split of W¹ is hoisted out of the scan.
             let kp = ex.kernel_policy.sequential();
             let first = FirstLayer::split(&model, &sizes, kp);
-            let nh = first.width();
-
             let mut grads = model.zero_grads();
-            // First-layer weight gradient, accumulated block-wise.
             let mut grad_w1 = first.zero_grad();
             let mut loss_sum = 0.0;
+            let mut cursor = 0usize;
 
-            // Fan out over join groups only when per-example work can amortize
-            // the scoped-thread spawns.
-            let par =
-                ex.kernel_policy.is_parallel() && 4 * model.num_params() >= PAR_MIN_GROUP_FLOPS;
-            let workers = ex.workers(par);
-            let mut group_cursor = 0usize;
-            let mut fact_cursor = 0usize;
-            let scan = GroupScan::from_spec(db, spec, ex.block_pages)?;
-            for block in scan {
-                // Join groups are independent within a block: chunks of groups
-                // accumulate private gradients that merge in chunk order.
-                let groups = block?;
-                let fact_offsets: Vec<usize> = groups
-                    .iter()
-                    .scan(fact_cursor, |acc, g| {
-                        let o = *acc;
-                        *acc += g.s_tuples.len();
-                        Some(o)
-                    })
-                    .collect();
-                let group_base = group_cursor;
-                let (group_reps_ref, fact_reps_ref) = (&group_reps, &fact_reps);
-                let parts = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-                    let mut local_grads = model.zero_grads();
-                    let mut local_w1 = first.zero_grad();
-                    let mut ws = model.workspace();
-                    // Per dimension tuple: W¹_R·x_R and the sum of its
-                    // facts' first-layer deltas.
-                    let (mut t_r, mut delta_sum) = (vec![0.0; nh], vec![0.0; nh]);
-                    let mut group_seg = group_reps_ref.segment(group_base + range.start);
-                    let mut fact_seg = fact_reps_ref.segment(fact_offsets[range.start]);
-                    let mut local_loss = 0.0;
-                    for gi in range {
-                        let group = &groups[gi];
-                        // Reused per dimension tuple: W¹_R·x_R (a gather of
-                        // the table rows a sparse x_R selects).
-                        let r_rep =
-                            group_seg.rep_or_detect(group_base + gi, &group.r_tuple.features);
-                        first.partial(1, &group.r_tuple.features, r_rep, &mut t_r);
-                        delta_sum.fill(0.0);
-
-                        for (fi, s_tuple) in group.s_tuples.iter().enumerate() {
-                            // ---- forward, first layer (factorized) ----
-                            let x_s = &s_tuple.features;
-                            let s_rep = fact_seg.rep_or_detect(fact_offsets[gi] + fi, x_s);
-                            first.pre_activation(x_s, s_rep, [&t_r[..]], ws.first_preactivation());
-                            // ---- layers ≥ 2 forward, all layers backward ----
-                            let y = s_tuple.target.unwrap_or(0.0);
-                            local_loss += model.backward_from_first_preactivation_with(
-                                kp,
-                                &mut ws,
-                                y,
-                                &mut local_grads,
-                            );
-                            // PG_S: per fact tuple.
-                            local_w1.add(0, ws.first_delta(), x_s, s_rep);
-                            vector::axpy(1.0, ws.first_delta(), &mut delta_sum);
-                        }
-                        // PG_R: one outer product per dimension tuple.
-                        local_w1.add(1, &delta_sum, &group.r_tuple.features, r_rep);
-                    }
-                    (
-                        local_grads,
-                        local_w1,
-                        local_loss,
-                        group_seg.into_detected(),
-                        fact_seg.into_detected(),
-                    )
-                });
-                for (local_grads, local_w1, local_loss, group_detected, fact_detected) in parts {
-                    for (dst, src) in grads.iter_mut().zip(local_grads.iter()) {
-                        dst.merge_from(src);
-                    }
-                    grad_w1.merge_from(&local_w1);
-                    loss_sum += local_loss;
-                    group_reps.merge(group_detected);
-                    fact_reps.merge(fact_detected);
+            let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+            while scan.next_window()? {
+                for (i, arena) in arenas.iter_mut().enumerate() {
+                    arena.reset(scan.cache().dim_len(i));
                 }
-                group_cursor += groups.len();
-                fact_cursor += groups.iter().map(|g| g.s_tuples.len()).sum::<usize>();
+                while let Some(block) = scan.next_block()? {
+                    for (fact, ords) in block.iter() {
+                        // ---- forward, first layer (factorized) ----
+                        for (i, &ord) in ords.iter().enumerate() {
+                            if arenas[i].claim(ord) {
+                                let features = &scan.cache().tuple(i, ord).features;
+                                // Detection persists across epochs; only the
+                                // first encounter of a tuple ever scans it.
+                                let key = scan.ordinal_base(i) + ord;
+                                let rep = dim_reps[i].rep_or_detect(key, features);
+                                let (cached, delta_sum) = arenas[i].row_mut(ord).split_at_mut(nh);
+                                first.partial(i + 1, features, rep, cached);
+                                delta_sum.fill(0.0);
+                            }
+                        }
+                        let x_s = &fact.features;
+                        let s_rep = fact_reps.rep_or_detect(cursor, x_s);
+                        let cached = arenas.iter().zip(ords).map(|(a, &ord)| &a.row(ord)[..nh]);
+                        first.pre_activation(x_s, s_rep, cached, ws.first_preactivation());
+                        // ---- layers ≥ 2 forward, all layers backward ----
+                        let y = fact.target.unwrap_or(0.0);
+                        loss_sum += model
+                            .backward_from_first_preactivation_with(kp, &mut ws, y, &mut grads);
+                        // PG_S: per fact.
+                        grad_w1.add(0, ws.first_delta(), x_s, s_rep);
+                        for (arena, &ord) in arenas.iter_mut().zip(ords) {
+                            vector::axpy(1.0, ws.first_delta(), &mut arena.row_mut(ord)[nh..]);
+                        }
+                        cursor += 1;
+                    }
+                }
+                // PG_{R_i}: one outer product (a row scatter-add for sparse
+                // tuples) per referenced dimension tuple, in ascending
+                // ordinal order.
+                for (i, arena) in arenas.iter().enumerate() {
+                    for ord in arena.referenced() {
+                        let features = &scan.cache().tuple(i, ord).features;
+                        let rep = dim_reps[i].get(scan.ordinal_base(i) + ord);
+                        grad_w1.add(i + 1, &arena.row(ord)[nh..], features, rep);
+                    }
+                }
             }
-            group_reps.finish_fill();
             fact_reps.finish_fill();
 
             grad_w1.add_into(&mut grads[0]);

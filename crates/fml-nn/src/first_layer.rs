@@ -1,6 +1,6 @@
 //! The first layer as one **embedding table per relation**: the one place
 //! the column split of `W¹` and its per-relation products live (Equations
-//! 26–32), for `M-NN`, `S-NN`, both `F-NN` trainers and the batch scorer.
+//! 26–32), for `M-NN`, `S-NN`, `F-NN` and the batch scorer.
 //!
 //! With the feature space partitioned `[d_S | d_{R_1} | … | d_{R_q}]`, the
 //! first-layer pre-activation is a sum of per-relation partial products,

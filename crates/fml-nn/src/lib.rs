@@ -14,7 +14,7 @@
 //!   propagation, and the first-layer weight gradient's dimension-side block is
 //!   accumulated per dimension tuple during backward propagation; the redundant
 //!   dimension fields are never read from storage (Section VI-A3's I/O saving).
-//!   [`multiway::FactorizedMultiwayNn`] generalizes this to star joins.
+//!   One driver serves binary and star joins (Section VI-B).
 //!
 //! The first-layer arithmetic lives in exactly one place, [`first_layer`]:
 //! `W¹` is hoisted once per epoch into one embedding table per relation
@@ -47,7 +47,6 @@ pub mod layer_reuse;
 pub mod loss;
 pub mod materialized;
 pub mod mlp;
-pub mod multiway;
 pub mod streaming;
 pub mod trainer;
 
@@ -57,6 +56,8 @@ pub use first_layer::{FirstLayer, FirstLayerGrad};
 pub use layer::DenseLayer;
 pub use materialized::MaterializedNn;
 pub use mlp::{Mlp, Workspace};
-pub use multiway::FactorizedMultiwayNn;
 pub use streaming::StreamingNn;
 pub use trainer::{NnConfig, NnFit, SupervisedSource};
+
+#[cfg(test)]
+mod multiway;

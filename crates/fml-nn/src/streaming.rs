@@ -1,10 +1,15 @@
 //! `S-NN`: join on the fly each epoch, feed the denormalized tuples to the
 //! unchanged trainer.
+//!
+//! An epoch is one [`FactorizedScan`] whose fact blocks are denormalized —
+//! the rows `materialize_join` would write, in the same `(window, fact)`
+//! order, so an `S-NN` fit is **bit-identical** to the `M-NN` fit of the same
+//! join.
 
 use crate::mlp::Mlp;
 use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit, SupervisedSource};
 use fml_linalg::exec::ExecPolicy;
-use fml_store::factorized_scan::{GroupScan, StarScan};
+use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -26,20 +31,15 @@ impl StreamingNn {
         let d = spec.total_features(db)?;
         let initial = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let probe = db.stats().io_probe();
-        let mut fit = if spec.num_dimensions() == 1 {
-            let mut source = BinarySupervisedSource::new(db, spec.clone(), ex.block_pages)?;
-            train_supervised_from(&mut source, config, exec, initial, Some(&probe))?
-        } else {
-            let mut source = StarSupervisedSource::new(db, spec.clone(), ex.block_pages)?;
-            train_supervised_from(&mut source, config, exec, initial, Some(&probe))?
-        };
+        let mut source = StreamSource::new(db, spec.clone(), ex.block_pages)?;
+        let mut fit = train_supervised_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
     }
 }
 
-/// Supervised source for binary joins (reads `R` in blocks, probes `S`).
-pub struct BinarySupervisedSource<'a> {
+/// Supervised source over a join: one [`FactorizedScan`] pass, denormalized.
+pub struct StreamSource<'a> {
     db: &'a Database,
     spec: JoinSpec,
     block_pages: usize,
@@ -47,7 +47,7 @@ pub struct BinarySupervisedSource<'a> {
     n: u64,
 }
 
-impl<'a> BinarySupervisedSource<'a> {
+impl<'a> StreamSource<'a> {
     /// Creates the source.
     pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
         spec.validate(db)?;
@@ -63,60 +63,14 @@ impl<'a> BinarySupervisedSource<'a> {
     }
 }
 
-impl SupervisedSource for BinarySupervisedSource<'_> {
+impl SupervisedSource for StreamSource<'_> {
     fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        let scan = GroupScan::from_spec(self.db, &self.spec, self.block_pages)?;
-        for block in scan {
-            for group in block? {
-                for joined in group.denormalize() {
+        let mut scan = FactorizedScan::new(self.db, &self.spec, self.block_pages)?;
+        while scan.next_window()? {
+            while let Some(block) = scan.next_block()? {
+                for joined in block.denormalize(scan.cache()) {
                     f(&joined.features, joined.target.unwrap_or(0.0));
                 }
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-/// Supervised source for multi-way joins (dimension cache + fact scan).
-pub struct StarSupervisedSource<'a> {
-    db: &'a Database,
-    spec: JoinSpec,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl<'a> StarSupervisedSource<'a> {
-    /// Creates the source.
-    pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        let dim = spec.total_features(db)?;
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        Ok(Self {
-            db,
-            spec,
-            block_pages,
-            dim,
-            n,
-        })
-    }
-}
-
-impl SupervisedSource for StarSupervisedSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        let scan = StarScan::new(self.db, &self.spec, self.block_pages)?;
-        for block in scan.blocks() {
-            for fact in block? {
-                let joined = scan.denormalize(&fact)?;
-                f(&joined.features, joined.target.unwrap_or(0.0));
             }
         }
         Ok(())

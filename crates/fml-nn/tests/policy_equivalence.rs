@@ -5,7 +5,7 @@
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::SyntheticConfig;
 use fml_linalg::{ExecPolicy, KernelPolicy};
-use fml_nn::{FactorizedMultiwayNn, FactorizedNn, MaterializedNn, NnConfig, StreamingNn};
+use fml_nn::{FactorizedNn, MaterializedNn, NnConfig, StreamingNn};
 
 #[test]
 fn policies_learn_the_same_network_binary() {
@@ -66,7 +66,7 @@ fn policies_learn_the_same_network_multiway() {
         epochs: 3,
         ..NnConfig::default()
     };
-    let reference = FactorizedMultiwayNn::train(
+    let reference = FactorizedNn::train(
         &w.db,
         &w.spec,
         &base,
@@ -74,7 +74,7 @@ fn policies_learn_the_same_network_multiway() {
     )
     .unwrap();
     for policy in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
-        let f = FactorizedMultiwayNn::train(
+        let f = FactorizedNn::train(
             &w.db,
             &w.spec,
             &base,
@@ -88,9 +88,10 @@ fn policies_learn_the_same_network_multiway() {
 
 #[test]
 fn parallel_fanout_engages_at_larger_networks() {
-    // hidden=[128] gives ~1281 parameters, clearing both NN fan-out gates
-    // (4·|θ| ≥ 4096 for the factorized group path, 4·|θ|·batch ≥ 2²² for the
-    // dense batch path), so the gradient-merge machinery actually runs.
+    // hidden=[128] gives ~1281 parameters, clearing the dense batch path's
+    // fan-out gate (4·|θ|·batch ≥ 2²²), so the gradient-merge machinery
+    // actually runs.  Only M-NN / S-NN fan out: F-NN runs its epoch on the
+    // driving thread.
     let w = SyntheticConfig {
         n_s: 200,
         n_r: 10,
@@ -108,7 +109,7 @@ fn parallel_fanout_engages_at_larger_networks() {
         epochs: 2,
         ..NnConfig::default()
     };
-    for train in [MaterializedNn::train, FactorizedNn::train] {
+    for train in [MaterializedNn::train, StreamingNn::train] {
         let blocked = train(
             &w.db,
             &w.spec,

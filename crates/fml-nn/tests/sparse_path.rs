@@ -148,27 +148,58 @@ fn detection_runs_at_most_once_per_tuple_across_epochs() {
     let n_s = w.n_fact().unwrap();
     let n_r = w.n_dim(0).unwrap();
     let epochs = 3;
+    let three_epochs = NnConfig {
+        hidden: vec![6],
+        epochs,
+        ..NnConfig::default()
+    };
     let before = detect_calls();
-    let _ = FactorizedNn::train(
-        &w.db,
-        &w.spec,
-        &NnConfig {
-            hidden: vec![6],
-            epochs,
-            ..NnConfig::default()
-        },
-        &ExecPolicy::new(),
-    )
-    .unwrap();
+    let _ = FactorizedNn::train(&w.db, &w.spec, &three_epochs, &ExecPolicy::new()).unwrap();
     let delta = detect_calls() - before;
-    // One detection per fact tuple plus one per join group (each dimension
-    // tuple heads exactly one group per scan).
+    // One detection per fact tuple plus one per referenced dimension tuple.
     assert!(
         delta <= n_s + n_r,
         "detection ran {delta} times for {n_s} facts / {n_r} dims over {epochs} epochs \
          — per-epoch rescan regression"
     );
     assert!(delta >= n_s, "detection must cover every fact tuple once");
+
+    // A binary join whose R spans several windows (`8 + 8·64` bytes per
+    // tuple, 15 to a page): every window re-scans the facts, yet each fact
+    // and each dimension tuple is still detected once.
+    let w = MultiwayConfig {
+        n_s: 600,
+        d_s: 2,
+        dims: vec![DimSpec::sparse_numeric(60, 64, 4)],
+        k: 2,
+        noise_std: 0.5,
+        with_target: true,
+        seed: 43,
+    }
+    .generate()
+    .unwrap();
+    let (n_s, n_r) = (w.n_fact().unwrap(), w.n_dim(0).unwrap());
+    let r_pages = w.spec.dimension_relations(&w.db).unwrap()[0]
+        .lock()
+        .num_pages();
+    assert!(r_pages >= 3, "R must span several one-page windows");
+    let before = detect_calls();
+    let windowed = FactorizedNn::train(
+        &w.db,
+        &w.spec,
+        &three_epochs,
+        &ExecPolicy::new().block_pages(1),
+    )
+    .unwrap();
+    let delta = detect_calls() - before;
+    assert!(
+        (n_s..=n_s + n_r).contains(&delta),
+        "windowed detection ran {delta} times for {n_s} facts / {n_r} dimension tuples"
+    );
+    // and the windows do not change what is learned
+    let resident = FactorizedNn::train(&w.db, &w.spec, &three_epochs, &ExecPolicy::new()).unwrap();
+    let diff = resident.model.max_param_diff(&windowed.model);
+    assert!(diff < 1e-9, "one window vs {r_pages}: {diff}");
 }
 
 #[test]

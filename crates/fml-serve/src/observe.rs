@@ -2,9 +2,8 @@
 //! [`fml_linalg::FitObserver`] stream.
 //!
 //! Training emits one [`fml_linalg::FitEvent`] per EM iteration / epoch;
-//! scoring emits one [`ScoreEvent`] per **scan batch** (one block of the
-//! factorized group scan, one fact block of the star scan, or one block of
-//! the materialized table).  Each event carries the rows scored in that
+//! scoring emits one [`ScoreEvent`] per **scan batch** (one fact block of the
+//! factorized scan, or one block of the materialized table).  Each event carries the rows scored in that
 //! batch, the cumulative wall-time, and the page / field I/O the batch
 //! performed — the same delta arithmetic [`fml_linalg::FitNotifier`] uses, so
 //! dashboards consume one shape for both directions of the pipeline.

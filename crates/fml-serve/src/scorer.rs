@@ -12,8 +12,8 @@
 //!   materialization, but every dimension tuple's work is redone per fact).
 //! * **Factorized** — the default: per-dimension-tuple score terms are
 //!   computed **once per distinct dimension tuple** and reused for every
-//!   matching fact row, reading the base relations through
-//!   [`GroupScan`] / [`StarScan`] without ever densifying the join.
+//!   matching fact row, reading the base relations through one
+//!   [`FactorizedScan`] pass without ever densifying the join.
 //!
 //! ## Exactness contract
 //!
@@ -34,24 +34,25 @@
 //!
 //! ## Per-block fan-out
 //!
-//! The factorized strategy has one driver per join shape, and its worker
-//! count is a parameter: the resolved [`ExecPolicy`] thread count under a
-//! parallel kernel policy, 1 otherwise — the same rule, and the same
-//! [`par_chunks_with_threads`] call, as the factorized trainers.  Per scan
-//! block, binary joins chunk the block's *join groups* (a group's terms are
-//! built exactly once, by the chunk that owns it); star joins first resolve
-//! every fact's foreign keys to dimension ordinals and fill the term row of
-//! each newly referenced dimension tuple in one sequential sweep (terms and
-//! sparse detection once per *distinct* tuple, a dangling key surfacing as
-//! the same typed error whatever the worker count), then chunk the block's
-//! *fact rows* over arenas that are read-only by then.  With one worker the
-//! block is a single chunk run inline.  Chunk boundaries depend only on
-//! block shape and worker count, every row's arithmetic is independent of
-//! which chunk ran it, and per-chunk results merge in chunk-index order — so
-//! the exactness contract above extends to **every thread count**.  Kernels
-//! inside workers run the sequential policy (the pool is entered at the
-//! coarse per-chunk level, not per kernel), and observers get one
-//! notification per scan block from the scoring thread, never from workers.
+//! The factorized strategy has one driver for every join shape (a binary
+//! join is the star with one dimension), shaped like the factorized GMM
+//! trainer's E-step pass, and its worker count is a parameter: the resolved
+//! [`ExecPolicy`] thread count under a parallel kernel policy, 1 otherwise —
+//! the same rule, and the same [`par_chunks_with_threads`] call, as the
+//! trainer.  Per fact block of the scan, whose foreign keys arrive resolved
+//! to dimension ordinals (a dangling key surfacing as the same typed error
+//! whatever the worker count), one sequential sweep fills the term row of
+//! each newly referenced dimension tuple (terms and sparse detection once
+//! per *distinct* tuple), then the block's *fact rows* are chunked over
+//! arenas that are read-only by then.  With one worker the block is a single
+//! chunk run inline.  Chunk boundaries depend only on block shape and worker
+//! count, every row's arithmetic is independent of which chunk ran it, and
+//! per-chunk results merge in chunk-index order — so the exactness contract
+//! above extends to **every thread count**.  Kernels inside workers run the
+//! sequential policy (the pool is entered at the coarse per-chunk level, not
+//! per kernel), and observers get one notification per fact block from the
+//! scoring thread, never from workers.  Rows come out in the scan's
+//! `(window, fact)` order under all three strategies.
 
 use crate::observe::{ScoreNotifier, ScoreObserver};
 use fml_core::{Algorithm, Session, Trained};
@@ -65,9 +66,10 @@ use fml_linalg::sparse::{SparseMode, SparseRep};
 use fml_linalg::KernelPolicy;
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
 use fml_store::batch::BatchScan;
-use fml_store::factorized_scan::{GroupScan, JoinGroup, StarScan};
+use fml_store::factorized_scan::{FactBlock, FactorizedScan};
 use fml_store::join::materialize_join;
-use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult, Tuple};
+use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,12 +152,9 @@ impl<R> Scores<R> {
         self.keys.iter().copied().zip(self.rows.iter())
     }
 
-    /// Consumes the scores into `(key, row)` pairs sorted by fact key.
-    ///
-    /// The three strategies traverse the join in different orders (the
-    /// factorized group scan groups facts by dimension tuple), so
-    /// order-insensitive comparisons — the equivalence suite, result joins —
-    /// should go through this.
+    /// Consumes the scores into `(key, row)` pairs sorted by fact key — for
+    /// comparisons and result joins that should not depend on the scan order
+    /// (which changes with `block_pages` when `R` spans several windows).
     pub fn into_sorted_by_key(self) -> Vec<(u64, R)> {
         let mut pairs: Vec<(u64, R)> = self.keys.into_iter().zip(self.rows).collect();
         pairs.sort_by_key(|(k, _)| *k);
@@ -428,7 +427,7 @@ impl<R> Sink<'_, R> {
 /// Scores the join with the options' strategy, fanning each row through the
 /// shared [`RowCore`].
 ///
-/// The factorized drivers fan each scan block out over `workers` chunks (see
+/// The factorized driver fans each fact block out over `workers` chunks (see
 /// the module docs); streaming and materialized scoring are always
 /// sequential (they are the oracles).
 fn run_scoring<C>(
@@ -480,74 +479,19 @@ where
         }
         None => {
             let workers = ex.workers(ex.kernel_policy.is_parallel());
-            if spec.num_dimensions() > 1 {
-                score_factorized_star(core, db, spec, ex, workers, &mut out)?
-            } else {
-                score_factorized_binary(core, db, spec, ex, workers, &mut out)?
-            }
+            score_factorized(core, db, spec, ex, workers, &mut out)?
         }
     }
     Ok((out.keys, out.rows))
 }
 
-/// Factorized scoring of a binary join: one [`RowCore::dim_terms`] per join
-/// group, reused for every matching fact row; each scan block's groups fan
-/// out over `workers` chunks.
-///
-/// Scoring is a *single* pass, and the group scan yields each dimension
-/// tuple exactly once, so — unlike the multi-pass trainers — there is
-/// nothing for a scan-order [`fml_linalg::repcache::RepCache`] to amortize
-/// here: representations are detected into per-row locals and dropped
-/// (detection still runs at most once per tuple).
-fn score_factorized_binary<C>(
-    core: &C,
-    db: &Database,
-    spec: &JoinSpec,
-    ex: &ExecSettings,
-    workers: usize,
-    out: &mut Sink<'_, C::Row>,
-) -> StoreResult<()>
-where
-    C: RowCore + Sync,
-    C::Row: Send,
-{
-    for block in GroupScan::from_spec(db, spec, ex.block_pages)? {
-        let groups = block?;
-        let chunks = par_chunks_with_threads(workers, groups.len(), 1, |range| {
-            score_groups(core, ex.sparse, &groups[range])
-        });
-        out.extend(chunks);
-        out.end_block();
-    }
-    Ok(())
-}
-
-/// One chunk of a binary block: chunk boundaries are group-aligned, so each
-/// group's terms are built exactly once, into the chunk's one term row.
-fn score_groups<C: RowCore>(core: &C, mode: SparseMode, groups: &[JoinGroup]) -> Scored<C::Row> {
-    let mut scratch = core.make_scratch();
-    let mut terms = vec![0.0; core.dim_width(0)];
-    let (mut keys, mut rows) = (Vec::new(), Vec::new());
-    for group in groups {
-        let r_rep = mode.detect(&group.r_tuple.features);
-        core.dim_terms(0, &group.r_tuple.features, r_rep.as_ref(), &mut terms);
-        for s_tuple in &group.s_tuples {
-            let s_rep = mode.detect(&s_tuple.features);
-            rows.push(core.score_row(&s_tuple.features, s_rep.as_ref(), &[&terms], &mut scratch));
-            keys.push(s_tuple.key);
-        }
-    }
-    (keys, rows)
-}
-
-/// Factorized scoring of a star join, shaped like the star trainers' E-step
-/// pass: per scan block, a sequential sweep resolves every fact's foreign
-/// keys to dimension ordinals and fills the [`OrdinalArena`] term row of each
+/// Factorized scoring, shaped like the factorized trainers' E-step pass: per
+/// fact block, a sequential sweep fills the [`OrdinalArena`] term row of each
 /// newly referenced dimension tuple (terms and detection once per *distinct*
 /// tuple for the whole batch; tuples no fact references are never read), then
 /// the per-fact scoring fans out over `workers` chunks that read the arenas
 /// immutably.
-fn score_factorized_star<C>(
+fn score_factorized<C>(
     core: &C,
     db: &Database,
     spec: &JoinSpec,
@@ -560,56 +504,57 @@ where
     C::Row: Send,
 {
     let q = spec.num_dimensions();
-    let scan = StarScan::new(db, spec, ex.block_pages)?;
     let mut arenas: Vec<OrdinalArena> = (0..q)
         .map(|i| OrdinalArena::new(core.dim_width(i)))
         .collect();
-    for (i, arena) in arenas.iter_mut().enumerate() {
-        arena.reset(scan.cache().dim_len(i));
-    }
-    let mut ords: Vec<u32> = Vec::new();
-    for block in scan.blocks() {
-        let facts = block?;
-        ords.resize(facts.len() * q, 0);
-        for (fact, fact_ords) in facts.iter().zip(ords.chunks_exact_mut(q)) {
-            scan.cache().ordinals(fact, fact_ords)?;
-            for (i, &ord) in fact_ords.iter().enumerate() {
-                if arenas[i].claim(ord) {
-                    let features = &scan.cache().tuple(i, ord).features;
-                    let rep = ex.sparse.detect(features);
-                    core.dim_terms(i, features, rep.as_ref(), arenas[i].row_mut(ord));
+    let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+    while scan.next_window()? {
+        for (i, arena) in arenas.iter_mut().enumerate() {
+            arena.reset(scan.cache().dim_len(i));
+        }
+        while let Some(block) = scan.next_block()? {
+            for (_, fact_ords) in block.iter() {
+                for (i, &ord) in fact_ords.iter().enumerate() {
+                    if arenas[i].claim(ord) {
+                        let features = &scan.cache().tuple(i, ord).features;
+                        let rep = ex.sparse.detect(features);
+                        core.dim_terms(i, features, rep.as_ref(), arenas[i].row_mut(ord));
+                    }
                 }
             }
+            let chunks = par_chunks_with_threads(workers, block.facts.len(), 1, |range| {
+                score_facts(core, ex.sparse, &arenas, &block, range)
+            });
+            out.extend(chunks);
+            out.end_block();
         }
-        let chunks = par_chunks_with_threads(workers, facts.len(), 1, |range| {
-            let fact_ords = &ords[range.start * q..range.end * q];
-            score_facts(core, ex.sparse, &arenas, &facts[range], fact_ords)
-        });
-        out.extend(chunks);
-        out.end_block();
     }
     Ok(())
 }
 
-/// One chunk of a star block: `ords` holds the `arenas.len()` resolved
-/// ordinals of each of `facts`, whose term rows the sweep has filled.
+/// One chunk of a fact block, whose term rows the sweep has filled.
 fn score_facts<C: RowCore>(
     core: &C,
     mode: SparseMode,
     arenas: &[OrdinalArena],
-    facts: &[Tuple],
-    ords: &[u32],
+    block: &FactBlock,
+    range: Range<usize>,
 ) -> Scored<C::Row> {
     let mut scratch = core.make_scratch();
     let mut dims: Vec<&[f64]> = Vec::with_capacity(arenas.len());
-    let mut rows = Vec::with_capacity(facts.len());
-    for (fact, fact_ords) in facts.iter().zip(ords.chunks_exact(arenas.len())) {
+    let (mut keys, mut rows) = (
+        Vec::with_capacity(range.len()),
+        Vec::with_capacity(range.len()),
+    );
+    for f in range {
+        let fact = &block.facts[f];
         dims.clear();
-        dims.extend(arenas.iter().zip(fact_ords).map(|(a, &ord)| a.row(ord)));
+        dims.extend((arenas.iter().zip(block.ords_of(f))).map(|(a, &ord)| a.row(ord)));
         let rep = mode.detect(&fact.features);
         rows.push(core.score_row(&fact.features, rep.as_ref(), &dims, &mut scratch));
+        keys.push(fact.key);
     }
-    (facts.iter().map(|fact| fact.key).collect(), rows)
+    (keys, rows)
 }
 
 /// Scores denormalized rows by splitting each along the partition and
@@ -660,21 +605,11 @@ fn score_streamed<C: RowCore>(
     out: &mut Sink<'_, C::Row>,
 ) -> StoreResult<()> {
     let mut joined = JoinedRows::new(core, partition, ex.sparse);
-    if spec.num_dimensions() > 1 {
-        let scan = StarScan::new(db, spec, ex.block_pages)?;
-        for block in scan.blocks() {
-            for fact in block? {
-                let row = scan.denormalize(&fact)?;
+    let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+    while scan.next_window()? {
+        while let Some(block) = scan.next_block()? {
+            for row in block.denormalize(scan.cache()) {
                 out.push(row.key, joined.score(&row.features));
-            }
-            out.end_block();
-        }
-    } else {
-        for block in GroupScan::from_spec(db, spec, ex.block_pages)? {
-            for group in block? {
-                for row in group.denormalize() {
-                    out.push(row.key, joined.score(&row.features));
-                }
             }
             out.end_block();
         }

@@ -110,7 +110,7 @@ fn trace_run_exports_complete_metrics_and_nested_spans() {
     let _guard = mode_lock();
     fml_obs::clear_spans();
     // Wide enough that the factorized EM clears the parallel fan-out
-    // threshold (`k·d² >= PAR_MIN_GROUP_FLOPS`), so the worker pool — and
+    // threshold (`k·d² >= 4096`), so the worker pool — and
     // its metrics — actually engage.
     let w = SyntheticConfig {
         n_s: 240,

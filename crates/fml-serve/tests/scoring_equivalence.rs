@@ -448,8 +448,8 @@ fn parallel_fanout_is_bit_identical_at_every_worker_count() {
 /// every row covered.
 #[test]
 fn observer_batches_follow_scan_blocks_at_every_worker_count() {
-    // Large enough that the scanned relation (R for the group scan, the
-    // fact table for the star scan) spans several one-page blocks.
+    // Large enough that the fact relation spans several one-page blocks
+    // (and, for the binary join, R several one-page windows).
     let binary = SyntheticConfig {
         n_s: 2000,
         n_r: 800,
@@ -560,56 +560,99 @@ fn star_scoring_dangling_fk_and_unreferenced_nan_tuple() {
     }
 }
 
-/// A binary join with one fact whose foreign key matches no dimension tuple:
-/// every fit and every scoring strategy returns the typed error naming the
-/// relation and the key — never a model normalized by the wrong `N`, never a
-/// short score vector.
+/// A binary join with one fact whose foreign key matches no dimension tuple,
+/// or one primary key stored twice: every fit and every scoring strategy
+/// returns the typed error naming the relation and the key — never a model
+/// normalized by the wrong `N`, never a short score vector.  With `R`
+/// resident in one window the dangling fact fails its block; with `R`
+/// spanning several windows the pass ends with the error (a repeated key is
+/// only an error across windows — within one, the later tuple wins).
 #[test]
 fn binary_dangling_fk_fails_every_fit_and_score_strategy() {
     use fml_core::fml_store::{StoreError, Tuple};
-    let w = dense_workload(true);
-    let session = Session::new(&w.db).join(&w.spec);
-    let gmm = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
-    let nn = session.fit(Nn::with_hidden(4).epochs(1)).unwrap();
-    let fact = w.db.relation(&w.spec.fact).unwrap();
-    fact.lock()
-        .append(&Tuple::fact_with_target(
-            9_999_999,
-            vec![555_555],
-            0.5,
-            vec![0.0; 3],
-        ))
+    let dangling_fact = Tuple::fact_with_target(9_999_999, vec![555_555], 0.5, vec![0.0; 3]);
+    let is_dangling =
+        |err: &StoreError| matches!(err, StoreError::DanglingForeignKey { key: 555_555, .. });
+    let repeated_key = Tuple::dimension(0, vec![0.0; 5]);
+    let is_repeat = |err: &StoreError| matches!(err, StoreError::SchemaMismatch { detail, .. } if detail.contains("a primary key repeats"));
+    // (dimension tuples, block pages, hostile tuple, goes into R, expected error)
+    type Expect<'a> = &'a dyn Fn(&StoreError) -> bool;
+    let cases: [(u64, usize, &Tuple, bool, Expect); 3] = [
+        (12, 64, &dangling_fact, false, &is_dangling),
+        // 56 bytes per R tuple, 146 to a page: five one-page windows
+        (600, 1, &dangling_fact, false, &is_dangling),
+        (600, 1, &repeated_key, true, &is_repeat),
+    ];
+    for (n_r, block_pages, hostile, into_r, expected) in cases {
+        let w = SyntheticConfig {
+            n_s: 1200,
+            n_r,
+            d_s: 3,
+            d_r: 5,
+            k: 2,
+            noise_std: 0.7,
+            with_target: true,
+            seed: 11,
+        }
+        .generate()
         .unwrap();
-    fact.lock().flush().unwrap();
-    let check = |what: &str, err: StoreError| {
-        assert!(
-            matches!(&err, StoreError::DanglingForeignKey { relation, key: 555_555 }
-                if *relation == w.spec.dimensions[0]),
-            "{what}: {err}"
-        );
-    };
-    for alg in Algorithm::all() {
-        let fit = session.fit(Gmm::with_k(2).iterations(1).algorithm(alg));
-        check(
-            &format!("{alg} GMM fit"),
-            fit.map(|t| t.fit.n_tuples).unwrap_err(),
-        );
-        let fit = session.fit(Nn::with_hidden(4).epochs(1).algorithm(alg));
-        check(
-            &format!("{alg} NN fit"),
-            fit.map(|t| t.fit.n_tuples).unwrap_err(),
-        );
-        let opts = Scoring::new().algorithm(alg);
-        let scored = session.score_with(&gmm, &opts);
-        check(
-            &format!("{alg} GMM score"),
-            scored.map(|s| s.len()).unwrap_err(),
-        );
-        let scored = session.score_with(&nn, &opts);
-        check(
-            &format!("{alg} NN score"),
-            scored.map(|s| s.len()).unwrap_err(),
-        );
+        let session = Session::new(&w.db)
+            .join(&w.spec)
+            .exec(ExecPolicy::new().block_pages(block_pages));
+        let gmm = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
+        let nn = session.fit(Nn::with_hidden(4).epochs(1)).unwrap();
+        let name = if into_r {
+            &w.spec.dimensions[0]
+        } else {
+            &w.spec.fact
+        };
+        let target = w.db.relation(name).unwrap();
+        // appended last: it sits after the first window's pages
+        target.lock().append(hostile).unwrap();
+        target.lock().flush().unwrap();
+        if n_r == 600 {
+            let r_pages =
+                w.db.relation(&w.spec.dimensions[0])
+                    .unwrap()
+                    .lock()
+                    .num_pages();
+            assert!(
+                r_pages >= 3,
+                "R must span several windows, has {r_pages} pages"
+            );
+        }
+        let check = |what: String, err: StoreError| {
+            let names_r = matches!(&err,
+                StoreError::DanglingForeignKey { relation, .. } | StoreError::SchemaMismatch { relation, .. }
+                    if *relation == w.spec.dimensions[0]);
+            assert!(
+                expected(&err) && names_r,
+                "{n_r} dimension tuples, {what}: {err}"
+            );
+        };
+        for alg in Algorithm::all() {
+            let fit = session.fit(Gmm::with_k(2).iterations(1).algorithm(alg));
+            check(
+                format!("{alg} GMM fit"),
+                fit.map(|t| t.fit.n_tuples).unwrap_err(),
+            );
+            let fit = session.fit(Nn::with_hidden(4).epochs(1).algorithm(alg));
+            check(
+                format!("{alg} NN fit"),
+                fit.map(|t| t.fit.n_tuples).unwrap_err(),
+            );
+            let opts = Scoring::new().algorithm(alg);
+            let scored = session.score_with(&gmm, &opts);
+            check(
+                format!("{alg} GMM score"),
+                scored.map(|s| s.len()).unwrap_err(),
+            );
+            let scored = session.score_with(&nn, &opts);
+            check(
+                format!("{alg} NN score"),
+                scored.map(|s| s.len()).unwrap_err(),
+            );
+        }
     }
 }
 

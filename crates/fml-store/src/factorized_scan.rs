@@ -1,32 +1,221 @@
-//! Join access paths for the streaming (`S-*`) and factorized (`F-*`) algorithms.
+//! The one join access path of the streaming (`S-*`) and factorized (`F-*`)
+//! algorithms, of join materialization (`M-*`) and of batch scoring.
 //!
-//! Two scan shapes are provided:
+//! A [`FactorizedScan`] pass is a sequence of **windows**.  A window makes a
+//! set of dimension tuples resident as a [`DimCache`] and scans the whole fact
+//! relation against it in blocks of `block_pages` pages; each [`FactBlock`]
+//! holds the facts whose foreign keys all resolve in the window, with the
+//! dense ordinal of every referenced dimension tuple — the unit of reuse of
+//! the factorized algorithms: whatever depends only on a dimension tuple is
+//! computed once per ordinal and reused by every fact that carries it.
 //!
-//! * [`GroupScan`] — for **binary** joins.  The dimension table `R` is read in
-//!   blocks; for every block, the fact table `S` is probed for matching tuples
-//!   (block-nested-loop by default, optionally through a prebuilt FK hash index).
-//!   Each yielded [`JoinGroup`] pairs one `R` tuple with *all* its matching `S`
-//!   tuples, which is exactly the unit of reuse the factorized algorithms exploit:
-//!   anything that depends only on `x_R` is computed once per group.  A pass
-//!   that ends having matched fewer facts than `S` holds ends with a typed
-//!   [`crate::StoreError::DanglingForeignKey`] instead of silently dropping them.
-//! * [`StarScan`] — for **multi-way** joins.  The dimension tables are cached in
-//!   memory ([`DimCache`]) and the fact table is scanned in blocks; per-dimension
-//!   reuse is keyed on the dense ordinals the cache resolves each fact tuple's
-//!   foreign keys to ([`DimCache::ordinals`]).
+//! **Residency** follows from the join shape, there is nothing to configure:
 //!
-//! The streaming variants use the same scans but immediately denormalize each
-//! group into joined tuples ([`JoinGroup::denormalize`]), paying the redundant
-//! computation the factorized variants avoid.
+//! * a star join (`q > 1` dimensions) keeps every dimension resident, so a
+//!   pass is one window;
+//! * a binary join (`q = 1`) streams `R` in windows of `block_pages` pages —
+//!   the block-nested-loop join of Section V-A with `R` as the outer
+//!   relation.  Ordinals are relative to the resident window;
+//!   [`FactorizedScan::ordinal_base`] makes them unique across the pass.
+//!
+//! Either way a pass reads `|R| + ⌈|R|/BlockSize⌉·|S|` pages
+//! (`|R| = Σ|R_i|`, the ceiling being 1 for a star), the figure
+//! `GmmIoCostModel::join_pass_reads` predicts.  Memory is the resident
+//! window plus one fact block — a binary pass never holds more than
+//! `block_pages` pages of each relation.
+//!
+//! **Dangling foreign keys.**  A fact that matches no dimension tuple is a
+//! typed [`StoreError::DanglingForeignKey`] on every path.  When the pass is
+//! one window the fact block that contains it fails at once.  When `R` spans
+//! several windows a fact absent from this window may sit in another one, so
+//! the block skips it and the pass ends by comparing the number of facts it
+//! handed out with `|S|`: fewer means a dangling key (named by one extra
+//! scan), more means a primary key repeats across windows
+//! ([`StoreError::SchemaMismatch`]).  Within a window a repeated key keeps
+//! its last-stored tuple.
+//!
+//! [`GroupScan`] and [`StarScan`] are the two pre-merge views of the pass,
+//! kept as thin adapters for the `benchmark/` package.
 
 use crate::batch::BatchScan;
 use crate::catalog::RelationHandle;
-use crate::error::StoreResult;
-use crate::index::HashIndex;
+use crate::error::{StoreError, StoreResult};
 use crate::join::{check_every_fact_matched, DimCache, JoinSpec};
 use crate::tuple::Tuple;
 use crate::Database;
-use std::collections::HashMap;
+
+/// One block of fact tuples joined against the resident window.
+pub struct FactBlock {
+    /// The facts of the block that match the window, in storage order.
+    pub facts: Vec<Tuple>,
+    /// `q` dimension ordinals per fact, in join order: fact `f` owns
+    /// `ords[f * q..(f + 1) * q]`.
+    pub ords: Vec<u32>,
+    q: usize,
+}
+
+impl FactBlock {
+    /// The `q` ordinals of fact `f`.
+    pub fn ords_of(&self, f: usize) -> &[u32] {
+        &self.ords[f * self.q..(f + 1) * self.q]
+    }
+
+    /// Each fact with its `q` ordinals.
+    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &[u32])> {
+        (self.facts.iter().enumerate()).map(|(f, fact)| (fact, self.ords_of(f)))
+    }
+
+    /// Expands the block into denormalized tuples `T(SID, [Y], [x_S x_R1 … x_Rq])`,
+    /// duplicating the dimension features once per fact (what `materialize_join`
+    /// writes and the `S-*` algorithms feed to the unchanged learner).
+    pub fn denormalize<'a>(&'a self, cache: &'a DimCache) -> impl Iterator<Item = Tuple> + 'a {
+        self.iter()
+            .map(move |(fact, ords)| cache.denormalize(fact, ords))
+    }
+}
+
+/// One pass over a PK/FK join (see the module docs):
+///
+/// ```text
+/// while scan.next_window()? {
+///     // scan.cache(): the resident dimension tuples
+///     while let Some(block) = scan.next_block()? { … }
+///     // per-window aggregates are complete here
+/// }
+/// ```
+pub struct FactorizedScan {
+    fact: RelationHandle,
+    dims: Vec<RelationHandle>,
+    names: Vec<String>,
+    block_pages: usize,
+    /// One scan per dimension; each step yields that dimension's share of
+    /// the next window.
+    dim_windows: Vec<BatchScan>,
+    /// Whether the first window holds every dimension tuple.
+    single_window: bool,
+    /// Per dimension: tuples resident in the windows before the current one.
+    bases: Vec<u32>,
+    /// The resident window; empty before the first one.
+    cache: DimCache,
+    /// Whether a window has been made resident yet.
+    opened: bool,
+    /// The current window's fact scan.
+    facts: Option<BatchScan>,
+    /// Facts handed out so far.
+    matched: u64,
+}
+
+impl FactorizedScan {
+    /// Prepares one pass over the join `spec` with fact blocks (and, for a
+    /// binary join, dimension windows) of `block_pages` pages.
+    pub fn new(db: &Database, spec: &JoinSpec, block_pages: usize) -> StoreResult<Self> {
+        spec.validate(db)?;
+        let dims = spec.dimension_relations(db)?;
+        let window_pages = if dims.len() == 1 {
+            block_pages.max(1)
+        } else {
+            usize::MAX
+        };
+        Ok(Self {
+            fact: spec.fact_relation(db)?,
+            names: spec.dimensions.clone(),
+            block_pages,
+            dim_windows: dims
+                .iter()
+                .map(|d| BatchScan::new(d.clone(), window_pages))
+                .collect(),
+            single_window: dims.iter().all(|d| d.lock().num_pages() <= window_pages),
+            bases: vec![0; dims.len()],
+            dims,
+            cache: DimCache::default(),
+            opened: false,
+            facts: None,
+            matched: 0,
+        })
+    }
+
+    /// Makes the next window resident and rewinds the fact scan; `false` when
+    /// the pass is over.  A pass has at least one window, even over an empty
+    /// dimension (every fact then dangles).
+    ///
+    /// # Errors
+    /// Ends a pass of several windows that handed out a different number of
+    /// facts than `S` holds with the error the module docs describe.
+    pub fn next_window(&mut self) -> StoreResult<bool> {
+        let mut tuples = Vec::with_capacity(self.dims.len());
+        for window in &mut self.dim_windows {
+            tuples.push(window.next().transpose()?);
+        }
+        if self.opened {
+            if tuples.iter().all(Option::is_none) {
+                self.facts = None;
+                if !self.single_window {
+                    check_every_fact_matched(&self.dims[0], &self.fact, self.matched)?;
+                }
+                return Ok(false);
+            }
+            for (i, base) in self.bases.iter_mut().enumerate() {
+                *base = u32::try_from(self.cache.dim_len(i))
+                    .ok()
+                    .and_then(|len| base.checked_add(len))
+                    .ok_or_else(|| StoreError::SchemaMismatch {
+                        relation: self.names[i].clone(),
+                        detail: "tuples exceed the u32 ordinal range".to_string(),
+                    })?;
+            }
+        }
+        let tuples = tuples.into_iter().map(Option::unwrap_or_default).collect();
+        self.cache = DimCache::new(self.names.clone(), tuples)?;
+        self.opened = true;
+        self.facts = Some(BatchScan::new(self.fact.clone(), self.block_pages));
+        Ok(true)
+    }
+
+    /// The dimension tuples of the resident window (none before the first
+    /// [`Self::next_window`]).
+    pub fn cache(&self) -> &DimCache {
+        &self.cache
+    }
+
+    /// Number of dimension-`i` tuples resident in earlier windows of this
+    /// pass: `ordinal_base(i) + ordinal` is unique across the pass and the
+    /// same in every pass over unchanged relations.
+    pub fn ordinal_base(&self, i: usize) -> u32 {
+        self.bases[i]
+    }
+
+    /// The next fact block of the current window, `None` at its end.
+    pub fn next_block(&mut self) -> StoreResult<Option<FactBlock>> {
+        let cache = &self.cache;
+        let Some(mut facts) = self.facts.as_mut().and_then(Iterator::next).transpose()? else {
+            return Ok(None);
+        };
+        let q = self.dims.len();
+        let mut ords = vec![0; facts.len() * q];
+        let mut kept = 0;
+        if self.single_window {
+            for fact in &facts {
+                cache
+                    .resident_ordinals(fact, &mut ords[kept * q..(kept + 1) * q])
+                    .map_err(|(i, key)| cache.dangling(i, key))?;
+                kept += 1;
+            }
+        } else {
+            // A miss may be resident in another window: skip the fact here,
+            // the end-of-pass count decides.
+            facts.retain(|fact| {
+                let hit = cache
+                    .resident_ordinals(fact, &mut ords[kept * q..(kept + 1) * q])
+                    .is_ok();
+                kept += usize::from(hit);
+                hit
+            });
+            ords.truncate(kept * q);
+        }
+        self.matched += kept as u64;
+        Ok(Some(FactBlock { facts, ords, q }))
+    }
+}
 
 /// One dimension tuple together with every fact tuple referencing it.
 #[derive(Debug, Clone)]
@@ -48,204 +237,124 @@ impl JoinGroup {
         self.s_tuples.is_empty()
     }
 
-    /// Expands the group into denormalized tuples `T(SID, [Y], [x_S x_R])`,
-    /// duplicating the dimension features once per fact tuple (what the `S-*`
-    /// algorithms feed to the unchanged learner).
+    /// Expands the group into denormalized tuples `T(SID, [Y], [x_S x_R])`.
     pub fn denormalize(&self) -> Vec<Tuple> {
         self.s_tuples
             .iter()
-            .map(|s| Tuple::joined(s, &[&self.r_tuple]))
+            .map(|s| Tuple::joined(s, [&self.r_tuple]))
             .collect()
     }
 }
 
-/// How `S` is probed for the tuples matching a block of `R`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeStrategy {
-    /// Re-scan the fact table once per `R` block (the paper's default cost model:
-    /// `|R| + |R|/BlockSize · |S|` page reads per pass).
-    BlockNestedLoop,
-    /// Probe a prebuilt foreign-key hash index and fetch only matching pages.
-    IndexProbe,
-}
-
-/// Block-wise scan of a binary join grouped by dimension tuple.
+/// The group-shaped view of a binary [`FactorizedScan`] pass: per window, the
+/// facts bucketed by dimension tuple.  Holds a whole window's facts at once;
+/// no engine crate uses it — it exists for `benchmark/`'s store probes.
 pub struct GroupScan {
-    r: RelationHandle,
-    s: RelationHandle,
-    fk_column: usize,
-    block_pages: usize,
-    strategy: ProbeStrategy,
-    index: Option<HashIndex>,
-    r_scan: BatchScan,
-    /// Facts matched so far in this pass; `None` once the end-of-pass check
-    /// has run.
-    matched: Option<u64>,
+    scan: FactorizedScan,
+    done: bool,
 }
 
 impl GroupScan {
-    /// Creates a group scan over `R ⋈ S` using block-nested-loop probing.
-    pub fn new(r: RelationHandle, s: RelationHandle, fk_column: usize, block_pages: usize) -> Self {
-        Self {
-            r_scan: BatchScan::new(r.clone(), block_pages),
-            r,
-            s,
-            fk_column,
-            block_pages,
-            strategy: ProbeStrategy::BlockNestedLoop,
-            index: None,
-            matched: Some(0),
-        }
-    }
-
-    /// Creates a group scan from a [`JoinSpec`] (must be a binary join).
+    /// Creates a group scan over the binary join `spec`.
     pub fn from_spec(db: &Database, spec: &JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        assert_eq!(
-            spec.num_dimensions(),
-            1,
-            "GroupScan::from_spec requires a binary join; use StarScan for multi-way joins"
-        );
-        Ok(Self::new(
-            db.relation(&spec.dimensions[0])?,
-            db.relation(&spec.fact)?,
-            0,
-            block_pages,
-        ))
+        if spec.num_dimensions() != 1 {
+            return Err(StoreError::SchemaMismatch {
+                relation: spec.fact.clone(),
+                detail: "GroupScan groups by the one dimension of a binary join".to_string(),
+            });
+        }
+        Ok(Self {
+            scan: FactorizedScan::new(db, spec, block_pages)?,
+            done: false,
+        })
     }
 
-    /// Switches to index-probe mode using a prebuilt FK index over `S`.
-    pub fn with_index(mut self, index: HashIndex) -> Self {
-        self.strategy = ProbeStrategy::IndexProbe;
-        self.index = Some(index);
-        self
-    }
-
-    /// The probe strategy in use.
-    pub fn strategy(&self) -> ProbeStrategy {
-        self.strategy
-    }
-
-    /// Restarts the scan from the first `R` block (one training pass = one scan).
-    pub fn reset(&mut self) {
-        self.r_scan = BatchScan::new(self.r.clone(), self.block_pages);
-        self.matched = Some(0);
-    }
-
-    fn probe_block(&mut self, r_block: Vec<Tuple>) -> StoreResult<Vec<JoinGroup>> {
-        let mut groups: Vec<JoinGroup> = r_block
-            .into_iter()
-            .map(|r_tuple| JoinGroup {
-                r_tuple,
+    fn next_window_groups(&mut self) -> StoreResult<Option<Vec<JoinGroup>>> {
+        if !self.scan.next_window()? {
+            return Ok(None);
+        }
+        let mut groups: Vec<JoinGroup> = (self.scan.cache().iter_dim(0))
+            .map(|r| JoinGroup {
+                r_tuple: r.clone(),
                 s_tuples: Vec::new(),
             })
             .collect();
-        match self.strategy {
-            ProbeStrategy::BlockNestedLoop => {
-                let pos: HashMap<u64, usize> = groups
-                    .iter()
-                    .enumerate()
-                    .map(|(i, g)| (g.r_tuple.key, i))
-                    .collect();
-                for s_batch in BatchScan::new(self.s.clone(), self.block_pages) {
-                    for s_tuple in s_batch? {
-                        if let Some(&i) = pos.get(&s_tuple.fks[self.fk_column]) {
-                            groups[i].s_tuples.push(s_tuple);
-                        }
-                    }
-                }
-            }
-            ProbeStrategy::IndexProbe => {
-                let index = self.index.as_ref().expect("index-probe mode without index");
-                for g in &mut groups {
-                    g.s_tuples = index.fetch(&self.s, g.r_tuple.key)?;
-                }
+        while let Some(block) = self.scan.next_block()? {
+            for (fact, ord) in block.facts.into_iter().zip(block.ords) {
+                groups[ord as usize].s_tuples.push(fact);
             }
         }
-        if let Some(matched) = &mut self.matched {
-            *matched += groups.iter().map(|g| g.len() as u64).sum::<u64>();
-        }
-        Ok(groups)
+        Ok(Some(groups))
     }
 }
 
 impl Iterator for GroupScan {
     type Item = StoreResult<Vec<JoinGroup>>;
 
-    /// The next block of groups; after the last block, one `Err` item when
-    /// the pass matched a different number of facts than `S` holds (every
-    /// consumer normalizes by that count), then `None`.
+    /// The groups of the next window; the pass's error, if any, is the last
+    /// item.
     fn next(&mut self) -> Option<Self::Item> {
-        match self.r_scan.next() {
-            Some(Ok(r_block)) => Some(self.probe_block(r_block)),
-            Some(Err(e)) => Some(Err(e)),
-            None => {
-                let matched = self.matched.take()?;
-                check_every_fact_matched(&self.r, &self.s, self.fk_column, matched)
-                    .err()
-                    .map(Err)
-            }
+        if self.done {
+            return None;
         }
+        let item = self.next_window_groups().transpose();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
     }
 }
 
-/// Block-wise scan of a multi-way star join: fact tuples plus a dimension cache.
+/// The first window of a [`FactorizedScan`] pass — for a star join, the whole
+/// pass — with the *unresolved* fact blocks beside it.  No engine crate uses
+/// it; it exists for `benchmark/`'s store probes.
 pub struct StarScan {
-    fact: RelationHandle,
-    cache: DimCache,
-    block_pages: usize,
+    scan: FactorizedScan,
 }
 
 impl StarScan {
-    /// Loads the dimension tables of `spec` into memory and prepares a fact scan.
+    /// Makes the dimension tables of `spec` resident and prepares a fact scan.
     pub fn new(db: &Database, spec: &JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        let dims = spec.dimension_relations(db)?;
-        let cache = DimCache::load(&dims)?;
-        Ok(Self {
-            fact: spec.fact_relation(db)?,
-            cache,
-            block_pages,
-        })
+        let mut scan = FactorizedScan::new(db, spec, block_pages)?;
+        scan.next_window()?;
+        Ok(Self { scan })
     }
 
-    /// The cached dimension tables.
+    /// The resident dimension tuples.
     pub fn cache(&self) -> &DimCache {
-        &self.cache
+        self.scan.cache()
     }
 
     /// Iterates over fact-table blocks.  Each block is a `Vec<Tuple>` whose foreign
     /// keys can be resolved against [`Self::cache`].
     pub fn blocks(&self) -> BatchScan {
-        BatchScan::new(self.fact.clone(), self.block_pages)
+        BatchScan::new(self.scan.fact.clone(), self.scan.block_pages)
     }
 
-    /// Denormalizes one fact tuple using the cache (streaming variants).
+    /// Denormalizes one fact tuple using the cache.
     pub fn denormalize(&self, fact: &Tuple) -> StoreResult<Tuple> {
-        let dims = self.cache.resolve(fact)?;
-        Ok(Tuple::joined(fact, &dims))
+        Ok(Tuple::joined(fact, self.cache().resolve(fact)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexKey;
     use crate::schema::Schema;
+    use std::collections::HashSet;
 
-    /// 3 dimension tuples, 30 fact tuples, fk = key % 3.
-    fn setup() -> (Database, JoinSpec) {
+    /// `n_r` dimension tuples (two features, so a few hundred per page) and
+    /// `n_s` fact tuples with `fk = key % n_r`.
+    fn binary(n_r: u64, n_s: u64) -> (Database, JoinSpec) {
         let db = Database::in_memory();
         let r = db.create_relation(Schema::dimension("R", 2)).unwrap();
         let s = db.create_relation(Schema::fact("S", 1, 1)).unwrap();
-        for k in 0..3u64 {
+        for k in 0..n_r {
             r.lock()
                 .append(&Tuple::dimension(k, vec![k as f64, -(k as f64)]))
                 .unwrap();
         }
-        for i in 0..30u64 {
+        for i in 0..n_s {
             s.lock()
-                .append(&Tuple::fact(i, vec![i % 3], vec![i as f64]))
+                .append(&Tuple::fact(i, vec![i % n_r], vec![i as f64]))
                 .unwrap();
         }
         r.lock().flush().unwrap();
@@ -253,12 +362,159 @@ mod tests {
         (db, JoinSpec::binary("S", "R"))
     }
 
+    /// 3 dimension tuples, 30 fact tuples: one window whatever the block size.
+    fn setup() -> (Database, JoinSpec) {
+        binary(3, 30)
+    }
+
+    /// `R` spans four pages, so `block_pages = 1` gives four windows.
+    fn multi_window() -> (Database, JoinSpec) {
+        let (db, spec) = binary(1200, 2400);
+        assert_eq!(db.relation("R").unwrap().lock().num_pages(), 4);
+        (db, spec)
+    }
+
+    fn pages(db: &Database, name: &str) -> usize {
+        db.relation(name).unwrap().lock().num_pages()
+    }
+
+    /// Runs one pass, returning `(window, ordinal base, fact key, dimension key)`
+    /// per fact handed out.
+    fn pass(
+        db: &Database,
+        spec: &JoinSpec,
+        block_pages: usize,
+    ) -> StoreResult<Vec<(usize, u32, u64, u64)>> {
+        let mut scan = FactorizedScan::new(db, spec, block_pages)?;
+        let mut out = Vec::new();
+        let mut window = 0;
+        while scan.next_window()? {
+            while let Some(block) = scan.next_block()? {
+                for (fact, ords) in block.iter() {
+                    let dim = scan.cache().tuple(0, ords[0]);
+                    out.push((window, scan.ordinal_base(0), fact.key, dim.key));
+                }
+            }
+            window += 1;
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn a_multi_window_pass_hands_out_every_fact_once() {
+        let (db, spec) = multi_window();
+        let (r_pages, s_pages) = (pages(&db, "R"), pages(&db, "S"));
+        db.stats().reset();
+        let rows = pass(&db, &spec, 1).unwrap();
+        // Section V-A: |R| + ⌈|R|/BlockSize⌉·|S|
+        let reads = db.stats().snapshot().pages_read as usize;
+        assert_eq!(reads, r_pages + r_pages * s_pages);
+
+        assert_eq!(rows.len(), 2400);
+        let keys: HashSet<u64> = rows.iter().map(|r| r.2).collect();
+        assert_eq!(keys.len(), 2400);
+        assert!(rows.iter().all(|&(_, _, fact, dim)| dim == fact % 1200));
+        // four windows, visited in order, each with the tuples before it as base
+        let windows: Vec<usize> = rows.iter().map(|r| r.0).collect();
+        assert!(windows.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(windows.last(), Some(&3));
+        let mut seen = 0;
+        for w in 0..4 {
+            let in_window: HashSet<u64> = rows.iter().filter(|r| r.0 == w).map(|r| r.3).collect();
+            assert!(rows.iter().filter(|r| r.0 == w).all(|r| r.1 == seen));
+            seen += in_window.len() as u32;
+        }
+        assert_eq!(seen, 1200);
+
+        // R resident at once: one window, |R| + |S| reads, the same rows
+        db.stats().reset();
+        let one = pass(&db, &spec, 4).unwrap();
+        assert_eq!(db.stats().snapshot().pages_read as usize, r_pages + s_pages);
+        assert!(one.iter().all(|r| r.0 == 0 && r.1 == 0));
+        let sorted = |mut v: Vec<(u64, u64)>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            sorted(one.iter().map(|r| (r.2, r.3)).collect()),
+            sorted(rows.iter().map(|r| (r.2, r.3)).collect())
+        );
+    }
+
+    #[test]
+    fn dangling_key_fails_at_once_in_one_window_at_the_end_of_several() {
+        let (db, spec) = multi_window();
+        let s = db.relation("S").unwrap();
+        s.lock()
+            .append(&Tuple::fact(9_999, vec![7_777], vec![0.0]))
+            .unwrap();
+        s.lock().flush().unwrap();
+        let dangling = |e: &StoreError| matches!(e, StoreError::DanglingForeignKey { relation, key: 7_777 } if relation == "R");
+
+        // one window: the block holding the fact fails, nothing after it runs
+        let mut scan = FactorizedScan::new(&db, &spec, 64).unwrap();
+        assert!(scan.next_window().unwrap());
+        let mut handed_out = 0;
+        let err = loop {
+            match scan.next_block() {
+                Ok(Some(block)) => handed_out += block.facts.len(),
+                Ok(None) => panic!("the dangling fact went unnoticed"),
+                Err(e) => break e,
+            }
+        };
+        assert!(dangling(&err), "{err}");
+        assert!(handed_out < 2400);
+
+        // several windows: every matching fact is handed out, then the pass
+        // ends with the same error, on every pass
+        for _ in 0..2 {
+            let mut scan = FactorizedScan::new(&db, &spec, 1).unwrap();
+            let mut handed_out = 0;
+            let err = loop {
+                match scan.next_window() {
+                    Ok(true) => {
+                        while let Some(block) = scan.next_block().unwrap() {
+                            handed_out += block.facts.len();
+                        }
+                    }
+                    Ok(false) => panic!("the dangling fact went unnoticed"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(handed_out, 2400);
+            assert!(dangling(&err), "{err}");
+        }
+        let groups: Vec<_> = GroupScan::from_spec(&db, &spec, 1).unwrap().collect();
+        assert_eq!(groups.len(), 5, "four windows, then the error, once");
+        assert!(dangling(groups[4].as_ref().unwrap_err()));
+    }
+
+    #[test]
+    fn a_primary_key_repeated_across_windows_is_a_typed_error() {
+        let (db, spec) = multi_window();
+        let r = db.relation("R").unwrap();
+        // key 0 sits in the first window; this copy lands in the last
+        r.lock()
+            .append(&Tuple::dimension(0, vec![1.0, 1.0]))
+            .unwrap();
+        r.lock().flush().unwrap();
+        let err = pass(&db, &spec, 1).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::SchemaMismatch { relation, detail }
+                if relation == "R" && detail.contains("a primary key repeats")),
+            "{err}"
+        );
+        // resident together the later copy wins, as in any window
+        let rows = pass(&db, &spec, 64).unwrap();
+        assert_eq!(rows.len(), 2400);
+    }
+
     #[test]
     fn group_scan_bnl_covers_every_fact_tuple_once() {
         let (db, spec) = setup();
         let scan = GroupScan::from_spec(&db, &spec, 4).unwrap();
         let mut total = 0;
-        let mut seen_r = std::collections::HashSet::new();
+        let mut seen_r = HashSet::new();
         for block in scan {
             for g in block.unwrap() {
                 assert!(seen_r.insert(g.r_tuple.key));
@@ -270,61 +526,52 @@ mod tests {
         }
         assert_eq!(total, 30);
         assert_eq!(seen_r.len(), 3);
-    }
-
-    #[test]
-    fn group_scan_index_probe_equivalent_to_bnl() {
-        let (db, spec) = setup();
-        let collect = |scan: GroupScan| {
-            let mut pairs: Vec<(u64, Vec<u64>)> = Vec::new();
-            for block in scan {
-                for g in block.unwrap() {
-                    let mut keys: Vec<u64> = g.s_tuples.iter().map(|t| t.key).collect();
-                    keys.sort_unstable();
-                    pairs.push((g.r_tuple.key, keys));
-                }
-            }
-            pairs.sort();
-            pairs
-        };
-        let bnl = collect(GroupScan::from_spec(&db, &spec, 2).unwrap());
-        let s = db.relation("S").unwrap();
-        let idx = HashIndex::build(&s, IndexKey::Foreign(0)).unwrap();
-        let ip = collect(GroupScan::from_spec(&db, &spec, 2).unwrap().with_index(idx));
-        assert_eq!(bnl, ip);
+        let star = JoinSpec::multiway("S", vec!["R".into(), "R".into()]);
+        assert!(GroupScan::from_spec(&db, &star, 4).is_err());
     }
 
     #[test]
     fn denormalize_duplicates_dimension_features() {
         let (db, spec) = setup();
-        let scan = GroupScan::from_spec(&db, &spec, 8).unwrap();
-        for block in scan {
-            for g in block.unwrap() {
-                for t in g.denormalize() {
-                    assert_eq!(t.features.len(), 3);
-                    assert_eq!(t.features[1], g.r_tuple.features[0]);
-                    assert_eq!(t.features[2], g.r_tuple.features[1]);
+        let mut scan = FactorizedScan::new(&db, &spec, 8).unwrap();
+        let mut from_blocks = Vec::new();
+        while scan.next_window().unwrap() {
+            while let Some(block) = scan.next_block().unwrap() {
+                for (t, (fact, ords)) in block.denormalize(scan.cache()).zip(block.iter()) {
+                    let r = scan.cache().tuple(0, ords[0]);
+                    assert_eq!(t.key, fact.key);
+                    assert_eq!(t.features, [fact.features[0], r.features[0], r.features[1]]);
+                    from_blocks.push(t);
                 }
             }
         }
+        assert_eq!(from_blocks.len(), 30);
+        let mut from_groups: Vec<Tuple> = GroupScan::from_spec(&db, &spec, 8)
+            .unwrap()
+            .flat_map(|block| block.unwrap())
+            .flat_map(|g| g.denormalize())
+            .collect();
+        from_groups.sort_by_key(|t| t.key);
+        from_blocks.sort_by_key(|t| t.key);
+        assert_eq!(from_groups, from_blocks);
     }
 
     #[test]
     fn group_scan_reset_allows_multiple_passes() {
-        let (db, spec) = setup();
-        let mut scan = GroupScan::from_spec(&db, &spec, 4).unwrap();
-        let first: usize = scan
-            .by_ref()
-            .map(|b| b.unwrap().iter().map(|g| g.len()).sum::<usize>())
-            .sum();
-        assert_eq!(first, 30);
-        // exhausted now
-        assert!(scan.next().is_none());
-        scan.reset();
-        let second: usize = scan
-            .map(|b| b.unwrap().iter().map(|g| g.len()).sum::<usize>())
-            .sum();
-        assert_eq!(second, 30);
+        // A pass is one scan; a second pass is a second scan over the same
+        // relations and sees the same groups.
+        let (db, spec) = multi_window();
+        let sizes = || -> Vec<(u64, usize)> {
+            GroupScan::from_spec(&db, &spec, 1)
+                .unwrap()
+                .flat_map(|block| block.unwrap())
+                .map(|g| (g.r_tuple.key, g.len()))
+                .collect()
+        };
+        let first = sizes();
+        assert_eq!(first.len(), 1200);
+        assert_eq!(first.iter().map(|g| g.1).sum::<usize>(), 2400);
+        assert_eq!(first, sizes());
     }
 
     #[test]
@@ -374,53 +621,27 @@ mod tests {
             }
         }
         assert_eq!(count, 20);
-    }
 
-    #[test]
-    fn group_scan_ends_with_the_dangling_key_under_both_probe_strategies() {
-        let (db, spec) = setup();
-        let s = db.relation("S").unwrap();
-        s.lock()
-            .append(&Tuple::fact(99, vec![41], vec![0.0]))
-            .unwrap();
-        s.lock().flush().unwrap();
-        let idx = HashIndex::build(&s, IndexKey::Foreign(0)).unwrap();
-        for mut scan in [
-            GroupScan::from_spec(&db, &spec, 1).unwrap(),
-            GroupScan::from_spec(&db, &spec, 1).unwrap().with_index(idx),
-        ] {
-            for pass in 0..2 {
-                let items: Vec<_> = scan.by_ref().collect();
-                let (last, blocks) = items.split_last().unwrap();
-                let matched: usize = blocks
-                    .iter()
-                    .map(|b| {
-                        b.as_ref()
-                            .unwrap()
-                            .iter()
-                            .map(JoinGroup::len)
-                            .sum::<usize>()
-                    })
-                    .sum();
-                assert_eq!(
-                    matched, 30,
-                    "pass {pass}: the matching facts are still yielded"
-                );
-                assert!(
-                    matches!(last, Err(crate::StoreError::DanglingForeignKey { relation, key: 41 }) if relation == "R"),
-                    "pass {pass}: {last:?}"
-                );
-                assert!(scan.next().is_none(), "the error is reported once");
-                scan.reset();
+        // the pass itself: one window, the same joined rows, two ordinals per fact
+        let mut pass = FactorizedScan::new(&db, &spec, 4).unwrap();
+        assert!(pass.next_window().unwrap());
+        let mut joined = 0;
+        while let Some(block) = pass.next_block().unwrap() {
+            assert_eq!(block.ords.len(), 2 * block.facts.len());
+            for (t, fact) in block.denormalize(pass.cache()).zip(&block.facts) {
+                assert_eq!(t, scan.denormalize(fact).unwrap());
+                joined += 1;
             }
         }
+        assert_eq!(joined, 20);
+        assert!(!pass.next_window().unwrap());
+        assert!(!pass.next_window().unwrap(), "the end of a pass is final");
     }
 
     #[test]
     fn group_scan_io_cost_matches_bnl_formula() {
         let (db, spec) = setup();
-        let r_pages = db.relation("R").unwrap().lock().num_pages();
-        let s_pages = db.relation("S").unwrap().lock().num_pages();
+        let (r_pages, s_pages) = (pages(&db, "R"), pages(&db, "S"));
         db.stats().reset();
         let scan = GroupScan::from_spec(&db, &spec, 1).unwrap();
         for block in scan {

@@ -3,13 +3,14 @@
 //! The fact table `S` carries one foreign key per dimension table `R_i`
 //! (`S.FK_i → R_i.RID`).  [`JoinSpec`] names the participating relations;
 //! [`materialize_join`] produces the denormalized table `T` used by the `M-*`
-//! algorithms; [`DimCache`] loads the (small) dimension tables into memory so the
-//! streaming / factorized scans can resolve foreign keys without re-reading pages
+//! algorithms; [`DimCache`] holds the dimension tuples resident in one window
+//! of a [`FactorizedScan`] so foreign keys resolve without re-reading pages
 //! for every fact tuple.
 
 use crate::batch::BatchScan;
 use crate::catalog::{Database, RelationHandle};
 use crate::error::{StoreError, StoreResult};
+use crate::factorized_scan::FactorizedScan;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::{HashMap, HashSet};
@@ -110,17 +111,17 @@ impl JoinSpec {
     }
 }
 
-/// All dimension tables of a join loaded into memory.
-///
-/// Dimension tables are small by construction (`n_R ≪ n_S`); loading them once per
-/// training pass is exactly what the paper's streaming and factorized variants do.
+/// The dimension tuples resident in one window of a [`FactorizedScan`]: every
+/// dimension table of a star join, or one `block_pages` block of a binary
+/// join's `R`.
 ///
 /// Each dimension's tuples are held in ascending primary-key order and a
-/// tuple's position in that order is its **ordinal**.  The star trainers
-/// resolve every foreign key to its ordinal once per fact
-/// ([`DimCache::ordinals`]) and index flat per-tuple arenas with it; because
-/// ordinals ascend with the key, walking an arena front to back visits the
-/// tuples in one fixed order whatever order the relation stores them in.
+/// tuple's position in that order is its **ordinal**.  The scan resolves
+/// every foreign key to its ordinal once per fact and the trainers index
+/// flat per-tuple arenas with it; because ordinals ascend with the key,
+/// walking an arena front to back visits the tuples in one fixed order
+/// whatever order the relation stores them in.
+#[derive(Default)]
 pub struct DimCache {
     /// Per dimension: tuples in ascending key order.
     tuples: Vec<Vec<Tuple>>,
@@ -130,14 +131,11 @@ pub struct DimCache {
 }
 
 impl DimCache {
-    /// Loads every dimension relation, charging the page reads to the shared stats.
-    pub fn load(dims: &[RelationHandle]) -> StoreResult<Self> {
-        let mut all = Vec::with_capacity(dims.len());
-        let mut index = Vec::with_capacity(dims.len());
-        let mut names = Vec::with_capacity(dims.len());
-        for dim in dims {
-            let mut rel = dim.lock();
-            let mut tuples = rel.read_all()?;
+    /// Builds the cache over `tuples[i]`, the resident tuples of the dimension
+    /// named `names[i]`, in any order.
+    pub fn new(names: Vec<String>, mut tuples: Vec<Vec<Tuple>>) -> StoreResult<Self> {
+        let mut index = Vec::with_capacity(tuples.len());
+        for (name, tuples) in names.iter().zip(&mut tuples) {
             // Stable sort, then keep the last-stored tuple of a repeated key
             // (the store does not enforce key uniqueness; last-wins is what
             // a key-by-key insert gives).
@@ -151,7 +149,7 @@ impl DimCache {
             });
             if u32::try_from(tuples.len()).is_err() {
                 return Err(StoreError::SchemaMismatch {
-                    relation: rel.name().to_string(),
+                    relation: name.clone(),
                     detail: format!("{} tuples exceed the u32 ordinal range", tuples.len()),
                 });
             }
@@ -162,11 +160,9 @@ impl DimCache {
                     .map(|(ord, t)| (t.key, ord as u32))
                     .collect(),
             );
-            names.push(rel.name().to_string());
-            all.push(tuples);
         }
         Ok(Self {
-            tuples: all,
+            tuples,
             index,
             names,
         })
@@ -182,9 +178,10 @@ impl DimCache {
         self.tuples[i].len()
     }
 
-    /// The ordinal of primary key `key` in dimension `i`.
+    /// The ordinal of primary key `key` in dimension `i` (`None` also when
+    /// there is no dimension `i`).
     pub fn ordinal(&self, i: usize, key: u64) -> Option<u32> {
-        self.index[i].get(&key).copied()
+        self.index.get(i)?.get(&key).copied()
     }
 
     /// The tuple of dimension `i` at ordinal `ord`.
@@ -206,41 +203,26 @@ impl DimCache {
     }
 
     /// Resolves the foreign keys of a fact tuple to dimension ordinals, in
-    /// join order, into `out` (one slot per dimension).
-    ///
-    /// # Errors
-    /// Returns [`StoreError::DanglingForeignKey`] when a foreign key has no
-    /// match, and [`StoreError::SchemaMismatch`] when the fact tuple or `out`
-    /// does not have one entry per cached dimension.
-    pub fn ordinals(&self, fact: &Tuple, out: &mut [u32]) -> StoreResult<()> {
-        if fact.fks.len() != self.index.len() || out.len() != self.index.len() {
-            return Err(StoreError::SchemaMismatch {
-                relation: self.names.join(","),
-                detail: format!(
-                    "fact tuple {}: {} foreign keys and {} ordinal slots for {} cached dimensions",
-                    fact.key,
-                    fact.fks.len(),
-                    out.len(),
-                    self.index.len()
-                ),
-            });
-        }
-        for (i, (fk, slot)) in fact.fks.iter().zip(out.iter_mut()).enumerate() {
-            *slot = self.lookup(i, *fk)?;
+    /// join order, into `out` (one slot per dimension — the scan sizes it by
+    /// the validated join spec).  A miss is `(dimension, key)` of the first
+    /// foreign key with no resident tuple.
+    pub(crate) fn resident_ordinals(
+        &self,
+        fact: &Tuple,
+        out: &mut [u32],
+    ) -> Result<(), (usize, u64)> {
+        for (i, ((fk, slot), index)) in fact.fks.iter().zip(out).zip(&self.index).enumerate() {
+            *slot = *index.get(fk).ok_or((i, *fk))?;
         }
         Ok(())
     }
 
-    /// [`Self::ordinal`] with the typed error of a dangling foreign key.
-    fn lookup(&self, i: usize, key: u64) -> StoreResult<u32> {
-        self.index
-            .get(i)
-            .and_then(|m| m.get(&key))
-            .copied()
-            .ok_or_else(|| StoreError::DanglingForeignKey {
-                relation: self.names.get(i).cloned().unwrap_or_default(),
-                key,
-            })
+    /// The typed error of foreign key `key` matching no tuple of dimension `i`.
+    pub(crate) fn dangling(&self, i: usize, key: u64) -> StoreError {
+        StoreError::DanglingForeignKey {
+            relation: self.names.get(i).cloned().unwrap_or_default(),
+            key,
+        }
     }
 
     /// Resolves the dimension tuples referenced by a fact tuple, in join order.
@@ -251,20 +233,26 @@ impl DimCache {
         fact.fks
             .iter()
             .enumerate()
-            .map(|(i, fk)| Ok(self.tuple(i, self.lookup(i, *fk)?)))
+            .map(|(i, fk)| self.get(i, *fk).ok_or_else(|| self.dangling(i, *fk)))
             .collect()
+    }
+
+    /// The denormalized tuple `T(SID, [Y], [x_S x_R1 … x_Rq])` of `fact`,
+    /// whose foreign keys resolved to `ords`.
+    pub fn denormalize(&self, fact: &Tuple, ords: &[u32]) -> Tuple {
+        let dims = ords.iter().enumerate();
+        Tuple::joined(fact, dims.map(|(i, &ord)| self.tuple(i, ord)))
     }
 }
 
-/// End-of-pass check of a binary join: `matched` joined rows were produced
-/// for the facts of `fact`.  Every consumer normalizes by the fact count, so
-/// a fact whose foreign key matches no `dim` tuple must not vanish silently.
-/// Free when the counts agree; otherwise one extra scan of both relations
-/// names the first unmatched key.
+/// End-of-pass check of a join whose dimension was resident one window at a
+/// time: `matched` joined rows were produced for the facts of `fact`.  Every
+/// consumer normalizes by the fact count, so a fact whose foreign key matches
+/// no `dim` tuple must not vanish silently.  Free when the counts agree;
+/// otherwise one extra scan of both relations names the first unmatched key.
 pub(crate) fn check_every_fact_matched(
     dim: &RelationHandle,
     fact: &RelationHandle,
-    fk_column: usize,
     matched: u64,
 ) -> StoreResult<()> {
     let n = fact.lock().num_tuples();
@@ -277,10 +265,10 @@ pub(crate) fn check_every_fact_matched(
         keys.extend(batch?.iter().map(|t| t.key));
     }
     for batch in BatchScan::new(fact.clone(), crate::DEFAULT_BLOCK_PAGES) {
-        if let Some(t) = batch?.iter().find(|t| !keys.contains(&t.fks[fk_column])) {
+        if let Some(t) = batch?.iter().find(|t| !keys.contains(&t.fks[0])) {
             return Err(StoreError::DanglingForeignKey {
                 relation,
-                key: t.fks[fk_column],
+                key: t.fks[0],
             });
         }
     }
@@ -293,51 +281,23 @@ pub(crate) fn check_every_fact_matched(
 /// Materializes the projected join `T(SID, [Y], [x_S x_R1 … x_Rq])` as a new
 /// relation named `output`, returning its handle.
 ///
-/// For a **binary** join the implementation follows the paper's block-nested-loop
-/// plan with `R` as the outer relation: each block of `R` pages is loaded into a
-/// hash table and all of `S` is scanned against it, giving the
-/// `|R| + |R|/BlockSize·|S|` page-read cost of Section V-A (plus `|T|` page writes).
-/// A fact whose foreign key matches no `R` tuple is a typed
-/// [`StoreError::DanglingForeignKey`], as it is for star joins.
-/// For **multi-way** joins the dimension tables are cached in memory and `S` is
-/// scanned once.
+/// The rows are those of one [`FactorizedScan`] pass, in its `(window, fact)`
+/// order, so the join costs the `|R| + ⌈|R|/BlockSize⌉·|S|` page reads of
+/// Section V-A (plus `|T|` page writes) and a fact whose foreign key matches
+/// no dimension tuple is a typed [`StoreError::DanglingForeignKey`].
 pub fn materialize_join(
     db: &Database,
     spec: &JoinSpec,
     output: impl Into<String>,
     block_pages: usize,
 ) -> StoreResult<RelationHandle> {
-    spec.validate(db)?;
-    let output = output.into();
-    let schema = spec.result_schema(db, output.clone())?;
-    let out_rel = db.create_relation(schema)?;
-    let fact = spec.fact_relation(db)?;
-    let dims = spec.dimension_relations(db)?;
-
-    if dims.len() == 1 {
-        // Block-nested-loop join, dimension table as the outer relation.
-        let dim = &dims[0];
-        for r_block in BatchScan::new(dim.clone(), block_pages) {
-            let r_block = r_block?;
-            let block_map: HashMap<u64, &Tuple> = r_block.iter().map(|t| (t.key, t)).collect();
-            for s_batch in BatchScan::new(fact.clone(), block_pages) {
-                for s_tuple in s_batch? {
-                    if let Some(r_tuple) = block_map.get(&s_tuple.fks[0]) {
-                        let joined = Tuple::joined(&s_tuple, &[r_tuple]);
-                        out_rel.lock().append(&joined)?;
-                    }
-                }
-            }
-        }
-        let matched = out_rel.lock().num_tuples();
-        check_every_fact_matched(dim, &fact, 0, matched)?;
-    } else {
-        let cache = DimCache::load(&dims)?;
-        for s_batch in BatchScan::new(fact.clone(), block_pages) {
-            for s_tuple in s_batch? {
-                let dim_tuples = cache.resolve(&s_tuple)?;
-                let joined = Tuple::joined(&s_tuple, &dim_tuples);
-                out_rel.lock().append(&joined)?;
+    let mut scan = FactorizedScan::new(db, spec, block_pages)?;
+    let out_rel = db.create_relation(spec.result_schema(db, output)?)?;
+    while scan.next_window()? {
+        while let Some(block) = scan.next_block()? {
+            let mut out = out_rel.lock();
+            for joined in block.denormalize(scan.cache()) {
+                out.append(&joined)?;
             }
         }
     }
@@ -349,6 +309,13 @@ pub fn materialize_join(
 mod tests {
     use super::*;
     use crate::schema::Schema;
+
+    /// A cache over the whole of every relation in `dims`.
+    fn load(dims: &[RelationHandle]) -> DimCache {
+        let names = dims.iter().map(|d| d.lock().name().to_string()).collect();
+        let tuples = dims.iter().map(|d| d.lock().read_all().unwrap()).collect();
+        DimCache::new(names, tuples).unwrap()
+    }
 
     /// Builds a tiny star schema: 4 dimension tuples, 12 fact tuples.
     fn star(db: &Database) -> JoinSpec {
@@ -507,7 +474,7 @@ mod tests {
         let db = Database::in_memory();
         let spec = star(&db);
         let dims = spec.dimension_relations(&db).unwrap();
-        let cache = DimCache::load(&dims).unwrap();
+        let cache = load(&dims);
         assert_eq!(cache.num_dims(), 1);
         assert_eq!(cache.dim_len(0), 4);
         assert!(cache.get(0, 2).is_some());
@@ -539,7 +506,7 @@ mod tests {
             rel.lock().flush().unwrap();
             dims.push(rel);
         }
-        let cache = DimCache::load(&dims).unwrap();
+        let cache = load(&dims);
         // key 7 is stored twice in d0: one ordinal, the later tuple wins
         assert_eq!(cache.dim_len(0), 4);
         assert_eq!(cache.get(0, 7).unwrap().features, vec![3.0]);
@@ -552,10 +519,10 @@ mod tests {
             }
         }
 
-        // get / resolve / ordinals name the same tuples
+        // get / resolve / resident_ordinals name the same tuples
         let fact = Tuple::fact(0, vec![99, 2], vec![]);
         let mut ords = [0u32; 2];
-        cache.ordinals(&fact, &mut ords).unwrap();
+        cache.resident_ordinals(&fact, &mut ords).unwrap();
         assert_eq!(ords, [3, 1]);
         let resolved = cache.resolve(&fact).unwrap();
         for i in 0..2 {
@@ -567,8 +534,9 @@ mod tests {
         // a dangling key is the same typed error on every path
         let dangling = Tuple::fact(1, vec![40, 6], vec![]);
         assert!(cache.get(1, 6).is_none() && cache.ordinal(1, 6).is_none());
+        let (i, key) = cache.resident_ordinals(&dangling, &mut ords).unwrap_err();
         for err in [
-            cache.ordinals(&dangling, &mut ords).unwrap_err(),
+            cache.dangling(i, key),
             cache.resolve(&dangling).map(|_| ()).unwrap_err(),
         ] {
             assert!(
@@ -576,11 +544,6 @@ mod tests {
                 "{err}"
             );
         }
-        // an ordinal buffer of the wrong length is refused, not half-filled
-        assert!(matches!(
-            cache.ordinals(&fact, &mut [0u32; 1]),
-            Err(StoreError::SchemaMismatch { .. })
-        ));
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!   an optional training target, and `f64` feature columns.
 //! * **Batch scans** ([`batch`]): block-wise iteration (a "block" is a fixed number
 //!   of pages) as assumed by the paper's block-nested-loop cost analysis.
-//! * **Indexes** ([`index`]): in-memory hash indexes on primary or foreign keys,
-//!   used to probe the fact table for matches of a dimension-table batch.
-//! * **Joins** ([`join`]): PK/FK equi-joins that either materialize the result as a
-//!   new relation (`M-*` algorithms) or stream joined batches (`S-*`), plus the
-//!   *factorized group scan* ([`factorized_scan`]) that yields each dimension tuple
-//!   with its matching fact tuples (`F-*`).
+//! * **Joins** ([`join`], [`factorized_scan`]): one pass shape over a PK/FK join —
+//!   a window of dimension tuples resident, the fact relation scanned against it
+//!   in blocks, every foreign key resolved to a dense ordinal — from which the
+//!   join is materialized as a new relation (`M-*`), streamed as denormalized
+//!   tuples (`S-*`) or consumed factorized (`F-*`).
 //! * **I/O accounting** ([`stats`]): page read/write and field read counters so the
 //!   paper's I/O cost formulas can be validated against observed behaviour.
 //!
@@ -35,7 +34,6 @@ pub mod csv;
 pub mod error;
 pub mod factorized_scan;
 pub mod heap;
-pub mod index;
 pub mod join;
 pub mod page;
 pub mod relation;
@@ -45,7 +43,6 @@ pub mod tuple;
 
 pub use catalog::Database;
 pub use error::{StoreError, StoreResult};
-pub use index::HashIndex;
 pub use join::JoinSpec;
 pub use relation::Relation;
 pub use schema::Schema;

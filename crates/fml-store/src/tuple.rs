@@ -152,8 +152,13 @@ impl Tuple {
     /// Builds the joined ("denormalized") tuple for `T(SID, [Y], [x_S x_R1 … x_Rq])`
     /// from a fact tuple and its matching dimension tuples, concatenating feature
     /// vectors in join order.
-    pub fn joined(fact: &Tuple, dims: &[&Tuple]) -> Tuple {
-        let extra: usize = dims.iter().map(|d| d.features.len()).sum();
+    pub fn joined<'a, I>(fact: &Tuple, dims: I) -> Tuple
+    where
+        I: IntoIterator<Item = &'a Tuple>,
+        I::IntoIter: Clone,
+    {
+        let dims = dims.into_iter();
+        let extra: usize = dims.clone().map(|d| d.features.len()).sum();
         let mut features = Vec::with_capacity(fact.features.len() + extra);
         features.extend_from_slice(&fact.features);
         for d in dims {
@@ -215,7 +220,7 @@ mod tests {
         let s = Tuple::fact_with_target(3, vec![10, 20], 1.5, vec![1.0, 2.0]);
         let r1 = Tuple::dimension(10, vec![3.0]);
         let r2 = Tuple::dimension(20, vec![4.0, 5.0]);
-        let t = Tuple::joined(&s, &[&r1, &r2]);
+        let t = Tuple::joined(&s, [&r1, &r2]);
         assert_eq!(t.key, 3);
         assert_eq!(t.target, Some(1.5));
         assert!(t.fks.is_empty());

@@ -90,11 +90,11 @@ fn main() {
 
     // Assign a few orders to segments using the trained model.
     let pre = Precomputed::from_model(&trained.fit.model, 1e-6);
-    let scan = fml_store::factorized_scan::GroupScan::from_spec(&db, &spec, 8).unwrap();
+    let mut scan = fml_store::factorized_scan::FactorizedScan::new(&db, &spec, 8).unwrap();
     let mut shown = 0;
-    'outer: for block in scan {
-        for group in block.unwrap() {
-            for joined in group.denormalize() {
+    'outer: while scan.next_window().unwrap() {
+        while let Some(block) = scan.next_block().unwrap() {
+            for joined in block.denormalize(scan.cache()) {
                 let segment = trained.fit.model.predict(&joined.features, &pre);
                 println!(
                     "order {:>6}  amount {:>6.1}  item price {:>6.1}  → segment {}",
