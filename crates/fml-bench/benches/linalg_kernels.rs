@@ -5,8 +5,9 @@
 //! Beyond printing a table, the run emits **`BENCH_kernels.json`** at the
 //! workspace root: a machine-readable trajectory of per-kernel timings and
 //! blocked/parallel speedups over the naive reference, so later PRs can track
-//! kernel regressions and wins.  Set `FML_BENCH_SMOKE=1` for a single-shot
-//! smoke run (CI) that still exercises every kernel/policy pair.
+//! kernel regressions and wins, stamped with the `machine` it ran on (`nproc`,
+//! resolved threads, SIMD level, `rustc -V`).  Set `FML_BENCH_SMOKE=1` for a
+//! single-shot smoke run (CI) that still exercises every kernel/policy pair.
 //!
 //! Every row carries the SIMD level it ran at (`simd` field).  The main
 //! policy sweeps run at the process default (AVX2 `lanes` on capable hosts,
@@ -17,9 +18,10 @@
 
 use fml_bench::timing::{measure_ns as measure, smoke};
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
+use fml_linalg::cholesky::Cholesky;
 use fml_linalg::policy::{num_threads, KernelPolicy};
 use fml_linalg::simd::{self, SimdLevel};
-use fml_linalg::{gemm, Matrix};
+use fml_linalg::{gemm, vector, Matrix};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -165,6 +167,122 @@ fn bench_quadratic_forms(results: &mut Vec<BenchResult>) {
     }
 }
 
+/// The two level-3 kernels the dense GMM trainers (`M-GMM` / `S-GMM`) execute
+/// per 1024-row batch, each beside the per-row loop it replaced, on the same
+/// operands: `K = 5` components, the benchmark's two dense widths (85 =
+/// `gmm_wide_binary`, 26 = `gmm_narrow_star`).
+///
+/// * `gmm_estep_batch` — per component: centre the batch, `Y = X_c·L⁻ᵀ`
+///   ([`gemm::matmul_upper_acc_with`]), row norms; vs one
+///   `quadratic_form_sym_with` against `Σ⁻¹` per row and component.
+/// * `gmm_scatter_batch` — per component: centre, one weighted SYRK
+///   ([`gemm::syrk_upper_acc_with`]) with `γ` read at stride `K`; vs one
+///   `ger_with` per row and component.
+///
+/// The per-row rows carry the policy label `per_row` and are the
+/// `speedup_vs_naive` reference of their `blocked` neighbours (the per-row
+/// loops ran their kernels under `Blocked`, as the trainers did).  CI's kernel
+/// speedup guard asserts ≥ 2.0× at width 85 and ≥ 1.0× at width 26.
+fn bench_gmm_batches(results: &mut Vec<BenchResult>) {
+    const K: usize = 5;
+    let (m, widths): (usize, &[usize]) = if smoke() {
+        (64, &[26])
+    } else {
+        (1024, &[85, 26])
+    };
+    let kp = KernelPolicy::Blocked;
+    for &d in widths {
+        let rows = pseudo_matrix(m, d, 20);
+        let gammas = fml_linalg::testutil::TestRng::new(21).vec_in(m * K, 0.0, 1.0);
+        let means: Vec<Vec<f64>> = (0..K).map(|c| pseudo_vec(d, 22 + c as u64)).collect();
+        // K well-conditioned covariances: G·Gᵀ/d + I
+        let factors: Vec<Cholesky> = (0..K)
+            .map(|c| {
+                let g = pseudo_matrix(d, d, 30 + c as u64);
+                let mut cov = gemm::matmul(&g, &g.transpose());
+                cov.scale(1.0 / d as f64);
+                cov.add_diag(1.0);
+                Cholesky::factor(&cov).expect("SPD by construction")
+            })
+            .collect();
+        let inverses: Vec<Matrix> = factors.iter().map(Cholesky::inverse).collect();
+        let whiteners: Vec<Matrix> = factors.iter().map(Cholesky::whitener).collect();
+        let size = format!("{m}x{d}");
+        let mut push = |kernel: &str, policy: &'static str, flops: f64, mean_ns: f64| {
+            results.push(BenchResult {
+                kernel: kernel.into(),
+                size: size.clone(),
+                policy,
+                simd: default_simd(),
+                mean_ns,
+                gflops: flops / mean_ns,
+            });
+        };
+        // FLOPs each form executes: full d×d per row and component for the
+        // per-row kernels, the triangle for the batched ones.
+        let per_row_flops = (K * m * 2 * d * d) as f64;
+        let batch_flops = (K * m * d * (d + 1)) as f64;
+        let center = |mean: &[f64], panel: &mut [f64]| {
+            for (x, out) in rows
+                .as_slice()
+                .chunks_exact(d)
+                .zip(panel.chunks_exact_mut(d))
+            {
+                vector::sub_into(x, mean, out);
+            }
+        };
+
+        let mut centered = vec![0.0; d];
+        let mut quads = vec![0.0; m * K];
+        let mean_ns = measure(|| {
+            for r in 0..m {
+                for c in 0..K {
+                    vector::sub_into(rows.row(r), &means[c], &mut centered);
+                    quads[r * K + c] = gemm::quadratic_form_sym_with(kp, &centered, &inverses[c]);
+                }
+            }
+            std::hint::black_box(&quads);
+        });
+        push("gmm_estep_batch", "per_row", per_row_flops, mean_ns);
+
+        let mut panel = vec![0.0; m * d];
+        let mut whitened = vec![0.0; m * d];
+        let mut norms = vec![0.0; m];
+        let mean_ns = measure(|| {
+            for c in 0..K {
+                center(&means[c], &mut panel);
+                whitened.fill(0.0);
+                gemm::matmul_upper_acc_with(kp, &panel, &whiteners[c], &mut whitened);
+                gemm::row_sq_norms_with(kp, &whitened, d, &mut norms);
+                for (r, &q) in norms.iter().enumerate() {
+                    quads[r * K + c] = q;
+                }
+            }
+            std::hint::black_box(&quads);
+        });
+        push("gmm_estep_batch", "blocked", batch_flops, mean_ns);
+
+        let mut scatter = vec![Matrix::zeros(d, d); K];
+        let mean_ns = measure(|| {
+            for r in 0..m {
+                for c in 0..K {
+                    vector::sub_into(rows.row(r), &means[c], &mut centered);
+                    gemm::ger_with(kp, gammas[r * K + c], &centered, &centered, &mut scatter[c]);
+                }
+            }
+        });
+        push("gmm_scatter_batch", "per_row", per_row_flops, mean_ns);
+
+        let mean_ns = measure(|| {
+            for c in 0..K {
+                center(&means[c], &mut panel);
+                gemm::syrk_upper_acc_with(kp, &panel, &gammas[c..], K, &mut scatter[c]);
+            }
+        });
+        push("gmm_scatter_batch", "blocked", batch_flops, mean_ns);
+    }
+}
+
 /// Transposed GEMV `y = Aᵀx` across policies: the gather side of every
 /// factorized cross-term (`Aᵀµ`, gradient pullbacks), with a different access
 /// pattern (row-major AXPY accumulation) from the row-dot GEMV above.
@@ -289,11 +407,14 @@ fn bench_simd_levels(results: &mut Vec<BenchResult>) {
     }
 }
 
-/// Speedup of `policy` over the naive reference for the same kernel/size.
+/// Speedup of `policy` over the reference row of the same kernel/size: the
+/// `naive` policy, or the `per_row` loop a batched kernel replaced.
 fn speedup_vs_naive(results: &[BenchResult], r: &BenchResult) -> Option<f64> {
     results
         .iter()
-        .find(|o| o.kernel == r.kernel && o.size == r.size && o.policy == "naive")
+        .find(|o| {
+            o.kernel == r.kernel && o.size == r.size && matches!(o.policy, "naive" | "per_row")
+        })
         .map(|naive| naive.mean_ns / r.mean_ns)
 }
 
@@ -319,7 +440,21 @@ fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
     let path = root.join("BENCH_kernels.json");
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"harness\": \"linalg_kernels\",");
-    let _ = writeln!(out, "  \"threads\": {},", num_threads());
+    // Machine stamp: a throughput row means nothing without what it ran on.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    let _ = writeln!(
+        out,
+        "  \"machine\": {{\"nproc\": {nproc}, \"threads\": {}, \"simd\": \"{}\", \"rustc\": \"{rustc}\"}},",
+        num_threads(),
+        default_simd()
+    );
     let _ = writeln!(
         out,
         "  \"smoke\": {},",
@@ -352,6 +487,7 @@ fn main() {
     bench_matvec_transposed(&mut results);
     bench_ger(&mut results);
     bench_quadratic_forms(&mut results);
+    bench_gmm_batches(&mut results);
     bench_dot(&mut results);
     bench_simd_levels(&mut results);
 
@@ -395,6 +531,17 @@ fn main() {
         {
             let speedup = speedup_vs_naive(&results, r).unwrap_or(0.0);
             println!("matmul 512^3 blocked+parallel speedup over naive: {speedup:.2}x");
+        }
+        for kernel in ["gmm_estep_batch", "gmm_scatter_batch"] {
+            for size in ["1024x85", "1024x26"] {
+                if let Some(r) = results
+                    .iter()
+                    .find(|r| r.kernel == kernel && r.size == size && r.policy == "blocked")
+                {
+                    let s = speedup_vs_naive(&results, r).unwrap_or(0.0);
+                    println!("{kernel} {size} batched speedup over the per-row loop: {s:.2}x");
+                }
+            }
         }
         for (kernel, size) in [
             ("matmul", "512x512x512"),

@@ -14,17 +14,59 @@
 //! 3. **M-step (covariances)** — accumulate
 //!    `Σ_n γ_k^{(n)} (x^{(n)}−µ_k)(x^{(n)}−µ_k)ᵀ` around the *new* means and
 //!    update `Σ_k`, then update `π_k = N_k / N`.
+//!
+//! **Execution shape.**  The source is a sequential callback scan; each pass
+//! buffers it into batches of [`PAR_BATCH_TUPLES`] rows, and a batch fans
+//! out over per-worker chunks whose partial sums merge in chunk order (one
+//! chunk under a sequential policy or a small model).  Within a chunk the
+//! dense rows are compacted into a panel and passes 1 and 3 run one level-3
+//! kernel call **per component**, not per row:
+//!
+//! * E-step: centre the panel around `µ_c`, whiten it —
+//!   `Y = (X − 1µ_cᵀ)·L_c⁻ᵀ` with [`gemm::matmul_upper_acc_with`] and the
+//!   whitener of the same (possibly ridge-repaired) Cholesky factor
+//!   [`Precomputed::from_model`] inverts — and the Mahalanobis distance of
+//!   row `r` is `‖Y_r‖²`, non-negative by construction.  The responsibilities
+//!   are finished in place in the chunk's band of the `n × K` buffer.
+//! * Covariances: centre around the new `µ_c`, then one weighted SYRK
+//!   ([`gemm::syrk_upper_acc_with`]) with `γ_c` read at stride `K` out of
+//!   that buffer.  Only the upper triangle is maintained; it is mirrored once
+//!   at the end of the pass.
+//!
+//! Rows that carry a [`fml_linalg::SparseRep`] (under
+//! [`SparseMode::Auto`]) stay on the per-row gather path of [`crate::sparse`]:
+//! `Σ⁻¹` pair gathers in the E-step, pair scatters plus once-per-pass mean
+//! corrections in the M-step.  The means pass is one AXPY per row and
+//! component (it is ~1 % of an iteration).
+//!
+//! **Bit contract.**  `M-GMM` and `S-GMM` feed this driver the same rows in
+//! the same order, so their fits are **bit-identical** on every join shape.
+//! A row's E-step bits do not depend on its position in a batch (edge panels
+//! are zero-padded, every row runs the same micro-kernel); the scatter sums
+//! rows in `KC`-deep blocks per batch, so its bits depend on the batch
+//! boundaries — which are a function of the row order alone — and, exactly
+//! as before, on the worker count (chunk-order merge).  Under
+//! [`fml_linalg::KernelPolicy::Naive`] the two kernels are their strictly
+//! sequential per-row reference loops (the whitened form one row at a time;
+//! today's GER order on the upper triangle): the oracle the blocked form is
+//! tolerance-tested against (`tests/batched_em.rs`: parameters within 1e-9,
+//! log-likelihood trace within 1e-10 relative), with the `Σ⁻¹` form of
+//! [`Precomputed::responsibilities_dense`] as the independent cross-check.
+//! The whitened form is not bit-equal to the `Σ⁻¹` form `F-GMM` and the
+//! scorer evaluate; the three strategies agree to rounding, as they always
+//! have (objective within 1e-6).
 
 use crate::init::GmmInit;
 use crate::model::{GmmModel, Precomputed};
 use crate::sparse::SparseFormPre;
 use crate::GmmConfig;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
-use fml_linalg::policy::par_chunks_with_threads;
+use fml_linalg::policy::{par_chunks_with_threads, par_row_bands_map_with_threads};
 use fml_linalg::repcache::RepCache;
 use fml_linalg::sparse::SparseMode;
 use fml_linalg::{gemm, vector, Matrix, Vector};
 use fml_store::StoreResult;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Number of joined tuples buffered per parallel batch.  Each batch is split
@@ -71,6 +113,14 @@ fn for_each_batch(
         flush(batch);
     }
     Ok(())
+}
+
+/// Centres the rows `picked` (indices into the row-major, `d`-wide `rows`)
+/// around `mu` into the leading rows of the panel `out`, in order.
+fn center_rows(rows: &[f64], d: usize, picked: &[usize], mu: &[f64], out: &mut [f64]) {
+    for (&r, out_row) in picked.iter().zip(out.chunks_exact_mut(d)) {
+        vector::sub_into(&rows[r * d..(r + 1) * d], mu, out_row);
+    }
 }
 
 /// Options controlling the EM loop (a view over [`GmmConfig`]).
@@ -226,7 +276,7 @@ pub fn train_dense_from(
     let mut iterations = 0;
     let mut gammas: Vec<f64> = Vec::with_capacity((n as usize) * k);
 
-    // Per-tuple kernels run single-threaded inside the per-chunk workers; the
+    // Kernels run single-threaded inside the per-chunk workers; the
     // parallelism lives at the tuple-batch level.  Fanning out only pays when a
     // batch carries enough flops to amortize the pool dispatch, so tiny models
     // — and every sequential policy — run each batch inline as one chunk.
@@ -239,13 +289,14 @@ pub fn train_dense_from(
     // passes and iterations index it by tuple position.  No extra scan is
     // performed (the streaming cost model stays exact) and detection runs at
     // most once per tuple.  Memory is O(total nnz), which does not change
-    // this driver's memory class: `gammas` below already retains O(n·k)
+    // this driver's memory class: `gammas` above already retains O(n·k)
     // responsibilities across passes.
     let mut reps = RepCache::new(ex.sparse);
     let mut batch: Vec<f64> = Vec::with_capacity(d * PAR_BATCH_TUPLES);
 
     for _iter in 0..opts.max_iters {
         let pre = Precomputed::from_model(&model, opts.ridge);
+        let whiteners: Vec<Matrix> = (0..k).map(|c| pre.whitener(c)).collect();
         // Sparse-path constants, O(k·d²) once per iteration — the per-tuple
         // E-step on sparse rows is then pure gathers.
         let sparse_pre: Vec<SparseFormPre> = if auto_sparse {
@@ -257,49 +308,65 @@ pub fn train_dense_from(
         };
 
         // ---- Pass 1: E-step — responsibilities + log-likelihood ----
-        // Each batch fans out over deterministic chunks that compute
-        // (responsibilities, Σγ, log-likelihood) locally, and the partials
-        // merge in chunk order (including, on the first pass, the detected
-        // representations — the RepCache segment protocol).
-        gammas.clear();
+        // Each batch fans out over deterministic chunks, each writing the
+        // responsibilities of its rows straight into its band of `gammas`
+        // and returning (Σγ, log-likelihood) plus, on the first pass, the
+        // detected representations; the partials merge in chunk order (the
+        // RepCache segment protocol).
         let mut nk = vec![0.0; k];
         let mut ll = 0.0;
         let mut row_cursor = 0usize;
         for_each_batch(source, &mut batch, |rows| {
             let n_rows = rows.len() / d;
             let base = row_cursor;
+            if gammas.len() < (base + n_rows) * k {
+                gammas.resize((base + n_rows) * k, 0.0);
+            }
             let reps_ref: &RepCache = &reps;
-            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
-                let mut local_gammas = Vec::with_capacity(range.len() * k);
-                let mut seg = reps_ref.segment(base + range.start);
+            let band = &mut gammas[base * k..(base + n_rows) * k];
+            let parts = par_row_bands_map_with_threads(workers, band, k, 1, |first, band| {
+                let chunk = &rows[first * d..first * d + band.len() / k * d];
+                let mut seg = reps_ref.segment(base + first);
+                // Sparse rows take the gather form as they are detected;
+                // dense rows are collected for the batched form below.
+                let mut dense = Vec::with_capacity(band.len() / k);
+                for (r, x) in chunk.chunks_exact(d).enumerate() {
+                    match seg.rep_or_detect(base + first + r, x) {
+                        Some(rep) => {
+                            for c in 0..k {
+                                let quad = sparse_pre[c].quad_flat(&pre.inverses[c], rep);
+                                band[r * k + c] = pre.log_norm[c] - 0.5 * quad;
+                            }
+                        }
+                        None => dense.push(r),
+                    }
+                }
+                // Per component: Y = (X − 1µᵀ)·L⁻ᵀ over the dense rows, then
+                // the Mahalanobis distance of row r is ‖Y_r‖².
+                let mut centered = vec![0.0; dense.len() * d];
+                let mut whitened = vec![0.0; dense.len() * d];
+                let mut quads = vec![0.0; dense.len()];
+                for c in 0..k {
+                    center_rows(chunk, d, &dense, pre.means[c].as_slice(), &mut centered);
+                    whitened.fill(0.0);
+                    gemm::matmul_upper_acc_with(kp, &centered, &whiteners[c], &mut whitened);
+                    gemm::row_sq_norms_with(kp, &whitened, d, &mut quads);
+                    for (&r, &quad) in dense.iter().zip(quads.iter()) {
+                        band[r * k + c] = pre.log_norm[c] - 0.5 * quad;
+                    }
+                }
                 let mut local_nk = vec![0.0; k];
                 let mut local_ll = 0.0;
-                let mut log_dens = vec![0.0; k];
-                let mut centered = vec![0.0; d];
-                for r in range {
-                    let x = &rows[r * d..(r + 1) * d];
-                    let rep = seg.rep_or_detect(base + r, x);
-                    for (c, ld) in log_dens.iter_mut().enumerate() {
-                        let quad = match rep {
-                            Some(rep) => sparse_pre[c].quad_flat(&pre.inverses[c], rep),
-                            None => {
-                                vector::sub_into(x, pre.means[c].as_slice(), &mut centered);
-                                gemm::quadratic_form_sym_with(kp, &centered, &pre.inverses[c])
-                            }
-                        };
-                        *ld = pre.log_norm[c] - 0.5 * quad;
-                    }
-                    let (resp, tuple_ll) = pre.finish_responsibilities(&mut log_dens);
+                for resp in band.chunks_exact_mut(k) {
+                    let tuple_ll = pre.finish_responsibilities_in_place(resp);
                     for c in 0..k {
                         local_nk[c] += resp[c];
                     }
                     local_ll += tuple_ll;
-                    local_gammas.extend_from_slice(&resp);
                 }
-                (local_gammas, local_nk, local_ll, seg.into_detected())
+                (local_nk, local_ll, seg.into_detected())
             });
-            for (local_gammas, local_nk, local_ll, detected) in parts {
-                gammas.extend_from_slice(&local_gammas);
+            for (local_nk, local_ll, detected) in parts {
                 vector::axpy(1.0, &local_nk, &mut nk);
                 ll += local_ll;
                 reps.merge(detected);
@@ -339,9 +406,11 @@ pub fn train_dense_from(
         let new_means = means_from_sums(&nk, &mean_sums);
 
         // ---- Pass 3: M-step — covariances around the new means ----
-        // Sparse rows use the mean decomposition: raw γ·x xᵀ pair scatters per
-        // tuple, dense corrections `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` once per
-        // pass per component.
+        // Dense rows: per component, one weighted SYRK over the chunk's
+        // centred rows, upper triangle only.  Sparse rows use the mean
+        // decomposition: raw γ·x xᵀ pair scatters per tuple, dense
+        // corrections `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` once per pass per
+        // component.
         let mut scatter = vec![Matrix::zeros(d, d); k];
         let mut sparse_gx = vec![vec![0.0; d]; k];
         let mut sparse_gamma = vec![0.0; k];
@@ -354,29 +423,43 @@ pub fn train_dense_from(
                 let mut local = vec![Matrix::zeros(d, d); k];
                 let mut local_gx = vec![vec![0.0; d]; k];
                 let mut local_gamma = vec![0.0; k];
-                let mut local_any = false;
-                let mut centered = vec![0.0; d];
-                for r in range {
-                    let x = &rows[r * d..(r + 1) * d];
-                    let g = &gammas[(base + r) * k..(base + r + 1) * k];
-                    match reps.get(base + r) {
+                let chunk = &rows[range.start * d..range.end * d];
+                let chunk_gammas = &gammas[(base + range.start) * k..(base + range.end) * k];
+                let mut dense = Vec::with_capacity(range.len());
+                for (r, g) in chunk_gammas.chunks_exact(k).enumerate() {
+                    match reps.get(base + range.start + r) {
                         Some(rep) => {
-                            local_any = true;
                             for c in 0..k {
                                 rep.scatter_pair(g[c], &mut local[c]);
                                 rep.axpy_into(g[c], &mut local_gx[c]);
                                 local_gamma[c] += g[c];
                             }
                         }
-                        None => {
-                            for c in 0..k {
-                                vector::sub_into(x, new_means[c].as_slice(), &mut centered);
-                                gemm::ger_with(kp, g[c], &centered, &centered, &mut local[c]);
-                            }
-                        }
+                        None => dense.push(r),
                     }
                 }
-                (local, local_gx, local_gamma, local_any)
+                let any_sparse = dense.len() < range.len();
+                if !dense.is_empty() {
+                    // The panel rows' responsibilities, row-major × k: the
+                    // chunk's own slice of `gammas` when every row is dense,
+                    // compacted alongside the rows otherwise.  Component c's
+                    // weights are then column c, read at stride k.
+                    let panel_gammas: Cow<[f64]> = if any_sparse {
+                        let picked = dense
+                            .iter()
+                            .flat_map(|&r| &chunk_gammas[r * k..(r + 1) * k]);
+                        Cow::Owned(picked.copied().collect())
+                    } else {
+                        Cow::Borrowed(chunk_gammas)
+                    };
+                    let mut centered = vec![0.0; dense.len() * d];
+                    for c in 0..k {
+                        center_rows(chunk, d, &dense, new_means[c].as_slice(), &mut centered);
+                        let weights = &panel_gammas[c..];
+                        gemm::syrk_upper_acc_with(kp, &centered, weights, k, &mut local[c]);
+                    }
+                }
+                (local, local_gx, local_gamma, any_sparse)
             });
             for (local, local_gx, local_gamma, local_any) in parts {
                 for c in 0..k {
@@ -388,6 +471,10 @@ pub fn train_dense_from(
             }
             row_cursor += n_rows;
         })?;
+        // The SYRKs maintained the upper triangle only.
+        for s in &mut scatter {
+            s.mirror_upper();
+        }
         if any_sparse {
             for c in 0..k {
                 let mu = new_means[c].as_slice();

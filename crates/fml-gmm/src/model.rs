@@ -187,6 +187,9 @@ pub struct Precomputed {
     pub log_norm: Vec<f64>,
     /// Component means (cloned so the E-step needs no access to the model).
     pub means: Vec<Vector>,
+    /// The Cholesky factor each inverse came from — of the ridge-repaired
+    /// covariance where a repair was needed — kept for [`Self::whitener`].
+    factors: Vec<Cholesky>,
 }
 
 impl Precomputed {
@@ -197,29 +200,38 @@ impl Precomputed {
         let d = model.dim() as f64;
         let mut inverses = Vec::with_capacity(model.k());
         let mut log_norm = Vec::with_capacity(model.k());
+        let mut factors = Vec::with_capacity(model.k());
         for (k, cov) in model.covariances.iter().enumerate() {
-            let (inv, log_det) = match Cholesky::factor(cov) {
-                Ok(ch) => (ch.inverse(), ch.log_det()),
+            let ch = match Cholesky::factor(cov) {
+                Ok(ch) => ch,
                 Err(_) if ridge > 0.0 => {
                     let mut repaired = cov.clone();
                     sym::ensure_spd(&mut repaired, ridge);
-                    let ch =
-                        Cholesky::factor(&repaired).expect("regularized covariance must be SPD");
-                    (ch.inverse(), ch.log_det())
+                    Cholesky::factor(&repaired).expect("regularized covariance must be SPD")
                 }
                 Err(e) => panic!("component {k}: covariance not SPD and ridge disabled: {e}"),
             };
-            inverses.push(inv);
+            inverses.push(ch.inverse());
             log_norm.push(
                 model.weights[k].max(f64::MIN_POSITIVE).ln()
-                    - 0.5 * (d * (2.0 * std::f64::consts::PI).ln() + log_det),
+                    - 0.5 * (d * (2.0 * std::f64::consts::PI).ln() + ch.log_det()),
             );
+            factors.push(ch);
         }
         Self {
             inverses,
             log_norm,
             means: model.means.clone(),
+            factors,
         }
+    }
+
+    /// The whitening factor `U_c = L_c⁻ᵀ` of component `c` (upper-triangular,
+    /// `Σ_c⁻¹ = U_c·U_cᵀ`), from the same — possibly ridge-repaired — factor
+    /// as [`Self::inverses`]: `(x−µ_c)ᵀ Σ_c⁻¹ (x−µ_c) = ‖(x−µ_c)ᵀ U_c‖²`.
+    /// Computed on demand (`O(d³/3)`); only the batched dense E-step asks.
+    pub fn whitener(&self, c: usize) -> Matrix {
+        self.factors[c].whitener()
     }
 
     /// Number of components.
@@ -250,15 +262,24 @@ impl Precomputed {
     /// Converts per-component log-densities into responsibilities and the tuple's
     /// log-likelihood contribution, using a numerically stable log-sum-exp.
     pub fn finish_responsibilities(&self, log_dens: &mut [f64]) -> (Vec<f64>, f64) {
+        let ll = self.finish_responsibilities_in_place(log_dens);
+        (log_dens.to_vec(), ll)
+    }
+
+    /// [`Self::finish_responsibilities`] without the per-tuple allocation: the
+    /// responsibilities replace the log-densities in `log_dens` and the
+    /// tuple's log-likelihood contribution is returned.
+    pub fn finish_responsibilities_in_place(&self, log_dens: &mut [f64]) -> f64 {
         let max = log_dens.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut sum = 0.0;
         for ld in log_dens.iter_mut() {
             *ld = (*ld - max).exp();
             sum += *ld;
         }
-        let ll = max + sum.ln();
-        let resp = log_dens.iter().map(|v| v / sum).collect();
-        (resp, ll)
+        for ld in log_dens.iter_mut() {
+            *ld /= sum;
+        }
+        max + sum.ln()
     }
 
     /// Responsibilities and log-likelihood contribution of a dense (joined)

@@ -197,17 +197,6 @@ impl SparseScatterAcc {
         self.touched = true;
     }
 
-    /// Adds another accumulator's sums to this one.
-    pub fn merge_from(&mut self, other: &SparseScatterAcc) {
-        if !other.touched {
-            return;
-        }
-        vector::axpy(1.0, &other.gx, &mut self.gx);
-        vector::axpy(1.0, &other.w_total, &mut self.w_total);
-        self.gamma_total += other.gamma_total;
-        self.touched = true;
-    }
-
     /// Applies the dense mean corrections for this pass:
     /// `−(Σw)µᵀ` / `−µ(Σw)ᵀ` on the cross blocks and
     /// `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` on the diagonal block.
@@ -259,16 +248,6 @@ impl SparseDiagAcc {
         scatter.add_outer_rep(block, block, gamma, bv, bv);
         rep.axpy_into(gamma, &mut self.gx);
         self.gamma_total += gamma;
-        self.touched = true;
-    }
-
-    /// Adds another accumulator's sums to this one.
-    pub fn merge_from(&mut self, other: &SparseDiagAcc) {
-        if !other.touched {
-            return;
-        }
-        vector::axpy(1.0, &other.gx, &mut self.gx);
-        self.gamma_total += other.gamma_total;
         self.touched = true;
     }
 
@@ -399,31 +378,6 @@ mod tests {
 
         let diff = dense.matrix().max_abs_diff(sparse_sc.matrix());
         assert!(diff < 1e-12, "scatter decomposition diverged: {diff}");
-    }
-
-    #[test]
-    fn scatter_acc_merge_preserves_totals() {
-        let (d_s, d_r) = (1usize, 4usize);
-        let p = BlockPartition::binary(d_s, d_r);
-        let mu = vec![0.1, 0.2, 0.3, -0.1];
-
-        let mut whole_sc = BlockScatter::new_with(p.clone(), KernelPolicy::Naive);
-        let mut whole = SparseScatterAcc::new(d_s, d_r);
-        whole.record(&mut whole_sc, 1, 0.5, &[1.0], &onehot(&[0]));
-        whole.record(&mut whole_sc, 1, 1.5, &[-2.0], &csr(&[2], &[0.75]));
-        whole.finalize(&mut whole_sc, 1, &mu);
-
-        let mut sc_a = BlockScatter::new_with(p.clone(), KernelPolicy::Naive);
-        let mut a = SparseScatterAcc::new(d_s, d_r);
-        a.record(&mut sc_a, 1, 0.5, &[1.0], &onehot(&[0]));
-        let mut sc_b = BlockScatter::new_with(p, KernelPolicy::Naive);
-        let mut b = SparseScatterAcc::new(d_s, d_r);
-        b.record(&mut sc_b, 1, 1.5, &[-2.0], &csr(&[2], &[0.75]));
-        sc_a.merge_from(&sc_b);
-        a.merge_from(&b);
-        a.finalize(&mut sc_a, 1, &mu);
-
-        assert!(whole_sc.matrix().max_abs_diff(sc_a.matrix()) < 1e-12);
     }
 
     #[test]

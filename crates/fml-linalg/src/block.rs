@@ -318,20 +318,6 @@ impl BlockScatter {
         self.policy
     }
 
-    /// Merges another accumulator over the same partition into this one.
-    ///
-    /// Used by the parallel training paths: each worker accumulates into a
-    /// private `BlockScatter`, and the partials are merged **in worker-index
-    /// order** so the reduction tree — and therefore the floating-point result
-    /// — is fixed for a given chunking.
-    pub fn merge_from(&mut self, other: &BlockScatter) {
-        assert_eq!(
-            self.partition, other.partition,
-            "BlockScatter::merge_from: partition mismatch"
-        );
-        self.acc.add_assign(&other.acc);
-    }
-
     /// The underlying partition.
     pub fn partition(&self) -> &BlockPartition {
         &self.partition

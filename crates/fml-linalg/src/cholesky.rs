@@ -135,6 +135,26 @@ impl Cholesky {
         inv
     }
 
+    /// The whitening factor `U = L⁻ᵀ` (upper-triangular, zeros below the
+    /// diagonal): `A⁻¹ = U·Uᵀ`, so `xᵀ A⁻¹ x = ‖xᵀU‖²` and a whole batch of
+    /// Mahalanobis distances is one triangular product
+    /// ([`crate::gemm::matmul_upper_acc_with`]) plus row norms.
+    ///
+    /// Row `j` of `U` is column `j` of `L⁻¹`, built by forward substitution
+    /// over contiguous rows of `L` and `U` (`O(n³/3)`).
+    pub fn whitener(&self) -> Matrix {
+        let n = self.dim();
+        let mut u = Matrix::zeros(n, n);
+        for j in 0..n {
+            u[(j, j)] = 1.0 / self.l[(j, j)];
+            for i in j + 1..n {
+                let sum = crate::vector::dot(&self.l.row(i)[j..i], &u.row(j)[j..i]);
+                u[(j, i)] = -sum / self.l[(i, i)];
+            }
+        }
+        u
+    }
+
     /// Mahalanobis squared distance `xᵀ A⁻¹ x` computed via a triangular solve,
     /// without forming the inverse.
     pub fn mahalanobis_sq(&self, x: &[f64]) -> f64 {
@@ -225,6 +245,25 @@ mod tests {
         let inv = ch.inverse();
         let via_inv = crate::gemm::quadratic_form_sym(&x, &inv);
         assert!(approx_eq(via_solve, via_inv, 1e-10));
+    }
+
+    #[test]
+    fn whitener_is_the_upper_triangular_square_root_of_the_inverse() {
+        let a = spd3();
+        let ch = Cholesky::factor(&a).unwrap();
+        let u = ch.whitener();
+        for i in 0..3 {
+            for j in 0..i {
+                assert_eq!(u[(i, j)], 0.0, "below the diagonal at ({i},{j})");
+            }
+        }
+        let uut = matmul(&u, &u.transpose());
+        assert!(uut.max_abs_diff(&ch.inverse()) < 1e-14);
+        // ‖xᵀU‖² is the Mahalanobis distance
+        let x = [0.3, -1.2, 2.0];
+        let y = crate::gemm::matvec_transposed(&u, &x);
+        let norm: f64 = y.iter().map(|v| v * v).sum();
+        assert!(approx_eq(norm, ch.mahalanobis_sq(&x), 1e-12));
     }
 
     #[test]

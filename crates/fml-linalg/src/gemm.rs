@@ -30,6 +30,30 @@
 //! | `MC`     | 64    | rows of A packed per macro block |
 //! | `NC`     | 512   | columns of B packed per macro block |
 //!
+//! **Edge panels are zero-padded, not special-cased.**  The last `MR`-row
+//! panel of `A` and the last `NR`-column panel of `B` are packed to full
+//! width with zeros, every tile runs the same micro-kernel, and an edge tile
+//! lands in a stack `MR×NR` scratch from which only the in-range entries are
+//! added to `C`.  There is no scalar remainder loop: a width like 85 or 26
+//! runs at the rate of 88 or 32, and a row's result does not depend on where
+//! in the matrix it sits.
+//!
+//! ### Structured products
+//!
+//! One blocked loop nest (`blocked_product_rows`) serves three operand
+//! shapes, each a `Panels` implementation that says how its panels are
+//! packed and which part of the tile grid carries work:
+//!
+//! | entry point | product | what the structure saves |
+//! |---|---|---|
+//! | [`matmul_acc_with`] | `C += A·B` | — |
+//! | [`matmul_upper_acc_with`] | `C += A·U`, `U` upper-triangular | B panel `j0` is packed and multiplied only to depth `j0+NR`: half the work |
+//! | [`syrk_upper_acc_with`] | upper triangle of `C += Xᵀ·diag(γ)·X` | A panels are 4-wide column reads of the row-major `X`, B panels its `γ_r`-scaled rows; tiles strictly below the diagonal are skipped: half the work |
+//!
+//! The GMM trainers' dense E-step (`Y = (X − 1µᵀ)·L⁻ᵀ`, then row norms) and
+//! covariance scatter run on the last two, one call per 1024-row batch and
+//! component.  Under `Naive` each is a strictly sequential per-row loop.
+//!
 //! The non-`_with` entry points dispatch on [`crate::policy::default_policy`];
 //! `_with` variants take an explicit policy, which the training crates thread
 //! through from their configs.
@@ -76,10 +100,20 @@ static GEMV_CALLS: fml_obs::LazyCounter = fml_obs::LazyCounter::new("fml_gemv_ca
 static GER_CALLS: fml_obs::LazyCounter = fml_obs::LazyCounter::new("fml_ger_calls_total");
 static KERNEL_FLOPS: fml_obs::LazyCounter = fml_obs::LazyCounter::new("fml_kernel_flops_total");
 
-/// Records one kernel invocation and its nominal FLOP count (`2·m·n·k`-style,
-/// counting multiply+add) into the registry.  Gated on the single relaxed
-/// `metrics_enabled` load, so `FML_OBS=off` pays a few nanoseconds per kernel
-/// *entry* (never per element) and records nothing.
+/// Records one kernel invocation and its FLOP count (multiply+add = 2) into
+/// the registry.  Gated on the single relaxed `metrics_enabled` load, so
+/// `FML_OBS=off` pays a few nanoseconds per kernel *entry* (never per
+/// element) and records nothing.
+///
+/// What `fml_kernel_flops_total` covers: GEMM, GEMV and GER entries at their
+/// nominal `2·m·n·k`-style count, and the two structured products at the
+/// FLOPs they execute (`m·n·(n+1)` each — the triangle, not the square).
+/// **Quadratic forms are deliberately uncounted**: the factorized E-step
+/// evaluates `d_S`-wide forms in ~30 ns each, and two atomics per call would
+/// show on its wall time.  A trainer that spends its E-step in
+/// [`quadratic_form_with`] therefore reports about half the FLOPs it
+/// executes — the "4.2 counted GFLOP/s" once read off the per-row `M-GMM`
+/// was half its true 8–9 GFLOP/s.
 #[inline]
 fn record_kernel(calls: &'static fml_obs::LazyCounter, flops: usize) {
     if fml_obs::metrics_enabled() {
@@ -134,16 +168,18 @@ pub fn matmul_acc_with(policy: KernelPolicy, a: &Matrix, b: &Matrix, c: &mut Mat
     record_kernel(&GEMM_CALLS, 2 * m * n * k);
     match policy::effective_policy(policy, 2 * m * n * k, PAR_MIN_FLOPS) {
         KernelPolicy::Naive => naive_matmul_acc(a, b, c),
-        KernelPolicy::Blocked => {
+        p => {
             let lv = simd::current_level();
-            blocked_matmul_rows(a.as_slice(), k, 0, b.as_slice(), n, c.as_mut_slice(), lv)
-        }
-        KernelPolicy::BlockedParallel => {
-            let parallel = m >= 2 * MR;
-            let lv = simd::current_level();
-            let (a_s, b_s) = (a.as_slice(), b.as_slice());
+            let panels = DensePanels {
+                a: a.as_slice(),
+                m,
+                k,
+                b: b.as_slice(),
+                n,
+            };
+            let parallel = p.is_parallel() && m >= 2 * MR;
             policy::par_row_bands(parallel, c.as_mut_slice(), n, MR, |first_row, band| {
-                blocked_matmul_rows(a_s, k, first_row, b_s, n, band, lv);
+                blocked_product_rows(&panels, k, n, first_row, band, lv);
             });
         }
     }
@@ -227,18 +263,186 @@ pub fn matmul_acc_sparse_with(policy: KernelPolicy, a: &Matrix, b: &Matrix, c: &
     });
 }
 
-/// Packs the `KC×NR` panel of `B` starting at `(kc, j0)` into k-major order.
-fn pack_b_panel(b: &[f64], n: usize, kc: usize, kb: usize, j0: usize, out: &mut [f64]) {
-    for (kk, chunk) in out[..kb * NR].chunks_exact_mut(NR).enumerate() {
-        let base = (kc + kk) * n + j0;
-        chunk.copy_from_slice(&b[base..base + NR]);
+// ---------------------------------------------------------------------------
+// Structured products: C += A·U (U upper-triangular), upper(C) += Xᵀ·diag(γ)·X
+// ---------------------------------------------------------------------------
+
+/// `C += A · U` for an upper-triangular `U`, under an explicit policy.
+///
+/// `a` and `c` are row-major `m × n` with `n = u.rows()`.  Entries of `u`
+/// strictly below the diagonal are **never read** (they may hold anything).
+/// The blocked form packs and multiplies column panel `j0` of `U` only to
+/// depth `j0 + NR`, so it executes half the FLOPs of the full product; the
+/// `Naive` form is the `i`-`k`-`j` reference loop restricted to `j ≥ k`.
+/// `BlockedParallel` is bit-identical to `Blocked` (`MR`-aligned row bands).
+///
+/// # Panics
+/// Panics when `u` is not square or `a` / `c` are not `m × n`.
+pub fn matmul_upper_acc_with(policy: KernelPolicy, a: &[f64], u: &Matrix, c: &mut [f64]) {
+    assert!(u.is_square(), "matmul_upper_acc: U must be square");
+    let n = u.rows();
+    assert_eq!(a.len(), c.len(), "matmul_upper_acc: output shape mismatch");
+    if a.is_empty() {
+        return;
+    }
+    assert!(
+        n > 0 && a.len().is_multiple_of(n),
+        "matmul_upper_acc: A is not m x n"
+    );
+    let m = a.len() / n;
+    let flops = m * n * (n + 1);
+    record_kernel(&GEMM_CALLS, flops);
+    let policy = policy::effective_policy(policy, flops, PAR_MIN_FLOPS);
+    if policy == KernelPolicy::Naive {
+        for (arow, crow) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
+            for (k, &aik) in arow.iter().enumerate() {
+                vector::axpy(aik, &u.row(k)[k..], &mut crow[k..]);
+            }
+        }
+        return;
+    }
+    let lv = simd::current_level();
+    let panels = UpperPanels {
+        a,
+        m,
+        u: u.as_slice(),
+        n,
+    };
+    let parallel = policy.is_parallel() && m >= 2 * MR;
+    policy::par_row_bands(parallel, c, n, MR, |first_row, band| {
+        blocked_product_rows(&panels, n, n, first_row, band, lv);
+    });
+}
+
+/// The upper triangle of `C += Xᵀ · diag(γ) · X` — a weighted SYRK — under an
+/// explicit policy.
+///
+/// `x` is a row-major `m × n` batch with `n = c.rows()`; row `r` carries the
+/// weight `γ_r = weights[r * stride]`, so a column of a row-major
+/// responsibility matrix is read in place.  Entries of `c` strictly below
+/// the diagonal are **neither read nor written**; callers mirror once when
+/// every batch is in ([`Matrix::mirror_upper`]).  The blocked form runs the
+/// micro-kernel over the batch as the depth dimension and skips the tiles
+/// below the diagonal; the `Naive` form is one rank-1 update per row in GER
+/// order (`c[i][i..] += (γ_r·x_i)·x[i..]`).  `BlockedParallel` is
+/// bit-identical to `Blocked`.
+///
+/// # Panics
+/// Panics when `c` is not square, `x` is not `m × n`, or `weights` is too
+/// short for `m` strided reads.
+pub fn syrk_upper_acc_with(
+    policy: KernelPolicy,
+    x: &[f64],
+    weights: &[f64],
+    stride: usize,
+    c: &mut Matrix,
+) {
+    assert!(c.is_square(), "syrk_upper_acc: C must be square");
+    let n = c.rows();
+    if x.is_empty() {
+        return;
+    }
+    assert!(
+        n > 0 && x.len().is_multiple_of(n),
+        "syrk_upper_acc: X is not m x n"
+    );
+    let m = x.len() / n;
+    assert!(
+        stride > 0 && weights.len() > (m - 1) * stride,
+        "syrk_upper_acc: weights too short for {m} reads at stride {stride}"
+    );
+    let flops = m * n * (n + 1);
+    record_kernel(&GEMM_CALLS, flops);
+    let policy = policy::effective_policy(policy, flops, PAR_MIN_FLOPS);
+    if policy == KernelPolicy::Naive {
+        for (r, xrow) in x.chunks_exact(n).enumerate() {
+            let g = weights[r * stride];
+            for (i, &xi) in xrow.iter().enumerate() {
+                vector::axpy(g * xi, &xrow[i..], &mut c.row_mut(i)[i..]);
+            }
+        }
+        return;
+    }
+    let lv = simd::current_level();
+    let panels = GramPanels {
+        x,
+        n,
+        weights,
+        stride,
+    };
+    let parallel = policy.is_parallel() && n >= 2 * MR;
+    policy::par_row_bands(parallel, c.as_mut_slice(), n, MR, |first_row, band| {
+        blocked_product_rows(&panels, m, n, first_row, band, lv);
+    });
+}
+
+/// `out[r] = ‖Y_r‖²` for every row of the row-major `m × n` matrix `y` — the
+/// Mahalanobis distances of a whitened batch.  `Naive` sums each row
+/// sequentially; the blocked policies use the 4-lane dot product.
+///
+/// # Panics
+/// Panics when `y` is not `out.len() × n`.
+pub fn row_sq_norms_with(policy: KernelPolicy, y: &[f64], n: usize, out: &mut [f64]) {
+    assert_eq!(y.len(), out.len() * n, "row_sq_norms: Y is not m x n");
+    if n == 0 {
+        out.fill(0.0);
+        return;
+    }
+    match policy {
+        KernelPolicy::Naive => {
+            for (o, row) in out.iter_mut().zip(y.chunks_exact(n)) {
+                *o = vector::dot(row, row);
+            }
+        }
+        _ => {
+            let lv = simd::current_level();
+            for (o, row) in out.iter_mut().zip(y.chunks_exact(n)) {
+                *o = simd::dot(lv, row, row);
+            }
+        }
     }
 }
 
-/// Packs the `MR×KC` panel of `A` rows `i0..i0+MR` (absolute), cols
-/// `kc..kc+kb`, into k-major interleaved order (`out[kk*MR + r]`).
-fn pack_a_panel(a: &[f64], lda: usize, i0: usize, kc: usize, kb: usize, out: &mut [f64]) {
-    for r in 0..MR {
+// ---------------------------------------------------------------------------
+// The blocked loop nest and its operand shapes
+// ---------------------------------------------------------------------------
+
+/// Packs `w ≤ W` contiguous entries of each of the rows `kc..kc+kb` of the
+/// row-major `src` (leading dimension `ld`), starting at column `j0`, k-major
+/// into `W`-wide slots (`out[kk*W + c]`), zero-filling columns `w..W`.  With
+/// `W = NR` this is a B panel; with `W = MR` it is an A panel of `srcᵀ`.
+fn pack_row_panel<const W: usize>(
+    src: &[f64],
+    ld: usize,
+    kc: usize,
+    kb: usize,
+    j0: usize,
+    w: usize,
+    out: &mut [f64],
+) {
+    for (kk, slot) in out[..kb * W].chunks_exact_mut(W).enumerate() {
+        let base = (kc + kk) * ld + j0;
+        slot[..w].copy_from_slice(&src[base..base + w]);
+        slot[w..].fill(0.0);
+    }
+}
+
+/// Packs the `MR×KC` panel of `A` rows `i0..i0+rows` (absolute, `rows ≤ MR`;
+/// the missing rows are zero), cols `kc..kc+kb`, into k-major interleaved
+/// order (`out[kk*MR + r]`).
+fn pack_a_panel(
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    rows: usize,
+    kc: usize,
+    kb: usize,
+    out: &mut [f64],
+) {
+    if rows < MR {
+        out[..kb * MR].fill(0.0);
+    }
+    for r in 0..rows {
         let base = (i0 + r) * lda + kc;
         let arow = &a[base..base + kb];
         for (kk, &v) in arow.iter().enumerate() {
@@ -247,99 +451,180 @@ fn pack_a_panel(a: &[f64], lda: usize, i0: usize, kc: usize, kb: usize, out: &mu
     }
 }
 
-/// Blocked `C_band += A[rows] · B` where `c_band` holds the rows of `C`
-/// starting at absolute row `row0` (the parallel driver hands each thread a
-/// disjoint, `MR`-aligned band).  Per-element accumulation order depends only
-/// on `(k, n)` tiling — never on the banding — so any row split produces bits
-/// identical to the single-band call.  The `MR×NR` micro-kernel is
-/// [`simd::microkernel`] at the level `lv` the caller captured at entry.
-fn blocked_matmul_rows(
-    a: &[f64],
+/// The operands of one packed-panel product `C += A·B` as the blocked loop
+/// nest sees them: how to pack an `MR`-row panel of `A` and an `NR`-column
+/// panel of `B` for one depth block, and which part of the tile grid carries
+/// work.  Panels past the last row / column are zero-padded by the packer.
+trait Panels: Sync {
+    /// Whether only the upper triangle (`j ≥ i`) of `C` is produced: tiles
+    /// strictly below the diagonal are skipped and the tiles that straddle
+    /// it write their `j ≥ i` entries only.
+    const UPPER_C: bool = false;
+
+    /// Packs rows `i0..i0+MR` of `A` (absolute), depth `kc..kc+kb`, k-major
+    /// interleaved (`out[kk*MR + r]`).
+    fn pack_a(&self, i0: usize, kc: usize, kb: usize, out: &mut [f64]);
+
+    /// Packs columns `j0..j0+NR` of `B`, depth `kc..kc+kb`, k-major
+    /// (`out[kk*NR + c]`).
+    fn pack_b(&self, j0: usize, kc: usize, kb: usize, out: &mut [f64]);
+
+    /// Leading part of the depth block `kc..kc+kb` beyond which column panel
+    /// `j0` of `B` is all zero (the block is packed and multiplied only that
+    /// deep).
+    fn panel_depth(&self, _j0: usize, _kc: usize, kb: usize) -> usize {
+        kb
+    }
+}
+
+/// Dense `A (m×k) · B (k×n)`.
+struct DensePanels<'a> {
+    a: &'a [f64],
+    m: usize,
     k: usize,
-    row0: usize,
-    b: &[f64],
+    b: &'a [f64],
     n: usize,
+}
+
+impl Panels for DensePanels<'_> {
+    fn pack_a(&self, i0: usize, kc: usize, kb: usize, out: &mut [f64]) {
+        pack_a_panel(self.a, self.k, i0, MR.min(self.m - i0), kc, kb, out);
+    }
+
+    fn pack_b(&self, j0: usize, kc: usize, kb: usize, out: &mut [f64]) {
+        pack_row_panel::<NR>(self.b, self.n, kc, kb, j0, NR.min(self.n - j0), out);
+    }
+}
+
+/// `A (m×n) · U (n×n)` with `U` upper-triangular: column `j` of `U` is zero
+/// below row `j`, so panel `j0` ends at depth `j0 + NR`.
+struct UpperPanels<'a> {
+    a: &'a [f64],
+    m: usize,
+    u: &'a [f64],
+    n: usize,
+}
+
+impl Panels for UpperPanels<'_> {
+    fn pack_a(&self, i0: usize, kc: usize, kb: usize, out: &mut [f64]) {
+        pack_a_panel(self.a, self.n, i0, MR.min(self.m - i0), kc, kb, out);
+    }
+
+    /// Row `k` of the panel holds `U[k][j0..j0+w]`; the entries left of the
+    /// diagonal (`j < k`) are written as zeros without reading `U`.
+    fn pack_b(&self, j0: usize, kc: usize, kb: usize, out: &mut [f64]) {
+        let w = NR.min(self.n - j0);
+        for (kk, slot) in out[..kb * NR].chunks_exact_mut(NR).enumerate() {
+            let k = kc + kk;
+            let below = k.saturating_sub(j0).min(w);
+            slot[..below].fill(0.0);
+            slot[below..w].copy_from_slice(&self.u[k * self.n + j0 + below..k * self.n + j0 + w]);
+            slot[w..].fill(0.0);
+        }
+    }
+
+    fn panel_depth(&self, j0: usize, kc: usize, kb: usize) -> usize {
+        (j0 + NR).min(self.n).saturating_sub(kc).min(kb)
+    }
+}
+
+/// `Xᵀ · diag(γ) · X` for a row-major `m×n` batch `X`: the batch is the depth
+/// dimension, `A = Xᵀ` (an A panel is a 4-wide column read of `X`) and
+/// `B = diag(γ)·X` (a B panel is `X`'s rows scaled by their weights).
+struct GramPanels<'a> {
+    x: &'a [f64],
+    n: usize,
+    weights: &'a [f64],
+    stride: usize,
+}
+
+impl Panels for GramPanels<'_> {
+    const UPPER_C: bool = true;
+
+    fn pack_a(&self, i0: usize, kc: usize, kb: usize, out: &mut [f64]) {
+        pack_row_panel::<MR>(self.x, self.n, kc, kb, i0, MR.min(self.n - i0), out);
+    }
+
+    fn pack_b(&self, j0: usize, kc: usize, kb: usize, out: &mut [f64]) {
+        let w = NR.min(self.n - j0);
+        for (kk, slot) in out[..kb * NR].chunks_exact_mut(NR).enumerate() {
+            let r = kc + kk;
+            let g = self.weights[r * self.stride];
+            let xrow = &self.x[r * self.n + j0..r * self.n + j0 + w];
+            for (dst, &xv) in slot[..w].iter_mut().zip(xrow.iter()) {
+                *dst = g * xv;
+            }
+            slot[w..].fill(0.0);
+        }
+    }
+}
+
+/// Blocked `C_band += A[rows] · B` over depth `k`, where `c_band` holds the
+/// rows of the `n`-column `C` starting at absolute row `row0` (the parallel
+/// drivers hand each thread a disjoint, `MR`-aligned band).  Per-element
+/// accumulation order depends only on the `(k, n)` tiling — never on the
+/// banding or on a row's position in its panel — so any row split produces
+/// bits identical to the single-band call.  The `MR×NR` micro-kernel is
+/// [`simd::microkernel`] at the level `lv` the caller captured at entry.
+fn blocked_product_rows<P: Panels>(
+    p: &P,
+    k: usize,
+    n: usize,
+    row0: usize,
     c_band: &mut [f64],
     lv: SimdLevel,
 ) {
     let m = c_band.len() / n;
     let mut pa = vec![0.0f64; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
     let mut pb = vec![0.0f64; KC.min(k) * NC.min(n.next_multiple_of(NR))];
-    let mut jc = 0;
-    while jc < n {
+    let mut edge = [0.0f64; MR * NR];
+    for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        let n_full = nc / NR * NR;
-        let mut kc = 0;
-        while kc < k {
+        for kc in (0..k).step_by(KC) {
             let kb = KC.min(k - kc);
-            // pack the NR-wide panels of B for this (kc, jc) block
-            let mut j0 = 0;
-            while j0 < n_full {
-                pack_b_panel(b, n, kc, kb, jc + j0, &mut pb[j0 * kb..(j0 + NR) * kb]);
-                j0 += NR;
+            for j0 in (0..nc).step_by(NR) {
+                let depth = p.panel_depth(jc + j0, kc, kb);
+                p.pack_b(jc + j0, kc, depth, &mut pb[j0 * kb..j0 * kb + depth * NR]);
             }
-            let mut ic = 0;
-            while ic < m {
+            for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                let m_full = mc / MR * MR;
-                let mut i0 = 0;
-                while i0 < m_full {
-                    pack_a_panel(
-                        a,
-                        k,
-                        row0 + ic + i0,
-                        kc,
-                        kb,
-                        &mut pa[i0 * kb..(i0 + MR) * kb],
-                    );
-                    i0 += MR;
+                for i0 in (0..mc).step_by(MR) {
+                    p.pack_a(row0 + ic + i0, kc, kb, &mut pa[i0 * kb..(i0 + MR) * kb]);
                 }
-                let mut i0 = 0;
-                while i0 < m_full {
+                for i0 in (0..mc).step_by(MR) {
                     let pa_panel = &pa[i0 * kb..(i0 + MR) * kb];
-                    let mut j0 = 0;
-                    while j0 < n_full {
-                        simd::microkernel(
-                            lv,
-                            pa_panel,
-                            &pb[j0 * kb..(j0 + NR) * kb],
-                            kb,
-                            c_band,
-                            n,
-                            ic + i0,
-                            jc + j0,
-                        );
-                        j0 += NR;
-                    }
-                    // j remainder: per-row dot accumulation over this k block
-                    for j in jc + n_full..jc + nc {
-                        for r in 0..MR {
-                            let ai = row0 + ic + i0 + r;
-                            let arow = &a[ai * k + kc..ai * k + kc + kb];
-                            let mut s = 0.0;
-                            for (kk, &av) in arow.iter().enumerate() {
-                                s += av * b[(kc + kk) * n + j];
+                    let i = ic + i0;
+                    let rows = MR.min(m - i);
+                    for j0 in (0..nc).step_by(NR) {
+                        let j = jc + j0;
+                        if P::UPPER_C && row0 + i >= j + NR {
+                            continue;
+                        }
+                        let depth = p.panel_depth(j, kc, kb);
+                        let pb_panel = &pb[j0 * kb..j0 * kb + depth * NR];
+                        let cols = NR.min(n - j);
+                        let straddles = P::UPPER_C && row0 + i + MR > j + 1;
+                        if rows == MR && cols == NR && !straddles {
+                            simd::microkernel(lv, pa_panel, pb_panel, depth, c_band, n, i, j);
+                            continue;
+                        }
+                        edge.fill(0.0);
+                        simd::microkernel(lv, pa_panel, pb_panel, depth, &mut edge, NR, 0, 0);
+                        for r in 0..rows {
+                            let first = if P::UPPER_C {
+                                (row0 + i + r).saturating_sub(j).min(cols)
+                            } else {
+                                0
+                            };
+                            let crow = &mut c_band[(i + r) * n + j..(i + r) * n + j + cols];
+                            for (dst, &v) in crow[first..].iter_mut().zip(&edge[r * NR + first..]) {
+                                *dst += v;
                             }
-                            c_band[(ic + i0 + r) * n + j] += s;
                         }
                     }
-                    i0 += MR;
                 }
-                // i remainder: plain axpy rows (only the final rows of C)
-                for i in m_full..mc {
-                    let ai = row0 + ic + i;
-                    let arow = &a[ai * k + kc..ai * k + kc + kb];
-                    for (kk, &aik) in arow.iter().enumerate() {
-                        let brow = &b[(kc + kk) * n + jc..(kc + kk) * n + jc + nc];
-                        let crow = &mut c_band[(ic + i) * n + jc..(ic + i) * n + jc + nc];
-                        simd::axpy(lv, aik, brow, crow);
-                    }
-                }
-                ic += mc;
             }
-            kc += kb;
         }
-        jc += nc;
     }
 }
 
@@ -676,6 +961,8 @@ mod tests {
             (5, 9, 17),
             (33, 47, 29),
             (65, 70, 130),
+            (257, 85, 85), // padded edge panels on both axes, MC remainder
+            (6, 300, 26),  // straddles KC with a padded column panel
         ] {
             let a = pseudo(mm, kk, 1);
             let b = pseudo(kk, nn, 2);
@@ -710,21 +997,252 @@ mod tests {
         let a = pseudo(m, k, 11);
         let b = pseudo(k, n, 12);
         let lv = simd::current_level();
-        let mut single = Matrix::zeros(m, n);
-        blocked_matmul_rows(
-            a.as_slice(),
+        let panels = DensePanels {
+            a: a.as_slice(),
+            m,
             k,
-            0,
-            b.as_slice(),
+            b: b.as_slice(),
             n,
-            single.as_mut_slice(),
-            lv,
-        );
+        };
+        let mut single = Matrix::zeros(m, n);
+        blocked_product_rows(&panels, k, n, 0, single.as_mut_slice(), lv);
         let mut banded = Matrix::zeros(m, n);
         policy::par_row_bands_with_threads(4, banded.as_mut_slice(), n, MR, |first_row, band| {
-            blocked_matmul_rows(a.as_slice(), k, first_row, b.as_slice(), n, band, lv);
+            blocked_product_rows(&panels, k, n, first_row, band, lv);
         });
         assert_eq!(single, banded, "band split changed bits");
+    }
+
+    /// The shapes the structured products are pinned on: widths around the
+    /// `NR` panel (incl. the benchmark's 26 and 85) × row counts straddling
+    /// `MR` and `KC`.
+    const WIDTHS: [usize; 7] = [1, 3, 5, 8, 26, 85, 130];
+    const ROWS: [usize; 10] = [0, 1, 3, 4, 5, 255, 256, 257, 1024, 1025];
+
+    /// An upper-triangular `n×n` factor whose lower triangle is NaN: a kernel
+    /// that reads below the diagonal poisons its output.
+    fn upper_with_nan_below(n: usize, salt: u64) -> Matrix {
+        let mut u = pseudo(n, n, salt);
+        for i in 0..n {
+            for j in 0..i {
+                u[(i, j)] = f64::NAN;
+            }
+        }
+        u
+    }
+
+    fn max_abs(v: &[f64]) -> f64 {
+        v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
+    }
+
+    #[test]
+    fn upper_product_matches_naive_and_never_reads_below_the_diagonal() {
+        for &n in &WIDTHS {
+            let u = upper_with_nan_below(n, 40 + n as u64);
+            for &m in &ROWS {
+                let a = pseudo(m, n, 41);
+                let seed_c = pseudo(m, n, 42); // nonzero C exercises accumulation
+                let mut reference = seed_c.clone();
+                matmul_upper_acc_with(
+                    KernelPolicy::Naive,
+                    a.as_slice(),
+                    &u,
+                    reference.as_mut_slice(),
+                );
+                assert!(
+                    reference.as_slice().iter().all(|v| v.is_finite()),
+                    "naive read below the diagonal at {m}x{n}"
+                );
+                // independent cross-check: the full product against U with an
+                // explicit zero lower triangle
+                let mut u0 = u.clone();
+                for i in 0..n {
+                    for j in 0..i {
+                        u0[(i, j)] = 0.0;
+                    }
+                }
+                let mut full = seed_c.clone();
+                matmul_acc_with(KernelPolicy::Naive, &a, &u0, &mut full);
+                assert!(
+                    reference.max_abs_diff(&full) < 1e-12,
+                    "{m}x{n} vs full GEMM"
+                );
+                for p in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
+                    let mut c = seed_c.clone();
+                    matmul_upper_acc_with(p, a.as_slice(), &u, c.as_mut_slice());
+                    let diff = reference.max_abs_diff(&c);
+                    assert!(diff < 1e-12, "{p} diverged on {m}x{n}: {diff}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_syrk_matches_naive_and_leaves_the_lower_triangle_alone() {
+        for &n in &WIDTHS {
+            for &m in &ROWS {
+                let x = pseudo(m, n, 50);
+                // weights read at stride 3 from offset 1 of a wider buffer
+                let stride = 3;
+                let mut rng = crate::testutil::TestRng::new(51);
+                let wbuf = rng.vec_in(m * stride + 1, 0.0, 1.0);
+                let weights = &wbuf[1..];
+                // the lower triangle starts as NaN: never read, never written
+                let mut seed_c = pseudo(n, n, 52);
+                for i in 0..n {
+                    for j in 0..i {
+                        seed_c[(i, j)] = f64::NAN;
+                    }
+                }
+                let mut reference = seed_c.clone();
+                syrk_upper_acc_with(
+                    KernelPolicy::Naive,
+                    x.as_slice(),
+                    weights,
+                    stride,
+                    &mut reference,
+                );
+                // "today's GER order on the upper triangle": one full rank-1
+                // update per row reproduces the naive upper triangle bit for bit
+                let mut gers = seed_c.clone();
+                for r in 0..m {
+                    ger_with(
+                        KernelPolicy::Naive,
+                        weights[r * stride],
+                        x.row(r),
+                        x.row(r),
+                        &mut gers,
+                    );
+                }
+                let scale = 1.0 + max_abs(x.as_slice()).powi(2) * m as f64;
+                for p in KernelPolicy::ALL {
+                    let mut c = seed_c.clone();
+                    syrk_upper_acc_with(p, x.as_slice(), weights, stride, &mut c);
+                    for i in 0..n {
+                        for j in 0..n {
+                            if j < i {
+                                assert!(c[(i, j)].is_nan(), "{p} wrote ({i},{j}) at {m}x{n}");
+                                continue;
+                            }
+                            let diff = (c[(i, j)] - reference[(i, j)]).abs();
+                            assert!(
+                                diff < 1e-12 * scale,
+                                "{p} diverged at ({i},{j}) on {m}x{n}: {diff}"
+                            );
+                        }
+                    }
+                }
+                for i in 0..n {
+                    for j in i..n {
+                        assert_eq!(
+                            reference[(i, j)].to_bits(),
+                            gers[(i, j)].to_bits(),
+                            "naive SYRK is not GER order at ({i},{j}) on {m}x{n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_syrk_handles_zero_denormal_and_equal_weights() {
+        let (m, n) = (257usize, 26usize);
+        let x = pseudo(m, n, 60);
+        let denormal = f64::MIN_POSITIVE / 4.0;
+        for (label, weights) in [
+            ("zero", vec![0.0; m]),
+            ("denormal", vec![denormal; m]),
+            ("equal", vec![0.375; m]),
+        ] {
+            let mut reference = Matrix::zeros(n, n);
+            syrk_upper_acc_with(
+                KernelPolicy::Naive,
+                x.as_slice(),
+                &weights,
+                1,
+                &mut reference,
+            );
+            let mut c = Matrix::zeros(n, n);
+            syrk_upper_acc_with(KernelPolicy::Blocked, x.as_slice(), &weights, 1, &mut c);
+            assert!(c.as_slice().iter().all(|v| v.is_finite()), "{label}");
+            let diff = reference.max_abs_diff(&c);
+            assert!(diff < 1e-12, "{label}: {diff}");
+            if label == "zero" {
+                assert_eq!(c, Matrix::zeros(n, n));
+            }
+        }
+    }
+
+    #[test]
+    fn structured_products_are_bit_identical_across_bands_and_simd_levels() {
+        let (m, n) = (261usize, 85usize); // remainders on every axis
+        let a = pseudo(m, n, 70);
+        let u = upper_with_nan_below(n, 71);
+        let weights = pseudo_weights(m, 72);
+
+        let upper = |policy: KernelPolicy| {
+            let mut c = vec![0.0; m * n];
+            matmul_upper_acc_with(policy, a.as_slice(), &u, &mut c);
+            c
+        };
+        let syrk = |policy: KernelPolicy| {
+            let mut c = Matrix::zeros(n, n);
+            syrk_upper_acc_with(policy, a.as_slice(), &weights, 1, &mut c);
+            c
+        };
+        let blocked = (upper(KernelPolicy::Blocked), syrk(KernelPolicy::Blocked));
+        // a genuine 4-way band split, also on a 1-core machine
+        let parallel = policy::with_threads(4, || {
+            (
+                upper(KernelPolicy::BlockedParallel),
+                syrk(KernelPolicy::BlockedParallel),
+            )
+        });
+        assert_eq!(blocked, parallel, "band split changed bits");
+        let scalar = simd::with_level(SimdLevel::Scalar, || {
+            (upper(KernelPolicy::Blocked), syrk(KernelPolicy::Blocked))
+        });
+        let lanes = simd::with_level(SimdLevel::Lanes, || {
+            (upper(KernelPolicy::Blocked), syrk(KernelPolicy::Blocked))
+        });
+        assert_eq!(scalar, lanes, "SIMD off and lanes differ");
+    }
+
+    fn pseudo_weights(m: usize, salt: u64) -> Vec<f64> {
+        crate::testutil::TestRng::new(salt).vec_in(m, 0.0, 1.0)
+    }
+
+    #[test]
+    fn a_rows_product_does_not_depend_on_its_position_in_the_batch() {
+        // Padded edge panels: the last rows of a batch run the same
+        // micro-kernel as the first, so splitting a batch anywhere leaves
+        // every row's bits unchanged.
+        let (m, n) = (11usize, 85usize);
+        let a = pseudo(m, n, 80);
+        let u = upper_with_nan_below(n, 81);
+        let mut whole = vec![0.0; m * n];
+        matmul_upper_acc_with(KernelPolicy::Blocked, a.as_slice(), &u, &mut whole);
+        for r in 0..m {
+            let mut single = vec![0.0; n];
+            matmul_upper_acc_with(KernelPolicy::Blocked, a.row(r), &u, &mut single);
+            assert_eq!(&whole[r * n..(r + 1) * n], &single[..], "row {r}");
+        }
+    }
+
+    #[test]
+    fn row_sq_norms_match_dot_products() {
+        let y = pseudo(7, 13, 90);
+        for p in KernelPolicy::ALL {
+            let mut out = vec![f64::NAN; 7];
+            row_sq_norms_with(p, y.as_slice(), 13, &mut out);
+            for (r, &v) in out.iter().enumerate() {
+                assert!(v >= 0.0);
+                assert!(approx_eq(v, vector::dot(y.row(r), y.row(r)), 1e-12), "{p}");
+            }
+        }
+        let mut none: [f64; 0] = [];
+        row_sq_norms_with(KernelPolicy::Blocked, &[], 5, &mut none);
     }
 
     #[test]

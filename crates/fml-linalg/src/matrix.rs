@@ -248,6 +248,18 @@ impl Matrix {
         }
     }
 
+    /// Copies the upper triangle onto the lower one (`a[j][i] = a[i][j]` for
+    /// `j > i`) — the closing step of an accumulation that only maintained
+    /// the upper triangle ([`crate::gemm::syrk_upper_acc_with`]).
+    pub fn mirror_upper(&mut self) {
+        assert!(self.is_square(), "mirror_upper: matrix must be square");
+        for i in 0..self.rows {
+            for j in (i + 1)..self.cols {
+                self[(j, i)] = self[(i, j)];
+            }
+        }
+    }
+
     /// Adds `value` to every diagonal entry (ridge/regularization term).
     pub fn add_diag(&mut self, value: f64) {
         let n = self.rows.min(self.cols);

@@ -442,8 +442,29 @@ pub fn par_row_bands_with_threads<F>(
 ) where
     F: Fn(usize, &mut [f64]) + Sync,
 {
+    par_row_bands_map_with_threads(threads, data, row_len, align_rows, f);
+}
+
+/// [`par_row_bands_with_threads`] for bands that also *return* something:
+/// each band writes its disjoint rows of `data` and yields a partial result,
+/// and the partials come back **in band order** — the
+/// [`par_chunks_with_threads`] merge contract and the row-band write
+/// contract in one fan-out.  The band boundaries are
+/// [`chunk_ranges`]`(rows, threads, align_rows)`, the same split
+/// `par_chunks_with_threads` makes of `0..rows`.
+pub fn par_row_bands_map_with_threads<T, F>(
+    threads: usize,
+    data: &mut [f64],
+    row_len: usize,
+    align_rows: usize,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut [f64]) -> T + Sync,
+{
     if data.is_empty() {
-        return;
+        return Vec::new();
     }
     assert!(
         row_len > 0 && data.len().is_multiple_of(row_len),
@@ -452,23 +473,29 @@ pub fn par_row_bands_with_threads<F>(
     let rows = data.len() / row_len;
     let ranges = chunk_ranges(rows, threads, align_rows);
     if ranges.len() <= 1 {
-        f(0, data);
-        return;
+        return vec![f(0, data)];
     }
     // Bands are disjoint `split_at_mut` slices, so the pool tasks never
-    // alias; determinism comes from the band boundaries alone.
+    // alias; determinism comes from the band boundaries alone, and each band
+    // fills its own slot, so the results are in band order whoever ran them.
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(ranges.len());
+    slots.resize_with(ranges.len(), || None);
     let mut rest = data;
     let mut tasks = Vec::with_capacity(ranges.len());
-    for range in ranges {
+    for (slot, range) in slots.iter_mut().zip(ranges) {
         let band_len = (range.end - range.start) * row_len;
         let (band, tail) = rest.split_at_mut(band_len);
         rest = tail;
         let f = &f;
         let first_row = range.start;
-        tasks.push(move || f(first_row, band));
+        tasks.push(move || *slot = Some(f(first_row, band)));
     }
     debug_assert!(rest.is_empty());
     crate::pool::run(tasks);
+    slots
+        .into_iter()
+        .map(|s| s.expect("pool task completed"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -100,6 +100,109 @@ fn matmul_policies_match_naive_across_shapes() {
     }
 }
 
+/// `(rows, width)` shapes for the structured products: the `awkward_shapes`
+/// grid reused as `m × n` (its `k` axis is implied), minus zero widths.
+fn batch_shapes(g: &mut Gen) -> Vec<(usize, usize)> {
+    let mut shapes: Vec<(usize, usize)> = awkward_shapes(g)
+        .into_iter()
+        .map(|(m, _, n)| (m, n.max(1)))
+        .collect();
+    shapes.extend([(257, 26), (300, 85), (1, 9)]);
+    shapes
+}
+
+/// Runs `f` under both bit-exact SIMD levels and asserts identical bits.
+fn same_bits_at_both_exact_levels(label: &str, f: impl Fn() -> Vec<f64>) {
+    let scalar = simd::with_level(SimdLevel::Scalar, &f);
+    let lanes = simd::with_level(SimdLevel::Lanes, &f);
+    let same = scalar
+        .iter()
+        .zip(lanes.iter())
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(same, "{label}: SIMD off and lanes differ");
+}
+
+#[test]
+fn upper_triangular_product_matches_naive_across_shapes() {
+    let mut g = Gen::new(21);
+    for (case, (m, n)) in batch_shapes(&mut g).into_iter().enumerate() {
+        let a = g.vec(m * n);
+        let mut u = g.matrix(n, n);
+        for i in 0..n {
+            for j in 0..i {
+                u[(i, j)] = f64::NAN; // never read
+            }
+        }
+        let seed_c = g.vec(m * n);
+        let mut reference = seed_c.clone();
+        gemm::matmul_upper_acc_with(KernelPolicy::Naive, &a, &u, &mut reference);
+        let run = |p: KernelPolicy| {
+            let mut c = seed_c.clone();
+            gemm::matmul_upper_acc_with(p, &a, &u, &mut c);
+            c
+        };
+        let blocked = run(KernelPolicy::Blocked);
+        for (r, v) in reference.iter().zip(blocked.iter()) {
+            assert!(
+                (r - v).abs() < TEST_EPS * (n as f64 + 1.0),
+                "case {case} {m}x{n}: {r} vs {v}"
+            );
+        }
+        // a forced 3-way band split must not move a bit
+        let banded = fml_linalg::policy::with_threads(3, || run(KernelPolicy::BlockedParallel));
+        assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
+        same_bits_at_both_exact_levels("upper product", || run(KernelPolicy::Blocked));
+    }
+}
+
+#[test]
+fn weighted_syrk_matches_naive_across_shapes_and_strides() {
+    let mut g = Gen::new(22);
+    for (case, (m, n)) in batch_shapes(&mut g).into_iter().enumerate() {
+        let x = g.vec(m * n);
+        let stride = g.range(1, 6);
+        let offset = g.range(0, stride);
+        // non-negative weights with exact zeros mixed in, read strided
+        let wbuf: Vec<f64> = (0..m * stride + offset + 1)
+            .map(|_| {
+                if g.range(0, 4) == 0 {
+                    0.0
+                } else {
+                    g.f64().abs()
+                }
+            })
+            .collect();
+        let weights = &wbuf[offset..];
+        let seed_c = g.matrix(n, n);
+        let mut reference = seed_c.clone();
+        gemm::syrk_upper_acc_with(KernelPolicy::Naive, &x, weights, stride, &mut reference);
+        let run = |p: KernelPolicy| {
+            let mut c = seed_c.clone();
+            gemm::syrk_upper_acc_with(p, &x, weights, stride, &mut c);
+            c.into_vec()
+        };
+        let blocked = run(KernelPolicy::Blocked);
+        for i in 0..n {
+            for j in 0..n {
+                let (r, v) = (reference[(i, j)], blocked[i * n + j]);
+                if j < i {
+                    // below the diagonal: untouched under every policy
+                    assert_eq!(v.to_bits(), seed_c[(i, j)].to_bits(), "case {case}");
+                    assert_eq!(r.to_bits(), seed_c[(i, j)].to_bits(), "case {case}");
+                } else {
+                    assert!(
+                        (r - v).abs() < TEST_EPS * (m as f64 + 1.0),
+                        "case {case} {m}x{n} ({i},{j}): {r} vs {v}"
+                    );
+                }
+            }
+        }
+        let banded = fml_linalg::policy::with_threads(3, || run(KernelPolicy::BlockedParallel));
+        assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
+        same_bits_at_both_exact_levels("weighted syrk", || run(KernelPolicy::Blocked));
+    }
+}
+
 #[test]
 fn matvec_policies_match_naive_across_shapes() {
     let mut g = Gen::new(2);
@@ -745,37 +848,6 @@ fn block_scatter_policies_match_naive() {
                 "case {case} {p} tiled"
             );
         }
-    }
-}
-
-#[test]
-fn scatter_merge_matches_sequential_accumulation() {
-    let mut g = Gen::new(5);
-    for case in 0..16 {
-        let sizes = g.partition();
-        let partition = BlockPartition::new(&sizes);
-        let d = partition.total_dim();
-        let xs: Vec<Vec<f64>> = (0..10).map(|_| g.vec(d)).collect();
-
-        let mut sequential = BlockScatter::new(partition.clone());
-        for x in &xs {
-            sequential.add_dense(1.0, x);
-        }
-
-        // two workers over a fixed split, merged in worker order
-        let mut w0 = BlockScatter::new(partition.clone());
-        let mut w1 = BlockScatter::new(partition.clone());
-        for x in &xs[..5] {
-            w0.add_dense(1.0, x);
-        }
-        for x in &xs[5..] {
-            w1.add_dense(1.0, x);
-        }
-        w0.merge_from(&w1);
-        assert!(
-            sequential.matrix().max_abs_diff(w0.matrix()) < TEST_EPS,
-            "case {case}"
-        );
     }
 }
 
