@@ -4,9 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fml_linalg::block::{BlockPartition, BlockScatter};
+use fml_linalg::KernelPolicy;
 
 fn scatter_dense(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> BlockScatter {
-    let mut sc = BlockScatter::new(partition.clone());
+    let mut sc = BlockScatter::new_with(partition.clone(), KernelPolicy::Blocked);
     for x_s in xs {
         let joined: Vec<f64> = x_s.iter().chain(x_r.iter()).copied().collect();
         sc.add_dense(0.5, &joined);
@@ -15,7 +16,7 @@ fn scatter_dense(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> Bl
 }
 
 fn scatter_factorized(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> BlockScatter {
-    let mut sc = BlockScatter::new(partition.clone());
+    let mut sc = BlockScatter::new_with(partition.clone(), KernelPolicy::Blocked);
     let mut gamma_sum = 0.0;
     let mut weighted = vec![0.0; partition.size(0)];
     for x_s in xs {

@@ -1,15 +1,15 @@
 //! Micro-benchmarks of the sparse kernels against their dense counterparts,
-//! swept over block occupancy (1%–50%) and [`KernelPolicy`].
+//! swept over block occupancy (1%–50%) and both kernel arithmetics (`Naive`,
+//! `Blocked` — the kernels treat `BlockedParallel` as `Blocked`).
 //!
 //! Four kernel families are measured:
 //!
 //! * `spmm` — one-hot × dense block product: dense GEMM
-//!   ([`gemm::matmul_acc_with`]) vs the zero-skipping scan
-//!   ([`gemm::matmul_acc_sparse_with`]) vs the index-form gather
+//!   ([`gemm::matmul_acc_with`]) vs the index-form gather
 //!   ([`sparse::spmm_onehot_with`]).
 //! * `spmm_csr` — **weighted** sparse × dense block product, swept over
-//!   occupancy with general values: dense GEMM vs zero-skip vs the CSR
-//!   kernel ([`csr::spmm_csr_with`]).
+//!   occupancy with general values: dense GEMM vs the CSR kernel
+//!   ([`csr::spmm_csr_with`]).
 //! * `ger` — the NN first-layer gradient on a `width × n_h` embedding table:
 //!   dense GER `x·δᵀ` ([`gemm::ger_with`]) vs the one-hot row scatter the
 //!   trainers run ([`sparse::ger_onehot_with`]).
@@ -39,6 +39,9 @@ struct BenchResult {
     policy: &'static str,
     mean_ns: f64,
 }
+
+/// The two arithmetics a kernel has; what a fit executes under any policy.
+const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Naive, KernelPolicy::Blocked];
 
 fn smoke() -> bool {
     std::env::var("FML_BENCH_SMOKE")
@@ -118,7 +121,7 @@ fn bench_spmm(results: &mut Vec<BenchResult>) {
         let mut c = Matrix::zeros(rows, n);
         let size = format!("{rows}x{width}x{n}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in KernelPolicy::ALL {
+        for policy in POLICIES {
             let mean_ns = measure(|| {
                 c.fill_zero();
                 gemm::matmul_acc_with(policy, &x, &b, &mut c);
@@ -128,18 +131,6 @@ fn bench_spmm(results: &mut Vec<BenchResult>) {
                 size: size.clone(),
                 occupancy,
                 variant: "dense",
-                policy: policy.label(),
-                mean_ns,
-            });
-            let mean_ns = measure(|| {
-                c.fill_zero();
-                gemm::matmul_acc_sparse_with(policy, &x, &b, &mut c);
-            });
-            results.push(BenchResult {
-                kernel: "spmm".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "zero_skip",
                 policy: policy.label(),
                 mean_ns,
             });
@@ -212,7 +203,7 @@ fn bench_spmm_csr(results: &mut Vec<BenchResult>) {
         let mut c = Matrix::zeros(rows, n);
         let size = format!("{rows}x{width}x{n}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in KernelPolicy::ALL {
+        for policy in POLICIES {
             let mean_ns = measure(|| {
                 c.fill_zero();
                 gemm::matmul_acc_with(policy, &dense_x, &b, &mut c);
@@ -222,18 +213,6 @@ fn bench_spmm_csr(results: &mut Vec<BenchResult>) {
                 size: size.clone(),
                 occupancy,
                 variant: "dense",
-                policy: policy.label(),
-                mean_ns,
-            });
-            let mean_ns = measure(|| {
-                c.fill_zero();
-                gemm::matmul_acc_sparse_with(policy, &dense_x, &b, &mut c);
-            });
-            results.push(BenchResult {
-                kernel: "spmm_csr".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "zero_skip",
                 policy: policy.label(),
                 mean_ns,
             });
@@ -262,7 +241,7 @@ fn bench_ger(results: &mut Vec<BenchResult>) {
         let mut a = Matrix::zeros(width, nh);
         let size = format!("{width}x{nh}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in KernelPolicy::ALL {
+        for policy in POLICIES {
             let mean_ns = measure(|| gemm::ger_with(policy, 0.5, &xrow, &delta, &mut a));
             results.push(BenchResult {
                 kernel: "ger".into(),
@@ -293,7 +272,7 @@ fn bench_quadratic_form(results: &mut Vec<BenchResult>) {
         let a = pseudo_matrix(width, width, 6);
         let size = format!("{width}x{width}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in KernelPolicy::ALL {
+        for policy in POLICIES {
             let mean_ns = measure(|| {
                 std::hint::black_box(gemm::quadratic_form_sym_with(policy, &xrow, &a));
             });
@@ -341,8 +320,7 @@ fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
     let path = root.join("BENCH_sparse.json");
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"harness\": \"sparse_kernels\",");
-    // Machine stamp: the `parallel` rows mean nothing without the core count
-    // they ran on.
+    // Machine stamp: a timing row means nothing without what it ran on.
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = writeln!(
         out,

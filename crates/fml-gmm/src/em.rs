@@ -258,9 +258,6 @@ pub fn train_dense_from(
     let start = Instant::now();
     let opts = EmOptions::from(config);
     let ex = exec.resolve();
-    // Kernels invoked under a parallel policy on this thread fan out to
-    // exactly the resolved thread count while training runs.
-    let _kernel_threads = ex.kernel_thread_scope();
     // The resolved observability mode governs instrumentation on every
     // thread this run touches (pool workers, storage scans).
     let _obs = ex.obs_scope();
@@ -276,11 +273,11 @@ pub fn train_dense_from(
     let mut iterations = 0;
     let mut gammas: Vec<f64> = Vec::with_capacity((n as usize) * k);
 
-    // Kernels run single-threaded inside the per-chunk workers; the
-    // parallelism lives at the tuple-batch level.  Fanning out only pays when a
-    // batch carries enough flops to amortize the pool dispatch, so tiny models
-    // — and every sequential policy — run each batch inline as one chunk.
-    let kp = ex.kernel_policy.sequential();
+    // Kernels are sequential; the parallelism lives at the tuple-batch
+    // level.  Fanning out only pays when a batch carries enough flops to
+    // amortize the pool dispatch, so tiny models — and every sequential
+    // policy — run each batch inline as one chunk.
+    let kp = ex.kernel_policy;
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);
     let auto_sparse = ex.sparse == SparseMode::Auto;

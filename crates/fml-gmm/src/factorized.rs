@@ -103,9 +103,6 @@ impl FactorizedGmm {
     ) -> StoreResult<GmmFit> {
         let start = Instant::now();
         let ex = exec.resolve();
-        // Kernels invoked under a parallel policy on this thread fan out to
-        // exactly the resolved thread count while training runs.
-        let _kernel_threads = ex.kernel_thread_scope();
         // The resolved observability mode governs instrumentation on every
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
@@ -128,7 +125,7 @@ impl FactorizedGmm {
         let mut iterations = 0;
         let mut gammas: Vec<f64> = Vec::with_capacity(n as usize * k);
 
-        let kp = ex.kernel_policy.sequential();
+        let kp = ex.kernel_policy;
         // Fan out only when per-fact work can amortize the pool dispatch.
         let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_FACT_FLOPS;
         let workers = ex.workers(par);

@@ -2,7 +2,7 @@
 
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
 use fml_linalg::cholesky::Cholesky;
-use fml_linalg::{gemm, sym, vector, Matrix, Vector};
+use fml_linalg::{gemm, sym, vector, KernelPolicy, Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
 /// A Gaussian mixture model with full (non-diagonal) covariance matrices.
@@ -289,7 +289,8 @@ impl Precomputed {
         let mut centered = vec![0.0; x.len()];
         for (k, ld) in log_dens.iter_mut().enumerate() {
             vector::sub_into(x, self.means[k].as_slice(), &mut centered);
-            let quad = gemm::quadratic_form_sym(&centered, &self.inverses[k]);
+            let quad =
+                gemm::quadratic_form_sym_with(KernelPolicy::Blocked, &centered, &self.inverses[k]);
             *ld = self.log_norm[k] - 0.5 * quad;
         }
         self.finish_responsibilities(&mut log_dens)
@@ -418,7 +419,7 @@ mod tests {
         let m = simple_model();
         let pre = Precomputed::from_model(&m, 0.0);
         let p = BlockPartition::binary(1, 1);
-        let forms = pre.block_forms_with(&p, fml_linalg::KernelPolicy::default());
+        let forms = pre.block_forms_with(&p, KernelPolicy::Blocked);
         assert_eq!(forms.len(), 2);
         let means = pre.split_means(&p);
         assert_eq!(means[1][0], vec![5.0]);
@@ -430,7 +431,8 @@ mod tests {
             .zip(m.means[0].iter())
             .map(|(a, b)| a - b)
             .collect();
-        let dense = gemm::quadratic_form_sym(&centered, &pre.inverses[0]);
+        let dense =
+            gemm::quadratic_form_sym_with(KernelPolicy::Blocked, &centered, &pre.inverses[0]);
         let blocked = forms[0].eval_dense(&centered);
         assert!(approx_eq(dense, blocked, 1e-12));
     }

@@ -113,7 +113,13 @@ fn per_row_em(rows: &[Vec<f64>], initial: &GmmModel, iters: usize, ridge: f64) -
         for (x, g) in rows.iter().zip(gammas.chunks_exact(k)) {
             for c in 0..k {
                 vector::sub_into(x, new_means[c].as_slice(), &mut centered);
-                gemm::ger(g[c], &centered, &centered, &mut scatter[c]);
+                gemm::ger_with(
+                    KernelPolicy::Blocked,
+                    g[c],
+                    &centered,
+                    &centered,
+                    &mut scatter[c],
+                );
             }
         }
         model = finalize_m_step(&nk, mean_sums, scatter, n as u64, ridge);
@@ -210,7 +216,13 @@ fn a_repaired_covariance_whitens_with_the_repaired_factor() {
     let k = 5;
     let rank_one = {
         let mut m = Matrix::zeros(3, 3);
-        gemm::ger(1.0, &[1.0, 2.0, -1.0], &[1.0, 2.0, -1.0], &mut m);
+        gemm::ger_with(
+            KernelPolicy::Blocked,
+            1.0,
+            &[1.0, 2.0, -1.0],
+            &[1.0, 2.0, -1.0],
+            &mut m,
+        );
         m
     };
     assert!(fml_linalg::Cholesky::factor(&rank_one).is_err());
@@ -224,7 +236,7 @@ fn a_repaired_covariance_whitens_with_the_repaired_factor() {
     let pre = Precomputed::from_model(&initial, ridge);
     for c in 0..k {
         let u = pre.whitener(c);
-        let uut = gemm::matmul(&u, &u.transpose());
+        let uut = gemm::matmul_with(KernelPolicy::Blocked, &u, &u.transpose());
         let scale = pre.inverses[c]
             .as_slice()
             .iter()

@@ -140,13 +140,8 @@ pub struct BlockQuadraticForm {
 }
 
 impl BlockQuadraticForm {
-    /// Partitions the (typically `Σ⁻¹`) matrix `a` according to `partition`,
-    /// evaluating with the process-default [`KernelPolicy`].
-    pub fn new(partition: BlockPartition, a: &Matrix) -> Self {
-        Self::new_with(partition, a, KernelPolicy::default())
-    }
-
-    /// Partitions `a` and pins the kernel policy used for every evaluation.
+    /// Partitions the (typically `Σ⁻¹`) matrix `a` according to `partition`
+    /// and pins the kernel policy used for every evaluation.
     pub fn new_with(partition: BlockPartition, a: &Matrix, policy: KernelPolicy) -> Self {
         let blocks = partition.partition_matrix(a);
         Self {
@@ -177,74 +172,6 @@ impl BlockQuadraticForm {
         gemm::quadratic_form_with(self.policy, pd_i, &self.blocks[i][j], pd_j)
     }
 
-    /// [`term`](Self::term) dispatching on the block representation: one-hot
-    /// sides degenerate into row/column gathers of `A_{ij}`
-    /// ([`sparse::quadratic_form_onehot`] and friends), CSR sides into their
-    /// weighted counterparts ([`csr::quadratic_form_csr`] etc.), dense/dense
-    /// falls back to the dense kernel.  Sparse inputs reproduce the dense
-    /// naive result bit-for-bit (see [`crate::sparse`] and [`crate::csr`]).
-    pub fn term_rep(&self, i: usize, j: usize, u: BlockVec<'_>, v: BlockVec<'_>) -> f64 {
-        let a = &self.blocks[i][j];
-        match (u, v) {
-            (BlockVec::Dense(u), BlockVec::Dense(v)) => {
-                gemm::quadratic_form_with(self.policy, u, a, v)
-            }
-            (BlockVec::OneHot(idx), BlockVec::Dense(v)) => {
-                sparse::quadratic_form_onehot_with(self.policy, idx, a, v)
-            }
-            (BlockVec::Csr { idx, vals }, BlockVec::Dense(v)) => {
-                csr::quadratic_form_csr_with(self.policy, idx, vals, a, v)
-            }
-            (BlockVec::Dense(u), BlockVec::OneHot(idx)) => {
-                // uᵀ A e_idx = u · (A·e_idx): gather-sum the selected columns,
-                // then one dense dot.
-                let w = sparse::matvec_onehot_with(self.policy, a, idx);
-                crate::vector::dot(u, &w)
-            }
-            (BlockVec::Dense(u), BlockVec::Csr { idx, vals }) => {
-                let w = csr::matvec_csr_with(self.policy, a, idx, vals);
-                crate::vector::dot(u, &w)
-            }
-            (BlockVec::OneHot(ridx), BlockVec::OneHot(cidx)) => {
-                sparse::quadratic_form_onehot_pair(ridx, a, cidx)
-            }
-            (BlockVec::Csr { idx, vals }, BlockVec::Csr { idx: ci, vals: cv }) => {
-                csr::quadratic_form_csr_pair(idx, vals, a, ci, cv)
-            }
-            // Mixed one-hot/CSR pairs: one generic weighted pair loop shared
-            // by both orientations, treating one-hot values as 1.0
-            // (`1.0·x` and `x·1.0` are bitwise no-ops, so this is an exact
-            // generalization of the specialized pair kernels above).
-            (u, v) => {
-                let (ridx, rvals) = match u {
-                    BlockVec::OneHot(idx) => (idx, None),
-                    BlockVec::Csr { idx, vals } => (idx, Some(vals)),
-                    BlockVec::Dense(_) => unreachable!("dense pairs handled above"),
-                };
-                let (cidx, cvals) = match v {
-                    BlockVec::OneHot(idx) => (idx, None),
-                    BlockVec::Csr { idx, vals } => (idx, Some(vals)),
-                    BlockVec::Dense(_) => unreachable!("dense pairs handled above"),
-                };
-                sparse::check_block_indices(ridx, a.rows(), "term_rep u");
-                sparse::check_block_indices(cidx, a.cols(), "term_rep v");
-                sparse::record_onehot_call();
-                csr::record_csr_call();
-                let mut acc = 0.0;
-                for (t, &i) in ridx.iter().enumerate() {
-                    let row = a.row(i as usize);
-                    let mut inner = 0.0;
-                    for (u, &j) in cidx.iter().enumerate() {
-                        let term = row[j as usize];
-                        inner += cvals.map_or(term, |v| term * v[u]);
-                    }
-                    acc += rvals.map_or(inner, |v| v[t] * inner);
-                }
-                acc
-            }
-        }
-    }
-
     /// Pre-multiplies block `(i, j)` with `pd_j`: returns `A_{ij} · pd_j`.
     ///
     /// The factorized E-step caches, per distinct `R` tuple, the vector
@@ -254,31 +181,19 @@ impl BlockQuadraticForm {
         gemm::matvec_with(self.policy, &self.blocks[i][j], pd_j)
     }
 
-    /// Evaluates the full quadratic form `Σ_{ij} pd_iᵀ A_{ij} pd_j` from per-block
-    /// slices (Equation 19).
-    pub fn eval_parts(&self, parts: &[&[f64]]) -> f64 {
-        assert_eq!(
-            parts.len(),
-            self.partition.num_blocks(),
-            "eval_parts: expected {} parts, got {}",
-            self.partition.num_blocks(),
-            parts.len()
-        );
-        let q = parts.len();
+    /// Evaluates the full quadratic form `Σ_{ij} pd_iᵀ A_{ij} pd_j`
+    /// (Equation 19) on an unpartitioned dense vector, splitting it
+    /// internally.  Useful in tests comparing against
+    /// [`gemm::quadratic_form_sym_with`].
+    pub fn eval_dense(&self, x: &[f64]) -> f64 {
+        let parts = self.partition.split(x);
         let mut acc = 0.0;
-        for i in 0..q {
-            for j in 0..q {
-                acc += self.term(i, j, parts[i], parts[j]);
+        for (i, pd_i) in parts.iter().enumerate() {
+            for (j, pd_j) in parts.iter().enumerate() {
+                acc += self.term(i, j, pd_i, pd_j);
             }
         }
         acc
-    }
-
-    /// Evaluates the quadratic form on an unpartitioned dense vector, splitting it
-    /// internally.  Useful in tests comparing against [`gemm::quadratic_form_sym`].
-    pub fn eval_dense(&self, x: &[f64]) -> f64 {
-        let parts = self.partition.split(x);
-        self.eval_parts(&parts)
     }
 }
 
@@ -297,13 +212,8 @@ pub struct BlockScatter {
 }
 
 impl BlockScatter {
-    /// Creates a zeroed accumulator for the given partition, accumulating with
-    /// the process-default [`KernelPolicy`].
-    pub fn new(partition: BlockPartition) -> Self {
-        Self::new_with(partition, KernelPolicy::default())
-    }
-
-    /// Creates a zeroed accumulator pinned to an explicit kernel policy.
+    /// Creates a zeroed accumulator for the given partition, pinned to an
+    /// explicit kernel policy.
     pub fn new_with(partition: BlockPartition, policy: KernelPolicy) -> Self {
         let d = partition.total_dim();
         Self {
@@ -347,10 +257,10 @@ impl BlockScatter {
     /// [`add_outer`](Self::add_outer) dispatching on the block representation.
     ///
     /// One-hot sides turn the rank-1 update into a row scatter
-    /// ([`sparse::ger_onehot`]-style), a column scatter, or — when both sides
+    /// ([`sparse::ger_onehot_with`]-style), a column scatter, or — when both sides
     /// are one-hot — `nnz_u × nnz_v` scalar adds ([`sparse::scatter_onehot_pair`]).
     /// CSR sides do the same with the weighted values multiplied through
-    /// ([`csr::ger_csr`]-style), using the dense GER's scaling order
+    /// ([`csr::ger_csr_with`]-style), using the dense GER's scaling order
     /// (`alpha·u_i` first, then times `v_j`).  Sparse inputs reproduce the
     /// dense update bit-for-bit.
     pub fn add_outer_rep(
@@ -456,30 +366,6 @@ impl BlockScatter {
         gemm::ger_with(self.policy, alpha, x, x, &mut self.acc);
     }
 
-    /// Adds an already formed `d_i × d_j` matrix into block `(i, j)` with weight
-    /// `alpha`.
-    pub fn add_block_matrix(&mut self, i: usize, j: usize, alpha: f64, block: &Matrix) {
-        assert_eq!(
-            block.rows(),
-            self.partition.size(i),
-            "add_block_matrix: bad rows"
-        );
-        assert_eq!(
-            block.cols(),
-            self.partition.size(j),
-            "add_block_matrix: bad cols"
-        );
-        let r0 = self.partition.offset(i);
-        let c0 = self.partition.offset(j);
-        for bi in 0..block.rows() {
-            let src = block.row(bi);
-            let dst = &mut self.acc.row_mut(r0 + bi)[c0..c0 + block.cols()];
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += alpha * s;
-            }
-        }
-    }
-
     /// Current accumulated matrix (borrow).
     pub fn matrix(&self) -> &Matrix {
         &self.acc
@@ -500,7 +386,7 @@ impl BlockScatter {
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use crate::gemm::{outer, quadratic_form_sym};
+    use crate::gemm::quadratic_form_sym_with;
 
     fn partition_3way() -> BlockPartition {
         BlockPartition::new(&[2, 3, 1])
@@ -562,11 +448,11 @@ mod tests {
             vec![0.2, 0.4, 0.3, 5.0],
         ]);
         let x = [0.7, -1.1, 2.3, 0.9];
-        let dense = quadratic_form_sym(&x, &m);
+        let dense = quadratic_form_sym_with(KernelPolicy::Blocked, &x, &m);
 
         for sizes in [vec![2, 2], vec![1, 3], vec![1, 1, 2], vec![4]] {
             let p = BlockPartition::new(&sizes);
-            let q = BlockQuadraticForm::new(p, &m);
+            let q = BlockQuadraticForm::new_with(p, &m, KernelPolicy::Blocked);
             let blocked = q.eval_dense(&x);
             assert!(
                 approx_eq(dense, blocked, 1e-12),
@@ -586,7 +472,7 @@ mod tests {
             vec![0.0, 0.5, 4.0],
         ]);
         let p = BlockPartition::binary(1, 2);
-        let q = BlockQuadraticForm::new(p, &m);
+        let q = BlockQuadraticForm::new_with(p, &m, KernelPolicy::Blocked);
         let pd_s = [2.0];
         let pd_r = [1.0, -1.0];
         // cached vector A_{S,R} · pd_r
@@ -603,64 +489,18 @@ mod tests {
         let gamma = 0.7;
 
         // dense accumulation
-        let mut dense = BlockScatter::new(p.clone());
+        let mut dense = BlockScatter::new_with(p.clone(), KernelPolicy::Blocked);
         dense.add_dense(gamma, &x);
 
         // factorized accumulation block by block
         let parts = p.split(&x);
-        let mut fact = BlockScatter::new(p.clone());
+        let mut fact = BlockScatter::new_with(p.clone(), KernelPolicy::Blocked);
         for i in 0..2 {
             for j in 0..2 {
                 fact.add_outer(i, j, gamma, parts[i], parts[j]);
             }
         }
         assert!(dense.matrix().max_abs_diff(fact.matrix()) < 1e-14);
-    }
-
-    #[test]
-    fn block_scatter_add_block_matrix() {
-        let p = BlockPartition::binary(1, 2);
-        let mut sc = BlockScatter::new(p);
-        let block = outer(&[2.0], &[3.0, 4.0]);
-        sc.add_block_matrix(0, 1, 0.5, &block);
-        let m = sc.matrix();
-        assert_eq!(m[(0, 1)], 3.0);
-        assert_eq!(m[(0, 2)], 4.0);
-        assert_eq!(m[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn term_rep_matches_dense_term_for_every_representation_mix() {
-        let m = Matrix::from_rows(&[
-            vec![4.0, 1.0, 0.5, 0.2],
-            vec![1.0, 3.0, 0.1, 0.4],
-            vec![0.5, 0.1, 2.0, 0.3],
-            vec![0.2, 0.4, 0.3, 5.0],
-        ]);
-        let p = BlockPartition::binary(2, 2);
-        let q = BlockQuadraticForm::new_with(p, &m, KernelPolicy::Naive);
-        let idx = [1u32];
-        let onehot = [0.0, 1.0];
-        let dense = [0.3, -0.8];
-        // one-hot left
-        assert_eq!(
-            q.term_rep(1, 0, BlockVec::OneHot(&idx), BlockVec::Dense(&dense)),
-            q.term(1, 0, &onehot, &dense)
-        );
-        // one-hot right
-        let direct = q.term(0, 1, &dense, &onehot);
-        let rep = q.term_rep(0, 1, BlockVec::Dense(&dense), BlockVec::OneHot(&idx));
-        assert!((direct - rep).abs() < 1e-15);
-        // one-hot both: Σ A[i][j] over the selected entries
-        assert_eq!(
-            q.term_rep(1, 1, BlockVec::OneHot(&idx), BlockVec::OneHot(&idx)),
-            m[(3, 3)]
-        );
-        // dense/dense falls through to term()
-        assert_eq!(
-            q.term_rep(0, 0, BlockVec::Dense(&dense), BlockVec::Dense(&dense)),
-            q.term(0, 0, &dense, &dense)
-        );
     }
 
     #[test]
@@ -706,7 +546,7 @@ mod tests {
     #[test]
     fn block_scatter_reset() {
         let p = BlockPartition::binary(1, 1);
-        let mut sc = BlockScatter::new(p);
+        let mut sc = BlockScatter::new_with(p, KernelPolicy::Blocked);
         sc.add_dense(1.0, &[1.0, 1.0]);
         assert!(sc.matrix().frobenius_norm() > 0.0);
         sc.reset();

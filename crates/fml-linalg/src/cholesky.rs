@@ -183,7 +183,12 @@ pub fn inverse_and_log_det(a: &Matrix) -> Result<(Matrix, f64), NotPositiveDefin
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use crate::gemm::matmul;
+    use crate::gemm;
+    use crate::KernelPolicy::Blocked;
+
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        gemm::matmul_with(Blocked, a, b)
+    }
 
     fn spd3() -> Matrix {
         Matrix::from_rows(&[
@@ -226,7 +231,7 @@ mod tests {
         let b = [1.0, -2.0, 0.5];
         let x = ch.solve(&b);
         // A x should equal b
-        let ax = crate::gemm::matvec(&a, &x);
+        let ax = gemm::matvec_with(Blocked, &a, &x);
         for (got, want) in ax.iter().zip(b.iter()) {
             assert!(approx_eq(*got, *want, 1e-10), "{got} vs {want}");
         }
@@ -243,7 +248,7 @@ mod tests {
         let x = [0.3, -1.2, 2.0];
         let via_solve = ch.mahalanobis_sq(&x);
         let inv = ch.inverse();
-        let via_inv = crate::gemm::quadratic_form_sym(&x, &inv);
+        let via_inv = gemm::quadratic_form_sym_with(Blocked, &x, &inv);
         assert!(approx_eq(via_solve, via_inv, 1e-10));
     }
 
@@ -261,7 +266,7 @@ mod tests {
         assert!(uut.max_abs_diff(&ch.inverse()) < 1e-14);
         // ‖xᵀU‖² is the Mahalanobis distance
         let x = [0.3, -1.2, 2.0];
-        let y = crate::gemm::matvec_transposed(&u, &x);
+        let y = gemm::matvec_transposed_with(Blocked, &u, &x);
         let norm: f64 = y.iter().map(|v| v * v).sum();
         assert!(approx_eq(norm, ch.mahalanobis_sq(&x), 1e-12));
     }

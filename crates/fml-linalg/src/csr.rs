@@ -19,9 +19,9 @@
 //! contribute an exact `±0.0` to the dense accumulation.  The results are
 //! therefore equal (under `f64` comparison, which identifies `-0.0 == 0.0`) to
 //! the dense naive oracle — the property tests in `tests/proptests.rs` assert
-//! this under **every** policy.  The `_with` variants only ever parallelize
-//! output-disjoint row bands (via [`crate::policy::par_row_bands`]), which
-//! cannot regroup any accumulation.
+//! this under **every** policy: the `_with` variants take one for API
+//! uniformity with [`crate::gemm`] and run the same sequential loops under
+//! each.
 //!
 //! ## Detection
 //!
@@ -33,9 +33,8 @@
 //! tries the one-hot form first and falls back to CSR.
 
 use crate::matrix::Matrix;
-use crate::policy::{self, KernelPolicy};
+use crate::policy::KernelPolicy;
 use crate::simd;
-use crate::vector;
 
 /// Total number of CSR kernel invocations in this process (monotonic) — the
 /// weighted-sparse counterpart of [`crate::sparse::onehot_kernel_calls`],
@@ -241,34 +240,21 @@ pub fn gather_dot(v: &[f64], idx: &[u32], vals: &[f64]) -> f64 {
     simd::gather_dot(simd::current_level(), v, idx, vals)
 }
 
-/// `y = A · x` for sparse `x`, under the default policy.
-pub fn matvec_csr(a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
-    matvec_csr_with(policy::default_policy(), a, idx, vals)
-}
-
-/// [`matvec_csr`] under an explicit policy: each output element sums its row's
-/// selected entries scaled by the matching values, in ascending index order —
-/// the exact nonzero subsequence of the naive dense GEMV.  The parallel policy
-/// splits the (disjoint) output rows into bands.
-pub fn matvec_csr_with(policy: KernelPolicy, a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
+/// `y = A · x` for sparse `x`: each output element sums its row's selected
+/// entries scaled by the matching values, in ascending index order — the
+/// exact nonzero subsequence of the naive dense GEMV.
+pub fn matvec_csr_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
     check_row(idx, vals, a.cols(), "matvec_csr");
     count_call();
-    let mut y = vec![0.0; a.rows()];
-    let par = policy.is_parallel() && a.rows() * idx.len() >= PAR_MIN_OPS;
     let lv = simd::current_level();
-    policy::par_row_bands(par, &mut y, 1, 8, |first_row, band| {
-        for (i, yi) in band.iter_mut().enumerate() {
-            *yi = simd::gather_dot(lv, a.row(first_row + i), idx, vals);
-        }
-    });
-    y
+    (0..a.rows())
+        .map(|i| simd::gather_dot(lv, a.row(i), idx, vals))
+        .collect()
 }
 
 /// `y = Aᵀ · x` for sparse `x`, into an existing buffer:
 /// `Σ_t vals[t]·A.row(idx[t])`, added to a zeroed `y` front-to-back in index
-/// order — the naive dense transposed GEMV with the zero AXPYs skipped.  The
-/// reduction is `nnz` AXPYs, far below any useful parallel threshold, so
-/// every policy runs the same sequential loop.
+/// order — the naive dense transposed GEMV with the zero AXPYs skipped.
 pub fn matvec_transposed_csr_into_with(
     _policy: KernelPolicy,
     a: &Matrix,
@@ -290,21 +276,14 @@ pub fn matvec_transposed_csr_into_with(
     }
 }
 
-/// CSR × dense product `C += X · B`, under the default policy.
-pub fn spmm_csr(x: &CsrBlock, b: &Matrix, c: &mut Matrix) {
-    spmm_csr_with(policy::default_policy(), x, b, c);
-}
-
-/// [`spmm_csr`] under an explicit policy: each output row of `C` accumulates
+/// CSR × dense product `C += X · B`: each output row of `C` accumulates
 /// `vals[t] · B.row(idx[t])` in ascending index order — the exact nonzero
-/// subsequence of the naive dense GEMM's `i`-`k`-`j` loop.  Output rows are
-/// disjoint, so the parallel policy splits them into bands without changing
-/// any result.
+/// subsequence of the naive dense GEMM's `i`-`k`-`j` loop.
 ///
 /// # Panics
 /// Panics when the shapes disagree (`x.rows() == c.rows()`,
 /// `x.cols() == b.rows()`, `b.cols() == c.cols()`).
-pub fn spmm_csr_with(policy: KernelPolicy, x: &CsrBlock, b: &Matrix, c: &mut Matrix) {
+pub fn spmm_csr_with(_policy: KernelPolicy, x: &CsrBlock, b: &Matrix, c: &mut Matrix) {
     assert_eq!(x.rows(), c.rows(), "spmm_csr: output rows mismatch");
     assert_eq!(x.cols(), b.rows(), "spmm_csr: inner dimension mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm_csr: output cols mismatch");
@@ -313,31 +292,22 @@ pub fn spmm_csr_with(policy: KernelPolicy, x: &CsrBlock, b: &Matrix, c: &mut Mat
     if x.rows() == 0 || n == 0 {
         return;
     }
-    let par = policy.is_parallel() && x.nnz() * n >= PAR_MIN_OPS;
     let lv = simd::current_level();
-    policy::par_row_bands(par, c.as_mut_slice(), n, 8, |first_row, band| {
-        for (r, crow) in band.chunks_exact_mut(n).enumerate() {
-            let (idx, vals) = x.row(first_row + r);
-            for (&k, &w) in idx.iter().zip(vals.iter()) {
-                simd::axpy(lv, w, b.row(k as usize), crow);
-            }
+    for (r, crow) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
+        let (idx, vals) = x.row(r);
+        for (&k, &w) in idx.iter().zip(vals.iter()) {
+            simd::axpy(lv, w, b.row(k as usize), crow);
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Scatters (rank-1 updates that WRITE selected rows/columns, weighted)
 // ---------------------------------------------------------------------------
 
-/// `A += alpha · x yᵀ` for sparse `x`, under the default policy.
-pub fn ger_csr(alpha: f64, idx: &[u32], vals: &[f64], y: &[f64], a: &mut Matrix) {
-    ger_csr_with(policy::default_policy(), alpha, idx, vals, y, a);
-}
-
-/// [`ger_csr`] under an explicit policy: adds `(alpha·vals[t]) · y` to row
+/// `A += alpha · x yᵀ` for sparse `x`: adds `(alpha·vals[t]) · y` to row
 /// `idx[t]` — the naive dense GER restricted to the nonzero rows, same scaling
-/// order (`alpha * x_i` first, then times `y_j`).  The touched row set is
-/// tiny, so every policy runs the same sequential loop.
+/// order (`alpha * x_i` first, then times `y_j`).
 pub fn ger_csr_with(
     _policy: KernelPolicy,
     alpha: f64,
@@ -391,42 +361,6 @@ pub fn axpy_csr(alpha: f64, idx: &[u32], vals: &[f64], x: &mut [f64]) {
 // Quadratic forms
 // ---------------------------------------------------------------------------
 
-/// `xᵀ A y` for sparse `x` and dense `y`, under the default policy.
-pub fn quadratic_form_csr(idx: &[u32], vals: &[f64], a: &Matrix, y: &[f64]) -> f64 {
-    quadratic_form_csr_with(policy::default_policy(), idx, vals, a, y)
-}
-
-/// [`quadratic_form_csr`] under an explicit policy:
-/// `Σ_t vals[t]·(A.row(idx[t])·y)` in ascending index order — exactly the
-/// naive dense form, which already skips zero entries of `x`.  `nnz` dot
-/// products stay below any parallel threshold, so every policy runs
-/// sequentially.
-pub fn quadratic_form_csr_with(
-    _policy: KernelPolicy,
-    idx: &[u32],
-    vals: &[f64],
-    a: &Matrix,
-    y: &[f64],
-) -> f64 {
-    assert_eq!(a.cols(), y.len(), "quadratic_form_csr: col mismatch");
-    check_row(idx, vals, a.rows(), "quadratic_form_csr");
-    count_call();
-    let lv = simd::current_level();
-    let mut acc = 0.0;
-    for (&i, &w) in idx.iter().zip(vals.iter()) {
-        // The bit contract pins this to the naive oracle's `vector::dot`
-        // (strictly sequential); only the opt-in FMA level may diverge, where
-        // the wide fused dot takes over.
-        let row_dot = if lv == simd::SimdLevel::LanesFma {
-            simd::dot(lv, a.row(i as usize), y)
-        } else {
-            vector::dot(a.row(i as usize), y)
-        };
-        acc += w * row_dot;
-    }
-    acc
-}
-
 /// `xᵀ A y` for sparse `x` **and** sparse `y`:
 /// `Σ_t vals[t] · (Σ_u A[i_t][j_u]·yvals[u])` — `nnz_x · nnz_y` multiply-adds.
 pub fn quadratic_form_csr_pair(
@@ -461,14 +395,10 @@ pub fn quadratic_form_csr_pair(
     acc
 }
 
-/// Work threshold below which the parallel policy stays on one thread (same
-/// role as the one in [`crate::sparse`]).
-const PAR_MIN_OPS: usize = 1 << 18;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm;
+    use crate::{gemm, vector};
 
     fn pseudo(rows: usize, cols: usize, salt: u64) -> Matrix {
         let mut rng = crate::testutil::TestRng::new(salt);
@@ -606,15 +536,6 @@ mod tests {
         let idx = [0u32, 2, 6];
         let vals = [1.1, -0.4, 2.5];
         let x = densify(&idx, &vals, 7);
-        let y = crate::testutil::TestRng::new(9).vec_in(7, -1.0, 1.0);
-        let dense = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &y);
-        for p in KernelPolicy::ALL {
-            assert_eq!(
-                quadratic_form_csr_with(p, &idx, &vals, &a, &y),
-                dense,
-                "{p}"
-            );
-        }
         let jdx = [1u32, 5];
         let jvals = [3.0, -0.25];
         let yj = densify(&jdx, &jvals, 7);
@@ -626,19 +547,20 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let a = pseudo(4, 4, 10);
-        assert_eq!(matvec_csr(&a, &[], &[]), vec![0.0; 4]);
+        let kp = KernelPolicy::Blocked;
+        assert_eq!(matvec_csr_with(kp, &a, &[], &[]), vec![0.0; 4]);
         let mut gathered = vec![f64::NAN; 4];
         matvec_transposed_csr_into_with(KernelPolicy::Naive, &a, &[], &[], &mut gathered);
         assert_eq!(gathered, vec![0.0; 4]);
-        assert_eq!(quadratic_form_csr(&[], &[], &a, &[0.0; 4]), 0.0);
+        assert_eq!(quadratic_form_csr_pair(&[], &[], &a, &[], &[]), 0.0);
         let empty = CsrBlock::new(vec![], vec![], vec![0, 0], 4);
         assert_eq!(empty.rows(), 1);
         let mut c = Matrix::zeros(1, 4);
-        spmm_csr(&empty, &a, &mut c);
+        spmm_csr_with(kp, &empty, &a, &mut c);
         assert_eq!(c, Matrix::zeros(1, 4));
         let mut m = pseudo(4, 4, 11);
         let before = m.clone();
-        ger_csr(1.0, &[], &[], &[0.0; 4], &mut m);
+        ger_csr_with(kp, 1.0, &[], &[], &[0.0; 4], &mut m);
         assert_eq!(m, before);
     }
 
@@ -646,7 +568,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         let a = Matrix::zeros(3, 3);
-        let _ = matvec_csr(&a, &[3], &[1.0]);
+        let _ = matvec_csr_with(KernelPolicy::Blocked, &a, &[3], &[1.0]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! | field | builder | environment | default |
 //! |-------|---------|-------------|---------|
-//! | `kernel_policy` | [`ExecPolicy::kernel_policy`] | `FML_KERNEL_POLICY` | `blocked` |
-//! | `threads` | [`ExecPolicy::threads`] | `FML_THREADS` | available parallelism |
+//! | `kernel_policy` (kernel arithmetic; `parallel` = blocked + driver fan-out) | [`ExecPolicy::kernel_policy`] | `FML_KERNEL_POLICY` | `blocked` |
+//! | `threads` (workers per driver fan-out) | [`ExecPolicy::threads`] | `FML_THREADS` | available parallelism |
 //! | `sparse_mode` | [`ExecPolicy::sparse_mode`] | — | [`SparseMode::Auto`] |
 //! | `block_pages` | [`ExecPolicy::block_pages`] | — | [`DEFAULT_BLOCK_PAGES`] |
 //! | `seed` | [`ExecPolicy::seed`] | — | [`DEFAULT_SEED`] |
@@ -123,8 +123,9 @@ pub struct ExecSettings {
     pub sparse: SparseMode,
     /// Pages per scan block.
     pub block_pages: usize,
-    /// Worker threads for the trainers' coarse-grained (per tuple batch / per
-    /// fact chunk) fan-out under a parallel kernel policy.
+    /// Worker threads for the drivers' chunk fan-out (per tuple batch / per
+    /// fact chunk / per scoring block) under
+    /// [`KernelPolicy::BlockedParallel`] — the only fan-out there is.
     pub threads: usize,
     /// Seed for the data-independent model initialization.
     pub seed: u64,
@@ -144,23 +145,11 @@ impl ExecSettings {
         }
     }
 
-    /// Installs the resolved thread count as the scoped kernel worker-count
-    /// override for the current thread (see [`crate::policy::override_threads`]):
-    /// until the returned guard drops, every `par_row_bands`-based kernel
-    /// invoked under [`KernelPolicy::BlockedParallel`] fans out to exactly
-    /// [`ExecSettings::threads`] workers instead of the process-global pool
-    /// size.  Every trainer and scorer installs this at entry, which is what
-    /// makes a builder-set [`ExecPolicy::threads`] exact *inside* parallel
-    /// kernel regions, not just in the trainers' explicit chunk fan-outs.
-    pub fn kernel_thread_scope(&self) -> policy::ThreadCountGuard {
-        policy::override_threads(self.threads)
-    }
-
     /// Installs the resolved observability mode process-wide until the
     /// returned guard drops (see [`fml_obs::apply_mode`]).  Every trainer and
-    /// scorer installs this at entry, next to [`ExecSettings::kernel_thread_scope`],
-    /// which is what extends the builder > `FML_OBS` > default precedence to
-    /// the instrumentation on pool workers and storage scans.  The mode is
+    /// scorer installs this at entry, which is what extends the builder >
+    /// `FML_OBS` > default precedence to the instrumentation on pool workers
+    /// and storage scans.  The mode is
     /// process-global, so overlapping runs requesting *different* modes race
     /// benignly (last writer wins until its guard drops).
     pub fn obs_scope(&self) -> fml_obs::ModeGuard {
@@ -268,9 +257,9 @@ impl ExecPolicy {
     /// place execution settings are decided.
     ///
     /// Builder-set values win outright.  Unset `kernel_policy` falls back to
-    /// the process-wide default ([`crate::policy::default_policy`]:
-    /// `FML_KERNEL_POLICY`, else [`crate::policy::set_default_policy`]'s
-    /// value, else `blocked`); unset `threads` falls back to
+    /// [`crate::policy::default_policy`] (`FML_KERNEL_POLICY`, else
+    /// `blocked`) — this is that function's only caller, so the variable is
+    /// consulted nowhere else; unset `threads` falls back to
     /// [`crate::policy::num_threads`] (`FML_THREADS`, else available
     /// parallelism); unset `obs` falls back to the process-wide mode
     /// ([`fml_obs::mode()`]: `FML_OBS`, else off).  Invalid environment values
@@ -485,34 +474,6 @@ mod tests {
         let s = ExecPolicy::new().threads(6).resolve();
         assert_eq!(s.workers(true), 6);
         assert_eq!(s.workers(false), 1);
-    }
-
-    /// Counting pool probe through the full `ExecPolicy` surface: a
-    /// builder-set `.threads(n)` bounds a `par_row_bands`-based parallel
-    /// kernel region to exactly `n` bands while the scope guard is held.
-    #[test]
-    fn kernel_thread_scope_makes_builder_threads_exact_in_kernels() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let probe = || {
-            let bands = AtomicUsize::new(0);
-            let mut data = vec![0.0f64; 96 * 2];
-            policy::par_row_bands(true, &mut data, 2, 1, |_, _| {
-                bands.fetch_add(1, Ordering::Relaxed);
-            });
-            bands.load(Ordering::Relaxed)
-        };
-        for n in [1usize, 2, 3] {
-            let s = ExecPolicy::new().threads(n).resolve();
-            let guard = s.kernel_thread_scope();
-            assert_eq!(probe(), n, ".threads({n}) must be exact inside kernels");
-            drop(guard);
-        }
-        // Outside the scope the kernels fall back to the global pool size
-        // (whatever band count the deterministic chunking yields for it).
-        assert_eq!(
-            probe(),
-            policy::chunk_ranges(96, policy::num_threads(), 1).len()
-        );
     }
 
     #[test]

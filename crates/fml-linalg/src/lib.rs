@@ -34,35 +34,37 @@
 //!
 //! ## Kernel policies
 //!
-//! Every heavy kernel runs under a [`KernelPolicy`] ([`policy`]):
+//! Every heavy kernel is a sequential function of `(policy, operands)`; the
+//! [`KernelPolicy`] ([`policy`]) picks its arithmetic:
 //!
 //! * `Naive` — the reference triple loops, strictly sequential accumulation.
 //! * `Blocked` — cache-tiled GEMM with packed panels and a register-blocked
 //!   `4×8` micro-kernel; 4-way unrolled reductions elsewhere.  ~3× faster than
 //!   `Naive` on a 512³ product on one AVX2 core (see `BENCH_kernels.json`).
-//! * `BlockedParallel` — the blocked kernels with `MR`-aligned output bands
-//!   fanned out over the persistent worker pool ([`pool`]): long-lived
-//!   workers (spawned lazily, capped at [`policy::num_threads`]) with
-//!   borrowed-closure dispatch, so a parallel region costs a queue push per
-//!   chunk instead of a thread spawn.  Help-first draining makes nested
-//!   fan-outs deadlock-free, and dispatch replicates the caller's scoped
-//!   [`policy::override_threads`] into the workers so builder-set thread
-//!   counts stay exact under nesting.
+//! * `BlockedParallel` — the same blocked kernels; what it adds is the
+//!   **drivers'** chunk fan-out (the trainers' per-batch / per-fact loops and
+//!   the scorer's per-block chunks) over the persistent worker pool
+//!   ([`pool`]): long-lived workers (spawned lazily, capped at
+//!   [`policy::num_threads`]) with borrowed-closure dispatch, so a parallel
+//!   region costs a queue push per chunk instead of a thread spawn.
 //!
-//! **Determinism guarantees.**  For a fixed policy (and, for
-//! `BlockedParallel`, a fixed thread count) every kernel is a pure function of
-//! its inputs: work partitions depend only on problem shape, and parallel
-//! reductions merge partial results in chunk-index order (a fixed reduction
-//! tree).  `BlockedParallel` GEMM/GEMV/GER are bit-identical to `Blocked`.
-//! *Across* policies, results differ only in the associativity of
-//! floating-point addition — the multiplication set is identical — so they
-//! agree within [`approx_eq`]-style tolerances, which is what the
+//! **Determinism guarantees.**  For a fixed policy every kernel is a pure
+//! function of its inputs, and `BlockedParallel` is bit-identical to
+//! `Blocked` kernel by kernel.  A driver's fan-out partitions its work by
+//! problem shape and worker count only and merges partial results in
+//! chunk-index order (a fixed reduction tree), so a fit or score is a pure
+//! function of its inputs, policy and thread count.  *Across* arithmetics,
+//! results differ only in the associativity of floating-point addition — the
+//! multiplication set is identical — so they agree within
+//! [`approx_eq`]-style tolerances, which is what the
 //! materialized-vs-factorized equivalence tests rely on.
 //!
-//! The default policy is `Blocked`; override it per call (`*_with`), per
-//! training run (the `kernel_policy` field on the learner configs), or
-//! process-wide (`FML_KERNEL_POLICY=naive|blocked|parallel`,
-//! [`policy::set_default_policy`]).  `FML_THREADS` caps the pool.
+//! The default policy is `Blocked`; choose another per call (every kernel
+//! takes its policy as an argument), per training or scoring run
+//! ([`ExecPolicy::kernel_policy`]), or per process
+//! (`FML_KERNEL_POLICY=naive|blocked|parallel`, read by
+//! [`ExecPolicy::resolve`] for runs that pin none).  `FML_THREADS` sets the
+//! drivers' default worker count and caps the pool.
 //!
 //! ## SIMD layer
 //!

@@ -1,13 +1,13 @@
 //! The persistent worker pool behind every parallel fan-out.
 //!
-//! Before this module existed, each [`crate::policy::par_chunks`] /
-//! [`crate::policy::par_row_bands`] region paid a fresh
-//! `std::thread::scope` — one OS thread spawn **per chunk per region**
-//! (~20–60 µs each), which is why the `BlockedParallel` FLOP cutoffs in
-//! [`crate::policy`] had to be set so high.  The pool replaces that with a
-//! fixed set of long-lived workers and a borrowed-closure dispatch whose
-//! per-region cost is one queue push plus a condvar wakeup per chunk
-//! (single-digit microseconds for a whole region).
+//! Parallel regions come from the drivers only — the trainers' and the
+//! scorer's chunk loops, through [`crate::policy::par_chunks_with_threads`]
+//! and [`crate::policy::par_row_bands_map_with_threads`]; no kernel
+//! dispatches here.  A region used to pay a fresh `std::thread::scope` —
+//! one OS thread spawn **per chunk per region** (~20–60 µs each).  The pool
+//! replaces that with a fixed set of long-lived workers and a
+//! borrowed-closure dispatch whose per-region cost is one queue push plus a
+//! condvar wakeup per chunk (single-digit microseconds for a whole region).
 //!
 //! ## Dispatch protocol
 //!
@@ -21,29 +21,15 @@
 //! has finished, which is the invariant that makes the borrowed closures
 //! sound.
 //!
-//! Help-first draining is also the no-deadlock argument for **nested**
-//! fan-outs (a scoring fan-out whose kernels also request the parallel
-//! policy): a worker that dispatches an inner region never waits on threads
-//! that could be waiting on it — if no worker is free, it simply executes
-//! the inner tasks itself.  Region nesting forms a tree, every blocked
-//! dispatcher's outstanding tasks are running on some other thread, and leaf
-//! regions complete inline, so progress is always possible even with zero
-//! pool workers.
-//!
-//! ## Sizing and override inheritance
+//! ## Sizing
 //!
 //! The pool holds at most [`crate::policy::num_threads`] workers
 //! (`FML_THREADS`, else available parallelism), spawned lazily on first
-//! demand and kept for the life of the process.  Regions that ask for more
-//! chunks than there are workers still complete — the extra chunks run on
-//! the dispatcher via help-first draining.
-//!
-//! Each dispatched task carries the **caller's** scoped thread-count
-//! override ([`crate::policy::override_threads`]) and installs it in the
-//! worker for the duration of the task, so a builder-set
-//! `ExecPolicy::threads` stays exact inside nested fan-outs: a kernel
-//! invoked from a pool worker splits by the same bound the caller resolved,
-//! exactly as if it had run on the calling thread.
+//! demand and kept for the life of the process.  Help-first draining covers
+//! every region that asks for more chunks than there are free workers: the
+//! dispatcher never waits on a task nobody is running, so the extra chunks
+//! run on the dispatcher itself, a task that opens a region of its own makes
+//! progress the same way, and everything completes even with zero workers.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -169,20 +155,17 @@ impl Region {
     }
 }
 
-/// One queued unit of work: the erased task, its region, the dispatcher's
-/// thread-count override to install in the worker, and (when metrics are on)
-/// the enqueue time for the dispatch-latency histogram.
+/// One queued unit of work: the erased task, its region, and (when metrics
+/// are on) the enqueue time for the dispatch-latency histogram.
 struct Message {
     task: RawTask,
     region: Arc<Region>,
-    inherit: Option<usize>,
     submitted: Option<Instant>,
 }
 
 impl Message {
     /// Runs the task (catching panics into the region) and marks it done.
     fn execute(self) {
-        let _guard = self.inherit.map(policy::override_threads);
         // SAFETY: `invoke`'s contract holds — this message was popped from
         // the queue exactly once, and its dispatcher is blocked in
         // `wait_drained`/help until `finish_one` below runs.
@@ -330,7 +313,8 @@ impl Drop for DrainOnUnwind<'_> {
 /// The closures may borrow the caller's stack (no `'static` bound); the
 /// drain-before-return protocol is what makes that sound.  Execution order
 /// across threads is unspecified — callers that need deterministic merges
-/// write into per-task slots, as [`crate::policy::par_chunks`] does.
+/// write into per-task slots, as [`crate::policy::par_chunks_with_threads`]
+/// does.
 pub fn run<F>(mut tasks: Vec<F>)
 where
     F: FnOnce() + Send,
@@ -341,7 +325,6 @@ where
         return;
     }
     let region = Region::new(tasks.len());
-    let inherit = policy::current_override();
     let metrics = fml_obs::metrics_enabled();
     let submitted = if metrics { Some(Instant::now()) } else { None };
     let mut cells: Vec<Option<F>> = tasks.into_iter().map(Some).collect();
@@ -350,7 +333,6 @@ where
         .map(|cell| Message {
             task: RawTask::new(cell),
             region: Arc::clone(&region),
-            inherit,
             submitted,
         })
         .collect();
@@ -397,10 +379,7 @@ pub fn worker_tasks_executed() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{
-        current_threads, par_chunks, par_chunks_with_threads, par_row_bands_with_threads,
-        with_threads,
-    };
+    use crate::policy::{par_chunks_with_threads, par_row_bands_map_with_threads};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Every task runs exactly once and borrowed results land in the right
@@ -450,16 +429,15 @@ mod tests {
     }
 
     /// The no-deadlock property for nested fan-outs: every task of an outer
-    /// region dispatches its own inner region (the scorer-fans-out-while-
-    /// kernels-request-parallel shape), with a third level underneath.  With
-    /// help-first draining this completes on any pool size — including the
-    /// zero/one-worker pools of single-core machines.
+    /// region dispatches its own inner region, with a third level
+    /// underneath.  With help-first draining this completes on any pool size
+    /// — including the zero/one-worker pools of single-core machines.
     #[test]
     fn nested_regions_complete_without_deadlock() {
         let outer = par_chunks_with_threads(4, 16, 1, |outer_range| {
             let inner: usize = par_chunks_with_threads(4, 16, 1, |inner_range| {
                 let mut data = vec![1.0f64; 32];
-                par_row_bands_with_threads(2, &mut data, 1, 1, |_, band| {
+                par_row_bands_map_with_threads(2, &mut data, 1, 1, |_, band| {
                     for v in band.iter_mut() {
                         *v += 1.0;
                     }
@@ -497,40 +475,6 @@ mod tests {
         // The pool survives: the next region runs normally.
         let total: usize = par_chunks_with_threads(4, 100, 1, |r| r.len()).iter().sum();
         assert_eq!(total, 100);
-    }
-
-    /// Satellite fix pinned: pool workers inherit the *dispatcher's* scoped
-    /// thread-count override, so `ExecPolicy::threads` stays exact under
-    /// nesting.  (A bare `std::thread::spawn` still does not inherit — see
-    /// `policy::tests::override_is_thread_local`.)
-    #[test]
-    fn workers_inherit_the_dispatchers_thread_override() {
-        let seen = with_threads(3, || {
-            par_chunks_with_threads(4, 4, 1, |_| current_threads())
-        });
-        assert_eq!(
-            seen,
-            vec![3; 4],
-            "every chunk (worker or inline) must see the caller's override"
-        );
-        // And without an override, workers read the global pool size.
-        let seen = par_chunks_with_threads(2, 2, 1, |_| current_threads());
-        assert_eq!(seen, vec![crate::policy::num_threads(); 2]);
-    }
-
-    /// The inherited override also bounds *nested* fan-outs executed on
-    /// workers: an inner `par_chunks(true, ..)` inside a pool task splits by
-    /// the dispatcher's override, not the machine's parallelism.
-    #[test]
-    fn inherited_override_bounds_nested_fanouts_on_workers() {
-        let nested_counts = with_threads(2, || {
-            par_chunks_with_threads(3, 3, 1, |_| par_chunks(true, 100, 1, |r| r.len()).len())
-        });
-        assert_eq!(
-            nested_counts,
-            vec![2; 3],
-            "inner fan-outs on workers must split by the inherited override"
-        );
     }
 
     /// Tasks dispatched to workers are really executed there once the pool

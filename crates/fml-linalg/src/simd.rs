@@ -40,9 +40,8 @@
 //! Invalid values fall back to `auto` with a one-time warning, mirroring
 //! `FML_KERNEL_POLICY` / `FML_THREADS` resolution in [`crate::policy`].
 //!
-//! Kernels read the level **once at entry** ([`current_level`]) and pass it
-//! down into their banded closures, so a parallel fan-out can never observe a
-//! mid-kernel level change and every band computes with the same arithmetic.
+//! Kernels read the level **once at entry** ([`current_level`]), so a call
+//! never observes a mid-kernel level change.
 //!
 //! ## Why the default mode changes no bits
 //!
@@ -230,8 +229,8 @@ fn detect_features() -> (bool, bool) {
 }
 
 /// The process-wide SIMD level, resolved on first use from `FML_SIMD` and CPU
-/// feature detection.  Changeable at runtime with [`set_default_level`]
-/// (tests/benches should prefer the scoped [`override_level`]).
+/// feature detection (tests and benches force a level with the scoped
+/// [`override_level`]).
 pub fn default_level() -> SimdLevel {
     let v = DEFAULT_LEVEL.load(Ordering::Relaxed);
     if v != LEVEL_UNSET {
@@ -254,17 +253,10 @@ pub fn default_level() -> SimdLevel {
     level
 }
 
-/// Overrides the process-wide SIMD level.
-pub fn set_default_level(level: SimdLevel) {
-    DEFAULT_LEVEL.store(level_to_u8(level), Ordering::Relaxed);
-    fml_obs::gauge!("fml_simd_level").set(level_to_u8(level) as i64);
-}
-
 std::thread_local! {
-    /// Per-thread level override installed by [`override_level`] — the SIMD
-    /// twin of the worker-count override in [`crate::policy`].  Thread-local
-    /// so `cargo test`'s parallel test threads can force different levels
-    /// without racing each other.
+    /// Per-thread level override installed by [`override_level`].
+    /// Thread-local so `cargo test`'s parallel test threads can force
+    /// different levels without racing each other.
     static LEVEL_OVERRIDE: std::cell::Cell<Option<SimdLevel>> =
         const { std::cell::Cell::new(None) };
 }
@@ -284,9 +276,8 @@ impl Drop for SimdLevelGuard {
 }
 
 /// Installs a SIMD-level override for the current thread until the returned
-/// guard drops.  Kernels capture [`current_level`] once at entry, so bands
-/// spawned inside a kernel inherit the level the kernel started with even
-/// though the worker threads themselves carry no override.
+/// guard drops.  It does not follow work onto other threads: chunks a driver
+/// dispatches to pool workers run at [`default_level`].
 pub fn override_level(level: SimdLevel) -> SimdLevelGuard {
     let prev = LEVEL_OVERRIDE.with(|c| c.replace(Some(level)));
     SimdLevelGuard { prev }

@@ -16,12 +16,9 @@
 //! terms contribute an exact `±0.0`, every kernel in this module reproduces the
 //! dense [`KernelPolicy::Naive`] reference **bit-for-bit** on one-hot inputs
 //! (the property tests in `tests/proptests.rs` assert this).  The `_with`
-//! variants accept a policy for API uniformity with [`crate::gemm`]; the
-//! parallel policy only splits **output-disjoint** row bands (via
-//! [`crate::policy::par_row_bands`]), which cannot change any output bit, and
-//! scalar reductions are far too small (`s²` terms) to be worth fanning out, so
-//! the bit-exactness guarantee holds under *every* policy — a stronger contract
-//! than the dense kernels offer.
+//! variants accept a policy for API uniformity with [`crate::gemm`]; every
+//! policy runs the same sequential loops, so the bit-exactness guarantee holds
+//! under *every* policy — a stronger contract than the dense kernels offer.
 //!
 //! ## Representation helpers
 //!
@@ -29,14 +26,12 @@
 //! entries `0.0`/`1.0`, occupancy ≤ ½) and returns its index form; the trainers
 //! use it to engage the sparse path automatically ([`SparseMode::Auto`]).
 //! [`BlockVec`] is the typed per-block view (`Dense` slice vs `OneHot`
-//! indices) that [`crate::block::BlockScatter`] and
-//! [`crate::block::BlockQuadraticForm`] dispatch on.
+//! indices) that [`crate::block::BlockScatter`] dispatches on.
 
 use crate::csr;
 use crate::matrix::Matrix;
-use crate::policy::{self, KernelPolicy};
+use crate::policy::KernelPolicy;
 use crate::simd;
-use crate::vector;
 use serde::{Deserialize, Serialize};
 
 /// How a trainer decides between the dense and sparse kernel paths.
@@ -258,8 +253,8 @@ pub fn onehot_indices(x: &[f64]) -> Option<Vec<u32>> {
 }
 
 /// A per-relation block of one feature vector, in whichever representation the
-/// data actually has.  [`crate::block::BlockScatter::add_outer_rep`] and
-/// [`crate::block::BlockQuadraticForm::term_rep`] dispatch on this.
+/// data actually has.  [`crate::block::BlockScatter::add_outer_rep`]
+/// dispatches on this.
 #[derive(Debug, Clone, Copy)]
 pub enum BlockVec<'a> {
     /// A dense slice of block width.
@@ -305,25 +300,19 @@ pub fn gather_sum(v: &[f64], idx: &[u32]) -> f64 {
 }
 
 /// `y = A · x` for one-hot `x`: the sum of the columns of `A` selected by
-/// `idx`, under the default policy.
-pub fn matvec_onehot(a: &Matrix, idx: &[u32]) -> Vec<f64> {
-    matvec_onehot_with(policy::default_policy(), a, idx)
-}
-
-/// [`matvec_onehot`] under an explicit policy.
+/// `idx`.
 pub fn matvec_onehot_with(policy: KernelPolicy, a: &Matrix, idx: &[u32]) -> Vec<f64> {
     let mut y = vec![0.0; a.rows()];
     matvec_onehot_acc_with(policy, a, idx, &mut y);
     y
 }
 
-/// `y += A · x` for one-hot `x` (column gather-sum), under an explicit policy.
+/// `y += A · x` for one-hot `x` (column gather-sum).
 ///
 /// Row-major `A` is walked row by row; each output element accumulates its
 /// row's selected entries in ascending index order, matching the naive dense
-/// GEMV term order bit-for-bit.  The parallel policy splits the (disjoint)
-/// output rows into bands.
-pub fn matvec_onehot_acc_with(policy: KernelPolicy, a: &Matrix, idx: &[u32], y: &mut [f64]) {
+/// GEMV term order bit-for-bit.
+pub fn matvec_onehot_acc_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], y: &mut [f64]) {
     assert_eq!(
         a.rows(),
         y.len(),
@@ -331,29 +320,23 @@ pub fn matvec_onehot_acc_with(policy: KernelPolicy, a: &Matrix, idx: &[u32], y: 
     );
     check_indices(idx, a.cols(), "matvec_onehot");
     count_call();
-    let rows = a.rows();
-    let par = policy.is_parallel() && rows * idx.len() >= PAR_MIN_OPS;
-    policy::par_row_bands(par, y, 1, 8, |first_row, band| {
-        for (i, yi) in band.iter_mut().enumerate() {
-            let row = a.row(first_row + i);
-            let mut acc = 0.0;
-            for &j in idx {
-                acc += row[j as usize];
-            }
-            *yi += acc;
+    for (i, yi) in y.iter_mut().enumerate() {
+        let row = a.row(i);
+        let mut acc = 0.0;
+        for &j in idx {
+            acc += row[j as usize];
         }
-    });
+        *yi += acc;
+    }
 }
 
 /// `y = Aᵀ · x` for one-hot `x`, into an existing buffer: the sum of the
 /// **rows** of `A` selected by `idx`.
 ///
 /// Rows are added to a zeroed `y` front-to-back in index order (the same
-/// order as the naive dense transposed GEMV visits its nonzero terms); the
-/// reduction is `s` row adds and far below any useful parallel threshold, so
-/// every policy runs the same sequential loop.  Each row add is a pure
-/// lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise), identical at
-/// every SIMD level.
+/// order as the naive dense transposed GEMV visits its nonzero terms).  Each
+/// row add is a pure lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise),
+/// identical at every SIMD level.
 pub fn matvec_transposed_onehot_into_with(
     _policy: KernelPolicy,
     a: &Matrix,
@@ -375,23 +358,16 @@ pub fn matvec_transposed_onehot_into_with(
 }
 
 /// One-hot × dense product `C += X · B` where row `r` of `X` is one-hot with
-/// active indices `rows_idx[r·nnz .. (r+1)·nnz]`, under the default policy.
-pub fn spmm_onehot(rows_idx: &[u32], nnz_per_row: usize, b: &Matrix, c: &mut Matrix) {
-    spmm_onehot_with(policy::default_policy(), rows_idx, nnz_per_row, b, c);
-}
-
-/// [`spmm_onehot`] under an explicit policy: each output row of `C` gathers
-/// (sums) the rows of `B` its indices select — no multiplications at all.
-///
-/// Output rows are disjoint, so the parallel policy splits them into bands;
-/// banding cannot change any bit of the result.
+/// active indices `rows_idx[r·nnz .. (r+1)·nnz]`: each output row of `C`
+/// gathers (sums) the rows of `B` its indices select — no multiplications at
+/// all.
 ///
 /// # Panics
 /// Panics when `rows_idx.len()` is not a multiple of `nnz_per_row` (unless
 /// both are zero), when the implied row count disagrees with `c.rows()`, or
 /// when any index is out of range for `b.rows()`.
 pub fn spmm_onehot_with(
-    policy: KernelPolicy,
+    _policy: KernelPolicy,
     rows_idx: &[u32],
     nnz_per_row: usize,
     b: &Matrix,
@@ -414,19 +390,16 @@ pub fn spmm_onehot_with(
     if m == 0 || n == 0 {
         return;
     }
-    let par = policy.is_parallel() && m * nnz_per_row * n >= PAR_MIN_OPS;
     let lv = simd::current_level();
-    policy::par_row_bands(par, c.as_mut_slice(), n, 8, |first_row, band| {
-        for (r, crow) in band.chunks_exact_mut(n).enumerate() {
-            let idx = &rows_idx[(first_row + r) * nnz_per_row..(first_row + r + 1) * nnz_per_row];
-            for &k in idx {
-                // Plain adds — the active values are 1.0, so no multiply at
-                // all (bit-identical to `+= 1.0 * b`, one vector op cheaper).
-                // Pure lane-wise adds are identical at every SIMD level.
-                simd::add_assign(lv, crow, b.row(k as usize));
-            }
+    let rows = c.as_mut_slice().chunks_exact_mut(n);
+    for (crow, idx) in rows.zip(rows_idx.chunks_exact(nnz_per_row)) {
+        for &k in idx {
+            // Plain adds — the active values are 1.0, so no multiply at
+            // all (bit-identical to `+= 1.0 * b`, one vector op cheaper).
+            // Pure lane-wise adds are identical at every SIMD level.
+            simd::add_assign(lv, crow, b.row(k as usize));
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -434,17 +407,11 @@ pub fn spmm_onehot_with(
 // ---------------------------------------------------------------------------
 
 /// `A += alpha · x yᵀ` for one-hot `x`: adds `alpha · y` to the rows of `A`
-/// selected by `idx`, under the default policy.
-pub fn ger_onehot(alpha: f64, idx: &[u32], y: &[f64], a: &mut Matrix) {
-    ger_onehot_with(policy::default_policy(), alpha, idx, y, a);
-}
-
-/// [`ger_onehot`] under an explicit policy.
+/// selected by `idx`.
 ///
 /// Touches `s` rows where the dense GER touches all of them; the written rows
 /// are disjoint and visited in ascending order, so the result is bit-identical
-/// to the dense naive GER on the equivalent one-hot vector.  The row set is
-/// tiny, so every policy runs the same sequential loop.
+/// to the dense naive GER on the equivalent one-hot vector.
 pub fn ger_onehot_with(_policy: KernelPolicy, alpha: f64, idx: &[u32], y: &[f64], a: &mut Matrix) {
     assert_eq!(a.cols(), y.len(), "ger_onehot: col dimension mismatch");
     check_indices(idx, a.rows(), "ger_onehot");
@@ -482,34 +449,6 @@ pub fn axpy_onehot(alpha: f64, idx: &[u32], x: &mut [f64]) {
 // Quadratic forms
 // ---------------------------------------------------------------------------
 
-/// `xᵀ A y` for one-hot `x` and dense `y`: `Σ_{i ∈ idx} A.row(i) · y`, under
-/// the default policy.
-pub fn quadratic_form_onehot(idx: &[u32], a: &Matrix, y: &[f64]) -> f64 {
-    quadratic_form_onehot_with(policy::default_policy(), idx, a, y)
-}
-
-/// [`quadratic_form_onehot`] under an explicit policy.
-///
-/// The dense naive quadratic form already skips zero entries of `x` and sums
-/// `x_i · (A.row(i)·y)` in ascending `i`; with `x_i = 1.0` this loop is that
-/// computation verbatim, so the result is bit-identical.  `s` dot products are
-/// far below any parallel threshold, so every policy runs sequentially.
-pub fn quadratic_form_onehot_with(
-    _policy: KernelPolicy,
-    idx: &[u32],
-    a: &Matrix,
-    y: &[f64],
-) -> f64 {
-    assert_eq!(a.cols(), y.len(), "quadratic_form_onehot: col mismatch");
-    check_indices(idx, a.rows(), "quadratic_form_onehot");
-    count_call();
-    let mut acc = 0.0;
-    for &i in idx {
-        acc += vector::dot(a.row(i as usize), y);
-    }
-    acc
-}
-
 /// `xᵀ A y` for one-hot `x` **and** one-hot `y`:
 /// `Σ_{i ∈ rows} Σ_{j ∈ cols} A[i][j]` — `s²` loads, zero multiplications.
 pub fn quadratic_form_onehot_pair(rows_idx: &[u32], a: &Matrix, cols_idx: &[u32]) -> f64 {
@@ -527,10 +466,6 @@ pub fn quadratic_form_onehot_pair(rows_idx: &[u32], a: &Matrix, cols_idx: &[u32]
     }
     acc
 }
-
-/// Work threshold below which the parallel policy stays on one thread (same
-/// role as `gemm::PAR_MIN_FLOPS`, scaled for gather/scatter memory ops).
-const PAR_MIN_OPS: usize = 1 << 18;
 
 #[inline]
 fn check_indices(idx: &[u32], bound: usize, what: &str) {
@@ -662,11 +597,6 @@ mod tests {
         let a = pseudo(7, 7, 8);
         let idx = [0u32, 2, 6];
         let x = densify(&idx, 7);
-        let y = crate::testutil::TestRng::new(9).vec_in(7, -1.0, 1.0);
-        let dense = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &y);
-        for p in KernelPolicy::ALL {
-            assert_eq!(quadratic_form_onehot_with(p, &idx, &a, &y), dense, "{p}");
-        }
         let jdx = [1u32, 5];
         let yj = densify(&jdx, 7);
         let dense_pair = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &yj);
@@ -677,18 +607,19 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let a = pseudo(4, 4, 10);
-        assert_eq!(matvec_onehot(&a, &[]), vec![0.0; 4]);
+        let kp = KernelPolicy::Blocked;
+        assert_eq!(matvec_onehot_with(kp, &a, &[]), vec![0.0; 4]);
         assert_eq!(
             SparseRep::OneHot(vec![]).matvec_transposed(KernelPolicy::Naive, &a),
             vec![0.0; 4]
         );
-        assert_eq!(quadratic_form_onehot(&[], &a, &[0.0; 4]), 0.0);
+        assert_eq!(quadratic_form_onehot_pair(&[], &a, &[]), 0.0);
         let mut c = Matrix::zeros(0, 4);
-        spmm_onehot(&[], 2, &a, &mut c);
-        spmm_onehot(&[], 0, &a, &mut c);
+        spmm_onehot_with(kp, &[], 2, &a, &mut c);
+        spmm_onehot_with(kp, &[], 0, &a, &mut c);
         let mut m = pseudo(4, 4, 11);
         let before = m.clone();
-        ger_onehot(1.0, &[], &[0.0; 4], &mut m);
+        ger_onehot_with(kp, 1.0, &[], &[0.0; 4], &mut m);
         assert_eq!(m, before);
     }
 
@@ -696,7 +627,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         let a = Matrix::zeros(3, 3);
-        let _ = matvec_onehot(&a, &[3]);
+        let _ = matvec_onehot_with(KernelPolicy::Blocked, &a, &[3]);
     }
 
     #[test]

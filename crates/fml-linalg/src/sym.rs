@@ -7,7 +7,9 @@
 //! across the materialized / streaming / factorized training paths.
 
 use crate::cholesky::Cholesky;
+use crate::gemm;
 use crate::matrix::Matrix;
+use crate::policy::KernelPolicy;
 
 /// Default ridge added to covariance diagonals when regularization is needed.
 pub const DEFAULT_RIDGE: f64 = 1e-6;
@@ -74,7 +76,7 @@ pub fn covariance(rows: &[Vec<f64>], mean: &[f64]) -> Matrix {
         for (c, (x, m)) in centered.iter_mut().zip(row.iter().zip(mean.iter())) {
             *c = x - m;
         }
-        crate::gemm::ger(1.0, &centered, &centered, &mut cov);
+        gemm::ger_with(KernelPolicy::Blocked, 1.0, &centered, &centered, &mut cov);
     }
     cov.scale(1.0 / rows.len() as f64);
     cov
@@ -111,7 +113,7 @@ mod tests {
     #[test]
     fn ensure_spd_repairs_singular() {
         // rank-1 matrix: singular
-        let mut m = crate::gemm::outer(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]);
+        let mut m = gemm::outer(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]);
         let added = ensure_spd(&mut m, 1e-6);
         assert!(added > 0.0);
         assert!(is_spd(&m));

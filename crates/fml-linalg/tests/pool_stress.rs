@@ -1,6 +1,6 @@
 //! Stress test for the persistent worker pool: many OS threads submitting
-//! nested regions concurrently, panicking tasks mid-region, and scoped
-//! `FML_THREADS` overrides — the interleavings the static lint cannot see.
+//! nested regions concurrently and panicking tasks mid-region — the
+//! interleavings the static lint cannot see.
 //!
 //! This is the target of the nightly ThreadSanitizer job
 //! (`.github/workflows/nightly.yml`): every assertion here is also a data-
@@ -13,7 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fml_linalg::policy::{self, par_chunks_with_threads, par_row_bands_with_threads, with_threads};
+use fml_linalg::policy::{par_chunks_with_threads, par_row_bands_map_with_threads};
 
 /// Rounds per submitter thread — bounded so the whole test runs in well
 /// under a second without sanitizers.
@@ -89,33 +89,6 @@ fn panicking_tasks_drain_and_leave_the_pool_usable() {
 }
 
 #[test]
-fn override_scopes_are_inherited_by_pool_workers() {
-    std::thread::scope(|s| {
-        for submitter in 0..SUBMITTERS {
-            s.spawn(move || {
-                let want = 2 + (submitter % 2); // distinct overrides per thread
-                for _ in 0..ROUNDS {
-                    with_threads(want, || {
-                        assert_eq!(policy::current_threads(), want);
-                        // `par_chunks(parallel=true, …)` reads the scoped
-                        // override for its fan-out width, and pool dispatch
-                        // re-installs it inside every worker — each task
-                        // must observe the submitter's count, not another
-                        // submitter's or the global default.
-                        let seen =
-                            policy::par_chunks(true, 4 * want, 1, |_| policy::current_threads());
-                        assert_eq!(seen.len(), want);
-                        assert!(seen.iter().all(|&t| t == want), "seen {seen:?}");
-                    });
-                    // The override ends with the scope.
-                    assert_eq!(policy::current_threads(), policy::num_threads());
-                }
-            });
-        }
-    });
-}
-
-#[test]
 fn disjoint_row_bands_never_alias_across_submitters() {
     std::thread::scope(|s| {
         for submitter in 0..SUBMITTERS {
@@ -125,7 +98,7 @@ fn disjoint_row_bands_never_alias_across_submitters() {
                 let mut data = vec![0.0f64; ROWS * ROW];
                 for round in 0..ROUNDS {
                     let stamp = (submitter * ROUNDS + round + 1) as f64;
-                    par_row_bands_with_threads(3, &mut data, ROW, 1, |first_row, band| {
+                    par_row_bands_map_with_threads(3, &mut data, ROW, 1, |first_row, band| {
                         for (r, row) in band.chunks_mut(ROW).enumerate() {
                             for v in row.iter_mut() {
                                 *v = stamp + (first_row + r) as f64;

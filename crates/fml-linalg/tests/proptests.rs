@@ -19,7 +19,7 @@
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
 use fml_linalg::cholesky::Cholesky;
 use fml_linalg::csr::{self, CsrBlock};
-use fml_linalg::policy::KernelPolicy;
+use fml_linalg::policy::{par_row_bands_map_with_threads, KernelPolicy};
 use fml_linalg::simd::{self, SimdLevel};
 use fml_linalg::sparse::{self, BlockVec};
 use fml_linalg::{approx_eq, gemm, Matrix, TEST_EPS};
@@ -148,9 +148,15 @@ fn upper_triangular_product_matches_naive_across_shapes() {
                 "case {case} {m}x{n}: {r} vs {v}"
             );
         }
-        // a forced 3-way band split must not move a bit
-        let banded = fml_linalg::policy::with_threads(3, || run(KernelPolicy::BlockedParallel));
+        // a forced 3-way row-band split — one kernel call per band, the way
+        // the dense trainer fans a batch out — must not move a bit
+        let mut banded = seed_c.clone();
+        par_row_bands_map_with_threads(3, &mut banded, n, gemm::MR, |first_row, band| {
+            let rows = first_row * n..first_row * n + band.len();
+            gemm::matmul_upper_acc_with(KernelPolicy::Blocked, &a[rows], &u, band);
+        });
         assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
+        assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
         same_bits_at_both_exact_levels("upper product", || run(KernelPolicy::Blocked));
     }
 }
@@ -197,8 +203,7 @@ fn weighted_syrk_matches_naive_across_shapes_and_strides() {
                 }
             }
         }
-        let banded = fml_linalg::policy::with_threads(3, || run(KernelPolicy::BlockedParallel));
-        assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
+        assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
         same_bits_at_both_exact_levels("weighted syrk", || run(KernelPolicy::Blocked));
     }
 }
@@ -243,16 +248,6 @@ fn ger_policies_match_naive_across_shapes() {
             gemm::ger_with(p, alpha, &x, &y, &mut a);
             let diff = reference.max_abs_diff(&a);
             assert!(diff < TEST_EPS, "case {case} {p}: {m}x{n} diff {diff}");
-        }
-        // the zero-skipping variant must agree with the dense one on any
-        // input, under every policy
-        for p in KernelPolicy::ALL {
-            let mut sparse_a = seed_a.clone();
-            gemm::ger_sparse_with(p, alpha, &x, &y, &mut sparse_a);
-            assert!(
-                reference.max_abs_diff(&sparse_a) < TEST_EPS,
-                "case {case} {p} sparse"
-            );
         }
     }
 }
@@ -308,35 +303,6 @@ fn policy_equivalence_holds_under_every_bit_exact_simd_level() {
                     "case {case} {p}: scalar vs lanes bit mismatch: {s} vs {l}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn zero_skipping_matmul_matches_naive_across_policies() {
-    let mut g = Gen::new(10);
-    for (case, (m, k, n)) in awkward_shapes(&mut g).into_iter().enumerate() {
-        // mostly-zero A so the skip path actually fires
-        let mut a = Matrix::zeros(m, k);
-        for i in 0..m {
-            for j in 0..k {
-                if g.range(0, 4) == 0 {
-                    a[(i, j)] = g.f64();
-                }
-            }
-        }
-        let b = g.matrix(k, n);
-        let seed_c = g.matrix(m, n);
-        let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(KernelPolicy::Naive, &a, &b, &mut reference);
-        for p in KernelPolicy::ALL {
-            let mut c = seed_c.clone();
-            gemm::matmul_acc_sparse_with(p, &a, &b, &mut c);
-            let diff = reference.max_abs_diff(&c);
-            assert!(
-                diff < TEST_EPS * (k as f64 + 1.0),
-                "case {case} {p}: {m}x{k}x{n} diff {diff}"
-            );
         }
     }
 }
@@ -482,15 +448,6 @@ fn onehot_quadratic_forms_match_naive_dense() {
         }
         let x = densify(&idx, width);
         let a = g.matrix(width, width);
-        let y = g.vec(width);
-        let dense = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &y);
-        for p in KernelPolicy::ALL {
-            assert_eq!(
-                sparse::quadratic_form_onehot_with(p, &idx, &a, &y),
-                dense,
-                "case {case} {p} one-hot left"
-            );
-        }
         // both sides one-hot
         let (_, jdx_raw) = onehot_row(&mut g);
         let jdx: Vec<u32> = jdx_raw
@@ -517,25 +474,11 @@ fn block_dispatch_matches_dense_blocks_for_onehot_representations() {
             continue;
         }
         let partition = BlockPartition::binary(d_s, d_r);
-        let d = d_s + d_r;
-        let m = g.matrix(d, d);
         let u = g.vec(d_s);
         let x = densify(&idx, d_r);
         let alpha = g.f64();
 
         for p in KernelPolicy::ALL {
-            let form = BlockQuadraticForm::new_with(partition.clone(), &m, p);
-            // term_rep across representation mixes vs the dense term
-            let t_dense = form.term(0, 1, &u, &x);
-            let t_rep = form.term_rep(0, 1, BlockVec::Dense(&u), BlockVec::OneHot(&idx));
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (d,o)");
-            let t_dense = form.term(1, 0, &x, &u);
-            let t_rep = form.term_rep(1, 0, BlockVec::OneHot(&idx), BlockVec::Dense(&u));
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (o,d)");
-            let t_dense = form.term(1, 1, &x, &x);
-            let t_rep = form.term_rep(1, 1, BlockVec::OneHot(&idx), BlockVec::OneHot(&idx));
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (o,o)");
-
             // add_outer_rep vs dense add_outer
             let mut dense_sc = BlockScatter::new_with(partition.clone(), p);
             dense_sc.add_outer(0, 1, alpha, &u, &x);
@@ -705,15 +648,6 @@ fn csr_quadratic_forms_are_exact_against_naive_dense() {
         }
         let x = densify_csr(&idx, &vals, width);
         let a = g.matrix(width, width);
-        let y = g.vec(width);
-        let dense = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &y);
-        for p in KernelPolicy::ALL {
-            assert_eq!(
-                csr::quadratic_form_csr_with(p, &idx, &vals, &a, &y),
-                dense,
-                "case {case} {p} csr left"
-            );
-        }
         // both sides sparse
         let (jdx, jvals) = draw_csr_row(&mut g, width);
         let yj = densify_csr(&jdx, &jvals, width);
@@ -734,8 +668,6 @@ fn block_dispatch_matches_dense_blocks_for_csr_representations() {
         let d_r = g.range(1, 12);
         let (idx, vals) = draw_csr_row(&mut g, d_r);
         let partition = BlockPartition::binary(d_s, d_r);
-        let d = d_s + d_r;
-        let m = g.matrix(d, d);
         let u = g.vec(d_s);
         let x = densify_csr(&idx, &vals, d_r);
         let alpha = g.f64();
@@ -745,17 +677,6 @@ fn block_dispatch_matches_dense_blocks_for_csr_representations() {
         };
 
         for p in KernelPolicy::ALL {
-            let form = BlockQuadraticForm::new_with(partition.clone(), &m, p);
-            let t_dense = form.term(0, 1, &u, &x);
-            let t_rep = form.term_rep(0, 1, BlockVec::Dense(&u), rep);
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (d,c)");
-            let t_dense = form.term(1, 0, &x, &u);
-            let t_rep = form.term_rep(1, 0, rep, BlockVec::Dense(&u));
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (c,d)");
-            let t_dense = form.term(1, 1, &x, &x);
-            let t_rep = form.term_rep(1, 1, rep, rep);
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (c,c)");
-
             let mut dense_sc = BlockScatter::new_with(partition.clone(), p);
             dense_sc.add_outer(0, 1, alpha, &u, &x);
             dense_sc.add_outer(1, 0, alpha, &x, &u);
@@ -783,7 +704,6 @@ fn block_dispatch_handles_mixed_onehot_csr_pairs() {
         let xo = densify(&oidx, d);
         let xc = densify_csr(&cidx, &cvals, d);
         let partition = BlockPartition::binary(d, d);
-        let m = g.matrix(2 * d, 2 * d);
         let alpha = g.f64();
         let onehot = BlockVec::OneHot(&oidx);
         let csr_rep = BlockVec::Csr {
@@ -791,14 +711,6 @@ fn block_dispatch_handles_mixed_onehot_csr_pairs() {
             vals: &cvals,
         };
         for p in KernelPolicy::ALL {
-            let form = BlockQuadraticForm::new_with(partition.clone(), &m, p);
-            let t_dense = form.term(0, 1, &xo, &xc);
-            let t_rep = form.term_rep(0, 1, onehot, csr_rep);
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (o,c)");
-            let t_dense = form.term(1, 0, &xc, &xo);
-            let t_rep = form.term_rep(1, 0, csr_rep, onehot);
-            assert!(approx_eq(t_dense, t_rep, 1e-12), "case {case} {p} (c,o)");
-
             let mut dense_sc = BlockScatter::new_with(partition.clone(), p);
             dense_sc.add_outer(0, 1, alpha, &xo, &xc);
             dense_sc.add_outer(1, 0, alpha, &xc, &xo);
@@ -882,11 +794,11 @@ fn cholesky_inverts_spd_matrices() {
         let dim = g.range(1, 6);
         // Build an SPD matrix A = B·Bᵀ + I from arbitrary B.
         let b = g.matrix(dim, dim);
-        let mut a = gemm::matmul(&b, &b.transpose());
+        let mut a = gemm::matmul_with(KernelPolicy::Blocked, &b, &b.transpose());
         a.add_diag(1.0);
         let ch = Cholesky::factor(&a).unwrap();
         let inv = ch.inverse();
-        let prod = gemm::matmul(&inv, &a);
+        let prod = gemm::matmul_with(KernelPolicy::Blocked, &inv, &a);
         assert!(
             prod.max_abs_diff(&Matrix::identity(dim)) < 1e-8,
             "case {case}"
@@ -905,9 +817,9 @@ fn matmul_distributes_over_addition() {
         let y = g.vec(dim);
         // A(x + y) == Ax + Ay
         let sum: Vec<f64> = x.iter().zip(y.iter()).map(|(a, b)| a + b).collect();
-        let lhs = gemm::matvec(&a, &sum);
-        let ax = gemm::matvec(&a, &x);
-        let ay = gemm::matvec(&a, &y);
+        let lhs = gemm::matvec_with(KernelPolicy::Blocked, &a, &sum);
+        let ax = gemm::matvec_with(KernelPolicy::Blocked, &a, &x);
+        let ay = gemm::matvec_with(KernelPolicy::Blocked, &a, &y);
         for i in 0..dim {
             assert!(
                 approx_eq(lhs[i], ax[i] + ay[i], 1e-9),

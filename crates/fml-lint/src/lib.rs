@@ -17,8 +17,8 @@
 //!   block/impl preceded by a `// SAFETY:` comment, every `unsafe fn`
 //!   documented with a `# Safety` section.
 //! * **`no-raw-spawn`** — `std::thread::spawn` only in `pool.rs` and test
-//!   code: a bare spawn inherits neither the scoped `FML_THREADS` override
-//!   nor the SIMD level, silently changing kernel behavior on the new
+//!   code: a bare spawn escapes the `FML_THREADS` worker cap and drops the
+//!   thread-local SIMD level, silently changing kernel behavior on the new
 //!   thread.
 //! * **`env-centralization`** — `env::var("FML_…")` only at the designated
 //!   resolve sites (`policy.rs`, `simd.rs`, `exec.rs`, `fml-bench`).

@@ -27,7 +27,7 @@ pub const RULES: [RuleInfo; 11] = [
     },
     RuleInfo {
         name: crate::rules::RULE_SPAWN,
-        invariant: "threads are born only in the pool; bare spawns lose FML_THREADS/SIMD overrides",
+        invariant: "threads are born only in the pool; bare spawns escape the FML_THREADS cap and drop the SIMD level",
     },
     RuleInfo {
         name: crate::rules::RULE_ENV,

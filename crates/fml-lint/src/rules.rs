@@ -7,7 +7,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `unsafe-audit` | `unsafe` only in the audited leaf modules, every block/impl preceded by `// SAFETY:`, every `unsafe fn` documented with `# Safety` |
-//! | `no-raw-spawn` | `thread::spawn` only in `pool.rs` and test code (bare spawns lose the `FML_THREADS`/SIMD overrides) |
+//! | `no-raw-spawn` | `thread::spawn` only in `pool.rs` and test code (bare spawns escape the `FML_THREADS` cap and drop the SIMD level) |
 //! | `env-centralization` | `FML_*` environment reads only at the designated resolve sites |
 //! | `float-eq` | no float `==`/`!=`/`assert_eq!` in production code — `to_bits` or approx helpers instead |
 //! | `no-stray-io` | no `println!`/`eprintln!`/`dbg!` in library code |
@@ -298,10 +298,10 @@ fn rule_no_raw_spawn(ctx: &Context, tokens: &[Token], out: &mut Vec<Violation>) 
                 ctx.violation(
                     RULE_SPAWN,
                     line,
-                    "`std::thread::spawn` outside the pool: a bare spawn inherits \
-                 neither the scoped `FML_THREADS` override nor the SIMD level \
-                 (both are thread-local), silently changing kernel behavior on \
-                 the new thread; dispatch through `fml_linalg::pool::run`"
+                    "`std::thread::spawn` outside the pool: a bare spawn escapes \
+                 the `FML_THREADS` worker cap and drops the thread-local SIMD \
+                 level, silently changing kernel behavior on the new thread; \
+                 dispatch through `fml_linalg::pool::run`"
                         .to_string(),
                 ),
             );

@@ -110,10 +110,10 @@ fn raw_spawn_outside_pool_is_flagged_with_exact_diagnostic() {
     assert_eq!(
         diags("no-raw-spawn", "crates/fml-serve/src/scorer.rs", src),
         vec!["crates/fml-serve/src/scorer.rs:2: [no-raw-spawn] \
-             `std::thread::spawn` outside the pool: a bare spawn inherits \
-             neither the scoped `FML_THREADS` override nor the SIMD level \
-             (both are thread-local), silently changing kernel behavior on \
-             the new thread; dispatch through `fml_linalg::pool::run`"
+             `std::thread::spawn` outside the pool: a bare spawn escapes \
+             the `FML_THREADS` worker cap and drops the thread-local SIMD \
+             level, silently changing kernel behavior on the new thread; \
+             dispatch through `fml_linalg::pool::run`"
             .to_string()]
     );
 }

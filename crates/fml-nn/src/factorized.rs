@@ -67,9 +67,6 @@ impl FactorizedNn {
     ) -> StoreResult<NnFit> {
         let start = Instant::now();
         let ex = exec.resolve();
-        // Kernels invoked under a parallel policy on this thread fan out to
-        // exactly the resolved thread count while training runs.
-        let _kernel_threads = ex.kernel_thread_scope();
         // The resolved observability mode governs instrumentation on every
         // thread this run touches (pool workers, storage scans).
         let _obs = ex.obs_scope();
@@ -99,7 +96,7 @@ impl FactorizedNn {
         for _epoch in 0..config.epochs {
             // Weights are constant within an epoch (full-batch update at the
             // end), so the split of W¹ is hoisted out of the scan.
-            let kp = ex.kernel_policy.sequential();
+            let kp = ex.kernel_policy;
             let first = FirstLayer::split(&model, &sizes, kp);
             let mut grads = model.zero_grads();
             let mut grad_w1 = first.zero_grad();

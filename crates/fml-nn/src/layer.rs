@@ -71,12 +71,7 @@ impl DenseLayer {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Computes the pre-activation `a = W·x + b` under the default policy.
-    pub fn pre_activation(&self, x: &[f64]) -> Vec<f64> {
-        self.pre_activation_with(fml_linalg::KernelPolicy::default(), x)
-    }
-
-    /// Computes the pre-activation under an explicit kernel policy.
+    /// Computes the pre-activation `a = W·x + b`.
     pub fn pre_activation_with(&self, kp: fml_linalg::KernelPolicy, x: &[f64]) -> Vec<f64> {
         let mut a = gemm::matvec_with(kp, &self.weights, x);
         vector::axpy(1.0, &self.bias, &mut a);
@@ -84,11 +79,6 @@ impl DenseLayer {
     }
 
     /// Forward pass returning `(a, h)` — pre-activation and activated output.
-    pub fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        self.forward_with(fml_linalg::KernelPolicy::default(), x)
-    }
-
-    /// [`Self::forward`] under an explicit kernel policy.
     pub fn forward_with(&self, kp: fml_linalg::KernelPolicy, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let a = self.pre_activation_with(kp, x);
         let mut h = a.clone();
@@ -154,7 +144,7 @@ mod tests {
     fn forward_matches_manual_computation() {
         let w = Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5]]);
         let layer = DenseLayer::new(w, vec![0.5, -0.5], Activation::Relu);
-        let (a, h) = layer.forward(&[1.0, 1.0]);
+        let (a, h) = layer.forward_with(fml_linalg::KernelPolicy::Blocked, &[1.0, 1.0]);
         assert_eq!(a, vec![3.5, -1.0]);
         assert_eq!(h, vec![3.5, 0.0]);
         assert_eq!(layer.in_dim(), 2);

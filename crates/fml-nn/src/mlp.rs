@@ -107,11 +107,6 @@ impl Mlp {
     }
 
     /// Full forward pass, keeping per-layer caches for back-propagation.
-    pub fn forward_trace(&self, x: &[f64]) -> ForwardTrace {
-        self.forward_trace_with(KernelPolicy::default(), x)
-    }
-
-    /// [`Self::forward_trace`] under an explicit kernel policy.
     pub fn forward_trace_with(&self, kp: KernelPolicy, x: &[f64]) -> ForwardTrace {
         let mut layers: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
@@ -122,9 +117,10 @@ impl Mlp {
         ForwardTrace { layers }
     }
 
-    /// Prediction for a single (joined) feature vector.
+    /// Prediction for a single (joined) feature vector, under the default
+    /// `Blocked` arithmetic.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.forward_trace(x).output()
+        self.predict_with(KernelPolicy::Blocked, x)
     }
 
     /// [`Self::predict`] under an explicit kernel policy.
@@ -178,17 +174,6 @@ impl Mlp {
     /// starting from an already computed forward trace.
     ///
     /// Returns the example's squared-error contribution `½(o − y)²`.
-    pub fn backward_into(
-        &self,
-        x: &[f64],
-        trace: &ForwardTrace,
-        target: f64,
-        grads: &mut [LayerGradient],
-    ) -> f64 {
-        self.backward_into_with(KernelPolicy::default(), x, trace, target, grads)
-    }
-
-    /// [`Self::backward_into`] under an explicit kernel policy.
     pub fn backward_into_with(
         &self,
         kp: KernelPolicy,
@@ -227,7 +212,7 @@ impl Mlp {
     /// **first-layer pre-activation** in
     /// [`ws.first_preactivation()`](Workspace::first_preactivation) — the
     /// training-side twin of [`Self::forward_from_first_preactivation_with`].
-    /// Identical to [`backward_into`](Self::backward_into) except that the
+    /// Identical to [`Self::backward_into_with`] except that the
     /// **first layer's weight gradient is not touched**: the caller
     /// accumulates it block-wise from the base relations
     /// (`∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]`, Equations 28–32, see
@@ -267,9 +252,10 @@ impl Mlp {
         0.5 * (output - target).powi(2)
     }
 
-    /// Convenience: forward + backward for one example.
+    /// Convenience: forward + backward for one example, under the default
+    /// `Blocked` arithmetic.
     pub fn accumulate_example(&self, x: &[f64], target: f64, grads: &mut [LayerGradient]) -> f64 {
-        self.accumulate_example_with(KernelPolicy::default(), x, target, grads)
+        self.accumulate_example_with(KernelPolicy::Blocked, x, target, grads)
     }
 
     /// [`Self::accumulate_example`] under an explicit kernel policy — the

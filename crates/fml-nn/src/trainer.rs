@@ -140,9 +140,6 @@ pub fn train_supervised_from(
 ) -> StoreResult<NnFit> {
     let start = Instant::now();
     let ex = exec.resolve();
-    // Kernels invoked under a parallel policy on this thread fan out to
-    // exactly the resolved thread count while training runs.
-    let _kernel_threads = ex.kernel_thread_scope();
     // The resolved observability mode governs instrumentation on every
     // thread this run touches (pool workers, storage scans).
     let _obs = ex.obs_scope();
@@ -155,11 +152,11 @@ pub fn train_supervised_from(
     );
     let mut model = initial;
     let mut loss_trace = Vec::with_capacity(config.epochs);
-    // Per-example kernels run single-threaded inside workers (kp); forward+
-    // backward is ~4·|θ| flops per example, so fan out only when a batch
-    // carries enough work to amortize the pool dispatch — otherwise, and
-    // under every sequential policy, each batch runs inline as one chunk.
-    let kp = ex.kernel_policy.sequential();
+    // Kernels are sequential; forward+backward is ~4·|θ| flops per example,
+    // so fan out only when a batch carries enough work to amortize the pool
+    // dispatch — otherwise, and under every sequential policy, each batch
+    // runs inline as one chunk.
+    let kp = ex.kernel_policy;
     let par = ex.kernel_policy.is_parallel()
         && 4 * model.num_params() * PAR_BATCH_EXAMPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);

@@ -654,9 +654,6 @@ where
         "model dimension mismatch against the join's feature width"
     );
     let ex = exec.resolve();
-    // Kernels invoked under a parallel policy fan out to exactly the
-    // resolved thread count while scoring runs.
-    let _kernel_threads = ex.kernel_thread_scope();
     // The resolved observability mode governs instrumentation on every
     // thread this run touches (pool workers, storage scans).
     let _obs = ex.obs_scope();
@@ -691,7 +688,7 @@ impl Scorer for GmmFit {
                 Precomputed::from_model(&self.model, SCORING_RIDGE),
                 partition,
                 ex.sparse,
-                ex.kernel_policy.sequential(),
+                ex.kernel_policy,
             )
         })
     }
@@ -710,7 +707,7 @@ impl Scorer for NnFit {
     ) -> StoreResult<Scores<f64>> {
         let model = &self.model;
         score_join(model.input_dim(), db, spec, exec, opts, |partition, ex| {
-            let kp = ex.kernel_policy.sequential();
+            let kp = ex.kernel_policy;
             NnCore {
                 model,
                 first: FirstLayer::split(model, partition.sizes(), kp),
