@@ -1,9 +1,12 @@
 //! The paper's analytic cost models (Section V-A and V-B).
 //!
 //! * [`GmmIoCostModel`] — page-I/O cost of `M-GMM` versus `S-GMM`/`F-GMM` as a
-//!   function of the relation sizes, the block size and the number of EM
-//!   iterations, including the `BlockSize` crossover point below which
-//!   materializing the join is cheaper.
+//!   function of the relation sizes, the block size, the number of EM
+//!   iterations and the passes an iteration makes over the data
+//!   ([`PAPER_PASSES_PER_ITERATION`] for Algorithm 1 as the paper states it,
+//!   [`ENGINE_PASSES_PER_ITERATION`] for this engine's fused EM), including
+//!   the `BlockSize` crossover point below which materializing the join is
+//!   cheaper.
 //! * [`SavingRateModel`] — the computation-saving rate
 //!   `∆τ/τ = ((n_S/n_R − 1)(τ_s + d_R·τ_m)) / ((n_S/n_R)(d_S/d_R + 1)(τ_s + d·τ_m))`
 //!   of the factorized scatter computation (Section V-B), predicting how the
@@ -11,7 +14,17 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Page-I/O cost model for GMM training (Section V-A).
+/// Passes over the data per EM iteration in the paper's Algorithm 1:
+/// responsibilities, means, covariances around the new means.
+pub const PAPER_PASSES_PER_ITERATION: u64 = 3;
+
+/// Passes over the data per EM iteration in this engine: `fml-gmm` fuses the
+/// three on mean-shifted sufficient statistics.
+pub const ENGINE_PASSES_PER_ITERATION: u64 = 1;
+
+/// Page-I/O cost model for GMM training (Section V-A).  The formulas are the
+/// paper's, with its `3·iter` written `passes·iter`: every method that counts
+/// training passes takes the passes per iteration as an argument.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GmmIoCostModel {
     /// Pages of the fact table `|S|`.
@@ -37,29 +50,31 @@ impl GmmIoCostModel {
         self.r_pages + self.probes() * self.s_pages
     }
 
-    /// Total page I/O of `M-GMM`: join + materialize + `3·iter` scans of `T`.
-    pub fn materialized_io(&self) -> u64 {
-        self.join_pass_reads() + self.t_pages + 3 * self.iterations * self.t_pages
+    /// Total page I/O of `M-GMM`: join + materialize + `passes·iter` scans of
+    /// `T`.
+    pub fn materialized_io(&self, passes: u64) -> u64 {
+        self.join_pass_reads() + self.t_pages + passes * self.iterations * self.t_pages
     }
 
-    /// Total page I/O of `S-GMM` / `F-GMM`: `3·iter` on-the-fly join passes.
-    pub fn streaming_io(&self) -> u64 {
-        3 * self.iterations * self.join_pass_reads()
+    /// Total page I/O of `S-GMM` / `F-GMM`: `passes·iter` on-the-fly join
+    /// passes.
+    pub fn streaming_io(&self, passes: u64) -> u64 {
+        passes * self.iterations * self.join_pass_reads()
     }
 
     /// Whether the streaming strategies beat materialization on I/O with the
     /// configured block size.
-    pub fn streaming_wins(&self) -> bool {
-        self.streaming_io() < self.materialized_io()
+    pub fn streaming_wins(&self, passes: u64) -> bool {
+        self.streaming_io(passes) < self.materialized_io(passes)
     }
 
-    /// The `BlockSize` threshold of Section V-A: streaming has lower I/O cost
-    /// whenever the block size exceeds
-    /// `((3·iter − 1)·|R|·|S|) / ((3·iter + 1)·|T| − (3·iter − 1)·|R|)`.
+    /// The `BlockSize` threshold of Section V-A: with `m = passes·iter`,
+    /// streaming has lower I/O cost whenever the block size exceeds
+    /// `((m − 1)·|R|·|S|) / ((m + 1)·|T| − (m − 1)·|R|)`.
     /// Returns `None` when the denominator is non-positive (then streaming wins
     /// for every block size).
-    pub fn crossover_block_pages(&self) -> Option<f64> {
-        let m = 3.0 * self.iterations as f64;
+    pub fn crossover_block_pages(&self, passes: u64) -> Option<f64> {
+        let m = (passes * self.iterations) as f64;
         let numer = (m - 1.0) * self.r_pages as f64 * self.s_pages as f64;
         let denom = (m + 1.0) * self.t_pages as f64 - (m - 1.0) * self.r_pages as f64;
         if denom <= 0.0 {
@@ -155,11 +170,15 @@ mod tests {
         let m = model();
         // one join pass: 10 + ceil(10/64)*1000 = 1010
         assert_eq!(m.join_pass_reads(), 1010);
-        // M: 1010 + 2000 + 3*10*2000 = 63010
-        assert_eq!(m.materialized_io(), 63_010);
+        // the paper's Algorithm 1 — M: 1010 + 2000 + 3*10*2000 = 63010
+        assert_eq!(m.materialized_io(PAPER_PASSES_PER_ITERATION), 63_010);
         // S/F: 3*10*1010 = 30300
-        assert_eq!(m.streaming_io(), 30_300);
-        assert!(m.streaming_wins());
+        assert_eq!(m.streaming_io(PAPER_PASSES_PER_ITERATION), 30_300);
+        assert!(m.streaming_wins(PAPER_PASSES_PER_ITERATION));
+        // this engine — M: 1010 + 2000 + 10*2000 = 23010, S/F: 10*1010 = 10100
+        assert_eq!(m.materialized_io(ENGINE_PASSES_PER_ITERATION), 23_010);
+        assert_eq!(m.streaming_io(ENGINE_PASSES_PER_ITERATION), 10_100);
+        assert!(m.streaming_wins(ENGINE_PASSES_PER_ITERATION));
     }
 
     #[test]
@@ -168,26 +187,31 @@ mod tests {
             block_pages: 1,
             ..model()
         };
-        // S/F must rescan S once per R page: 3*10*(10 + 10*1000) ≫ M's cost
-        assert!(!m.streaming_wins());
-        assert!(m.materialized_io() < m.streaming_io());
+        // S/F must rescan S once per R page: iter*(10 + 10*1000) per pass ≫
+        // M's cost, whichever pass count
+        for passes in [PAPER_PASSES_PER_ITERATION, ENGINE_PASSES_PER_ITERATION] {
+            assert!(!m.streaming_wins(passes));
+            assert!(m.materialized_io(passes) < m.streaming_io(passes));
+        }
     }
 
     #[test]
     fn crossover_threshold_separates_the_regimes() {
         let m = model();
-        let threshold = m.crossover_block_pages().expect("finite crossover");
-        // Just below the threshold materialization wins, just above streaming wins.
-        let below = GmmIoCostModel {
-            block_pages: threshold.floor().max(1.0) as u64,
-            ..m
-        };
-        let above = GmmIoCostModel {
-            block_pages: threshold.ceil() as u64 + 1,
-            ..m
-        };
-        assert!(!below.streaming_wins() || threshold < 1.5);
-        assert!(above.streaming_wins());
+        for passes in [PAPER_PASSES_PER_ITERATION, ENGINE_PASSES_PER_ITERATION] {
+            let threshold = m.crossover_block_pages(passes).expect("finite crossover");
+            // Just below the threshold materialization wins, just above streaming wins.
+            let below = GmmIoCostModel {
+                block_pages: threshold.floor().max(1.0) as u64,
+                ..m
+            };
+            let above = GmmIoCostModel {
+                block_pages: threshold.ceil() as u64 + 1,
+                ..m
+            };
+            assert!(!below.streaming_wins(passes) || threshold < 1.5);
+            assert!(above.streaming_wins(passes));
+        }
     }
 
     #[test]
@@ -200,7 +224,9 @@ mod tests {
             block_pages: 4,
             iterations: 5,
         };
-        assert!(m.crossover_block_pages().is_none());
+        assert!(m
+            .crossover_block_pages(PAPER_PASSES_PER_ITERATION)
+            .is_none());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The shared EM driver for "dense" tuple sources (Algorithm 1 of the paper).
+//! The shared EM driver for "dense" tuple sources (Algorithm 1 of the paper,
+//! in one pass per iteration).
 //!
 //! `M-GMM` and `S-GMM` differ only in *where* the denormalized feature vectors come
 //! from (a materialized table vs an on-the-fly join); the EM computation itself is
@@ -6,51 +7,65 @@
 //! [`DensePassSource`] abstraction: a data source that can replay the same sequence
 //! of joined feature vectors once per pass.
 //!
-//! Following Algorithm 1, every EM iteration makes **three passes** over the data:
+//! **One pass per iteration.**  Algorithm 1 scans the data three times per
+//! iteration — responsibilities, means, covariances — only because it centres
+//! the covariances on the *new* means.  This driver scans once: as soon as a
+//! batch's responsibilities `γ` are finished it accumulates the sufficient
+//! statistics centred on the **current** means `µ_k`, which the E-step has
+//! already subtracted,
 //!
-//! 1. **E-step** — compute and store the responsibilities `γ_k^{(n)}` (and the
-//!    iteration's log-likelihood);
-//! 2. **M-step (means)** — accumulate `Σ_n γ_k^{(n)} x^{(n)}` and update `µ_k`;
-//! 3. **M-step (covariances)** — accumulate
-//!    `Σ_n γ_k^{(n)} (x^{(n)}−µ_k)(x^{(n)}−µ_k)ᵀ` around the *new* means and
-//!    update `Σ_k`, then update `π_k = N_k / N`.
+//! * `N_k = Σ γ`, `s_k = Σ γ·(x − µ_k)`, `S_k = Σ γ·(x − µ_k)(x − µ_k)ᵀ`,
 //!
-//! **Execution shape.**  The source is a sequential callback scan; each pass
+//! and [`finalize_m_step`] closes the iteration with
+//!
+//! * `µ'_k = µ_k + s_k/N_k`, `Σ'_k = S_k/N_k − (s_k/N_k)(s_k/N_k)ᵀ`, `π'_k = N_k/N`.
+//!
+//! That is the M-step of Algorithm 1 exactly (same fixed point, same iterates
+//! up to rounding).  It is the shifted-data form, not the raw-moment form:
+//! the subtracted term is the squared *step* of the mean, so the rounding
+//! error it leaves in `Σ'_k` is `≈ ε·‖µ'_k − µ_k‖²` and vanishes as EM
+//! converges (`tests/batched_em.rs` pins the bound against a per-row
+//! three-pass Algorithm 1 on a fixture whose first step is `≥ 50σ`).
+//!
+//! **Execution shape.**  The source is a sequential callback scan; the pass
 //! buffers it into batches of [`PAR_BATCH_TUPLES`] rows, and a batch fans
-//! out over per-worker chunks whose partial sums merge in chunk order (one
-//! chunk under a sequential policy or a small model).  Within a chunk the
-//! dense rows are compacted into a panel and passes 1 and 3 run one level-3
-//! kernel call **per component**, not per row:
+//! out over per-worker chunks whose partial statistics merge in chunk order
+//! (one chunk under a sequential policy or a small model).  Within a chunk
+//! the dense rows are compacted into a panel and run one level-3 kernel call
+//! **per component**, not per row:
 //!
 //! * E-step: centre the panel around `µ_c`, whiten it —
 //!   `Y = (X − 1µ_cᵀ)·L_c⁻ᵀ` with [`gemm::matmul_upper_acc_with`] and the
 //!   whitener of the same (possibly ridge-repaired) Cholesky factor
 //!   [`Precomputed::from_model`] inverts — and the Mahalanobis distance of
 //!   row `r` is `‖Y_r‖²`, non-negative by construction.  The responsibilities
-//!   are finished in place in the chunk's band of the `n × K` buffer.
-//! * Covariances: centre around the new `µ_c`, then one weighted SYRK
-//!   ([`gemm::syrk_upper_acc_with`]) with `γ_c` read at stride `K` out of
-//!   that buffer.  Only the upper triangle is maintained; it is mirrored once
-//!   at the end of the pass.
+//!   are finished in place in a chunk-local `rows × K` band.
+//! * Statistics: centre the panel around `µ_c` again (an `O(n·d)` copy next
+//!   to the `O(n·d²)` product; `K` centred panels are never held at once),
+//!   then one weighted SYRK ([`gemm::syrk_upper_acc_with`]) with `γ_c` read
+//!   at stride `K` out of the band, and `s_c += Xᵀγ_c`.  Only the upper
+//!   triangle of `S_c` is maintained; it is mirrored once at the end of the
+//!   pass.
 //!
 //! Rows that carry a [`fml_linalg::SparseRep`] (under
 //! [`SparseMode::Auto`]) stay on the per-row gather path of [`crate::sparse`]:
-//! `Σ⁻¹` pair gathers in the E-step, pair scatters plus once-per-pass mean
-//! corrections in the M-step.  The means pass is one AXPY per row and
-//! component (it is ~1 % of an iteration).
+//! `Σ⁻¹` pair gathers in the E-step, then raw `γ·x xᵀ` pair scatters and
+//! `γ·x` sums, corrected around `µ_c` once per pass — after which they are in
+//! the same shifted form as the dense rows.
 //!
 //! **Bit contract.**  `M-GMM` and `S-GMM` feed this driver the same rows in
 //! the same order, so their fits are **bit-identical** on every join shape.
 //! A row's E-step bits do not depend on its position in a batch (edge panels
 //! are zero-padded, every row runs the same micro-kernel); the scatter sums
 //! rows in `KC`-deep blocks per batch, so its bits depend on the batch
-//! boundaries — which are a function of the row order alone — and, exactly
-//! as before, on the worker count (chunk-order merge).  Under
+//! boundaries — which are a function of the row order alone — and on the
+//! worker count (chunk-order merge).  Under
 //! [`fml_linalg::KernelPolicy::Naive`] the two kernels are their strictly
 //! sequential per-row reference loops (the whitened form one row at a time;
-//! today's GER order on the upper triangle): the oracle the blocked form is
+//! GER order on the upper triangle): the oracle the blocked form is
 //! tolerance-tested against (`tests/batched_em.rs`: parameters within 1e-9,
-//! log-likelihood trace within 1e-10 relative), with the `Σ⁻¹` form of
+//! log-likelihood trace within 1e-10 relative), with a hand-rolled per-row
+//! three-pass Algorithm 1 on the `Σ⁻¹` form of
 //! [`Precomputed::responsibilities_dense`] as the independent cross-check.
 //! The whitened form is not bit-equal to the `Σ⁻¹` form `F-GMM` and the
 //! scorer evaluate; the three strategies agree to rounding, as they always
@@ -61,12 +76,11 @@ use crate::model::{GmmModel, Precomputed};
 use crate::sparse::SparseFormPre;
 use crate::GmmConfig;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
-use fml_linalg::policy::{par_chunks_with_threads, par_row_bands_map_with_threads};
+use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
 use fml_linalg::sparse::SparseMode;
 use fml_linalg::{gemm, vector, Matrix, Vector};
 use fml_store::StoreResult;
-use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Number of joined tuples buffered per parallel batch.  Each batch is split
@@ -80,7 +94,7 @@ pub const PAR_BATCH_TUPLES: usize = 1024;
 pub const PAR_MIN_BATCH_FLOPS: usize = 1 << 22;
 
 /// A source of denormalized (joined) feature vectors that can be scanned once per
-/// EM pass.  Implementations: the materialized table `T` (`M-GMM`) and the
+/// EM iteration.  Implementations: the materialized table `T` (`M-GMM`) and the
 /// on-the-fly join (`S-GMM`).
 pub trait DensePassSource {
     /// Invokes `f` once per joined feature vector, in a deterministic order.
@@ -181,59 +195,100 @@ pub fn converged(prev_ll: Option<f64>, ll: f64, tol: f64) -> bool {
 /// case identically instead of dividing near-zero scatter by near-zero mass.
 pub const EMPTY_COMPONENT_MASS: f64 = 1e-6;
 
-/// Finalizes the M-step: turns accumulated sufficient statistics into model
-/// parameters.  Shared by the dense and factorized paths so the final arithmetic
-/// (division order, symmetrization) is literally the same code.
+/// Finalizes the M-step: turns the sufficient statistics accumulated around
+/// the iteration's starting `means` — `nk[c] = Σγ`, `shift_sums[c] =
+/// Σγ·(x − µ_c)`, `scatter[c] = Σγ·(x − µ_c)(x − µ_c)ᵀ` — into model
+/// parameters: `µ'_c = µ_c + s_c/N_c`, `Σ'_c = S_c/N_c − (s_c/N_c)(s_c/N_c)ᵀ`
+/// (symmetrized, plus `ridge`), `π'_c = N_c/N`.  Shared by the dense and
+/// factorized paths so the final arithmetic (division order, symmetrization)
+/// is literally the same code.
 pub fn finalize_m_step(
+    means: &[Vector],
     nk: &[f64],
-    mean_sums: Vec<Vector>,
+    shift_sums: Vec<Vector>,
     mut scatter: Vec<Matrix>,
     n_total: u64,
     ridge: f64,
 ) -> GmmModel {
     let k = nk.len();
-    let d = mean_sums[0].len();
+    let d = means[0].len();
     let mut weights = Vec::with_capacity(k);
-    let mut means = Vec::with_capacity(k);
-    for c in 0..k {
+    let mut new_means = Vec::with_capacity(k);
+    for (c, mut step) in shift_sums.into_iter().enumerate() {
+        weights.push(nk[c] / n_total as f64);
         if nk[c] < EMPTY_COMPONENT_MASS {
-            // Empty component: deterministic reset (mean from whatever tiny mass
-            // it has, identity covariance, ~zero weight).
-            let mut m = mean_sums[c].clone();
-            m.scale(1.0 / nk[c].max(EMPTY_COMPONENT_MASS));
-            means.push(m);
+            // Empty component: deterministic reset (mean from whatever tiny
+            // mass it has — `Σγx = N_c·µ_c + s_c` over the floor mass —
+            // identity covariance, ~zero weight).
+            step.axpy(nk[c], &means[c]);
+            step.scale(1.0 / EMPTY_COMPONENT_MASS);
+            new_means.push(step);
             scatter[c] = Matrix::identity(d);
-            weights.push(nk[c] / n_total as f64);
             continue;
         }
-        let mut m = mean_sums[c].clone();
-        m.scale(1.0 / nk[c]);
-        means.push(m);
+        step.scale(1.0 / nk[c]);
         scatter[c].scale(1.0 / nk[c]);
+        for (i, &si) in step.iter().enumerate() {
+            vector::axpy(-si, step.as_slice(), scatter[c].row_mut(i));
+        }
         scatter[c].symmetrize();
         // Deterministic regularization applied by every variant: keeps the
         // covariance comfortably SPD so the next E-step never needs the
         // escalating (and rounding-sensitive) repair path.
         scatter[c].add_diag(ridge);
-        weights.push(nk[c] / n_total as f64);
+        step.axpy(1.0, &means[c]);
+        new_means.push(step);
     }
-    GmmModel::new(weights, means, scatter)
+    GmmModel::new(weights, new_means, scatter)
 }
 
-/// Computes the new means from the mean sums (needed before the covariance pass).
-pub fn means_from_sums(nk: &[f64], mean_sums: &[Vector]) -> Vec<Vector> {
-    nk.iter()
-        .zip(mean_sums.iter())
-        .map(|(n, s)| {
-            let mut m = s.clone();
-            m.scale(1.0 / if *n > 0.0 { *n } else { 1.0 });
-            m
-        })
-        .collect()
+/// One chunk's (or one pass's) sufficient statistics, centred on the
+/// iteration's starting means; chunks merge in chunk order.
+struct ShiftedStats {
+    /// `Σγ` per component.
+    nk: Vec<f64>,
+    /// Log-likelihood of the rows seen.
+    ll: f64,
+    /// `Σγ·(x − µ_c)` over the dense rows.
+    shift: Vec<Vector>,
+    /// Upper triangle of `Σγ·(x − µ_c)(x − µ_c)ᵀ` over the dense rows, plus
+    /// the raw `Σγ·x xᵀ` of the sparse rows.
+    scatter: Vec<Matrix>,
+    /// `Σγ·x` over the sparse rows.
+    sparse_gx: Vec<Vector>,
+    /// `Σγ` over the sparse rows.
+    sparse_gamma: Vec<f64>,
+    any_sparse: bool,
 }
 
-/// Trains a GMM with the three-pass EM of Algorithm 1 over a dense tuple source,
-/// initializing with the data-independent [`GmmInit::initial_model`].
+impl ShiftedStats {
+    fn zeros(k: usize, d: usize) -> Self {
+        Self {
+            nk: vec![0.0; k],
+            ll: 0.0,
+            shift: vec![Vector::zeros(d); k],
+            scatter: vec![Matrix::zeros(d, d); k],
+            sparse_gx: vec![Vector::zeros(d); k],
+            sparse_gamma: vec![0.0; k],
+            any_sparse: false,
+        }
+    }
+
+    fn merge(&mut self, other: &ShiftedStats) {
+        vector::axpy(1.0, &other.nk, &mut self.nk);
+        self.ll += other.ll;
+        for c in 0..self.nk.len() {
+            self.shift[c].axpy(1.0, &other.shift[c]);
+            self.scatter[c].add_assign(&other.scatter[c]);
+            self.sparse_gx[c].axpy(1.0, &other.sparse_gx[c]);
+            self.sparse_gamma[c] += other.sparse_gamma[c];
+        }
+        self.any_sparse |= other.any_sparse;
+    }
+}
+
+/// Trains a GMM with one-pass EM over a dense tuple source, initializing
+/// with the data-independent [`GmmInit::initial_model`].
 pub fn train_dense(
     source: &mut dyn DensePassSource,
     config: &GmmConfig,
@@ -244,10 +299,10 @@ pub fn train_dense(
     train_dense_from(source, config, exec, initial, None)
 }
 
-/// Trains a GMM with the three-pass EM of Algorithm 1 over a dense tuple source,
-/// starting from an explicit initial model (shared by every variant so the
-/// model-equivalence guarantee holds).  `io` is the optional cumulative I/O
-/// probe behind the per-iteration [`fml_linalg::FitObserver`] events.
+/// Trains a GMM with one-pass EM over a dense tuple source, starting from an
+/// explicit initial model (shared by every variant so the model-equivalence
+/// guarantee holds).  `io` is the optional cumulative I/O probe behind the
+/// per-iteration [`fml_linalg::FitObserver`] events.
 pub fn train_dense_from(
     source: &mut dyn DensePassSource,
     config: &GmmConfig,
@@ -271,7 +326,6 @@ pub fn train_dense_from(
 
     let mut log_likelihood = Vec::with_capacity(opts.max_iters);
     let mut iterations = 0;
-    let mut gammas: Vec<f64> = Vec::with_capacity((n as usize) * k);
 
     // Kernels are sequential; the parallelism lives at the tuple-batch
     // level.  Fanning out only pays when a batch carries enough flops to
@@ -281,13 +335,12 @@ pub fn train_dense_from(
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);
     let auto_sparse = ex.sparse == SparseMode::Auto;
-    // Per-tuple representation cache, filled lazily during the first E-step
-    // pass — the sources replay tuples in a deterministic order, so later
-    // passes and iterations index it by tuple position.  No extra scan is
+    // Per-tuple representation cache, filled lazily during the first
+    // iteration's pass — the sources replay tuples in a deterministic order,
+    // so later iterations index it by tuple position.  No extra scan is
     // performed (the streaming cost model stays exact) and detection runs at
-    // most once per tuple.  Memory is O(total nnz), which does not change
-    // this driver's memory class: `gammas` above already retains O(n·k)
-    // responsibilities across passes.
+    // most once per tuple.  Memory is O(total nnz) — nothing for an all-dense
+    // source, which leaves a streaming fit with no O(n) state at all.
     let mut reps = RepCache::new(ex.sparse);
     let mut batch: Vec<f64> = Vec::with_capacity(d * PAR_BATCH_TUPLES);
 
@@ -304,184 +357,116 @@ pub fn train_dense_from(
             Vec::new()
         };
 
-        // ---- Pass 1: E-step — responsibilities + log-likelihood ----
-        // Each batch fans out over deterministic chunks, each writing the
-        // responsibilities of its rows straight into its band of `gammas`
-        // and returning (Σγ, log-likelihood) plus, on the first pass, the
-        // detected representations; the partials merge in chunk order (the
-        // RepCache segment protocol).
-        let mut nk = vec![0.0; k];
-        let mut ll = 0.0;
+        // The iteration's one pass.  Each batch fans out over deterministic
+        // chunks; a chunk finishes the responsibilities of its rows,
+        // accumulates their statistics around `pre.means` and returns them
+        // plus, during the first iteration, the detected representations;
+        // the partials merge in chunk order (the RepCache segment protocol).
+        let mut stats = ShiftedStats::zeros(k, d);
         let mut row_cursor = 0usize;
         for_each_batch(source, &mut batch, |rows| {
             let n_rows = rows.len() / d;
             let base = row_cursor;
-            if gammas.len() < (base + n_rows) * k {
-                gammas.resize((base + n_rows) * k, 0.0);
-            }
             let reps_ref: &RepCache = &reps;
-            let band = &mut gammas[base * k..(base + n_rows) * k];
-            let parts = par_row_bands_map_with_threads(workers, band, k, 1, |first, band| {
-                let chunk = &rows[first * d..first * d + band.len() / k * d];
-                let mut seg = reps_ref.segment(base + first);
-                // Sparse rows take the gather form as they are detected;
-                // dense rows are collected for the batched form below.
-                let mut dense = Vec::with_capacity(band.len() / k);
+            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
+                let chunk = &rows[range.start * d..range.end * d];
+                let mut seg = reps_ref.segment(base + range.start);
+                let mut local = ShiftedStats::zeros(k, d);
+                // A sparse row is finished on the spot: `Σ⁻¹` pair gathers,
+                // then raw `γ·x xᵀ` pair scatters and `γ·x` sums.  Dense
+                // rows are collected for the batched form below.
+                let mut resp = vec![0.0; k];
+                let mut dense = Vec::with_capacity(range.len());
                 for (r, x) in chunk.chunks_exact(d).enumerate() {
-                    match seg.rep_or_detect(base + first + r, x) {
-                        Some(rep) => {
-                            for c in 0..k {
-                                let quad = sparse_pre[c].quad_flat(&pre.inverses[c], rep);
-                                band[r * k + c] = pre.log_norm[c] - 0.5 * quad;
-                            }
-                        }
-                        None => dense.push(r),
+                    let Some(rep) = seg.rep_or_detect(base + range.start + r, x) else {
+                        dense.push(r);
+                        continue;
+                    };
+                    for (c, ld) in resp.iter_mut().enumerate() {
+                        let quad = sparse_pre[c].quad_flat(&pre.inverses[c], rep);
+                        *ld = pre.log_norm[c] - 0.5 * quad;
                     }
+                    local.ll += pre.finish_responsibilities_in_place(&mut resp);
+                    for (c, &g) in resp.iter().enumerate() {
+                        local.nk[c] += g;
+                        rep.scatter_pair(g, &mut local.scatter[c]);
+                        rep.axpy_into(g, local.sparse_gx[c].as_mut_slice());
+                        local.sparse_gamma[c] += g;
+                    }
+                    local.any_sparse = true;
+                }
+                if dense.is_empty() {
+                    return (local, seg.into_detected());
                 }
                 // Per component: Y = (X − 1µᵀ)·L⁻ᵀ over the dense rows, then
                 // the Mahalanobis distance of row r is ‖Y_r‖².
                 let mut centered = vec![0.0; dense.len() * d];
                 let mut whitened = vec![0.0; dense.len() * d];
                 let mut quads = vec![0.0; dense.len()];
+                let mut band = vec![0.0; dense.len() * k];
                 for c in 0..k {
                     center_rows(chunk, d, &dense, pre.means[c].as_slice(), &mut centered);
                     whitened.fill(0.0);
                     gemm::matmul_upper_acc_with(kp, &centered, &whiteners[c], &mut whitened);
                     gemm::row_sq_norms_with(kp, &whitened, d, &mut quads);
-                    for (&r, &quad) in dense.iter().zip(quads.iter()) {
-                        band[r * k + c] = pre.log_norm[c] - 0.5 * quad;
+                    for (resp, &quad) in band.chunks_exact_mut(k).zip(quads.iter()) {
+                        resp[c] = pre.log_norm[c] - 0.5 * quad;
                     }
                 }
-                let mut local_nk = vec![0.0; k];
-                let mut local_ll = 0.0;
                 for resp in band.chunks_exact_mut(k) {
-                    let tuple_ll = pre.finish_responsibilities_in_place(resp);
-                    for c in 0..k {
-                        local_nk[c] += resp[c];
-                    }
-                    local_ll += tuple_ll;
+                    local.ll += pre.finish_responsibilities_in_place(resp);
+                    vector::axpy(1.0, resp, &mut local.nk);
                 }
-                (local_nk, local_ll, seg.into_detected())
+                // Per component: re-centre the panel, one weighted SYRK on
+                // the upper triangle and `s_c += Xᵀγ_c`, with γ_c = column c
+                // of the band, read at stride k.
+                for c in 0..k {
+                    center_rows(chunk, d, &dense, pre.means[c].as_slice(), &mut centered);
+                    let weights = &band[c..];
+                    gemm::syrk_upper_acc_with(kp, &centered, weights, k, &mut local.scatter[c]);
+                    let shift = local.shift[c].as_mut_slice();
+                    for (x, &g) in centered.chunks_exact(d).zip(weights.iter().step_by(k)) {
+                        vector::axpy(g, x, shift);
+                    }
+                }
+                (local, seg.into_detected())
             });
-            for (local_nk, local_ll, detected) in parts {
-                vector::axpy(1.0, &local_nk, &mut nk);
-                ll += local_ll;
+            for (local, detected) in parts {
+                stats.merge(&local);
                 reps.merge(detected);
             }
             row_cursor += n_rows;
         })?;
         reps.finish_fill();
 
-        // ---- Pass 2: M-step — means ----
-        let mut mean_sums = vec![Vector::zeros(d); k];
-        let mut row_cursor = 0usize;
-        for_each_batch(source, &mut batch, |rows| {
-            let n_rows = rows.len() / d;
-            let base = row_cursor;
-            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
-                let mut local = vec![Vector::zeros(d); k];
-                for r in range {
-                    let x = &rows[r * d..(r + 1) * d];
-                    let g = &gammas[(base + r) * k..(base + r + 1) * k];
-                    let rep = reps.get(base + r);
-                    for c in 0..k {
-                        match rep {
-                            Some(rep) => rep.axpy_into(g[c], local[c].as_mut_slice()),
-                            None => vector::axpy(g[c], x, local[c].as_mut_slice()),
-                        }
-                    }
-                }
-                local
-            });
-            for local in parts {
-                for c in 0..k {
-                    mean_sums[c].axpy(1.0, &local[c]);
-                }
-            }
-            row_cursor += n_rows;
-        })?;
-        let new_means = means_from_sums(&nk, &mean_sums);
-
-        // ---- Pass 3: M-step — covariances around the new means ----
-        // Dense rows: per component, one weighted SYRK over the chunk's
-        // centred rows, upper triangle only.  Sparse rows use the mean
-        // decomposition: raw γ·x xᵀ pair scatters per tuple, dense
-        // corrections `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` once per pass per
-        // component.
-        let mut scatter = vec![Matrix::zeros(d, d); k];
-        let mut sparse_gx = vec![vec![0.0; d]; k];
-        let mut sparse_gamma = vec![0.0; k];
-        let mut any_sparse = false;
-        let mut row_cursor = 0usize;
-        for_each_batch(source, &mut batch, |rows| {
-            let n_rows = rows.len() / d;
-            let base = row_cursor;
-            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
-                let mut local = vec![Matrix::zeros(d, d); k];
-                let mut local_gx = vec![vec![0.0; d]; k];
-                let mut local_gamma = vec![0.0; k];
-                let chunk = &rows[range.start * d..range.end * d];
-                let chunk_gammas = &gammas[(base + range.start) * k..(base + range.end) * k];
-                let mut dense = Vec::with_capacity(range.len());
-                for (r, g) in chunk_gammas.chunks_exact(k).enumerate() {
-                    match reps.get(base + range.start + r) {
-                        Some(rep) => {
-                            for c in 0..k {
-                                rep.scatter_pair(g[c], &mut local[c]);
-                                rep.axpy_into(g[c], &mut local_gx[c]);
-                                local_gamma[c] += g[c];
-                            }
-                        }
-                        None => dense.push(r),
-                    }
-                }
-                let any_sparse = dense.len() < range.len();
-                if !dense.is_empty() {
-                    // The panel rows' responsibilities, row-major × k: the
-                    // chunk's own slice of `gammas` when every row is dense,
-                    // compacted alongside the rows otherwise.  Component c's
-                    // weights are then column c, read at stride k.
-                    let panel_gammas: Cow<[f64]> = if any_sparse {
-                        let picked = dense
-                            .iter()
-                            .flat_map(|&r| &chunk_gammas[r * k..(r + 1) * k]);
-                        Cow::Owned(picked.copied().collect())
-                    } else {
-                        Cow::Borrowed(chunk_gammas)
-                    };
-                    let mut centered = vec![0.0; dense.len() * d];
-                    for c in 0..k {
-                        center_rows(chunk, d, &dense, new_means[c].as_slice(), &mut centered);
-                        let weights = &panel_gammas[c..];
-                        gemm::syrk_upper_acc_with(kp, &centered, weights, k, &mut local[c]);
-                    }
-                }
-                (local, local_gx, local_gamma, any_sparse)
-            });
-            for (local, local_gx, local_gamma, local_any) in parts {
-                for c in 0..k {
-                    scatter[c].add_assign(&local[c]);
-                    vector::axpy(1.0, &local_gx[c], &mut sparse_gx[c]);
-                    sparse_gamma[c] += local_gamma[c];
-                }
-                any_sparse |= local_any;
-            }
-            row_cursor += n_rows;
-        })?;
         // The SYRKs maintained the upper triangle only.
-        for s in &mut scatter {
+        for s in &mut stats.scatter {
             s.mirror_upper();
         }
-        if any_sparse {
+        // Sparse rows: the dense corrections
+        // `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` and `Σγx − (Σγ)µ`, once per pass
+        // per component, bring their raw sums into the shifted form.
+        if stats.any_sparse {
             for c in 0..k {
-                let mu = new_means[c].as_slice();
-                gemm::ger_with(kp, -1.0, &sparse_gx[c], mu, &mut scatter[c]);
-                gemm::ger_with(kp, -1.0, mu, &sparse_gx[c], &mut scatter[c]);
-                gemm::ger_with(kp, sparse_gamma[c], mu, mu, &mut scatter[c]);
+                let (mu, gx) = (pre.means[c].as_slice(), stats.sparse_gx[c].as_slice());
+                gemm::ger_with(kp, -1.0, gx, mu, &mut stats.scatter[c]);
+                gemm::ger_with(kp, -1.0, mu, gx, &mut stats.scatter[c]);
+                gemm::ger_with(kp, stats.sparse_gamma[c], mu, mu, &mut stats.scatter[c]);
+                let shift = stats.shift[c].as_mut_slice();
+                vector::axpy(1.0, gx, shift);
+                vector::axpy(-stats.sparse_gamma[c], mu, shift);
             }
         }
 
-        model = finalize_m_step(&nk, mean_sums, scatter, n, opts.ridge);
+        let ll = stats.ll;
+        model = finalize_m_step(
+            &pre.means,
+            &stats.nk,
+            stats.shift,
+            stats.scatter,
+            n,
+            opts.ridge,
+        );
         iterations += 1;
         notifier.notify(ll);
 

@@ -31,13 +31,16 @@ use fml_linalg::{gemm, vector, KernelPolicy};
 use std::ops::Range;
 
 /// Where one dimension's per-(tuple, component) quantities sit inside its
-/// row.  The E-step row and the trainer's covariance-pass aggregate
-/// share the shape — what a fact's terms are dotted with in pass 1 is what
-/// they are accumulated into in pass 3:
+/// rows.  A referenced tuple owns two: the E-step row [`EStep::fill_row`]
+/// writes, and the aggregate row the trainer sums into during the same scan
+/// — the same slots without `pd` (the `agg_*` accessors), because what a
+/// fact's terms are dotted with in the E-step is what they are accumulated
+/// into for the M-step.  Every `PD` is centred on the iteration's starting
+/// means:
 ///
-/// | slot | E-step | covariance pass |
+/// | slot | E-step row | aggregate row |
 /// |---|---|---|
-/// | `pd` (`d_i`) | `PD_i` under the old means | `PD_i` under the new means |
+/// | `pd` (`d_i`) | `PD_i` | — |
 /// | `fact` (`d_S`) | `w = I_{0i}·PD_i + I_{i0}ᵀ·PD_i` | `Σ γ·PD_S` over the dense facts `+ Σ γ·x_S` over the sparse ones |
 /// | `scalar` | `PD_iᵀ I_{ii} PD_i` | `Σ γ` |
 /// | `mu_dot` | `µ_Sᵀ·w` | `Σ γ` over the sparse facts (what `fact` still owes `µ_S`) |
@@ -96,6 +99,28 @@ impl DimLayout {
 
     pub(crate) fn mu_dot(&self) -> usize {
         self.d + self.d_s + 1
+    }
+
+    /// Values per (tuple, component) of the aggregate row.
+    pub(crate) fn agg_len(&self) -> usize {
+        self.len - self.d
+    }
+
+    pub(crate) fn agg_fact(&self) -> Range<usize> {
+        0..self.d_s
+    }
+
+    pub(crate) fn agg_scalar(&self) -> usize {
+        self.d_s
+    }
+
+    pub(crate) fn agg_mu_dot(&self) -> usize {
+        self.d_s + 1
+    }
+
+    /// The aggregate slot of `partner`, which sits at `off` in the E-step row.
+    pub(crate) fn agg_partner(&self, off: usize, partner: &DimLayout) -> Range<usize> {
+        off - self.d..off - self.d + partner.d
     }
 }
 

@@ -16,48 +16,56 @@
 //! | `(i,i)` dimension diagonal | `R_i` tuple: one outer product weighted `Σγ` | one scalar add |
 //! | `(i,j)`, `(j,i)` dimension × dimension | tuple of the **wider** dimension: two outer products with `Σγ·PD_n` | one AXPY of the **narrower** width `d_n` |
 //!
-//! The means pass (Equations 13 / 22) is the same split: the fact block per
-//! fact, each dimension block as `(Σγ)·x_{R_i}` once per tuple.
+//! **One scan per iteration.**  Every `PD` above is centred on the
+//! iteration's *starting* means — the vectors the E-step has already formed —
+//! so the M-step accumulates in the E-step's own scan and
+//! [`finalize_m_step`] closes the iteration from the shifted statistics
+//! (`µ' = µ + s/N`, `Σ' = S/N − (s/N)(s/N)ᵀ`; see [`crate::em`]).  The mean
+//! shift `s = Σγ·PD` needs no pass of its own (Equations 13 / 22): its fact
+//! block is the `Σγ·PD_S` aggregate of the first dimension's tuples, and
+//! dimension block `i` is `(Σγ)·PD_i` once per tuple.
 //!
-//! **Scan.**  Every pass is one [`FactorizedScan`]: per window the per-tuple
-//! arenas are reset, per fact block the foreign keys arrive resolved to dense
-//! ordinals, and at the end of a window the per-tuple aggregates are folded
-//! into the pass totals.  Every per-tuple quantity lives in a flat
-//! [`OrdinalArena`] row `[ordinal][component][…]` filled on first reference,
-//! so dimension tuples no fact references are never read.  A star is one
-//! window; a binary join whose `R` spans several `block_pages` windows pays
-//! the dimension-side work once per tuple all the same, and reads exactly the
-//! pages `S-GMM` reads.
+//! **Scan.**  The iteration is one [`FactorizedScan`]: per window the
+//! per-tuple arenas are reset, per fact block the foreign keys arrive
+//! resolved to dense ordinals, and at the end of a window the per-tuple
+//! aggregates are folded into the iteration's totals.  Every per-tuple
+//! quantity lives in a flat [`OrdinalArena`] row `[ordinal][component][…]`
+//! claimed on first reference — the E-step row [`EStep::fill_row`] writes,
+//! and next to it the aggregate row the M-step sums into (see
+//! `estep::DimLayout`) — so dimension tuples no fact references are never read.
+//! A star is one window; a binary join whose `R` spans several `block_pages`
+//! windows pays the dimension-side work once per tuple all the same, and
+//! reads exactly the pages `S-GMM` reads.
 //!
 //! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  Representations
 //! ([`fml_linalg::SparseRep`]: one-hot, weighted CSR, or dense) are detected
-//! during the first E-step — no extra scan — and cached for the whole run:
+//! during the first iteration — no extra scan — and cached for the whole run:
 //! dimension tuples by ordinal ([`KeyedRepCache`], keyed by
 //! [`FactorizedScan::ordinal_base`]` + ordinal`), facts by scan position
 //! ([`RepCache`]).  Detection runs at most **once per tuple** per training
 //! run (the regression tests pin this with
 //! [`fml_linalg::sparse::detect_calls`]).  Sparse tuples contribute through
 //! the mean decomposition of [`crate::sparse`]: raw-`x` gathers and scatters
-//! per tuple, dense mean corrections once per window or pass.
+//! per tuple, dense mean corrections once per window or pass, around the
+//! iteration's starting means.
 //!
 //! **Execution shape.**  Per fact block a sequential sweep fills the arena
-//! rows of newly referenced dimension tuples, then the per-fact E-step fans
-//! out over fact chunks that read the arenas immutably; everything else runs
-//! on the driving thread.
+//! rows of newly referenced dimension tuples, the per-fact E-step fans out
+//! over fact chunks that read the arenas immutably, and the block's
+//! responsibilities are then accumulated in fact order; everything but the
+//! fan-out runs on the driving thread.
 //!
 //! **Bit contract.**  The decomposition is exact — no approximation — so the
 //! model matches `M-GMM` / `S-GMM` up to floating-point rounding (objective
 //! within 1e-6).  Ordinals ascend with the key, so the per-tuple merges run
-//! in one fixed order and a fit is bit-reproducible run to run; the E-step's
-//! per-fact sums are folded in fact order, so it is also independent of the
-//! worker count.  Sums run fact-major for every `q`; binary-join fits made
-//! before the two drivers merged summed group-major and differ from today's
-//! in the last bits (≈1e-13 on parameters).
+//! in one fixed order and a fit is bit-reproducible run to run; every sum
+//! over facts is folded in fact order, so it is also independent of the
+//! worker count.  Sums run fact-major for every `q`.
 
-use crate::em::{converged, finalize_m_step, means_from_sums, GmmFit};
+use crate::em::{converged, finalize_m_step, GmmFit};
 use crate::estep::{DimLayout, EStep};
 use crate::init::GmmInit;
-use crate::model::{split_means, Precomputed};
+use crate::model::Precomputed;
 use crate::sparse::{SparseDiagAcc, SparseScatterAcc};
 use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockScatter};
@@ -75,21 +83,6 @@ const PAR_MIN_FACT_FLOPS: usize = 1 << 12;
 
 /// The factorized training strategy (the paper's proposal).
 pub struct FactorizedGmm;
-
-/// Borrows arena `wide` mutably and arena `narrow` immutably (`wide != narrow`).
-fn wide_and_narrow(
-    arenas: &mut [OrdinalArena],
-    wide: usize,
-    narrow: usize,
-) -> (&mut OrdinalArena, &OrdinalArena) {
-    if wide < narrow {
-        let (lo, hi) = arenas.split_at_mut(narrow);
-        (&mut lo[wide], &hi[0])
-    } else {
-        let (lo, hi) = arenas.split_at_mut(wide);
-        (&mut hi[0], &lo[narrow])
-    }
-}
 
 impl FactorizedGmm {
     /// Trains a GMM over the normalized relations of a join of `q ≥ 1`
@@ -123,29 +116,30 @@ impl FactorizedGmm {
         let mut notifier = FitNotifier::new(exec, Some(&probe));
         let mut log_likelihood = Vec::with_capacity(config.max_iters);
         let mut iterations = 0;
-        let mut gammas: Vec<f64> = Vec::with_capacity(n as usize * k);
 
         let kp = ex.kernel_policy;
         // Fan out only when per-fact work can amortize the pool dispatch.
         let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_FACT_FLOPS;
         let workers = ex.workers(par);
         // Detection caches, **hoisted out of the EM loop**: the tuples are
-        // immutable and every pass replays them in the same order, so the
-        // first E-step fills the caches and the M-step passes and every later
-        // iteration read them.
+        // immutable and every scan replays them in the same order, so the
+        // first iteration fills the caches and every later one reads them.
         let mut dim_reps: Vec<KeyedRepCache> =
             (0..q).map(|_| KeyedRepCache::new(ex.sparse)).collect();
         let mut fact_reps = RepCache::new(ex.sparse);
         // Per-dimension arenas, re-sized and cleared at the start of each
-        // window: `terms` holds the E-step cache in pass 1 and the covariance
-        // aggregate in pass 3 (see [`DimLayout`]), `gamma_sums` the pass-2
-        // responsibility mass per tuple.
+        // window and claimed together: `terms` holds the E-step rows,
+        // `aggs` the M-step aggregate rows (see [`DimLayout`]).
         let layouts = DimLayout::all(&sizes);
         let mut terms: Vec<OrdinalArena> = layouts
             .iter()
             .map(|lay| OrdinalArena::new(k * lay.len))
             .collect();
-        let mut gamma_sums: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(k)).collect();
+        let mut aggs: Vec<OrdinalArena> = layouts
+            .iter()
+            .map(|lay| OrdinalArena::new(k * lay.agg_len()))
+            .collect();
+        let (mut pd_s, mut w_s) = (vec![0.0; k * d_s], vec![0.0; d_s]);
 
         for _iter in 0..config.max_iters {
             let estep = EStep::new(
@@ -154,23 +148,34 @@ impl FactorizedGmm {
                 ex.sparse,
                 kp,
             );
+            let means_split = estep.pre.split_means(&partition);
 
-            // ---- Pass 1: E-step (Equation 19) ----
-            // Per block: a sequential sweep fills the arena rows of newly
-            // referenced dimension tuples (one row per *distinct* tuple — the
-            // factorized reuse), then the per-fact evaluation fans out over
-            // chunks that read the arenas immutably; per-fact results fold in
-            // fact order.
-            gammas.clear();
+            // The shifted statistics `N`, `s`, `S` of this iteration and its
+            // log-likelihood (Equations 19 and 22–24 in one scan).
             let mut nk = vec![0.0; k];
             let mut ll = 0.0;
+            let mut shift_sums = vec![Vector::zeros(d); k];
+            let mut scatter: Vec<BlockScatter> = (0..k)
+                .map(|_| BlockScatter::new_with(partition.clone(), kp))
+                .collect();
+            // Sparse facts: raw `γ·x xᵀ` pair scatters into the (0,0) block
+            // and raw `γ·x` sums into the fact × dimension aggregates; the
+            // mean corrections follow once per pass / per dimension tuple.
+            let mut fact_acc: Vec<SparseDiagAcc> =
+                (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
+            let mut any_sparse_fact = false;
             let mut cursor = 0usize;
             let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
             while scan.next_window()? {
-                for (i, arena) in terms.iter_mut().enumerate() {
-                    arena.reset(scan.cache().dim_len(i));
+                for (i, (terms, aggs)) in terms.iter_mut().zip(&mut aggs).enumerate() {
+                    terms.reset(scan.cache().dim_len(i));
+                    aggs.reset(scan.cache().dim_len(i));
                 }
                 while let Some(block) = scan.next_block()? {
+                    // A sequential sweep fills the E-step rows of newly
+                    // referenced dimension tuples (one row per *distinct*
+                    // tuple — the factorized reuse) and zeroes their
+                    // aggregates.
                     for (_, fact_ords) in block.iter() {
                         for (i, &ord) in fact_ords.iter().enumerate() {
                             if terms[i].claim(ord) {
@@ -180,9 +185,13 @@ impl FactorizedGmm {
                                 let key = scan.ordinal_base(i) + ord;
                                 let rep = dim_reps[i].rep_or_detect(key, features);
                                 estep.fill_row(i, features, rep, terms[i].row_mut(ord));
+                                aggs[i].claim(ord);
+                                aggs[i].row_mut(ord).fill(0.0);
                             }
                         }
                     }
+                    // The per-fact evaluation fans out over chunks that read
+                    // the E-step rows immutably.
                     let (facts, fact_reps_ref) = (&block.facts, &fact_reps);
                     let parts = par_chunks_with_threads(workers, facts.len(), 1, |range| {
                         let mut local_gammas = Vec::with_capacity(range.len() * k);
@@ -202,147 +211,66 @@ impl FactorizedGmm {
                             let x_s = &facts[f].features;
                             let rep = seg.rep_or_detect(cursor + f, x_s);
                             estep.log_densities(x_s, rep, &rows, &mut pd_s, &mut log_dens);
-                            let (resp, tuple_ll) = estep.pre.finish_responsibilities(&mut log_dens);
-                            local_lls.push(tuple_ll);
-                            local_gammas.extend_from_slice(&resp);
+                            local_lls
+                                .push(estep.pre.finish_responsibilities_in_place(&mut log_dens));
+                            local_gammas.extend_from_slice(&log_dens);
                         }
                         (local_gammas, local_lls, seg.into_detected())
                     });
-                    // Fact-order fold: the sums do not depend on how the block
-                    // was chunked, hence not on the worker count.
+                    // Fact-order fold of the responsibilities and of the
+                    // block's M-step remainder: the sums do not depend on how
+                    // the block was chunked, hence not on the worker count.
+                    let mut f = 0;
                     for (local_gammas, local_lls, detected) in parts {
-                        for (resp, tuple_ll) in local_gammas.chunks_exact(k).zip(local_lls) {
-                            vector::axpy(1.0, resp, &mut nk);
-                            ll += tuple_ll;
-                        }
-                        gammas.extend_from_slice(&local_gammas);
                         fact_reps.merge(detected);
-                    }
-                    cursor += facts.len();
-                }
-            }
-            fact_reps.finish_fill();
-
-            // ---- Pass 2: M-step, means (Equation 22) ----
-            let mut mean_sums = vec![Vector::zeros(d); k];
-            let mut cursor = 0usize;
-            let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
-            while scan.next_window()? {
-                for (i, arena) in gamma_sums.iter_mut().enumerate() {
-                    arena.reset(scan.cache().dim_len(i));
-                }
-                while let Some(block) = scan.next_block()? {
-                    for (fact, ords) in block.iter() {
-                        let g = &gammas[cursor * k..(cursor + 1) * k];
-                        let rep = fact_reps.get(cursor);
-                        for (sums, &gamma) in mean_sums.iter_mut().zip(g) {
-                            let dst = &mut sums.as_mut_slice()[..d_s];
-                            match rep {
-                                Some(rep) => rep.axpy_into(gamma, dst),
-                                None => vector::axpy(gamma, &fact.features, dst),
-                            }
-                        }
-                        for (arena, &ord) in gamma_sums.iter_mut().zip(ords) {
-                            if arena.claim(ord) {
-                                arena.row_mut(ord).fill(0.0);
-                            }
-                            vector::axpy(1.0, g, arena.row_mut(ord));
-                        }
-                        cursor += 1;
-                    }
-                }
-                // Dimension part: `(Σγ)·x_{R_i}` once per referenced tuple.
-                for (i, arena) in gamma_sums.iter().enumerate() {
-                    let range = partition.range(i + 1);
-                    for ord in arena.referenced() {
-                        let sums = arena.row(ord);
-                        let rep = dim_reps[i].get(scan.ordinal_base(i) + ord);
-                        let features = &scan.cache().tuple(i, ord).features;
-                        for c in 0..k {
-                            let dst = &mut mean_sums[c].as_mut_slice()[range.clone()];
-                            match rep {
-                                Some(rep) => rep.axpy_into(sums[c], dst),
-                                None => vector::axpy(sums[c], features, dst),
-                            }
-                        }
-                    }
-                }
-            }
-            let new_means = means_from_sums(&nk, &mean_sums);
-            let new_means_split = split_means(&new_means, &partition);
-
-            // ---- Pass 3: M-step, covariances (Equations 23–24) ----
-            let (mut pd_s, mut w_s) = (vec![0.0; d_s], vec![0.0; d_s]);
-            let mut scatter: Vec<BlockScatter> = (0..k)
-                .map(|_| BlockScatter::new_with(partition.clone(), kp))
-                .collect();
-            // Sparse facts: raw `γ·x xᵀ` pair scatters into the (0,0) block
-            // and raw `γ·x` sums into the fact × dimension aggregates; the
-            // mean corrections follow once per pass / per dimension tuple.
-            let mut fact_acc: Vec<SparseDiagAcc> =
-                (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
-            let mut any_sparse_fact = false;
-            let mut cursor = 0usize;
-            let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
-            while scan.next_window()? {
-                for (i, arena) in terms.iter_mut().enumerate() {
-                    arena.reset(scan.cache().dim_len(i));
-                }
-                while let Some(block) = scan.next_block()? {
-                    for (fact, ords) in block.iter() {
-                        let g = &gammas[cursor * k..(cursor + 1) * k];
-                        let rep = fact_reps.get(cursor);
-                        any_sparse_fact |= rep.is_some();
-                        // First reference: centered dimension vectors under the
-                        // *new* means, zeroed aggregates.
-                        for (i, lay) in layouts.iter().enumerate() {
-                            if terms[i].claim(ords[i]) {
-                                let features = &scan.cache().tuple(i, ords[i]).features;
-                                let row = terms[i].row_mut(ords[i]);
-                                for (c, e) in row.chunks_exact_mut(lay.len).enumerate() {
-                                    let (pd, aggregates) = e.split_at_mut(lay.d);
-                                    vector::sub_into(features, &new_means_split[c][i + 1], pd);
-                                    aggregates.fill(0.0);
-                                }
-                            }
-                        }
-                        for c in 0..k {
-                            // fact-fact block, per fact
-                            match rep {
-                                Some(rep) => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
-                                None => {
-                                    vector::sub_into(
-                                        &fact.features,
-                                        &new_means_split[c][0],
-                                        &mut pd_s,
-                                    );
-                                    scatter[c].add_outer(0, 0, g[c], &pd_s, &pd_s);
+                        for (g, tuple_ll) in local_gammas.chunks_exact(k).zip(local_lls) {
+                            vector::axpy(1.0, g, &mut nk);
+                            ll += tuple_ll;
+                            let (fact, ords) = (&facts[f], block.ords_of(f));
+                            let rep = fact_reps.get(cursor + f);
+                            any_sparse_fact |= rep.is_some();
+                            // fact-fact block, per fact; `pd_s` keeps
+                            // `PD_S` under every component
+                            for c in 0..k {
+                                match rep {
+                                    Some(rep) => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
+                                    None => {
+                                        let pd = &mut pd_s[c * d_s..(c + 1) * d_s];
+                                        vector::sub_into(&fact.features, &means_split[c][0], pd);
+                                        scatter[c].add_outer(0, 0, g[c], pd, pd);
+                                    }
                                 }
                             }
                             for (i, lay) in layouts.iter().enumerate() {
-                                let at = c * lay.len;
-                                let e = &mut terms[i].row_mut(ords[i])[at..at + lay.len];
-                                e[lay.scalar()] += g[c];
-                                match rep {
-                                    Some(rep) => {
-                                        rep.axpy_into(g[c], &mut e[lay.fact()]);
-                                        e[lay.mu_dot()] += g[c];
+                                let row = aggs[i].row_mut(ords[i]);
+                                for (c, a) in row.chunks_exact_mut(lay.agg_len()).enumerate() {
+                                    a[lay.agg_scalar()] += g[c];
+                                    let sum_s = &mut a[lay.agg_fact()];
+                                    match rep {
+                                        Some(rep) => {
+                                            rep.axpy_into(g[c], sum_s);
+                                            a[lay.agg_mu_dot()] += g[c];
+                                        }
+                                        None => {
+                                            vector::axpy(g[c], &pd_s[c * d_s..(c + 1) * d_s], sum_s)
+                                        }
                                     }
-                                    None => vector::axpy(g[c], &pd_s, &mut e[lay.fact()]),
                                 }
                                 // the wider side gathers `Σ γ·PD_n` per partner
                                 for &(n, off) in &lay.partners {
                                     let ln = &layouts[n];
-                                    let (wide, narrow) = wide_and_narrow(&mut terms, i, n);
-                                    let pd_n = &narrow.row(ords[n])[c * ln.len..c * ln.len + ln.d];
-                                    let sum_n =
-                                        &mut wide.row_mut(ords[i])[at + off..at + off + ln.d];
-                                    vector::axpy(g[c], pd_n, sum_n);
+                                    let sum_n = lay.agg_partner(off, ln);
+                                    let narrow = terms[n].row(ords[n]).chunks_exact(ln.len);
+                                    let wide = row.chunks_exact_mut(lay.agg_len());
+                                    for ((a, e_n), &gamma) in wide.zip(narrow).zip(g) {
+                                        vector::axpy(gamma, &e_n[ln.pd()], &mut a[sum_n.clone()]);
+                                    }
                                 }
                             }
+                            f += 1;
                         }
-                        cursor += 1;
                     }
+                    cursor += facts.len();
                 }
                 // Dimension-side blocks, once per referenced dimension tuple.
                 // Sparse tuples go through the sparse decomposition: raw-x
@@ -354,43 +282,56 @@ impl FactorizedGmm {
                         (0..k).map(|_| SparseScatterAcc::new(d_s, lay.d)).collect();
                     for ord in terms[i].referenced() {
                         let rep = dim_reps[i].get(scan.ordinal_base(i) + ord);
-                        for (c, e) in terms[i].row(ord).chunks_exact(lay.len).enumerate() {
-                            let (pd, gamma) = (&e[lay.pd()], e[lay.scalar()]);
+                        let rows = terms[i].row(ord).chunks_exact(lay.len);
+                        let agg_rows = aggs[i].row(ord).chunks_exact(lay.agg_len());
+                        for (c, (e, a)) in rows.zip(agg_rows).enumerate() {
+                            let (pd, gamma) = (&e[lay.pd()], a[lay.agg_scalar()]);
                             // Σγ·PD_S = Σγ·x_S − (Σγ)·µ_S over the sparse facts
                             let w_s: &[f64] = if any_sparse_fact {
-                                w_s.copy_from_slice(&e[lay.fact()]);
-                                vector::axpy(-e[lay.mu_dot()], &new_means_split[c][0], &mut w_s);
+                                w_s.copy_from_slice(&a[lay.agg_fact()]);
+                                vector::axpy(-a[lay.agg_mu_dot()], &means_split[c][0], &mut w_s);
                                 &w_s
                             } else {
-                                &e[lay.fact()]
+                                &a[lay.agg_fact()]
                             };
+                            let shift = shift_sums[c].as_mut_slice();
+                            if i == 0 {
+                                vector::axpy(1.0, w_s, &mut shift[..d_s]);
+                            }
                             match rep {
                                 Some(rep) => acc[c].record(&mut scatter[c], b, gamma, w_s, rep),
                                 None => {
                                     scatter[c].add_outer(0, b, 1.0, w_s, pd);
                                     scatter[c].add_outer(b, 0, 1.0, pd, w_s);
                                     scatter[c].add_outer(b, b, gamma, pd, pd);
+                                    vector::axpy(gamma, pd, &mut shift[partition.range(b)]);
                                 }
                             }
                             // both cross cells of each pair, once per wide tuple
                             for &(n, off) in &lay.partners {
-                                let w_n = &e[off..off + layouts[n].d];
+                                let w_n = &a[lay.agg_partner(off, &layouts[n])];
                                 scatter[c].add_outer(n + 1, b, 1.0, w_n, pd);
                                 scatter[c].add_outer(b, n + 1, 1.0, pd, w_n);
                             }
                         }
                     }
                     for (c, acc) in acc.iter().enumerate() {
-                        acc.finalize(&mut scatter[c], b, &new_means_split[c][b]);
+                        let mu_b = &means_split[c][b];
+                        acc.finalize(&mut scatter[c], b, mu_b);
+                        acc.add_shift_sum(
+                            mu_b,
+                            &mut shift_sums[c].as_mut_slice()[partition.range(b)],
+                        );
                     }
                 }
             }
+            fact_reps.finish_fill();
             for (c, acc) in fact_acc.iter().enumerate() {
-                acc.finalize(&mut scatter[c], 0, &new_means_split[c][0]);
+                acc.finalize(&mut scatter[c], 0, &means_split[c][0]);
             }
             let scatter_mats: Vec<Matrix> =
                 scatter.into_iter().map(BlockScatter::into_matrix).collect();
-            model = finalize_m_step(&nk, mean_sums, scatter_mats, n, config.ridge);
+            model = finalize_m_step(&model.means, &nk, shift_sums, scatter_mats, n, config.ridge);
             iterations += 1;
             notifier.notify(ll);
 
@@ -416,6 +357,7 @@ mod tests {
     use super::*;
     use crate::materialized::MaterializedGmm;
     use crate::streaming::StreamingGmm;
+    use fml_data::multiway::{DimSpec, MultiwayConfig};
     use fml_data::SyntheticConfig;
 
     fn workload(n_s: u64, n_r: u64, d_s: usize, d_r: usize, k: usize) -> fml_data::Workload {
@@ -526,5 +468,112 @@ mod tests {
         };
         let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
         assert_eq!(f.model.dim(), 7);
+    }
+
+    #[test]
+    fn multiway_factorized_matches_materialized() {
+        let w = MultiwayConfig {
+            n_s: 400,
+            d_s: 2,
+            dims: vec![DimSpec::new(12, 3), DimSpec::new(6, 4)],
+            k: 2,
+            noise_std: 0.7,
+            with_target: false,
+            seed: 17,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 4,
+            ..GmmConfig::default()
+        };
+        let m = MaterializedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let s = StreamingGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert!(
+            m.model.max_param_diff(&f.model) < 1e-7,
+            "M vs F-multiway diff {}",
+            m.model.max_param_diff(&f.model)
+        );
+        assert!(s.model.max_param_diff(&f.model) < 1e-7);
+    }
+
+    #[test]
+    fn multiway_with_three_dimension_tables() {
+        let w = MultiwayConfig {
+            n_s: 300,
+            d_s: 1,
+            dims: vec![DimSpec::new(10, 2), DimSpec::new(5, 3), DimSpec::new(4, 2)],
+            k: 2,
+            noise_std: 0.5,
+            with_target: false,
+            seed: 8,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 3,
+            ..GmmConfig::default()
+        };
+        let m = MaterializedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert!(m.model.max_param_diff(&f.model) < 1e-7);
+        assert_eq!(f.model.dim(), 8);
+    }
+
+    #[test]
+    fn multiway_reduces_to_binary_when_q_is_one() {
+        // The same relations named as a binary join and as a one-dimension
+        // star are one code path: the fits agree bit for bit, and match the
+        // materialized baseline.
+        let w = SyntheticConfig {
+            n_s: 250,
+            n_r: 10,
+            d_s: 2,
+            d_r: 4,
+            k: 2,
+            noise_std: 0.6,
+            with_target: false,
+            seed: 31,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 4,
+            ..GmmConfig::default()
+        };
+        let star = fml_store::JoinSpec::multiway(&w.spec.fact, w.spec.dimensions.clone());
+        let binary = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let multi = FactorizedGmm::train(&w.db, &star, &config, &ExecPolicy::new()).unwrap();
+        assert_eq!(binary.model.max_param_diff(&multi.model), 0.0);
+        let m = MaterializedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert!(m.model.max_param_diff(&multi.model) < 1e-8);
+    }
+
+    #[test]
+    fn log_likelihood_monotone_multiway() {
+        let w = MultiwayConfig {
+            n_s: 300,
+            d_s: 2,
+            dims: vec![DimSpec::new(9, 2), DimSpec::new(6, 2)],
+            k: 2,
+            noise_std: 0.5,
+            with_target: false,
+            seed: 13,
+        }
+        .generate()
+        .unwrap();
+        let config = GmmConfig {
+            k: 2,
+            max_iters: 6,
+            ..GmmConfig::default()
+        };
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        for pair in f.log_likelihood.windows(2) {
+            assert!(pair[1] >= pair[0] - 1e-6);
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! algorithm variants of the paper:
 //!
 //! * [`materialized::MaterializedGmm`] (`M-GMM`) — materialize the PK/FK join as a
-//!   table `T`, then run EM scanning `T` three times per iteration (Algorithm 1).
+//!   table `T`, then run EM scanning `T` once per iteration (Algorithm 1 scans it
+//!   three times; [`em`] fuses the three passes on mean-shifted statistics).
 //! * [`streaming::StreamingGmm`] (`S-GMM`) — identical EM, but each pass joins the
 //!   base relations on the fly and feeds the denormalized tuples to the learner.
 //! * [`factorized::FactorizedGmm`] (`F-GMM`) — the paper's contribution: every
@@ -108,9 +109,6 @@ impl GmmConfig {
         self
     }
 }
-
-#[cfg(test)]
-mod multiway;
 
 #[cfg(test)]
 mod tests {

@@ -3,8 +3,9 @@
 //! The PK/FK join is computed once and written to storage as a table `T`; every EM
 //! pass then scans `T`.  This is what an analyst gets today by exporting the join
 //! result and pointing a standard GMM implementation at it.  The I/O cost is
-//! `|R| + |R|/BlockSize·|S|` (join) `+ |T|` (materialization) `+ 3·iter·|T|`
-//! (training passes), per Section V-A.
+//! `|R| + |R|/BlockSize·|S|` (join) `+ |T|` (materialization) plus the training
+//! passes over `T` — `iter` passes in this engine, `3·iter` in the paper's
+//! Algorithm 1 (Section V-A); see `GmmIoCostModel`.
 
 use crate::em::{train_dense_from, DensePassSource, GmmFit};
 use crate::init::GmmInit;

@@ -22,7 +22,8 @@
 //! [`SparseFormPre`] holds the `O(d²)` per-component constants (built **once
 //! per iteration**, not per tuple); [`SparseScatterAcc`] accumulates the
 //! `x`-only scatter sums sparsely and applies the dense mean corrections
-//! **once per pass** in [`finalize`](SparseScatterAcc::finalize).  The
+//! **once per window or pass, around the iteration's starting means**, in
+//! [`finalize`](SparseScatterAcc::finalize).  The
 //! decomposition is exact in real arithmetic; in floating point it regroups
 //! additions, so sparse-path models agree with the dense path within the same
 //! rounding tolerances the cross-variant equivalence tests already use.
@@ -197,8 +198,9 @@ impl SparseScatterAcc {
         self.touched = true;
     }
 
-    /// Applies the dense mean corrections for this pass:
-    /// `−(Σw)µᵀ` / `−µ(Σw)ᵀ` on the cross blocks and
+    /// Applies the dense mean corrections for this window around `mu_b`, the
+    /// mean the recorded `weighted_pd_s` were centred with (the iteration's
+    /// starting mean): `−(Σw)µᵀ` / `−µ(Σw)ᵀ` on the cross blocks and
     /// `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` on the diagonal block.
     pub fn finalize(&self, scatter: &mut BlockScatter, block: usize, mu_b: &[f64]) {
         if !self.touched {
@@ -209,6 +211,13 @@ impl SparseScatterAcc {
         scatter.add_outer(block, block, -1.0, &self.gx, mu_b);
         scatter.add_outer(block, block, -1.0, mu_b, &self.gx);
         scatter.add_outer(block, block, self.gamma_total, mu_b, mu_b);
+    }
+
+    /// Adds the recorded tuples' share of the mean shift,
+    /// `Σ_g γ_g (x_g − µ) = Σ_g γ_g x_g − (Σ_g γ_g)µ`, into `out`.
+    pub fn add_shift_sum(&self, mu_b: &[f64], out: &mut [f64]) {
+        vector::axpy(1.0, &self.gx, out);
+        vector::axpy(-self.gamma_total, mu_b, out);
     }
 }
 
@@ -251,7 +260,8 @@ impl SparseDiagAcc {
         self.touched = true;
     }
 
-    /// Applies `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` on the diagonal block.
+    /// Applies `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` on the diagonal block, for the
+    /// mean `mu_b` the scatter is centred on (the iteration's starting mean).
     pub fn finalize(&self, scatter: &mut BlockScatter, block: usize, mu_b: &[f64]) {
         if !self.touched {
             return;

@@ -4,8 +4,10 @@
 //! storage: each pass is one [`FactorizedScan`] over the base relations whose
 //! fact blocks are denormalized and fed straight to the learner — the rows
 //! `materialize_join` would write, in the same `(window, fact)` order, so an
-//! `S-GMM` fit is **bit-identical** to the `M-GMM` fit of the same join.  Per
-//! Section V-A the I/O cost is `3·iter·(|R| + ⌈|R|/BlockSize⌉·|S|)`, while the
+//! `S-GMM` fit is **bit-identical** to the `M-GMM` fit of the same join.  Each
+//! pass reads `|R| + ⌈|R|/BlockSize⌉·|S|` pages — `iter` passes in this
+//! engine, `3·iter` in the paper's Algorithm 1 (Section V-A); see
+//! `GmmIoCostModel` — while the
 //! computation cost equals `M-GMM`'s: the redundant dimension features are still
 //! multiplied through the full `d×d` quadratic forms for every fact tuple.
 
