@@ -320,9 +320,10 @@ mod tests {
         let mut scan = FactorizedScan::new(&w.db, &w.spec, 8).unwrap();
         let mut count = 0;
         while scan.next_window().unwrap() {
-            while let Some(block) = scan.next_block().unwrap() {
-                assert_eq!(block.ords.len(), 3 * block.facts.len());
-                count += block.facts.len();
+            while scan.next_block().unwrap() {
+                let block = scan.block();
+                assert!((0..block.len()).all(|f| block.ords_of(f).len() == 3));
+                count += block.len();
             }
         }
         assert_eq!(count, 600);

@@ -80,6 +80,7 @@ use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
 use fml_linalg::sparse::SparseMode;
 use fml_linalg::{gemm, vector, Matrix, Vector};
+use fml_store::join::RowSource;
 use fml_store::StoreResult;
 use std::time::{Duration, Instant};
 
@@ -502,6 +503,22 @@ impl VecSource {
             "VecSource: ragged rows"
         );
         Self { rows, dim }
+    }
+}
+
+/// The `M-GMM` / `S-GMM` source: the join's rows, from its materialized
+/// table or joined on the fly.
+impl DensePassSource for RowSource<'_> {
+    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
+        self.for_each_row(&mut |x, _| f(x))
+    }
+
+    fn num_tuples(&self) -> u64 {
+        self.num_rows()
+    }
+
+    fn dim(&self) -> usize {
+        self.width()
     }
 }
 

@@ -171,15 +171,17 @@ impl FactorizedGmm {
                     terms.reset(scan.cache().dim_len(i));
                     aggs.reset(scan.cache().dim_len(i));
                 }
-                while let Some(block) = scan.next_block()? {
+                while scan.next_block()? {
+                    let (block, cache) = (scan.block(), scan.cache());
+                    let facts = block.rows();
                     // A sequential sweep fills the E-step rows of newly
                     // referenced dimension tuples (one row per *distinct*
                     // tuple — the factorized reuse) and zeroes their
                     // aggregates.
-                    for (_, fact_ords) in block.iter() {
-                        for (i, &ord) in fact_ords.iter().enumerate() {
+                    for f in 0..block.len() {
+                        for (i, &ord) in block.ords_of(f).iter().enumerate() {
                             if terms[i].claim(ord) {
-                                let features = &scan.cache().tuple(i, ord).features;
+                                let features = cache.row(i, ord);
                                 // Detection persists across iterations; only the
                                 // first encounter of a tuple ever scans it.
                                 let key = scan.ordinal_base(i) + ord;
@@ -192,8 +194,8 @@ impl FactorizedGmm {
                     }
                     // The per-fact evaluation fans out over chunks that read
                     // the E-step rows immutably.
-                    let (facts, fact_reps_ref) = (&block.facts, &fact_reps);
-                    let parts = par_chunks_with_threads(workers, facts.len(), 1, |range| {
+                    let fact_reps_ref = &fact_reps;
+                    let parts = par_chunks_with_threads(workers, block.len(), 1, |range| {
                         let mut local_gammas = Vec::with_capacity(range.len() * k);
                         let mut local_lls = Vec::with_capacity(range.len());
                         let mut seg = fact_reps_ref.segment(cursor + range.start);
@@ -208,7 +210,7 @@ impl FactorizedGmm {
                                     .zip(block.ords_of(f))
                                     .map(|(arena, &ord)| arena.row(ord)),
                             );
-                            let x_s = &facts[f].features;
+                            let x_s = facts.features(f);
                             let rep = seg.rep_or_detect(cursor + f, x_s);
                             estep.log_densities(x_s, rep, &rows, &mut pd_s, &mut log_dens);
                             local_lls
@@ -226,7 +228,7 @@ impl FactorizedGmm {
                         for (g, tuple_ll) in local_gammas.chunks_exact(k).zip(local_lls) {
                             vector::axpy(1.0, g, &mut nk);
                             ll += tuple_ll;
-                            let (fact, ords) = (&facts[f], block.ords_of(f));
+                            let (x_s, ords) = (facts.features(f), block.ords_of(f));
                             let rep = fact_reps.get(cursor + f);
                             any_sparse_fact |= rep.is_some();
                             // fact-fact block, per fact; `pd_s` keeps
@@ -236,7 +238,7 @@ impl FactorizedGmm {
                                     Some(rep) => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
                                     None => {
                                         let pd = &mut pd_s[c * d_s..(c + 1) * d_s];
-                                        vector::sub_into(&fact.features, &means_split[c][0], pd);
+                                        vector::sub_into(x_s, &means_split[c][0], pd);
                                         scatter[c].add_outer(0, 0, g[c], pd, pd);
                                     }
                                 }
@@ -270,7 +272,7 @@ impl FactorizedGmm {
                             f += 1;
                         }
                     }
-                    cursor += facts.len();
+                    cursor += block.len();
                 }
                 // Dimension-side blocks, once per referenced dimension tuple.
                 // Sparse tuples go through the sparse decomposition: raw-x

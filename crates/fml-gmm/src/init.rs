@@ -11,7 +11,7 @@
 
 use crate::model::GmmModel;
 use fml_linalg::{Matrix, Vector};
-use fml_store::batch::BatchScan;
+use fml_store::batch::{BlockScan, RowBlock};
 use fml_store::{Database, JoinSpec, StoreError, StoreResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,17 +77,20 @@ impl GmmInit {
         }
         let mut relations = vec![fact];
         relations.extend(spec.dimension_relations(db)?);
+        let mut rows = RowBlock::default();
         for rel in relations {
             let d_rel = rel.lock().schema().num_features;
             let mut sum = vec![0.0; d_rel];
             let mut sum_sq = vec![0.0; d_rel];
             let mut count = 0u64;
-            for batch in BatchScan::new(rel.clone(), fml_store::DEFAULT_BLOCK_PAGES) {
-                for tuple in batch? {
-                    if !tuple.features.iter().all(|x| x.is_finite()) {
+            let mut scan = BlockScan::new(rel, fml_store::DEFAULT_BLOCK_PAGES);
+            while scan.next_into(&mut rows)? {
+                for r in 0..rows.len() {
+                    let features = rows.features(r);
+                    if !features.iter().all(|x| x.is_finite()) {
                         continue;
                     }
-                    for (j, x) in tuple.features.iter().enumerate() {
+                    for (j, x) in features.iter().enumerate() {
                         sum[j] += x;
                         sum_sq[j] += x * x;
                     }

@@ -7,13 +7,12 @@
 //! passes over `T` — `iter` passes in this engine, `3·iter` in the paper's
 //! Algorithm 1 (Section V-A); see `GmmIoCostModel`.
 
-use crate::em::{train_dense_from, DensePassSource, GmmFit};
+use crate::em::{train_dense_from, GmmFit};
 use crate::init::GmmInit;
 use crate::GmmConfig;
 use fml_linalg::exec::ExecPolicy;
-use fml_store::batch::BatchScan;
 use fml_store::catalog::RelationHandle;
-use fml_store::join::materialize_join;
+use fml_store::join::{materialize_join, RowSource};
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -46,7 +45,7 @@ impl MaterializedGmm {
             db.drop_relation(&t_name)?;
         }
         let table = materialize_join(db, spec, t_name, ex.block_pages)?;
-        let mut source = MaterializedSource::new(table, ex.block_pages);
+        let mut source = RowSource::table(table, ex.block_pages);
         let probe = db.stats().io_probe();
         let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
@@ -62,51 +61,8 @@ impl MaterializedGmm {
         exec: &ExecPolicy,
         initial: crate::GmmModel,
     ) -> StoreResult<GmmFit> {
-        let mut source = MaterializedSource::new(table, exec.resolve().block_pages);
+        let mut source = RowSource::table(table, exec.resolve().block_pages);
         train_dense_from(&mut source, config, exec, initial, None)
-    }
-}
-
-/// Dense pass source scanning a materialized join table.
-pub struct MaterializedSource {
-    table: RelationHandle,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl MaterializedSource {
-    /// Creates the source over a materialized table.
-    pub fn new(table: RelationHandle, block_pages: usize) -> Self {
-        let (dim, n) = {
-            let t = table.lock();
-            (t.schema().num_features, t.num_tuples())
-        };
-        Self {
-            table,
-            block_pages,
-            dim,
-            n,
-        }
-    }
-}
-
-impl DensePassSource for MaterializedSource {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
-        for batch in BatchScan::new(self.table.clone(), self.block_pages) {
-            for tuple in batch? {
-                f(&tuple.features);
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -182,8 +138,8 @@ mod tests {
     fn source_reports_shape() {
         let w = workload();
         let t = materialize_join(&w.db, &w.spec, "T_shape", 8).unwrap();
-        let src = MaterializedSource::new(t, 8);
-        assert_eq!(src.dim(), 5);
-        assert_eq!(src.num_tuples(), 400);
+        let src = RowSource::table(t, 8);
+        assert_eq!(src.width(), 5);
+        assert_eq!(src.num_rows(), 400);
     }
 }

@@ -1,7 +1,7 @@
 //! `S-GMM`: join on the fly, train on the denormalized stream.
 //!
 //! Identical EM computation to `M-GMM`, but the join result is never written to
-//! storage: each pass is one [`FactorizedScan`] over the base relations whose
+//! storage: each pass is one `FactorizedScan` over the base relations whose
 //! fact blocks are denormalized and fed straight to the learner — the rows
 //! `materialize_join` would write, in the same `(window, fact)` order, so an
 //! `S-GMM` fit is **bit-identical** to the `M-GMM` fit of the same join.  Each
@@ -11,11 +11,11 @@
 //! computation cost equals `M-GMM`'s: the redundant dimension features are still
 //! multiplied through the full `d×d` quadratic forms for every fact tuple.
 
-use crate::em::{train_dense_from, DensePassSource, GmmFit};
+use crate::em::{train_dense_from, GmmFit};
 use crate::init::GmmInit;
 use crate::GmmConfig;
 use fml_linalg::exec::ExecPolicy;
-use fml_store::factorized_scan::FactorizedScan;
+use fml_store::join::RowSource;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -36,57 +36,10 @@ impl StreamingGmm {
         let initial =
             GmmInit::new(ex.seed, config.init_spread).from_relations(db, spec, config.k)?;
         let probe = db.stats().io_probe();
-        let mut source = StreamSource::new(db, spec.clone(), ex.block_pages)?;
+        let mut source = RowSource::join(db, spec.clone(), ex.block_pages)?;
         let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
-    }
-}
-
-/// Dense source over a join: one [`FactorizedScan`] pass, denormalized.
-pub struct StreamSource<'a> {
-    db: &'a Database,
-    spec: JoinSpec,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl<'a> StreamSource<'a> {
-    /// Creates the source (validates the spec and captures the join shape).
-    pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        let dim = spec.total_features(db)?;
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        Ok(Self {
-            db,
-            spec,
-            block_pages,
-            dim,
-            n,
-        })
-    }
-}
-
-impl DensePassSource for StreamSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
-        let mut scan = FactorizedScan::new(self.db, &self.spec, self.block_pages)?;
-        while scan.next_window()? {
-            while let Some(block) = scan.next_block()? {
-                for joined in block.denormalize(scan.cache()) {
-                    f(&joined.features);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -164,8 +117,8 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let src = StreamSource::new(&w.db, w.spec.clone(), 8).unwrap();
-        assert_eq!(src.dim(), 5);
-        assert_eq!(src.num_tuples(), 100);
+        let src = RowSource::join(&w.db, w.spec.clone(), 8).unwrap();
+        assert_eq!(src.width(), 5);
+        assert_eq!(src.num_rows(), 100);
     }
 }

@@ -15,10 +15,7 @@
 
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::{SyntheticConfig, Workload};
-use fml_gmm::em::{
-    train_dense_from, DensePassSource, GmmFit, VecSource, EMPTY_COMPONENT_MASS, PAR_BATCH_TUPLES,
-};
-use fml_gmm::streaming::StreamSource;
+use fml_gmm::em::{train_dense_from, GmmFit, VecSource, EMPTY_COMPONENT_MASS, PAR_BATCH_TUPLES};
 use fml_gmm::{EStep, FactorizedGmm, GmmConfig, GmmInit, GmmModel, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::csr::csr_indices;
@@ -26,6 +23,7 @@ use fml_linalg::sparse::{onehot_indices, SparseMode};
 use fml_linalg::testutil::TestRng;
 use fml_linalg::{gemm, vector, ExecPolicy, KernelPolicy, Matrix, Vector};
 use fml_store::factorized_scan::FactorizedScan;
+use fml_store::join::RowSource;
 use fml_store::{Database, Schema, DEFAULT_BLOCK_PAGES};
 
 /// `n` rows around `k` well-separated centres in `d` dimensions, and an
@@ -339,9 +337,9 @@ fn row_fixture(name: &str, (rows, initial): (Vec<Vec<f64>>, GmmModel)) -> Fixtur
 /// [`GmmInit::from_relations`] starts every strategy from.
 fn join_fixture(name: &str, w: Workload, k: usize, block_pages: usize) -> Fixture {
     let mut rows = Vec::new();
-    StreamSource::new(&w.db, w.spec.clone(), block_pages)
+    RowSource::join(&w.db, w.spec.clone(), block_pages)
         .unwrap()
-        .for_each(&mut |x| rows.push(x.to_vec()))
+        .for_each_row(&mut |x, _| rows.push(x.to_vec()))
         .unwrap();
     let seed = ExecPolicy::new().resolve().seed;
     let initial = GmmInit::new(seed, GmmConfig::default().init_spread)
@@ -571,25 +569,22 @@ fn factorized_e_step_ll(
     let mut ll = 0.0;
     let mut scan = FactorizedScan::new(&w.db, &w.spec, block_pages).unwrap();
     while scan.next_window().unwrap() {
-        while let Some(block) = scan.next_block().unwrap() {
-            for (fact, ords) in block.iter() {
+        while scan.next_block().unwrap() {
+            let block = scan.block();
+            for f in 0..block.len() {
+                let ords = block.ords_of(f);
                 let rows: Vec<Vec<f64>> = (0..ords.len())
                     .map(|i| {
-                        let x = &scan.cache().tuple(i, ords[i]).features;
+                        let x = scan.cache().row(i, ords[i]);
                         let mut row = vec![0.0; estep.row_len(i)];
                         estep.fill_row(i, x, detect(x).as_ref(), &mut row);
                         row
                     })
                     .collect();
                 let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-                let rep = detect(&fact.features);
-                estep.log_densities(
-                    &fact.features,
-                    rep.as_ref(),
-                    &rows,
-                    &mut pd_s,
-                    &mut log_dens,
-                );
+                let x_s = block.rows().features(f);
+                let rep = detect(x_s);
+                estep.log_densities(x_s, rep.as_ref(), &rows, &mut pd_s, &mut log_dens);
                 ll += estep.pre.finish_responsibilities_in_place(&mut log_dens);
             }
         }

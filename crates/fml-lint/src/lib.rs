@@ -47,8 +47,9 @@
 //!   staging (`sorted_keys`/`sort_unstable`) is the sanctioned escape.
 //! * **`alloc-in-hot-loop`** — no `Vec::new`/`vec![…]`/`.to_vec()`/
 //!   `.collect()`/`.clone()` inside loops of the kernel files (`gemm.rs`,
-//!   `simd.rs`, `sparse.rs`, `csr.rs`) or the serving scorer; buffers are
-//!   hoisted and reused.
+//!   `simd.rs`, `sparse.rs`, `csr.rs`), the serving scorer, or fml-store's
+//!   page decoder (`batch.rs`) and join scan (`factorized_scan.rs`); buffers
+//!   are hoisted and reused.
 //! * **`pub-doc`** — every externally-`pub` library item carries a doc
 //!   comment, and every library file opens with a `//!` header.
 //!

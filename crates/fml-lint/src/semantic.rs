@@ -6,7 +6,7 @@
 //! | `panic-policy` | no `unwrap`/`expect`/`panic!`-family inside `Result`-returning production functions of `fml-store`/`fml-serve` — the typed error propagates |
 //! | `guard-across-dispatch` | no `Mutex`/`RwLock` guard binding live across a `pool::run`/`par_chunks*`/`par_row_bands*` call — a static deadlock/latency hazard |
 //! | `nondet-iteration` | no `HashMap`/`HashSet` iteration feeding float accumulation — hash order is per-process random and breaks the bit-identity oracle |
-//! | `alloc-in-hot-loop` | no `Vec::new`/`vec!`/`to_vec`/`collect`/`clone` inside loops of the kernel files and the scorer |
+//! | `alloc-in-hot-loop` | no `Vec::new`/`vec!`/`to_vec`/`collect`/`clone` inside loops of the kernel files, the scorer and the store's decode / join-scan files |
 //! | `pub-doc` | every externally-`pub` item in library crates carries a doc comment |
 //!
 //! Scope classification (test/bin/library) is shared with the token rules
@@ -41,8 +41,13 @@ const GUARD_EXEMPT: [&str; 1] = ["crates/fml-linalg/src/pool.rs"];
 /// Kernel files where a per-iteration allocation serializes on the global
 /// allocator: matched by file name under any crate `src/`.
 const HOT_FILE_NAMES: [&str; 4] = ["/gemm.rs", "/simd.rs", "/sparse.rs", "/csr.rs"];
-/// Non-kernel files with hot row loops, matched exactly.
-const HOT_FILE_EXACT: [&str; 1] = ["crates/fml-serve/src/scorer.rs"];
+/// Non-kernel files with hot row loops, matched exactly: the scorer, the
+/// store's page decoder and its factorized join scan.
+const HOT_FILE_EXACT: [&str; 3] = [
+    "crates/fml-serve/src/scorer.rs",
+    "crates/fml-store/src/batch.rs",
+    "crates/fml-store/src/factorized_scan.rs",
+];
 
 /// Panic-family macros (the `!` is checked at the call site).
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];

@@ -108,12 +108,15 @@ impl FactorizedNn {
                 for (i, arena) in arenas.iter_mut().enumerate() {
                     arena.reset(scan.cache().dim_len(i));
                 }
-                while let Some(block) = scan.next_block()? {
-                    for (fact, ords) in block.iter() {
+                while scan.next_block()? {
+                    let (block, cache) = (scan.block(), scan.cache());
+                    let facts = block.rows();
+                    for f in 0..block.len() {
+                        let ords = block.ords_of(f);
                         // ---- forward, first layer (factorized) ----
                         for (i, &ord) in ords.iter().enumerate() {
                             if arenas[i].claim(ord) {
-                                let features = &scan.cache().tuple(i, ord).features;
+                                let features = cache.row(i, ord);
                                 // Detection persists across epochs; only the
                                 // first encounter of a tuple ever scans it.
                                 let key = scan.ordinal_base(i) + ord;
@@ -123,12 +126,12 @@ impl FactorizedNn {
                                 delta_sum.fill(0.0);
                             }
                         }
-                        let x_s = &fact.features;
+                        let x_s = facts.features(f);
                         let s_rep = fact_reps.rep_or_detect(cursor, x_s);
                         let cached = arenas.iter().zip(ords).map(|(a, &ord)| &a.row(ord)[..nh]);
                         first.pre_activation(x_s, s_rep, cached, ws.first_preactivation());
                         // ---- layers ≥ 2 forward, all layers backward ----
-                        let y = fact.target.unwrap_or(0.0);
+                        let y = facts.target(f).unwrap_or(0.0);
                         loss_sum += model
                             .backward_from_first_preactivation_with(kp, &mut ws, y, &mut grads);
                         // PG_S: per fact.
@@ -144,7 +147,7 @@ impl FactorizedNn {
                 // ordinal order.
                 for (i, arena) in arenas.iter().enumerate() {
                     for ord in arena.referenced() {
-                        let features = &scan.cache().tuple(i, ord).features;
+                        let features = scan.cache().row(i, ord);
                         let rep = dim_reps[i].get(scan.ordinal_base(i) + ord);
                         grad_w1.add(i + 1, &arena.row(ord)[nh..], features, rep);
                     }

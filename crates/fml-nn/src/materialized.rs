@@ -2,11 +2,9 @@
 //! table (the baseline of Section VI).
 
 use crate::mlp::Mlp;
-use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit, SupervisedSource};
+use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit};
 use fml_linalg::exec::ExecPolicy;
-use fml_store::batch::BatchScan;
-use fml_store::catalog::RelationHandle;
-use fml_store::join::materialize_join;
+use fml_store::join::{materialize_join, RowSource};
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -38,54 +36,11 @@ impl MaterializedNn {
             db.drop_relation(&t_name)?;
         }
         let table = materialize_join(db, spec, t_name, ex.block_pages)?;
-        let mut source = MaterializedSupervisedSource::new(table, ex.block_pages);
+        let mut source = RowSource::table(table, ex.block_pages);
         let probe = db.stats().io_probe();
         let mut fit = train_supervised_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
-    }
-}
-
-/// Supervised source scanning a materialized join table.
-pub struct MaterializedSupervisedSource {
-    table: RelationHandle,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl MaterializedSupervisedSource {
-    /// Creates the source over a materialized table.
-    pub fn new(table: RelationHandle, block_pages: usize) -> Self {
-        let (dim, n) = {
-            let t = table.lock();
-            (t.schema().num_features, t.num_tuples())
-        };
-        Self {
-            table,
-            block_pages,
-            dim,
-            n,
-        }
-    }
-}
-
-impl SupervisedSource for MaterializedSupervisedSource {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        for batch in BatchScan::new(self.table.clone(), self.block_pages) {
-            for tuple in batch? {
-                f(&tuple.features, tuple.target.unwrap_or(0.0));
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
     }
 }
 

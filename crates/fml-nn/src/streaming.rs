@@ -1,15 +1,15 @@
 //! `S-NN`: join on the fly each epoch, feed the denormalized tuples to the
 //! unchanged trainer.
 //!
-//! An epoch is one [`FactorizedScan`] whose fact blocks are denormalized —
+//! An epoch is one `FactorizedScan` whose fact blocks are denormalized —
 //! the rows `materialize_join` would write, in the same `(window, fact)`
 //! order, so an `S-NN` fit is **bit-identical** to the `M-NN` fit of the same
 //! join.
 
 use crate::mlp::Mlp;
-use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit, SupervisedSource};
+use crate::trainer::{ensure_trainable, train_supervised_from, NnConfig, NnFit};
 use fml_linalg::exec::ExecPolicy;
-use fml_store::factorized_scan::FactorizedScan;
+use fml_store::join::RowSource;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
 
@@ -31,57 +31,10 @@ impl StreamingNn {
         let d = spec.total_features(db)?;
         let initial = Mlp::new(d, &config.hidden, config.activation, ex.seed);
         let probe = db.stats().io_probe();
-        let mut source = StreamSource::new(db, spec.clone(), ex.block_pages)?;
+        let mut source = RowSource::join(db, spec.clone(), ex.block_pages)?;
         let mut fit = train_supervised_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
-    }
-}
-
-/// Supervised source over a join: one [`FactorizedScan`] pass, denormalized.
-pub struct StreamSource<'a> {
-    db: &'a Database,
-    spec: JoinSpec,
-    block_pages: usize,
-    dim: usize,
-    n: u64,
-}
-
-impl<'a> StreamSource<'a> {
-    /// Creates the source.
-    pub fn new(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        spec.validate(db)?;
-        let dim = spec.total_features(db)?;
-        let n = spec.fact_relation(db)?.lock().num_tuples();
-        Ok(Self {
-            db,
-            spec,
-            block_pages,
-            dim,
-            n,
-        })
-    }
-}
-
-impl SupervisedSource for StreamSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        let mut scan = FactorizedScan::new(self.db, &self.spec, self.block_pages)?;
-        while scan.next_window()? {
-            while let Some(block) = scan.next_block()? {
-                for joined in block.denormalize(scan.cache()) {
-                    f(&joined.features, joined.target.unwrap_or(0.0));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
     }
 }
 

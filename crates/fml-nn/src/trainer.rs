@@ -7,6 +7,7 @@ use crate::mlp::Mlp;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::RepCache;
+use fml_store::join::RowSource;
 use fml_store::{Database, JoinSpec, StoreError, StoreResult};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -267,6 +268,22 @@ impl VecSupervisedSource {
         let dim = rows.first().map(|(x, _)| x.len()).unwrap_or(0);
         assert!(rows.iter().all(|(x, _)| x.len() == dim), "ragged rows");
         Self { rows, dim }
+    }
+}
+
+/// The `M-NN` / `S-NN` source: the join's rows, from its materialized table
+/// or joined on the fly.
+impl SupervisedSource for RowSource<'_> {
+    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
+        self.for_each_row(&mut |x, y| f(x, y.unwrap_or(0.0)))
+    }
+
+    fn num_tuples(&self) -> u64 {
+        self.num_rows()
+    }
+
+    fn dim(&self) -> usize {
+        self.width()
     }
 }
 

@@ -65,7 +65,7 @@ use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::sparse::{SparseMode, SparseRep};
 use fml_linalg::KernelPolicy;
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
-use fml_store::batch::BatchScan;
+use fml_store::batch::{BlockScan, RowBlock};
 use fml_store::factorized_scan::{FactBlock, FactorizedScan};
 use fml_store::join::materialize_join;
 use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
@@ -467,9 +467,10 @@ where
             // oracle the factorized path is tested against, paying the full
             // materialization and full-width scan I/O.
             let mut joined = JoinedRows::new(core, partition, ex.sparse);
-            for batch in BatchScan::new(table, ex.block_pages) {
-                for tuple in batch? {
-                    out.push(tuple.key, joined.score(&tuple.features));
+            let (mut scan, mut rows) = (BlockScan::new(table, ex.block_pages), RowBlock::default());
+            while scan.next_into(&mut rows)? {
+                for r in 0..rows.len() {
+                    out.push(rows.keys()[r], joined.score(rows.features(r)));
                 }
                 out.end_block();
             }
@@ -512,18 +513,19 @@ where
         for (i, arena) in arenas.iter_mut().enumerate() {
             arena.reset(scan.cache().dim_len(i));
         }
-        while let Some(block) = scan.next_block()? {
-            for (_, fact_ords) in block.iter() {
-                for (i, &ord) in fact_ords.iter().enumerate() {
+        while scan.next_block()? {
+            let block = scan.block();
+            for f in 0..block.len() {
+                for (i, &ord) in block.ords_of(f).iter().enumerate() {
                     if arenas[i].claim(ord) {
-                        let features = &scan.cache().tuple(i, ord).features;
+                        let features = scan.cache().row(i, ord);
                         let rep = ex.sparse.detect(features);
                         core.dim_terms(i, features, rep.as_ref(), arenas[i].row_mut(ord));
                     }
                 }
             }
-            let chunks = par_chunks_with_threads(workers, block.facts.len(), 1, |range| {
-                score_facts(core, ex.sparse, &arenas, &block, range)
+            let chunks = par_chunks_with_threads(workers, block.len(), 1, |range| {
+                score_facts(core, ex.sparse, &arenas, block, range)
             });
             out.extend(chunks);
             out.end_block();
@@ -546,13 +548,14 @@ fn score_facts<C: RowCore>(
         Vec::with_capacity(range.len()),
         Vec::with_capacity(range.len()),
     );
+    let facts = block.rows();
     for f in range {
-        let fact = &block.facts[f];
+        let x_s = facts.features(f);
         dims.clear();
         dims.extend((arenas.iter().zip(block.ords_of(f))).map(|(a, &ord)| a.row(ord)));
-        let rep = mode.detect(&fact.features);
-        rows.push(core.score_row(&fact.features, rep.as_ref(), &dims, &mut scratch));
-        keys.push(fact.key);
+        let rep = mode.detect(x_s);
+        rows.push(core.score_row(x_s, rep.as_ref(), &dims, &mut scratch));
+        keys.push(facts.keys()[f]);
     }
     (keys, rows)
 }
@@ -605,11 +608,14 @@ fn score_streamed<C: RowCore>(
     out: &mut Sink<'_, C::Row>,
 ) -> StoreResult<()> {
     let mut joined = JoinedRows::new(core, partition, ex.sparse);
+    let mut row = Vec::with_capacity(partition.total_dim());
     let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
     while scan.next_window()? {
-        while let Some(block) = scan.next_block()? {
-            for row in block.denormalize(scan.cache()) {
-                out.push(row.key, joined.score(&row.features));
+        while scan.next_block()? {
+            let block = scan.block();
+            for (f, &key) in block.rows().keys().iter().enumerate() {
+                block.denormalize_into(f, scan.cache(), &mut row);
+                out.push(key, joined.score(&row));
             }
             out.end_block();
         }

@@ -2,12 +2,19 @@
 //! algorithms, of join materialization (`M-*`) and of batch scoring.
 //!
 //! A [`FactorizedScan`] pass is a sequence of **windows**.  A window makes a
-//! set of dimension tuples resident as a [`DimCache`] and scans the whole fact
+//! set of dimension rows resident as a [`DimCache`] and scans the whole fact
 //! relation against it in blocks of `block_pages` pages; each [`FactBlock`]
-//! holds the facts whose foreign keys all resolve in the window, with the
-//! dense ordinal of every referenced dimension tuple — the unit of reuse of
-//! the factorized algorithms: whatever depends only on a dimension tuple is
-//! computed once per ordinal and reused by every fact that carries it.
+//! holds the facts whose foreign keys all resolve in the window, decoded
+//! into a [`RowBlock`], with the dense ordinal of every referenced dimension
+//! row — the unit of reuse of the factorized algorithms: whatever depends
+//! only on a dimension tuple is computed once per ordinal and reused by
+//! every fact that carries it.
+//!
+//! **Blocks, not tuples.**  The scan owns and reuses its buffers — the fact
+//! block, and per dimension the window's decoded rows, key order and index —
+//! so a pass allocates per window at most, never per page or per fact.
+//! [`FactorizedScan::next_block`] refills the block; the consumer reads it,
+//! the cache and the ordinal bases together through `&self` accessors.
 //!
 //! **Residency** follows from the join shape, there is nothing to configure:
 //!
@@ -34,43 +41,59 @@
 //! ([`StoreError::SchemaMismatch`]).  Within a window a repeated key keeps
 //! its last-stored tuple.
 //!
-//! [`GroupScan`] and [`StarScan`] are the two pre-merge views of the pass,
-//! kept as thin adapters for the `benchmark/` package.
+//! [`GroupScan`], [`JoinGroup`] and [`StarScan`] are `Vec<Tuple>` probe
+//! adapters over the pass, kept for the `benchmark/` package (see
+//! [`crate::rows`]); no engine crate uses them.
 
-use crate::batch::BatchScan;
+use crate::batch::{BlockScan, RowBlock};
 use crate::catalog::RelationHandle;
 use crate::error::{StoreError, StoreResult};
 use crate::join::{check_every_fact_matched, DimCache, JoinSpec};
-use crate::tuple::Tuple;
 use crate::Database;
 
-/// One block of fact tuples joined against the resident window.
+pub use crate::rows::{GroupScan, JoinGroup, StarScan};
+
+/// One block of facts joined against the resident window.
+#[derive(Default)]
 pub struct FactBlock {
     /// The facts of the block that match the window, in storage order.
-    pub facts: Vec<Tuple>,
-    /// `q` dimension ordinals per fact, in join order: fact `f` owns
-    /// `ords[f * q..(f + 1) * q]`.
-    pub ords: Vec<u32>,
+    rows: RowBlock,
+    /// `q` dimension ordinals per fact, in join order.
+    ords: Vec<u32>,
     q: usize,
 }
 
 impl FactBlock {
+    /// The facts.
+    pub fn rows(&self) -> &RowBlock {
+        &self.rows
+    }
+
+    /// Number of facts.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the block holds no facts.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
     /// The `q` ordinals of fact `f`.
     pub fn ords_of(&self, f: usize) -> &[u32] {
         &self.ords[f * self.q..(f + 1) * self.q]
     }
 
-    /// Each fact with its `q` ordinals.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &[u32])> {
-        (self.facts.iter().enumerate()).map(|(f, fact)| (fact, self.ords_of(f)))
-    }
-
-    /// Expands the block into denormalized tuples `T(SID, [Y], [x_S x_R1 … x_Rq])`,
-    /// duplicating the dimension features once per fact (what `materialize_join`
-    /// writes and the `S-*` algorithms feed to the unchanged learner).
-    pub fn denormalize<'a>(&'a self, cache: &'a DimCache) -> impl Iterator<Item = Tuple> + 'a {
-        self.iter()
-            .map(move |(fact, ords)| cache.denormalize(fact, ords))
+    /// Writes fact `f`'s denormalized row `[x_S | x_R1 | … | x_Rq]` into
+    /// `out`, replacing its contents and keeping its capacity: the dimension
+    /// features duplicated once per fact, as `materialize_join` writes them
+    /// and the `S-*` algorithms feed them to the unchanged learner.
+    pub fn denormalize_into(&self, f: usize, cache: &DimCache, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend_from_slice(self.rows.features(f));
+        for (i, &ord) in self.ords_of(f).iter().enumerate() {
+            out.extend_from_slice(cache.row(i, ord));
+        }
     }
 }
 
@@ -78,19 +101,18 @@ impl FactBlock {
 ///
 /// ```text
 /// while scan.next_window()? {
-///     // scan.cache(): the resident dimension tuples
-///     while let Some(block) = scan.next_block()? { … }
+///     // scan.cache(): the resident dimension rows
+///     while scan.next_block()? { /* scan.block(), scan.cache() */ }
 ///     // per-window aggregates are complete here
 /// }
 /// ```
 pub struct FactorizedScan {
     fact: RelationHandle,
     dims: Vec<RelationHandle>,
-    names: Vec<String>,
     block_pages: usize,
     /// One scan per dimension; each step yields that dimension's share of
     /// the next window.
-    dim_windows: Vec<BatchScan>,
+    dim_windows: Vec<BlockScan>,
     /// Whether the first window holds every dimension tuple.
     single_window: bool,
     /// Per dimension: tuples resident in the windows before the current one.
@@ -100,7 +122,9 @@ pub struct FactorizedScan {
     /// Whether a window has been made resident yet.
     opened: bool,
     /// The current window's fact scan.
-    facts: Option<BatchScan>,
+    facts: Option<BlockScan>,
+    /// The current fact block.
+    block: FactBlock,
     /// Facts handed out so far.
     matched: u64,
 }
@@ -111,25 +135,28 @@ impl FactorizedScan {
     pub fn new(db: &Database, spec: &JoinSpec, block_pages: usize) -> StoreResult<Self> {
         spec.validate(db)?;
         let dims = spec.dimension_relations(db)?;
-        let window_pages = if dims.len() == 1 {
+        let q = dims.len();
+        let window_pages = if q == 1 {
             block_pages.max(1)
         } else {
             usize::MAX
         };
         Ok(Self {
             fact: spec.fact_relation(db)?,
-            names: spec.dimensions.clone(),
             block_pages,
-            dim_windows: dims
-                .iter()
-                .map(|d| BatchScan::new(d.clone(), window_pages))
+            dim_windows: (dims.iter())
+                .map(|d| BlockScan::new(d.clone(), window_pages))
                 .collect(),
             single_window: dims.iter().all(|d| d.lock().num_pages() <= window_pages),
-            bases: vec![0; dims.len()],
+            bases: vec![0; q],
             dims,
-            cache: DimCache::default(),
+            cache: DimCache::new(spec.dimensions.clone()),
             opened: false,
             facts: None,
+            block: FactBlock {
+                q,
+                ..FactBlock::default()
+            },
             matched: 0,
         })
     }
@@ -142,12 +169,8 @@ impl FactorizedScan {
     /// Ends a pass of several windows that handed out a different number of
     /// facts than `S` holds with the error the module docs describe.
     pub fn next_window(&mut self) -> StoreResult<bool> {
-        let mut tuples = Vec::with_capacity(self.dims.len());
-        for window in &mut self.dim_windows {
-            tuples.push(window.next().transpose()?);
-        }
         if self.opened {
-            if tuples.iter().all(Option::is_none) {
+            if self.dim_windows.iter().all(BlockScan::is_done) {
                 self.facts = None;
                 if !self.single_window {
                     check_every_fact_matched(&self.dims[0], &self.fact, self.matched)?;
@@ -155,23 +178,20 @@ impl FactorizedScan {
                 return Ok(false);
             }
             for (i, base) in self.bases.iter_mut().enumerate() {
-                *base = u32::try_from(self.cache.dim_len(i))
-                    .ok()
-                    .and_then(|len| base.checked_add(len))
-                    .ok_or_else(|| StoreError::SchemaMismatch {
-                        relation: self.names[i].clone(),
-                        detail: "tuples exceed the u32 ordinal range".to_string(),
-                    })?;
+                let len = u32::try_from(self.cache.dim_len(i)).ok();
+                *base = (len.and_then(|len| base.checked_add(len)))
+                    .ok_or_else(|| ordinal_overflow(&self.dims[i]))?;
             }
         }
-        let tuples = tuples.into_iter().map(Option::unwrap_or_default).collect();
-        self.cache = DimCache::new(self.names.clone(), tuples)?;
+        for (i, window) in self.dim_windows.iter_mut().enumerate() {
+            self.cache.load(i, window)?;
+        }
         self.opened = true;
-        self.facts = Some(BatchScan::new(self.fact.clone(), self.block_pages));
+        self.facts = Some(BlockScan::new(self.fact.clone(), self.block_pages));
         Ok(true)
     }
 
-    /// The dimension tuples of the resident window (none before the first
+    /// The dimension rows of the resident window (none before the first
     /// [`Self::next_window`]).
     pub fn cache(&self) -> &DimCache {
         &self.cache
@@ -184,154 +204,52 @@ impl FactorizedScan {
         self.bases[i]
     }
 
-    /// The next fact block of the current window, `None` at its end.
-    pub fn next_block(&mut self) -> StoreResult<Option<FactBlock>> {
-        let cache = &self.cache;
-        let Some(mut facts) = self.facts.as_mut().and_then(Iterator::next).transpose()? else {
-            return Ok(None);
+    /// The fact block [`Self::next_block`] filled last.
+    pub fn block(&self) -> &FactBlock {
+        &self.block
+    }
+
+    /// Refills [`Self::block`] with the next fact block of the current
+    /// window; `false` at its end.
+    pub fn next_block(&mut self) -> StoreResult<bool> {
+        let block = &mut self.block;
+        let Some(facts) = self.facts.as_mut() else {
+            return Ok(false);
         };
-        let q = self.dims.len();
-        let mut ords = vec![0; facts.len() * q];
+        if !facts.next_into(&mut block.rows)? {
+            return Ok(false);
+        }
+        let (cache, q, n) = (&self.cache, block.q, block.rows.len());
+        block.ords.clear();
+        block.ords.resize(n * q, 0);
         let mut kept = 0;
-        if self.single_window {
-            for fact in &facts {
-                cache
-                    .resident_ordinals(fact, &mut ords[kept * q..(kept + 1) * q])
-                    .map_err(|(i, key)| cache.dangling(i, key))?;
-                kept += 1;
+        for f in 0..n {
+            let slots = &mut block.ords[kept * q..(kept + 1) * q];
+            match cache.resident_ordinals(block.rows.fks(f), slots) {
+                Ok(()) => {
+                    if kept < f {
+                        block.rows.move_row(f, kept);
+                    }
+                    kept += 1;
+                }
+                Err((i, key)) if self.single_window => return Err(cache.dangling(i, key)),
+                // A miss may be resident in another window: skip the fact
+                // here, the end-of-pass count decides.
+                Err(_) => {}
             }
-        } else {
-            // A miss may be resident in another window: skip the fact here,
-            // the end-of-pass count decides.
-            facts.retain(|fact| {
-                let hit = cache
-                    .resident_ordinals(fact, &mut ords[kept * q..(kept + 1) * q])
-                    .is_ok();
-                kept += usize::from(hit);
-                hit
-            });
-            ords.truncate(kept * q);
         }
+        block.rows.truncate(kept);
+        block.ords.truncate(kept * q);
         self.matched += kept as u64;
-        Ok(Some(FactBlock { facts, ords, q }))
+        Ok(true)
     }
 }
 
-/// One dimension tuple together with every fact tuple referencing it.
-#[derive(Debug, Clone)]
-pub struct JoinGroup {
-    /// The dimension (`R`) tuple.
-    pub r_tuple: Tuple,
-    /// All fact (`S`) tuples whose foreign key equals `r_tuple.key`.
-    pub s_tuples: Vec<Tuple>,
-}
-
-impl JoinGroup {
-    /// Number of joined tuples this group expands to.
-    pub fn len(&self) -> usize {
-        self.s_tuples.len()
-    }
-
-    /// Whether the group has no matching fact tuples.
-    pub fn is_empty(&self) -> bool {
-        self.s_tuples.is_empty()
-    }
-
-    /// Expands the group into denormalized tuples `T(SID, [Y], [x_S x_R])`.
-    pub fn denormalize(&self) -> Vec<Tuple> {
-        self.s_tuples
-            .iter()
-            .map(|s| Tuple::joined(s, [&self.r_tuple]))
-            .collect()
-    }
-}
-
-/// The group-shaped view of a binary [`FactorizedScan`] pass: per window, the
-/// facts bucketed by dimension tuple.  Holds a whole window's facts at once;
-/// no engine crate uses it — it exists for `benchmark/`'s store probes.
-pub struct GroupScan {
-    scan: FactorizedScan,
-    done: bool,
-}
-
-impl GroupScan {
-    /// Creates a group scan over the binary join `spec`.
-    pub fn from_spec(db: &Database, spec: &JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        if spec.num_dimensions() != 1 {
-            return Err(StoreError::SchemaMismatch {
-                relation: spec.fact.clone(),
-                detail: "GroupScan groups by the one dimension of a binary join".to_string(),
-            });
-        }
-        Ok(Self {
-            scan: FactorizedScan::new(db, spec, block_pages)?,
-            done: false,
-        })
-    }
-
-    fn next_window_groups(&mut self) -> StoreResult<Option<Vec<JoinGroup>>> {
-        if !self.scan.next_window()? {
-            return Ok(None);
-        }
-        let mut groups: Vec<JoinGroup> = (self.scan.cache().iter_dim(0))
-            .map(|r| JoinGroup {
-                r_tuple: r.clone(),
-                s_tuples: Vec::new(),
-            })
-            .collect();
-        while let Some(block) = self.scan.next_block()? {
-            for (fact, ord) in block.facts.into_iter().zip(block.ords) {
-                groups[ord as usize].s_tuples.push(fact);
-            }
-        }
-        Ok(Some(groups))
-    }
-}
-
-impl Iterator for GroupScan {
-    type Item = StoreResult<Vec<JoinGroup>>;
-
-    /// The groups of the next window; the pass's error, if any, is the last
-    /// item.
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let item = self.next_window_groups().transpose();
-        self.done = !matches!(item, Some(Ok(_)));
-        item
-    }
-}
-
-/// The first window of a [`FactorizedScan`] pass — for a star join, the whole
-/// pass — with the *unresolved* fact blocks beside it.  No engine crate uses
-/// it; it exists for `benchmark/`'s store probes.
-pub struct StarScan {
-    scan: FactorizedScan,
-}
-
-impl StarScan {
-    /// Makes the dimension tables of `spec` resident and prepares a fact scan.
-    pub fn new(db: &Database, spec: &JoinSpec, block_pages: usize) -> StoreResult<Self> {
-        let mut scan = FactorizedScan::new(db, spec, block_pages)?;
-        scan.next_window()?;
-        Ok(Self { scan })
-    }
-
-    /// The resident dimension tuples.
-    pub fn cache(&self) -> &DimCache {
-        self.scan.cache()
-    }
-
-    /// Iterates over fact-table blocks.  Each block is a `Vec<Tuple>` whose foreign
-    /// keys can be resolved against [`Self::cache`].
-    pub fn blocks(&self) -> BatchScan {
-        BatchScan::new(self.scan.fact.clone(), self.scan.block_pages)
-    }
-
-    /// Denormalizes one fact tuple using the cache.
-    pub fn denormalize(&self, fact: &Tuple) -> StoreResult<Tuple> {
-        Ok(Tuple::joined(fact, self.cache().resolve(fact)?))
+/// The error of a dimension whose windows hold more rows than `u32` counts.
+fn ordinal_overflow(dim: &RelationHandle) -> StoreError {
+    StoreError::SchemaMismatch {
+        relation: dim.lock().name().to_string(),
+        detail: "tuples exceed the u32 ordinal range".to_string(),
     }
 }
 
@@ -339,6 +257,7 @@ impl StarScan {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::tuple::Tuple;
     use std::collections::HashSet;
 
     /// `n_r` dimension tuples (two features, so a few hundred per page) and
@@ -389,10 +308,11 @@ mod tests {
         let mut out = Vec::new();
         let mut window = 0;
         while scan.next_window()? {
-            while let Some(block) = scan.next_block()? {
-                for (fact, ords) in block.iter() {
-                    let dim = scan.cache().tuple(0, ords[0]);
-                    out.push((window, scan.ordinal_base(0), fact.key, dim.key));
+            while scan.next_block()? {
+                let block = scan.block();
+                for f in 0..block.len() {
+                    let dim = scan.cache().key(0, block.ords_of(f)[0]);
+                    out.push((window, scan.ordinal_base(0), block.rows().keys()[f], dim));
                 }
             }
             window += 1;
@@ -457,8 +377,8 @@ mod tests {
         let mut handed_out = 0;
         let err = loop {
             match scan.next_block() {
-                Ok(Some(block)) => handed_out += block.facts.len(),
-                Ok(None) => panic!("the dangling fact went unnoticed"),
+                Ok(true) => handed_out += scan.block().len(),
+                Ok(false) => panic!("the dangling fact went unnoticed"),
                 Err(e) => break e,
             }
         };
@@ -473,8 +393,8 @@ mod tests {
             let err = loop {
                 match scan.next_window() {
                     Ok(true) => {
-                        while let Some(block) = scan.next_block().unwrap() {
-                            handed_out += block.facts.len();
+                        while scan.next_block().unwrap() {
+                            handed_out += scan.block().len();
                         }
                     }
                     Ok(false) => panic!("the dangling fact went unnoticed"),
@@ -535,13 +455,16 @@ mod tests {
         let (db, spec) = setup();
         let mut scan = FactorizedScan::new(&db, &spec, 8).unwrap();
         let mut from_blocks = Vec::new();
+        let mut joined = Vec::new();
         while scan.next_window().unwrap() {
-            while let Some(block) = scan.next_block().unwrap() {
-                for (t, (fact, ords)) in block.denormalize(scan.cache()).zip(block.iter()) {
-                    let r = scan.cache().tuple(0, ords[0]);
-                    assert_eq!(t.key, fact.key);
-                    assert_eq!(t.features, [fact.features[0], r.features[0], r.features[1]]);
-                    from_blocks.push(t);
+            while scan.next_block().unwrap() {
+                let (block, rows) = (scan.block(), scan.block().rows());
+                for f in 0..block.len() {
+                    block.denormalize_into(f, scan.cache(), &mut joined);
+                    let r = scan.cache().row(0, block.ords_of(f)[0]);
+                    assert_eq!(joined, [rows.features(f)[0], r[0], r[1]]);
+                    let fact = rows.tuple(f);
+                    from_blocks.push(Tuple::joined(&fact, [r]));
                 }
             }
         }
@@ -613,8 +536,10 @@ mod tests {
         for block in scan.blocks() {
             for fact in block.unwrap() {
                 let dims = scan.cache().resolve(&fact).unwrap();
-                assert_eq!(dims[0].key, fact.fks[0]);
-                assert_eq!(dims[1].key, fact.fks[1]);
+                for (i, (dim, &fk)) in dims.iter().zip(&fact.fks).enumerate() {
+                    let ord = scan.cache().ordinal(i, fk).unwrap();
+                    assert_eq!(*dim, scan.cache().row(i, ord));
+                }
                 let joined = scan.denormalize(&fact).unwrap();
                 assert_eq!(joined.features.len(), 4);
                 count += 1;
@@ -625,11 +550,14 @@ mod tests {
         // the pass itself: one window, the same joined rows, two ordinals per fact
         let mut pass = FactorizedScan::new(&db, &spec, 4).unwrap();
         assert!(pass.next_window().unwrap());
-        let mut joined = 0;
-        while let Some(block) = pass.next_block().unwrap() {
-            assert_eq!(block.ords.len(), 2 * block.facts.len());
-            for (t, fact) in block.denormalize(pass.cache()).zip(&block.facts) {
-                assert_eq!(t, scan.denormalize(fact).unwrap());
+        let (mut joined, mut rows) = (0, Vec::new());
+        while pass.next_block().unwrap() {
+            let block = pass.block();
+            for f in 0..block.len() {
+                block.denormalize_into(f, pass.cache(), &mut rows);
+                assert_eq!(block.ords_of(f).len(), 2);
+                let t = scan.denormalize(&block.rows().tuple(f)).unwrap();
+                assert_eq!(rows, t.features);
                 joined += 1;
             }
         }

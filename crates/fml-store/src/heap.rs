@@ -1,33 +1,38 @@
 //! Heap files: ordered sequences of pages, on disk or in memory.
 //!
 //! A [`HeapFile`] owns a [`PageStore`] backend plus a small tail-page write buffer,
-//! and reports every page transfer to a shared [`IoStats`] handle.  Two backends
-//! are provided:
+//! and reports every page transfer to a shared [`IoStats`] handle.  Reads
+//! borrow: a backend lends the stored bytes and [`HeapFile::read_page`] hands
+//! them out as a checked [`PageRef`], so no read copies or allocates a page.
+//! Two backends are provided:
 //!
-//! * [`MemPageStore`] — pages held in a `Vec<Vec<u8>>`; used for unit tests and
-//!   for experiments where only *counted* I/O matters.
-//! * [`FilePageStore`] — pages stored in a regular file with positional reads and
-//!   writes; used by the examples and the benchmark harness so that the
-//!   materialized variants actually pay the cost of writing the join result.
+//! * [`MemPageStore`] — pages held in a `Vec<Vec<u8>>`, lent in place; used
+//!   for unit tests and for experiments where only *counted* I/O matters.
+//! * [`FilePageStore`] — pages stored in a regular file, read into one
+//!   store-owned page buffer; used by the examples so that the materialized
+//!   variants actually pay the cost of writing the join result.
 
 use crate::error::{StoreError, StoreResult};
-use crate::page::Page;
+use crate::page::{Page, PageRef};
 use crate::stats::IoStats;
 use crate::PAGE_SIZE;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Abstraction over where pages physically live.
 pub trait PageStore: Send {
     /// Number of pages currently stored.
     fn num_pages(&self) -> usize;
-    /// Reads page `idx`.
-    fn read_page(&mut self, idx: usize) -> StoreResult<Page>;
-    /// Overwrites page `idx`.
+    /// Borrows the bytes of page `idx`, unchecked ([`HeapFile::read_page`]
+    /// checks the header).  No page is copied or allocated per read.
+    fn read_page(&mut self, idx: usize) -> StoreResult<&[u8]>;
+    /// Overwrites page `idx`, or appends it when `idx == num_pages()`.
     fn write_page(&mut self, idx: usize, page: &Page) -> StoreResult<()>;
-    /// Appends a page, returning its index.
-    fn append_page(&mut self, page: &Page) -> StoreResult<usize>;
+}
+
+fn out_of_range(page: usize, pages: usize) -> StoreError {
+    StoreError::PageOutOfRange { page, pages }
 }
 
 /// In-memory page store.
@@ -48,39 +53,27 @@ impl PageStore for MemPageStore {
         self.pages.len()
     }
 
-    fn read_page(&mut self, idx: usize) -> StoreResult<Page> {
-        let bytes = self
-            .pages
-            .get(idx)
-            .ok_or(StoreError::PageOutOfRange {
-                page: idx,
-                pages: self.pages.len(),
-            })?
-            .clone();
-        Page::from_bytes(bytes)
+    fn read_page(&mut self, idx: usize) -> StoreResult<&[u8]> {
+        let pages = self.pages.len();
+        (self.pages.get(idx).map(Vec::as_slice)).ok_or(out_of_range(idx, pages))
     }
 
     fn write_page(&mut self, idx: usize, page: &Page) -> StoreResult<()> {
-        if idx >= self.pages.len() {
-            return Err(StoreError::PageOutOfRange {
-                page: idx,
-                pages: self.pages.len(),
-            });
+        let (bytes, pages) = (page.as_bytes().to_vec(), self.pages.len());
+        match self.pages.get_mut(idx) {
+            Some(stored) => *stored = bytes,
+            None if idx == pages => self.pages.push(bytes),
+            None => return Err(out_of_range(idx, pages)),
         }
-        self.pages[idx] = page.as_bytes().to_vec();
         Ok(())
-    }
-
-    fn append_page(&mut self, page: &Page) -> StoreResult<usize> {
-        self.pages.push(page.as_bytes().to_vec());
-        Ok(self.pages.len() - 1)
     }
 }
 
-/// File-backed page store.
+/// File-backed page store.  Reads land in one store-owned page buffer.
 pub struct FilePageStore {
     file: File,
     num_pages: usize,
+    buf: Vec<u8>,
 }
 
 impl FilePageStore {
@@ -92,7 +85,7 @@ impl FilePageStore {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Self { file, num_pages: 0 })
+        Ok(Self::over(file, 0))
     }
 
     /// Opens an existing page file at `path`.
@@ -104,10 +97,15 @@ impl FilePageStore {
                 "file length {len} is not a multiple of the page size"
             )));
         }
-        Ok(Self {
+        Ok(Self::over(file, len / PAGE_SIZE))
+    }
+
+    fn over(file: File, num_pages: usize) -> Self {
+        Self {
             file,
-            num_pages: len / PAGE_SIZE,
-        })
+            num_pages,
+            buf: vec![0u8; PAGE_SIZE],
+        }
     }
 }
 
@@ -116,37 +114,28 @@ impl PageStore for FilePageStore {
         self.num_pages
     }
 
-    fn read_page(&mut self, idx: usize) -> StoreResult<Page> {
+    fn read_page(&mut self, idx: usize) -> StoreResult<&[u8]> {
         if idx >= self.num_pages {
-            return Err(StoreError::PageOutOfRange {
-                page: idx,
-                pages: self.num_pages,
-            });
+            return Err(out_of_range(idx, self.num_pages));
         }
         self.file.seek(SeekFrom::Start((idx * PAGE_SIZE) as u64))?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.file.read_exact(&mut buf)?;
-        Page::from_bytes(buf)
+        self.file
+            .read_exact(&mut self.buf)
+            .map_err(|e| match e.kind() {
+                ErrorKind::UnexpectedEof => StoreError::Corrupt(format!("page {idx} is truncated")),
+                _ => StoreError::Io(e),
+            })?;
+        Ok(&self.buf)
     }
 
     fn write_page(&mut self, idx: usize, page: &Page) -> StoreResult<()> {
-        if idx >= self.num_pages {
-            return Err(StoreError::PageOutOfRange {
-                page: idx,
-                pages: self.num_pages,
-            });
+        if idx > self.num_pages {
+            return Err(out_of_range(idx, self.num_pages));
         }
         self.file.seek(SeekFrom::Start((idx * PAGE_SIZE) as u64))?;
         self.file.write_all(page.as_bytes())?;
+        self.num_pages = self.num_pages.max(idx + 1);
         Ok(())
-    }
-
-    fn append_page(&mut self, page: &Page) -> StoreResult<usize> {
-        self.file
-            .seek(SeekFrom::Start((self.num_pages * PAGE_SIZE) as u64))?;
-        self.file.write_all(page.as_bytes())?;
-        self.num_pages += 1;
-        Ok(self.num_pages - 1)
     }
 }
 
@@ -163,14 +152,17 @@ pub struct HeapFile {
 
 impl HeapFile {
     /// Creates a heap file for records of `record_size` bytes on the given backend.
-    pub fn new(store: Box<dyn PageStore>, record_size: usize, stats: IoStats) -> StoreResult<Self> {
+    pub fn new(
+        mut store: Box<dyn PageStore>,
+        record_size: usize,
+        stats: IoStats,
+    ) -> StoreResult<Self> {
         // Validate record size eagerly (Page::new performs the check).
         Page::new(record_size)?;
-        let mut num_records = 0u64;
         // If reopening an existing store, count records without charging stats.
-        let mut store = store;
+        let mut num_records = 0u64;
         for i in 0..store.num_pages() {
-            num_records += store.read_page(i)?.len() as u64;
+            num_records += PageRef::new(store.read_page(i)?)?.len() as u64;
         }
         Ok(Self {
             store,
@@ -201,15 +193,6 @@ impl HeapFile {
         self.num_records
     }
 
-    /// Number of pages including the unflushed tail page.
-    pub fn num_pages(&self) -> usize {
-        self.store.num_pages()
-            + match &self.tail {
-                Some((None, _)) => 1,
-                _ => 0,
-            }
-    }
-
     /// Maximum number of records per page for this record size.
     pub fn records_per_page(&self) -> usize {
         (PAGE_SIZE - crate::page::PAGE_HEADER) / self.record_size
@@ -217,21 +200,14 @@ impl HeapFile {
 
     /// Appends one encoded record.
     pub fn append(&mut self, record: &[u8]) -> StoreResult<()> {
-        if self.tail.is_none() {
-            self.tail = Some((None, Page::new(self.record_size)?));
-        }
-        {
-            let (_, page) = self.tail.as_mut().unwrap();
-            page.push(record)?;
-            self.num_records += 1;
-            self.stats.add_tuples_written(1);
-        }
-        let full = self
-            .tail
-            .as_ref()
-            .map(|(_, p)| p.is_full())
-            .unwrap_or(false);
-        if full {
+        let (_, page) = match &mut self.tail {
+            Some(tail) => tail,
+            empty => empty.insert((None, Page::new(self.record_size)?)),
+        };
+        page.push(record)?;
+        self.num_records += 1;
+        self.stats.add_tuples_written(1);
+        if page.is_full() {
             self.flush()?;
         }
         Ok(())
@@ -240,56 +216,34 @@ impl HeapFile {
     /// Flushes the tail page (if any) to the backend.
     pub fn flush(&mut self) -> StoreResult<()> {
         if let Some((idx, page)) = self.tail.take() {
-            match idx {
-                Some(i) => {
-                    self.store.write_page(i, &page)?;
-                    self.stats.add_pages_written(1);
-                    if !page.is_full() {
-                        self.tail = Some((Some(i), page));
-                    }
-                }
-                None => {
-                    let i = self.store.append_page(&page)?;
-                    self.stats.add_pages_written(1);
-                    if !page.is_full() {
-                        self.tail = Some((Some(i), page));
-                    }
-                }
+            let i = idx.unwrap_or(self.store.num_pages());
+            self.store.write_page(i, &page)?;
+            self.stats.add_pages_written(1);
+            if !page.is_full() {
+                self.tail = Some((Some(i), page));
             }
         }
         Ok(())
     }
 
-    /// Reads page `idx`, charging one page read to the stats.
-    pub fn read_page(&mut self, idx: usize) -> StoreResult<Page> {
-        // Serve unflushed tail reads from memory (still counts as a page read so
-        // every algorithm variant is charged identically for scanning its input).
-        if let Some((Some(i), page)) = &self.tail {
-            if *i == idx {
-                self.stats.add_pages_read(1);
-                return Ok(page.clone());
-            }
-        }
-        if let Some((None, page)) = &self.tail {
-            if idx == self.store.num_pages() {
-                self.stats.add_pages_read(1);
-                return Ok(page.clone());
-            }
-        }
-        let page = self.store.read_page(idx)?;
+    /// Borrows page `idx` after checking its header, charging one page read
+    /// to the stats.  The unflushed tail is served from memory and charged
+    /// the same, so every algorithm variant pays identically for scanning
+    /// its input.
+    pub fn read_page(&mut self, idx: usize) -> StoreResult<PageRef<'_>> {
+        let bytes = match &self.tail {
+            Some((Some(i), page)) if *i == idx => page.as_bytes(),
+            Some((None, page)) if idx == self.store.num_pages() => page.as_bytes(),
+            _ => self.store.read_page(idx)?,
+        };
+        let page = PageRef::new(bytes)?;
         self.stats.add_pages_read(1);
         Ok(page)
     }
 
     /// Number of pages that a scan must touch (flushed pages plus tail).
     pub fn scan_pages(&self) -> usize {
-        let mut n = self.store.num_pages();
-        if let Some((idx, _)) = &self.tail {
-            if idx.is_none() {
-                n += 1;
-            }
-        }
-        n
+        self.store.num_pages() + usize::from(matches!(self.tail, Some((None, _))))
     }
 }
 

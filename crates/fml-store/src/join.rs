@@ -3,17 +3,19 @@
 //! The fact table `S` carries one foreign key per dimension table `R_i`
 //! (`S.FK_i → R_i.RID`).  [`JoinSpec`] names the participating relations;
 //! [`materialize_join`] produces the denormalized table `T` used by the `M-*`
-//! algorithms; [`DimCache`] holds the dimension tuples resident in one window
-//! of a [`FactorizedScan`] so foreign keys resolve without re-reading pages
-//! for every fact tuple.
+//! algorithms; [`RowSource`] hands the `M-*` and `S-*` learners its rows,
+//! read from `T` or joined on the fly; [`DimCache`] holds the dimension rows
+//! resident in one window of a [`FactorizedScan`] — per dimension the
+//! window's decoded block, its key order and a `key → ordinal` index — so
+//! foreign keys resolve without re-reading pages for every fact tuple.
 
-use crate::batch::BatchScan;
+use crate::batch::{BlockScan, RowBlock};
 use crate::catalog::{Database, RelationHandle};
 use crate::error::{StoreError, StoreResult};
 use crate::factorized_scan::FactorizedScan;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Names the relations participating in a star join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,13 +91,7 @@ impl JoinSpec {
 
     /// Total feature dimensionality `d = d_S + Σ d_{R_i}` of the joined tuples.
     pub fn total_features(&self, db: &Database) -> StoreResult<usize> {
-        let fact = self.fact_relation(db)?;
-        let dims = self.dimension_relations(db)?;
-        let mut d = fact.lock().schema().num_features;
-        for dim in dims {
-            d += dim.lock().schema().num_features;
-        }
-        Ok(d)
+        Ok(self.feature_partition(db)?.iter().sum())
     }
 
     /// Per-relation feature sizes `[d_S, d_{R_1}, …, d_{R_q}]` — the block
@@ -111,108 +107,143 @@ impl JoinSpec {
     }
 }
 
-/// The dimension tuples resident in one window of a [`FactorizedScan`]: every
+/// The dimension rows resident in one window of a [`FactorizedScan`]: every
 /// dimension table of a star join, or one `block_pages` block of a binary
 /// join's `R`.
 ///
-/// Each dimension's tuples are held in ascending primary-key order and a
-/// tuple's position in that order is its **ordinal**.  The scan resolves
+/// Each dimension's rows are held in ascending primary-key order and a
+/// row's position in that order is its **ordinal**.  The scan resolves
 /// every foreign key to its ordinal once per fact and the trainers index
 /// flat per-tuple arenas with it; because ordinals ascend with the key,
 /// walking an arena front to back visits the tuples in one fixed order
 /// whatever order the relation stores them in.
 #[derive(Default)]
 pub struct DimCache {
-    /// Per dimension: tuples in ascending key order.
-    tuples: Vec<Vec<Tuple>>,
-    /// Per dimension: primary key → ordinal.
-    index: Vec<HashMap<u64, u32>>,
+    dims: Vec<DimRows>,
     names: Vec<String>,
 }
 
-impl DimCache {
-    /// Builds the cache over `tuples[i]`, the resident tuples of the dimension
-    /// named `names[i]`, in any order.
-    pub fn new(names: Vec<String>, mut tuples: Vec<Vec<Tuple>>) -> StoreResult<Self> {
-        let mut index = Vec::with_capacity(tuples.len());
-        for (name, tuples) in names.iter().zip(&mut tuples) {
-            // Stable sort, then keep the last-stored tuple of a repeated key
-            // (the store does not enforce key uniqueness; last-wins is what
-            // a key-by-key insert gives).
-            tuples.sort_by_key(|t| t.key);
-            tuples.dedup_by(|later, kept| {
-                let same = later.key == kept.key;
-                if same {
-                    std::mem::swap(later, kept);
-                }
-                same
-            });
-            if u32::try_from(tuples.len()).is_err() {
-                return Err(StoreError::SchemaMismatch {
-                    relation: name.clone(),
-                    detail: format!("{} tuples exceed the u32 ordinal range", tuples.len()),
-                });
-            }
-            index.push(
-                tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(ord, t)| (t.key, ord as u32))
-                    .collect(),
-            );
+/// One dimension of a [`DimCache`]; its buffers are refilled per window.
+#[derive(Default)]
+struct DimRows {
+    /// The window's rows, in storage order, decoded in place.
+    rows: RowBlock,
+    /// Ordinal → row: ascending key, the last-stored row of a repeated key.
+    order: Vec<u32>,
+    index: KeyIndex,
+}
+
+/// `key → ordinal` under [`KeyHasher`]: lookups only, never iterated, so
+/// hash order cannot reach any result.
+type KeyIndex = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
+
+/// A fixed, deterministic hasher for `u64` primary keys: one folded
+/// 64 × 64 → 128-bit multiply by an odd constant, which spreads sequential,
+/// strided and random keys alike over both the bucket (low) and tag (high)
+/// bits.  It trades SipHash's resistance to keys crafted to collide — a
+/// stored relation's keys can at worst slow its own lookups — for the
+/// largest share of a factorized pass's probe cost.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
-        Ok(Self {
-            tuples,
-            index,
-            names,
-        })
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl DimCache {
+    /// An empty cache over the dimensions named `names`, in join order.
+    pub(crate) fn new(names: Vec<String>) -> Self {
+        let dims = names.iter().map(|_| DimRows::default()).collect();
+        Self { dims, names }
+    }
+
+    /// Decodes the next block of `window` as the resident rows of dimension
+    /// `i` (none once `window` is done).  A repeated key keeps its
+    /// last-stored row (the store does not enforce key uniqueness; last-wins
+    /// is what a key-by-key insert gives).
+    pub(crate) fn load(&mut self, i: usize, window: &mut BlockScan) -> StoreResult<()> {
+        let dim = &mut self.dims[i];
+        window.next_into(&mut dim.rows)?;
+        let keys = dim.rows.keys();
+        let n = u32::try_from(keys.len()).map_err(|_| StoreError::SchemaMismatch {
+            relation: self.names[i].clone(),
+            detail: format!("{} tuples exceed the u32 ordinal range", keys.len()),
+        })?;
+        dim.order.clear();
+        dim.order.extend(0..n);
+        dim.order.sort_unstable_by_key(|&r| (keys[r as usize], r));
+        dim.order.dedup_by(|later, kept| {
+            let same = keys[*later as usize] == keys[*kept as usize];
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        dim.index.clear();
+        let ords = dim.order.iter().enumerate();
+        dim.index
+            .extend(ords.map(|(ord, &r)| (keys[r as usize], ord as u32)));
+        Ok(())
     }
 
     /// Number of dimension tables cached.
     pub fn num_dims(&self) -> usize {
-        self.tuples.len()
+        self.dims.len()
     }
 
-    /// Number of tuples cached for dimension `i`; ordinals run `0..dim_len(i)`.
+    /// Number of rows cached for dimension `i`; ordinals run `0..dim_len(i)`.
     pub fn dim_len(&self, i: usize) -> usize {
-        self.tuples[i].len()
+        self.dims[i].order.len()
     }
 
     /// The ordinal of primary key `key` in dimension `i` (`None` also when
     /// there is no dimension `i`).
     pub fn ordinal(&self, i: usize, key: u64) -> Option<u32> {
-        self.index.get(i)?.get(&key).copied()
+        self.dims.get(i)?.index.get(&key).copied()
     }
 
-    /// The tuple of dimension `i` at ordinal `ord`.
+    /// The primary key of dimension `i` at ordinal `ord`.
     ///
     /// # Panics
     /// Panics when `ord >= dim_len(i)`.
-    pub fn tuple(&self, i: usize, ord: u32) -> &Tuple {
-        &self.tuples[i][ord as usize]
+    pub fn key(&self, i: usize, ord: u32) -> u64 {
+        let dim = &self.dims[i];
+        dim.rows.keys()[dim.order[ord as usize] as usize]
     }
 
-    /// Looks up dimension `i` by primary key.
-    pub fn get(&self, i: usize, key: u64) -> Option<&Tuple> {
-        self.ordinal(i, key).map(|ord| self.tuple(i, ord))
+    /// The features of dimension `i` at ordinal `ord`.
+    ///
+    /// # Panics
+    /// Panics when `ord >= dim_len(i)`.
+    pub fn row(&self, i: usize, ord: u32) -> &[f64] {
+        let dim = &self.dims[i];
+        dim.rows.features(dim.order[ord as usize] as usize)
     }
 
-    /// Iterates over all tuples of dimension `i` in ascending key order.
-    pub fn iter_dim(&self, i: usize) -> impl Iterator<Item = &Tuple> {
-        self.tuples[i].iter()
-    }
-
-    /// Resolves the foreign keys of a fact tuple to dimension ordinals, in
-    /// join order, into `out` (one slot per dimension — the scan sizes it by
-    /// the validated join spec).  A miss is `(dimension, key)` of the first
-    /// foreign key with no resident tuple.
+    /// Resolves a fact's foreign keys to dimension ordinals, in join order,
+    /// into `out` (one slot per dimension — the scan sizes it by the
+    /// validated join spec).  A miss is `(dimension, key)` of the first
+    /// foreign key with no resident row.
     pub(crate) fn resident_ordinals(
         &self,
-        fact: &Tuple,
+        fks: &[u64],
         out: &mut [u32],
     ) -> Result<(), (usize, u64)> {
-        for (i, ((fk, slot), index)) in fact.fks.iter().zip(out).zip(&self.index).enumerate() {
-            *slot = *index.get(fk).ok_or((i, *fk))?;
+        for (i, ((fk, slot), dim)) in fks.iter().zip(out).zip(&self.dims).enumerate() {
+            *slot = *dim.index.get(fk).ok_or((i, *fk))?;
         }
         Ok(())
     }
@@ -223,25 +254,6 @@ impl DimCache {
             relation: self.names.get(i).cloned().unwrap_or_default(),
             key,
         }
-    }
-
-    /// Resolves the dimension tuples referenced by a fact tuple, in join order.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::DanglingForeignKey`] when a foreign key has no match.
-    pub fn resolve<'a>(&'a self, fact: &Tuple) -> StoreResult<Vec<&'a Tuple>> {
-        fact.fks
-            .iter()
-            .enumerate()
-            .map(|(i, fk)| self.get(i, *fk).ok_or_else(|| self.dangling(i, *fk)))
-            .collect()
-    }
-
-    /// The denormalized tuple `T(SID, [Y], [x_S x_R1 … x_Rq])` of `fact`,
-    /// whose foreign keys resolved to `ords`.
-    pub fn denormalize(&self, fact: &Tuple, ords: &[u32]) -> Tuple {
-        let dims = ords.iter().enumerate();
-        Tuple::joined(fact, dims.map(|(i, &ord)| self.tuple(i, ord)))
     }
 }
 
@@ -260,16 +272,16 @@ pub(crate) fn check_every_fact_matched(
         return Ok(());
     }
     let relation = dim.lock().name().to_string();
-    let mut keys = HashSet::new();
-    for batch in BatchScan::new(dim.clone(), crate::DEFAULT_BLOCK_PAGES) {
-        keys.extend(batch?.iter().map(|t| t.key));
+    let (mut rows, mut keys) = (RowBlock::default(), HashSet::<u64>::new());
+    let mut dims = BlockScan::new(dim.clone(), crate::DEFAULT_BLOCK_PAGES);
+    while dims.next_into(&mut rows)? {
+        keys.extend(rows.keys());
     }
-    for batch in BatchScan::new(fact.clone(), crate::DEFAULT_BLOCK_PAGES) {
-        if let Some(t) = batch?.iter().find(|t| !keys.contains(&t.fks[0])) {
-            return Err(StoreError::DanglingForeignKey {
-                relation,
-                key: t.fks[0],
-            });
+    let mut facts = BlockScan::new(fact.clone(), crate::DEFAULT_BLOCK_PAGES);
+    while facts.next_into(&mut rows)? {
+        let mut fks = (0..rows.len()).map(|r| rows.fks(r)[0]);
+        if let Some(key) = fks.find(|fk| !keys.contains(fk)) {
+            return Err(StoreError::DanglingForeignKey { relation, key });
         }
     }
     Err(StoreError::SchemaMismatch {
@@ -282,9 +294,11 @@ pub(crate) fn check_every_fact_matched(
 /// relation named `output`, returning its handle.
 ///
 /// The rows are those of one [`FactorizedScan`] pass, in its `(window, fact)`
-/// order, so the join costs the `|R| + ⌈|R|/BlockSize⌉·|S|` page reads of
-/// Section V-A (plus `|T|` page writes) and a fact whose foreign key matches
-/// no dimension tuple is a typed [`StoreError::DanglingForeignKey`].
+/// order, each encoded straight from the fact block's row and the resident
+/// dimension rows, so the join costs the `|R| + ⌈|R|/BlockSize⌉·|S|` page
+/// reads of Section V-A (plus `|T|` page writes) and a fact whose foreign
+/// key matches no dimension tuple is a typed
+/// [`StoreError::DanglingForeignKey`].
 pub fn materialize_join(
     db: &Database,
     spec: &JoinSpec,
@@ -294,10 +308,15 @@ pub fn materialize_join(
     let mut scan = FactorizedScan::new(db, spec, block_pages)?;
     let out_rel = db.create_relation(spec.result_schema(db, output)?)?;
     while scan.next_window()? {
-        while let Some(block) = scan.next_block()? {
+        while scan.next_block()? {
+            let (block, cache) = (scan.block(), scan.cache());
+            let rows = block.rows();
             let mut out = out_rel.lock();
-            for joined in block.denormalize(scan.cache()) {
-                out.append(&joined)?;
+            for f in 0..block.len() {
+                let dims = block.ords_of(f).iter().enumerate();
+                let features = std::iter::once(rows.features(f))
+                    .chain(dims.map(|(i, &ord)| cache.row(i, ord)));
+                out.append_record(rows.keys()[f], &[], rows.target(f), features)?;
             }
         }
     }
@@ -305,16 +324,108 @@ pub fn materialize_join(
     Ok(out_rel)
 }
 
+/// The denormalized rows `T(SID, [Y], [x_S x_R1 … x_Rq])` of a join, one pass
+/// per [`Self::for_each_row`]: scanned from the materialized table (`M-*`) or
+/// joined on the fly by one [`FactorizedScan`] pass (`S-*`).  Both hand out
+/// the same rows in the same `(window, fact)` order — the order
+/// [`materialize_join`] writes — so `S` fits are bit-identical to `M` fits.
+pub struct RowSource<'a> {
+    origin: Origin<'a>,
+    block_pages: usize,
+    width: usize,
+    rows: u64,
+}
+
+enum Origin<'a> {
+    Table(RelationHandle),
+    Join(&'a Database, JoinSpec),
+}
+
+impl<'a> RowSource<'a> {
+    /// The rows of a materialized join table, read `block_pages` pages at a
+    /// time.
+    pub fn table(table: RelationHandle, block_pages: usize) -> Self {
+        let (width, rows) = {
+            let t = table.lock();
+            (t.schema().num_features, t.num_tuples())
+        };
+        Self {
+            origin: Origin::Table(table),
+            block_pages,
+            width,
+            rows,
+        }
+    }
+
+    /// The rows of the join `spec`, denormalized from the base relations on
+    /// every pass.
+    pub fn join(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
+        spec.validate(db)?;
+        let width = spec.total_features(db)?;
+        let rows = spec.fact_relation(db)?.lock().num_tuples();
+        Ok(Self {
+            origin: Origin::Join(db, spec),
+            block_pages,
+            width,
+            rows,
+        })
+    }
+
+    /// Rows per pass (`N`).
+    pub fn num_rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// Features per row (`d`).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// One pass: `f(features, target)` for every row, in scan order.
+    pub fn for_each_row(&self, f: &mut dyn FnMut(&[f64], Option<f64>)) -> StoreResult<()> {
+        match &self.origin {
+            Origin::Table(table) => {
+                let mut scan = BlockScan::new(table.clone(), self.block_pages);
+                let mut rows = RowBlock::default();
+                while scan.next_into(&mut rows)? {
+                    for r in 0..rows.len() {
+                        f(rows.features(r), rows.target(r));
+                    }
+                }
+            }
+            Origin::Join(db, spec) => {
+                let mut scan = FactorizedScan::new(db, spec, self.block_pages)?;
+                let mut joined = Vec::with_capacity(self.width);
+                while scan.next_window()? {
+                    while scan.next_block()? {
+                        let block = scan.block();
+                        for r in 0..block.len() {
+                            block.denormalize_into(r, scan.cache(), &mut joined);
+                            f(&joined, block.rows().target(r));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::tuple::Tuple;
 
     /// A cache over the whole of every relation in `dims`.
     fn load(dims: &[RelationHandle]) -> DimCache {
         let names = dims.iter().map(|d| d.lock().name().to_string()).collect();
-        let tuples = dims.iter().map(|d| d.lock().read_all().unwrap()).collect();
-        DimCache::new(names, tuples).unwrap()
+        let mut cache = DimCache::new(names);
+        for (i, dim) in dims.iter().enumerate() {
+            let mut window = BlockScan::new(dim.clone(), usize::MAX);
+            cache.load(i, &mut window).unwrap();
+        }
+        cache
     }
 
     /// Builds a tiny star schema: 4 dimension tuples, 12 fact tuples.
@@ -477,13 +588,16 @@ mod tests {
         let cache = load(&dims);
         assert_eq!(cache.num_dims(), 1);
         assert_eq!(cache.dim_len(0), 4);
-        assert!(cache.get(0, 2).is_some());
-        assert!(cache.get(0, 7).is_none());
-        assert_eq!(cache.iter_dim(0).count(), 4);
+        assert!(cache.ordinal(0, 7).is_none());
+        let ord = cache.ordinal(0, 2).unwrap();
+        assert_eq!(
+            (cache.key(0, ord), cache.row(0, ord)),
+            (2, &[20.0, 1.0][..])
+        );
 
         let fact = Tuple::fact_with_target(0, vec![3], 0.0, vec![0.0]);
         let resolved = cache.resolve(&fact).unwrap();
-        assert_eq!(resolved[0].key, 3);
+        assert_eq!(resolved, [&[30.0, 1.0][..]]);
 
         let dangling = Tuple::fact_with_target(0, vec![9], 0.0, vec![0.0]);
         assert!(cache.resolve(&dangling).is_err());
@@ -509,32 +623,33 @@ mod tests {
         let cache = load(&dims);
         // key 7 is stored twice in d0: one ordinal, the later tuple wins
         assert_eq!(cache.dim_len(0), 4);
-        assert_eq!(cache.get(0, 7).unwrap().features, vec![3.0]);
+        assert_eq!(cache.row(0, cache.ordinal(0, 7).unwrap()), [3.0]);
         for i in 0..2 {
-            let keys: Vec<u64> = cache.iter_dim(i).map(|t| t.key).collect();
+            let keys: Vec<u64> = (0..cache.dim_len(i) as u32)
+                .map(|o| cache.key(i, o))
+                .collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "dim {i}: {keys:?}");
             for (ord, &key) in keys.iter().enumerate() {
                 assert_eq!(cache.ordinal(i, key), Some(ord as u32));
-                assert_eq!(cache.tuple(i, ord as u32).key, key);
             }
         }
 
-        // get / resolve / resident_ordinals name the same tuples
+        // resolve / resident_ordinals name the same rows
         let fact = Tuple::fact(0, vec![99, 2], vec![]);
         let mut ords = [0u32; 2];
-        cache.resident_ordinals(&fact, &mut ords).unwrap();
+        cache.resident_ordinals(&fact.fks, &mut ords).unwrap();
         assert_eq!(ords, [3, 1]);
         let resolved = cache.resolve(&fact).unwrap();
         for i in 0..2 {
-            let by_ordinal = cache.tuple(i, ords[i]);
-            assert!(std::ptr::eq(by_ordinal, resolved[i]));
-            assert!(std::ptr::eq(by_ordinal, cache.get(i, fact.fks[i]).unwrap()));
+            assert!(std::ptr::eq(cache.row(i, ords[i]), resolved[i]));
         }
 
         // a dangling key is the same typed error on every path
         let dangling = Tuple::fact(1, vec![40, 6], vec![]);
-        assert!(cache.get(1, 6).is_none() && cache.ordinal(1, 6).is_none());
-        let (i, key) = cache.resident_ordinals(&dangling, &mut ords).unwrap_err();
+        assert!(cache.ordinal(1, 6).is_none());
+        let (i, key) = cache
+            .resident_ordinals(&dangling.fks, &mut ords)
+            .unwrap_err();
         for err in [
             cache.dangling(i, key),
             cache.resolve(&dangling).map(|_| ()).unwrap_err(),

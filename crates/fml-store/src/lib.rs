@@ -7,17 +7,23 @@
 //! the algorithms need:
 //!
 //! * **Slotted pages & heap files** ([`page`], [`heap`]): fixed-size 8 KiB pages
-//!   holding fixed-width records, stored either on disk or in memory.
+//!   holding fixed-width records, stored either on disk or in memory.  Reads
+//!   borrow the stored bytes; no page is copied per read.
 //! * **Relations, schemas & catalog** ([`schema`], [`mod@tuple`], [`relation`],
 //!   [`catalog`]): typed relations with a `u64` primary key, optional foreign keys,
 //!   an optional training target, and `f64` feature columns.
-//! * **Batch scans** ([`batch`]): block-wise iteration (a "block" is a fixed number
-//!   of pages) as assumed by the paper's block-nested-loop cost analysis.
+//! * **Block scans** ([`batch`]): block-wise iteration (a "block" is a fixed number
+//!   of pages) as assumed by the paper's block-nested-loop cost analysis, each
+//!   block decoded straight from the page bytes into a reused struct-of-arrays
+//!   [`batch::RowBlock`] — keys, foreign keys, targets, row-major features.
 //! * **Joins** ([`join`], [`factorized_scan`]): one pass shape over a PK/FK join —
-//!   a window of dimension tuples resident, the fact relation scanned against it
+//!   a window of dimension rows resident, the fact relation scanned against it
 //!   in blocks, every foreign key resolved to a dense ordinal — from which the
 //!   join is materialized as a new relation (`M-*`), streamed as denormalized
-//!   tuples (`S-*`) or consumed factorized (`F-*`).
+//!   rows (`S-*`) or consumed factorized (`F-*`).
+//! * **Row views** ([`rows`]): [`Tuple`] is the row-at-a-time type of the
+//!   load / CSV / `fetch` / test surface only.  The `Vec<Tuple>` scans there are
+//!   thin views over the blocks, kept for the `benchmark/` package's probes.
 //! * **I/O accounting** ([`stats`]): page read/write and field read counters so the
 //!   paper's I/O cost formulas can be validated against observed behaviour.
 //!
@@ -37,6 +43,7 @@ pub mod heap;
 pub mod join;
 pub mod page;
 pub mod relation;
+pub mod rows;
 pub mod schema;
 pub mod stats;
 pub mod tuple;

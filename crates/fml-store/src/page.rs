@@ -11,6 +11,10 @@
 //! All records in a page have the same width (the schema is fixed per relation),
 //! so slot addressing is pure arithmetic.  The 4-byte header keeps the payload
 //! capacity at `PAGE_SIZE - 4` bytes.
+//!
+//! A [`Page`] owns its bytes and is what the write path fills; reads borrow
+//! the stored bytes as a [`PageRef`], whose constructor is the one header
+//! check every read path makes.
 
 use crate::error::{StoreError, StoreResult};
 use crate::PAGE_SIZE;
@@ -18,7 +22,7 @@ use crate::PAGE_SIZE;
 /// Number of bytes reserved for the page header.
 pub const PAGE_HEADER: usize = 4;
 
-/// A single fixed-size page.
+/// A single fixed-size page, owned — the unit the write path fills.
 #[derive(Clone)]
 pub struct Page {
     data: Vec<u8>,
@@ -42,8 +46,62 @@ impl Page {
         Ok(Self { data })
     }
 
-    /// Reconstructs a page from raw bytes (e.g. read back from disk).
-    pub fn from_bytes(data: Vec<u8>) -> StoreResult<Self> {
+    /// Raw page bytes (always `PAGE_SIZE` long).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// The page as a read view (valid by construction).
+    pub fn view(&self) -> PageRef<'_> {
+        PageRef { data: &self.data }
+    }
+
+    /// Whether the page has no free slots left.
+    pub fn is_full(&self) -> bool {
+        self.view().len() >= self.view().capacity()
+    }
+
+    /// Appends an encoded record, returning its slot index.
+    ///
+    /// # Errors
+    /// Returns [`StoreError::SlotOutOfRange`] when the page is full and
+    /// [`StoreError::Corrupt`] when the record has the wrong width.
+    pub fn push(&mut self, record: &[u8]) -> StoreResult<usize> {
+        let (slot, rs) = (self.view().len(), self.view().record_size());
+        if record.len() != rs {
+            return Err(StoreError::Corrupt(format!(
+                "record of {} bytes pushed into page with record size {rs}",
+                record.len()
+            )));
+        }
+        if self.is_full() {
+            return Err(StoreError::SlotOutOfRange {
+                slot,
+                slots: self.view().capacity(),
+            });
+        }
+        let start = PAGE_HEADER + slot * rs;
+        self.data[start..start + rs].copy_from_slice(record);
+        self.data[0..2].copy_from_slice(&(slot as u16 + 1).to_le_bytes());
+        Ok(slot)
+    }
+}
+
+/// A borrowed page whose header has been checked against its own bytes — what
+/// every read hands the decoder, without copying the page.
+#[derive(Clone, Copy)]
+pub struct PageRef<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> PageRef<'a> {
+    /// Checks the header of a page read back from a store: `PAGE_SIZE`
+    /// bytes, a record size that fits the payload, a count within capacity.
+    /// The one header check of every read path.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] naming the violated condition.
+    pub fn new(data: &'a [u8]) -> StoreResult<Self> {
         if data.len() != PAGE_SIZE {
             return Err(StoreError::Corrupt(format!(
                 "page must be {PAGE_SIZE} bytes, got {}",
@@ -65,12 +123,7 @@ impl Page {
         Ok(page)
     }
 
-    /// Raw page bytes (always `PAGE_SIZE` long).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Number of records currently stored.
+    /// Number of records stored.
     pub fn len(&self) -> usize {
         u16::from_le_bytes([self.data[0], self.data[1]]) as usize
     }
@@ -80,82 +133,31 @@ impl Page {
         self.len() == 0
     }
 
-    /// Width in bytes of each record in this page.
+    /// Width in bytes of each record.
     pub fn record_size(&self) -> usize {
         u16::from_le_bytes([self.data[2], self.data[3]]) as usize
     }
 
-    /// Maximum number of records this page can hold.
+    /// Maximum number of records the page can hold.
     pub fn capacity(&self) -> usize {
         (PAGE_SIZE - PAGE_HEADER) / self.record_size()
     }
 
-    /// Whether the page has no free slots left.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity()
-    }
-
-    fn set_len(&mut self, len: usize) {
-        self.data[0..2].copy_from_slice(&(len as u16).to_le_bytes());
-    }
-
-    fn slot_range(&self, slot: usize) -> std::ops::Range<usize> {
-        let start = PAGE_HEADER + slot * self.record_size();
-        start..start + self.record_size()
-    }
-
-    /// Appends an encoded record, returning its slot index.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::SlotOutOfRange`] when the page is full and
-    /// [`StoreError::Corrupt`] when the record has the wrong width.
-    pub fn push(&mut self, record: &[u8]) -> StoreResult<usize> {
-        if record.len() != self.record_size() {
-            return Err(StoreError::Corrupt(format!(
-                "record of {} bytes pushed into page with record size {}",
-                record.len(),
-                self.record_size()
-            )));
-        }
-        if self.is_full() {
-            return Err(StoreError::SlotOutOfRange {
-                slot: self.len(),
-                slots: self.capacity(),
-            });
-        }
-        let slot = self.len();
-        let range = self.slot_range(slot);
-        self.data[range].copy_from_slice(record);
-        self.set_len(slot + 1);
-        Ok(slot)
+    /// The occupied payload: `len()` records of `record_size()` bytes.
+    pub fn records(&self) -> &'a [u8] {
+        &self.data[PAGE_HEADER..PAGE_HEADER + self.len() * self.record_size()]
     }
 
     /// Borrows the record stored at `slot`.
-    pub fn record(&self, slot: usize) -> StoreResult<&[u8]> {
+    pub fn record(&self, slot: usize) -> StoreResult<&'a [u8]> {
         if slot >= self.len() {
             return Err(StoreError::SlotOutOfRange {
                 slot,
                 slots: self.len(),
             });
         }
-        Ok(&self.data[self.slot_range(slot)])
-    }
-
-    /// Iterates over all occupied records as raw byte slices.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        (0..self.len()).map(move |slot| &self.data[self.slot_range(slot)])
-    }
-}
-
-impl std::fmt::Debug for Page {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Page {{ records: {}/{}, record_size: {} }}",
-            self.len(),
-            self.capacity(),
-            self.record_size()
-        )
+        let rs = self.record_size();
+        Ok(&self.records()[slot * rs..(slot + 1) * rs])
     }
 }
 
@@ -166,20 +168,20 @@ mod tests {
     #[test]
     fn push_and_read_back() {
         let mut page = Page::new(16).unwrap();
-        assert!(page.is_empty());
-        assert_eq!(page.capacity(), (PAGE_SIZE - PAGE_HEADER) / 16);
+        assert!(page.view().is_empty());
+        assert_eq!(page.view().capacity(), (PAGE_SIZE - PAGE_HEADER) / 16);
         let rec: Vec<u8> = (0u8..16).collect();
         let slot = page.push(&rec).unwrap();
         assert_eq!(slot, 0);
-        assert_eq!(page.len(), 1);
-        assert_eq!(page.record(0).unwrap(), rec.as_slice());
+        assert_eq!(page.view().len(), 1);
+        assert_eq!(page.view().record(0).unwrap(), rec.as_slice());
     }
 
     #[test]
     fn fill_to_capacity() {
         let mut page = Page::new(1024).unwrap();
         let rec = vec![7u8; 1024];
-        for i in 0..page.capacity() {
+        for i in 0..page.view().capacity() {
             assert_eq!(page.push(&rec).unwrap(), i);
         }
         assert!(page.is_full());
@@ -203,7 +205,7 @@ mod tests {
     fn slot_out_of_range() {
         let page = Page::new(8).unwrap();
         assert!(matches!(
-            page.record(0),
+            page.view().record(0),
             Err(StoreError::SlotOutOfRange { .. })
         ));
     }
@@ -214,17 +216,17 @@ mod tests {
         page.push(&[1u8; 24]).unwrap();
         page.push(&[2u8; 24]).unwrap();
         let bytes = page.as_bytes().to_vec();
-        let restored = Page::from_bytes(bytes).unwrap();
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.record(1).unwrap(), &[2u8; 24]);
-        assert_eq!(restored.record_size(), 24);
+        let view = PageRef::new(&bytes).unwrap();
+        assert_eq!(view.len(), 2);
+        assert_eq!(view.record(1).unwrap(), &[2u8; 24]);
+        assert_eq!(view.record_size(), 24);
     }
 
     #[test]
     fn from_bytes_rejects_garbage() {
-        assert!(Page::from_bytes(vec![0u8; 10]).is_err());
+        assert!(PageRef::new(&[0u8; 10]).is_err());
         // valid size but zero record size
-        assert!(Page::from_bytes(vec![0u8; PAGE_SIZE]).is_err());
+        assert!(PageRef::new(&[0u8; PAGE_SIZE]).is_err());
     }
 
     #[test]
@@ -233,7 +235,8 @@ mod tests {
         for i in 0..5u8 {
             page.push(&[i; 8]).unwrap();
         }
-        let collected: Vec<Vec<u8>> = page.iter().map(|r| r.to_vec()).collect();
+        let records = page.view().records().chunks_exact(8);
+        let collected: Vec<Vec<u8>> = records.map(|r| r.to_vec()).collect();
         assert_eq!(collected.len(), 5);
         assert_eq!(collected[3], vec![3u8; 8]);
     }

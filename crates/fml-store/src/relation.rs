@@ -1,10 +1,11 @@
 //! Relations: a schema plus a heap file of encoded tuples.
 
+use crate::batch::RowBlock;
 use crate::error::StoreResult;
 use crate::heap::HeapFile;
 use crate::schema::Schema;
 use crate::stats::IoStats;
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::{check_shape, encode_record, Tuple, TupleId};
 
 /// A stored relation.
 pub struct Relation {
@@ -70,13 +71,26 @@ impl Relation {
 
     /// Appends a tuple after validating it against the schema.
     pub fn append(&mut self, tuple: &Tuple) -> StoreResult<()> {
-        tuple.validate(&self.schema)?;
+        self.append_record(tuple.key, &tuple.fks, tuple.target, [&tuple.features[..]])
+    }
+
+    /// Appends one record given by its fields, the features as consecutive
+    /// segments (a joined row's `x_S`, `x_R1`, …) — the encoder behind
+    /// [`Self::append`], with no [`Tuple`] in between.
+    ///
+    /// # Errors
+    /// [`crate::StoreError::SchemaMismatch`] when the fields do not fill the schema.
+    pub(crate) fn append_record<'a>(
+        &mut self,
+        key: u64,
+        fks: &[u64],
+        target: Option<f64>,
+        features: impl IntoIterator<Item = &'a [f64]>,
+    ) -> StoreResult<()> {
         self.encode_buf.clear();
-        tuple.encode(&self.schema, &mut self.encode_buf);
-        let buf = std::mem::take(&mut self.encode_buf);
-        let res = self.heap.append(&buf);
-        self.encode_buf = buf;
-        res
+        let d = encode_record(&mut self.encode_buf, key, fks, target, features);
+        check_shape(&self.schema, fks.len(), target.is_some(), d)?;
+        self.heap.append(&self.encode_buf)
     }
 
     /// Appends many tuples and flushes the tail page.
@@ -95,54 +109,60 @@ impl Relation {
         self.heap.flush()
     }
 
-    /// Reads all tuples of page `page_idx`, charging one page read plus the
-    /// decoded tuple count to the stats.
-    pub fn read_page_tuples(&mut self, page_idx: usize) -> StoreResult<Vec<Tuple>> {
-        let page = self.heap.read_page(page_idx)?;
-        let mut out = Vec::with_capacity(page.len());
-        for record in page.iter() {
-            out.push(Tuple::decode(&self.schema, record)?);
-        }
-        self.stats().add_tuples_read(out.len() as u64);
-        self.stats()
-            .add_fields_read((out.len() * self.schema.fields_per_record()) as u64);
-        Ok(out)
+    /// Decodes the records of page `page_idx` onto the end of `out`, charging
+    /// one page read plus the decoded tuples and fields to the stats.  The
+    /// page is borrowed, never copied; `out` must be empty or hold rows of
+    /// this relation.
+    ///
+    /// # Errors
+    /// A page whose header fails [`crate::page::PageRef::new`] or whose
+    /// record size is not the schema's is [`crate::StoreError::Corrupt`].
+    pub fn decode_page_into(&mut self, page_idx: usize, out: &mut RowBlock) -> StoreResult<()> {
+        self.decode_into(page_idx, None, out)
     }
 
-    /// Reads the tuples of page `page_idx` together with their [`TupleId`]s.
-    pub fn read_page_with_ids(&mut self, page_idx: usize) -> StoreResult<Vec<(TupleId, Tuple)>> {
+    /// [`Self::decode_page_into`] for every slot, or for `slot` alone.
+    fn decode_into(
+        &mut self,
+        page_idx: usize,
+        slot: Option<usize>,
+        out: &mut RowBlock,
+    ) -> StoreResult<()> {
         let page = self.heap.read_page(page_idx)?;
-        let mut out = Vec::with_capacity(page.len());
-        for (slot, record) in page.iter().enumerate() {
-            out.push((
-                TupleId::new(page_idx as u32, slot as u16),
-                Tuple::decode(&self.schema, record)?,
-            ));
-        }
-        self.stats().add_tuples_read(out.len() as u64);
+        let slots = match slot {
+            Some(s) => page.record(s).map(|_| s..s + 1)?,
+            None => 0..page.len(),
+        };
+        let n = slots.len() as u64;
+        out.decode(&self.schema, page, slots)?;
+        self.stats().add_tuples_read(n);
         self.stats()
-            .add_fields_read((out.len() * self.schema.fields_per_record()) as u64);
-        Ok(out)
+            .add_fields_read(n * self.schema.fields_per_record() as u64);
+        Ok(())
     }
 
-    /// Fetches a single tuple by id (reads its whole page, as a real system would).
+    /// Fetches a single tuple by id (reads its whole page, as a real system
+    /// would, and decodes the one record).
     pub fn fetch(&mut self, id: TupleId) -> StoreResult<Tuple> {
-        let page = self.heap.read_page(id.page as usize)?;
-        let record = page.record(id.slot as usize)?;
-        let t = Tuple::decode(&self.schema, record)?;
-        self.stats().add_tuples_read(1);
-        self.stats()
-            .add_fields_read(self.schema.fields_per_record() as u64);
-        Ok(t)
+        let mut row = RowBlock::default();
+        self.decode_into(id.page as usize, Some(id.slot as usize), &mut row)?;
+        Ok(row.tuple(0))
     }
 
-    /// Reads the entire relation into memory (test / small-dimension-table helper).
+    /// The tuples of page `page_idx`: a row view of [`Self::decode_page_into`].
+    pub fn read_page_tuples(&mut self, page_idx: usize) -> StoreResult<Vec<Tuple>> {
+        let mut rows = RowBlock::default();
+        self.decode_page_into(page_idx, &mut rows)?;
+        Ok(rows.tuples())
+    }
+
+    /// Reads the entire relation as tuples (test / load-surface helper).
     pub fn read_all(&mut self) -> StoreResult<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(self.num_tuples() as usize);
+        let mut rows = RowBlock::default();
         for p in 0..self.num_pages() {
-            out.extend(self.read_page_tuples(p)?);
+            self.decode_page_into(p, &mut rows)?;
         }
-        Ok(out)
+        Ok(rows.tuples())
     }
 }
 
@@ -161,6 +181,7 @@ impl std::fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreError;
 
     fn sample_relation(n: u64) -> Relation {
         let schema = Schema::fact_with_target("s", 3, 1);
@@ -216,10 +237,20 @@ mod tests {
     #[test]
     fn fetch_by_tuple_id() {
         let mut rel = sample_relation(300);
-        let with_ids = rel.read_page_with_ids(0).unwrap();
-        let (id, t) = with_ids[7].clone();
-        let fetched = rel.fetch(id).unwrap();
-        assert_eq!(fetched, t);
+        let page = rel.read_page_tuples(1).unwrap();
+        rel.stats().reset();
+        let fetched = rel.fetch(TupleId::new(1, 7)).unwrap();
+        assert_eq!(fetched, page[7]);
+        let snap = rel.stats().snapshot();
+        assert_eq!(
+            (snap.pages_read, snap.tuples_read, snap.fields_read),
+            (1, 1, 6)
+        );
+        let past_end = TupleId::new(1, page.len() as u16);
+        assert!(matches!(
+            rel.fetch(past_end),
+            Err(StoreError::SlotOutOfRange { .. })
+        ));
     }
 
     #[test]

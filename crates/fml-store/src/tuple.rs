@@ -1,8 +1,13 @@
 //! Tuples and their fixed-width binary encoding.
+//!
+//! A [`Tuple`] is the row-at-a-time type of the load / CSV / `fetch` / test
+//! surface: generators and loaders append tuples, and the row views of
+//! [`crate::rows`] hand decoded rows back as tuples.  No scan decodes into
+//! one — scans fill [`crate::batch::RowBlock`]s.
 
 use crate::error::{StoreError, StoreResult};
 use crate::schema::Schema;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 
 /// Physical address of a tuple inside a relation's heap file.
@@ -68,101 +73,13 @@ impl Tuple {
         }
     }
 
-    /// Checks the tuple against a schema.
-    pub fn validate(&self, schema: &Schema) -> StoreResult<()> {
-        if self.features.len() != schema.num_features {
-            return Err(StoreError::SchemaMismatch {
-                relation: schema.name.clone(),
-                detail: format!(
-                    "expected {} features, got {}",
-                    schema.num_features,
-                    self.features.len()
-                ),
-            });
-        }
-        if self.fks.len() != schema.num_foreign_keys {
-            return Err(StoreError::SchemaMismatch {
-                relation: schema.name.clone(),
-                detail: format!(
-                    "expected {} foreign keys, got {}",
-                    schema.num_foreign_keys,
-                    self.fks.len()
-                ),
-            });
-        }
-        if self.target.is_some() != schema.has_target {
-            return Err(StoreError::SchemaMismatch {
-                relation: schema.name.clone(),
-                detail: format!(
-                    "target presence mismatch (schema has_target={}, tuple target={:?})",
-                    schema.has_target, self.target
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Encodes the tuple into `out` using the schema's fixed-width layout.
-    pub fn encode(&self, schema: &Schema, out: &mut Vec<u8>) {
-        debug_assert!(self.validate(schema).is_ok());
-        out.put_u64_le(self.key);
-        for fk in &self.fks {
-            out.put_u64_le(*fk);
-        }
-        if schema.has_target {
-            out.put_f64_le(self.target.unwrap_or(0.0));
-        }
-        for f in &self.features {
-            out.put_f64_le(*f);
-        }
-    }
-
-    /// Decodes a tuple from a fixed-width record.
-    pub fn decode(schema: &Schema, mut buf: &[u8]) -> StoreResult<Self> {
-        if buf.len() < schema.record_size() {
-            return Err(StoreError::Corrupt(format!(
-                "record for '{}' needs {} bytes, got {}",
-                schema.name,
-                schema.record_size(),
-                buf.len()
-            )));
-        }
-        let key = buf.get_u64_le();
-        let mut fks = Vec::with_capacity(schema.num_foreign_keys);
-        for _ in 0..schema.num_foreign_keys {
-            fks.push(buf.get_u64_le());
-        }
-        let target = if schema.has_target {
-            Some(buf.get_f64_le())
-        } else {
-            None
-        };
-        let mut features = Vec::with_capacity(schema.num_features);
-        for _ in 0..schema.num_features {
-            features.push(buf.get_f64_le());
-        }
-        Ok(Self {
-            key,
-            fks,
-            target,
-            features,
-        })
-    }
-
     /// Builds the joined ("denormalized") tuple for `T(SID, [Y], [x_S x_R1 … x_Rq])`
-    /// from a fact tuple and its matching dimension tuples, concatenating feature
-    /// vectors in join order.
-    pub fn joined<'a, I>(fact: &Tuple, dims: I) -> Tuple
-    where
-        I: IntoIterator<Item = &'a Tuple>,
-        I::IntoIter: Clone,
-    {
-        let dims = dims.into_iter();
-        let extra: usize = dims.clone().map(|d| d.features.len()).sum();
-        let mut features = Vec::with_capacity(fact.features.len() + extra);
-        features.extend_from_slice(&fact.features);
+    /// from a fact tuple and the features of its matching dimension tuples,
+    /// concatenated in join order.
+    pub fn joined<'a>(fact: &Tuple, dims: impl IntoIterator<Item = &'a [f64]>) -> Tuple {
+        let mut features = fact.features.clone();
         for d in dims {
-            features.extend_from_slice(&d.features);
+            features.extend_from_slice(d);
         }
         Tuple {
             key: fact.key,
@@ -173,46 +90,113 @@ impl Tuple {
     }
 }
 
+/// The one record-shape check of every append: `fks` foreign keys, a target
+/// or none, and `features` feature values must be what `schema` lays out.
+pub(crate) fn check_shape(
+    schema: &Schema,
+    fks: usize,
+    target: bool,
+    features: usize,
+) -> StoreResult<()> {
+    let want = (
+        schema.num_foreign_keys,
+        schema.has_target,
+        schema.num_features,
+    );
+    if (fks, target, features) == want {
+        return Ok(());
+    }
+    Err(StoreError::SchemaMismatch {
+        relation: schema.name.clone(),
+        detail: format!(
+            "(foreign keys, target, features) {:?}, expected {want:?}",
+            (fks, target, features)
+        ),
+    })
+}
+
+/// Appends one record in the layout of [`Schema::record_size`] — key, foreign
+/// keys, the target if any, then the feature segments in order — and returns
+/// the number of features written.
+pub(crate) fn encode_record<'a>(
+    out: &mut Vec<u8>,
+    key: u64,
+    fks: &[u64],
+    target: Option<f64>,
+    features: impl IntoIterator<Item = &'a [f64]>,
+) -> usize {
+    out.put_u64_le(key);
+    for fk in fks {
+        out.put_u64_le(*fk);
+    }
+    if let Some(y) = target {
+        out.put_f64_le(y);
+    }
+    let mut written = 0;
+    for x in features.into_iter().flatten() {
+        out.put_f64_le(*x);
+        written += 1;
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::batch::RowBlock;
+    use crate::page::Page;
+
+    /// Decodes every record of `page` through the store's one decoder.
+    fn decode(schema: &Schema, page: &Page) -> StoreResult<RowBlock> {
+        let mut rows = RowBlock::default();
+        rows.decode(schema, page.view(), 0..page.view().len())?;
+        Ok(rows)
+    }
 
     #[test]
     fn encode_decode_roundtrip() {
         let schema = Schema::fact_with_target("s", 3, 2);
         let t = Tuple::fact_with_target(7, vec![11, 13], 0.5, vec![1.0, -2.0, 3.5]);
         let mut buf = Vec::new();
-        t.encode(&schema, &mut buf);
+        encode_record(&mut buf, t.key, &t.fks, t.target, [&t.features[..]]);
         assert_eq!(buf.len(), schema.record_size());
-        let back = Tuple::decode(&schema, &buf).unwrap();
-        assert_eq!(back, t);
+        let mut page = Page::new(buf.len()).unwrap();
+        page.push(&buf).unwrap();
+        let back = decode(&schema, &page).unwrap();
+        assert_eq!(back.tuple(0), t);
     }
 
     #[test]
     fn decode_short_buffer_is_error() {
+        // records shorter *or longer* than the schema's never decode
         let schema = Schema::dimension("r", 2);
-        let err = Tuple::decode(&schema, &[0u8; 4]).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)));
+        for record_size in [4, schema.record_size() + 8] {
+            let mut page = Page::new(record_size).unwrap();
+            page.push(&vec![0u8; record_size]).unwrap();
+            let err = decode(&schema, &page).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains("'r'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn validate_detects_mismatches() {
         let schema = Schema::fact_with_target("s", 2, 1);
-        assert!(Tuple::fact_with_target(1, vec![2], 1.0, vec![0.0, 0.0])
-            .validate(&schema)
-            .is_ok());
-        // wrong feature count
-        assert!(Tuple::fact_with_target(1, vec![2], 1.0, vec![0.0])
-            .validate(&schema)
-            .is_err());
-        // wrong fk count
-        assert!(Tuple::fact_with_target(1, vec![], 1.0, vec![0.0, 0.0])
-            .validate(&schema)
-            .is_err());
-        // missing target
-        assert!(Tuple::fact(1, vec![2], vec![0.0, 0.0])
-            .validate(&schema)
-            .is_err());
+        let mut rel = crate::Relation::in_memory(schema, crate::IoStats::new()).unwrap();
+        let ok = Tuple::fact_with_target(1, vec![2], 1.0, vec![0.0, 0.0]);
+        assert!(rel.append(&ok).is_ok());
+        for bad in [
+            Tuple::fact_with_target(1, vec![2], 1.0, vec![0.0]), // wrong feature count
+            Tuple::fact_with_target(1, vec![], 1.0, vec![0.0, 0.0]), // wrong fk count
+            Tuple::fact(1, vec![2], vec![0.0, 0.0]),             // missing target
+        ] {
+            let err = rel.append(&bad).unwrap_err();
+            assert!(matches!(err, StoreError::SchemaMismatch { .. }), "{err}");
+        }
+        assert_eq!(rel.num_tuples(), 1, "a rejected tuple is not stored");
     }
 
     #[test]
@@ -220,7 +204,7 @@ mod tests {
         let s = Tuple::fact_with_target(3, vec![10, 20], 1.5, vec![1.0, 2.0]);
         let r1 = Tuple::dimension(10, vec![3.0]);
         let r2 = Tuple::dimension(20, vec![4.0, 5.0]);
-        let t = Tuple::joined(&s, [&r1, &r2]);
+        let t = Tuple::joined(&s, [&r1.features[..], &r2.features[..]]);
         assert_eq!(t.key, 3);
         assert_eq!(t.target, Some(1.5));
         assert!(t.fks.is_empty());
