@@ -25,12 +25,11 @@ use fml_gmm::{FactorizedGmm, GmmConfig, GmmFit, MaterializedGmm, StreamingGmm};
 use fml_linalg::ExecPolicy;
 use fml_nn::{Activation, FactorizedNn, MaterializedNn, NnConfig, NnFit, StreamingNn};
 use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
-use serde::{Deserialize, Serialize};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// The three training strategies compared throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
     /// Materialize the join result, then train over it (`M-GMM` / `M-NN`).
     Materialized,

@@ -12,8 +12,6 @@
 //!   of the factorized scatter computation (Section V-B), predicting how the
 //!   speed-up grows with the tuple ratio and the dimension-table width.
 
-use serde::{Deserialize, Serialize};
-
 /// Passes over the data per EM iteration in the paper's Algorithm 1:
 /// responsibilities, means, covariances around the new means.
 pub const PAPER_PASSES_PER_ITERATION: u64 = 3;
@@ -25,7 +23,7 @@ pub const ENGINE_PASSES_PER_ITERATION: u64 = 1;
 /// Page-I/O cost model for GMM training (Section V-A).  The formulas are the
 /// paper's, with its `3·iter` written `passes·iter`: every method that counts
 /// training passes takes the passes per iteration as an argument.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmmIoCostModel {
     /// Pages of the fact table `|S|`.
     pub s_pages: u64,
@@ -86,7 +84,7 @@ impl GmmIoCostModel {
 }
 
 /// The computation-saving model of Section V-B for the factorized scatter update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingRateModel {
     /// Fact-table cardinality `n_S`.
     pub n_s: u64,

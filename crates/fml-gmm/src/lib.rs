@@ -52,14 +52,12 @@ pub use materialized::MaterializedGmm;
 pub use model::{GmmBatchPrediction, GmmModel, Precomputed};
 pub use streaming::StreamingGmm;
 
-use serde::{Deserialize, Serialize};
-
 /// Model configuration shared by every GMM training variant.
 ///
 /// Holds only *model* concerns.  Execution knobs (kernel policy, sparse mode,
 /// block size, threads, seed) live on [`fml_linalg::ExecPolicy`], which every
 /// trainer takes alongside this config.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GmmConfig {
     /// Number of mixture components `K`.
     pub k: usize,

@@ -11,7 +11,6 @@ use crate::em::{train_dense_from, GmmFit};
 use crate::init::GmmInit;
 use crate::GmmConfig;
 use fml_linalg::exec::ExecPolicy;
-use fml_store::catalog::RelationHandle;
 use fml_store::join::{materialize_join, RowSource};
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
@@ -25,7 +24,8 @@ impl MaterializedGmm {
         format!("__T_gmm_{}", spec.fact)
     }
 
-    /// Trains a GMM by materializing the join and scanning the result each pass.
+    /// Trains a GMM by materializing the join and scanning the result each
+    /// pass, as the fact-only join (`q = 0`).
     ///
     /// The reported [`GmmFit::elapsed`] includes join computation and
     /// materialization, exactly like the paper's M-GMM timings.
@@ -44,25 +44,13 @@ impl MaterializedGmm {
         if db.contains(&t_name) {
             db.drop_relation(&t_name)?;
         }
-        let table = materialize_join(db, spec, t_name, ex.block_pages)?;
-        let mut source = RowSource::table(table, ex.block_pages);
+        materialize_join(db, spec, t_name.clone(), ex.block_pages)?;
+        let table = JoinSpec::multiway(t_name, vec![]);
+        let mut source = RowSource::join(db, table, ex.block_pages)?;
         let probe = db.stats().io_probe();
         let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
-    }
-
-    /// Trains over an already materialized table (used when several models are
-    /// built over the same join result, amortizing the materialization), starting
-    /// from an explicit initial model.
-    pub fn train_on_table(
-        table: RelationHandle,
-        config: &GmmConfig,
-        exec: &ExecPolicy,
-        initial: crate::GmmModel,
-    ) -> StoreResult<GmmFit> {
-        let mut source = RowSource::table(table, exec.resolve().block_pages);
-        train_dense_from(&mut source, config, exec, initial, None)
     }
 }
 
@@ -115,30 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn train_on_table_reuses_materialization() {
-        let w = workload();
-        let config = GmmConfig {
-            k: 2,
-            max_iters: 2,
-            ..GmmConfig::default()
-        };
-        let exec = ExecPolicy::new();
-        let initial = crate::init::GmmInit::new(exec.resolve().seed, config.init_spread)
-            .from_relations(&w.db, &w.spec, config.k)
-            .unwrap();
-        let full = MaterializedGmm::train(&w.db, &w.spec, &config, &exec).unwrap();
-        let table =
-            w.db.relation(&MaterializedGmm::temp_table_name(&w.spec))
-                .unwrap();
-        let reused = MaterializedGmm::train_on_table(table, &config, &exec, initial).unwrap();
-        assert!(full.model.max_param_diff(&reused.model) < 1e-12);
-    }
-
-    #[test]
     fn source_reports_shape() {
         let w = workload();
-        let t = materialize_join(&w.db, &w.spec, "T_shape", 8).unwrap();
-        let src = RowSource::table(t, 8);
+        materialize_join(&w.db, &w.spec, "T_shape", 8).unwrap();
+        let table = JoinSpec::multiway("T_shape", vec![]);
+        let src = RowSource::join(&w.db, table, 8).unwrap();
         assert_eq!(src.width(), 5);
         assert_eq!(src.num_rows(), 400);
     }

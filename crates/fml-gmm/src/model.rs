@@ -3,10 +3,9 @@
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
 use fml_linalg::cholesky::Cholesky;
 use fml_linalg::{gemm, sym, vector, KernelPolicy, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 /// A Gaussian mixture model with full (non-diagonal) covariance matrices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GmmModel {
     /// Mixing coefficients `π_k` (sum to 1).
     pub weights: Vec<f64>,

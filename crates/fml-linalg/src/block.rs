@@ -21,12 +21,11 @@ use crate::gemm;
 use crate::matrix::Matrix;
 use crate::policy::KernelPolicy;
 use crate::sparse::{self, BlockVec};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A partition of a `d`-dimensional feature space into contiguous segments, one per
 /// relation participating in the join (`S` first, then `R_1 … R_q`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPartition {
     sizes: Vec<usize>,
     offsets: Vec<usize>,

@@ -12,10 +12,9 @@
 //! callers regularize (`Matrix::add_diag`) and retry.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Error returned when a matrix is not symmetric positive-definite.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotPositiveDefinite {
     /// Index of the pivot at which the factorization broke down.
     pub pivot: usize,
@@ -34,7 +33,7 @@ impl std::fmt::Display for NotPositiveDefinite {
 impl std::error::Error for NotPositiveDefinite {}
 
 /// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L·Lᵀ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
 }

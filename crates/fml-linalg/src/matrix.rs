@@ -7,12 +7,11 @@
 //! sub-blocks and the cheap elementwise operations.
 
 use crate::vector;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense, row-major `f64` matrix.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -30,14 +30,13 @@
 //! worker count defaults to the machine's available parallelism, overridable
 //! with `FML_THREADS`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
 /// Selects the kernels' arithmetic and whether the drivers fan out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
     /// Reference triple loops, strictly sequential accumulation.
     Naive,

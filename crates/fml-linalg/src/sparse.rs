@@ -32,10 +32,9 @@ use crate::csr;
 use crate::matrix::Matrix;
 use crate::policy::KernelPolicy;
 use crate::simd;
-use serde::{Deserialize, Serialize};
 
 /// How a trainer decides between the dense and sparse kernel paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseMode {
     /// Detect sparse blocks at scan time — one-hot first
     /// ([`onehot_indices`], 0/1 values at ≤ ½ occupancy), weighted CSR second

@@ -12,7 +12,6 @@
 //! policies run on live in [`crate::simd`] and are tested bit-for-bit (or, in
 //! `fma` mode, to tolerance) against these.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
 /// Dot product of two equally sized slices.
@@ -104,7 +103,7 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 /// `Vector` dereferences to `[f64]`, so all the free kernels above apply to it
 /// directly.  It implements the arithmetic operators needed for readable model
 /// update code (`+`, `-`, scalar `*`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }

@@ -1,10 +1,8 @@
 //! Activation functions and the additivity property the paper's second-layer
 //! analysis hinges on.
 
-use serde::{Deserialize, Serialize};
-
 /// Supported activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// `σ(a) = 1 / (1 + e^{-a})`.
     Sigmoid,

@@ -9,8 +9,8 @@
 //! `[PG_S  PG_{R_1} … PG_{R_q}]`, each an outer product with that relation's
 //! features ([`FirstLayerGrad::add`]).  A dimension tuple's partial product
 //! is computed once and reused for every matching fact; its gradient block
-//! takes one outer product with the tuple's summed `δ¹`.  The dense-pass
-//! trainers (`M-NN` / `S-NN`) are the one-block partition `[d]`.
+//! takes one outer product with the tuple's summed `δ¹`.  `M-NN` and `S-NN`
+//! are the one-block partition `[d]`.
 //!
 //! ## Layout
 //!
@@ -152,14 +152,6 @@ impl FirstLayerGrad {
         }
     }
 
-    /// Table-wise addition of another accumulator (parallel chunk partials,
-    /// merged in chunk order).
-    pub fn merge_from(&mut self, other: &FirstLayerGrad) {
-        for (dst, src) in self.tables.iter_mut().zip(&other.tables) {
-            dst.add_assign(src);
-        }
-    }
-
     /// Adds the tables, transposed back, into the first layer's full-width
     /// (`n_h × d`) weight gradient — once per epoch.
     pub fn add_into(&self, grad: &mut LayerGradient) {
@@ -294,17 +286,6 @@ mod tests {
                 assert_eq!(bits(&got.col(4)), bits(&want.col(4)), "{kp:?}");
                 assert_eq!(bits(&got.col(6)), bits(&want.col(6)), "{kp:?}");
             }
-
-            // merge_from is table-wise addition: merging the accumulator
-            // twice into a fresh one doubles every entry.
-            let mut twice = first.zero_grad();
-            twice.merge_from(&grad);
-            twice.merge_from(&grad);
-            let mut doubled = model.zero_grads();
-            twice.add_into(&mut doubled[0]);
-            let mut want2 = want.clone();
-            want2.scale(2.0);
-            assert!(doubled[0].d_weights.max_abs_diff(&want2) < 1e-12);
         });
     }
 }

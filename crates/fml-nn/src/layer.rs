@@ -2,10 +2,9 @@
 
 use crate::activation::Activation;
 use fml_linalg::{gemm, vector, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A dense layer `h = f(W·x + b)` with `W ∈ ℝ^{out×in}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     /// Weight matrix (`out_dim × in_dim`).
     pub weights: Matrix,
@@ -116,16 +115,6 @@ impl LayerGradient {
     pub fn reset(&mut self) {
         self.d_weights.fill_zero();
         self.d_bias.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Merges another accumulator into this one (`dθ += dθ_other`).
-    ///
-    /// The parallel trainers give each worker a private accumulator and merge
-    /// the partials **in worker-index order**, fixing the floating-point
-    /// reduction order for a given chunking.
-    pub fn merge_from(&mut self, other: &LayerGradient) {
-        self.d_weights.add_assign(&other.d_weights);
-        vector::axpy(1.0, &other.d_bias, &mut self.d_bias);
     }
 
     /// Applies the accumulated gradient to a layer: `θ -= lr/n · dθ`.

@@ -4,11 +4,11 @@
 //! relational data, implementing the three algorithm variants of the paper
 //! (Section VI):
 //!
-//! * [`materialized::MaterializedNn`] (`M-NN`) — materialize the PK/FK join, then
-//!   train scanning the denormalized table each epoch.
-//! * [`streaming::StreamingNn`] (`S-NN`) — join on the fly each epoch and feed the
+//! * [`MaterializedNn`] (`M-NN`) — materialize the PK/FK join, then train
+//!   scanning the denormalized table each epoch.
+//! * [`StreamingNn`] (`S-NN`) — join on the fly each epoch and feed the
 //!   joined tuples to an unchanged trainer.
-//! * [`factorized::FactorizedNn`] (`F-NN`) — push the first-layer computation
+//! * [`FactorizedNn`] (`F-NN`) — push the first-layer computation
 //!   through the join: the partial pre-activation `W¹_R·x_R + b¹` is computed once
 //!   per dimension tuple and reused for every matching fact tuple during forward
 //!   propagation, and the first-layer weight gradient's dimension-side block is
@@ -16,11 +16,16 @@
 //!   dimension fields are never read from storage (Section VI-A3's I/O saving).
 //!   One driver serves binary and star joins (Section VI-B).
 //!
+//! The three are one epoch driver ([`factorized`]) over three scans: `F`
+//! factorizes every dimension, `S` inlines every dimension into the fact's
+//! row, and `M` reads its materialized table as the fact-only join
+//! (`q = 0`) — so `M` and `S` are the one-block partition `[d]` and their
+//! fits are bit-identical.
+//!
 //! The first-layer arithmetic lives in exactly one place, [`first_layer`]:
 //! `W¹` is hoisted once per epoch into one embedding table per relation
-//! (`d_b × n_h`, row `j` = the weights of input column `j`), and all three
-//! strategies — `M-NN` / `S-NN` as the one-block partition `[d]` — and the
-//! batch scorer (`fml-serve`) take their partial products from
+//! (`d_b × n_h`, row `j` = the weights of input column `j`), and the driver
+//! and the batch scorer (`fml-serve`) take their partial products from
 //! [`FirstLayer::partial`] and accumulate the weight gradient in
 //! [`FirstLayerGrad`].  The per-example pass above the first layer runs in a
 //! reusable [`Workspace`] and allocates nothing.
@@ -45,19 +50,12 @@ pub mod gradcheck;
 pub mod layer;
 pub mod layer_reuse;
 pub mod loss;
-pub mod materialized;
 pub mod mlp;
-pub mod streaming;
 pub mod trainer;
 
 pub use activation::Activation;
 pub use factorized::FactorizedNn;
 pub use first_layer::{FirstLayer, FirstLayerGrad};
 pub use layer::DenseLayer;
-pub use materialized::MaterializedNn;
 pub use mlp::{Mlp, Workspace};
-pub use streaming::StreamingNn;
-pub use trainer::{NnConfig, NnFit, SupervisedSource};
-
-#[cfg(test)]
-mod multiway;
+pub use trainer::{MaterializedNn, NnConfig, NnFit, StreamingNn};

@@ -4,11 +4,10 @@ use crate::activation::Activation;
 use crate::layer::{DenseLayer, LayerGradient};
 use crate::loss::output_gradient;
 use fml_linalg::{gemm, vector, KernelPolicy};
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward network with dense layers.  The output layer uses the identity
 /// activation (scalar regression against the fact table's target `Y`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
 }

@@ -1,30 +1,22 @@
-//! Shared training configuration, result type, and the dense full-batch trainer
-//! used by `M-NN` and `S-NN`.
+//! Shared training configuration, result type, and the `M-NN` / `S-NN`
+//! entry points: both run `F-NN`'s epoch driver ([`crate::factorized`]), `M`
+//! over its materialized table as the fact-only join (`q = 0`), `S` over the
+//! join with every dimension inlined.
 
 use crate::activation::Activation;
-use crate::first_layer::FirstLayer;
+use crate::factorized::train_epochs;
 use crate::mlp::Mlp;
-use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
-use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::RepCache;
-use fml_store::join::RowSource;
+use fml_linalg::exec::ExecPolicy;
+use fml_store::join::materialize_join;
 use fml_store::{Database, JoinSpec, StoreError, StoreResult};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-
-/// Number of examples buffered per parallel batch: each batch fans out over
-/// deterministic chunks whose gradient partials merge in chunk order.
-pub const PAR_BATCH_EXAMPLES: usize = 1024;
-
-/// Minimum per-batch flops below which the parallel policy stays inline.
-pub const PAR_MIN_BATCH_FLOPS: usize = 1 << 22;
 
 /// Model configuration shared by every NN training variant.
 ///
 /// Holds only *model* concerns.  Execution knobs (kernel policy, sparse mode,
 /// block size, threads, seed) live on [`fml_linalg::ExecPolicy`], which every
 /// trainer takes alongside this config.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NnConfig {
     /// Hidden layer sizes (the paper uses a single hidden layer of `n_h` units).
     pub hidden: Vec<usize>,
@@ -112,201 +104,62 @@ pub fn ensure_trainable(db: &Database, spec: &JoinSpec) -> StoreResult<u64> {
     Ok(guard.num_tuples())
 }
 
-/// A source of `(joined features, target)` pairs that can be replayed once per
-/// epoch — the supervised analogue of the GMM crate's dense pass source.
-pub trait SupervisedSource {
-    /// Invokes `f` once per example.
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()>;
-    /// Number of examples per epoch.
-    fn num_tuples(&self) -> u64;
-    /// Dimensionality of the joined feature vectors.
-    fn dim(&self) -> usize;
-}
+/// The materialized-join NN training strategy (`M-NN`).
+pub struct MaterializedNn;
 
-/// Full-batch gradient-descent training over a dense supervised source, starting
-/// from the given initial network.  `M-NN` and `S-NN` share this loop.
-///
-/// Under a parallel [`fml_linalg::KernelPolicy`] the per-example forward/backward work is
-/// buffered into batches of [`PAR_BATCH_EXAMPLES`] and fanned out over chunks;
-/// each chunk accumulates into a private gradient set and the partials merge in
-/// chunk order ([`crate::layer::LayerGradient::merge_from`]), so the epoch's gradient — and
-/// therefore the learned model — is deterministic for a given thread count and
-/// agrees with the sequential policies within rounding tolerances.
-pub fn train_supervised_from(
-    source: &mut dyn SupervisedSource,
-    config: &NnConfig,
-    exec: &ExecPolicy,
-    initial: Mlp,
-    io: IoProbe<'_>,
-) -> StoreResult<NnFit> {
-    let start = Instant::now();
-    let ex = exec.resolve();
-    // The resolved observability mode governs instrumentation on every
-    // thread this run touches (pool workers, storage scans).
-    let _obs = ex.obs_scope();
-    let mut notifier = FitNotifier::new(exec, io);
-    let n = source.num_tuples();
-    assert_eq!(
-        initial.input_dim(),
-        source.dim(),
-        "initial model dimension mismatch"
-    );
-    let mut model = initial;
-    let mut loss_trace = Vec::with_capacity(config.epochs);
-    // Kernels are sequential; forward+backward is ~4·|θ| flops per example,
-    // so fan out only when a batch carries enough work to amortize the pool
-    // dispatch — otherwise, and under every sequential policy, each batch
-    // runs inline as one chunk.
-    let kp = ex.kernel_policy;
-    let par = ex.kernel_policy.is_parallel()
-        && 4 * model.num_params() * PAR_BATCH_EXAMPLES >= PAR_MIN_BATCH_FLOPS;
-    let workers = ex.workers(par);
-    let dim = source.dim();
-    // Per-example representation cache, filled lazily during the first epoch
-    // (the source replays examples in a deterministic order) — sparse
-    // denormalized rows gather / scatter only their active table rows, and
-    // detection runs at most once per example (the shared [`RepCache`]
-    // protocol).  Memory is O(total nnz) — the sparse rows' nonzeros,
-    // strictly smaller than one dense copy of the dataset.
-    let mut reps = RepCache::new(ex.sparse);
-    let mut xs: Vec<f64> = Vec::with_capacity(dim * PAR_BATCH_EXAMPLES);
-    let mut ys: Vec<f64> = Vec::with_capacity(PAR_BATCH_EXAMPLES);
-    for _epoch in 0..config.epochs {
-        // The denormalized row is the one-block partition `[d]` of the
-        // factorized first layer: same tables, same kernels, no reuse.
-        let first = FirstLayer::split(&model, &[dim], kp);
-        let mut grads = model.zero_grads();
-        let mut grad_w1 = first.zero_grad();
-        let mut loss_sum = 0.0;
-        let mut row_cursor = 0usize;
-        let mut flush = |xs: &[f64], ys: &[f64]| {
-            let base = row_cursor;
-            let reps_ref: &RepCache = &reps;
-            let parts = par_chunks_with_threads(workers, ys.len(), 1, |range| {
-                let mut local_grads = model.zero_grads();
-                let mut local_w1 = first.zero_grad();
-                let mut ws = model.workspace();
-                let mut seg = reps_ref.segment(base + range.start);
-                let mut local_loss = 0.0;
-                for r in range {
-                    let x = &xs[r * dim..(r + 1) * dim];
-                    let rep = seg.rep_or_detect(base + r, x);
-                    first.pre_activation(x, rep, [], ws.first_preactivation());
-                    local_loss += model.backward_from_first_preactivation_with(
-                        kp,
-                        &mut ws,
-                        ys[r],
-                        &mut local_grads,
-                    );
-                    local_w1.add(0, ws.first_delta(), x, rep);
-                }
-                (local_grads, local_w1, local_loss, seg.into_detected())
-            });
-            for (local_grads, local_w1, local_loss, detected) in parts {
-                for (dst, src) in grads.iter_mut().zip(local_grads.iter()) {
-                    dst.merge_from(src);
-                }
-                grad_w1.merge_from(&local_w1);
-                loss_sum += local_loss;
-                reps.merge(detected);
-            }
-            row_cursor += ys.len();
-        };
-        xs.clear();
-        ys.clear();
-        source.for_each(&mut |x: &[f64], y: f64| {
-            xs.extend_from_slice(x);
-            ys.push(y);
-            if ys.len() >= PAR_BATCH_EXAMPLES {
-                flush(&xs, &ys);
-                xs.clear();
-                ys.clear();
-            }
-        })?;
-        if !ys.is_empty() {
-            flush(&xs, &ys);
+impl MaterializedNn {
+    /// Name of the temporary join table created for a spec.
+    pub fn temp_table_name(spec: &JoinSpec) -> String {
+        format!("__T_nn_{}", spec.fact)
+    }
+
+    /// Materializes the join as `T`, then trains over `T` as the fact-only
+    /// join (`q = 0`).  The reported elapsed time includes the join and
+    /// materialization.
+    pub fn train(
+        db: &Database,
+        spec: &JoinSpec,
+        config: &NnConfig,
+        exec: &ExecPolicy,
+    ) -> StoreResult<NnFit> {
+        let start = Instant::now();
+        spec.validate(db)?;
+        ensure_trainable(db, spec)?;
+        let t_name = Self::temp_table_name(spec);
+        if db.contains(&t_name) {
+            db.drop_relation(&t_name)?;
         }
-        reps.finish_fill();
-        grad_w1.add_into(&mut grads[0]);
-        model.apply_grads(&grads, config.learning_rate, n as f64);
-        loss_trace.push(loss_sum / n as f64);
-        notifier.notify(loss_sum / n as f64);
-    }
-    Ok(NnFit {
-        model,
-        epochs: config.epochs,
-        loss_trace,
-        n_tuples: n,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Full-batch training with the default seeded initialization.
-pub fn train_supervised(
-    source: &mut dyn SupervisedSource,
-    config: &NnConfig,
-    exec: &ExecPolicy,
-) -> StoreResult<NnFit> {
-    let initial = Mlp::new(
-        source.dim(),
-        &config.hidden,
-        config.activation,
-        exec.resolve().seed,
-    );
-    train_supervised_from(source, config, exec, initial, None)
-}
-
-/// An in-memory supervised source for tests.
-pub struct VecSupervisedSource {
-    rows: Vec<(Vec<f64>, f64)>,
-    dim: usize,
-}
-
-impl VecSupervisedSource {
-    /// Creates a source over in-memory `(x, y)` pairs.
-    pub fn new(rows: Vec<(Vec<f64>, f64)>) -> Self {
-        let dim = rows.first().map(|(x, _)| x.len()).unwrap_or(0);
-        assert!(rows.iter().all(|(x, _)| x.len() == dim), "ragged rows");
-        Self { rows, dim }
+        materialize_join(db, spec, t_name.clone(), exec.resolve().block_pages)?;
+        let table = JoinSpec::multiway(t_name, vec![]);
+        let mut fit = train_epochs(db, &table, config, exec, false)?;
+        fit.elapsed = start.elapsed();
+        Ok(fit)
     }
 }
 
-/// The `M-NN` / `S-NN` source: the join's rows, from its materialized table
-/// or joined on the fly.
-impl SupervisedSource for RowSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        self.for_each_row(&mut |x, y| f(x, y.unwrap_or(0.0)))
-    }
+/// The streaming (join-on-the-fly) NN training strategy (`S-NN`).
+pub struct StreamingNn;
 
-    fn num_tuples(&self) -> u64 {
-        self.num_rows()
-    }
-
-    fn dim(&self) -> usize {
-        self.width()
-    }
-}
-
-impl SupervisedSource for VecSupervisedSource {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64], f64)) -> StoreResult<()> {
-        for (x, y) in &self.rows {
-            f(x, *y);
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.rows.len() as u64
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
+impl StreamingNn {
+    /// Trains joining the base relations on the fly each epoch, every
+    /// dimension inlined into the fact's row.
+    pub fn train(
+        db: &Database,
+        spec: &JoinSpec,
+        config: &NnConfig,
+        exec: &ExecPolicy,
+    ) -> StoreResult<NnFit> {
+        train_epochs(db, spec, config, exec, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FactorizedNn;
+    use fml_data::multiway::{DimSpec, MultiwayConfig};
+    use fml_data::SyntheticConfig;
+    use fml_store::{Schema, Tuple};
 
     fn linear_data() -> Vec<(Vec<f64>, f64)> {
         (0..60)
@@ -316,6 +169,23 @@ mod tests {
                 (vec![x0, x1], 2.0 * x0 - x1 + 0.5)
             })
             .collect()
+    }
+
+    /// `rows` stored as a fact relation with no foreign keys: the `q = 0`
+    /// join, which the one epoch driver trains as the partition `[d]`.
+    fn fact_only(rows: &[(Vec<f64>, f64)]) -> (Database, JoinSpec) {
+        let db = Database::in_memory();
+        let rel = db
+            .create_relation(Schema::fact_with_target("S", rows[0].0.len(), 0))
+            .unwrap();
+        let mut rel = rel.lock();
+        for (key, (x, y)) in (0u64..).zip(rows) {
+            rel.append(&Tuple::fact_with_target(key, vec![], *y, x.clone()))
+                .unwrap();
+        }
+        rel.flush().unwrap();
+        drop(rel);
+        (db, JoinSpec::multiway("S", vec![]))
     }
 
     #[test]
@@ -338,14 +208,14 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_learnable_data() {
-        let mut source = VecSupervisedSource::new(linear_data());
+        let (db, spec) = fact_only(&linear_data());
         let config = NnConfig {
             hidden: vec![8],
             activation: Activation::Tanh,
             epochs: 150,
             learning_rate: 0.5,
         };
-        let fit = train_supervised(&mut source, &config, &ExecPolicy::new()).unwrap();
+        let fit = FactorizedNn::train(&db, &spec, &config, &ExecPolicy::new()).unwrap();
         assert_eq!(fit.epochs, 150);
         assert_eq!(fit.n_tuples, 60);
         assert!(
@@ -358,13 +228,13 @@ mod tests {
 
     #[test]
     fn loss_trace_has_one_entry_per_epoch() {
-        let mut source = VecSupervisedSource::new(linear_data());
+        let (db, spec) = fact_only(&linear_data());
         let config = NnConfig {
             hidden: vec![4],
             epochs: 7,
             ..NnConfig::default()
         };
-        let fit = train_supervised(&mut source, &config, &ExecPolicy::new()).unwrap();
+        let fit = FactorizedNn::train(&db, &spec, &config, &ExecPolicy::new()).unwrap();
         assert_eq!(fit.loss_trace.len(), 7);
         assert!(fit.loss_trace.iter().all(|l| l.is_finite()));
     }
@@ -372,8 +242,9 @@ mod tests {
     #[test]
     fn table_engine_matches_the_row_major_reference_per_parameter() {
         // One-hot, CSR and dense row sets (the three representations
-        // detection hands the engine), each against the plain per-example
-        // loop over the row-major dense kernels.
+        // detection hands the engine), each trained as a fact-only relation
+        // through the one epoch driver, against the plain per-example loop
+        // over the row-major dense kernels.
         let onehot = |i: usize| {
             let mut x = vec![0.0; 12];
             x[i % 5] = 1.0;
@@ -408,13 +279,13 @@ mod tests {
                 .enumerate()
                 .map(|(i, x)| (x, (i % 5) as f64 / 4.0))
                 .collect();
+            let (db, spec) = fact_only(&rows);
             for kp in [
                 fml_linalg::KernelPolicy::Naive,
                 fml_linalg::KernelPolicy::Blocked,
             ] {
-                let exec = ExecPolicy::new().kernel_policy(kp);
-                let initial = Mlp::new(12, &config.hidden, config.activation, 5);
-                let mut reference = initial.clone();
+                let exec = ExecPolicy::new().kernel_policy(kp).seed(5);
+                let mut reference = Mlp::new(12, &config.hidden, config.activation, 5);
                 for _ in 0..config.epochs {
                     let mut grads = reference.zero_grads();
                     for (x, y) in &rows {
@@ -422,9 +293,7 @@ mod tests {
                     }
                     reference.apply_grads(&grads, config.learning_rate, rows.len() as f64);
                 }
-                let mut source = VecSupervisedSource::new(rows.clone());
-                let fit = train_supervised_from(&mut source, &config, &exec, initial, None)
-                    .expect("in-memory source");
+                let fit = FactorizedNn::train(&db, &spec, &config, &exec).unwrap();
                 let diff = fit.model.max_param_diff(&reference);
                 assert!(diff < 1e-12, "{label} under {kp:?}: {diff}");
             }
@@ -432,9 +301,98 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn empty_source_rejected() {
-        let mut source = VecSupervisedSource::new(vec![]);
-        let _ = train_supervised(&mut source, &NnConfig::default(), &ExecPolicy::new());
+    fn trains_over_materialized_table() {
+        let w = SyntheticConfig {
+            n_s: 300,
+            n_r: 15,
+            d_s: 2,
+            d_r: 3,
+            k: 2,
+            noise_std: 0.5,
+            with_target: true,
+            seed: 3,
+        }
+        .generate()
+        .unwrap();
+        let config = NnConfig {
+            hidden: vec![6],
+            epochs: 5,
+            ..NnConfig::default()
+        };
+        let fit = MaterializedNn::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert_eq!(fit.epochs, 5);
+        assert_eq!(fit.n_tuples, 300);
+        assert_eq!(fit.model.input_dim(), 5);
+        assert!(w.db.contains(&MaterializedNn::temp_table_name(&w.spec)));
+        assert!(fit.final_loss().is_finite());
+    }
+
+    #[test]
+    fn missing_target_is_rejected() {
+        let w = SyntheticConfig {
+            n_s: 50,
+            n_r: 5,
+            d_s: 2,
+            d_r: 2,
+            k: 2,
+            noise_std: 0.5,
+            with_target: false,
+            seed: 1,
+        }
+        .generate()
+        .unwrap();
+        for train in [MaterializedNn::train, StreamingNn::train] {
+            let err = train(&w.db, &w.spec, &NnConfig::default(), &ExecPolicy::new()).unwrap_err();
+            assert!(matches!(err, StoreError::SchemaMismatch { .. }));
+        }
+    }
+
+    #[test]
+    fn streaming_matches_materialized_binary() {
+        let w = SyntheticConfig {
+            n_s: 250,
+            n_r: 10,
+            d_s: 2,
+            d_r: 4,
+            k: 2,
+            noise_std: 0.5,
+            with_target: true,
+            seed: 9,
+        }
+        .generate()
+        .unwrap();
+        let config = NnConfig {
+            hidden: vec![8],
+            epochs: 4,
+            ..NnConfig::default()
+        };
+        let m = MaterializedNn::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let s = StreamingNn::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert_eq!(m.model, s.model);
+        assert_eq!(m.loss_trace, s.loss_trace);
+    }
+
+    #[test]
+    fn streaming_multiway() {
+        let w = MultiwayConfig {
+            n_s: 200,
+            d_s: 2,
+            dims: vec![DimSpec::new(10, 2), DimSpec::new(5, 3)],
+            k: 2,
+            noise_std: 0.5,
+            with_target: true,
+            seed: 12,
+        }
+        .generate()
+        .unwrap();
+        let config = NnConfig {
+            hidden: vec![6],
+            epochs: 3,
+            ..NnConfig::default()
+        };
+        let m = MaterializedNn::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        let s = StreamingNn::train(&w.db, &w.spec, &config, &ExecPolicy::new()).unwrap();
+        assert_eq!(m.model, s.model);
+        assert_eq!(s.model.input_dim(), 7);
     }
 }

@@ -5,7 +5,7 @@
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::SyntheticConfig;
 use fml_linalg::{ExecPolicy, KernelPolicy};
-use fml_nn::{FactorizedNn, MaterializedNn, NnConfig, StreamingNn};
+use fml_nn::{FactorizedNn, MaterializedNn, NnConfig, NnFit, StreamingNn};
 
 #[test]
 fn policies_learn_the_same_network_binary() {
@@ -86,12 +86,61 @@ fn policies_learn_the_same_network_multiway() {
     }
 }
 
+/// Every parameter and every loss-trace entry of a fit, as bits.
+fn bits(fit: &NnFit) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for layer in fit.model.layers() {
+        bits.extend(layer.weights.as_slice().iter().map(|x| x.to_bits()));
+        bits.extend(layer.bias.iter().map(|x| x.to_bits()));
+    }
+    bits.extend(fit.loss_trace.iter().map(|x| x.to_bits()));
+    bits
+}
+
 #[test]
-fn parallel_fanout_engages_at_larger_networks() {
-    // hidden=[128] gives ~1281 parameters, clearing the dense batch path's
-    // fan-out gate (4·|θ|·batch ≥ 2²²), so the gradient-merge machinery
-    // actually runs.  Only M-NN / S-NN fan out: F-NN runs its epoch on the
-    // driving thread.
+fn materialized_and_streaming_fits_are_bit_identical() {
+    // M reads its table as the fact-only join and S inlines every dimension:
+    // the same rows, in the same order, through the one epoch driver.
+    let binary = SyntheticConfig {
+        n_s: 200,
+        n_r: 10,
+        d_s: 2,
+        d_r: 5,
+        k: 2,
+        noise_std: 0.5,
+        with_target: true,
+        seed: 47,
+    }
+    .generate()
+    .unwrap();
+    let star = MultiwayConfig {
+        n_s: 200,
+        d_s: 2,
+        dims: vec![DimSpec::categorical(8, 6), DimSpec::new(4, 3)],
+        k: 2,
+        noise_std: 0.5,
+        with_target: true,
+        seed: 53,
+    }
+    .generate()
+    .unwrap();
+    let base = NnConfig {
+        hidden: vec![16, 4],
+        epochs: 3,
+        ..NnConfig::default()
+    };
+    for w in [binary, star] {
+        for policy in KernelPolicy::ALL {
+            let exec = ExecPolicy::new().kernel_policy(policy);
+            let m = MaterializedNn::train(&w.db, &w.spec, &base, &exec).unwrap();
+            let s = StreamingNn::train(&w.db, &w.spec, &base, &exec).unwrap();
+            assert_eq!(bits(&m), bits(&s), "S-NN vs M-NN under {policy}");
+        }
+    }
+}
+
+#[test]
+fn materialized_fits_are_bit_stable_across_worker_counts() {
     let w = SyntheticConfig {
         n_s: 200,
         n_r: 10,
@@ -109,22 +158,14 @@ fn parallel_fanout_engages_at_larger_networks() {
         epochs: 2,
         ..NnConfig::default()
     };
-    for train in [MaterializedNn::train, StreamingNn::train] {
-        let blocked = train(
-            &w.db,
-            &w.spec,
-            &base,
-            &ExecPolicy::new().kernel_policy(KernelPolicy::Blocked),
-        )
-        .unwrap();
-        let parallel = train(
-            &w.db,
-            &w.spec,
-            &base,
-            &ExecPolicy::new().kernel_policy(KernelPolicy::BlockedParallel),
-        )
-        .unwrap();
-        let diff = blocked.model.max_param_diff(&parallel.model);
-        assert!(diff < 1e-8, "engaged parallel NN diverged: {diff}");
+    let fit = |threads| {
+        let exec = ExecPolicy::new()
+            .kernel_policy(KernelPolicy::BlockedParallel)
+            .threads(threads);
+        bits(&MaterializedNn::train(&w.db, &w.spec, &base, &exec).unwrap())
+    };
+    let one = fit(1);
+    for threads in [2, 4] {
+        assert_eq!(one, fit(threads), "threads({threads}) vs threads(1)");
     }
 }

@@ -441,7 +441,7 @@ pub fn prometheus_text() -> String {
 ///                        "buckets":[[le,cumulative],...]}}}
 /// ```
 ///
-/// Hand-rolled (the serde shim is a no-op); metric names are compile-time
+/// Hand-rolled (no serialization dependency); metric names are compile-time
 /// literals, escaped anyway for robustness.
 pub fn json() -> String {
     use std::fmt::Write as _;

@@ -1,9 +1,9 @@
 //! Versioned model persistence for [`Trained`] fits.
 //!
-//! The workspace's `serde` is an offline shim (marker traits only — the
-//! build environment has no registry access), so persistence is implemented
-//! as an explicit, versioned binary codec with the properties a serving
-//! system actually needs:
+//! The workspace has no serialization dependency (the build environment
+//! has no registry access), so persistence is implemented as an explicit,
+//! versioned binary codec with the properties a serving system actually
+//! needs:
 //!
 //! * **Exact round-trips** — every `f64` is stored as its IEEE-754 bit
 //!   pattern, so a saved model scores *bit-identically* after loading (the

@@ -65,7 +65,6 @@ use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::sparse::{SparseMode, SparseRep};
 use fml_linalg::KernelPolicy;
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
-use fml_store::batch::{BlockScan, RowBlock};
 use fml_store::factorized_scan::{FactBlock, FactorizedScan};
 use fml_store::join::materialize_join;
 use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
@@ -428,8 +427,8 @@ impl<R> Sink<'_, R> {
 /// shared [`RowCore`].
 ///
 /// The factorized driver fans each fact block out over `workers` chunks (see
-/// the module docs); streaming and materialized scoring are always
-/// sequential (they are the oracles).
+/// the module docs); streaming and materialized scoring are one sequential
+/// denormalized-row loop (they are the oracles).
 fn run_scoring<C>(
     core: &C,
     db: &Database,
@@ -443,16 +442,18 @@ where
     C::Row: Send,
 {
     // The oracle's join materialization happens before the observer's I/O
-    // baseline is read: batch events report scoring I/O only.
-    let table = match opts.strategy() {
+    // baseline is read: batch events report scoring I/O only.  The oracle
+    // then scores its table as the fact-only join (`q = 0`).
+    let source = match opts.strategy() {
         Algorithm::Materialized => {
             let t_name = score_table_name(spec);
             if db.contains(&t_name) {
                 db.drop_relation(&t_name)?;
             }
-            Some(materialize_join(db, spec, t_name, ex.block_pages)?)
+            materialize_join(db, spec, t_name.clone(), ex.block_pages)?;
+            JoinSpec::multiway(t_name, vec![])
         }
-        _ => None,
+        _ => spec.clone(),
     };
     let probe = db.stats().io_probe();
     let mut out = Sink {
@@ -461,27 +462,11 @@ where
         notifier: ScoreNotifier::new(opts.observer(), Some(&probe)),
         notified: 0,
     };
-    match table {
-        Some(table) => {
-            // Materialized: scan and score every denormalized row — the
-            // oracle the factorized path is tested against, paying the full
-            // materialization and full-width scan I/O.
-            let mut joined = JoinedRows::new(core, partition, ex.sparse);
-            let (mut scan, mut rows) = (BlockScan::new(table, ex.block_pages), RowBlock::default());
-            while scan.next_into(&mut rows)? {
-                for r in 0..rows.len() {
-                    out.push(rows.keys()[r], joined.score(rows.features(r)));
-                }
-                out.end_block();
-            }
-        }
-        None if opts.strategy() == Algorithm::Streaming => {
-            score_streamed(core, db, spec, partition, ex, &mut out)?
-        }
-        None => {
-            let workers = ex.workers(ex.kernel_policy.is_parallel());
-            score_factorized(core, db, spec, ex, workers, &mut out)?
-        }
+    if opts.strategy() == Algorithm::Factorized {
+        let workers = ex.workers(ex.kernel_policy.is_parallel());
+        score_factorized(core, db, spec, ex, workers, &mut out)?;
+    } else {
+        score_denormalized(core, db, &source, partition, ex, &mut out)?;
     }
     Ok((out.keys, out.rows))
 }
@@ -598,24 +583,26 @@ impl<'c, C: RowCore> JoinedRows<'c, C> {
     }
 }
 
-/// Streaming scoring: join on the fly, score each denormalized row.
-fn score_streamed<C: RowCore>(
+/// Materialized and streaming scoring: one pass over `source` — the
+/// materialized table as the fact-only join, or the join itself — scoring
+/// each denormalized row.
+fn score_denormalized<C: RowCore>(
     core: &C,
     db: &Database,
-    spec: &JoinSpec,
+    source: &JoinSpec,
     partition: &BlockPartition,
     ex: &ExecSettings,
     out: &mut Sink<'_, C::Row>,
 ) -> StoreResult<()> {
     let mut joined = JoinedRows::new(core, partition, ex.sparse);
-    let mut row = Vec::with_capacity(partition.total_dim());
-    let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+    let mut buf = Vec::with_capacity(partition.total_dim());
+    let mut scan = FactorizedScan::new(db, source, ex.block_pages)?;
     while scan.next_window()? {
         while scan.next_block()? {
             let block = scan.block();
             for (f, &key) in block.rows().keys().iter().enumerate() {
-                block.denormalize_into(f, scan.cache(), &mut row);
-                out.push(key, joined.score(&row));
+                let row = block.joined_row(f, scan.cache(), &mut buf);
+                out.push(key, joined.score(row));
             }
             out.end_block();
         }

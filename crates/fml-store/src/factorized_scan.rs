@@ -1,5 +1,7 @@
-//! The one join access path of the streaming (`S-*`) and factorized (`F-*`)
-//! algorithms, of join materialization (`M-*`) and of batch scoring.
+//! The one join access path of every algorithm and of batch scoring: the
+//! streaming (`S-*`) and factorized (`F-*`) passes, join materialization,
+//! and the `M-*` passes over the materialized table `T`, read as the
+//! fact-only join (`q = 0`).
 //!
 //! A [`FactorizedScan`] pass is a sequence of **windows**.  A window makes a
 //! set of dimension rows resident as a [`DimCache`] and scans the whole fact
@@ -20,6 +22,8 @@
 //!
 //! * a star join (`q > 1` dimensions) keeps every dimension resident, so a
 //!   pass is one window;
+//! * a fact-only join (`q = 0`) is one window with nothing resident: a plain
+//!   block scan of the fact relation, `|S|` pages, no ordinals;
 //! * a binary join (`q = 1`) streams `R` in windows of `block_pages` pages —
 //!   the block-nested-loop join of Section V-A with `R` as the outer
 //!   relation.  Ordinals are relative to the resident window;
@@ -84,16 +88,27 @@ impl FactBlock {
         &self.ords[f * self.q..(f + 1) * self.q]
     }
 
-    /// Writes fact `f`'s denormalized row `[x_S | x_R1 | … | x_Rq]` into
-    /// `out`, replacing its contents and keeping its capacity: the dimension
+    /// Fact `f`'s denormalized row `[x_S | x_R1 | … | x_Rq]`: the dimension
     /// features duplicated once per fact, as `materialize_join` writes them
-    /// and the `S-*` algorithms feed them to the unchanged learner.
-    pub fn denormalize_into(&self, f: usize, cache: &DimCache, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(self.rows.features(f));
-        for (i, &ord) in self.ords_of(f).iter().enumerate() {
-            out.extend_from_slice(cache.row(i, ord));
+    /// and the `M-*` / `S-*` algorithms feed them to the unchanged learner.
+    /// Without dimensions (`q = 0`, a materialized table) that is the fact's
+    /// own row, borrowed; otherwise it is written into `buf`, replacing its
+    /// contents and keeping its capacity.
+    pub fn joined_row<'a>(
+        &'a self,
+        f: usize,
+        cache: &DimCache,
+        buf: &'a mut Vec<f64>,
+    ) -> &'a [f64] {
+        if self.q == 0 {
+            return self.rows.features(f);
         }
+        buf.clear();
+        buf.extend_from_slice(self.rows.features(f));
+        for (i, &ord) in self.ords_of(f).iter().enumerate() {
+            buf.extend_from_slice(cache.row(i, ord));
+        }
+        buf
     }
 }
 
@@ -256,6 +271,7 @@ fn ordinal_overflow(dim: &RelationHandle) -> StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::materialize_join;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use std::collections::HashSet;
@@ -460,9 +476,9 @@ mod tests {
             while scan.next_block().unwrap() {
                 let (block, rows) = (scan.block(), scan.block().rows());
                 for f in 0..block.len() {
-                    block.denormalize_into(f, scan.cache(), &mut joined);
+                    let row = block.joined_row(f, scan.cache(), &mut joined);
                     let r = scan.cache().row(0, block.ords_of(f)[0]);
-                    assert_eq!(joined, [rows.features(f)[0], r[0], r[1]]);
+                    assert_eq!(row, [rows.features(f)[0], r[0], r[1]]);
                     let fact = rows.tuple(f);
                     from_blocks.push(Tuple::joined(&fact, [r]));
                 }
@@ -554,16 +570,71 @@ mod tests {
         while pass.next_block().unwrap() {
             let block = pass.block();
             for f in 0..block.len() {
-                block.denormalize_into(f, pass.cache(), &mut rows);
+                let row = block.joined_row(f, pass.cache(), &mut rows);
                 assert_eq!(block.ords_of(f).len(), 2);
                 let t = scan.denormalize(&block.rows().tuple(f)).unwrap();
-                assert_eq!(rows, t.features);
+                assert_eq!(row, t.features);
                 joined += 1;
             }
         }
         assert_eq!(joined, 20);
         assert!(!pass.next_window().unwrap());
         assert!(!pass.next_window().unwrap(), "the end of a pass is final");
+    }
+
+    #[test]
+    fn a_fact_only_pass_over_a_materialized_table_is_its_block_scan() {
+        // `M-*` reads its table T as the q = 0 join: one window of exactly
+        // |T| pages, handing out BlockScan's rows in order, no ordinals.
+        let db = Database::in_memory();
+        let r = db.create_relation(Schema::dimension("R", 2)).unwrap();
+        let s = db
+            .create_relation(Schema::fact_with_target("S", 1, 1))
+            .unwrap();
+        for k in 0..50u64 {
+            r.lock()
+                .append(&Tuple::dimension(k, vec![k as f64, 1.0]))
+                .unwrap();
+        }
+        for i in 0..2000u64 {
+            let fact = Tuple::fact_with_target(i, vec![(7 * i) % 50], i as f64 / 2.0, vec![-1.0]);
+            s.lock().append(&fact).unwrap();
+        }
+        r.lock().flush().unwrap();
+        s.lock().flush().unwrap();
+        let t = materialize_join(&db, &JoinSpec::binary("S", "R"), "T", 4).unwrap();
+        let t_pages = t.lock().num_pages();
+        assert!(t_pages > 4, "T spans several fact blocks");
+
+        type Row = (u64, Option<f64>, Vec<f64>);
+        let row = |rows: &RowBlock, f: usize| -> Row {
+            (rows.keys()[f], rows.target(f), rows.features(f).to_vec())
+        };
+        let mut expected = Vec::new();
+        let (mut scan, mut rows) = (BlockScan::new(t, 4), RowBlock::default());
+        while scan.next_into(&mut rows).unwrap() {
+            expected.extend((0..rows.len()).map(|f| row(&rows, f)));
+        }
+
+        db.stats().reset();
+        let mut pass = FactorizedScan::new(&db, &JoinSpec::multiway("T", vec![]), 4).unwrap();
+        let (mut got, mut buf) = (Vec::new(), Vec::new());
+        assert!(pass.next_window().unwrap());
+        while pass.next_block().unwrap() {
+            let block = pass.block();
+            for f in 0..block.len() {
+                assert!(block.ords_of(f).is_empty());
+                // the joined row is the stored row itself, not a copy
+                let joined = block.joined_row(f, pass.cache(), &mut buf);
+                assert!(std::ptr::eq(joined, block.rows().features(f)));
+            }
+            got.extend((0..block.len()).map(|f| row(block.rows(), f)));
+        }
+        assert!(buf.is_empty());
+        assert!(!pass.next_window().unwrap(), "one window");
+        assert_eq!(db.stats().snapshot().pages_read as usize, t_pages);
+        assert_eq!(got.len(), 2000);
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! (`S.FK_i → R_i.RID`).  [`JoinSpec`] names the participating relations;
 //! [`materialize_join`] produces the denormalized table `T` used by the `M-*`
 //! algorithms; [`RowSource`] hands the `M-*` and `S-*` learners its rows,
-//! read from `T` or joined on the fly; [`DimCache`] holds the dimension rows
-//! resident in one window of a [`FactorizedScan`] — per dimension the
-//! window's decoded block, its key order and a `key → ordinal` index — so
-//! foreign keys resolve without re-reading pages for every fact tuple.
+//! joined on the fly (`T` being the fact-only join); [`DimCache`] holds the
+//! dimension rows resident in one window of a [`FactorizedScan`] — per
+//! dimension the window's decoded block, its key order and a
+//! `key → ordinal` index — so foreign keys resolve without re-reading pages
+//! for every fact tuple.
 
 use crate::batch::{BlockScan, RowBlock};
 use crate::catalog::{Database, RelationHandle};
@@ -324,47 +325,31 @@ pub fn materialize_join(
     Ok(out_rel)
 }
 
-/// The denormalized rows `T(SID, [Y], [x_S x_R1 … x_Rq])` of a join, one pass
-/// per [`Self::for_each_row`]: scanned from the materialized table (`M-*`) or
-/// joined on the fly by one [`FactorizedScan`] pass (`S-*`).  Both hand out
-/// the same rows in the same `(window, fact)` order — the order
-/// [`materialize_join`] writes — so `S` fits are bit-identical to `M` fits.
+/// The denormalized rows `T(SID, [Y], [x_S x_R1 … x_Rq])` of a join, one
+/// [`FactorizedScan`] pass per [`Self::for_each_row`] — the `M-*` and `S-*`
+/// source.  `S` joins the base relations on the fly; `M` reads its
+/// materialized table as the fact-only join `JoinSpec::multiway(T, vec![])`
+/// (`q = 0`), whose rows are `T`'s in storage order.  Both hand out the same
+/// rows in the same `(window, fact)` order — the order [`materialize_join`]
+/// writes — so `S` fits are bit-identical to `M` fits.
 pub struct RowSource<'a> {
-    origin: Origin<'a>,
+    db: &'a Database,
+    spec: JoinSpec,
     block_pages: usize,
     width: usize,
     rows: u64,
 }
 
-enum Origin<'a> {
-    Table(RelationHandle),
-    Join(&'a Database, JoinSpec),
-}
-
 impl<'a> RowSource<'a> {
-    /// The rows of a materialized join table, read `block_pages` pages at a
-    /// time.
-    pub fn table(table: RelationHandle, block_pages: usize) -> Self {
-        let (width, rows) = {
-            let t = table.lock();
-            (t.schema().num_features, t.num_tuples())
-        };
-        Self {
-            origin: Origin::Table(table),
-            block_pages,
-            width,
-            rows,
-        }
-    }
-
-    /// The rows of the join `spec`, denormalized from the base relations on
-    /// every pass.
+    /// The rows of the join `spec`, denormalized from its relations on every
+    /// pass, `block_pages` pages at a time.
     pub fn join(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
         spec.validate(db)?;
         let width = spec.total_features(db)?;
         let rows = spec.fact_relation(db)?.lock().num_tuples();
         Ok(Self {
-            origin: Origin::Join(db, spec),
+            db,
+            spec,
             block_pages,
             width,
             rows,
@@ -383,27 +368,14 @@ impl<'a> RowSource<'a> {
 
     /// One pass: `f(features, target)` for every row, in scan order.
     pub fn for_each_row(&self, f: &mut dyn FnMut(&[f64], Option<f64>)) -> StoreResult<()> {
-        match &self.origin {
-            Origin::Table(table) => {
-                let mut scan = BlockScan::new(table.clone(), self.block_pages);
-                let mut rows = RowBlock::default();
-                while scan.next_into(&mut rows)? {
-                    for r in 0..rows.len() {
-                        f(rows.features(r), rows.target(r));
-                    }
-                }
-            }
-            Origin::Join(db, spec) => {
-                let mut scan = FactorizedScan::new(db, spec, self.block_pages)?;
-                let mut joined = Vec::with_capacity(self.width);
-                while scan.next_window()? {
-                    while scan.next_block()? {
-                        let block = scan.block();
-                        for r in 0..block.len() {
-                            block.denormalize_into(r, scan.cache(), &mut joined);
-                            f(&joined, block.rows().target(r));
-                        }
-                    }
+        let mut scan = FactorizedScan::new(self.db, &self.spec, self.block_pages)?;
+        let mut joined = Vec::with_capacity(self.width);
+        while scan.next_window()? {
+            while scan.next_block()? {
+                let block = scan.block();
+                for r in 0..block.len() {
+                    let row = block.joined_row(r, scan.cache(), &mut joined);
+                    f(row, block.rows().target(r));
                 }
             }
         }

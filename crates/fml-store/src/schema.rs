@@ -11,10 +11,8 @@
 //! Records are fixed width, which keeps page arithmetic — and therefore the I/O
 //! cost accounting — simple and predictable.
 
-use serde::{Deserialize, Serialize};
-
 /// Description of a relation's columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Relation name (unique within a [`crate::Database`]).
     pub name: String,

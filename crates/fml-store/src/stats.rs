@@ -13,7 +13,6 @@
 //! the same page/field accounting the per-database [`IoStats`] handles do —
 //! gated on one relaxed load so the off path is unchanged.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,7 +36,7 @@ pub struct IoStats {
 }
 
 /// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoSnapshot {
     /// Pages fetched from storage.
     pub pages_read: u64,

@@ -8,10 +8,9 @@
 use crate::error::{StoreError, StoreResult};
 use crate::schema::Schema;
 use bytes::BufMut;
-use serde::{Deserialize, Serialize};
 
 /// Physical address of a tuple inside a relation's heap file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId {
     /// Page index within the heap file.
     pub page: u32,
@@ -30,7 +29,7 @@ impl TupleId {
 ///
 /// The field layout follows the schemas of Section IV of the paper: a primary key,
 /// optional foreign keys, an optional supervised target and dense `f64` features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     /// Primary key (`SID` for fact tables, `RID` for dimension tables).
     pub key: u64,

@@ -91,13 +91,13 @@ fn main() {
     // Assign a few orders to segments using the trained model.
     let pre = Precomputed::from_model(&trained.fit.model, 1e-6);
     let mut scan = fml_store::factorized_scan::FactorizedScan::new(&db, &spec, 8).unwrap();
-    let (mut shown, mut joined) = (0, Vec::new());
+    let (mut shown, mut buf) = (0, Vec::new());
     'outer: while scan.next_window().unwrap() {
         while scan.next_block().unwrap() {
             let block = scan.block();
             for (f, &key) in block.rows().keys().iter().enumerate() {
-                block.denormalize_into(f, scan.cache(), &mut joined);
-                let segment = trained.fit.model.predict(&joined, &pre);
+                let joined = block.joined_row(f, scan.cache(), &mut buf);
+                let segment = trained.fit.model.predict(joined, &pre);
                 println!(
                     "order {:>6}  amount {:>6.1}  item price {:>6.1}  → segment {}",
                     key, joined[0], joined[2], segment
