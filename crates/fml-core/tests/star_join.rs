@@ -9,7 +9,7 @@ use fml_core::prelude::*;
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::{SyntheticConfig, Workload};
 use fml_linalg::sparse::onehot_kernel_calls;
-use fml_store::{Database, JoinSpec, Schema, StoreError, Tuple};
+use fml_store::{Database, FeatureGroup, JoinSpec, Schema, StoreError, Tuple};
 
 /// Key offset of the never-referenced copies [`rebuild`] adds.
 const PAD: u64 = 1 << 40;
@@ -325,13 +325,13 @@ fn streaming_fits_equal_materialized_bit_for_bit_on_every_join_shape() {
     }
 }
 
-/// A star whose fact block is one-hot: the factorized trainers detect the
-/// facts too, take the sparse fact path, and learn the forced-dense model.
+/// A star whose fact block is stored one-hot: the factorized trainers take
+/// the sparse fact path and learn the forced-dense model.
 #[test]
 fn a_one_hot_fact_block_takes_the_sparse_path_on_a_star() {
     let w = star(31, 400, vec![DimSpec::new(10, 3), DimSpec::new(6, 4)], true);
-    // The same star with every fact's features replaced by eight 0/1
-    // columns, each set for about one key in five.
+    // The same star with every fact's features replaced by two one-hot
+    // variables of four categories, stored as codes.
     let db = Database::in_memory();
     for name in &w.spec.dimensions {
         let src = w.db.relation(name).unwrap();
@@ -342,9 +342,11 @@ fn a_one_hot_fact_block_takes_the_sparse_path_on_a_star() {
             .unwrap();
         rel.lock().flush().unwrap();
     }
-    let rel = db
-        .create_relation(Schema::fact_with_target(w.spec.fact.clone(), 8, 2))
-        .unwrap();
+    let one_hot = FeatureGroup::OneHot {
+        cardinalities: vec![4, 4],
+    };
+    let schema = Schema::fact_with_target(w.spec.fact.clone(), 8, 2).with_groups(vec![one_hot]);
+    let rel = db.create_relation(schema).unwrap();
     for mut fact in
         w.db.relation(&w.spec.fact)
             .unwrap()
@@ -352,9 +354,8 @@ fn a_one_hot_fact_block_takes_the_sparse_path_on_a_star() {
             .read_all()
             .unwrap()
     {
-        fact.features = (0..8u64)
-            .map(|j| f64::from((fact.key * 7 + j * 13) % 5 == 0))
-            .collect();
+        let codes = [fact.key * 7 % 4, 4 + (fact.key * 3 + 1) % 4];
+        fact.features = (0..8u64).map(|j| f64::from(codes.contains(&j))).collect();
         rel.lock().append(&fact).unwrap();
     }
     rel.lock().flush().unwrap();

@@ -16,14 +16,14 @@ use crate::feature_block::FeatureBlock;
 use crate::onehot::OneHotSpec;
 use crate::rng::{cluster_centers, normal, seeded};
 use crate::workload::Workload;
-use fml_store::{Database, JoinSpec, Schema, StoreResult, Tuple};
+use fml_store::{Database, FeatureGroup, JoinSpec, Schema, StoreResult};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Number of mixture components used when emulating real data.
 const EMULATED_CLUSTERS: usize = 5;
 
-/// Rows per generated [`FeatureBlock`]: bounds the dense staging buffer while
+/// Rows per generated [`FeatureBlock`]: bounds the staging buffer while
 /// keeping block-generation overhead negligible.
 const GEN_BLOCK_ROWS: usize = 4096;
 
@@ -207,7 +207,7 @@ fn scale_count(n: u64, scale: f64, floor: u64) -> u64 {
 }
 
 /// Generates a feature block for a batch of rows: one-hot in index form
-/// (never densified here) when `spec` is given, normal draws otherwise.
+/// when `spec` is given, normal draws otherwise.
 fn gen_feature_block(
     rng: &mut StdRng,
     spec: Option<&OneHotSpec>,
@@ -220,6 +220,19 @@ fn gen_feature_block(
     }
 }
 
+/// The layout of a width-`d` block: one-hot per [`OneHotSpec::auto`] for a
+/// sparse dataset, dense otherwise — with the feature group that stores it.
+fn layout(sparse: bool, d: usize) -> (Option<OneHotSpec>, FeatureGroup) {
+    match sparse {
+        true => {
+            let spec = OneHotSpec::auto(d);
+            let group = spec.group();
+            (Some(spec), group)
+        }
+        false => (None, FeatureGroup::Dense(d)),
+    }
+}
+
 fn generate_from_shape(shape: &DatasetShape, seed: u64) -> StoreResult<Workload> {
     let db = Database::in_memory();
     let mut rng = seeded(seed);
@@ -227,20 +240,12 @@ fn generate_from_shape(shape: &DatasetShape, seed: u64) -> StoreResult<Workload>
 
     let mut dim_names = Vec::new();
     let mut dim_clusters: Vec<Vec<usize>> = Vec::new();
-    let mut onehot = vec![if shape.sparse {
-        Some(OneHotSpec::auto(shape.d_s))
-    } else {
-        None
-    }];
     for (i, (n_r, d_r)) in shape.dims.iter().enumerate() {
         let name = format!("R{}", i + 1);
         let centers = cluster_centers(&mut rng, k, *d_r, 6.0);
-        let spec = if shape.sparse {
-            Some(OneHotSpec::auto(*d_r))
-        } else {
-            None
-        };
-        let rel = db.create_relation(Schema::dimension(name.clone(), *d_r))?;
+        let (spec, group) = layout(shape.sparse, *d_r);
+        let schema = Schema::dimension(name.clone(), *d_r).with_groups(vec![group]);
+        let rel = db.create_relation(schema)?;
         let mut clusters = Vec::with_capacity(*n_r as usize);
         {
             let mut rel = rel.lock();
@@ -251,9 +256,7 @@ fn generate_from_shape(shape: &DatasetShape, seed: u64) -> StoreResult<Workload>
                 let block = gen_feature_block(&mut rng, spec.as_ref(), &centers, &chunk);
                 for (r, &c) in chunk.iter().enumerate() {
                     clusters.push(c);
-                    // Storage boundary: the fixed-width page format takes
-                    // dense rows; one-hot blocks stay in index form until here.
-                    rel.append(&Tuple::dimension(key + r as u64, block.dense_row(r)))?;
+                    rel.append_row(key + r as u64, &[], None, block.row(r))?;
                 }
                 key += rows as u64;
             }
@@ -261,12 +264,12 @@ fn generate_from_shape(shape: &DatasetShape, seed: u64) -> StoreResult<Workload>
         }
         dim_names.push(name);
         dim_clusters.push(clusters);
-        onehot.push(spec);
     }
 
     let s_centers = cluster_centers(&mut rng, k, shape.d_s, 6.0);
-    let s_spec = onehot[0].clone();
-    let s_rel = db.create_relation(Schema::fact_with_target("S", shape.d_s, shape.dims.len()))?;
+    let (s_spec, s_group) = layout(shape.sparse, shape.d_s);
+    let s_schema = Schema::fact_with_target("S", shape.d_s, shape.dims.len());
+    let s_rel = db.create_relation(s_schema.with_groups(vec![s_group]))?;
     {
         let mut rel = s_rel.lock();
         let mut key = 0u64;
@@ -290,12 +293,7 @@ fn generate_from_shape(shape: &DatasetShape, seed: u64) -> StoreResult<Workload>
             for (r, (fks, &c)) in fks_chunk.into_iter().zip(clusters.iter()).enumerate() {
                 let mean = block.row_mean(r);
                 let y = (mean / 4.0).tanh() + c as f64 / k as f64 + normal(&mut rng, 0.0, 0.05);
-                rel.append(&Tuple::fact_with_target(
-                    key + r as u64,
-                    fks,
-                    y,
-                    block.dense_row(r),
-                ))?;
+                rel.append_row(key + r as u64, &fks, Some(y), block.row(r))?;
             }
             key += rows as u64;
         }
@@ -311,7 +309,6 @@ fn generate_from_shape(shape: &DatasetShape, seed: u64) -> StoreResult<Workload>
         },
         name: "emulated".to_string(),
         generating_clusters: Some(k),
-        onehot,
     })
 }
 
@@ -373,18 +370,28 @@ mod tests {
             assert_eq!(ones, OneHotSpec::auto(126).num_columns());
             assert!(t.target.is_some());
         }
-        // the workload carries the layout as typed metadata
-        assert!(w.has_onehot_blocks());
-        assert_eq!(w.onehot.len(), 2);
-        assert_eq!(w.onehot[0], Some(OneHotSpec::auto(126)));
-        assert_eq!(w.onehot[1], Some(OneHotSpec::auto(175)));
+        // the schemas store the layout: one code per categorical column
+        assert_eq!(
+            groups(&w),
+            [OneHotSpec::auto(126).group(), OneHotSpec::auto(175).group()]
+        );
+        assert_eq!(s.lock().schema().record_size(), 8 * 3 + 4 * 15);
+    }
+
+    /// The one feature group of each relation, in partition order.
+    fn groups(w: &Workload) -> Vec<FeatureGroup> {
+        let mut relations = vec![w.spec.fact_relation(&w.db).unwrap()];
+        relations.extend(w.spec.dimension_relations(&w.db).unwrap());
+        let groups = relations
+            .iter()
+            .map(|r| r.lock().schema().groups().to_vec());
+        groups.map(|g| g.into_iter().next().unwrap()).collect()
     }
 
     #[test]
     fn dense_datasets_carry_no_onehot_metadata() {
         let w = EmulatedDataset::Walmart.generate(0.002, 2).unwrap();
-        assert!(!w.has_onehot_blocks());
-        assert_eq!(w.onehot, vec![None, None]);
+        assert_eq!(groups(&w), [FeatureGroup::Dense(3), FeatureGroup::Dense(9)]);
     }
 
     #[test]

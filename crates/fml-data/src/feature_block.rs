@@ -1,22 +1,18 @@
 //! Typed feature blocks: the representation categorical data keeps end to end.
 //!
-//! Before this module existed, "sparse" datasets were generated by expanding
-//! every categorical tuple into a dense `Vec<f64>` of mostly zeros and pushing
-//! that through the dense kernels — the one-hot structure was an emulation
-//! detail that died at generation time.  [`FeatureBlock`] makes the
-//! representation explicit: a relation's feature block for a batch of rows is
-//! either a dense row-major [`Matrix`] or a set of **active column indices**
-//! per row plus the [`OneHotSpec`] that defines the block layout.  The
-//! generators ([`crate::emulated`], [`crate::multiway`]) produce one-hot blocks
-//! directly in index form; rows are only expanded to dense `f64` at the
-//! storage boundary (the page format is fixed-width — a compressed categorical
-//! page layout is a ROADMAP follow-up), and the trainers re-derive the index
-//! form from the 0/1 rows via [`fml_linalg::sparse::onehot_indices`] to run
-//! the gather/scatter kernels.
+//! [`FeatureBlock`] makes the representation explicit: a relation's feature
+//! block for a batch of rows is a dense row-major [`Matrix`], a set of
+//! **active column indices** per row plus the [`OneHotSpec`] that defines the
+//! block layout, or weighted CSR rows.  The generators ([`crate::emulated`],
+//! [`crate::multiway`]) build blocks directly in these forms and append each
+//! row as it is ([`FeatureBlock::row`]) to a relation whose schema stores the
+//! same form ([`FeatureBlock`]'s layout as an `fml_store::FeatureGroup`): a
+//! categorical row is stored as its codes, a weighted-sparse row as its
+//! nonzero pairs, from the generator through the page to the kernels.
 
 use crate::onehot::OneHotSpec;
 use crate::rng::normal;
-use fml_linalg::{CsrBlock, Matrix};
+use fml_linalg::{BlockVec, CsrBlock, Matrix};
 use rand::Rng;
 
 /// A batch of feature rows for one relation, in its natural representation.
@@ -36,7 +32,7 @@ pub enum FeatureBlock {
     },
     /// Weighted-sparse numeric features (TF-IDF-ish encodings, scaled
     /// indicators): arbitrary nonzero values with variable row support, kept
-    /// in compressed-sparse-row form until the storage boundary.
+    /// in compressed-sparse-row form, and stored as such.
     Csr(CsrBlock),
 }
 
@@ -116,8 +112,22 @@ impl FeatureBlock {
         }
     }
 
-    /// Row `r` as a dense vector — the storage-boundary conversion used when
-    /// appending tuples to the fixed-width page format.
+    /// Row `r` in the block's own form — what the generators append.
+    pub fn row(&self, r: usize) -> BlockVec<'_> {
+        match self {
+            FeatureBlock::Dense(m) => BlockVec::Dense(m.row(r)),
+            FeatureBlock::OneHot { indices, spec } => {
+                let nnz = spec.num_columns();
+                BlockVec::OneHot(&indices[r * nnz..(r + 1) * nnz])
+            }
+            FeatureBlock::Csr(b) => {
+                let (idx, vals) = b.row(r);
+                BlockVec::Csr { idx, vals }
+            }
+        }
+    }
+
+    /// Row `r` expanded to a dense vector (tests and oracles).
     pub fn dense_row(&self, r: usize) -> Vec<f64> {
         match self {
             FeatureBlock::Dense(m) => m.row(r).to_vec(),
@@ -209,13 +219,12 @@ impl FeatureBlock {
     /// (one per stratified sub-range, biased by the row's cluster, with the
     /// last slot occasionally dropped so row supports vary), and each active
     /// value is a cluster-shifted normal draw (never exactly `0.0`, and not
-    /// 0/1-valued, so the trainers' detection takes the CSR path rather than
-    /// the one-hot path).
+    /// 0/1-valued, so a row is weighted CSR, never one-hot).
     ///
     /// # Panics
-    /// Panics when `nnz` is zero, exceeds `width`, or exceeds the ¼-occupancy
-    /// auto-detection cutoff (`4·nnz > width`) — the scenario exists to
-    /// exercise the weighted sparse path, so undetectably dense shapes are
+    /// Panics when `nnz` is zero, exceeds `width`, or exceeds a quarter of
+    /// `width` (`4·nnz > width`) — the scenario exists to exercise the
+    /// weighted sparse path, so shapes too dense to profit from it are
     /// construction errors.
     pub fn generate_sparse_numeric<R: Rng + ?Sized>(
         rng: &mut R,
@@ -378,19 +387,18 @@ mod tests {
         assert!(block.occupancy() <= 3.0 / 16.0 + 1e-12);
         let mut saw_short_row = false;
         for r in 0..40 {
-            let dense = block.dense_row(r);
-            let rep = fml_linalg::SparseMode::Auto
-                .detect(&dense)
-                .expect("generated sparse rows must auto-detect");
-            // weighted values ⇒ the CSR path, never the one-hot path
+            // weighted values ⇒ a CSR row, never a one-hot one
+            let BlockVec::Csr { idx, vals } = block.row(r) else {
+                panic!("row {r} is {:?}", block.row(r));
+            };
             assert!(
-                matches!(rep, fml_linalg::SparseRep::Csr { .. }),
-                "row {r} detected as {rep:?}"
+                vals.iter().all(|&v| v != 0.0 && v != 1.0),
+                "row {r}: {vals:?}"
             );
-            let idx = block.row_indices(r).unwrap();
             assert!(idx.len() <= 3);
             saw_short_row |= idx.len() < 3;
             assert!(idx.windows(2).all(|w| w[0] < w[1]));
+            let dense = block.dense_row(r);
             assert!(dense.iter().filter(|&&v| v != 0.0).count() == idx.len());
         }
         assert!(saw_short_row, "row supports must vary");

@@ -14,9 +14,10 @@
 //!   (Tables IV & V) with synthetic values, including the one-hot "Sparse"
 //!   variants used for the NN experiments.
 //! * [`feature_block`] — the typed per-relation feature representation
-//!   ([`FeatureBlock`]): dense matrices or one-hot index sets; categorical
-//!   blocks are generated in index form and never densified until the
-//!   fixed-width storage boundary.
+//!   ([`FeatureBlock`]): dense matrices, one-hot index sets or weighted CSR
+//!   rows, generated in that form and stored as such — each relation's
+//!   schema declares its feature groups, so nothing is densified on the
+//!   way to the page.
 //! * [`onehot`] — one-hot encoding utilities used to build the sparse variants.
 //! * [`workload`] — a small bundle type (`Database` + `JoinSpec` + metadata) handed
 //!   to trainers and the benchmark harness.

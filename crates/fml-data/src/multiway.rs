@@ -10,7 +10,7 @@ use crate::feature_block::FeatureBlock;
 use crate::onehot::OneHotSpec;
 use crate::rng::{cluster_centers, normal, normal_vector, seeded};
 use crate::workload::Workload;
-use fml_store::{Database, JoinSpec, Schema, StoreResult, Tuple};
+use fml_store::{Database, FeatureGroup, JoinSpec, Schema, StoreResult, Tuple};
 use rand::Rng;
 
 /// The feature representation a dimension table is generated with.
@@ -25,8 +25,7 @@ pub enum DimKind {
     /// Weighted-sparse numeric features (TF-IDF-ish), generated directly in
     /// CSR form as a [`FeatureBlock::Csr`] with about `nnz` nonzeros per row.
     SparseNumeric {
-        /// Target nonzeros per row (must satisfy `4·nnz ≤ d` so the trainers'
-        /// ¼-occupancy auto-detection engages).
+        /// Nonzeros per row, at most (must satisfy `4·nnz ≤ d`).
         nnz: usize,
     },
 }
@@ -75,6 +74,18 @@ impl DimSpec {
     /// The one-hot layout of this dimension's feature block, if categorical.
     pub fn onehot_spec(&self) -> Option<OneHotSpec> {
         matches!(self.kind, DimKind::Categorical).then(|| OneHotSpec::auto(self.d))
+    }
+
+    /// The feature group the dimension's relation stores its block as.
+    pub(crate) fn group(&self) -> FeatureGroup {
+        match (self.kind, self.onehot_spec()) {
+            (_, Some(spec)) => spec.group(),
+            (DimKind::SparseNumeric { nnz }, _) => FeatureGroup::SparseNumeric {
+                width: self.d,
+                max_nnz: nnz,
+            },
+            _ => FeatureGroup::Dense(self.d),
+        }
     }
 }
 
@@ -177,17 +188,16 @@ impl MultiwayConfig {
         // Per-dimension cluster centers and per-tuple cluster assignments.
         let mut dim_names = Vec::with_capacity(self.dims.len());
         let mut dim_clusters: Vec<Vec<usize>> = Vec::with_capacity(self.dims.len());
-        let mut onehot = vec![None];
         for (i, dim) in self.dims.iter().enumerate() {
             assert!(dim.n > 0, "dimension table {i} must have tuples");
             let name = format!("R{}", i + 1);
             let centers = cluster_centers(&mut rng, self.k, dim.d, 8.0);
             let spec = dim.onehot_spec();
-            let rel = db.create_relation(Schema::dimension(name.clone(), dim.d))?;
+            let schema = Schema::dimension(name.clone(), dim.d).with_groups(vec![dim.group()]);
+            let rel = db.create_relation(schema)?;
             let clusters: Vec<usize> = (0..dim.n as usize).map(|key| key % self.k).collect();
             // Categorical and weighted-sparse dimensions are generated
-            // straight into index/CSR form; rows densify only at the
-            // fixed-width storage boundary below.
+            // straight into index/CSR form and stored as such.
             let block = match dim.kind {
                 DimKind::Categorical => FeatureBlock::generate_onehot(
                     &mut rng,
@@ -207,14 +217,13 @@ impl MultiwayConfig {
             };
             {
                 let mut rel = rel.lock();
-                for (key, _) in clusters.iter().enumerate() {
-                    rel.append(&Tuple::dimension(key as u64, block.dense_row(key)))?;
+                for key in 0..clusters.len() {
+                    rel.append_row(key as u64, &[], None, block.row(key))?;
                 }
                 rel.flush()?;
             }
             dim_names.push(name);
             dim_clusters.push(clusters);
-            onehot.push(spec);
         }
 
         let s_centers = cluster_centers(&mut rng, self.k, self.d_s, 8.0);
@@ -280,7 +289,6 @@ impl MultiwayConfig {
                 self.k
             ),
             generating_clusters: Some(self.k),
-            onehot,
         })
     }
 }
@@ -359,9 +367,16 @@ mod tests {
         let mut cfg = small();
         cfg.dims[1] = DimSpec::categorical(12, 9);
         let w = cfg.generate().unwrap();
-        assert!(w.has_onehot_blocks());
-        assert_eq!(w.onehot[2], Some(OneHotSpec::auto(9)));
-        assert_eq!(w.onehot[1], None);
+        let group = |name: &str| {
+            w.db.relation(name)
+                .unwrap()
+                .lock()
+                .schema()
+                .groups()
+                .to_vec()
+        };
+        assert_eq!(group("R2"), [OneHotSpec::auto(9).group()]);
+        assert_eq!(group("R1"), [FeatureGroup::Dense(3)]);
         let r2 = w.db.relation("R2").unwrap();
         let spec = OneHotSpec::auto(9);
         for t in scan_all(&r2, 16).unwrap() {
@@ -376,9 +391,13 @@ mod tests {
         let mut cfg = small();
         cfg.dims[1] = DimSpec::sparse_numeric(12, 16, 3);
         let w = cfg.generate().unwrap();
-        // no one-hot layout metadata — these are weighted, not categorical
-        assert_eq!(w.onehot[2], None);
+        // stored as up to three (index, value) pairs, not as codes
         let r2 = w.db.relation("R2").unwrap();
+        let group = FeatureGroup::SparseNumeric {
+            width: 16,
+            max_nnz: 3,
+        };
+        assert_eq!(r2.lock().schema().groups(), [group]);
         for t in scan_all(&r2, 16).unwrap() {
             assert_eq!(t.features.len(), 16);
             let nnz = t.features.iter().filter(|&&f| f != 0.0).count();
@@ -389,13 +408,12 @@ mod tests {
                 "sparse-numeric rows must carry weighted values: {:?}",
                 t.features
             );
-            // and the trainers' gate picks the CSR representation
-            let rep = fml_linalg::SparseMode::Auto.detect(&t.features);
-            assert!(
-                matches!(rep, Some(fml_linalg::SparseRep::Csr { .. })),
-                "row must detect as CSR: {rep:?}"
-            );
         }
+        // and the stored rows are weighted CSR rows
+        let mut scan = FactorizedScan::new(&w.db, &w.spec, 8).unwrap();
+        assert!(scan.next_window().unwrap());
+        let rep = scan.cache().row(1, 0);
+        assert!(matches!(rep, fml_linalg::BlockVec::Csr { .. }), "{rep:?}");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! redundancy that the factorized algorithms exploit.  [`OneHotSpec`] describes a
 //! set of categorical columns and expands category indices into 0/1 feature blocks.
 
+use fml_store::FeatureGroup;
+
 /// One-hot encodes a single categorical value into a block of `cardinality`
 /// indicator features.
 ///
@@ -92,6 +94,14 @@ impl OneHotSpec {
     /// Total width of the encoded feature vector.
     pub fn encoded_width(&self) -> usize {
         self.cardinalities.iter().sum()
+    }
+
+    /// The store's feature group for this layout: one `u32` code per
+    /// column, expanding to [`Self::encoded_width`] 0/1 columns.
+    pub fn group(&self) -> FeatureGroup {
+        FeatureGroup::OneHot {
+            cardinalities: self.cardinalities.clone(),
+        }
     }
 
     /// Offset of column `i`'s indicator sub-range within the encoded vector.

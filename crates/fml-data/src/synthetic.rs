@@ -168,7 +168,6 @@ impl SyntheticConfig {
                 self.tuple_ratio()
             ),
             generating_clusters: Some(self.k),
-            onehot: Workload::all_dense(2),
         })
     }
 }

@@ -1,6 +1,8 @@
 //! The `Workload` bundle: a populated database plus the join the model trains over.
+//!
+//! How each relation's features are stored — dense, one-hot, sparse — is
+//! its schema's business ([`fml_store::Schema::groups`]), not the bundle's.
 
-use crate::onehot::OneHotSpec;
 use fml_store::{Database, JoinSpec, StoreResult};
 
 /// A generated training workload.
@@ -18,11 +20,6 @@ pub struct Workload {
     /// Number of mixture components used to generate the data (if applicable);
     /// also the natural `K` to train a GMM with.
     pub generating_clusters: Option<usize>,
-    /// One-hot layout of each relation's feature block, in partition order
-    /// `[S, R_1, …, R_q]`; `None` for dense blocks.  Carried as metadata so
-    /// benches and tests can reason about occupancy without rescanning —
-    /// trainers detect the structure from the 0/1 rows themselves.
-    pub onehot: Vec<Option<OneHotSpec>>,
 }
 
 impl Workload {
@@ -51,17 +48,6 @@ impl Workload {
     /// Total feature dimensionality of the joined tuples.
     pub fn total_features(&self) -> StoreResult<usize> {
         self.spec.total_features(&self.db)
-    }
-
-    /// Whether any relation's feature block is one-hot encoded.
-    pub fn has_onehot_blocks(&self) -> bool {
-        self.onehot.iter().any(Option::is_some)
-    }
-
-    /// One-hot metadata marking every relation dense (the common case for the
-    /// numeric generators).
-    pub fn all_dense(num_relations: usize) -> Vec<Option<OneHotSpec>> {
-        vec![None; num_relations]
     }
 }
 

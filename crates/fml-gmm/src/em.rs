@@ -28,11 +28,11 @@
 //! three-pass Algorithm 1 on a fixture whose first step is `≥ 50σ`).
 //!
 //! **Execution shape.**  The source is a sequential callback scan; the pass
-//! buffers it into batches of [`PAR_BATCH_TUPLES`] rows, and a batch fans
-//! out over per-worker chunks whose partial statistics merge in chunk order
-//! (one chunk under a sequential policy or a small model).  Within a chunk
-//! the dense rows are compacted into a panel and run one level-3 kernel call
-//! **per component**, not per row:
+//! buffers its dense rows into batches of [`PAR_BATCH_TUPLES`] rows, and a
+//! batch fans out over per-worker chunks whose partial statistics merge in
+//! chunk order (one chunk under a sequential policy or a small model).  A
+//! chunk's rows form a panel and run one level-3 kernel call **per
+//! component**, not per row:
 //!
 //! * E-step: centre the panel around `µ_c`, whiten it —
 //!   `Y = (X − 1µ_cᵀ)·L_c⁻ᵀ` with [`gemm::matmul_upper_acc_with`] and the
@@ -47,11 +47,12 @@
 //!   triangle of `S_c` is maintained; it is mirrored once at the end of the
 //!   pass.
 //!
-//! Rows that carry a [`fml_linalg::SparseRep`] (under
-//! [`SparseMode::Auto`]) stay on the per-row gather path of [`crate::sparse`]:
-//! `Σ⁻¹` pair gathers in the E-step, then raw `γ·x xᵀ` pair scatters and
-//! `γ·x` sums, corrected around `µ_c` once per pass — after which they are in
-//! the same shifted form as the dense rows.
+//! Rows the source hands out one-hot or CSR (their relations' stored form,
+//! under [`SparseMode::Auto`]) take the per-row gather path of
+//! [`crate::sparse`] on the driving thread as they arrive: `Σ⁻¹` pair
+//! gathers in the E-step, then raw `γ·x xᵀ` pair scatters and `γ·x` sums,
+//! corrected around `µ_c` once per pass — after which they are in the same
+//! shifted form as the dense rows.
 //!
 //! **Bit contract.**  `M-GMM` and `S-GMM` feed this driver the same rows in
 //! the same order, so their fits are **bit-identical** on every join shape.
@@ -77,9 +78,7 @@ use crate::sparse::SparseFormPre;
 use crate::GmmConfig;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
 use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::RepCache;
-use fml_linalg::sparse::SparseMode;
-use fml_linalg::{gemm, vector, Matrix, Vector};
+use fml_linalg::{gemm, vector, BlockVec, Matrix, SparseMode, Vector};
 use fml_store::join::RowSource;
 use fml_store::StoreResult;
 use std::time::{Duration, Instant};
@@ -98,43 +97,20 @@ pub const PAR_MIN_BATCH_FLOPS: usize = 1 << 22;
 /// EM iteration.  Implementations: the materialized table `T` (`M-GMM`) and the
 /// on-the-fly join (`S-GMM`).
 pub trait DensePassSource {
-    /// Invokes `f` once per joined feature vector, in a deterministic order.
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()>;
+    /// Invokes `f` once per joined feature vector, in its stored form, in a
+    /// deterministic order.
+    fn for_each(&mut self, f: &mut dyn FnMut(BlockVec<'_>)) -> StoreResult<()>;
     /// Number of tuples produced per pass (`N`).
     fn num_tuples(&self) -> u64;
     /// Dimensionality `d` of the joined feature vectors.
     fn dim(&self) -> usize;
 }
 
-/// Replays `source` once, handing `flush` the rows in batches of
-/// [`PAR_BATCH_TUPLES`] (row-major in `batch`, which is reused across passes)
-/// — so the per-batch work can fan out over threads even though the source
-/// itself is a strictly sequential callback scan.
-fn for_each_batch(
-    source: &mut dyn DensePassSource,
-    batch: &mut Vec<f64>,
-    mut flush: impl FnMut(&[f64]),
-) -> StoreResult<()> {
-    let full = source.dim() * PAR_BATCH_TUPLES;
-    batch.clear();
-    source.for_each(&mut |x: &[f64]| {
-        batch.extend_from_slice(x);
-        if batch.len() >= full {
-            flush(batch);
-            batch.clear();
-        }
-    })?;
-    if !batch.is_empty() {
-        flush(batch);
-    }
-    Ok(())
-}
-
-/// Centres the rows `picked` (indices into the row-major, `d`-wide `rows`)
-/// around `mu` into the leading rows of the panel `out`, in order.
-fn center_rows(rows: &[f64], d: usize, picked: &[usize], mu: &[f64], out: &mut [f64]) {
-    for (&r, out_row) in picked.iter().zip(out.chunks_exact_mut(d)) {
-        vector::sub_into(&rows[r * d..(r + 1) * d], mu, out_row);
+/// Centres the `d`-wide rows of the row-major panel `rows` around `mu` into
+/// `out`, in order.
+fn center_rows(rows: &[f64], d: usize, mu: &[f64], out: &mut [f64]) {
+    for (x, out_row) in rows.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        vector::sub_into(x, mu, out_row);
     }
 }
 
@@ -255,11 +231,6 @@ struct ShiftedStats {
     /// Upper triangle of `Σγ·(x − µ_c)(x − µ_c)ᵀ` over the dense rows, plus
     /// the raw `Σγ·x xᵀ` of the sparse rows.
     scatter: Vec<Matrix>,
-    /// `Σγ·x` over the sparse rows.
-    sparse_gx: Vec<Vector>,
-    /// `Σγ` over the sparse rows.
-    sparse_gamma: Vec<f64>,
-    any_sparse: bool,
 }
 
 impl ShiftedStats {
@@ -269,9 +240,6 @@ impl ShiftedStats {
             ll: 0.0,
             shift: vec![Vector::zeros(d); k],
             scatter: vec![Matrix::zeros(d, d); k],
-            sparse_gx: vec![Vector::zeros(d); k],
-            sparse_gamma: vec![0.0; k],
-            any_sparse: false,
         }
     }
 
@@ -281,10 +249,7 @@ impl ShiftedStats {
         for c in 0..self.nk.len() {
             self.shift[c].axpy(1.0, &other.shift[c]);
             self.scatter[c].add_assign(&other.scatter[c]);
-            self.sparse_gx[c].axpy(1.0, &other.sparse_gx[c]);
-            self.sparse_gamma[c] += other.sparse_gamma[c];
         }
-        self.any_sparse |= other.any_sparse;
     }
 }
 
@@ -336,14 +301,9 @@ pub fn train_dense_from(
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);
     let auto_sparse = ex.sparse == SparseMode::Auto;
-    // Per-tuple representation cache, filled lazily during the first
-    // iteration's pass — the sources replay tuples in a deterministic order,
-    // so later iterations index it by tuple position.  No extra scan is
-    // performed (the streaming cost model stays exact) and detection runs at
-    // most once per tuple.  Memory is O(total nnz) — nothing for an all-dense
-    // source, which leaves a streaming fit with no O(n) state at all.
-    let mut reps = RepCache::new(ex.sparse);
-    let mut batch: Vec<f64> = Vec::with_capacity(d * PAR_BATCH_TUPLES);
+    let full = d * PAR_BATCH_TUPLES;
+    let mut batch: Vec<f64> = Vec::with_capacity(full);
+    let mut resp = vec![0.0; k];
 
     for _iter in 0..opts.max_iters {
         let pre = Precomputed::from_model(&model, opts.ridge);
@@ -358,55 +318,22 @@ pub fn train_dense_from(
             Vec::new()
         };
 
-        // The iteration's one pass.  Each batch fans out over deterministic
-        // chunks; a chunk finishes the responsibilities of its rows,
-        // accumulates their statistics around `pre.means` and returns them
-        // plus, during the first iteration, the detected representations;
-        // the partials merge in chunk order (the RepCache segment protocol).
-        let mut stats = ShiftedStats::zeros(k, d);
-        let mut row_cursor = 0usize;
-        for_each_batch(source, &mut batch, |rows| {
-            let n_rows = rows.len() / d;
-            let base = row_cursor;
-            let reps_ref: &RepCache = &reps;
-            let parts = par_chunks_with_threads(workers, n_rows, 1, |range| {
+        // A batch of dense rows fans out over deterministic chunks; a chunk
+        // finishes the responsibilities of its rows and accumulates their
+        // statistics around `pre.means`; the partials merge in chunk order.
+        let dense_batch = |rows: &[f64], stats: &mut ShiftedStats| {
+            let parts = par_chunks_with_threads(workers, rows.len() / d, 1, |range| {
                 let chunk = &rows[range.start * d..range.end * d];
-                let mut seg = reps_ref.segment(base + range.start);
+                let n = range.len();
                 let mut local = ShiftedStats::zeros(k, d);
-                // A sparse row is finished on the spot: `Σ⁻¹` pair gathers,
-                // then raw `γ·x xᵀ` pair scatters and `γ·x` sums.  Dense
-                // rows are collected for the batched form below.
-                let mut resp = vec![0.0; k];
-                let mut dense = Vec::with_capacity(range.len());
-                for (r, x) in chunk.chunks_exact(d).enumerate() {
-                    let Some(rep) = seg.rep_or_detect(base + range.start + r, x) else {
-                        dense.push(r);
-                        continue;
-                    };
-                    for (c, ld) in resp.iter_mut().enumerate() {
-                        let quad = sparse_pre[c].quad_flat(&pre.inverses[c], rep);
-                        *ld = pre.log_norm[c] - 0.5 * quad;
-                    }
-                    local.ll += pre.finish_responsibilities_in_place(&mut resp);
-                    for (c, &g) in resp.iter().enumerate() {
-                        local.nk[c] += g;
-                        rep.scatter_pair(g, &mut local.scatter[c]);
-                        rep.axpy_into(g, local.sparse_gx[c].as_mut_slice());
-                        local.sparse_gamma[c] += g;
-                    }
-                    local.any_sparse = true;
-                }
-                if dense.is_empty() {
-                    return (local, seg.into_detected());
-                }
-                // Per component: Y = (X − 1µᵀ)·L⁻ᵀ over the dense rows, then
-                // the Mahalanobis distance of row r is ‖Y_r‖².
-                let mut centered = vec![0.0; dense.len() * d];
-                let mut whitened = vec![0.0; dense.len() * d];
-                let mut quads = vec![0.0; dense.len()];
-                let mut band = vec![0.0; dense.len() * k];
+                // Per component: Y = (X − 1µᵀ)·L⁻ᵀ, then the Mahalanobis
+                // distance of row r is ‖Y_r‖².
+                let mut centered = vec![0.0; n * d];
+                let mut whitened = vec![0.0; n * d];
+                let mut quads = vec![0.0; n];
+                let mut band = vec![0.0; n * k];
                 for c in 0..k {
-                    center_rows(chunk, d, &dense, pre.means[c].as_slice(), &mut centered);
+                    center_rows(chunk, d, pre.means[c].as_slice(), &mut centered);
                     whitened.fill(0.0);
                     gemm::matmul_upper_acc_with(kp, &centered, &whiteners[c], &mut whitened);
                     gemm::row_sq_norms_with(kp, &whitened, d, &mut quads);
@@ -422,7 +349,7 @@ pub fn train_dense_from(
                 // the upper triangle and `s_c += Xᵀγ_c`, with γ_c = column c
                 // of the band, read at stride k.
                 for c in 0..k {
-                    center_rows(chunk, d, &dense, pre.means[c].as_slice(), &mut centered);
+                    center_rows(chunk, d, pre.means[c].as_slice(), &mut centered);
                     let weights = &band[c..];
                     gemm::syrk_upper_acc_with(kp, &centered, weights, k, &mut local.scatter[c]);
                     let shift = local.shift[c].as_mut_slice();
@@ -430,15 +357,47 @@ pub fn train_dense_from(
                         vector::axpy(g, x, shift);
                     }
                 }
-                (local, seg.into_detected())
+                local
             });
-            for (local, detected) in parts {
+            for local in parts {
                 stats.merge(&local);
-                reps.merge(detected);
             }
-            row_cursor += n_rows;
+        };
+
+        // The iteration's one pass.  A sparse row is finished on the spot:
+        // `Σ⁻¹` pair gathers, then raw `γ·x xᵀ` pair scatters and the sums
+        // `Σγ·x` and `Σγ`.  Dense rows are buffered for the batched form
+        // above.
+        let mut stats = ShiftedStats::zeros(k, d);
+        let (mut sparse_gx, mut sparse_gamma) = (vec![Vector::zeros(d); k], vec![0.0; k]);
+        let mut any_sparse = false;
+        batch.clear();
+        source.for_each(&mut |row| match row {
+            BlockVec::Dense(x) => {
+                batch.extend_from_slice(x);
+                if batch.len() == full {
+                    dense_batch(&batch, &mut stats);
+                    batch.clear();
+                }
+            }
+            rep => {
+                for (c, ld) in resp.iter_mut().enumerate() {
+                    let quad = sparse_pre[c].quad_flat(&pre.inverses[c], rep);
+                    *ld = pre.log_norm[c] - 0.5 * quad;
+                }
+                stats.ll += pre.finish_responsibilities_in_place(&mut resp);
+                for (c, &g) in resp.iter().enumerate() {
+                    stats.nk[c] += g;
+                    rep.scatter_pair(g, &mut stats.scatter[c]);
+                    rep.axpy_into(g, sparse_gx[c].as_mut_slice());
+                    sparse_gamma[c] += g;
+                }
+                any_sparse = true;
+            }
         })?;
-        reps.finish_fill();
+        if !batch.is_empty() {
+            dense_batch(&batch, &mut stats);
+        }
 
         // The SYRKs maintained the upper triangle only.
         for s in &mut stats.scatter {
@@ -447,15 +406,15 @@ pub fn train_dense_from(
         // Sparse rows: the dense corrections
         // `−(Σγx)µᵀ − µ(Σγx)ᵀ + (Σγ)µµᵀ` and `Σγx − (Σγ)µ`, once per pass
         // per component, bring their raw sums into the shifted form.
-        if stats.any_sparse {
+        if any_sparse {
             for c in 0..k {
-                let (mu, gx) = (pre.means[c].as_slice(), stats.sparse_gx[c].as_slice());
+                let (mu, gx) = (pre.means[c].as_slice(), sparse_gx[c].as_slice());
                 gemm::ger_with(kp, -1.0, gx, mu, &mut stats.scatter[c]);
                 gemm::ger_with(kp, -1.0, mu, gx, &mut stats.scatter[c]);
-                gemm::ger_with(kp, stats.sparse_gamma[c], mu, mu, &mut stats.scatter[c]);
+                gemm::ger_with(kp, sparse_gamma[c], mu, mu, &mut stats.scatter[c]);
                 let shift = stats.shift[c].as_mut_slice();
                 vector::axpy(1.0, gx, shift);
-                vector::axpy(-stats.sparse_gamma[c], mu, shift);
+                vector::axpy(-sparse_gamma[c], mu, shift);
             }
         }
 
@@ -509,7 +468,7 @@ impl VecSource {
 /// The `M-GMM` / `S-GMM` source: the join's rows, from its materialized
 /// table or joined on the fly.
 impl DensePassSource for RowSource<'_> {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
+    fn for_each(&mut self, f: &mut dyn FnMut(BlockVec<'_>)) -> StoreResult<()> {
         self.for_each_row(&mut |x, _| f(x))
     }
 
@@ -523,9 +482,9 @@ impl DensePassSource for RowSource<'_> {
 }
 
 impl DensePassSource for VecSource {
-    fn for_each(&mut self, f: &mut dyn FnMut(&[f64])) -> StoreResult<()> {
+    fn for_each(&mut self, f: &mut dyn FnMut(BlockVec<'_>)) -> StoreResult<()> {
         for r in &self.rows {
-            f(r);
+            f(BlockVec::Dense(r));
         }
         Ok(())
     }

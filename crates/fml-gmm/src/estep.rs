@@ -26,8 +26,7 @@
 use crate::model::Precomputed;
 use crate::sparse::SparseFormPre;
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
-use fml_linalg::sparse::{SparseMode, SparseRep};
-use fml_linalg::{gemm, vector, KernelPolicy};
+use fml_linalg::{gemm, vector, BlockVec, KernelPolicy, SparseMode};
 use std::ops::Range;
 
 /// Where one dimension's per-(tuple, component) quantities sit inside its
@@ -151,8 +150,8 @@ pub struct EStep {
     forms: Vec<BlockQuadraticForm>,
     means_split: Vec<Vec<Vec<f64>>>,
     layouts: Vec<DimLayout>,
-    /// `sparse_pre[c][i]` serves component `c`, dimension `i`; empty unless
-    /// the run detects sparse tuples.
+    /// `sparse_pre[c][i]` serves component `c`, dimension `i`; empty under
+    /// [`SparseMode::Dense`].
     sparse_pre: Vec<Vec<SparseFormPre>>,
     /// Fact-block diagonal constants per component; empty like `sparse_pre`.
     fact_pre: Vec<SparseFormPre>,
@@ -161,9 +160,8 @@ pub struct EStep {
 
 impl EStep {
     /// Partitions `pre` along `partition` under the sequential kernel policy
-    /// `kp`.  `sparse` is the run's detection mode: under
-    /// [`SparseMode::Dense`] no tuple ever carries a [`SparseRep`], so the
-    /// `O(k·d²)` sparse constants are not built.
+    /// `kp`.  `sparse` is the run's mode: under [`SparseMode::Dense`] every
+    /// row is dense, so the `O(k·d²)` sparse constants are not built.
     pub fn new(
         pre: Precomputed,
         partition: &BlockPartition,
@@ -212,30 +210,30 @@ impl EStep {
     }
 
     /// Fills the row of one tuple of dimension `i` (all components).  Sparse
-    /// tuples (`rep` given) compute the diagonal and fact-cross quantities
-    /// through the mean decomposition (gathers only); in a star join the
-    /// centered vector is still materialized, because the partner vectors
-    /// towards other dimension blocks evaluate densely.
-    pub fn fill_row(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]) {
+    /// tuples compute the diagonal and fact-cross quantities through the
+    /// mean decomposition (gathers only); in a star join the centered vector
+    /// is still materialized, because the partner vectors towards other
+    /// dimension blocks evaluate densely.
+    pub fn fill_row(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]) {
         let (lay, block) = (&self.layouts[i], i + 1);
         for (c, entry) in row.chunks_exact_mut(lay.len).enumerate() {
             let form = &self.forms[c];
             let (pd, rest) = entry.split_at_mut(lay.d);
-            if rep.is_none() || self.layouts.len() > 1 {
-                vector::sub_into(features, &self.means_split[c][block], pd);
+            if x.is_dense() || self.layouts.len() > 1 {
+                x.sub_into(&self.means_split[c][block], pd);
             }
-            let (diag, cross_s) = match rep {
-                Some(rep) => {
+            let (diag, cross_s) = match x {
+                BlockVec::Dense(_) => (
+                    form.term(block, block, pd, pd),
+                    cross_vector(form, 0, block, pd, self.kp),
+                ),
+                rep => {
                     let pre = &self.sparse_pre[c][i];
                     (
                         pre.diag_term(form, block, rep),
                         pre.cross_vector(form, block, rep, self.kp),
                     )
                 }
-                None => (
-                    form.term(block, block, pd, pd),
-                    cross_vector(form, 0, block, pd, self.kp),
-                ),
             };
             rest[..lay.d_s].copy_from_slice(&cross_s);
             rest[lay.d_s] = diag;
@@ -254,27 +252,26 @@ impl EStep {
     /// diagonal, fact cross and partner cells — whoever the caller is.
     pub fn log_densities(
         &self,
-        fact: &[f64],
-        fact_rep: Option<&SparseRep>,
+        fact: BlockVec<'_>,
         rows: &[&[f64]],
         pd_s: &mut [f64],
         out: &mut [f64],
     ) {
         for (c, ld) in out.iter_mut().enumerate() {
-            let mut quad = match fact_rep {
-                Some(rep) => self.fact_pre[c].diag_term(&self.forms[c], 0, rep),
-                None => {
-                    vector::sub_into(fact, &self.means_split[c][0], pd_s);
+            let mut quad = match fact {
+                BlockVec::Dense(x) => {
+                    vector::sub_into(x, &self.means_split[c][0], pd_s);
                     self.forms[c].term(0, 0, pd_s, pd_s)
                 }
+                rep => self.fact_pre[c].diag_term(&self.forms[c], 0, rep),
             };
             for (lay, row) in self.layouts.iter().zip(rows) {
                 let e = &row[c * lay.len..(c + 1) * lay.len];
                 let w = &e[lay.fact()];
                 quad += e[lay.scalar()]
-                    + match fact_rep {
-                        Some(rep) => rep.gather_dot(w) - e[lay.mu_dot()],
-                        None => vector::dot(pd_s, w),
+                    + match fact {
+                        BlockVec::Dense(_) => vector::dot(pd_s, w),
+                        rep => rep.gather_dot(w) - e[lay.mu_dot()],
                     };
                 // cross cells towards the narrower dimensions
                 for &(n, off) in &lay.partners {
@@ -319,11 +316,11 @@ mod tests {
         )
     }
 
-    /// One block of width `w`: dense (`kind` 0), one-hot (1) or CSR (2), with
-    /// the representation the trainers' detection would hand the engine.
-    fn block(rng: &mut TestRng, w: usize, kind: usize) -> (Vec<f64>, Option<SparseRep>) {
+    /// One block of width `w`: dense (`kind` 0), one-hot (1) or CSR (2), as
+    /// `(expanded, indices, values)`.
+    fn block(rng: &mut TestRng, w: usize, kind: usize) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
         if kind == 0 {
-            return (rng.vec_in(w, -2.0, 2.0), None);
+            return (rng.vec_in(w, -2.0, 2.0), Vec::new(), Vec::new());
         }
         let idx: Vec<u32> = (0..w as u32).filter(|_| rng.bool()).collect();
         let vals: Vec<f64> = idx
@@ -334,12 +331,16 @@ mod tests {
         for (&i, &v) in idx.iter().zip(&vals) {
             x[i as usize] = v;
         }
-        let rep = if kind == 1 {
-            SparseRep::OneHot(idx)
-        } else {
-            SparseRep::Csr { idx, vals }
-        };
-        (x, Some(rep))
+        (x, idx, vals)
+    }
+
+    /// The stored form of a [`block`] of `kind`.
+    fn view<'a>(kind: usize, (x, idx, vals): &'a (Vec<f64>, Vec<u32>, Vec<f64>)) -> BlockVec<'a> {
+        match kind {
+            0 => BlockVec::Dense(x),
+            1 => BlockVec::OneHot(idx),
+            _ => BlockVec::Csr { idx, vals },
+        }
     }
 
     /// `log_densities` over `fill_row` rows equals the dense reference on the
@@ -358,20 +359,22 @@ mod tests {
                 let estep = EStep::new(pre.clone(), &partition, SparseMode::Auto, kp);
                 assert_eq!((estep.k(), estep.fact_width()), (k, sizes[0]));
                 for trial in 0..18 {
-                    let (fact, fact_rep) = block(&mut rng, sizes[0], trial % 2);
-                    let mut joined = fact.clone();
+                    let fact = block(&mut rng, sizes[0], trial % 2);
+                    let mut joined = fact.0.clone();
                     let mut rows: Vec<Vec<f64>> = Vec::new();
                     for i in 0..q {
-                        let (x, rep) = block(&mut rng, sizes[i + 1], (trial / 2 + i) % 3);
+                        let kind = (trial / 2 + i) % 3;
+                        let x = block(&mut rng, sizes[i + 1], kind);
                         let mut row = vec![f64::NAN; estep.row_len(i)];
-                        estep.fill_row(i, &x, rep.as_ref(), &mut row);
+                        estep.fill_row(i, view(kind, &x), &mut row);
                         rows.push(row);
-                        joined.extend_from_slice(&x);
+                        joined.extend_from_slice(&x.0);
                     }
                     let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
                     let mut log_dens = vec![0.0; k];
                     let mut pd_s = vec![0.0; sizes[0]];
-                    estep.log_densities(&fact, fact_rep.as_ref(), &rows, &mut pd_s, &mut log_dens);
+                    let fact = view(trial % 2, &fact);
+                    estep.log_densities(fact, &rows, &mut pd_s, &mut log_dens);
                     let (resp, ll) = estep.pre.finish_responsibilities(&mut log_dens);
                     let (want_resp, want_ll) = pre.responsibilities_dense(&joined);
                     let what = format!("{sizes:?}/{kp:?}/trial {trial}");

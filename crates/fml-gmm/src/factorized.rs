@@ -37,17 +37,13 @@
 //! windows pays the dimension-side work once per tuple all the same, and
 //! reads exactly the pages `S-GMM` reads.
 //!
-//! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  Representations
-//! ([`fml_linalg::SparseRep`]: one-hot, weighted CSR, or dense) are detected
-//! during the first iteration — no extra scan — and cached for the whole run:
-//! dimension tuples by ordinal ([`KeyedRepCache`], keyed by
-//! [`FactorizedScan::ordinal_base`]` + ordinal`), facts by scan position
-//! ([`RepCache`]).  Detection runs at most **once per tuple** per training
-//! run (the regression tests pin this with
-//! [`fml_linalg::sparse::detect_calls`]).  Sparse tuples contribute through
-//! the mean decomposition of [`crate::sparse`]: raw-`x` gathers and scatters
-//! per tuple, dense mean corrections once per window or pass, around the
-//! iteration's starting means.
+//! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  A tuple comes out
+//! of the scan in the form its relation stores it ([`BlockVec`]: one-hot,
+//! weighted CSR, or dense) — nothing is classified or cached per tuple.
+//! Sparse tuples contribute through the mean decomposition of
+//! [`crate::sparse`]: raw-`x` gathers and scatters per tuple, dense mean
+//! corrections once per window or pass, around the iteration's starting
+//! means.
 //!
 //! **Execution shape.**  Per fact block a sequential sweep fills the arena
 //! rows of newly referenced dimension tuples, the per-fact E-step fans out
@@ -71,8 +67,8 @@ use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::{KeyedRepCache, OrdinalArena, RepCache};
-use fml_linalg::{vector, Matrix, Vector};
+use fml_linalg::repcache::OrdinalArena;
+use fml_linalg::{vector, BlockVec, Matrix, Vector};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
@@ -121,12 +117,6 @@ impl FactorizedGmm {
         // Fan out only when per-fact work can amortize the pool dispatch.
         let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_FACT_FLOPS;
         let workers = ex.workers(par);
-        // Detection caches, **hoisted out of the EM loop**: the tuples are
-        // immutable and every scan replays them in the same order, so the
-        // first iteration fills the caches and every later one reads them.
-        let mut dim_reps: Vec<KeyedRepCache> =
-            (0..q).map(|_| KeyedRepCache::new(ex.sparse)).collect();
-        let mut fact_reps = RepCache::new(ex.sparse);
         // Per-dimension arenas, re-sized and cleared at the start of each
         // window and claimed together: `terms` holds the E-step rows,
         // `aggs` the M-step aggregate rows (see [`DimLayout`]).
@@ -164,8 +154,8 @@ impl FactorizedGmm {
             let mut fact_acc: Vec<SparseDiagAcc> =
                 (0..k).map(|_| SparseDiagAcc::new(d_s)).collect();
             let mut any_sparse_fact = false;
-            let mut cursor = 0usize;
-            let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+            let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+            let mut scan = scan.sparse_mode(ex.sparse);
             while scan.next_window()? {
                 for (i, (terms, aggs)) in terms.iter_mut().zip(&mut aggs).enumerate() {
                     terms.reset(scan.cache().dim_len(i));
@@ -181,12 +171,7 @@ impl FactorizedGmm {
                     for f in 0..block.len() {
                         for (i, &ord) in block.ords_of(f).iter().enumerate() {
                             if terms[i].claim(ord) {
-                                let features = cache.row(i, ord);
-                                // Detection persists across iterations; only the
-                                // first encounter of a tuple ever scans it.
-                                let key = scan.ordinal_base(i) + ord;
-                                let rep = dim_reps[i].rep_or_detect(key, features);
-                                estep.fill_row(i, features, rep, terms[i].row_mut(ord));
+                                estep.fill_row(i, cache.row(i, ord), terms[i].row_mut(ord));
                                 aggs[i].claim(ord);
                                 aggs[i].row_mut(ord).fill(0.0);
                             }
@@ -194,11 +179,9 @@ impl FactorizedGmm {
                     }
                     // The per-fact evaluation fans out over chunks that read
                     // the E-step rows immutably.
-                    let fact_reps_ref = &fact_reps;
                     let parts = par_chunks_with_threads(workers, block.len(), 1, |range| {
                         let mut local_gammas = Vec::with_capacity(range.len() * k);
                         let mut local_lls = Vec::with_capacity(range.len());
-                        let mut seg = fact_reps_ref.segment(cursor + range.start);
                         let mut log_dens = vec![0.0; k];
                         let mut pd_s = vec![0.0; d_s];
                         let mut rows: Vec<&[f64]> = Vec::with_capacity(q);
@@ -210,37 +193,33 @@ impl FactorizedGmm {
                                     .zip(block.ords_of(f))
                                     .map(|(arena, &ord)| arena.row(ord)),
                             );
-                            let x_s = facts.features(f);
-                            let rep = seg.rep_or_detect(cursor + f, x_s);
-                            estep.log_densities(x_s, rep, &rows, &mut pd_s, &mut log_dens);
+                            estep.log_densities(facts.row(f), &rows, &mut pd_s, &mut log_dens);
                             local_lls
                                 .push(estep.pre.finish_responsibilities_in_place(&mut log_dens));
                             local_gammas.extend_from_slice(&log_dens);
                         }
-                        (local_gammas, local_lls, seg.into_detected())
+                        (local_gammas, local_lls)
                     });
                     // Fact-order fold of the responsibilities and of the
                     // block's M-step remainder: the sums do not depend on how
                     // the block was chunked, hence not on the worker count.
                     let mut f = 0;
-                    for (local_gammas, local_lls, detected) in parts {
-                        fact_reps.merge(detected);
+                    for (local_gammas, local_lls) in parts {
                         for (g, tuple_ll) in local_gammas.chunks_exact(k).zip(local_lls) {
                             vector::axpy(1.0, g, &mut nk);
                             ll += tuple_ll;
-                            let (x_s, ords) = (facts.features(f), block.ords_of(f));
-                            let rep = fact_reps.get(cursor + f);
-                            any_sparse_fact |= rep.is_some();
+                            let (x_s, ords) = (facts.row(f), block.ords_of(f));
+                            any_sparse_fact |= !x_s.is_dense();
                             // fact-fact block, per fact; `pd_s` keeps
                             // `PD_S` under every component
                             for c in 0..k {
-                                match rep {
-                                    Some(rep) => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
-                                    None => {
+                                match x_s {
+                                    BlockVec::Dense(x) => {
                                         let pd = &mut pd_s[c * d_s..(c + 1) * d_s];
-                                        vector::sub_into(x_s, &means_split[c][0], pd);
+                                        vector::sub_into(x, &means_split[c][0], pd);
                                         scatter[c].add_outer(0, 0, g[c], pd, pd);
                                     }
+                                    rep => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
                                 }
                             }
                             for (i, lay) in layouts.iter().enumerate() {
@@ -248,13 +227,13 @@ impl FactorizedGmm {
                                 for (c, a) in row.chunks_exact_mut(lay.agg_len()).enumerate() {
                                     a[lay.agg_scalar()] += g[c];
                                     let sum_s = &mut a[lay.agg_fact()];
-                                    match rep {
-                                        Some(rep) => {
+                                    match x_s {
+                                        BlockVec::Dense(_) => {
+                                            vector::axpy(g[c], &pd_s[c * d_s..(c + 1) * d_s], sum_s)
+                                        }
+                                        rep => {
                                             rep.axpy_into(g[c], sum_s);
                                             a[lay.agg_mu_dot()] += g[c];
-                                        }
-                                        None => {
-                                            vector::axpy(g[c], &pd_s[c * d_s..(c + 1) * d_s], sum_s)
                                         }
                                     }
                                 }
@@ -272,7 +251,6 @@ impl FactorizedGmm {
                             f += 1;
                         }
                     }
-                    cursor += block.len();
                 }
                 // Dimension-side blocks, once per referenced dimension tuple.
                 // Sparse tuples go through the sparse decomposition: raw-x
@@ -283,7 +261,7 @@ impl FactorizedGmm {
                     let mut acc: Vec<SparseScatterAcc> =
                         (0..k).map(|_| SparseScatterAcc::new(d_s, lay.d)).collect();
                     for ord in terms[i].referenced() {
-                        let rep = dim_reps[i].get(scan.ordinal_base(i) + ord);
+                        let x = scan.cache().row(i, ord);
                         let rows = terms[i].row(ord).chunks_exact(lay.len);
                         let agg_rows = aggs[i].row(ord).chunks_exact(lay.agg_len());
                         for (c, (e, a)) in rows.zip(agg_rows).enumerate() {
@@ -300,14 +278,14 @@ impl FactorizedGmm {
                             if i == 0 {
                                 vector::axpy(1.0, w_s, &mut shift[..d_s]);
                             }
-                            match rep {
-                                Some(rep) => acc[c].record(&mut scatter[c], b, gamma, w_s, rep),
-                                None => {
+                            match x {
+                                BlockVec::Dense(_) => {
                                     scatter[c].add_outer(0, b, 1.0, w_s, pd);
                                     scatter[c].add_outer(b, 0, 1.0, pd, w_s);
                                     scatter[c].add_outer(b, b, gamma, pd, pd);
                                     vector::axpy(gamma, pd, &mut shift[partition.range(b)]);
                                 }
+                                rep => acc[c].record(&mut scatter[c], b, gamma, w_s, rep),
                             }
                             // both cross cells of each pair, once per wide tuple
                             for &(n, off) in &lay.partners {
@@ -327,7 +305,6 @@ impl FactorizedGmm {
                     }
                 }
             }
-            fact_reps.finish_fill();
             for (c, acc) in fact_acc.iter().enumerate() {
                 acc.finalize(&mut scatter[c], 0, &means_split[c][0]);
             }

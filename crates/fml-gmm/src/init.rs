@@ -77,7 +77,9 @@ impl GmmInit {
         }
         let mut relations = vec![fact];
         relations.extend(spec.dimension_relations(db)?);
-        let mut rows = RowBlock::default();
+        // Column statistics over the rows expanded to dense, whatever their
+        // stored form.
+        let mut rows = RowBlock::expanding();
         for rel in relations {
             let d_rel = rel.lock().schema().num_features;
             let mut sum = vec![0.0; d_rel];

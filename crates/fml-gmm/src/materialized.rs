@@ -46,7 +46,7 @@ impl MaterializedGmm {
         }
         materialize_join(db, spec, t_name.clone(), ex.block_pages)?;
         let table = JoinSpec::multiway(t_name, vec![]);
-        let mut source = RowSource::join(db, table, ex.block_pages)?;
+        let mut source = RowSource::join(db, table, ex.block_pages)?.sparse_mode(ex.sparse);
         let probe = db.stats().io_probe();
         let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();

@@ -1,6 +1,6 @@
 //! Sparse-path machinery shared by the factorized E-step ([`crate::estep`]),
 //! the dense driver and the factorized M-step, generalized over
-//! both sparse representations ([`SparseRep`]):
+//! both sparse forms of a stored row ([`BlockVec`]):
 //! one-hot index sets and weighted CSR rows.
 //!
 //! The EM quantities the factorized trainers compute per dimension tuple all
@@ -29,8 +29,7 @@
 //! rounding tolerances the cross-variant equivalence tests already use.
 
 use fml_linalg::block::{BlockQuadraticForm, BlockScatter};
-use fml_linalg::sparse::SparseRep;
-use fml_linalg::{gemm, vector, KernelPolicy, Matrix};
+use fml_linalg::{gemm, vector, BlockVec, KernelPolicy, Matrix};
 
 /// Per-component, per-dimension-block constants for the sparse decomposition
 /// of the centered E-step quantities.  `block` is the partition index of the
@@ -109,12 +108,12 @@ impl SparseFormPre {
 
     /// `(x−µ)ᵀ A_bb (x−µ)` for sparse `x` — `nnz²` loads/multiply-adds plus
     /// one gather.
-    pub fn diag_term(&self, form: &BlockQuadraticForm, block: usize, rep: &SparseRep) -> f64 {
+    pub fn diag_term(&self, form: &BlockQuadraticForm, block: usize, rep: BlockVec<'_>) -> f64 {
         self.quad_flat(form.block(block, block), rep)
     }
 
     /// `(x−µ)ᵀ A (x−µ)` against a flat matrix (see [`Self::build_flat`]).
-    pub fn quad_flat(&self, a: &Matrix, rep: &SparseRep) -> f64 {
+    pub fn quad_flat(&self, a: &Matrix, rep: BlockVec<'_>) -> f64 {
         rep.quadratic_form_pair(a) - rep.gather_dot(&self.a_mu_sum) + self.mu_a_mu
     }
 
@@ -124,7 +123,7 @@ impl SparseFormPre {
         &self,
         form: &BlockQuadraticForm,
         block: usize,
-        rep: &SparseRep,
+        rep: BlockVec<'_>,
         kp: KernelPolicy,
     ) -> Vec<f64> {
         let mut w = rep.matvec(kp, form.block(0, block));
@@ -174,24 +173,12 @@ impl SparseScatterAcc {
         block: usize,
         group_gamma: f64,
         weighted_pd_s: &[f64],
-        rep: &SparseRep,
+        rep: BlockVec<'_>,
     ) {
-        let bv = rep.as_block_vec();
-        scatter.add_outer_rep(
-            0,
-            block,
-            1.0,
-            fml_linalg::BlockVec::Dense(weighted_pd_s),
-            bv,
-        );
-        scatter.add_outer_rep(
-            block,
-            0,
-            1.0,
-            bv,
-            fml_linalg::BlockVec::Dense(weighted_pd_s),
-        );
-        scatter.add_outer_rep(block, block, group_gamma, bv, bv);
+        let w = BlockVec::Dense(weighted_pd_s);
+        scatter.add_outer_rep(0, block, 1.0, w, rep);
+        scatter.add_outer_rep(block, 0, 1.0, rep, w);
+        scatter.add_outer_rep(block, block, group_gamma, rep, rep);
         rep.axpy_into(group_gamma, &mut self.gx);
         vector::axpy(1.0, weighted_pd_s, &mut self.w_total);
         self.gamma_total += group_gamma;
@@ -251,10 +238,9 @@ impl SparseDiagAcc {
         scatter: &mut BlockScatter,
         block: usize,
         gamma: f64,
-        rep: &SparseRep,
+        rep: BlockVec<'_>,
     ) {
-        let bv = rep.as_block_vec();
-        scatter.add_outer_rep(block, block, gamma, bv, bv);
+        scatter.add_outer_rep(block, block, gamma, rep, rep);
         rep.axpy_into(gamma, &mut self.gx);
         self.gamma_total += gamma;
         self.touched = true;
@@ -283,32 +269,28 @@ mod tests {
         Matrix::from_vec(rows, cols, rng.vec_in(rows * cols, -1.0, 1.0))
     }
 
-    fn densify(rep: &SparseRep, width: usize) -> Vec<f64> {
-        let mut v = vec![0.0; width];
+    /// An owned sparse row: indices, and values (`None` for one-hot).
+    type Rep = (Vec<u32>, Option<Vec<f64>>);
+
+    fn view(rep: &Rep) -> BlockVec<'_> {
         match rep {
-            SparseRep::OneHot(idx) => {
-                for &i in idx {
-                    v[i as usize] = 1.0;
-                }
-            }
-            SparseRep::Csr { idx, vals } => {
-                for (&i, &w) in idx.iter().zip(vals.iter()) {
-                    v[i as usize] = w;
-                }
-            }
+            (idx, None) => BlockVec::OneHot(idx),
+            (idx, Some(vals)) => BlockVec::Csr { idx, vals },
         }
+    }
+
+    fn densify(rep: &Rep, width: usize) -> Vec<f64> {
+        let mut v = vec![0.0; width];
+        view(rep).axpy_into(1.0, &mut v);
         v
     }
 
-    fn onehot(idx: &[u32]) -> SparseRep {
-        SparseRep::OneHot(idx.to_vec())
+    fn onehot(idx: &[u32]) -> Rep {
+        (idx.to_vec(), None)
     }
 
-    fn csr(idx: &[u32], vals: &[f64]) -> SparseRep {
-        SparseRep::Csr {
-            idx: idx.to_vec(),
-            vals: vals.to_vec(),
-        }
+    fn csr(idx: &[u32], vals: &[f64]) -> Rep {
+        (idx.to_vec(), Some(vals.to_vec()))
     }
 
     fn symmetrize(raw: &Matrix) -> Matrix {
@@ -341,7 +323,7 @@ mod tests {
 
             // diagonal quadratic term
             let dense = form.term(1, 1, &pd, &pd);
-            let sparse_val = pre.diag_term(&form, 1, &rep);
+            let sparse_val = pre.diag_term(&form, 1, view(&rep));
             assert!(
                 (dense - sparse_val).abs() < 1e-12,
                 "{rep:?}: {dense} vs {sparse_val}"
@@ -351,7 +333,7 @@ mod tests {
             let mut w_dense = gemm::matvec_with(KernelPolicy::Naive, form.block(0, 1), &pd);
             let w2 = gemm::matvec_transposed_with(KernelPolicy::Naive, form.block(1, 0), &pd);
             vector::axpy(1.0, &w2, &mut w_dense);
-            let w_sparse = pre.cross_vector(&form, 1, &rep, KernelPolicy::Naive);
+            let w_sparse = pre.cross_vector(&form, 1, view(&rep), KernelPolicy::Naive);
             for (a, b) in w_dense.iter().zip(w_sparse.iter()) {
                 assert!((a - b).abs() < 1e-12, "{rep:?}: {a} vs {b}");
             }
@@ -363,7 +345,7 @@ mod tests {
         let (d_s, d_r) = (2usize, 8usize);
         let p = BlockPartition::binary(d_s, d_r);
         let mu: Vec<f64> = fml_linalg::testutil::TestRng::new(7).vec_in(d_r, -0.5, 0.5);
-        let groups: Vec<(f64, Vec<f64>, SparseRep)> = vec![
+        let groups: Vec<(f64, Vec<f64>, Rep)> = vec![
             (0.8, vec![0.3, -0.2], onehot(&[0, 3])),
             (1.7, vec![-1.0, 0.4], csr(&[2, 5], &[2.0, -0.5])),
             (0.0, vec![0.5, 0.5], csr(&[1], &[1.25])),
@@ -382,7 +364,7 @@ mod tests {
         let mut sparse_sc = BlockScatter::new_with(p, KernelPolicy::Naive);
         let mut acc = SparseScatterAcc::new(d_s, d_r);
         for (g, w, rep) in &groups {
-            acc.record(&mut sparse_sc, 1, *g, w, rep);
+            acc.record(&mut sparse_sc, 1, *g, w, view(rep));
         }
         acc.finalize(&mut sparse_sc, 1, &mu);
 
@@ -399,7 +381,7 @@ mod tests {
         let mu: Vec<f64> = fml_linalg::testutil::TestRng::new(10).vec_in(d_s, -0.5, 0.5);
         let pre = SparseFormPre::build_diag(&form, 0, &mu, KernelPolicy::Naive);
 
-        let tuples: Vec<(f64, SparseRep)> = vec![
+        let tuples: Vec<(f64, Rep)> = vec![
             (0.4, onehot(&[0, 3])),
             (1.1, csr(&[2, 4], &[1.25, -2.0])),
             (0.7, csr(&[1], &[0.5])),
@@ -410,7 +392,7 @@ mod tests {
             let x = densify(rep, d_s);
             let pd: Vec<f64> = x.iter().zip(mu.iter()).map(|(a, b)| a - b).collect();
             let dense = form.term(0, 0, &pd, &pd);
-            let sparse_val = pre.diag_term(&form, 0, rep);
+            let sparse_val = pre.diag_term(&form, 0, view(rep));
             assert!(
                 (dense - sparse_val).abs() < 1e-12,
                 "{rep:?}: {dense} vs {sparse_val}"
@@ -427,7 +409,7 @@ mod tests {
         let mut sparse_sc = BlockScatter::new_with(p, KernelPolicy::Naive);
         let mut acc = SparseDiagAcc::new(d_s);
         for (g, rep) in &tuples {
-            acc.record(&mut sparse_sc, 0, *g, rep);
+            acc.record(&mut sparse_sc, 0, *g, view(rep));
         }
         acc.finalize(&mut sparse_sc, 0, &mu);
         let diff = dense_sc.matrix().max_abs_diff(sparse_sc.matrix());

@@ -15,16 +15,16 @@
 
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::{SyntheticConfig, Workload};
-use fml_gmm::em::{train_dense_from, GmmFit, VecSource, EMPTY_COMPONENT_MASS, PAR_BATCH_TUPLES};
+use fml_gmm::em::{
+    train_dense_from, DensePassSource, GmmFit, EMPTY_COMPONENT_MASS, PAR_BATCH_TUPLES,
+};
 use fml_gmm::{EStep, FactorizedGmm, GmmConfig, GmmInit, GmmModel, Precomputed};
 use fml_linalg::block::BlockPartition;
-use fml_linalg::csr::csr_indices;
-use fml_linalg::sparse::{onehot_indices, SparseMode};
 use fml_linalg::testutil::TestRng;
-use fml_linalg::{gemm, vector, ExecPolicy, KernelPolicy, Matrix, Vector};
+use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, KernelPolicy, Matrix, SparseMode, Vector};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::join::RowSource;
-use fml_store::{Database, Schema, DEFAULT_BLOCK_PAGES};
+use fml_store::{Database, FeatureGroup, Schema, StoreResult, DEFAULT_BLOCK_PAGES};
 
 /// `n` rows around `k` well-separated centres in `d` dimensions, and an
 /// initial model near (not at) the truth: centres nudged, identity
@@ -46,13 +46,64 @@ fn blobs(n: usize, d: usize, k: usize, seed: u64) -> (Vec<Vec<f64>>, GmmModel) {
     (rows, initial)
 }
 
+/// How a row of a fixture is stored: its one-hot indices or its nonzero
+/// pairs (`Dense` for a dense row).
+enum Stored {
+    Dense,
+    OneHot(Vec<u32>),
+    Csr(Vec<u32>, Vec<f64>),
+}
+
+/// Fixture rows as the dense driver's source: each in its stored form, or
+/// every row dense under [`SparseMode::Dense`] or when `forms` is empty.
+struct Rows<'a> {
+    rows: &'a [Vec<f64>],
+    forms: &'a [Stored],
+}
+
+impl DensePassSource for Rows<'_> {
+    fn for_each(&mut self, f: &mut dyn FnMut(BlockVec<'_>)) -> StoreResult<()> {
+        for (i, x) in self.rows.iter().enumerate() {
+            f(match self.forms.get(i) {
+                Some(Stored::OneHot(idx)) => BlockVec::OneHot(idx),
+                Some(Stored::Csr(idx, vals)) => BlockVec::Csr { idx, vals },
+                _ => BlockVec::Dense(x),
+            });
+        }
+        Ok(())
+    }
+
+    fn num_tuples(&self) -> u64 {
+        self.rows.len() as u64
+    }
+
+    fn dim(&self) -> usize {
+        self.rows[0].len()
+    }
+}
+
 fn fit(rows: &[Vec<f64>], initial: &GmmModel, iters: usize, exec: &ExecPolicy) -> GmmFit {
+    fit_stored(rows, &[], initial, iters, exec)
+}
+
+fn fit_stored(
+    rows: &[Vec<f64>],
+    forms: &[Stored],
+    initial: &GmmModel,
+    iters: usize,
+    exec: &ExecPolicy,
+) -> GmmFit {
     let config = GmmConfig {
         k: initial.k(),
         max_iters: iters,
         ..GmmConfig::default()
     };
-    let mut source = VecSource::new(rows.to_vec());
+    let forms = if exec.resolve().sparse == SparseMode::Auto {
+        forms
+    } else {
+        &[]
+    };
+    let mut source = Rows { rows, forms };
     train_dense_from(&mut source, &config, exec, initial.clone(), None).expect("fit")
 }
 
@@ -169,11 +220,11 @@ fn naive_and_blocked_fits_match_the_hand_rolled_per_row_em() {
     }
 }
 
-/// Every third row 0/1-valued (one-hot), every third a weighted sparse row
-/// (CSR), the rest dense — interleaved, so every chunk of every batch
-/// compacts its dense rows into the panel around the sparse ones — and an
-/// initial model on the first three rows.
-fn mixed_rows() -> (Vec<Vec<f64>>, GmmModel) {
+/// Every third row stored one-hot, every third a weighted sparse row (CSR),
+/// the rest dense — interleaved, so every batch of dense rows is gathered
+/// around the sparse ones — with their stored forms and an initial model on
+/// the first three rows.
+fn mixed_rows() -> (Vec<Vec<f64>>, Vec<Stored>, GmmModel) {
     let (d, n) = (24usize, 1500usize);
     let mut rng = TestRng::new(31);
     let rows: Vec<Vec<f64>> = (0..n)
@@ -195,31 +246,36 @@ fn mixed_rows() -> (Vec<Vec<f64>>, GmmModel) {
             _ => rng.vec_in(d, -1.0, 2.0),
         })
         .collect();
+    let forms = (rows.iter().enumerate())
+        .map(|(i, x)| {
+            let nonzero = (0u32..).zip(x.iter().copied()).filter(|&(_, v)| v != 0.0);
+            let (idx, vals): (Vec<u32>, Vec<f64>) = nonzero.unzip();
+            match i % 3 {
+                0 => Stored::OneHot(idx),
+                1 => Stored::Csr(idx, vals),
+                _ => Stored::Dense,
+            }
+        })
+        .collect();
     let means = (0..3)
         .map(|c| Vector::from_vec(rows[c].iter().map(|v| v + 0.1).collect()))
         .collect();
     let initial = GmmModel::new(vec![1.0 / 3.0; 3], means, vec![Matrix::identity(d); 3]);
-    (rows, initial)
+    (rows, forms, initial)
 }
 
 #[test]
 fn a_batch_mixing_sparse_and_dense_rows_matches_the_all_dense_fit() {
-    let (rows, initial) = mixed_rows();
-    assert!(
-        onehot_indices(&rows[0]).is_some(),
-        "row 0 must detect one-hot"
-    );
-    assert!(csr_indices(&rows[1]).is_some(), "row 1 must detect CSR");
-    assert!(onehot_indices(&rows[2]).is_none() && csr_indices(&rows[2]).is_none());
-
+    let (rows, forms, initial) = mixed_rows();
     for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-        let dense = fit(
+        let dense = fit_stored(
             &rows,
+            &forms,
             &initial,
             3,
             &policy(p).sparse_mode(SparseMode::Dense),
         );
-        let auto = fit(&rows, &initial, 3, &policy(p).sparse_mode(SparseMode::Auto));
+        let auto = fit_stored(&rows, &forms, &initial, 3, &policy(p));
         // the sparse path's own tolerance (tests/sparse_path.rs)
         let diff = dense.model.max_param_diff(&auto.model);
         assert!(diff < 1e-6, "{p}: mixed vs all-dense model diff {diff}");
@@ -320,6 +376,8 @@ fn a_repaired_covariance_whitens_with_the_repaired_factor() {
 struct Fixture {
     name: String,
     rows: Vec<Vec<f64>>,
+    /// The rows' stored forms; empty when every row is dense.
+    forms: Vec<Stored>,
     initial: GmmModel,
     join: Option<(Workload, usize)>,
 }
@@ -328,6 +386,7 @@ fn row_fixture(name: &str, (rows, initial): (Vec<Vec<f64>>, GmmModel)) -> Fixtur
     Fixture {
         name: name.to_string(),
         rows,
+        forms: Vec::new(),
         initial,
         join: None,
     }
@@ -337,9 +396,15 @@ fn row_fixture(name: &str, (rows, initial): (Vec<Vec<f64>>, GmmModel)) -> Fixtur
 /// [`GmmInit::from_relations`] starts every strategy from.
 fn join_fixture(name: &str, w: Workload, k: usize, block_pages: usize) -> Fixture {
     let mut rows = Vec::new();
-    RowSource::join(&w.db, w.spec.clone(), block_pages)
-        .unwrap()
-        .for_each_row(&mut |x, _| rows.push(x.to_vec()))
+    let source = RowSource::join(&w.db, w.spec.clone(), block_pages).unwrap();
+    let expanded = source.sparse_mode(SparseMode::Dense);
+    expanded
+        .for_each_row(&mut |x, _| {
+            let BlockVec::Dense(x) = x else {
+                panic!("an expanded row is dense");
+            };
+            rows.push(x.to_vec());
+        })
         .unwrap();
     let seed = ExecPolicy::new().resolve().seed;
     let initial = GmmInit::new(seed, GmmConfig::default().init_spread)
@@ -348,6 +413,7 @@ fn join_fixture(name: &str, w: Workload, k: usize, block_pages: usize) -> Fixtur
     Fixture {
         name: name.to_string(),
         rows,
+        forms: Vec::new(),
         initial,
         join: Some((w, block_pages)),
     }
@@ -390,8 +456,8 @@ fn star(n_s: u64, dims: Vec<DimSpec>, k: usize, noise_std: f64, seed: u64) -> Wo
     .unwrap()
 }
 
-/// `w` with every fact's features replaced by eight 0/1 columns
-/// (`star_join.rs`'s one-hot fact block).
+/// `w` with every fact's features replaced by two one-hot variables of four
+/// categories, stored as codes (`star_join.rs`'s one-hot fact block).
 fn with_one_hot_facts(w: &Workload) -> Workload {
     let db = Database::in_memory();
     for name in &w.spec.dimensions {
@@ -403,12 +469,12 @@ fn with_one_hot_facts(w: &Workload) -> Workload {
             .unwrap();
         rel.lock().flush().unwrap();
     }
+    let schema = Schema::fact(w.spec.fact.clone(), 8, w.spec.dimensions.len());
+    let one_hot = FeatureGroup::OneHot {
+        cardinalities: vec![4, 4],
+    };
     let rel = db
-        .create_relation(Schema::fact(
-            w.spec.fact.clone(),
-            8,
-            w.spec.dimensions.len(),
-        ))
+        .create_relation(schema.with_groups(vec![one_hot]))
         .unwrap();
     let facts =
         w.db.relation(&w.spec.fact)
@@ -417,9 +483,8 @@ fn with_one_hot_facts(w: &Workload) -> Workload {
             .read_all()
             .unwrap();
     for mut fact in facts {
-        fact.features = (0..8u64)
-            .map(|j| f64::from((fact.key * 7 + j * 13) % 5 == 0))
-            .collect();
+        let codes = [fact.key * 7 % 4, 4 + (fact.key * 3 + 1) % 4];
+        fact.features = (0..8u64).map(|j| f64::from(codes.contains(&j))).collect();
         fact.target = None;
         rel.lock().append(&fact).unwrap();
     }
@@ -429,7 +494,6 @@ fn with_one_hot_facts(w: &Workload) -> Workload {
         spec: w.spec.clone(),
         name: format!("{} with one-hot facts", w.name),
         generating_clusters: w.generating_clusters,
-        onehot: Vec::new(),
     }
 }
 
@@ -442,7 +506,13 @@ fn fixtures() -> Vec<Fixture> {
         row_fixture("blobs d=2", blobs(1025, 2, 3, 21_025)),
         row_fixture("blobs d=26", blobs(1025, 26, 3, 261_025)),
         row_fixture("blobs d=85", blobs(1025, 85, 3, 851_025)),
-        row_fixture("mixed sparse/dense rows", mixed_rows()),
+        {
+            let (rows, forms, initial) = mixed_rows();
+            Fixture {
+                forms,
+                ..row_fixture("mixed sparse/dense rows", (rows, initial))
+            }
+        },
         row_fixture("k=5 > 4 distinct points", collapsed_points()),
     ];
     let bp = DEFAULT_BLOCK_PAGES;
@@ -564,7 +634,6 @@ fn factorized_e_step_ll(
     let partition = BlockPartition::new(&w.spec.feature_partition(&w.db).unwrap());
     let pre = Precomputed::from_model(model, ridge);
     let estep = EStep::new(pre, &partition, SparseMode::Auto, kp);
-    let detect = |x: &[f64]| SparseMode::Auto.detect(x);
     let (mut pd_s, mut log_dens) = (vec![0.0; estep.fact_width()], vec![0.0; estep.k()]);
     let mut ll = 0.0;
     let mut scan = FactorizedScan::new(&w.db, &w.spec, block_pages).unwrap();
@@ -575,16 +644,14 @@ fn factorized_e_step_ll(
                 let ords = block.ords_of(f);
                 let rows: Vec<Vec<f64>> = (0..ords.len())
                     .map(|i| {
-                        let x = scan.cache().row(i, ords[i]);
                         let mut row = vec![0.0; estep.row_len(i)];
-                        estep.fill_row(i, x, detect(x).as_ref(), &mut row);
+                        estep.fill_row(i, scan.cache().row(i, ords[i]), &mut row);
                         row
                     })
                     .collect();
                 let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-                let x_s = block.rows().features(f);
-                let rep = detect(x_s);
-                estep.log_densities(x_s, rep.as_ref(), &rows, &mut pd_s, &mut log_dens);
+                let x_s = block.rows().row(f);
+                estep.log_densities(x_s, &rows, &mut pd_s, &mut log_dens);
                 ll += estep.pre.finish_responsibilities_in_place(&mut log_dens);
             }
         }
@@ -620,12 +687,12 @@ fn one_fused_iteration_matches_one_three_pass_iteration_on_every_fixture() {
         };
         for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
             let what = format!("{} under {p}", fx.name);
-            let m = fit(&fx.rows, &fx.initial, 1, &policy(p));
+            let m = fit_stored(&fx.rows, &fx.forms, &fx.initial, 1, &policy(p));
             let diff = want.model.max_param_diff(&m.model);
             assert!(diff <= bound, "{what}: dense driver {diff} > {bound}");
             assert_same_fit(&what, &want, &m);
             // (sparse rows take the gather form of the E-step instead)
-            if fx.rows.iter().all(|x| SparseMode::Auto.detect(x).is_none()) {
+            if fx.forms.is_empty() {
                 let e_step = dense_e_step_ll(&fx.rows, &fx.initial, ridge, p);
                 assert_eq!(m.log_likelihood[0].to_bits(), e_step.to_bits(), "{what}");
             }

@@ -14,8 +14,9 @@ use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::EmulatedDataset;
 use fml_gmm::{FactorizedGmm, GmmConfig, MaterializedGmm, StreamingGmm};
 use fml_linalg::csr::csr_kernel_calls;
-use fml_linalg::sparse::{detect_calls, onehot_indices, onehot_kernel_calls, SparseMode};
-use fml_linalg::{ExecPolicy, KernelPolicy};
+use fml_linalg::sparse::{onehot_kernel_calls, SparseMode};
+use fml_linalg::{BlockVec, ExecPolicy, KernelPolicy};
+use fml_store::batch::{BlockScan, RowBlock};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -24,6 +25,12 @@ fn walmart_sparse() -> fml_data::Workload {
     EmulatedDataset::WalmartSparse
         .generate(0.001, 11)
         .expect("generate WalmartSparse")
+}
+
+/// The registry counter the per-row representation classifier bumped while
+/// the trainers ran it; representation is now read off the stored rows.
+fn detect_calls() -> u64 {
+    fml_obs::counter_handle("fml_sparse_detect_calls_total").get()
 }
 
 fn dense_exec() -> ExecPolicy {
@@ -77,17 +84,25 @@ fn categorical_dataset_hits_sparse_path_by_default_and_matches_dense() {
 
 #[test]
 fn every_categorical_dimension_tuple_is_detected() {
+    // The dimension's schema stores one code per categorical column, and
+    // every tuple decodes to one active column per categorical column.
     let _guard = LOCK.lock().unwrap();
     let w = walmart_sparse();
-    let spec = w.onehot[1].clone().expect("dimension block is one-hot");
     let rel = w.spec.dimension_relations(&w.db).unwrap()[0].clone();
-    let tuples = fml_store::batch::scan_all(&rel, 32).unwrap();
-    assert!(!tuples.is_empty());
-    for t in &tuples {
-        let idx = onehot_indices(&t.features)
-            .expect("every emulated categorical tuple must auto-detect as one-hot");
-        assert_eq!(idx.len(), spec.num_columns());
+    let spec = fml_data::OneHotSpec::auto(175);
+    assert_eq!(rel.lock().schema().groups(), [spec.group()]);
+    let (mut rows, mut tuples) = (RowBlock::default(), 0);
+    let mut scan = BlockScan::new(rel, 32);
+    while scan.next_into(&mut rows).unwrap() {
+        for r in 0..rows.len() {
+            let BlockVec::OneHot(idx) = rows.row(r) else {
+                panic!("tuple {r} decoded to {:?}", rows.row(r));
+            };
+            assert_eq!(idx.len(), spec.num_columns());
+            tuples += 1;
+        }
     }
+    assert!(tuples > 0);
 }
 
 /// Small star schema with one categorical dimension — cheap enough to train
@@ -155,13 +170,13 @@ fn sparse_numeric_binary() -> fml_data::Workload {
     .unwrap()
 }
 
-/// The same shape with a dimension wide and long enough to span several
-/// pages (`8 + 8·64` bytes per tuple, 15 to a page).
+/// The same shape with a dimension long enough to span several pages
+/// (`8 + 12·4` bytes per tuple, 146 to a page).
 fn sparse_numeric_binary_wide() -> fml_data::Workload {
     MultiwayConfig {
         n_s: 600,
         d_s: 2,
-        dims: vec![DimSpec::sparse_numeric(60, 64, 4)],
+        dims: vec![DimSpec::sparse_numeric(600, 64, 4)],
         k: 2,
         noise_std: 0.6,
         with_target: false,
@@ -187,7 +202,7 @@ fn weighted_sparse_blocks_hit_the_csr_path_and_match_dense() {
     );
 
     // Default (Auto): the weighted-sparse dimension block must go through the
-    // CSR kernels — detection generalizes past 0/1 values.
+    // CSR kernels — its stored form is weighted pairs, not codes.
     let before_auto = csr_kernel_calls();
     let auto =
         FactorizedGmm::train(&w.db, &w.spec, &config(), &ExecPolicy::new()).expect("auto training");
@@ -228,54 +243,39 @@ fn multiway_weighted_sparse_auto_matches_dense() {
 
 #[test]
 fn detection_runs_at_most_once_per_tuple_across_iterations() {
+    // Every tuple arrives in its stored form, so no iteration classifies
+    // any tuple — zero detections, binary, star or windowed — while the
+    // sparse kernels do the work.
     let _guard = LOCK.lock().unwrap();
-    let w = walmart_sparse();
-    let n_s = w.n_fact().unwrap();
-    let n_r = w.n_dim(0).unwrap();
-
-    // Binary factorized trainer, several EM iterations: every pass of every
-    // iteration re-reads the same immutable tuples, but detection must run at
-    // most once per tuple (the caches are filled during the first E-step).
-    let iters = 3;
     let three_iters = GmmConfig {
         k: 2,
-        max_iters: iters,
+        max_iters: 3,
         ..GmmConfig::default()
     };
-    let before = detect_calls();
-    let _ = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
-    let delta = detect_calls() - before;
-    // One detection per fact tuple plus one per referenced dimension tuple.
-    assert!(
-        delta <= n_s + n_r,
-        "detection ran {delta} times for {n_s} facts / {n_r} dims over {iters} iterations \
-         — per-iteration rescan regression"
-    );
-    // Sanity: it DID run (Auto mode detects).
-    assert!(delta >= n_s, "detection must cover every fact tuple once");
+    for w in [walmart_sparse(), categorical_multiway()] {
+        let (before, kernels) = (detect_calls(), onehot_kernel_calls());
+        let _ = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
+        assert_eq!(
+            detect_calls(),
+            before,
+            "{}: a fit classified stored rows",
+            w.name
+        );
+        assert!(
+            onehot_kernel_calls() > kernels,
+            "{}: the one-hot kernels ran",
+            w.name
+        );
+    }
 
-    // Multiway: the same bound — facts by scan position, dimension tuples by
-    // ordinal, each detected once for the whole run.
-    let w = categorical_multiway();
-    let n_s = w.n_fact().unwrap();
-    let n_r: u64 = (0..2).map(|i| w.n_dim(i).unwrap()).sum();
-    let before = detect_calls();
-    let _ = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
-    let delta = detect_calls() - before;
-    assert!(
-        delta <= n_s + n_r,
-        "multiway detection ran {delta} times for {n_s} facts / {n_r} dimension tuples"
-    );
-
-    // A binary join whose R spans several windows: every window re-scans the
-    // facts, yet each fact and each dimension tuple is still detected once.
+    // A binary join whose R spans several windows: every window re-scans
+    // the facts, and still nothing is classified.
     let w = sparse_numeric_binary_wide();
-    let (n_s, n_r) = (w.n_fact().unwrap(), w.n_dim(0).unwrap());
     let r_pages = w.spec.dimension_relations(&w.db).unwrap()[0]
         .lock()
         .num_pages();
     assert!(r_pages >= 3, "R must span several one-page windows");
-    let before = detect_calls();
+    let (before, kernels) = (detect_calls(), csr_kernel_calls());
     let windowed = FactorizedGmm::train(
         &w.db,
         &w.spec,
@@ -283,11 +283,12 @@ fn detection_runs_at_most_once_per_tuple_across_iterations() {
         &ExecPolicy::new().block_pages(1),
     )
     .unwrap();
-    let delta = detect_calls() - before;
-    assert!(
-        (n_s..=n_s + n_r).contains(&delta),
-        "windowed detection ran {delta} times for {n_s} facts / {n_r} dimension tuples"
+    assert_eq!(
+        detect_calls(),
+        before,
+        "a windowed fit classified stored rows"
     );
+    assert!(csr_kernel_calls() > kernels, "the CSR kernels ran");
     // and the windows do not change what is learned
     let resident = FactorizedGmm::train(&w.db, &w.spec, &three_iters, &ExecPolicy::new()).unwrap();
     let diff = resident.model.max_param_diff(&windowed.model);

@@ -22,15 +22,6 @@
 //! this under **every** policy: the `_with` variants take one for API
 //! uniformity with [`crate::gemm`] and run the same sequential loops under
 //! each.
-//!
-//! ## Detection
-//!
-//! [`csr_indices`] recognizes a dense slice that is profitably sparse but not
-//! one-hot: occupancy at most [`MAX_CSR_OCCUPANCY_NUM`]`/`[`MAX_CSR_OCCUPANCY_DEN`]
-//! (¼ — the weighted kernels still pay one multiply per nonzero, so the
-//! break-even occupancy is lower than the multiply-free one-hot cutoff of ½).
-//! The shared trainer gate is [`crate::sparse::SparseMode::detect`], which
-//! tries the one-hot form first and falls back to CSR.
 
 use crate::matrix::Matrix;
 use crate::policy::KernelPolicy;
@@ -58,33 +49,6 @@ pub fn record_csr_call() {
 /// Reads the process-global CSR kernel invocation counter.
 pub fn csr_kernel_calls() -> u64 {
     CSR_KERNEL_CALLS.get().get()
-}
-
-/// Maximum occupancy (`nnz / width`) at which [`csr_indices`] still reports a
-/// slice as worth treating as weighted-sparse.
-pub const MAX_CSR_OCCUPANCY_NUM: usize = 1;
-/// Denominator of the CSR detection cutoff (`nnz/width ≤ 1/4`).
-pub const MAX_CSR_OCCUPANCY_DEN: usize = 4;
-
-/// Returns the ascending nonzero `(indices, values)` of `x` when the slice is
-/// sparse enough to profit from the weighted kernels (occupancy ≤ ¼).  Returns
-/// `None` otherwise.  Callers that also want the cheaper one-hot form should
-/// try [`crate::sparse::onehot_indices`] first — 0/1 data at ≤ ½ occupancy is
-/// better served there.
-pub fn csr_indices(x: &[f64]) -> Option<(Vec<u32>, Vec<f64>)> {
-    let mut idx = Vec::new();
-    let mut vals = Vec::new();
-    let cutoff = x.len() * MAX_CSR_OCCUPANCY_NUM / MAX_CSR_OCCUPANCY_DEN;
-    for (i, &v) in x.iter().enumerate() {
-        if v != 0.0 {
-            if idx.len() >= cutoff {
-                return None; // too dense, bail before scanning the rest
-            }
-            idx.push(i as u32);
-            vals.push(v);
-        }
-    }
-    Some((idx, vals))
 }
 
 /// A compressed-sparse-row block: `rows()` sparse rows over `cols` columns.
@@ -142,29 +106,6 @@ impl CsrBlock {
             col_idx,
             row_ptr,
             cols,
-        }
-    }
-
-    /// Compresses a dense matrix, keeping every nonzero entry.
-    pub fn from_dense(m: &Matrix) -> Self {
-        let mut values = Vec::new();
-        let mut col_idx = Vec::new();
-        let mut row_ptr = Vec::with_capacity(m.rows() + 1);
-        row_ptr.push(0);
-        for r in 0..m.rows() {
-            for (j, &v) in m.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    values.push(v);
-                    col_idx.push(j as u32);
-                }
-            }
-            row_ptr.push(values.len());
-        }
-        Self {
-            values,
-            col_idx,
-            row_ptr,
-            cols: m.cols(),
         }
     }
 
@@ -398,7 +339,23 @@ pub fn quadratic_form_csr_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::tests::csr_indices;
     use crate::{gemm, vector};
+
+    /// Compresses a dense matrix, keeping every nonzero entry.
+    fn from_dense(m: &Matrix) -> CsrBlock {
+        let (mut values, mut col_idx, mut row_ptr) = (Vec::new(), Vec::new(), vec![0]);
+        for r in 0..m.rows() {
+            for (j, &v) in m.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    values.push(v);
+                    col_idx.push(j as u32);
+                }
+            }
+            row_ptr.push(values.len());
+        }
+        CsrBlock::new(values, col_idx, row_ptr, m.cols())
+    }
 
     fn pseudo(rows: usize, cols: usize, salt: u64) -> Matrix {
         let mut rng = crate::testutil::TestRng::new(salt);
@@ -434,7 +391,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, 0.0],
             vec![-1.0, 0.0, 0.0, 0.5],
         ]);
-        let b = CsrBlock::from_dense(&m);
+        let b = from_dense(&m);
         assert_eq!(b.rows(), 3);
         assert_eq!(b.cols(), 4);
         assert_eq!(b.nnz(), 3);
@@ -483,7 +440,7 @@ mod tests {
         // row 1 empty
         dense_x[(2, 0)] = 2.0;
         dense_x[(3, 8)] = -3.0;
-        let x = CsrBlock::from_dense(&dense_x);
+        let x = from_dense(&dense_x);
         let seed = pseudo(4, 5, 3);
         let mut reference = seed.clone();
         gemm::matmul_acc_with(KernelPolicy::Naive, &dense_x, &b, &mut reference);

@@ -2,7 +2,7 @@
 //!
 //! The model configs (`GmmConfig`, `NnConfig` in the learner crates) describe
 //! *what* to fit — component counts, layer widths, iteration budgets.  How the
-//! fit executes — kernel selection, sparse-path detection, scan block size,
+//! fit executes — kernel selection, sparse or expanded rows, scan block size,
 //! worker threads, RNG seed — is a model-independent concern, captured once
 //! here as [`ExecPolicy`] and threaded through every training strategy.
 //!
@@ -119,7 +119,7 @@ impl FitObserver for TraceObserver {
 pub struct ExecSettings {
     /// Linear-algebra kernel implementation (see [`crate::policy`]).
     pub kernel_policy: KernelPolicy,
-    /// Sparse-block detection mode (see [`crate::sparse`]).
+    /// Stored (sparse) or expanded rows (see [`crate::sparse::SparseMode`]).
     pub sparse: SparseMode,
     /// Pages per scan block.
     pub block_pages: usize,
@@ -157,7 +157,7 @@ impl ExecSettings {
     }
 }
 
-/// Model-independent execution policy: kernel selection, sparse detection,
+/// Model-independent execution policy: kernel selection, sparse mode,
 /// scan block size, worker threads, seed, and an optional telemetry observer.
 ///
 /// Construct with builder calls; unset fields resolve through the documented

@@ -14,8 +14,10 @@
 //!   boundaries `[d_S, d_{R_1}, …, d_{R_q}]` and evaluate quadratic forms and
 //!   scatter matrices block-by-block (Equations 7–24 of the paper).
 //! * [`sparse`] — one-hot kernels for categorical feature blocks: gathers,
-//!   scatter-adds and quadratic forms over active-index sets ([`BlockVec`]),
-//!   bit-identical to the dense naive reference under every policy.
+//!   scatter-adds and quadratic forms over active-index sets, bit-identical
+//!   to the dense naive reference under every policy, and [`BlockVec`], a
+//!   row in its stored form (dense, one-hot or CSR) with one method per
+//!   operation over the three.
 //! * [`csr`] — general weighted-sparse kernels ([`CsrBlock`], `spmm_csr`,
 //!   CSR gathers/scatters/quadratic forms) for near-sparse numeric blocks;
 //!   same exactness contract as [`sparse`], with the multiplications kept.
@@ -27,10 +29,8 @@
 //!   (kernel policy, sparse mode, block size, threads, seed, telemetry
 //!   observer), with builder > environment > default precedence resolved in
 //!   one place.
-//! * [`repcache`] — the per-tuple sparse-representation caches ([`RepCache`],
-//!   [`KeyedRepCache`]) encoding the lazy scan-order fill protocol shared by
-//!   all six trainers, and the ordinal-indexed [`OrdinalArena`] the star
-//!   trainers keep their per-dimension-tuple terms in.
+//! * [`repcache`] — the ordinal-indexed [`OrdinalArena`] the factorized
+//!   trainers and the scorer keep their per-dimension-tuple terms in.
 //!
 //! ## Kernel policies
 //!
@@ -111,9 +111,9 @@ pub use csr::CsrBlock;
 pub use exec::{ExecPolicy, ExecSettings, FitEvent, FitNotifier, FitObserver, TraceObserver};
 pub use matrix::Matrix;
 pub use policy::KernelPolicy;
-pub use repcache::{KeyedRepCache, OrdinalArena, RepCache, RepSegment};
+pub use repcache::OrdinalArena;
 pub use simd::{SimdLevel, SimdMode};
-pub use sparse::{BlockVec, SparseMode, SparseRep};
+pub use sparse::{BlockVec, SparseMode};
 pub use vector::Vector;
 
 /// Absolute tolerance used by the crate's own tests when comparing two floating

@@ -1,232 +1,11 @@
-//! Per-tuple caches shared by every trainer: sparse representations, and
-//! the factorized trainers' ordinal-indexed term arenas.
+//! The factorized trainers' per-dimension-tuple term arenas.
 //!
-//! Under [`SparseMode::Auto`] the trainers detect each tuple's representation
-//! ([`SparseRep`]: one-hot, weighted CSR, or dense) **once** and reuse the
-//! result for every later pass and iteration — detection is a full scan of
-//! the feature row, and the feature data is immutable, so re-detecting per
-//! pass would be pure waste (the learner crates' counter tests pin "at most
-//! one detection per tuple").
-//!
-//! Two representation-cache shapes cover every trainer:
-//!
-//! * [`RepCache`] — **scan-order**: the dense-pass drivers (`M`/`S`) replay
-//!   joined rows, and the factorized trainers fact tuples, in a deterministic
-//!   scan order, so the cache is a position-indexed vector filled lazily
-//!   during the first pass.  The fill protocol supports the trainers' chunked parallel loops:
-//!   workers detect into private [`RepSegment`]s which the driver merges back
-//!   **in chunk-index order**, keeping the cache layout identical to the
-//!   sequential fill.
-//! * [`KeyedRepCache`] — **ordinal-keyed**: the factorized trainers reach
-//!   dimension tuples through foreign keys (each distinct tuple is shared by
-//!   many facts) that the store resolves to dense per-dimension ordinals, so
-//!   the cache is an ordinal-indexed vector filled on first encounter.
-//!
-//! Both read as "always dense" under [`SparseMode::Dense`] without ever
-//! invoking detection, which is how the forced-dense baseline stays silent in
-//! the kernel-counter tests.
-//!
-//! [`OrdinalArena`] is the same first-encounter protocol for numbers: one
-//! flat `f64` row per dimension-tuple ordinal, holding whatever a factorized
-//! trainer computes once per tuple and reuses per matching fact.
-
-use crate::sparse::{SparseMode, SparseRep};
-
-/// A lazily filled, scan-order cache of per-tuple sparse representations.
-///
-/// Lifecycle: construct with the run's [`SparseMode`]; during the **fill
-/// pass** (the first pass over the data) call [`RepCache::rep_or_detect`] for
-/// every tuple in scan order (or fan out with [`RepCache::segment`] /
-/// [`RepCache::merge`]); call [`RepCache::finish_fill`] when the pass
-/// completes; every later pass reads with [`RepCache::get`] (or
-/// `rep_or_detect`, which reads once filling is done).
-#[derive(Debug, Default)]
-pub struct RepCache {
-    mode: SparseMode,
-    /// Leading positions that were all detected dense, held as a count: a
-    /// relation with no sparse tuple caches nothing.
-    dense_prefix: usize,
-    /// Positions `dense_prefix..`.
-    reps: Vec<Option<SparseRep>>,
-    filling: bool,
-}
-
-impl RepCache {
-    /// Creates a cache for one training run.  Under [`SparseMode::Dense`] the
-    /// cache is born finished: nothing is ever detected and every lookup
-    /// reads as dense.
-    pub fn new(mode: SparseMode) -> Self {
-        Self {
-            mode,
-            dense_prefix: 0,
-            reps: Vec::new(),
-            filling: mode == SparseMode::Auto,
-        }
-    }
-
-    fn push(&mut self, rep: Option<SparseRep>) {
-        if rep.is_none() && self.reps.is_empty() {
-            self.dense_prefix += 1;
-        } else {
-            self.reps.push(rep);
-        }
-    }
-
-    /// The detection mode this cache was built with.
-    pub fn mode(&self) -> SparseMode {
-        self.mode
-    }
-
-    /// Whether the cache is still in its fill pass.
-    pub fn filling(&self) -> bool {
-        self.filling
-    }
-
-    /// Number of cached positions.
-    pub fn len(&self) -> usize {
-        self.dense_prefix + self.reps.len()
-    }
-
-    /// Whether the cache holds no positions (always true under `Dense`).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reads the representation cached at scan position `index`; positions
-    /// beyond the cache (the forced-dense mode caches nothing) read as dense.
-    pub fn get(&self, index: usize) -> Option<&SparseRep> {
-        let at = index.checked_sub(self.dense_prefix)?;
-        self.reps.get(at).and_then(Option::as_ref)
-    }
-
-    /// Fill-or-read: during the fill pass, detects `features` and appends the
-    /// result (positions must arrive in scan order); afterwards, a plain
-    /// [`RepCache::get`].
-    pub fn rep_or_detect(&mut self, index: usize, features: &[f64]) -> Option<&SparseRep> {
-        if self.filling {
-            debug_assert_eq!(index, self.len(), "RepCache fill must follow scan order");
-            let rep = self.mode.detect(features);
-            self.push(rep);
-        }
-        self.get(index)
-    }
-
-    /// Opens a worker-local view for one chunk of the fill pass, starting at
-    /// absolute scan position `base`.  Outside the fill pass the segment is a
-    /// read-only cursor over the shared cache.
-    pub fn segment(&self, base: usize) -> RepSegment<'_> {
-        RepSegment {
-            cache: self,
-            base,
-            detected: Vec::new(),
-        }
-    }
-
-    /// Merges one chunk's detections back into the cache.  Chunks **must** be
-    /// merged in chunk-index order — the whole point of the protocol is that
-    /// the merged layout matches the sequential scan order exactly.
-    pub fn merge(&mut self, detected: Vec<Option<SparseRep>>) {
-        debug_assert!(
-            self.filling || detected.is_empty(),
-            "RepCache::merge outside the fill pass"
-        );
-        for rep in detected {
-            self.push(rep);
-        }
-    }
-
-    /// Marks the fill pass complete; later passes only read.
-    pub fn finish_fill(&mut self) {
-        self.filling = false;
-    }
-}
-
-/// A worker-local view over one chunk of a [`RepCache`] fill pass.
-///
-/// During the fill pass, [`RepSegment::rep_or_detect`] detects into a private
-/// buffer (the shared cache is only borrowed immutably, so chunks run in
-/// parallel); once filling is done it reads straight from the shared cache.
-/// The worker returns [`RepSegment::into_detected`] as part of its chunk
-/// result, and the driver merges the buffers in chunk order.
-#[derive(Debug)]
-pub struct RepSegment<'a> {
-    cache: &'a RepCache,
-    base: usize,
-    detected: Vec<Option<SparseRep>>,
-}
-
-impl RepSegment<'_> {
-    /// Fill-or-read at absolute scan position `index` (positions must arrive
-    /// in scan order within the chunk).
-    pub fn rep_or_detect(&mut self, index: usize, features: &[f64]) -> Option<&SparseRep> {
-        if self.cache.filling {
-            debug_assert_eq!(
-                index,
-                self.base + self.detected.len(),
-                "RepSegment fill must follow scan order"
-            );
-            self.detected.push(self.cache.mode.detect(features));
-            self.detected.last().and_then(Option::as_ref)
-        } else {
-            self.cache.get(index)
-        }
-    }
-
-    /// The chunk's detections, for [`RepCache::merge`] (empty outside the
-    /// fill pass).
-    pub fn into_detected(self) -> Vec<Option<SparseRep>> {
-        self.detected
-    }
-}
-
-/// A sparse-representation cache keyed by dimension-tuple ordinal, for the
-/// factorized trainers.  Detection runs on the first encounter of each
-/// distinct ordinal and persists for the whole training run.
-#[derive(Debug, Default)]
-pub struct KeyedRepCache {
-    mode: SparseMode,
-    /// `None` = never encountered; `Some(None)` = detected dense.
-    reps: Vec<Option<Option<SparseRep>>>,
-}
-
-impl KeyedRepCache {
-    /// Creates a cache for one training run.
-    pub fn new(mode: SparseMode) -> Self {
-        Self {
-            mode,
-            reps: Vec::new(),
-        }
-    }
-
-    /// Fill-or-read: detects `features` on the first encounter of `ord`,
-    /// reads the cached result afterwards.  Never detects under
-    /// [`SparseMode::Dense`] ([`SparseMode::detect`] returns `None` without
-    /// counting).
-    pub fn rep_or_detect(&mut self, ord: u32, features: &[f64]) -> Option<&SparseRep> {
-        let ord = ord as usize;
-        if ord >= self.reps.len() {
-            self.reps.resize_with(ord + 1, || None);
-        }
-        let mode = self.mode;
-        self.reps[ord]
-            .get_or_insert_with(|| mode.detect(features))
-            .as_ref()
-    }
-
-    /// Reads the representation cached for `ord`.
-    ///
-    /// # Panics
-    /// Panics when `ord` was never passed to [`KeyedRepCache::rep_or_detect`]
-    /// — the trainers guarantee every referenced tuple is detected during the
-    /// first pass, so a miss here is a protocol bug, not a dense tuple.
-    pub fn get(&self, ord: u32) -> Option<&SparseRep> {
-        self.reps
-            .get(ord as usize)
-            .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("KeyedRepCache: ordinal {ord} was never detected"))
-            .as_ref()
-    }
-}
+//! A factorized pass computes whatever depends only on a dimension tuple once
+//! per tuple and reuses it for every fact that references the tuple;
+//! [`OrdinalArena`] is where those terms live, one flat `f64` row per
+//! dimension-tuple ordinal, initialized on first reference.  (A tuple's
+//! sparse representation needs no cache: it is the form its relation stores,
+//! read off the decoded block.)
 
 /// An `f64` arena with one fixed-width row per dimension-tuple ordinal
 /// and a referenced flag per row.
@@ -325,117 +104,6 @@ impl OrdinalArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::detect_calls;
-
-    fn onehot_row() -> Vec<f64> {
-        vec![0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-    }
-
-    fn dense_row() -> Vec<f64> {
-        vec![1.5, 2.5, 3.5, 0.5, 1.0, 2.0]
-    }
-
-    #[test]
-    fn sequential_fill_then_read() {
-        let mut cache = RepCache::new(SparseMode::Auto);
-        assert!(cache.filling());
-        assert!(cache.rep_or_detect(0, &onehot_row()).is_some());
-        assert!(cache.rep_or_detect(1, &dense_row()).is_none());
-        cache.finish_fill();
-        assert!(!cache.filling());
-        assert_eq!(cache.len(), 2);
-        // later passes read the cached reps without re-detecting
-        let before = detect_calls();
-        assert!(cache.rep_or_detect(0, &onehot_row()).is_some());
-        assert!(cache.get(1).is_none());
-        assert_eq!(detect_calls(), before, "read pass must not re-detect");
-    }
-
-    #[test]
-    fn leading_dense_positions_are_counted_not_stored() {
-        let mut cache = RepCache::new(SparseMode::Auto);
-        for i in 0..3 {
-            assert!(cache.rep_or_detect(i, &dense_row()).is_none());
-        }
-        assert!(cache.reps.is_empty());
-        cache.merge(vec![None, SparseMode::Auto.detect(&onehot_row()), None]);
-        cache.finish_fill();
-        assert_eq!((cache.len(), cache.reps.len()), (6, 2));
-        let sparse: Vec<bool> = (0..7).map(|i| cache.get(i).is_some()).collect();
-        assert_eq!(sparse, [false, false, false, false, true, false, false]);
-    }
-
-    #[test]
-    fn dense_mode_never_detects_and_reads_as_dense() {
-        let before = detect_calls();
-        let mut cache = RepCache::new(SparseMode::Dense);
-        assert!(!cache.filling(), "Dense caches are born finished");
-        assert!(cache.rep_or_detect(0, &onehot_row()).is_none());
-        assert!(cache.get(12345).is_none());
-        assert!(cache.is_empty());
-        assert_eq!(detect_calls(), before);
-    }
-
-    #[test]
-    fn chunked_fill_merges_in_chunk_order() {
-        // Simulate the trainers' parallel fill: two chunks detect privately,
-        // the driver merges in chunk order, and the final layout matches the
-        // sequential fill exactly.
-        let rows = [onehot_row(), dense_row(), onehot_row(), dense_row()];
-        let mut sequential = RepCache::new(SparseMode::Auto);
-        for (i, row) in rows.iter().enumerate() {
-            sequential.rep_or_detect(i, row);
-        }
-        sequential.finish_fill();
-
-        let mut chunked = RepCache::new(SparseMode::Auto);
-        let mut buffers = Vec::new();
-        for chunk in [0..2usize, 2..4] {
-            let mut seg = chunked.segment(chunk.start);
-            for i in chunk {
-                seg.rep_or_detect(i, &rows[i]);
-            }
-            buffers.push(seg.into_detected());
-        }
-        for buf in buffers {
-            chunked.merge(buf);
-        }
-        chunked.finish_fill();
-
-        assert_eq!(chunked.len(), sequential.len());
-        for i in 0..rows.len() {
-            assert_eq!(chunked.get(i), sequential.get(i), "position {i}");
-        }
-    }
-
-    #[test]
-    fn segments_read_through_after_fill() {
-        let mut cache = RepCache::new(SparseMode::Auto);
-        cache.rep_or_detect(0, &onehot_row());
-        cache.rep_or_detect(1, &dense_row());
-        cache.finish_fill();
-        let before = detect_calls();
-        let mut seg = cache.segment(0);
-        assert!(seg.rep_or_detect(0, &onehot_row()).is_some());
-        assert!(seg.rep_or_detect(1, &dense_row()).is_none());
-        assert!(
-            seg.into_detected().is_empty(),
-            "read-only segments buffer nothing"
-        );
-        assert_eq!(detect_calls(), before);
-    }
-
-    #[test]
-    fn keyed_cache_detects_once_per_key() {
-        let mut cache = KeyedRepCache::new(SparseMode::Auto);
-        let before = detect_calls();
-        assert!(cache.rep_or_detect(7, &onehot_row()).is_some());
-        assert!(cache.rep_or_detect(7, &onehot_row()).is_some());
-        assert!(cache.rep_or_detect(9, &dense_row()).is_none());
-        assert_eq!(detect_calls(), before + 2, "one detection per distinct key");
-        assert!(cache.get(7).is_some());
-        assert!(cache.get(9).is_none());
-    }
 
     #[test]
     fn arena_claims_once_per_reset_and_walks_ascending() {
@@ -459,12 +127,5 @@ mod tests {
         arena.reset(2);
         assert_eq!(arena.referenced().count(), 0);
         assert!(arena.claim(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "never detected")]
-    fn keyed_cache_panics_on_undetected_key() {
-        let cache = KeyedRepCache::new(SparseMode::Auto);
-        let _ = cache.get(42);
     }
 }

@@ -20,151 +20,31 @@
 //! policy runs the same sequential loops, so the bit-exactness guarantee holds
 //! under *every* policy — a stronger contract than the dense kernels offer.
 //!
-//! ## Representation helpers
+//! ## Representations
 //!
-//! [`onehot_indices`] recognizes a dense slice that is secretly one-hot (all
-//! entries `0.0`/`1.0`, occupancy ≤ ½) and returns its index form; the trainers
-//! use it to engage the sparse path automatically ([`SparseMode::Auto`]).
-//! [`BlockVec`] is the typed per-block view (`Dense` slice vs `OneHot`
-//! indices) that [`crate::block::BlockScatter`] dispatches on.
+//! [`BlockVec`] is a feature row in the form its relation stores it — a dense
+//! slice, one-hot active indices, or weighted CSR pairs, all borrowed — as
+//! `fml-store` hands it out.  Its methods dispatch one operation over the
+//! three forms, so a caller writes each product once; the sparse arms keep
+//! the bits of the dense arm on the expanded row.
 
 use crate::csr;
 use crate::matrix::Matrix;
 use crate::policy::KernelPolicy;
 use crate::simd;
+use crate::{gemm, vector};
 
-/// How a trainer decides between the dense and sparse kernel paths.
+/// Which form the trainers and the scorer compute on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseMode {
-    /// Detect sparse blocks at scan time — one-hot first
-    /// ([`onehot_indices`], 0/1 values at ≤ ½ occupancy), weighted CSR second
-    /// ([`csr::csr_indices`], any values at ≤ ¼ occupancy) — and route them
-    /// through the sparse kernels.  The default.
+    /// The form each relation stores: one-hot and sparse-numeric feature
+    /// groups reach the gather/scatter kernels, dense ones the dense kernels.
+    /// The default.
     #[default]
     Auto,
-    /// Always use the dense kernels, even for sparse blocks.  Used as the
-    /// comparison baseline by the equivalence tests and the bench sweeps.
+    /// Every row expanded to dense on decode, so only the dense kernels run:
+    /// the oracle the equivalence tests and the bench sweeps compare against.
     Dense,
-}
-
-/// Number of [`SparseMode::detect`] invocations in this process (monotonic).
-///
-/// The trainers cache detection per tuple; the regression tests use the delta
-/// of this counter to prove that an EM iteration / epoch does **not** rescan
-/// immutable data (detection runs at most once per tuple, not once per pass).
-static DETECT_CALLS: fml_obs::LazyCounter =
-    fml_obs::LazyCounter::new("fml_sparse_detect_calls_total");
-
-/// Reads the process-global detection-invocation counter (an `fml-obs`
-/// registry counter, `fml_sparse_detect_calls_total` — recorded
-/// unconditionally so the counter-delta tests hold in every `FML_OBS` mode).
-pub fn detect_calls() -> u64 {
-    DETECT_CALLS.get().get()
-}
-
-/// An owned sparse representation of one feature row, as produced by
-/// [`SparseMode::detect`] and cached per tuple by the trainers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SparseRep {
-    /// Ascending active indices; every active value is exactly `1.0`.
-    OneHot(Vec<u32>),
-    /// Ascending nonzero indices with their (arbitrary) values.
-    Csr {
-        /// Ascending column indices of the nonzeros.
-        idx: Vec<u32>,
-        /// The nonzero values, matching `idx`.
-        vals: Vec<f64>,
-    },
-}
-
-impl SparseRep {
-    /// Borrows the representation as a [`BlockVec`] for the block-dispatch
-    /// methods in [`crate::block`].
-    pub fn as_block_vec(&self) -> BlockVec<'_> {
-        match self {
-            SparseRep::OneHot(idx) => BlockVec::OneHot(idx),
-            SparseRep::Csr { idx, vals } => BlockVec::Csr { idx, vals },
-        }
-    }
-
-    /// Number of nonzero entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            SparseRep::OneHot(idx) => idx.len(),
-            SparseRep::Csr { idx, .. } => idx.len(),
-        }
-    }
-
-    /// `x · v` for this sparse `x` and a dense `v` — a gather-sum for one-hot
-    /// rows, a weighted gather for CSR rows.
-    pub fn gather_dot(&self, v: &[f64]) -> f64 {
-        match self {
-            SparseRep::OneHot(idx) => gather_sum(v, idx),
-            SparseRep::Csr { idx, vals } => csr::gather_dot(v, idx, vals),
-        }
-    }
-
-    /// `out[i] += alpha · x[i]` over the nonzeros of this sparse `x`.
-    pub fn axpy_into(&self, alpha: f64, out: &mut [f64]) {
-        match self {
-            SparseRep::OneHot(idx) => axpy_onehot(alpha, idx, out),
-            SparseRep::Csr { idx, vals } => csr::axpy_csr(alpha, idx, vals, out),
-        }
-    }
-
-    /// `A · x` for this sparse `x` (a column gather for one-hot rows).
-    pub fn matvec(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
-        match self {
-            SparseRep::OneHot(idx) => matvec_onehot_with(kp, a, idx),
-            SparseRep::Csr { idx, vals } => csr::matvec_csr_with(kp, a, idx, vals),
-        }
-    }
-
-    /// `Aᵀ · x` for this sparse `x` (a row gather for one-hot rows).
-    pub fn matvec_transposed(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
-        let mut y = vec![0.0; a.cols()];
-        self.matvec_transposed_into(kp, a, &mut y);
-        y
-    }
-
-    /// [`Self::matvec_transposed`] into an existing buffer — the NN
-    /// first-layer gather over an embedding table (`a`'s row `j` holds the
-    /// weights of input column `j`).
-    pub fn matvec_transposed_into(&self, kp: KernelPolicy, a: &Matrix, y: &mut [f64]) {
-        match self {
-            SparseRep::OneHot(idx) => matvec_transposed_onehot_into_with(kp, a, idx, y),
-            SparseRep::Csr { idx, vals } => {
-                csr::matvec_transposed_csr_into_with(kp, a, idx, vals, y)
-            }
-        }
-    }
-
-    /// `A += alpha · x yᵀ` for this sparse `x` — the NN first-layer gradient
-    /// row scatter into an embedding-table-shaped accumulator.
-    pub fn ger(&self, kp: KernelPolicy, alpha: f64, y: &[f64], a: &mut Matrix) {
-        match self {
-            SparseRep::OneHot(idx) => ger_onehot_with(kp, alpha, idx, y, a),
-            SparseRep::Csr { idx, vals } => csr::ger_csr_with(kp, alpha, idx, vals, y, a),
-        }
-    }
-
-    /// `xᵀ A x` for this sparse `x` — the raw (uncentered) diagonal quadratic
-    /// form used by the mean decomposition.
-    pub fn quadratic_form_pair(&self, a: &Matrix) -> f64 {
-        match self {
-            SparseRep::OneHot(idx) => quadratic_form_onehot_pair(idx, a, idx),
-            SparseRep::Csr { idx, vals } => csr::quadratic_form_csr_pair(idx, vals, a, idx, vals),
-        }
-    }
-
-    /// `A += alpha · x xᵀ` over the nonzero index pairs of this sparse `x` —
-    /// the raw scatter of the M-step mean decomposition.
-    pub fn scatter_pair(&self, alpha: f64, a: &mut Matrix) {
-        match self {
-            SparseRep::OneHot(idx) => scatter_onehot_pair(alpha, idx, idx, a),
-            SparseRep::Csr { idx, vals } => csr::scatter_csr_pair(alpha, idx, vals, idx, vals, a),
-        }
-    }
 }
 
 impl SparseMode {
@@ -173,25 +53,6 @@ impl SparseMode {
         match self {
             SparseMode::Auto => "auto",
             SparseMode::Dense => "dense",
-        }
-    }
-
-    /// The trainers' detection gate: under `Auto`, tries [`onehot_indices`]
-    /// first (multiply-free kernels, ≤ ½ occupancy) and falls back to
-    /// [`csr::csr_indices`] (weighted kernels, ≤ ¼ occupancy); always `None`
-    /// under `Dense`.  Lives here so every trainer shares one detection
-    /// policy.  Each call bumps [`detect_calls`] — callers are expected to
-    /// cache the result per tuple rather than re-detect per pass.
-    pub fn detect(self, features: &[f64]) -> Option<SparseRep> {
-        match self {
-            SparseMode::Auto => {
-                DETECT_CALLS.get().inc();
-                if let Some(idx) = onehot_indices(features) {
-                    return Some(SparseRep::OneHot(idx));
-                }
-                csr::csr_indices(features).map(|(idx, vals)| SparseRep::Csr { idx, vals })
-            }
-            SparseMode::Dense => None,
         }
     }
 }
@@ -225,36 +86,10 @@ pub fn onehot_kernel_calls() -> u64 {
     ONEHOT_KERNEL_CALLS.get().get()
 }
 
-/// Maximum occupancy (`nnz / width`) at which [`onehot_indices`] still reports
-/// a slice as one-hot.  Above half occupancy the dense kernels win on memory
-/// traffic, so detection declines even for genuinely 0/1-valued data.
-pub const MAX_AUTO_OCCUPANCY_NUM: usize = 1;
-/// Denominator of the auto-detection occupancy cutoff (`nnz/width ≤ 1/2`).
-pub const MAX_AUTO_OCCUPANCY_DEN: usize = 2;
-
-/// Returns the ascending active indices of `x` when it is a one-hot block
-/// worth treating sparsely: every entry exactly `0.0` or `1.0` and occupancy
-/// at most ½.  Empty slices qualify (zero indices).  Returns `None` for
-/// anything else — including 0/1 data that is too dense to profit.
-pub fn onehot_indices(x: &[f64]) -> Option<Vec<u32>> {
-    let mut idx = Vec::new();
-    for (i, &v) in x.iter().enumerate() {
-        if v == 1.0 {
-            idx.push(i as u32);
-        } else if v != 0.0 {
-            return None;
-        }
-    }
-    if idx.len() * MAX_AUTO_OCCUPANCY_DEN > x.len() * MAX_AUTO_OCCUPANCY_NUM {
-        return None;
-    }
-    Some(idx)
-}
-
-/// A per-relation block of one feature vector, in whichever representation the
-/// data actually has.  [`crate::block::BlockScatter::add_outer_rep`]
-/// dispatches on this.
-#[derive(Debug, Clone, Copy)]
+/// One feature row (or one relation's block of it) in its stored form.
+/// [`crate::block::BlockScatter::add_outer_rep`] and the methods below
+/// dispatch on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlockVec<'a> {
     /// A dense slice of block width.
     Dense(&'a [f64]),
@@ -269,13 +104,99 @@ pub enum BlockVec<'a> {
     },
 }
 
-impl<'a> BlockVec<'a> {
-    /// Number of nonzero entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            BlockVec::Dense(x) => x.iter().filter(|&&v| v != 0.0).count(),
-            BlockVec::OneHot(idx) => idx.len(),
-            BlockVec::Csr { idx, .. } => idx.len(),
+impl BlockVec<'_> {
+    /// Whether the row is a dense slice.
+    pub fn is_dense(&self) -> bool {
+        matches!(self, BlockVec::Dense(_))
+    }
+
+    /// `x · v` — a gather-sum for one-hot rows, a weighted gather for CSR.
+    pub fn gather_dot(&self, v: &[f64]) -> f64 {
+        match *self {
+            BlockVec::Dense(x) => vector::dot(x, v),
+            BlockVec::OneHot(idx) => gather_sum(v, idx),
+            BlockVec::Csr { idx, vals } => csr::gather_dot(v, idx, vals),
+        }
+    }
+
+    /// `out[i] += alpha · x[i]` over the nonzeros of `x`.
+    pub fn axpy_into(&self, alpha: f64, out: &mut [f64]) {
+        match *self {
+            BlockVec::Dense(x) => vector::axpy(alpha, x, out),
+            BlockVec::OneHot(idx) => axpy_onehot(alpha, idx, out),
+            BlockVec::Csr { idx, vals } => csr::axpy_csr(alpha, idx, vals, out),
+        }
+    }
+
+    /// `out = x − mu`, bit-equal to [`vector::sub_into`] on the expanded row:
+    /// `0 − mu_i` everywhere, then `x_i` added at the nonzeros
+    /// (`(0 − µ) + x == x − µ` exactly).
+    pub fn sub_into(&self, mu: &[f64], out: &mut [f64]) {
+        if let BlockVec::Dense(x) = *self {
+            return vector::sub_into(x, mu, out);
+        }
+        for (o, &m) in out.iter_mut().zip(mu) {
+            *o = 0.0 - m;
+        }
+        self.axpy_into(1.0, out);
+    }
+
+    /// `A · x` (a column gather for one-hot rows).
+    pub fn matvec(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
+        match *self {
+            BlockVec::Dense(x) => gemm::matvec_with(kp, a, x),
+            BlockVec::OneHot(idx) => matvec_onehot_with(kp, a, idx),
+            BlockVec::Csr { idx, vals } => csr::matvec_csr_with(kp, a, idx, vals),
+        }
+    }
+
+    /// `Aᵀ · x` (a row gather for one-hot rows).
+    pub fn matvec_transposed(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
+        let mut y = vec![0.0; a.cols()];
+        self.matvec_transposed_into(kp, a, &mut y);
+        y
+    }
+
+    /// [`Self::matvec_transposed`] into an existing buffer — the NN
+    /// first-layer gather over an embedding table (`a`'s row `j` holds the
+    /// weights of input column `j`).
+    pub fn matvec_transposed_into(&self, kp: KernelPolicy, a: &Matrix, y: &mut [f64]) {
+        match *self {
+            BlockVec::Dense(x) => gemm::matvec_transposed_into_with(kp, a, x, y),
+            BlockVec::OneHot(idx) => matvec_transposed_onehot_into_with(kp, a, idx, y),
+            BlockVec::Csr { idx, vals } => {
+                csr::matvec_transposed_csr_into_with(kp, a, idx, vals, y)
+            }
+        }
+    }
+
+    /// `A += alpha · x yᵀ` — the NN first-layer gradient row scatter into an
+    /// embedding-table-shaped accumulator.
+    pub fn ger(&self, kp: KernelPolicy, alpha: f64, y: &[f64], a: &mut Matrix) {
+        match *self {
+            BlockVec::Dense(x) => gemm::ger_with(kp, alpha, x, y, a),
+            BlockVec::OneHot(idx) => ger_onehot_with(kp, alpha, idx, y, a),
+            BlockVec::Csr { idx, vals } => csr::ger_csr_with(kp, alpha, idx, vals, y, a),
+        }
+    }
+
+    /// `xᵀ A x` — the raw (uncentered) quadratic form of the mean
+    /// decomposition.
+    pub fn quadratic_form_pair(&self, a: &Matrix) -> f64 {
+        match *self {
+            BlockVec::Dense(x) => gemm::quadratic_form_with(KernelPolicy::Naive, x, a, x),
+            BlockVec::OneHot(idx) => quadratic_form_onehot_pair(idx, a, idx),
+            BlockVec::Csr { idx, vals } => csr::quadratic_form_csr_pair(idx, vals, a, idx, vals),
+        }
+    }
+
+    /// `A += alpha · x xᵀ` — the raw scatter of the M-step mean
+    /// decomposition.
+    pub fn scatter_pair(&self, alpha: f64, a: &mut Matrix) {
+        match *self {
+            BlockVec::Dense(x) => gemm::ger_with(KernelPolicy::Naive, alpha, x, x, a),
+            BlockVec::OneHot(idx) => scatter_onehot_pair(alpha, idx, idx, a),
+            BlockVec::Csr { idx, vals } => csr::scatter_csr_pair(alpha, idx, vals, idx, vals, a),
         }
     }
 }
@@ -487,9 +408,43 @@ pub fn check_block_indices(idx: &[u32], bound: usize, what: &str) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::gemm;
+
+    // The per-row classifier the trainers ran before representation became
+    // a schema fact, kept as test code: one-hot first (0/1 values at ≤ ½
+    // occupancy), weighted CSR second (≤ ¼ occupancy), dense otherwise.
+
+    /// Ascending active indices of a 0/1 slice at ≤ ½ occupancy.
+    pub(crate) fn onehot_indices(x: &[f64]) -> Option<Vec<u32>> {
+        let mut idx = Vec::new();
+        for (i, &v) in x.iter().enumerate() {
+            if v == 1.0 {
+                idx.push(i as u32);
+            } else if v != 0.0 {
+                return None;
+            }
+        }
+        (2 * idx.len() <= x.len()).then_some(idx)
+    }
+
+    /// Ascending nonzero `(indices, values)` of a slice at ≤ ¼ occupancy.
+    pub(crate) fn csr_indices(x: &[f64]) -> Option<(Vec<u32>, Vec<f64>)> {
+        let nonzero: Vec<(u32, f64)> = (0..x.len() as u32)
+            .zip(x.iter().copied())
+            .filter(|&(_, v)| v != 0.0)
+            .collect();
+        (4 * nonzero.len() <= x.len()).then(|| nonzero.into_iter().unzip())
+    }
+
+    /// What the classifier makes of `x`, as `(indices, values)` — the values
+    /// `None` for a one-hot row — or `None` for a dense one.
+    fn detect(x: &[f64]) -> Option<(Vec<u32>, Option<Vec<f64>>)> {
+        match onehot_indices(x) {
+            Some(idx) => Some((idx, None)),
+            None => csr_indices(x).map(|(idx, vals)| (idx, Some(vals))),
+        }
+    }
 
     fn pseudo(rows: usize, cols: usize, salt: u64) -> Matrix {
         let mut rng = crate::testutil::TestRng::new(salt);
@@ -609,7 +564,7 @@ mod tests {
         let kp = KernelPolicy::Blocked;
         assert_eq!(matvec_onehot_with(kp, &a, &[]), vec![0.0; 4]);
         assert_eq!(
-            SparseRep::OneHot(vec![]).matvec_transposed(KernelPolicy::Naive, &a),
+            BlockVec::OneHot(&[]).matvec_transposed(KernelPolicy::Naive, &a),
             vec![0.0; 4]
         );
         assert_eq!(quadratic_form_onehot_pair(&[], &a, &[]), 0.0);
@@ -645,41 +600,24 @@ mod tests {
 
     #[test]
     fn detect_prefers_onehot_then_csr_then_dense() {
-        let before = detect_calls();
         // 0/1 at ≤ ½ occupancy → one-hot
-        assert_eq!(
-            SparseMode::Auto.detect(&[0.0, 1.0, 0.0, 0.0]),
-            Some(SparseRep::OneHot(vec![1]))
-        );
+        assert_eq!(detect(&[0.0, 1.0, 0.0, 0.0]), Some((vec![1], None)));
         // weighted nonzeros at ≤ ¼ occupancy → CSR
         assert_eq!(
-            SparseMode::Auto.detect(&[0.0, 0.0, 2.5, 0.0, 0.0, 0.0, -1.0, 0.0]),
-            Some(SparseRep::Csr {
-                idx: vec![2, 6],
-                vals: vec![2.5, -1.0],
-            })
+            detect(&[0.0, 0.0, 2.5, 0.0, 0.0, 0.0, -1.0, 0.0]),
+            Some((vec![2, 6], Some(vec![2.5, -1.0])))
         );
         // weighted but too dense → dense path
-        assert_eq!(SparseMode::Auto.detect(&[1.5, 2.5, 0.0, 0.0]), None);
-        // Auto detection must bump the process-global counter (≥, not ==:
-        // other tests in this binary may detect concurrently)
-        assert!(
-            detect_calls() >= before + 3,
-            "Auto detection must bump the counter"
-        );
-        // Dense mode never detects (and takes the non-counting arm)
-        assert_eq!(SparseMode::Dense.detect(&[0.0, 1.0]), None);
+        assert_eq!(detect(&[1.5, 2.5, 0.0, 0.0]), None);
     }
 
     #[test]
     fn sparse_rep_helpers_dispatch_to_the_right_kernels() {
-        let onehot = SparseRep::OneHot(vec![0, 2]);
-        let csr = SparseRep::Csr {
-            idx: vec![0, 2],
-            vals: vec![2.0, -1.0],
+        let onehot = BlockVec::OneHot(&[0, 2]);
+        let csr = BlockVec::Csr {
+            idx: &[0, 2],
+            vals: &[2.0, -1.0],
         };
-        assert_eq!(onehot.nnz(), 2);
-        assert_eq!(csr.nnz(), 2);
         let v = [1.0, 10.0, 3.0];
         assert_eq!(onehot.gather_dot(&v), 4.0);
         assert_eq!(csr.gather_dot(&v), -1.0);
@@ -689,13 +627,31 @@ mod tests {
         let mut out = vec![0.0; 3];
         csr.axpy_into(2.0, &mut out);
         assert_eq!(out, vec![4.0, 0.0, -2.0]);
-        // quadratic form pair: xᵀ A x against the densified oracle
+        // every operation keeps the bits of its dense arm on the expanded row
         let a = pseudo(3, 3, 21);
-        let x_one = densify(&[0, 2], 3);
-        let dense = crate::gemm::quadratic_form_with(KernelPolicy::Naive, &x_one, &a, &x_one);
-        assert_eq!(onehot.quadratic_form_pair(&a), dense);
-        let x_csr = [2.0, 0.0, -1.0];
-        let dense = crate::gemm::quadratic_form_with(KernelPolicy::Naive, &x_csr, &a, &x_csr);
-        assert_eq!(csr.quadratic_form_pair(&a), dense);
+        let mu = [0.25, -0.5, 0.0];
+        for (rep, x) in [(onehot, densify(&[0, 2], 3)), (csr, vec![2.0, 0.0, -1.0])] {
+            let dense = BlockVec::Dense(&x);
+            assert!(dense.is_dense() && !rep.is_dense());
+            assert_eq!(rep.quadratic_form_pair(&a), dense.quadratic_form_pair(&a));
+            assert_eq!(rep.gather_dot(&mu), dense.gather_dot(&mu));
+            let kp = KernelPolicy::Naive;
+            assert_eq!(rep.matvec(kp, &a), dense.matvec(kp, &a));
+            assert_eq!(
+                rep.matvec_transposed(kp, &a),
+                dense.matvec_transposed(kp, &a)
+            );
+            let (mut got, mut want) = (vec![f64::NAN; 3], vec![0.0; 3]);
+            rep.sub_into(&mu, &mut got);
+            dense.sub_into(&mu, &mut want);
+            assert_eq!(got, want);
+            let (mut got, mut want) = (pseudo(3, 3, 22), pseudo(3, 3, 22));
+            rep.scatter_pair(0.5, &mut got);
+            dense.scatter_pair(0.5, &mut want);
+            assert_eq!(got, want);
+            rep.ger(kp, 0.5, &mu, &mut got);
+            dense.ger(kp, 0.5, &mu, &mut want);
+            assert_eq!(got, want);
+        }
     }
 }

@@ -164,15 +164,15 @@ fn sparse_and_csr_kernels_bit_identical_across_bit_exact_levels_and_policies() {
 }
 
 /// Every `KernelPolicy × SparseMode` combination through the block-dispatch
-/// surface the trainers actually use: detection under the mode, then
-/// `add_outer_rep` over the detected representation.  Bit-exact levels must
-/// agree bit-for-bit on all of it.
+/// surface the trainers actually use: the row in the form the mode hands
+/// out — stored one-hot under `Auto`, expanded under `Dense` — then
+/// `add_outer_rep` over it.  Bit-exact levels must agree bit-for-bit on all
+/// of it.
 #[test]
 fn block_dispatch_bit_identical_under_every_policy_and_sparse_mode() {
     let mut rng = TestRng::new(0x51D2);
     let d_s = 3usize;
     let d_r = 9usize; // % 4 != 0
-                      // A one-hot-able block (0/1 values, low occupancy) so Auto detects it.
     let mut xr = vec![0.0; d_r];
     xr[2] = 1.0;
     xr[7] = 1.0;
@@ -181,18 +181,13 @@ fn block_dispatch_bit_identical_under_every_policy_and_sparse_mode() {
     let alpha = 1.75;
 
     for mode in [SparseMode::Auto, SparseMode::Dense] {
-        let rep = mode.detect(&xr);
-        match mode {
-            SparseMode::Auto => assert!(rep.is_some(), "auto must detect the one-hot block"),
-            SparseMode::Dense => assert!(rep.is_none(), "dense must never detect"),
-        }
+        let bv = match mode {
+            SparseMode::Auto => BlockVec::OneHot(&[2, 7]),
+            SparseMode::Dense => BlockVec::Dense(&xr),
+        };
         for p in KernelPolicy::ALL {
             let run = |lv: SimdLevel| {
                 simd::with_level(lv, || {
-                    let bv = rep
-                        .as_ref()
-                        .map(|r| r.as_block_vec())
-                        .unwrap_or(BlockVec::Dense(&xr));
                     let mut sc = BlockScatter::new_with(partition.clone(), p);
                     sc.add_outer_rep(0, 1, alpha, BlockVec::Dense(&u), bv);
                     sc.add_outer_rep(1, 0, alpha, bv, BlockVec::Dense(&u));

@@ -40,13 +40,11 @@
 //! `R` spans several `block_pages` windows pays the dimension-side work once
 //! per tuple all the same, and reads exactly the pages `S-NN` reads.
 //!
-//! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  Representations
-//! (one-hot / weighted CSR / dense) are detected during the first epoch's
-//! scan and cached for the whole run — dimension tuples by ordinal
-//! ([`KeyedRepCache`], keyed by [`FactorizedScan::ordinal_base`]` + ordinal`),
-//! facts by scan position ([`RepCache`]) — so detection runs at most once per
-//! tuple, and a sparse tuple's products are gathers and scatters of
-//! embedding-table rows ([`crate::first_layer`]).
+//! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  A tuple comes out
+//! of the scan in the form its relation stores it (one-hot / weighted CSR /
+//! dense), and a sparse tuple's products are gathers and scatters of
+//! embedding-table rows ([`crate::first_layer`]); under
+//! [`fml_linalg::SparseMode::Dense`] every row is expanded on decode.
 //!
 //! **Bit contract.**  The split is exact, so the model matches `M-NN` /
 //! `S-NN` up to floating-point rounding (loss within 1e-6).  The whole epoch
@@ -60,8 +58,9 @@ use crate::first_layer::FirstLayer;
 use crate::mlp::Mlp;
 use crate::trainer::{ensure_trainable, NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
-use fml_linalg::repcache::{KeyedRepCache, OrdinalArena, RepCache};
+use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::vector;
+use fml_store::batch::RowBuf;
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, JoinSpec, StoreResult};
 use std::time::Instant;
@@ -112,11 +111,6 @@ pub(crate) fn train_epochs(
     let probe = db.stats().io_probe();
     let mut notifier = FitNotifier::new(exec, Some(&probe));
 
-    // Detection caches, hoisted out of the epoch loop: the tuples are
-    // immutable and every epoch replays them in the same order, so the
-    // first epoch fills the caches and every later one reads them.
-    let mut dim_reps: Vec<KeyedRepCache> = (0..q).map(|_| KeyedRepCache::new(ex.sparse)).collect();
-    let mut fact_reps = RepCache::new(ex.sparse);
     // Per dimension tuple, cleared each window: the partial product
     // W¹_{R_i}·x_{R_i} (a gather of the table rows a sparse x_{R_i}
     // selects) followed by the accumulated sum of first-layer deltas.
@@ -124,7 +118,7 @@ pub(crate) fn train_epochs(
     let mut arenas: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(2 * nh)).collect();
     let mut ws = model.workspace();
     // An inlined fact's block 0: its denormalized row.
-    let mut joined = Vec::new();
+    let mut joined = RowBuf::default();
 
     for _epoch in 0..config.epochs {
         // Weights are constant within an epoch (full-batch update at the
@@ -134,9 +128,9 @@ pub(crate) fn train_epochs(
         let mut grads = model.zero_grads();
         let mut grad_w1 = first.zero_grad();
         let mut loss_sum = 0.0;
-        let mut cursor = 0usize;
 
-        let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+        let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+        let mut scan = scan.sparse_mode(ex.sparse);
         while scan.next_window()? {
             for (i, arena) in arenas.iter_mut().enumerate() {
                 arena.reset(scan.cache().dim_len(i));
@@ -151,34 +145,27 @@ pub(crate) fn train_epochs(
                     // ---- forward, first layer (factorized) ----
                     for (i, &ord) in ords.iter().enumerate() {
                         if arenas[i].claim(ord) {
-                            let features = cache.row(i, ord);
-                            // Detection persists across epochs; only the
-                            // first encounter of a tuple ever scans it.
-                            let key = scan.ordinal_base(i) + ord;
-                            let rep = dim_reps[i].rep_or_detect(key, features);
                             let (cached, delta_sum) = arenas[i].row_mut(ord).split_at_mut(nh);
-                            first.partial(i + 1, features, rep, cached);
+                            first.partial(i + 1, cache.row(i, ord), cached);
                             delta_sum.fill(0.0);
                         }
                     }
                     let x_s = if inline {
                         block.joined_row(f, cache, &mut joined)
                     } else {
-                        facts.features(f)
+                        facts.row(f)
                     };
-                    let s_rep = fact_reps.rep_or_detect(cursor, x_s);
                     let cached = arenas.iter().zip(ords).map(|(a, &ord)| &a.row(ord)[..nh]);
-                    first.pre_activation(x_s, s_rep, cached, ws.first_preactivation());
+                    first.pre_activation(x_s, cached, ws.first_preactivation());
                     // ---- layers ≥ 2 forward, all layers backward ----
                     let y = facts.target(f).unwrap_or(0.0);
                     loss_sum +=
                         model.backward_from_first_preactivation_with(kp, &mut ws, y, &mut grads);
                     // PG_S: per fact.
-                    grad_w1.add(0, ws.first_delta(), x_s, s_rep);
+                    grad_w1.add(0, ws.first_delta(), x_s);
                     for (arena, &ord) in arenas.iter_mut().zip(ords) {
                         vector::axpy(1.0, ws.first_delta(), &mut arena.row_mut(ord)[nh..]);
                     }
-                    cursor += 1;
                 }
             }
             // PG_{R_i}: one outer product (a row scatter-add for sparse
@@ -186,13 +173,10 @@ pub(crate) fn train_epochs(
             // ordinal order.
             for (i, arena) in arenas.iter().enumerate() {
                 for ord in arena.referenced() {
-                    let features = scan.cache().row(i, ord);
-                    let rep = dim_reps[i].get(scan.ordinal_base(i) + ord);
-                    grad_w1.add(i + 1, &arena.row(ord)[nh..], features, rep);
+                    grad_w1.add(i + 1, &arena.row(ord)[nh..], scan.cache().row(i, ord));
                 }
             }
         }
-        fact_reps.finish_fill();
 
         grad_w1.add_into(&mut grads[0]);
         model.apply_grads(&grads, config.learning_rate, n as f64);

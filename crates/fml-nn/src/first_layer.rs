@@ -49,7 +49,7 @@
 
 use crate::layer::LayerGradient;
 use crate::mlp::Mlp;
-use fml_linalg::{gemm, vector, KernelPolicy, Matrix, SparseRep};
+use fml_linalg::{vector, BlockVec, KernelPolicy, Matrix};
 
 /// `W¹` as one embedding table per relation, plus `b¹` — hoisted once per
 /// epoch by the trainers (weights are constant within a full-batch epoch) and
@@ -107,13 +107,9 @@ impl FirstLayer {
 
     /// Writes the partial product `W¹_b·x` of partition block `block` (0 =
     /// fact side) into `out` (`n_h` values, overwritten) — the sum of the
-    /// table rows `x` selects, a gather when `rep` says `x` is sparse.
-    pub fn partial(&self, block: usize, x: &[f64], rep: Option<&SparseRep>, out: &mut [f64]) {
-        let table = &self.tables[block];
-        match rep {
-            Some(rep) => rep.matvec_transposed_into(self.kp, table, out),
-            None => gemm::matvec_transposed_into_with(self.kp, table, x, out),
-        }
+    /// table rows `x` selects, a gather when `x` is stored sparse.
+    pub fn partial(&self, block: usize, x: BlockVec<'_>, out: &mut [f64]) {
+        x.matvec_transposed_into(self.kp, &self.tables[block], out);
     }
 
     /// Assembles `a¹ = (W¹_S·x_S + b¹) + Σ_i t_i` into `a1` from the fact
@@ -122,12 +118,11 @@ impl FirstLayer {
     /// scorer share.
     pub fn pre_activation<'a>(
         &self,
-        fact: &[f64],
-        fact_rep: Option<&SparseRep>,
+        fact: BlockVec<'_>,
         dims: impl IntoIterator<Item = &'a [f64]>,
         a1: &mut [f64],
     ) {
-        self.partial(0, fact, fact_rep, a1);
+        self.partial(0, fact, a1);
         vector::axpy(1.0, &self.bias, a1);
         for partial in dims {
             vector::axpy(1.0, partial, a1);
@@ -144,12 +139,8 @@ pub struct FirstLayerGrad {
 
 impl FirstLayerGrad {
     /// `PG_b += δ·xᵀ` — `δ` scatter-added into the table rows `x` selects.
-    pub fn add(&mut self, block: usize, delta: &[f64], x: &[f64], rep: Option<&SparseRep>) {
-        let table = &mut self.tables[block];
-        match rep {
-            Some(rep) => rep.ger(self.kp, 1.0, delta, table),
-            None => gemm::ger_with(self.kp, 1.0, x, delta, table),
-        }
+    pub fn add(&mut self, block: usize, delta: &[f64], x: BlockVec<'_>) {
+        x.ger(self.kp, 1.0, delta, &mut self.tables[block]);
     }
 
     /// Adds the tables, transposed back, into the first layer's full-width
@@ -171,30 +162,28 @@ impl FirstLayerGrad {
 mod tests {
     use super::*;
     use crate::activation::Activation;
+    use fml_linalg::gemm;
     use fml_linalg::simd::{self, SimdLevel};
 
     const SIZES: [usize; 3] = [3, 4, 2];
 
-    /// A fact block (dense) and two dimension blocks (one-hot, CSR) with the
-    /// representations detection would hand the engine.
-    fn blocks() -> Vec<(Vec<f64>, Option<SparseRep>)> {
+    /// A fact block (dense) and two dimension blocks (one-hot, CSR), each
+    /// expanded and in the form its relation would store it.
+    fn blocks() -> Vec<(Vec<f64>, BlockVec<'static>)> {
         vec![
-            (vec![0.4, -1.5, 2.0], None),
-            (
-                vec![0.0, 1.0, 0.0, 1.0],
-                Some(SparseRep::OneHot(vec![1, 3])),
-            ),
+            (vec![0.4, -1.5, 2.0], BlockVec::Dense(&[0.4, -1.5, 2.0])),
+            (vec![0.0, 1.0, 0.0, 1.0], BlockVec::OneHot(&[1, 3])),
             (
                 vec![0.0, -2.5],
-                Some(SparseRep::Csr {
-                    idx: vec![1],
-                    vals: vec![-2.5],
-                }),
+                BlockVec::Csr {
+                    idx: &[1],
+                    vals: &[-2.5],
+                },
             ),
         ]
     }
 
-    fn joined(blocks: &[(Vec<f64>, Option<SparseRep>)]) -> Vec<f64> {
+    fn joined(blocks: &[(Vec<f64>, BlockVec<'static>)]) -> Vec<f64> {
         blocks.iter().flat_map(|(x, _)| x.clone()).collect()
     }
 
@@ -224,12 +213,11 @@ mod tests {
                 let mut terms = vec![vec![f64::NAN; 5]; 2];
                 for (term, (b, (x, rep))) in terms.iter_mut().zip(blocks.iter().enumerate().skip(1))
                 {
-                    first.partial(b, x, rep.as_ref().filter(|_| sparse), term);
+                    first.partial(b, if sparse { *rep } else { BlockVec::Dense(x) }, term);
                 }
-                let (fact, fact_rep) = &blocks[0];
                 let mut a1 = vec![f64::NAN; 5];
                 let terms = terms.iter().map(Vec::as_slice);
-                first.pre_activation(fact, fact_rep.as_ref(), terms, &mut a1);
+                first.pre_activation(blocks[0].1, terms, &mut a1);
                 let want = model.layers()[0].pre_activation_with(kp, &joined);
                 assert!(vector::max_abs_diff(&a1, &want) < 1e-12, "{kp:?}/{sparse}");
             }
@@ -249,8 +237,8 @@ mod tests {
                 start += x.len();
                 let want = gemm::matvec_with(KernelPolicy::Naive, &block, x);
                 let mut got = vec![f64::NAN; 5];
-                first.partial(b, x, rep.as_ref(), &mut got);
-                let onehot = matches!(rep, Some(SparseRep::OneHot(_)));
+                first.partial(b, *rep, &mut got);
+                let onehot = matches!(rep, BlockVec::OneHot(_));
                 if onehot || simd::current_level().is_bit_exact() {
                     assert_eq!(bits(&got), bits(&want), "{kp:?} block {b}");
                 } else {
@@ -271,8 +259,8 @@ mod tests {
         under_every_policy_and_level(|kp| {
             let first = FirstLayer::split(&model, &SIZES, kp);
             let mut grad = first.zero_grad();
-            for (b, (x, rep)) in blocks.iter().enumerate() {
-                grad.add(b, &delta, x, rep.as_ref());
+            for (b, (_, rep)) in blocks.iter().enumerate() {
+                grad.add(b, &delta, *rep);
             }
             let mut grads = model.zero_grads();
             grad.add_into(&mut grads[0]);

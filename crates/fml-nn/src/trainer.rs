@@ -159,7 +159,7 @@ mod tests {
     use crate::FactorizedNn;
     use fml_data::multiway::{DimSpec, MultiwayConfig};
     use fml_data::SyntheticConfig;
-    use fml_store::{Schema, Tuple};
+    use fml_store::{FeatureGroup, Schema, Tuple};
 
     fn linear_data() -> Vec<(Vec<f64>, f64)> {
         (0..60)
@@ -171,13 +171,13 @@ mod tests {
             .collect()
     }
 
-    /// `rows` stored as a fact relation with no foreign keys: the `q = 0`
-    /// join, which the one epoch driver trains as the partition `[d]`.
-    fn fact_only(rows: &[(Vec<f64>, f64)]) -> (Database, JoinSpec) {
+    /// `rows` stored as a fact relation with no foreign keys, its features
+    /// as `group`: the `q = 0` join, which the one epoch driver trains as the
+    /// partition `[d]`.
+    fn fact_only_as(rows: &[(Vec<f64>, f64)], group: FeatureGroup) -> (Database, JoinSpec) {
         let db = Database::in_memory();
-        let rel = db
-            .create_relation(Schema::fact_with_target("S", rows[0].0.len(), 0))
-            .unwrap();
+        let schema = Schema::fact_with_target("S", 0, 0).with_groups(vec![group]);
+        let rel = db.create_relation(schema).unwrap();
         let mut rel = rel.lock();
         for (key, (x, y)) in (0u64..).zip(rows) {
             rel.append(&Tuple::fact_with_target(key, vec![], *y, x.clone()))
@@ -186,6 +186,10 @@ mod tests {
         rel.flush().unwrap();
         drop(rel);
         (db, JoinSpec::multiway("S", vec![]))
+    }
+
+    fn fact_only(rows: &[(Vec<f64>, f64)]) -> (Database, JoinSpec) {
+        fact_only_as(rows, FeatureGroup::Dense(rows[0].0.len()))
     }
 
     #[test]
@@ -241,10 +245,10 @@ mod tests {
 
     #[test]
     fn table_engine_matches_the_row_major_reference_per_parameter() {
-        // One-hot, CSR and dense row sets (the three representations
-        // detection hands the engine), each trained as a fact-only relation
-        // through the one epoch driver, against the plain per-example loop
-        // over the row-major dense kernels.
+        // One-hot, CSR and dense row sets, each stored in its form as a
+        // fact-only relation and trained through the one epoch driver,
+        // against the plain per-example loop over the row-major dense
+        // kernels.
         let onehot = |i: usize| {
             let mut x = vec![0.0; 12];
             x[i % 5] = 1.0;
@@ -262,10 +266,21 @@ mod tests {
                 .map(|j| ((i * 7 + j * 3) % 11) as f64 / 5.0 - 1.0)
                 .collect()
         };
-        let row_sets: [(&str, Vec<Vec<f64>>); 3] = [
-            ("one-hot", (0..40).map(onehot).collect()),
-            ("csr", (0..40).map(csr).collect()),
-            ("dense", (0..40).map(dense).collect()),
+        let one_hot = FeatureGroup::OneHot {
+            cardinalities: vec![5, 7],
+        };
+        let sparse = FeatureGroup::SparseNumeric {
+            width: 12,
+            max_nnz: 2,
+        };
+        let row_sets: [(&str, Vec<Vec<f64>>, FeatureGroup); 3] = [
+            ("one-hot", (0..40).map(onehot).collect(), one_hot),
+            ("csr", (0..40).map(csr).collect(), sparse),
+            (
+                "dense",
+                (0..40).map(dense).collect(),
+                FeatureGroup::Dense(12),
+            ),
         ];
         let config = NnConfig {
             hidden: vec![6, 4],
@@ -273,13 +288,13 @@ mod tests {
             epochs: 3,
             learning_rate: 0.3,
         };
-        for (label, xs) in row_sets {
+        for (label, xs, group) in row_sets {
             let rows: Vec<(Vec<f64>, f64)> = xs
                 .into_iter()
                 .enumerate()
                 .map(|(i, x)| (x, (i % 5) as f64 / 4.0))
                 .collect();
-            let (db, spec) = fact_only(&rows);
+            let (db, spec) = fact_only_as(&rows, group);
             for kp in [
                 fml_linalg::KernelPolicy::Naive,
                 fml_linalg::KernelPolicy::Blocked,

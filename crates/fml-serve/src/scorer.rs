@@ -22,8 +22,9 @@
 //! but the trainers' own engines: [`fml_gmm::EStep`] (the factorized E-step)
 //! and [`fml_nn::FirstLayer`] (the factorized first layer).  Every per-row
 //! quantity is computed block-by-block along the relation partition, combined
-//! in a fixed block order, with the same sparse-representation dispatch
-//! ([`SparseMode::Auto`] one-hot / CSR detection) on both sides.  The
+//! in a fixed block order, each block in the form its relation stores it
+//! (one-hot / CSR / dense under [`SparseMode::Auto`], dense under
+//! [`SparseMode::Dense`]) on every side.  The
 //! factorized path merely *caches* the dimension-block term rows instead of
 //! refilling them per row — the arithmetic per row is literally the same
 //! function over the same operands, so factorized scoring equals the
@@ -42,8 +43,8 @@
 //! trainer.  Per fact block of the scan, whose foreign keys arrive resolved
 //! to dimension ordinals (a dangling key surfacing as the same typed error
 //! whatever the worker count), one sequential sweep fills the term row of
-//! each newly referenced dimension tuple (terms and sparse detection once
-//! per *distinct* tuple), then the block's *fact rows* are chunked over
+//! each newly referenced dimension tuple (once per *distinct* tuple), then
+//! the block's *fact rows* are chunked over
 //! arenas that are read-only by then.  With one worker the block is a single
 //! chunk run inline.  Chunk boundaries depend only on block shape and worker
 //! count, every row's arithmetic is independent of which chunk ran it, and
@@ -62,12 +63,12 @@ use fml_linalg::block::BlockPartition;
 use fml_linalg::exec::{ExecPolicy, ExecSettings};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::OrdinalArena;
-use fml_linalg::sparse::{SparseMode, SparseRep};
-use fml_linalg::KernelPolicy;
+use fml_linalg::{BlockVec, KernelPolicy, SparseMode};
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
+use fml_store::batch::RowBuf;
 use fml_store::factorized_scan::{FactBlock, FactorizedScan};
 use fml_store::join::materialize_join;
-use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
+use fml_store::{Database, IoSnapshot, JoinSpec, RowKind, StoreResult};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -271,16 +272,14 @@ trait RowCore {
     fn dim_width(&self, i: usize) -> usize;
 
     /// Fills `row` (`dim_width(i)` values) with the reusable terms of one
-    /// tuple of dimension `i`, from its features and its detected sparse
-    /// representation.
-    fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]);
+    /// tuple of dimension `i`, from its features in their stored form.
+    fn dim_terms(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]);
 
-    /// Scores one fact row given its features, its sparse representation and
-    /// the term row of every referenced dimension tuple, in partition order.
+    /// Scores one fact row given its features and the term row of every
+    /// referenced dimension tuple, in partition order.
     fn score_row(
         &self,
-        fact_features: &[f64],
-        fact_rep: Option<&SparseRep>,
+        fact: BlockVec<'_>,
         dims: &[&[f64]],
         scratch: &mut Self::Scratch,
     ) -> Self::Row;
@@ -318,19 +317,13 @@ impl RowCore for EStep {
         self.row_len(i)
     }
 
-    fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]) {
-        self.fill_row(i, features, rep, row);
+    fn dim_terms(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]) {
+        self.fill_row(i, x, row);
     }
 
-    fn score_row(
-        &self,
-        fact_features: &[f64],
-        fact_rep: Option<&SparseRep>,
-        dims: &[&[f64]],
-        scratch: &mut GmmScratch,
-    ) -> GmmScore {
+    fn score_row(&self, fact: BlockVec<'_>, dims: &[&[f64]], scratch: &mut GmmScratch) -> GmmScore {
         let GmmScratch { log_dens, pd_s } = scratch;
-        self.log_densities(fact_features, fact_rep, dims, pd_s, log_dens);
+        self.log_densities(fact, dims, pd_s, log_dens);
         let (resp, log_likelihood) = self.pre.finish_responsibilities(log_dens);
         GmmScore {
             cluster: argmax(&resp),
@@ -364,22 +357,16 @@ impl RowCore for NnCore<'_> {
     /// The partial first-layer product `W¹_{R_i}·x_{R_i}` (the sum of the
     /// embedding-table rows the tuple selects), written straight into its
     /// term row.
-    fn dim_terms(&self, i: usize, features: &[f64], rep: Option<&SparseRep>, row: &mut [f64]) {
-        self.first.partial(i + 1, features, rep, row);
+    fn dim_terms(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]) {
+        self.first.partial(i + 1, x, row);
     }
 
-    fn score_row(
-        &self,
-        fact_features: &[f64],
-        fact_rep: Option<&SparseRep>,
-        dims: &[&[f64]],
-        ws: &mut Workspace,
-    ) -> f64 {
+    fn score_row(&self, fact: BlockVec<'_>, dims: &[&[f64]], ws: &mut Workspace) -> f64 {
         // a¹ = (W¹_S·x_S + b¹) + Σ_i W¹_{R_i}·x_{R_i}, assembled in fixed
         // partition order so every strategy produces identical bits.
         let partials = dims.iter().copied();
         self.first
-            .pre_activation(fact_features, fact_rep, partials, ws.first_preactivation());
+            .pre_activation(fact, partials, ws.first_preactivation());
         self.model
             .forward_from_first_preactivation_with(self.kp, ws)
     }
@@ -466,15 +453,21 @@ where
         let workers = ex.workers(ex.kernel_policy.is_parallel());
         score_factorized(core, db, spec, ex, workers, &mut out)?;
     } else {
-        score_denormalized(core, db, &source, partition, ex, &mut out)?;
+        // Each relation's block of a joined row, cut back out in its form.
+        let kinds = match ex.sparse {
+            SparseMode::Auto => spec.row_kinds(db)?,
+            SparseMode::Dense => vec![RowKind::Dense; partition.num_blocks()],
+        };
+        let mut joined = JoinedRows::new(core, partition, kinds);
+        score_denormalized(&mut joined, db, &source, ex, &mut out)?;
     }
     Ok((out.keys, out.rows))
 }
 
 /// Factorized scoring, shaped like the factorized trainers' E-step pass: per
 /// fact block, a sequential sweep fills the [`OrdinalArena`] term row of each
-/// newly referenced dimension tuple (terms and detection once per *distinct*
-/// tuple for the whole batch; tuples no fact references are never read), then
+/// newly referenced dimension tuple (once per *distinct* tuple for the whole
+/// batch; tuples no fact references are never read), then
 /// the per-fact scoring fans out over `workers` chunks that read the arenas
 /// immutably.
 fn score_factorized<C>(
@@ -493,7 +486,8 @@ where
     let mut arenas: Vec<OrdinalArena> = (0..q)
         .map(|i| OrdinalArena::new(core.dim_width(i)))
         .collect();
-    let mut scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+    let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
+    let mut scan = scan.sparse_mode(ex.sparse);
     while scan.next_window()? {
         for (i, arena) in arenas.iter_mut().enumerate() {
             arena.reset(scan.cache().dim_len(i));
@@ -503,14 +497,12 @@ where
             for f in 0..block.len() {
                 for (i, &ord) in block.ords_of(f).iter().enumerate() {
                     if arenas[i].claim(ord) {
-                        let features = scan.cache().row(i, ord);
-                        let rep = ex.sparse.detect(features);
-                        core.dim_terms(i, features, rep.as_ref(), arenas[i].row_mut(ord));
+                        core.dim_terms(i, scan.cache().row(i, ord), arenas[i].row_mut(ord));
                     }
                 }
             }
             let chunks = par_chunks_with_threads(workers, block.len(), 1, |range| {
-                score_facts(core, ex.sparse, &arenas, block, range)
+                score_facts(core, &arenas, block, range)
             });
             out.extend(chunks);
             out.end_block();
@@ -522,7 +514,6 @@ where
 /// One chunk of a fact block, whose term rows the sweep has filled.
 fn score_facts<C: RowCore>(
     core: &C,
-    mode: SparseMode,
     arenas: &[OrdinalArena],
     block: &FactBlock,
     range: Range<usize>,
@@ -535,34 +526,34 @@ fn score_facts<C: RowCore>(
     );
     let facts = block.rows();
     for f in range {
-        let x_s = facts.features(f);
         dims.clear();
         dims.extend((arenas.iter().zip(block.ords_of(f))).map(|(a, &ord)| a.row(ord)));
-        let rep = mode.detect(x_s);
-        rows.push(core.score_row(x_s, rep.as_ref(), &dims, &mut scratch));
+        rows.push(core.score_row(facts.row(f), &dims, &mut scratch));
         keys.push(facts.keys()[f]);
     }
     (keys, rows)
 }
 
-/// Scores denormalized rows by splitting each along the partition and
-/// refilling every dimension block's term row — the deliberately redundant
-/// arithmetic the factorized path avoids, shared by the streaming and
-/// materialized strategies.
+/// Scores denormalized rows by cutting each into its relations' blocks, each
+/// in its relation's form, and refilling every dimension block's term row —
+/// the deliberately redundant arithmetic the factorized path avoids, shared
+/// by the streaming and materialized strategies.
 struct JoinedRows<'c, C: RowCore> {
     core: &'c C,
     partition: &'c BlockPartition,
-    mode: SparseMode,
+    kinds: Vec<RowKind>,
+    blocks: Vec<RowBuf>,
     terms: Vec<Vec<f64>>,
     scratch: C::Scratch,
 }
 
 impl<'c, C: RowCore> JoinedRows<'c, C> {
-    fn new(core: &'c C, partition: &'c BlockPartition, mode: SparseMode) -> Self {
+    fn new(core: &'c C, partition: &'c BlockPartition, kinds: Vec<RowKind>) -> Self {
         Self {
             core,
             partition,
-            mode,
+            blocks: kinds.iter().map(|_| RowBuf::default()).collect(),
+            kinds,
             terms: (0..partition.num_blocks() - 1)
                 .map(|i| vec![0.0; core.dim_width(i)])
                 .collect(),
@@ -570,16 +561,16 @@ impl<'c, C: RowCore> JoinedRows<'c, C> {
         }
     }
 
-    fn score(&mut self, features: &[f64]) -> C::Row {
-        let parts = self.partition.split(features);
-        for (i, row) in self.terms.iter_mut().enumerate() {
-            let rep = self.mode.detect(parts[i + 1]);
-            self.core.dim_terms(i, parts[i + 1], rep.as_ref(), row);
+    fn score(&mut self, row: BlockVec<'_>) -> C::Row {
+        let (partition, kinds) = (self.partition, &self.kinds);
+        let mut blocks = (self.blocks.iter_mut().zip(kinds).enumerate())
+            .map(|(b, (buf, &kind))| buf.part(row, partition.range(b), kind));
+        let fact = blocks.next().expect("a partition has a fact block");
+        for (i, (x, term)) in blocks.zip(&mut self.terms).enumerate() {
+            self.core.dim_terms(i, x, term);
         }
-        let fact_rep = self.mode.detect(parts[0]);
         let dims: Vec<&[f64]> = self.terms.iter().map(Vec::as_slice).collect();
-        self.core
-            .score_row(parts[0], fact_rep.as_ref(), &dims, &mut self.scratch)
+        self.core.score_row(fact, &dims, &mut self.scratch)
     }
 }
 
@@ -587,16 +578,15 @@ impl<'c, C: RowCore> JoinedRows<'c, C> {
 /// materialized table as the fact-only join, or the join itself — scoring
 /// each denormalized row.
 fn score_denormalized<C: RowCore>(
-    core: &C,
+    joined: &mut JoinedRows<'_, C>,
     db: &Database,
     source: &JoinSpec,
-    partition: &BlockPartition,
     ex: &ExecSettings,
     out: &mut Sink<'_, C::Row>,
 ) -> StoreResult<()> {
-    let mut joined = JoinedRows::new(core, partition, ex.sparse);
-    let mut buf = Vec::with_capacity(partition.total_dim());
-    let mut scan = FactorizedScan::new(db, source, ex.block_pages)?;
+    let mut buf = RowBuf::default();
+    let scan = FactorizedScan::new(db, source, ex.block_pages)?;
+    let mut scan = scan.sparse_mode(ex.sparse);
     while scan.next_window()? {
         while scan.next_block()? {
             let block = scan.block();

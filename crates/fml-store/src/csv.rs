@@ -4,7 +4,9 @@
 //! loaded into the engine before training; the implementation is intentionally
 //! simple (no quoting — all columns are numeric).
 //!
-//! Column order mirrors the record layout: `key, fk_1 … fk_q, [target,] f_1 … f_d`.
+//! Column order mirrors the record layout: `key, fk_1 … fk_q, [target,] f_1 … f_d`,
+//! the features expanded to dense whatever their groups store: export
+//! expands every row, import re-encodes each row into the relation's groups.
 
 use crate::catalog::RelationHandle;
 use crate::error::{StoreError, StoreResult};
@@ -100,6 +102,11 @@ fn parse_line(schema: &Schema, line: &str, line_no: usize) -> StoreResult<Tuple>
 
 /// Imports a CSV file (with or without header) into an existing relation.
 /// Returns the number of tuples loaded.
+///
+/// # Errors
+/// [`StoreError::Csv`] naming the line of a malformed row, including one its
+/// feature groups cannot store (a one-hot variable without exactly one
+/// `1.0`, more nonzeros than a sparse group holds).
 pub fn import_csv(relation: &RelationHandle, path: &Path) -> StoreResult<u64> {
     let file = std::fs::File::open(path)?;
     let reader = std::io::BufReader::new(file);
@@ -116,7 +123,12 @@ pub fn import_csv(relation: &RelationHandle, path: &Path) -> StoreResult<u64> {
             continue; // header
         }
         let tuple = parse_line(&schema, trimmed, i + 1)?;
-        rel.append(&tuple)?;
+        rel.append(&tuple).map_err(|e| match e {
+            StoreError::SchemaMismatch { detail, .. } => {
+                StoreError::Csv(format!("line {}: {detail}", i + 1))
+            }
+            e => e,
+        })?;
         count += 1;
     }
     rel.flush()?;
@@ -127,6 +139,8 @@ pub fn import_csv(relation: &RelationHandle, path: &Path) -> StoreResult<u64> {
 mod tests {
     use super::*;
     use crate::catalog::Database;
+    use crate::schema::FeatureGroup;
+    use fml_linalg::BlockVec;
 
     #[test]
     fn export_import_roundtrip() {
@@ -174,5 +188,61 @@ mod tests {
         assert!(parse_line(&schema, "1,2.0", 1).is_err()); // too few columns
         assert!(parse_line(&schema, "x,2.0,3.0", 1).is_err()); // bad key
         assert!(parse_line(&schema, "1,a,3.0", 1).is_err()); // bad feature
+    }
+
+    #[test]
+    fn typed_relations_export_expanded_and_import_re_encoded() {
+        let dir = std::env::temp_dir().join(format!("fml_csv_typed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("typed.csv");
+        // x0 dense | x1–x3, x4–x5 one-hot | x6–x9 sparse, at most one nonzero
+        let schema = Schema::fact_with_target("s", 0, 1).with_groups(vec![
+            FeatureGroup::Dense(1),
+            FeatureGroup::OneHot {
+                cardinalities: vec![3, 2],
+            },
+            FeatureGroup::SparseNumeric {
+                width: 4,
+                max_nnz: 1,
+            },
+        ]);
+        let db = Database::in_memory();
+        let rel = db.create_relation(schema.clone()).unwrap();
+        for i in 0..30u32 {
+            let idx = [0, 1 + i % 3, 4 + i % 2, 6 + i % 4];
+            let vals = [f64::from(i) - 7.5, 1.0, 1.0, 0.25 * f64::from(i)];
+            let n = 3 + usize::from(i % 5 != 0);
+            let row = BlockVec::Csr {
+                idx: &idx[..n],
+                vals: &vals[..n],
+            };
+            let mut rel = rel.lock();
+            rel.append_row(u64::from(i), &[7], Some(0.5), row).unwrap();
+        }
+        rel.lock().flush().unwrap();
+        export_csv(&rel, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("key,fk0,target,x0,x1,x2,x3,x4,x5,x6,x7,x8,x9\n"));
+
+        let back = db.create_relation(schema.renamed("s2")).unwrap();
+        assert_eq!(import_csv(&back, &path).unwrap(), 30);
+        let a = rel.lock().read_all().unwrap();
+        assert_eq!(a, back.lock().read_all().unwrap());
+        assert_eq!(
+            a[2].features,
+            [-5.5, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5, 0.0]
+        );
+
+        // a one-hot variable that is not exactly one 1.0 names its line
+        let bad = "key,fk0,target,x0,x1,x2,x3,x4,x5,x6,x7,x8,x9\n\
+                   1,7,0.5,1.0,0,1,0,1,0,0,0,0,0\n\
+                   2,7,0.5,1.0,0,1,1,1,0,0,0,0,0\n";
+        std::fs::write(&path, bad).unwrap();
+        let err = import_csv(&back, &path).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Csv(m) if m.starts_with("line 3:")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

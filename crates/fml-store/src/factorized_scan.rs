@@ -49,11 +49,13 @@
 //! adapters over the pass, kept for the `benchmark/` package (see
 //! [`crate::rows`]); no engine crate uses them.
 
-use crate::batch::{BlockScan, RowBlock};
+use crate::batch::{BlockScan, RowBlock, RowBuf};
 use crate::catalog::RelationHandle;
 use crate::error::{StoreError, StoreResult};
 use crate::join::{check_every_fact_matched, DimCache, JoinSpec};
+use crate::schema::RowKind;
 use crate::Database;
+use fml_linalg::{BlockVec, SparseMode};
 
 pub use crate::rows::{GroupScan, JoinGroup, StarScan};
 
@@ -65,6 +67,8 @@ pub struct FactBlock {
     /// `q` dimension ordinals per fact, in join order.
     ords: Vec<u32>,
     q: usize,
+    /// The form of a joined row: that of the join result's schema.
+    kind: RowKind,
 }
 
 impl FactBlock {
@@ -90,25 +94,29 @@ impl FactBlock {
 
     /// Fact `f`'s denormalized row `[x_S | x_R1 | … | x_Rq]`: the dimension
     /// features duplicated once per fact, as `materialize_join` writes them
-    /// and the `M-*` / `S-*` algorithms feed them to the unchanged learner.
-    /// Without dimensions (`q = 0`, a materialized table) that is the fact's
-    /// own row, borrowed; otherwise it is written into `buf`, replacing its
-    /// contents and keeping its capacity.
+    /// and the `M-*` / `S-*` algorithms feed them to the unchanged learner,
+    /// in the form of the join result's schema.  Without dimensions (`q = 0`,
+    /// a materialized table) that is the fact's own row, borrowed; otherwise
+    /// the parts are concatenated, column offsets added, in `buf`.
     pub fn joined_row<'a>(
         &'a self,
         f: usize,
         cache: &DimCache,
-        buf: &'a mut Vec<f64>,
-    ) -> &'a [f64] {
+        buf: &'a mut RowBuf,
+    ) -> BlockVec<'a> {
+        let fact = self.rows.row(f);
         if self.q == 0 {
-            return self.rows.features(f);
+            return fact;
         }
         buf.clear();
-        buf.extend_from_slice(self.rows.features(f));
+        let mut at = self.rows.width();
+        buf.push(self.kind, fact, 0..at, 0);
         for (i, &ord) in self.ords_of(f).iter().enumerate() {
-            buf.extend_from_slice(cache.row(i, ord));
+            let width = cache.width(i);
+            buf.push(self.kind, cache.row(i, ord), 0..width, at);
+            at += width;
         }
-        buf
+        buf.view(self.kind)
     }
 }
 
@@ -170,10 +178,23 @@ impl FactorizedScan {
             facts: None,
             block: FactBlock {
                 q,
+                kind: spec.result_schema(db, "")?.row_kind(),
                 ..FactBlock::default()
             },
             matched: 0,
         })
+    }
+
+    /// This pass with its rows in `mode`'s form: as stored under
+    /// [`SparseMode::Auto`], expanded to dense on decode under
+    /// [`SparseMode::Dense`] (the oracle).  Call before the first window.
+    pub fn sparse_mode(mut self, mode: SparseMode) -> Self {
+        if mode == SparseMode::Dense {
+            self.cache = std::mem::take(&mut self.cache).expanding();
+            self.block.rows = RowBlock::expanding();
+            self.block.kind = RowKind::Dense;
+        }
+        self
     }
 
     /// Makes the next window resident and rewinds the fact scan; `false` when
@@ -275,6 +296,13 @@ mod tests {
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use std::collections::HashSet;
+
+    fn dense(row: BlockVec<'_>) -> Vec<f64> {
+        match row {
+            BlockVec::Dense(x) => x.to_vec(),
+            other => panic!("a dense relation decoded to {other:?}"),
+        }
+    }
 
     /// `n_r` dimension tuples (two features, so a few hundred per page) and
     /// `n_s` fact tuples with `fk = key % n_r`.
@@ -471,16 +499,16 @@ mod tests {
         let (db, spec) = setup();
         let mut scan = FactorizedScan::new(&db, &spec, 8).unwrap();
         let mut from_blocks = Vec::new();
-        let mut joined = Vec::new();
+        let mut joined = RowBuf::default();
         while scan.next_window().unwrap() {
             while scan.next_block().unwrap() {
                 let (block, rows) = (scan.block(), scan.block().rows());
                 for f in 0..block.len() {
-                    let row = block.joined_row(f, scan.cache(), &mut joined);
-                    let r = scan.cache().row(0, block.ords_of(f)[0]);
+                    let row = dense(block.joined_row(f, scan.cache(), &mut joined));
+                    let r = dense(scan.cache().row(0, block.ords_of(f)[0]));
                     assert_eq!(row, [rows.features(f)[0], r[0], r[1]]);
                     let fact = rows.tuple(f);
-                    from_blocks.push(Tuple::joined(&fact, [r]));
+                    from_blocks.push(Tuple::joined(&fact, [&r[..]]));
                 }
             }
         }
@@ -554,7 +582,7 @@ mod tests {
                 let dims = scan.cache().resolve(&fact).unwrap();
                 for (i, (dim, &fk)) in dims.iter().zip(&fact.fks).enumerate() {
                     let ord = scan.cache().ordinal(i, fk).unwrap();
-                    assert_eq!(*dim, scan.cache().row(i, ord));
+                    assert_eq!(*dim, scan.cache().dense_row(i, ord));
                 }
                 let joined = scan.denormalize(&fact).unwrap();
                 assert_eq!(joined.features.len(), 4);
@@ -566,14 +594,14 @@ mod tests {
         // the pass itself: one window, the same joined rows, two ordinals per fact
         let mut pass = FactorizedScan::new(&db, &spec, 4).unwrap();
         assert!(pass.next_window().unwrap());
-        let (mut joined, mut rows) = (0, Vec::new());
+        let (mut joined, mut rows) = (0, RowBuf::default());
         while pass.next_block().unwrap() {
             let block = pass.block();
             for f in 0..block.len() {
                 let row = block.joined_row(f, pass.cache(), &mut rows);
                 assert_eq!(block.ords_of(f).len(), 2);
                 let t = scan.denormalize(&block.rows().tuple(f)).unwrap();
-                assert_eq!(row, t.features);
+                assert_eq!(row, BlockVec::Dense(&t.features));
                 joined += 1;
             }
         }
@@ -618,7 +646,7 @@ mod tests {
 
         db.stats().reset();
         let mut pass = FactorizedScan::new(&db, &JoinSpec::multiway("T", vec![]), 4).unwrap();
-        let (mut got, mut buf) = (Vec::new(), Vec::new());
+        let (mut got, mut buf) = (Vec::new(), RowBuf::default());
         assert!(pass.next_window().unwrap());
         while pass.next_block().unwrap() {
             let block = pass.block();
@@ -626,11 +654,13 @@ mod tests {
                 assert!(block.ords_of(f).is_empty());
                 // the joined row is the stored row itself, not a copy
                 let joined = block.joined_row(f, pass.cache(), &mut buf);
-                assert!(std::ptr::eq(joined, block.rows().features(f)));
+                assert_eq!(joined, BlockVec::Dense(block.rows().features(f)));
+                assert!(
+                    matches!(joined, BlockVec::Dense(x) if std::ptr::eq(x, block.rows().features(f)))
+                );
             }
             got.extend((0..block.len()).map(|f| row(block.rows(), f)));
         }
-        assert!(buf.is_empty());
         assert!(!pass.next_window().unwrap(), "one window");
         assert_eq!(db.stats().snapshot().pages_read as usize, t_pages);
         assert_eq!(got.len(), 2000);
@@ -648,5 +678,85 @@ mod tests {
         }
         let reads = db.stats().snapshot().pages_read as usize;
         assert_eq!(reads, r_pages + r_pages * s_pages);
+    }
+
+    #[test]
+    fn typed_parts_join_into_the_rows_their_materialized_table_stores() {
+        // S(x0, x1 dense) ⋈ R1(two one-hot variables) ⋈ R2(sparse, ≤ 2 of 8)
+        use crate::schema::{FeatureGroup, RowKind};
+        let db = Database::in_memory();
+        let onehot = FeatureGroup::OneHot {
+            cardinalities: vec![3, 2],
+        };
+        let sparse = FeatureGroup::SparseNumeric {
+            width: 8,
+            max_nnz: 2,
+        };
+        let r1 = Schema::dimension("R1", 0).with_groups(vec![onehot]);
+        let r2 = Schema::dimension("R2", 0).with_groups(vec![sparse]);
+        let (r1, r2) = (
+            db.create_relation(r1).unwrap(),
+            db.create_relation(r2).unwrap(),
+        );
+        let s = db
+            .create_relation(Schema::fact_with_target("S", 2, 2))
+            .unwrap();
+        for k in 0..6u32 {
+            let codes = [k % 3, 3 + k % 2];
+            r1.lock()
+                .append_row(u64::from(k), &[], None, BlockVec::OneHot(&codes))
+                .unwrap();
+            let (idx, vals) = ([k, 7], [f64::from(k) + 0.5, -1.0]);
+            let row = BlockVec::Csr {
+                idx: &idx[usize::from(k == 0)..],
+                vals: &vals[usize::from(k == 0)..],
+            };
+            r2.lock().append_row(u64::from(k), &[], None, row).unwrap();
+        }
+        for i in 0..40u64 {
+            let fact =
+                Tuple::fact_with_target(i, vec![i % 6, (i / 6) % 6], 1.0, vec![i as f64, 0.0]);
+            s.lock().append(&fact).unwrap();
+        }
+        for rel in [&r1, &r2, &s] {
+            rel.lock().flush().unwrap();
+        }
+        let spec = JoinSpec::multiway("S", vec!["R1".into(), "R2".into()]);
+        let t = materialize_join(&db, &spec, "T", 4).unwrap();
+        assert_eq!(t.lock().schema().record_size(), 8 + 8 + 16 + 8 + 24);
+        assert_eq!(t.lock().schema().row_kind(), RowKind::Csr);
+        let stored = t.lock().read_all().unwrap();
+        let (mut rows, mut scan) = (RowBlock::default(), BlockScan::new(t.clone(), 4));
+        let mut t_rows = Vec::new();
+        while scan.next_into(&mut rows).unwrap() {
+            t_rows.extend((0..rows.len()).map(|f| format!("{:?}", rows.row(f))));
+        }
+
+        for mode in [SparseMode::Auto, SparseMode::Dense] {
+            let mut pass = FactorizedScan::new(&db, &spec, 4)
+                .unwrap()
+                .sparse_mode(mode);
+            let (mut f_all, mut buf) = (0, RowBuf::default());
+            assert!(pass.next_window().unwrap());
+            while pass.next_block().unwrap() {
+                let block = pass.block();
+                for f in 0..block.len() {
+                    let row = block.joined_row(f, pass.cache(), &mut buf);
+                    let want = &stored[f_all];
+                    assert_eq!(block.rows().keys()[f], want.key);
+                    match mode {
+                        SparseMode::Auto => assert_eq!(format!("{row:?}"), t_rows[f_all]),
+                        SparseMode::Dense => assert_eq!(row, BlockVec::Dense(&want.features)),
+                    }
+                    f_all += 1;
+                }
+            }
+            assert_eq!(f_all, 40);
+        }
+        // one joined row, expanded: x_S | one-hot codes 1 and 1 | 1.5 and −1
+        assert_eq!(
+            stored[7].features,
+            [7.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]
+        );
     }
 }

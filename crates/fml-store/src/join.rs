@@ -10,11 +10,12 @@
 //! `key → ordinal` index — so foreign keys resolve without re-reading pages
 //! for every fact tuple.
 
-use crate::batch::{BlockScan, RowBlock};
+use crate::batch::{BlockScan, RowBlock, RowBuf};
 use crate::catalog::{Database, RelationHandle};
 use crate::error::{StoreError, StoreResult};
 use crate::factorized_scan::FactorizedScan;
-use crate::schema::Schema;
+use crate::schema::{RowKind, Schema};
+use fml_linalg::{BlockVec, SparseMode};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -98,13 +99,18 @@ impl JoinSpec {
     /// Per-relation feature sizes `[d_S, d_{R_1}, …, d_{R_q}]` — the block
     /// partition the factorized algorithms operate on.
     pub fn feature_partition(&self, db: &Database) -> StoreResult<Vec<usize>> {
-        let fact = self.fact_relation(db)?;
-        let dims = self.dimension_relations(db)?;
-        let mut sizes = vec![fact.lock().schema().num_features];
-        for dim in dims {
-            sizes.push(dim.lock().schema().num_features);
-        }
-        Ok(sizes)
+        self.per_relation(db, |s| s.num_features)
+    }
+
+    /// Per-relation row forms `[S, R_1, …, R_q]`, in partition order.
+    pub fn row_kinds(&self, db: &Database) -> StoreResult<Vec<RowKind>> {
+        self.per_relation(db, Schema::row_kind)
+    }
+
+    fn per_relation<T>(&self, db: &Database, f: impl Fn(&Schema) -> T) -> StoreResult<Vec<T>> {
+        let mut relations = vec![self.fact_relation(db)?];
+        relations.extend(self.dimension_relations(db)?);
+        Ok(relations.iter().map(|r| f(r.lock().schema())).collect())
     }
 }
 
@@ -171,6 +177,14 @@ impl DimCache {
         Self { dims, names }
     }
 
+    /// This cache with its rows decoded expanded to dense.
+    pub(crate) fn expanding(mut self) -> Self {
+        for dim in &mut self.dims {
+            dim.rows = RowBlock::expanding();
+        }
+        self
+    }
+
     /// Decodes the next block of `window` as the resident rows of dimension
     /// `i` (none once `window` is done).  A repeated key keeps its
     /// last-stored row (the store does not enforce key uniqueness; last-wins
@@ -225,13 +239,24 @@ impl DimCache {
         dim.rows.keys()[dim.order[ord as usize] as usize]
     }
 
-    /// The features of dimension `i` at ordinal `ord`.
+    /// The features of dimension `i` at ordinal `ord`, in their stored form.
     ///
     /// # Panics
     /// Panics when `ord >= dim_len(i)`.
-    pub fn row(&self, i: usize, ord: u32) -> &[f64] {
+    pub fn row(&self, i: usize, ord: u32) -> BlockVec<'_> {
         let dim = &self.dims[i];
-        dim.rows.features(dim.order[ord as usize] as usize)
+        dim.rows.row(dim.order[ord as usize] as usize)
+    }
+
+    /// [`Self::row`] expanded to dense, as an owned vector.
+    pub fn dense_row(&self, i: usize, ord: u32) -> Vec<f64> {
+        let dim = &self.dims[i];
+        dim.rows.dense_row(dim.order[ord as usize] as usize)
+    }
+
+    /// Number of feature columns of dimension `i`.
+    pub(crate) fn width(&self, i: usize) -> usize {
+        self.dims[i].rows.width()
     }
 
     /// Resolves a fact's foreign keys to dimension ordinals, in join order,
@@ -292,10 +317,12 @@ pub(crate) fn check_every_fact_matched(
 }
 
 /// Materializes the projected join `T(SID, [Y], [x_S x_R1 … x_Rq])` as a new
-/// relation named `output`, returning its handle.
+/// relation named `output`, returning its handle.  `T` stores every feature
+/// group as its relation does ([`Schema::join_result`]), so a sparse join
+/// stays sparse on disk.
 ///
 /// The rows are those of one [`FactorizedScan`] pass, in its `(window, fact)`
-/// order, each encoded straight from the fact block's row and the resident
+/// order, each the joined row of the fact block's row and the resident
 /// dimension rows, so the join costs the `|R| + ⌈|R|/BlockSize⌉·|S|` page
 /// reads of Section V-A (plus `|T|` page writes) and a fact whose foreign
 /// key matches no dimension tuple is a typed
@@ -308,16 +335,15 @@ pub fn materialize_join(
 ) -> StoreResult<RelationHandle> {
     let mut scan = FactorizedScan::new(db, spec, block_pages)?;
     let out_rel = db.create_relation(spec.result_schema(db, output)?)?;
+    let mut joined = RowBuf::default();
     while scan.next_window()? {
         while scan.next_block()? {
             let (block, cache) = (scan.block(), scan.cache());
             let rows = block.rows();
             let mut out = out_rel.lock();
             for f in 0..block.len() {
-                let dims = block.ords_of(f).iter().enumerate();
-                let features = std::iter::once(rows.features(f))
-                    .chain(dims.map(|(i, &ord)| cache.row(i, ord)));
-                out.append_record(rows.keys()[f], &[], rows.target(f), features)?;
+                let row = block.joined_row(f, cache, &mut joined);
+                out.append_row(rows.keys()[f], &[], rows.target(f), row)?;
             }
         }
     }
@@ -330,19 +356,20 @@ pub fn materialize_join(
 /// source.  `S` joins the base relations on the fly; `M` reads its
 /// materialized table as the fact-only join `JoinSpec::multiway(T, vec![])`
 /// (`q = 0`), whose rows are `T`'s in storage order.  Both hand out the same
-/// rows in the same `(window, fact)` order — the order [`materialize_join`]
-/// writes — so `S` fits are bit-identical to `M` fits.
+/// rows in the same `(window, fact)` order and form — the order
+/// [`materialize_join`] writes — so `S` fits are bit-identical to `M` fits.
 pub struct RowSource<'a> {
     db: &'a Database,
     spec: JoinSpec,
     block_pages: usize,
     width: usize,
     rows: u64,
+    mode: SparseMode,
 }
 
 impl<'a> RowSource<'a> {
     /// The rows of the join `spec`, denormalized from its relations on every
-    /// pass, `block_pages` pages at a time.
+    /// pass, `block_pages` pages at a time, in their stored form.
     pub fn join(db: &'a Database, spec: JoinSpec, block_pages: usize) -> StoreResult<Self> {
         spec.validate(db)?;
         let width = spec.total_features(db)?;
@@ -353,7 +380,14 @@ impl<'a> RowSource<'a> {
             block_pages,
             width,
             rows,
+            mode: SparseMode::Auto,
         })
+    }
+
+    /// This source with its rows in `mode`'s form (see
+    /// [`FactorizedScan::sparse_mode`]).
+    pub fn sparse_mode(self, mode: SparseMode) -> Self {
+        Self { mode, ..self }
     }
 
     /// Rows per pass (`N`).
@@ -367,9 +401,10 @@ impl<'a> RowSource<'a> {
     }
 
     /// One pass: `f(features, target)` for every row, in scan order.
-    pub fn for_each_row(&self, f: &mut dyn FnMut(&[f64], Option<f64>)) -> StoreResult<()> {
-        let mut scan = FactorizedScan::new(self.db, &self.spec, self.block_pages)?;
-        let mut joined = Vec::with_capacity(self.width);
+    pub fn for_each_row(&self, f: &mut dyn FnMut(BlockVec<'_>, Option<f64>)) -> StoreResult<()> {
+        let scan = FactorizedScan::new(self.db, &self.spec, self.block_pages)?;
+        let mut scan = scan.sparse_mode(self.mode);
+        let mut joined = RowBuf::default();
         while scan.next_window()? {
             while scan.next_block()? {
                 let block = scan.block();
@@ -564,12 +599,12 @@ mod tests {
         let ord = cache.ordinal(0, 2).unwrap();
         assert_eq!(
             (cache.key(0, ord), cache.row(0, ord)),
-            (2, &[20.0, 1.0][..])
+            (2, BlockVec::Dense(&[20.0, 1.0]))
         );
 
         let fact = Tuple::fact_with_target(0, vec![3], 0.0, vec![0.0]);
         let resolved = cache.resolve(&fact).unwrap();
-        assert_eq!(resolved, [&[30.0, 1.0][..]]);
+        assert_eq!(resolved, [[30.0, 1.0]]);
 
         let dangling = Tuple::fact_with_target(0, vec![9], 0.0, vec![0.0]);
         assert!(cache.resolve(&dangling).is_err());
@@ -595,7 +630,10 @@ mod tests {
         let cache = load(&dims);
         // key 7 is stored twice in d0: one ordinal, the later tuple wins
         assert_eq!(cache.dim_len(0), 4);
-        assert_eq!(cache.row(0, cache.ordinal(0, 7).unwrap()), [3.0]);
+        assert_eq!(
+            cache.row(0, cache.ordinal(0, 7).unwrap()),
+            BlockVec::Dense(&[3.0])
+        );
         for i in 0..2 {
             let keys: Vec<u64> = (0..cache.dim_len(i) as u32)
                 .map(|o| cache.key(i, o))
@@ -613,7 +651,7 @@ mod tests {
         assert_eq!(ords, [3, 1]);
         let resolved = cache.resolve(&fact).unwrap();
         for i in 0..2 {
-            assert!(std::ptr::eq(cache.row(i, ords[i]), resolved[i]));
+            assert_eq!(cache.dense_row(i, ords[i]), resolved[i]);
         }
 
         // a dangling key is the same typed error on every path

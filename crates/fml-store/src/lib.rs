@@ -11,11 +11,14 @@
 //!   borrow the stored bytes; no page is copied per read.
 //! * **Relations, schemas & catalog** ([`schema`], [`mod@tuple`], [`relation`],
 //!   [`catalog`]): typed relations with a `u64` primary key, optional foreign keys,
-//!   an optional training target, and `f64` feature columns.
+//!   an optional training target, and feature columns in typed groups — dense
+//!   `f64`, one-hot codes, sparse `(index, value)` pairs — each stored in its
+//!   own fixed width.
 //! * **Block scans** ([`batch`]): block-wise iteration (a "block" is a fixed number
 //!   of pages) as assumed by the paper's block-nested-loop cost analysis, each
 //!   block decoded straight from the page bytes into a reused struct-of-arrays
-//!   [`batch::RowBlock`] — keys, foreign keys, targets, row-major features.
+//!   [`batch::RowBlock`] — keys, foreign keys, targets, and the features in
+//!   their stored form: a dense panel, one-hot indices or sparse pairs.
 //! * **Joins** ([`join`], [`factorized_scan`]): one pass shape over a PK/FK join —
 //!   a window of dimension rows resident, the fact relation scanned against it
 //!   in blocks, every foreign key resolved to a dense ordinal — from which the
@@ -52,7 +55,7 @@ pub use catalog::Database;
 pub use error::{StoreError, StoreResult};
 pub use join::JoinSpec;
 pub use relation::Relation;
-pub use schema::Schema;
+pub use schema::{FeatureGroup, RowKind, Schema};
 pub use stats::{IoSnapshot, IoStats};
 pub use tuple::{Tuple, TupleId};
 

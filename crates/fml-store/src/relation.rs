@@ -6,6 +6,8 @@ use crate::heap::HeapFile;
 use crate::schema::Schema;
 use crate::stats::IoStats;
 use crate::tuple::{check_shape, encode_record, Tuple, TupleId};
+use crate::StoreError;
+use fml_linalg::BlockVec;
 
 /// A stored relation.
 pub struct Relation {
@@ -69,27 +71,47 @@ impl Relation {
         self.heap.records_per_page()
     }
 
-    /// Appends a tuple after validating it against the schema.
+    /// Appends a tuple — its features expanded to dense — after validating
+    /// it against the schema.
     pub fn append(&mut self, tuple: &Tuple) -> StoreResult<()> {
-        self.append_record(tuple.key, &tuple.fks, tuple.target, [&tuple.features[..]])
+        let features = BlockVec::Dense(&tuple.features);
+        self.append_row(tuple.key, &tuple.fks, tuple.target, features)
     }
 
-    /// Appends one record given by its fields, the features as consecutive
-    /// segments (a joined row's `x_S`, `x_R1`, …) — the encoder behind
-    /// [`Self::append`], with no [`Tuple`] in between.
+    /// Appends one record given by its fields, the features in any form —
+    /// dense, or the active indices / nonzero pairs over all the relation's
+    /// columns — stored as the schema's feature groups lay them out.
     ///
     /// # Errors
-    /// [`crate::StoreError::SchemaMismatch`] when the fields do not fill the schema.
-    pub(crate) fn append_record<'a>(
+    /// [`StoreError::SchemaMismatch`] when the fields do not fill the schema
+    /// or the groups cannot store the features: an unsorted or duplicate
+    /// index, a one-hot variable without exactly one `1.0` (a code ≥ its
+    /// cardinality), more nonzeros than a sparse group's `max_nnz`.
+    pub fn append_row(
         &mut self,
         key: u64,
         fks: &[u64],
         target: Option<f64>,
-        features: impl IntoIterator<Item = &'a [f64]>,
+        features: BlockVec<'_>,
     ) -> StoreResult<()> {
+        let width = match features {
+            BlockVec::Dense(x) => x.len(),
+            _ => self.schema.num_features,
+        };
+        check_shape(&self.schema, fks.len(), target.is_some(), width)?;
         self.encode_buf.clear();
-        let d = encode_record(&mut self.encode_buf, key, fks, target, features);
-        check_shape(&self.schema, fks.len(), target.is_some(), d)?;
+        encode_record(
+            &mut self.encode_buf,
+            &self.schema,
+            key,
+            fks,
+            target,
+            features,
+        )
+        .map_err(|detail| StoreError::SchemaMismatch {
+            relation: self.schema.name.clone(),
+            detail,
+        })?;
         self.heap.append(&self.encode_buf)
     }
 
@@ -144,21 +166,21 @@ impl Relation {
     /// Fetches a single tuple by id (reads its whole page, as a real system
     /// would, and decodes the one record).
     pub fn fetch(&mut self, id: TupleId) -> StoreResult<Tuple> {
-        let mut row = RowBlock::default();
+        let mut row = RowBlock::expanding();
         self.decode_into(id.page as usize, Some(id.slot as usize), &mut row)?;
         Ok(row.tuple(0))
     }
 
     /// The tuples of page `page_idx`: a row view of [`Self::decode_page_into`].
     pub fn read_page_tuples(&mut self, page_idx: usize) -> StoreResult<Vec<Tuple>> {
-        let mut rows = RowBlock::default();
+        let mut rows = RowBlock::expanding();
         self.decode_page_into(page_idx, &mut rows)?;
         Ok(rows.tuples())
     }
 
     /// Reads the entire relation as tuples (test / load-surface helper).
     pub fn read_all(&mut self) -> StoreResult<Vec<Tuple>> {
-        let mut rows = RowBlock::default();
+        let mut rows = RowBlock::expanding();
         for p in 0..self.num_pages() {
             self.decode_page_into(p, &mut rows)?;
         }

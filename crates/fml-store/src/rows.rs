@@ -1,7 +1,8 @@
 //! Row views: the [`Tuple`]-at-a-time face of the block scans.
 //!
 //! Every scan decodes pages into flat [`RowBlock`]s.  The types here turn
-//! those blocks back into owned [`Tuple`]s for the callers that want rows —
+//! those blocks back into owned [`Tuple`]s, features expanded to dense, for
+//! the callers that want rows —
 //! the load / CSV / test surface — and for the `benchmark/` package's store
 //! probes, which bind by path to [`BatchScan`] (a [`BlockScan`] iterated as
 //! `Vec<Tuple>` blocks),
@@ -19,13 +20,13 @@ use crate::tuple::Tuple;
 use crate::Database;
 
 impl RowBlock {
-    /// Row `r` as an owned tuple.
+    /// Row `r` as an owned tuple, its features expanded to dense.
     pub fn tuple(&self, r: usize) -> Tuple {
         Tuple {
             key: self.keys()[r],
             fks: self.fks(r).to_vec(),
             target: self.target(r),
-            features: self.features(r).to_vec(),
+            features: self.dense_row(r),
         }
     }
 
@@ -44,7 +45,7 @@ impl Iterator for BlockScan {
 
     /// The next block's rows as tuples; an error is the last item.
     fn next(&mut self) -> Option<Self::Item> {
-        let mut rows = RowBlock::default();
+        let mut rows = RowBlock::expanding();
         let more = self.next_into(&mut rows);
         more.map(|more| more.then(|| rows.tuples())).transpose()
     }
@@ -60,15 +61,15 @@ pub fn scan_all(relation: &RelationHandle, block_pages: usize) -> StoreResult<Ve
 }
 
 impl DimCache {
-    /// The feature rows of the dimension tuples a fact tuple references, in
-    /// join order.
+    /// The feature rows, expanded to dense, of the dimension tuples a fact
+    /// tuple references, in join order.
     ///
     /// # Errors
     /// Returns [`StoreError::DanglingForeignKey`] when a foreign key has no match.
-    pub fn resolve(&self, fact: &Tuple) -> StoreResult<Vec<&[f64]>> {
+    pub fn resolve(&self, fact: &Tuple) -> StoreResult<Vec<Vec<f64>>> {
         (fact.fks.iter().enumerate())
             .map(|(i, &fk)| match self.ordinal(i, fk) {
-                Some(ord) => Ok(self.row(i, ord)),
+                Some(ord) => Ok(self.dense_row(i, ord)),
                 None => Err(self.dangling(i, fk)),
             })
             .collect()
@@ -134,7 +135,7 @@ impl GroupScan {
         let cache = self.scan.cache();
         let mut groups: Vec<JoinGroup> = (0..cache.dim_len(0) as u32)
             .map(|ord| JoinGroup {
-                r_tuple: Tuple::dimension(cache.key(0, ord), cache.row(0, ord).to_vec()),
+                r_tuple: Tuple::dimension(cache.key(0, ord), cache.dense_row(0, ord)),
                 s_tuples: Vec::new(),
             })
             .collect();
@@ -197,6 +198,7 @@ impl StarScan {
 
     /// Denormalizes one fact tuple using the cache.
     pub fn denormalize(&self, fact: &Tuple) -> StoreResult<Tuple> {
-        Ok(Tuple::joined(fact, self.cache().resolve(fact)?))
+        let dims = self.cache().resolve(fact)?;
+        Ok(Tuple::joined(fact, dims.iter().map(Vec::as_slice)))
     }
 }

@@ -1,14 +1,18 @@
 //! Fault injection at the storage boundary: a relation's page file is
-//! corrupted on disk underneath an open database, and every read path —
+//! corrupted on disk underneath an open database — its page header, or the
+//! one-hot codes and sparse indices of a typed record — and every read path —
 //! the factorized join scan, the `BatchScan` row view, `fetch` and
 //! `materialize_join` — must return a typed error.  None may panic or hand
 //! out rows decoded from the wrong offsets.
 
+use fml_linalg::BlockVec;
 use fml_store::batch::BatchScan;
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::join::materialize_join;
 use fml_store::page::PAGE_HEADER;
-use fml_store::{Database, JoinSpec, Schema, StoreError, StoreResult, Tuple, TupleId, PAGE_SIZE};
+use fml_store::{
+    Database, FeatureGroup, JoinSpec, Schema, StoreError, StoreResult, Tuple, TupleId, PAGE_SIZE,
+};
 use std::path::{Path, PathBuf};
 
 /// `R(key, x0, x1)` with 800 tuples and `S(key, fk, y, x0)` with 1000, both
@@ -119,6 +123,91 @@ fn corrupt_and_truncated_pages_are_typed_errors_on_every_read_path() {
         for outcome in read_paths(&db, &spec, name, run) {
             outcome.unwrap();
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `R(key, 2 one-hot codes of 4 categories, 2 sparse pairs over 8 columns)`
+/// and `S(key, fk, y, x0)`: 40-byte dimension records, the first at byte
+/// `PAGE_HEADER` of page 0 — key, codes at +8 and +12, pair indices at +16
+/// and +28.
+fn typed_database(dir: &Path) -> (Database, JoinSpec) {
+    let db = Database::on_disk(dir).unwrap();
+    let schema = Schema::dimension("R", 0).with_groups(vec![
+        FeatureGroup::OneHot {
+            cardinalities: vec![4, 4],
+        },
+        FeatureGroup::SparseNumeric {
+            width: 8,
+            max_nnz: 2,
+        },
+    ]);
+    assert_eq!(schema.record_size(), 40);
+    let r = db.create_relation(schema).unwrap();
+    let s = db
+        .create_relation(Schema::fact_with_target("S", 1, 1))
+        .unwrap();
+    for k in 0..500u32 {
+        let idx = [k % 4, 4 + (k / 4) % 4, 8 + k % 3, 13 + k % 3];
+        let vals = [1.0, 1.0, 0.5 + f64::from(k), -1.0];
+        let row = BlockVec::Csr {
+            idx: &idx,
+            vals: &vals,
+        };
+        r.lock().append_row(u64::from(k), &[], None, row).unwrap();
+    }
+    for i in 0..1000u64 {
+        let t = Tuple::fact_with_target(i, vec![i % 500], 0.5, vec![i as f64]);
+        s.lock().append(&t).unwrap();
+    }
+    r.lock().flush().unwrap();
+    s.lock().flush().unwrap();
+    (db, JoinSpec::binary("S", "R"))
+}
+
+#[test]
+fn corrupt_codes_and_sparse_indices_are_typed_errors_on_every_read_path() {
+    let dir = std::env::temp_dir().join(format!("fml_store_typed_faults_{}", std::process::id()));
+    let (db, spec) = typed_database(&dir);
+    let at = |field: usize| PAGE_HEADER + field;
+    type Fault = (&'static str, usize, u32, &'static str);
+    let faults: [Fault; 3] = [
+        (
+            "code ≥ cardinality",
+            at(12),
+            4,
+            "one-hot code 4 ≥ cardinality 4",
+        ),
+        (
+            "index ≥ width",
+            at(16),
+            8,
+            "sparse index 8 out of order or ≥ width 8",
+        ),
+        (
+            "indices out of order",
+            at(28),
+            0,
+            "sparse index 0 out of order",
+        ),
+    ];
+    let path = dir.join("R.pages");
+    let pristine = std::fs::read(&path).unwrap();
+    for (run, (fault, offset, value, expect)) in faults.into_iter().enumerate() {
+        let mut bytes = pristine.clone();
+        bytes[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for (path_no, outcome) in read_paths(&db, &spec, "R", run).into_iter().enumerate() {
+            let err = outcome.expect_err(&format!("{fault}: path {path_no} read garbage"));
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains(expect) && m.contains("'R'")),
+                "{fault}: path {path_no}: {err}"
+            );
+        }
+    }
+    std::fs::write(&path, &pristine).unwrap();
+    for outcome in read_paths(&db, &spec, "R", 9) {
+        outcome.unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,4 +1,5 @@
-//! Property-based tests for the storage engine: encode/decode round trips, scan
+//! Property-based tests for the storage engine: encode/decode round trips
+//! (dense tuples, and typed rows over random feature groups), scan
 //! completeness, join correctness against an in-memory oracle, and the flat
 //! block decode against the `Tuple` row views over random schemas and joins.
 //!
@@ -7,10 +8,13 @@
 //! build environment is offline), so every run exercises exactly the same
 //! inputs — failures are reproducible from the case index alone.
 
+use fml_linalg::BlockVec;
 use fml_store::batch::{scan_all, BatchScan, BlockScan, RowBlock};
 use fml_store::factorized_scan::{FactorizedScan, GroupScan, StarScan};
 use fml_store::join::materialize_join;
-use fml_store::{Database, IoSnapshot, IoStats, JoinSpec, Relation, Schema, Tuple};
+use fml_store::{
+    Database, FeatureGroup, IoSnapshot, IoStats, JoinSpec, Relation, RowKind, Schema, Tuple,
+};
 use std::collections::HashMap;
 
 /// Thin adapter over the shared deterministic test stream.
@@ -86,6 +90,14 @@ fn rows_for(g: &mut Gen, per_page: usize, min_pages: u64) -> u64 {
     g.range(min_pages, min_pages + 3) * per_page as u64 + g.range(1, per_page as u64)
 }
 
+/// An all-dense schema of `d` features and `q` foreign keys.
+fn schema(name: &str, d: usize, q: usize, has_target: bool) -> Schema {
+    match has_target {
+        true => Schema::fact_with_target(name, d, q),
+        false => Schema::fact(name, d, q),
+    }
+}
+
 /// IoStats delta of `f` on the database-wide counters.
 fn io<T>(db: &Database, f: impl FnOnce() -> T) -> (T, IoSnapshot) {
     let before = db.stats().snapshot();
@@ -102,12 +114,7 @@ fn tuple_encode_decode_roundtrip() {
         let nfk = g.range(0, 3) as usize;
         let nfeat = g.range(0, 20) as usize;
         let has_target = g.bool();
-        let schema = Schema {
-            name: "t".into(),
-            num_features: nfeat,
-            num_foreign_keys: nfk,
-            has_target,
-        };
+        let schema = schema("t", nfeat, nfk, has_target);
         let tuple = Tuple {
             key: g.next_u64(),
             fks: (0..nfk).map(|_| g.range(0, 50)).collect(),
@@ -200,12 +207,8 @@ fn flat_decode_equals_the_row_view() {
     for case in 0..CASES {
         let mut g = Gen::new(3000 + case);
         let d = if case == 0 { 0 } else { g.pick(&WIDTHS) };
-        let schema = Schema {
-            name: "S".into(),
-            num_features: d,
-            num_foreign_keys: g.range(0, 4) as usize,
-            has_target: g.bool(),
-        };
+        let (q, has_target) = (g.range(0, 4) as usize, g.bool());
+        let schema = schema("S", d, q, has_target);
         let db = Database::in_memory();
         let rel = db.create_relation(schema.clone()).unwrap();
         let per_page = rel.lock().tuples_per_page();
@@ -293,12 +296,7 @@ fn fact_blocks_resolve_like_the_row_views_on_random_joins() {
         }
         let d_s = if case == 1 { 0 } else { g.pick(&WIDTHS) };
         let has_target = g.bool();
-        let fact_schema = Schema {
-            name: "S".into(),
-            num_features: d_s,
-            num_foreign_keys: q,
-            has_target,
-        };
+        let fact_schema = schema("S", d_s, q, has_target);
         let fact = db.create_relation(fact_schema).unwrap();
         let per_page = fact.lock().tuples_per_page();
         let n_s = if case % 8 == 3 {
@@ -343,7 +341,11 @@ fn fact_blocks_resolve_like_the_row_views_on_random_joins() {
                                 assert_eq!(Some(ord), cache.ordinal(i, fk), "{at}");
                                 assert_eq!(cache.key(i, ord), fk, "{at}");
                                 let view = &dims[i][&fk].features;
-                                assert_eq!(f64_bits(cache.row(i, ord)), f64_bits(view), "{at}");
+                                assert_eq!(
+                                    f64_bits(&cache.dense_row(i, ord)),
+                                    f64_bits(view),
+                                    "{at}"
+                                );
                             }
                             handed.push(row_bits(rows, f));
                         }
@@ -407,6 +409,130 @@ fn fact_blocks_resolve_like_the_row_views_on_random_joins() {
         }
         if multi_window {
             assert!(r_pages >= 3, "case {case}");
+        }
+    }
+}
+
+/// 1–4 feature groups of random kinds: widths and cardinalities down to 1
+/// (and a dense group of width 0), sparse groups sometimes full.
+fn random_groups(g: &mut Gen) -> Vec<FeatureGroup> {
+    (0..g.range(1, 5))
+        .map(|_| match g.range(0, 3) {
+            0 => FeatureGroup::Dense(g.range(0, 6) as usize),
+            1 => FeatureGroup::OneHot {
+                cardinalities: (0..g.range(1, 5)).map(|_| g.range(1, 9) as usize).collect(),
+            },
+            _ => {
+                let width = g.range(1, 40) as usize;
+                let max_nnz = g.range(1, width as u64 + 1) as usize;
+                FeatureGroup::SparseNumeric { width, max_nnz }
+            }
+        })
+        .collect()
+}
+
+/// A draw that is never `±0.0`, which a sparse form would leave out.
+fn nonzero(g: &mut Gen) -> f64 {
+    match g.f64() {
+        v if v != 0.0 => v,
+        _ => 1.0,
+    }
+}
+
+/// A random row of `groups`, expanded to dense: every dense value and
+/// every sparse nonzero a nonzero draw, one `1.0` per one-hot variable.
+fn random_row(g: &mut Gen, groups: &[FeatureGroup]) -> Vec<f64> {
+    let mut x = Vec::new();
+    for group in groups {
+        match group {
+            FeatureGroup::Dense(w) => x.extend((0..*w).map(|_| nonzero(g))),
+            FeatureGroup::OneHot { cardinalities } => {
+                for &card in cardinalities {
+                    let code = g.range(0, card as u64) as usize;
+                    x.extend((0..card).map(|c| if c == code { 1.0 } else { 0.0 }));
+                }
+            }
+            FeatureGroup::SparseNumeric { width, max_nnz } => {
+                let mut cols = vec![0.0; *width];
+                for _ in 0..g.range(0, *max_nnz as u64 + 1) {
+                    cols[g.range(0, *width as u64) as usize] = nonzero(g);
+                }
+                x.extend(cols);
+            }
+        }
+    }
+    x
+}
+
+/// The stored form of the expanded row `x` under `kind`.
+fn stored_form(x: &[f64], kind: RowKind) -> (Vec<u32>, Vec<f64>) {
+    let nonzero = (0u32..).zip(x.iter().copied()).filter(|&(_, v)| v != 0.0);
+    match kind {
+        RowKind::Dense => (Vec::new(), x.to_vec()),
+        _ => nonzero.unzip(),
+    }
+}
+
+#[test]
+fn typed_rows_encode_and_decode_to_their_stored_form() {
+    for case in 0..CASES {
+        let mut g = Gen::new(5000 + case);
+        let groups = random_groups(&mut g);
+        let (q, has_target) = (g.range(0, 3) as usize, g.bool());
+        let schema = schema("T", 0, q, has_target).with_groups(groups.clone());
+        let kind = schema.row_kind();
+        let db = Database::in_memory();
+        let rel = db.create_relation(schema).unwrap();
+        let per_page = rel.lock().tuples_per_page();
+        let n = rows_for(&mut g, per_page, 1);
+        let mut stored = Vec::new();
+        for key in 0..n {
+            let x = random_row(&mut g, &groups);
+            let fks: Vec<u64> = (0..q).map(|_| g.next_u64()).collect();
+            let target = has_target.then(|| g.f64());
+            let (idx, vals) = stored_form(&x, RowKind::Csr);
+            // as nonzero pairs, or expanded: the same record either way
+            let row = match key % 2 {
+                0 => BlockVec::Csr {
+                    idx: &idx,
+                    vals: &vals,
+                },
+                _ => BlockVec::Dense(&x),
+            };
+            rel.lock().append_row(key, &fks, target, row).unwrap();
+            stored.push((fks, target, x));
+        }
+        rel.lock().flush().unwrap();
+        for expand in [false, true] {
+            let at = format!("case {case}, {groups:?}, expand {expand}");
+            let mut rows = if expand {
+                RowBlock::expanding()
+            } else {
+                RowBlock::default()
+            };
+            let mut scan = BlockScan::new(rel.clone(), 2);
+            let mut seen = 0;
+            while scan.next_into(&mut rows).unwrap() {
+                for r in 0..rows.len() {
+                    let (fks, target, x) = &stored[seen];
+                    assert_eq!(rows.keys()[r], seen as u64, "{at}");
+                    assert_eq!(rows.fks(r), &fks[..], "{at}");
+                    assert_eq!(rows.target(r), *target, "{at}");
+                    assert_eq!(f64_bits(&rows.dense_row(r)), f64_bits(x), "{at}");
+                    let (idx, vals) = stored_form(x, if expand { RowKind::Dense } else { kind });
+                    let want = match rows.kind() {
+                        RowKind::Dense => BlockVec::Dense(&vals),
+                        RowKind::OneHot => BlockVec::OneHot(&idx),
+                        RowKind::Csr => BlockVec::Csr {
+                            idx: &idx,
+                            vals: &vals,
+                        },
+                    };
+                    assert_eq!(rows.row(r), want, "{at}");
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen as u64, n, "{at}");
         }
     }
 }

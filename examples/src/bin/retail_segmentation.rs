@@ -7,9 +7,11 @@
 //!
 //! Run with: `cargo run --release -p fml-examples --bin retail_segmentation`
 
+use fml_core::fml_linalg::BlockVec;
 use fml_core::prelude::*;
 use fml_data::rng::{normal, seeded};
 use fml_gmm::Precomputed;
+use fml_store::batch::RowBuf;
 use fml_store::{Database, JoinSpec, Schema, Tuple};
 use rand::Rng;
 
@@ -90,13 +92,17 @@ fn main() {
 
     // Assign a few orders to segments using the trained model.
     let pre = Precomputed::from_model(&trained.fit.model, 1e-6);
-    let mut scan = fml_store::factorized_scan::FactorizedScan::new(&db, &spec, 8).unwrap();
-    let (mut shown, mut buf) = (0, Vec::new());
+    // The rows expanded to dense, as the model's `predict` takes them.
+    let scan = fml_store::factorized_scan::FactorizedScan::new(&db, &spec, 8).unwrap();
+    let mut scan = scan.sparse_mode(SparseMode::Dense);
+    let (mut shown, mut buf) = (0, RowBuf::default());
     'outer: while scan.next_window().unwrap() {
         while scan.next_block().unwrap() {
             let block = scan.block();
             for (f, &key) in block.rows().keys().iter().enumerate() {
-                let joined = block.joined_row(f, scan.cache(), &mut buf);
+                let BlockVec::Dense(joined) = block.joined_row(f, scan.cache(), &mut buf) else {
+                    unreachable!("an expanded scan hands out dense rows")
+                };
                 let segment = trained.fit.model.predict(joined, &pre);
                 println!(
                     "order {:>6}  amount {:>6.1}  item price {:>6.1}  → segment {}",
