@@ -4,15 +4,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fml_linalg::block::{BlockPartition, BlockScatter};
-use fml_linalg::KernelPolicy;
+use fml_linalg::{gemm, KernelPolicy, Matrix};
 
-fn scatter_dense(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> BlockScatter {
-    let mut sc = BlockScatter::new_with(partition.clone(), KernelPolicy::Blocked);
+fn scatter_dense(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> Matrix {
+    let d = partition.total_dim();
+    let mut acc = Matrix::zeros(d, d);
     for x_s in xs {
         let joined: Vec<f64> = x_s.iter().chain(x_r.iter()).copied().collect();
-        sc.add_dense(0.5, &joined);
+        gemm::ger_with(KernelPolicy::Blocked, 0.5, &joined, &joined, &mut acc);
     }
-    sc
+    acc
 }
 
 fn scatter_factorized(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> BlockScatter {

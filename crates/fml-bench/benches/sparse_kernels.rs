@@ -24,6 +24,7 @@
 //! ≥ 3× under the blocked policy.  Set `FML_BENCH_SMOKE=1` for a single-shot
 //! smoke run that still exercises every kernel/variant pair.
 
+use fml_bench::timing::smoke;
 use fml_linalg::csr::{self, CsrBlock};
 use fml_linalg::policy::{num_threads, KernelPolicy};
 use fml_linalg::{gemm, sparse, Matrix};
@@ -42,12 +43,6 @@ struct BenchResult {
 
 /// The two arithmetics a kernel has; what a fit executes under any policy.
 const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Naive, KernelPolicy::Blocked];
-
-fn smoke() -> bool {
-    std::env::var("FML_BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 fn pseudo_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {
     let mut rng = fml_linalg::testutil::TestRng::new(salt);

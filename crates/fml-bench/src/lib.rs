@@ -12,6 +12,9 @@
 //! for a custom multiplier on the default sizes.
 
 #![allow(missing_docs)]
+#![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub mod timing;
 
@@ -24,6 +27,10 @@ use std::time::Duration;
 /// The paper uses `n_S = 10^6`; the default here is 1/50 of that so the whole
 /// suite completes in minutes.
 pub fn scale_factor() -> f64 {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "FML_SCALE sizes the harness's sweeps, not an engine setting"
+    )]
     match std::env::var("FML_SCALE").ok().as_deref() {
         Some("paper") => 1.0,
         Some(v) => v.parse().unwrap_or(0.02),

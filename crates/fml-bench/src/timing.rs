@@ -15,11 +15,7 @@ use std::time::Instant;
 /// Whether `FML_BENCH_SMOKE=1` is set: harnesses run every measured case
 /// exactly once (correctness/API smoke in CI) instead of paying
 /// measurement-grade repetition.
-pub fn smoke() -> bool {
-    std::env::var("FML_BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
+pub use criterion::smoke_mode as smoke;
 
 /// Number of measurement windows; the minimum window mean is reported.
 const WINDOWS: usize = 5;

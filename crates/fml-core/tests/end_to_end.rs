@@ -324,3 +324,62 @@ fn collapsed_and_starved_components_fit_under_f_as_under_m() {
         assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "M {a} vs F {b}");
     }
 }
+
+/// More components than facts: three fact rows over two dimension tuples,
+/// `k = 5`.  No strategy may panic; each either fits — a finite
+/// log-likelihood trace, weights summing to one — or all three return the
+/// same typed error, and M and S agree bit for bit either way.
+#[test]
+fn more_components_than_facts_fits_or_fails_alike_under_m_s_f() {
+    let db = Database::in_memory();
+    let r = db.create_relation(Schema::dimension("R", 2)).unwrap();
+    for (key, x) in [[1.0, -2.0], [0.5, 3.0]].into_iter().enumerate() {
+        r.lock()
+            .append(&Tuple::dimension(key as u64, x.to_vec()))
+            .unwrap();
+    }
+    r.lock().flush().unwrap();
+    let s = db.create_relation(Schema::fact("S", 1, 1)).unwrap();
+    for (i, (fk, x)) in [(0, 0.0), (1, 4.0), (1, -1.5)].into_iter().enumerate() {
+        s.lock()
+            .append(&Tuple::fact(i as u64, vec![fk], vec![x]))
+            .unwrap();
+    }
+    s.lock().flush().unwrap();
+    let spec = JoinSpec::binary("S", "R");
+    let session = Session::new(&db).join(&spec);
+    let config = GmmConfig {
+        k: 5,
+        max_iters: 6,
+        ..GmmConfig::default()
+    };
+    let fits: Vec<_> = Algorithm::all()
+        .into_iter()
+        .map(|alg| session.fit(Gmm::new(config.clone()).algorithm(alg)))
+        .collect();
+    match (&fits[0], &fits[1], &fits[2]) {
+        (Ok(m), Ok(s), Ok(_)) => {
+            let bits = |fit: &GmmFit| {
+                let mut bits: Vec<u64> = fit.log_likelihood.iter().map(|x| x.to_bits()).collect();
+                bits.extend(fit.model.weights.iter().map(|x| x.to_bits()));
+                for (mean, cov) in fit.model.means.iter().zip(&fit.model.covariances) {
+                    bits.extend(mean.iter().chain(cov.as_slice()).map(|x| x.to_bits()));
+                }
+                bits
+            };
+            assert_eq!(bits(&m.fit), bits(&s.fit), "M and S differ");
+            for (alg, fit) in Algorithm::all().into_iter().zip(&fits) {
+                let fit = &fit.as_ref().unwrap().fit;
+                let trace = &fit.log_likelihood;
+                assert!(trace.iter().all(|ll| ll.is_finite()), "{alg}: {trace:?}");
+                let sum: f64 = fit.model.weights.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-9, "{alg}: weights sum to {sum}");
+            }
+        }
+        (Err(m), Err(s), Err(f)) => {
+            assert_eq!(m.to_string(), s.to_string());
+            assert_eq!(m.to_string(), f.to_string());
+        }
+        _ => panic!("strategies disagree on k > n: {fits:?}"),
+    }
+}

@@ -101,14 +101,14 @@ impl BlockPartition {
     }
 
     /// Extracts the `(i, j)` sub-block of a `d×d` matrix.
-    pub fn matrix_block(&self, m: &Matrix, i: usize, j: usize) -> Matrix {
+    fn matrix_block(&self, m: &Matrix, i: usize, j: usize) -> Matrix {
         let ri = self.range(i);
         let rj = self.range(j);
         m.sub_block(ri.start, ri.end, rj.start, rj.end)
     }
 
     /// Partitions a square `d×d` matrix into the full grid of sub-blocks.
-    pub fn partition_matrix(&self, m: &Matrix) -> Vec<Vec<Matrix>> {
+    fn partition_matrix(&self, m: &Matrix) -> Vec<Vec<Matrix>> {
         assert_eq!(
             m.rows(),
             self.total_dim(),
@@ -357,14 +357,6 @@ impl BlockScatter {
         }
     }
 
-    /// Adds a full dense contribution `alpha · x xᵀ` (all blocks at once); used by
-    /// the materialized/streaming variants so every variant shares one accumulator
-    /// implementation.
-    pub fn add_dense(&mut self, alpha: f64, x: &[f64]) {
-        assert_eq!(x.len(), self.partition.total_dim(), "add_dense: bad length");
-        gemm::ger_with(self.policy, alpha, x, x, &mut self.acc);
-    }
-
     /// Current accumulated matrix (borrow).
     pub fn matrix(&self) -> &Matrix {
         &self.acc
@@ -488,8 +480,8 @@ mod tests {
         let gamma = 0.7;
 
         // dense accumulation
-        let mut dense = BlockScatter::new_with(p.clone(), KernelPolicy::Blocked);
-        dense.add_dense(gamma, &x);
+        let mut dense = Matrix::zeros(4, 4);
+        gemm::ger_with(KernelPolicy::Blocked, gamma, &x, &x, &mut dense);
 
         // factorized accumulation block by block
         let parts = p.split(&x);
@@ -499,7 +491,7 @@ mod tests {
                 fact.add_outer(i, j, gamma, parts[i], parts[j]);
             }
         }
-        assert!(dense.matrix().max_abs_diff(fact.matrix()) < 1e-14);
+        assert!(dense.max_abs_diff(fact.matrix()) < 1e-14);
     }
 
     #[test]
@@ -546,7 +538,7 @@ mod tests {
     fn block_scatter_reset() {
         let p = BlockPartition::binary(1, 1);
         let mut sc = BlockScatter::new_with(p, KernelPolicy::Blocked);
-        sc.add_dense(1.0, &[1.0, 1.0]);
+        sc.add_outer(0, 1, 1.0, &[1.0], &[1.0]);
         assert!(sc.matrix().frobenius_norm() > 0.0);
         sc.reset();
         assert_eq!(sc.matrix().frobenius_norm(), 0.0);

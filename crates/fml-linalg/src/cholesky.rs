@@ -82,11 +82,6 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        self.log_det().exp()
-    }
-
     /// Solves `A x = b` using forward then backward substitution.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.dim(), "Cholesky::solve: dimension mismatch");
@@ -153,29 +148,6 @@ impl Cholesky {
         }
         u
     }
-
-    /// Mahalanobis squared distance `xᵀ A⁻¹ x` computed via a triangular solve,
-    /// without forming the inverse.
-    pub fn mahalanobis_sq(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim(), "mahalanobis_sq: dimension mismatch");
-        // Solve L z = x, then xᵀ A⁻¹ x = zᵀ z.
-        let n = self.dim();
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = x[i];
-            for (k, &zk) in z[..i].iter().enumerate() {
-                sum -= self.l[(i, k)] * zk;
-            }
-            z[i] = sum / self.l[(i, i)];
-        }
-        z.iter().map(|v| v * v).sum()
-    }
-}
-
-/// Convenience: inverse and log-determinant of an SPD matrix in one call.
-pub fn inverse_and_log_det(a: &Matrix) -> Result<(Matrix, f64), NotPositiveDefinite> {
-    let ch = Cholesky::factor(a)?;
-    Ok((ch.inverse(), ch.log_det()))
 }
 
 #[cfg(test)]
@@ -211,7 +183,6 @@ mod tests {
         let ch = Cholesky::factor(&Matrix::identity(4)).unwrap();
         assert_eq!(ch.lower(), &Matrix::identity(4));
         assert!(approx_eq(ch.log_det(), 0.0, 1e-15));
-        assert!(approx_eq(ch.det(), 1.0, 1e-15));
     }
 
     #[test]
@@ -219,7 +190,6 @@ mod tests {
         // det of diag(2, 3, 4) = 24
         let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
         let ch = Cholesky::factor(&a).unwrap();
-        assert!(approx_eq(ch.det(), 24.0, 1e-12));
         assert!(approx_eq(ch.log_det(), 24.0_f64.ln(), 1e-12));
     }
 
@@ -245,10 +215,11 @@ mod tests {
         let a = spd3();
         let ch = Cholesky::factor(&a).unwrap();
         let x = [0.3, -1.2, 2.0];
-        let via_solve = ch.mahalanobis_sq(&x);
-        let inv = ch.inverse();
-        let via_inv = gemm::quadratic_form_sym_with(Blocked, &x, &inv);
-        assert!(approx_eq(via_solve, via_inv, 1e-10));
+        // ‖xᵀU‖² is the Mahalanobis distance
+        let y = gemm::matvec_transposed_with(Blocked, &ch.whitener(), &x);
+        let via_whitener: f64 = y.iter().map(|v| v * v).sum();
+        let via_inv = gemm::quadratic_form_sym_with(Blocked, &x, &ch.inverse());
+        assert!(approx_eq(via_whitener, via_inv, 1e-12));
     }
 
     #[test]
@@ -263,11 +234,6 @@ mod tests {
         }
         let uut = matmul(&u, &u.transpose());
         assert!(uut.max_abs_diff(&ch.inverse()) < 1e-14);
-        // ‖xᵀU‖² is the Mahalanobis distance
-        let x = [0.3, -1.2, 2.0];
-        let y = gemm::matvec_transposed_with(Blocked, &u, &x);
-        let norm: f64 = y.iter().map(|v| v * v).sum();
-        assert!(approx_eq(norm, ch.mahalanobis_sq(&x), 1e-12));
     }
 
     #[test]
@@ -285,14 +251,5 @@ mod tests {
         assert!(Cholesky::factor(&a).is_err());
         a.add_diag(1e-6);
         assert!(Cholesky::factor(&a).is_ok());
-    }
-
-    #[test]
-    fn inverse_and_log_det_helper() {
-        let a = spd3();
-        let (inv, ld) = inverse_and_log_det(&a).unwrap();
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!(approx_eq(ld, ch.log_det(), 1e-14));
-        assert!(inv.max_abs_diff(&ch.inverse()) < 1e-14);
     }
 }

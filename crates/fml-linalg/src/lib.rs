@@ -88,6 +88,10 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub mod block;
 pub mod cholesky;

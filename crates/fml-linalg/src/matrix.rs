@@ -179,15 +179,6 @@ impl Matrix {
         out
     }
 
-    /// Writes `block` into this matrix starting at `(r0, c0)`.
-    pub fn set_block(&mut self, r0: usize, c0: usize, block: &Matrix) {
-        assert!(r0 + block.rows <= self.rows, "set_block: rows overflow");
-        assert!(c0 + block.cols <= self.cols, "set_block: cols overflow");
-        for i in 0..block.rows {
-            self.row_mut(r0 + i)[c0..c0 + block.cols].copy_from_slice(block.row(i));
-        }
-    }
-
     /// Elementwise addition in place: `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
@@ -198,12 +189,6 @@ impl Matrix {
     pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy: shape mismatch");
         vector::axpy(alpha, &other.data, &mut self.data);
-    }
-
-    /// Elementwise subtraction in place: `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign: shape mismatch");
-        vector::axpy(-1.0, &other.data, &mut self.data);
     }
 
     /// Scales every entry in place.
@@ -354,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn sub_block_and_set_block_roundtrip() {
+    fn sub_block_extracts_the_window() {
         let m = Matrix::from_rows(&[
             vec![1.0, 2.0, 3.0, 4.0],
             vec![5.0, 6.0, 7.0, 8.0],
@@ -364,12 +349,6 @@ mod tests {
         assert_eq!(b.shape(), (2, 2));
         assert_eq!(b.row(0), &[7.0, 8.0]);
         assert_eq!(b.row(1), &[11.0, 12.0]);
-
-        let mut z = Matrix::zeros(3, 4);
-        z.set_block(1, 2, &b);
-        assert_eq!(z[(1, 2)], 7.0);
-        assert_eq!(z[(2, 3)], 12.0);
-        assert_eq!(z[(0, 0)], 0.0);
     }
 
     #[test]
@@ -378,7 +357,7 @@ mod tests {
         let b = Matrix::from_rows(&[vec![10.0, 20.0], vec![30.0, 40.0]]);
         a.add_assign(&b);
         assert_eq!(a.row(0), &[11.0, 22.0]);
-        a.sub_assign(&b);
+        a.axpy(-1.0, &b);
         assert_eq!(a.row(1), &[3.0, 4.0]);
         a.scale(2.0);
         assert_eq!(a.row(0), &[2.0, 4.0]);

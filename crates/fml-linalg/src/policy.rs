@@ -157,6 +157,10 @@ pub fn default_policy() -> KernelPolicy {
     *POLICY.get_or_init(|| {
         static POLICY_WARNED: std::sync::atomic::AtomicBool =
             std::sync::atomic::AtomicBool::new(false);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one FML_KERNEL_POLICY resolve site"
+        )]
         let raw = std::env::var("FML_KERNEL_POLICY").ok();
         let (policy, warning) = resolve_policy_env(raw.as_deref());
         if let Some(msg) = warning {
@@ -178,6 +182,10 @@ pub fn num_threads() -> usize {
             .unwrap_or(1);
         static THREADS_WARNED: std::sync::atomic::AtomicBool =
             std::sync::atomic::AtomicBool::new(false);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one FML_THREADS resolve site"
+        )]
         let raw = std::env::var("FML_THREADS").ok();
         let (threads, warning) = resolve_threads_env(raw.as_deref(), available);
         if let Some(msg) = warning {

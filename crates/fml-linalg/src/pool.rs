@@ -192,10 +192,10 @@ struct Pool {
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
-/// Total tasks ever executed by pool workers (observability; see
-/// [`worker_tasks_executed`]) — the `fml_pool_worker_tasks_total` registry
-/// counter, recorded unconditionally because tests assert on its deltas in
-/// every `FML_OBS` mode.
+/// Total tasks ever executed by pool workers (tasks the dispatcher runs
+/// inline — the last chunk, help-first steals — are not counted): the
+/// `fml_pool_worker_tasks_total` registry counter, recorded unconditionally
+/// because tests assert on its deltas in every `FML_OBS` mode.
 static WORKER_TASKS: fml_obs::LazyCounter =
     fml_obs::LazyCounter::new("fml_pool_worker_tasks_total");
 
@@ -223,6 +223,10 @@ impl Pool {
         }
         let cap = policy::num_threads();
         while state.workers < cap && state.idle < state.queue.len() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool is where threads are born"
+            )]
             match std::thread::Builder::new()
                 .name(format!("fml-pool-{}", state.workers))
                 .spawn(worker_loop)
@@ -368,14 +372,6 @@ pub fn worker_count() -> usize {
         .unwrap_or(0)
 }
 
-/// Total tasks executed *on pool workers* since process start (tasks the
-/// dispatcher ran inline — the last chunk, help-first steals — are not
-/// counted).  Monotonic; used by tests and benches to verify the pool is
-/// actually engaged rather than everything collapsing to inline execution.
-pub fn worker_tasks_executed() -> usize {
-    WORKER_TASKS.get().get() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,7 +478,7 @@ mod tests {
     /// this still holds because the single worker drains the queue.
     #[test]
     fn pool_workers_actually_execute_tasks() {
-        let before = worker_tasks_executed();
+        let before = WORKER_TASKS.get().get();
         for _ in 0..50 {
             par_chunks_with_threads(2, 8, 1, |r| r.len());
         }
@@ -490,7 +486,7 @@ mod tests {
         // raced ahead of every worker wakeup (vanishingly unlikely across
         // 50 rounds), the counter moved.  Tolerate the race by only
         // requiring *some* worker execution across the whole batch.
-        assert!(worker_tasks_executed() >= before, "counter is monotonic");
+        assert!(WORKER_TASKS.get().get() >= before, "counter is monotonic");
         assert!(worker_count() >= 1, "a worker must have been spawned");
     }
 }

@@ -237,6 +237,7 @@ pub fn default_level() -> SimdLevel {
         return level_from_u8(v);
     }
     static SIMD_WARNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    #[expect(clippy::disallowed_methods, reason = "the one FML_SIMD resolve site")]
     let raw = std::env::var("FML_SIMD").ok();
     let (mode, mode_warning) = resolve_simd_env(raw.as_deref());
     let (avx2, fma) = detect_features();
@@ -1105,6 +1106,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the override must be shown absent on a thread outside the pool"
+    )]
     fn override_is_thread_local() {
         let _guard = override_level(SimdLevel::Scalar);
         let seen = std::thread::spawn(current_level).join().unwrap();

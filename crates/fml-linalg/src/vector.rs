@@ -114,13 +114,6 @@ impl Vector {
         Self { data: vec![0.0; n] }
     }
 
-    /// Creates a vector filled with `value`.
-    pub fn filled(n: usize, value: f64) -> Self {
-        Self {
-            data: vec![value; n],
-        }
-    }
-
     /// Wraps an existing `Vec<f64>`.
     pub fn from_vec(data: Vec<f64>) -> Self {
         Self { data }
@@ -163,11 +156,6 @@ impl Vector {
         dot(&self.data, &other.data)
     }
 
-    /// Euclidean norm.
-    pub fn norm2(&self) -> f64 {
-        norm2(&self.data)
-    }
-
     /// Sets every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -181,18 +169,6 @@ impl Vector {
     /// Scales the vector in place.
     pub fn scale(&mut self, alpha: f64) {
         scale(alpha, &mut self.data);
-    }
-
-    /// Concatenates several vectors/slices into one, in order.
-    ///
-    /// This mirrors how a denormalized feature vector `x = [x_S x_R1 … x_Rq]` is
-    /// assembled from the per-relation feature vectors.
-    pub fn concat(parts: &[&[f64]]) -> Self {
-        let mut data = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for p in parts {
-            data.extend_from_slice(p);
-        }
-        Self { data }
     }
 
     /// Iterator over elements.
@@ -328,18 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn vector_concat_matches_denormalized_layout() {
-        let xs = [1.0, 2.0];
-        let xr1 = [3.0];
-        let xr2 = [4.0, 5.0];
-        let x = Vector::concat(&[&xs, &xr1, &xr2]);
-        assert_eq!(x.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(x.len(), 5);
-    }
-
-    #[test]
     fn fill_zero_keeps_len() {
-        let mut v = Vector::filled(4, 7.0);
+        let mut v = Vector::from_slice(&[7.0; 4]);
         v.fill_zero();
         assert_eq!(v.as_slice(), &[0.0; 4]);
     }

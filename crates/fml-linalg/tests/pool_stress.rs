@@ -1,6 +1,6 @@
 //! Stress test for the persistent worker pool: many OS threads submitting
 //! nested regions concurrently and panicking tasks mid-region — the
-//! interleavings the static lint cannot see.
+//! interleavings no static lint can see.
 //!
 //! This is the target of the nightly ThreadSanitizer job
 //! (`.github/workflows/nightly.yml`): every assertion here is also a data-

@@ -736,15 +736,15 @@ fn block_scatter_policies_match_naive() {
         let x = g.vec(d);
         let gamma = g.f64().abs();
 
-        let mut reference = BlockScatter::new_with(partition.clone(), KernelPolicy::Naive);
-        reference.add_dense(gamma, &x);
+        let mut reference = Matrix::zeros(d, d);
+        gemm::ger_with(KernelPolicy::Naive, gamma, &x, &x, &mut reference);
 
         for p in POLICIES {
             // dense accumulation under the policy
-            let mut dense = BlockScatter::new_with(partition.clone(), p);
-            dense.add_dense(gamma, &x);
+            let mut dense = Matrix::zeros(d, d);
+            gemm::ger_with(p, gamma, &x, &x, &mut dense);
             assert!(
-                reference.matrix().max_abs_diff(dense.matrix()) < TEST_EPS,
+                reference.max_abs_diff(&dense) < TEST_EPS,
                 "case {case} {p} dense"
             );
             // factorized tile-by-tile accumulation under the policy
@@ -756,7 +756,7 @@ fn block_scatter_policies_match_naive() {
                 }
             }
             assert!(
-                reference.matrix().max_abs_diff(fact.matrix()) < TEST_EPS,
+                reference.max_abs_diff(fact.matrix()) < TEST_EPS,
                 "case {case} {p} tiled"
             );
         }

@@ -1,19 +1,18 @@
 //! A minimal Rust lexer: just enough token structure for line-level lint
 //! rules, with none of the grammar.
 //!
-//! The hard part of scanning Rust for *tokens we care about* (`unsafe`,
-//! `thread::spawn`, float literals next to `==`) is everything that can
-//! *contain* those spellings without meaning them: line comments, nested
-//! block comments, regular/raw/byte string literals, and character literals
-//! that must not be confused with lifetimes.  This module resolves exactly
-//! those ambiguities and emits a flat token stream plus the comment text
-//! (which the `unsafe`-audit rule needs to find `// SAFETY:` markers and
-//! `# Safety` doc sections).
+//! The hard part of scanning Rust for *tokens we care about* (`.lock()`,
+//! `pool::run`, `vec!` inside a loop) is everything that can *contain*
+//! those spellings without meaning them: line comments, nested block
+//! comments, regular/raw/byte string literals, and character literals that
+//! must not be confused with lifetimes.  This module resolves exactly those
+//! ambiguities and emits a flat token stream plus, kept apart from it, the
+//! comment text.
 //!
 //! It is *not* a conforming lexer: multi-character operators beyond the
 //! common two/three-character ones are split, numeric suffixes are folded
 //! into the literal, and no parsing happens.  That is sufficient — every
-//! rule matches short token sequences, and the fixtures in `tests/` pin the
+//! rule matches short token sequences, and the unit tests below pin the
 //! corner cases (nested `/* /* */ */`, `r#"…"#`, `'a'` vs `'a`, doc comments
 //! containing the word `unsafe`).
 
@@ -26,8 +25,7 @@ pub enum TokenKind {
     Lifetime,
     /// Integer literal (including hex/octal/binary and tuple-index digits).
     Int,
-    /// Floating-point literal (`1.0`, `2e5`, `3f64`).  The float-eq rule
-    /// keys on this kind.
+    /// Floating-point literal (`1.0`, `2e5`, `3f64`).
     Float,
     /// String or byte-string literal; `text` holds the *contents* (quotes
     /// and raw-string hashes stripped, escapes left as written).

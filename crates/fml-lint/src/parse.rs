@@ -1,18 +1,16 @@
 //! A lightweight recursive-descent pass over the lexed token stream: just
 //! enough *syntax* for scope-sensitive rules, with none of the semantics.
 //!
-//! [`parse`] builds a [`Tree`] recording four things the token/line rules
-//! cannot see:
+//! [`parse`] builds a [`Tree`] recording four things a token stream alone
+//! does not show:
 //!
 //! * **items** — functions, types, traits, impls, modules, consts — with
-//!   their visibility, line span, and whether a doc comment is attached
-//!   (the `pub-doc` rule);
+//!   their visibility, line span, and whether a doc comment is attached;
 //! * **function signatures** — name, `pub`-ness, return-type tokens, and
-//!   the brace-matched body span (the `panic-policy` rule keys on
-//!   `Result`-returning bodies);
+//!   the brace-matched body span;
 //! * **loop bodies** — `for`/`while`/`loop` spans, nested arbitrarily
 //!   (the `alloc-in-hot-loop` rule), with `for` headers and pattern
-//!   bindings kept for the `nondet-iteration` rule;
+//!   bindings;
 //! * **`let` bindings** — pattern names, optional type-annotation tokens,
 //!   initializer token range, and the line where the enclosing block
 //!   closes, i.e. the binding's scope end (the `guard-across-dispatch`
@@ -33,7 +31,7 @@
 //!   the blast radius is a line, not a file.
 //! * Items declared inside function bodies are recorded, but their
 //!   visibility context (a `pub fn` inside a private `mod`) is not
-//!   resolved — `pub-doc` deliberately checks *lexical* `pub`.
+//!   resolved — `is_pub` is *lexical* `pub`.
 //!
 //! What the parser cannot see statically (dynamic dispatch, locks acquired
 //! behind helper calls) is covered by the nightly Miri/TSan jobs, not this
@@ -119,7 +117,7 @@ pub struct Item {
     /// Lexically `pub` (any restriction: `pub(crate)` counts).
     pub is_pub: bool,
     /// Restricted visibility (`pub(crate)`/`pub(super)`): not part of the
-    /// crate's external API, so `pub-doc` skips it like `missing_docs` does.
+    /// crate's external API (`missing_docs` skips it).
     pub pub_restricted: bool,
     /// Line of the introducing keyword.
     pub line: usize,
@@ -148,7 +146,7 @@ pub struct FnInfo {
 
 impl FnInfo {
     /// Whether the declared return type mentions a `Result` (including
-    /// crate aliases like `StoreResult`): the `panic-policy` scope test.
+    /// crate aliases like `StoreResult`).
     pub fn returns_result(&self) -> bool {
         self.ret
             .iter()

@@ -1,39 +1,30 @@
-//! The rule engine: five token/line-level rules over one lexed file.
+//! The two rules, over one lexed and parsed file.
 //!
 //! Every rule reports [`Violation`]s carrying the rule name, the
 //! workspace-relative path, the 1-based line, and a message explaining the
-//! invariant — the diagnostics the binary prints and the fixtures pin.
+//! invariant — the diagnostics the fixtures in `tests/` pin.
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `unsafe-audit` | `unsafe` only in the audited leaf modules, every block/impl preceded by `// SAFETY:`, every `unsafe fn` documented with `# Safety` |
-//! | `no-raw-spawn` | `thread::spawn` only in `pool.rs` and test code (bare spawns escape the `FML_THREADS` cap and drop the SIMD level) |
-//! | `env-centralization` | `FML_*` environment reads only at the designated resolve sites |
-//! | `float-eq` | no float `==`/`!=`/`assert_eq!` in production code — `to_bits` or approx helpers instead |
-//! | `no-stray-io` | no `println!`/`eprintln!`/`dbg!` in library code |
+//! | `guard-across-dispatch` | no `Mutex`/`RwLock` guard binding live across a `pool::run`/`par_chunks*`/`par_row_bands*` call — a static deadlock/latency hazard |
+//! | `alloc-in-hot-loop` | no `Vec::new`/`vec!`/`to_vec`/`collect`/`clone` inside loops of the kernel files, the scorer and the store's decode / join-scan files |
 //!
-//! ## Scope classification
-//!
-//! Rules distinguish three contexts, derived from the path and from
-//! `#[cfg(test)]` regions found by brace matching:
-//!
-//! * **test code** — files under `tests/` or `benches/`, and `#[cfg(test)]`
-//!   item spans inside `src` files.  The repo's test corpus *is* the
-//!   designated equivalence suite: its exact float comparisons are
-//!   deliberate bit-contract pins, so `float-eq` does not apply there, and
-//!   `no-raw-spawn`/`no-stray-io` are relaxed.
-//! * **bin code** — `src/main.rs`, `src/bin/**`, and `examples/**`: console
-//!   I/O is the product there.
-//! * **library code** — everything else: all five rules apply in full.
+//! Test code is exempt from both: files under `tests/` or `benches/`, and
+//! `#[cfg(test)]` item spans inside `src` files, found by brace matching.
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
+use crate::parse::{LetBinding, Tree};
 
 /// One diagnostic: `path:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
+    /// The rule's name.
     pub rule: &'static str,
+    /// Workspace-relative path with forward slashes.
     pub path: String,
+    /// 1-based line.
     pub line: usize,
+    /// What is wrong and how to fix it.
     pub message: String,
 }
 
@@ -47,96 +38,61 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// `unsafe-audit` rule name.
-pub const RULE_UNSAFE: &str = "unsafe-audit";
-/// `no-raw-spawn` rule name.
-pub const RULE_SPAWN: &str = "no-raw-spawn";
-/// `env-centralization` rule name.
-pub const RULE_ENV: &str = "env-centralization";
-/// `float-eq` rule name.
-pub const RULE_FLOAT_EQ: &str = "float-eq";
-/// `no-stray-io` rule name.
-pub const RULE_STRAY_IO: &str = "no-stray-io";
+/// `guard-across-dispatch` rule name.
+pub const RULE_GUARD: &str = "guard-across-dispatch";
+/// `alloc-in-hot-loop` rule name.
+pub const RULE_ALLOC: &str = "alloc-in-hot-loop";
 
-/// Files allowed to contain `unsafe` at all.  The leaf modules whose safety
-/// arguments the audit enforces, plus the offline dependency shims (which
-/// currently `#![forbid(unsafe_code)]` anyway — listed so a shim that must
-/// grow an intrinsic does not silently widen the audit surface elsewhere).
-const UNSAFE_ALLOWED: [&str; 2] = [
-    "crates/fml-linalg/src/simd.rs",
-    "crates/fml-linalg/src/pool.rs",
+/// The pool implementation itself may hold its own locks across its own
+/// dispatch — that is the help-first protocol, audited by hand + TSan.
+const GUARD_EXEMPT: [&str; 1] = ["crates/fml-linalg/src/pool.rs"];
+
+/// Kernel files where a per-iteration allocation serializes on the global
+/// allocator: matched by file name under any crate `src/`.
+const HOT_FILE_NAMES: [&str; 4] = ["/gemm.rs", "/simd.rs", "/sparse.rs", "/csr.rs"];
+/// Non-kernel files with hot row loops, matched exactly: the scorer, the
+/// store's page decoder and its factorized join scan.
+const HOT_FILE_EXACT: [&str; 3] = [
+    "crates/fml-serve/src/scorer.rs",
+    "crates/fml-store/src/batch.rs",
+    "crates/fml-store/src/factorized_scan.rs",
 ];
-const UNSAFE_ALLOWED_PREFIX: &str = "crates/shims/";
 
-/// The designated `FML_*` resolve sites: builder > env > default precedence
-/// is decided in exactly these places, so a read anywhere else forks the
-/// precedence logic.
-const ENV_ALLOWED: [&str; 3] = [
-    "crates/fml-linalg/src/policy.rs",
-    "crates/fml-linalg/src/simd.rs",
-    "crates/fml-linalg/src/exec.rs",
-];
-const ENV_ALLOWED_PREFIX: &str = "crates/fml-bench/";
-/// fml-obs files may read `FML_OBS` (the mode resolve site lives there) but
-/// no other `FML_*` variable.
-const ENV_OBS_ALLOWED_PREFIX: &str = "crates/fml-obs/";
+/// Method idents whose presence in a loop means a fresh allocation per
+/// iteration (`.to_vec()`, `.collect()`, `.clone()`).
+const ALLOC_METHODS: [&str; 3] = ["to_vec", "collect", "clone"];
 
-/// How many lines above an `unsafe` block/impl a `// SAFETY:` comment may
-/// sit (attributes and the statement's own wrapped lines eat a few).
-const SAFETY_WINDOW: usize = 6;
-/// How many lines above an `unsafe fn` its doc comment (with the `# Safety`
-/// section) may start — doc blocks run long.
-const SAFETY_DOC_WINDOW: usize = 40;
-
-/// Runs every rule over one file.  `rel_path` must be workspace-relative
-/// with forward slashes — it is matched against the allow-sets verbatim.
+/// Runs both rules over one file.  `rel_path` must be workspace-relative
+/// with forward slashes — it is matched against the path sets verbatim.
 pub fn check_file(rel_path: &str, source: &str) -> Vec<Violation> {
     let lexed = lex(source);
     let ctx = Context::new(rel_path, &lexed.tokens);
-    // Outer docs only: a `//!`/`/*!` inner doc documents the enclosing
-    // module, not the item that happens to follow it.
-    let doc_lines: Vec<usize> = lexed
-        .comments
-        .iter()
-        .filter(|c| c.doc && !c.text.starts_with("//!") && !c.text.starts_with("/*!"))
-        .map(|c| c.line)
-        .collect();
-    let tree = crate::parse::parse(&lexed.tokens, &doc_lines);
+    // Neither rule reads item docs, so no doc lines are attached.
+    let tree = crate::parse::parse(&lexed.tokens, &[]);
     let mut out = Vec::new();
-    rule_unsafe_audit(&ctx, &lexed.tokens, &lexed.comments, &mut out);
-    rule_no_raw_spawn(&ctx, &lexed.tokens, &mut out);
-    rule_env_centralization(&ctx, &lexed.tokens, &mut out);
-    rule_float_eq(&ctx, &lexed.tokens, &mut out);
-    rule_no_stray_io(&ctx, &lexed.tokens, &mut out);
-    crate::semantic::check(&ctx, &lexed.tokens, &lexed.comments, &tree, &mut out);
+    rule_guard_across_dispatch(&ctx, &lexed.tokens, &tree, &mut out);
+    rule_alloc_in_hot_loop(&ctx, &lexed.tokens, &tree, &mut out);
     out
 }
 
-pub(crate) struct Context<'a> {
-    pub(crate) rel_path: &'a str,
+struct Context<'a> {
+    rel_path: &'a str,
     /// Whole file is test code (`tests/`, `benches/`).
-    pub(crate) test_file: bool,
-    /// Whole file is bin code (`src/main.rs`, `src/bin/**`, `examples/**`).
-    pub(crate) bin_file: bool,
+    test_file: bool,
     /// Line spans of `#[cfg(test)]` items inside a `src` file.
     test_regions: Vec<(usize, usize)>,
 }
 
 impl<'a> Context<'a> {
-    pub(crate) fn new(rel_path: &'a str, tokens: &[Token]) -> Self {
-        let test_file = rel_path.contains("/tests/") || rel_path.contains("/benches/");
-        let bin_file = rel_path.ends_with("/src/main.rs")
-            || rel_path.contains("/src/bin/")
-            || rel_path.starts_with("examples/");
+    fn new(rel_path: &'a str, tokens: &[Token]) -> Self {
         Self {
             rel_path,
-            test_file,
-            bin_file,
+            test_file: rel_path.contains("/tests/") || rel_path.contains("/benches/"),
             test_regions: find_test_regions(tokens),
         }
     }
 
-    pub(crate) fn in_test(&self, line: usize) -> bool {
+    fn in_test(&self, line: usize) -> bool {
         self.test_file
             || self
                 .test_regions
@@ -144,7 +100,7 @@ impl<'a> Context<'a> {
                 .any(|&(lo, hi)| (lo..=hi).contains(&line))
     }
 
-    pub(crate) fn violation(&self, rule: &'static str, line: usize, message: String) -> Violation {
+    fn violation(&self, rule: &'static str, line: usize, message: String) -> Violation {
         Violation {
             rule,
             path: self.rel_path.to_string(),
@@ -205,290 +161,156 @@ fn find_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     regions
 }
 
+fn text(tokens: &[Token], i: usize) -> &str {
+    tokens.get(i).map(|t| t.text.as_str()).unwrap_or("")
+}
+
 // ---------------------------------------------------------------------------
-// Rule 1: unsafe-audit
+// guard-across-dispatch
 // ---------------------------------------------------------------------------
 
-fn rule_unsafe_audit(
+/// Whether the binding's initializer is a lock acquisition: it contains a
+/// zero-argument `.lock()`/`.read()`/`.write()` call (the zero-argument
+/// form separates `Mutex::lock`/`RwLock::read` from `io::Read::read(&mut
+/// buf)`), and everything after it is guard-preserving (`.unwrap()`,
+/// `.expect("…")`, `?`).
+fn guard_acquisition(tokens: &[Token], l: &LetBinding) -> bool {
+    let (start, end) = l.init;
+    let toks = &tokens[start.min(tokens.len())..end.min(tokens.len())];
+    let mut acquired_at = None;
+    for i in 0..toks.len() {
+        if matches!(toks[i].text.as_str(), "lock" | "read" | "write")
+            && i > 0
+            && toks[i - 1].text == "."
+            && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
+            && toks.get(i + 2).map(|t| t.text.as_str()) == Some(")")
+        {
+            acquired_at = Some(i + 3);
+        }
+    }
+    let Some(after) = acquired_at else {
+        return false;
+    };
+    toks[after..].iter().all(|t| {
+        matches!(t.text.as_str(), "." | "unwrap" | "expect" | "(" | ")" | "?")
+            || t.kind == TokenKind::Str
+    })
+}
+
+/// Token index and line of the first pool-dispatch call at index `>= from`
+/// on a line `<= until`.
+fn first_dispatch(tokens: &[Token], from: usize, until: usize) -> Option<(usize, usize)> {
+    for i in from..tokens.len() {
+        if tokens[i].line > until {
+            return None;
+        }
+        let is_pool_run = tokens[i].text == "pool"
+            && text(tokens, i + 1) == "::"
+            && text(tokens, i + 2).starts_with("run");
+        let is_par_helper = tokens[i].kind == TokenKind::Ident
+            && (tokens[i].text.starts_with("par_chunks")
+                || tokens[i].text.starts_with("par_row_bands"))
+            && text(tokens, i + 1) == "(";
+        if is_pool_run || is_par_helper {
+            return Some((i, tokens[i].line));
+        }
+    }
+    None
+}
+
+/// Token index of `drop(<name>)` at index `>= from` on a line `<= until`.
+fn explicit_drop(tokens: &[Token], name: &str, from: usize, until: usize) -> Option<usize> {
+    for i in from..tokens.len() {
+        if tokens[i].line > until {
+            return None;
+        }
+        if tokens[i].text == "drop"
+            && text(tokens, i + 1) == "("
+            && text(tokens, i + 2) == name
+            && text(tokens, i + 3) == ")"
+        {
+            return Some(i);
+        }
+    }
+    None
+}
+
+fn rule_guard_across_dispatch(
     ctx: &Context,
     tokens: &[Token],
-    comments: &[Comment],
+    tree: &Tree,
     out: &mut Vec<Violation>,
 ) {
-    let file_allowed =
-        UNSAFE_ALLOWED.contains(&ctx.rel_path) || ctx.rel_path.starts_with(UNSAFE_ALLOWED_PREFIX);
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        if !file_allowed {
-            out.push(
-                ctx.violation(
-                    RULE_UNSAFE,
-                    t.line,
-                    "`unsafe` code is restricted to the audited leaf modules \
-                 (fml-linalg/src/simd.rs, fml-linalg/src/pool.rs, crates/shims)"
-                        .to_string(),
-                ),
-            );
-            continue;
-        }
-        let next = tokens.get(i + 1).map(|t| t.text.as_str());
-        if next == Some("fn") {
-            // `unsafe fn(` is a function-pointer *type*: nothing executes at
-            // the declaration, the obligations attach to the call sites.
-            if tokens.get(i + 2).map(|t| t.text.as_str()) == Some("(") {
-                continue;
-            }
-            if !has_safety_doc_section(comments, t.line) {
-                out.push(ctx.violation(
-                    RULE_UNSAFE,
-                    t.line,
-                    "`unsafe fn` lacks a `# Safety` section in its doc comment".to_string(),
-                ));
-            }
-        } else if !has_safety_comment(comments, t.line) {
-            out.push(
-                ctx.violation(
-                    RULE_UNSAFE,
-                    t.line,
-                    "`unsafe` block/impl lacks a preceding `// SAFETY:` comment \
-                 stating the invariant"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-}
-
-/// A comment containing `SAFETY:` on the same line or within the window
-/// above `line` justifies an `unsafe` block/impl.
-fn has_safety_comment(comments: &[Comment], line: usize) -> bool {
-    let lo = line.saturating_sub(SAFETY_WINDOW);
-    comments
-        .iter()
-        .any(|c| (lo..=line).contains(&c.line) && c.text.contains("SAFETY:"))
-}
-
-/// A doc comment containing a `# Safety` section within the doc window above
-/// `line` documents an `unsafe fn`'s contract.
-fn has_safety_doc_section(comments: &[Comment], line: usize) -> bool {
-    let lo = line.saturating_sub(SAFETY_DOC_WINDOW);
-    comments
-        .iter()
-        .any(|c| c.doc && (lo..=line).contains(&c.line) && c.text.contains("# Safety"))
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: no-raw-spawn
-// ---------------------------------------------------------------------------
-
-fn rule_no_raw_spawn(ctx: &Context, tokens: &[Token], out: &mut Vec<Violation>) {
-    if ctx.rel_path == "crates/fml-linalg/src/pool.rs" {
-        return; // the pool is where threads are born
-    }
-    for i in 0..tokens.len().saturating_sub(2) {
-        if tokens[i].text == "thread" && tokens[i + 1].text == "::" && tokens[i + 2].text == "spawn"
-        {
-            let line = tokens[i].line;
-            if ctx.in_test(line) {
-                continue;
-            }
-            out.push(
-                ctx.violation(
-                    RULE_SPAWN,
-                    line,
-                    "`std::thread::spawn` outside the pool: a bare spawn escapes \
-                 the `FML_THREADS` worker cap and drops the thread-local SIMD \
-                 level, silently changing kernel behavior on the new thread; \
-                 dispatch through `fml_linalg::pool::run`"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: env-centralization
-// ---------------------------------------------------------------------------
-
-fn rule_env_centralization(ctx: &Context, tokens: &[Token], out: &mut Vec<Violation>) {
-    if ENV_ALLOWED.contains(&ctx.rel_path) || ctx.rel_path.starts_with(ENV_ALLOWED_PREFIX) {
+    if GUARD_EXEMPT.contains(&ctx.rel_path) || ctx.rel_path.starts_with("crates/shims/") {
         return;
     }
-    // fml-obs owns the `FML_OBS` resolve site, but nothing else: its files
-    // may read `FML_OBS` and no other `FML_*` variable.
-    let in_obs = ctx.rel_path.starts_with(ENV_OBS_ALLOWED_PREFIX);
-    for i in 0..tokens.len().saturating_sub(2) {
-        let is_read = tokens[i].text == "env"
-            && tokens[i + 1].text == "::"
-            && (tokens[i + 2].text == "var" || tokens[i + 2].text == "var_os");
-        if !is_read {
+    for l in &tree.lets {
+        if ctx.in_test(l.line) || l.names.len() != 1 || !guard_acquisition(tokens, l) {
             continue;
         }
-        // The variable name is the first string literal after the call.
-        let Some(var) = tokens[i + 3..]
-            .iter()
-            .take(4)
-            .find(|t| t.kind == TokenKind::Str)
-            .map(|t| t.text.as_str())
+        let name = &l.names[0];
+        if name == "_" {
+            continue; // `let _ = m.lock()` drops the guard immediately
+        }
+        let drop_at = explicit_drop(tokens, name, l.init.1, l.scope_end);
+        let Some((dispatch_idx, dispatch_line)) = first_dispatch(tokens, l.init.1, l.scope_end)
         else {
             continue;
         };
-        if !var.starts_with("FML_") {
-            continue;
+        if drop_at.map(|d| d < dispatch_idx).unwrap_or(false) {
+            continue; // guard explicitly dropped before the dispatch
         }
-        if var == "FML_OBS" {
-            if in_obs {
-                continue;
-            }
-            out.push(
-                ctx.violation(
-                    RULE_ENV,
-                    tokens[i].line,
-                    "`FML_OBS` environment read outside its designated resolve \
-                 sites (fml-obs, fml-linalg exec.rs, fml-bench): the \
-                 observability mode follows builder > env > default, decided \
-                 once — consume `fml_obs::mode()` or `ExecSettings::obs` \
-                 instead"
-                        .to_string(),
-                ),
-            );
-        } else {
-            out.push(
-                ctx.violation(
-                    RULE_ENV,
-                    tokens[i].line,
-                    "`FML_*` environment read outside the designated resolve sites \
-                 (fml-linalg policy.rs/simd.rs/exec.rs, fml-bench): precedence \
-                 is builder > env > default, decided in exactly one place — \
-                 consume the resolved value via `ExecPolicy::resolve` or the \
-                 `policy`/`simd` accessors instead"
-                        .to_string(),
-                ),
-            );
-        }
+        out.push(ctx.violation(
+            RULE_GUARD,
+            l.line,
+            format!(
+                "lock guard `{name}` is live across the pool dispatch on line \
+                 {dispatch_line}: workers contending on this lock while the \
+                 dispatch blocks is a deadlock/latency hazard the pool's \
+                 help-first draining cannot save — copy the data out and \
+                 `drop({name})` before dispatching"
+            ),
+        ));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: float-eq
+// alloc-in-hot-loop
 // ---------------------------------------------------------------------------
 
-/// Token texts that end the operand window around `==`/`!=` — crossing one
-/// would compare tokens from a different expression.
-fn is_operand_boundary(text: &str) -> bool {
-    matches!(
-        text,
-        ";" | "," | "{" | "}" | "==" | "!=" | "=" | "&&" | "||" | "=>"
-    )
-}
-
-const FLOAT_EQ_MACROS: [&str; 4] = [
-    "assert_eq",
-    "assert_ne",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-const FLOAT_EQ_ESCAPES: [&str; 2] = ["to_bits", "approx_eq"];
-
-fn rule_float_eq(ctx: &Context, tokens: &[Token], out: &mut Vec<Violation>) {
-    if ctx.test_file || ctx.rel_path.ends_with("testutil.rs") {
-        return; // the equivalence suites own their exact comparisons
-    }
-    let float_msg = "floating-point equality in production code: rounding-\
-                     sensitive values must compare via `f64::to_bits` (bit \
-                     contracts) or `approx_eq` (tolerances)";
-    for (i, t) in tokens.iter().enumerate() {
-        if ctx.in_test(t.line) {
-            continue;
-        }
-        // `x == 1.0` / `x != 1.0` with a float literal operand.  A
-        // `to_bits`/`approx_eq` call in either operand window is the
-        // sanctioned escape (`x.to_bits() == 0.0f64.to_bits()`).
-        if t.kind == TokenKind::Punct && (t.text == "==" || t.text == "!=") {
-            let mut found = false;
-            let mut escaped = false;
-            let forward = tokens[i + 1..].iter().take(6);
-            let backward = tokens[..i].iter().rev().take(6);
-            for window in [forward.collect::<Vec<_>>(), backward.collect::<Vec<_>>()] {
-                for tok in window {
-                    if is_operand_boundary(&tok.text) {
-                        break;
-                    }
-                    found |= tok.kind == TokenKind::Float;
-                    escaped |= tok.kind == TokenKind::Ident
-                        && FLOAT_EQ_ESCAPES.contains(&tok.text.as_str());
-                }
-            }
-            if found && !escaped {
-                out.push(ctx.violation(RULE_FLOAT_EQ, t.line, float_msg.to_string()));
-            }
-        }
-        // `assert_eq!(…)` whose argument span holds a float literal.
-        if t.kind == TokenKind::Ident
-            && FLOAT_EQ_MACROS.contains(&t.text.as_str())
-            && tokens.get(i + 1).map(|t| t.text.as_str()) == Some("!")
-            && tokens.get(i + 2).map(|t| t.text.as_str()) == Some("(")
-        {
-            let mut depth = 1usize;
-            let mut has_float = false;
-            let mut escaped = false;
-            for tok in &tokens[i + 3..] {
-                match tok.text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                has_float |= tok.kind == TokenKind::Float;
-                escaped |=
-                    tok.kind == TokenKind::Ident && FLOAT_EQ_ESCAPES.contains(&tok.text.as_str());
-            }
-            if has_float && !escaped {
-                out.push(ctx.violation(RULE_FLOAT_EQ, t.line, float_msg.to_string()));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: no-stray-io
-// ---------------------------------------------------------------------------
-
-const IO_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-
-fn rule_no_stray_io(ctx: &Context, tokens: &[Token], out: &mut Vec<Violation>) {
-    if ctx.test_file || ctx.bin_file {
+fn rule_alloc_in_hot_loop(ctx: &Context, tokens: &[Token], tree: &Tree, out: &mut Vec<Violation>) {
+    let hot = HOT_FILE_EXACT.contains(&ctx.rel_path)
+        || (ctx.rel_path.contains("/src/")
+            && HOT_FILE_NAMES.iter().any(|n| ctx.rel_path.ends_with(n)));
+    if !hot || ctx.test_file {
         return;
     }
     for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !IO_MACROS.contains(&t.text.as_str()) {
+        if !tree.in_loop(t.line) || ctx.in_test(t.line) {
             continue;
         }
-        if tokens.get(i + 1).map(|t| t.text.as_str()) != Some("!") {
+        let what = if t.text == "Vec" && text(tokens, i + 1) == "::" && text(tokens, i + 2) == "new"
+        {
+            "`Vec::new()`".to_string()
+        } else if t.text == "vec" && text(tokens, i + 1) == "!" {
+            "`vec![…]`".to_string()
+        } else if t.kind == TokenKind::Ident
+            && ALLOC_METHODS.contains(&t.text.as_str())
+            && i > 0
+            && text(tokens, i - 1) == "."
+            && matches!(text(tokens, i + 1), "(" | "::")
+        {
+            format!("`.{}()`", t.text)
+        } else {
             continue;
-        }
-        // `.print()`-style method calls are not the macro.
-        if i > 0 && tokens[i - 1].text == "." {
-            continue;
-        }
-        if ctx.in_test(t.line) {
-            continue;
-        }
+        };
         out.push(ctx.violation(
-            RULE_STRAY_IO,
+            RULE_ALLOC,
             t.line,
             format!(
-                "stray `{}!` in library code: console I/O belongs to bins, \
-                 tests and the warn-once resolve sites; return the condition \
-                 to the caller instead",
-                t.text
+                "{what} allocates inside a kernel loop: a per-iteration heap \
+                 allocation serializes threads on the allocator and evicts the \
+                 working set — hoist the buffer out of the loop and reuse it"
             ),
         ));
     }
@@ -519,14 +341,5 @@ mod tests {
         let src = "#[cfg(not(test))]\nmod prod { }\n";
         let lexed = lex(src);
         assert!(find_test_regions(&lexed.tokens).is_empty());
-    }
-
-    #[test]
-    fn operand_window_does_not_cross_statements() {
-        // the float literal belongs to the previous statement; `x == y` is
-        // an integer comparison and must not be flagged
-        let src = "//! m\nfn f(x: usize, y: usize) { let a = 1.0; if x == y {} }\n";
-        let v = check_file("crates/fml-core/src/cost.rs", src);
-        assert!(v.is_empty(), "{v:?}");
     }
 }

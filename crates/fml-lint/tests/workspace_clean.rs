@@ -1,34 +1,24 @@
-//! The workspace self-clean gate: `cargo test -q` runs the full lint over
-//! the live tree, so a violation introduced anywhere in the workspace fails
-//! tier-1 — not just the dedicated CI step.  The gate covers all ten rules:
-//! zero deny violations survive the allowlist, every warning is justified
-//! by a reasoned `warn` entry, and the JSON report round-trips.
+//! The workspace self-clean gate: `cargo test -q` runs both rules over the
+//! live tree, so a violation introduced anywhere in the workspace fails
+//! tier-1.  There is no allowlist to consult: the tree must be clean.
 
 use std::path::Path;
 
-use fml_lint::{run_workspace, Report, ALLOWLIST_FILE};
+use fml_lint::run_workspace;
 
-fn workspace_root() -> &'static Path {
+#[test]
+fn workspace_is_lint_clean() {
     // crates/fml-lint -> crates -> workspace root
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("fml-lint sits two levels below the workspace root")
-}
-
-fn workspace_report() -> Report {
-    let root = workspace_root();
+        .expect("fml-lint sits two levels below the workspace root");
     assert!(
         root.join("Cargo.toml").exists(),
         "resolved workspace root has no Cargo.toml: {}",
         root.display()
     );
-    run_workspace(root).expect("walk workspace sources")
-}
-
-#[test]
-fn workspace_is_lint_clean() {
-    let report = workspace_report();
+    let report = run_workspace(root).expect("walk workspace sources");
     let rendered: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
     assert!(
         report.is_clean(),
@@ -36,129 +26,10 @@ fn workspace_is_lint_clean() {
         rendered.len(),
         rendered.join("\n")
     );
-    // Sanity: the walk actually visited the tree (8 crates + examples).
+    // Sanity: the walk actually visited the tree (the crates + examples).
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned: {}",
         report.files_scanned
     );
-}
-
-#[test]
-fn every_warning_is_covered_by_a_reasoned_warn_entry() {
-    // Warnings are non-fatal by design, but only because a `warn` allowlist
-    // entry argued the hazard in review.  Re-check the chain here: every
-    // warning the run reports must match a parsed `warn` entry whose reason
-    // is non-trivial prose, and warnings must stay confined to rules that
-    // have such entries.
-    let report = workspace_report();
-    let text =
-        std::fs::read_to_string(workspace_root().join(ALLOWLIST_FILE)).expect("read allowlist");
-    let entries = fml_lint::allowlist::parse(&text).expect("parse allowlist");
-    for w in &report.warnings {
-        let entry = entries
-            .iter()
-            .find(|e| {
-                e.warn && e.rule == w.rule && fml_lint::allowlist::glob_match(&e.path, &w.path)
-            })
-            .unwrap_or_else(|| panic!("warning without a covering warn entry: {w}"));
-        assert!(
-            entry.reason.split_whitespace().count() >= 4,
-            "warn entry for `{}` needs a real reason, got {:?}",
-            entry.rule,
-            entry.reason
-        );
-    }
-}
-
-#[test]
-fn allowlist_entries_reference_known_rules_and_carry_reasons() {
-    // Zero unexplained entries: every entry names a rule the binary actually
-    // runs (a typo'd rule name would silently never match and only surface
-    // as stale) and carries a reasoned justification.
-    let text =
-        std::fs::read_to_string(workspace_root().join(ALLOWLIST_FILE)).expect("read allowlist");
-    let entries = fml_lint::allowlist::parse(&text).expect("parse allowlist");
-    assert!(!entries.is_empty(), "allowlist unexpectedly empty");
-    let known: Vec<&str> = fml_lint::report::RULES.iter().map(|r| r.name).collect();
-    for e in &entries {
-        assert!(
-            known.contains(&e.rule.as_str()),
-            "allowlist entry names unknown rule {:?} (line {})",
-            e.rule,
-            e.line
-        );
-        assert!(
-            e.reason.split_whitespace().count() >= 4,
-            "allowlist entry at line {} needs a real reason, got {:?}",
-            e.line,
-            e.reason
-        );
-    }
-}
-
-#[test]
-fn unsafe_audit_and_guard_rules_have_zero_allowlist_entries() {
-    // The acceptance bar for the unsafe audit and the lock-discipline rule:
-    // both hold over the whole tree without exceptions filed.
-    let text =
-        std::fs::read_to_string(workspace_root().join(ALLOWLIST_FILE)).expect("read allowlist");
-    let entries = fml_lint::allowlist::parse(&text).expect("parse allowlist");
-    for e in &entries {
-        assert!(
-            e.rule != "unsafe-audit" && e.rule != "guard-across-dispatch",
-            "`{}` must hold without allowlist exceptions, found entry at line {}",
-            e.rule,
-            e.line
-        );
-    }
-}
-
-#[test]
-fn stale_allowlist_entry_fails_the_lint() {
-    // Simulate an allowlist whose entry matches nothing: parse it and apply
-    // it to an empty violation set — the entry must come back as stale, the
-    // condition `run_workspace` converts into a `stale-allowlist` violation.
-    // `warn` entries are held to the same bar.
-    let entries = fml_lint::allowlist::parse(
-        "# header\nfloat-eq crates/fml-gmm/src/model.rs long-since fixed\n\
-         warn alloc-in-hot-loop crates/fml-gmm/src/*.rs long-since hoisted\n",
-    )
-    .expect("parse");
-    assert_eq!(entries.len(), 2);
-    let applied = fml_lint::allowlist::apply(&entries, Vec::new());
-    assert!(applied.deny.is_empty() && applied.warnings.is_empty());
-    assert_eq!(applied.stale.len(), 2);
-    assert_eq!(applied.stale[0].rule, "float-eq");
-    assert_eq!(applied.stale[0].path, "crates/fml-gmm/src/model.rs");
-    assert_eq!(
-        applied.stale[0].line, 2,
-        "stale diagnostic points at the entry line"
-    );
-    assert!(applied.stale[1].warn, "stale warn entries are reported too");
-}
-
-#[test]
-fn workspace_json_report_round_trips() {
-    // The JSON artifact CI uploads must faithfully encode the live run:
-    // serialize the real workspace report and read it back.
-    let report = workspace_report();
-    let json = fml_lint::report::to_json(&report);
-    let parsed = fml_lint::report::parse_report_json(&json).expect("parse emitted JSON");
-    assert_eq!(parsed.clean, report.is_clean());
-    assert_eq!(parsed.files_scanned, report.files_scanned);
-    assert_eq!(parsed.violations.len(), report.violations.len());
-    assert_eq!(parsed.warnings.len(), report.warnings.len());
-    for (p, v) in parsed.warnings.iter().zip(&report.warnings) {
-        assert_eq!(p.rule, v.rule);
-        assert_eq!(p.path, v.path);
-        assert_eq!(p.line, v.line);
-        assert_eq!(p.message, v.message);
-    }
-    let suppressed: Vec<(String, usize)> = report
-        .suppressed
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    assert_eq!(parsed.suppressed, suppressed);
 }

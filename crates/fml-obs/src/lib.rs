@@ -10,8 +10,8 @@
 //! page/field I/O and per-phase cost accounting — numbers the runtime should
 //! export, not recompute in ad-hoc test probes.  `fml-obs` sits below
 //! `fml-linalg` in the dependency graph with no dependencies of its own
-//! (hand-rolled exports, like `fml-lint`), so every crate — kernels, store,
-//! trainers, scorers, benches — can emit into one substrate.
+//! (hand-rolled exports), so every crate — kernels, store, trainers,
+//! scorers, benches — can emit into one substrate.
 //!
 //! ## The three pieces
 //!
@@ -47,6 +47,12 @@
 //! assert!(fml_obs::chrome_trace_json().contains("\"phase\""));
 //! # fml_obs::set_mode(fml_obs::ObsMode::Off);
 //! ```
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub mod mode;
 pub mod registry;
@@ -85,6 +91,7 @@ static ENV_WARNINGS: LazyCounter = LazyCounter::new("fml_env_warnings_total");
 /// `FML_OBS` resolution in [`mode()`] all route here.  The counter records
 /// unconditionally (warnings are rare and must be countable even with
 /// observability off).
+#[expect(clippy::print_stderr, reason = "the one warn-once sink")]
 pub fn warn_once(guard: &AtomicBool, msg: &str) {
     ENV_WARNINGS.get().inc();
     if !guard.swap(true, Ordering::Relaxed) {

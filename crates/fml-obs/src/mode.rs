@@ -103,6 +103,7 @@ fn mode_from_u8(v: u8) -> ObsMode {
 #[cold]
 fn resolve_mode() -> u8 {
     static OBS_WARNED: AtomicBool = AtomicBool::new(false);
+    #[expect(clippy::disallowed_methods, reason = "the one FML_OBS resolve site")]
     let raw = std::env::var("FML_OBS").ok();
     let (mode, warning) = resolve_env(raw.as_deref());
     if let Some(msg) = warning {

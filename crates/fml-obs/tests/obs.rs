@@ -163,6 +163,10 @@ fn disabled_mode_records_nothing_and_grows_nothing() {
     let warm = fml_obs::histogram_handle("fml_test_disabled_hist");
     let warm_count = warm.count();
     let spans_before = snapshot_spans().len();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a fresh thread that never touched a trace buffer"
+    )]
     let handle = std::thread::spawn(move || {
         // A fresh thread that only ever records while off must not even
         // register a trace buffer (the thread-local is never touched).

@@ -13,7 +13,7 @@
 //! `fml_score_rows_total`, the `fml_score_batch_ns` latency histogram, and a
 //! `score_batch` span per batch.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One per-batch telemetry record emitted to a [`ScoreObserver`].
@@ -55,7 +55,10 @@ impl ScoreTrace {
 
     /// Snapshot of the events recorded so far.
     pub fn events(&self) -> Vec<ScoreEvent> {
-        self.events.lock().expect("score trace lock").clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Total rows scored across all recorded events.
@@ -68,7 +71,7 @@ impl ScoreObserver for ScoreTrace {
     fn on_batch(&self, event: &ScoreEvent) {
         self.events
             .lock()
-            .expect("score trace lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(event.clone());
     }
 }

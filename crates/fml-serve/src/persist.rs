@@ -238,24 +238,26 @@ impl<'a> Reader<'a> {
                 self.pos = end;
                 Ok(s)
             }
-            None => Err(PersistError::Corrupt(format!(
-                "payload truncated while reading {what}"
-            ))),
+            None => Err(truncated(what)),
         }
     }
 
+    /// Reads one fixed-width field: every integer, float and magic field
+    /// goes through this checked `[u8; N]` read.
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], PersistError> {
+        self.take(N, what)?.try_into().map_err(|_| truncated(what))
+    }
+
     fn u8(&mut self, what: &str) -> Result<u8, PersistError> {
-        Ok(self.take(1, what)?[0])
+        Ok(u8::from_le_bytes(self.array(what)?))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, PersistError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     fn usize(&mut self, what: &str) -> Result<usize, PersistError> {
@@ -279,11 +281,9 @@ impl<'a> Reader<'a> {
 
     fn f64s(&mut self, what: &str) -> Result<Vec<f64>, PersistError> {
         let n = self.len(what)?;
-        let bytes = self.take(n.saturating_mul(8), what)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
+        (0..n)
+            .map(|_| Ok(f64::from_bits(self.u64(what)?)))
+            .collect()
     }
 
     fn f64s_exact(&mut self, n: usize, what: &str) -> Result<Vec<f64>, PersistError> {
@@ -339,6 +339,10 @@ impl<'a> Reader<'a> {
     }
 }
 
+fn truncated(what: &str) -> PersistError {
+    PersistError::Corrupt(format!("payload truncated while reading {what}"))
+}
+
 // ---------------------------------------------------------------------------
 // The public trait
 // ---------------------------------------------------------------------------
@@ -382,16 +386,11 @@ pub trait ModelStore: Sized {
     /// version, family tag and checksum before touching the payload.
     fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
         let mut header = Reader::new(bytes);
-        let magic = header.take(4, "magic")?;
+        let magic = header.array("magic")?;
         if magic != MAGIC {
-            return Err(PersistError::BadMagic(
-                magic.try_into().expect("4 magic bytes"),
-            ));
+            return Err(PersistError::BadMagic(magic));
         }
-        let version = {
-            let b = header.take(2, "version")?;
-            u16::from_le_bytes(b.try_into().expect("2 bytes"))
-        };
+        let version = u16::from_le_bytes(header.array("version")?);
         if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,

@@ -244,6 +244,10 @@ impl SessionScoring for Session<'_> {
     where
         F: Scorer,
     {
+        #[expect(
+            clippy::expect_used,
+            reason = "scoring without a join is a caller contract, pinned by scoring_without_join_panics"
+        )]
         let spec = self
             .join_spec()
             .expect("Session::score requires a join: call Session::join(spec) first");
@@ -565,6 +569,10 @@ impl<'c, C: RowCore> JoinedRows<'c, C> {
         let (partition, kinds) = (self.partition, &self.kinds);
         let mut blocks = (self.blocks.iter_mut().zip(kinds).enumerate())
             .map(|(b, (buf, &kind))| buf.part(row, partition.range(b), kind));
+        #[expect(
+            clippy::expect_used,
+            reason = "a BlockPartition always has block 0, the fact block"
+        )]
         let fact = blocks.next().expect("a partition has a fact block");
         for (i, (x, term)) in blocks.zip(&mut self.terms).enumerate() {
             self.core.dim_terms(i, x, term);

@@ -36,6 +36,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod batch;
 pub mod catalog;

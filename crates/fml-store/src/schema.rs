@@ -174,7 +174,7 @@ impl Schema {
     /// Size in bytes of one encoded record.
     ///
     /// Layout: `key (8) | fks (8·nfk) | target (8, if present) | groups`, each
-    /// group in its [`FeatureGroup::encoded_size`].  An all-dense schema is
+    /// group in its encoded size (see [`FeatureGroup`]).  An all-dense schema is
     /// `8 · nfeat` bytes of features.
     pub fn record_size(&self) -> usize {
         self.header_size()
@@ -191,7 +191,7 @@ impl Schema {
     }
 
     /// Number of stored values per record — key, foreign keys, target, and
-    /// [`FeatureGroup::fields`] per group — the unit used by the paper when
+    /// the stored fields of each [`FeatureGroup`] — the unit used by the paper when
     /// counting how many values the backward-propagation phase must read
     /// (`n_S·d_S + n_R·d_R` versus `N·d`).
     pub fn fields_per_record(&self) -> usize {

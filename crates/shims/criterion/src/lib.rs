@@ -12,6 +12,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::dbg_macro, clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 use std::fmt::Display;
 use std::hint;
@@ -24,6 +26,10 @@ pub fn black_box<T>(x: T) -> T {
 
 /// Returns true when the harness should only smoke-test each benchmark body.
 pub fn smoke_mode() -> bool {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "FML_BENCH_SMOKE is the bench harness's own toggle"
+    )]
     std::env::var("FML_BENCH_SMOKE")
         .map(|v| v == "1")
         .unwrap_or(false)

@@ -10,6 +10,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -12,6 +12,10 @@ use fml_core::report::{secs, speedup, Table};
 use fml_data::EmulatedDataset;
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "FML_SCALE_FACTOR is this example's dataset-scale knob"
+    )]
     let scale = std::env::var("FML_SCALE_FACTOR")
         .ok()
         .and_then(|s| s.parse().ok())

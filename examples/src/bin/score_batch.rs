@@ -49,7 +49,7 @@ fn main() {
     let gmm_loaded = TrainedGmm::load(&gmm_path).expect("load GMM");
     let nn_loaded = TrainedNn::load(&nn_path).expect("load NN");
     // Bit-exact round-trip: compare through to_bits, the sanctioned form
-    // for exact float contracts (see fml-lint's float-eq rule).
+    // for exact float contracts (see the `clippy::float_cmp` lint).
     let gmm_diff = gmm.fit.model.max_param_diff(&gmm_loaded.fit.model);
     let nn_diff = nn.fit.model.max_param_diff(&nn_loaded.fit.model);
     assert_eq!(gmm_diff.to_bits(), 0.0f64.to_bits());
