@@ -63,7 +63,7 @@ fn bench_matmul(results: &mut Vec<BenchResult>) {
         for policy in POLICIES {
             let mean_ns = measure(|| {
                 c.fill_zero();
-                gemm::matmul_acc_with(policy, &a, &b, &mut c);
+                gemm::matmul_acc_with(policy, a.as_slice(), &b, c.as_mut_slice());
             });
             results.push(BenchResult {
                 kernel: "matmul".into(),
@@ -363,7 +363,7 @@ fn bench_simd_levels(results: &mut Vec<BenchResult>) {
             let flops = 2.0 * (gemm_n as f64).powi(3);
             let mean_ns = measure(|| {
                 c.fill_zero();
-                gemm::matmul_acc_with(KernelPolicy::Blocked, &a, &b, &mut c);
+                gemm::matmul_acc_with(KernelPolicy::Blocked, a.as_slice(), &b, c.as_mut_slice());
             });
             results.push(BenchResult {
                 kernel: "matmul".into(),

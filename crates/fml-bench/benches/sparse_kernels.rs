@@ -119,7 +119,7 @@ fn bench_spmm(results: &mut Vec<BenchResult>) {
         for policy in POLICIES {
             let mean_ns = measure(|| {
                 c.fill_zero();
-                gemm::matmul_acc_with(policy, &x, &b, &mut c);
+                gemm::matmul_acc_with(policy, x.as_slice(), &b, c.as_mut_slice());
             });
             results.push(BenchResult {
                 kernel: "spmm".into(),
@@ -201,7 +201,7 @@ fn bench_spmm_csr(results: &mut Vec<BenchResult>) {
         for policy in POLICIES {
             let mean_ns = measure(|| {
                 c.fill_zero();
-                gemm::matmul_acc_with(policy, &dense_x, &b, &mut c);
+                gemm::matmul_acc_with(policy, dense_x.as_slice(), &b, c.as_mut_slice());
             });
             results.push(BenchResult {
                 kernel: "spmm_csr".into(),

@@ -30,7 +30,7 @@
 //! resolved to dense ordinals, and at the end of a window the per-tuple
 //! aggregates are folded into the iteration's totals.  Every per-tuple
 //! quantity lives in a flat [`OrdinalArena`] row `[ordinal][component][…]`
-//! claimed on first reference — the E-step row [`EStep::fill_row`] writes,
+//! claimed on first reference — the E-step row [`EStep::fill_rows`] writes,
 //! and next to it the aggregate row the M-step sums into (see
 //! `estep::DimLayout`) — so dimension tuples no fact references are never read.
 //! A star is one window; a binary join whose `R` spans several `block_pages`
@@ -46,10 +46,11 @@
 //! means.
 //!
 //! **Execution shape.**  Per fact block a sequential sweep fills the arena
-//! rows of newly referenced dimension tuples, the per-fact E-step fans out
-//! over fact chunks that read the arenas immutably, and the block's
-//! responsibilities are then accumulated in fact order; everything but the
-//! fan-out runs on the driving thread.
+//! rows of newly referenced dimension tuples — one [`EStep::fill_rows`] call
+//! per dimension, whose dense tuples run on level-3 kernels — the per-fact
+//! E-step fans out over fact chunks that read the arenas immutably, and the
+//! block's responsibilities are then accumulated in fact order; everything
+//! but the fan-out runs on the driving thread.
 //!
 //! **Bit contract.**  The decomposition is exact — no approximation — so the
 //! model matches `M-GMM` / `S-GMM` up to floating-point rounding (objective
@@ -59,7 +60,7 @@
 //! worker count.  Sums run fact-major for every `q`.
 
 use crate::em::{converged, finalize_m_step, GmmFit};
-use crate::estep::{DimLayout, EStep};
+use crate::estep::{DimLayout, EStep, FillScratch};
 use crate::init::GmmInit;
 use crate::model::Precomputed;
 use crate::sparse::{SparseDiagAcc, SparseScatterAcc};
@@ -100,7 +101,6 @@ impl FactorizedGmm {
         let partition = BlockPartition::new(&sizes);
         let d = partition.total_dim();
         let d_s = sizes[0];
-        let q = sizes.len() - 1;
         let n = spec.fact_relation(db)?.lock().num_tuples();
         let k = config.k;
 
@@ -130,6 +130,7 @@ impl FactorizedGmm {
             .map(|lay| OrdinalArena::new(k * lay.agg_len()))
             .collect();
         let (mut pd_s, mut w_s) = (vec![0.0; k * d_s], vec![0.0; d_s]);
+        let (mut fill, mut new_ords) = (FillScratch::default(), Vec::new());
 
         for _iter in 0..config.max_iters {
             let estep = EStep::new(
@@ -168,14 +169,17 @@ impl FactorizedGmm {
                     // referenced dimension tuples (one row per *distinct*
                     // tuple — the factorized reuse) and zeroes their
                     // aggregates.
-                    for f in 0..block.len() {
-                        for (i, &ord) in block.ords_of(f).iter().enumerate() {
-                            if terms[i].claim(ord) {
-                                estep.fill_row(i, cache.row(i, ord), terms[i].row_mut(ord));
-                                aggs[i].claim(ord);
-                                aggs[i].row_mut(ord).fill(0.0);
+                    for (i, (terms, aggs)) in terms.iter_mut().zip(&mut aggs).enumerate() {
+                        new_ords.clear();
+                        for f in 0..block.len() {
+                            let ord = block.ords_of(f)[i];
+                            if terms.claim(ord) {
+                                new_ords.push(ord);
+                                aggs.claim(ord);
+                                aggs.row_mut(ord).fill(0.0);
                             }
                         }
+                        estep.fill_rows(i, &new_ords, |o| cache.row(i, o), terms, &mut fill);
                     }
                     // The per-fact evaluation fans out over chunks that read
                     // the E-step rows immutably.
@@ -183,17 +187,11 @@ impl FactorizedGmm {
                         let mut local_gammas = Vec::with_capacity(range.len() * k);
                         let mut local_lls = Vec::with_capacity(range.len());
                         let mut log_dens = vec![0.0; k];
-                        let mut pd_s = vec![0.0; d_s];
-                        let mut rows: Vec<&[f64]> = Vec::with_capacity(q);
+                        let mut pd_s = vec![0.0; k * d_s];
                         for f in range {
-                            rows.clear();
-                            rows.extend(
-                                terms
-                                    .iter()
-                                    .zip(block.ords_of(f))
-                                    .map(|(arena, &ord)| arena.row(ord)),
-                            );
-                            estep.log_densities(facts.row(f), &rows, &mut pd_s, &mut log_dens);
+                            let ords = block.ords_of(f);
+                            let rows = |i: usize| terms[i].row(ords[i]);
+                            estep.log_densities(facts.row(f), rows, &mut pd_s, &mut log_dens);
                             local_lls
                                 .push(estep.pre.finish_responsibilities_in_place(&mut log_dens));
                             local_gammas.extend_from_slice(&log_dens);

@@ -18,7 +18,7 @@
 //!
 //! The factorized E-step arithmetic lives in exactly one place, [`estep`]:
 //! the trainer and the batch scorer (`fml-serve`) both fill
-//! per-dimension-tuple rows with [`EStep::fill_row`] and evaluate facts with
+//! per-dimension-tuple rows with [`EStep::fill_rows`] and evaluate facts with
 //! [`EStep::log_densities`].
 //!
 //! All three produce the same model (up to floating-point associativity): the EM
@@ -48,7 +48,7 @@ pub mod sparse;
 pub mod streaming;
 
 pub use em::{EmOptions, GmmFit};
-pub use estep::EStep;
+pub use estep::{EStep, FillScratch};
 pub use factorized::FactorizedGmm;
 pub use init::GmmInit;
 pub use materialized::MaterializedGmm;

@@ -116,16 +116,18 @@ impl GmmModel {
     }
 }
 
-/// Index of the largest responsibility (the hard assignment).  `max_by` keeps
-/// the *last* maximum on exact ties, matching the historical
-/// [`GmmModel::predict`] behaviour — the batch variant and the scoring paths
-/// (`fml-serve`) share this helper so assignments can never diverge on ties.
+/// Index of the largest responsibility (the hard assignment), by one total
+/// order: NaN entries never win, `max_by` keeps the *last* maximum on exact
+/// ties (the historical [`GmmModel::predict`] behaviour), and a row whose
+/// responsibilities are all NaN — what a NaN or infinite feature gives — is
+/// assigned component 0.  The batch variant and the scoring paths
+/// (`fml-serve`) share this helper so assignments can never diverge.
 pub fn argmax(resp: &[f64]) -> usize {
     resp.iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap_or(0)
+        .filter(|(_, r)| !r.is_nan())
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map_or(0, |(i, _)| i)
 }
 
 /// The result of [`GmmModel::predict_batch`]: per-row hard assignments and
@@ -258,16 +260,9 @@ impl Precomputed {
         split_means(&self.means, partition)
     }
 
-    /// Converts per-component log-densities into responsibilities and the tuple's
-    /// log-likelihood contribution, using a numerically stable log-sum-exp.
-    pub fn finish_responsibilities(&self, log_dens: &mut [f64]) -> (Vec<f64>, f64) {
-        let ll = self.finish_responsibilities_in_place(log_dens);
-        (log_dens.to_vec(), ll)
-    }
-
-    /// [`Self::finish_responsibilities`] without the per-tuple allocation: the
-    /// responsibilities replace the log-densities in `log_dens` and the
-    /// tuple's log-likelihood contribution is returned.
+    /// Converts per-component log-densities into responsibilities, in place,
+    /// and returns the tuple's log-likelihood contribution, using a
+    /// numerically stable log-sum-exp.
     pub fn finish_responsibilities_in_place(&self, log_dens: &mut [f64]) -> f64 {
         let max = log_dens.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut sum = 0.0;
@@ -292,7 +287,8 @@ impl Precomputed {
                 gemm::quadratic_form_sym_with(KernelPolicy::Blocked, &centered, &self.inverses[k]);
             *ld = self.log_norm[k] - 0.5 * quad;
         }
-        self.finish_responsibilities(&mut log_dens)
+        let ll = self.finish_responsibilities_in_place(&mut log_dens);
+        (log_dens, ll)
     }
 }
 

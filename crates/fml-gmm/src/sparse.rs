@@ -12,8 +12,9 @@
 //! * quadratic term (E-step `LR` / diagonal terms):
 //!   `(x−µ)ᵀ A (x−µ) = xᵀAx − Σ_i x_i·((A+Aᵀ)µ)_i + µᵀAµ`
 //!   (for one-hot `x` the raw form degenerates to `Σ_{i,j∈x} A[i][j]`)
-//! * fact-side cross vector (E-step `w`):
-//!   `(A₀ᵦ + Aᵦ₀ᵀ)(x−µ) = A₀ᵦ·x + Aᵦ₀ᵀ·x − (A₀ᵦ + Aᵦ₀ᵀ)µ`
+//! * cross vectors towards the fact block and the partner dimensions (E-step
+//!   `w`, with `B` the E-step's cross matrix `[A₀ᵦᵀ + Aᵦ₀ | …]`):
+//!   `(x−µ)ᵀB = xᵀB − µᵀB`, a row gather less a constant
 //! * scatter blocks (M-step, summed over dimension tuples `g` with the
 //!   responsibility mass `γ_g` and weighted fact sum `w_g` of their facts):
 //!   `Σ_g γ_g (x_g−µ)(x_g−µ)ᵀ = Σ_g γ_g x_g x_gᵀ − (Σ_g γ_g x_g)µᵀ − µ(Σ_g γ_g x_g)ᵀ + (Σ_g γ_g)µµᵀ`
@@ -39,25 +40,11 @@ pub struct SparseFormPre {
     a_mu_sum: Vec<f64>,
     /// `µ_bᵀ A_bb µ_b`.
     mu_a_mu: f64,
-    /// `A_0b·µ_b + A_b0ᵀ·µ_b` — the mean part of the fact-side cross vector.
-    cross_mu: Vec<f64>,
 }
 
 impl SparseFormPre {
-    /// Builds the constants for one component (`form` is its partitioned
-    /// `Σ⁻¹`) and one dimension block, under the given sequential policy.
-    pub fn build(form: &BlockQuadraticForm, block: usize, mu_b: &[f64], kp: KernelPolicy) -> Self {
-        let mut pre = Self::build_diag(form, block, mu_b, kp);
-        let mut cross_mu = gemm::matvec_with(kp, form.block(0, block), mu_b);
-        let w2 = gemm::matvec_transposed_with(kp, form.block(block, 0), mu_b);
-        vector::axpy(1.0, &w2, &mut cross_mu);
-        pre.cross_mu = cross_mu;
-        pre
-    }
-
-    /// Diagonal-only constants for any block — including the **fact block**
-    /// (`block == 0`, which has no fact-side cross vector; only
-    /// [`diag_term`](Self::diag_term) is valid on the result).
+    /// The constants of any diagonal block `(block, block)` — a dimension
+    /// block or the **fact block** (`block == 0`).
     pub fn build_diag(
         form: &BlockQuadraticForm,
         block: usize,
@@ -80,30 +67,7 @@ impl SparseFormPre {
         let at_mu = gemm::matvec_transposed_with(kp, a, mu);
         vector::axpy(1.0, &at_mu, &mut a_mu_sum);
         let mu_a_mu = gemm::quadratic_form_with(kp, mu, a, mu);
-        Self {
-            a_mu_sum,
-            mu_a_mu,
-            cross_mu: Vec::new(),
-        }
-    }
-
-    /// Builds the constants for every component and every dimension block:
-    /// `result[c][b-1]` serves component `c`, partition block `b`.
-    pub fn build_all(
-        forms: &[BlockQuadraticForm],
-        means_split: &[Vec<Vec<f64>>],
-        num_blocks: usize,
-        kp: KernelPolicy,
-    ) -> Vec<Vec<SparseFormPre>> {
-        forms
-            .iter()
-            .enumerate()
-            .map(|(c, form)| {
-                (1..num_blocks)
-                    .map(|b| SparseFormPre::build(form, b, &means_split[c][b], kp))
-                    .collect()
-            })
-            .collect()
+        Self { a_mu_sum, mu_a_mu }
     }
 
     /// `(x−µ)ᵀ A_bb (x−µ)` for sparse `x` — `nnz²` loads/multiply-adds plus
@@ -115,22 +79,6 @@ impl SparseFormPre {
     /// `(x−µ)ᵀ A (x−µ)` against a flat matrix (see [`Self::build_flat`]).
     pub fn quad_flat(&self, a: &Matrix, rep: BlockVec<'_>) -> f64 {
         rep.quadratic_form_pair(a) - rep.gather_dot(&self.a_mu_sum) + self.mu_a_mu
-    }
-
-    /// The fact-side cross vector `A_0b·(x−µ) + A_b0ᵀ·(x−µ)` for sparse `x` —
-    /// `nnz` column/row gathers plus one dense AXPY of length `d_S`.
-    pub fn cross_vector(
-        &self,
-        form: &BlockQuadraticForm,
-        block: usize,
-        rep: BlockVec<'_>,
-        kp: KernelPolicy,
-    ) -> Vec<f64> {
-        let mut w = rep.matvec(kp, form.block(0, block));
-        let w2 = rep.matvec_transposed(kp, form.block(block, 0));
-        vector::axpy(1.0, &w2, &mut w);
-        vector::axpy(-1.0, &self.cross_mu, &mut w);
-        w
     }
 }
 
@@ -310,7 +258,7 @@ mod tests {
         let a = symmetrize(&pseudo(d_s + d_r, d_s + d_r, 1));
         let form = BlockQuadraticForm::new_with(p, &a, KernelPolicy::Naive);
         let mu: Vec<f64> = fml_linalg::testutil::TestRng::new(2).vec_in(d_r, -0.5, 0.5);
-        let pre = SparseFormPre::build(&form, 1, &mu, KernelPolicy::Naive);
+        let pre = SparseFormPre::build_diag(&form, 1, &mu, KernelPolicy::Naive);
 
         for rep in [
             onehot(&[1, 4, 6]),
@@ -328,15 +276,6 @@ mod tests {
                 (dense - sparse_val).abs() < 1e-12,
                 "{rep:?}: {dense} vs {sparse_val}"
             );
-
-            // fact-side cross vector
-            let mut w_dense = gemm::matvec_with(KernelPolicy::Naive, form.block(0, 1), &pd);
-            let w2 = gemm::matvec_transposed_with(KernelPolicy::Naive, form.block(1, 0), &pd);
-            vector::axpy(1.0, &w2, &mut w_dense);
-            let w_sparse = pre.cross_vector(&form, 1, view(&rep), KernelPolicy::Naive);
-            for (a, b) in w_dense.iter().zip(w_sparse.iter()) {
-                assert!((a - b).abs() < 1e-12, "{rep:?}: {a} vs {b}");
-            }
         }
     }
 

@@ -18,8 +18,9 @@ use fml_data::{SyntheticConfig, Workload};
 use fml_gmm::em::{
     train_dense_from, DensePassSource, GmmFit, EMPTY_COMPONENT_MASS, PAR_BATCH_TUPLES,
 };
-use fml_gmm::{EStep, FactorizedGmm, GmmConfig, GmmInit, GmmModel, Precomputed};
+use fml_gmm::{EStep, FactorizedGmm, FillScratch, GmmConfig, GmmInit, GmmModel, Precomputed};
 use fml_linalg::block::BlockPartition;
+use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::testutil::TestRng;
 use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, KernelPolicy, Matrix, SparseMode, Vector};
 use fml_store::factorized_scan::FactorizedScan;
@@ -634,7 +635,19 @@ fn factorized_e_step_ll(
     let partition = BlockPartition::new(&w.spec.feature_partition(&w.db).unwrap());
     let pre = Precomputed::from_model(model, ridge);
     let estep = EStep::new(pre, &partition, SparseMode::Auto, kp);
-    let (mut pd_s, mut log_dens) = (vec![0.0; estep.fact_width()], vec![0.0; estep.k()]);
+    let (k, d_s) = (estep.k(), estep.fact_width());
+    let (mut pd_s, mut log_dens) = (vec![0.0; k * d_s], vec![0.0; k]);
+    // One single-row arena per dimension, refilled per fact.
+    let q = partition.num_blocks() - 1;
+    let mut rows: Vec<OrdinalArena> = (0..q)
+        .map(|i| {
+            let mut arena = OrdinalArena::new(estep.row_len(i));
+            arena.reset(1);
+            arena.claim(0);
+            arena
+        })
+        .collect();
+    let mut fill = FillScratch::default();
     let mut ll = 0.0;
     let mut scan = FactorizedScan::new(&w.db, &w.spec, block_pages).unwrap();
     while scan.next_window().unwrap() {
@@ -642,16 +655,12 @@ fn factorized_e_step_ll(
             let block = scan.block();
             for f in 0..block.len() {
                 let ords = block.ords_of(f);
-                let rows: Vec<Vec<f64>> = (0..ords.len())
-                    .map(|i| {
-                        let mut row = vec![0.0; estep.row_len(i)];
-                        estep.fill_row(i, scan.cache().row(i, ords[i]), &mut row);
-                        row
-                    })
-                    .collect();
-                let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+                for (i, arena) in rows.iter_mut().enumerate() {
+                    let tuple = |_| scan.cache().row(i, ords[i]);
+                    estep.fill_rows(i, &[0], tuple, arena, &mut fill);
+                }
                 let x_s = block.rows().row(f);
-                estep.log_densities(x_s, &rows, &mut pd_s, &mut log_dens);
+                estep.log_densities(x_s, |i| rows[i].row(0), &mut pd_s, &mut log_dens);
                 ll += estep.pre.finish_responsibilities_in_place(&mut log_dens);
             }
         }

@@ -5,8 +5,9 @@
 //! Both are obtained from a single Cholesky factorization `Σ = L·Lᵀ`:
 //!
 //! * `log|Σ| = 2·Σ_i log L_ii`
-//! * `Σ⁻¹ b` via forward/backward substitution, and the explicit inverse when a
-//!   matrix is needed for the blocked decompositions of the factorized E-step.
+//! * the whitener `U = L⁻ᵀ` by forward substitution, and from it the explicit
+//!   inverse `Σ⁻¹ = U·Uᵀ` the blocked decompositions of the factorized E-step
+//!   partition.
 //!
 //! A failed factorization signals a non-SPD covariance (e.g. a degenerate cluster);
 //! callers regularize (`Matrix::add_diag`) and retry.
@@ -83,7 +84,8 @@ impl Cholesky {
     }
 
     /// Solves `A x = b` using forward then backward substitution.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    fn solve(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.dim(), "Cholesky::solve: dimension mismatch");
         let n = self.dim();
         // forward: L y = b
@@ -107,25 +109,24 @@ impl Cholesky {
         x
     }
 
-    /// Explicit inverse `A⁻¹`, built column by column from unit vectors.
+    /// Explicit inverse `A⁻¹ = U·Uᵀ` from the whitener `U` ([`Self::whitener`]).
     ///
     /// The factorized GMM E-step partitions this inverse into blocks (Eq. 9–12 and
     /// Eq. 21), so the dense inverse is materialized once per EM iteration per
-    /// component and then reused for every tuple.
+    /// component and then reused for every tuple.  Only the upper triangle is
+    /// computed — entry `(i, j ≥ i)` is the dot of rows `i` and `j` of `U` from
+    /// column `j` on, where both are nonzero — and mirrored, so the inverse is
+    /// exactly symmetric.
     pub fn inverse(&self) -> Matrix {
+        let u = self.whitener();
         let n = self.dim();
         let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e);
-            for i in 0..n {
-                inv[(i, j)] = col[i];
+        for i in 0..n {
+            for j in i..n {
+                inv[(i, j)] = crate::vector::dot(&u.row(i)[j..], &u.row(j)[j..]);
             }
-            e[j] = 0.0;
         }
-        // Enforce exact symmetry (solve() introduces tiny asymmetries).
-        inv.symmetrize();
+        inv.mirror_upper();
         inv
     }
 

@@ -443,7 +443,12 @@ mod tests {
         let x = from_dense(&dense_x);
         let seed = pseudo(4, 5, 3);
         let mut reference = seed.clone();
-        gemm::matmul_acc_with(KernelPolicy::Naive, &dense_x, &b, &mut reference);
+        gemm::matmul_acc_with(
+            KernelPolicy::Naive,
+            dense_x.as_slice(),
+            &b,
+            reference.as_mut_slice(),
+        );
         for p in KernelPolicy::ALL {
             let mut c = seed.clone();
             spmm_csr_with(p, &x, &b, &mut c);

@@ -130,17 +130,30 @@ pub fn matmul_with(policy: KernelPolicy, a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    matmul_acc_with(policy, a, b, &mut c);
+    matmul_acc_with(policy, a.as_slice(), b, c.as_mut_slice());
     c
 }
 
-/// `C += A · B`, writing into an existing output matrix (no allocation).
-pub fn matmul_acc_with(policy: KernelPolicy, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "matmul_acc: inner dimension mismatch");
-    assert_eq!(c.rows(), a.rows(), "matmul_acc: output rows mismatch");
-    assert_eq!(c.cols(), b.cols(), "matmul_acc: output cols mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || n == 0 || k == 0 {
+/// `C += A · B`, writing into an existing output (no allocation).
+///
+/// `a` and `c` are row-major `m × k` and `m × n` with `(k, n) = b.shape()`.
+/// A row of `C` has the same bits whatever `m` is and wherever the row sits
+/// in `A`, so a batch may be multiplied in row panels of any size.
+///
+/// # Panics
+/// Panics when `c` is not `m × n` or `a` is not `m × k`.
+pub fn matmul_acc_with(policy: KernelPolicy, a: &[f64], b: &Matrix, c: &mut [f64]) {
+    let (k, n) = b.shape();
+    if c.is_empty() {
+        return;
+    }
+    assert!(
+        n > 0 && c.len().is_multiple_of(n),
+        "matmul_acc: output cols mismatch"
+    );
+    let m = c.len() / n;
+    assert_eq!(a.len(), m * k, "matmul_acc: inner dimension mismatch");
+    if k == 0 {
         return;
     }
     record_kernel(&GEMM_CALLS, 2 * m * n * k);
@@ -148,26 +161,24 @@ pub fn matmul_acc_with(policy: KernelPolicy, a: &Matrix, b: &Matrix, c: &mut Mat
         KernelPolicy::Naive => naive_matmul_acc(a, b, c),
         _ => {
             let panels = DensePanels {
-                a: a.as_slice(),
+                a,
                 m,
                 k,
                 b: b.as_slice(),
                 n,
             };
-            blocked_product(&panels, k, n, c.as_mut_slice());
+            blocked_product(&panels, k, n, c);
         }
     }
 }
 
 /// Reference triple loop (`i`-`k`-`j` order, output row borrow hoisted out of
 /// the `k` loop, no zero-skip — the dense path must not branch per element).
-fn naive_matmul_acc(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let n = b.cols();
-    for i in 0..a.rows() {
-        let arow = a.row(i);
-        let crow = c.row_mut(i);
-        for (k, &aik) in arow.iter().enumerate() {
-            let brow = b.row(k);
+fn naive_matmul_acc(a: &[f64], b: &Matrix, c: &mut [f64]) {
+    let (k, n) = b.shape();
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for (kk, &aik) in arow.iter().enumerate() {
+            let brow = b.row(kk);
             for j in 0..n {
                 crow[j] += aik * brow[j];
             }
@@ -809,7 +820,7 @@ mod tests {
                     }
                 }
                 let mut full = seed_c.clone();
-                matmul_acc_with(KernelPolicy::Naive, &a, &u0, &mut full);
+                matmul_acc_with(KernelPolicy::Naive, a.as_slice(), &u0, full.as_mut_slice());
                 assert!(
                     reference.max_abs_diff(&full) < 1e-12,
                     "{m}x{n} vs full GEMM"
@@ -1009,7 +1020,7 @@ mod tests {
             let a = m(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
             let b = m(&[vec![2.0, 3.0], vec![4.0, 5.0]]);
             let mut c = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-            matmul_acc_with(p, &a, &b, &mut c);
+            matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
             assert_eq!(c.row(0), &[3.0, 4.0], "{p}");
             assert_eq!(c.row(1), &[5.0, 6.0], "{p}");
         }

@@ -511,7 +511,7 @@ pub(crate) mod tests {
             }
         }
         let mut dense = Matrix::zeros(m, 5);
-        gemm::matmul_acc_with(KernelPolicy::Naive, &x, &b, &mut dense);
+        gemm::matmul_acc_with(KernelPolicy::Naive, x.as_slice(), &b, dense.as_mut_slice());
         for p in KernelPolicy::ALL {
             let mut c = Matrix::zeros(m, 5);
             spmm_onehot_with(p, &rows_idx, nnz, &b, &mut c);

@@ -87,10 +87,15 @@ fn matmul_policies_match_naive_across_shapes() {
         let b = g.matrix(k, n);
         let mut reference = g.matrix(m, n); // nonzero C exercises accumulation
         let seed_c = reference.clone();
-        gemm::matmul_acc_with(KernelPolicy::Naive, &a, &b, &mut reference);
+        gemm::matmul_acc_with(
+            KernelPolicy::Naive,
+            a.as_slice(),
+            &b,
+            reference.as_mut_slice(),
+        );
         for p in POLICIES {
             let mut c = seed_c.clone();
-            gemm::matmul_acc_with(p, &a, &b, &mut c);
+            gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
             let diff = reference.max_abs_diff(&c);
             assert!(
                 diff < TEST_EPS * (k as f64 + 1.0),
@@ -266,14 +271,19 @@ fn policy_equivalence_holds_under_every_bit_exact_simd_level() {
         let seed_c = g.matrix(m, n);
         let x = g.vec(k);
         let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(KernelPolicy::Naive, &a, &b, &mut reference);
+        gemm::matmul_acc_with(
+            KernelPolicy::Naive,
+            a.as_slice(),
+            &b,
+            reference.as_mut_slice(),
+        );
         let mv_ref = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
         for p in POLICIES {
             let mut per_level: Vec<(Matrix, Vec<f64>)> = Vec::new();
             for lv in [SimdLevel::Scalar, SimdLevel::Lanes] {
                 simd::with_level(lv, || {
                     let mut c = seed_c.clone();
-                    gemm::matmul_acc_with(p, &a, &b, &mut c);
+                    gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
                     let diff = reference.max_abs_diff(&c);
                     assert!(
                         diff < TEST_EPS * (k as f64 + 1.0),
@@ -397,7 +407,12 @@ fn spmm_onehot_is_bit_exact_against_naive_dense_gemm() {
         let b = g.matrix(width, n);
         let seed_c = g.matrix(rows, n);
         let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(KernelPolicy::Naive, &x, &b, &mut reference);
+        gemm::matmul_acc_with(
+            KernelPolicy::Naive,
+            x.as_slice(),
+            &b,
+            reference.as_mut_slice(),
+        );
         for p in KernelPolicy::ALL {
             let mut c = seed_c.clone();
             sparse::spmm_onehot_with(p, &rows_idx, nnz, &b, &mut c);
@@ -599,7 +614,12 @@ fn spmm_csr_is_exact_against_naive_dense_gemm() {
         let b = g.matrix(width, n);
         let seed_c = g.matrix(rows, n);
         let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(KernelPolicy::Naive, &x, &b, &mut reference);
+        gemm::matmul_acc_with(
+            KernelPolicy::Naive,
+            x.as_slice(),
+            &b,
+            reference.as_mut_slice(),
+        );
         for p in KernelPolicy::ALL {
             let mut c = seed_c.clone();
             csr::spmm_csr_with(p, &block, &b, &mut c);

@@ -66,7 +66,7 @@ fn dense_kernels_bit_identical_across_bit_exact_levels_and_policies() {
             let run = |lv: SimdLevel| {
                 simd::with_level(lv, || {
                     let mut c = seed_c.clone();
-                    gemm::matmul_acc_with(p, &a, &b, &mut c);
+                    gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
                     let mv = gemm::matvec_with(p, &a, &x);
                     let mvt = gemm::matvec_transposed_with(p, &a, &xm);
                     let mut g = seed_c.clone();
@@ -226,12 +226,12 @@ fn default_level_agrees_with_forced_scalar_fallback() {
     for p in KernelPolicy::ALL {
         let (c_def, v_def) = {
             let mut c = Matrix::zeros(m, n);
-            gemm::matmul_acc_with(p, &a, &b, &mut c);
+            gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
             (c, gemm::matvec_with(p, &a, &x))
         };
         let (c_sc, v_sc) = simd::with_level(SimdLevel::Scalar, || {
             let mut c = Matrix::zeros(m, n);
-            gemm::matmul_acc_with(p, &a, &b, &mut c);
+            gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
             (c, gemm::matvec_with(p, &a, &x))
         });
         assert_bits_eq(
@@ -256,7 +256,7 @@ fn fma_level_is_tolerance_equal_to_scalar_oracle() {
             let run = |lv: SimdLevel| {
                 simd::with_level(lv, || {
                     let mut c = Matrix::zeros(m, n);
-                    gemm::matmul_acc_with(p, &a, &b, &mut c);
+                    gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
                     (c, gemm::matvec_with(p, &a, &x))
                 })
             };

@@ -10,6 +10,11 @@
 //!   against; pays the join materialization plus a full-width scan).
 //! * **Streaming** — join on the fly and score each denormalized row (no
 //!   materialization, but every dimension tuple's work is redone per fact).
+//!
+//!   Both score in panels of at most 256 joined rows, each dimension's term
+//!   rows filled for the whole panel in one call (for GMM, two level-3
+//!   products per component) — batched, but nothing reused across rows: they
+//!   stay the redundant baselines the paper compares against.
 //! * **Factorized** — the default: per-dimension-tuple score terms are
 //!   computed **once per distinct dimension tuple** and reused for every
 //!   matching fact row, reading the base relations through one
@@ -31,7 +36,8 @@
 //! materialized-join oracle **bit for bit** under every
 //! [`fml_linalg::KernelPolicy`] × [`SparseMode`] combination (the
 //! `scoring_equivalence` test suite pins this with `f64::to_bits`
-//! comparisons).
+//! comparisons).  A tuple's term row has the same bits whatever batch it was
+//! filled in, so panel and block boundaries move no bit either.
 //!
 //! ## Per-block fan-out
 //!
@@ -58,14 +64,14 @@
 use crate::observe::{ScoreNotifier, ScoreObserver};
 use fml_core::{Algorithm, Session, Trained};
 use fml_gmm::model::argmax;
-use fml_gmm::{EStep, GmmFit, Precomputed};
+use fml_gmm::{EStep, FillScratch, GmmFit, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::exec::{ExecPolicy, ExecSettings};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::{BlockVec, KernelPolicy, SparseMode};
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
-use fml_store::batch::RowBuf;
+use fml_store::batch::{RowBuf, RowPanel};
 use fml_store::factorized_scan::{FactBlock, FactorizedScan};
 use fml_store::join::materialize_join;
 use fml_store::{Database, IoSnapshot, JoinSpec, RowKind, StoreResult};
@@ -260,13 +266,13 @@ impl SessionScoring for Session<'_> {
 /// The per-family row-scoring arithmetic, decomposed along the relation
 /// partition.  One implementation serves all three strategies: the
 /// factorized path fills [`RowCore::dim_terms`] once per distinct dimension
-/// tuple, the streaming/materialized paths refill them per row from the
-/// joined row's slices — same function, same operands, identical bits.
+/// tuple, the streaming/materialized paths refill them per panel of joined
+/// rows from the rows' slices — same function, same operands, identical bits.
 trait RowCore {
     /// Per-row output.
     type Row;
-    /// Reusable per-chunk scratch buffers, allocated once per chunk instead
-    /// of once per row (the hot path scores millions of rows).
+    /// Reusable scratch buffers, allocated once per chunk or pass instead of
+    /// once per row (the hot path scores millions of rows).
     type Scratch;
 
     /// Allocates the scratch buffers for one chunk of rows.
@@ -275,25 +281,34 @@ trait RowCore {
     /// Number of values in the term row of dimension `i` (0-based).
     fn dim_width(&self, i: usize) -> usize;
 
-    /// Fills `row` (`dim_width(i)` values) with the reusable terms of one
-    /// tuple of dimension `i`, from its features in their stored form.
-    fn dim_terms(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]);
+    /// Fills the rows of `out` at the ordinals `ords` with the reusable
+    /// terms of those tuples of dimension `i`; `tuple(o)` is tuple `o`'s
+    /// features in their stored form.
+    fn dim_terms<'t>(
+        &self,
+        i: usize,
+        ords: &[u32],
+        tuple: impl Fn(u32) -> BlockVec<'t>,
+        out: &mut OrdinalArena,
+        scratch: &mut Self::Scratch,
+    );
 
-    /// Scores one fact row given its features and the term row of every
-    /// referenced dimension tuple, in partition order.
-    fn score_row(
+    /// Scores one fact row given its features and the term row `dims(i)` of
+    /// every referenced dimension tuple.
+    fn score_row<'d>(
         &self,
         fact: BlockVec<'_>,
-        dims: &[&[f64]],
+        dims: impl Fn(usize) -> &'d [f64],
         scratch: &mut Self::Scratch,
     ) -> Self::Row;
 }
 
-/// Per-chunk scratch for GMM scoring: the log-density buffer and the
-/// centered fact vector, reused across every scored row.
+/// Scratch for GMM scoring: the log-density buffer, the centered fact vector
+/// and the term-row fill's buffers, reused across every scored row.
 struct GmmScratch {
     log_dens: Vec<f64>,
     pd_s: Vec<f64>,
+    fill: FillScratch,
 }
 
 /// Ridge used to repair a non-SPD covariance when building the scoring
@@ -303,9 +318,9 @@ struct GmmScratch {
 /// component, a hand-edited persisted file) score instead of panicking.
 const SCORING_RIDGE: f64 = 1e-6;
 
-/// GMM scoring is the trainers' E-step: the term row of a dimension tuple is
-/// [`EStep::fill_row`], a fact's score is [`EStep::log_densities`] finished
-/// into responsibilities.
+/// GMM scoring is the trainers' E-step: the term rows of dimension tuples
+/// are [`EStep::fill_rows`], a fact's score is [`EStep::log_densities`]
+/// finished into responsibilities, the cluster by [`argmax`]'s NaN rule.
 impl RowCore for EStep {
     type Row = GmmScore;
     type Scratch = GmmScratch;
@@ -313,7 +328,8 @@ impl RowCore for EStep {
     fn make_scratch(&self) -> GmmScratch {
         GmmScratch {
             log_dens: vec![0.0; self.k()],
-            pd_s: vec![0.0; self.fact_width()],
+            pd_s: vec![0.0; self.k() * self.fact_width()],
+            fill: FillScratch::default(),
         }
     }
 
@@ -321,16 +337,28 @@ impl RowCore for EStep {
         self.row_len(i)
     }
 
-    fn dim_terms(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]) {
-        self.fill_row(i, x, row);
+    fn dim_terms<'t>(
+        &self,
+        i: usize,
+        ords: &[u32],
+        tuple: impl Fn(u32) -> BlockVec<'t>,
+        out: &mut OrdinalArena,
+        scratch: &mut GmmScratch,
+    ) {
+        self.fill_rows(i, ords, tuple, out, &mut scratch.fill);
     }
 
-    fn score_row(&self, fact: BlockVec<'_>, dims: &[&[f64]], scratch: &mut GmmScratch) -> GmmScore {
-        let GmmScratch { log_dens, pd_s } = scratch;
+    fn score_row<'d>(
+        &self,
+        fact: BlockVec<'_>,
+        dims: impl Fn(usize) -> &'d [f64],
+        scratch: &mut GmmScratch,
+    ) -> GmmScore {
+        let GmmScratch { log_dens, pd_s, .. } = scratch;
         self.log_densities(fact, dims, pd_s, log_dens);
-        let (resp, log_likelihood) = self.pre.finish_responsibilities(log_dens);
+        let log_likelihood = self.pre.finish_responsibilities_in_place(log_dens);
         GmmScore {
-            cluster: argmax(&resp),
+            cluster: argmax(log_dens),
             log_likelihood,
         }
     }
@@ -342,6 +370,8 @@ impl RowCore for EStep {
 struct NnCore<'m> {
     model: &'m Mlp,
     first: FirstLayer,
+    /// Number of dimension blocks.
+    q: usize,
     kp: KernelPolicy,
 }
 
@@ -360,15 +390,29 @@ impl RowCore for NnCore<'_> {
 
     /// The partial first-layer product `W¹_{R_i}·x_{R_i}` (the sum of the
     /// embedding-table rows the tuple selects), written straight into its
-    /// term row.
-    fn dim_terms(&self, i: usize, x: BlockVec<'_>, row: &mut [f64]) {
-        self.first.partial(i + 1, x, row);
+    /// term row, tuple by tuple.
+    fn dim_terms<'t>(
+        &self,
+        i: usize,
+        ords: &[u32],
+        tuple: impl Fn(u32) -> BlockVec<'t>,
+        out: &mut OrdinalArena,
+        _ws: &mut Workspace,
+    ) {
+        for &o in ords {
+            self.first.partial(i + 1, tuple(o), out.row_mut(o));
+        }
     }
 
-    fn score_row(&self, fact: BlockVec<'_>, dims: &[&[f64]], ws: &mut Workspace) -> f64 {
+    fn score_row<'d>(
+        &self,
+        fact: BlockVec<'_>,
+        dims: impl Fn(usize) -> &'d [f64],
+        ws: &mut Workspace,
+    ) -> f64 {
         // a¹ = (W¹_S·x_S + b¹) + Σ_i W¹_{R_i}·x_{R_i}, assembled in fixed
         // partition order so every strategy produces identical bits.
-        let partials = dims.iter().copied();
+        let partials = (0..self.q).map(dims);
         self.first
             .pre_activation(fact, partials, ws.first_preactivation());
         self.model
@@ -419,7 +463,7 @@ impl<R> Sink<'_, R> {
 ///
 /// The factorized driver fans each fact block out over `workers` chunks (see
 /// the module docs); streaming and materialized scoring are one sequential
-/// denormalized-row loop (they are the oracles).
+/// loop over panels of denormalized rows (they are the oracles).
 fn run_scoring<C>(
     core: &C,
     db: &Database,
@@ -462,18 +506,17 @@ where
             SparseMode::Auto => spec.row_kinds(db)?,
             SparseMode::Dense => vec![RowKind::Dense; partition.num_blocks()],
         };
-        let mut joined = JoinedRows::new(core, partition, kinds);
-        score_denormalized(&mut joined, db, &source, ex, &mut out)?;
+        score_denormalized(core, db, &source, partition, &kinds, ex, &mut out)?;
     }
     Ok((out.keys, out.rows))
 }
 
 /// Factorized scoring, shaped like the factorized trainers' E-step pass: per
-/// fact block, a sequential sweep fills the [`OrdinalArena`] term row of each
-/// newly referenced dimension tuple (once per *distinct* tuple for the whole
-/// batch; tuples no fact references are never read), then
-/// the per-fact scoring fans out over `workers` chunks that read the arenas
-/// immutably.
+/// fact block, a sequential sweep fills the [`OrdinalArena`] term rows of the
+/// newly referenced dimension tuples, one [`RowCore::dim_terms`] call per
+/// dimension (once per *distinct* tuple for the whole batch; tuples no fact
+/// references are never read), then the per-fact scoring fans out over
+/// `workers` chunks that read the arenas immutably.
 fn score_factorized<C>(
     core: &C,
     db: &Database,
@@ -490,6 +533,7 @@ where
     let mut arenas: Vec<OrdinalArena> = (0..q)
         .map(|i| OrdinalArena::new(core.dim_width(i)))
         .collect();
+    let (mut scratch, mut new_ords) = (core.make_scratch(), Vec::new());
     let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
     let mut scan = scan.sparse_mode(ex.sparse);
     while scan.next_window()? {
@@ -497,13 +541,12 @@ where
             arena.reset(scan.cache().dim_len(i));
         }
         while scan.next_block()? {
-            let block = scan.block();
-            for f in 0..block.len() {
-                for (i, &ord) in block.ords_of(f).iter().enumerate() {
-                    if arenas[i].claim(ord) {
-                        core.dim_terms(i, scan.cache().row(i, ord), arenas[i].row_mut(ord));
-                    }
-                }
+            let (block, cache) = (scan.block(), scan.cache());
+            for (i, arena) in arenas.iter_mut().enumerate() {
+                new_ords.clear();
+                let ords = (0..block.len()).map(|f| block.ords_of(f)[i]);
+                new_ords.extend(ords.filter(|&ord| arena.claim(ord)));
+                core.dim_terms(i, &new_ords, |o| cache.row(i, o), arena, &mut scratch);
             }
             let chunks = par_chunks_with_threads(workers, block.len(), 1, |range| {
                 score_facts(core, &arenas, block, range)
@@ -523,84 +566,76 @@ fn score_facts<C: RowCore>(
     range: Range<usize>,
 ) -> Scored<C::Row> {
     let mut scratch = core.make_scratch();
-    let mut dims: Vec<&[f64]> = Vec::with_capacity(arenas.len());
     let (mut keys, mut rows) = (
         Vec::with_capacity(range.len()),
         Vec::with_capacity(range.len()),
     );
     let facts = block.rows();
     for f in range {
-        dims.clear();
-        dims.extend((arenas.iter().zip(block.ords_of(f))).map(|(a, &ord)| a.row(ord)));
-        rows.push(core.score_row(facts.row(f), &dims, &mut scratch));
+        let ords = block.ords_of(f);
+        let dims = |i: usize| arenas[i].row(ords[i]);
+        rows.push(core.score_row(facts.row(f), dims, &mut scratch));
         keys.push(facts.keys()[f]);
     }
     (keys, rows)
 }
 
-/// Scores denormalized rows by cutting each into its relations' blocks, each
-/// in its relation's form, and refilling every dimension block's term row —
-/// the deliberately redundant arithmetic the factorized path avoids, shared
-/// by the streaming and materialized strategies.
-struct JoinedRows<'c, C: RowCore> {
-    core: &'c C,
-    partition: &'c BlockPartition,
-    kinds: Vec<RowKind>,
-    blocks: Vec<RowBuf>,
-    terms: Vec<Vec<f64>>,
-    scratch: C::Scratch,
-}
-
-impl<'c, C: RowCore> JoinedRows<'c, C> {
-    fn new(core: &'c C, partition: &'c BlockPartition, kinds: Vec<RowKind>) -> Self {
-        Self {
-            core,
-            partition,
-            blocks: kinds.iter().map(|_| RowBuf::default()).collect(),
-            kinds,
-            terms: (0..partition.num_blocks() - 1)
-                .map(|i| vec![0.0; core.dim_width(i)])
-                .collect(),
-            scratch: core.make_scratch(),
-        }
-    }
-
-    fn score(&mut self, row: BlockVec<'_>) -> C::Row {
-        let (partition, kinds) = (self.partition, &self.kinds);
-        let mut blocks = (self.blocks.iter_mut().zip(kinds).enumerate())
-            .map(|(b, (buf, &kind))| buf.part(row, partition.range(b), kind));
-        #[expect(
-            clippy::expect_used,
-            reason = "a BlockPartition always has block 0, the fact block"
-        )]
-        let fact = blocks.next().expect("a partition has a fact block");
-        for (i, (x, term)) in blocks.zip(&mut self.terms).enumerate() {
-            self.core.dim_terms(i, x, term);
-        }
-        let dims: Vec<&[f64]> = self.terms.iter().map(Vec::as_slice).collect();
-        self.core.score_row(fact, &dims, &mut self.scratch)
-    }
-}
+/// Joined rows per panel of the materialized and streaming scorers; the bound
+/// matters: whole-block panels raised the benchmark's peak RSS by half or more.
+const PANEL_ROWS: usize = 256;
 
 /// Materialized and streaming scoring: one pass over `source` — the
-/// materialized table as the fact-only join, or the join itself — scoring
-/// each denormalized row.
+/// materialized table as the fact-only join, or the join itself — in panels
+/// of [`PANEL_ROWS`] rows cut into their relations' blocks (in `kinds`), every
+/// dimension's term rows refilled for every row (the deliberately redundant
+/// arithmetic the factorized path avoids), then each row scored.
 fn score_denormalized<C: RowCore>(
-    joined: &mut JoinedRows<'_, C>,
+    core: &C,
     db: &Database,
     source: &JoinSpec,
+    partition: &BlockPartition,
+    kinds: &[RowKind],
     ex: &ExecSettings,
     out: &mut Sink<'_, C::Row>,
 ) -> StoreResult<()> {
-    let mut buf = RowBuf::default();
+    let mut parts: Vec<RowPanel> = kinds.iter().map(|&kind| RowPanel::new(kind)).collect();
+    // Row `r` of a panel is ordinal `r` of every dimension's term arena.
+    let ords: Vec<u32> = (0..PANEL_ROWS as u32).collect();
+    let mut terms: Vec<OrdinalArena> = (0..kinds.len() - 1)
+        .map(|i| {
+            let mut arena = OrdinalArena::new(core.dim_width(i));
+            arena.reset(PANEL_ROWS);
+            for &r in &ords {
+                arena.claim(r);
+            }
+            arena
+        })
+        .collect();
+    let (mut joined, mut scratch) = (RowBuf::default(), core.make_scratch());
     let scan = FactorizedScan::new(db, source, ex.block_pages)?;
     let mut scan = scan.sparse_mode(ex.sparse);
     while scan.next_window()? {
         while scan.next_block()? {
             let block = scan.block();
-            for (f, &key) in block.rows().keys().iter().enumerate() {
-                let row = block.joined_row(f, scan.cache(), &mut buf);
-                out.push(key, joined.score(row));
+            let keys = block.rows().keys();
+            for start in (0..block.len()).step_by(PANEL_ROWS) {
+                let end = block.len().min(start + PANEL_ROWS);
+                parts.iter_mut().for_each(RowPanel::clear);
+                for f in start..end {
+                    let row = block.joined_row(f, scan.cache(), &mut joined);
+                    for (b, part) in parts.iter_mut().enumerate() {
+                        part.push(row, partition.range(b));
+                    }
+                }
+                let ords = &ords[..end - start];
+                for (i, arena) in terms.iter_mut().enumerate() {
+                    let tuple = |r: u32| parts[i + 1].row(r as usize);
+                    core.dim_terms(i, ords, tuple, arena, &mut scratch);
+                }
+                for (r, f) in (start..end).enumerate() {
+                    let dims = |i: usize| terms[i].row(r as u32);
+                    out.push(keys[f], core.score_row(parts[0].row(r), dims, &mut scratch));
+                }
             }
             out.end_block();
         }
@@ -702,6 +737,7 @@ impl Scorer for NnFit {
             NnCore {
                 model,
                 first: FirstLayer::split(model, partition.sizes(), kp),
+                q: partition.num_blocks() - 1,
                 kp,
             }
         })

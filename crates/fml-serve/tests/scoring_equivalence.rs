@@ -732,3 +732,168 @@ fn scoring_a_model_over_the_wrong_join_panics() {
         .unwrap();
     let _ = Session::new(&other.db).join(&other.spec).score(&trained);
 }
+
+/// The three GMM fixtures — dense binary, categorical binary, mixed star —
+/// with 700 facts, so that one block of the scan holds several of the
+/// materialized and streaming scorers' 256-row panels.
+fn panel_fixtures() -> [(&'static str, fml_data::Workload); 3] {
+    let binary = SyntheticConfig {
+        n_s: 700,
+        n_r: 12,
+        d_s: 3,
+        d_r: 5,
+        k: 2,
+        noise_std: 0.7,
+        with_target: false,
+        seed: 11,
+    };
+    let star = |dims| MultiwayConfig {
+        n_s: 700,
+        d_s: 2,
+        dims,
+        k: 2,
+        noise_std: 0.6,
+        with_target: false,
+        seed: 23,
+    };
+    [
+        ("binary", binary.generate().unwrap()),
+        (
+            "categorical",
+            star(vec![DimSpec::categorical(12, 10)]).generate().unwrap(),
+        ),
+        (
+            "mixed star",
+            star(vec![
+                DimSpec::categorical(10, 8),
+                DimSpec::sparse_numeric(6, 12, 2),
+                DimSpec::new(5, 3),
+            ])
+            .generate()
+            .unwrap(),
+        ),
+    ]
+}
+
+/// GMM scores are bit-identical across the three scoring strategies and
+/// across `block_pages ∈ {1, 7, 64}`, which cut the scan's blocks — and so
+/// the factorized scorer's per-block tuple fills and the materialized and
+/// streaming scorers' panels — differently: a tuple's term row does not
+/// depend on the batch it was filled in.
+#[test]
+fn gmm_scores_are_bit_identical_across_strategies_and_block_pages() {
+    for (name, w) in panel_fixtures() {
+        for sparse in [SparseMode::Auto, SparseMode::Dense] {
+            let session = Session::new(&w.db)
+                .join(&w.spec)
+                .exec(ExecPolicy::new().sparse_mode(sparse));
+            let trained = session.fit(Gmm::with_k(2).iterations(2)).unwrap();
+            let reference = gmm_bits(&session.score(&trained).unwrap());
+            assert_eq!(reference.len(), 700, "{name}/{sparse:?}");
+            for block_pages in [1usize, 7, 64] {
+                let exec = ExecPolicy::new()
+                    .sparse_mode(sparse)
+                    .block_pages(block_pages);
+                for algorithm in [
+                    Algorithm::Factorized,
+                    Algorithm::Materialized,
+                    Algorithm::Streaming,
+                ] {
+                    let scores = session
+                        .clone()
+                        .exec(exec.clone())
+                        .score_with(&trained, &Scoring::new().algorithm(algorithm))
+                        .unwrap();
+                    assert_eq!(
+                        gmm_bits(&scores),
+                        reference,
+                        "{name}/{sparse:?}/{block_pages} pages/{algorithm:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A NaN or infinite feature — in a fact, or in a dimension tuple a fact
+/// references — gives that row a defined score instead of a panic: a
+/// non-finite log-likelihood (NaN for a NaN feature, with cluster 0 by
+/// `argmax`'s rule that NaN never wins), the same bits under M, S and F at 1,
+/// 2 and 4 workers, and every other row keeps its clean score.
+#[test]
+fn gmm_scoring_defines_nan_and_inf_features_under_every_strategy() {
+    use fml_core::fml_store::Tuple;
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    // (case, the hostile fact's features, the dimension tuple it references)
+    type Case = (&'static str, [f64; 2], Option<[f64; 3]>);
+    let cases: [Case; 3] = [
+        ("NaN fact", [nan, 0.0], None),
+        ("Inf fact", [inf, 0.0], None),
+        ("NaN referenced tuple", [0.0, 0.0], Some([0.5, nan, 0.5])),
+    ];
+    for (case, fact_x, dim_x) in cases {
+        let w = SyntheticConfig {
+            n_s: 200,
+            n_r: 10,
+            d_s: 2,
+            d_r: 3,
+            k: 2,
+            noise_std: 0.7,
+            with_target: false,
+            seed: 5,
+        }
+        .generate()
+        .unwrap();
+        let session = Session::new(&w.db).join(&w.spec);
+        let trained = session.fit(Gmm::with_k(2).iterations(2)).unwrap();
+        let clean = gmm_bits(&session.score(&trained).unwrap());
+        let fk = match dim_x {
+            Some(x) => {
+                let dim = w.db.relation(&w.spec.dimensions[0]).unwrap();
+                dim.lock()
+                    .append(&Tuple::dimension(1_000_000, x.to_vec()))
+                    .unwrap();
+                dim.lock().flush().unwrap();
+                1_000_000
+            }
+            None => 0,
+        };
+        let fact = w.db.relation(&w.spec.fact).unwrap();
+        fact.lock()
+            .append(&Tuple::fact(9_999_999, vec![fk], fact_x.to_vec()))
+            .unwrap();
+        fact.lock().flush().unwrap();
+        let mut first: Option<Vec<(u64, usize, u64)>> = None;
+        for algorithm in [
+            Algorithm::Factorized,
+            Algorithm::Materialized,
+            Algorithm::Streaming,
+        ] {
+            for threads in [1usize, 2, 4] {
+                let exec = ExecPolicy::new()
+                    .kernel_policy(KernelPolicy::BlockedParallel)
+                    .threads(threads);
+                let what = format!("{case}/{algorithm:?}/{threads}t");
+                let bits = gmm_bits(
+                    &session
+                        .clone()
+                        .exec(exec)
+                        .score_with(&trained, &Scoring::new().algorithm(algorithm))
+                        .unwrap(),
+                );
+                let (key, cluster, ll) = bits[bits.len() - 1];
+                let ll = f64::from_bits(ll);
+                assert_eq!(key, 9_999_999, "{what}");
+                assert!(!ll.is_finite() && cluster < 2, "{what}: {ll}, {cluster}");
+                if fact_x[0].is_nan() || dim_x.is_some() {
+                    assert!(ll.is_nan() && cluster == 0, "{what}: {ll}, {cluster}");
+                }
+                assert_eq!(bits[..bits.len() - 1], clean[..], "{what}: other rows");
+                match &first {
+                    None => first = Some(bits),
+                    Some(first) => assert_eq!(&bits, first, "{what}: M ≡ S ≡ F"),
+                }
+            }
+        }
+    }
+}

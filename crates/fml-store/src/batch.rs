@@ -18,8 +18,9 @@
 //! `(index, value)` pairs otherwise — each row a borrowed
 //! [`BlockVec`] ([`RowBlock::row`]).  Nothing is expanded to dense unless the
 //! block asks for it ([`RowBlock::expanding`], the `SparseMode::Dense`
-//! oracle and the row views).  [`RowBuf`] assembles rows from parts: the
-//! joined row of the `S-*` and `M-*` strategies, one relation's block of it.
+//! oracle and the row views).  [`RowBuf`] assembles rows from parts, the
+//! joined row of the `S-*` and `M-*` strategies; [`RowPanel`] keeps one
+//! relation's blocks of a run of them.
 //!
 //! [`BatchScan`] (a block scan iterated as `Vec<Tuple>` blocks) and
 //! [`scan_all`] are its row views (see [`crate::rows`]).
@@ -370,8 +371,7 @@ pub(crate) fn entries(
 }
 
 /// A row assembled from parts in buffers it reuses: the joined row of the
-/// `S-*` and `M-*` strategies, one relation's block of a joined row, an
-/// expanded row.
+/// `S-*` and `M-*` strategies, an expanded row, the rows of a [`RowPanel`].
 #[derive(Debug, Default)]
 pub struct RowBuf {
     dense: Vec<f64>,
@@ -422,23 +422,56 @@ impl RowBuf {
             },
         }
     }
+}
 
-    /// The columns `cols` of `row` as a row of their own in `kind` —
-    /// borrowed from `row` when both are dense, built here otherwise.  How
-    /// the `M-*` and `S-*` scorers cut a joined row back into the blocks of
-    /// its relations.
-    pub fn part<'a>(
-        &'a mut self,
-        row: BlockVec<'a>,
-        cols: Range<usize>,
-        kind: RowKind,
-    ) -> BlockVec<'a> {
-        if let (RowKind::Dense, BlockVec::Dense(x)) = (kind, row) {
-            return BlockVec::Dense(&x[cols]);
+/// One relation's blocks of a run of joined rows, each cut out in the
+/// relation's form and kept one after another: how the `M-*` and `S-*`
+/// scorers hold a panel of joined rows cut back into the blocks of their
+/// relations.  Its buffers keep their capacity across [`Self::clear`].
+#[derive(Debug)]
+pub struct RowPanel {
+    kind: RowKind,
+    buf: RowBuf,
+    /// Per row: where its dense values, indices and values end in `buf`.
+    ends: Vec<[usize; 3]>,
+}
+
+impl RowPanel {
+    /// An empty panel of rows in `kind`.
+    pub fn new(kind: RowKind) -> Self {
+        Self {
+            kind,
+            buf: RowBuf::default(),
+            ends: Vec::new(),
         }
-        self.clear();
-        self.push(kind, row, cols, 0);
-        self.view(kind)
+    }
+
+    /// Starts a new panel.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.ends.clear();
+    }
+
+    /// Appends the columns `cols` of `row` as a row of their own.
+    pub fn push(&mut self, row: BlockVec<'_>, cols: Range<usize>) {
+        self.buf.push(self.kind, row, cols, 0);
+        let RowBuf { dense, idx, vals } = &self.buf;
+        self.ends.push([dense.len(), idx.len(), vals.len()]);
+    }
+
+    /// Row `r` of the panel.
+    pub fn row(&self, r: usize) -> BlockVec<'_> {
+        let [d0, i0, v0] = if r == 0 { [0; 3] } else { self.ends[r - 1] };
+        let [d1, i1, v1] = self.ends[r];
+        let RowBuf { dense, idx, vals } = &self.buf;
+        match self.kind {
+            RowKind::Dense => BlockVec::Dense(&dense[d0..d1]),
+            RowKind::OneHot => BlockVec::OneHot(&idx[i0..i1]),
+            RowKind::Csr => BlockVec::Csr {
+                idx: &idx[i0..i1],
+                vals: &vals[v0..v1],
+            },
+        }
     }
 }
 
