@@ -382,3 +382,89 @@ fn a_one_hot_fact_block_takes_the_sparse_path_on_a_star() {
     let diff = dense_nn.model.max_param_diff(&auto_nn.model);
     assert!(diff < 1e-6, "F-NN sparse vs dense facts: {diff}");
 }
+
+/// The binary join of the non-finite-feature reports (`n_S = 200`,
+/// `n_R = 10`, `d_S = 2`, `d_R = 3`) plus one fact `9_999_999`: with a
+/// non-finite fact feature `fact`, or referencing a new dimension tuple
+/// `R(10_000)` whose first feature is `tuple`.
+fn with_non_finite(fact: f64, tuple: f64) -> Workload {
+    let w = SyntheticConfig {
+        n_s: 200,
+        n_r: 10,
+        d_s: 2,
+        d_r: 3,
+        k: 2,
+        noise_std: 0.6,
+        with_target: true,
+        seed: 5,
+    }
+    .generate()
+    .unwrap();
+    let mut fk = 0;
+    if !tuple.is_finite() {
+        let r = w.spec.dimension_relations(&w.db).unwrap()[0].clone();
+        fk = 10_000;
+        r.lock()
+            .append(&Tuple::dimension(fk, vec![tuple, 0.0, 0.0]))
+            .unwrap();
+        r.lock().flush().unwrap();
+    }
+    let s = w.db.relation(&w.spec.fact).unwrap();
+    let row = Tuple::fact_with_target(9_999_999, vec![fk], 0.5, vec![fact, 0.0]);
+    s.lock().append(&row).unwrap();
+    s.lock().flush().unwrap();
+    w
+}
+
+/// Every fit of both families over `w` fails with the typed non-finite
+/// error naming the fact relation, under every strategy and worker count.
+fn assert_non_finite_is_a_typed_error(w: &Workload, case: &str) {
+    let sequential = [ExecPolicy::new()];
+    let parallel = [1, 2, 4].map(|t| {
+        ExecPolicy::new()
+            .kernel_policy(KernelPolicy::BlockedParallel)
+            .threads(t)
+    });
+    for exec in sequential.into_iter().chain(parallel) {
+        let session = Session::new(&w.db).join(&w.spec).exec(exec.clone());
+        for alg in Algorithm::all() {
+            let fits = [
+                session.fit(gmm(alg)).map(|t| t.fit.log_likelihood),
+                session.fit(nn(alg)).map(|t| t.fit.loss_trace),
+            ];
+            for (family, fit) in ["GMM", "NN"].into_iter().zip(fits) {
+                let context = format!("{case}, {alg:?}, {exec:?}, {family}");
+                match fit {
+                    Err(StoreError::NonFiniteFeature { relation }) => {
+                        assert_eq!(relation, w.spec.fact, "{context}")
+                    }
+                    Err(other) => panic!("{context}: {other}"),
+                    Ok(trace) => panic!("{context}: fit returned Ok({trace:?})"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_non_finite_fact_feature_is_a_typed_error_for_every_fit() {
+    assert_non_finite_is_a_typed_error(&with_non_finite(f64::NAN, 0.0), "NaN fact");
+    assert_non_finite_is_a_typed_error(&with_non_finite(f64::INFINITY, 0.0), "Inf fact");
+}
+
+#[test]
+fn a_non_finite_referenced_tuple_is_a_typed_error_for_every_fit() {
+    assert_non_finite_is_a_typed_error(&with_non_finite(0.0, f64::NAN), "NaN tuple");
+    assert_non_finite_is_a_typed_error(&with_non_finite(0.0, f64::INFINITY), "Inf tuple");
+    // a dense star dimension
+    let w = star(7, 120, unequal_dims(), true);
+    let r2 = w.db.relation("R2").unwrap();
+    let row = vec![f64::INFINITY, 0.0, 0.0, 0.0, 0.0];
+    r2.lock().append(&Tuple::dimension(1_000, row)).unwrap();
+    r2.lock().flush().unwrap();
+    let s = w.db.relation(&w.spec.fact).unwrap();
+    let fact = Tuple::fact_with_target(9_999, vec![0, 1_000, 0], 0.5, vec![0.0, 0.0]);
+    s.lock().append(&fact).unwrap();
+    s.lock().flush().unwrap();
+    assert_non_finite_is_a_typed_error(&w, "Inf star tuple");
+}

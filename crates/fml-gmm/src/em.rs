@@ -80,7 +80,7 @@ use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
 use fml_linalg::policy::par_chunks_with_threads;
 use fml_linalg::{gemm, vector, BlockVec, Matrix, SparseMode, Vector};
 use fml_store::join::RowSource;
-use fml_store::StoreResult;
+use fml_store::{StoreError, StoreResult};
 use std::time::{Duration, Instant};
 
 /// Number of joined tuples buffered per parallel batch.  Each batch is split
@@ -254,7 +254,8 @@ impl ShiftedStats {
 }
 
 /// Trains a GMM with one-pass EM over a dense tuple source, initializing
-/// with the data-independent [`GmmInit::initial_model`].
+/// with the data-independent [`GmmInit::initial_model`]; a non-finite
+/// feature is reported against the relation name `"rows"`.
 pub fn train_dense(
     source: &mut dyn DensePassSource,
     config: &GmmConfig,
@@ -262,15 +263,22 @@ pub fn train_dense(
 ) -> StoreResult<GmmFit> {
     let initial =
         GmmInit::new(exec.resolve().seed, config.init_spread).initial_model(config.k, source.dim());
-    train_dense_from(source, config, exec, initial, None)
+    train_dense_from(source, "rows", config, exec, initial, None)
 }
 
-/// Trains a GMM with one-pass EM over a dense tuple source, starting from an
-/// explicit initial model (shared by every variant so the model-equivalence
+/// Trains a GMM with one-pass EM over a dense tuple source — the rows of
+/// the join over fact relation `relation` — starting from an explicit
+/// initial model (shared by every variant so the model-equivalence
 /// guarantee holds).  `io` is the optional cumulative I/O probe behind the
 /// per-iteration [`fml_linalg::FitObserver`] events.
+///
+/// # Errors
+/// [`StoreError::NonFiniteFeature`] naming `relation` when an iteration's
+/// log-likelihood is not finite, before its M-step turns it into a
+/// covariance no Cholesky factor accepts.
 pub fn train_dense_from(
     source: &mut dyn DensePassSource,
+    relation: &str,
     config: &GmmConfig,
     exec: &ExecPolicy,
     initial: GmmModel,
@@ -419,6 +427,11 @@ pub fn train_dense_from(
         }
 
         let ll = stats.ll;
+        if !ll.is_finite() {
+            return Err(StoreError::NonFiniteFeature {
+                relation: relation.to_string(),
+            });
+        }
         model = finalize_m_step(
             &pre.means,
             &stats.nk,

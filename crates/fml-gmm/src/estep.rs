@@ -25,20 +25,20 @@
 //! against `[I_{0i}ᵀ + I_{i0} | I_{n,i}ᵀ + I_{i,n} …]` gives `w` and every
 //! partner vector.  A product row's bits do not depend on the panel (the
 //! kernels tile only the widths), so a tuple's row is the same filled alone,
-//! with a block's new tuples, or in a scorer's panel.  One-hot and CSR tuples
-//! go one by one through [`crate::sparse`]'s mean decomposition.
+//! with a block's first references, or in a scorer's panel.  One-hot and CSR
+//! tuples go one by one through [`crate::sparse`]'s mean decomposition.
 //!
-//! Callers: the `F-GMM` trainer (one arena row per dimension-tuple ordinal,
-//! for every `q`) and the batch scorer, whose materialized and streaming
-//! strategies rebuild the same rows per panel of joined rows through the same
-//! two functions — which is why all three scoring strategies agree bit for
-//! bit.
+//! Callers: the `F-GMM` trainer and the factorized scorer (one arena row per
+//! dimension-tuple ordinal, for every `q`, filled for each fact block's first
+//! references), and the materialized and streaming scorers, which rebuild the
+//! same rows per panel of joined rows through the same two functions — which
+//! is why all three scoring strategies agree bit for bit.
 
 use crate::model::Precomputed;
 use crate::sparse::SparseFormPre;
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
-use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::{gemm, vector, BlockVec, KernelPolicy, Matrix, SparseMode};
+use fml_store::OrdinalArena;
 use std::ops::Range;
 
 /// Dense tuples per panel of [`EStep::fill_rows`]'s products.
@@ -486,14 +486,6 @@ mod tests {
         }
     }
 
-    /// An arena of `width`-value rows with the ordinals `0..n` claimed.
-    fn arena(width: usize, n: usize) -> OrdinalArena {
-        let mut arena = OrdinalArena::new(width);
-        arena.reset(n);
-        (0..n as u32).for_each(|o| assert!(arena.claim(o)));
-        arena
-    }
-
     fn bits(row: &[f64]) -> Vec<u64> {
         row.iter().map(|v| v.to_bits()).collect()
     }
@@ -523,9 +515,9 @@ mod tests {
                                 let tuple =
                                     |o: u32| view(kind_of(kind, o as usize), &xs[o as usize]);
                                 let ords: Vec<u32> = (0..n as u32).collect();
-                                let mut batch = arena(estep.row_len(i), n);
+                                let mut batch = OrdinalArena::new(estep.row_len(i));
                                 estep.fill_rows(i, &ords, tuple, &mut batch, &mut fill);
-                                let mut single = arena(estep.row_len(i), 1);
+                                let mut single = OrdinalArena::new(estep.row_len(i));
                                 for o in ords {
                                     // zeroed, as `batch` is: a sparse tuple of a
                                     // binary join leaves its `pd` slot unwritten
@@ -571,7 +563,7 @@ mod tests {
                     .collect();
                 let rows: Vec<OrdinalArena> = (0..q)
                     .map(|i| {
-                        let mut rows = arena(estep.row_len(i), n);
+                        let mut rows = OrdinalArena::new(estep.row_len(i));
                         let tuple = |o: u32| view((o as usize + i) % 3, &dims[i][o as usize]);
                         estep.fill_rows(i, &ords, tuple, &mut rows, &mut fill);
                         rows

@@ -25,13 +25,13 @@
 //! block is the `Σγ·PD_S` aggregate of the first dimension's tuples, and
 //! dimension block `i` is `(Σγ)·PD_i` once per tuple.
 //!
-//! **Scan.**  The iteration is one [`FactorizedScan`]: per window the
-//! per-tuple arenas are reset, per fact block the foreign keys arrive
-//! resolved to dense ordinals, and at the end of a window the per-tuple
-//! aggregates are folded into the iteration's totals.  Every per-tuple
-//! quantity lives in a flat [`OrdinalArena`] row `[ordinal][component][…]`
-//! claimed on first reference — the E-step row [`EStep::fill_rows`] writes,
-//! and next to it the aggregate row the M-step sums into (see
+//! **Scan.**  The iteration is one [`FactorizedScan`] pass: per fact block
+//! the foreign keys arrive resolved to dense ordinals and the rows of the
+//! block's first references are filled, and at the end of a window the
+//! aggregates of the referenced tuples are folded into the iteration's
+//! totals.  Every per-tuple quantity lives in a flat [`OrdinalArena`] row
+//! `[ordinal][component][…]` — the E-step row [`EStep::fill_rows`] writes, and
+//! next to it the aggregate row the M-step sums into (see
 //! `estep::DimLayout`) — so dimension tuples no fact references are never read.
 //! A star is one window; a binary join whose `R` spans several `block_pages`
 //! windows pays the dimension-side work once per tuple all the same, and
@@ -46,7 +46,7 @@
 //! means.
 //!
 //! **Execution shape.**  Per fact block a sequential sweep fills the arena
-//! rows of newly referenced dimension tuples — one [`EStep::fill_rows`] call
+//! rows of the block's first references — one [`EStep::fill_rows`] call
 //! per dimension, whose dense tuples run on level-3 kernels — the per-fact
 //! E-step fans out over fact chunks that read the arenas immutably, and the
 //! block's responsibilities are then accumulated in fact order; everything
@@ -68,10 +68,9 @@ use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
 use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::{vector, BlockVec, Matrix, Vector};
 use fml_store::factorized_scan::FactorizedScan;
-use fml_store::{Database, JoinSpec, StoreResult};
+use fml_store::{Database, JoinSpec, OrdinalArena, StoreError, StoreResult};
 use std::time::Instant;
 
 /// Minimum per-fact work (≈ `k·d²` flops) below which the parallel policy
@@ -117,9 +116,9 @@ impl FactorizedGmm {
         // Fan out only when per-fact work can amortize the pool dispatch.
         let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_FACT_FLOPS;
         let workers = ex.workers(par);
-        // Per-dimension arenas, re-sized and cleared at the start of each
-        // window and claimed together: `terms` holds the E-step rows,
-        // `aggs` the M-step aggregate rows (see [`DimLayout`]).
+        // Per-dimension arenas, filled together on first reference: `terms`
+        // holds the E-step rows, `aggs` the M-step aggregate rows (see
+        // [`DimLayout`]).
         let layouts = DimLayout::all(&sizes);
         let mut terms: Vec<OrdinalArena> = layouts
             .iter()
@@ -130,7 +129,7 @@ impl FactorizedGmm {
             .map(|lay| OrdinalArena::new(k * lay.agg_len()))
             .collect();
         let (mut pd_s, mut w_s) = (vec![0.0; k * d_s], vec![0.0; d_s]);
-        let (mut fill, mut new_ords) = (FillScratch::default(), Vec::new());
+        let mut fill = FillScratch::default();
 
         for _iter in 0..config.max_iters {
             let estep = EStep::new(
@@ -158,28 +157,17 @@ impl FactorizedGmm {
             let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
             let mut scan = scan.sparse_mode(ex.sparse);
             while scan.next_window()? {
-                for (i, (terms, aggs)) in terms.iter_mut().zip(&mut aggs).enumerate() {
-                    terms.reset(scan.cache().dim_len(i));
-                    aggs.reset(scan.cache().dim_len(i));
-                }
                 while scan.next_block()? {
                     let (block, cache) = (scan.block(), scan.cache());
                     let facts = block.rows();
-                    // A sequential sweep fills the E-step rows of newly
-                    // referenced dimension tuples (one row per *distinct*
+                    // A sequential sweep fills the E-step rows of the tuples
+                    // first referenced in this block (one row per *distinct*
                     // tuple — the factorized reuse) and zeroes their
                     // aggregates.
                     for (i, (terms, aggs)) in terms.iter_mut().zip(&mut aggs).enumerate() {
-                        new_ords.clear();
-                        for f in 0..block.len() {
-                            let ord = block.ords_of(f)[i];
-                            if terms.claim(ord) {
-                                new_ords.push(ord);
-                                aggs.claim(ord);
-                                aggs.row_mut(ord).fill(0.0);
-                            }
-                        }
-                        estep.fill_rows(i, &new_ords, |o| cache.row(i, o), terms, &mut fill);
+                        let first = block.first_refs(i);
+                        estep.fill_rows(i, first, |o| cache.row(i, o), terms, &mut fill);
+                        first.iter().for_each(|&ord| aggs.row_mut(ord).fill(0.0));
                     }
                     // The per-fact evaluation fans out over chunks that read
                     // the E-step rows immutably.
@@ -258,7 +246,7 @@ impl FactorizedGmm {
                     let b = i + 1;
                     let mut acc: Vec<SparseScatterAcc> =
                         (0..k).map(|_| SparseScatterAcc::new(d_s, lay.d)).collect();
-                    for ord in terms[i].referenced() {
+                    for ord in scan.referenced(i) {
                         let x = scan.cache().row(i, ord);
                         let rows = terms[i].row(ord).chunks_exact(lay.len);
                         let agg_rows = aggs[i].row(ord).chunks_exact(lay.agg_len());
@@ -305,6 +293,11 @@ impl FactorizedGmm {
             }
             for (c, acc) in fact_acc.iter().enumerate() {
                 acc.finalize(&mut scatter[c], 0, &means_split[c][0]);
+            }
+            if !ll.is_finite() {
+                return Err(StoreError::NonFiniteFeature {
+                    relation: spec.fact.clone(),
+                });
             }
             let scatter_mats: Vec<Matrix> =
                 scatter.into_iter().map(BlockScatter::into_matrix).collect();

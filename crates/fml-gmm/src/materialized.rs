@@ -48,7 +48,8 @@ impl MaterializedGmm {
         let table = JoinSpec::multiway(t_name, vec![]);
         let mut source = RowSource::join(db, table, ex.block_pages)?.sparse_mode(ex.sparse);
         let probe = db.stats().io_probe();
-        let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
+        let mut fit =
+            train_dense_from(&mut source, &spec.fact, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
     }

@@ -37,7 +37,8 @@ impl StreamingGmm {
             GmmInit::new(ex.seed, config.init_spread).from_relations(db, spec, config.k)?;
         let probe = db.stats().io_probe();
         let mut source = RowSource::join(db, spec.clone(), ex.block_pages)?.sparse_mode(ex.sparse);
-        let mut fit = train_dense_from(&mut source, config, exec, initial, Some(&probe))?;
+        let mut fit =
+            train_dense_from(&mut source, &spec.fact, config, exec, initial, Some(&probe))?;
         fit.elapsed = start.elapsed();
         Ok(fit)
     }

@@ -20,12 +20,11 @@ use fml_gmm::em::{
 };
 use fml_gmm::{EStep, FactorizedGmm, FillScratch, GmmConfig, GmmInit, GmmModel, Precomputed};
 use fml_linalg::block::BlockPartition;
-use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::testutil::TestRng;
 use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, KernelPolicy, Matrix, SparseMode, Vector};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::join::RowSource;
-use fml_store::{Database, FeatureGroup, Schema, StoreResult, DEFAULT_BLOCK_PAGES};
+use fml_store::{Database, FeatureGroup, OrdinalArena, Schema, StoreResult, DEFAULT_BLOCK_PAGES};
 
 /// `n` rows around `k` well-separated centres in `d` dimensions, and an
 /// initial model near (not at) the truth: centres nudged, identity
@@ -105,7 +104,7 @@ fn fit_stored(
         &[]
     };
     let mut source = Rows { rows, forms };
-    train_dense_from(&mut source, &config, exec, initial.clone(), None).expect("fit")
+    train_dense_from(&mut source, "rows", &config, exec, initial.clone(), None).expect("fit")
 }
 
 fn policy(p: KernelPolicy) -> ExecPolicy {
@@ -640,12 +639,7 @@ fn factorized_e_step_ll(
     // One single-row arena per dimension, refilled per fact.
     let q = partition.num_blocks() - 1;
     let mut rows: Vec<OrdinalArena> = (0..q)
-        .map(|i| {
-            let mut arena = OrdinalArena::new(estep.row_len(i));
-            arena.reset(1);
-            arena.claim(0);
-            arena
-        })
+        .map(|i| OrdinalArena::new(estep.row_len(i)))
         .collect();
     let mut fill = FillScratch::default();
     let mut ll = 0.0;

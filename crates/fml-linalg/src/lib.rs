@@ -29,8 +29,6 @@
 //!   (kernel policy, sparse mode, block size, threads, seed, telemetry
 //!   observer), with builder > environment > default precedence resolved in
 //!   one place.
-//! * [`repcache`] — the ordinal-indexed [`OrdinalArena`] the factorized
-//!   trainers and the scorer keep their per-dimension-tuple terms in.
 //!
 //! ## Kernel policies
 //!
@@ -101,7 +99,6 @@ pub mod gemm;
 pub mod matrix;
 pub mod policy;
 pub mod pool;
-pub mod repcache;
 pub mod simd;
 pub mod sparse;
 pub mod sym;
@@ -115,7 +112,6 @@ pub use csr::CsrBlock;
 pub use exec::{ExecPolicy, ExecSettings, FitEvent, FitNotifier, FitObserver, TraceObserver};
 pub use matrix::Matrix;
 pub use policy::KernelPolicy;
-pub use repcache::OrdinalArena;
 pub use simd::{SimdLevel, SimdMode};
 pub use sparse::{BlockVec, SparseMode};
 pub use vector::Vector;

@@ -31,12 +31,14 @@
 //! `M-NN` and `S-NN` see the same rows in the same `(window, fact)` order —
 //! the order `materialize_join` writes — so their fits are bit-identical.
 //!
-//! **Scan.**  An epoch is one [`FactorizedScan`]: per window the per-tuple
-//! arenas are reset, per fact block the foreign keys arrive resolved to dense
-//! ordinals, and at the end of a window the dimension blocks of the gradient
-//! are folded in.  Both per-tuple quantities live in one flat
-//! [`OrdinalArena`] row per dimension tuple, `[W¹_{R_i}·x_{R_i} | Σ δ¹]`,
-//! initialized on first reference.  A star is one window; a binary join whose
+//! **Scan.**  An epoch is one [`FactorizedScan`] pass: per fact block the
+//! foreign keys arrive resolved to dense ordinals and the partial products
+//! of the block's first references are filled (the weights are fixed for the
+//! epoch, so no bit depends on when), and at the end of a window the
+//! dimension blocks of the gradient are folded in over the referenced
+//! tuples.  Both per-tuple quantities live in one flat [`OrdinalArena`] row
+//! per dimension tuple, `[W¹_{R_i}·x_{R_i} | Σ δ¹]`.
+//! A star is one window; a binary join whose
 //! `R` spans several `block_pages` windows pays the dimension-side work once
 //! per tuple all the same, and reads exactly the pages `S-NN` reads.
 //!
@@ -58,11 +60,10 @@ use crate::first_layer::FirstLayer;
 use crate::mlp::Mlp;
 use crate::trainer::{ensure_trainable, NnConfig, NnFit};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
-use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::vector;
 use fml_store::batch::RowBuf;
 use fml_store::factorized_scan::FactorizedScan;
-use fml_store::{Database, JoinSpec, StoreResult};
+use fml_store::{Database, JoinSpec, OrdinalArena, StoreError, StoreResult};
 use std::time::Instant;
 
 /// The factorized NN training strategy (the paper's proposal).
@@ -77,17 +78,19 @@ impl FactorizedNn {
         config: &NnConfig,
         exec: &ExecPolicy,
     ) -> StoreResult<NnFit> {
-        train_epochs(db, spec, config, exec, false)
+        train_epochs(db, spec, &spec.fact, config, exec, false)
     }
 }
 
 /// The one NN epoch driver: full-batch gradient descent, one
 /// [`FactorizedScan`] pass per epoch.  `inline` merges every dimension into
 /// block 0 (the `S-NN` scan, see the module docs); otherwise every
-/// dimension is factorized.
+/// dimension is factorized.  A non-finite epoch loss or gradient ends the
+/// fit before its update with [`StoreError::NonFiniteFeature`] naming `fact`.
 pub(crate) fn train_epochs(
     db: &Database,
     spec: &JoinSpec,
+    fact: &str,
     config: &NnConfig,
     exec: &ExecPolicy,
     inline: bool,
@@ -111,9 +114,9 @@ pub(crate) fn train_epochs(
     let probe = db.stats().io_probe();
     let mut notifier = FitNotifier::new(exec, Some(&probe));
 
-    // Per dimension tuple, cleared each window: the partial product
-    // W¹_{R_i}·x_{R_i} (a gather of the table rows a sparse x_{R_i}
-    // selects) followed by the accumulated sum of first-layer deltas.
+    // Per dimension tuple, filled on first reference in a window: the
+    // partial product W¹_{R_i}·x_{R_i} (a gather of the table rows a sparse
+    // x_{R_i} selects) followed by the accumulated sum of first-layer deltas.
     let nh = model.layers()[0].out_dim();
     let mut arenas: Vec<OrdinalArena> = (0..q).map(|_| OrdinalArena::new(2 * nh)).collect();
     let mut ws = model.workspace();
@@ -132,24 +135,22 @@ pub(crate) fn train_epochs(
         let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
         let mut scan = scan.sparse_mode(ex.sparse);
         while scan.next_window()? {
-            for (i, arena) in arenas.iter_mut().enumerate() {
-                arena.reset(scan.cache().dim_len(i));
-            }
             while scan.next_block()? {
                 let (block, cache) = (scan.block(), scan.cache());
                 let facts = block.rows();
+                // ---- forward, first layer (factorized): the partial
+                // products of the tuples this block references first ----
+                for (i, arena) in arenas.iter_mut().enumerate() {
+                    for &ord in block.first_refs(i) {
+                        let (cached, delta_sum) = arena.row_mut(ord).split_at_mut(nh);
+                        first.partial(i + 1, cache.row(i, ord), cached);
+                        delta_sum.fill(0.0);
+                    }
+                }
                 for f in 0..block.len() {
                     // Inlined dimensions have no arena: their ordinals go
                     // unused.
                     let ords = &block.ords_of(f)[..q];
-                    // ---- forward, first layer (factorized) ----
-                    for (i, &ord) in ords.iter().enumerate() {
-                        if arenas[i].claim(ord) {
-                            let (cached, delta_sum) = arenas[i].row_mut(ord).split_at_mut(nh);
-                            first.partial(i + 1, cache.row(i, ord), cached);
-                            delta_sum.fill(0.0);
-                        }
-                    }
                     let x_s = if inline {
                         block.joined_row(f, cache, &mut joined)
                     } else {
@@ -172,13 +173,21 @@ pub(crate) fn train_epochs(
             // tuples) per referenced dimension tuple, in ascending
             // ordinal order.
             for (i, arena) in arenas.iter().enumerate() {
-                for ord in arena.referenced() {
+                for ord in scan.referenced(i) {
                     grad_w1.add(i + 1, &arena.row(ord)[nh..], scan.cache().row(i, ord));
                 }
             }
         }
 
         grad_w1.add_into(&mut grads[0]);
+        let finite = |x: &[f64]| x.iter().all(|v| v.is_finite());
+        let grads_finite =
+            (grads.iter()).all(|g| finite(g.d_weights.as_slice()) && finite(&g.d_bias));
+        if !(loss_sum.is_finite() && grads_finite) {
+            return Err(StoreError::NonFiniteFeature {
+                relation: fact.to_string(),
+            });
+        }
         model.apply_grads(&grads, config.learning_rate, n as f64);
         loss_trace.push(loss_sum / n as f64);
         notifier.notify(loss_sum / n as f64);

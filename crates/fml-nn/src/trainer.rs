@@ -131,7 +131,7 @@ impl MaterializedNn {
         }
         materialize_join(db, spec, t_name.clone(), exec.resolve().block_pages)?;
         let table = JoinSpec::multiway(t_name, vec![]);
-        let mut fit = train_epochs(db, &table, config, exec, false)?;
+        let mut fit = train_epochs(db, &table, &spec.fact, config, exec, false)?;
         fit.elapsed = start.elapsed();
         Ok(fit)
     }
@@ -149,7 +149,7 @@ impl StreamingNn {
         config: &NnConfig,
         exec: &ExecPolicy,
     ) -> StoreResult<NnFit> {
-        train_epochs(db, spec, config, exec, true)
+        train_epochs(db, spec, &spec.fact, config, exec, true)
     }
 }
 

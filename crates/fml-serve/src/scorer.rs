@@ -49,7 +49,8 @@
 //! trainer.  Per fact block of the scan, whose foreign keys arrive resolved
 //! to dimension ordinals (a dangling key surfacing as the same typed error
 //! whatever the worker count), one sequential sweep fills the term row of
-//! each newly referenced dimension tuple (once per *distinct* tuple), then
+//! each dimension tuple the block references first (once per *distinct*
+//! tuple), then
 //! the block's *fact rows* are chunked over
 //! arenas that are read-only by then.  With one worker the block is a single
 //! chunk run inline.  Chunk boundaries depend only on block shape and worker
@@ -68,13 +69,12 @@ use fml_gmm::{EStep, FillScratch, GmmFit, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::exec::{ExecPolicy, ExecSettings};
 use fml_linalg::policy::par_chunks_with_threads;
-use fml_linalg::repcache::OrdinalArena;
 use fml_linalg::{BlockVec, KernelPolicy, SparseMode};
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
 use fml_store::batch::{RowBuf, RowPanel};
 use fml_store::factorized_scan::{FactBlock, FactorizedScan};
 use fml_store::join::materialize_join;
-use fml_store::{Database, IoSnapshot, JoinSpec, RowKind, StoreResult};
+use fml_store::{Database, IoSnapshot, JoinSpec, OrdinalArena, RowKind, StoreResult};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -513,10 +513,11 @@ where
 
 /// Factorized scoring, shaped like the factorized trainers' E-step pass: per
 /// fact block, a sequential sweep fills the [`OrdinalArena`] term rows of the
-/// newly referenced dimension tuples, one [`RowCore::dim_terms`] call per
-/// dimension (once per *distinct* tuple for the whole batch; tuples no fact
-/// references are never read), then the per-fact scoring fans out over
-/// `workers` chunks that read the arenas immutably.
+/// tuples the block references first ([`FactBlock::first_refs`]), one
+/// [`RowCore::dim_terms`] call per dimension (once per *distinct* tuple for
+/// the whole batch; tuples no fact references are never read), then the
+/// per-fact scoring fans out over `workers` chunks that read the arenas
+/// immutably.
 fn score_factorized<C>(
     core: &C,
     db: &Database,
@@ -533,20 +534,15 @@ where
     let mut arenas: Vec<OrdinalArena> = (0..q)
         .map(|i| OrdinalArena::new(core.dim_width(i)))
         .collect();
-    let (mut scratch, mut new_ords) = (core.make_scratch(), Vec::new());
+    let mut scratch = core.make_scratch();
     let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
     let mut scan = scan.sparse_mode(ex.sparse);
     while scan.next_window()? {
-        for (i, arena) in arenas.iter_mut().enumerate() {
-            arena.reset(scan.cache().dim_len(i));
-        }
         while scan.next_block()? {
             let (block, cache) = (scan.block(), scan.cache());
             for (i, arena) in arenas.iter_mut().enumerate() {
-                new_ords.clear();
-                let ords = (0..block.len()).map(|f| block.ords_of(f)[i]);
-                new_ords.extend(ords.filter(|&ord| arena.claim(ord)));
-                core.dim_terms(i, &new_ords, |o| cache.row(i, o), arena, &mut scratch);
+                let first = block.first_refs(i);
+                core.dim_terms(i, first, |o| cache.row(i, o), arena, &mut scratch);
             }
             let chunks = par_chunks_with_threads(workers, block.len(), 1, |range| {
                 score_facts(core, &arenas, block, range)
@@ -602,14 +598,7 @@ fn score_denormalized<C: RowCore>(
     // Row `r` of a panel is ordinal `r` of every dimension's term arena.
     let ords: Vec<u32> = (0..PANEL_ROWS as u32).collect();
     let mut terms: Vec<OrdinalArena> = (0..kinds.len() - 1)
-        .map(|i| {
-            let mut arena = OrdinalArena::new(core.dim_width(i));
-            arena.reset(PANEL_ROWS);
-            for &r in &ords {
-                arena.claim(r);
-            }
-            arena
-        })
+        .map(|i| OrdinalArena::new(core.dim_width(i)))
         .collect();
     let (mut joined, mut scratch) = (RowBuf::default(), core.make_scratch());
     let scan = FactorizedScan::new(db, source, ex.block_pages)?;

@@ -49,6 +49,12 @@ pub enum StoreError {
         /// The missing key value.
         key: u64,
     },
+    /// A training pass met a NaN or infinite feature in the join: its
+    /// objective or gradient is no longer finite.
+    NonFiniteFeature {
+        /// The join's fact relation.
+        relation: String,
+    },
     /// Stored bytes could not be decoded.
     Corrupt(String),
     /// A CSV file could not be parsed.
@@ -83,6 +89,10 @@ impl fmt::Display for StoreError {
                     "foreign key {key} in relation '{relation}' has no referenced tuple"
                 )
             }
+            StoreError::NonFiniteFeature { relation } => write!(
+                f,
+                "a feature of the join over fact relation '{relation}' is NaN or infinite"
+            ),
             StoreError::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
             StoreError::Csv(msg) => write!(f, "csv error: {msg}"),
         }

@@ -16,7 +16,17 @@
 //! block, and per dimension the window's decoded rows, key order and index —
 //! so a pass allocates per window at most, never per page or per fact.
 //! [`FactorizedScan::next_block`] refills the block; the consumer reads it,
-//! the cache and the ordinal bases together through `&self` accessors.
+//! and the cache together through `&self` accessors.
+//!
+//! **First reference.**  The scan also owns the bookkeeping every
+//! factorized consumer shares — which resident tuples the window has seen:
+//! each block lists per dimension the ordinals it references first in the
+//! window ([`FactBlock::first_refs`], in first-fact order), and
+//! [`FactorizedScan::referenced`] walks the window's referenced ordinals in
+//! ascending order.  A factorized pass is one skeleton over [`OrdinalArena`]
+//! rows indexed by ordinal, `fill(first_refs) → per block (ords) →
+//! fold(referenced)` (see [`FactorizedScan`]): the per-block support of the
+//! join's indicator matrix, so tuples no fact references are never read.
 //!
 //! **Residency** follows from the join shape, there is nothing to configure:
 //!
@@ -26,8 +36,7 @@
 //!   block scan of the fact relation, `|S|` pages, no ordinals;
 //! * a binary join (`q = 1`) streams `R` in windows of `block_pages` pages —
 //!   the block-nested-loop join of Section V-A with `R` as the outer
-//!   relation.  Ordinals are relative to the resident window;
-//!   [`FactorizedScan::ordinal_base`] makes them unique across the pass.
+//!   relation.  Ordinals are relative to the resident window.
 //!
 //! Either way a pass reads `|R| + ⌈|R|/BlockSize⌉·|S|` pages
 //! (`|R| = Σ|R_i|`, the ceiling being 1 for a star), the figure
@@ -36,14 +45,14 @@
 //! `block_pages` pages of each relation.
 //!
 //! **Dangling foreign keys.**  A fact that matches no dimension tuple is a
-//! typed [`StoreError::DanglingForeignKey`] on every path.  When the pass is
-//! one window the fact block that contains it fails at once.  When `R` spans
-//! several windows a fact absent from this window may sit in another one, so
-//! the block skips it and the pass ends by comparing the number of facts it
-//! handed out with `|S|`: fewer means a dangling key (named by one extra
-//! scan), more means a primary key repeats across windows
-//! ([`StoreError::SchemaMismatch`]).  Within a window a repeated key keeps
-//! its last-stored tuple.
+//! typed [`DanglingForeignKey`](crate::StoreError::DanglingForeignKey) error
+//! on every path.  When the pass is one window the fact block that contains
+//! it fails at once.  When `R` spans several windows a fact absent from this
+//! window may sit in another one, so the block skips it and the pass ends by
+//! comparing the number of facts it handed out with `|S|`: fewer means a
+//! dangling key (named by one extra scan), more means a primary key repeats
+//! across windows ([`SchemaMismatch`](crate::StoreError::SchemaMismatch)).
+//! Within a window a repeated key keeps its last-stored tuple.
 //!
 //! [`GroupScan`], [`JoinGroup`] and [`StarScan`] are `Vec<Tuple>` probe
 //! adapters over the pass, kept for the `benchmark/` package (see
@@ -51,7 +60,7 @@
 
 use crate::batch::{BlockScan, RowBlock, RowBuf};
 use crate::catalog::RelationHandle;
-use crate::error::{StoreError, StoreResult};
+use crate::error::StoreResult;
 use crate::join::{check_every_fact_matched, DimCache, JoinSpec};
 use crate::schema::RowKind;
 use crate::Database;
@@ -66,6 +75,8 @@ pub struct FactBlock {
     rows: RowBlock,
     /// `q` dimension ordinals per fact, in join order.
     ords: Vec<u32>,
+    /// Per dimension: the ordinals this block references first in the window.
+    first: Vec<Vec<u32>>,
     q: usize,
     /// The form of a joined row: that of the join result's schema.
     kind: RowKind,
@@ -90,6 +101,12 @@ impl FactBlock {
     /// The `q` ordinals of fact `f`.
     pub fn ords_of(&self, f: usize) -> &[u32] {
         &self.ords[f * self.q..(f + 1) * self.q]
+    }
+
+    /// The dimension-`i` ordinals this block references for the first time
+    /// in the window, in the order of the first fact carrying each.
+    pub fn first_refs(&self, i: usize) -> &[u32] {
+        &self.first[i]
     }
 
     /// Fact `f`'s denormalized row `[x_S | x_R1 | … | x_Rq]`: the dimension
@@ -125,8 +142,11 @@ impl FactBlock {
 /// ```text
 /// while scan.next_window()? {
 ///     // scan.cache(): the resident dimension rows
-///     while scan.next_block()? { /* scan.block(), scan.cache() */ }
-///     // per-window aggregates are complete here
+///     while scan.next_block()? {
+///         // fill the rows of scan.block().first_refs(i) — once per tuple —
+///         // then run each fact f over the rows at ords_of(f)
+///     }
+///     // fold the rows of scan.referenced(i), ascending
 /// }
 /// ```
 pub struct FactorizedScan {
@@ -138,8 +158,6 @@ pub struct FactorizedScan {
     dim_windows: Vec<BlockScan>,
     /// Whether the first window holds every dimension tuple.
     single_window: bool,
-    /// Per dimension: tuples resident in the windows before the current one.
-    bases: Vec<u32>,
     /// The resident window; empty before the first one.
     cache: DimCache,
     /// Whether a window has been made resident yet.
@@ -148,6 +166,8 @@ pub struct FactorizedScan {
     facts: Option<BlockScan>,
     /// The current fact block.
     block: FactBlock,
+    /// Per dimension: whether the window's facts reference each ordinal.
+    seen: Vec<Vec<bool>>,
     /// Facts handed out so far.
     matched: u64,
 }
@@ -171,16 +191,17 @@ impl FactorizedScan {
                 .map(|d| BlockScan::new(d.clone(), window_pages))
                 .collect(),
             single_window: dims.iter().all(|d| d.lock().num_pages() <= window_pages),
-            bases: vec![0; q],
             dims,
             cache: DimCache::new(spec.dimensions.clone()),
             opened: false,
             facts: None,
             block: FactBlock {
                 q,
+                first: vec![Vec::new(); q],
                 kind: spec.result_schema(db, "")?.row_kind(),
                 ..FactBlock::default()
             },
+            seen: vec![Vec::new(); q],
             matched: 0,
         })
     }
@@ -205,22 +226,17 @@ impl FactorizedScan {
     /// Ends a pass of several windows that handed out a different number of
     /// facts than `S` holds with the error the module docs describe.
     pub fn next_window(&mut self) -> StoreResult<bool> {
-        if self.opened {
-            if self.dim_windows.iter().all(BlockScan::is_done) {
-                self.facts = None;
-                if !self.single_window {
-                    check_every_fact_matched(&self.dims[0], &self.fact, self.matched)?;
-                }
-                return Ok(false);
+        if self.opened && self.dim_windows.iter().all(BlockScan::is_done) {
+            self.facts = None;
+            if !self.single_window {
+                check_every_fact_matched(&self.dims[0], &self.fact, self.matched)?;
             }
-            for (i, base) in self.bases.iter_mut().enumerate() {
-                let len = u32::try_from(self.cache.dim_len(i)).ok();
-                *base = (len.and_then(|len| base.checked_add(len)))
-                    .ok_or_else(|| ordinal_overflow(&self.dims[i]))?;
-            }
+            return Ok(false);
         }
-        for (i, window) in self.dim_windows.iter_mut().enumerate() {
+        for (i, (window, seen)) in self.dim_windows.iter_mut().zip(&mut self.seen).enumerate() {
             self.cache.load(i, window)?;
+            seen.clear();
+            seen.resize(self.cache.dim_len(i), false);
         }
         self.opened = true;
         self.facts = Some(BlockScan::new(self.fact.clone(), self.block_pages));
@@ -233,20 +249,21 @@ impl FactorizedScan {
         &self.cache
     }
 
-    /// Number of dimension-`i` tuples resident in earlier windows of this
-    /// pass: `ordinal_base(i) + ordinal` is unique across the pass and the
-    /// same in every pass over unchanged relations.
-    pub fn ordinal_base(&self, i: usize) -> u32 {
-        self.bases[i]
-    }
-
     /// The fact block [`Self::next_block`] filled last.
     pub fn block(&self) -> &FactBlock {
         &self.block
     }
 
+    /// The dimension-`i` ordinals the window's facts have referenced so far,
+    /// ascending — hence in key order, one fixed order for per-tuple merges.
+    pub fn referenced(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        (self.seen[i].iter().enumerate())
+            .filter(|(_, seen)| **seen)
+            .map(|(ord, _)| ord as u32)
+    }
+
     /// Refills [`Self::block`] with the next fact block of the current
-    /// window; `false` at its end.
+    /// window, recording its first references; `false` at its end.
     pub fn next_block(&mut self) -> StoreResult<bool> {
         let block = &mut self.block;
         let Some(facts) = self.facts.as_mut() else {
@@ -258,11 +275,18 @@ impl FactorizedScan {
         let (cache, q, n) = (&self.cache, block.q, block.rows.len());
         block.ords.clear();
         block.ords.resize(n * q, 0);
+        block.first.iter_mut().for_each(Vec::clear);
         let mut kept = 0;
         for f in 0..n {
             let slots = &mut block.ords[kept * q..(kept + 1) * q];
             match cache.resident_ordinals(block.rows.fks(f), slots) {
                 Ok(()) => {
+                    let dims = slots.iter().zip(&mut self.seen).zip(&mut block.first);
+                    for ((&ord, seen), first) in dims {
+                        if !std::mem::replace(&mut seen[ord as usize], true) {
+                            first.push(ord);
+                        }
+                    }
                     if kept < f {
                         block.rows.move_row(f, kept);
                     }
@@ -281,17 +305,70 @@ impl FactorizedScan {
     }
 }
 
-/// The error of a dimension whose windows hold more rows than `u32` counts.
-fn ordinal_overflow(dim: &RelationHandle) -> StoreError {
-    StoreError::SchemaMismatch {
-        relation: dim.lock().name().to_string(),
-        detail: "tuples exceed the u32 ordinal range".to_string(),
+/// An `f64` arena with one fixed-width row per dimension-tuple ordinal, where
+/// a factorized consumer keeps what it computes or accumulates **per
+/// dimension tuple**.  Which rows are live is the scan's business
+/// ([`FactBlock::first_refs`], [`FactorizedScan::referenced`]).
+///
+/// Rows are stored in slabs of about 64 KiB, each allocated (zeroed) by the
+/// first [`row_mut`](Self::row_mut) into it.  One allocation per dimension
+/// would be simpler, but a multi-megabyte block cannot reuse the fragmented
+/// free memory that earlier fits in the process leave behind: the heap grows
+/// instead (the NN star trainer's 19 MB arena for a 24 000-tuple dimension
+/// raised peak RSS by 12 % on the `nn_mixed_star` benchmark workload);
+/// slab-sized pieces can.
+#[derive(Debug)]
+pub struct OrdinalArena {
+    slabs: Vec<Vec<f64>>,
+    width: usize,
+    /// `log2` of the rows per slab.
+    shift: u32,
+}
+
+/// Target slab size of an [`OrdinalArena`], in `f64` values (64 KiB).
+const SLAB_VALUES: usize = 8192;
+
+impl OrdinalArena {
+    /// An empty arena of `width` values per ordinal.
+    pub fn new(width: usize) -> Self {
+        Self {
+            slabs: Vec::new(),
+            width,
+            shift: (SLAB_VALUES / width.max(1)).max(1).ilog2(),
+        }
+    }
+
+    /// Where row `ord` sits: `(slab, offset within it)`.
+    fn locate(&self, ord: u32) -> (usize, usize) {
+        let ord = ord as usize;
+        let in_slab = ord & ((1 << self.shift) - 1);
+        (ord >> self.shift, in_slab * self.width)
+    }
+
+    /// Row `ord`, which must have been written.
+    pub fn row(&self, ord: u32) -> &[f64] {
+        let (slab, at) = self.locate(ord);
+        &self.slabs[slab][at..at + self.width]
+    }
+
+    /// Row `ord`, mutably; allocates its slab on first use.
+    pub fn row_mut(&mut self, ord: u32) -> &mut [f64] {
+        let (slab, at) = self.locate(ord);
+        if slab >= self.slabs.len() {
+            self.slabs.resize_with(slab + 1, Vec::new);
+        }
+        let slab = &mut self.slabs[slab];
+        if slab.is_empty() {
+            slab.resize(self.width << self.shift, 0.0);
+        }
+        &mut slab[at..at + self.width]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StoreError;
     use crate::join::materialize_join;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
@@ -307,6 +384,11 @@ mod tests {
     /// `n_r` dimension tuples (two features, so a few hundred per page) and
     /// `n_s` fact tuples with `fk = key % n_r`.
     fn binary(n_r: u64, n_s: u64) -> (Database, JoinSpec) {
+        binary_with(n_r, n_s, |i| i % n_r)
+    }
+
+    /// As [`binary`], with fact `i` referencing dimension key `fk(i)`.
+    fn binary_with(n_r: u64, n_s: u64, fk: impl Fn(u64) -> u64) -> (Database, JoinSpec) {
         let db = Database::in_memory();
         let r = db.create_relation(Schema::dimension("R", 2)).unwrap();
         let s = db.create_relation(Schema::fact("S", 1, 1)).unwrap();
@@ -317,7 +399,7 @@ mod tests {
         }
         for i in 0..n_s {
             s.lock()
-                .append(&Tuple::fact(i, vec![i % n_r], vec![i as f64]))
+                .append(&Tuple::fact(i, vec![fk(i)], vec![i as f64]))
                 .unwrap();
         }
         r.lock().flush().unwrap();
@@ -341,13 +423,13 @@ mod tests {
         db.relation(name).unwrap().lock().num_pages()
     }
 
-    /// Runs one pass, returning `(window, ordinal base, fact key, dimension key)`
-    /// per fact handed out.
+    /// Runs one pass, returning `(window, fact key, dimension key)` per fact
+    /// handed out.
     fn pass(
         db: &Database,
         spec: &JoinSpec,
         block_pages: usize,
-    ) -> StoreResult<Vec<(usize, u32, u64, u64)>> {
+    ) -> StoreResult<Vec<(usize, u64, u64)>> {
         let mut scan = FactorizedScan::new(db, spec, block_pages)?;
         let mut out = Vec::new();
         let mut window = 0;
@@ -356,7 +438,7 @@ mod tests {
                 let block = scan.block();
                 for f in 0..block.len() {
                     let dim = scan.cache().key(0, block.ords_of(f)[0]);
-                    out.push((window, scan.ordinal_base(0), block.rows().keys()[f], dim));
+                    out.push((window, block.rows().keys()[f], dim));
                 }
             }
             window += 1;
@@ -375,34 +457,168 @@ mod tests {
         assert_eq!(reads, r_pages + r_pages * s_pages);
 
         assert_eq!(rows.len(), 2400);
-        let keys: HashSet<u64> = rows.iter().map(|r| r.2).collect();
+        let keys: HashSet<u64> = rows.iter().map(|r| r.1).collect();
         assert_eq!(keys.len(), 2400);
-        assert!(rows.iter().all(|&(_, _, fact, dim)| dim == fact % 1200));
-        // four windows, visited in order, each with the tuples before it as base
+        assert!(rows.iter().all(|&(_, fact, dim)| dim == fact % 1200));
+        // four windows, visited in order, each holding its own part of R
         let windows: Vec<usize> = rows.iter().map(|r| r.0).collect();
         assert!(windows.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(windows.last(), Some(&3));
-        let mut seen = 0;
+        let mut seen = HashSet::new();
         for w in 0..4 {
-            let in_window: HashSet<u64> = rows.iter().filter(|r| r.0 == w).map(|r| r.3).collect();
-            assert!(rows.iter().filter(|r| r.0 == w).all(|r| r.1 == seen));
-            seen += in_window.len() as u32;
+            let in_window: HashSet<u64> = rows.iter().filter(|r| r.0 == w).map(|r| r.2).collect();
+            assert!(in_window.iter().all(|&dim| seen.insert(dim)));
         }
-        assert_eq!(seen, 1200);
+        assert_eq!(seen.len(), 1200);
 
         // R resident at once: one window, |R| + |S| reads, the same rows
         db.stats().reset();
         let one = pass(&db, &spec, 4).unwrap();
         assert_eq!(db.stats().snapshot().pages_read as usize, r_pages + s_pages);
-        assert!(one.iter().all(|r| r.0 == 0 && r.1 == 0));
+        assert!(one.iter().all(|r| r.0 == 0));
         let sorted = |mut v: Vec<(u64, u64)>| {
             v.sort_unstable();
             v
         };
         assert_eq!(
-            sorted(one.iter().map(|r| (r.2, r.3)).collect()),
-            sorted(rows.iter().map(|r| (r.2, r.3)).collect())
+            sorted(one.iter().map(|r| (r.1, r.2)).collect()),
+            sorted(rows.iter().map(|r| (r.1, r.2)).collect())
         );
+    }
+
+    /// Runs one pass, checking each block's first references against the
+    /// ones recomputed from the ordinals it hands out — new to the window,
+    /// each once, in first-fact order — and each window's referenced
+    /// ordinals against the union of its blocks' lists.  Returns, per window
+    /// and dimension, the keys of the referenced tuples.
+    fn first_refs_per_window(
+        db: &Database,
+        spec: &JoinSpec,
+        block_pages: usize,
+    ) -> Vec<Vec<Vec<u64>>> {
+        let q = spec.num_dimensions();
+        let mut scan = FactorizedScan::new(db, spec, block_pages).unwrap();
+        let mut windows = Vec::new();
+        while scan.next_window().unwrap() {
+            let w = windows.len();
+            for i in 0..q {
+                assert_eq!(scan.referenced(i).count(), 0, "window {w} starts afresh");
+            }
+            let mut union: Vec<HashSet<u32>> = vec![HashSet::new(); q];
+            let mut blocks = 0;
+            while scan.next_block().unwrap() {
+                let block = scan.block();
+                for (i, union) in union.iter_mut().enumerate() {
+                    let mut want = Vec::new();
+                    for f in 0..block.len() {
+                        let ord = block.ords_of(f)[i];
+                        if !union.contains(&ord) && !want.contains(&ord) {
+                            want.push(ord);
+                        }
+                    }
+                    let got = block.first_refs(i);
+                    assert_eq!(got, want, "window {w}, block {blocks}, dimension {i}");
+                    // disjoint from every earlier block's list
+                    assert!(got.iter().all(|&ord| union.insert(ord)));
+                }
+                blocks += 1;
+            }
+            assert!(blocks > 1, "several blocks per window");
+            let mut keys = Vec::new();
+            for (i, union) in union.iter().enumerate() {
+                let referenced: Vec<u32> = scan.referenced(i).collect();
+                assert!(referenced.windows(2).all(|p| p[0] < p[1]), "ascending");
+                let mut union: Vec<u32> = union.iter().copied().collect();
+                union.sort_unstable();
+                assert_eq!(referenced, union, "window {w}, dimension {i}");
+                keys.push(referenced.iter().map(|&o| scan.cache().key(i, o)).collect());
+            }
+            windows.push(keys);
+        }
+        windows
+    }
+
+    #[test]
+    fn first_references_partition_each_windows_referenced_tuples() {
+        // multi-window binary: only even keys are referenced, and each block
+        // skips the facts whose key sits in another window
+        let (db, spec) = binary_with(1200, 2400, |i| (2 * i) % 1200);
+        assert_eq!(pages(&db, "R"), 4);
+        let windows = first_refs_per_window(&db, &spec, 1);
+        assert_eq!(windows.len(), 4);
+        let mut keys: Vec<u64> = windows.iter().flat_map(|w| w[0].clone()).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..1200).step_by(2).collect::<Vec<u64>>());
+        assert!(
+            windows.iter().all(|w| w[0].len() < 200),
+            "odd keys stay unmarked"
+        );
+
+        // star: one window; 10 of 40 and 5 of 7 tuples referenced
+        let db = Database::in_memory();
+        let d1 = db.create_relation(Schema::dimension("d1", 1)).unwrap();
+        let d2 = db.create_relation(Schema::dimension("d2", 2)).unwrap();
+        let f = db.create_relation(Schema::fact("f", 1, 2)).unwrap();
+        for k in 0..40u64 {
+            d1.lock().append(&Tuple::dimension(k, vec![1.0])).unwrap();
+        }
+        for k in 0..7u64 {
+            d2.lock()
+                .append(&Tuple::dimension(k, vec![1.0, 2.0]))
+                .unwrap();
+        }
+        for i in 0..2000u64 {
+            let fact = Tuple::fact(i, vec![(3 * i) % 30, (i / 3) % 5], vec![0.0]);
+            f.lock().append(&fact).unwrap();
+        }
+        for rel in [&d1, &d2, &f] {
+            rel.lock().flush().unwrap();
+        }
+        let star = JoinSpec::multiway("f", vec!["d1".into(), "d2".into()]);
+        let windows = first_refs_per_window(&db, &star, 1);
+        assert_eq!(windows.len(), 1);
+        let sorted = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            sorted(windows[0][0].clone()),
+            (0..30).step_by(3).collect::<Vec<u64>>()
+        );
+        assert_eq!(sorted(windows[0][1].clone()), (0..5).collect::<Vec<u64>>());
+
+        // q = 0: nothing resident, nothing to reference
+        let t = db.create_relation(Schema::fact("t", 1, 0)).unwrap();
+        for i in 0..2000u64 {
+            t.lock().append(&Tuple::fact(i, vec![], vec![0.0])).unwrap();
+        }
+        t.lock().flush().unwrap();
+        let windows = first_refs_per_window(&db, &JoinSpec::multiway("t", vec![]), 1);
+        assert_eq!(windows, vec![Vec::<Vec<u64>>::new()]);
+    }
+
+    #[test]
+    fn arena_rows_sit_in_slabs_allocated_on_first_write() {
+        let mut arena = OrdinalArena::new(2);
+        // rows on either side of a slab boundary do not alias
+        let edge = (SLAB_VALUES / 2) as u32;
+        arena.row_mut(edge - 1).copy_from_slice(&[5.0, 6.0]);
+        arena.row_mut(edge).copy_from_slice(&[7.0, 8.0]);
+        assert_eq!(arena.row(edge - 1), &[5.0, 6.0]);
+        assert_eq!(arena.row(edge), &[7.0, 8.0]);
+        // a slab is allocated once, zeroed, by the first write into it
+        assert_eq!(arena.slabs.len(), 2);
+        assert!(arena.slabs[0].len() == SLAB_VALUES && arena.slabs[1].len() == SLAB_VALUES);
+        assert_eq!(arena.row(0), &[0.0, 0.0]);
+        arena.row_mut(3 * edge).fill(1.0);
+        assert_eq!(arena.slabs.len(), 4);
+        assert!(
+            arena.slabs[2].is_empty(),
+            "slabs nobody writes stay unallocated"
+        );
+        // a row keeps what was last written to it
+        arena.row_mut(edge)[1] = 9.0;
+        assert_eq!(arena.row(edge), &[7.0, 9.0]);
     }
 
     #[test]

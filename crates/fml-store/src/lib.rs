@@ -67,6 +67,7 @@ pub mod tuple;
 
 pub use catalog::Database;
 pub use error::{StoreError, StoreResult};
+pub use factorized_scan::OrdinalArena;
 pub use join::JoinSpec;
 pub use relation::Relation;
 pub use schema::{FeatureGroup, RowKind, Schema};
