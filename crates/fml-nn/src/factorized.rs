@@ -37,10 +37,10 @@
 //! epoch, so no bit depends on when), and at the end of a window the
 //! dimension blocks of the gradient are folded in over the referenced
 //! tuples.  Both per-tuple quantities live in one flat [`OrdinalArena`] row
-//! per dimension tuple, `[W¹_{R_i}·x_{R_i} | Σ δ¹]`.
-//! A star is one window; a binary join whose
-//! `R` spans several `block_pages` windows pays the dimension-side work once
-//! per tuple all the same, and reads exactly the pages `S-NN` reads.
+//! per dimension tuple, `[W¹_{R_i}·x_{R_i} | Σ δ¹]`.  A star is one window;
+//! a binary join whose `R` spans several `block_pages` windows pays the
+//! dimension-side work once per tuple all the same, and reads exactly the
+//! pages `S-NN` reads.
 //!
 //! **Sparse tuples** ([`fml_linalg::SparseMode::Auto`]).  A tuple comes out
 //! of the scan in the form its relation stores it (one-hot / weighted CSR /
