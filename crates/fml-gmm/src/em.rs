@@ -3,7 +3,7 @@
 //!
 //! `M-GMM` and `S-GMM` differ only in *where* the denormalized feature vectors come
 //! from (a materialized table vs an on-the-fly join); the EM computation itself is
-//! identical.  [`train_dense`] implements that computation once, against the
+//! identical.  [`train_dense_from`] implements that computation once, against the
 //! [`DensePassSource`] abstraction: a data source that can replay the same sequence
 //! of joined feature vectors once per pass.
 //!
@@ -29,17 +29,18 @@
 //!
 //! **Execution shape.**  The source is a sequential callback scan; the pass
 //! buffers its dense rows into batches of [`PAR_BATCH_TUPLES`] rows, and a
-//! batch fans out over per-worker chunks whose partial statistics merge in
-//! chunk order (one chunk under a sequential policy or a small model).  A
-//! chunk's rows form a panel and run one level-3 kernel call **per
-//! component**, not per row:
+//! batch fans out over per-worker row bands whose partial statistics merge in
+//! band order (one band under a sequential policy or a small model).  A
+//! band's rows form a panel and run one level-3 kernel call **per
+//! component**, not per row.  The bands' statistics and panels are scratch
+//! allocated once per fit, so a batch allocates nothing:
 //!
 //! * E-step: centre the panel around `µ_c`, whiten it —
 //!   `Y = (X − 1µ_cᵀ)·L_c⁻ᵀ` with [`gemm::matmul_upper_acc_with`] and the
 //!   whitener of the same (possibly ridge-repaired) Cholesky factor
 //!   [`Precomputed::from_model`] inverts — and the Mahalanobis distance of
 //!   row `r` is `‖Y_r‖²`, non-negative by construction.  The responsibilities
-//!   are finished in place in a chunk-local `rows × K` band.
+//!   are finished in place in the band's rows of a `rows × K` buffer.
 //! * Statistics: centre the panel around `µ_c` again (an `O(n·d)` copy next
 //!   to the `O(n·d²)` product; `K` centred panels are never held at once),
 //!   then one weighted SYRK ([`gemm::syrk_upper_acc_with`]) with `γ_c` read
@@ -60,7 +61,7 @@
 //! are zero-padded, every row runs the same micro-kernel); the scatter sums
 //! rows in `KC`-deep blocks per batch, so its bits depend on the batch
 //! boundaries — which are a function of the row order alone — and on the
-//! worker count (chunk-order merge).  Under
+//! worker count (band-order merge).  Under
 //! [`fml_linalg::KernelPolicy::Naive`] the two kernels are their strictly
 //! sequential per-row reference loops (the whitened form one row at a time;
 //! GER order on the upper triangle): the oracle the blocked form is
@@ -72,19 +73,18 @@
 //! scorer evaluate; the three strategies agree to rounding, as they always
 //! have (objective within 1e-6).
 
-use crate::init::GmmInit;
 use crate::model::{GmmModel, Precomputed};
 use crate::sparse::SparseFormPre;
 use crate::GmmConfig;
 use fml_linalg::exec::{ExecPolicy, FitNotifier, IoProbe};
-use fml_linalg::policy::par_chunks_with_threads;
+use fml_linalg::policy::par_row_bands_with_threads;
 use fml_linalg::{gemm, vector, BlockVec, Matrix, SparseMode, Vector};
 use fml_store::join::RowSource;
 use fml_store::{StoreError, StoreResult};
 use std::time::{Duration, Instant};
 
 /// Number of joined tuples buffered per parallel batch.  Each batch is split
-/// into per-thread chunks whose partial sufficient statistics merge in chunk
+/// into per-thread row bands whose partial sufficient statistics merge in band
 /// order, so the reduction tree is fixed for a given `(batch, thread count)`.
 pub const PAR_BATCH_TUPLES: usize = 1024;
 
@@ -219,8 +219,8 @@ pub fn finalize_m_step(
     GmmModel::new(weights, new_means, scatter)
 }
 
-/// One chunk's (or one pass's) sufficient statistics, centred on the
-/// iteration's starting means; chunks merge in chunk order.
+/// One band's (or one pass's) sufficient statistics, centred on the
+/// iteration's starting means; bands merge in band order.
 struct ShiftedStats {
     /// `Σγ` per component.
     nk: Vec<f64>,
@@ -243,6 +243,13 @@ impl ShiftedStats {
         }
     }
 
+    fn fill_zero(&mut self) {
+        self.nk.fill(0.0);
+        self.ll = 0.0;
+        self.shift.iter_mut().for_each(Vector::fill_zero);
+        self.scatter.iter_mut().for_each(Matrix::fill_zero);
+    }
+
     fn merge(&mut self, other: &ShiftedStats) {
         vector::axpy(1.0, &other.nk, &mut self.nk);
         self.ll += other.ll;
@@ -253,17 +260,14 @@ impl ShiftedStats {
     }
 }
 
-/// Trains a GMM with one-pass EM over a dense tuple source, initializing
-/// with the data-independent [`GmmInit::initial_model`]; a non-finite
-/// feature is reported against the relation name `"rows"`.
-pub fn train_dense(
-    source: &mut dyn DensePassSource,
-    config: &GmmConfig,
-    exec: &ExecPolicy,
-) -> StoreResult<GmmFit> {
-    let initial =
-        GmmInit::new(exec.resolve().seed, config.init_spread).initial_model(config.k, source.dim());
-    train_dense_from(source, "rows", config, exec, initial, None)
+/// One row band's share of a dense batch: its partial statistics and its
+/// centred and whitened panels, allocated once per fit and reused by every
+/// batch.
+struct BandScratch {
+    stats: ShiftedStats,
+    centered: Vec<f64>,
+    whitened: Vec<f64>,
+    quads: Vec<f64>,
 }
 
 /// Trains a GMM with one-pass EM over a dense tuple source — the rows of
@@ -304,7 +308,7 @@ pub fn train_dense_from(
     // Kernels are sequential; the parallelism lives at the tuple-batch
     // level.  Fanning out only pays when a batch carries enough flops to
     // amortize the pool dispatch, so tiny models — and every sequential
-    // policy — run each batch inline as one chunk.
+    // policy — run each batch inline as one band.
     let kp = ex.kernel_policy;
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);
@@ -312,6 +316,17 @@ pub fn train_dense_from(
     let full = d * PAR_BATCH_TUPLES;
     let mut batch: Vec<f64> = Vec::with_capacity(full);
     let mut resp = vec![0.0; k];
+    // A batch's responsibilities, one `k`-wide row per row of the batch,
+    // and each band's scratch.
+    let mut gammas = vec![0.0; k * PAR_BATCH_TUPLES];
+    let mut bands: Vec<BandScratch> = (0..workers)
+        .map(|_| BandScratch {
+            stats: ShiftedStats::zeros(k, d),
+            centered: Vec::new(),
+            whitened: Vec::new(),
+            quads: Vec::new(),
+        })
+        .collect();
 
     for _iter in 0..opts.max_iters {
         let pre = Precomputed::from_model(&model, opts.ridge);
@@ -326,49 +341,53 @@ pub fn train_dense_from(
             Vec::new()
         };
 
-        // A batch of dense rows fans out over deterministic chunks; a chunk
-        // finishes the responsibilities of its rows and accumulates their
-        // statistics around `pre.means`; the partials merge in chunk order.
-        let dense_batch = |rows: &[f64], stats: &mut ShiftedStats| {
-            let parts = par_chunks_with_threads(workers, rows.len() / d, 1, |range| {
-                let chunk = &rows[range.start * d..range.end * d];
-                let n = range.len();
-                let mut local = ShiftedStats::zeros(k, d);
-                // Per component: Y = (X − 1µᵀ)·L⁻ᵀ, then the Mahalanobis
-                // distance of row r is ‖Y_r‖².
-                let mut centered = vec![0.0; n * d];
-                let mut whitened = vec![0.0; n * d];
-                let mut quads = vec![0.0; n];
-                let mut band = vec![0.0; n * k];
-                for c in 0..k {
-                    center_rows(chunk, d, pre.means[c].as_slice(), &mut centered);
-                    whitened.fill(0.0);
-                    gemm::matmul_upper_acc_with(kp, &centered, &whiteners[c], &mut whitened);
-                    gemm::row_sq_norms_with(kp, &whitened, d, &mut quads);
-                    for (resp, &quad) in band.chunks_exact_mut(k).zip(quads.iter()) {
-                        resp[c] = pre.log_norm[c] - 0.5 * quad;
+        // A batch of dense rows fans out over deterministic row bands; a
+        // band finishes the responsibilities of its rows and accumulates
+        // their statistics around `pre.means`; the partials merge in band
+        // order.
+        let mut dense_batch = |rows: &[f64], stats: &mut ShiftedStats| {
+            let gammas = &mut gammas[..rows.len() / d * k];
+            let used =
+                par_row_bands_with_threads(workers, gammas, k, 1, &mut bands, |first, band, s| {
+                    let n = band.len() / k;
+                    let panel = &rows[first * d..(first + n) * d];
+                    let local = &mut s.stats;
+                    local.fill_zero();
+                    s.centered.resize(n * d, 0.0);
+                    s.whitened.resize(n * d, 0.0);
+                    s.quads.resize(n, 0.0);
+                    let (centered, whitened, quads) =
+                        (&mut s.centered, &mut s.whitened, &mut s.quads);
+                    // Per component: Y = (X − 1µᵀ)·L⁻ᵀ, then the Mahalanobis
+                    // distance of row r is ‖Y_r‖².
+                    for c in 0..k {
+                        center_rows(panel, d, pre.means[c].as_slice(), centered);
+                        whitened.fill(0.0);
+                        gemm::matmul_upper_acc_with(kp, centered, &whiteners[c], whitened);
+                        gemm::row_sq_norms_with(kp, whitened, d, quads);
+                        for (resp, &quad) in band.chunks_exact_mut(k).zip(quads.iter()) {
+                            resp[c] = pre.log_norm[c] - 0.5 * quad;
+                        }
                     }
-                }
-                for resp in band.chunks_exact_mut(k) {
-                    local.ll += pre.finish_responsibilities_in_place(resp);
-                    vector::axpy(1.0, resp, &mut local.nk);
-                }
-                // Per component: re-centre the panel, one weighted SYRK on
-                // the upper triangle and `s_c += Xᵀγ_c`, with γ_c = column c
-                // of the band, read at stride k.
-                for c in 0..k {
-                    center_rows(chunk, d, pre.means[c].as_slice(), &mut centered);
-                    let weights = &band[c..];
-                    gemm::syrk_upper_acc_with(kp, &centered, weights, k, &mut local.scatter[c]);
-                    let shift = local.shift[c].as_mut_slice();
-                    for (x, &g) in centered.chunks_exact(d).zip(weights.iter().step_by(k)) {
-                        vector::axpy(g, x, shift);
+                    for resp in band.chunks_exact_mut(k) {
+                        local.ll += pre.finish_responsibilities_in_place(resp);
+                        vector::axpy(1.0, resp, &mut local.nk);
                     }
-                }
-                local
-            });
-            for local in parts {
-                stats.merge(&local);
+                    // Per component: re-centre the panel, one weighted SYRK on
+                    // the upper triangle and `s_c += Xᵀγ_c`, with γ_c = column c
+                    // of the band, read at stride k.
+                    for c in 0..k {
+                        center_rows(panel, d, pre.means[c].as_slice(), centered);
+                        let weights = &band[c..];
+                        gemm::syrk_upper_acc_with(kp, centered, weights, k, &mut local.scatter[c]);
+                        let shift = local.shift[c].as_mut_slice();
+                        for (x, &g) in centered.chunks_exact(d).zip(weights.iter().step_by(k)) {
+                            vector::axpy(g, x, shift);
+                        }
+                    }
+                });
+            for band in &bands[..used] {
+                stats.merge(&band.stats);
             }
         };
 
@@ -459,25 +478,6 @@ pub fn train_dense_from(
     })
 }
 
-/// An in-memory dense source, useful for tests and for training over data that is
-/// already denormalized outside the storage engine.
-pub struct VecSource {
-    rows: Vec<Vec<f64>>,
-    dim: usize,
-}
-
-impl VecSource {
-    /// Creates a source over in-memory rows.
-    pub fn new(rows: Vec<Vec<f64>>) -> Self {
-        let dim = rows.first().map(|r| r.len()).unwrap_or(0);
-        assert!(
-            rows.iter().all(|r| r.len() == dim),
-            "VecSource: ragged rows"
-        );
-        Self { rows, dim }
-    }
-}
-
 /// The `M-GMM` / `S-GMM` source: the join's rows, from its materialized
 /// table or joined on the fly.
 impl DensePassSource for RowSource<'_> {
@@ -494,26 +494,33 @@ impl DensePassSource for RowSource<'_> {
     }
 }
 
-impl DensePassSource for VecSource {
-    fn for_each(&mut self, f: &mut dyn FnMut(BlockVec<'_>)) -> StoreResult<()> {
-        for r in &self.rows {
-            f(BlockVec::Dense(r));
-        }
-        Ok(())
-    }
-
-    fn num_tuples(&self) -> u64 {
-        self.rows.len() as u64
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::StreamingGmm;
+    use fml_linalg::KernelPolicy;
+    use fml_store::{Database, JoinSpec, Schema, Tuple};
+
+    /// A fact-only relation `rows` holding `rows`: the join `S-GMM` scans
+    /// as stored, the fact-only join `q = 0`.
+    fn stored(rows: &[Vec<f64>]) -> (Database, JoinSpec) {
+        let db = Database::in_memory();
+        let rel = db
+            .create_relation(Schema::fact("rows", rows[0].len(), 0))
+            .unwrap();
+        for (i, x) in rows.iter().enumerate() {
+            rel.lock()
+                .append(&Tuple::fact(i as u64, vec![], x.clone()))
+                .unwrap();
+        }
+        rel.lock().flush().unwrap();
+        (db, JoinSpec::multiway("rows", vec![]))
+    }
+
+    fn fit(rows: &[Vec<f64>], config: &GmmConfig, exec: &ExecPolicy) -> GmmFit {
+        let (db, spec) = stored(rows);
+        StreamingGmm::train(&db, &spec, config, exec).unwrap()
+    }
 
     fn two_blob_rows(n_per: usize) -> Vec<Vec<f64>> {
         // Deterministic, well separated pseudo-clusters around (0,0) and (10,10),
@@ -541,13 +548,12 @@ mod tests {
     #[test]
     fn em_separates_two_blobs() {
         let rows = two_blob_rows(200);
-        let mut source = VecSource::new(rows);
         let config = GmmConfig {
             k: 2,
             max_iters: 15,
             ..GmmConfig::default()
         };
-        let fit = train_dense(&mut source, &config, &ExecPolicy::new()).unwrap();
+        let fit = fit(&rows, &config, &ExecPolicy::new());
         assert_eq!(fit.iterations, 15);
         assert_eq!(fit.n_tuples, 400);
         // one mean near (0,0), one near (10,10)
@@ -562,13 +568,12 @@ mod tests {
     #[test]
     fn log_likelihood_is_monotone_nondecreasing() {
         let rows = two_blob_rows(100);
-        let mut source = VecSource::new(rows);
         let config = GmmConfig {
             k: 2,
             max_iters: 12,
             ..GmmConfig::default()
         };
-        let fit = train_dense(&mut source, &config, &ExecPolicy::new()).unwrap();
+        let fit = fit(&rows, &config, &ExecPolicy::new());
         for w in fit.log_likelihood.windows(2) {
             assert!(
                 w[1] >= w[0] - 1e-6,
@@ -582,14 +587,13 @@ mod tests {
     #[test]
     fn early_stopping_respects_tolerance() {
         let rows = two_blob_rows(100);
-        let mut source = VecSource::new(rows);
         let config = GmmConfig {
             k: 2,
             max_iters: 50,
             tol: 1e-3,
             ..GmmConfig::default()
         };
-        let fit = train_dense(&mut source, &config, &ExecPolicy::new()).unwrap();
+        let fit = fit(&rows, &config, &ExecPolicy::new());
         assert!(
             fit.iterations < 50,
             "should converge early, ran {}",
@@ -608,13 +612,12 @@ mod tests {
     #[test]
     fn weights_sum_to_one_and_covariances_are_spd() {
         let rows = two_blob_rows(150);
-        let mut source = VecSource::new(rows);
         let config = GmmConfig {
             k: 3,
             max_iters: 8,
             ..GmmConfig::default()
         };
-        let fit = train_dense(&mut source, &config, &ExecPolicy::new()).unwrap();
+        let fit = fit(&rows, &config, &ExecPolicy::new());
         let sum: f64 = fit.model.weights.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         for cov in &fit.model.covariances {
@@ -623,12 +626,6 @@ mod tests {
             assert!(fml_linalg::sym::is_symmetric(cov, 1e-9));
             assert!(cov.as_slice().iter().all(|v| v.is_finite()));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn vec_source_rejects_ragged_rows() {
-        VecSource::new(vec![vec![1.0], vec![1.0, 2.0]]);
     }
 
     #[test]
@@ -650,18 +647,16 @@ mod tests {
             max_iters: 2,
             ..GmmConfig::default()
         };
-        let blocked = train_dense(
-            &mut VecSource::new(rows.clone()),
+        let blocked = fit(
+            &rows,
             &base,
-            &ExecPolicy::new().kernel_policy(fml_linalg::KernelPolicy::Blocked),
-        )
-        .unwrap();
-        let parallel = train_dense(
-            &mut VecSource::new(rows),
-            &base,
-            &ExecPolicy::new().kernel_policy(fml_linalg::KernelPolicy::BlockedParallel),
-        )
-        .unwrap();
+            &ExecPolicy::new().kernel_policy(KernelPolicy::Blocked),
+        );
+        // four workers: a genuine four-band split on any machine
+        let exec = ExecPolicy::new()
+            .kernel_policy(KernelPolicy::BlockedParallel)
+            .threads(4);
+        let parallel = fit(&rows, &base, &exec);
         let diff = blocked.model.max_param_diff(&parallel.model);
         assert!(diff < 1e-7, "parallel EM diverged from blocked: {diff}");
     }

@@ -48,9 +48,10 @@
 //! **Execution shape.**  Per fact block a sequential sweep fills the arena
 //! rows of the block's first references — one [`EStep::fill_rows`] call
 //! per dimension, whose dense tuples run on level-3 kernels — the per-fact
-//! E-step fans out over fact chunks that read the arenas immutably, and the
-//! block's responsibilities are then accumulated in fact order; everything
-//! but the fan-out runs on the driving thread.
+//! E-step fans out over row bands of the block's facts that read the arenas
+//! immutably, each writing its facts' responsibilities into a per-fit
+//! buffer, and the block's responsibilities are then accumulated in fact
+//! order; everything but the fan-out runs on the driving thread.
 //!
 //! **Bit contract.**  The decomposition is exact — no approximation — so the
 //! model matches `M-GMM` / `S-GMM` up to floating-point rounding (objective
@@ -67,7 +68,7 @@ use crate::sparse::{SparseDiagAcc, SparseScatterAcc};
 use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
-use fml_linalg::policy::par_chunks_with_threads;
+use fml_linalg::policy::par_row_bands_with_threads;
 use fml_linalg::{vector, BlockVec, Matrix, Vector};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, JoinSpec, OrdinalArena, StoreError, StoreResult};
@@ -130,6 +131,10 @@ impl FactorizedGmm {
             .collect();
         let (mut pd_s, mut w_s) = (vec![0.0; k * d_s], vec![0.0; d_s]);
         let mut fill = FillScratch::default();
+        // Per fact of a block, its `k` responsibilities and its
+        // log-likelihood; per row band, its `PD_S` scratch.
+        let mut fact_rows: Vec<f64> = Vec::new();
+        let mut band_pd_s = vec![vec![0.0; k * d_s]; workers];
 
         for _iter in 0..config.max_iters {
             let estep = EStep::new(
@@ -169,72 +174,71 @@ impl FactorizedGmm {
                         estep.fill_rows(i, first, |o| cache.row(i, o), terms, &mut fill);
                         first.iter().for_each(|&ord| aggs.row_mut(ord).fill(0.0));
                     }
-                    // The per-fact evaluation fans out over chunks that read
-                    // the E-step rows immutably.
-                    let parts = par_chunks_with_threads(workers, block.len(), 1, |range| {
-                        let mut local_gammas = Vec::with_capacity(range.len() * k);
-                        let mut local_lls = Vec::with_capacity(range.len());
-                        let mut log_dens = vec![0.0; k];
-                        let mut pd_s = vec![0.0; k * d_s];
-                        for f in range {
-                            let ords = block.ords_of(f);
-                            let rows = |i: usize| terms[i].row(ords[i]);
-                            estep.log_densities(facts.row(f), rows, &mut pd_s, &mut log_dens);
-                            local_lls
-                                .push(estep.pre.finish_responsibilities_in_place(&mut log_dens));
-                            local_gammas.extend_from_slice(&log_dens);
-                        }
-                        (local_gammas, local_lls)
-                    });
+                    // The per-fact evaluation fans out over row bands that
+                    // read the E-step rows immutably.
+                    fact_rows.resize(block.len() * (k + 1), 0.0);
+                    par_row_bands_with_threads(
+                        workers,
+                        &mut fact_rows,
+                        k + 1,
+                        1,
+                        &mut band_pd_s,
+                        |first, band, pd_s| {
+                            for (row, f) in band.chunks_exact_mut(k + 1).zip(first..) {
+                                let ords = block.ords_of(f);
+                                let rows = |i: usize| terms[i].row(ords[i]);
+                                let (log_dens, ll) = row.split_at_mut(k);
+                                estep.log_densities(facts.row(f), rows, pd_s, log_dens);
+                                ll[0] = estep.pre.finish_responsibilities_in_place(log_dens);
+                            }
+                        },
+                    );
                     // Fact-order fold of the responsibilities and of the
                     // block's M-step remainder: the sums do not depend on how
-                    // the block was chunked, hence not on the worker count.
-                    let mut f = 0;
-                    for (local_gammas, local_lls) in parts {
-                        for (g, tuple_ll) in local_gammas.chunks_exact(k).zip(local_lls) {
-                            vector::axpy(1.0, g, &mut nk);
-                            ll += tuple_ll;
-                            let (x_s, ords) = (facts.row(f), block.ords_of(f));
-                            any_sparse_fact |= !x_s.is_dense();
-                            // fact-fact block, per fact; `pd_s` keeps
-                            // `PD_S` under every component
-                            for c in 0..k {
+                    // the block was banded, hence not on the worker count.
+                    for (f, out) in fact_rows.chunks_exact(k + 1).enumerate() {
+                        let (g, tuple_ll) = (&out[..k], out[k]);
+                        vector::axpy(1.0, g, &mut nk);
+                        ll += tuple_ll;
+                        let (x_s, ords) = (facts.row(f), block.ords_of(f));
+                        any_sparse_fact |= !x_s.is_dense();
+                        // fact-fact block, per fact; `pd_s` keeps
+                        // `PD_S` under every component
+                        for c in 0..k {
+                            match x_s {
+                                BlockVec::Dense(x) => {
+                                    let pd = &mut pd_s[c * d_s..(c + 1) * d_s];
+                                    vector::sub_into(x, &means_split[c][0], pd);
+                                    scatter[c].add_outer(0, 0, g[c], pd, pd);
+                                }
+                                rep => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
+                            }
+                        }
+                        for (i, lay) in layouts.iter().enumerate() {
+                            let row = aggs[i].row_mut(ords[i]);
+                            for (c, a) in row.chunks_exact_mut(lay.agg_len()).enumerate() {
+                                a[lay.agg_scalar()] += g[c];
+                                let sum_s = &mut a[lay.agg_fact()];
                                 match x_s {
-                                    BlockVec::Dense(x) => {
-                                        let pd = &mut pd_s[c * d_s..(c + 1) * d_s];
-                                        vector::sub_into(x, &means_split[c][0], pd);
-                                        scatter[c].add_outer(0, 0, g[c], pd, pd);
+                                    BlockVec::Dense(_) => {
+                                        vector::axpy(g[c], &pd_s[c * d_s..(c + 1) * d_s], sum_s)
                                     }
-                                    rep => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
-                                }
-                            }
-                            for (i, lay) in layouts.iter().enumerate() {
-                                let row = aggs[i].row_mut(ords[i]);
-                                for (c, a) in row.chunks_exact_mut(lay.agg_len()).enumerate() {
-                                    a[lay.agg_scalar()] += g[c];
-                                    let sum_s = &mut a[lay.agg_fact()];
-                                    match x_s {
-                                        BlockVec::Dense(_) => {
-                                            vector::axpy(g[c], &pd_s[c * d_s..(c + 1) * d_s], sum_s)
-                                        }
-                                        rep => {
-                                            rep.axpy_into(g[c], sum_s);
-                                            a[lay.agg_mu_dot()] += g[c];
-                                        }
-                                    }
-                                }
-                                // the wider side gathers `Σ γ·PD_n` per partner
-                                for &(n, off) in &lay.partners {
-                                    let ln = &layouts[n];
-                                    let sum_n = lay.agg_partner(off, ln);
-                                    let narrow = terms[n].row(ords[n]).chunks_exact(ln.len);
-                                    let wide = row.chunks_exact_mut(lay.agg_len());
-                                    for ((a, e_n), &gamma) in wide.zip(narrow).zip(g) {
-                                        vector::axpy(gamma, &e_n[ln.pd()], &mut a[sum_n.clone()]);
+                                    rep => {
+                                        rep.axpy_into(g[c], sum_s);
+                                        a[lay.agg_mu_dot()] += g[c];
                                     }
                                 }
                             }
-                            f += 1;
+                            // the wider side gathers `Σ γ·PD_n` per partner
+                            for &(n, off) in &lay.partners {
+                                let ln = &layouts[n];
+                                let sum_n = lay.agg_partner(off, ln);
+                                let narrow = terms[n].row(ords[n]).chunks_exact(ln.len);
+                                let wide = row.chunks_exact_mut(lay.agg_len());
+                                for ((a, e_n), &gamma) in wide.zip(narrow).zip(g) {
+                                    vector::axpy(gamma, &e_n[ln.pd()], &mut a[sum_n.clone()]);
+                                }
+                            }
                         }
                     }
                 }

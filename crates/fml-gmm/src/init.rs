@@ -1,12 +1,13 @@
-//! Data-independent GMM initialization.
+//! Order-independent GMM initialization.
 //!
 //! The three training variants visit tuples in different orders (materialized scan
 //! vs dimension-grouped scan), so an initializer that depended on "the first few
 //! tuples seen" would give them different starting points and make the
 //! model-equivalence guarantee meaningless.  [`GmmInit`] therefore derives the
-//! initial parameters only from `(K, d, seed)`: means are drawn from a seeded
-//! normal, covariances start as identity matrices, weights start uniform.  Every
-//! variant trained with the same configuration starts from bit-identical
+//! initial parameters only from `(K, seed)` and per-column statistics of the
+//! base relations: means are drawn from a seeded normal around the column
+//! means, covariances start as the diagonal variances, weights start uniform.
+//! Every variant trained with the same configuration starts from bit-identical
 //! parameters.
 
 use crate::model::GmmModel;
@@ -129,20 +130,6 @@ impl GmmInit {
         let covariances = (0..k).map(|_| Matrix::from_diag(var)).collect();
         GmmModel::new(weights, means, covariances)
     }
-
-    /// Produces a purely data-independent initial model for `k` components over
-    /// `d` features (unit covariances, means drawn around the origin).
-    pub fn initial_model(&self, k: usize, d: usize) -> GmmModel {
-        assert!(k > 0, "k must be positive");
-        assert!(d > 0, "d must be positive");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let weights = vec![1.0 / k as f64; k];
-        let means = (0..k)
-            .map(|_| Vector::from_vec((0..d).map(|_| normal(&mut rng, 0.0, self.spread)).collect()))
-            .collect();
-        let covariances = (0..k).map(|_| Matrix::identity(d)).collect();
-        GmmModel::new(weights, means, covariances)
-    }
 }
 
 impl Default for GmmInit {
@@ -158,10 +145,15 @@ impl Default for GmmInit {
 mod tests {
     use super::*;
 
+    /// The initial model over `d` columns of mean 0 and variance 1.
+    fn unit_model(init: GmmInit, k: usize, d: usize) -> GmmModel {
+        init.model_from_stats(k, &vec![0.0; d], &vec![1.0; d])
+    }
+
     #[test]
     fn initial_model_shape_and_weights() {
         let init = GmmInit::new(3, 2.0);
-        let m = init.initial_model(4, 6);
+        let m = unit_model(init, 4, 6);
         assert_eq!(m.k(), 4);
         assert_eq!(m.dim(), 6);
         assert!((m.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -171,21 +163,21 @@ mod tests {
 
     #[test]
     fn same_seed_gives_identical_models() {
-        let a = GmmInit::new(11, 4.0).initial_model(3, 5);
-        let b = GmmInit::new(11, 4.0).initial_model(3, 5);
+        let a = unit_model(GmmInit::new(11, 4.0), 3, 5);
+        let b = unit_model(GmmInit::new(11, 4.0), 3, 5);
         assert_eq!(a.max_param_diff(&b), 0.0);
     }
 
     #[test]
     fn different_seeds_give_different_means() {
-        let a = GmmInit::new(1, 4.0).initial_model(3, 5);
-        let b = GmmInit::new(2, 4.0).initial_model(3, 5);
+        let a = unit_model(GmmInit::new(1, 4.0), 3, 5);
+        let b = unit_model(GmmInit::new(2, 4.0), 3, 5);
         assert!(a.max_param_diff(&b) > 0.0);
     }
 
     #[test]
     fn means_are_distinct_across_components() {
-        let m = GmmInit::default().initial_model(5, 3);
+        let m = unit_model(GmmInit::default(), 5, 3);
         for i in 0..5 {
             for j in (i + 1)..5 {
                 assert!(

@@ -277,7 +277,7 @@ impl BlockScatter {
             (BlockVec::Dense(u), BlockVec::Dense(v)) => self.add_outer(i, j, alpha, u, v),
             (BlockVec::OneHot(idx), BlockVec::Dense(v)) => {
                 assert_eq!(v.len(), dj, "add_outer_rep: bad v length");
-                sparse::check_block_indices(idx, di, "add_outer_rep u");
+                sparse::check_indices(idx, di, "add_outer_rep u");
                 sparse::record_onehot_call();
                 for &bi in idx {
                     let row = &mut self.acc.row_mut(r0 + bi as usize)[c0..c0 + dj];
@@ -286,7 +286,7 @@ impl BlockScatter {
             }
             (BlockVec::Csr { idx, vals }, BlockVec::Dense(v)) => {
                 assert_eq!(v.len(), dj, "add_outer_rep: bad v length");
-                sparse::check_block_indices(idx, di, "add_outer_rep u");
+                sparse::check_indices(idx, di, "add_outer_rep u");
                 csr::record_csr_call();
                 for (&bi, &ui) in idx.iter().zip(vals.iter()) {
                     let row = &mut self.acc.row_mut(r0 + bi as usize)[c0..c0 + dj];
@@ -295,7 +295,7 @@ impl BlockScatter {
             }
             (BlockVec::Dense(u), BlockVec::OneHot(idx)) => {
                 assert_eq!(u.len(), di, "add_outer_rep: bad u length");
-                sparse::check_block_indices(idx, dj, "add_outer_rep v");
+                sparse::check_indices(idx, dj, "add_outer_rep v");
                 sparse::record_onehot_call();
                 for (bi, &ui) in u.iter().enumerate() {
                     let row = self.acc.row_mut(r0 + bi);
@@ -307,7 +307,7 @@ impl BlockScatter {
             }
             (BlockVec::Dense(u), BlockVec::Csr { idx, vals }) => {
                 assert_eq!(u.len(), di, "add_outer_rep: bad u length");
-                sparse::check_block_indices(idx, dj, "add_outer_rep v");
+                sparse::check_indices(idx, dj, "add_outer_rep v");
                 csr::record_csr_call();
                 for (bi, &ui) in u.iter().enumerate() {
                     let row = self.acc.row_mut(r0 + bi);
@@ -318,8 +318,8 @@ impl BlockScatter {
                 }
             }
             (BlockVec::OneHot(ridx), BlockVec::OneHot(cidx)) => {
-                sparse::check_block_indices(ridx, di, "add_outer_rep u");
-                sparse::check_block_indices(cidx, dj, "add_outer_rep v");
+                sparse::check_indices(ridx, di, "add_outer_rep u");
+                sparse::check_indices(cidx, dj, "add_outer_rep v");
                 sparse::record_onehot_call();
                 for &bi in ridx {
                     let row = self.acc.row_mut(r0 + bi as usize);
@@ -343,8 +343,8 @@ impl BlockScatter {
                     BlockVec::Csr { idx, vals } => (idx, Some(vals)),
                     BlockVec::Dense(_) => unreachable!("dense pairs handled above"),
                 };
-                sparse::check_block_indices(ridx, di, "add_outer_rep u");
-                sparse::check_block_indices(cidx, dj, "add_outer_rep v");
+                sparse::check_indices(ridx, di, "add_outer_rep u");
+                sparse::check_indices(cidx, dj, "add_outer_rep v");
                 csr::record_csr_call();
                 for (t, &bi) in ridx.iter().enumerate() {
                     let row = self.acc.row_mut(r0 + bi as usize);

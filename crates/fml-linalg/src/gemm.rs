@@ -467,6 +467,15 @@ impl Panels for GramPanels<'_> {
     }
 }
 
+thread_local! {
+    /// The packed `A` and `B` panels of [`blocked_product`], per thread: they
+    /// grow to the largest call's size once and are reused, so a kernel call
+    /// allocates nothing.  Every slot a tile reads is packed first.
+    static PACK: std::cell::RefCell<(Vec<f64>, Vec<f64>)> = const {
+        std::cell::RefCell::new((Vec::new(), Vec::new()))
+    };
+}
+
 /// Blocked `C += A · B` over depth `k` for the row-major `n`-column `C`.
 /// Per-element accumulation order depends only on the `(k, n)` tiling — never
 /// on a row's position in its panel or in the matrix — so a driver that
@@ -476,8 +485,16 @@ impl Panels for GramPanels<'_> {
 fn blocked_product<P: Panels>(p: &P, k: usize, n: usize, c: &mut [f64]) {
     let lv = simd::current_level();
     let m = c.len() / n;
-    let mut pa = vec![0.0f64; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
-    let mut pb = vec![0.0f64; KC.min(k) * NC.min(n.next_multiple_of(NR))];
+    let mut pack = PACK.with(|pack| pack.take());
+    let (pa, pb) = &mut pack;
+    pa.resize(
+        pa.len().max(MC.min(m.next_multiple_of(MR)) * KC.min(k)),
+        0.0,
+    );
+    pb.resize(
+        pb.len().max(KC.min(k) * NC.min(n.next_multiple_of(NR))),
+        0.0,
+    );
     let mut edge = [0.0f64; MR * NR];
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -527,6 +544,7 @@ fn blocked_product<P: Panels>(p: &P, k: usize, n: usize, c: &mut [f64]) {
             }
         }
     }
+    PACK.with(|slot| slot.replace(pack));
 }
 
 // ---------------------------------------------------------------------------
@@ -760,14 +778,20 @@ mod tests {
         let b = pseudo(k, n, 12);
         let single = matmul_with(KernelPolicy::Blocked, &a, &b);
         let mut banded = vec![0.0; m * n];
-        let bands =
-            policy::par_row_bands_map_with_threads(4, &mut banded, n, MR, |first_row, band| {
+        let bands = policy::par_row_bands_with_threads(
+            4,
+            &mut banded,
+            n,
+            MR,
+            &mut [(); 4],
+            |first_row, band, _| {
                 let rows = band.len() / n;
                 let a_band = a.sub_block(first_row, first_row + rows, 0, k);
                 let c_band = matmul_with(KernelPolicy::Blocked, &a_band, &b);
                 band.copy_from_slice(c_band.as_slice());
-            });
-        assert_eq!(bands.len(), 4, "the split must be genuine");
+            },
+        );
+        assert_eq!(bands, 4, "the split must be genuine");
         assert_eq!(single.as_slice(), &banded[..], "band split changed bits");
     }
 
@@ -952,10 +976,17 @@ mod tests {
         // a genuine 4-way row-band split of the batch, also on a 1-core
         // machine: one kernel call per band, as the dense trainer issues them
         let mut banded = vec![0.0; m * n];
-        policy::par_row_bands_map_with_threads(4, &mut banded, n, MR, |first_row, band| {
-            let rows = first_row * n..first_row * n + band.len();
-            matmul_upper_acc_with(KernelPolicy::Blocked, &a.as_slice()[rows], &u, band);
-        });
+        policy::par_row_bands_with_threads(
+            4,
+            &mut banded,
+            n,
+            MR,
+            &mut [(); 4],
+            |first_row, band, _| {
+                let rows = first_row * n..first_row * n + band.len();
+                matmul_upper_acc_with(KernelPolicy::Blocked, &a.as_slice()[rows], &u, band);
+            },
+        );
         assert_eq!(
             upper(KernelPolicy::Blocked),
             banded,

@@ -100,7 +100,7 @@ impl Matrix {
     }
 
     /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 

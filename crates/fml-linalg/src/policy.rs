@@ -17,7 +17,7 @@
 //! [`KernelPolicy::BlockedParallel`] is the blocked arithmetic — every kernel
 //! treats it exactly as `Blocked` — plus the **drivers'** chunk fan-out: the
 //! trainers and the scorer split their batches / fact blocks with
-//! [`par_chunks_with_threads`] / [`par_row_bands_map_with_threads`] over the
+//! [`par_chunks_with_threads`] / [`par_row_bands_with_threads`] over the
 //! persistent worker pool ([`crate::pool`]).  Chunk boundaries depend only on
 //! the problem shape and the worker count, and per-chunk results are merged
 //! **in chunk-index order** (a fixed-shape reduction tree), so a given
@@ -198,27 +198,16 @@ pub fn num_threads() -> usize {
 /// Deterministic chunk boundaries: splits `0..n` into at most `max_chunks`
 /// contiguous ranges of near-equal length, each a multiple of `align` except
 /// possibly the last.  Depends only on the arguments — never on scheduling.
-pub fn chunk_ranges(n: usize, max_chunks: usize, align: usize) -> Vec<Range<usize>> {
+pub(crate) fn chunk_ranges(
+    n: usize,
+    max_chunks: usize,
+    align: usize,
+) -> impl ExactSizeIterator<Item = Range<usize>> {
     let align = align.max(1);
-    if n == 0 || max_chunks <= 1 {
-        let mut whole = Vec::new();
-        if n > 0 {
-            whole.push(0..n);
-        }
-        return whole;
-    }
-    let aligned_units = n.div_ceil(align);
-    let chunks = max_chunks.min(aligned_units);
-    let units_per_chunk = aligned_units.div_ceil(chunks);
-    let step = units_per_chunk * align;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    while start < n {
-        let end = (start + step).min(n);
-        out.push(start..end);
-        start = end;
-    }
-    out
+    let units = n.div_ceil(align);
+    let chunks = max_chunks.clamp(1, units.max(1));
+    let step = (units.div_ceil(chunks) * align).max(1);
+    (0..n.div_ceil(step)).map(move |c| c * step..(c * step + step).min(n))
 }
 
 /// Runs `f` over deterministic chunks of `0..n` — on the persistent worker
@@ -238,7 +227,7 @@ where
 {
     let ranges = chunk_ranges(n, threads, align);
     if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
+        return ranges.map(f).collect();
     }
     // Each chunk writes its own slot, so the merge below is in chunk-index
     // order no matter which pool worker (or the caller, via help-first
@@ -262,58 +251,61 @@ where
 }
 
 /// Splits `data` into at most `threads` bands of whole `row_len`-element
-/// rows and runs `f(first_row_of_band, band_slice)` on each — on the pool
-/// when there is more than one band.  Each band writes its disjoint rows of
-/// `data` and yields a partial result, and the partials come back **in band
-/// order** — the [`par_chunks_with_threads`] merge contract and a row-band
-/// write contract in one fan-out.  The band boundaries are
-/// [`chunk_ranges`]`(rows, threads, align_rows)`, the same split
-/// `par_chunks_with_threads` makes of `0..rows`; each element of `data`
-/// belongs to exactly one band, so the result is independent of scheduling.
-pub fn par_row_bands_map_with_threads<T, F>(
+/// rows and runs `f(first_row_of_band, band_slice, &mut scratch[b])` on band
+/// `b` — on the pool when there is more than one band — and returns the
+/// number of bands.  Each band writes its disjoint rows of `data` and its
+/// own caller-owned scratch (per-band buffers and partial results, allocated
+/// once by the caller), which the caller merges **in band order** — the
+/// [`par_chunks_with_threads`] merge contract and a row-band write contract
+/// in one fan-out.  The band boundaries are those `par_chunks_with_threads`
+/// makes of `0..rows`; each element of `data` belongs to exactly one band,
+/// so the result is independent of scheduling.  One band allocates nothing.
+///
+/// # Panics
+/// When `data` is not whole rows, or `scratch` has fewer slots than bands.
+pub fn par_row_bands_with_threads<S, F>(
     threads: usize,
     data: &mut [f64],
     row_len: usize,
     align_rows: usize,
+    scratch: &mut [S],
     f: F,
-) -> Vec<T>
+) -> usize
 where
-    T: Send,
-    F: Fn(usize, &mut [f64]) -> T + Sync,
+    S: Send,
+    F: Fn(usize, &mut [f64], &mut S) + Sync,
 {
     if data.is_empty() {
-        return Vec::new();
+        return 0;
     }
     assert!(
         row_len > 0 && data.len().is_multiple_of(row_len),
         "par_row_bands: ragged data"
     );
-    let rows = data.len() / row_len;
-    let ranges = chunk_ranges(rows, threads, align_rows);
-    if ranges.len() <= 1 {
-        return vec![f(0, data)];
+    let ranges = chunk_ranges(data.len() / row_len, threads, align_rows);
+    let bands = ranges.len();
+    assert!(
+        scratch.len() >= bands,
+        "par_row_bands: {bands} bands, {} scratch slots",
+        scratch.len()
+    );
+    if bands == 1 {
+        f(0, data, &mut scratch[0]);
+        return 1;
     }
-    // Bands are disjoint `split_at_mut` slices, so the pool tasks never
-    // alias; determinism comes from the band boundaries alone, and each band
-    // fills its own slot, so the results are in band order whoever ran them.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(ranges.len());
-    slots.resize_with(ranges.len(), || None);
+    // Bands are disjoint `split_at_mut` slices and each task owns one
+    // scratch slot, so the pool tasks never alias; determinism comes from
+    // the band boundaries alone.
     let mut rest = data;
-    let mut tasks = Vec::with_capacity(ranges.len());
-    for (slot, range) in slots.iter_mut().zip(ranges) {
-        let band_len = (range.end - range.start) * row_len;
-        let (band, tail) = rest.split_at_mut(band_len);
+    let mut tasks = Vec::with_capacity(bands);
+    for (slot, range) in scratch.iter_mut().zip(ranges) {
+        let (band, tail) = rest.split_at_mut(range.len() * row_len);
         rest = tail;
         let f = &f;
-        let first_row = range.start;
-        tasks.push(move || *slot = Some(f(first_row, band)));
+        tasks.push(move || f(range.start, band, slot));
     }
-    debug_assert!(rest.is_empty());
     crate::pool::run(tasks);
-    slots
-        .into_iter()
-        .map(|s| s.expect("pool task completed"))
-        .collect()
+    bands
 }
 
 #[cfg(test)]
@@ -400,7 +392,7 @@ mod tests {
             let n = rng.range(0, 5000);
             let max_chunks = rng.range(1, 33);
             let align = rng.range(1, 65);
-            let ranges = chunk_ranges(n, max_chunks, align);
+            let ranges: Vec<_> = chunk_ranges(n, max_chunks, align).collect();
             // tiles 0..n exactly: contiguous, in order, non-empty
             let mut next = 0;
             for r in &ranges {
@@ -436,7 +428,7 @@ mod tests {
         for n in [0usize, 1, 7, 64, 1000] {
             for chunks in [1usize, 2, 3, 8] {
                 for align in [1usize, 4, 8] {
-                    let ranges = chunk_ranges(n, chunks, align);
+                    let ranges: Vec<_> = chunk_ranges(n, chunks, align).collect();
                     let mut next = 0;
                     for r in &ranges {
                         assert_eq!(r.start, next);
@@ -472,15 +464,28 @@ mod tests {
         let rows = 37;
         let cols = 5;
         let mut data = vec![0.0f64; rows * cols];
-        let bands = par_row_bands_map_with_threads(4, &mut data, cols, 4, |first_row, band| {
-            for (i, row) in band.chunks_exact_mut(cols).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (first_row + i) as f64;
+        let mut firsts = [usize::MAX; 5];
+        let bands = par_row_bands_with_threads(
+            4,
+            &mut data,
+            cols,
+            4,
+            &mut firsts,
+            |first_row, band, first| {
+                for (i, row) in band.chunks_exact_mut(cols).enumerate() {
+                    for v in row.iter_mut() {
+                        *v += (first_row + i) as f64;
+                    }
                 }
-            }
-            first_row
-        });
-        assert_eq!(bands, vec![0, 12, 24, 36], "partials arrive in band order");
+                *first = first_row;
+            },
+        );
+        assert_eq!(bands, 4);
+        assert_eq!(
+            firsts,
+            [0, 12, 24, 36, usize::MAX],
+            "band b fills scratch slot b"
+        );
         for (i, row) in data.chunks_exact(cols).enumerate() {
             assert!(row.iter().all(|&v| v == i as f64), "row {i} wrong: {row:?}");
         }

@@ -2,7 +2,7 @@
 //!
 //! Parallel regions come from the drivers only — the trainers' and the
 //! scorer's chunk loops, through [`crate::policy::par_chunks_with_threads`]
-//! and [`crate::policy::par_row_bands_map_with_threads`]; no kernel
+//! and [`crate::policy::par_row_bands_with_threads`]; no kernel
 //! dispatches here.  A region used to pay a fresh `std::thread::scope` —
 //! one OS thread spawn **per chunk per region** (~20–60 µs each).  The pool
 //! replaces that with a fixed set of long-lived workers and a
@@ -375,7 +375,7 @@ pub fn worker_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{par_chunks_with_threads, par_row_bands_map_with_threads};
+    use crate::policy::{par_chunks_with_threads, par_row_bands_with_threads};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Every task runs exactly once and borrowed results land in the right
@@ -433,7 +433,7 @@ mod tests {
         let outer = par_chunks_with_threads(4, 16, 1, |outer_range| {
             let inner: usize = par_chunks_with_threads(4, 16, 1, |inner_range| {
                 let mut data = vec![1.0f64; 32];
-                par_row_bands_map_with_threads(2, &mut data, 1, 1, |_, band| {
+                par_row_bands_with_threads(2, &mut data, 1, 1, &mut [(); 2], |_, band, _| {
                     for v in band.iter_mut() {
                         *v += 1.0;
                     }

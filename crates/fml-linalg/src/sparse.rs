@@ -387,24 +387,19 @@ pub fn quadratic_form_onehot_pair(rows_idx: &[u32], a: &Matrix, cols_idx: &[u32]
     acc
 }
 
+/// Bounds-checks a one-hot index set against a width (shared with the
+/// block-dispatch methods in [`crate::block`]).
+///
+/// # Panics
+/// Panics when any index is `>= bound`.
 #[inline]
-fn check_indices(idx: &[u32], bound: usize, what: &str) {
+pub(crate) fn check_indices(idx: &[u32], bound: usize, what: &str) {
     for &i in idx {
         assert!(
             (i as usize) < bound,
             "{what}: index {i} out of range for width {bound}"
         );
     }
-}
-
-/// Bounds-checks a one-hot index set against a block width (shared with the
-/// block-dispatch methods in [`crate::block`]).
-///
-/// # Panics
-/// Panics when any index is `>= bound`.
-#[inline]
-pub fn check_block_indices(idx: &[u32], bound: usize, what: &str) {
-    check_indices(idx, bound, what);
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ impl TestRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 

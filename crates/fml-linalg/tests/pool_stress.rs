@@ -13,7 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fml_linalg::policy::{par_chunks_with_threads, par_row_bands_map_with_threads};
+use fml_linalg::policy::{par_chunks_with_threads, par_row_bands_with_threads};
 
 /// Rounds per submitter thread — bounded so the whole test runs in well
 /// under a second without sanitizers.
@@ -98,13 +98,20 @@ fn disjoint_row_bands_never_alias_across_submitters() {
                 let mut data = vec![0.0f64; ROWS * ROW];
                 for round in 0..ROUNDS {
                     let stamp = (submitter * ROUNDS + round + 1) as f64;
-                    par_row_bands_map_with_threads(3, &mut data, ROW, 1, |first_row, band| {
-                        for (r, row) in band.chunks_mut(ROW).enumerate() {
-                            for v in row.iter_mut() {
-                                *v = stamp + (first_row + r) as f64;
+                    par_row_bands_with_threads(
+                        3,
+                        &mut data,
+                        ROW,
+                        1,
+                        &mut [(); 3],
+                        |first_row, band, _| {
+                            for (r, row) in band.chunks_mut(ROW).enumerate() {
+                                for v in row.iter_mut() {
+                                    *v = stamp + (first_row + r) as f64;
+                                }
                             }
-                        }
-                    });
+                        },
+                    );
                     // Every row was written by exactly the band that owns it.
                     for (r, row) in data.chunks(ROW).enumerate() {
                         let want = (stamp + r as f64).to_bits();

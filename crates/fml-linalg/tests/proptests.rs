@@ -19,7 +19,7 @@
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
 use fml_linalg::cholesky::Cholesky;
 use fml_linalg::csr::{self, CsrBlock};
-use fml_linalg::policy::{par_row_bands_map_with_threads, KernelPolicy};
+use fml_linalg::policy::{par_row_bands_with_threads, KernelPolicy};
 use fml_linalg::simd::{self, SimdLevel};
 use fml_linalg::sparse::{self, BlockVec};
 use fml_linalg::{approx_eq, gemm, Matrix, TEST_EPS};
@@ -156,10 +156,17 @@ fn upper_triangular_product_matches_naive_across_shapes() {
         // a forced 3-way row-band split — one kernel call per band, the way
         // the dense trainer fans a batch out — must not move a bit
         let mut banded = seed_c.clone();
-        par_row_bands_map_with_threads(3, &mut banded, n, gemm::MR, |first_row, band| {
-            let rows = first_row * n..first_row * n + band.len();
-            gemm::matmul_upper_acc_with(KernelPolicy::Blocked, &a[rows], &u, band);
-        });
+        par_row_bands_with_threads(
+            3,
+            &mut banded,
+            n,
+            gemm::MR,
+            &mut [(); 3],
+            |first_row, band, _| {
+                let rows = first_row * n..first_row * n + band.len();
+                gemm::matmul_upper_acc_with(KernelPolicy::Blocked, &a[rows], &u, band);
+            },
+        );
         assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
         assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
         same_bits_at_both_exact_levels("upper product", || run(KernelPolicy::Blocked));

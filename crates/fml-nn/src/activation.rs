@@ -23,6 +23,8 @@ impl Activation {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-a).exp()),
             Activation::Tanh => a.tanh(),
+            // `max` alone would turn NaN into 0: a NaN feature must score NaN.
+            Activation::Relu if a.is_nan() => a,
             Activation::Relu => a.max(0.0),
             Activation::Identity => a,
         }

@@ -897,3 +897,96 @@ fn gmm_scoring_defines_nan_and_inf_features_under_every_strategy() {
         }
     }
 }
+
+/// NN scoring over a NaN or infinite feature — in a fact, or in a dimension
+/// tuple a fact references — gives that row a defined score instead of a
+/// panic, with the same bits under M, S and F at 1 and 4 workers, and every
+/// other row keeps its clean score.  A NaN feature scores NaN under every
+/// activation.  An infinite one saturates the default sigmoid hidden layer,
+/// so the score is finite; under ReLU the infinities pass through the hidden
+/// layer, and on this model the output adds infinities of both signs: NaN.
+#[test]
+fn nn_scoring_defines_nan_and_inf_features_under_every_strategy() {
+    use fml_core::fml_store::Tuple;
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    // (case, the hostile fact's features, the dimension tuple it references)
+    type Case = (&'static str, [f64; 2], Option<[f64; 3]>);
+    let cases: [Case; 5] = [
+        ("NaN fact", [nan, 0.0], None),
+        ("+Inf fact", [inf, 0.0], None),
+        ("-Inf fact", [-inf, 0.0], None),
+        ("NaN referenced tuple", [0.0, 0.0], Some([0.5, nan, 0.5])),
+        ("Inf referenced tuple", [0.0, 0.0], Some([0.5, inf, 0.5])),
+    ];
+    for activation in [Activation::Sigmoid, Activation::Relu] {
+        for (case, fact_x, dim_x) in cases {
+            let w = SyntheticConfig {
+                n_s: 200,
+                n_r: 10,
+                d_s: 2,
+                d_r: 3,
+                k: 2,
+                noise_std: 0.7,
+                with_target: true,
+                seed: 5,
+            }
+            .generate()
+            .unwrap();
+            let session = Session::new(&w.db).join(&w.spec);
+            let nn = Nn::with_hidden(6).epochs(2).activation(activation);
+            let trained = session.fit(nn).unwrap();
+            let clean = nn_bits(&session.score(&trained).unwrap());
+            let fk = match dim_x {
+                Some(x) => {
+                    let dim = w.db.relation(&w.spec.dimensions[0]).unwrap();
+                    dim.lock()
+                        .append(&Tuple::dimension(1_000_000, x.to_vec()))
+                        .unwrap();
+                    dim.lock().flush().unwrap();
+                    1_000_000
+                }
+                None => 0,
+            };
+            let fact = w.db.relation(&w.spec.fact).unwrap();
+            fact.lock()
+                .append(&Tuple::fact_with_target(
+                    9_999_999,
+                    vec![fk],
+                    0.0,
+                    fact_x.to_vec(),
+                ))
+                .unwrap();
+            fact.lock().flush().unwrap();
+            let mut first: Option<Vec<(u64, u64)>> = None;
+            for algorithm in Algorithm::all() {
+                for threads in [1usize, 4] {
+                    let exec = ExecPolicy::new()
+                        .kernel_policy(KernelPolicy::BlockedParallel)
+                        .threads(threads);
+                    let what = format!("{activation:?}/{case}/{algorithm:?}/{threads}t");
+                    let bits = nn_bits(
+                        &session
+                            .clone()
+                            .exec(exec)
+                            .score_with(&trained, &Scoring::new().algorithm(algorithm))
+                            .unwrap(),
+                    );
+                    let (key, score) = bits[bits.len() - 1];
+                    let score = f64::from_bits(score);
+                    assert_eq!(key, 9_999_999, "{what}");
+                    let nan_feature = fact_x[0].is_nan() || dim_x.is_some_and(|x| x[1].is_nan());
+                    if nan_feature || activation == Activation::Relu {
+                        assert!(score.is_nan(), "{what}: {score}");
+                    } else {
+                        assert!(score.is_finite(), "{what}: {score}");
+                    }
+                    assert_eq!(bits[..bits.len() - 1], clean[..], "{what}: other rows");
+                    match &first {
+                        None => first = Some(bits),
+                        Some(first) => assert_eq!(&bits, first, "{what}: M ≡ S ≡ F"),
+                    }
+                }
+            }
+        }
+    }
+}

@@ -233,10 +233,15 @@ impl FactorizedScan {
             }
             return Ok(false);
         }
-        for (i, (window, seen)) in self.dim_windows.iter_mut().zip(&mut self.seen).enumerate() {
+        let dims = self.dim_windows.iter_mut().zip(&mut self.seen);
+        for (i, ((window, seen), first)) in dims.zip(&mut self.block.first).enumerate() {
             self.cache.load(i, window)?;
+            let len = self.cache.dim_len(i);
             seen.clear();
-            seen.resize(self.cache.dim_len(i), false);
+            seen.resize(len, false);
+            // A block references at most every resident tuple first.
+            first.clear();
+            first.reserve(len);
         }
         self.opened = true;
         self.facts = Some(BlockScan::new(self.fact.clone(), self.block_pages));
