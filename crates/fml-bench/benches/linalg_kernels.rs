@@ -7,21 +7,14 @@
 //! workspace root: a machine-readable trajectory of per-kernel timings and
 //! blocked speedups over the naive reference, so later PRs can track
 //! kernel regressions and wins, stamped with the `machine` it ran on (`nproc`,
-//! resolved threads, SIMD level, `rustc -V`).  Set `FML_BENCH_SMOKE=1` for a
+//! resolved threads, `rustc -V`).  Set `FML_BENCH_SMOKE=1` for a
 //! single-shot smoke run (CI) that still exercises every kernel/policy pair.
-//!
-//! Every row carries the SIMD level it ran at (`simd` field).  The main
-//! policy sweeps run at the process default (AVX2 `lanes` on capable hosts,
-//! `scalar` under `FML_SIMD=off`); [`bench_simd_levels`] and [`bench_dot`]
-//! additionally force each level per-thread so one run yields in-run
-//! scalar/lanes/fma comparisons (`speedup_vs_scalar`) that are robust to
-//! host-to-host noise — the CI SIMD guards consume those ratios.
 
 use fml_bench::timing::{measure_ns as measure, smoke};
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
 use fml_linalg::cholesky::Cholesky;
 use fml_linalg::policy::{num_threads, KernelPolicy};
-use fml_linalg::simd::{self, SimdLevel};
+use fml_linalg::simd;
 use fml_linalg::{gemm, vector, Matrix};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -30,15 +23,8 @@ struct BenchResult {
     kernel: String,
     size: String,
     policy: &'static str,
-    /// SIMD level the row ran at (`scalar` / `lanes` / `fma`).
-    simd: &'static str,
     mean_ns: f64,
     gflops: f64,
-}
-
-/// Label of the level the default sweeps run at on this host/process.
-fn default_simd() -> &'static str {
-    simd::current_level().label()
 }
 
 /// The two arithmetics a kernel has; what a fit executes under any policy.
@@ -69,7 +55,6 @@ fn bench_matmul(results: &mut Vec<BenchResult>) {
                 kernel: "matmul".into(),
                 size: format!("{n}x{n}x{n}"),
                 policy: policy.label(),
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -90,7 +75,6 @@ fn bench_matvec(results: &mut Vec<BenchResult>) {
                 kernel: "matvec".into(),
                 size: format!("{n}x{n}"),
                 policy: policy.label(),
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -111,7 +95,6 @@ fn bench_ger(results: &mut Vec<BenchResult>) {
                 kernel: "ger".into(),
                 size: format!("{n}x{n}"),
                 policy: policy.label(),
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -148,7 +131,6 @@ fn bench_quadratic_forms(results: &mut Vec<BenchResult>) {
                 kernel: "dense_quadratic_form".into(),
                 size: format!("dR{d_r}"),
                 policy: policy.label(),
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -163,7 +145,6 @@ fn bench_quadratic_forms(results: &mut Vec<BenchResult>) {
                 kernel: "factorized_per_tuple_part".into(),
                 size: format!("dR{d_r}"),
                 policy: policy.label(),
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -217,7 +198,6 @@ fn bench_gmm_batches(results: &mut Vec<BenchResult>) {
                 kernel: kernel.into(),
                 size: size.clone(),
                 policy,
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -304,7 +284,6 @@ fn bench_matvec_transposed(results: &mut Vec<BenchResult>) {
                 kernel: "matvec_t".into(),
                 size: format!("{n}x{n}"),
                 policy: policy.label(),
-                simd: default_simd(),
                 mean_ns,
                 gflops: flops / mean_ns,
             });
@@ -312,9 +291,9 @@ fn bench_matvec_transposed(results: &mut Vec<BenchResult>) {
     }
 }
 
-/// The raw dot-product primitive every blocked reduction kernel sits on, at
-/// every SIMD level.  `policy` is reported as `blocked` because `simd::dot`
-/// is exactly what the blocked kernels call per row.
+/// The raw dot-product primitive every reduction kernel sits on: the
+/// strictly sequential loop `Naive` runs ([`vector::dot`]) against the 4-lane
+/// [`simd::dot`] the blocked kernels call per row.
 fn bench_dot(results: &mut Vec<BenchResult>) {
     let sizes: &[usize] = if smoke() {
         &[64]
@@ -325,89 +304,21 @@ fn bench_dot(results: &mut Vec<BenchResult>) {
         let a = pseudo_vec(n, 11);
         let b = pseudo_vec(n, 12);
         let flops = 2.0 * n as f64;
-        for lv in SimdLevel::ALL {
+        for (policy, dot) in [
+            ("naive", vector::dot as fn(&[f64], &[f64]) -> f64),
+            ("blocked", simd::dot),
+        ] {
             let mean_ns = measure(|| {
-                std::hint::black_box(simd::dot(lv, &a, &b));
+                std::hint::black_box(dot(&a, &b));
             });
             results.push(BenchResult {
                 kernel: "dot".into(),
                 size: format!("{n}"),
-                policy: "blocked",
-                simd: lv.label(),
+                policy,
                 mean_ns,
                 gflops: flops / mean_ns,
             });
         }
-    }
-}
-
-/// The blocked kernels re-measured with each SIMD level forced per-thread:
-/// one run yields scalar/lanes/fma rows for the same binary on the same host,
-/// so the CI guards can assert in-run relative speedups instead of comparing
-/// absolute numbers across noisy runners.  On non-AVX2 hosts the forced
-/// levels degrade to the scalar fallback and all three rows coincide.
-fn bench_simd_levels(results: &mut Vec<BenchResult>) {
-    let (gemm_n, mv_n) = if smoke() { (64, 64) } else { (512, 2048) };
-
-    let a = pseudo_matrix(gemm_n, gemm_n, 13);
-    let b = pseudo_matrix(gemm_n, gemm_n, 14);
-    let mut c = Matrix::zeros(gemm_n, gemm_n);
-    let av = pseudo_matrix(mv_n, mv_n, 15);
-    let x = pseudo_vec(mv_n, 16);
-    let mut y = vec![0.0; mv_n];
-    let yv = pseudo_vec(mv_n, 17);
-    let mut g = Matrix::zeros(mv_n, mv_n);
-
-    for lv in SimdLevel::ALL {
-        simd::with_level(lv, || {
-            let flops = 2.0 * (gemm_n as f64).powi(3);
-            let mean_ns = measure(|| {
-                c.fill_zero();
-                gemm::matmul_acc_with(KernelPolicy::Blocked, a.as_slice(), &b, c.as_mut_slice());
-            });
-            results.push(BenchResult {
-                kernel: "matmul".into(),
-                size: format!("{gemm_n}x{gemm_n}x{gemm_n}"),
-                policy: "blocked",
-                simd: lv.label(),
-                mean_ns,
-                gflops: flops / mean_ns,
-            });
-
-            let flops = 2.0 * (mv_n as f64).powi(2);
-            let mean_ns =
-                measure(|| gemm::matvec_into_with(KernelPolicy::Blocked, &av, &x, &mut y));
-            results.push(BenchResult {
-                kernel: "matvec".into(),
-                size: format!("{mv_n}x{mv_n}"),
-                policy: "blocked",
-                simd: lv.label(),
-                mean_ns,
-                gflops: flops / mean_ns,
-            });
-
-            let mean_ns = measure(|| {
-                std::hint::black_box(gemm::matvec_transposed_with(KernelPolicy::Blocked, &av, &x));
-            });
-            results.push(BenchResult {
-                kernel: "matvec_t".into(),
-                size: format!("{mv_n}x{mv_n}"),
-                policy: "blocked",
-                simd: lv.label(),
-                mean_ns,
-                gflops: flops / mean_ns,
-            });
-
-            let mean_ns = measure(|| gemm::ger_with(KernelPolicy::Blocked, 0.5, &x, &yv, &mut g));
-            results.push(BenchResult {
-                kernel: "ger".into(),
-                size: format!("{mv_n}x{mv_n}"),
-                policy: "blocked",
-                simd: lv.label(),
-                mean_ns,
-                gflops: flops / mean_ns,
-            });
-        });
     }
 }
 
@@ -420,20 +331,6 @@ fn speedup_vs_naive(results: &[BenchResult], r: &BenchResult) -> Option<f64> {
             o.kernel == r.kernel && o.size == r.size && matches!(o.policy, "naive" | "per_row")
         })
         .map(|naive| naive.mean_ns / r.mean_ns)
-}
-
-/// In-run SIMD speedup: this row vs the forced-`scalar` row of the same
-/// kernel/size/policy (from [`bench_simd_levels`] / [`bench_dot`]).
-fn speedup_vs_scalar(results: &[BenchResult], r: &BenchResult) -> Option<f64> {
-    if r.simd == "scalar" {
-        return None;
-    }
-    results
-        .iter()
-        .find(|o| {
-            o.kernel == r.kernel && o.size == r.size && o.policy == r.policy && o.simd == "scalar"
-        })
-        .map(|sc| sc.mean_ns / r.mean_ns)
 }
 
 fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
@@ -455,9 +352,8 @@ fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
         .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
     let _ = writeln!(
         out,
-        "  \"machine\": {{\"nproc\": {nproc}, \"threads\": {}, \"simd\": \"{}\", \"rustc\": \"{rustc}\"}},",
-        num_threads(),
-        default_simd()
+        "  \"machine\": {{\"nproc\": {nproc}, \"threads\": {}, \"rustc\": \"{rustc}\"}},",
+        num_threads()
     );
     let _ = writeln!(
         out,
@@ -470,13 +366,10 @@ fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
         let speedup = speedup_vs_naive(results, r)
             .map(|s| format!("{s:.3}"))
             .unwrap_or_else(|| "null".into());
-        let simd_speedup = speedup_vs_scalar(results, r)
-            .map(|s| format!("{s:.3}"))
-            .unwrap_or_else(|| "null".into());
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"size\": \"{}\", \"policy\": \"{}\", \"simd\": \"{}\", \"mean_ns\": {:.1}, \"gflops\": {:.3}, \"speedup_vs_naive\": {}, \"speedup_vs_scalar\": {}}}{}",
-            r.kernel, r.size, r.policy, r.simd, r.mean_ns, r.gflops, speedup, simd_speedup, sep
+            "    {{\"kernel\": \"{}\", \"size\": \"{}\", \"policy\": \"{}\", \"mean_ns\": {:.1}, \"gflops\": {:.3}, \"speedup_vs_naive\": {}}}{}",
+            r.kernel, r.size, r.policy, r.mean_ns, r.gflops, speedup, sep
         );
     }
     out.push_str("  ]\n}\n");
@@ -493,29 +386,23 @@ fn main() {
     bench_quadratic_forms(&mut results);
     bench_gmm_batches(&mut results);
     bench_dot(&mut results);
-    bench_simd_levels(&mut results);
 
     println!(
-        "{:<26} {:>12} {:>10} {:>7} {:>12} {:>9} {:>9} {:>10}",
-        "kernel", "size", "policy", "simd", "mean", "GFLOP/s", "vs naive", "vs scalar"
+        "{:<26} {:>12} {:>10} {:>12} {:>9} {:>9}",
+        "kernel", "size", "policy", "mean", "GFLOP/s", "vs naive"
     );
     for r in &results {
         let speedup = speedup_vs_naive(&results, r)
             .map(|s| format!("{s:.2}x"))
             .unwrap_or_default();
-        let simd_speedup = speedup_vs_scalar(&results, r)
-            .map(|s| format!("{s:.2}x"))
-            .unwrap_or_default();
         println!(
-            "{:<26} {:>12} {:>10} {:>7} {:>9.3} ms {:>9.2} {:>9} {:>10}",
+            "{:<26} {:>12} {:>10} {:>9.3} ms {:>9.2} {:>9}",
             r.kernel,
             r.size,
             r.policy,
-            r.simd,
             r.mean_ns / 1e6,
             r.gflops,
-            speedup,
-            simd_speedup
+            speedup
         );
     }
 
@@ -529,12 +416,10 @@ fn main() {
     // BENCH_kernels.json and fails the build below 2×; locally this is
     // informational only.
     if !smoke() {
-        if let Some(r) = results.iter().find(|r| {
-            r.kernel == "matmul"
-                && r.size == "512x512x512"
-                && r.policy == "blocked"
-                && r.simd == default_simd()
-        }) {
+        if let Some(r) = results
+            .iter()
+            .find(|r| r.kernel == "matmul" && r.size == "512x512x512" && r.policy == "blocked")
+        {
             let speedup = speedup_vs_naive(&results, r).unwrap_or(0.0);
             println!("matmul 512^3 blocked speedup over naive: {speedup:.2}x");
         }
@@ -547,19 +432,6 @@ fn main() {
                     let s = speedup_vs_naive(&results, r).unwrap_or(0.0);
                     println!("{kernel} {size} batched speedup over the per-row loop: {s:.2}x");
                 }
-            }
-        }
-        for (kernel, size) in [
-            ("matmul", "512x512x512"),
-            ("matvec", "2048x2048"),
-            ("matvec_t", "2048x2048"),
-            ("ger", "2048x2048"),
-        ] {
-            if let Some(r) = results.iter().find(|r| {
-                r.kernel == kernel && r.size == size && r.policy == "blocked" && r.simd == "fma"
-            }) {
-                let s = speedup_vs_scalar(&results, r).unwrap_or(0.0);
-                println!("{kernel} {size} blocked fma speedup over forced-scalar: {s:.2}x");
             }
         }
     }

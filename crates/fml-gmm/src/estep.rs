@@ -409,7 +409,7 @@ mod tests {
     use super::*;
     use crate::model::GmmModel;
     use fml_linalg::testutil::TestRng;
-    use fml_linalg::{simd, SimdLevel, Vector};
+    use fml_linalg::Vector;
 
     /// A `k`-component model over `d` features with random means and
     /// well-conditioned full covariances `A·Aᵀ/d + I`.
@@ -492,7 +492,7 @@ mod tests {
 
     /// A tuple's row has the same bits whether `fill_rows` fills it alone or
     /// among `n` tuples of any mix of kinds — the panel cut moves no bit —
-    /// under both kernel arithmetics and at every SIMD level.
+    /// under both kernel arithmetics.
     #[test]
     fn fill_rows_gives_each_tuple_the_bits_of_a_single_tuple_call() {
         let mut rng = TestRng::new(43);
@@ -500,38 +500,33 @@ mod tests {
             let partition = BlockPartition::new(sizes);
             let pre = Precomputed::from_model(&model(&mut rng, 3, partition.total_dim()), 0.0);
             for kp in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-                for lv in SimdLevel::ALL {
-                    simd::with_level(lv, || {
-                        let estep = EStep::new(pre.clone(), &partition, SparseMode::Auto, kp);
-                        let mut fill = FillScratch::default();
-                        for i in 0..sizes.len() - 1 {
-                            let runs = [1, 3, 4, 5, 257, 600]
-                                .into_iter()
-                                .flat_map(|n| (0..4).map(move |kind| (n, kind)));
-                            for (n, kind) in runs {
-                                let xs: Vec<_> = (0..n)
-                                    .map(|r| block(&mut rng, sizes[i + 1], kind_of(kind, r)))
-                                    .collect();
-                                let tuple =
-                                    |o: u32| view(kind_of(kind, o as usize), &xs[o as usize]);
-                                let ords: Vec<u32> = (0..n as u32).collect();
-                                let mut batch = OrdinalArena::new(estep.row_len(i));
-                                estep.fill_rows(i, &ords, tuple, &mut batch, &mut fill);
-                                let mut single = OrdinalArena::new(estep.row_len(i));
-                                for o in ords {
-                                    // zeroed, as `batch` is: a sparse tuple of a
-                                    // binary join leaves its `pd` slot unwritten
-                                    single.row_mut(0).fill(0.0);
-                                    estep.fill_rows(i, &[0], |_| tuple(o), &mut single, &mut fill);
-                                    assert_eq!(
-                                        bits(single.row(0)),
-                                        bits(batch.row(o)),
-                                        "{sizes:?}/{kp:?}/{lv:?}/dim {i}/n {n}/kind {kind}/tuple {o}"
-                                    );
-                                }
-                            }
+                let estep = EStep::new(pre.clone(), &partition, SparseMode::Auto, kp);
+                let mut fill = FillScratch::default();
+                for i in 0..sizes.len() - 1 {
+                    let runs = [1, 3, 4, 5, 257, 600]
+                        .into_iter()
+                        .flat_map(|n| (0..4).map(move |kind| (n, kind)));
+                    for (n, kind) in runs {
+                        let xs: Vec<_> = (0..n)
+                            .map(|r| block(&mut rng, sizes[i + 1], kind_of(kind, r)))
+                            .collect();
+                        let tuple = |o: u32| view(kind_of(kind, o as usize), &xs[o as usize]);
+                        let ords: Vec<u32> = (0..n as u32).collect();
+                        let mut batch = OrdinalArena::new(estep.row_len(i));
+                        estep.fill_rows(i, &ords, tuple, &mut batch, &mut fill);
+                        let mut single = OrdinalArena::new(estep.row_len(i));
+                        for o in ords {
+                            // zeroed, as `batch` is: a sparse tuple of a
+                            // binary join leaves its `pd` slot unwritten
+                            single.row_mut(0).fill(0.0);
+                            estep.fill_rows(i, &[0], |_| tuple(o), &mut single, &mut fill);
+                            assert_eq!(
+                                bits(single.row(0)),
+                                bits(batch.row(o)),
+                                "{sizes:?}/{kp:?}/dim {i}/n {n}/kind {kind}/tuple {o}"
+                            );
                         }
-                    });
+                    }
                 }
             }
         }

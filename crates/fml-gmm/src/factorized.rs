@@ -135,6 +135,12 @@ impl FactorizedGmm {
         // log-likelihood; per row band, its `PD_S` scratch.
         let mut fact_rows: Vec<f64> = Vec::new();
         let mut band_pd_s = vec![vec![0.0; k * d_s]; workers];
+        // Per dimension and component, the sparse tuples' scatter sums of
+        // one window, reset before each window's dimension-side pass.
+        let mut sparse_accs: Vec<Vec<SparseScatterAcc>> = layouts
+            .iter()
+            .map(|lay| (0..k).map(|_| SparseScatterAcc::new(d_s, lay.d)).collect())
+            .collect();
 
         for _iter in 0..config.max_iters {
             let estep = EStep::new(
@@ -246,10 +252,9 @@ impl FactorizedGmm {
                 // Sparse tuples go through the sparse decomposition: raw-x
                 // scatters here, dense mean corrections once per (component,
                 // block) after the loop.
-                for (i, lay) in layouts.iter().enumerate() {
+                for ((i, lay), acc) in layouts.iter().enumerate().zip(&mut sparse_accs) {
                     let b = i + 1;
-                    let mut acc: Vec<SparseScatterAcc> =
-                        (0..k).map(|_| SparseScatterAcc::new(d_s, lay.d)).collect();
+                    acc.iter_mut().for_each(SparseScatterAcc::reset);
                     for ord in scan.referenced(i) {
                         let x = scan.cache().row(i, ord);
                         let rows = terms[i].row(ord).chunks_exact(lay.len);

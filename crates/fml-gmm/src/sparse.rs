@@ -110,6 +110,14 @@ impl SparseScatterAcc {
         }
     }
 
+    /// Zeroes the accumulator for the next window, keeping its buffers.
+    pub fn reset(&mut self) {
+        self.gx.fill(0.0);
+        self.w_total.fill(0.0);
+        self.gamma_total = 0.0;
+        self.touched = false;
+    }
+
     /// Records one dimension tuple that is sparse with representation `rep`,
     /// the responsibility mass `group_gamma` and the weighted fact sum
     /// `weighted_pd_s` of its facts: scatters the raw-`x` parts of the `(0,b)`,

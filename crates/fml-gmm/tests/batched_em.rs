@@ -737,7 +737,8 @@ fn the_shifted_m_step_cancels_to_the_squared_step_of_the_mean() {
         .map(|c| Vector::from_vec((0..d).map(|i| centre(c, i) + 30.0).collect()))
         .collect();
     for (mean, x) in means.iter().flat_map(|m| rows.iter().map(move |x| (m, x))) {
-        let dist = vector::norm2(&(0..d).map(|i| mean[i] - x[i]).collect::<Vec<_>>());
+        let diff: Vec<f64> = (0..d).map(|i| mean[i] - x[i]).collect();
+        let dist = vector::dot(&diff, &diff).sqrt();
         assert!(dist >= 50.0 * sigma, "an initial mean {dist} from a row");
     }
     let initial = GmmModel::new(vec![1.0 / k as f64; k], means, vec![Matrix::identity(d); k]);

@@ -25,7 +25,7 @@
 
 use crate::matrix::Matrix;
 use crate::policy::KernelPolicy;
-use crate::simd;
+use crate::{simd, vector};
 
 /// Total number of CSR kernel invocations in this process (monotonic) — the
 /// weighted-sparse counterpart of [`crate::sparse::onehot_kernel_calls`],
@@ -172,13 +172,12 @@ fn check_row(idx: &[u32], vals: &[f64], bound: usize, what: &str) {
 /// `x · v = Σ_t vals[t] · v[idx[t]]` — the weighted counterpart of
 /// [`crate::sparse::gather_sum`].
 ///
-/// Runs through [`simd::gather_dot`]: the bit-exact levels keep the strictly
-/// sequential accumulation the exactness contract requires; the opt-in FMA
-/// level vectorizes the gather (tolerance-equal).
+/// Runs through [`simd::gather_dot`], whose strictly sequential accumulation
+/// the exactness contract requires.
 #[inline]
 pub fn gather_dot(v: &[f64], idx: &[u32], vals: &[f64]) -> f64 {
     count_call();
-    simd::gather_dot(simd::current_level(), v, idx, vals)
+    simd::gather_dot(v, idx, vals)
 }
 
 /// `y = A · x` for sparse `x`: each output element sums its row's selected
@@ -187,9 +186,8 @@ pub fn gather_dot(v: &[f64], idx: &[u32], vals: &[f64]) -> f64 {
 pub fn matvec_csr_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
     check_row(idx, vals, a.cols(), "matvec_csr");
     count_call();
-    let lv = simd::current_level();
     (0..a.rows())
-        .map(|i| simd::gather_dot(lv, a.row(i), idx, vals))
+        .map(|i| simd::gather_dot(a.row(i), idx, vals))
         .collect()
 }
 
@@ -210,10 +208,9 @@ pub fn matvec_transposed_csr_into_with(
     );
     check_row(idx, vals, a.rows(), "matvec_transposed_csr");
     count_call();
-    let lv = simd::current_level();
     y.fill(0.0);
     for (&i, &w) in idx.iter().zip(vals.iter()) {
-        simd::axpy(lv, w, a.row(i as usize), y);
+        vector::axpy(w, a.row(i as usize), y);
     }
 }
 
@@ -233,11 +230,10 @@ pub fn spmm_csr_with(_policy: KernelPolicy, x: &CsrBlock, b: &Matrix, c: &mut Ma
     if x.rows() == 0 || n == 0 {
         return;
     }
-    let lv = simd::current_level();
     for (r, crow) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
         let (idx, vals) = x.row(r);
         for (&k, &w) in idx.iter().zip(vals.iter()) {
-            simd::axpy(lv, w, b.row(k as usize), crow);
+            vector::axpy(w, b.row(k as usize), crow);
         }
     }
 }
@@ -260,9 +256,8 @@ pub fn ger_csr_with(
     assert_eq!(a.cols(), y.len(), "ger_csr: col dimension mismatch");
     check_row(idx, vals, a.rows(), "ger_csr");
     count_call();
-    let lv = simd::current_level();
     for (&i, &w) in idx.iter().zip(vals.iter()) {
-        simd::axpy(lv, alpha * w, y, a.row_mut(i as usize));
+        vector::axpy(alpha * w, y, a.row_mut(i as usize));
     }
 }
 
@@ -290,12 +285,11 @@ pub fn scatter_csr_pair(
 }
 
 /// `x[idx[t]] += alpha · vals[t]` — AXPY with a sparse right-hand side.
-/// Runs through [`simd::scatter_axpy`] (scalar at the bit-exact levels, fused
-/// multiply-adds in FMA mode).
+/// Runs through [`simd::scatter_axpy`].
 pub fn axpy_csr(alpha: f64, idx: &[u32], vals: &[f64], x: &mut [f64]) {
     check_row(idx, vals, x.len(), "axpy_csr");
     count_call();
-    simd::scatter_axpy(simd::current_level(), alpha, idx, vals, x);
+    simd::scatter_axpy(alpha, idx, vals, x);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,13 +318,10 @@ pub fn quadratic_form_csr_pair(
         "quadratic_form_csr_pair cols",
     );
     count_call();
-    // The inner sum is itself a gather: `Σ_u A[i][j_u]·yvals[u]`.  Routing it
-    // through the SIMD layer keeps sequential bits at the exact levels and
-    // vectorizes the gather−µᵀw cross terms of the factorized GMM in FMA mode.
-    let lv = simd::current_level();
+    // The inner sum is itself a gather: `Σ_u A[i][j_u]·yvals[u]`, in order.
     let mut acc = 0.0;
     for (&i, &xi) in rows_idx.iter().zip(rows_vals.iter()) {
-        let inner = simd::gather_dot(lv, a.row(i as usize), cols_idx, cols_vals);
+        let inner = simd::gather_dot(a.row(i as usize), cols_idx, cols_vals);
         acc += xi * inner;
     }
     acc

@@ -24,11 +24,6 @@
 //! value and the fallback (see [`crate::policy`]); they never silently change
 //! the run.
 //!
-//! The SIMD level is deliberately **not** an [`ExecPolicy`] field: it never
-//! changes results at the bit-exact levels, so it stays a process-wide knob
-//! (`FML_SIMD=off|auto|fma`, resolved once in [`crate::simd`]) rather than a
-//! per-run execution parameter.
-//!
 //! ## Telemetry
 //!
 //! An [`ExecPolicy`] optionally carries a [`FitObserver`].  Every trainer

@@ -54,15 +54,12 @@
 //! Every entry point takes its policy explicitly; the training crates thread
 //! it through from their resolved [`crate::ExecPolicy`].
 //!
-//! ### SIMD
+//! ### Lanes
 //!
-//! The blocked inner loops (micro-kernel, dot products, row AXPYs) run
-//! through the explicit `f64x4` layer in [`crate::simd`] at the level
-//! [`crate::simd::current_level`] reports when the kernel is entered.  The
-//! default level is bit-identical to the scalar fallback, so the
-//! cross-policy contracts above are unaffected by SIMD being on or off; the
-//! `Naive` policy never routes through the SIMD layer at all — it stays the
-//! strictly sequential oracle.
+//! The blocked reductions (micro-kernel, dot products) run through the
+//! 4-lane scalar kernels in [`crate::simd`]; the `Naive` policy never does —
+//! it stays the strictly sequential oracle.  Row AXPYs (GER, transposed
+//! GEMV) are element-wise, so every policy runs [`vector::axpy`].
 
 use crate::matrix::Matrix;
 use crate::policy::KernelPolicy;
@@ -303,9 +300,8 @@ pub fn row_sq_norms_with(policy: KernelPolicy, y: &[f64], n: usize, out: &mut [f
             }
         }
         _ => {
-            let lv = simd::current_level();
             for (o, row) in out.iter_mut().zip(y.chunks_exact(n)) {
-                *o = simd::dot(lv, row, row);
+                *o = simd::dot(row, row);
             }
         }
     }
@@ -481,9 +477,8 @@ thread_local! {
 /// on a row's position in its panel or in the matrix — so a driver that
 /// splits a batch into row bands and calls the kernel once per band gets the
 /// bits of the single call.  The `MR×NR` micro-kernel is
-/// [`simd::microkernel`] at the level current on entry.
+/// [`simd::microkernel`].
 fn blocked_product<P: Panels>(p: &P, k: usize, n: usize, c: &mut [f64]) {
-    let lv = simd::current_level();
     let m = c.len() / n;
     let mut pack = PACK.with(|pack| pack.take());
     let (pa, pb) = &mut pack;
@@ -523,11 +518,11 @@ fn blocked_product<P: Panels>(p: &P, k: usize, n: usize, c: &mut [f64]) {
                         let cols = NR.min(n - j);
                         let straddles = P::UPPER_C && i + MR > j + 1;
                         if rows == MR && cols == NR && !straddles {
-                            simd::microkernel(lv, pa_panel, pb_panel, depth, c, n, i, j);
+                            simd::microkernel(pa_panel, pb_panel, depth, c, n, i, j);
                             continue;
                         }
                         edge.fill(0.0);
-                        simd::microkernel(lv, pa_panel, pb_panel, depth, &mut edge, NR, 0, 0);
+                        simd::microkernel(pa_panel, pb_panel, depth, &mut edge, NR, 0, 0);
                         for r in 0..rows {
                             let first = if P::UPPER_C {
                                 (i + r).saturating_sub(j).min(cols)
@@ -570,9 +565,8 @@ pub fn matvec_into_with(policy: KernelPolicy, a: &Matrix, x: &[f64], y: &mut [f6
             }
         }
         _ => {
-            let lv = simd::current_level();
             for (i, yi) in y.iter_mut().enumerate() {
-                *yi = simd::dot(lv, a.row(i), x);
+                *yi = simd::dot(a.row(i), x);
             }
         }
     }
@@ -587,7 +581,7 @@ pub fn matvec_transposed_with(policy: KernelPolicy, a: &Matrix, x: &[f64]) -> Ve
 
 /// `y = Aᵀ · x` into an existing buffer — one AXPY of `A`'s row `i` per entry
 /// of `x`, front to back; allocates nothing.
-pub fn matvec_transposed_into_with(policy: KernelPolicy, a: &Matrix, x: &[f64], y: &mut [f64]) {
+pub fn matvec_transposed_into_with(_policy: KernelPolicy, a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.rows(), x.len(), "matvec_transposed: dimension mismatch");
     let cols = a.cols();
     assert_eq!(
@@ -597,18 +591,9 @@ pub fn matvec_transposed_into_with(policy: KernelPolicy, a: &Matrix, x: &[f64], 
     );
     record_kernel(&GEMV_CALLS, 2 * a.rows() * cols);
     y.fill(0.0);
-    match policy {
-        KernelPolicy::Naive => {
-            for (i, &xi) in x.iter().enumerate() {
-                vector::axpy(xi, a.row(i), y);
-            }
-        }
-        _ => {
-            let lv = simd::current_level();
-            for (i, &xi) in x.iter().enumerate() {
-                simd::axpy(lv, xi, a.row(i), y);
-            }
-        }
+    // Element-wise AXPYs have no reduction order: one loop for every policy.
+    for (i, &xi) in x.iter().enumerate() {
+        vector::axpy(xi, a.row(i), y);
     }
 }
 
@@ -620,23 +605,14 @@ pub fn matvec_transposed_into_with(policy: KernelPolicy, a: &Matrix, x: &[f64], 
 ///
 /// Used to accumulate NN weight gradients `∂E/∂W += δ · xᵀ` and GMM scatter
 /// contributions `γ (x−µ)(x−µ)ᵀ`.
-pub fn ger_with(policy: KernelPolicy, alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
+pub fn ger_with(_policy: KernelPolicy, alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
     assert_eq!(a.rows(), x.len(), "ger: row dimension mismatch");
     assert_eq!(a.cols(), y.len(), "ger: col dimension mismatch");
     record_kernel(&GER_CALLS, 2 * x.len() * a.cols());
-    match policy {
-        KernelPolicy::Naive => {
-            // The reference path is branch-free: one AXPY per row.
-            for (i, &xi) in x.iter().enumerate() {
-                vector::axpy(alpha * xi, y, a.row_mut(i));
-            }
-        }
-        _ => {
-            let lv = simd::current_level();
-            for (i, &xi) in x.iter().enumerate() {
-                simd::axpy(lv, alpha * xi, y, a.row_mut(i));
-            }
-        }
+    // One branch-free AXPY per row under every policy: element-wise, so
+    // there is no reduction order for the policies to differ in.
+    for (i, &xi) in x.iter().enumerate() {
+        vector::axpy(alpha * xi, y, a.row_mut(i));
     }
 }
 
@@ -661,9 +637,8 @@ pub fn quadratic_form_with(policy: KernelPolicy, x: &[f64], a: &Matrix, y: &[f64
             }
         }
         _ => {
-            let lv = simd::current_level();
             for (i, &xi) in x.iter().enumerate() {
-                acc += xi * simd::dot(lv, a.row(i), y);
+                acc += xi * simd::dot(a.row(i), y);
             }
         }
     }
@@ -678,7 +653,6 @@ pub fn quadratic_form_sym_with(policy: KernelPolicy, x: &[f64], a: &Matrix) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::SimdLevel;
     use crate::{approx_eq, policy};
 
     fn m(rows: &[Vec<f64>]) -> Matrix {
@@ -957,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn structured_products_are_bit_identical_across_bands_and_simd_levels() {
+    fn structured_products_are_bit_identical_across_bands() {
         let (m, n) = (261usize, 85usize); // remainders on every axis
         let a = pseudo(m, n, 70);
         let u = upper_with_nan_below(n, 71);
@@ -1000,13 +974,6 @@ mod tests {
                 syrk(KernelPolicy::BlockedParallel)
             )
         );
-        let scalar = simd::with_level(SimdLevel::Scalar, || {
-            (upper(KernelPolicy::Blocked), syrk(KernelPolicy::Blocked))
-        });
-        let lanes = simd::with_level(SimdLevel::Lanes, || {
-            (upper(KernelPolicy::Blocked), syrk(KernelPolicy::Blocked))
-        });
-        assert_eq!(scalar, lanes, "SIMD off and lanes differ");
     }
 
     fn pseudo_weights(m: usize, salt: u64) -> Vec<f64> {

@@ -21,9 +21,8 @@
 //! * [`csr`] — general weighted-sparse kernels ([`CsrBlock`], `spmm_csr`,
 //!   CSR gathers/scatters/quadratic forms) for near-sparse numeric blocks;
 //!   same exactness contract as [`sparse`], with the multiplications kept.
-//! * [`simd`] — the explicit `f64x4` SIMD layer the blocked kernels run on:
-//!   AVX2/FMA micro-kernels with runtime dispatch ([`SimdLevel`]), a
-//!   bit-exact scalar fallback, and the `FML_SIMD` override.
+//! * [`simd`] — the 4-lane scalar kernels the blocked kernels run on (dot,
+//!   add, the GEMM micro-kernel, sparse gather / scatter).
 //! * [`sym`] — helpers for symmetric matrices (regularization, SPD checks).
 //! * [`exec`] — the model-independent [`ExecPolicy`] every trainer consumes
 //!   (kernel policy, sparse mode, block size, threads, seed, telemetry
@@ -38,7 +37,7 @@
 //! * `Naive` — the reference triple loops, strictly sequential accumulation.
 //! * `Blocked` — cache-tiled GEMM with packed panels and a register-blocked
 //!   `4×8` micro-kernel; 4-way unrolled reductions elsewhere.  ~3× faster than
-//!   `Naive` on a 512³ product on one AVX2 core (see `BENCH_kernels.json`).
+//!   `Naive` on a 512³ product on one core (see `BENCH_kernels.json`).
 //! * `BlockedParallel` — the same blocked kernels; what it adds is the
 //!   **drivers'** chunk fan-out (the trainers' per-batch / per-fact loops and
 //!   the scorer's per-block chunks) over the persistent worker pool
@@ -64,25 +63,19 @@
 //! [`ExecPolicy::resolve`] for runs that pin none).  `FML_THREADS` sets the
 //! drivers' default worker count and caps the pool.
 //!
-//! ## SIMD layer
+//! ## One arithmetic
 //!
-//! The blocked kernels' inner loops run through an explicit `f64x4` SIMD
-//! layer ([`simd`]): AVX2 lane primitives selected once at startup via
-//! runtime CPU detection, with a scalar fallback that emulates the 4-lane
-//! shape exactly.  The default mode is **bit-identical** to the scalar
-//! fallback (lane-wise multiply-then-add, fixed reduction tree — no FMA
-//! contraction), so every cross-policy contract above holds with SIMD on or
-//! off; `FML_SIMD=off` forces the fallback and `FML_SIMD=fma` opts into a
-//! fused-multiply-add fast mode that is tolerance-equal (≤ a few ULPs) to
-//! the oracle instead of bit-equal.
+//! The blocked kernels' inner loops run through [`simd`]: portable scalar
+//! code in 4-lane shape (four accumulators, multiply-then-add, the fixed
+//! reduction tree `(l0+l1)+(l2+l3)`) that the compiler maps onto the host's
+//! vector registers.  There is no runtime dispatch and no fused
+//! multiply-add, so a kernel has one result per input on every CPU.
 //!
-//! `unsafe` is denied crate-wide and allowed in exactly two leaf modules:
-//! [`simd`]'s intrinsics module, where every `std::arch` call sits behind a
-//! safe wrapper that re-verifies CPU support, and [`pool`]'s task-erasure
-//! module, where the borrowed-closure dispatch is made sound by the
-//! drain-before-return protocol documented there.  Everything else reaches
-//! vector ISA throughput through fixed-size array tiles that the compiler
-//! fully unrolls.
+//! `unsafe` is denied crate-wide and allowed in exactly one leaf module:
+//! [`pool`]'s task-erasure module, where the borrowed-closure dispatch is
+//! made sound by the drain-before-return protocol documented there.
+//! Everything else reaches vector ISA throughput through fixed-size array
+//! tiles that the compiler fully unrolls.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -112,7 +105,6 @@ pub use csr::CsrBlock;
 pub use exec::{ExecPolicy, ExecSettings, FitEvent, FitNotifier, FitObserver, TraceObserver};
 pub use matrix::Matrix;
 pub use policy::KernelPolicy;
-pub use simd::{SimdLevel, SimdMode};
 pub use sparse::{BlockVec, SparseMode};
 pub use vector::Vector;
 

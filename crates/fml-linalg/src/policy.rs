@@ -17,10 +17,10 @@
 //! [`KernelPolicy::BlockedParallel`] is the blocked arithmetic — every kernel
 //! treats it exactly as `Blocked` — plus the **drivers'** chunk fan-out: the
 //! trainers and the scorer split their batches / fact blocks with
-//! [`par_chunks_with_threads`] / [`par_row_bands_with_threads`] over the
-//! persistent worker pool ([`crate::pool`]).  Chunk boundaries depend only on
-//! the problem shape and the worker count, and per-chunk results are merged
-//! **in chunk-index order** (a fixed-shape reduction tree), so a given
+//! [`par_row_bands_with_threads`] over the persistent worker pool
+//! ([`crate::pool`]).  Band boundaries depend only on the problem shape and
+//! the worker count, and per-band results are merged **in band order** (a
+//! fixed-shape reduction tree), so a given
 //! configuration always produces the same bits.  No kernel fans out on its
 //! own.
 //!
@@ -210,70 +210,38 @@ pub(crate) fn chunk_ranges(
     (0..n.div_ceil(step)).map(move |c| c * step..(c * step + step).min(n))
 }
 
-/// Runs `f` over deterministic chunks of `0..n` — on the persistent worker
-/// pool ([`crate::pool`]) when `threads > 1` and the work splits — and
-/// returns the per-chunk results **in chunk-index order**.  Callers merge the
-/// returned values front-to-back, which fixes the reduction order regardless
-/// of which thread finished first.
+/// The drivers' one fan-out: splits `data` into at most `threads` bands of
+/// whole `row_len`-element rows and runs
+/// `f(first_row_of_band, band_slice, &mut scratch[b])` on band `b` — on the
+/// persistent worker pool ([`crate::pool`]) when there is more than one band
+/// — and returns the number of bands.  Each band writes its disjoint rows of
+/// `data` and its own caller-owned scratch (per-band buffers and partial
+/// results, allocated once by the caller), which the caller merges **in band
+/// order**, so the reduction order does not depend on which thread finished
+/// first.  Band boundaries split `0..rows` into near-equal runs of whole
+/// `align_rows` multiples and depend only on the arguments; each element of
+/// `data` belongs to exactly one band, so the result is independent of
+/// scheduling.  One band allocates nothing.
 ///
 /// The worker count is explicit: the drivers pass
 /// [`crate::ExecSettings::workers`], and tests on single-core machines force
-/// a genuine multi-chunk fan-out regardless of `FML_THREADS` / available
+/// a genuine multi-band fan-out regardless of `FML_THREADS` / available
 /// parallelism.
-pub fn par_chunks_with_threads<T, F>(threads: usize, n: usize, align: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let ranges = chunk_ranges(n, threads, align);
-    if ranges.len() <= 1 {
-        return ranges.map(f).collect();
-    }
-    // Each chunk writes its own slot, so the merge below is in chunk-index
-    // order no matter which pool worker (or the caller, via help-first
-    // draining) ran it.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(ranges.len());
-    slots.resize_with(ranges.len(), || None);
-    crate::pool::run(
-        slots
-            .iter_mut()
-            .zip(ranges)
-            .map(|(slot, range)| {
-                let f = &f;
-                move || *slot = Some(f(range))
-            })
-            .collect(),
-    );
-    slots
-        .into_iter()
-        .map(|s| s.expect("pool task completed"))
-        .collect()
-}
-
-/// Splits `data` into at most `threads` bands of whole `row_len`-element
-/// rows and runs `f(first_row_of_band, band_slice, &mut scratch[b])` on band
-/// `b` — on the pool when there is more than one band — and returns the
-/// number of bands.  Each band writes its disjoint rows of `data` and its
-/// own caller-owned scratch (per-band buffers and partial results, allocated
-/// once by the caller), which the caller merges **in band order** — the
-/// [`par_chunks_with_threads`] merge contract and a row-band write contract
-/// in one fan-out.  The band boundaries are those `par_chunks_with_threads`
-/// makes of `0..rows`; each element of `data` belongs to exactly one band,
-/// so the result is independent of scheduling.  One band allocates nothing.
 ///
 /// # Panics
 /// When `data` is not whole rows, or `scratch` has fewer slots than bands.
-pub fn par_row_bands_with_threads<S, F>(
+pub fn par_row_bands_with_threads<T, S, F>(
     threads: usize,
-    data: &mut [f64],
+    data: &mut [T],
     row_len: usize,
     align_rows: usize,
     scratch: &mut [S],
     f: F,
 ) -> usize
 where
+    T: Send,
     S: Send,
-    F: Fn(usize, &mut [f64], &mut S) + Sync,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     if data.is_empty() {
         return 0;
@@ -446,17 +414,22 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_preserves_chunk_order() {
-        // explicit thread count: spawns real scoped threads even on 1 core
-        let results = par_chunks_with_threads(4, 100, 1, |r| r.start);
-        assert!(results.len() > 1, "fan-out must actually split");
-        let mut sorted = results.clone();
-        sorted.sort_unstable();
-        assert_eq!(results, sorted, "results must arrive in chunk order");
-        let total: usize = par_chunks_with_threads(4, 1000, 8, |r| r.len())
-            .iter()
-            .sum();
-        assert_eq!(total, 1000);
+    fn par_row_bands_fill_scratch_in_band_order() {
+        // explicit thread count: a real fan-out even on 1 core
+        let mut data = vec![0u32; 1000];
+        let mut spans = [(0usize, 0usize); 4];
+        let bands = par_row_bands_with_threads(4, &mut data, 1, 8, &mut spans, |first, band, s| {
+            *s = (first, band.len());
+        });
+        assert!(bands > 1, "fan-out must actually split");
+        let mut next = 0;
+        for &(first, len) in &spans[..bands] {
+            assert_eq!(first, next, "band order");
+            next += len;
+        }
+        assert_eq!(next, 1000);
+        // all but the last band are whole multiples of the alignment
+        assert!(spans[..bands - 1].iter().all(|&(_, len)| len % 8 == 0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The persistent worker pool behind every parallel fan-out.
 //!
 //! Parallel regions come from the drivers only — the trainers' and the
-//! scorer's chunk loops, through [`crate::policy::par_chunks_with_threads`]
-//! and [`crate::policy::par_row_bands_with_threads`]; no kernel
+//! scorer's chunk loops, through [`crate::policy::par_row_bands_with_threads`];
+//! no kernel
 //! dispatches here.  A region used to pay a fresh `std::thread::scope` —
 //! one OS thread spawn **per chunk per region** (~20–60 µs each).  The pool
 //! replaces that with a fixed set of long-lived workers and a
@@ -46,7 +46,7 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The type-erased borrowed tasks.  This is the only module in the crate
-/// outside `simd` that needs `unsafe`: a closure borrowing the dispatcher's
+/// that needs `unsafe`: a closure borrowing the dispatcher's
 /// stack is sent to a long-lived worker as a raw pointer, and the safety
 /// argument (the dispatcher never returns before the region drains) lives in
 /// [`run`].
@@ -317,7 +317,7 @@ impl Drop for DrainOnUnwind<'_> {
 /// The closures may borrow the caller's stack (no `'static` bound); the
 /// drain-before-return protocol is what makes that sound.  Execution order
 /// across threads is unspecified — callers that need deterministic merges
-/// write into per-task slots, as [`crate::policy::par_chunks_with_threads`]
+/// write into per-task slots, as [`crate::policy::par_row_bands_with_threads`]
 /// does.
 pub fn run<F>(mut tasks: Vec<F>)
 where
@@ -375,8 +375,20 @@ pub fn worker_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{par_chunks_with_threads, par_row_bands_with_threads};
+    use crate::policy::par_row_bands_with_threads;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Sums `f(first_row, band)` over a `threads`-way split of `n` unit
+    /// rows, each band reporting through its own scratch slot.
+    fn sum_bands(threads: usize, n: usize, f: impl Fn(usize, &[u8]) -> usize + Sync) -> usize {
+        let mut data = vec![0u8; n];
+        let mut sums = vec![0usize; threads];
+        let bands =
+            par_row_bands_with_threads(threads, &mut data, 1, 1, &mut sums, |first, band, s| {
+                *s = f(first, band);
+            });
+        sums[..bands].iter().sum()
+    }
 
     /// Every task runs exactly once and borrowed results land in the right
     /// slots regardless of which thread executed them.
@@ -414,8 +426,7 @@ mod tests {
     #[test]
     fn workers_are_reused_across_regions() {
         for _ in 0..20 {
-            let total: usize = par_chunks_with_threads(4, 64, 1, |r| r.len()).iter().sum();
-            assert_eq!(total, 64);
+            assert_eq!(sum_bands(4, 64, |_, band| band.len()), 64);
         }
         assert!(
             worker_count() <= crate::policy::num_threads(),
@@ -430,8 +441,8 @@ mod tests {
     /// — including the zero/one-worker pools of single-core machines.
     #[test]
     fn nested_regions_complete_without_deadlock() {
-        let outer = par_chunks_with_threads(4, 16, 1, |outer_range| {
-            let inner: usize = par_chunks_with_threads(4, 16, 1, |inner_range| {
+        let outer = sum_bands(4, 16, |_, outer_band| {
+            let inner = sum_bands(4, 16, |_, inner_band| {
                 let mut data = vec![1.0f64; 32];
                 par_row_bands_with_threads(2, &mut data, 1, 1, &mut [(); 2], |_, band, _| {
                     for v in band.iter_mut() {
@@ -439,14 +450,12 @@ mod tests {
                     }
                 });
                 assert!(data.iter().all(|&v| v == 2.0));
-                inner_range.len()
-            })
-            .into_iter()
-            .sum();
+                inner_band.len()
+            });
             assert_eq!(inner, 16);
-            outer_range.len()
+            outer_band.len()
         });
-        assert_eq!(outer.into_iter().sum::<usize>(), 16);
+        assert_eq!(outer, 16);
     }
 
     /// A panic inside a pool-dispatched task resurfaces on the dispatching
@@ -455,11 +464,11 @@ mod tests {
     #[test]
     fn worker_panics_propagate_to_the_dispatcher() {
         let result = std::panic::catch_unwind(|| {
-            par_chunks_with_threads(4, 100, 1, |r| {
-                if r.start == 0 {
+            sum_bands(4, 100, |first, band| {
+                if first == 0 {
                     panic!("chunk zero exploded");
                 }
-                r.len()
+                band.len()
             })
         });
         let payload = result.expect_err("panic must propagate");
@@ -469,8 +478,7 @@ mod tests {
             .unwrap_or("<non-str payload>");
         assert!(msg.contains("chunk zero exploded"), "payload: {msg}");
         // The pool survives: the next region runs normally.
-        let total: usize = par_chunks_with_threads(4, 100, 1, |r| r.len()).iter().sum();
-        assert_eq!(total, 100);
+        assert_eq!(sum_bands(4, 100, |_, band| band.len()), 100);
     }
 
     /// Tasks dispatched to workers are really executed there once the pool
@@ -480,7 +488,7 @@ mod tests {
     fn pool_workers_actually_execute_tasks() {
         let before = WORKER_TASKS.get().get();
         for _ in 0..50 {
-            par_chunks_with_threads(2, 8, 1, |r| r.len());
+            sum_bands(2, 8, |_, band| band.len());
         }
         // 50 regions × 1 dispatched chunk each: unless every single steal
         // raced ahead of every worker wakeup (vanishingly unlikely across

@@ -255,8 +255,7 @@ pub fn matvec_onehot_acc_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], y:
 ///
 /// Rows are added to a zeroed `y` front-to-back in index order (the same
 /// order as the naive dense transposed GEMV visits its nonzero terms).  Each
-/// row add is a pure lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise),
-/// identical at every SIMD level.
+/// row add is a pure lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise).
 pub fn matvec_transposed_onehot_into_with(
     _policy: KernelPolicy,
     a: &Matrix,
@@ -270,10 +269,9 @@ pub fn matvec_transposed_onehot_into_with(
     );
     check_indices(idx, a.rows(), "matvec_transposed_onehot");
     count_call();
-    let lv = simd::current_level();
     y.fill(0.0);
     for &i in idx {
-        simd::add_assign(lv, y, a.row(i as usize));
+        simd::add_assign(y, a.row(i as usize));
     }
 }
 
@@ -310,14 +308,12 @@ pub fn spmm_onehot_with(
     if m == 0 || n == 0 {
         return;
     }
-    let lv = simd::current_level();
     let rows = c.as_mut_slice().chunks_exact_mut(n);
     for (crow, idx) in rows.zip(rows_idx.chunks_exact(nnz_per_row)) {
         for &k in idx {
             // Plain adds — the active values are 1.0, so no multiply at
             // all (bit-identical to `+= 1.0 * b`, one vector op cheaper).
-            // Pure lane-wise adds are identical at every SIMD level.
-            simd::add_assign(lv, crow, b.row(k as usize));
+            simd::add_assign(crow, b.row(k as usize));
         }
     }
 }
@@ -336,9 +332,8 @@ pub fn ger_onehot_with(_policy: KernelPolicy, alpha: f64, idx: &[u32], y: &[f64]
     assert_eq!(a.cols(), y.len(), "ger_onehot: col dimension mismatch");
     check_indices(idx, a.rows(), "ger_onehot");
     count_call();
-    let lv = simd::current_level();
     for &i in idx {
-        simd::axpy(lv, alpha, y, a.row_mut(i as usize));
+        vector::axpy(alpha, y, a.row_mut(i as usize));
     }
 }
 

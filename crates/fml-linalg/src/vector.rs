@@ -8,9 +8,9 @@
 //! The kernels here are the **frozen sequential reference**: strictly
 //! left-to-right accumulation with no unrolling, the arithmetic the `Naive`
 //! kernel policy and the sparse exactness contracts are defined against.
-//! They must never be vectorized or reassociated — the SIMD twins the blocked
-//! policies run on live in [`crate::simd`] and are tested bit-for-bit (or, in
-//! `fma` mode, to tolerance) against these.
+//! Their reductions must never be reassociated — the 4-lane twins the
+//! blocked policies run on live in [`crate::simd`]; the element-wise kernels
+//! here serve every policy.
 
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
@@ -67,7 +67,7 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 
 /// Euclidean (L2) norm.
 #[inline]
-pub fn norm2(x: &[f64]) -> f64 {
+pub(crate) fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 

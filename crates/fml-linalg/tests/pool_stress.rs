@@ -13,7 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fml_linalg::policy::{par_chunks_with_threads, par_row_bands_with_threads};
+use fml_linalg::policy::par_row_bands_with_threads;
 
 /// Rounds per submitter thread — bounded so the whole test runs in well
 /// under a second without sanitizers.
@@ -21,6 +21,18 @@ const ROUNDS: usize = 20;
 /// Concurrent submitter threads sharing the one process-wide pool.
 const SUBMITTERS: usize = 4;
 const N: usize = 96;
+
+/// Sums `f(first_row, band)` over a `threads`-way split of `n` unit rows,
+/// each band reporting through its own scratch slot.
+fn sum_bands(threads: usize, n: usize, f: impl Fn(usize, &[u8]) -> usize + Sync) -> usize {
+    let mut data = vec![0u8; n];
+    let mut sums = vec![0usize; threads];
+    let bands =
+        par_row_bands_with_threads(threads, &mut data, 1, 1, &mut sums, |first, band, s| {
+            *s = f(first, band);
+        });
+    sums[..bands].iter().sum()
+}
 
 #[test]
 fn concurrent_nested_regions_stay_deterministic() {
@@ -34,17 +46,14 @@ fn concurrent_nested_regions_stay_deterministic() {
                     // chunk opens an inner region of its own, so regions
                     // from all submitters nest and interleave on the same
                     // workers.
-                    let outer = par_chunks_with_threads(3, N, 1, |range| {
-                        let len = range.len();
-                        let inner = par_chunks_with_threads(2, len, 1, |r| {
+                    let total = sum_bands(3, N, |start, band| {
+                        sum_bands(2, band.len(), |first, inner| {
                             tasks_run.fetch_add(1, Ordering::Relaxed);
-                            r.map(|i| range.start + i).sum::<usize>()
-                        });
-                        inner.into_iter().sum::<usize>()
+                            (first..first + inner.len()).map(|i| start + i).sum()
+                        })
                     });
-                    // Chunk boundaries are deterministic and every index is
+                    // Band boundaries are deterministic and every index is
                     // covered exactly once, whatever the interleaving.
-                    let total: usize = outer.into_iter().sum();
                     assert_eq!(total, N * (N - 1) / 2);
                 }
             });
@@ -64,11 +73,11 @@ fn panicking_tasks_drain_and_leave_the_pool_usable() {
                     // payload on the submitting thread.
                     let poisoned = round; // index whose chunk panics
                     let caught = catch_unwind(AssertUnwindSafe(|| {
-                        par_chunks_with_threads(4, ROUNDS, 1, |r| {
-                            if r.contains(&poisoned) {
+                        sum_bands(4, ROUNDS, |first, band| {
+                            if (first..first + band.len()).contains(&poisoned) {
                                 panic!("pool-stress deliberate panic");
                             }
-                            r.len()
+                            band.len()
                         })
                     }));
                     let payload = caught.expect_err("the poisoned chunk must panic");
@@ -80,8 +89,7 @@ fn panicking_tasks_drain_and_leave_the_pool_usable() {
 
                     // The pool survives: an immediate clean fan-out on the
                     // same thread completes with full coverage.
-                    let clean = par_chunks_with_threads(4, N, 1, |r| r.len());
-                    assert_eq!(clean.into_iter().sum::<usize>(), N);
+                    assert_eq!(sum_bands(4, N, |_, band| band.len()), N);
                 }
             });
         }

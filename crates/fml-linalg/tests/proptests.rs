@@ -20,7 +20,6 @@ use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
 use fml_linalg::cholesky::Cholesky;
 use fml_linalg::csr::{self, CsrBlock};
 use fml_linalg::policy::{par_row_bands_with_threads, KernelPolicy};
-use fml_linalg::simd::{self, SimdLevel};
 use fml_linalg::sparse::{self, BlockVec};
 use fml_linalg::{approx_eq, gemm, Matrix, TEST_EPS};
 
@@ -116,17 +115,6 @@ fn batch_shapes(g: &mut Gen) -> Vec<(usize, usize)> {
     shapes
 }
 
-/// Runs `f` under both bit-exact SIMD levels and asserts identical bits.
-fn same_bits_at_both_exact_levels(label: &str, f: impl Fn() -> Vec<f64>) {
-    let scalar = simd::with_level(SimdLevel::Scalar, &f);
-    let lanes = simd::with_level(SimdLevel::Lanes, &f);
-    let same = scalar
-        .iter()
-        .zip(lanes.iter())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(same, "{label}: SIMD off and lanes differ");
-}
-
 #[test]
 fn upper_triangular_product_matches_naive_across_shapes() {
     let mut g = Gen::new(21);
@@ -169,7 +157,6 @@ fn upper_triangular_product_matches_naive_across_shapes() {
         );
         assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
         assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
-        same_bits_at_both_exact_levels("upper product", || run(KernelPolicy::Blocked));
     }
 }
 
@@ -216,7 +203,6 @@ fn weighted_syrk_matches_naive_across_shapes_and_strides() {
             }
         }
         assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
-        same_bits_at_both_exact_levels("weighted syrk", || run(KernelPolicy::Blocked));
     }
 }
 
@@ -260,66 +246,6 @@ fn ger_policies_match_naive_across_shapes() {
             gemm::ger_with(p, alpha, &x, &y, &mut a);
             let diff = reference.max_abs_diff(&a);
             assert!(diff < TEST_EPS, "case {case} {p}: {m}x{n} diff {diff}");
-        }
-    }
-}
-
-/// The policy-equivalence property re-checked under each forced bit-exact
-/// SIMD level: `Blocked`/`BlockedParallel` agree with `Naive` within tolerance
-/// whether the lane kernels run through AVX2 or the scalar fallback — and the
-/// two levels agree with *each other* bit-for-bit (the SIMD layer's core
-/// contract; `tests/simd_equivalence.rs` covers it kernel by kernel).
-#[test]
-fn policy_equivalence_holds_under_every_bit_exact_simd_level() {
-    let mut g = Gen::new(42);
-    for (case, (m, k, n)) in awkward_shapes(&mut g).into_iter().enumerate() {
-        let a = g.matrix(m, k);
-        let b = g.matrix(k, n);
-        let seed_c = g.matrix(m, n);
-        let x = g.vec(k);
-        let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(
-            KernelPolicy::Naive,
-            a.as_slice(),
-            &b,
-            reference.as_mut_slice(),
-        );
-        let mv_ref = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
-        for p in POLICIES {
-            let mut per_level: Vec<(Matrix, Vec<f64>)> = Vec::new();
-            for lv in [SimdLevel::Scalar, SimdLevel::Lanes] {
-                simd::with_level(lv, || {
-                    let mut c = seed_c.clone();
-                    gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
-                    let diff = reference.max_abs_diff(&c);
-                    assert!(
-                        diff < TEST_EPS * (k as f64 + 1.0),
-                        "case {case} {p} {lv}: {m}x{k}x{n} diff {diff}"
-                    );
-                    let mv = gemm::matvec_with(p, &a, &x);
-                    for (i, (&r, &v)) in mv_ref.iter().zip(mv.iter()).enumerate() {
-                        assert!(
-                            approx_eq(r, v, TEST_EPS),
-                            "case {case} {p} {lv}: row {i}: {r} vs {v}"
-                        );
-                    }
-                    per_level.push((c, mv));
-                });
-            }
-            let (c_scalar, mv_scalar) = &per_level[0];
-            let (c_lanes, mv_lanes) = &per_level[1];
-            for (s, l) in c_scalar
-                .as_slice()
-                .iter()
-                .chain(mv_scalar.iter())
-                .zip(c_lanes.as_slice().iter().chain(mv_lanes.iter()))
-            {
-                assert_eq!(
-                    s.to_bits(),
-                    l.to_bits(),
-                    "case {case} {p}: scalar vs lanes bit mismatch: {s} vs {l}"
-                );
-            }
         }
     }
 }

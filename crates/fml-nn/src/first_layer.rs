@@ -29,11 +29,10 @@
 //!
 //! ## Bit contract
 //!
-//! At the bit-exact SIMD levels (`FML_SIMD=off|auto`) and under every
-//! sequential kernel policy:
+//! Under every sequential kernel policy:
 //!
 //! * **One-hot** partial products are, per lane, `0 + W[j₁] + W[j₂] + …` in
-//!   ascending `j` — pure adds, also under `FML_SIMD=fma`.
+//!   ascending `j` — pure adds.
 //! * **CSR and dense** partial products are one sequential AXPY per nonzero /
 //!   per column, `0 + x_{j₁}·W[j₁] + x_{j₂}·W[j₂] + …` — the order of the
 //!   `KernelPolicy::Naive` GEMV, not the 4-lane tree of the blocked dot
@@ -163,7 +162,6 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use fml_linalg::gemm;
-    use fml_linalg::simd::{self, SimdLevel};
 
     const SIZES: [usize; 3] = [3, 4, 2];
 
@@ -191,12 +189,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs `check` under both sequential policies, at the process's SIMD
-    /// level and with SIMD off (`FML_SIMD=off`).
-    fn under_every_policy_and_level(check: impl Fn(KernelPolicy)) {
+    /// Runs `check` under both sequential policies.
+    fn under_every_policy(check: impl Fn(KernelPolicy)) {
         for kp in [KernelPolicy::Naive, KernelPolicy::Blocked] {
             check(kp);
-            simd::with_level(SimdLevel::Scalar, || check(kp));
         }
     }
 
@@ -205,7 +201,7 @@ mod tests {
         let model = Mlp::new(9, &[5], Activation::Tanh, 3);
         let blocks = blocks();
         let joined = joined(&blocks);
-        under_every_policy_and_level(|kp| {
+        under_every_policy(|kp| {
             let first = FirstLayer::split(&model, &SIZES, kp);
             assert_eq!(first.width(), 5);
             // every block once through its sparse form, once densely
@@ -229,7 +225,7 @@ mod tests {
         let model = Mlp::new(9, &[5], Activation::Tanh, 3);
         let weights = &model.layers()[0].weights;
         let blocks = blocks();
-        under_every_policy_and_level(|kp| {
+        under_every_policy(|kp| {
             let first = FirstLayer::split(&model, &SIZES, kp);
             let mut start = 0;
             for (b, (x, rep)) in blocks.iter().enumerate() {
@@ -238,12 +234,7 @@ mod tests {
                 let want = gemm::matvec_with(KernelPolicy::Naive, &block, x);
                 let mut got = vec![f64::NAN; 5];
                 first.partial(b, *rep, &mut got);
-                let onehot = matches!(rep, BlockVec::OneHot(_));
-                if onehot || simd::current_level().is_bit_exact() {
-                    assert_eq!(bits(&got), bits(&want), "{kp:?} block {b}");
-                } else {
-                    assert!(vector::max_abs_diff(&got, &want) < 1e-12, "{kp:?} {b}");
-                }
+                assert_eq!(bits(&got), bits(&want), "{kp:?} block {b}");
             }
         });
     }
@@ -256,7 +247,7 @@ mod tests {
         let delta = [0.3, -0.7, 1.1, 0.0, -0.2];
         let mut want = Matrix::zeros(5, 9);
         gemm::ger_with(KernelPolicy::Naive, 1.0, &delta, &joined, &mut want);
-        under_every_policy_and_level(|kp| {
+        under_every_policy(|kp| {
             let first = FirstLayer::split(&model, &SIZES, kp);
             let mut grad = first.zero_grad();
             for (b, (_, rep)) in blocks.iter().enumerate() {
@@ -265,15 +256,7 @@ mod tests {
             let mut grads = model.zero_grads();
             grad.add_into(&mut grads[0]);
             let got = &grads[0].d_weights;
-            if simd::current_level().is_bit_exact() {
-                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{kp:?}");
-            } else {
-                // fused multiply-adds round the CSR / dense columns once
-                // less; the one-hot columns are pure adds at every level
-                assert!(got.max_abs_diff(&want) < 1e-12, "{kp:?}");
-                assert_eq!(bits(&got.col(4)), bits(&want.col(4)), "{kp:?}");
-                assert_eq!(bits(&got.col(6)), bits(&want.col(6)), "{kp:?}");
-            }
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{kp:?}");
         });
     }
 }

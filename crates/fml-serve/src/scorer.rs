@@ -45,19 +45,19 @@
 //! join is the star with one dimension), shaped like the factorized GMM
 //! trainer's E-step pass, and its worker count is a parameter: the resolved
 //! [`ExecPolicy`] thread count under a parallel kernel policy, 1 otherwise —
-//! the same rule, and the same [`par_chunks_with_threads`] call, as the
+//! the same rule, and the same [`par_row_bands_with_threads`] call, as the
 //! trainer.  Per fact block of the scan, whose foreign keys arrive resolved
 //! to dimension ordinals (a dangling key surfacing as the same typed error
 //! whatever the worker count), one sequential sweep fills the term row of
 //! each dimension tuple the block references first (once per *distinct*
-//! tuple), then
-//! the block's *fact rows* are chunked over
-//! arenas that are read-only by then.  With one worker the block is a single
-//! chunk run inline.  Chunk boundaries depend only on block shape and worker
-//! count, every row's arithmetic is independent of which chunk ran it, and
-//! per-chunk results merge in chunk-index order — so the exactness contract
-//! above extends to **every thread count**.  Kernels inside workers run the
-//! sequential policy (the pool is entered at the coarse per-chunk level, not
+//! tuple), then the block's *fact rows* are banded over arenas that are
+//! read-only by then, each band writing its scores straight into its slice of
+//! the output with one of the per-worker scratches allocated once per call.
+//! With one worker the block is a single band run inline.  Band boundaries
+//! depend only on block shape and worker count, and every row's arithmetic is
+//! independent of which band ran it — so the exactness contract above
+//! extends to **every thread count**.  Kernels inside workers run the
+//! sequential policy (the pool is entered at the coarse per-band level, not
 //! per kernel), and observers get one notification per fact block from the
 //! scoring thread, never from workers.  Rows come out in the scan's
 //! `(window, fact)` order under all three strategies.
@@ -68,14 +68,13 @@ use fml_gmm::model::argmax;
 use fml_gmm::{EStep, FillScratch, GmmFit, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::exec::{ExecPolicy, ExecSettings};
-use fml_linalg::policy::par_chunks_with_threads;
+use fml_linalg::policy::par_row_bands_with_threads;
 use fml_linalg::{BlockVec, KernelPolicy, SparseMode};
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
 use fml_store::batch::{RowBuf, RowPanel};
-use fml_store::factorized_scan::{FactBlock, FactorizedScan};
+use fml_store::factorized_scan::FactorizedScan;
 use fml_store::join::materialize_join;
 use fml_store::{Database, IoSnapshot, JoinSpec, OrdinalArena, RowKind, StoreResult};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -188,7 +187,7 @@ impl Scores<f64> {
 /// Per-row GMM score: the hard cluster assignment plus the row's
 /// log-likelihood contribution (what [`fml_gmm::GmmModel::predict_batch`]
 /// returns per row, produced here without densifying the join).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GmmScore {
     /// Most probable mixture component.
     pub cluster: usize,
@@ -271,11 +270,11 @@ impl SessionScoring for Session<'_> {
 trait RowCore {
     /// Per-row output.
     type Row;
-    /// Reusable scratch buffers, allocated once per chunk or pass instead of
-    /// once per row (the hot path scores millions of rows).
+    /// Reusable scratch buffers, allocated once per worker and scoring call
+    /// instead of once per row (the hot path scores millions of rows).
     type Scratch;
 
-    /// Allocates the scratch buffers for one chunk of rows.
+    /// Allocates the scratch buffers for one worker.
     fn make_scratch(&self) -> Self::Scratch;
 
     /// Number of values in the term row of dimension `i` (0-based).
@@ -425,7 +424,8 @@ impl RowCore for NnCore<'_> {
 // ---------------------------------------------------------------------------
 
 /// Where every driver puts its scored rows: `(key, row)` pairs in scan
-/// order, with one observer notification per scan block.
+/// order, reserved to the fact count up front, with one observer
+/// notification per scan block.
 struct Sink<'a, R> {
     keys: Vec<u64>,
     rows: Vec<R>,
@@ -433,21 +433,10 @@ struct Sink<'a, R> {
     notified: usize,
 }
 
-/// The `(keys, rows)` one chunk of a factorized block scored, in scan order.
-type Scored<R> = (Vec<u64>, Vec<R>);
-
 impl<R> Sink<'_, R> {
     fn push(&mut self, key: u64, row: R) {
         self.keys.push(key);
         self.rows.push(row);
-    }
-
-    /// Appends a block's chunks in chunk-index order.
-    fn extend(&mut self, chunks: Vec<Scored<R>>) {
-        for (keys, rows) in chunks {
-            self.keys.extend(keys);
-            self.rows.extend(rows);
-        }
     }
 
     /// Ends a scan block: notifies the rows pushed since the previous one.
@@ -474,7 +463,8 @@ fn run_scoring<C>(
 ) -> StoreResult<(Vec<u64>, Vec<C::Row>)>
 where
     C: RowCore + Sync,
-    C::Row: Send,
+    C::Row: Send + Default,
+    C::Scratch: Send,
 {
     // The oracle's join materialization happens before the observer's I/O
     // baseline is read: batch events report scoring I/O only.  The oracle
@@ -490,10 +480,11 @@ where
         }
         _ => spec.clone(),
     };
+    let facts = source.fact_relation(db)?.lock().num_tuples() as usize;
     let probe = db.stats().io_probe();
     let mut out = Sink {
-        keys: Vec::new(),
-        rows: Vec::new(),
+        keys: Vec::with_capacity(facts),
+        rows: Vec::with_capacity(facts),
         notifier: ScoreNotifier::new(opts.observer(), Some(&probe)),
         notified: 0,
     };
@@ -513,11 +504,11 @@ where
 
 /// Factorized scoring, shaped like the factorized trainers' E-step pass: per
 /// fact block, a sequential sweep fills the [`OrdinalArena`] term rows of the
-/// tuples the block references first ([`FactBlock::first_refs`]), one
+/// tuples the block references first (`FactBlock::first_refs`), one
 /// [`RowCore::dim_terms`] call per dimension (once per *distinct* tuple for
 /// the whole batch; tuples no fact references are never read), then the
-/// per-fact scoring fans out over `workers` chunks that read the arenas
-/// immutably.
+/// per-fact scoring fans out over `workers` row bands that read the arenas
+/// immutably and write the block's scores in place.
 fn score_factorized<C>(
     core: &C,
     db: &Database,
@@ -528,13 +519,14 @@ fn score_factorized<C>(
 ) -> StoreResult<()>
 where
     C: RowCore + Sync,
-    C::Row: Send,
+    C::Row: Send + Default,
+    C::Scratch: Send,
 {
     let q = spec.num_dimensions();
     let mut arenas: Vec<OrdinalArena> = (0..q)
         .map(|i| OrdinalArena::new(core.dim_width(i)))
         .collect();
-    let mut scratch = core.make_scratch();
+    let mut scratch: Vec<C::Scratch> = (0..workers).map(|_| core.make_scratch()).collect();
     let scan = FactorizedScan::new(db, spec, ex.block_pages)?;
     let mut scan = scan.sparse_mode(ex.sparse);
     while scan.next_window()? {
@@ -542,38 +534,23 @@ where
             let (block, cache) = (scan.block(), scan.cache());
             for (i, arena) in arenas.iter_mut().enumerate() {
                 let first = block.first_refs(i);
-                core.dim_terms(i, first, |o| cache.row(i, o), arena, &mut scratch);
+                core.dim_terms(i, first, |o| cache.row(i, o), arena, &mut scratch[0]);
             }
-            let chunks = par_chunks_with_threads(workers, block.len(), 1, |range| {
-                score_facts(core, &arenas, block, range)
+            let facts = block.rows();
+            out.keys.extend_from_slice(facts.keys());
+            let start = out.rows.len();
+            out.rows.resize_with(start + block.len(), Default::default);
+            let rows = &mut out.rows[start..];
+            par_row_bands_with_threads(workers, rows, 1, 1, &mut scratch, |first, band, s| {
+                for (row, f) in band.iter_mut().zip(first..) {
+                    let ords = block.ords_of(f);
+                    *row = core.score_row(facts.row(f), |i| arenas[i].row(ords[i]), s);
+                }
             });
-            out.extend(chunks);
             out.end_block();
         }
     }
     Ok(())
-}
-
-/// One chunk of a fact block, whose term rows the sweep has filled.
-fn score_facts<C: RowCore>(
-    core: &C,
-    arenas: &[OrdinalArena],
-    block: &FactBlock,
-    range: Range<usize>,
-) -> Scored<C::Row> {
-    let mut scratch = core.make_scratch();
-    let (mut keys, mut rows) = (
-        Vec::with_capacity(range.len()),
-        Vec::with_capacity(range.len()),
-    );
-    let facts = block.rows();
-    for f in range {
-        let ords = block.ords_of(f);
-        let dims = |i: usize| arenas[i].row(ords[i]);
-        rows.push(core.score_row(facts.row(f), dims, &mut scratch));
-        keys.push(facts.keys()[f]);
-    }
-    (keys, rows)
 }
 
 /// Joined rows per panel of the materialized and streaming scorers; the bound
@@ -659,7 +636,8 @@ fn score_join<C>(
 ) -> StoreResult<Scores<C::Row>>
 where
     C: RowCore + Sync,
-    C::Row: Send,
+    C::Row: Send + Default,
+    C::Scratch: Send,
 {
     spec.validate(db)?;
     let partition = BlockPartition::new(&spec.feature_partition(db)?);

@@ -4,23 +4,17 @@
 //! The workloads are built as `benchmark/src/workloads.rs` builds them at its
 //! `--smoke` shapes (widths, `q` and the dense / one-hot / CSR mix), on seeds
 //! 1 and 2, with the benchmark's model configurations.  Per workload, seed,
-//! [`SparseMode`] and SIMD level the runs are the M, S and F fits, F scoring
+//! and [`SparseMode`] the runs are the M, S and F fits, F scoring
 //! of each fit and M and S scoring of the F fit.  A run's line holds one hash
 //! of its `f64::to_bits` streams — objective trace and parameters for a fit,
 //! keys and score rows for a scoring — followed by its [`IoSnapshot`]
 //! counters.  A change that claims to move no bit must leave the file as it
 //! is; a failure names every run whose line moved and writes the lines it
 //! computed next to the test binary's scratch directory.
-//!
-//! Each run pins its SIMD level with [`simd::with_level`] (thread-local, and
-//! the default policy never leaves the calling thread), so the file holds
-//! whatever level the process default is.  `Scalar` and `Lanes` are
-//! bit-identical by contract, so their lines agree too.
 
 use fml_core::fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_core::fml_data::{EmulatedDataset, Workload};
 use fml_core::prelude::*;
-use fml_linalg::simd::{self, SimdLevel};
 use fml_serve::prelude::*;
 use fml_store::IoSnapshot;
 
@@ -171,24 +165,23 @@ fn suffix(algorithm: Algorithm) -> &'static str {
     }
 }
 
-/// The configurations of one workload: seed 1 at `SparseMode::Auto` and
-/// `Lanes`, seed 2 at `Auto` and the scalar fallback, and with `dense` seed 1
-/// at `SparseMode::Dense`.
+/// The configurations of one workload: seeds 1 and 2 at `SparseMode::Auto`,
+/// and with `dense` seed 1 at `SparseMode::Dense`.
 fn workload_lines<F: Family>(name: &str, dense: bool, build: fn(u64) -> Workload) -> Vec<String> {
-    let mut configs = vec![(1, SparseMode::Auto, SimdLevel::Lanes)];
+    let mut configs = vec![(1, SparseMode::Auto)];
     if dense {
-        configs.push((1, SparseMode::Dense, SimdLevel::Lanes));
+        configs.push((1, SparseMode::Dense));
     }
-    configs.push((2, SparseMode::Auto, SimdLevel::Scalar));
+    configs.push((2, SparseMode::Auto));
     let mut out = Vec::new();
     let mut w = build(1);
-    for (seed, mode, level) in configs {
+    for (seed, mode) in configs {
         if seed == 2 {
             w = build(2);
         }
-        let tag = format!("{name} seed={seed} {mode:?} {level:?}").to_lowercase();
+        let tag = format!("{name} seed={seed} {mode:?}").to_lowercase();
         let exec = ExecPolicy::new().seed(seed).sparse_mode(mode);
-        simd::with_level(level, || runs::<F>(&w, &tag, exec, &mut out));
+        runs::<F>(&w, &tag, exec, &mut out);
     }
     out
 }

@@ -141,7 +141,6 @@ fn trace_run_exports_complete_metrics_and_nested_spans() {
         // kernels (factorized GMM runs on GEMV + sparse kernels, not GEMM)
         "fml_gemv_calls_total",
         "fml_kernel_flops_total",
-        "fml_simd_level",
         // storage
         "fml_store_pages_read_total",
         "fml_store_fields_read_total",

@@ -666,20 +666,24 @@ fn scoring_inside_a_pool_region_does_not_deadlock() {
     let base = Session::new(&w.db).join(&w.spec);
     let trained = base.fit(Gmm::with_k(2).iterations(1)).unwrap();
     let seq_bits = gmm_bits(&base.score(&trained).unwrap());
-    let results = fml_linalg::policy::par_chunks_with_threads(2, 2, 1, |_| {
-        base.clone()
-            .exec(
-                ExecPolicy::new()
-                    .kernel_policy(KernelPolicy::BlockedParallel)
-                    .threads(4),
-            )
-            .score(&trained)
-            .unwrap()
-    });
-    assert_eq!(results.len(), 2);
+    let mut results = vec![None, None];
+    let bands = fml_linalg::policy::par_row_bands_with_threads(
+        2,
+        &mut [(); 2],
+        1,
+        1,
+        &mut results,
+        |_, _, slot| {
+            let parallel = ExecPolicy::new()
+                .kernel_policy(KernelPolicy::BlockedParallel)
+                .threads(4);
+            *slot = Some(base.clone().exec(parallel).score(&trained).unwrap());
+        },
+    );
+    assert_eq!(bands, 2);
     for scores in &results {
         assert_eq!(
-            gmm_bits(scores),
+            gmm_bits(scores.as_ref().unwrap()),
             seq_bits,
             "nested scoring must match the sequential bits"
         );
@@ -988,5 +992,104 @@ fn nn_scoring_defines_nan_and_inf_features_under_every_strategy() {
                 }
             }
         }
+    }
+}
+
+/// A ReLU hidden layer that is dead for every fact — every pre-activation
+/// negative, so every hidden output and every ReLU derivative is zero — is a
+/// defined fit, not a failure: under M, S and F at 1 and 4 workers the fit
+/// returns `Ok` with a finite loss, the hidden layer's gradients are exactly
+/// zero (its weights and biases keep the bits of the initial model, and so
+/// do the output weights, whose inputs are all zero), and only the output
+/// bias learns.  Every row then scores the output bias, bit-identical
+/// M ≡ S ≡ F.
+#[test]
+fn all_dead_relu_layers_fit_and_score_alike_under_every_strategy() {
+    use fml_core::fml_linalg::{gemm, Cholesky};
+    use fml_core::fml_nn::Mlp;
+    use fml_core::fml_store::{Database, JoinSpec, Schema, Tuple};
+    const SEED: u64 = 11;
+    let (d_s, d_r, n_h) = (3, 4, 5);
+    // The features `x = Wᵀ(W·Wᵀ)⁻¹(−1 − b)` put every unit of the initial
+    // hidden layer at pre-activation −1; every fact carries them.
+    let init = Mlp::new(d_s + d_r, &[n_h], Activation::Relu, SEED);
+    let hidden = &init.layers()[0];
+    let w = &hidden.weights;
+    let gram = gemm::matmul_with(KernelPolicy::Naive, w, &w.transpose());
+    let target: Vec<f64> = hidden.bias.iter().map(|b| -1.0 - b).collect();
+    let y = gemm::matvec_with(
+        KernelPolicy::Naive,
+        &Cholesky::factor(&gram).unwrap().inverse(),
+        &target,
+    );
+    let x = gemm::matvec_transposed_with(KernelPolicy::Naive, w, &y);
+    let a = hidden.pre_activation_with(KernelPolicy::Naive, &x);
+    assert!(a.iter().all(|&v| v < -0.5), "dead by construction: {a:?}");
+
+    let db = Database::in_memory();
+    let dim = db.create_relation(Schema::dimension("R", d_r)).unwrap();
+    for key in 0..10 {
+        dim.lock()
+            .append(&Tuple::dimension(key, x[d_s..].to_vec()))
+            .unwrap();
+    }
+    dim.lock().flush().unwrap();
+    let fact = db
+        .create_relation(Schema::fact_with_target("S", d_s, 1))
+        .unwrap();
+    for key in 0..200u64 {
+        let target = (key % 5) as f64 * 0.25;
+        let tuple = Tuple::fact_with_target(key, vec![key % 10], target, x[..d_s].to_vec());
+        fact.lock().append(&tuple).unwrap();
+    }
+    fact.lock().flush().unwrap();
+    let spec = JoinSpec::binary("S", "R");
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for fit_with in Algorithm::all() {
+        let mut learned = Vec::new();
+        for threads in [1usize, 4] {
+            let exec = ExecPolicy::new()
+                .kernel_policy(KernelPolicy::BlockedParallel)
+                .threads(threads)
+                .seed(SEED);
+            let what = format!("fit {fit_with:?}/{threads}t");
+            let session = Session::new(&db).join(&spec).exec(exec);
+            let nn = Nn::with_hidden(n_h)
+                .activation(Activation::Relu)
+                .algorithm(fit_with)
+                .epochs(3);
+            let trained = session.fit(nn).unwrap();
+            let model = &trained.fit.model;
+            assert!(trained.fit.final_loss().is_finite(), "{what}");
+            let (h0, h1) = (&model.layers()[0], &hidden);
+            assert_eq!(
+                bits(h0.weights.as_slice()),
+                bits(h1.weights.as_slice()),
+                "{what}"
+            );
+            assert_eq!(bits(&h0.bias), bits(&h1.bias), "{what}");
+            let (out, out0) = (&model.layers()[1], &init.layers()[1]);
+            assert_eq!(
+                bits(out.weights.as_slice()),
+                bits(out0.weights.as_slice()),
+                "{what}"
+            );
+            assert_ne!(out.bias, out0.bias, "{what}: the output bias learns");
+            for algorithm in Algorithm::all() {
+                let scored = session
+                    .score_with(&trained, &Scoring::new().algorithm(algorithm))
+                    .unwrap();
+                let scores = nn_bits(&scored);
+                assert_eq!(scores.len(), 200, "{what}");
+                let bias = out.bias[0].to_bits();
+                assert!(
+                    scores.iter().all(|&(_, s)| s == bias),
+                    "{what}/score {algorithm:?}"
+                );
+            }
+            learned.push(out.bias[0].to_bits());
+        }
+        assert_eq!(learned[0], learned[1], "fit {fit_with:?}: 1 vs 4 workers");
     }
 }
