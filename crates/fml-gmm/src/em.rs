@@ -292,7 +292,7 @@ pub fn train_dense_from(
     let opts = EmOptions::from(config);
     let ex = exec.resolve();
     // The resolved observability mode governs instrumentation on every
-    // thread this run touches (pool workers, storage scans).
+    // thread this run touches (fan-out threads, storage scans).
     let _obs = ex.obs_scope();
     let mut notifier = FitNotifier::new(exec, io);
     let d = source.dim();
@@ -307,7 +307,7 @@ pub fn train_dense_from(
 
     // Kernels are sequential; the parallelism lives at the tuple-batch
     // level.  Fanning out only pays when a batch carries enough flops to
-    // amortize the pool dispatch, so tiny models — and every sequential
+    // amortize the thread spawns, so tiny models — and every sequential
     // policy — run each batch inline as one band.
     let kp = ex.kernel_policy;
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;

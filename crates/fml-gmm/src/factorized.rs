@@ -47,18 +47,17 @@
 //!
 //! **Execution shape.**  Per fact block a sequential sweep fills the arena
 //! rows of the block's first references — one [`EStep::fill_rows`] call
-//! per dimension, whose dense tuples run on level-3 kernels — the per-fact
-//! E-step fans out over row bands of the block's facts that read the arenas
-//! immutably, each writing its facts' responsibilities into a per-fit
-//! buffer, and the block's responsibilities are then accumulated in fact
-//! order; everything but the fan-out runs on the driving thread.
+//! per dimension, whose dense tuples run on level-3 kernels — and then each
+//! fact, in fact order, gets its responsibilities and adds its M-step
+//! remainder, all on the driving thread.  The fit does not fan out under
+//! any policy: at two workers the per-fact E-step's fan-out did not pay
+//! against this serial fold.
 //!
 //! **Bit contract.**  The decomposition is exact — no approximation — so the
 //! model matches `M-GMM` / `S-GMM` up to floating-point rounding (objective
 //! within 1e-6).  Ordinals ascend with the key, so the per-tuple merges run
 //! in one fixed order and a fit is bit-reproducible run to run; every sum
-//! over facts is folded in fact order, so it is also independent of the
-//! worker count.  Sums run fact-major for every `q`.
+//! over facts is folded in fact order.  Sums run fact-major for every `q`.
 
 use crate::em::{converged, finalize_m_step, GmmFit};
 use crate::estep::{DimLayout, EStep, FillScratch};
@@ -68,15 +67,10 @@ use crate::sparse::{SparseDiagAcc, SparseScatterAcc};
 use crate::GmmConfig;
 use fml_linalg::block::{BlockPartition, BlockScatter};
 use fml_linalg::exec::{ExecPolicy, FitNotifier};
-use fml_linalg::policy::par_row_bands_with_threads;
 use fml_linalg::{vector, BlockVec, Matrix, Vector};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, JoinSpec, OrdinalArena, StoreError, StoreResult};
 use std::time::Instant;
-
-/// Minimum per-fact work (≈ `k·d²` flops) below which the parallel policy
-/// runs the E-step of a fact block inline instead of fanning out.
-const PAR_MIN_FACT_FLOPS: usize = 1 << 12;
 
 /// The factorized training strategy (the paper's proposal).
 pub struct FactorizedGmm;
@@ -94,7 +88,7 @@ impl FactorizedGmm {
         let start = Instant::now();
         let ex = exec.resolve();
         // The resolved observability mode governs instrumentation on every
-        // thread this run touches (pool workers, storage scans).
+        // thread this run touches.
         let _obs = ex.obs_scope();
         spec.validate(db)?;
         let sizes = spec.feature_partition(db)?;
@@ -114,9 +108,6 @@ impl FactorizedGmm {
         let mut iterations = 0;
 
         let kp = ex.kernel_policy;
-        // Fan out only when per-fact work can amortize the pool dispatch.
-        let par = ex.kernel_policy.is_parallel() && k * d * d >= PAR_MIN_FACT_FLOPS;
-        let workers = ex.workers(par);
         // Per-dimension arenas, filled together on first reference: `terms`
         // holds the E-step rows, `aggs` the M-step aggregate rows (see
         // [`DimLayout`]).
@@ -129,12 +120,8 @@ impl FactorizedGmm {
             .iter()
             .map(|lay| OrdinalArena::new(k * lay.agg_len()))
             .collect();
-        let (mut pd_s, mut w_s) = (vec![0.0; k * d_s], vec![0.0; d_s]);
+        let (mut pd_s, mut w_s, mut g) = (vec![0.0; k * d_s], vec![0.0; d_s], vec![0.0; k]);
         let mut fill = FillScratch::default();
-        // Per fact of a block, its `k` responsibilities and its
-        // log-likelihood; per row band, its `PD_S` scratch.
-        let mut fact_rows: Vec<f64> = Vec::new();
-        let mut band_pd_s = vec![vec![0.0; k * d_s]; workers];
         // Per dimension and component, the sparse tuples' scatter sums of
         // one window, reset before each window's dimension-side pass.
         let mut sparse_accs: Vec<Vec<SparseScatterAcc>> = layouts
@@ -180,41 +167,20 @@ impl FactorizedGmm {
                         estep.fill_rows(i, first, |o| cache.row(i, o), terms, &mut fill);
                         first.iter().for_each(|&ord| aggs.row_mut(ord).fill(0.0));
                     }
-                    // The per-fact evaluation fans out over row bands that
-                    // read the E-step rows immutably.
-                    fact_rows.resize(block.len() * (k + 1), 0.0);
-                    par_row_bands_with_threads(
-                        workers,
-                        &mut fact_rows,
-                        k + 1,
-                        1,
-                        &mut band_pd_s,
-                        |first, band, pd_s| {
-                            for (row, f) in band.chunks_exact_mut(k + 1).zip(first..) {
-                                let ords = block.ords_of(f);
-                                let rows = |i: usize| terms[i].row(ords[i]);
-                                let (log_dens, ll) = row.split_at_mut(k);
-                                estep.log_densities(facts.row(f), rows, pd_s, log_dens);
-                                ll[0] = estep.pre.finish_responsibilities_in_place(log_dens);
-                            }
-                        },
-                    );
-                    // Fact-order fold of the responsibilities and of the
-                    // block's M-step remainder: the sums do not depend on how
-                    // the block was banded, hence not on the worker count.
-                    for (f, out) in fact_rows.chunks_exact(k + 1).enumerate() {
-                        let (g, tuple_ll) = (&out[..k], out[k]);
-                        vector::axpy(1.0, g, &mut nk);
-                        ll += tuple_ll;
+                    // Per fact, in fact order: its responsibilities, then
+                    // its M-step remainder.  `pd_s` keeps the `PD_S` the
+                    // E-step formed under every component.
+                    for f in 0..block.len() {
                         let (x_s, ords) = (facts.row(f), block.ords_of(f));
+                        estep.log_densities(x_s, |i| terms[i].row(ords[i]), &mut pd_s, &mut g);
+                        ll += estep.pre.finish_responsibilities_in_place(&mut g);
+                        vector::axpy(1.0, &g, &mut nk);
                         any_sparse_fact |= !x_s.is_dense();
-                        // fact-fact block, per fact; `pd_s` keeps
-                        // `PD_S` under every component
+                        // fact-fact block, per fact
                         for c in 0..k {
                             match x_s {
-                                BlockVec::Dense(x) => {
-                                    let pd = &mut pd_s[c * d_s..(c + 1) * d_s];
-                                    vector::sub_into(x, &means_split[c][0], pd);
+                                BlockVec::Dense(_) => {
+                                    let pd = &pd_s[c * d_s..(c + 1) * d_s];
                                     scatter[c].add_outer(0, 0, g[c], pd, pd);
                                 }
                                 rep => fact_acc[c].record(&mut scatter[c], 0, g[c], rep),
@@ -241,7 +207,7 @@ impl FactorizedGmm {
                                 let sum_n = lay.agg_partner(off, ln);
                                 let narrow = terms[n].row(ords[n]).chunks_exact(ln.len);
                                 let wide = row.chunks_exact_mut(lay.agg_len());
-                                for ((a, e_n), &gamma) in wide.zip(narrow).zip(g) {
+                                for ((a, e_n), &gamma) in wide.zip(narrow).zip(&g) {
                                     vector::axpy(gamma, &e_n[ln.pd()], &mut a[sum_n.clone()]);
                                 }
                             }

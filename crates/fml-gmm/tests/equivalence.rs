@@ -257,44 +257,3 @@ fn multiway_policies_learn_the_same_model() {
         assert!(diff < 1e-6, "F-multiway under {policy} diverged: {diff}");
     }
 }
-
-#[test]
-fn parallel_fanout_engages_at_larger_dimensions() {
-    // Sized so k·d² clears the factorized trainer's fan-out gate (k=3, d=38 →
-    // 4332 ≥ 4096): the E-step's fact chunks, their detection segments and
-    // the fact-order fold actually run instead of the inline path.
-    use fml_linalg::KernelPolicy;
-    let w = SyntheticConfig {
-        n_s: 300,
-        n_r: 10,
-        d_s: 3,
-        d_r: 35,
-        k: 3,
-        noise_std: 0.8,
-        with_target: false,
-        seed: 91,
-    }
-    .generate()
-    .unwrap();
-    let base = GmmConfig {
-        k: 3,
-        max_iters: 2,
-        ..GmmConfig::default()
-    };
-    let blocked = FactorizedGmm::train(
-        &w.db,
-        &w.spec,
-        &base,
-        &ExecPolicy::new().kernel_policy(KernelPolicy::Blocked),
-    )
-    .unwrap();
-    let parallel = FactorizedGmm::train(
-        &w.db,
-        &w.spec,
-        &base,
-        &ExecPolicy::new().kernel_policy(KernelPolicy::BlockedParallel),
-    )
-    .unwrap();
-    let diff = blocked.model.max_param_diff(&parallel.model);
-    assert!(diff < 1e-7, "engaged parallel F-GMM diverged: {diff}");
-}

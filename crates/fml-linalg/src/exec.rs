@@ -118,8 +118,8 @@ pub struct ExecSettings {
     pub sparse: SparseMode,
     /// Pages per scan block.
     pub block_pages: usize,
-    /// Worker threads for the drivers' chunk fan-out (per tuple batch / per
-    /// fact chunk / per scoring block) under
+    /// Worker threads for the chunk fan-out (per dense tuple batch /
+    /// per factorized scoring block) under
     /// [`KernelPolicy::BlockedParallel`] — the only fan-out there is.
     pub threads: usize,
     /// Seed for the data-independent model initialization.
@@ -143,7 +143,7 @@ impl ExecSettings {
     /// Installs the resolved observability mode process-wide until the
     /// returned guard drops (see [`fml_obs::apply_mode`]).  Every trainer and
     /// scorer installs this at entry, which is what extends the builder >
-    /// `FML_OBS` > default precedence to the instrumentation on pool workers
+    /// `FML_OBS` > default precedence to the instrumentation on fan-out threads
     /// and storage scans.  The mode is
     /// process-global, so overlapping runs requesting *different* modes race
     /// benignly (last writer wins until its guard drops).

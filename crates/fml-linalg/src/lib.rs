@@ -39,11 +39,10 @@
 //!   `4×8` micro-kernel; 4-way unrolled reductions elsewhere.  ~3× faster than
 //!   `Naive` on a 512³ product on one core (see `BENCH_kernels.json`).
 //! * `BlockedParallel` — the same blocked kernels; what it adds is the
-//!   **drivers'** chunk fan-out (the trainers' per-batch / per-fact loops and
-//!   the scorer's per-block chunks) over the persistent worker pool
-//!   ([`pool`]): long-lived workers (spawned lazily, capped at
-//!   [`policy::num_threads`]) with borrowed-closure dispatch, so a parallel
-//!   region costs a queue push per chunk instead of a thread spawn.
+//!   chunk fan-out of the dense GMM trainers' per-batch loops and the
+//!   factorized scorer's per-block rows through
+//!   [`policy::par_row_bands_with_threads`]: one `std::thread::scope` per
+//!   region, a scoped thread per band but the last, which runs inline.
 //!
 //! **Determinism guarantees.**  For a fixed policy every kernel is a pure
 //! function of its inputs, and `BlockedParallel` is bit-identical to
@@ -61,7 +60,7 @@
 //! ([`ExecPolicy::kernel_policy`]), or per process
 //! (`FML_KERNEL_POLICY=naive|blocked|parallel`, read by
 //! [`ExecPolicy::resolve`] for runs that pin none).  `FML_THREADS` sets the
-//! drivers' default worker count and caps the pool.
+//! default worker count of a fan-out: a region has at most that many bands.
 //!
 //! ## One arithmetic
 //!
@@ -71,15 +70,13 @@
 //! vector registers.  There is no runtime dispatch and no fused
 //! multiply-add, so a kernel has one result per input on every CPU.
 //!
-//! `unsafe` is denied crate-wide and allowed in exactly one leaf module:
-//! [`pool`]'s task-erasure module, where the borrowed-closure dispatch is
-//! made sound by the drain-before-return protocol documented there.
-//! Everything else reaches vector ISA throughput through fixed-size array
-//! tiles that the compiler fully unrolls.
+//! `unsafe` is forbidden crate-wide, as in every library crate of the
+//! workspace: the kernels reach vector ISA throughput through fixed-size
+//! array tiles that the compiler fully unrolls, and the fan-out borrows the
+//! caller's stack through `std::thread::scope`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
 #![warn(clippy::iter_over_hash_type)]
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
@@ -91,7 +88,6 @@ pub mod exec;
 pub mod gemm;
 pub mod matrix;
 pub mod policy;
-pub mod pool;
 pub mod simd;
 pub mod sparse;
 pub mod sym;

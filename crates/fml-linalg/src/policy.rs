@@ -15,14 +15,14 @@
 //!   [`crate::TEST_EPS`]-style tolerances but are not bit-identical.
 //!
 //! [`KernelPolicy::BlockedParallel`] is the blocked arithmetic — every kernel
-//! treats it exactly as `Blocked` — plus the **drivers'** chunk fan-out: the
-//! trainers and the scorer split their batches / fact blocks with
-//! [`par_row_bands_with_threads`] over the persistent worker pool
-//! ([`crate::pool`]).  Band boundaries depend only on the problem shape and
-//! the worker count, and per-band results are merged **in band order** (a
-//! fixed-shape reduction tree), so a given
-//! configuration always produces the same bits.  No kernel fans out on its
-//! own.
+//! treats it exactly as `Blocked` — plus a chunk fan-out: the
+//! dense GMM trainers split their tuple batches and the factorized scorer its
+//! fact blocks with [`par_row_bands_with_threads`], one scoped thread per
+//! band but the last.
+//! Band boundaries depend only on the problem shape and the worker count,
+//! and per-band results are merged **in band order** (a fixed-shape
+//! reduction tree), so a given configuration always produces the same bits.
+//! No kernel fans out on its own.
 //!
 //! The default policy is `Blocked`, overridable with the `FML_KERNEL_POLICY`
 //! environment variable (`naive` | `blocked` | `parallel`), which
@@ -42,8 +42,8 @@ pub enum KernelPolicy {
     Naive,
     /// Cache-tiled, register-blocked kernels.
     Blocked,
-    /// The blocked kernels, with the trainers' and the scorer's chunk loops
-    /// fanned out over the worker pool.
+    /// The blocked kernels, with the dense GMM trainers' batches and the
+    /// factorized scorer's fact blocks fanned out over scoped threads.
     BlockedParallel,
 }
 
@@ -64,7 +64,8 @@ impl KernelPolicy {
         }
     }
 
-    /// Whether the drivers may fan their chunk loops out to the thread pool.
+    /// Whether the trainers and the scorer may fan their chunk loops out
+    /// over threads.
     pub fn is_parallel(self) -> bool {
         matches!(self, KernelPolicy::BlockedParallel)
     }
@@ -210,18 +211,23 @@ pub(crate) fn chunk_ranges(
     (0..n.div_ceil(step)).map(move |c| c * step..(c * step + step).min(n))
 }
 
+/// Threads [`par_row_bands_with_threads`] has spawned: the
+/// `fml_fanout_threads_total` registry counter, recorded unconditionally
+/// because tests assert on its deltas in every `FML_OBS` mode.
+static FANOUT_THREADS: fml_obs::LazyCounter = fml_obs::LazyCounter::new("fml_fanout_threads_total");
+
 /// The drivers' one fan-out: splits `data` into at most `threads` bands of
 /// whole `row_len`-element rows and runs
-/// `f(first_row_of_band, band_slice, &mut scratch[b])` on band `b` — on the
-/// persistent worker pool ([`crate::pool`]) when there is more than one band
-/// — and returns the number of bands.  Each band writes its disjoint rows of
+/// `f(first_row_of_band, band_slice, &mut scratch[b])` on band `b` — every
+/// band but the last on a scoped thread of its own, the last inline — and
+/// returns the number of bands.  Each band writes its disjoint rows of
 /// `data` and its own caller-owned scratch (per-band buffers and partial
 /// results, allocated once by the caller), which the caller merges **in band
 /// order**, so the reduction order does not depend on which thread finished
 /// first.  Band boundaries split `0..rows` into near-equal runs of whole
 /// `align_rows` multiples and depend only on the arguments; each element of
 /// `data` belongs to exactly one band, so the result is independent of
-/// scheduling.  One band allocates nothing.
+/// scheduling.  One band spawns and allocates nothing.
 ///
 /// The worker count is explicit: the drivers pass
 /// [`crate::ExecSettings::workers`], and tests on single-core machines force
@@ -229,7 +235,9 @@ pub(crate) fn chunk_ranges(
 /// parallelism.
 ///
 /// # Panics
-/// When `data` is not whole rows, or `scratch` has fewer slots than bands.
+/// When `data` is not whole rows, or `scratch` has fewer slots than bands;
+/// and with the original payload when `f` panics on any band (the first in
+/// band order among the spawned ones), after every band has finished.
 pub fn par_row_bands_with_threads<T, S, F>(
     threads: usize,
     data: &mut [T],
@@ -261,25 +269,51 @@ where
         f(0, data, &mut scratch[0]);
         return 1;
     }
-    // Bands are disjoint `split_at_mut` slices and each task owns one
-    // scratch slot, so the pool tasks never alias; determinism comes from
-    // the band boundaries alone.
-    let mut rest = data;
-    let mut tasks = Vec::with_capacity(bands);
-    for (slot, range) in scratch.iter_mut().zip(ranges) {
-        let (band, tail) = rest.split_at_mut(range.len() * row_len);
-        rest = tail;
-        let f = &f;
-        tasks.push(move || f(range.start, band, slot));
-    }
-    crate::pool::run(tasks);
+    // Bands are disjoint `split_at_mut` slices and each owns one scratch
+    // slot, so the threads never alias; determinism comes from the band
+    // boundaries alone.
+    let (f, mut rest) = (&f, data);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one fan-out, where threads are born"
+    )]
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(bands - 1);
+        for (b, (range, slot)) in ranges.zip(scratch).enumerate() {
+            let (band, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * row_len);
+            rest = tail;
+            if b + 1 == bands {
+                f(range.start, band, slot);
+            } else {
+                FANOUT_THREADS.get().inc();
+                handles.push(s.spawn(move || f(range.start, band, slot)));
+            }
+        }
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
     bands
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Sums `f(first_row, band)` over a `threads`-way split of `n` unit
+    /// rows, each band reporting through its own scratch slot.
+    fn sum_bands(threads: usize, n: usize, f: impl Fn(usize, &[u8]) -> usize + Sync) -> usize {
+        let mut data = vec![0u8; n];
+        let mut sums = vec![0usize; threads];
+        let bands =
+            par_row_bands_with_threads(threads, &mut data, 1, 1, &mut sums, |first, band, s| {
+                *s = f(first, band);
+            });
+        sums[..bands].iter().sum()
+    }
 
     #[test]
     fn labels_and_parsing_roundtrip() {
@@ -462,5 +496,79 @@ mod tests {
         for (i, row) in data.chunks_exact(cols).enumerate() {
             assert!(row.iter().all(|&v| v == i as f64), "row {i} wrong: {row:?}");
         }
+    }
+
+    /// Every band runs exactly once and its result lands in its own slot,
+    /// whichever thread ran it.
+    #[test]
+    fn par_row_bands_run_each_band_exactly_once() {
+        let counts: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        let mut slots = [0usize; 8];
+        let bands = par_row_bands_with_threads(8, &mut [(); 8], 1, 1, &mut slots, |first, _, s| {
+            counts[first].fetch_add(1, Ordering::Relaxed);
+            *s = first * 10;
+        });
+        assert_eq!(bands, 8);
+        for (i, c) in counts.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "band {i} ran once");
+        }
+        assert_eq!(slots, [0, 10, 20, 30, 40, 50, 60, 70]);
+    }
+
+    /// No rows run nothing; one band runs inline on the calling thread.
+    #[test]
+    fn par_row_bands_run_empty_and_singleton_regions_inline() {
+        let none = par_row_bands_with_threads(4, &mut [0u8; 0], 1, 1, &mut [(); 0], |_, _, _| {
+            panic!("an empty region ran a band")
+        });
+        assert_eq!(none, 0);
+        let mut ran_on = [None];
+        let one = par_row_bands_with_threads(4, &mut [0u8; 3], 3, 1, &mut ran_on, |_, _, s| {
+            *s = Some(std::thread::current().id());
+        });
+        assert_eq!(one, 1);
+        assert_eq!(ran_on[0], Some(std::thread::current().id()));
+    }
+
+    /// Three levels of regions, each band of a region opening one of its
+    /// own, complete with every row covered once.
+    #[test]
+    fn nested_regions_complete_without_deadlock() {
+        let outer = sum_bands(4, 16, |_, outer_band| {
+            let inner = sum_bands(4, 16, |_, inner_band| {
+                let mut data = vec![1.0f64; 32];
+                par_row_bands_with_threads(2, &mut data, 1, 1, &mut [(); 2], |_, band, _| {
+                    for v in band.iter_mut() {
+                        *v += 1.0;
+                    }
+                });
+                assert!(data.iter().all(|&v| v == 2.0));
+                inner_band.len()
+            });
+            assert_eq!(inner, 16);
+            outer_band.len()
+        });
+        assert_eq!(outer, 16);
+    }
+
+    /// A panic on a spawned band resurfaces on the caller with its original
+    /// payload, and the next region runs normally.
+    #[test]
+    fn worker_panics_resurface_on_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            sum_bands(4, 100, |first, band| {
+                if first == 0 {
+                    panic!("chunk zero exploded");
+                }
+                band.len()
+            })
+        });
+        let payload = result.expect_err("panic must propagate");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("<non-str payload>");
+        assert!(msg.contains("chunk zero exploded"), "payload: {msg}");
+        assert_eq!(sum_bands(4, 100, |_, band| band.len()), 100);
     }
 }

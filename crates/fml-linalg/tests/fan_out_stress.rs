@@ -1,13 +1,14 @@
-//! Stress test for the persistent worker pool: many OS threads submitting
-//! nested regions concurrently and panicking tasks mid-region — the
-//! interleavings no static lint can see.
+//! Stress test for the fan-out: many OS threads opening nested
+//! regions concurrently and panicking bands mid-region — the interleavings
+//! no static lint can see.
 //!
 //! This is the target of the nightly ThreadSanitizer job
 //! (`.github/workflows/nightly.yml`): every assertion here is also a data-
-//! race probe when built with `-Zsanitizer=thread`.  Iterations are bounded
-//! so the test stays cheap in the normal tier-1 suite, and it reads no
-//! environment variables — worker counts are forced through the explicit
-//! `*_with_threads` entry points so behavior is identical under TSan, Miri
+//! race probe when built with `-Zsanitizer=thread`.  Iterations and thread
+//! counts are bounded (at most about 30 threads alive at once) so the test
+//! stays cheap in the normal tier-1 suite, and it reads no environment
+//! variables — worker counts are forced through the explicit
+//! `par_row_bands_with_threads` argument so behavior is identical under TSan
 //! and `cargo test`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,7 +19,7 @@ use fml_linalg::policy::par_row_bands_with_threads;
 /// Rounds per submitter thread — bounded so the whole test runs in well
 /// under a second without sanitizers.
 const ROUNDS: usize = 20;
-/// Concurrent submitter threads sharing the one process-wide pool.
+/// Concurrent submitter threads, each opening its own regions.
 const SUBMITTERS: usize = 4;
 const N: usize = 96;
 
@@ -37,15 +38,18 @@ fn sum_bands(threads: usize, n: usize, f: impl Fn(usize, &[u8]) -> usize + Sync)
 #[test]
 fn concurrent_nested_regions_stay_deterministic() {
     let tasks_run = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs concurrent submitters of its own"
+    )]
     std::thread::scope(|s| {
         for _ in 0..SUBMITTERS {
             let tasks_run = &tasks_run;
             s.spawn(move || {
                 for _ in 0..ROUNDS {
-                    // Outer region fans out on the shared pool; every outer
-                    // chunk opens an inner region of its own, so regions
-                    // from all submitters nest and interleave on the same
-                    // workers.
+                    // Every band of the outer region opens an inner region
+                    // of its own, so regions from all submitters nest and
+                    // interleave.
                     let total = sum_bands(3, N, |start, band| {
                         sum_bands(2, band.len(), |first, inner| {
                             tasks_run.fetch_add(1, Ordering::Relaxed);
@@ -63,19 +67,23 @@ fn concurrent_nested_regions_stay_deterministic() {
 }
 
 #[test]
-fn panicking_tasks_drain_and_leave_the_pool_usable() {
+fn panicking_bands_join_and_leave_the_fan_out_usable() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs concurrent submitters of its own"
+    )]
     std::thread::scope(|s| {
         for _ in 0..SUBMITTERS {
             s.spawn(|| {
                 for round in 0..ROUNDS {
-                    // One task of the region panics; the dispatcher must
-                    // still drain the region (DrainOnUnwind) and resume the
-                    // payload on the submitting thread.
+                    // One band of the region panics; the region must still
+                    // join every band and resume the payload on the
+                    // submitting thread.
                     let poisoned = round; // index whose chunk panics
                     let caught = catch_unwind(AssertUnwindSafe(|| {
                         sum_bands(4, ROUNDS, |first, band| {
                             if (first..first + band.len()).contains(&poisoned) {
-                                panic!("pool-stress deliberate panic");
+                                panic!("fan-out-stress deliberate panic");
                             }
                             band.len()
                         })
@@ -85,10 +93,10 @@ fn panicking_tasks_drain_and_leave_the_pool_usable() {
                         .downcast_ref::<&str>()
                         .copied()
                         .unwrap_or("non-str payload");
-                    assert_eq!(msg, "pool-stress deliberate panic");
+                    assert_eq!(msg, "fan-out-stress deliberate panic");
 
-                    // The pool survives: an immediate clean fan-out on the
-                    // same thread completes with full coverage.
+                    // An immediate clean fan-out on the same thread
+                    // completes with full coverage.
                     assert_eq!(sum_bands(4, N, |_, band| band.len()), N);
                 }
             });
@@ -98,6 +106,10 @@ fn panicking_tasks_drain_and_leave_the_pool_usable() {
 
 #[test]
 fn disjoint_row_bands_never_alias_across_submitters() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs concurrent submitters of its own"
+    )]
     std::thread::scope(|s| {
         for submitter in 0..SUBMITTERS {
             s.spawn(move || {

@@ -3,16 +3,16 @@
 //! Every policy-taking kernel is called under `KernelPolicy::BlockedParallel`
 //! at a shape above the FLOP / op cutoffs kernel-granularity fan-out used to
 //! engage at, and must (a) return the bits of `KernelPolicy::Blocked` and
-//! (b) never touch the worker pool: fan-out lives in the drivers only.
+//! (b) never spawn a thread: only the trainers and the scorer fan out.
 //!
-//! One `#[test]` in its own binary on purpose — the pool is process-global,
-//! so the `worker_count() == 0` assertion must not share a process with tests
-//! that dispatch.
+//! One `#[test]` in its own binary on purpose — the
+//! `fml_fanout_threads_total` counter is process-global, so the assertion
+//! that it does not move must not share a process with tests that fan out.
 
 use fml_linalg::csr::{self, CsrBlock};
 use fml_linalg::testutil::TestRng;
 use fml_linalg::KernelPolicy::{Blocked, BlockedParallel};
-use fml_linalg::{gemm, pool, sparse, KernelPolicy, Matrix};
+use fml_linalg::{gemm, sparse, KernelPolicy, Matrix};
 
 fn matrix(rng: &mut TestRng, rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, rng.vec_in(rows * cols, -1.0, 1.0))
@@ -29,6 +29,8 @@ fn same_bits(what: &str, kernel: impl Fn(KernelPolicy) -> Vec<f64>) {
 
 #[test]
 fn parallel_policy_is_blocked_arithmetic_and_never_dispatches() {
+    let spawned = || fml_obs::counter_handle("fml_fanout_threads_total").get();
+    let before = spawned();
     let mut rng = TestRng::new(0x5E9);
 
     // GEMM 256³
@@ -140,9 +142,5 @@ fn parallel_policy_is_blocked_arithmetic_and_never_dispatches() {
         g.into_vec()
     });
 
-    assert_eq!(
-        pool::worker_count(),
-        0,
-        "a kernel dispatched to the worker pool"
-    );
+    assert_eq!(spawned(), before, "a kernel spawned a fan-out thread");
 }

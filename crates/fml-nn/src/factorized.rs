@@ -98,7 +98,7 @@ pub(crate) fn train_epochs(
     let start = Instant::now();
     let ex = exec.resolve();
     // The resolved observability mode governs instrumentation on every
-    // thread this run touches (pool workers, storage scans).
+    // thread this run touches.
     let _obs = ex.obs_scope();
     spec.validate(db)?;
     let n = ensure_trainable(db, spec)?;

@@ -29,9 +29,10 @@
 //!   bit-identity and performance guarantees of an uninstrumented build.
 //!
 //! A small set of counters record **unconditionally** regardless of mode:
-//! the sparse-path/pool invocation counts that correctness tests assert on,
-//! and the environment-warning counter behind [`warn_once`].  These are
-//! plain relaxed increments — cheap enough to always pay.
+//! the sparse-path invocation and fan-out thread counts that correctness
+//! tests assert on, and the environment-warning counter behind
+//! [`warn_once`].  These are plain relaxed increments — cheap enough to
+//! always pay.
 //!
 //! ## Usage
 //!

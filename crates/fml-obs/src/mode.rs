@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 /// The levels are strictly ordered: `Trace` implies `Metrics` (a trace run
 /// records both spans and registry metrics), and `Off` disables everything
 /// except the always-on counters the correctness tests read (sparse-path
-/// invocation counts, pool worker tasks, environment warnings).
+/// invocation counts, fan-out threads, environment warnings).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(u8)]
 pub enum ObsMode {
@@ -170,7 +170,7 @@ impl Drop for ModeGuard {
 /// guard drops, then restores whatever was active before.
 ///
 /// The mode is **process-global**, not thread-scoped: instrumentation runs on
-/// pool workers and storage threads that a thread-local could never reach.
+/// fan-out threads and storage threads that a thread-local could never reach.
 /// Guards therefore restore in LIFO order and are intended for the
 /// one-run-at-a-time shape the trainers and scorers have (each installs its
 /// resolved `ExecPolicy` mode at entry); two concurrent runs requesting

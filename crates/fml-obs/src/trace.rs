@@ -11,8 +11,7 @@
 //! record is evicted and counted in [`dropped_spans`], so tracing can stay
 //! on indefinitely with bounded memory.  Each thread's buffer registers
 //! itself in a global list on first use and stays readable after the thread
-//! exits (the pool's workers outlive individual runs, but test threads
-//! don't).
+//! exits (a fan-out's scoped threads end with their region).
 //!
 //! ## Cost model
 //!

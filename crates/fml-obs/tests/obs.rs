@@ -29,6 +29,10 @@ fn histogram_percentiles_are_correct_under_concurrent_recording() {
     let h = fml_obs::histogram_handle("fml_test_concurrent_hist");
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 5_000;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs concurrent recorders of its own"
+    )]
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             scope.spawn(move || {

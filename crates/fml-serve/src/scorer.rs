@@ -44,22 +44,23 @@
 //! The factorized strategy has one driver for every join shape (a binary
 //! join is the star with one dimension), shaped like the factorized GMM
 //! trainer's E-step pass, and its worker count is a parameter: the resolved
-//! [`ExecPolicy`] thread count under a parallel kernel policy, 1 otherwise —
-//! the same rule, and the same [`par_row_bands_with_threads`] call, as the
-//! trainer.  Per fact block of the scan, whose foreign keys arrive resolved
+//! [`ExecPolicy`] thread count under a parallel kernel policy, 1 otherwise.
+//! Per fact block of the scan, whose foreign keys arrive resolved
 //! to dimension ordinals (a dangling key surfacing as the same typed error
 //! whatever the worker count), one sequential sweep fills the term row of
 //! each dimension tuple the block references first (once per *distinct*
-//! tuple), then the block's *fact rows* are banded over arenas that are
-//! read-only by then, each band writing its scores straight into its slice of
-//! the output with one of the per-worker scratches allocated once per call.
-//! With one worker the block is a single band run inline.  Band boundaries
+//! tuple), then [`par_row_bands_with_threads`] bands the block's *fact rows*
+//! over arenas that are read-only by then — a scoped thread per band but
+//! the last, which runs inline — each band writing its scores straight into
+//! its slice of the output with one of the per-worker scratches allocated
+//! once per call.  With one worker the block is a single band run inline,
+//! and no thread is spawned.  Band boundaries
 //! depend only on block shape and worker count, and every row's arithmetic is
 //! independent of which band ran it — so the exactness contract above
-//! extends to **every thread count**.  Kernels inside workers run the
-//! sequential policy (the pool is entered at the coarse per-band level, not
-//! per kernel), and observers get one notification per fact block from the
-//! scoring thread, never from workers.  Rows come out in the scan's
+//! extends to **every thread count**.  Kernels inside bands run the
+//! sequential policy (the fan-out is per band, not per kernel), and
+//! observers get one notification per fact block from the scoring thread,
+//! never from a band's thread.  Rows come out in the scan's
 //! `(window, fact)` order under all three strategies.
 
 use crate::observe::{ScoreNotifier, ScoreObserver};
@@ -74,7 +75,7 @@ use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
 use fml_store::batch::{RowBuf, RowPanel};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::join::materialize_join;
-use fml_store::{Database, IoSnapshot, JoinSpec, OrdinalArena, RowKind, StoreResult};
+use fml_store::{Database, IoSnapshot, JoinSpec, OrdinalArena, RowKind, StoreError, StoreResult};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -619,7 +620,8 @@ pub fn score_table_name(spec: &JoinSpec) -> String {
 // ---------------------------------------------------------------------------
 
 /// What both families' [`Scorer::score_batch`] share: validate the join,
-/// check the model's input width against it, install the run's scopes, and
+/// check the model's input width against it (a model of another width is a
+/// [`StoreError::SchemaMismatch`] naming both), install the run's scopes, and
 /// run the core `build` returns through the options' strategy — bracketed by
 /// the shared measurement scaffolding (I/O snapshot delta + wall-time,
 /// mirroring [`fml_core::api::fit_measured`]).  The core is built inside the
@@ -641,14 +643,18 @@ where
 {
     spec.validate(db)?;
     let partition = BlockPartition::new(&spec.feature_partition(db)?);
-    assert_eq!(
-        model_dim,
-        partition.total_dim(),
-        "model dimension mismatch against the join's feature width"
-    );
+    if model_dim != partition.total_dim() {
+        return Err(StoreError::SchemaMismatch {
+            relation: spec.fact.clone(),
+            detail: format!(
+                "the model takes {model_dim} features, the join has {}",
+                partition.total_dim()
+            ),
+        });
+    }
     let ex = exec.resolve();
     // The resolved observability mode governs instrumentation on every
-    // thread this run touches (pool workers, storage scans).
+    // thread this run touches (fan-out threads, storage scans).
     let _obs = ex.obs_scope();
     let _span = fml_obs::span!("score");
     let before = db.stats().snapshot();

@@ -2,7 +2,7 @@
 //! (a) produce **bit-identical** models and scores whether observability is
 //! off, metrics-only, or tracing — instrumentation may never perturb the
 //! numerics — and (b) when tracing, populate the `fml-obs` registry with the
-//! pool, kernel, storage, fit and score metrics the ISSUE promises, plus a
+//! fan-out, kernel, storage, fit and score metrics, plus a
 //! Chrome trace whose spans nest (`fit_iteration` inside `fit`,
 //! `score_batch` inside `score`).
 //!
@@ -109,9 +109,8 @@ fn observability_modes_are_bit_identical_for_nn_fit_and_score() {
 fn trace_run_exports_complete_metrics_and_nested_spans() {
     let _guard = mode_lock();
     fml_obs::clear_spans();
-    // Wide enough that the factorized EM clears the parallel fan-out
-    // threshold (`k·d² >= 4096`), so the worker pool — and
-    // its metrics — actually engage.
+    // The factorized score fans out under `exec`'s parallel policy, so
+    // `fml_fanout_threads_total` moves.
     let w = SyntheticConfig {
         n_s: 240,
         n_r: 12,
@@ -133,11 +132,8 @@ fn trace_run_exports_complete_metrics_and_nested_spans() {
     // -- Prometheus exposition: every subsystem reported in.
     let text = fml_obs::prometheus_text();
     for name in [
-        // pool
-        "fml_pool_worker_tasks_total",
-        "fml_pool_queue_depth",
-        "fml_pool_workers",
-        "fml_pool_dispatch_ns",
+        // fan-out
+        "fml_fanout_threads_total",
         // kernels (factorized GMM runs on GEMV + sparse kernels, not GEMM)
         "fml_gemv_calls_total",
         "fml_kernel_flops_total",
@@ -168,6 +164,7 @@ fn trace_run_exports_complete_metrics_and_nested_spans() {
     assert!(counter_value("fml_score_batches_total") >= 1);
     assert!(counter_value("fml_kernel_flops_total") > 0);
     assert!(counter_value("fml_store_pages_read_total") > 0);
+    assert!(counter_value("fml_fanout_threads_total") > 0);
 
     // -- JSON export stays parseable alongside the text form.
     let json = fml_obs::metrics_json();

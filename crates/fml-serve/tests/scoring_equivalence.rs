@@ -656,10 +656,9 @@ fn binary_dangling_fk_fails_every_fit_and_score_strategy() {
     }
 }
 
-/// Scoring runs dispatched *as tasks of an outer pool region* — each itself
-/// fanning out over the pool with parallel kernels requested — complete and
-/// stay bit-identical.  This is the nested shape help-first draining exists
-/// for: a concurrent server scoring many requests over one shared pool.
+/// Scoring runs dispatched *as bands of an outer fan-out region* — each
+/// itself fanning out with parallel kernels requested — complete and stay
+/// bit-identical: the nested shape of a server scoring many requests at once.
 #[test]
 fn scoring_inside_a_pool_region_does_not_deadlock() {
     let w = dense_workload(false);
@@ -714,10 +713,13 @@ fn scoring_without_join_panics() {
     let _ = Session::new(&w.db).score(&trained);
 }
 
+/// A model scored over a join of another width — a model file loaded for
+/// the wrong join — is a typed schema mismatch naming both widths, for
+/// either family, not a panic inside the scorer.
 #[test]
-#[should_panic(expected = "model dimension mismatch")]
-fn scoring_a_model_over_the_wrong_join_panics() {
-    let w = dense_workload(false);
+fn scoring_a_model_over_the_wrong_join_is_a_schema_mismatch() {
+    use fml_core::fml_store::StoreError;
+    let w = dense_workload(true);
     let other = SyntheticConfig {
         n_s: 100,
         n_r: 5,
@@ -725,16 +727,31 @@ fn scoring_a_model_over_the_wrong_join_panics() {
         d_r: 2,
         k: 2,
         noise_std: 0.5,
-        with_target: false,
+        with_target: true,
         seed: 9,
     }
     .generate()
     .unwrap();
-    let trained = Session::new(&w.db)
-        .join(&w.spec)
-        .fit(Gmm::with_k(2).iterations(1))
-        .unwrap();
-    let _ = Session::new(&other.db).join(&other.spec).score(&trained);
+    let session = Session::new(&w.db).join(&w.spec);
+    let gmm = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
+    let nn = session.fit(Nn::with_hidden(4).epochs(1)).unwrap();
+    let (width, other_width) = (gmm.fit.model.dim(), 3);
+    let elsewhere = Session::new(&other.db).join(&other.spec);
+    for err in [
+        elsewhere.score(&gmm).map(|s| s.len()).unwrap_err(),
+        elsewhere.score(&nn).map(|s| s.len()).unwrap_err(),
+    ] {
+        let msg = err.to_string();
+        assert!(
+            matches!(&err, StoreError::SchemaMismatch { relation, .. } if *relation == other.spec.fact),
+            "{msg}"
+        );
+        assert!(
+            msg.contains(&format!("{width} features"))
+                && msg.contains(&format!("has {other_width}")),
+            "{msg}"
+        );
+    }
 }
 
 /// The three GMM fixtures — dense binary, categorical binary, mixed star —
