@@ -4,20 +4,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fml_linalg::block::{BlockPartition, BlockScatter};
-use fml_linalg::{gemm, KernelPolicy, Matrix};
+use fml_linalg::{gemm, Matrix};
 
 fn scatter_dense(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> Matrix {
     let d = partition.total_dim();
     let mut acc = Matrix::zeros(d, d);
     for x_s in xs {
         let joined: Vec<f64> = x_s.iter().chain(x_r.iter()).copied().collect();
-        gemm::ger_with(KernelPolicy::Blocked, 0.5, &joined, &joined, &mut acc);
+        gemm::ger(0.5, &joined, &joined, &mut acc);
     }
     acc
 }
 
 fn scatter_factorized(xs: &[Vec<f64>], x_r: &[f64], partition: &BlockPartition) -> BlockScatter {
-    let mut sc = BlockScatter::new_with(partition.clone(), KernelPolicy::Blocked);
+    let mut sc = BlockScatter::new(partition.clone());
     let mut gamma_sum = 0.0;
     let mut weighted = vec![0.0; partition.size(0)];
     for x_s in xs {

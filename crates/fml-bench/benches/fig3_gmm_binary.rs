@@ -1,15 +1,14 @@
 //! Figure 3: GMM over a synthetic binary join — wall-clock time of M-GMM, S-GMM
 //! and F-GMM while varying (a) the tuple ratio `rr`, (b) the dimension-table
-//! width `d_R`, and (c) the number of components `K` — plus (d) a
-//! [`KernelPolicy`] sweep of the factorized variant and (e) the categorical
-//! one-hot scenario (emulated WalmartSparse) comparing the auto-detected
-//! sparse path against the forced-dense kernels.
+//! width `d_R`, and (c) the number of components `K` — plus (d) the
+//! categorical one-hot scenario (emulated WalmartSparse) comparing the
+//! auto-detected sparse path against the forced-dense kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fml_bench::{bench_gmm_config, binary_vary_dr, binary_vary_k, binary_vary_rr, emulated};
 use fml_core::prelude::*;
 use fml_data::EmulatedDataset;
-use fml_linalg::{KernelPolicy, SparseMode};
+use fml_linalg::SparseMode;
 
 fn fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_gmm_binary");
@@ -74,25 +73,7 @@ fn fig3(c: &mut Criterion) {
         }
     }
 
-    // (d) kernel-policy sweep of the factorized variant (fixed workload)
-    let w = binary_vary_rr(20, 15, false);
-    for policy in KernelPolicy::ALL {
-        group.bench_with_input(
-            BenchmarkId::new(format!("d_policy_{}_F-GMM", policy.label()), policy),
-            &w,
-            |b, w| {
-                b.iter(|| {
-                    Session::new(&w.db)
-                        .join(&w.spec)
-                        .exec(ExecPolicy::new().kernel_policy(policy))
-                        .fit(Gmm::new(bench_gmm_config(5)))
-                        .unwrap()
-                })
-            },
-        );
-    }
-
-    // (e) categorical one-hot scenario: auto-detected sparse path vs forced
+    // (d) categorical one-hot scenario: auto-detected sparse path vs forced
     // dense on the emulated WalmartSparse dataset (126/175 one-hot features)
     let w = emulated(EmulatedDataset::WalmartSparse);
     for mode in [SparseMode::Auto, SparseMode::Dense] {

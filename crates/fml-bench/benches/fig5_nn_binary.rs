@@ -1,13 +1,13 @@
 //! Figure 5: NN over a synthetic binary join — M/S/F-NN while varying the tuple
 //! ratio `rr`, the dimension-table width `d_R`, and the hidden width `n_h` —
-//! plus a [`KernelPolicy`] sweep of the factorized variant and the categorical
-//! one-hot scenario (emulated WalmartSparse, sparse vs forced dense).
+//! plus the categorical one-hot scenario (emulated WalmartSparse, sparse vs
+//! forced dense).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fml_bench::{bench_nn_config, binary_vary_dr, binary_vary_k, binary_vary_rr, emulated};
 use fml_core::prelude::*;
 use fml_data::EmulatedDataset;
-use fml_linalg::{KernelPolicy, SparseMode};
+use fml_linalg::SparseMode;
 
 fn fig5(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_nn_binary");
@@ -69,25 +69,7 @@ fn fig5(c: &mut Criterion) {
         }
     }
 
-    // (d) kernel-policy sweep of the factorized variant (fixed workload)
-    let w = binary_vary_rr(20, 15, true);
-    for policy in KernelPolicy::ALL {
-        group.bench_with_input(
-            BenchmarkId::new(format!("d_policy_{}_F-NN", policy.label()), policy),
-            &w,
-            |b, w| {
-                b.iter(|| {
-                    Session::new(&w.db)
-                        .join(&w.spec)
-                        .exec(ExecPolicy::new().kernel_policy(policy))
-                        .fit(Nn::new(bench_nn_config(50)))
-                        .unwrap()
-                })
-            },
-        );
-    }
-
-    // (e) categorical one-hot scenario: gather/scatter first layer vs forced
+    // (d) categorical one-hot scenario: gather/scatter first layer vs forced
     // dense on the emulated WalmartSparse dataset (the paper's NN "Sparse"
     // variant, 126/175 one-hot features)
     let w = emulated(EmulatedDataset::WalmartSparse);

@@ -1,33 +1,36 @@
 //! Micro-benchmarks of the sparse kernels against their dense counterparts,
-//! swept over block occupancy (1%–50%) and both kernel arithmetics (`Naive`,
-//! `Blocked` — the kernels treat `BlockedParallel` as `Blocked`).
+//! swept over block occupancy (1%–50%).  Every sparse kernel has one loop,
+//! so it has one row (`variant` `onehot` / `csr`); the dense side has the
+//! blocked kernel a fit runs (`dense`) and, where it reduces, its sequential
+//! oracle from `fml_linalg::reference` (`dense_reference`).
 //!
 //! Four kernel families are measured:
 //!
 //! * `spmm` — one-hot × dense block product: dense GEMM
-//!   ([`gemm::matmul_acc_with`]) vs the index-form gather
-//!   ([`sparse::spmm_onehot_with`]).
+//!   ([`gemm::matmul_acc`]) vs the index-form gather
+//!   ([`sparse::spmm_onehot`]).
 //! * `spmm_csr` — **weighted** sparse × dense block product, swept over
 //!   occupancy with general values: dense GEMM vs the CSR kernel
-//!   ([`csr::spmm_csr_with`]).
+//!   ([`csr::spmm_csr`]).
 //! * `ger` — the NN first-layer gradient on a `width × n_h` embedding table:
-//!   dense GER `x·δᵀ` ([`gemm::ger_with`]) vs the one-hot row scatter the
-//!   trainers run ([`sparse::ger_onehot_with`]).
+//!   dense GER `x·δᵀ` ([`gemm::ger`], element-wise: no reference row) vs the
+//!   one-hot row scatter the trainers run ([`sparse::ger_onehot`]).
 //! * `quadratic_form` — `xᵀAx` for one-hot `x`: dense form vs the `s²`-load
 //!   pair gather ([`sparse::quadratic_form_onehot_pair`]).
 //!
 //! The run emits **`BENCH_sparse.json`** at the workspace root with a
 //! `machine` stamp (`nproc`, the resolved thread count) and per-row
-//! `speedup_vs_dense`; CI's sparse-speedup guard asserts the `width126`
-//! one-hot block (the WalmartSparse fact layout: 15 active of 126) AND the
-//! width-126 CSR block at ≤ 10% occupancy (12 of 126) beat the dense GEMM by
-//! ≥ 3× under the blocked policy.  Set `FML_BENCH_SMOKE=1` for a single-shot
-//! smoke run that still exercises every kernel/variant pair.
+//! `speedup_vs_dense` (over the blocked `dense` row); CI's sparse-speedup
+//! guard asserts the `width126` one-hot block (the WalmartSparse fact
+//! layout: 15 active of 126) AND the width-126 CSR block at ≤ 10% occupancy
+//! (12 of 126) beat the dense blocked GEMM by ≥ 3×.  Set
+//! `FML_BENCH_SMOKE=1` for a single-shot smoke run that still exercises
+//! every row.
 
 use fml_bench::timing::smoke;
 use fml_linalg::csr::{self, CsrBlock};
-use fml_linalg::policy::{num_threads, KernelPolicy};
-use fml_linalg::{gemm, sparse, Matrix};
+use fml_linalg::policy::num_threads;
+use fml_linalg::{gemm, reference, sparse, Matrix};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -37,12 +40,21 @@ struct BenchResult {
     size: String,
     occupancy: f64,
     variant: &'static str,
-    policy: &'static str,
     mean_ns: f64,
 }
 
-/// The two arithmetics a kernel has; what a fit executes under any policy.
-const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Naive, KernelPolicy::Blocked];
+/// `C += A·B` over a row-major `A`.
+type Product = fn(&[f64], &Matrix, &mut [f64]);
+
+/// `xᵀ A y`.
+type QuadraticForm = fn(&[f64], &Matrix, &[f64]) -> f64;
+
+/// The dense block product's two arithmetics: the sequential oracle and the
+/// blocked kernel.
+const DENSE_PRODUCTS: [(&str, Product); 2] = [
+    ("dense_reference", reference::matmul_acc),
+    ("dense", gemm::matmul_acc),
+];
 
 fn pseudo_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {
     let mut rng = fml_linalg::testutil::TestRng::new(salt);
@@ -116,32 +128,30 @@ fn bench_spmm(results: &mut Vec<BenchResult>) {
         let mut c = Matrix::zeros(rows, n);
         let size = format!("{rows}x{width}x{n}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in POLICIES {
+        for (variant, product) in DENSE_PRODUCTS {
             let mean_ns = measure(|| {
                 c.fill_zero();
-                gemm::matmul_acc_with(policy, x.as_slice(), &b, c.as_mut_slice());
+                product(x.as_slice(), &b, c.as_mut_slice());
             });
             results.push(BenchResult {
                 kernel: "spmm".into(),
                 size: size.clone(),
                 occupancy,
-                variant: "dense",
-                policy: policy.label(),
-                mean_ns,
-            });
-            let mean_ns = measure(|| {
-                c.fill_zero();
-                sparse::spmm_onehot_with(policy, &idx, nnz, &b, &mut c);
-            });
-            results.push(BenchResult {
-                kernel: "spmm".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "onehot",
-                policy: policy.label(),
+                variant,
                 mean_ns,
             });
         }
+        let mean_ns = measure(|| {
+            c.fill_zero();
+            sparse::spmm_onehot(&idx, nnz, &b, &mut c);
+        });
+        results.push(BenchResult {
+            kernel: "spmm".into(),
+            size,
+            occupancy,
+            variant: "onehot",
+            mean_ns,
+        });
     }
 }
 
@@ -198,32 +208,30 @@ fn bench_spmm_csr(results: &mut Vec<BenchResult>) {
         let mut c = Matrix::zeros(rows, n);
         let size = format!("{rows}x{width}x{n}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in POLICIES {
+        for (variant, product) in DENSE_PRODUCTS {
             let mean_ns = measure(|| {
                 c.fill_zero();
-                gemm::matmul_acc_with(policy, dense_x.as_slice(), &b, c.as_mut_slice());
+                product(dense_x.as_slice(), &b, c.as_mut_slice());
             });
             results.push(BenchResult {
                 kernel: "spmm_csr".into(),
                 size: size.clone(),
                 occupancy,
-                variant: "dense",
-                policy: policy.label(),
-                mean_ns,
-            });
-            let mean_ns = measure(|| {
-                c.fill_zero();
-                csr::spmm_csr_with(policy, &x, &b, &mut c);
-            });
-            results.push(BenchResult {
-                kernel: "spmm_csr".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "csr",
-                policy: policy.label(),
+                variant,
                 mean_ns,
             });
         }
+        let mean_ns = measure(|| {
+            c.fill_zero();
+            csr::spmm_csr(&x, &b, &mut c);
+        });
+        results.push(BenchResult {
+            kernel: "spmm_csr".into(),
+            size,
+            occupancy,
+            variant: "csr",
+            mean_ns,
+        });
     }
 }
 
@@ -236,27 +244,22 @@ fn bench_ger(results: &mut Vec<BenchResult>) {
         let mut a = Matrix::zeros(width, nh);
         let size = format!("{width}x{nh}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in POLICIES {
-            let mean_ns = measure(|| gemm::ger_with(policy, 0.5, &xrow, &delta, &mut a));
-            results.push(BenchResult {
-                kernel: "ger".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "dense",
-                policy: policy.label(),
-                mean_ns,
-            });
-            let mean_ns =
-                measure(|| sparse::ger_onehot_with(policy, 0.5, &idx_all, &delta, &mut a));
-            results.push(BenchResult {
-                kernel: "ger".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "onehot",
-                policy: policy.label(),
-                mean_ns,
-            });
-        }
+        let mean_ns = measure(|| gemm::ger(0.5, &xrow, &delta, &mut a));
+        results.push(BenchResult {
+            kernel: "ger".into(),
+            size: size.clone(),
+            occupancy,
+            variant: "dense",
+            mean_ns,
+        });
+        let mean_ns = measure(|| sparse::ger_onehot(0.5, &idx_all, &delta, &mut a));
+        results.push(BenchResult {
+            kernel: "ger".into(),
+            size,
+            occupancy,
+            variant: "onehot",
+            mean_ns,
+        });
     }
 }
 
@@ -267,43 +270,44 @@ fn bench_quadratic_form(results: &mut Vec<BenchResult>) {
         let a = pseudo_matrix(width, width, 6);
         let size = format!("{width}x{width}/width{width}");
         let occupancy = nnz as f64 / width as f64;
-        for policy in POLICIES {
+        let forms: [(_, QuadraticForm); 2] = [
+            ("dense_reference", reference::quadratic_form),
+            ("dense", gemm::quadratic_form),
+        ];
+        for (variant, quadratic_form) in forms {
             let mean_ns = measure(|| {
-                std::hint::black_box(gemm::quadratic_form_sym_with(policy, &xrow, &a));
+                std::hint::black_box(quadratic_form(&xrow, &a, &xrow));
             });
             results.push(BenchResult {
                 kernel: "quadratic_form".into(),
                 size: size.clone(),
                 occupancy,
-                variant: "dense",
-                policy: policy.label(),
-                mean_ns,
-            });
-            let mean_ns = measure(|| {
-                std::hint::black_box(sparse::quadratic_form_onehot_pair(&idx, &a, &idx));
-            });
-            results.push(BenchResult {
-                kernel: "quadratic_form".into(),
-                size: size.clone(),
-                occupancy,
-                variant: "onehot",
-                policy: policy.label(),
+                variant,
                 mean_ns,
             });
         }
+        let mean_ns = measure(|| {
+            std::hint::black_box(sparse::quadratic_form_onehot_pair(&idx, &a, &idx));
+        });
+        results.push(BenchResult {
+            kernel: "quadratic_form".into(),
+            size,
+            occupancy,
+            variant: "onehot",
+            mean_ns,
+        });
     }
 }
 
-/// Speedup of `r` over the dense variant of the same kernel/size/policy.
+/// Speedup of `r` over the blocked dense variant of the same kernel/size
+/// (`None` for the dense rows themselves).
 fn speedup_vs_dense(results: &[BenchResult], r: &BenchResult) -> Option<f64> {
-    if r.variant == "dense" {
+    if r.variant.starts_with("dense") {
         return None;
     }
     results
         .iter()
-        .find(|o| {
-            o.kernel == r.kernel && o.size == r.size && o.policy == r.policy && o.variant == "dense"
-        })
+        .find(|o| o.kernel == r.kernel && o.size == r.size && o.variant == "dense")
         .map(|dense| dense.mean_ns / r.mean_ns)
 }
 
@@ -335,8 +339,8 @@ fn emit_json(results: &[BenchResult]) -> std::io::Result<PathBuf> {
             .unwrap_or_else(|| "null".into());
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"size\": \"{}\", \"occupancy\": {:.4}, \"variant\": \"{}\", \"policy\": \"{}\", \"mean_ns\": {:.1}, \"speedup_vs_dense\": {}}}{}",
-            r.kernel, r.size, r.occupancy, r.variant, r.policy, r.mean_ns, speedup, sep
+            "    {{\"kernel\": \"{}\", \"size\": \"{}\", \"occupancy\": {:.4}, \"variant\": \"{}\", \"mean_ns\": {:.1}, \"speedup_vs_dense\": {}}}{}",
+            r.kernel, r.size, r.occupancy, r.variant, r.mean_ns, speedup, sep
         );
     }
     out.push_str("  ]\n}\n");
@@ -352,20 +356,19 @@ fn main() {
     bench_quadratic_form(&mut results);
 
     println!(
-        "{:<16} {:>20} {:>6} {:>10} {:>10} {:>12} {:>9}",
-        "kernel", "size", "occ%", "variant", "policy", "mean", "vs dense"
+        "{:<16} {:>20} {:>6} {:>16} {:>12} {:>9}",
+        "kernel", "size", "occ%", "variant", "mean", "vs dense"
     );
     for r in &results {
         let speedup = speedup_vs_dense(&results, r)
             .map(|s| format!("{s:.2}x"))
             .unwrap_or_default();
         println!(
-            "{:<16} {:>20} {:>6.1} {:>10} {:>10} {:>9.3} us {:>9}",
+            "{:<16} {:>20} {:>6.1} {:>16} {:>9.3} us {:>9}",
             r.kernel,
             r.size,
             r.occupancy * 100.0,
             r.variant,
-            r.policy,
             r.mean_ns / 1e3,
             speedup
         );
@@ -377,15 +380,13 @@ fn main() {
     }
 
     // Acceptance-criterion ratios: one-hot spmm (15 of 126) and weighted CSR
-    // spmm (12 of 126, ≤ 10% occupancy) vs dense GEMM on the width-126 block
-    // under the blocked policy.  Enforcement lives in CI.
+    // spmm (12 of 126, ≤ 10% occupancy) vs the blocked dense GEMM on the
+    // width-126 block.  Enforcement lives in CI.
     for (kernel, variant) in [("spmm", "onehot"), ("spmm_csr", "csr")] {
-        if let Some(r) = results.iter().find(|r| {
-            r.kernel == kernel
-                && r.size.ends_with("width126")
-                && r.variant == variant
-                && r.policy == "blocked"
-        }) {
+        if let Some(r) = results
+            .iter()
+            .find(|r| r.kernel == kernel && r.size.ends_with("width126") && r.variant == variant)
+        {
             let speedup = speedup_vs_dense(&results, r).unwrap_or(0.0);
             println!("{kernel} width-126 {variant} speedup over dense blocked GEMM: {speedup:.2}x");
         }

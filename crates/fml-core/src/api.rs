@@ -24,7 +24,7 @@
 use fml_gmm::{FactorizedGmm, GmmConfig, GmmFit, MaterializedGmm, StreamingGmm};
 use fml_linalg::ExecPolicy;
 use fml_nn::{Activation, FactorizedNn, MaterializedNn, NnConfig, NnFit, StreamingNn};
-use fml_store::{Database, IoSnapshot, JoinSpec, StoreResult};
+use fml_store::{Database, IoSnapshot, JoinSpec, StoreError, StoreResult};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -380,14 +380,12 @@ impl<'a> Session<'a> {
     /// session's [`ExecPolicy`] obs setting is applied here so the span
     /// honors the same builder > env > default precedence the trainers use.
     ///
-    /// # Panics
-    /// Panics when [`Session::join`] was never called — a session without a
-    /// join has nothing to train over.
+    /// # Errors
+    /// [`StoreError::NoJoin`] when [`Session::join`] was never called — a
+    /// session without a join has nothing to train over — and otherwise the
+    /// estimator's own errors.
     pub fn fit<E: Estimator>(&self, estimator: E) -> StoreResult<Trained<E::Fit>> {
-        let spec = self
-            .spec
-            .as_ref()
-            .expect("Session::fit requires a join: call Session::join(spec) first");
+        let spec = self.spec.as_ref().ok_or(StoreError::NoJoin)?;
         let _obs = self.exec.resolve().obs_scope();
         let _span = fml_obs::span!("fit");
         estimator.fit(self.db, spec, &self.exec)
@@ -601,10 +599,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Session::fit requires a join")]
-    fn session_without_join_panics() {
+    fn session_without_join_is_a_typed_error() {
         let w = workload(false);
-        let _ = Session::new(&w.db).fit(Gmm::with_k(2));
+        let err = Session::new(&w.db).fit(Gmm::with_k(2)).unwrap_err();
+        assert!(matches!(err, StoreError::NoJoin), "{err}");
+        assert!(err.to_string().contains("Session::join"), "{err}");
     }
 
     #[test]

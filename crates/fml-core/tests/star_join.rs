@@ -247,8 +247,9 @@ fn unreferenced_and_nan_dimension_tuples_do_not_move_the_fit() {
 
 #[test]
 fn star_fits_repeat_bit_for_bit_at_every_worker_count() {
-    // k·d² = 2·46² crosses the GMM trainer's fan-out threshold, so
-    // `BlockedParallel` really chunks the E-step.
+    // F-GMM has no fan-out, so its bits may not move with the worker count;
+    // F-NN's first layer is the same at every policy.  Both are pinned here
+    // at `BlockedParallel` × threads(1|2|4) on a star and a windowed join.
     let star = star(
         23,
         600,

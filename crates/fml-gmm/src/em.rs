@@ -30,20 +30,20 @@
 //! **Execution shape.**  The source is a sequential callback scan; the pass
 //! buffers its dense rows into batches of [`PAR_BATCH_TUPLES`] rows, and a
 //! batch fans out over per-worker row bands whose partial statistics merge in
-//! band order (one band under a sequential policy or a small model).  A
+//! band order (one band under the default `Blocked` policy or a small model).  A
 //! band's rows form a panel and run one level-3 kernel call **per
 //! component**, not per row.  The bands' statistics and panels are scratch
 //! allocated once per fit, so a batch allocates nothing:
 //!
 //! * E-step: centre the panel around `µ_c`, whiten it —
-//!   `Y = (X − 1µ_cᵀ)·L_c⁻ᵀ` with [`gemm::matmul_upper_acc_with`] and the
+//!   `Y = (X − 1µ_cᵀ)·L_c⁻ᵀ` with [`gemm::matmul_upper_acc`] and the
 //!   whitener of the same (possibly ridge-repaired) Cholesky factor
 //!   [`Precomputed::from_model`] inverts — and the Mahalanobis distance of
 //!   row `r` is `‖Y_r‖²`, non-negative by construction.  The responsibilities
 //!   are finished in place in the band's rows of a `rows × K` buffer.
 //! * Statistics: centre the panel around `µ_c` again (an `O(n·d)` copy next
 //!   to the `O(n·d²)` product; `K` centred panels are never held at once),
-//!   then one weighted SYRK ([`gemm::syrk_upper_acc_with`]) with `γ_c` read
+//!   then one weighted SYRK ([`gemm::syrk_upper_acc`]) with `γ_c` read
 //!   at stride `K` out of the band, and `s_c += Xᵀγ_c`.  Only the upper
 //!   triangle of `S_c` is maintained; it is mirrored once at the end of the
 //!   pass.
@@ -61,14 +61,12 @@
 //! are zero-padded, every row runs the same micro-kernel); the scatter sums
 //! rows in `KC`-deep blocks per batch, so its bits depend on the batch
 //! boundaries — which are a function of the row order alone — and on the
-//! worker count (band-order merge).  Under
-//! [`fml_linalg::KernelPolicy::Naive`] the two kernels are their strictly
-//! sequential per-row reference loops (the whitened form one row at a time;
-//! GER order on the upper triangle): the oracle the blocked form is
+//! worker count (band-order merge).  The oracle the driver is
 //! tolerance-tested against (`tests/batched_em.rs`: parameters within 1e-9,
-//! log-likelihood trace within 1e-10 relative), with a hand-rolled per-row
-//! three-pass Algorithm 1 on the `Σ⁻¹` form of
-//! [`Precomputed::responsibilities_dense`] as the independent cross-check.
+//! log-likelihood trace within 1e-10 relative) is a hand-rolled per-row
+//! three-pass Algorithm 1 on the `Σ⁻¹` quadratic form over the sequential
+//! [`fml_linalg::reference`] loops, independent of the whitened form and of
+//! the one-pass mean-shifted M-step.
 //! The whitened form is not bit-equal to the `Σ⁻¹` form `F-GMM` and the
 //! scorer evaluate; the three strategies agree to rounding, as they always
 //! have (objective within 1e-6).
@@ -307,9 +305,8 @@ pub fn train_dense_from(
 
     // Kernels are sequential; the parallelism lives at the tuple-batch
     // level.  Fanning out only pays when a batch carries enough flops to
-    // amortize the thread spawns, so tiny models — and every sequential
-    // policy — run each batch inline as one band.
-    let kp = ex.kernel_policy;
+    // amortize the thread spawns, so tiny models — and the default
+    // `Blocked` policy — run each batch inline as one band.
     let par = ex.kernel_policy.is_parallel() && k * d * d * PAR_BATCH_TUPLES >= PAR_MIN_BATCH_FLOPS;
     let workers = ex.workers(par);
     let auto_sparse = ex.sparse == SparseMode::Auto;
@@ -335,7 +332,7 @@ pub fn train_dense_from(
         // E-step on sparse rows is then pure gathers.
         let sparse_pre: Vec<SparseFormPre> = if auto_sparse {
             (0..k)
-                .map(|c| SparseFormPre::build_flat(&pre.inverses[c], pre.means[c].as_slice(), kp))
+                .map(|c| SparseFormPre::build_flat(&pre.inverses[c], pre.means[c].as_slice()))
                 .collect()
         } else {
             Vec::new()
@@ -363,8 +360,8 @@ pub fn train_dense_from(
                     for c in 0..k {
                         center_rows(panel, d, pre.means[c].as_slice(), centered);
                         whitened.fill(0.0);
-                        gemm::matmul_upper_acc_with(kp, centered, &whiteners[c], whitened);
-                        gemm::row_sq_norms_with(kp, whitened, d, quads);
+                        gemm::matmul_upper_acc(centered, &whiteners[c], whitened);
+                        gemm::row_sq_norms(whitened, d, quads);
                         for (resp, &quad) in band.chunks_exact_mut(k).zip(quads.iter()) {
                             resp[c] = pre.log_norm[c] - 0.5 * quad;
                         }
@@ -379,7 +376,7 @@ pub fn train_dense_from(
                     for c in 0..k {
                         center_rows(panel, d, pre.means[c].as_slice(), centered);
                         let weights = &band[c..];
-                        gemm::syrk_upper_acc_with(kp, centered, weights, k, &mut local.scatter[c]);
+                        gemm::syrk_upper_acc(centered, weights, k, &mut local.scatter[c]);
                         let shift = local.shift[c].as_mut_slice();
                         for (x, &g) in centered.chunks_exact(d).zip(weights.iter().step_by(k)) {
                             vector::axpy(g, x, shift);
@@ -436,9 +433,9 @@ pub fn train_dense_from(
         if any_sparse {
             for c in 0..k {
                 let (mu, gx) = (pre.means[c].as_slice(), sparse_gx[c].as_slice());
-                gemm::ger_with(kp, -1.0, gx, mu, &mut stats.scatter[c]);
-                gemm::ger_with(kp, -1.0, mu, gx, &mut stats.scatter[c]);
-                gemm::ger_with(kp, sparse_gamma[c], mu, mu, &mut stats.scatter[c]);
+                gemm::ger(-1.0, gx, mu, &mut stats.scatter[c]);
+                gemm::ger(-1.0, mu, gx, &mut stats.scatter[c]);
+                gemm::ger(sparse_gamma[c], mu, mu, &mut stats.scatter[c]);
                 let shift = stats.shift[c].as_mut_slice();
                 vector::axpy(1.0, gx, shift);
                 vector::axpy(-sparse_gamma[c], mu, shift);
@@ -647,11 +644,7 @@ mod tests {
             max_iters: 2,
             ..GmmConfig::default()
         };
-        let blocked = fit(
-            &rows,
-            &base,
-            &ExecPolicy::new().kernel_policy(KernelPolicy::Blocked),
-        );
+        let blocked = fit(&rows, &base, &ExecPolicy::new());
         // four workers: a genuine four-band split on any machine
         let exec = ExecPolicy::new()
             .kernel_policy(KernelPolicy::BlockedParallel)

@@ -37,7 +37,7 @@
 use crate::model::Precomputed;
 use crate::sparse::SparseFormPre;
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
-use fml_linalg::{gemm, vector, BlockVec, KernelPolicy, Matrix, SparseMode};
+use fml_linalg::{gemm, vector, BlockVec, Matrix, SparseMode};
 use fml_store::OrdinalArena;
 use std::ops::Range;
 
@@ -163,13 +163,7 @@ struct DimProducts {
 impl DimProducts {
     /// The products of partition block `block` (layout `lay`, mean `mu`) for
     /// one component's partitioned inverse `form`.
-    fn new(
-        form: &BlockQuadraticForm,
-        lay: &DimLayout,
-        block: usize,
-        mu: &[f64],
-        kp: KernelPolicy,
-    ) -> Self {
+    fn new(form: &BlockQuadraticForm, lay: &DimLayout, block: usize, mu: &[f64]) -> Self {
         let (diag, d) = (form.block(block, block), lay.d);
         let mut upper = Matrix::zeros(d, d);
         for j in 0..d {
@@ -188,7 +182,7 @@ impl DimProducts {
                 }
             }
         }
-        let mean_cross = gemm::matvec_transposed_with(kp, &cross, mu);
+        let mean_cross = gemm::matvec_transposed(&cross, mu);
         Self {
             upper,
             cross,
@@ -224,26 +218,20 @@ pub struct EStep {
     /// `sparse_pre[c][b]`: the diagonal constants of component `c`,
     /// partition block `b` (0 = fact); empty under [`SparseMode::Dense`].
     sparse_pre: Vec<Vec<SparseFormPre>>,
-    kp: KernelPolicy,
 }
 
 impl EStep {
-    /// Partitions `pre` along `partition` under the sequential kernel policy
-    /// `kp`.  `sparse` is the run's mode: under [`SparseMode::Dense`] every
-    /// row is dense, so the `O(k·d²)` sparse constants are not built.
-    pub fn new(
-        pre: Precomputed,
-        partition: &BlockPartition,
-        sparse: SparseMode,
-        kp: KernelPolicy,
-    ) -> Self {
-        let forms = pre.block_forms_with(partition, kp);
+    /// Partitions `pre` along `partition`.  `sparse` is the run's mode:
+    /// under [`SparseMode::Dense`] every row is dense, so the `O(k·d²)`
+    /// sparse constants are not built.
+    pub fn new(pre: Precomputed, partition: &BlockPartition, sparse: SparseMode) -> Self {
+        let forms = pre.block_forms(partition);
         let means_split = pre.split_means(partition);
         let layouts = DimLayout::all(partition.sizes());
         let products = (forms.iter().zip(&means_split))
             .map(|(form, mu)| {
                 let dims = layouts.iter().enumerate();
-                dims.map(|(i, lay)| DimProducts::new(form, lay, i + 1, &mu[i + 1], kp))
+                dims.map(|(i, lay)| DimProducts::new(form, lay, i + 1, &mu[i + 1]))
                     .collect()
             })
             .collect();
@@ -252,7 +240,7 @@ impl EStep {
                 .map(|(form, mu)| {
                     let blocks = mu.iter().enumerate();
                     blocks
-                        .map(|(b, mu_b)| SparseFormPre::build_diag(form, b, mu_b, kp))
+                        .map(|(b, mu_b)| SparseFormPre::build_diag(form, b, mu_b))
                         .collect()
                 })
                 .collect(),
@@ -265,7 +253,6 @@ impl EStep {
             layouts,
             products,
             sparse_pre,
-            kp,
         }
     }
 
@@ -320,8 +307,8 @@ impl EStep {
                 }
                 s.pu.fill(0.0);
                 s.cross.fill(0.0);
-                gemm::matmul_upper_acc_with(self.kp, &s.pd, upper, &mut s.pu);
-                gemm::matmul_acc_with(self.kp, &s.pd, cross, &mut s.cross);
+                gemm::matmul_upper_acc(&s.pd, upper, &mut s.pu);
+                gemm::matmul_acc(&s.pd, cross, &mut s.cross);
                 for (r, &o) in panel.iter().enumerate() {
                     let e = &mut out.row_mut(o)[c * lay.len..(c + 1) * lay.len];
                     let p = &s.pd[r * d..(r + 1) * d];
@@ -347,7 +334,7 @@ impl EStep {
             }
             e[lay.scalar()] = self.sparse_pre[c][i + 1].diag_term(&self.forms[c], i + 1, x);
             let (w, products) = (&mut e[lay.cross()], &self.products[c][i]);
-            x.matvec_transposed_into(self.kp, &products.cross, w);
+            x.matvec_transposed_into(&products.cross, w);
             vector::axpy(-1.0, &products.mean_cross, w);
             e[lay.mu_dot()] = vector::dot(&self.means_split[c][0], &e[lay.fact()]);
         }
@@ -491,41 +478,38 @@ mod tests {
     }
 
     /// A tuple's row has the same bits whether `fill_rows` fills it alone or
-    /// among `n` tuples of any mix of kinds — the panel cut moves no bit —
-    /// under both kernel arithmetics.
+    /// among `n` tuples of any mix of kinds — the panel cut moves no bit.
     #[test]
     fn fill_rows_gives_each_tuple_the_bits_of_a_single_tuple_call() {
         let mut rng = TestRng::new(43);
         for sizes in PARTITIONS {
             let partition = BlockPartition::new(sizes);
             let pre = Precomputed::from_model(&model(&mut rng, 3, partition.total_dim()), 0.0);
-            for kp in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-                let estep = EStep::new(pre.clone(), &partition, SparseMode::Auto, kp);
-                let mut fill = FillScratch::default();
-                for i in 0..sizes.len() - 1 {
-                    let runs = [1, 3, 4, 5, 257, 600]
-                        .into_iter()
-                        .flat_map(|n| (0..4).map(move |kind| (n, kind)));
-                    for (n, kind) in runs {
-                        let xs: Vec<_> = (0..n)
-                            .map(|r| block(&mut rng, sizes[i + 1], kind_of(kind, r)))
-                            .collect();
-                        let tuple = |o: u32| view(kind_of(kind, o as usize), &xs[o as usize]);
-                        let ords: Vec<u32> = (0..n as u32).collect();
-                        let mut batch = OrdinalArena::new(estep.row_len(i));
-                        estep.fill_rows(i, &ords, tuple, &mut batch, &mut fill);
-                        let mut single = OrdinalArena::new(estep.row_len(i));
-                        for o in ords {
-                            // zeroed, as `batch` is: a sparse tuple of a
-                            // binary join leaves its `pd` slot unwritten
-                            single.row_mut(0).fill(0.0);
-                            estep.fill_rows(i, &[0], |_| tuple(o), &mut single, &mut fill);
-                            assert_eq!(
-                                bits(single.row(0)),
-                                bits(batch.row(o)),
-                                "{sizes:?}/{kp:?}/dim {i}/n {n}/kind {kind}/tuple {o}"
-                            );
-                        }
+            let estep = EStep::new(pre, &partition, SparseMode::Auto);
+            let mut fill = FillScratch::default();
+            for i in 0..sizes.len() - 1 {
+                let runs = [1, 3, 4, 5, 257, 600]
+                    .into_iter()
+                    .flat_map(|n| (0..4).map(move |kind| (n, kind)));
+                for (n, kind) in runs {
+                    let xs: Vec<_> = (0..n)
+                        .map(|r| block(&mut rng, sizes[i + 1], kind_of(kind, r)))
+                        .collect();
+                    let tuple = |o: u32| view(kind_of(kind, o as usize), &xs[o as usize]);
+                    let ords: Vec<u32> = (0..n as u32).collect();
+                    let mut batch = OrdinalArena::new(estep.row_len(i));
+                    estep.fill_rows(i, &ords, tuple, &mut batch, &mut fill);
+                    let mut single = OrdinalArena::new(estep.row_len(i));
+                    for o in ords {
+                        // zeroed, as `batch` is: a sparse tuple of a
+                        // binary join leaves its `pd` slot unwritten
+                        single.row_mut(0).fill(0.0);
+                        estep.fill_rows(i, &[0], |_| tuple(o), &mut single, &mut fill);
+                        assert_eq!(
+                            bits(single.row(0)),
+                            bits(batch.row(o)),
+                            "{sizes:?}/dim {i}/n {n}/kind {kind}/tuple {o}"
+                        );
                     }
                 }
             }
@@ -543,45 +527,43 @@ mod tests {
             let partition = BlockPartition::new(sizes);
             let (k, q, n) = (3, sizes.len() - 1, 7);
             let pre = Precomputed::from_model(&model(&mut rng, k, partition.total_dim()), 0.0);
-            for kp in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-                let estep = EStep::new(pre.clone(), &partition, SparseMode::Auto, kp);
-                assert_eq!((estep.k(), estep.fact_width()), (k, sizes[0]));
-                let mut fill = FillScratch::default();
-                let ords: Vec<u32> = (0..n as u32).collect();
-                // `n` tuples per dimension, of mixed kinds, filled in one call
-                let dims: Vec<Vec<_>> = (0..q)
-                    .map(|i| {
-                        (0..n)
-                            .map(|r| block(&mut rng, sizes[i + 1], (r + i) % 3))
-                            .collect()
-                    })
-                    .collect();
-                let rows: Vec<OrdinalArena> = (0..q)
-                    .map(|i| {
-                        let mut rows = OrdinalArena::new(estep.row_len(i));
-                        let tuple = |o: u32| view((o as usize + i) % 3, &dims[i][o as usize]);
-                        estep.fill_rows(i, &ords, tuple, &mut rows, &mut fill);
-                        rows
-                    })
-                    .collect();
-                for trial in 0..18 {
-                    let fact = block(&mut rng, sizes[0], trial % 3);
-                    let picks: Vec<usize> = (0..q).map(|i| (trial * 5 + i) % n).collect();
-                    let mut joined = fact.0.clone();
-                    for (i, &r) in picks.iter().enumerate() {
-                        joined.extend_from_slice(&dims[i][r].0);
-                    }
-                    let mut log_dens = vec![0.0; k];
-                    let mut pd_s = vec![0.0; k * sizes[0]];
-                    let fact = view(trial % 3, &fact);
-                    let row = |i: usize| rows[i].row(picks[i] as u32);
-                    estep.log_densities(fact, row, &mut pd_s, &mut log_dens);
-                    let ll = estep.pre.finish_responsibilities_in_place(&mut log_dens);
-                    let (want_resp, want_ll) = pre.responsibilities_dense(&joined);
-                    let what = format!("{sizes:?}/{kp:?}/trial {trial}");
-                    assert!((ll - want_ll).abs() < 1e-9, "{what}: {ll} vs {want_ll}");
-                    assert!(vector::max_abs_diff(&log_dens, &want_resp) < 1e-9, "{what}");
+            let estep = EStep::new(pre.clone(), &partition, SparseMode::Auto);
+            assert_eq!((estep.k(), estep.fact_width()), (k, sizes[0]));
+            let mut fill = FillScratch::default();
+            let ords: Vec<u32> = (0..n as u32).collect();
+            // `n` tuples per dimension, of mixed kinds, filled in one call
+            let dims: Vec<Vec<_>> = (0..q)
+                .map(|i| {
+                    (0..n)
+                        .map(|r| block(&mut rng, sizes[i + 1], (r + i) % 3))
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<OrdinalArena> = (0..q)
+                .map(|i| {
+                    let mut rows = OrdinalArena::new(estep.row_len(i));
+                    let tuple = |o: u32| view((o as usize + i) % 3, &dims[i][o as usize]);
+                    estep.fill_rows(i, &ords, tuple, &mut rows, &mut fill);
+                    rows
+                })
+                .collect();
+            for trial in 0..18 {
+                let fact = block(&mut rng, sizes[0], trial % 3);
+                let picks: Vec<usize> = (0..q).map(|i| (trial * 5 + i) % n).collect();
+                let mut joined = fact.0.clone();
+                for (i, &r) in picks.iter().enumerate() {
+                    joined.extend_from_slice(&dims[i][r].0);
                 }
+                let mut log_dens = vec![0.0; k];
+                let mut pd_s = vec![0.0; k * sizes[0]];
+                let fact = view(trial % 3, &fact);
+                let row = |i: usize| rows[i].row(picks[i] as u32);
+                estep.log_densities(fact, row, &mut pd_s, &mut log_dens);
+                let ll = estep.pre.finish_responsibilities_in_place(&mut log_dens);
+                let (want_resp, want_ll) = pre.responsibilities_dense(&joined);
+                let what = format!("{sizes:?}/trial {trial}");
+                assert!((ll - want_ll).abs() < 1e-9, "{what}: {ll} vs {want_ll}");
+                assert!(vector::max_abs_diff(&log_dens, &want_resp) < 1e-9, "{what}");
             }
         }
     }

@@ -107,7 +107,6 @@ impl FactorizedGmm {
         let mut log_likelihood = Vec::with_capacity(config.max_iters);
         let mut iterations = 0;
 
-        let kp = ex.kernel_policy;
         // Per-dimension arenas, filled together on first reference: `terms`
         // holds the E-step rows, `aggs` the M-step aggregate rows (see
         // [`DimLayout`]).
@@ -134,7 +133,6 @@ impl FactorizedGmm {
                 Precomputed::from_model(&model, config.ridge),
                 &partition,
                 ex.sparse,
-                kp,
             );
             let means_split = estep.pre.split_means(&partition);
 
@@ -144,7 +142,7 @@ impl FactorizedGmm {
             let mut ll = 0.0;
             let mut shift_sums = vec![Vector::zeros(d); k];
             let mut scatter: Vec<BlockScatter> = (0..k)
-                .map(|_| BlockScatter::new_with(partition.clone(), kp))
+                .map(|_| BlockScatter::new(partition.clone()))
                 .collect();
             // Sparse facts: raw `γ·x xᵀ` pair scatters into the (0,0) block
             // and raw `γ·x` sums into the fact × dimension aggregates; the

@@ -27,7 +27,7 @@
 //!
 //! Every trainer takes the same pair of arguments: a [`GmmConfig`] describing
 //! the *model* (components, iteration budget, regularization) and an
-//! [`fml_linalg::ExecPolicy`] describing the *execution* (kernel policy,
+//! [`fml_linalg::ExecPolicy`] describing the *execution* (driver fan-out,
 //! sparse-path mode, scan block size, worker threads, seed, telemetry
 //! observer).  The preferred entry point is `fml_core::Session`, which fits
 //! any model family through one surface.
@@ -57,7 +57,7 @@ pub use streaming::StreamingGmm;
 
 /// Model configuration shared by every GMM training variant.
 ///
-/// Holds only *model* concerns.  Execution knobs (kernel policy, sparse mode,
+/// Holds only *model* concerns.  Execution knobs (driver fan-out, sparse mode,
 /// block size, threads, seed) live on [`fml_linalg::ExecPolicy`], which every
 /// trainer takes alongside this config.
 #[derive(Debug, Clone, PartialEq)]

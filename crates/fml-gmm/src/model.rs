@@ -2,7 +2,7 @@
 
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm};
 use fml_linalg::cholesky::Cholesky;
-use fml_linalg::{gemm, sym, vector, KernelPolicy, Matrix, Vector};
+use fml_linalg::{gemm, sym, vector, Matrix, Vector};
 
 /// A Gaussian mixture model with full (non-diagonal) covariance matrices.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,16 +241,11 @@ impl Precomputed {
     }
 
     /// Splits each component's covariance inverse into relation-aligned blocks
-    /// (Equations 9–12 / 21) for the factorized E-step, with `policy` for the
-    /// per-tile evaluations.
-    pub fn block_forms_with(
-        &self,
-        partition: &BlockPartition,
-        policy: fml_linalg::KernelPolicy,
-    ) -> Vec<BlockQuadraticForm> {
+    /// (Equations 9–12 / 21) for the factorized E-step.
+    pub fn block_forms(&self, partition: &BlockPartition) -> Vec<BlockQuadraticForm> {
         self.inverses
             .iter()
-            .map(|inv| BlockQuadraticForm::new_with(partition.clone(), inv, policy))
+            .map(|inv| BlockQuadraticForm::new(partition.clone(), inv))
             .collect()
     }
 
@@ -283,8 +278,7 @@ impl Precomputed {
         let mut centered = vec![0.0; x.len()];
         for (k, ld) in log_dens.iter_mut().enumerate() {
             vector::sub_into(x, self.means[k].as_slice(), &mut centered);
-            let quad =
-                gemm::quadratic_form_sym_with(KernelPolicy::Blocked, &centered, &self.inverses[k]);
+            let quad = gemm::quadratic_form(&centered, &self.inverses[k], &centered);
             *ld = self.log_norm[k] - 0.5 * quad;
         }
         let ll = self.finish_responsibilities_in_place(&mut log_dens);
@@ -414,7 +408,7 @@ mod tests {
         let m = simple_model();
         let pre = Precomputed::from_model(&m, 0.0);
         let p = BlockPartition::binary(1, 1);
-        let forms = pre.block_forms_with(&p, KernelPolicy::Blocked);
+        let forms = pre.block_forms(&p);
         assert_eq!(forms.len(), 2);
         let means = pre.split_means(&p);
         assert_eq!(means[1][0], vec![5.0]);
@@ -426,8 +420,7 @@ mod tests {
             .zip(m.means[0].iter())
             .map(|(a, b)| a - b)
             .collect();
-        let dense =
-            gemm::quadratic_form_sym_with(KernelPolicy::Blocked, &centered, &pre.inverses[0]);
+        let dense = gemm::quadratic_form(&centered, &pre.inverses[0], &centered);
         let blocked = forms[0].eval_dense(&centered);
         assert!(approx_eq(dense, blocked, 1e-12));
     }

@@ -30,7 +30,7 @@
 //! rounding tolerances the cross-variant equivalence tests already use.
 
 use fml_linalg::block::{BlockQuadraticForm, BlockScatter};
-use fml_linalg::{gemm, vector, BlockVec, KernelPolicy, Matrix};
+use fml_linalg::{gemm, vector, BlockVec, Matrix};
 
 /// Per-component, per-dimension-block constants for the sparse decomposition
 /// of the centered E-step quantities.  `block` is the partition index of the
@@ -45,13 +45,8 @@ pub struct SparseFormPre {
 impl SparseFormPre {
     /// The constants of any diagonal block `(block, block)` — a dimension
     /// block or the **fact block** (`block == 0`).
-    pub fn build_diag(
-        form: &BlockQuadraticForm,
-        block: usize,
-        mu_b: &[f64],
-        kp: KernelPolicy,
-    ) -> Self {
-        Self::build_flat(form.block(block, block), mu_b, kp)
+    pub fn build_diag(form: &BlockQuadraticForm, block: usize, mu_b: &[f64]) -> Self {
+        Self::build_flat(form.block(block, block), mu_b)
     }
 
     /// Diagonal constants computed directly from a flat (unpartitioned)
@@ -62,11 +57,11 @@ impl SparseFormPre {
     /// `(A + Aᵀ)·µ` is formed from two GEMVs rather than `2·(A·µ)` on
     /// purpose: the expansion is then exact for *any* square `A`, without
     /// assuming the Cholesky-derived inverse is bitwise symmetric.
-    pub fn build_flat(a: &Matrix, mu: &[f64], kp: KernelPolicy) -> Self {
-        let mut a_mu_sum = gemm::matvec_with(kp, a, mu);
-        let at_mu = gemm::matvec_transposed_with(kp, a, mu);
+    pub fn build_flat(a: &Matrix, mu: &[f64]) -> Self {
+        let mut a_mu_sum = gemm::matvec(a, mu);
+        let at_mu = gemm::matvec_transposed(a, mu);
         vector::axpy(1.0, &at_mu, &mut a_mu_sum);
-        let mu_a_mu = gemm::quadratic_form_with(kp, mu, a, mu);
+        let mu_a_mu = gemm::quadratic_form(mu, a, mu);
         Self { a_mu_sum, mu_a_mu }
     }
 
@@ -264,9 +259,9 @@ mod tests {
         let (d_s, d_r) = (3usize, 8usize);
         let p = BlockPartition::binary(d_s, d_r);
         let a = symmetrize(&pseudo(d_s + d_r, d_s + d_r, 1));
-        let form = BlockQuadraticForm::new_with(p, &a, KernelPolicy::Naive);
+        let form = BlockQuadraticForm::new(p, &a);
         let mu: Vec<f64> = fml_linalg::testutil::TestRng::new(2).vec_in(d_r, -0.5, 0.5);
-        let pre = SparseFormPre::build_diag(&form, 1, &mu, KernelPolicy::Naive);
+        let pre = SparseFormPre::build_diag(&form, 1, &mu);
 
         for rep in [
             onehot(&[1, 4, 6]),
@@ -299,7 +294,7 @@ mod tests {
             (0.6, vec![0.1, 0.9], csr(&[], &[])),
         ];
 
-        let mut dense = BlockScatter::new_with(p.clone(), KernelPolicy::Naive);
+        let mut dense = BlockScatter::new(p.clone());
         for (g, w, rep) in &groups {
             let x = densify(rep, d_r);
             let pd: Vec<f64> = x.iter().zip(mu.iter()).map(|(a, b)| a - b).collect();
@@ -308,7 +303,7 @@ mod tests {
             dense.add_outer(1, 1, *g, &pd, &pd);
         }
 
-        let mut sparse_sc = BlockScatter::new_with(p, KernelPolicy::Naive);
+        let mut sparse_sc = BlockScatter::new(p);
         let mut acc = SparseScatterAcc::new(d_s, d_r);
         for (g, w, rep) in &groups {
             acc.record(&mut sparse_sc, 1, *g, w, view(rep));
@@ -324,9 +319,9 @@ mod tests {
         let (d_s, d_r) = (8usize, 3usize);
         let p = BlockPartition::binary(d_s, d_r);
         let a = symmetrize(&pseudo(d_s + d_r, d_s + d_r, 9));
-        let form = BlockQuadraticForm::new_with(p.clone(), &a, KernelPolicy::Naive);
+        let form = BlockQuadraticForm::new(p.clone(), &a);
         let mu: Vec<f64> = fml_linalg::testutil::TestRng::new(10).vec_in(d_s, -0.5, 0.5);
-        let pre = SparseFormPre::build_diag(&form, 0, &mu, KernelPolicy::Naive);
+        let pre = SparseFormPre::build_diag(&form, 0, &mu);
 
         let tuples: Vec<(f64, Rep)> = vec![
             (0.4, onehot(&[0, 3])),
@@ -347,13 +342,13 @@ mod tests {
         }
 
         // M-step diagonal scatter with deferred corrections
-        let mut dense_sc = BlockScatter::new_with(p.clone(), KernelPolicy::Naive);
+        let mut dense_sc = BlockScatter::new(p.clone());
         for (g, rep) in &tuples {
             let x = densify(rep, d_s);
             let pd: Vec<f64> = x.iter().zip(mu.iter()).map(|(a, b)| a - b).collect();
             dense_sc.add_outer(0, 0, *g, &pd, &pd);
         }
-        let mut sparse_sc = BlockScatter::new_with(p, KernelPolicy::Naive);
+        let mut sparse_sc = BlockScatter::new(p);
         let mut acc = SparseDiagAcc::new(d_s);
         for (g, rep) in &tuples {
             acc.record(&mut sparse_sc, 0, *g, view(rep));
@@ -366,7 +361,7 @@ mod tests {
     #[test]
     fn untouched_acc_finalize_is_a_noop() {
         let p = BlockPartition::binary(1, 2);
-        let mut sc = BlockScatter::new_with(p, KernelPolicy::Naive);
+        let mut sc = BlockScatter::new(p);
         let acc = SparseScatterAcc::new(1, 2);
         acc.finalize(&mut sc, 1, &[5.0, 5.0]);
         assert_eq!(sc.matrix().frobenius_norm(), 0.0);

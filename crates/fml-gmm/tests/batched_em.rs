@@ -2,29 +2,28 @@
 //! SYRK scatter, one call per 1024-row batch and component) against its
 //! oracles:
 //!
-//! * the `Naive` kernel policy — the same driver with the kernels' strictly
-//!   sequential per-row reference loops;
-//! * a hand-rolled per-row **three-pass** EM — Algorithm 1 as the paper states
-//!   it, on [`Precomputed::responsibilities_dense`] (the `Σ⁻¹` quadratic
-//!   form) and [`gemm::ger_with`] around the *new* means — independent of the
-//!   whitened form and of the one-pass mean-shifted M-step, and the one place
-//!   the three-pass arithmetic survives: the fused drivers (dense and
+//! * a hand-rolled per-row **three-pass** EM (`reference::per_row_em`) —
+//!   Algorithm 1 as the paper states it, on the `Σ⁻¹` quadratic form over
+//!   the sequential `fml_linalg::reference` kernels and one GER per row
+//!   around the *new* means — independent of the whitened form, of the
+//!   blocked kernels and of the one-pass mean-shifted M-step, and the one
+//!   place the three-pass arithmetic survives: the fused drivers (dense and
 //!   factorized) are held to it on every GMM fixture of this file, of
 //!   `equivalence.rs` and of `fml-core/tests/star_join.rs`;
 //! * the forced-dense fit, for batches that mix sparse and dense rows.
 
+mod reference;
+
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::{SyntheticConfig, Workload};
-use fml_gmm::em::{
-    train_dense_from, DensePassSource, GmmFit, EMPTY_COMPONENT_MASS, PAR_BATCH_TUPLES,
-};
-use fml_gmm::{EStep, FactorizedGmm, FillScratch, GmmConfig, GmmInit, GmmModel, Precomputed};
+use fml_gmm::em::{train_dense_from, DensePassSource, GmmFit, PAR_BATCH_TUPLES};
+use fml_gmm::{EStep, FactorizedGmm, FillScratch, GmmConfig, GmmModel, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::testutil::TestRng;
-use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, KernelPolicy, Matrix, SparseMode, Vector};
+use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, Matrix, SparseMode, Vector};
 use fml_store::factorized_scan::FactorizedScan;
-use fml_store::join::RowSource;
 use fml_store::{Database, FeatureGroup, OrdinalArena, Schema, StoreResult, DEFAULT_BLOCK_PAGES};
+use reference::per_row_em;
 
 /// `n` rows around `k` well-separated centres in `d` dimensions, and an
 /// initial model near (not at) the truth: centres nudged, identity
@@ -82,8 +81,8 @@ impl DensePassSource for Rows<'_> {
     }
 }
 
-fn fit(rows: &[Vec<f64>], initial: &GmmModel, iters: usize, exec: &ExecPolicy) -> GmmFit {
-    fit_stored(rows, &[], initial, iters, exec)
+fn fit(rows: &[Vec<f64>], initial: &GmmModel, iters: usize) -> GmmFit {
+    fit_stored(rows, &[], initial, iters, &ExecPolicy::new())
 }
 
 fn fit_stored(
@@ -107,10 +106,6 @@ fn fit_stored(
     train_dense_from(&mut source, "rows", &config, exec, initial.clone(), None).expect("fit")
 }
 
-fn policy(p: KernelPolicy) -> ExecPolicy {
-    ExecPolicy::new().kernel_policy(p)
-}
-
 /// Parameters within `1e-9`, every per-iteration log-likelihood within
 /// `1e-10` relative.
 fn assert_same_fit(label: &str, want: &GmmFit, got: &GmmFit) {
@@ -132,91 +127,20 @@ fn assert_same_fit(label: &str, want: &GmmFit, got: &GmmFit) {
 }
 
 #[test]
-fn blocked_matches_the_naive_oracle_across_widths_and_batch_boundaries() {
+fn the_dense_driver_matches_the_per_row_reference_across_widths_and_batch_boundaries() {
+    let ridge = GmmConfig::default().ridge;
+    // A small fixture over four iterations; then per width one row short of
+    // a batch, exactly one, one over, and 2.4 batches.
+    let mut cases = vec![(11usize, 200usize, 4usize, 7u64)];
     for d in [2usize, 26, 85] {
-        // one row short of a batch, exactly one, one over, and 2.4 batches
         for n in [1023usize, 1024, 1025, 2500] {
-            let (rows, initial) = blobs(n, d, 3, (d * 10_000 + n) as u64);
-            let naive = fit(&rows, &initial, 3, &policy(KernelPolicy::Naive));
-            let blocked = fit(&rows, &initial, 3, &policy(KernelPolicy::Blocked));
-            assert_same_fit(&format!("d={d} n={n}"), &naive, &blocked);
+            cases.push((d, n, 3, (d * 10_000 + n) as u64));
         }
     }
-}
-
-/// Algorithm 1 as the paper states it, one row at a time and in three passes
-/// per iteration — responsibilities on the `Σ⁻¹` quadratic form, means
-/// `Σγx/N`, then one full GER per row and component around the *new* means —
-/// with its own finalization (`/N`, symmetrize, ridge, the empty-component
-/// reset).  It shares no M-step arithmetic with the crate: this is the
-/// independent oracle the fused one-pass driver is held to.
-fn per_row_em(rows: &[Vec<f64>], initial: &GmmModel, iters: usize, ridge: f64) -> GmmFit {
-    let (k, d, n) = (initial.k(), initial.dim(), rows.len());
-    let mut model = initial.clone();
-    let mut log_likelihood = Vec::new();
-    for _ in 0..iters {
-        let pre = Precomputed::from_model(&model, ridge);
-        let mut gammas = Vec::with_capacity(n * k);
-        let mut nk = vec![0.0; k];
-        let mut ll = 0.0;
-        for x in rows {
-            let (resp, tuple_ll) = pre.responsibilities_dense(x);
-            vector::axpy(1.0, &resp, &mut nk);
-            ll += tuple_ll;
-            gammas.extend_from_slice(&resp);
-        }
-        let mut means = vec![Vector::zeros(d); k];
-        for (x, g) in rows.iter().zip(gammas.chunks_exact(k)) {
-            for c in 0..k {
-                vector::axpy(g[c], x, means[c].as_mut_slice());
-            }
-        }
-        for c in 0..k {
-            means[c].scale(1.0 / nk[c].max(EMPTY_COMPONENT_MASS));
-        }
-        let mut covariances = vec![Matrix::zeros(d, d); k];
-        let mut centered = vec![0.0; d];
-        for (x, g) in rows.iter().zip(gammas.chunks_exact(k)) {
-            for c in 0..k {
-                vector::sub_into(x, means[c].as_slice(), &mut centered);
-                gemm::ger_with(
-                    KernelPolicy::Blocked,
-                    g[c],
-                    &centered,
-                    &centered,
-                    &mut covariances[c],
-                );
-            }
-        }
-        for c in 0..k {
-            if nk[c] < EMPTY_COMPONENT_MASS {
-                covariances[c] = Matrix::identity(d);
-                continue;
-            }
-            covariances[c].scale(1.0 / nk[c]);
-            covariances[c].symmetrize();
-            covariances[c].add_diag(ridge);
-        }
-        let weights = nk.iter().map(|m| m / n as f64).collect();
-        model = GmmModel::new(weights, means, covariances);
-        log_likelihood.push(ll);
-    }
-    GmmFit {
-        model,
-        iterations: iters,
-        log_likelihood,
-        n_tuples: n as u64,
-        elapsed: std::time::Duration::ZERO,
-    }
-}
-
-#[test]
-fn naive_and_blocked_fits_match_the_hand_rolled_per_row_em() {
-    let (rows, initial) = blobs(200, 11, 3, 7);
-    let reference = per_row_em(&rows, &initial, 4, GmmConfig::default().ridge);
-    for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-        let got = fit(&rows, &initial, 4, &policy(p));
-        assert_same_fit(&format!("{p} vs per-row EM"), &reference, &got);
+    for (d, n, iters, seed) in cases {
+        let (rows, initial) = blobs(n, d, 3, seed);
+        let want = per_row_em(&rows, &initial, iters, ridge);
+        assert_same_fit(&format!("d={d} n={n}"), &want, &fit(&rows, &initial, iters));
     }
 }
 
@@ -267,24 +191,17 @@ fn mixed_rows() -> (Vec<Vec<f64>>, Vec<Stored>, GmmModel) {
 #[test]
 fn a_batch_mixing_sparse_and_dense_rows_matches_the_all_dense_fit() {
     let (rows, forms, initial) = mixed_rows();
-    for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-        let dense = fit_stored(
-            &rows,
-            &forms,
-            &initial,
-            3,
-            &policy(p).sparse_mode(SparseMode::Dense),
+    let all_dense = ExecPolicy::new().sparse_mode(SparseMode::Dense);
+    let dense = fit_stored(&rows, &forms, &initial, 3, &all_dense);
+    let auto = fit_stored(&rows, &forms, &initial, 3, &ExecPolicy::new());
+    // the sparse path's own tolerance (tests/sparse_path.rs)
+    let diff = dense.model.max_param_diff(&auto.model);
+    assert!(diff < 1e-6, "mixed vs all-dense model diff {diff}");
+    for (a, b) in dense.log_likelihood.iter().zip(auto.log_likelihood.iter()) {
+        assert!(
+            (a - b).abs() / a.abs().max(1.0) < 1e-8,
+            "log-likelihood diverged: {a} vs {b}"
         );
-        let auto = fit_stored(&rows, &forms, &initial, 3, &policy(p));
-        // the sparse path's own tolerance (tests/sparse_path.rs)
-        let diff = dense.model.max_param_diff(&auto.model);
-        assert!(diff < 1e-6, "{p}: mixed vs all-dense model diff {diff}");
-        for (a, b) in dense.log_likelihood.iter().zip(auto.log_likelihood.iter()) {
-            assert!(
-                (a - b).abs() / a.abs().max(1.0) < 1e-8,
-                "{p}: log-likelihood diverged: {a} vs {b}"
-            );
-        }
     }
 }
 
@@ -302,13 +219,7 @@ fn collapsed_points() -> (Vec<Vec<f64>>, GmmModel) {
     let k = 5;
     let rank_one = {
         let mut m = Matrix::zeros(3, 3);
-        gemm::ger_with(
-            KernelPolicy::Blocked,
-            1.0,
-            &[1.0, 2.0, -1.0],
-            &[1.0, 2.0, -1.0],
-            &mut m,
-        );
+        gemm::ger(1.0, &[1.0, 2.0, -1.0], &[1.0, 2.0, -1.0], &mut m);
         m
     };
     assert!(fml_linalg::Cholesky::factor(&rank_one).is_err());
@@ -329,7 +240,7 @@ fn a_repaired_covariance_whitens_with_the_repaired_factor() {
     let pre = Precomputed::from_model(&initial, ridge);
     for c in 0..k {
         let u = pre.whitener(c);
-        let uut = gemm::matmul_with(KernelPolicy::Blocked, &u, &u.transpose());
+        let uut = gemm::matmul(&u, &u.transpose());
         let scale = pre.inverses[c]
             .as_slice()
             .iter()
@@ -341,9 +252,9 @@ fn a_repaired_covariance_whitens_with_the_repaired_factor() {
         );
     }
 
-    let naive = fit(&rows, &initial, 6, &policy(KernelPolicy::Naive));
-    let blocked = fit(&rows, &initial, 6, &policy(KernelPolicy::Blocked));
-    for f in [&naive, &blocked] {
+    let want = per_row_em(&rows, &initial, 6, ridge);
+    let got = fit(&rows, &initial, 6);
+    for f in [&want, &got] {
         assert!(f.log_likelihood.iter().all(|ll| ll.is_finite()));
         for w in f.log_likelihood.windows(2) {
             assert!(
@@ -356,12 +267,9 @@ fn a_repaired_covariance_whitens_with_the_repaired_factor() {
         assert!((sum - 1.0).abs() < 1e-9);
     }
     // Collapsed components have covariances near the ridge, where the
-    // density is steep: the two policies agree on the trace, loosely.
-    for (a, b) in naive
-        .log_likelihood
-        .iter()
-        .zip(blocked.log_likelihood.iter())
-    {
+    // density is steep: the driver and the reference agree on the trace,
+    // loosely.
+    for (a, b) in want.log_likelihood.iter().zip(got.log_likelihood.iter()) {
         assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{a} vs {b}");
     }
 }
@@ -393,23 +301,9 @@ fn row_fixture(name: &str, (rows, initial): (Vec<Vec<f64>>, GmmModel)) -> Fixtur
 }
 
 /// A join fixture: the rows `S-GMM` would see and the model
-/// [`GmmInit::from_relations`] starts every strategy from.
+/// `GmmInit::from_relations` starts every strategy from.
 fn join_fixture(name: &str, w: Workload, k: usize, block_pages: usize) -> Fixture {
-    let mut rows = Vec::new();
-    let source = RowSource::join(&w.db, w.spec.clone(), block_pages).unwrap();
-    let expanded = source.sparse_mode(SparseMode::Dense);
-    expanded
-        .for_each_row(&mut |x, _| {
-            let BlockVec::Dense(x) = x else {
-                panic!("an expanded row is dense");
-            };
-            rows.push(x.to_vec());
-        })
-        .unwrap();
-    let seed = ExecPolicy::new().resolve().seed;
-    let initial = GmmInit::new(seed, GmmConfig::default().init_spread)
-        .from_relations(&w.db, &w.spec, k)
-        .unwrap();
+    let (rows, initial) = reference::joined(&w, k, block_pages);
     Fixture {
         name: name.to_string(),
         rows,
@@ -597,7 +491,7 @@ fn fixtures() -> Vec<Fixture> {
 /// The log-likelihood the dense driver's E-step assigns `model` — the
 /// whitened form, row by row (a row's bits do not depend on its batch),
 /// summed per [`PAR_BATCH_TUPLES`]-row batch like the driver's one chunk.
-fn dense_e_step_ll(rows: &[Vec<f64>], model: &GmmModel, ridge: f64, kp: KernelPolicy) -> f64 {
+fn dense_e_step_ll(rows: &[Vec<f64>], model: &GmmModel, ridge: f64) -> f64 {
     let pre = Precomputed::from_model(model, ridge);
     let whiteners: Vec<Matrix> = (0..model.k()).map(|c| pre.whitener(c)).collect();
     let d = model.dim();
@@ -610,8 +504,8 @@ fn dense_e_step_ll(rows: &[Vec<f64>], model: &GmmModel, ridge: f64, kp: KernelPo
                 .map(|c| {
                     vector::sub_into(x, pre.means[c].as_slice(), &mut centered);
                     let mut whitened = vec![0.0; d];
-                    gemm::matmul_upper_acc_with(kp, &centered, &whiteners[c], &mut whitened);
-                    gemm::row_sq_norms_with(kp, &whitened, d, &mut quad);
+                    gemm::matmul_upper_acc(&centered, &whiteners[c], &mut whitened);
+                    gemm::row_sq_norms(&whitened, d, &mut quad);
                     pre.log_norm[c] - 0.5 * quad[0]
                 })
                 .collect();
@@ -624,16 +518,10 @@ fn dense_e_step_ll(rows: &[Vec<f64>], model: &GmmModel, ridge: f64, kp: KernelPo
 
 /// The log-likelihood the factorized E-step assigns `model`: the scorer's
 /// use of [`EStep`] — rows rebuilt per fact, no arena — in scan order.
-fn factorized_e_step_ll(
-    w: &Workload,
-    block_pages: usize,
-    model: &GmmModel,
-    ridge: f64,
-    kp: KernelPolicy,
-) -> f64 {
+fn factorized_e_step_ll(w: &Workload, block_pages: usize, model: &GmmModel, ridge: f64) -> f64 {
     let partition = BlockPartition::new(&w.spec.feature_partition(&w.db).unwrap());
     let pre = Precomputed::from_model(model, ridge);
-    let estep = EStep::new(pre, &partition, SparseMode::Auto, kp);
+    let estep = EStep::new(pre, &partition, SparseMode::Auto);
     let (k, d_s) = (estep.k(), estep.fact_width());
     let (mut pd_s, mut log_dens) = (vec![0.0; k * d_s], vec![0.0; k]);
     // One single-row arena per dimension, refilled per fact.
@@ -674,7 +562,7 @@ fn scale(model: &GmmModel) -> f64 {
 
 /// No amplification: from one shared starting model, one fused iteration of
 /// the dense driver and of `F-GMM` against one iteration of the three-pass
-/// oracle, on every fixture, under `Naive` and `Blocked`.  The parameters
+/// oracle, on every fixture.  The parameters
 /// agree to `1e-10` of the parameter scale; the log-likelihood is that of
 /// the starting model, so it is the (unchanged) E-step's bit for bit.
 #[test]
@@ -688,29 +576,27 @@ fn one_fused_iteration_matches_one_three_pass_iteration_on_every_fixture() {
             max_iters: 1,
             ..GmmConfig::default()
         };
-        for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-            let what = format!("{} under {p}", fx.name);
-            let m = fit_stored(&fx.rows, &fx.forms, &fx.initial, 1, &policy(p));
-            let diff = want.model.max_param_diff(&m.model);
-            assert!(diff <= bound, "{what}: dense driver {diff} > {bound}");
-            assert_same_fit(&what, &want, &m);
-            // (sparse rows take the gather form of the E-step instead)
-            if fx.forms.is_empty() {
-                let e_step = dense_e_step_ll(&fx.rows, &fx.initial, ridge, p);
-                assert_eq!(m.log_likelihood[0].to_bits(), e_step.to_bits(), "{what}");
-            }
-
-            let Some((w, block_pages)) = &fx.join else {
-                continue;
-            };
-            let exec = policy(p).block_pages(*block_pages);
-            let f = FactorizedGmm::train(&w.db, &w.spec, &config, &exec).unwrap();
-            let diff = want.model.max_param_diff(&f.model);
-            assert!(diff <= bound, "{what}: F-GMM {diff} > {bound}");
-            assert_same_fit(&what, &want, &f);
-            let e_step = factorized_e_step_ll(w, *block_pages, &fx.initial, ridge, p);
-            assert_eq!(f.log_likelihood[0].to_bits(), e_step.to_bits(), "{what}");
+        let what = &fx.name;
+        let m = fit_stored(&fx.rows, &fx.forms, &fx.initial, 1, &ExecPolicy::new());
+        let diff = want.model.max_param_diff(&m.model);
+        assert!(diff <= bound, "{what}: dense driver {diff} > {bound}");
+        assert_same_fit(what, &want, &m);
+        // (sparse rows take the gather form of the E-step instead)
+        if fx.forms.is_empty() {
+            let e_step = dense_e_step_ll(&fx.rows, &fx.initial, ridge);
+            assert_eq!(m.log_likelihood[0].to_bits(), e_step.to_bits(), "{what}");
         }
+
+        let Some((w, block_pages)) = &fx.join else {
+            continue;
+        };
+        let exec = ExecPolicy::new().block_pages(*block_pages);
+        let f = FactorizedGmm::train(&w.db, &w.spec, &config, &exec).unwrap();
+        let diff = want.model.max_param_diff(&f.model);
+        assert!(diff <= bound, "{what}: F-GMM {diff} > {bound}");
+        assert_same_fit(what, &want, &f);
+        let e_step = factorized_e_step_ll(w, *block_pages, &fx.initial, ridge);
+        assert_eq!(f.log_likelihood[0].to_bits(), e_step.to_bits(), "{what}");
     }
 }
 
@@ -745,34 +631,30 @@ fn the_shifted_m_step_cancels_to_the_squared_step_of_the_mean() {
     let ridge = GmmConfig::default().ridge;
 
     let want = per_row_em(&rows, &initial, 1, ridge);
-    for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-        let got = fit(&rows, &initial, 1, &policy(p));
-        for c in 0..k {
-            let step = (0..d)
-                .map(|i| want.model.means[c][i] - initial.means[c][i])
-                .collect::<Vec<_>>();
-            let step_sq = vector::dot(&step, &step);
-            assert!(
-                step_sq.sqrt() >= 50.0 * sigma,
-                "the first step must be long"
-            );
-            let diff = want.model.covariances[c].max_abs_diff(&got.model.covariances[c]);
-            assert!(
-                diff <= 1e-12 * step_sq,
-                "{p}, component {c}: covariance off by {diff} after a step of {step_sq}²"
-            );
-        }
+    let got = fit(&rows, &initial, 1);
+    for c in 0..k {
+        let step = (0..d)
+            .map(|i| want.model.means[c][i] - initial.means[c][i])
+            .collect::<Vec<_>>();
+        let step_sq = vector::dot(&step, &step);
+        assert!(
+            step_sq.sqrt() >= 50.0 * sigma,
+            "the first step must be long"
+        );
+        let diff = want.model.covariances[c].max_abs_diff(&got.model.covariances[c]);
+        assert!(
+            diff <= 1e-12 * step_sq,
+            "component {c}: covariance off by {diff} after a step of {step_sq}²"
+        );
     }
 
     // Ten iterations on: the fits agree to `assert_same_fit`'s bounds (the
     // covariance scale is σ² = 1/3, the means sit at 1e4).
     let want = per_row_em(&rows, &initial, 10, ridge);
-    for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-        let got = fit(&rows, &initial, 10, &policy(p));
-        assert_same_fit(&format!("offset blobs under {p}"), &want, &got);
-        for (a, b) in want.model.covariances.iter().zip(&got.model.covariances) {
-            let diff = a.max_abs_diff(b);
-            assert!(diff <= 1e-9 * sigma * sigma, "{p}: covariances {diff}");
-        }
+    let got = fit(&rows, &initial, 10);
+    assert_same_fit("offset blobs", &want, &got);
+    for (a, b) in want.model.covariances.iter().zip(&got.model.covariances) {
+        let diff = a.max_abs_diff(b);
+        assert!(diff <= 1e-9 * sigma * sigma, "covariances {diff}");
     }
 }

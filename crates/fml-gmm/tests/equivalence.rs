@@ -2,10 +2,13 @@
 //! model on the same workload, for binary and multi-way joins, across parameter
 //! settings (the paper's "no loss in accuracy" guarantee).
 
+mod reference;
+
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::SyntheticConfig;
 use fml_gmm::{FactorizedGmm, GmmConfig, MaterializedGmm, StreamingGmm};
-use fml_linalg::ExecPolicy;
+use fml_linalg::{ExecPolicy, KernelPolicy};
+use fml_store::DEFAULT_BLOCK_PAGES;
 
 fn assert_equivalent(w: &fml_data::Workload, config: &GmmConfig, tol: f64) {
     let exec = ExecPolicy::new();
@@ -175,11 +178,10 @@ fn factorized_io_never_exceeds_streaming_io() {
 }
 
 #[test]
-fn policies_learn_the_same_model() {
-    // One workload, every kernel policy, every variant: the learned models must
-    // agree across policies within rounding tolerance (the policies reorder
-    // floating-point additions but never change the multiplication set).
-    use fml_linalg::KernelPolicy;
+fn every_strategy_and_policy_learns_the_per_row_reference_model() {
+    // One workload, both driver policies, every variant: the learned models
+    // must agree with the per-row three-pass oracle over the reference
+    // kernels within rounding tolerance.
     let w = SyntheticConfig {
         n_s: 300,
         n_r: 12,
@@ -197,31 +199,25 @@ fn policies_learn_the_same_model() {
         max_iters: 4,
         ..GmmConfig::default()
     };
-    let reference = MaterializedGmm::train(
-        &w.db,
-        &w.spec,
-        &base,
-        &ExecPolicy::new().kernel_policy(KernelPolicy::Naive),
-    )
-    .unwrap();
-    for policy in KernelPolicy::ALL {
+    let (rows, initial) = reference::joined(&w, base.k, DEFAULT_BLOCK_PAGES);
+    let want = reference::per_row_em(&rows, &initial, base.max_iters, base.ridge);
+    for policy in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
         let exec = ExecPolicy::new().kernel_policy(policy);
         let m = MaterializedGmm::train(&w.db, &w.spec, &base, &exec).unwrap();
         let s = StreamingGmm::train(&w.db, &w.spec, &base, &exec).unwrap();
         let f = FactorizedGmm::train(&w.db, &w.spec, &base, &exec).unwrap();
         for (label, fit) in [("M", &m), ("S", &s), ("F", &f)] {
-            let diff = reference.model.max_param_diff(&fit.model);
+            let diff = want.model.max_param_diff(&fit.model);
             assert!(
                 diff < 1e-6,
-                "{label}-GMM under {policy} diverged from naive reference: {diff}"
+                "{label}-GMM under {policy} diverged from the per-row reference: {diff}"
             );
         }
     }
 }
 
 #[test]
-fn multiway_policies_learn_the_same_model() {
-    use fml_linalg::KernelPolicy;
+fn multiway_policies_learn_the_per_row_reference_model() {
     let w = MultiwayConfig {
         n_s: 250,
         d_s: 2,
@@ -238,13 +234,8 @@ fn multiway_policies_learn_the_same_model() {
         max_iters: 3,
         ..GmmConfig::default()
     };
-    let reference = FactorizedGmm::train(
-        &w.db,
-        &w.spec,
-        &base,
-        &ExecPolicy::new().kernel_policy(KernelPolicy::Naive),
-    )
-    .unwrap();
+    let (rows, initial) = reference::joined(&w, base.k, DEFAULT_BLOCK_PAGES);
+    let want = reference::per_row_em(&rows, &initial, base.max_iters, base.ridge);
     for policy in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
         let f = FactorizedGmm::train(
             &w.db,
@@ -253,7 +244,7 @@ fn multiway_policies_learn_the_same_model() {
             &ExecPolicy::new().kernel_policy(policy),
         )
         .unwrap();
-        let diff = reference.model.max_param_diff(&f.model);
+        let diff = want.model.max_param_diff(&f.model);
         assert!(diff < 1e-6, "F-multiway under {policy} diverged: {diff}");
     }
 }

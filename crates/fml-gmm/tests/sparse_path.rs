@@ -10,6 +10,8 @@
 //! training run in another thread would otherwise bump the counter between a
 //! delta test's before/after reads.
 
+mod reference;
+
 use fml_data::multiway::{DimSpec, MultiwayConfig};
 use fml_data::EmulatedDataset;
 use fml_gmm::{FactorizedGmm, GmmConfig, MaterializedGmm, StreamingGmm};
@@ -17,6 +19,7 @@ use fml_linalg::csr::csr_kernel_calls;
 use fml_linalg::sparse::{onehot_kernel_calls, SparseMode};
 use fml_linalg::{BlockVec, ExecPolicy, KernelPolicy};
 use fml_store::batch::{BlockScan, RowBlock};
+use fml_store::DEFAULT_BLOCK_PAGES;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -135,23 +138,18 @@ fn multiway_categorical_auto_matches_dense() {
 fn sparse_path_is_stable_across_kernel_policies() {
     let _guard = LOCK.lock().unwrap();
     let w = categorical_multiway();
-    let reference = FactorizedGmm::train(
-        &w.db,
-        &w.spec,
-        &config(),
-        &ExecPolicy::new().kernel_policy(KernelPolicy::Naive),
-    )
-    .unwrap();
+    let config = config();
+    let (rows, initial) = reference::joined(&w, config.k, DEFAULT_BLOCK_PAGES);
+    let want = reference::per_row_em(&rows, &initial, config.max_iters, config.ridge);
     for p in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
-        let fit = FactorizedGmm::train(
-            &w.db,
-            &w.spec,
-            &config(),
-            &ExecPolicy::new().kernel_policy(p),
-        )
-        .unwrap();
-        let diff = reference.model.max_param_diff(&fit.model);
-        assert!(diff < 1e-6, "{p}: sparse-path policy diff {diff}");
+        let fit =
+            FactorizedGmm::train(&w.db, &w.spec, &config, &ExecPolicy::new().kernel_policy(p))
+                .unwrap();
+        let diff = want.model.max_param_diff(&fit.model);
+        assert!(
+            diff < 1e-6,
+            "{p}: sparse path vs the per-row reference: {diff}"
+        );
     }
 }
 

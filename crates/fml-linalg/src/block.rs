@@ -19,7 +19,6 @@
 use crate::csr;
 use crate::gemm;
 use crate::matrix::Matrix;
-use crate::policy::KernelPolicy;
 use crate::sparse::{self, BlockVec};
 use std::ops::Range;
 
@@ -135,24 +134,13 @@ impl BlockPartition {
 pub struct BlockQuadraticForm {
     partition: BlockPartition,
     blocks: Vec<Vec<Matrix>>,
-    policy: KernelPolicy,
 }
 
 impl BlockQuadraticForm {
-    /// Partitions the (typically `Σ⁻¹`) matrix `a` according to `partition`
-    /// and pins the kernel policy used for every evaluation.
-    pub fn new_with(partition: BlockPartition, a: &Matrix, policy: KernelPolicy) -> Self {
+    /// Partitions the (typically `Σ⁻¹`) matrix `a` according to `partition`.
+    pub fn new(partition: BlockPartition, a: &Matrix) -> Self {
         let blocks = partition.partition_matrix(a);
-        Self {
-            partition,
-            blocks,
-            policy,
-        }
-    }
-
-    /// The kernel policy this form evaluates under.
-    pub fn policy(&self) -> KernelPolicy {
-        self.policy
+        Self { partition, blocks }
     }
 
     /// The underlying partition.
@@ -168,7 +156,7 @@ impl BlockQuadraticForm {
     /// Evaluates the single term `pd_iᵀ A_{ij} pd_j` (one tile of the
     /// partitioned form).
     pub fn term(&self, i: usize, j: usize, pd_i: &[f64], pd_j: &[f64]) -> f64 {
-        gemm::quadratic_form_with(self.policy, pd_i, &self.blocks[i][j], pd_j)
+        gemm::quadratic_form(pd_i, &self.blocks[i][j], pd_j)
     }
 
     /// Pre-multiplies block `(i, j)` with `pd_j`: returns `A_{ij} · pd_j`.
@@ -177,13 +165,13 @@ impl BlockQuadraticForm {
     /// `A_{S,R} · PD_R` so that each matching `S` tuple only needs a `d_S`-length
     /// dot product for the cross terms.
     pub fn block_times(&self, i: usize, j: usize, pd_j: &[f64]) -> Vec<f64> {
-        gemm::matvec_with(self.policy, &self.blocks[i][j], pd_j)
+        gemm::matvec(&self.blocks[i][j], pd_j)
     }
 
     /// Evaluates the full quadratic form `Σ_{ij} pd_iᵀ A_{ij} pd_j`
     /// (Equation 19) on an unpartitioned dense vector, splitting it
     /// internally.  Useful in tests comparing against
-    /// [`gemm::quadratic_form_sym_with`].
+    /// [`gemm::quadratic_form`].
     pub fn eval_dense(&self, x: &[f64]) -> f64 {
         let parts = self.partition.split(x);
         let mut acc = 0.0;
@@ -207,24 +195,16 @@ impl BlockQuadraticForm {
 pub struct BlockScatter {
     partition: BlockPartition,
     acc: Matrix,
-    policy: KernelPolicy,
 }
 
 impl BlockScatter {
-    /// Creates a zeroed accumulator for the given partition, pinned to an
-    /// explicit kernel policy.
-    pub fn new_with(partition: BlockPartition, policy: KernelPolicy) -> Self {
+    /// Creates a zeroed accumulator for the given partition.
+    pub fn new(partition: BlockPartition) -> Self {
         let d = partition.total_dim();
         Self {
             partition,
             acc: Matrix::zeros(d, d),
-            policy,
         }
-    }
-
-    /// The kernel policy this accumulator updates under.
-    pub fn policy(&self) -> KernelPolicy {
-        self.policy
     }
 
     /// The underlying partition.
@@ -256,10 +236,10 @@ impl BlockScatter {
     /// [`add_outer`](Self::add_outer) dispatching on the block representation.
     ///
     /// One-hot sides turn the rank-1 update into a row scatter
-    /// ([`sparse::ger_onehot_with`]-style), a column scatter, or — when both sides
+    /// ([`sparse::ger_onehot`]-style), a column scatter, or — when both sides
     /// are one-hot — `nnz_u × nnz_v` scalar adds ([`sparse::scatter_onehot_pair`]).
     /// CSR sides do the same with the weighted values multiplied through
-    /// ([`csr::ger_csr_with`]-style), using the dense GER's scaling order
+    /// ([`csr::ger_csr`]-style), using the dense GER's scaling order
     /// (`alpha·u_i` first, then times `v_j`).  Sparse inputs reproduce the
     /// dense update bit-for-bit.
     pub fn add_outer_rep(
@@ -377,7 +357,6 @@ impl BlockScatter {
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use crate::gemm::quadratic_form_sym_with;
 
     fn partition_3way() -> BlockPartition {
         BlockPartition::new(&[2, 3, 1])
@@ -439,11 +418,11 @@ mod tests {
             vec![0.2, 0.4, 0.3, 5.0],
         ]);
         let x = [0.7, -1.1, 2.3, 0.9];
-        let dense = quadratic_form_sym_with(KernelPolicy::Blocked, &x, &m);
+        let dense = gemm::quadratic_form(&x, &m, &x);
 
         for sizes in [vec![2, 2], vec![1, 3], vec![1, 1, 2], vec![4]] {
             let p = BlockPartition::new(&sizes);
-            let q = BlockQuadraticForm::new_with(p, &m, KernelPolicy::Blocked);
+            let q = BlockQuadraticForm::new(p, &m);
             let blocked = q.eval_dense(&x);
             assert!(
                 approx_eq(dense, blocked, 1e-12),
@@ -463,7 +442,7 @@ mod tests {
             vec![0.0, 0.5, 4.0],
         ]);
         let p = BlockPartition::binary(1, 2);
-        let q = BlockQuadraticForm::new_with(p, &m, KernelPolicy::Blocked);
+        let q = BlockQuadraticForm::new(p, &m);
         let pd_s = [2.0];
         let pd_r = [1.0, -1.0];
         // cached vector A_{S,R} · pd_r
@@ -481,11 +460,11 @@ mod tests {
 
         // dense accumulation
         let mut dense = Matrix::zeros(4, 4);
-        gemm::ger_with(KernelPolicy::Blocked, gamma, &x, &x, &mut dense);
+        gemm::ger(gamma, &x, &x, &mut dense);
 
         // factorized accumulation block by block
         let parts = p.split(&x);
-        let mut fact = BlockScatter::new_with(p.clone(), KernelPolicy::Blocked);
+        let mut fact = BlockScatter::new(p.clone());
         for i in 0..2 {
             for j in 0..2 {
                 fact.add_outer(i, j, gamma, parts[i], parts[j]);
@@ -526,9 +505,9 @@ mod tests {
                 &onehot[..],
             ),
         ] {
-            let mut dense = BlockScatter::new_with(p.clone(), KernelPolicy::Naive);
+            let mut dense = BlockScatter::new(p.clone());
             dense.add_outer(i, j, 0.9, udense, vdense);
-            let mut rep = BlockScatter::new_with(p.clone(), KernelPolicy::Naive);
+            let mut rep = BlockScatter::new(p.clone());
             rep.add_outer_rep(i, j, 0.9, urep, vrep);
             assert_eq!(dense.matrix(), rep.matrix(), "block ({i},{j})");
         }
@@ -537,7 +516,7 @@ mod tests {
     #[test]
     fn block_scatter_reset() {
         let p = BlockPartition::binary(1, 1);
-        let mut sc = BlockScatter::new_with(p, KernelPolicy::Blocked);
+        let mut sc = BlockScatter::new(p);
         sc.add_outer(0, 1, 1.0, &[1.0], &[1.0]);
         assert!(sc.matrix().frobenius_norm() > 0.0);
         sc.reset();

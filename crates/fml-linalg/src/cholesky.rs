@@ -133,7 +133,7 @@ impl Cholesky {
     /// The whitening factor `U = L⁻ᵀ` (upper-triangular, zeros below the
     /// diagonal): `A⁻¹ = U·Uᵀ`, so `xᵀ A⁻¹ x = ‖xᵀU‖²` and a whole batch of
     /// Mahalanobis distances is one triangular product
-    /// ([`crate::gemm::matmul_upper_acc_with`]) plus row norms.
+    /// ([`crate::gemm::matmul_upper_acc`]) plus row norms.
     ///
     /// Row `j` of `U` is column `j` of `L⁻¹`, built by forward substitution
     /// over contiguous rows of `L` and `U` (`O(n³/3)`).
@@ -155,12 +155,7 @@ impl Cholesky {
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use crate::gemm;
-    use crate::KernelPolicy::Blocked;
-
-    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        gemm::matmul_with(Blocked, a, b)
-    }
+    use crate::gemm::{self, matmul};
 
     fn spd3() -> Matrix {
         Matrix::from_rows(&[
@@ -201,7 +196,7 @@ mod tests {
         let b = [1.0, -2.0, 0.5];
         let x = ch.solve(&b);
         // A x should equal b
-        let ax = gemm::matvec_with(Blocked, &a, &x);
+        let ax = gemm::matvec(&a, &x);
         for (got, want) in ax.iter().zip(b.iter()) {
             assert!(approx_eq(*got, *want, 1e-10), "{got} vs {want}");
         }
@@ -217,9 +212,9 @@ mod tests {
         let ch = Cholesky::factor(&a).unwrap();
         let x = [0.3, -1.2, 2.0];
         // ‖xᵀU‖² is the Mahalanobis distance
-        let y = gemm::matvec_transposed_with(Blocked, &ch.whitener(), &x);
+        let y = gemm::matvec_transposed(&ch.whitener(), &x);
         let via_whitener: f64 = y.iter().map(|v| v * v).sum();
-        let via_inv = gemm::quadratic_form_sym_with(Blocked, &x, &ch.inverse());
+        let via_inv = gemm::quadratic_form(&x, &ch.inverse(), &x);
         assert!(approx_eq(via_whitener, via_inv, 1e-12));
     }
 

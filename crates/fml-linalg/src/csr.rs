@@ -14,17 +14,14 @@
 //! ## Exactness contract
 //!
 //! Every kernel here performs the same multiplications as the dense
-//! [`KernelPolicy::Naive`] reference, in the same ascending-index order; the
-//! only terms skipped are products with an exactly-`0.0` operand, which
+//! [`crate::reference`] loops, in the same ascending-index order; the only
+//! terms skipped are products with an exactly-`0.0` operand, which
 //! contribute an exact `±0.0` to the dense accumulation.  The results are
 //! therefore equal (under `f64` comparison, which identifies `-0.0 == 0.0`) to
-//! the dense naive oracle — the property tests in `tests/proptests.rs` assert
-//! this under **every** policy: the `_with` variants take one for API
-//! uniformity with [`crate::gemm`] and run the same sequential loops under
-//! each.
+//! the dense reference — the property tests in `tests/proptests.rs` assert
+//! this.
 
 use crate::matrix::Matrix;
-use crate::policy::KernelPolicy;
 use crate::{simd, vector};
 
 /// Total number of CSR kernel invocations in this process (monotonic) — the
@@ -42,7 +39,7 @@ fn count_call() {
 /// Records one CSR kernel invocation performed outside this module (the
 /// block-dispatch methods in [`crate::block`] call this for their CSR arms).
 #[inline]
-pub fn record_csr_call() {
+pub(crate) fn record_csr_call() {
     count_call();
 }
 
@@ -182,8 +179,8 @@ pub fn gather_dot(v: &[f64], idx: &[u32], vals: &[f64]) -> f64 {
 
 /// `y = A · x` for sparse `x`: each output element sums its row's selected
 /// entries scaled by the matching values, in ascending index order — the
-/// exact nonzero subsequence of the naive dense GEMV.
-pub fn matvec_csr_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
+/// exact nonzero subsequence of the reference dense GEMV.
+pub fn matvec_csr(a: &Matrix, idx: &[u32], vals: &[f64]) -> Vec<f64> {
     check_row(idx, vals, a.cols(), "matvec_csr");
     count_call();
     (0..a.rows())
@@ -193,14 +190,8 @@ pub fn matvec_csr_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], vals: &[f
 
 /// `y = Aᵀ · x` for sparse `x`, into an existing buffer:
 /// `Σ_t vals[t]·A.row(idx[t])`, added to a zeroed `y` front-to-back in index
-/// order — the naive dense transposed GEMV with the zero AXPYs skipped.
-pub fn matvec_transposed_csr_into_with(
-    _policy: KernelPolicy,
-    a: &Matrix,
-    idx: &[u32],
-    vals: &[f64],
-    y: &mut [f64],
-) {
+/// order — the dense transposed GEMV with the zero AXPYs skipped.
+pub fn matvec_transposed_csr_into(a: &Matrix, idx: &[u32], vals: &[f64], y: &mut [f64]) {
     assert_eq!(
         a.cols(),
         y.len(),
@@ -216,12 +207,12 @@ pub fn matvec_transposed_csr_into_with(
 
 /// CSR × dense product `C += X · B`: each output row of `C` accumulates
 /// `vals[t] · B.row(idx[t])` in ascending index order — the exact nonzero
-/// subsequence of the naive dense GEMM's `i`-`k`-`j` loop.
+/// subsequence of the reference dense GEMM's `i`-`k`-`j` loop.
 ///
 /// # Panics
 /// Panics when the shapes disagree (`x.rows() == c.rows()`,
 /// `x.cols() == b.rows()`, `b.cols() == c.cols()`).
-pub fn spmm_csr_with(_policy: KernelPolicy, x: &CsrBlock, b: &Matrix, c: &mut Matrix) {
+pub fn spmm_csr(x: &CsrBlock, b: &Matrix, c: &mut Matrix) {
     assert_eq!(x.rows(), c.rows(), "spmm_csr: output rows mismatch");
     assert_eq!(x.cols(), b.rows(), "spmm_csr: inner dimension mismatch");
     assert_eq!(b.cols(), c.cols(), "spmm_csr: output cols mismatch");
@@ -243,16 +234,9 @@ pub fn spmm_csr_with(_policy: KernelPolicy, x: &CsrBlock, b: &Matrix, c: &mut Ma
 // ---------------------------------------------------------------------------
 
 /// `A += alpha · x yᵀ` for sparse `x`: adds `(alpha·vals[t]) · y` to row
-/// `idx[t]` — the naive dense GER restricted to the nonzero rows, same scaling
+/// `idx[t]` — the dense GER restricted to the nonzero rows, same scaling
 /// order (`alpha * x_i` first, then times `y_j`).
-pub fn ger_csr_with(
-    _policy: KernelPolicy,
-    alpha: f64,
-    idx: &[u32],
-    vals: &[f64],
-    y: &[f64],
-    a: &mut Matrix,
-) {
+pub fn ger_csr(alpha: f64, idx: &[u32], vals: &[f64], y: &[f64], a: &mut Matrix) {
     assert_eq!(a.cols(), y.len(), "ger_csr: col dimension mismatch");
     check_row(idx, vals, a.rows(), "ger_csr");
     count_call();
@@ -331,7 +315,7 @@ pub fn quadratic_form_csr_pair(
 mod tests {
     use super::*;
     use crate::sparse::tests::csr_indices;
-    use crate::{gemm, vector};
+    use crate::{gemm, reference, vector};
 
     /// Compresses a dense matrix, keeping every nonzero entry.
     fn from_dense(m: &Matrix) -> CsrBlock {
@@ -411,14 +395,11 @@ mod tests {
         let vals = [0.5, -2.0, 1.25];
         let x = densify(&idx, &vals, 7);
         let xr = densify(&idx, &vals, 9);
-        for p in KernelPolicy::ALL {
-            let dense = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
-            assert_eq!(matvec_csr_with(p, &a, &idx, &vals), dense, "{p}");
-            let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &xr);
-            let mut gathered = vec![f64::NAN; 7];
-            matvec_transposed_csr_into_with(p, &a, &idx, &vals, &mut gathered);
-            assert_eq!(gathered, dense_t, "{p}");
-        }
+        assert_eq!(matvec_csr(&a, &idx, &vals), reference::matvec(&a, &x));
+        let dense_t = gemm::matvec_transposed(&a, &xr);
+        let mut gathered = vec![f64::NAN; 7];
+        matvec_transposed_csr_into(&a, &idx, &vals, &mut gathered);
+        assert_eq!(gathered, dense_t);
         assert_eq!(gather_dot(&[1.0, 2.0, 3.0], &[0, 2], &[2.0, -1.0]), -1.0);
     }
 
@@ -433,18 +414,11 @@ mod tests {
         dense_x[(3, 8)] = -3.0;
         let x = from_dense(&dense_x);
         let seed = pseudo(4, 5, 3);
-        let mut reference = seed.clone();
-        gemm::matmul_acc_with(
-            KernelPolicy::Naive,
-            dense_x.as_slice(),
-            &b,
-            reference.as_mut_slice(),
-        );
-        for p in KernelPolicy::ALL {
-            let mut c = seed.clone();
-            spmm_csr_with(p, &x, &b, &mut c);
-            assert_eq!(c, reference, "{p}");
-        }
+        let mut want = seed.clone();
+        reference::matmul_acc(dense_x.as_slice(), &b, want.as_mut_slice());
+        let mut c = seed.clone();
+        spmm_csr(&x, &b, &mut c);
+        assert_eq!(c, want);
     }
 
     #[test]
@@ -453,13 +427,11 @@ mod tests {
         let vals = [1.5, -0.5];
         let y = crate::testutil::TestRng::new(3).vec_in(6, -1.0, 1.0);
         let x_rows = densify(&idx, &vals, 8);
-        for p in KernelPolicy::ALL {
-            let mut dense = pseudo(8, 6, 4);
-            let mut sparse = dense.clone();
-            gemm::ger_with(KernelPolicy::Naive, 0.7, &x_rows, &y, &mut dense);
-            ger_csr_with(p, 0.7, &idx, &vals, &y, &mut sparse);
-            assert_eq!(dense, sparse, "{p}");
-        }
+        let mut dense = pseudo(8, 6, 4);
+        let mut sparse = dense.clone();
+        gemm::ger(0.7, &x_rows, &y, &mut dense);
+        ger_csr(0.7, &idx, &vals, &y, &mut sparse);
+        assert_eq!(dense, sparse);
     }
 
     #[test]
@@ -472,7 +444,7 @@ mod tests {
         let yc = densify(&cidx, &cvals, 4);
         let mut dense = pseudo(4, 4, 7);
         let mut sparse = dense.clone();
-        gemm::ger_with(KernelPolicy::Naive, 0.5, &xr, &yc, &mut dense);
+        gemm::ger(0.5, &xr, &yc, &mut dense);
         scatter_csr_pair(0.5, &ridx, &rvals, &cidx, &cvals, &mut sparse);
         assert_eq!(dense, sparse);
 
@@ -492,7 +464,7 @@ mod tests {
         let jdx = [1u32, 5];
         let jvals = [3.0, -0.25];
         let yj = densify(&jdx, &jvals, 7);
-        let dense_pair = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &yj);
+        let dense_pair = reference::quadratic_form(&x, &a, &yj);
         let sparse_pair = quadratic_form_csr_pair(&idx, &vals, &a, &jdx, &jvals);
         assert_eq!(dense_pair, sparse_pair);
     }
@@ -500,20 +472,19 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let a = pseudo(4, 4, 10);
-        let kp = KernelPolicy::Blocked;
-        assert_eq!(matvec_csr_with(kp, &a, &[], &[]), vec![0.0; 4]);
+        assert_eq!(matvec_csr(&a, &[], &[]), vec![0.0; 4]);
         let mut gathered = vec![f64::NAN; 4];
-        matvec_transposed_csr_into_with(KernelPolicy::Naive, &a, &[], &[], &mut gathered);
+        matvec_transposed_csr_into(&a, &[], &[], &mut gathered);
         assert_eq!(gathered, vec![0.0; 4]);
         assert_eq!(quadratic_form_csr_pair(&[], &[], &a, &[], &[]), 0.0);
         let empty = CsrBlock::new(vec![], vec![], vec![0, 0], 4);
         assert_eq!(empty.rows(), 1);
         let mut c = Matrix::zeros(1, 4);
-        spmm_csr_with(kp, &empty, &a, &mut c);
+        spmm_csr(&empty, &a, &mut c);
         assert_eq!(c, Matrix::zeros(1, 4));
         let mut m = pseudo(4, 4, 11);
         let before = m.clone();
-        ger_csr_with(kp, 1.0, &[], &[], &[0.0; 4], &mut m);
+        ger_csr(1.0, &[], &[], &[0.0; 4], &mut m);
         assert_eq!(m, before);
     }
 
@@ -521,7 +492,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         let a = Matrix::zeros(3, 3);
-        let _ = matvec_csr_with(KernelPolicy::Blocked, &a, &[3], &[1.0]);
+        let _ = matvec_csr(&a, &[3], &[1.0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The model configs (`GmmConfig`, `NnConfig` in the learner crates) describe
 //! *what* to fit — component counts, layer widths, iteration budgets.  How the
-//! fit executes — kernel selection, sparse or expanded rows, scan block size,
+//! fit executes — driver fan-out, sparse or expanded rows, scan block size,
 //! worker threads, RNG seed — is a model-independent concern, captured once
 //! here as [`ExecPolicy`] and threaded through every training strategy.
 //!
@@ -13,7 +13,7 @@
 //!
 //! | field | builder | environment | default |
 //! |-------|---------|-------------|---------|
-//! | `kernel_policy` (kernel arithmetic; `parallel` = blocked + driver fan-out) | [`ExecPolicy::kernel_policy`] | `FML_KERNEL_POLICY` | `blocked` |
+//! | `kernel_policy` (`parallel` = the drivers fan out) | [`ExecPolicy::kernel_policy`] | — | `blocked` |
 //! | `threads` (workers per driver fan-out) | [`ExecPolicy::threads`] | `FML_THREADS` | available parallelism |
 //! | `sparse_mode` | [`ExecPolicy::sparse_mode`] | — | [`SparseMode::Auto`] |
 //! | `block_pages` | [`ExecPolicy::block_pages`] | — | [`DEFAULT_BLOCK_PAGES`] |
@@ -112,7 +112,7 @@ impl FitObserver for TraceObserver {
 /// trainers actually read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSettings {
-    /// Linear-algebra kernel implementation (see [`crate::policy`]).
+    /// Whether the drivers fan out (see [`crate::policy`]).
     pub kernel_policy: KernelPolicy,
     /// Stored (sparse) or expanded rows (see [`crate::sparse::SparseMode`]).
     pub sparse: SparseMode,
@@ -152,7 +152,7 @@ impl ExecSettings {
     }
 }
 
-/// Model-independent execution policy: kernel selection, sparse mode,
+/// Model-independent execution policy: driver fan-out, sparse mode,
 /// scan block size, worker threads, seed, and an optional telemetry observer.
 ///
 /// Construct with builder calls; unset fields resolve through the documented
@@ -199,7 +199,7 @@ impl ExecPolicy {
         Self::default()
     }
 
-    /// Pins the kernel policy (beats `FML_KERNEL_POLICY`).
+    /// Pins the driver fan-out (default [`KernelPolicy::Blocked`]: none).
     pub fn kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
         self.kernel_policy = Some(kernel_policy);
         self
@@ -251,10 +251,8 @@ impl ExecPolicy {
     /// Resolves every knob through the documented precedence — **the** single
     /// place execution settings are decided.
     ///
-    /// Builder-set values win outright.  Unset `kernel_policy` falls back to
-    /// [`crate::policy::default_policy`] (`FML_KERNEL_POLICY`, else
-    /// `blocked`) — this is that function's only caller, so the variable is
-    /// consulted nowhere else; unset `threads` falls back to
+    /// Builder-set values win outright.  Unset `kernel_policy` is
+    /// [`KernelPolicy::Blocked`]; unset `threads` falls back to
     /// [`crate::policy::num_threads`] (`FML_THREADS`, else available
     /// parallelism); unset `obs` falls back to the process-wide mode
     /// ([`fml_obs::mode()`]: `FML_OBS`, else off).  Invalid environment values
@@ -262,7 +260,7 @@ impl ExecPolicy {
     /// environment override.
     pub fn resolve(&self) -> ExecSettings {
         ExecSettings {
-            kernel_policy: self.kernel_policy.unwrap_or_else(policy::default_policy),
+            kernel_policy: self.kernel_policy.unwrap_or(KernelPolicy::Blocked),
             sparse: self.sparse.unwrap_or_default(),
             block_pages: self.block_pages.unwrap_or(DEFAULT_BLOCK_PAGES),
             threads: self.threads.unwrap_or_else(policy::num_threads).max(1),
@@ -278,20 +276,11 @@ impl ExecPolicy {
     #[cfg(test)]
     fn resolve_raw(
         &self,
-        env_policy: Option<&str>,
         env_threads: Option<&str>,
         env_obs: Option<&str>,
         available: usize,
     ) -> (ExecSettings, Vec<String>) {
         let mut warnings = Vec::new();
-        let kernel_policy = match self.kernel_policy {
-            Some(p) => p,
-            None => {
-                let (p, w) = policy::resolve_policy_env(env_policy);
-                warnings.extend(w);
-                p
-            }
-        };
         let threads = match self.threads {
             Some(t) => t,
             None => {
@@ -310,7 +299,7 @@ impl ExecPolicy {
         };
         (
             ExecSettings {
-                kernel_policy,
+                kernel_policy: self.kernel_policy.unwrap_or(KernelPolicy::Blocked),
                 sparse: self.sparse.unwrap_or_default(),
                 block_pages: self.block_pages.unwrap_or(DEFAULT_BLOCK_PAGES),
                 threads: threads.max(1),
@@ -400,7 +389,7 @@ mod tests {
 
     #[test]
     fn defaults_resolve_without_builders() {
-        let (s, warnings) = ExecPolicy::new().resolve_raw(None, None, None, 8);
+        let (s, warnings) = ExecPolicy::new().resolve_raw(None, None, 8);
         assert_eq!(s.kernel_policy, KernelPolicy::Blocked);
         assert_eq!(s.sparse, SparseMode::Auto);
         assert_eq!(s.block_pages, DEFAULT_BLOCK_PAGES);
@@ -412,9 +401,7 @@ mod tests {
 
     #[test]
     fn env_beats_defaults() {
-        let (s, warnings) =
-            ExecPolicy::new().resolve_raw(Some("naive"), Some("3"), Some("metrics"), 8);
-        assert_eq!(s.kernel_policy, KernelPolicy::Naive);
+        let (s, warnings) = ExecPolicy::new().resolve_raw(Some("3"), Some("metrics"), 8);
         assert_eq!(s.threads, 3);
         assert_eq!(s.obs, ObsMode::Metrics);
         assert!(warnings.is_empty());
@@ -429,7 +416,7 @@ mod tests {
             .block_pages(16)
             .sparse_mode(SparseMode::Dense)
             .obs(ObsMode::Trace);
-        let (s, warnings) = exec.resolve_raw(Some("naive"), Some("12"), Some("off"), 8);
+        let (s, warnings) = exec.resolve_raw(Some("12"), Some("off"), 8);
         assert_eq!(s.kernel_policy, KernelPolicy::BlockedParallel);
         assert_eq!(s.threads, 2);
         assert_eq!(s.seed, 99);
@@ -444,22 +431,15 @@ mod tests {
     #[test]
     fn invalid_env_warns_and_falls_back_unless_builder_set() {
         // unset builder: the typo is reported and the default used
-        let (s, warnings) =
-            ExecPolicy::new().resolve_raw(Some("blokced"), Some("zero"), Some("traec"), 4);
-        assert_eq!(s.kernel_policy, KernelPolicy::Blocked);
+        let (s, warnings) = ExecPolicy::new().resolve_raw(Some("zero"), Some("traec"), 4);
         assert_eq!(s.threads, 4);
         assert_eq!(s.obs, ObsMode::Off);
-        assert_eq!(warnings.len(), 3, "one warning per invalid variable");
-        assert!(warnings[0].contains("blokced"));
-        assert!(warnings[1].contains("zero"));
-        assert!(warnings[2].contains("traec"));
+        assert_eq!(warnings.len(), 2, "one warning per invalid variable");
+        assert!(warnings[0].contains("zero"));
+        assert!(warnings[1].contains("traec"));
         // builder-set: same raw environment, no warning at all
-        let exec = ExecPolicy::new()
-            .kernel_policy(KernelPolicy::Naive)
-            .threads(1)
-            .obs(ObsMode::Off);
-        let (s, warnings) = exec.resolve_raw(Some("blokced"), Some("zero"), Some("traec"), 4);
-        assert_eq!(s.kernel_policy, KernelPolicy::Naive);
+        let exec = ExecPolicy::new().threads(1).obs(ObsMode::Off);
+        let (s, warnings) = exec.resolve_raw(Some("zero"), Some("traec"), 4);
         assert_eq!(s.threads, 1);
         assert!(warnings.is_empty());
     }
@@ -476,13 +456,13 @@ mod tests {
         // With every knob pinned, the cached real environment is irrelevant:
         // resolve() and resolve_raw() must agree exactly.
         let exec = ExecPolicy::new()
-            .kernel_policy(KernelPolicy::Naive)
+            .kernel_policy(KernelPolicy::BlockedParallel)
             .sparse_mode(SparseMode::Dense)
             .block_pages(8)
             .threads(2)
             .seed(5)
             .obs(ObsMode::Metrics);
-        assert_eq!(exec.resolve(), exec.resolve_raw(None, None, None, 1).0);
+        assert_eq!(exec.resolve(), exec.resolve_raw(None, None, 1).0);
     }
 
     #[test]

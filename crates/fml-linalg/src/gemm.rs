@@ -1,17 +1,14 @@
 //! Matrix product kernels: GEMM, GEMV, rank-1 (GER) updates and quadratic
-//! forms, each a sequential function of `(policy, operands)`.
+//! forms, each a sequential function of its operands.
 //!
-//! The [`KernelPolicy`] picks one of two arithmetics:
-//!
-//! * **naive** — the reference triple loops with the inner loop running along
-//!   contiguous row-major memory and strictly sequential accumulation.
-//! * **blocked** (`Blocked` and `BlockedParallel` alike) — BLIS-style cache
-//!   tiling.  `C += A·B` is decomposed into `NC`-column × `KC`-depth panels of
-//!   `B` and `MC`-row panels of `A`, both packed into contiguous buffers, and
-//!   the innermost computation is a register-blocked `MR×NR` micro-kernel that
-//!   holds a `4×8` accumulator tile in registers and streams packed panels
-//!   with unit stride.  Vector kernels (GEMV, quadratic forms) use 4-way
-//!   unrolled dot products for instruction-level parallelism.
+//! There is one arithmetic, BLIS-style cache tiling.  `C += A·B` is
+//! decomposed into `NC`-column × `KC`-depth panels of `B` and `MC`-row panels
+//! of `A`, both packed into contiguous buffers, and the innermost computation
+//! is a register-blocked `MR×NR` micro-kernel that holds a `4×8` accumulator
+//! tile in registers and streams packed panels with unit stride.  Vector
+//! kernels (GEMV, quadratic forms) use 4-way unrolled dot products for
+//! instruction-level parallelism.  The strictly sequential loops these are
+//! tested against live in [`crate::reference`].
 //!
 //! No kernel fans out: parallelism lives in the drivers' chunk loops
 //! ([`crate::policy`]), which call these kernels on disjoint row bands or
@@ -43,26 +40,22 @@
 //!
 //! | entry point | product | what the structure saves |
 //! |---|---|---|
-//! | [`matmul_acc_with`] | `C += A·B` | — |
-//! | [`matmul_upper_acc_with`] | `C += A·U`, `U` upper-triangular | B panel `j0` is packed and multiplied only to depth `j0+NR`: half the work |
-//! | [`syrk_upper_acc_with`] | upper triangle of `C += Xᵀ·diag(γ)·X` | A panels are 4-wide column reads of the row-major `X`, B panels its `γ_r`-scaled rows; tiles strictly below the diagonal are skipped: half the work |
+//! | [`matmul_acc`] | `C += A·B` | — |
+//! | [`matmul_upper_acc`] | `C += A·U`, `U` upper-triangular | B panel `j0` is packed and multiplied only to depth `j0+NR`: half the work |
+//! | [`syrk_upper_acc`] | upper triangle of `C += Xᵀ·diag(γ)·X` | A panels are 4-wide column reads of the row-major `X`, B panels its `γ_r`-scaled rows; tiles strictly below the diagonal are skipped: half the work |
 //!
 //! The GMM trainers' dense E-step (`Y = (X − 1µᵀ)·L⁻ᵀ`, then row norms) and
 //! covariance scatter run on the last two, one call per 1024-row batch and
-//! component.  Under `Naive` each is a strictly sequential per-row loop.
-//!
-//! Every entry point takes its policy explicitly; the training crates thread
-//! it through from their resolved [`crate::ExecPolicy`].
+//! component.
 //!
 //! ### Lanes
 //!
 //! The blocked reductions (micro-kernel, dot products) run through the
-//! 4-lane scalar kernels in [`crate::simd`]; the `Naive` policy never does —
-//! it stays the strictly sequential oracle.  Row AXPYs (GER, transposed
-//! GEMV) are element-wise, so every policy runs [`vector::axpy`].
+//! 4-lane scalar kernels in [`crate::simd`].  Row AXPYs (GER, transposed
+//! GEMV) are element-wise, with no reduction order to choose, and run
+//! [`vector::axpy`].
 
 use crate::matrix::Matrix;
-use crate::policy::KernelPolicy;
 use crate::simd;
 use crate::vector;
 
@@ -97,7 +90,7 @@ static KERNEL_FLOPS: fml_obs::LazyCounter = fml_obs::LazyCounter::new("fml_kerne
 /// **Quadratic forms are deliberately uncounted**: the factorized E-step
 /// evaluates `d_S`-wide forms in ~30 ns each, and two atomics per call would
 /// show on its wall time.  A trainer that spends its E-step in
-/// [`quadratic_form_with`] therefore reports about half the FLOPs it
+/// [`quadratic_form`] therefore reports about half the FLOPs it
 /// executes — the "4.2 counted GFLOP/s" once read off the per-row `M-GMM`
 /// was half its true 8–9 GFLOP/s.
 #[inline]
@@ -116,7 +109,7 @@ fn record_kernel(calls: &'static fml_obs::LazyCounter, flops: usize) {
 ///
 /// # Panics
 /// Panics when `A.cols() != B.rows()`.
-pub fn matmul_with(policy: KernelPolicy, a: &Matrix, b: &Matrix) -> Matrix {
+pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -127,7 +120,7 @@ pub fn matmul_with(policy: KernelPolicy, a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    matmul_acc_with(policy, a.as_slice(), b, c.as_mut_slice());
+    matmul_acc(a.as_slice(), b, c.as_mut_slice());
     c
 }
 
@@ -139,7 +132,7 @@ pub fn matmul_with(policy: KernelPolicy, a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// # Panics
 /// Panics when `c` is not `m × n` or `a` is not `m × k`.
-pub fn matmul_acc_with(policy: KernelPolicy, a: &[f64], b: &Matrix, c: &mut [f64]) {
+pub fn matmul_acc(a: &[f64], b: &Matrix, c: &mut [f64]) {
     let (k, n) = b.shape();
     if c.is_empty() {
         return;
@@ -154,33 +147,14 @@ pub fn matmul_acc_with(policy: KernelPolicy, a: &[f64], b: &Matrix, c: &mut [f64
         return;
     }
     record_kernel(&GEMM_CALLS, 2 * m * n * k);
-    match policy {
-        KernelPolicy::Naive => naive_matmul_acc(a, b, c),
-        _ => {
-            let panels = DensePanels {
-                a,
-                m,
-                k,
-                b: b.as_slice(),
-                n,
-            };
-            blocked_product(&panels, k, n, c);
-        }
-    }
-}
-
-/// Reference triple loop (`i`-`k`-`j` order, output row borrow hoisted out of
-/// the `k` loop, no zero-skip — the dense path must not branch per element).
-fn naive_matmul_acc(a: &[f64], b: &Matrix, c: &mut [f64]) {
-    let (k, n) = b.shape();
-    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-        for (kk, &aik) in arow.iter().enumerate() {
-            let brow = b.row(kk);
-            for j in 0..n {
-                crow[j] += aik * brow[j];
-            }
-        }
-    }
+    let panels = DensePanels {
+        a,
+        m,
+        k,
+        b: b.as_slice(),
+        n,
+    };
+    blocked_product(&panels, k, n, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,13 +165,12 @@ fn naive_matmul_acc(a: &[f64], b: &Matrix, c: &mut [f64]) {
 ///
 /// `a` and `c` are row-major `m × n` with `n = u.rows()`.  Entries of `u`
 /// strictly below the diagonal are **never read** (they may hold anything).
-/// The blocked form packs and multiplies column panel `j0` of `U` only to
-/// depth `j0 + NR`, so it executes half the FLOPs of the full product; the
-/// `Naive` form is the `i`-`k`-`j` reference loop restricted to `j ≥ k`.
+/// Column panel `j0` of `U` is packed and multiplied only to depth
+/// `j0 + NR`, so the product executes half the FLOPs of the full one.
 ///
 /// # Panics
 /// Panics when `u` is not square or `a` / `c` are not `m × n`.
-pub fn matmul_upper_acc_with(policy: KernelPolicy, a: &[f64], u: &Matrix, c: &mut [f64]) {
+pub fn matmul_upper_acc(a: &[f64], u: &Matrix, c: &mut [f64]) {
     assert!(u.is_square(), "matmul_upper_acc: U must be square");
     let n = u.rows();
     assert_eq!(a.len(), c.len(), "matmul_upper_acc: output shape mismatch");
@@ -210,14 +183,6 @@ pub fn matmul_upper_acc_with(policy: KernelPolicy, a: &[f64], u: &Matrix, c: &mu
     );
     let m = a.len() / n;
     record_kernel(&GEMM_CALLS, m * n * (n + 1));
-    if policy == KernelPolicy::Naive {
-        for (arow, crow) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
-            for (k, &aik) in arow.iter().enumerate() {
-                vector::axpy(aik, &u.row(k)[k..], &mut crow[k..]);
-            }
-        }
-        return;
-    }
     let panels = UpperPanels {
         a,
         m,
@@ -233,21 +198,13 @@ pub fn matmul_upper_acc_with(policy: KernelPolicy, a: &[f64], u: &Matrix, c: &mu
 /// weight `γ_r = weights[r * stride]`, so a column of a row-major
 /// responsibility matrix is read in place.  Entries of `c` strictly below
 /// the diagonal are **neither read nor written**; callers mirror once when
-/// every batch is in ([`Matrix::mirror_upper`]).  The blocked form runs the
-/// micro-kernel over the batch as the depth dimension and skips the tiles
-/// below the diagonal; the `Naive` form is one rank-1 update per row in GER
-/// order (`c[i][i..] += (γ_r·x_i)·x[i..]`).
+/// every batch is in ([`Matrix::mirror_upper`]).  The micro-kernel runs over
+/// the batch as the depth dimension and skips the tiles below the diagonal.
 ///
 /// # Panics
 /// Panics when `c` is not square, `x` is not `m × n`, or `weights` is too
 /// short for `m` strided reads.
-pub fn syrk_upper_acc_with(
-    policy: KernelPolicy,
-    x: &[f64],
-    weights: &[f64],
-    stride: usize,
-    c: &mut Matrix,
-) {
+pub fn syrk_upper_acc(x: &[f64], weights: &[f64], stride: usize, c: &mut Matrix) {
     assert!(c.is_square(), "syrk_upper_acc: C must be square");
     let n = c.rows();
     if x.is_empty() {
@@ -263,15 +220,6 @@ pub fn syrk_upper_acc_with(
         "syrk_upper_acc: weights too short for {m} reads at stride {stride}"
     );
     record_kernel(&GEMM_CALLS, m * n * (n + 1));
-    if policy == KernelPolicy::Naive {
-        for (r, xrow) in x.chunks_exact(n).enumerate() {
-            let g = weights[r * stride];
-            for (i, &xi) in xrow.iter().enumerate() {
-                vector::axpy(g * xi, &xrow[i..], &mut c.row_mut(i)[i..]);
-            }
-        }
-        return;
-    }
     let panels = GramPanels {
         x,
         n,
@@ -282,28 +230,19 @@ pub fn syrk_upper_acc_with(
 }
 
 /// `out[r] = ‖Y_r‖²` for every row of the row-major `m × n` matrix `y` — the
-/// Mahalanobis distances of a whitened batch.  `Naive` sums each row
-/// sequentially; the blocked arithmetic uses the 4-lane dot product.
+/// Mahalanobis distances of a whitened batch — through the 4-lane dot
+/// product.
 ///
 /// # Panics
 /// Panics when `y` is not `out.len() × n`.
-pub fn row_sq_norms_with(policy: KernelPolicy, y: &[f64], n: usize, out: &mut [f64]) {
+pub fn row_sq_norms(y: &[f64], n: usize, out: &mut [f64]) {
     assert_eq!(y.len(), out.len() * n, "row_sq_norms: Y is not m x n");
     if n == 0 {
         out.fill(0.0);
         return;
     }
-    match policy {
-        KernelPolicy::Naive => {
-            for (o, row) in out.iter_mut().zip(y.chunks_exact(n)) {
-                *o = vector::dot(row, row);
-            }
-        }
-        _ => {
-            for (o, row) in out.iter_mut().zip(y.chunks_exact(n)) {
-                *o = simd::dot(row, row);
-            }
-        }
+    for (o, row) in out.iter_mut().zip(y.chunks_exact(n)) {
+        *o = simd::dot(row, row);
     }
 }
 
@@ -547,41 +486,32 @@ fn blocked_product<P: Panels>(p: &P, k: usize, n: usize, c: &mut [f64]) {
 // ---------------------------------------------------------------------------
 
 /// `y = A · x` (matrix-vector product).
-pub fn matvec_with(policy: KernelPolicy, a: &Matrix, x: &[f64]) -> Vec<f64> {
+pub fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; a.rows()];
-    matvec_into_with(policy, a, x, &mut y);
+    matvec_into(a, x, &mut y);
     y
 }
 
 /// `y = A · x` into an existing buffer.
-pub fn matvec_into_with(policy: KernelPolicy, a: &Matrix, x: &[f64], y: &mut [f64]) {
+pub fn matvec_into(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.cols(), x.len(), "matvec_into: dimension mismatch");
     assert_eq!(a.rows(), y.len(), "matvec_into: output dimension mismatch");
     record_kernel(&GEMV_CALLS, 2 * a.rows() * a.cols());
-    match policy {
-        KernelPolicy::Naive => {
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi = vector::dot(a.row(i), x);
-            }
-        }
-        _ => {
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi = simd::dot(a.row(i), x);
-            }
-        }
+    for (i, yi) in y.iter_mut().enumerate() {
+        *yi = simd::dot(a.row(i), x);
     }
 }
 
 /// `y = Aᵀ · x` without materializing the transpose.
-pub fn matvec_transposed_with(policy: KernelPolicy, a: &Matrix, x: &[f64]) -> Vec<f64> {
+pub fn matvec_transposed(a: &Matrix, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; a.cols()];
-    matvec_transposed_into_with(policy, a, x, &mut y);
+    matvec_transposed_into(a, x, &mut y);
     y
 }
 
 /// `y = Aᵀ · x` into an existing buffer — one AXPY of `A`'s row `i` per entry
 /// of `x`, front to back; allocates nothing.
-pub fn matvec_transposed_into_with(_policy: KernelPolicy, a: &Matrix, x: &[f64], y: &mut [f64]) {
+pub fn matvec_transposed_into(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.rows(), x.len(), "matvec_transposed: dimension mismatch");
     let cols = a.cols();
     assert_eq!(
@@ -591,7 +521,6 @@ pub fn matvec_transposed_into_with(_policy: KernelPolicy, a: &Matrix, x: &[f64],
     );
     record_kernel(&GEMV_CALLS, 2 * a.rows() * cols);
     y.fill(0.0);
-    // Element-wise AXPYs have no reduction order: one loop for every policy.
     for (i, &xi) in x.iter().enumerate() {
         vector::axpy(xi, a.row(i), y);
     }
@@ -601,16 +530,15 @@ pub fn matvec_transposed_into_with(_policy: KernelPolicy, a: &Matrix, x: &[f64],
 // Rank-1 updates and quadratic forms
 // ---------------------------------------------------------------------------
 
-/// Rank-1 update `A += alpha * x yᵀ` (BLAS GER).
+/// Rank-1 update `A += alpha * x yᵀ` (BLAS GER): one branch-free AXPY per
+/// row.
 ///
 /// Used to accumulate NN weight gradients `∂E/∂W += δ · xᵀ` and GMM scatter
 /// contributions `γ (x−µ)(x−µ)ᵀ`.
-pub fn ger_with(_policy: KernelPolicy, alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
+pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
     assert_eq!(a.rows(), x.len(), "ger: row dimension mismatch");
     assert_eq!(a.cols(), y.len(), "ger: col dimension mismatch");
     record_kernel(&GER_CALLS, 2 * x.len() * a.cols());
-    // One branch-free AXPY per row under every policy: element-wise, so
-    // there is no reduction order for the policies to differ in.
     for (i, &xi) in x.iter().enumerate() {
         vector::axpy(alpha * xi, y, a.row_mut(i));
     }
@@ -619,95 +547,82 @@ pub fn ger_with(_policy: KernelPolicy, alpha: f64, x: &[f64], y: &[f64], a: &mut
 /// Outer product `x yᵀ` as a fresh matrix.
 pub fn outer(x: &[f64], y: &[f64]) -> Matrix {
     let mut m = Matrix::zeros(x.len(), y.len());
-    ger_with(KernelPolicy::Blocked, 1.0, x, y, &mut m);
+    ger(1.0, x, y, &mut m);
     m
 }
 
-/// Quadratic form `xᵀ A y` evaluated without forming intermediates.  Both
-/// arithmetics visit every row of `A`, zero entries of `x` included — the
-/// dense path must not branch per element.
-pub fn quadratic_form_with(policy: KernelPolicy, x: &[f64], a: &Matrix, y: &[f64]) -> f64 {
+/// Quadratic form `xᵀ A y` evaluated without forming intermediates.  Every
+/// row of `A` is visited, zero entries of `x` included — the dense path must
+/// not branch per element.
+pub fn quadratic_form(x: &[f64], a: &Matrix, y: &[f64]) -> f64 {
     assert_eq!(a.rows(), x.len(), "quadratic_form: row dimension mismatch");
     assert_eq!(a.cols(), y.len(), "quadratic_form: col dimension mismatch");
     let mut acc = 0.0;
-    match policy {
-        KernelPolicy::Naive => {
-            for (i, &xi) in x.iter().enumerate() {
-                acc += xi * vector::dot(a.row(i), y);
-            }
-        }
-        _ => {
-            for (i, &xi) in x.iter().enumerate() {
-                acc += xi * simd::dot(a.row(i), y);
-            }
-        }
+    for (i, &xi) in x.iter().enumerate() {
+        acc += xi * simd::dot(a.row(i), y);
     }
     acc
-}
-
-/// Symmetric quadratic form `xᵀ A x`.
-pub fn quadratic_form_sym_with(policy: KernelPolicy, x: &[f64], a: &Matrix) -> f64 {
-    quadratic_form_with(policy, x, a, x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, policy};
+    use crate::{approx_eq, policy, reference};
 
     fn m(rows: &[Vec<f64>]) -> Matrix {
         Matrix::from_rows(rows)
     }
 
-    /// Deterministic pseudo-random matrix for cross-policy comparisons.
+    /// Deterministic pseudo-random matrix for kernel-vs-reference comparisons.
     fn pseudo(rows: usize, cols: usize, salt: u64) -> Matrix {
         let mut rng = crate::testutil::TestRng::new(salt);
         Matrix::from_vec(rows, cols, rng.vec_in(rows * cols, -1.0, 1.0))
     }
 
+    /// `A · B` through the reference loop.
+    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        reference::matmul_acc(a.as_slice(), b, c.as_mut_slice());
+        c
+    }
+
     #[test]
     fn matmul_known_result() {
-        for p in KernelPolicy::ALL {
-            let a = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-            let b = m(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-            let c = matmul_with(p, &a, &b);
-            assert_eq!(c.row(0), &[19.0, 22.0], "{p}");
-            assert_eq!(c.row(1), &[43.0, 50.0], "{p}");
+        let a = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let b = m(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
+        for (what, c) in [
+            ("kernel", matmul(&a, &b)),
+            ("reference", reference_matmul(&a, &b)),
+        ] {
+            assert_eq!(c.row(0), &[19.0, 22.0], "{what}");
+            assert_eq!(c.row(1), &[43.0, 50.0], "{what}");
         }
     }
 
     #[test]
     fn matmul_identity_is_noop() {
-        for p in KernelPolicy::ALL {
-            let a = m(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-            let id = Matrix::identity(3);
-            assert_eq!(matmul_with(p, &a, &id), a);
-            let id2 = Matrix::identity(2);
-            assert_eq!(matmul_with(p, &id2, &a), a);
-        }
+        let a = m(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let id = Matrix::identity(3);
+        assert_eq!(matmul(&a, &id), a);
+        let id2 = Matrix::identity(2);
+        assert_eq!(matmul(&id2, &a), a);
     }
 
     #[test]
     fn matmul_rectangular_shapes() {
-        for p in KernelPolicy::ALL {
-            let a = Matrix::zeros(3, 5);
-            let b = Matrix::zeros(5, 2);
-            assert_eq!(matmul_with(p, &a, &b).shape(), (3, 2));
-        }
+        let a = Matrix::zeros(3, 5);
+        let b = Matrix::zeros(5, 2);
+        assert_eq!(matmul(&a, &b).shape(), (3, 2));
     }
 
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn matmul_mismatch_panics() {
-        matmul_with(
-            KernelPolicy::Blocked,
-            &Matrix::zeros(2, 3),
-            &Matrix::zeros(2, 3),
-        );
+        matmul(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
     }
 
     #[test]
-    fn blocked_and_parallel_match_naive_on_awkward_shapes() {
+    fn blocked_matches_the_reference_on_awkward_shapes() {
         // shapes chosen to exercise every remainder path of the tiling
         for &(mm, kk, nn) in &[
             (1usize, 1usize, 1usize),
@@ -721,25 +636,10 @@ mod tests {
         ] {
             let a = pseudo(mm, kk, 1);
             let b = pseudo(kk, nn, 2);
-            let reference = matmul_with(KernelPolicy::Naive, &a, &b);
-            for p in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
-                let c = matmul_with(p, &a, &b);
-                assert!(
-                    reference.max_abs_diff(&c) < 1e-12,
-                    "{p} diverged on {mm}x{kk}x{nn}: {}",
-                    reference.max_abs_diff(&c)
-                );
-            }
+            let want = reference_matmul(&a, &b);
+            let diff = want.max_abs_diff(&matmul(&a, &b));
+            assert!(diff < 1e-12, "diverged on {mm}x{kk}x{nn}: {diff}");
         }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_blocked() {
-        let a = pseudo(100, 64, 3);
-        let b = pseudo(64, 50, 4);
-        let blocked = matmul_with(KernelPolicy::Blocked, &a, &b);
-        let parallel = matmul_with(KernelPolicy::BlockedParallel, &a, &b);
-        assert_eq!(blocked, parallel);
     }
 
     #[test]
@@ -750,7 +650,7 @@ mod tests {
         let (m, k, n) = (37usize, 65usize, 29usize); // remainders on every axis
         let a = pseudo(m, k, 11);
         let b = pseudo(k, n, 12);
-        let single = matmul_with(KernelPolicy::Blocked, &a, &b);
+        let single = matmul(&a, &b);
         let mut banded = vec![0.0; m * n];
         let bands = policy::par_row_bands_with_threads(
             4,
@@ -761,8 +661,7 @@ mod tests {
             |first_row, band, _| {
                 let rows = band.len() / n;
                 let a_band = a.sub_block(first_row, first_row + rows, 0, k);
-                let c_band = matmul_with(KernelPolicy::Blocked, &a_band, &b);
-                band.copy_from_slice(c_band.as_slice());
+                band.copy_from_slice(matmul(&a_band, &b).as_slice());
             },
         );
         assert_eq!(bands, 4, "the split must be genuine");
@@ -798,16 +697,11 @@ mod tests {
             for &m in &ROWS {
                 let a = pseudo(m, n, 41);
                 let seed_c = pseudo(m, n, 42); // nonzero C exercises accumulation
-                let mut reference = seed_c.clone();
-                matmul_upper_acc_with(
-                    KernelPolicy::Naive,
-                    a.as_slice(),
-                    &u,
-                    reference.as_mut_slice(),
-                );
+                let mut want = seed_c.clone();
+                reference::matmul_upper_acc(a.as_slice(), &u, want.as_mut_slice());
                 assert!(
-                    reference.as_slice().iter().all(|v| v.is_finite()),
-                    "naive read below the diagonal at {m}x{n}"
+                    want.as_slice().iter().all(|v| v.is_finite()),
+                    "the reference read below the diagonal at {m}x{n}"
                 );
                 // independent cross-check: the full product against U with an
                 // explicit zero lower triangle
@@ -818,17 +712,12 @@ mod tests {
                     }
                 }
                 let mut full = seed_c.clone();
-                matmul_acc_with(KernelPolicy::Naive, a.as_slice(), &u0, full.as_mut_slice());
-                assert!(
-                    reference.max_abs_diff(&full) < 1e-12,
-                    "{m}x{n} vs full GEMM"
-                );
-                for p in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
-                    let mut c = seed_c.clone();
-                    matmul_upper_acc_with(p, a.as_slice(), &u, c.as_mut_slice());
-                    let diff = reference.max_abs_diff(&c);
-                    assert!(diff < 1e-12, "{p} diverged on {m}x{n}: {diff}");
-                }
+                reference::matmul_acc(a.as_slice(), &u0, full.as_mut_slice());
+                assert!(want.max_abs_diff(&full) < 1e-12, "{m}x{n} vs full GEMM");
+                let mut c = seed_c.clone();
+                matmul_upper_acc(a.as_slice(), &u, c.as_mut_slice());
+                let diff = want.max_abs_diff(&c);
+                assert!(diff < 1e-12, "diverged on {m}x{n}: {diff}");
             }
         }
     }
@@ -850,40 +739,29 @@ mod tests {
                         seed_c[(i, j)] = f64::NAN;
                     }
                 }
-                let mut reference = seed_c.clone();
-                syrk_upper_acc_with(
-                    KernelPolicy::Naive,
-                    x.as_slice(),
-                    weights,
-                    stride,
-                    &mut reference,
-                );
+                let mut want = seed_c.clone();
+                reference::syrk_upper_acc(x.as_slice(), weights, stride, &mut want);
                 // "today's GER order on the upper triangle": one full rank-1
-                // update per row reproduces the naive upper triangle bit for bit
+                // update per row reproduces the reference's upper triangle bit
+                // for bit
                 let mut gers = seed_c.clone();
                 for r in 0..m {
-                    ger_with(
-                        KernelPolicy::Naive,
-                        weights[r * stride],
-                        x.row(r),
-                        x.row(r),
-                        &mut gers,
-                    );
+                    ger(weights[r * stride], x.row(r), x.row(r), &mut gers);
                 }
                 let scale = 1.0 + max_abs(x.as_slice()).powi(2) * m as f64;
-                for p in KernelPolicy::ALL {
-                    let mut c = seed_c.clone();
-                    syrk_upper_acc_with(p, x.as_slice(), weights, stride, &mut c);
+                let mut blocked = seed_c.clone();
+                syrk_upper_acc(x.as_slice(), weights, stride, &mut blocked);
+                for (what, c) in [("reference", &want), ("kernel", &blocked)] {
                     for i in 0..n {
                         for j in 0..n {
                             if j < i {
-                                assert!(c[(i, j)].is_nan(), "{p} wrote ({i},{j}) at {m}x{n}");
+                                assert!(c[(i, j)].is_nan(), "{what} wrote ({i},{j}) at {m}x{n}");
                                 continue;
                             }
-                            let diff = (c[(i, j)] - reference[(i, j)]).abs();
+                            let diff = (c[(i, j)] - want[(i, j)]).abs();
                             assert!(
                                 diff < 1e-12 * scale,
-                                "{p} diverged at ({i},{j}) on {m}x{n}: {diff}"
+                                "{what} diverged at ({i},{j}) on {m}x{n}: {diff}"
                             );
                         }
                     }
@@ -891,9 +769,9 @@ mod tests {
                 for i in 0..n {
                     for j in i..n {
                         assert_eq!(
-                            reference[(i, j)].to_bits(),
+                            want[(i, j)].to_bits(),
                             gers[(i, j)].to_bits(),
-                            "naive SYRK is not GER order at ({i},{j}) on {m}x{n}"
+                            "the reference SYRK is not GER order at ({i},{j}) on {m}x{n}"
                         );
                     }
                 }
@@ -911,18 +789,12 @@ mod tests {
             ("denormal", vec![denormal; m]),
             ("equal", vec![0.375; m]),
         ] {
-            let mut reference = Matrix::zeros(n, n);
-            syrk_upper_acc_with(
-                KernelPolicy::Naive,
-                x.as_slice(),
-                &weights,
-                1,
-                &mut reference,
-            );
+            let mut want = Matrix::zeros(n, n);
+            reference::syrk_upper_acc(x.as_slice(), &weights, 1, &mut want);
             let mut c = Matrix::zeros(n, n);
-            syrk_upper_acc_with(KernelPolicy::Blocked, x.as_slice(), &weights, 1, &mut c);
+            syrk_upper_acc(x.as_slice(), &weights, 1, &mut c);
             assert!(c.as_slice().iter().all(|v| v.is_finite()), "{label}");
-            let diff = reference.max_abs_diff(&c);
+            let diff = want.max_abs_diff(&c);
             assert!(diff < 1e-12, "{label}: {diff}");
             if label == "zero" {
                 assert_eq!(c, Matrix::zeros(n, n));
@@ -935,18 +807,8 @@ mod tests {
         let (m, n) = (261usize, 85usize); // remainders on every axis
         let a = pseudo(m, n, 70);
         let u = upper_with_nan_below(n, 71);
-        let weights = pseudo_weights(m, 72);
-
-        let upper = |policy: KernelPolicy| {
-            let mut c = vec![0.0; m * n];
-            matmul_upper_acc_with(policy, a.as_slice(), &u, &mut c);
-            c
-        };
-        let syrk = |policy: KernelPolicy| {
-            let mut c = Matrix::zeros(n, n);
-            syrk_upper_acc_with(policy, a.as_slice(), &weights, 1, &mut c);
-            c
-        };
+        let mut whole = vec![0.0; m * n];
+        matmul_upper_acc(a.as_slice(), &u, &mut whole);
         // a genuine 4-way row-band split of the batch, also on a 1-core
         // machine: one kernel call per band, as the dense trainer issues them
         let mut banded = vec![0.0; m * n];
@@ -958,26 +820,10 @@ mod tests {
             &mut [(); 4],
             |first_row, band, _| {
                 let rows = first_row * n..first_row * n + band.len();
-                matmul_upper_acc_with(KernelPolicy::Blocked, &a.as_slice()[rows], &u, band);
+                matmul_upper_acc(&a.as_slice()[rows], &u, band);
             },
         );
-        assert_eq!(
-            upper(KernelPolicy::Blocked),
-            banded,
-            "band split changed bits"
-        );
-        // `BlockedParallel` is the blocked arithmetic
-        assert_eq!(
-            (upper(KernelPolicy::Blocked), syrk(KernelPolicy::Blocked)),
-            (
-                upper(KernelPolicy::BlockedParallel),
-                syrk(KernelPolicy::BlockedParallel)
-            )
-        );
-    }
-
-    fn pseudo_weights(m: usize, salt: u64) -> Vec<f64> {
-        crate::testutil::TestRng::new(salt).vec_in(m, 0.0, 1.0)
+        assert_eq!(whole, banded, "band split changed bits");
     }
 
     #[test]
@@ -989,10 +835,10 @@ mod tests {
         let a = pseudo(m, n, 80);
         let u = upper_with_nan_below(n, 81);
         let mut whole = vec![0.0; m * n];
-        matmul_upper_acc_with(KernelPolicy::Blocked, a.as_slice(), &u, &mut whole);
+        matmul_upper_acc(a.as_slice(), &u, &mut whole);
         for r in 0..m {
             let mut single = vec![0.0; n];
-            matmul_upper_acc_with(KernelPolicy::Blocked, a.row(r), &u, &mut single);
+            matmul_upper_acc(a.row(r), &u, &mut single);
             assert_eq!(&whole[r * n..(r + 1) * n], &single[..], "row {r}");
         }
     }
@@ -1000,41 +846,43 @@ mod tests {
     #[test]
     fn row_sq_norms_match_dot_products() {
         let y = pseudo(7, 13, 90);
-        for p in KernelPolicy::ALL {
-            let mut out = vec![f64::NAN; 7];
-            row_sq_norms_with(p, y.as_slice(), 13, &mut out);
+        let (mut kernel, mut want) = (vec![f64::NAN; 7], vec![f64::NAN; 7]);
+        row_sq_norms(y.as_slice(), 13, &mut kernel);
+        reference::row_sq_norms(y.as_slice(), 13, &mut want);
+        for (what, out) in [("kernel", &kernel), ("reference", &want)] {
             for (r, &v) in out.iter().enumerate() {
                 assert!(v >= 0.0);
-                assert!(approx_eq(v, vector::dot(y.row(r), y.row(r)), 1e-12), "{p}");
+                assert!(
+                    approx_eq(v, vector::dot(y.row(r), y.row(r)), 1e-12),
+                    "{what}"
+                );
             }
         }
         let mut none: [f64; 0] = [];
-        row_sq_norms_with(KernelPolicy::Blocked, &[], 5, &mut none);
+        row_sq_norms(&[], 5, &mut none);
+        reference::row_sq_norms(&[], 5, &mut none);
     }
 
     #[test]
     fn matmul_acc_accumulates_on_top() {
-        for p in KernelPolicy::ALL {
-            let a = m(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-            let b = m(&[vec![2.0, 3.0], vec![4.0, 5.0]]);
-            let mut c = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-            matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
-            assert_eq!(c.row(0), &[3.0, 4.0], "{p}");
-            assert_eq!(c.row(1), &[5.0, 6.0], "{p}");
+        let a = m(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let b = m(&[vec![2.0, 3.0], vec![4.0, 5.0]]);
+        let ones = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
+        let (mut kernel, mut want) = (ones.clone(), ones);
+        matmul_acc(a.as_slice(), &b, kernel.as_mut_slice());
+        reference::matmul_acc(a.as_slice(), &b, want.as_mut_slice());
+        for c in [kernel, want] {
+            assert_eq!(c.row(0), &[3.0, 4.0]);
+            assert_eq!(c.row(1), &[5.0, 6.0]);
         }
     }
 
     #[test]
     fn matvec_and_transpose() {
-        for p in KernelPolicy::ALL {
-            let a = m(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-            assert_eq!(matvec_with(p, &a, &[1.0, 1.0]), vec![3.0, 7.0, 11.0], "{p}");
-            assert_eq!(
-                matvec_transposed_with(p, &a, &[1.0, 1.0, 1.0]),
-                vec![9.0, 12.0],
-                "{p}"
-            );
-        }
+        let a = m(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        assert_eq!(matvec(&a, &[1.0, 1.0]), vec![3.0, 7.0, 11.0]);
+        assert_eq!(reference::matvec(&a, &[1.0, 1.0]), vec![3.0, 7.0, 11.0]);
+        assert_eq!(matvec_transposed(&a, &[1.0, 1.0, 1.0]), vec![9.0, 12.0]);
     }
 
     #[test]
@@ -1045,34 +893,40 @@ mod tests {
         assert_eq!(o.row(0), &[3.0, 4.0, 5.0]);
         assert_eq!(o.row(1), &[6.0, 8.0, 10.0]);
 
-        for p in KernelPolicy::ALL {
-            let mut a = Matrix::zeros(2, 3);
-            ger_with(p, 2.0, &x, &y, &mut a);
-            assert_eq!(a.row(1), &[12.0, 16.0, 20.0], "{p}");
-        }
+        let mut a = Matrix::zeros(2, 3);
+        ger(2.0, &x, &y, &mut a);
+        assert_eq!(a.row(1), &[12.0, 16.0, 20.0]);
     }
 
     #[test]
     fn quadratic_form_matches_explicit_product() {
-        for p in KernelPolicy::ALL {
-            let a = m(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
-            let x = [1.0, 2.0];
+        let a = m(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
+        let x = [1.0, 2.0];
+        let y = [3.0, -1.0];
+        for (what, form) in [
+            (
+                "kernel",
+                quadratic_form as fn(&[f64], &Matrix, &[f64]) -> f64,
+            ),
+            ("reference", reference::quadratic_form),
+        ] {
             // xᵀ A x = [1 2] [[2 1][1 3]] [1 2]ᵀ = [4, 7]·[1,2] = 18
-            assert!(approx_eq(quadratic_form_sym_with(p, &x, &a), 18.0, 1e-12));
-            let y = [3.0, -1.0];
+            assert!(approx_eq(form(&x, &a, &x), 18.0, 1e-12), "{what}");
             // xᵀ A y = [4,7]·[3,-1] = 5
-            assert!(approx_eq(quadratic_form_with(p, &x, &a, &y), 5.0, 1e-12));
+            assert!(approx_eq(form(&x, &a, &y), 5.0, 1e-12), "{what}");
         }
     }
 
-    /// The oracle visits every row like the blocked form does: a zero in `x`
-    /// does not hide a non-finite row of `A` from one policy only.
+    /// The reference visits every row like the kernel does: a zero in `x`
+    /// does not hide a non-finite row of `A` from one of them only.
     #[test]
-    fn quadratic_form_policies_agree_on_a_non_finite_row_behind_a_zero() {
+    fn quadratic_form_and_reference_agree_on_a_non_finite_row_behind_a_zero() {
         let a = m(&[vec![f64::INFINITY, 1.0], vec![1.0, 2.0]]);
-        for p in KernelPolicy::ALL {
-            let q = quadratic_form_with(p, &[0.0, 1.0], &a, &[1.0, 1.0]);
-            assert!(q.is_nan(), "{p}: 0·∞ must poison the sum, got {q}");
+        for q in [
+            quadratic_form(&[0.0, 1.0], &a, &[1.0, 1.0]),
+            reference::quadratic_form(&[0.0, 1.0], &a, &[1.0, 1.0]),
+        ] {
+            assert!(q.is_nan(), "0·∞ must poison the sum, got {q}");
         }
     }
 
@@ -1081,22 +935,24 @@ mod tests {
         let a = m(&[vec![1.0, 2.0], vec![0.0, 1.0]]);
         let b = m(&[vec![3.0, 0.0], vec![1.0, 1.0]]);
         let c = m(&[vec![1.0, 1.0], vec![2.0, 0.0]]);
-        let kp = KernelPolicy::Blocked;
-        let left = matmul_with(kp, &matmul_with(kp, &a, &b), &c);
-        let right = matmul_with(kp, &a, &matmul_with(kp, &b, &c));
+        let left = matmul(&matmul(&a, &b), &c);
+        let right = matmul(&a, &matmul(&b, &c));
         assert!(left.max_abs_diff(&right) < 1e-12);
     }
 
     #[test]
-    fn empty_matrices_are_fine_under_every_policy() {
-        for p in KernelPolicy::ALL {
+    fn empty_matrices_are_fine_in_kernel_and_reference() {
+        let products: [fn(&Matrix, &Matrix) -> Matrix; 2] = [matmul, reference_matmul];
+        for product in products {
             let a = Matrix::zeros(0, 0);
-            assert_eq!(matmul_with(p, &a, &a).shape(), (0, 0));
+            assert_eq!(product(&a, &a).shape(), (0, 0));
             let b = Matrix::zeros(0, 4);
             let c = Matrix::zeros(4, 0);
-            assert_eq!(matmul_with(p, &b, &Matrix::zeros(4, 3)).shape(), (0, 3));
-            assert_eq!(matmul_with(p, &Matrix::zeros(3, 4), &c).shape(), (3, 0));
-            assert!(matvec_with(p, &b, &[1.0; 4]).is_empty());
+            assert_eq!(product(&b, &Matrix::zeros(4, 3)).shape(), (0, 3));
+            assert_eq!(product(&Matrix::zeros(3, 4), &c).shape(), (3, 0));
         }
+        let b = Matrix::zeros(0, 4);
+        assert!(matvec(&b, &[1.0; 4]).is_empty());
+        assert!(reference::matvec(&b, &[1.0; 4]).is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //!   scatter matrices block-by-block (Equations 7–24 of the paper).
 //! * [`sparse`] — one-hot kernels for categorical feature blocks: gathers,
 //!   scatter-adds and quadratic forms over active-index sets, bit-identical
-//!   to the dense naive reference under every policy, and [`BlockVec`], a
+//!   to the dense [`reference`](mod@reference) loops, and [`BlockVec`], a
 //!   row in its stored form (dense, one-hot or CSR) with one method per
 //!   operation over the three.
 //! * [`csr`] — general weighted-sparse kernels ([`CsrBlock`], `spmm_csr`,
@@ -23,44 +23,40 @@
 //!   same exactness contract as [`sparse`], with the multiplications kept.
 //! * [`simd`] — the 4-lane scalar kernels the blocked kernels run on (dot,
 //!   add, the GEMM micro-kernel, sparse gather / scatter).
+//! * [`reference`](mod@reference) — the oracle: the strictly sequential
+//!   loops the kernels are tested against.
 //! * [`sym`] — helpers for symmetric matrices (regularization, SPD checks).
 //! * [`exec`] — the model-independent [`ExecPolicy`] every trainer consumes
-//!   (kernel policy, sparse mode, block size, threads, seed, telemetry
+//!   (driver fan-out, sparse mode, block size, threads, seed, telemetry
 //!   observer), with builder > environment > default precedence resolved in
 //!   one place.
 //!
-//! ## Kernel policies
+//! ## One kernel arithmetic, one optional fan-out
 //!
-//! Every heavy kernel is a sequential function of `(policy, operands)`; the
-//! [`KernelPolicy`] ([`policy`]) picks its arithmetic:
+//! Every heavy kernel is a sequential function of its operands: cache-tiled
+//! GEMM with packed panels and a register-blocked `4×8` micro-kernel, 4-way
+//! unrolled reductions elsewhere.  The strictly sequential loops it replaced
+//! are [`reference`](mod@reference), the oracle the kernels are tested
+//! against; the blocked GEMM is ~3× faster than it on a 512³ product on one
+//! core (see `BENCH_kernels.json`).
 //!
-//! * `Naive` — the reference triple loops, strictly sequential accumulation.
-//! * `Blocked` — cache-tiled GEMM with packed panels and a register-blocked
-//!   `4×8` micro-kernel; 4-way unrolled reductions elsewhere.  ~3× faster than
-//!   `Naive` on a 512³ product on one core (see `BENCH_kernels.json`).
-//! * `BlockedParallel` — the same blocked kernels; what it adds is the
-//!   chunk fan-out of the dense GMM trainers' per-batch loops and the
-//!   factorized scorer's per-block rows through
-//!   [`policy::par_row_bands_with_threads`]: one `std::thread::scope` per
-//!   region, a scoped thread per band but the last, which runs inline.
+//! What a run chooses is the [`KernelPolicy`] ([`policy`]): under
+//! `BlockedParallel` the dense GMM trainers' per-batch loops and the
+//! factorized scorer's per-block rows fan out through
+//! [`policy::par_row_bands_with_threads`] — one `std::thread::scope` per
+//! region, a scoped thread per band but the last, which runs inline; under
+//! `Blocked` (the default) they run inline.  Pin it per training or scoring
+//! run ([`ExecPolicy::kernel_policy`]); `FML_THREADS` sets the default
+//! worker count of a fan-out: a region has at most that many bands.
 //!
-//! **Determinism guarantees.**  For a fixed policy every kernel is a pure
-//! function of its inputs, and `BlockedParallel` is bit-identical to
-//! `Blocked` kernel by kernel.  A driver's fan-out partitions its work by
-//! problem shape and worker count only and merges partial results in
-//! chunk-index order (a fixed reduction tree), so a fit or score is a pure
-//! function of its inputs, policy and thread count.  *Across* arithmetics,
-//! results differ only in the associativity of floating-point addition — the
+//! **Determinism guarantees.**  Every kernel is a pure function of its
+//! inputs.  A driver's fan-out partitions its work by problem shape and
+//! worker count only and merges partial results in chunk-index order (a
+//! fixed reduction tree), so a fit or score is a pure function of its
+//! inputs, policy and thread count.  Against the reference, results differ
+//! only in the associativity of floating-point addition — the
 //! multiplication set is identical — so they agree within
-//! [`approx_eq`]-style tolerances, which is what the
-//! materialized-vs-factorized equivalence tests rely on.
-//!
-//! The default policy is `Blocked`; choose another per call (every kernel
-//! takes its policy as an argument), per training or scoring run
-//! ([`ExecPolicy::kernel_policy`]), or per process
-//! (`FML_KERNEL_POLICY=naive|blocked|parallel`, read by
-//! [`ExecPolicy::resolve`] for runs that pin none).  `FML_THREADS` sets the
-//! default worker count of a fan-out: a region has at most that many bands.
+//! [`approx_eq`]-style tolerances.
 //!
 //! ## One arithmetic
 //!
@@ -88,6 +84,7 @@ pub mod exec;
 pub mod gemm;
 pub mod matrix;
 pub mod policy;
+pub mod reference;
 pub mod simd;
 pub mod sparse;
 pub mod sym;

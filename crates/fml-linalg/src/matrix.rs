@@ -234,7 +234,7 @@ impl Matrix {
 
     /// Copies the upper triangle onto the lower one (`a[j][i] = a[i][j]` for
     /// `j > i`) — the closing step of an accumulation that only maintained
-    /// the upper triangle ([`crate::gemm::syrk_upper_acc_with`]).
+    /// the upper triangle ([`crate::gemm::syrk_upper_acc`]).
     pub fn mirror_upper(&mut self) {
         assert!(self.is_square(), "mirror_upper: matrix must be square");
         for i in 0..self.rows {
@@ -250,11 +250,6 @@ impl Matrix {
         for i in 0..n {
             self[(i, i)] += value;
         }
-    }
-
-    /// Consumes the matrix and returns the row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 }
 

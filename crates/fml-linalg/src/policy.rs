@@ -1,64 +1,41 @@
-//! Kernel execution policies and the deterministic data-parallel helpers.
+//! The driver fan-out: [`KernelPolicy`] and the deterministic
+//! data-parallel helper.
 //!
 //! Every heavy kernel in this crate ([`crate::gemm`], [`crate::sparse`],
-//! [`crate::csr`], [`crate::block`]) is a sequential function of
-//! `(policy, operands)`, and the [`KernelPolicy`] picks one of two
-//! arithmetics:
+//! [`crate::csr`], [`crate::block`]) is a sequential function of its
+//! operands with one arithmetic; the strictly sequential loops it is tested
+//! against live in [`crate::reference`].  What a run still chooses is
+//! whether its drivers fan out: under [`KernelPolicy::BlockedParallel`] the
+//! dense GMM trainers split their tuple batches and the factorized scorer
+//! its fact blocks with [`par_row_bands_with_threads`], one scoped thread
+//! per band but the last.  Band boundaries depend only on the problem shape
+//! and the worker count, and per-band results are merged **in band order**
+//! (a fixed-shape reduction tree), so a given configuration always produces
+//! the same bits.  No kernel fans out on its own.
 //!
-//! * [`KernelPolicy::Naive`] — the straightforward triple loops of the original
-//!   implementation.  Reference semantics: strictly sequential accumulation in
-//!   index order.  Kept as the oracle for the equivalence property tests.
-//! * [`KernelPolicy::Blocked`] — cache-tiled kernels with packed panels and a
-//!   register-blocked `MR×NR` micro-kernel (see [`crate::gemm`] for the tiling
-//!   parameters).  Changes the *grouping* of floating-point additions (never the
-//!   multiplication set), so results agree with `Naive` to within
-//!   [`crate::TEST_EPS`]-style tolerances but are not bit-identical.
-//!
-//! [`KernelPolicy::BlockedParallel`] is the blocked arithmetic — every kernel
-//! treats it exactly as `Blocked` — plus a chunk fan-out: the
-//! dense GMM trainers split their tuple batches and the factorized scorer its
-//! fact blocks with [`par_row_bands_with_threads`], one scoped thread per
-//! band but the last.
-//! Band boundaries depend only on the problem shape and the worker count,
-//! and per-band results are merged **in band order** (a fixed-shape
-//! reduction tree), so a given configuration always produces the same bits.
-//! No kernel fans out on its own.
-//!
-//! The default policy is `Blocked`, overridable with the `FML_KERNEL_POLICY`
-//! environment variable (`naive` | `blocked` | `parallel`), which
-//! [`crate::ExecPolicy::resolve`] reads through [`default_policy`].  The
-//! worker count defaults to the machine's available parallelism, overridable
-//! with `FML_THREADS`.
+//! The default is [`KernelPolicy::Blocked`] (no fan-out); a run pins the
+//! other through [`crate::ExecPolicy::kernel_policy`].  The worker count
+//! defaults to the machine's available parallelism, overridable with
+//! `FML_THREADS`.
 
 use std::fmt;
 use std::ops::Range;
-use std::str::FromStr;
 use std::sync::OnceLock;
 
-/// Selects the kernels' arithmetic and whether the drivers fan out.
+/// Whether the drivers fan out.  Both values run the same blocked kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
-    /// Reference triple loops, strictly sequential accumulation.
-    Naive,
-    /// Cache-tiled, register-blocked kernels.
+    /// Every driver runs its chunks inline on the calling thread.
     Blocked,
-    /// The blocked kernels, with the dense GMM trainers' batches and the
-    /// factorized scorer's fact blocks fanned out over scoped threads.
+    /// The dense GMM trainers' batches and the factorized scorer's fact
+    /// blocks fanned out over scoped threads.
     BlockedParallel,
 }
 
 impl KernelPolicy {
-    /// All policies, in increasing order of sophistication.
-    pub const ALL: [KernelPolicy; 3] = [
-        KernelPolicy::Naive,
-        KernelPolicy::Blocked,
-        KernelPolicy::BlockedParallel,
-    ];
-
-    /// Short lowercase label (`naive` / `blocked` / `parallel`).
+    /// Short lowercase label (`blocked` / `parallel`).
     pub fn label(self) -> &'static str {
         match self {
-            KernelPolicy::Naive => "naive",
             KernelPolicy::Blocked => "blocked",
             KernelPolicy::BlockedParallel => "parallel",
         }
@@ -74,44 +51,6 @@ impl KernelPolicy {
 impl fmt::Display for KernelPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl FromStr for KernelPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "naive" => Ok(KernelPolicy::Naive),
-            "blocked" => Ok(KernelPolicy::Blocked),
-            "parallel" | "blocked_parallel" | "blocked+parallel" => {
-                Ok(KernelPolicy::BlockedParallel)
-            }
-            other => Err(format!(
-                "unknown kernel policy {other:?} (expected naive|blocked|parallel)"
-            )),
-        }
-    }
-}
-
-/// Resolves the default policy from a raw `FML_KERNEL_POLICY` value.
-///
-/// Returns the chosen policy and, when the raw value was present but invalid,
-/// a warning describing the rejection and the fallback — invalid overrides
-/// must never be silently swallowed (a typo like `blokced` would otherwise
-/// benchmark the wrong kernels without any indication).
-pub(crate) fn resolve_policy_env(raw: Option<&str>) -> (KernelPolicy, Option<String>) {
-    match raw {
-        None => (KernelPolicy::Blocked, None),
-        Some(s) => match s.parse::<KernelPolicy>() {
-            Ok(p) => (p, None),
-            Err(e) => (
-                KernelPolicy::Blocked,
-                Some(format!(
-                    "FML_KERNEL_POLICY: {e}; falling back to the default policy `blocked`"
-                )),
-            ),
-        },
     }
 }
 
@@ -148,27 +87,6 @@ pub(crate) fn resolve_threads_env(raw: Option<&str>, available: usize) -> (usize
 /// `fml_env_warnings_total` counter — the workspace's single warn-once sink.
 fn warn_once(guard: &std::sync::atomic::AtomicBool, msg: &str) {
     fml_obs::warn_once(guard, msg);
-}
-
-/// The policy a run uses when its [`crate::ExecPolicy`] pins none:
-/// `FML_KERNEL_POLICY`, read once per process, falling back to `Blocked`
-/// (with a one-time warning naming any rejected value).
-pub fn default_policy() -> KernelPolicy {
-    static POLICY: OnceLock<KernelPolicy> = OnceLock::new();
-    *POLICY.get_or_init(|| {
-        static POLICY_WARNED: std::sync::atomic::AtomicBool =
-            std::sync::atomic::AtomicBool::new(false);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the one FML_KERNEL_POLICY resolve site"
-        )]
-        let raw = std::env::var("FML_KERNEL_POLICY").ok();
-        let (policy, warning) = resolve_policy_env(raw.as_deref());
-        if let Some(msg) = warning {
-            warn_once(&POLICY_WARNED, &msg);
-        }
-        policy
-    })
 }
 
 /// Number of worker threads the `BlockedParallel` policy fans out to:
@@ -316,38 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_parsing_roundtrip() {
-        for p in KernelPolicy::ALL {
-            assert_eq!(p.label().parse::<KernelPolicy>().unwrap(), p);
-        }
-        assert!("bogus".parse::<KernelPolicy>().is_err());
-    }
-
-    #[test]
-    fn policy_env_resolution_warns_on_invalid_values() {
-        // valid values parse with no warning
-        assert_eq!(
-            resolve_policy_env(Some("naive")),
-            (KernelPolicy::Naive, None)
-        );
-        assert_eq!(
-            resolve_policy_env(Some("parallel")),
-            (KernelPolicy::BlockedParallel, None)
-        );
-        // unset falls back silently
-        assert_eq!(resolve_policy_env(None), (KernelPolicy::Blocked, None));
-        // a typo falls back to blocked WITH a warning naming the value
-        let (p, warning) = resolve_policy_env(Some("blokced"));
-        assert_eq!(p, KernelPolicy::Blocked);
-        let msg = warning.expect("invalid policy must warn");
-        assert!(
-            msg.contains("blokced"),
-            "warning must name the value: {msg}"
-        );
-        assert!(
-            msg.contains("blocked"),
-            "warning must name the fallback: {msg}"
-        );
+    fn labels_name_the_fan_out() {
+        assert_eq!(KernelPolicy::Blocked.to_string(), "blocked");
+        assert_eq!(KernelPolicy::BlockedParallel.to_string(), "parallel");
+        assert!(KernelPolicy::BlockedParallel.is_parallel());
+        assert!(!KernelPolicy::Blocked.is_parallel());
     }
 
     /// The invalid-value warning is guarded per flag: a second resolution of

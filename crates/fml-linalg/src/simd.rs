@@ -11,10 +11,9 @@
 //! every CPU.
 //!
 //! The sparse gather and scatter are strictly sequential: the CSR kernels'
-//! exactness contract against the dense naive oracle fixes their
+//! exactness contract against the dense [`crate::reference`] loops fixes their
 //! accumulation order, and a 4-lane regrouping would break it.  Element-wise
-//! AXPYs have no order to emulate, so every policy runs
-//! [`crate::vector::axpy`].
+//! AXPYs have no order to emulate, so they run [`crate::vector::axpy`].
 
 use crate::gemm::{MR, NR};
 
@@ -41,7 +40,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `dst += src`, element-wise.  Multiply-free, which is what lets the one-hot
-/// kernels stay bit-exact against the dense naive oracle.
+/// kernels stay bit-exact against the dense [`crate::reference`] loops.
 ///
 /// # Panics
 /// Panics when the slices have different lengths.

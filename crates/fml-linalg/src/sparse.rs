@@ -11,14 +11,12 @@
 //! ## Exactness contract
 //!
 //! Each kernel accumulates in **ascending index order**, which is exactly the
-//! order in which the naive dense kernels visit the same nonzero terms.
-//! Because the nonzero values are `1.0` (`1.0 * b == b` bitwise) and skipped
-//! terms contribute an exact `±0.0`, every kernel in this module reproduces the
-//! dense [`KernelPolicy::Naive`] reference **bit-for-bit** on one-hot inputs
-//! (the property tests in `tests/proptests.rs` assert this).  The `_with`
-//! variants accept a policy for API uniformity with [`crate::gemm`]; every
-//! policy runs the same sequential loops, so the bit-exactness guarantee holds
-//! under *every* policy — a stronger contract than the dense kernels offer.
+//! order in which the dense [`crate::reference`] loops visit the same nonzero
+//! terms.  Because the nonzero values are `1.0` (`1.0 * b == b` bitwise) and
+//! skipped terms contribute an exact `±0.0`, every kernel in this module
+//! reproduces the dense reference **bit-for-bit** on one-hot inputs (the
+//! property tests in `tests/proptests.rs` assert this) — a stronger contract
+//! than the blocked dense kernels offer.
 //!
 //! ## Representations
 //!
@@ -30,9 +28,8 @@
 
 use crate::csr;
 use crate::matrix::Matrix;
-use crate::policy::KernelPolicy;
 use crate::simd;
-use crate::{gemm, vector};
+use crate::{gemm, reference, vector};
 
 /// Which form the trainers and the scorer compute on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -75,7 +72,7 @@ fn count_call() {
 /// Records one one-hot kernel invocation performed outside this module (the
 /// block-dispatch methods in [`crate::block`] call this for their one-hot arms).
 #[inline]
-pub fn record_onehot_call() {
+pub(crate) fn record_onehot_call() {
     count_call();
 }
 
@@ -142,49 +139,48 @@ impl BlockVec<'_> {
     }
 
     /// `A · x` (a column gather for one-hot rows).
-    pub fn matvec(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
+    pub fn matvec(&self, a: &Matrix) -> Vec<f64> {
         match *self {
-            BlockVec::Dense(x) => gemm::matvec_with(kp, a, x),
-            BlockVec::OneHot(idx) => matvec_onehot_with(kp, a, idx),
-            BlockVec::Csr { idx, vals } => csr::matvec_csr_with(kp, a, idx, vals),
+            BlockVec::Dense(x) => gemm::matvec(a, x),
+            BlockVec::OneHot(idx) => matvec_onehot(a, idx),
+            BlockVec::Csr { idx, vals } => csr::matvec_csr(a, idx, vals),
         }
     }
 
     /// `Aᵀ · x` (a row gather for one-hot rows).
-    pub fn matvec_transposed(&self, kp: KernelPolicy, a: &Matrix) -> Vec<f64> {
+    pub fn matvec_transposed(&self, a: &Matrix) -> Vec<f64> {
         let mut y = vec![0.0; a.cols()];
-        self.matvec_transposed_into(kp, a, &mut y);
+        self.matvec_transposed_into(a, &mut y);
         y
     }
 
     /// [`Self::matvec_transposed`] into an existing buffer — the NN
     /// first-layer gather over an embedding table (`a`'s row `j` holds the
     /// weights of input column `j`).
-    pub fn matvec_transposed_into(&self, kp: KernelPolicy, a: &Matrix, y: &mut [f64]) {
+    pub fn matvec_transposed_into(&self, a: &Matrix, y: &mut [f64]) {
         match *self {
-            BlockVec::Dense(x) => gemm::matvec_transposed_into_with(kp, a, x, y),
-            BlockVec::OneHot(idx) => matvec_transposed_onehot_into_with(kp, a, idx, y),
-            BlockVec::Csr { idx, vals } => {
-                csr::matvec_transposed_csr_into_with(kp, a, idx, vals, y)
-            }
+            BlockVec::Dense(x) => gemm::matvec_transposed_into(a, x, y),
+            BlockVec::OneHot(idx) => matvec_transposed_onehot_into(a, idx, y),
+            BlockVec::Csr { idx, vals } => csr::matvec_transposed_csr_into(a, idx, vals, y),
         }
     }
 
     /// `A += alpha · x yᵀ` — the NN first-layer gradient row scatter into an
     /// embedding-table-shaped accumulator.
-    pub fn ger(&self, kp: KernelPolicy, alpha: f64, y: &[f64], a: &mut Matrix) {
+    pub fn ger(&self, alpha: f64, y: &[f64], a: &mut Matrix) {
         match *self {
-            BlockVec::Dense(x) => gemm::ger_with(kp, alpha, x, y, a),
-            BlockVec::OneHot(idx) => ger_onehot_with(kp, alpha, idx, y, a),
-            BlockVec::Csr { idx, vals } => csr::ger_csr_with(kp, alpha, idx, vals, y, a),
+            BlockVec::Dense(x) => gemm::ger(alpha, x, y, a),
+            BlockVec::OneHot(idx) => ger_onehot(alpha, idx, y, a),
+            BlockVec::Csr { idx, vals } => csr::ger_csr(alpha, idx, vals, y, a),
         }
     }
 
     /// `xᵀ A x` — the raw (uncentered) quadratic form of the mean
-    /// decomposition.
+    /// decomposition.  The dense arm is the sequential
+    /// [`reference::quadratic_form`], the order the sparse arms sum in.
     pub fn quadratic_form_pair(&self, a: &Matrix) -> f64 {
         match *self {
-            BlockVec::Dense(x) => gemm::quadratic_form_with(KernelPolicy::Naive, x, a, x),
+            BlockVec::Dense(x) => reference::quadratic_form(x, a, x),
             BlockVec::OneHot(idx) => quadratic_form_onehot_pair(idx, a, idx),
             BlockVec::Csr { idx, vals } => csr::quadratic_form_csr_pair(idx, vals, a, idx, vals),
         }
@@ -194,7 +190,7 @@ impl BlockVec<'_> {
     /// decomposition.
     pub fn scatter_pair(&self, alpha: f64, a: &mut Matrix) {
         match *self {
-            BlockVec::Dense(x) => gemm::ger_with(KernelPolicy::Naive, alpha, x, x, a),
+            BlockVec::Dense(x) => gemm::ger(alpha, x, x, a),
             BlockVec::OneHot(idx) => scatter_onehot_pair(alpha, idx, idx, a),
             BlockVec::Csr { idx, vals } => csr::scatter_csr_pair(alpha, idx, vals, idx, vals, a),
         }
@@ -221,18 +217,18 @@ pub fn gather_sum(v: &[f64], idx: &[u32]) -> f64 {
 
 /// `y = A · x` for one-hot `x`: the sum of the columns of `A` selected by
 /// `idx`.
-pub fn matvec_onehot_with(policy: KernelPolicy, a: &Matrix, idx: &[u32]) -> Vec<f64> {
+pub fn matvec_onehot(a: &Matrix, idx: &[u32]) -> Vec<f64> {
     let mut y = vec![0.0; a.rows()];
-    matvec_onehot_acc_with(policy, a, idx, &mut y);
+    matvec_onehot_acc(a, idx, &mut y);
     y
 }
 
 /// `y += A · x` for one-hot `x` (column gather-sum).
 ///
 /// Row-major `A` is walked row by row; each output element accumulates its
-/// row's selected entries in ascending index order, matching the naive dense
-/// GEMV term order bit-for-bit.
-pub fn matvec_onehot_acc_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], y: &mut [f64]) {
+/// row's selected entries in ascending index order, matching the reference
+/// dense GEMV term order bit-for-bit.
+pub(crate) fn matvec_onehot_acc(a: &Matrix, idx: &[u32], y: &mut [f64]) {
     assert_eq!(
         a.rows(),
         y.len(),
@@ -254,14 +250,9 @@ pub fn matvec_onehot_acc_with(_policy: KernelPolicy, a: &Matrix, idx: &[u32], y:
 /// **rows** of `A` selected by `idx`.
 ///
 /// Rows are added to a zeroed `y` front-to-back in index order (the same
-/// order as the naive dense transposed GEMV visits its nonzero terms).  Each
-/// row add is a pure lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise).
-pub fn matvec_transposed_onehot_into_with(
-    _policy: KernelPolicy,
-    a: &Matrix,
-    idx: &[u32],
-    y: &mut [f64],
-) {
+/// order as the dense transposed GEMV visits its nonzero terms).  Each row
+/// add is a pure lane-wise [`simd::add_assign`] (`1.0 * b == b` bitwise).
+pub fn matvec_transposed_onehot_into(a: &Matrix, idx: &[u32], y: &mut [f64]) {
     assert_eq!(
         a.cols(),
         y.len(),
@@ -284,13 +275,7 @@ pub fn matvec_transposed_onehot_into_with(
 /// Panics when `rows_idx.len()` is not a multiple of `nnz_per_row` (unless
 /// both are zero), when the implied row count disagrees with `c.rows()`, or
 /// when any index is out of range for `b.rows()`.
-pub fn spmm_onehot_with(
-    _policy: KernelPolicy,
-    rows_idx: &[u32],
-    nnz_per_row: usize,
-    b: &Matrix,
-    c: &mut Matrix,
-) {
+pub fn spmm_onehot(rows_idx: &[u32], nnz_per_row: usize, b: &Matrix, c: &mut Matrix) {
     let m = c.rows();
     if nnz_per_row == 0 {
         assert!(rows_idx.is_empty(), "spmm_onehot: indices with zero nnz");
@@ -327,8 +312,8 @@ pub fn spmm_onehot_with(
 ///
 /// Touches `s` rows where the dense GER touches all of them; the written rows
 /// are disjoint and visited in ascending order, so the result is bit-identical
-/// to the dense naive GER on the equivalent one-hot vector.
-pub fn ger_onehot_with(_policy: KernelPolicy, alpha: f64, idx: &[u32], y: &[f64], a: &mut Matrix) {
+/// to the dense GER on the equivalent one-hot vector.
+pub fn ger_onehot(alpha: f64, idx: &[u32], y: &[f64], a: &mut Matrix) {
     assert_eq!(a.cols(), y.len(), "ger_onehot: col dimension mismatch");
     check_indices(idx, a.rows(), "ger_onehot");
     count_call();
@@ -474,17 +459,14 @@ pub(crate) mod tests {
         let idx = [1u32, 4, 6];
         let x = densify(&idx, 7);
         let xr = densify(&idx[..2], 9);
-        for p in KernelPolicy::ALL {
-            // A·x: dense naive GEMV vs column gather
-            let dense = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
-            assert_eq!(matvec_onehot_with(p, &a, &idx), dense, "{p}");
-            // Aᵀ·x: dense naive transposed GEMV vs row gather (into a dirty
-            // buffer: the kernel overwrites, it does not accumulate)
-            let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &xr);
-            let mut gathered = vec![f64::NAN; 7];
-            matvec_transposed_onehot_into_with(p, &a, &[1, 4], &mut gathered);
-            assert_eq!(gathered, dense_t, "{p}");
-        }
+        // A·x: reference dense GEMV vs column gather
+        assert_eq!(matvec_onehot(&a, &idx), reference::matvec(&a, &x));
+        // Aᵀ·x: dense transposed GEMV vs row gather (into a dirty buffer:
+        // the kernel overwrites, it does not accumulate)
+        let dense_t = gemm::matvec_transposed(&a, &xr);
+        let mut gathered = vec![f64::NAN; 7];
+        matvec_transposed_onehot_into(&a, &[1, 4], &mut gathered);
+        assert_eq!(gathered, dense_t);
         assert_eq!(gather_sum(&[1.0, 2.0, 3.0], &[0, 2]), 4.0);
     }
 
@@ -501,12 +483,10 @@ pub(crate) mod tests {
             }
         }
         let mut dense = Matrix::zeros(m, 5);
-        gemm::matmul_acc_with(KernelPolicy::Naive, x.as_slice(), &b, dense.as_mut_slice());
-        for p in KernelPolicy::ALL {
-            let mut c = Matrix::zeros(m, 5);
-            spmm_onehot_with(p, &rows_idx, nnz, &b, &mut c);
-            assert_eq!(c, dense, "{p}");
-        }
+        reference::matmul_acc(x.as_slice(), &b, dense.as_mut_slice());
+        let mut c = Matrix::zeros(m, 5);
+        spmm_onehot(&rows_idx, nnz, &b, &mut c);
+        assert_eq!(c, dense);
     }
 
     #[test]
@@ -514,13 +494,11 @@ pub(crate) mod tests {
         let y = crate::testutil::TestRng::new(3).vec_in(6, -1.0, 1.0);
         let idx = [2u32, 5];
         let x_rows = densify(&idx, 8);
-        for p in KernelPolicy::ALL {
-            let mut dense = pseudo(8, 6, 4);
-            let mut sparse = dense.clone();
-            gemm::ger_with(KernelPolicy::Naive, 0.7, &x_rows, &y, &mut dense);
-            ger_onehot_with(p, 0.7, &idx, &y, &mut sparse);
-            assert_eq!(dense, sparse, "{p}");
-        }
+        let mut dense = pseudo(8, 6, 4);
+        let mut sparse = dense.clone();
+        gemm::ger(0.7, &x_rows, &y, &mut dense);
+        ger_onehot(0.7, &idx, &y, &mut sparse);
+        assert_eq!(dense, sparse);
     }
 
     #[test]
@@ -543,7 +521,7 @@ pub(crate) mod tests {
         let x = densify(&idx, 7);
         let jdx = [1u32, 5];
         let yj = densify(&jdx, 7);
-        let dense_pair = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &yj);
+        let dense_pair = reference::quadratic_form(&x, &a, &yj);
         let sparse_pair = quadratic_form_onehot_pair(&idx, &a, &jdx);
         assert!((dense_pair - sparse_pair).abs() < 1e-15);
     }
@@ -551,19 +529,15 @@ pub(crate) mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let a = pseudo(4, 4, 10);
-        let kp = KernelPolicy::Blocked;
-        assert_eq!(matvec_onehot_with(kp, &a, &[]), vec![0.0; 4]);
-        assert_eq!(
-            BlockVec::OneHot(&[]).matvec_transposed(KernelPolicy::Naive, &a),
-            vec![0.0; 4]
-        );
+        assert_eq!(matvec_onehot(&a, &[]), vec![0.0; 4]);
+        assert_eq!(BlockVec::OneHot(&[]).matvec_transposed(&a), vec![0.0; 4]);
         assert_eq!(quadratic_form_onehot_pair(&[], &a, &[]), 0.0);
         let mut c = Matrix::zeros(0, 4);
-        spmm_onehot_with(kp, &[], 2, &a, &mut c);
-        spmm_onehot_with(kp, &[], 0, &a, &mut c);
+        spmm_onehot(&[], 2, &a, &mut c);
+        spmm_onehot(&[], 0, &a, &mut c);
         let mut m = pseudo(4, 4, 11);
         let before = m.clone();
-        ger_onehot_with(kp, 1.0, &[], &[0.0; 4], &mut m);
+        ger_onehot(1.0, &[], &[0.0; 4], &mut m);
         assert_eq!(m, before);
     }
 
@@ -571,7 +545,7 @@ pub(crate) mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         let a = Matrix::zeros(3, 3);
-        let _ = matvec_onehot_with(KernelPolicy::Blocked, &a, &[3]);
+        let _ = matvec_onehot(&a, &[3]);
     }
 
     #[test]
@@ -625,12 +599,8 @@ pub(crate) mod tests {
             assert!(dense.is_dense() && !rep.is_dense());
             assert_eq!(rep.quadratic_form_pair(&a), dense.quadratic_form_pair(&a));
             assert_eq!(rep.gather_dot(&mu), dense.gather_dot(&mu));
-            let kp = KernelPolicy::Naive;
-            assert_eq!(rep.matvec(kp, &a), dense.matvec(kp, &a));
-            assert_eq!(
-                rep.matvec_transposed(kp, &a),
-                dense.matvec_transposed(kp, &a)
-            );
+            assert_eq!(rep.matvec(&a), reference::matvec(&a, &x));
+            assert_eq!(rep.matvec_transposed(&a), dense.matvec_transposed(&a));
             let (mut got, mut want) = (vec![f64::NAN; 3], vec![0.0; 3]);
             rep.sub_into(&mu, &mut got);
             dense.sub_into(&mu, &mut want);
@@ -639,8 +609,8 @@ pub(crate) mod tests {
             rep.scatter_pair(0.5, &mut got);
             dense.scatter_pair(0.5, &mut want);
             assert_eq!(got, want);
-            rep.ger(kp, 0.5, &mu, &mut got);
-            dense.ger(kp, 0.5, &mu, &mut want);
+            rep.ger(0.5, &mu, &mut got);
+            dense.ger(0.5, &mu, &mut want);
             assert_eq!(got, want);
         }
     }

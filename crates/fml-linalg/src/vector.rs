@@ -6,11 +6,11 @@
 //! owned wrapper that adds convenience constructors and operators on top.
 //!
 //! The kernels here are the **frozen sequential reference**: strictly
-//! left-to-right accumulation with no unrolling, the arithmetic the `Naive`
-//! kernel policy and the sparse exactness contracts are defined against.
-//! Their reductions must never be reassociated — the 4-lane twins the
-//! blocked policies run on live in [`crate::simd`]; the element-wise kernels
-//! here serve every policy.
+//! left-to-right accumulation with no unrolling, the arithmetic
+//! [`crate::reference`] and the sparse exactness contracts are defined
+//! against.  Their reductions must never be reassociated — the 4-lane twins
+//! the blocked kernels run on live in [`crate::simd`]; the element-wise
+//! kernels here serve both.
 
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
@@ -144,11 +144,6 @@ impl Vector {
     /// Mutably borrow the underlying slice.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Dot product with another vector.

@@ -2,9 +2,10 @@
 //!
 //! Two families of properties:
 //!
-//! 1. **Policy equivalence** — the `Blocked` and `BlockedParallel` kernels must
-//!    agree with the `Naive` reference (`matmul`, `matvec`, `ger`,
-//!    `BlockScatter`) within `TEST_EPS` across randomized shapes, explicitly
+//! 1. **Kernel vs reference** — the blocked kernels must agree with
+//!    `fml_linalg::reference` (`matmul`, `matvec`, the structured products,
+//!    quadratic forms) and the sparse ones with it bit for bit, within
+//!    `TEST_EPS` across randomized shapes, explicitly
 //!    including dimensions that are not multiples of the register tile
 //!    (`MR=4`/`NR=8`), not multiples of the cache blocks (`KC/MC/NC`), and
 //!    empty matrices.
@@ -19,9 +20,9 @@
 use fml_linalg::block::{BlockPartition, BlockQuadraticForm, BlockScatter};
 use fml_linalg::cholesky::Cholesky;
 use fml_linalg::csr::{self, CsrBlock};
-use fml_linalg::policy::{par_row_bands_with_threads, KernelPolicy};
+use fml_linalg::policy::par_row_bands_with_threads;
 use fml_linalg::sparse::{self, BlockVec};
-use fml_linalg::{approx_eq, gemm, Matrix, TEST_EPS};
+use fml_linalg::{approx_eq, gemm, reference, Matrix, TEST_EPS};
 
 struct Gen(fml_linalg::testutil::TestRng);
 
@@ -76,31 +77,21 @@ fn awkward_shapes(g: &mut Gen) -> Vec<(usize, usize, usize)> {
     shapes
 }
 
-const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Blocked, KernelPolicy::BlockedParallel];
-
 #[test]
-fn matmul_policies_match_naive_across_shapes() {
+fn matmul_matches_the_reference_across_shapes() {
     let mut g = Gen::new(1);
     for (case, (m, k, n)) in awkward_shapes(&mut g).into_iter().enumerate() {
         let a = g.matrix(m, k);
         let b = g.matrix(k, n);
-        let mut reference = g.matrix(m, n); // nonzero C exercises accumulation
-        let seed_c = reference.clone();
-        gemm::matmul_acc_with(
-            KernelPolicy::Naive,
-            a.as_slice(),
-            &b,
-            reference.as_mut_slice(),
+        let mut want = g.matrix(m, n); // nonzero C exercises accumulation
+        let mut c = want.clone();
+        reference::matmul_acc(a.as_slice(), &b, want.as_mut_slice());
+        gemm::matmul_acc(a.as_slice(), &b, c.as_mut_slice());
+        let diff = want.max_abs_diff(&c);
+        assert!(
+            diff < TEST_EPS * (k as f64 + 1.0),
+            "case {case}: {m}x{k}x{n} diff {diff}"
         );
-        for p in POLICIES {
-            let mut c = seed_c.clone();
-            gemm::matmul_acc_with(p, a.as_slice(), &b, c.as_mut_slice());
-            let diff = reference.max_abs_diff(&c);
-            assert!(
-                diff < TEST_EPS * (k as f64 + 1.0),
-                "case {case} {p}: {m}x{k}x{n} diff {diff}"
-            );
-        }
     }
 }
 
@@ -127,15 +118,11 @@ fn upper_triangular_product_matches_naive_across_shapes() {
             }
         }
         let seed_c = g.vec(m * n);
-        let mut reference = seed_c.clone();
-        gemm::matmul_upper_acc_with(KernelPolicy::Naive, &a, &u, &mut reference);
-        let run = |p: KernelPolicy| {
-            let mut c = seed_c.clone();
-            gemm::matmul_upper_acc_with(p, &a, &u, &mut c);
-            c
-        };
-        let blocked = run(KernelPolicy::Blocked);
-        for (r, v) in reference.iter().zip(blocked.iter()) {
+        let mut want = seed_c.clone();
+        reference::matmul_upper_acc(&a, &u, &mut want);
+        let mut blocked = seed_c.clone();
+        gemm::matmul_upper_acc(&a, &u, &mut blocked);
+        for (r, v) in want.iter().zip(blocked.iter()) {
             assert!(
                 (r - v).abs() < TEST_EPS * (n as f64 + 1.0),
                 "case {case} {m}x{n}: {r} vs {v}"
@@ -152,11 +139,10 @@ fn upper_triangular_product_matches_naive_across_shapes() {
             &mut [(); 3],
             |first_row, band, _| {
                 let rows = first_row * n..first_row * n + band.len();
-                gemm::matmul_upper_acc_with(KernelPolicy::Blocked, &a[rows], &u, band);
+                gemm::matmul_upper_acc(&a[rows], &u, band);
             },
         );
         assert_eq!(blocked, banded, "case {case} {m}x{n}: banding changed bits");
-        assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
     }
 }
 
@@ -179,19 +165,15 @@ fn weighted_syrk_matches_naive_across_shapes_and_strides() {
             .collect();
         let weights = &wbuf[offset..];
         let seed_c = g.matrix(n, n);
-        let mut reference = seed_c.clone();
-        gemm::syrk_upper_acc_with(KernelPolicy::Naive, &x, weights, stride, &mut reference);
-        let run = |p: KernelPolicy| {
-            let mut c = seed_c.clone();
-            gemm::syrk_upper_acc_with(p, &x, weights, stride, &mut c);
-            c.into_vec()
-        };
-        let blocked = run(KernelPolicy::Blocked);
+        let mut want = seed_c.clone();
+        reference::syrk_upper_acc(&x, weights, stride, &mut want);
+        let mut blocked = seed_c.clone();
+        gemm::syrk_upper_acc(&x, weights, stride, &mut blocked);
         for i in 0..n {
             for j in 0..n {
-                let (r, v) = (reference[(i, j)], blocked[i * n + j]);
+                let (r, v) = (want[(i, j)], blocked[(i, j)]);
                 if j < i {
-                    // below the diagonal: untouched under every policy
+                    // below the diagonal: untouched by kernel and reference
                     assert_eq!(v.to_bits(), seed_c[(i, j)].to_bits(), "case {case}");
                     assert_eq!(r.to_bits(), seed_c[(i, j)].to_bits(), "case {case}");
                 } else {
@@ -202,56 +184,56 @@ fn weighted_syrk_matches_naive_across_shapes_and_strides() {
                 }
             }
         }
-        assert_eq!(blocked, run(KernelPolicy::BlockedParallel), "case {case}");
     }
 }
 
 #[test]
-fn matvec_policies_match_naive_across_shapes() {
+fn matvec_matches_the_reference_across_shapes() {
     let mut g = Gen::new(2);
     for (case, (m, k, _)) in awkward_shapes(&mut g).into_iter().enumerate() {
         let a = g.matrix(m, k);
         let x = g.vec(k);
-        let reference = gemm::matvec_with(KernelPolicy::Naive, &a, &x);
-        for p in POLICIES {
-            let y = gemm::matvec_with(p, &a, &x);
-            assert_eq!(y.len(), reference.len());
-            for (i, (&r, &v)) in reference.iter().zip(y.iter()).enumerate() {
-                assert!(
-                    approx_eq(r, v, TEST_EPS),
-                    "case {case} {p}: row {i}: {r} vs {v}"
-                );
-            }
-            let t_ref = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &reference);
-            let t = gemm::matvec_transposed_with(p, &a, &reference);
-            for (&r, &v) in t_ref.iter().zip(t.iter()) {
-                assert!(approx_eq(r, v, TEST_EPS), "case {case} {p} transposed");
-            }
+        let want = reference::matvec(&a, &x);
+        let y = gemm::matvec(&a, &x);
+        assert_eq!(y.len(), want.len());
+        for (i, (&r, &v)) in want.iter().zip(y.iter()).enumerate() {
+            assert!(
+                approx_eq(r, v, TEST_EPS),
+                "case {case}: row {i}: {r} vs {v}"
+            );
+        }
+        let t_ref = reference::matvec(&a.transpose(), &want);
+        let t = gemm::matvec_transposed(&a, &want);
+        assert_eq!(t.len(), t_ref.len());
+        for (&r, &v) in t_ref.iter().zip(t.iter()) {
+            assert!(approx_eq(r, v, TEST_EPS), "case {case} transposed");
         }
     }
 }
 
 #[test]
-fn ger_policies_match_naive_across_shapes() {
+fn ger_matches_the_per_entry_update_across_shapes() {
     let mut g = Gen::new(3);
     for (case, (m, n, _)) in awkward_shapes(&mut g).into_iter().enumerate() {
         let x = g.vec(m);
         let y = g.vec(n);
         let alpha = g.f64();
         let seed_a = g.matrix(m, n);
-        let mut reference = seed_a.clone();
-        gemm::ger_with(KernelPolicy::Naive, alpha, &x, &y, &mut reference);
-        for p in POLICIES {
-            let mut a = seed_a.clone();
-            gemm::ger_with(p, alpha, &x, &y, &mut a);
-            let diff = reference.max_abs_diff(&a);
-            assert!(diff < TEST_EPS, "case {case} {p}: {m}x{n} diff {diff}");
+        // GER's scaling order, entry by entry: `(alpha·x_i)·y_j`
+        let mut want = seed_a.clone();
+        for i in 0..m {
+            for j in 0..n {
+                want[(i, j)] += alpha * x[i] * y[j];
+            }
         }
+        let mut a = seed_a.clone();
+        gemm::ger(alpha, &x, &y, &mut a);
+        assert_eq!(a, want, "case {case}: {m}x{n}");
     }
 }
 
 // ---------------------------------------------------------------------------
-// One-hot kernels: bit-exact against the dense naive oracle under EVERY policy
+// One-hot kernels: bit-exact against the dense reference
 // ---------------------------------------------------------------------------
 
 /// A randomized one-hot layout: per-column cardinalities of 1–4 (so
@@ -297,20 +279,14 @@ fn onehot_gathers_are_bit_exact_against_naive_dense() {
         let cols = g.range(1, 8);
         let a = g.matrix(width, cols);
         let at = a.transpose();
-        for p in KernelPolicy::ALL {
-            // Aᵀ·x (row gather) vs naive dense transposed GEMV
-            let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &x);
-            let mut gathered = vec![f64::NAN; cols];
-            sparse::matvec_transposed_onehot_into_with(p, &a, &idx, &mut gathered);
-            assert_eq!(gathered, dense_t, "case {case} {p} transposed");
-            // A·x (column gather) vs naive dense GEMV
-            let dense = gemm::matvec_with(KernelPolicy::Naive, &at, &x);
-            assert_eq!(
-                sparse::matvec_onehot_with(p, &at, &idx),
-                dense,
-                "case {case} {p} gemv"
-            );
-        }
+        // Aᵀ·x (row gather) vs the reference dense GEMV of Aᵀ
+        let dense_t = reference::matvec(&at, &x);
+        let mut gathered = vec![f64::NAN; cols];
+        sparse::matvec_transposed_onehot_into(&a, &idx, &mut gathered);
+        assert_eq!(gathered, dense_t, "case {case} transposed");
+        // A·x (column gather) vs the reference dense GEMV
+        let dense = reference::matvec(&at, &x);
+        assert_eq!(sparse::matvec_onehot(&at, &idx), dense, "case {case} gemv");
     }
 }
 
@@ -339,18 +315,11 @@ fn spmm_onehot_is_bit_exact_against_naive_dense_gemm() {
         let n = g.range(1, 9);
         let b = g.matrix(width, n);
         let seed_c = g.matrix(rows, n);
-        let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(
-            KernelPolicy::Naive,
-            x.as_slice(),
-            &b,
-            reference.as_mut_slice(),
-        );
-        for p in KernelPolicy::ALL {
-            let mut c = seed_c.clone();
-            sparse::spmm_onehot_with(p, &rows_idx, nnz, &b, &mut c);
-            assert_eq!(c, reference, "case {case} {p}: {rows}x{width}x{n}");
-        }
+        let mut want = seed_c.clone();
+        reference::matmul_acc(x.as_slice(), &b, want.as_mut_slice());
+        let mut c = seed_c.clone();
+        sparse::spmm_onehot(&rows_idx, nnz, &b, &mut c);
+        assert_eq!(c, want, "case {case}: {rows}x{width}x{n}");
     }
 }
 
@@ -365,24 +334,20 @@ fn onehot_scatters_are_bit_exact_against_naive_dense_ger() {
         // row scatter
         let seed = g.matrix(width, other);
         let x_rows = densify(&idx, width);
-        let mut reference = seed.clone();
-        gemm::ger_with(KernelPolicy::Naive, alpha, &x_rows, &y, &mut reference);
-        for p in KernelPolicy::ALL {
-            let mut a = seed.clone();
-            sparse::ger_onehot_with(p, alpha, &idx, &y, &mut a);
-            assert_eq!(a, reference, "case {case} {p} rows");
-        }
+        let mut want = seed.clone();
+        gemm::ger(alpha, &x_rows, &y, &mut want);
+        let mut a = seed.clone();
+        sparse::ger_onehot(alpha, &idx, &y, &mut a);
+        assert_eq!(a, want, "case {case} rows");
         // table scatter (the NN first-layer gradient): the unit-alpha row
         // scatter into the transposed accumulator is the dense GER `y·xᵀ` of
         // the weight layout
         let seed = g.matrix(other, width);
-        let mut reference = seed.clone();
-        gemm::ger_with(KernelPolicy::Naive, 1.0, &y, &x_rows, &mut reference);
-        for p in KernelPolicy::ALL {
-            let mut table = seed.transpose();
-            sparse::ger_onehot_with(p, 1.0, &idx, &y, &mut table);
-            assert_eq!(table.transpose(), reference, "case {case} {p} table");
-        }
+        let mut want = seed.clone();
+        gemm::ger(1.0, &y, &x_rows, &mut want);
+        let mut table = seed.transpose();
+        sparse::ger_onehot(1.0, &idx, &y, &mut table);
+        assert_eq!(table.transpose(), want, "case {case} table");
     }
 }
 
@@ -403,7 +368,7 @@ fn onehot_quadratic_forms_match_naive_dense() {
             .filter(|&j| (j as usize) < width)
             .collect();
         let yj = densify(&jdx, width);
-        let dense_pair = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &yj);
+        let dense_pair = reference::quadratic_form(&x, &a, &yj);
         let sparse_pair = sparse::quadratic_form_onehot_pair(&idx, &a, &jdx);
         assert!(
             approx_eq(dense_pair, sparse_pair, 1e-12),
@@ -426,27 +391,21 @@ fn block_dispatch_matches_dense_blocks_for_onehot_representations() {
         let x = densify(&idx, d_r);
         let alpha = g.f64();
 
-        for p in KernelPolicy::ALL {
-            // add_outer_rep vs dense add_outer
-            let mut dense_sc = BlockScatter::new_with(partition.clone(), p);
-            dense_sc.add_outer(0, 1, alpha, &u, &x);
-            dense_sc.add_outer(1, 0, alpha, &x, &u);
-            dense_sc.add_outer(1, 1, alpha, &x, &x);
-            let mut rep_sc = BlockScatter::new_with(partition.clone(), p);
-            rep_sc.add_outer_rep(0, 1, alpha, BlockVec::Dense(&u), BlockVec::OneHot(&idx));
-            rep_sc.add_outer_rep(1, 0, alpha, BlockVec::OneHot(&idx), BlockVec::Dense(&u));
-            rep_sc.add_outer_rep(1, 1, alpha, BlockVec::OneHot(&idx), BlockVec::OneHot(&idx));
-            assert_eq!(
-                dense_sc.matrix(),
-                rep_sc.matrix(),
-                "case {case} {p} scatter"
-            );
-        }
+        // add_outer_rep vs dense add_outer
+        let mut dense_sc = BlockScatter::new(partition.clone());
+        dense_sc.add_outer(0, 1, alpha, &u, &x);
+        dense_sc.add_outer(1, 0, alpha, &x, &u);
+        dense_sc.add_outer(1, 1, alpha, &x, &x);
+        let mut rep_sc = BlockScatter::new(partition.clone());
+        rep_sc.add_outer_rep(0, 1, alpha, BlockVec::Dense(&u), BlockVec::OneHot(&idx));
+        rep_sc.add_outer_rep(1, 0, alpha, BlockVec::OneHot(&idx), BlockVec::Dense(&u));
+        rep_sc.add_outer_rep(1, 1, alpha, BlockVec::OneHot(&idx), BlockVec::OneHot(&idx));
+        assert_eq!(dense_sc.matrix(), rep_sc.matrix(), "case {case} scatter");
     }
 }
 
 // ---------------------------------------------------------------------------
-// General CSR kernels: equal to the dense naive oracle under EVERY policy
+// General CSR kernels: equal to the dense reference
 // (same multiplications in the same ascending order; skipped terms are exact
 // zeros).  Cases deliberately include empty rows, all-zero blocks and
 // single-element blocks.
@@ -504,18 +463,12 @@ fn csr_gathers_are_exact_against_naive_dense() {
         let cols = g.range(1, 8);
         let a = g.matrix(width, cols);
         let at = a.transpose();
-        for p in KernelPolicy::ALL {
-            let dense_t = gemm::matvec_transposed_with(KernelPolicy::Naive, &a, &x);
-            let mut gathered = vec![f64::NAN; cols];
-            csr::matvec_transposed_csr_into_with(p, &a, &idx, &vals, &mut gathered);
-            assert_eq!(gathered, dense_t, "case {case} {p} transposed");
-            let dense = gemm::matvec_with(KernelPolicy::Naive, &at, &x);
-            assert_eq!(
-                csr::matvec_csr_with(p, &at, &idx, &vals),
-                dense,
-                "case {case} {p} gemv"
-            );
-        }
+        let dense_t = gemm::matvec_transposed(&a, &x);
+        let mut gathered = vec![f64::NAN; cols];
+        csr::matvec_transposed_csr_into(&a, &idx, &vals, &mut gathered);
+        assert_eq!(gathered, dense_t, "case {case} transposed");
+        let dense = reference::matvec(&at, &x);
+        assert_eq!(csr::matvec_csr(&at, &idx, &vals), dense, "case {case} gemv");
     }
 }
 
@@ -546,18 +499,11 @@ fn spmm_csr_is_exact_against_naive_dense_gemm() {
         let n = g.range(1, 9);
         let b = g.matrix(width, n);
         let seed_c = g.matrix(rows, n);
-        let mut reference = seed_c.clone();
-        gemm::matmul_acc_with(
-            KernelPolicy::Naive,
-            x.as_slice(),
-            &b,
-            reference.as_mut_slice(),
-        );
-        for p in KernelPolicy::ALL {
-            let mut c = seed_c.clone();
-            csr::spmm_csr_with(p, &block, &b, &mut c);
-            assert_eq!(c, reference, "case {case} {p}: {rows}x{width}x{n}");
-        }
+        let mut want = seed_c.clone();
+        reference::matmul_acc(x.as_slice(), &b, want.as_mut_slice());
+        let mut c = seed_c.clone();
+        csr::spmm_csr(&block, &b, &mut c);
+        assert_eq!(c, want, "case {case}: {rows}x{width}x{n}");
     }
 }
 
@@ -571,24 +517,20 @@ fn csr_scatters_are_exact_against_naive_dense_ger() {
         let x = densify_csr(&idx, &vals, width);
         // row scatter
         let seed = g.matrix(width, other);
-        let mut reference = seed.clone();
-        gemm::ger_with(KernelPolicy::Naive, alpha, &x, &y, &mut reference);
-        for p in KernelPolicy::ALL {
-            let mut a = seed.clone();
-            csr::ger_csr_with(p, alpha, &idx, &vals, &y, &mut a);
-            assert_eq!(a, reference, "case {case} {p} rows");
-        }
+        let mut want = seed.clone();
+        gemm::ger(alpha, &x, &y, &mut want);
+        let mut a = seed.clone();
+        csr::ger_csr(alpha, &idx, &vals, &y, &mut a);
+        assert_eq!(a, want, "case {case} rows");
         // table scatter (the NN first-layer gradient): the unit-alpha row
         // scatter into the transposed accumulator is the dense GER `y·xᵀ` of
         // the weight layout (`y_i·x_j == x_j·y_i` bitwise)
         let seed = g.matrix(other, width);
-        let mut reference = seed.clone();
-        gemm::ger_with(KernelPolicy::Naive, 1.0, &y, &x, &mut reference);
-        for p in KernelPolicy::ALL {
-            let mut table = seed.transpose();
-            csr::ger_csr_with(p, 1.0, &idx, &vals, &y, &mut table);
-            assert_eq!(table.transpose(), reference, "case {case} {p} table");
-        }
+        let mut want = seed.clone();
+        gemm::ger(1.0, &y, &x, &mut want);
+        let mut table = seed.transpose();
+        csr::ger_csr(1.0, &idx, &vals, &y, &mut table);
+        assert_eq!(table.transpose(), want, "case {case} table");
     }
 }
 
@@ -604,7 +546,7 @@ fn csr_quadratic_forms_are_exact_against_naive_dense() {
         // both sides sparse
         let (jdx, jvals) = draw_csr_row(&mut g, width);
         let yj = densify_csr(&jdx, &jvals, width);
-        let dense_pair = gemm::quadratic_form_with(KernelPolicy::Naive, &x, &a, &yj);
+        let dense_pair = reference::quadratic_form(&x, &a, &yj);
         assert_eq!(
             csr::quadratic_form_csr_pair(&idx, &vals, &a, &jdx, &jvals),
             dense_pair,
@@ -629,21 +571,15 @@ fn block_dispatch_matches_dense_blocks_for_csr_representations() {
             vals: &vals,
         };
 
-        for p in KernelPolicy::ALL {
-            let mut dense_sc = BlockScatter::new_with(partition.clone(), p);
-            dense_sc.add_outer(0, 1, alpha, &u, &x);
-            dense_sc.add_outer(1, 0, alpha, &x, &u);
-            dense_sc.add_outer(1, 1, alpha, &x, &x);
-            let mut rep_sc = BlockScatter::new_with(partition.clone(), p);
-            rep_sc.add_outer_rep(0, 1, alpha, BlockVec::Dense(&u), rep);
-            rep_sc.add_outer_rep(1, 0, alpha, rep, BlockVec::Dense(&u));
-            rep_sc.add_outer_rep(1, 1, alpha, rep, rep);
-            assert_eq!(
-                dense_sc.matrix(),
-                rep_sc.matrix(),
-                "case {case} {p} scatter"
-            );
-        }
+        let mut dense_sc = BlockScatter::new(partition.clone());
+        dense_sc.add_outer(0, 1, alpha, &u, &x);
+        dense_sc.add_outer(1, 0, alpha, &x, &u);
+        dense_sc.add_outer(1, 1, alpha, &x, &x);
+        let mut rep_sc = BlockScatter::new(partition.clone());
+        rep_sc.add_outer_rep(0, 1, alpha, BlockVec::Dense(&u), rep);
+        rep_sc.add_outer_rep(1, 0, alpha, rep, BlockVec::Dense(&u));
+        rep_sc.add_outer_rep(1, 1, alpha, rep, rep);
+        assert_eq!(dense_sc.matrix(), rep_sc.matrix(), "case {case} scatter");
     }
 }
 
@@ -663,24 +599,22 @@ fn block_dispatch_handles_mixed_onehot_csr_pairs() {
             idx: &cidx,
             vals: &cvals,
         };
-        for p in KernelPolicy::ALL {
-            let mut dense_sc = BlockScatter::new_with(partition.clone(), p);
-            dense_sc.add_outer(0, 1, alpha, &xo, &xc);
-            dense_sc.add_outer(1, 0, alpha, &xc, &xo);
-            let mut rep_sc = BlockScatter::new_with(partition.clone(), p);
-            rep_sc.add_outer_rep(0, 1, alpha, onehot, csr_rep);
-            rep_sc.add_outer_rep(1, 0, alpha, csr_rep, onehot);
-            assert_eq!(
-                dense_sc.matrix(),
-                rep_sc.matrix(),
-                "case {case} {p} mixed scatter"
-            );
-        }
+        let mut dense_sc = BlockScatter::new(partition.clone());
+        dense_sc.add_outer(0, 1, alpha, &xo, &xc);
+        dense_sc.add_outer(1, 0, alpha, &xc, &xo);
+        let mut rep_sc = BlockScatter::new(partition.clone());
+        rep_sc.add_outer_rep(0, 1, alpha, onehot, csr_rep);
+        rep_sc.add_outer_rep(1, 0, alpha, csr_rep, onehot);
+        assert_eq!(
+            dense_sc.matrix(),
+            rep_sc.matrix(),
+            "case {case} mixed scatter"
+        );
     }
 }
 
 #[test]
-fn block_scatter_policies_match_naive() {
+fn block_scatter_matches_the_dense_ger() {
     let mut g = Gen::new(4);
     for case in 0..48 {
         let sizes = g.partition();
@@ -689,30 +623,20 @@ fn block_scatter_policies_match_naive() {
         let x = g.vec(d);
         let gamma = g.f64().abs();
 
-        let mut reference = Matrix::zeros(d, d);
-        gemm::ger_with(KernelPolicy::Naive, gamma, &x, &x, &mut reference);
-
-        for p in POLICIES {
-            // dense accumulation under the policy
-            let mut dense = Matrix::zeros(d, d);
-            gemm::ger_with(p, gamma, &x, &x, &mut dense);
-            assert!(
-                reference.max_abs_diff(&dense) < TEST_EPS,
-                "case {case} {p} dense"
-            );
-            // factorized tile-by-tile accumulation under the policy
-            let parts = partition.split(&x);
-            let mut fact = BlockScatter::new_with(partition.clone(), p);
-            for i in 0..parts.len() {
-                for j in 0..parts.len() {
-                    fact.add_outer(i, j, gamma, parts[i], parts[j]);
-                }
+        let mut dense = Matrix::zeros(d, d);
+        gemm::ger(gamma, &x, &x, &mut dense);
+        // factorized tile-by-tile accumulation
+        let parts = partition.split(&x);
+        let mut fact = BlockScatter::new(partition.clone());
+        for i in 0..parts.len() {
+            for j in 0..parts.len() {
+                fact.add_outer(i, j, gamma, parts[i], parts[j]);
             }
-            assert!(
-                reference.max_abs_diff(fact.matrix()) < TEST_EPS,
-                "case {case} {p} tiled"
-            );
         }
+        assert!(
+            dense.max_abs_diff(fact.matrix()) < TEST_EPS,
+            "case {case} tiled"
+        );
     }
 }
 
@@ -725,18 +649,12 @@ fn blocked_quadratic_form_matches_dense() {
         let d = partition.total_dim();
         let m = g.matrix(d, d);
         let x = g.vec(d);
-        let dense = gemm::quadratic_form_sym_with(KernelPolicy::Naive, &x, &m);
-        for p in [
-            KernelPolicy::Naive,
-            KernelPolicy::Blocked,
-            KernelPolicy::BlockedParallel,
-        ] {
-            let blocked = BlockQuadraticForm::new_with(partition.clone(), &m, p).eval_dense(&x);
-            assert!(
-                approx_eq(dense, blocked, 1e-9),
-                "case {case} {p}: {dense} vs {blocked}"
-            );
-        }
+        let dense = reference::quadratic_form(&x, &m, &x);
+        let blocked = BlockQuadraticForm::new(partition.clone(), &m).eval_dense(&x);
+        assert!(
+            approx_eq(dense, blocked, 1e-9),
+            "case {case}: {dense} vs {blocked}"
+        );
     }
 }
 
@@ -747,11 +665,11 @@ fn cholesky_inverts_spd_matrices() {
         let dim = g.range(1, 6);
         // Build an SPD matrix A = B·Bᵀ + I from arbitrary B.
         let b = g.matrix(dim, dim);
-        let mut a = gemm::matmul_with(KernelPolicy::Blocked, &b, &b.transpose());
+        let mut a = gemm::matmul(&b, &b.transpose());
         a.add_diag(1.0);
         let ch = Cholesky::factor(&a).unwrap();
         let inv = ch.inverse();
-        let prod = gemm::matmul_with(KernelPolicy::Blocked, &inv, &a);
+        let prod = gemm::matmul(&inv, &a);
         assert!(
             prod.max_abs_diff(&Matrix::identity(dim)) < 1e-8,
             "case {case}"
@@ -770,9 +688,9 @@ fn matmul_distributes_over_addition() {
         let y = g.vec(dim);
         // A(x + y) == Ax + Ay
         let sum: Vec<f64> = x.iter().zip(y.iter()).map(|(a, b)| a + b).collect();
-        let lhs = gemm::matvec_with(KernelPolicy::Blocked, &a, &sum);
-        let ax = gemm::matvec_with(KernelPolicy::Blocked, &a, &x);
-        let ay = gemm::matvec_with(KernelPolicy::Blocked, &a, &y);
+        let lhs = gemm::matvec(&a, &sum);
+        let ax = gemm::matvec(&a, &x);
+        let ay = gemm::matvec(&a, &y);
         for i in 0..dim {
             assert!(
                 approx_eq(lhs[i], ax[i] + ay[i], 1e-9),

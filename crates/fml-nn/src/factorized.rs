@@ -126,8 +126,7 @@ pub(crate) fn train_epochs(
     for _epoch in 0..config.epochs {
         // Weights are constant within an epoch (full-batch update at the
         // end), so the split of W¹ is hoisted out of the scan.
-        let kp = ex.kernel_policy;
-        let first = FirstLayer::split(&model, &sizes, kp);
+        let first = FirstLayer::split(&model, &sizes);
         let mut grads = model.zero_grads();
         let mut grad_w1 = first.zero_grad();
         let mut loss_sum = 0.0;
@@ -160,8 +159,7 @@ pub(crate) fn train_epochs(
                     first.pre_activation(x_s, cached, ws.first_preactivation());
                     // ---- layers ≥ 2 forward, all layers backward ----
                     let y = facts.target(f).unwrap_or(0.0);
-                    loss_sum +=
-                        model.backward_from_first_preactivation_with(kp, &mut ws, y, &mut grads);
+                    loss_sum += model.backward_from_first_preactivation(&mut ws, y, &mut grads);
                     // PG_S: per fact.
                     grad_w1.add(0, ws.first_delta(), x_s);
                     for (arena, &ord) in arenas.iter_mut().zip(ords) {

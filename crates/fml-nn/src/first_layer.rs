@@ -23,23 +23,21 @@
 //!
 //! | operand | `partial` | `FirstLayerGrad::add` |
 //! |---------|-----------|------------------------|
-//! | one-hot | `sparse::matvec_transposed_onehot_into_with` (one `n_h`-wide add per active index) | `sparse::ger_onehot_with` |
-//! | CSR     | `csr::matvec_transposed_csr_into_with` (one AXPY per nonzero) | `csr::ger_csr_with` |
-//! | dense   | `gemm::matvec_transposed_into_with` (one AXPY per column) | `gemm::ger_with(x, δ¹, table)` |
+//! | one-hot | `sparse::matvec_transposed_onehot_into` (one `n_h`-wide add per active index) | `sparse::ger_onehot` |
+//! | CSR     | `csr::matvec_transposed_csr_into` (one AXPY per nonzero) | `csr::ger_csr` |
+//! | dense   | `gemm::matvec_transposed_into` (one AXPY per column) | `gemm::ger(x, δ¹, table)` |
 //!
 //! ## Bit contract
-//!
-//! Under every sequential kernel policy:
 //!
 //! * **One-hot** partial products are, per lane, `0 + W[j₁] + W[j₂] + …` in
 //!   ascending `j` — pure adds.
 //! * **CSR and dense** partial products are one sequential AXPY per nonzero /
 //!   per column, `0 + x_{j₁}·W[j₁] + x_{j₂}·W[j₂] + …` — the order of the
-//!   `KernelPolicy::Naive` GEMV, not the 4-lane tree of the blocked dot
-//!   product the row-major layout used for dense operands.
-//! * So every partial product is `to_bits`-equal to the `Naive` dense GEMV
-//!   on the densified row (skipped terms are exact `±0`), and every
-//!   **gradient** is `to_bits`-equal to the `Naive` dense GER `δ¹·xᵀ`: each
+//!   sequential [`fml_linalg::reference::matvec`], not the 4-lane tree of
+//!   the blocked dot product the row-major layout used for dense operands.
+//! * So every partial product is `to_bits`-equal to the reference dense
+//!   GEMV on the densified row (skipped terms are exact `±0`), and every
+//!   **gradient** is `to_bits`-equal to the dense GER `δ¹·xᵀ`: each
 //!   entry receives the same single product per example
 //!   (`δ_i·x_j == x_j·δ_i` bitwise), in the same order.
 //!
@@ -48,7 +46,7 @@
 
 use crate::layer::LayerGradient;
 use crate::mlp::Mlp;
-use fml_linalg::{vector, BlockVec, KernelPolicy, Matrix};
+use fml_linalg::{vector, BlockVec, Matrix};
 
 /// `W¹` as one embedding table per relation, plus `b¹` — hoisted once per
 /// epoch by the trainers (weights are constant within a full-batch epoch) and
@@ -56,13 +54,12 @@ use fml_linalg::{vector, BlockVec, KernelPolicy, Matrix};
 pub struct FirstLayer {
     tables: Vec<Matrix>,
     bias: Vec<f64>,
-    kp: KernelPolicy,
 }
 
 impl FirstLayer {
     /// Splits the first layer of `model` along the partition `sizes`
-    /// (`[d_S, d_{R_1}, …]`); products run under the sequential policy `kp`.
-    pub fn split(model: &Mlp, sizes: &[usize], kp: KernelPolicy) -> Self {
+    /// (`[d_S, d_{R_1}, …]`).
+    pub fn split(model: &Mlp, sizes: &[usize]) -> Self {
         let first = &model.layers()[0];
         assert_eq!(
             sizes.iter().sum::<usize>(),
@@ -83,7 +80,6 @@ impl FirstLayer {
         Self {
             tables,
             bias: first.bias.clone(),
-            kp,
         }
     }
 
@@ -100,7 +96,6 @@ impl FirstLayer {
                 .iter()
                 .map(|t| Matrix::zeros(t.rows(), t.cols()))
                 .collect(),
-            kp: self.kp,
         }
     }
 
@@ -108,7 +103,7 @@ impl FirstLayer {
     /// fact side) into `out` (`n_h` values, overwritten) — the sum of the
     /// table rows `x` selects, a gather when `x` is stored sparse.
     pub fn partial(&self, block: usize, x: BlockVec<'_>, out: &mut [f64]) {
-        x.matvec_transposed_into(self.kp, &self.tables[block], out);
+        x.matvec_transposed_into(&self.tables[block], out);
     }
 
     /// Assembles `a¹ = (W¹_S·x_S + b¹) + Σ_i t_i` into `a1` from the fact
@@ -133,13 +128,12 @@ impl FirstLayer {
 /// embedding-table layout (`d_b × n_h`).
 pub struct FirstLayerGrad {
     tables: Vec<Matrix>,
-    kp: KernelPolicy,
 }
 
 impl FirstLayerGrad {
     /// `PG_b += δ·xᵀ` — `δ` scatter-added into the table rows `x` selects.
     pub fn add(&mut self, block: usize, delta: &[f64], x: BlockVec<'_>) {
-        x.ger(self.kp, 1.0, delta, &mut self.tables[block]);
+        x.ger(1.0, delta, &mut self.tables[block]);
     }
 
     /// Adds the tables, transposed back, into the first layer's full-width
@@ -161,7 +155,7 @@ impl FirstLayerGrad {
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use fml_linalg::gemm;
+    use fml_linalg::{gemm, reference};
 
     const SIZES: [usize; 3] = [3, 4, 2];
 
@@ -189,35 +183,25 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs `check` under both sequential policies.
-    fn under_every_policy(check: impl Fn(KernelPolicy)) {
-        for kp in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-            check(kp);
-        }
-    }
-
     #[test]
     fn partial_products_and_bias_sum_to_the_dense_pre_activation() {
         let model = Mlp::new(9, &[5], Activation::Tanh, 3);
         let blocks = blocks();
         let joined = joined(&blocks);
-        under_every_policy(|kp| {
-            let first = FirstLayer::split(&model, &SIZES, kp);
-            assert_eq!(first.width(), 5);
-            // every block once through its sparse form, once densely
-            for sparse in [true, false] {
-                let mut terms = vec![vec![f64::NAN; 5]; 2];
-                for (term, (b, (x, rep))) in terms.iter_mut().zip(blocks.iter().enumerate().skip(1))
-                {
-                    first.partial(b, if sparse { *rep } else { BlockVec::Dense(x) }, term);
-                }
-                let mut a1 = vec![f64::NAN; 5];
-                let terms = terms.iter().map(Vec::as_slice);
-                first.pre_activation(blocks[0].1, terms, &mut a1);
-                let want = model.layers()[0].pre_activation_with(kp, &joined);
-                assert!(vector::max_abs_diff(&a1, &want) < 1e-12, "{kp:?}/{sparse}");
+        let first = FirstLayer::split(&model, &SIZES);
+        assert_eq!(first.width(), 5);
+        // every block once through its sparse form, once densely
+        for sparse in [true, false] {
+            let mut terms = vec![vec![f64::NAN; 5]; 2];
+            for (term, (b, (x, rep))) in terms.iter_mut().zip(blocks.iter().enumerate().skip(1)) {
+                first.partial(b, if sparse { *rep } else { BlockVec::Dense(x) }, term);
             }
-        });
+            let mut a1 = vec![f64::NAN; 5];
+            let terms = terms.iter().map(Vec::as_slice);
+            first.pre_activation(blocks[0].1, terms, &mut a1);
+            let want = model.layers()[0].pre_activation(&joined);
+            assert!(vector::max_abs_diff(&a1, &want) < 1e-12, "{sparse}");
+        }
     }
 
     #[test]
@@ -225,18 +209,16 @@ mod tests {
         let model = Mlp::new(9, &[5], Activation::Tanh, 3);
         let weights = &model.layers()[0].weights;
         let blocks = blocks();
-        under_every_policy(|kp| {
-            let first = FirstLayer::split(&model, &SIZES, kp);
-            let mut start = 0;
-            for (b, (x, rep)) in blocks.iter().enumerate() {
-                let block = weights.sub_block(0, 5, start, start + x.len());
-                start += x.len();
-                let want = gemm::matvec_with(KernelPolicy::Naive, &block, x);
-                let mut got = vec![f64::NAN; 5];
-                first.partial(b, *rep, &mut got);
-                assert_eq!(bits(&got), bits(&want), "{kp:?} block {b}");
-            }
-        });
+        let first = FirstLayer::split(&model, &SIZES);
+        let mut start = 0;
+        for (b, (x, rep)) in blocks.iter().enumerate() {
+            let block = weights.sub_block(0, 5, start, start + x.len());
+            start += x.len();
+            let want = reference::matvec(&block, x);
+            let mut got = vec![f64::NAN; 5];
+            first.partial(b, *rep, &mut got);
+            assert_eq!(bits(&got), bits(&want), "block {b}");
+        }
     }
 
     #[test]
@@ -246,17 +228,15 @@ mod tests {
         let joined = joined(&blocks);
         let delta = [0.3, -0.7, 1.1, 0.0, -0.2];
         let mut want = Matrix::zeros(5, 9);
-        gemm::ger_with(KernelPolicy::Naive, 1.0, &delta, &joined, &mut want);
-        under_every_policy(|kp| {
-            let first = FirstLayer::split(&model, &SIZES, kp);
-            let mut grad = first.zero_grad();
-            for (b, (_, rep)) in blocks.iter().enumerate() {
-                grad.add(b, &delta, *rep);
-            }
-            let mut grads = model.zero_grads();
-            grad.add_into(&mut grads[0]);
-            let got = &grads[0].d_weights;
-            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{kp:?}");
-        });
+        gemm::ger(1.0, &delta, &joined, &mut want);
+        let first = FirstLayer::split(&model, &SIZES);
+        let mut grad = first.zero_grad();
+        for (b, (_, rep)) in blocks.iter().enumerate() {
+            grad.add(b, &delta, *rep);
+        }
+        let mut grads = model.zero_grads();
+        grad.add_into(&mut grads[0]);
+        let got = &grads[0].d_weights;
+        assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
     }
 }

@@ -71,15 +71,15 @@ impl DenseLayer {
     }
 
     /// Computes the pre-activation `a = W·x + b`.
-    pub fn pre_activation_with(&self, kp: fml_linalg::KernelPolicy, x: &[f64]) -> Vec<f64> {
-        let mut a = gemm::matvec_with(kp, &self.weights, x);
+    pub fn pre_activation(&self, x: &[f64]) -> Vec<f64> {
+        let mut a = gemm::matvec(&self.weights, x);
         vector::axpy(1.0, &self.bias, &mut a);
         a
     }
 
     /// Forward pass returning `(a, h)` — pre-activation and activated output.
-    pub fn forward_with(&self, kp: fml_linalg::KernelPolicy, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let a = self.pre_activation_with(kp, x);
+    pub fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let a = self.pre_activation(x);
         let mut h = a.clone();
         self.activation.apply_slice(&mut h);
         (a, h)
@@ -133,7 +133,7 @@ mod tests {
     fn forward_matches_manual_computation() {
         let w = Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5]]);
         let layer = DenseLayer::new(w, vec![0.5, -0.5], Activation::Relu);
-        let (a, h) = layer.forward_with(fml_linalg::KernelPolicy::Blocked, &[1.0, 1.0]);
+        let (a, h) = layer.forward(&[1.0, 1.0]);
         assert_eq!(a, vec![3.5, -1.0]);
         assert_eq!(h, vec![3.5, 0.0]);
         assert_eq!(layer.in_dim(), 2);

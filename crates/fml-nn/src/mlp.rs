@@ -3,7 +3,7 @@
 use crate::activation::Activation;
 use crate::layer::{DenseLayer, LayerGradient};
 use crate::loss::output_gradient;
-use fml_linalg::{gemm, vector, KernelPolicy};
+use fml_linalg::{gemm, vector};
 
 /// A feed-forward network with dense layers.  The output layer uses the identity
 /// activation (scalar regression against the fact table's target `Y`).
@@ -30,8 +30,8 @@ impl ForwardTrace {
 /// Reusable buffers of the per-example pass from an assembled first-layer
 /// pre-activation: every layer's activation `h_l` and delta `δ_l`, allocated
 /// once per worker ([`Mlp::workspace`]) so that
-/// [`Mlp::forward_from_first_preactivation_with`] and
-/// [`Mlp::backward_from_first_preactivation_with`] allocate nothing per
+/// [`Mlp::forward_from_first_preactivation`] and
+/// [`Mlp::backward_from_first_preactivation`] allocate nothing per
 /// example.  Every pass overwrites every buffer it reads, so a reused
 /// workspace gives the bits of a fresh one.
 #[derive(Debug, Clone)]
@@ -106,25 +106,19 @@ impl Mlp {
     }
 
     /// Full forward pass, keeping per-layer caches for back-propagation.
-    pub fn forward_trace_with(&self, kp: KernelPolicy, x: &[f64]) -> ForwardTrace {
+    pub fn forward_trace(&self, x: &[f64]) -> ForwardTrace {
         let mut layers: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
             let input: &[f64] = if l == 0 { x } else { &layers[l - 1].1 };
-            let (a, h) = layer.forward_with(kp, input);
+            let (a, h) = layer.forward(input);
             layers.push((a, h));
         }
         ForwardTrace { layers }
     }
 
-    /// Prediction for a single (joined) feature vector, under the default
-    /// `Blocked` arithmetic.
+    /// Prediction for a single (joined) feature vector.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.predict_with(KernelPolicy::Blocked, x)
-    }
-
-    /// [`Self::predict`] under an explicit kernel policy.
-    pub fn predict_with(&self, kp: KernelPolicy, x: &[f64]) -> f64 {
-        self.forward_trace_with(kp, x).output()
+        self.forward_trace(x).output()
     }
 
     /// A [`Workspace`] shaped for this network.
@@ -148,11 +142,7 @@ impl Mlp {
     /// dimension tuple) and hands it here, so layers ≥ 2 — where the paper
     /// shows exact reuse is impossible for non-additive activations — share
     /// one code path with every other variant.
-    pub fn forward_from_first_preactivation_with(
-        &self,
-        kp: KernelPolicy,
-        ws: &mut Workspace,
-    ) -> f64 {
+    pub fn forward_from_first_preactivation(&self, ws: &mut Workspace) -> f64 {
         assert_eq!(
             ws.h[0].len(),
             self.layers[0].out_dim(),
@@ -162,7 +152,7 @@ impl Mlp {
         for (l, layer) in self.layers.iter().enumerate().skip(1) {
             let (input, output) = ws.h.split_at_mut(l);
             let h = &mut output[0];
-            gemm::matvec_into_with(kp, &layer.weights, &input[l - 1], h);
+            gemm::matvec_into(&layer.weights, &input[l - 1], h);
             vector::axpy(1.0, &layer.bias, h);
             layer.activation.apply_slice(h);
         }
@@ -173,9 +163,8 @@ impl Mlp {
     /// starting from an already computed forward trace.
     ///
     /// Returns the example's squared-error contribution `½(o − y)²`.
-    pub fn backward_into_with(
+    pub fn backward_into(
         &self,
-        kp: KernelPolicy,
         x: &[f64],
         trace: &ForwardTrace,
         target: f64,
@@ -192,11 +181,11 @@ impl Mlp {
         for l in (0..self.layers.len()).rev() {
             let input: &[f64] = if l == 0 { x } else { &trace.layers[l - 1].1 };
             // dW_l += delta ⊗ input ; db_l += delta
-            gemm::ger_with(kp, 1.0, &delta, input, &mut grads[l].d_weights);
+            gemm::ger(1.0, &delta, input, &mut grads[l].d_weights);
             vector::axpy(1.0, &delta, &mut grads[l].d_bias);
             if l > 0 {
                 // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1}), f' from h_{l-1}
-                let mut prev = gemm::matvec_transposed_with(kp, &self.layers[l].weights, &delta);
+                let mut prev = gemm::matvec_transposed(&self.layers[l].weights, &delta);
                 let h_prev = &trace.layers[l - 1].1;
                 for (p, h) in prev.iter_mut().zip(h_prev.iter()) {
                     *p *= self.layers[l - 1].activation.derivative_from_output(*h);
@@ -210,8 +199,8 @@ impl Mlp {
     /// Forward and backward pass of one example from the externally assembled
     /// **first-layer pre-activation** in
     /// [`ws.first_preactivation()`](Workspace::first_preactivation) — the
-    /// training-side twin of [`Self::forward_from_first_preactivation_with`].
-    /// Identical to [`Self::backward_into_with`] except that the
+    /// training-side twin of [`Self::forward_from_first_preactivation`].
+    /// Identical to [`Self::backward_into`] except that the
     /// **first layer's weight gradient is not touched**: the caller
     /// accumulates it block-wise from the base relations
     /// (`∂E/∂W¹ = [PG_S  PG_{R_1} … PG_{R_q}]`, Equations 28–32, see
@@ -219,9 +208,8 @@ impl Mlp {
     /// which is left in [`ws.first_delta()`](Workspace::first_delta).
     ///
     /// Returns the example's squared-error contribution `½(o−y)²`.
-    pub fn backward_from_first_preactivation_with(
+    pub fn backward_from_first_preactivation(
         &self,
-        kp: KernelPolicy,
         ws: &mut Workspace,
         target: f64,
         grads: &mut [LayerGradient],
@@ -231,17 +219,17 @@ impl Mlp {
             self.layers.len(),
             "gradient accumulator mismatch"
         );
-        let output = self.forward_from_first_preactivation_with(kp, ws);
+        let output = self.forward_from_first_preactivation(ws);
         let last = self.layers.len() - 1;
         ws.delta[last][0] = output_gradient(output, target);
         for l in (1..=last).rev() {
             let (lower, upper) = ws.delta.split_at_mut(l);
             let (prev, delta) = (&mut lower[l - 1], &upper[0]);
             let input = &ws.h[l - 1];
-            gemm::ger_with(kp, 1.0, delta, input, &mut grads[l].d_weights);
+            gemm::ger(1.0, delta, input, &mut grads[l].d_weights);
             vector::axpy(1.0, delta, &mut grads[l].d_bias);
             // delta_{l-1} = (W_lᵀ · delta) ⊙ f'(a_{l-1}), f' from h_{l-1}
-            gemm::matvec_transposed_into_with(kp, &self.layers[l].weights, delta, prev);
+            gemm::matvec_transposed_into(&self.layers[l].weights, delta, prev);
             for (p, h) in prev.iter_mut().zip(input.iter()) {
                 *p *= self.layers[l - 1].activation.derivative_from_output(*h);
             }
@@ -251,24 +239,11 @@ impl Mlp {
         0.5 * (output - target).powi(2)
     }
 
-    /// Convenience: forward + backward for one example, under the default
-    /// `Blocked` arithmetic.
+    /// Convenience: forward + backward for one example over the row-major
+    /// dense layers.
     pub fn accumulate_example(&self, x: &[f64], target: f64, grads: &mut [LayerGradient]) -> f64 {
-        self.accumulate_example_with(KernelPolicy::Blocked, x, target, grads)
-    }
-
-    /// [`Self::accumulate_example`] under an explicit kernel policy — the
-    /// row-major dense reference the trainers' embedding-table engine
-    /// ([`crate::first_layer`]) is tested against.
-    pub fn accumulate_example_with(
-        &self,
-        kp: KernelPolicy,
-        x: &[f64],
-        target: f64,
-        grads: &mut [LayerGradient],
-    ) -> f64 {
-        let trace = self.forward_trace_with(kp, x);
-        self.backward_into_with(kp, x, &trace, target, grads)
+        let trace = self.forward_trace(x);
+        self.backward_into(x, &trace, target, grads)
     }
 
     /// Creates zeroed gradient accumulators matching the network's layers.
@@ -385,13 +360,12 @@ mod tests {
         for act in [Activation::Sigmoid, Activation::Tanh, Activation::Relu] {
             let net = Mlp::new(5, &[7, 3], act, 9);
             let x = [0.4, -0.9, 0.2, 1.1, -0.3];
-            let kp = KernelPolicy::Naive;
             // assemble a1 exactly as the dense forward does
             let mut ws = net.workspace();
             ws.first_preactivation()
-                .copy_from_slice(&net.layers()[0].pre_activation_with(kp, &x));
-            let out = net.forward_from_first_preactivation_with(kp, &mut ws);
-            assert_eq!(out, net.predict_with(kp, &x), "{act:?}");
+                .copy_from_slice(&net.layers()[0].pre_activation(&x));
+            let out = net.forward_from_first_preactivation(&mut ws);
+            assert_eq!(out, net.predict(&x), "{act:?}");
         }
     }
 
@@ -400,12 +374,11 @@ mod tests {
     fn forward_from_first_preactivation_rejects_wrong_width() {
         let net = Mlp::new(3, &[4], Activation::Tanh, 1);
         let mut narrower = Mlp::new(3, &[3], Activation::Tanh, 1).workspace();
-        let _ = net.forward_from_first_preactivation_with(KernelPolicy::Naive, &mut narrower);
+        let _ = net.forward_from_first_preactivation(&mut narrower);
     }
 
     #[test]
     fn a_reused_workspace_gives_the_bits_of_fresh_ones() {
-        let kp = KernelPolicy::Naive;
         let examples = [([0.4, -0.9, 0.2], 0.7), ([-1.3, 0.5, 2.1], -0.2)];
         for act in [Activation::Sigmoid, Activation::Tanh, Activation::Relu] {
             let net = Mlp::new(3, &[6, 4], act, 17);
@@ -413,8 +386,8 @@ mod tests {
             let pass =
                 |ws: &mut Workspace, grads: &mut [LayerGradient], (x, y): ([f64; 3], f64)| {
                     ws.first_preactivation()
-                        .copy_from_slice(&net.layers()[0].pre_activation_with(kp, &x));
-                    let loss = net.backward_from_first_preactivation_with(kp, ws, y, grads);
+                        .copy_from_slice(&net.layers()[0].pre_activation(&x));
+                    let loss = net.backward_from_first_preactivation(ws, y, grads);
                     let mut bits = vec![loss.to_bits()];
                     bits.extend(ws.first_delta().iter().map(|v| v.to_bits()));
                     for g in grads.iter() {
@@ -433,7 +406,7 @@ mod tests {
             // ... and the workspace pass is the dense reference's layers ≥ 2.
             let mut reference = net.zero_grads();
             for (x, y) in examples {
-                net.accumulate_example_with(kp, &x, y, &mut reference);
+                net.accumulate_example(&x, y, &mut reference);
             }
             for (got, want) in reused_grads.iter().zip(&reference).skip(1) {
                 assert_eq!(got.d_weights, want.d_weights, "{act:?}");

@@ -244,78 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn table_engine_matches_the_row_major_reference_per_parameter() {
-        // One-hot, CSR and dense row sets, each stored in its form as a
-        // fact-only relation and trained through the one epoch driver,
-        // against the plain per-example loop over the row-major dense
-        // kernels.
-        let onehot = |i: usize| {
-            let mut x = vec![0.0; 12];
-            x[i % 5] = 1.0;
-            x[5 + i % 7] = 1.0;
-            x
-        };
-        let csr = |i: usize| {
-            let mut x = vec![0.0; 12];
-            x[(3 * i) % 12] = 0.25 * (i % 9) as f64 - 1.0;
-            x[(3 * i + 5) % 12] = 1.5 - 0.5 * (i % 4) as f64;
-            x
-        };
-        let dense = |i: usize| {
-            (0..12)
-                .map(|j| ((i * 7 + j * 3) % 11) as f64 / 5.0 - 1.0)
-                .collect()
-        };
-        let one_hot = FeatureGroup::OneHot {
-            cardinalities: vec![5, 7],
-        };
-        let sparse = FeatureGroup::SparseNumeric {
-            width: 12,
-            max_nnz: 2,
-        };
-        let row_sets: [(&str, Vec<Vec<f64>>, FeatureGroup); 3] = [
-            ("one-hot", (0..40).map(onehot).collect(), one_hot),
-            ("csr", (0..40).map(csr).collect(), sparse),
-            (
-                "dense",
-                (0..40).map(dense).collect(),
-                FeatureGroup::Dense(12),
-            ),
-        ];
-        let config = NnConfig {
-            hidden: vec![6, 4],
-            activation: Activation::Sigmoid,
-            epochs: 3,
-            learning_rate: 0.3,
-        };
-        for (label, xs, group) in row_sets {
-            let rows: Vec<(Vec<f64>, f64)> = xs
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| (x, (i % 5) as f64 / 4.0))
-                .collect();
-            let (db, spec) = fact_only_as(&rows, group);
-            for kp in [
-                fml_linalg::KernelPolicy::Naive,
-                fml_linalg::KernelPolicy::Blocked,
-            ] {
-                let exec = ExecPolicy::new().kernel_policy(kp).seed(5);
-                let mut reference = Mlp::new(12, &config.hidden, config.activation, 5);
-                for _ in 0..config.epochs {
-                    let mut grads = reference.zero_grads();
-                    for (x, y) in &rows {
-                        reference.accumulate_example_with(kp, x, *y, &mut grads);
-                    }
-                    reference.apply_grads(&grads, config.learning_rate, rows.len() as f64);
-                }
-                let fit = FactorizedNn::train(&db, &spec, &config, &exec).unwrap();
-                let diff = fit.model.max_param_diff(&reference);
-                assert!(diff < 1e-12, "{label} under {kp:?}: {diff}");
-            }
-        }
-    }
-
-    #[test]
     fn trains_over_materialized_table() {
         let w = SyntheticConfig {
             n_s: 300,

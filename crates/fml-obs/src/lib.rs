@@ -88,7 +88,7 @@ static ENV_WARNINGS: LazyCounter = LazyCounter::new("fml_env_warnings_total");
 /// though only one line reached stderr.
 ///
 /// This is the workspace's single warn-once sink: `fml-linalg`'s
-/// `FML_KERNEL_POLICY` / `FML_THREADS` resolution and the
+/// `FML_THREADS` resolution and the
 /// `FML_OBS` resolution in [`mode()`] all route here.  The counter records
 /// unconditionally (warnings are rare and must be countable even with
 /// observability off).

@@ -4,8 +4,8 @@
 //! [`metrics_enabled`] / [`trace_enabled`] — a single relaxed atomic load
 //! plus a compare, so the disabled path costs a few nanoseconds and performs
 //! no allocation.  The mode is resolved **once per process** from the
-//! `FML_OBS` environment variable (mirroring `FML_KERNEL_POLICY` resolution
-//! in `fml-linalg`), overridable at runtime with
+//! `FML_OBS` environment variable (mirroring `FML_THREADS` resolution in
+//! `fml-linalg`), overridable at runtime with
 //! [`set_mode`] or the scoped [`apply_mode`] guard that
 //! `fml_linalg::ExecSettings::obs_scope` installs — which is how the
 //! builder > environment > default precedence of `ExecPolicy` extends to

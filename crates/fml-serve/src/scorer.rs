@@ -57,8 +57,8 @@
 //! and no thread is spawned.  Band boundaries
 //! depend only on block shape and worker count, and every row's arithmetic is
 //! independent of which band ran it — so the exactness contract above
-//! extends to **every thread count**.  Kernels inside bands run the
-//! sequential policy (the fan-out is per band, not per kernel), and
+//! extends to **every thread count**.  Kernels inside bands are sequential
+//! (the fan-out is per band, not per kernel), and
 //! observers get one notification per fact block from the scoring thread,
 //! never from a band's thread.  Rows come out in the scan's
 //! `(window, fact)` order under all three strategies.
@@ -70,7 +70,7 @@ use fml_gmm::{EStep, FillScratch, GmmFit, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::exec::{ExecPolicy, ExecSettings};
 use fml_linalg::policy::par_row_bands_with_threads;
-use fml_linalg::{BlockVec, KernelPolicy, SparseMode};
+use fml_linalg::{BlockVec, SparseMode};
 use fml_nn::{FirstLayer, Mlp, NnFit, Workspace};
 use fml_store::batch::{RowBuf, RowPanel};
 use fml_store::factorized_scan::FactorizedScan;
@@ -224,9 +224,9 @@ pub trait SessionScoring {
     /// Scores a trained model over the session's join with the default
     /// (factorized) strategy.
     ///
-    /// # Panics
-    /// Panics when the session has no join (same contract as
-    /// [`Session::fit`]).
+    /// # Errors
+    /// [`StoreError::NoJoin`] when the session has no join (same contract
+    /// as [`Session::fit`]), and otherwise the scorer's own errors.
     fn score<F>(&self, trained: &Trained<F>) -> StoreResult<Scores<F::Row>>
     where
         F: Scorer;
@@ -250,13 +250,7 @@ impl SessionScoring for Session<'_> {
     where
         F: Scorer,
     {
-        #[expect(
-            clippy::expect_used,
-            reason = "scoring without a join is a caller contract, pinned by scoring_without_join_panics"
-        )]
-        let spec = self
-            .join_spec()
-            .expect("Session::score requires a join: call Session::join(spec) first");
+        let spec = self.join_spec().ok_or(StoreError::NoJoin)?;
         trained
             .fit
             .score_batch(self.db(), spec, self.exec_policy(), opts)
@@ -372,7 +366,6 @@ struct NnCore<'m> {
     first: FirstLayer,
     /// Number of dimension blocks.
     q: usize,
-    kp: KernelPolicy,
 }
 
 impl RowCore for NnCore<'_> {
@@ -415,8 +408,7 @@ impl RowCore for NnCore<'_> {
         let partials = (0..self.q).map(dims);
         self.first
             .pre_activation(fact, partials, ws.first_preactivation());
-        self.model
-            .forward_from_first_preactivation_with(self.kp, ws)
+        self.model.forward_from_first_preactivation(ws)
     }
 }
 
@@ -687,7 +679,6 @@ impl Scorer for GmmFit {
                 Precomputed::from_model(&self.model, SCORING_RIDGE),
                 partition,
                 ex.sparse,
-                ex.kernel_policy,
             )
         })
     }
@@ -705,13 +696,11 @@ impl Scorer for NnFit {
         opts: &Scoring,
     ) -> StoreResult<Scores<f64>> {
         let model = &self.model;
-        score_join(model.input_dim(), db, spec, exec, opts, |partition, ex| {
-            let kp = ex.kernel_policy;
+        score_join(model.input_dim(), db, spec, exec, opts, |partition, _| {
             NnCore {
                 model,
-                first: FirstLayer::split(model, partition.sizes(), kp),
+                first: FirstLayer::split(model, partition.sizes()),
                 q: partition.num_blocks() - 1,
-                kp,
             }
         })
     }

@@ -18,7 +18,7 @@
 //! The policy is pinned to `Blocked` — no fan-out, so a fit or score runs
 //! wholly on the test thread, whose allocations alone are counted (tests may
 //! run in parallel) — with observability off, so the counts do not depend on
-//! `FML_THREADS`, `FML_KERNEL_POLICY` or `FML_OBS`.
+//! `FML_THREADS` or `FML_OBS`.
 
 use fml_core::prelude::*;
 use fml_data::multiway::{DimSpec, MultiwayConfig};

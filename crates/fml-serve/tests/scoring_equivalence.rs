@@ -63,6 +63,10 @@ fn categorical_binary_workload(with_target: bool) -> fml_data::Workload {
     .unwrap()
 }
 
+/// Both driver policies: the scorer fans its fact blocks out under the
+/// second, runs them inline under the first.
+const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Blocked, KernelPolicy::BlockedParallel];
+
 fn exec(kp: KernelPolicy, sparse: SparseMode) -> ExecPolicy {
     ExecPolicy::new()
         .kernel_policy(kp)
@@ -146,7 +150,7 @@ fn assert_nn_equivalence(w: &fml_data::Workload, kp: KernelPolicy, sparse: Spars
 #[test]
 fn gmm_binary_dense_every_policy_and_mode() {
     let w = dense_workload(false);
-    for kp in KernelPolicy::ALL {
+    for kp in POLICIES {
         for sparse in [SparseMode::Auto, SparseMode::Dense] {
             assert_gmm_equivalence(&w, kp, sparse);
         }
@@ -156,7 +160,7 @@ fn gmm_binary_dense_every_policy_and_mode() {
 #[test]
 fn gmm_binary_categorical_every_policy_and_mode() {
     let w = categorical_binary_workload(false);
-    for kp in KernelPolicy::ALL {
+    for kp in POLICIES {
         for sparse in [SparseMode::Auto, SparseMode::Dense] {
             assert_gmm_equivalence(&w, kp, sparse);
         }
@@ -166,7 +170,7 @@ fn gmm_binary_categorical_every_policy_and_mode() {
 #[test]
 fn gmm_star_mixed_blocks_every_policy_and_mode() {
     let w = mixed_star_workload(false);
-    for kp in KernelPolicy::ALL {
+    for kp in POLICIES {
         for sparse in [SparseMode::Auto, SparseMode::Dense] {
             assert_gmm_equivalence(&w, kp, sparse);
         }
@@ -176,7 +180,7 @@ fn gmm_star_mixed_blocks_every_policy_and_mode() {
 #[test]
 fn nn_binary_dense_every_policy_and_mode() {
     let w = dense_workload(true);
-    for kp in KernelPolicy::ALL {
+    for kp in POLICIES {
         for sparse in [SparseMode::Auto, SparseMode::Dense] {
             assert_nn_equivalence(&w, kp, sparse);
         }
@@ -186,7 +190,7 @@ fn nn_binary_dense_every_policy_and_mode() {
 #[test]
 fn nn_binary_categorical_every_policy_and_mode() {
     let w = categorical_binary_workload(true);
-    for kp in KernelPolicy::ALL {
+    for kp in POLICIES {
         for sparse in [SparseMode::Auto, SparseMode::Dense] {
             assert_nn_equivalence(&w, kp, sparse);
         }
@@ -196,7 +200,7 @@ fn nn_binary_categorical_every_policy_and_mode() {
 #[test]
 fn nn_star_mixed_blocks_every_policy_and_mode() {
     let w = mixed_star_workload(true);
-    for kp in KernelPolicy::ALL {
+    for kp in POLICIES {
         for sparse in [SparseMode::Auto, SparseMode::Dense] {
             assert_nn_equivalence(&w, kp, sparse);
         }
@@ -705,12 +709,13 @@ fn scoring_repairs_degenerate_covariances_instead_of_panicking() {
 }
 
 #[test]
-#[should_panic(expected = "Session::score requires a join")]
-fn scoring_without_join_panics() {
+fn scoring_without_join_is_a_typed_error() {
+    use fml_core::fml_store::StoreError;
     let w = dense_workload(false);
     let session = Session::new(&w.db).join(&w.spec);
     let trained = session.fit(Gmm::with_k(2).iterations(1)).unwrap();
-    let _ = Session::new(&w.db).score(&trained);
+    let err = Session::new(&w.db).score(&trained).unwrap_err();
+    assert!(matches!(err, StoreError::NoJoin), "{err}");
 }
 
 /// A model scored over a join of another width — a model file loaded for
@@ -1032,15 +1037,11 @@ fn all_dead_relu_layers_fit_and_score_alike_under_every_strategy() {
     let init = Mlp::new(d_s + d_r, &[n_h], Activation::Relu, SEED);
     let hidden = &init.layers()[0];
     let w = &hidden.weights;
-    let gram = gemm::matmul_with(KernelPolicy::Naive, w, &w.transpose());
+    let gram = gemm::matmul(w, &w.transpose());
     let target: Vec<f64> = hidden.bias.iter().map(|b| -1.0 - b).collect();
-    let y = gemm::matvec_with(
-        KernelPolicy::Naive,
-        &Cholesky::factor(&gram).unwrap().inverse(),
-        &target,
-    );
-    let x = gemm::matvec_transposed_with(KernelPolicy::Naive, w, &y);
-    let a = hidden.pre_activation_with(KernelPolicy::Naive, &x);
+    let y = gemm::matvec(&Cholesky::factor(&gram).unwrap().inverse(), &target);
+    let x = gemm::matvec_transposed(w, &y);
+    let a = hidden.pre_activation(&x);
     assert!(a.iter().all(|&v| v < -0.5), "dead by construction: {a:?}");
 
     let db = Database::in_memory();

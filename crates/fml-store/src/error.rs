@@ -55,6 +55,9 @@ pub enum StoreError {
         /// The join's fact relation.
         relation: String,
     },
+    /// A session was asked to fit or score before it was given a join: it
+    /// has nothing to run over.
+    NoJoin,
     /// Stored bytes could not be decoded.
     Corrupt(String),
     /// A CSV file could not be parsed.
@@ -92,6 +95,10 @@ impl fmt::Display for StoreError {
             StoreError::NonFiniteFeature { relation } => write!(
                 f,
                 "a feature of the join over fact relation '{relation}' is NaN or infinite"
+            ),
+            StoreError::NoJoin => write!(
+                f,
+                "the session has no join to run over: call Session::join(spec) first"
             ),
             StoreError::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
             StoreError::Csv(msg) => write!(f, "csv error: {msg}"),
