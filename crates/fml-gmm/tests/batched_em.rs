@@ -20,7 +20,7 @@ use fml_gmm::em::{train_dense_from, DensePassSource, GmmFit, PAR_BATCH_TUPLES};
 use fml_gmm::{EStep, FactorizedGmm, FillScratch, GmmConfig, GmmModel, Precomputed};
 use fml_linalg::block::BlockPartition;
 use fml_linalg::testutil::TestRng;
-use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, Matrix, SparseMode, Vector};
+use fml_linalg::{gemm, vector, BlockVec, ExecPolicy, KernelPolicy, Matrix, SparseMode, Vector};
 use fml_store::factorized_scan::FactorizedScan;
 use fml_store::{Database, FeatureGroup, OrdinalArena, Schema, StoreResult, DEFAULT_BLOCK_PAGES};
 use reference::per_row_em;
@@ -126,21 +126,32 @@ fn assert_same_fit(label: &str, want: &GmmFit, got: &GmmFit) {
     }
 }
 
+/// The blocked dense driver against the naive oracle — per-row Algorithm 1
+/// over the sequential `fml_linalg::reference` loops — per width one row
+/// short of a batch, exactly one, one over, and 2.4 batches.
 #[test]
-fn the_dense_driver_matches_the_per_row_reference_across_widths_and_batch_boundaries() {
+fn blocked_matches_the_naive_oracle_across_widths_and_batch_boundaries() {
     let ridge = GmmConfig::default().ridge;
-    // A small fixture over four iterations; then per width one row short of
-    // a batch, exactly one, one over, and 2.4 batches.
-    let mut cases = vec![(11usize, 200usize, 4usize, 7u64)];
     for d in [2usize, 26, 85] {
         for n in [1023usize, 1024, 1025, 2500] {
-            cases.push((d, n, 3, (d * 10_000 + n) as u64));
+            let (rows, initial) = blobs(n, d, 3, (d * 10_000 + n) as u64);
+            let want = per_row_em(&rows, &initial, 3, ridge);
+            assert_same_fit(&format!("d={d} n={n}"), &want, &fit(&rows, &initial, 3));
         }
     }
-    for (d, n, iters, seed) in cases {
-        let (rows, initial) = blobs(n, d, 3, seed);
-        let want = per_row_em(&rows, &initial, iters, ridge);
-        assert_same_fit(&format!("d={d} n={n}"), &want, &fit(&rows, &initial, iters));
+}
+
+/// A small fixture over four iterations: the hand-rolled per-row EM on the
+/// naive reference loops, and the blocked driver's fit inline and fanned
+/// out, all one model.
+#[test]
+fn naive_and_blocked_fits_match_the_hand_rolled_per_row_em() {
+    let (rows, initial) = blobs(200, 11, 3, 7);
+    let want = per_row_em(&rows, &initial, 4, GmmConfig::default().ridge);
+    for p in [KernelPolicy::Blocked, KernelPolicy::BlockedParallel] {
+        let exec = ExecPolicy::new().kernel_policy(p);
+        let got = fit_stored(&rows, &[], &initial, 4, &exec);
+        assert_same_fit(&format!("{p} vs per-row EM"), &want, &got);
     }
 }
 
